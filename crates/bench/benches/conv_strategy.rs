@@ -1,11 +1,8 @@
 //! im2col+GEMM vs direct sliding-window convolution — the Caffe-lowering
-//! ablation (DESIGN.md §9).
+//! ablation (DESIGN.md §9) — over the driver's weight forms.
 
-use cap_tensor::{
-    conv2d_direct, conv2d_gemm, conv2d_gemm_packed, conv2d_sparse, conv2d_sparse_packed,
-    Conv2dParams, CsrMatrix, Matrix, PackedConvWeights, PackedSparseConvWeights, Tensor4,
-    WorkspacePool,
-};
+use cap_tensor::reference::conv2d_direct;
+use cap_tensor::{conv2d, Conv2dParams, ConvWeights, Matrix, Tensor4, WorkspacePool};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_conv(c: &mut Criterion) {
@@ -16,14 +13,6 @@ fn bench_conv(c: &mut Criterion) {
     });
     let weights = Matrix::from_fn(96, 64 * 9, |r, cc| ((r * 7 + cc) % 9) as f32 / 9.0 - 0.4);
     let bias = vec![0.1_f32; 96];
-
-    let mut group = c.benchmark_group("conv_13x13x64_to_96");
-    group.bench_function("im2col_gemm", |b| {
-        b.iter(|| conv2d_gemm(&input, &weights, Some(&bias), &params).unwrap())
-    });
-    group.bench_function("direct", |b| {
-        b.iter(|| conv2d_direct(&input, &weights, Some(&bias), &params).unwrap())
-    });
     // Sparse at 70 % pruning.
     let mut sparse_w = weights.clone();
     for (i, v) in sparse_w.as_mut_slice().iter_mut().enumerate() {
@@ -31,28 +20,24 @@ fn bench_conv(c: &mut Criterion) {
             *v = 0.0;
         }
     }
-    let csr = CsrMatrix::from_dense(&sparse_w, 0.0);
-    group.bench_function("sparse_csr_70pct", |b| {
-        b.iter(|| conv2d_sparse(&input, &csr, Some(&bias), &params).unwrap())
-    });
-    // Steady-state variants: weights pre-split into per-group bands at
-    // layer construction, im2col/GEMM scratch drawn from a workspace
-    // pool, output tensor reused across calls.
-    let packed = PackedConvWeights::pack(&weights, &params).unwrap();
+    let csr = ConvWeights::csr_bands(&sparse_w, &params).unwrap();
+
+    // Steady state, as a layer runs it: im2col scratch drawn from a
+    // workspace pool, output tensor reused across calls.
     let pool = WorkspacePool::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
-    group.bench_function("im2col_gemm_packed", |b| {
-        b.iter(|| {
-            conv2d_gemm_packed(&input, &packed, Some(&bias), &params, &pool, &mut out).unwrap()
-        })
+    let mut group = c.benchmark_group("conv_13x13x64_to_96");
+    group.bench_function("direct", |b| {
+        b.iter(|| conv2d_direct(&input, &weights, Some(&bias), &params).unwrap())
     });
-    let packed_csr = PackedSparseConvWeights::pack(&csr, &params).unwrap();
-    group.bench_function("sparse_csr_70pct_packed", |b| {
-        b.iter(|| {
-            conv2d_sparse_packed(&input, &packed_csr, Some(&bias), &params, &pool, &mut out)
-                .unwrap()
-        })
-    });
+    for (name, form) in [
+        ("im2col_gemm", ConvWeights::Dense(&weights)),
+        ("sparse_csr_70pct", ConvWeights::Csr(&csr)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| conv2d(&input, form, Some(&bias), false, &params, &pool, &mut out).unwrap())
+        });
+    }
     group.finish();
 }
 

@@ -53,12 +53,14 @@ pub fn fig3() -> String {
     let _ = net.forward(&input).expect("warm-up forward runs");
     let shares = layer_time_distribution_min_of(&net, &input, 3).expect("forward runs");
     // Aggregate by kind for readability, then list convs individually.
+    // Prefix match: under the default fusion mode a conv that absorbed
+    // its ReLU reports kind `conv+relu`.
     let conv_total: f64 = shares
         .iter()
-        .filter(|l| l.kind == "conv")
+        .filter(|l| l.kind.starts_with("conv"))
         .map(|l| l.share)
         .sum();
-    for l in shares.iter().filter(|l| l.kind == "conv") {
+    for l in shares.iter().filter(|l| l.kind.starts_with("conv")) {
         writeln!(
             out,
             "  {:<10} {:>5.1}%  {}",

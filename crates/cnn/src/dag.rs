@@ -34,13 +34,14 @@
 //! node-parallelism on top of data-parallelism would oversubscribe the
 //! machine). `On` forces the scheduler unconditionally; `Off` is the
 //! sequential escape hatch and the baseline arm of the `dagpar`
-//! ablation. Unknown values behave as `auto`, never an error.
+//! ablation. Any other value is fatal at first use (see
+//! [`cap_tensor::knob`]).
 
 use crate::network::{ForwardArena, ForwardRecord, Network, INPUT};
 use cap_obs::{NoopTracer, Tracer};
+use cap_tensor::knob::{Knob, KnobValue};
 use cap_tensor::{ShapeError, Tensor4, TensorResult};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -69,14 +70,22 @@ pub enum DagMode {
     Off,
 }
 
-impl DagMode {
-    /// Stable lower-case name as accepted by `CAP_CNN_DAG`.
-    pub fn name(self) -> &'static str {
+impl KnobValue for DagMode {
+    const VALUES: &'static [Self] = &[DagMode::Auto, DagMode::On, DagMode::Off];
+
+    fn name(self) -> &'static str {
         match self {
             DagMode::Auto => "auto",
             DagMode::On => "on",
             DagMode::Off => "off",
         }
+    }
+}
+
+impl DagMode {
+    /// Stable lower-case name as accepted by `CAP_CNN_DAG`.
+    pub fn name(self) -> &'static str {
+        KnobValue::name(self)
     }
 
     /// Whether this mode permits the DAG-parallel scheduler at all.
@@ -84,22 +93,12 @@ impl DagMode {
     pub fn enabled(self) -> bool {
         !matches!(self, DagMode::Off)
     }
-
-    /// Numeric code used by the [`force`] override (0 is "no override").
-    fn code(self) -> u8 {
-        match self {
-            DagMode::Auto => 1,
-            DagMode::On => 2,
-            DagMode::Off => 3,
-        }
-    }
 }
 
-/// Process-wide forced mode: 0 = none, else `DagMode::code()`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Cached resolution of `CAP_CNN_DAG`.
-static SELECTED: OnceLock<DagMode> = OnceLock::new();
+/// `CAP_CNN_DAG`, defaulting to [`DagMode::Auto`].
+static KNOB: Knob<DagMode> = Knob::new("CAP_CNN_DAG", |requested| {
+    requested.unwrap_or(DagMode::Auto)
+});
 
 /// Force every subsequent forward pass into `mode` (or back to the
 /// environment-driven selection with `None`).
@@ -111,25 +110,7 @@ static SELECTED: OnceLock<DagMode> = OnceLock::new();
 /// parity guarantee — but concurrent tests asserting on a *specific*
 /// mode must serialize around it.
 pub fn force(mode: Option<DagMode>) {
-    FORCED.store(mode.map_or(0, |m| m.code()), Ordering::Relaxed);
-}
-
-/// Parse a `CAP_CNN_DAG` value. Unknown strings behave as `auto`: a
-/// typo must not change behavior (auto already parallelizes wherever
-/// it pays).
-fn parse_env(value: &str) -> DagMode {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "on" => DagMode::On,
-        "off" => DagMode::Off,
-        _ => DagMode::Auto, // "", "auto", or anything unrecognized
-    }
-}
-
-/// Resolve the startup selection from `CAP_CNN_DAG`.
-fn resolve() -> DagMode {
-    std::env::var("CAP_CNN_DAG")
-        .map(|v| parse_env(&v))
-        .unwrap_or(DagMode::Auto)
+    KNOB.force(mode);
 }
 
 /// The DAG execution mode governing this process's forward passes.
@@ -139,12 +120,7 @@ fn resolve() -> DagMode {
 /// override, when set, wins without touching the cache.
 #[inline]
 pub fn selected() -> DagMode {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => DagMode::Auto,
-        2 => DagMode::On,
-        3 => DagMode::Off,
-        _ => *SELECTED.get_or_init(resolve),
-    }
+    KNOB.selected()
 }
 
 /// Cached `std::thread::available_parallelism()` — consulted on every
@@ -487,12 +463,15 @@ mod tests {
     use cap_tensor::{init::xavier_uniform, Conv2dParams};
 
     #[test]
-    fn parse_env_accepts_known_values_and_defaults_to_auto() {
-        assert_eq!(parse_env("on"), DagMode::On);
-        assert_eq!(parse_env(" OFF "), DagMode::Off);
-        assert_eq!(parse_env("auto"), DagMode::Auto);
-        assert_eq!(parse_env(""), DagMode::Auto);
-        assert_eq!(parse_env("bogus"), DagMode::Auto);
+    fn env_values_parse_and_unknown_is_an_error() {
+        assert_eq!(KNOB.parse("on"), Ok(Some(DagMode::On)));
+        assert_eq!(KNOB.parse(" OFF "), Ok(Some(DagMode::Off)));
+        assert_eq!(KNOB.parse("auto"), Ok(Some(DagMode::Auto)));
+        assert_eq!(KNOB.parse(""), Ok(None));
+        let message = KNOB.parse("bogus").unwrap_err();
+        assert!(message.contains("CAP_CNN_DAG"), "{message}");
+        assert!(message.contains("bogus"), "{message}");
+        assert!(message.contains("auto, on, off"), "{message}");
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //! Selection mirrors `CAP_TENSOR_KERNEL` (see [`cap_tensor::kernels`]):
 //! the `CAP_TENSOR_FUSION` environment variable is read once per
 //! process — `on`, `off`, or `auto` (the default; fusion enabled).
-//! Unknown values behave as `auto`, never an error: a typo must not
-//! change behavior, only miss nothing (auto already fuses).
+//! Any other value is fatal at first use (see [`cap_tensor::knob`]).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use cap_tensor::knob::{Knob, KnobValue};
 
 /// Whether the network executor fuses eligible layer chains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,14 +29,22 @@ pub enum FusionMode {
     Off,
 }
 
-impl FusionMode {
-    /// Stable lower-case name as accepted by `CAP_TENSOR_FUSION`.
-    pub fn name(self) -> &'static str {
+impl KnobValue for FusionMode {
+    const VALUES: &'static [Self] = &[FusionMode::Auto, FusionMode::On, FusionMode::Off];
+
+    fn name(self) -> &'static str {
         match self {
             FusionMode::Auto => "auto",
             FusionMode::On => "on",
             FusionMode::Off => "off",
         }
+    }
+}
+
+impl FusionMode {
+    /// Stable lower-case name as accepted by `CAP_TENSOR_FUSION`.
+    pub fn name(self) -> &'static str {
+        KnobValue::name(self)
     }
 
     /// Whether this mode enables the fusion rewrite.
@@ -46,23 +52,12 @@ impl FusionMode {
     pub fn enabled(self) -> bool {
         !matches!(self, FusionMode::Off)
     }
-
-    /// Numeric code used by the [`force`] override (0 is "no override").
-    fn code(self) -> u8 {
-        match self {
-            FusionMode::Auto => 1,
-            FusionMode::On => 2,
-            FusionMode::Off => 3,
-        }
-    }
 }
 
-/// Process-wide forced mode: 0 = none, else `FusionMode::code()`.
-/// Test/ablation hook only — see [`force`].
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Cached resolution of `CAP_TENSOR_FUSION`.
-static SELECTED: OnceLock<FusionMode> = OnceLock::new();
+/// `CAP_TENSOR_FUSION`, defaulting to [`FusionMode::Auto`].
+static KNOB: Knob<FusionMode> = Knob::new("CAP_TENSOR_FUSION", |requested| {
+    requested.unwrap_or(FusionMode::Auto)
+});
 
 /// Force every subsequent forward pass into `mode` (or back to the
 /// environment-driven selection with `None`).
@@ -74,23 +69,7 @@ static SELECTED: OnceLock<FusionMode> = OnceLock::new();
 /// parity guarantee — but concurrent tests asserting on a *specific*
 /// mode must serialize around it.
 pub fn force(mode: Option<FusionMode>) {
-    FORCED.store(mode.map_or(0, |m| m.code()), Ordering::Relaxed);
-}
-
-/// Parse a `CAP_TENSOR_FUSION` value. Unknown strings behave as `auto`.
-fn parse_env(value: &str) -> FusionMode {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "on" => FusionMode::On,
-        "off" => FusionMode::Off,
-        _ => FusionMode::Auto, // "", "auto", or anything unrecognized
-    }
-}
-
-/// Resolve the startup selection from `CAP_TENSOR_FUSION`.
-fn resolve() -> FusionMode {
-    std::env::var("CAP_TENSOR_FUSION")
-        .map(|v| parse_env(&v))
-        .unwrap_or(FusionMode::Auto)
+    KNOB.force(mode);
 }
 
 /// The fusion mode governing this process's forward passes.
@@ -100,12 +79,7 @@ fn resolve() -> FusionMode {
 /// [`force`] override, when set, wins without touching the cache.
 #[inline]
 pub fn selected() -> FusionMode {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => FusionMode::Auto,
-        2 => FusionMode::On,
-        3 => FusionMode::Off,
-        _ => *SELECTED.get_or_init(resolve),
-    }
+    KNOB.selected()
 }
 
 #[cfg(test)]
@@ -113,12 +87,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_env_accepts_known_values_and_defaults_to_auto() {
-        assert_eq!(parse_env("on"), FusionMode::On);
-        assert_eq!(parse_env(" OFF "), FusionMode::Off);
-        assert_eq!(parse_env("auto"), FusionMode::Auto);
-        assert_eq!(parse_env(""), FusionMode::Auto);
-        assert_eq!(parse_env("bogus"), FusionMode::Auto);
+    fn env_values_parse_and_unknown_is_an_error() {
+        assert_eq!(KNOB.parse("on"), Ok(Some(FusionMode::On)));
+        assert_eq!(KNOB.parse(" OFF "), Ok(Some(FusionMode::Off)));
+        assert_eq!(KNOB.parse("auto"), Ok(Some(FusionMode::Auto)));
+        assert_eq!(KNOB.parse(""), Ok(None));
+        let message = KNOB.parse("bogus").unwrap_err();
+        assert!(message.contains("CAP_TENSOR_FUSION"), "{message}");
+        assert!(message.contains("bogus"), "{message}");
+        assert!(message.contains("auto, on, off"), "{message}");
     }
 
     #[test]

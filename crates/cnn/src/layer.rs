@@ -78,18 +78,19 @@ pub trait Layer: Send + Sync {
     /// Layer kind for grouping and prunability checks.
     fn kind(&self) -> LayerKind;
 
-    /// Execute the layer on its inputs (most layers take exactly one).
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4>;
-
-    /// Execute the layer, writing into a reusable output tensor.
+    /// Execute the layer on its inputs (most layers take exactly one),
+    /// writing into a reusable output tensor.
     ///
     /// `out` is reshaped in place; once its buffer has grown to the
-    /// steady-state high-water mark, repeat calls allocate nothing. The
-    /// default delegates to [`Layer::forward`] and moves the result —
-    /// layers on the hot inference path override it.
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
-        *out = self.forward(inputs)?;
-        Ok(())
+    /// steady-state high-water mark, repeat calls allocate nothing.
+    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()>;
+
+    /// [`Layer::forward_into`] a freshly allocated tensor — the
+    /// convenience form for tests and one-off calls.
+    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        self.forward_into(inputs, &mut out)?;
+        Ok(out)
     }
 
     /// Whether this layer can absorb an immediately following ReLU into

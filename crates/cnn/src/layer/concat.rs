@@ -25,12 +25,6 @@ impl Layer for ConcatLayer {
         LayerKind::Concat
     }
 
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(inputs, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
         if inputs.is_empty() {
             return Err(ShapeError::new("concat: needs at least one input"));

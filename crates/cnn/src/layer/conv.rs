@@ -2,53 +2,53 @@
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
-    conv2d_gemm_packed_fused, conv2d_i8_packed_fused, conv2d_i8_sparse_fused,
-    conv2d_sparse_packed_fused, precision, symmetric_scale, CalibrationMethod, Conv2dParams,
-    CsrMatrix, Matrix, PackedConvWeights, PackedSparseConvWeights, Precision, QuantizedConvWeights,
-    QuantizedSparseConvWeights, ShapeError, Tensor4, TensorResult, WorkspacePool,
+    conv2d, precision, symmetric_scale, CalibrationMethod, Conv2dParams, ConvWeights, CsrMatrix,
+    Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4, TensorResult, WorkspacePool,
 };
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Weight sparsity above which the CSR kernel beats dense GEMM. The
 /// break-even is measured by the `gemm` criterion bench; 40 % is a
 /// conservative default for the rayon CPU kernels here.
 pub const SPARSE_THRESHOLD: f64 = 0.4;
 
+/// Why building a derived weight form cannot fail after construction.
+const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
+
 /// 2-D convolution layer (optionally grouped, AlexNet-style).
 ///
-/// Weights are stored dense; whenever their zero fraction exceeds
-/// [`SPARSE_THRESHOLD`], a per-group CSR split is built lazily and used
-/// for forward execution, so pruning translates into real wall-clock
-/// savings exactly as in the sparse-Caffe substrate of the paper.
-///
-/// Both dense and sparse weights are pre-split into per-group bands at
-/// construction / `set_weights` time ([`PackedConvWeights`],
-/// [`PackedSparseConvWeights`]), and im2col / GEMM scratch comes from a
-/// per-layer [`WorkspacePool`], so steady-state forwards allocate nothing.
+/// Weights are stored dense. Whether they run dense or CSR is decided
+/// **once**, when they are set (`new` / `set_weights`): a zero fraction
+/// above [`SPARSE_THRESHOLD`] selects the CSR form, so pruning
+/// translates into real wall-clock savings exactly as in the
+/// sparse-Caffe substrate of the paper — and a forward pass never
+/// rescans the weights to find out. The derived forms (per-group CSR
+/// bands, int8 quantizations) are built on the first forward that needs
+/// them and dropped by `set_weights`; im2col scratch comes from a
+/// per-layer [`WorkspacePool`], so steady-state forwards allocate
+/// nothing, take no lock and touch no reference count.
 pub struct ConvLayer {
     name: String,
     params: Conv2dParams,
     weights: Matrix,
     bias: Vec<f32>,
-    /// Per-group weight bands, rebuilt eagerly by `set_weights`.
-    packed: PackedConvWeights,
-    /// Lazily built per-group CSR split of `weights`; invalidated by
-    /// `set_weights`. `Arc` so forwards clone a pointer, not the data.
-    sparse_cache: RwLock<Option<Arc<PackedSparseConvWeights>>>,
-    /// Lazily built int8 quantization of `weights` (dense form);
-    /// invalidated by `set_weights`. Built only when the process runs
-    /// with `CAP_TENSOR_PRECISION=int8`.
-    quant_cache: RwLock<Option<Arc<QuantizedConvWeights>>>,
-    /// Lazily built int8 quantization of the CSR split, for pruned
-    /// weights on the int8 path; invalidated by `set_weights`.
-    quant_sparse_cache: RwLock<Option<Arc<QuantizedSparseConvWeights>>>,
+    /// `weights.sparsity(0.0) > SPARSE_THRESHOLD`, as of the last
+    /// `new`/`set_weights`.
+    sparse: bool,
+    /// Per-group CSR split of `weights` (sparse f32 path).
+    csr: OnceLock<Vec<CsrMatrix>>,
+    /// Int8 quantization of `weights` (dense int8 path). Lazy rather
+    /// than decided with `sparse`: `precision::force` can flip the
+    /// precision at run time.
+    dense_i8: OnceLock<Vec<QuantizedA>>,
+    /// Int8 quantization of the CSR split (sparse int8 path).
+    csr_i8: OnceLock<Vec<QuantizedCsr>>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated, in which case the int8 path falls back to a
     /// per-call max-abs estimate over the whole input tensor.
     act_scale: AtomicU32,
-    /// Reusable im2col/product scratch shared across forward calls.
+    /// Reusable im2col scratch shared across forward calls.
     pool: WorkspacePool,
 }
 
@@ -62,10 +62,7 @@ impl ConvLayer {
         bias: Vec<f32>,
     ) -> TensorResult<Self> {
         params.validate()?;
-        let expected = (
-            params.out_channels,
-            params.in_per_group() * params.kh * params.kw,
-        );
+        let expected = (params.out_channels, params.col_rows());
         if weights.shape() != expected {
             return Err(ShapeError::new(format!(
                 "conv layer: weights {:?}, expected {:?}",
@@ -80,16 +77,15 @@ impl ConvLayer {
                 params.out_channels
             )));
         }
-        let packed = PackedConvWeights::pack(&weights, &params)?;
         Ok(Self {
             name: name.into(),
             params,
+            sparse: weights.sparsity(0.0) > SPARSE_THRESHOLD,
             weights,
             bias,
-            packed,
-            sparse_cache: RwLock::new(None),
-            quant_cache: RwLock::new(None),
-            quant_sparse_cache: RwLock::new(None),
+            csr: OnceLock::new(),
+            dense_i8: OnceLock::new(),
+            csr_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
             pool: WorkspacePool::new(),
         })
@@ -103,35 +99,6 @@ impl ConvLayer {
     /// Bias vector.
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    fn sparse(&self) -> TensorResult<Arc<PackedSparseConvWeights>> {
-        if let Some(cached) = self.sparse_cache.read().as_ref() {
-            return Ok(Arc::clone(cached));
-        }
-        let csr = CsrMatrix::from_dense(&self.weights, 0.0);
-        let built = Arc::new(PackedSparseConvWeights::pack(&csr, &self.params)?);
-        *self.sparse_cache.write() = Some(Arc::clone(&built));
-        Ok(built)
-    }
-
-    fn quant(&self) -> TensorResult<Arc<QuantizedConvWeights>> {
-        if let Some(cached) = self.quant_cache.read().as_ref() {
-            return Ok(Arc::clone(cached));
-        }
-        let built = Arc::new(QuantizedConvWeights::pack(&self.weights, &self.params)?);
-        *self.quant_cache.write() = Some(Arc::clone(&built));
-        Ok(built)
-    }
-
-    fn quant_sparse(&self) -> TensorResult<Arc<QuantizedSparseConvWeights>> {
-        if let Some(cached) = self.quant_sparse_cache.read().as_ref() {
-            return Ok(Arc::clone(cached));
-        }
-        let csr = CsrMatrix::from_dense(&self.weights, 0.0);
-        let built = Arc::new(QuantizedSparseConvWeights::pack(&csr, &self.params)?);
-        *self.quant_sparse_cache.write() = Some(Arc::clone(&built));
-        Ok(built)
     }
 
     /// Calibrated activation scale, or a deterministic per-call max-abs
@@ -153,56 +120,27 @@ impl ConvLayer {
         let [input] = inputs else {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
-        if precision::selected() == Precision::Int8 {
-            let act_scale = self.act_scale_for(input);
-            return if self.weights.sparsity(0.0) > SPARSE_THRESHOLD {
-                let qw = self.quant_sparse()?;
-                conv2d_i8_sparse_fused(
-                    input,
-                    &qw,
-                    Some(&self.bias),
-                    &self.params,
-                    &self.pool,
-                    out,
-                    relu,
-                    act_scale,
-                )
-            } else {
-                let qw = self.quant()?;
-                conv2d_i8_packed_fused(
-                    input,
-                    &qw,
-                    Some(&self.bias),
-                    &self.params,
-                    &self.pool,
-                    out,
-                    relu,
-                    act_scale,
-                )
-            };
-        }
-        if self.weights.sparsity(0.0) > SPARSE_THRESHOLD {
-            let sparse = self.sparse()?;
-            conv2d_sparse_packed_fused(
-                input,
-                &sparse,
-                Some(&self.bias),
-                &self.params,
-                &self.pool,
-                out,
-                relu,
-            )
-        } else {
-            conv2d_gemm_packed_fused(
-                input,
-                &self.packed,
-                Some(&self.bias),
-                &self.params,
-                &self.pool,
-                out,
-                relu,
-            )
-        }
+        let (w, p) = (&self.weights, &self.params);
+        let weights = match (precision::selected(), self.sparse) {
+            (Precision::F32, false) => ConvWeights::Dense(w),
+            (Precision::F32, true) => ConvWeights::Csr(
+                self.csr
+                    .get_or_init(|| ConvWeights::csr_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+            ),
+            (Precision::Int8, false) => ConvWeights::DenseI8 {
+                bands: self
+                    .dense_i8
+                    .get_or_init(|| ConvWeights::i8_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+                act_scale: self.act_scale_for(input),
+            },
+            (Precision::Int8, true) => ConvWeights::CsrI8 {
+                bands: self
+                    .csr_i8
+                    .get_or_init(|| ConvWeights::csr_i8_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+                act_scale: self.act_scale_for(input),
+            },
+        };
+        conv2d(input, weights, Some(&self.bias), relu, p, &self.pool, out)
     }
 }
 
@@ -213,12 +151,6 @@ impl Layer for ConvLayer {
 
     fn kind(&self) -> LayerKind {
         LayerKind::Convolution
-    }
-
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(inputs, &mut out)?;
-        Ok(out)
     }
 
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
@@ -271,11 +203,11 @@ impl Layer for ConvLayer {
                 self.weights.shape()
             )));
         }
-        self.packed = PackedConvWeights::pack(&weights, &self.params)?;
+        self.sparse = weights.sparsity(0.0) > SPARSE_THRESHOLD;
         self.weights = weights;
-        *self.sparse_cache.write() = None;
-        *self.quant_cache.write() = None;
-        *self.quant_sparse_cache.write() = None;
+        self.csr = OnceLock::new();
+        self.dense_i8 = OnceLock::new();
+        self.csr_i8 = OnceLock::new();
         Ok(())
     }
 
@@ -290,8 +222,8 @@ impl Layer for ConvLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cap_tensor::conv2d_gemm;
     use cap_tensor::init::xavier_uniform;
+    use cap_tensor::reference::conv2d_direct;
 
     fn layer(sparsify: bool) -> ConvLayer {
         let params = Conv2dParams::new(3, 4, 3, 1, 1);
@@ -320,15 +252,15 @@ mod tests {
         assert!(zeroed_dense.weight_sparsity() > SPARSE_THRESHOLD);
 
         let input = Tensor4::from_fn(2, 3, 5, 5, |n, c, h, w| ((n + c + h + w) % 5) as f32 - 2.0);
-        // Force both paths on the same weights: sparse via the layer (its
-        // sparsity > threshold), dense via direct kernel call. The layer
-        // route is pinned to f32 — the dense reference is the exact f32
-        // kernel, so an int8 precision leg would route `forward` through
-        // the quantized path and break the tight tolerance.
+        // Sparse via the layer (its sparsity > threshold) against the
+        // direct oracle on the same weights. The layer route is pinned
+        // to f32 — the oracle is exact f32, so an int8 precision leg
+        // would route `forward` through the quantized path and break
+        // the tight tolerance.
         cap_tensor::precision::force(Some(cap_tensor::Precision::F32));
         let via_layer = zeroed_dense.forward(&[&input]).unwrap();
         cap_tensor::precision::force(None);
-        let via_dense = conv2d_gemm(
+        let via_dense = conv2d_direct(
             &input,
             zeroed_dense.weights().unwrap(),
             Some(zeroed_dense.bias()),

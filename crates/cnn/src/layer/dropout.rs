@@ -35,13 +35,6 @@ impl Layer for DropoutLayer {
         LayerKind::Dropout
     }
 
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let [input] = inputs else {
-            return Err(ShapeError::new("dropout: expected exactly one input"));
-        };
-        Ok((*input).clone())
-    }
-
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("dropout: expected exactly one input"));

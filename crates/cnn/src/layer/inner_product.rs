@@ -2,13 +2,12 @@
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
-    gemm_i8, gemm_prepacked_slice_fused, precision, quant::quantize_rows_into, symmetric_scale,
-    CalibrationMethod, CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision,
-    ShapeError, Tensor4, TensorResult, WorkspacePool,
+    gemm_i8, gemm_packed, precision, quantize_rows_into, symmetric_scale, CalibrationMethod,
+    CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision, ShapeError, Tensor4,
+    TensorResult, WorkspacePool,
 };
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use super::conv::SPARSE_THRESHOLD;
 
@@ -16,7 +15,8 @@ use super::conv::SPARSE_THRESHOLD;
 /// `y = W x + b` with `W: out × in`.
 ///
 /// Like [`super::ConvLayer`], pruned (sparse) weights switch execution to
-/// the CSR kernel.
+/// the CSR kernel, and that choice is made once, when the weights are
+/// set — never per forward.
 pub struct InnerProductLayer {
     name: String,
     in_features: usize,
@@ -29,13 +29,16 @@ pub struct InnerProductLayer {
     /// happens once here, not per forward call.
     packed_t: PackedB,
     bias: Vec<f32>,
-    /// Lazily built CSR view of `weights`; invalidated by `set_weights`.
-    /// `Arc` so forwards clone a pointer, not the data.
-    sparse_cache: RwLock<Option<Arc<CsrMatrix>>>,
-    /// Lazily built int8 quantization of the packed transpose, built
-    /// only on the `CAP_TENSOR_PRECISION=int8` path; invalidated by
-    /// `set_weights`.
-    quant_cache: RwLock<Option<Arc<PackedBI8>>>,
+    /// `weights.sparsity(0.0) > SPARSE_THRESHOLD`, as of the last
+    /// `new`/`set_weights`.
+    sparse: bool,
+    /// CSR view of `weights`, built on the first sparse forward;
+    /// dropped by `set_weights`.
+    csr: OnceLock<CsrMatrix>,
+    /// Int8 quantization of the packed transpose, built on the first
+    /// dense int8 forward (lazy: `precision::force` can flip the
+    /// precision at run time); dropped by `set_weights`.
+    packed_t_i8: OnceLock<PackedBI8>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated (per-call max-abs fallback).
     act_scale: AtomicU32,
@@ -60,11 +63,12 @@ impl InnerProductLayer {
             name: name.into(),
             in_features,
             out_features,
+            sparse: weights.sparsity(0.0) > SPARSE_THRESHOLD,
             weights,
             packed_t,
             bias,
-            sparse_cache: RwLock::new(None),
-            quant_cache: RwLock::new(None),
+            csr: OnceLock::new(),
+            packed_t_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
             pool: WorkspacePool::new(),
         })
@@ -85,25 +89,20 @@ impl InnerProductLayer {
         &self.bias
     }
 
-    fn sparse(&self) -> Arc<CsrMatrix> {
-        if let Some(cached) = self.sparse_cache.read().as_ref() {
-            return Arc::clone(cached);
-        }
-        let built = Arc::new(CsrMatrix::from_dense(&self.weights, 0.0));
-        *self.sparse_cache.write() = Some(Arc::clone(&built));
-        built
+    fn csr(&self) -> &CsrMatrix {
+        self.csr
+            .get_or_init(|| CsrMatrix::from_dense(&self.weights, 0.0))
     }
 
-    fn quant_t(&self) -> Arc<PackedBI8> {
-        if let Some(cached) = self.quant_cache.read().as_ref() {
-            return Arc::clone(cached);
-        }
+    fn packed_t_i8(&self) -> &PackedBI8 {
         // Wᵀ holds the same values as W, so the per-tensor scale can be
         // taken from the untransposed weights without a second pass.
-        let scale = symmetric_scale(self.weights.as_slice());
-        let built = Arc::new(PackedBI8::pack(&self.weights.transpose(), scale));
-        *self.quant_cache.write() = Some(Arc::clone(&built));
-        built
+        self.packed_t_i8.get_or_init(|| {
+            PackedBI8::pack(
+                &self.weights.transpose(),
+                symmetric_scale(self.weights.as_slice()),
+            )
+        })
     }
 
     /// Calibrated activation scale, or a deterministic per-call max-abs
@@ -133,13 +132,13 @@ impl InnerProductLayer {
         }
         let batch = input.n();
         out.resize(batch, self.out_features, 1, 1);
-        if self.weights.sparsity(0.0) > SPARSE_THRESHOLD {
+        if self.sparse {
             if batch == 1 {
                 // Batch-1 sparse path: the product is a matvec, so run
                 // the CSR spmv kernel straight from the input slice into
                 // the output slice — no Xᵀ/Y staging matrices, no
                 // transposes, no allocation.
-                return self.sparse().matvec_fused_into(
+                return self.csr().matvec_into(
                     input.as_slice(),
                     out.as_mut_slice(),
                     Some(&self.bias),
@@ -152,8 +151,13 @@ impl InnerProductLayer {
             // features, so the bias is per-row there).
             let x_t = input.to_matrix().transpose();
             let mut y = Matrix::zeros(self.out_features, batch);
-            self.sparse()
-                .matmul_dense_into_fused(&x_t, &mut y, Some(&self.bias), relu)?;
+            self.csr().spmm_into(
+                x_t.as_slice(),
+                batch,
+                y.as_mut_slice(),
+                Some(&self.bias),
+                relu,
+            )?;
             let o = out.as_mut_slice();
             for b in 0..batch {
                 for of in 0..self.out_features {
@@ -168,20 +172,19 @@ impl InnerProductLayer {
             // The sparse branches above deliberately stay f32: CSR
             // row-skipping is bandwidth-bound, so int8 buys little
             // there, and SpMV keeps its scalar-by-contract guarantee.
-            let qw = self.quant_t();
+            let qw = self.packed_t_i8();
             let act_scale = self.act_scale_for(input);
             let mut ws = self.pool.checkout();
-            let qb = ws.qbuf_slot();
             let kp = quantize_rows_into(
                 input.as_slice(),
                 batch,
                 self.in_features,
                 1.0 / act_scale,
-                qb,
+                &mut ws.qbuf,
             );
             debug_assert_eq!(kp, qw.kp());
             gemm_i8(
-                qb,
+                &ws.qbuf,
                 batch,
                 kp,
                 self.out_features,
@@ -201,10 +204,12 @@ impl InnerProductLayer {
             // (routing through the dedicated gemv kernel when batch is
             // 1), and bias/ReLU ride its store as a per-column epilogue
             // (out features are GEMM columns here).
-            gemm_prepacked_slice_fused(
+            gemm_packed(
                 input.as_slice(),
                 batch,
-                &self.packed_t,
+                self.in_features,
+                self.out_features,
+                self.packed_t.as_slice(),
                 out.as_mut_slice(),
                 Epilogue {
                     bias: Some(EpiBias::PerCol(&self.bias)),
@@ -223,12 +228,6 @@ impl Layer for InnerProductLayer {
 
     fn kind(&self) -> LayerKind {
         LayerKind::InnerProduct
-    }
-
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(inputs, &mut out)?;
-        Ok(out)
     }
 
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
@@ -280,9 +279,10 @@ impl Layer for InnerProductLayer {
             )));
         }
         self.packed_t = PackedB::pack(&weights.transpose());
+        self.sparse = weights.sparsity(0.0) > SPARSE_THRESHOLD;
         self.weights = weights;
-        *self.sparse_cache.write() = None;
-        *self.quant_cache.write() = None;
+        self.csr = OnceLock::new();
+        self.packed_t_i8 = OnceLock::new();
         Ok(())
     }
 

@@ -52,12 +52,6 @@ impl Layer for LrnLayer {
         LayerKind::Lrn
     }
 
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(inputs, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("lrn: expected exactly one input"));

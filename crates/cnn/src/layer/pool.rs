@@ -2,8 +2,7 @@
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
-    avg_pool2d, avg_pool2d_into, max_pool2d, max_pool2d_into, Pool2dParams, ShapeError, Tensor4,
-    TensorResult,
+    avg_pool2d_into, max_pool2d_into, Pool2dParams, ShapeError, Tensor4, TensorResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -54,16 +53,6 @@ impl Layer for PoolLayer {
         LayerKind::Pooling
     }
 
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let [input] = inputs else {
-            return Err(ShapeError::new("pool: expected exactly one input"));
-        };
-        match self.mode {
-            PoolMode::Max => max_pool2d(input, &self.params),
-            PoolMode::Avg => avg_pool2d(input, &self.params),
-        }
-    }
-
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("pool: expected exactly one input"));
@@ -96,6 +85,32 @@ mod tests {
         // Caffenet pool1: 3x3 stride 2 on 96x55x55 -> 96x27x27.
         let l = PoolLayer::new("pool1", PoolMode::Max, 3, 0, 2);
         assert_eq!(l.out_shape(&[(96, 55, 55)]).unwrap(), (96, 27, 27));
+    }
+
+    #[test]
+    fn max_pool_layer_forward_matches_naive_window_max() {
+        // Caffenet-style overlapping 3x3 stride 2, no padding.
+        let l = PoolLayer::new("pool", PoolMode::Max, 3, 0, 2);
+        let x = Tensor4::from_fn(2, 3, 7, 7, |n, c, h, w| {
+            ((n * 5 + c * 11 + h * 7 + w * 3) % 13) as f32 - 6.0
+        });
+        let y = l.forward(&[&x]).unwrap();
+        assert_eq!(y.shape(), (2, 3, 3, 3));
+        for n in 0..2 {
+            for c in 0..3 {
+                for oy in 0..3 {
+                    for ox in 0..3 {
+                        let mut best = f32::NEG_INFINITY;
+                        for ky in 0..3 {
+                            for kx in 0..3 {
+                                best = best.max(x.get(n, c, oy * 2 + ky, ox * 2 + kx));
+                            }
+                        }
+                        assert_eq!(y.get(n, c, oy, ox), best);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

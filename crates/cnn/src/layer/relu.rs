@@ -1,10 +1,7 @@
 //! ReLU activation layer.
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{
-    ops::{relu_inplace, relu_into},
-    ShapeError, Tensor4, TensorResult,
-};
+use cap_tensor::{ops::relu_into, ShapeError, Tensor4, TensorResult};
 
 /// Rectified linear unit: `y = max(0, x)`, elementwise.
 pub struct ReluLayer {
@@ -25,15 +22,6 @@ impl Layer for ReluLayer {
 
     fn kind(&self) -> LayerKind {
         LayerKind::Relu
-    }
-
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let [input] = inputs else {
-            return Err(ShapeError::new("relu: expected exactly one input"));
-        };
-        let mut out = (*input).clone();
-        relu_inplace(out.as_mut_slice());
-        Ok(out)
     }
 
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {

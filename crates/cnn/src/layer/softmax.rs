@@ -24,25 +24,6 @@ impl Layer for SoftmaxLayer {
         LayerKind::Softmax
     }
 
-    fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
-        let [input] = inputs else {
-            return Err(ShapeError::new("softmax: expected exactly one input"));
-        };
-        if input.h() != 1 || input.w() != 1 {
-            return Err(ShapeError::new(format!(
-                "softmax {}: expected 1x1 spatial input, got {}x{}",
-                self.name,
-                input.h(),
-                input.w()
-            )));
-        }
-        let mut out = (*input).clone();
-        for n in 0..out.n() {
-            softmax_inplace(out.image_mut(n));
-        }
-        Ok(out)
-    }
-
     fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("softmax: expected exactly one input"));
@@ -81,13 +62,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn each_image_sums_to_one() {
+    fn each_image_is_the_naive_softmax_and_sums_to_one() {
         let l = SoftmaxLayer::new("prob");
         let x = Tensor4::from_fn(3, 5, 1, 1, |n, c, _, _| (n * c) as f32 * 0.3);
         let y = l.forward(&[&x]).unwrap();
         for n in 0..3 {
             let s: f32 = y.image(n).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
+            let denom: f64 = x.image(n).iter().map(|&v| (v as f64).exp()).sum();
+            for (got, &logit) in y.image(n).iter().zip(x.image(n)) {
+                let want = (logit as f64).exp() / denom;
+                assert!((*got as f64 - want).abs() < 1e-6, "{got} vs {want}");
+            }
         }
     }
 

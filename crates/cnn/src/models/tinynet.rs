@@ -10,11 +10,12 @@ use crate::accuracy::{evaluate_topk, AccuracyReport};
 use crate::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer};
 use crate::network::Network;
 use crate::train::{
-    conv_backward, fc_backward, maxpool_backward, relu_backward, softmax_cross_entropy, Sgd,
+    conv_backward, conv_forward, fc_backward, maxpool_backward, relu_backward,
+    softmax_cross_entropy, Sgd,
 };
 use cap_tensor::{
-    conv2d_gemm, conv2d_sparse, gemm, max_pool2d_indices, ops::relu_inplace, Conv2dParams,
-    CsrMatrix, Matrix, Pool2dParams, ShapeError, Tensor4, TensorResult,
+    gemm, max_pool2d_indices, ops::relu_inplace, Conv2dParams, ConvWeights, Matrix, Pool2dParams,
+    ShapeError, Tensor4, TensorResult,
 };
 
 /// A two-conv-layer CNN: `conv1 → relu → pool → conv2 → relu → pool → fc`.
@@ -85,11 +86,12 @@ impl TinyNet {
 
     fn forward_cached(&self, x: &Tensor4) -> TensorResult<ForwardCache> {
         let pool = Pool2dParams::new(2, 0, 2);
-        let a1_pre = conv2d_gemm(x, &self.conv1_w, Some(&self.conv1_b), &self.conv1)?;
+        let dense = ConvWeights::Dense;
+        let a1_pre = conv_forward(x, dense(&self.conv1_w), &self.conv1_b, &self.conv1)?;
         let mut a1 = a1_pre.clone();
         relu_inplace(a1.as_mut_slice());
         let (a1_pooled, pool1_idx) = max_pool2d_indices(&a1, &pool)?;
-        let a2_pre = conv2d_gemm(&a1_pooled, &self.conv2_w, Some(&self.conv2_b), &self.conv2)?;
+        let a2_pre = conv_forward(&a1_pooled, dense(&self.conv2_w), &self.conv2_b, &self.conv2)?;
         let mut a2 = a2_pre.clone();
         relu_inplace(a2.as_mut_slice());
         let (a2_pooled, pool2_idx) = max_pool2d_indices(&a2, &pool)?;
@@ -121,12 +123,12 @@ impl TinyNet {
     /// path a pruned model takes. Numerically identical to [`Self::logits`].
     pub fn logits_sparse(&self, x: &Tensor4) -> TensorResult<Matrix> {
         let pool = Pool2dParams::new(2, 0, 2);
-        let w1 = CsrMatrix::from_dense(&self.conv1_w, 0.0);
-        let w2 = CsrMatrix::from_dense(&self.conv2_w, 0.0);
-        let mut a1 = conv2d_sparse(x, &w1, Some(&self.conv1_b), &self.conv1)?;
+        let w1 = ConvWeights::csr_bands(&self.conv1_w, &self.conv1)?;
+        let w2 = ConvWeights::csr_bands(&self.conv2_w, &self.conv2)?;
+        let mut a1 = conv_forward(x, ConvWeights::Csr(&w1), &self.conv1_b, &self.conv1)?;
         relu_inplace(a1.as_mut_slice());
         let (a1p, _) = max_pool2d_indices(&a1, &pool)?;
-        let mut a2 = conv2d_sparse(&a1p, &w2, Some(&self.conv2_b), &self.conv2)?;
+        let mut a2 = conv_forward(&a1p, ConvWeights::Csr(&w2), &self.conv2_b, &self.conv2)?;
         relu_inplace(a2.as_mut_slice());
         let (a2p, _) = max_pool2d_indices(&a2, &pool)?;
         let flat = a2p.to_matrix();

@@ -2,21 +2,26 @@
 //!
 //! A [`Network`] is a directed acyclic graph of layers. Nodes are added in
 //! topological order (each node may only reference earlier nodes or the
-//! network input), which is how Caffe prototxts are written too. The
-//! executor runs nodes in insertion order, records per-layer durations,
-//! and frees intermediate activations as soon as their last consumer has
-//! run — Googlenet at batch 32 would otherwise hold hundreds of MB.
+//! network input), which is how Caffe prototxts are written too.
+//!
+//! There is **one executor**: every entry point — [`Network::forward`],
+//! [`Network::forward_timed`], [`Network::forward_into`],
+//! [`Network::forward_into_traced`], [`Network::calibrate`] and
+//! [`crate::DagExecutor`] — runs a cached plan of steps through
+//! `exec_plan_step`, the only function that calls into a layer. The
+//! entry points differ in their `Schedule` (which plan, which
+//! scheduler) and in what observes the pass: per-layer timing is a
+//! [`Tracer`], calibration a per-step hook.
 
 use crate::dag::{self, DagMode};
-use crate::fusion::{self, FusionMode};
+use crate::fusion;
 use crate::layer::{ChwShape, Layer, LayerKind};
-use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
+use cap_obs::{CollectingTracer, NoopTracer, SpanInfo, SpanScope, Tracer};
 use cap_tensor::{CalibrationMethod, Matrix, ShapeError, Tensor4, TensorResult};
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifier of a node within a [`Network`].
@@ -38,9 +43,9 @@ struct ExecStep {
     fused_relu: Option<usize>,
 }
 
-/// Cached execution schedule for [`Network::forward_into_traced`].
+/// Cached execution schedule of a [`Network`].
 ///
-/// Built once per `(network, fusion mode)` pair by pattern-matching
+/// Built once per `(network, fused?)` pair by pattern-matching
 /// `conv → relu` / `fc → relu` chains; a fused ReLU node disappears as
 /// a step and its output aliases its producer's arena slot
 /// (`slot_of`), so the ReLU's own activation buffer is never sized —
@@ -160,6 +165,41 @@ struct DagRun {
     chained: AtomicU64,
 }
 
+/// How one pass picks its plan and its scheduler — the only thing the
+/// public entry points disagree on.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// The process-wide fusion and DAG modes ([`Network::forward`],
+    /// [`Network::forward_into`], [`Network::forward_into_traced`]).
+    Knobs,
+    /// Process-wide fusion mode, ready-queue scheduler forced with
+    /// this worker cap ([`crate::DagExecutor`]).
+    Dag(usize),
+    /// One unfused step per node, in insertion order, on the calling
+    /// thread — the measuring ([`Network::forward_timed`]) and
+    /// calibrating ([`Network::calibrate`]) schedule: a fused step
+    /// would blend a ReLU's time into its producer, and both want every
+    /// node visited in a fixed order.
+    PerNode,
+}
+
+/// Everything `exec_plan_step` needs besides the step index, shared by
+/// the sequential loop and every DAG worker of one pass.
+struct Pass<'a, T: Tracer> {
+    plan: &'a Plan,
+    input: &'a Tensor4,
+    slots: SlotsPtr,
+    tracer: &'a T,
+    /// Some observability channel (tracer or timed metrics) is on:
+    /// read the clock around each step.
+    observing: bool,
+    /// Timed metrics are on ([`cap_obs::timing_enabled`]).
+    timing: bool,
+    /// The calibration observer: show every layer its inputs
+    /// ([`Layer::observe_input`]) before it runs.
+    calibrate: Option<CalibrationMethod>,
+}
+
 /// Span kind tag for a fused step: the producer's tag plus the ReLU it
 /// absorbed, so profiles show `conv+relu` / `fc+relu` rows and the
 /// per-layer report can mark them fused.
@@ -178,7 +218,8 @@ pub struct LayerTiming {
     pub name: String,
     /// Layer kind tag (`conv`, `fc`, ...).
     pub kind: String,
-    /// Time spent inside `Layer::forward`.
+    /// Duration of the layer's executor span: resolving its inputs
+    /// plus `Layer::forward_into`.
     pub duration: Duration,
 }
 
@@ -220,10 +261,9 @@ impl ForwardRecord {
 /// [`Network::forward_into`] keeps one output tensor per node alive in
 /// here; after the first pass every buffer has reached its steady-state
 /// high-water mark and subsequent passes (same batch size) allocate
-/// nothing. The trade-off versus [`Network::forward_timed`] is peak
-/// memory: the arena retains *all* activations instead of freeing them
-/// after their last consumer, which is the right call for the modest
-/// batch sizes the batched-inference driver uses.
+/// nothing. The arena retains *all* activations of a pass instead of
+/// freeing them after their last consumer, which is the right call for
+/// the modest batch sizes the batched-inference driver uses.
 #[derive(Default)]
 pub struct ForwardArena {
     slots: Vec<Tensor4>,
@@ -252,10 +292,9 @@ pub struct Network {
     input_shape: ChwShape,
     nodes: Vec<Node>,
     by_name: HashMap<String, NodeId>,
-    /// Cached fusion execution plan, keyed by the [`FusionMode`] that
-    /// built it; invalidated whenever a layer is added. `Arc` so a
-    /// forward pass clones a pointer out of the lock, not the plan.
-    plan_cache: RwLock<Option<(FusionMode, Arc<Plan>)>>,
+    /// Execution plans, `[unfused, fused]`, each built on first use and
+    /// dropped whenever a layer is added.
+    plans: [OnceLock<Plan>; 2],
 }
 
 impl Network {
@@ -266,7 +305,7 @@ impl Network {
             input_shape,
             nodes: Vec::new(),
             by_name: HashMap::new(),
-            plan_cache: RwLock::new(None),
+            plans: Default::default(),
         }
     }
 
@@ -321,8 +360,8 @@ impl Network {
             layer,
             inputs: inputs.to_vec(),
         });
-        // The fusion plan is a function of the node list; rebuild lazily.
-        *self.plan_cache.write() = None;
+        // The plans are a function of the node list; rebuild lazily.
+        self.plans = Default::default();
         Ok(id)
     }
 
@@ -468,6 +507,10 @@ impl Network {
 
     /// Run a forward pass, returning only the output tensor.
     ///
+    /// [`Network::forward_into`] through a throwaway arena: same plan,
+    /// same knobs, same bits — for callers that run one pass and keep
+    /// nothing.
+    ///
     /// ```
     /// use cap_cnn::layer::{PoolLayer, PoolMode, ReluLayer};
     /// use cap_cnn::Network;
@@ -485,74 +528,36 @@ impl Network {
     /// assert!(y.as_slice().iter().all(|&v| v >= 0.0)); // ReLU ran
     /// ```
     pub fn forward(&self, input: &Tensor4) -> TensorResult<Tensor4> {
-        Ok(self.forward_timed(input)?.output)
+        let mut arena = ForwardArena::new();
+        let slot = self.run_pass(input, &mut arena, &NoopTracer, Schedule::Knobs, None)?;
+        Ok(arena.slots.swap_remove(slot))
     }
 
     /// Run a forward pass and record per-layer wall-clock durations —
     /// the measurement behind Figure 3.
+    ///
+    /// Always one unfused step per node, sequentially, whatever the
+    /// fusion and DAG knobs say: this is the per-layer measurement
+    /// instrument, and fusing would blend a ReLU's time into its
+    /// producer. The timings are the executor's own layer spans.
     pub fn forward_timed(&self, input: &Tensor4) -> TensorResult<ForwardRecord> {
-        if input.c() != self.input_shape.0
-            || input.h() != self.input_shape.1
-            || input.w() != self.input_shape.2
-        {
-            return Err(ShapeError::new(format!(
-                "network {}: input shape {:?}, expected {:?}",
-                self.name,
-                (input.c(), input.h(), input.w()),
-                self.input_shape
-            )));
-        }
-        if self.nodes.is_empty() {
-            return Ok(ForwardRecord {
-                output: input.clone(),
-                timings: Vec::new(),
-            });
-        }
-        // Last consumer index per node so activations free eagerly.
-        let mut last_use = vec![0usize; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &inp in &node.inputs {
-                if inp != INPUT {
-                    last_use[inp.0] = i;
-                }
-            }
-        }
-        let mut activations: Vec<Option<Tensor4>> = (0..self.nodes.len()).map(|_| None).collect();
-        let mut timings = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            let input_refs: Vec<&Tensor4> = node
-                .inputs
-                .iter()
-                .map(|&id| {
-                    if id == INPUT {
-                        input
-                    } else {
-                        activations[id.0]
-                            .as_ref()
-                            .expect("topological order guarantees producer ran and is retained")
-                    }
-                })
-                .collect();
-            let start = Instant::now();
-            let out = node.layer.forward(&input_refs)?;
-            timings.push(LayerTiming {
-                name: node.layer.name().to_string(),
-                kind: node.layer.kind().tag().to_string(),
-                duration: start.elapsed(),
-            });
-            activations[i] = Some(out);
-            // Drop activations nobody will read again.
-            for (j, slot) in activations.iter_mut().enumerate().take(i) {
-                if last_use[j] <= i && j != self.nodes.len() - 1 {
-                    *slot = None;
-                }
-            }
-        }
-        let output = activations
-            .pop()
-            .flatten()
-            .expect("last node output retained");
-        Ok(ForwardRecord { output, timings })
+        let mut arena = ForwardArena::new();
+        let tracer = CollectingTracer::new();
+        let slot = self.run_pass(input, &mut arena, &tracer, Schedule::PerNode, None)?;
+        let timings = tracer
+            .take_spans()
+            .into_iter()
+            .filter(|span| span.scope == SpanScope::Layer)
+            .map(|span| LayerTiming {
+                name: span.name,
+                kind: span.kind,
+                duration: span.elapsed,
+            })
+            .collect();
+        Ok(ForwardRecord {
+            output: arena.slots.swap_remove(slot),
+            timings,
+        })
     }
 
     /// Run a forward pass through a reusable activation arena — the
@@ -562,17 +567,14 @@ impl Network {
     /// arena (clone it if it must outlive the next pass). Layers write
     /// into per-node tensors retained across calls via
     /// [`Layer::forward_into`]; for purely sequential networks run on
-    /// pre-packed dense weights, repeat passes at a fixed batch size
-    /// perform no heap allocation at all (the fusion plan is built on
-    /// the first pass and cached).
+    /// dense weights, repeat passes at a fixed batch size perform no
+    /// heap allocation at all (the plan is built on the first pass and
+    /// cached).
     ///
     /// This entry point honors the graph-level fusion pass (see
     /// [`crate::fusion`]): under `CAP_TENSOR_FUSION=auto` (the default)
     /// or `on`, eligible `conv → relu` / `fc → relu` chains execute as
     /// single fused steps, bitwise identical to the unfused schedule.
-    /// [`Network::forward_timed`] always runs unfused — it is the
-    /// per-layer measurement instrument, and fusing would blend the
-    /// ReLU's time into its producer.
     pub fn forward_into<'a>(
         &self,
         input: &Tensor4,
@@ -625,7 +627,8 @@ impl Network {
         arena: &'a mut ForwardArena,
         tracer: &T,
     ) -> TensorResult<&'a Tensor4> {
-        self.forward_into_traced_impl(input, arena, tracer, None)
+        let slot = self.run_pass(input, arena, tracer, Schedule::Knobs, None)?;
+        Ok(&arena.slots[slot])
     }
 
     /// [`crate::DagExecutor`] entry point: run the DAG-parallel
@@ -638,7 +641,38 @@ impl Network {
         tracer: &T,
         workers: usize,
     ) -> TensorResult<&'a Tensor4> {
-        self.forward_into_traced_impl(input, arena, tracer, Some(workers))
+        let slot = self.run_pass(input, arena, tracer, Schedule::Dag(workers), None)?;
+        Ok(&arena.slots[slot])
+    }
+
+    /// Activation-range calibration pass for the int8 execution path.
+    ///
+    /// Runs one forward pass over `input` (a representative calibration
+    /// batch), handing every layer the activations it is about to
+    /// consume via [`Layer::observe_input`] so weighted layers can
+    /// derive and store their input-activation scale with `method`.
+    /// Returns the pass's output tensor, so the caller can reuse it
+    /// (e.g. to score the calibration batch). Like
+    /// [`Network::forward_timed`] it visits every node unfused, in
+    /// insertion order.
+    ///
+    /// Call this while the process precision is f32: the observed
+    /// ranges are then exact. Calibrating under int8 still works — the
+    /// layers observe the (approximate) int8-path activations — but
+    /// adds quantization noise to the scales for no benefit. A network
+    /// that is never calibrated remains correct on the int8 path; each
+    /// weighted layer just falls back to a per-call max-abs estimate,
+    /// trading a scan of its input for the missing calibration.
+    pub fn calibrate(&self, input: &Tensor4, method: CalibrationMethod) -> TensorResult<Tensor4> {
+        let mut arena = ForwardArena::new();
+        let slot = self.run_pass(
+            input,
+            &mut arena,
+            &NoopTracer,
+            Schedule::PerNode,
+            Some(method),
+        )?;
+        Ok(arena.slots.swap_remove(slot))
     }
 
     /// Input references of node `i` (possibly [`INPUT`]), in
@@ -651,33 +685,15 @@ impl Network {
         self.nodes[i].inputs.iter().copied()
     }
 
-    /// Build the execution schedule for `mode`.
+    /// Build the execution schedule, fusing eligible chains iff `fuse`.
     ///
     /// A ReLU node `r` is fused into its producer `p` when the pair is
     /// adjacent in execution order (`r = p + 1`), `r`'s only input is
     /// `p`, `p` opts in via [`Layer::supports_relu_fusion`], and `p` is
     /// consumed by nothing but `r` — otherwise another consumer would
     /// observe pre-ReLU activations that no longer exist anywhere.
-    fn build_plan(&self, mode: FusionMode) -> Plan {
+    fn build_plan(&self, fuse: bool) -> Plan {
         let n = self.nodes.len();
-        let mut slot_of: Vec<usize> = (0..n).collect();
-        if !mode.enabled() {
-            let mut plan = Plan {
-                steps: (0..n)
-                    .map(|i| ExecStep {
-                        node: i,
-                        fused_relu: None,
-                    })
-                    .collect(),
-                slot_of,
-                fused_count: 0,
-                succs: Vec::new(),
-                indeg: Vec::new(),
-                width: 0,
-            };
-            plan.finalize(&self.nodes);
-            return plan;
-        }
         let mut consumers = vec![0usize; n];
         for node in &self.nodes {
             for &inp in &node.inputs {
@@ -686,11 +702,12 @@ impl Network {
                 }
             }
         }
+        let mut slot_of: Vec<usize> = (0..n).collect();
         let mut steps = Vec::with_capacity(n);
         let mut fused_count = 0u64;
         let mut i = 0;
         while i < n {
-            let fusible = i + 1 < n && {
+            let fusible = fuse && i + 1 < n && {
                 let relu = &self.nodes[i + 1];
                 relu.layer.kind() == LayerKind::Relu
                     && relu.inputs.as_slice() == [NodeId(i)]
@@ -725,53 +742,42 @@ impl Network {
         plan
     }
 
-    /// Fetch (or build and cache) the plan for the current fusion mode.
-    fn plan(&self, mode: FusionMode) -> Arc<Plan> {
-        if let Some((m, p)) = self.plan_cache.read().as_ref() {
-            if *m == mode {
-                return Arc::clone(p);
-            }
-        }
-        let built = Arc::new(self.build_plan(mode));
-        *self.plan_cache.write() = Some((mode, Arc::clone(&built)));
-        built
-    }
-
-    /// Decide whether this pass runs on the DAG scheduler, and with how
-    /// many workers (`None` = the sequential schedule). `explicit` is
-    /// the [`crate::DagExecutor`] override, which always schedules; the
-    /// process-wide [`DagMode`] governs otherwise. Worker counts are
-    /// clamped to the plan's width — extra workers would only park on
-    /// the queue.
-    fn dag_worker_count(&self, plan: &Plan, explicit: Option<usize>) -> Option<usize> {
+    /// Decide whether a pass runs on the DAG scheduler, and with how
+    /// many workers (`None` = the sequential schedule). Worker counts
+    /// are clamped to the plan's width — extra workers would only park
+    /// on the queue.
+    fn dag_worker_count(plan: &Plan, schedule: Schedule) -> Option<usize> {
         let width = plan.width.max(1);
-        if let Some(w) = explicit {
-            return Some(w.clamp(1, width));
-        }
-        match dag::selected() {
-            DagMode::Off => None,
-            DagMode::On => Some(dag::host_parallelism().clamp(1, width)),
-            DagMode::Auto => {
+        match schedule {
+            Schedule::PerNode => None,
+            Schedule::Dag(workers) => Some(workers.clamp(1, width)),
+            Schedule::Knobs => match dag::selected() {
+                DagMode::Off => None,
+                DagMode::On => Some(dag::host_parallelism().clamp(1, width)),
                 // Engage only where it can pay: real branch parallelism,
                 // more than one core, and not already inside a
                 // data-parallel engine worker (node-parallelism on top of
                 // data-parallelism would oversubscribe the host).
-                if plan.width > 1 && !dag::in_engine_worker() && dag::host_parallelism() > 1 {
-                    Some(dag::host_parallelism().min(plan.width))
-                } else {
-                    None
+                DagMode::Auto => {
+                    (plan.width > 1 && !dag::in_engine_worker() && dag::host_parallelism() > 1)
+                        .then(|| dag::host_parallelism().min(plan.width))
                 }
-            }
+            },
         }
     }
 
-    fn forward_into_traced_impl<'a, T: Tracer>(
+    /// The one pass: validate the input, pick the plan and scheduler
+    /// `schedule` asks for, run every step through
+    /// [`Network::exec_plan_step`], and return the arena slot holding
+    /// the output.
+    fn run_pass<T: Tracer>(
         &self,
         input: &Tensor4,
-        arena: &'a mut ForwardArena,
+        arena: &mut ForwardArena,
         tracer: &T,
-        dag_workers: Option<usize>,
-    ) -> TensorResult<&'a Tensor4> {
+        schedule: Schedule,
+        calibrate: Option<CalibrationMethod>,
+    ) -> TensorResult<usize> {
         if input.c() != self.input_shape.0
             || input.h() != self.input_shape.1
             || input.w() != self.input_shape.2
@@ -790,11 +796,7 @@ impl Network {
         // common case and costs exactly this branch.
         let timing = cap_obs::timing_enabled();
         let observing = tracer.enabled() || timing;
-        let pass_start = if observing {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let pass_start = observing.then(Instant::now);
 
         let slots = self.nodes.len().max(1);
         if arena.slots.len() < slots {
@@ -808,28 +810,37 @@ impl Network {
             let out = &mut arena.slots[0];
             out.resize(n, c, h, w);
             out.as_mut_slice().copy_from_slice(input.as_slice());
-            return Ok(&arena.slots[0]);
+            return Ok(0);
         }
-        // Execute the fusion plan for the current mode. Fused ReLU nodes
-        // are no steps of their own: their producer runs
-        // `forward_into_fused` and their arena slot stays zero-sized.
-        let plan = self.plan(fusion::selected());
+        // Fused ReLU nodes are no steps of their own: their producer
+        // runs `forward_into_fused` and their arena slot stays
+        // zero-sized.
+        let fuse = !matches!(schedule, Schedule::PerNode) && fusion::selected().enabled();
+        let plan = self.plans[fuse as usize].get_or_init(|| self.build_plan(fuse));
         metrics.fused_layers.set(plan.fused_count);
-        match self.dag_worker_count(&plan, dag_workers) {
+        let pass = Pass {
+            plan,
+            input,
+            slots: SlotsPtr {
+                ptr: arena.slots.as_mut_ptr(),
+            },
+            tracer,
+            observing,
+            timing,
+            calibrate,
+        };
+        match Self::dag_worker_count(plan, schedule) {
             Some(workers) => {
                 metrics.dag_parallel_passes.inc();
                 metrics.dag_workers.set(workers as u64);
-                self.run_plan_dag(&plan, input, arena, tracer, workers, observing, timing)?;
+                self.run_plan_dag(&pass, workers)?;
             }
             None => {
                 metrics.dag_workers.set(0);
-                let slots = SlotsPtr {
-                    ptr: arena.slots.as_mut_ptr(),
-                };
                 for s in 0..plan.steps.len() {
                     // Contract of `exec_plan_step` holds trivially: one
                     // thread, steps in topological order, no resize.
-                    self.exec_plan_step(&plan, s, input, slots, tracer, observing, timing)?;
+                    self.exec_plan_step(&pass, s)?;
                 }
             }
         }
@@ -858,75 +869,65 @@ impl Network {
                 );
             }
         }
-        Ok(&arena.slots[out_slot])
+        Ok(out_slot)
     }
 
     /// Execute plan step `s`: run its node's kernel (with the fused
-    /// ReLU epilogue when planned) into the step's arena slot, emitting
-    /// the layer span/timing when observability is on. Identical code
-    /// serves the sequential loop and every DAG worker — which is the
-    /// mechanical reason scheduling cannot change output bits.
+    /// ReLU epilogue when planned) into the step's arena slot, after
+    /// the calibration observer if the pass has one, emitting the layer
+    /// span/timing when observability is on. Identical code serves the
+    /// sequential loop and every DAG worker — which is the mechanical
+    /// reason scheduling cannot change output bits — and nothing else
+    /// in this file calls into a layer's forward.
     ///
     /// Unchecked contract (callers): exclusive access to slot
     /// `plan.steps[s].node`, producer slots fully written and no longer
-    /// mutated, arena slot vector not resized while `slots` is live —
-    /// see [`SlotsPtr`].
-    #[allow(clippy::too_many_arguments)]
-    fn exec_plan_step<T: Tracer>(
-        &self,
-        plan: &Plan,
-        s: usize,
-        input: &Tensor4,
-        slots: SlotsPtr,
-        tracer: &T,
-        observing: bool,
-        timing: bool,
-    ) -> TensorResult<()> {
-        let step = &plan.steps[s];
+    /// mutated, arena slot vector not resized while `pass.slots` is
+    /// live — see [`SlotsPtr`].
+    fn exec_plan_step<T: Tracer>(&self, pass: &Pass<'_, T>, s: usize) -> TensorResult<()> {
+        let step = &pass.plan.steps[s];
         let i = step.node;
         let node = &self.nodes[i];
-        let node_start = if observing {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let node_start = pass.observing.then(Instant::now);
         // SAFETY: slot `i` is this step's own (exclusive by contract).
-        let out = unsafe { &mut *slots.ptr.add(i) };
+        let out = unsafe { &mut *pass.slots.ptr.add(i) };
         let resolve = |id: NodeId| -> &Tensor4 {
             if id == INPUT {
-                input
+                pass.input
             } else {
                 // SAFETY: producer slots are fully written, quiescent,
                 // and distinct from slot `i` (`slot_of[id] <= id < i`
                 // by topological order).
-                unsafe { &*slots.ptr.add(plan.slot_of[id.0]).cast_const() }
+                unsafe { &*pass.slots.ptr.add(pass.plan.slot_of[id.0]).cast_const() }
             }
         };
         let fused = step.fused_relu.is_some();
+        let mut run = |inputs: &[&Tensor4]| -> TensorResult<()> {
+            if let Some(method) = pass.calibrate {
+                node.layer.observe_input(inputs, method);
+            }
+            if fused {
+                node.layer.forward_into_fused(inputs, out)
+            } else {
+                node.layer.forward_into(inputs, out)
+            }
+        };
         match node.inputs.as_slice() {
             // The common sequential case stays allocation-free; only
             // multi-input joins (concat) gather refs into a Vec.
-            [only] if fused => node.layer.forward_into_fused(&[resolve(*only)], out)?,
-            [only] => node.layer.forward_into(&[resolve(*only)], out)?,
-            many => {
-                let refs: Vec<&Tensor4> = many.iter().map(|&id| resolve(id)).collect();
-                if fused {
-                    node.layer.forward_into_fused(&refs, out)?;
-                } else {
-                    node.layer.forward_into(&refs, out)?;
-                }
-            }
+            [only] => run(&[resolve(*only)])?,
+            many => run(&many.iter().map(|&id| resolve(id)).collect::<Vec<_>>())?,
         }
         if let Some(t0) = node_start {
             let elapsed = t0.elapsed();
             let (n, c, h, w) = out.shape();
-            if timing {
+            if pass.timing {
                 cap_obs::metrics()
                     .layer_time_us
                     .record(elapsed.as_micros() as u64);
             }
-            if tracer.enabled() {
-                tracer.span_exit(
+            if pass.tracer.enabled() {
+                pass.tracer.span_exit(
                     &SpanInfo {
                         scope: SpanScope::Layer,
                         name: node.layer.name(),
@@ -949,17 +950,8 @@ impl Network {
     /// threads (the calling thread is one of them, so `workers == 1`
     /// spawns nothing and degenerates to a queue-ordered sequential
     /// pass).
-    #[allow(clippy::too_many_arguments)]
-    fn run_plan_dag<T: Tracer>(
-        &self,
-        plan: &Plan,
-        input: &Tensor4,
-        arena: &mut ForwardArena,
-        tracer: &T,
-        workers: usize,
-        observing: bool,
-        timing: bool,
-    ) -> TensorResult<()> {
+    fn run_plan_dag<T: Tracer>(&self, pass: &Pass<'_, T>, workers: usize) -> TensorResult<()> {
+        let plan = pass.plan;
         let n_steps = plan.steps.len();
         let run = DagRun {
             queue: Mutex::new(VecDeque::with_capacity(n_steps)),
@@ -982,14 +974,10 @@ impl Network {
             }
             run.pushes.store(q.len() as u64, Ordering::Relaxed);
         }
-        let slots = SlotsPtr {
-            ptr: arena.slots.as_mut_ptr(),
-        };
         let run_ref = &run;
-        // Captures only shared refs + Copy values, so the closure is
-        // itself Copy and can seed every worker.
-        let work =
-            move || self.dag_worker_loop(plan, input, slots, tracer, run_ref, observing, timing);
+        // Captures only shared refs, so the closure is itself Copy and
+        // can seed every worker.
+        let work = move || self.dag_worker_loop(pass, run_ref);
         rayon::scope(|scope| {
             for _ in 1..workers {
                 scope.spawn(work);
@@ -1012,17 +1000,8 @@ impl Network {
 
     /// One DAG worker: pop ready steps, execute, release successors.
     /// Exits when the pass completes or aborts.
-    #[allow(clippy::too_many_arguments)]
-    fn dag_worker_loop<T: Tracer>(
-        &self,
-        plan: &Plan,
-        input: &Tensor4,
-        slots: SlotsPtr,
-        tracer: &T,
-        run: &DagRun,
-        observing: bool,
-        timing: bool,
-    ) {
+    fn dag_worker_loop<T: Tracer>(&self, pass: &Pass<'_, T>, run: &DagRun) {
+        let plan = pass.plan;
         loop {
             // Park until a step is ready, the pass is done, or aborted.
             let step = {
@@ -1047,9 +1026,7 @@ impl Network {
                 if run.abort.load(Ordering::Relaxed) {
                     return;
                 }
-                if let Err(e) =
-                    self.exec_plan_step(plan, s, input, slots, tracer, observing, timing)
-                {
+                if let Err(e) = self.exec_plan_step(pass, s) {
                     let mut failed = run.failed.lock().unwrap();
                     if failed.is_none() {
                         *failed = Some(e);
@@ -1083,75 +1060,6 @@ impl Network {
                 }
             }
         }
-    }
-
-    /// Activation-range calibration pass for the int8 execution path.
-    ///
-    /// Runs one forward pass over `input` (a representative calibration
-    /// batch), handing every layer the activations it is about to
-    /// consume via [`Layer::observe_input`] so weighted layers can
-    /// derive and store their input-activation scale with `method`.
-    /// Returns the pass's output tensor, so the caller can reuse it
-    /// (e.g. to score the calibration batch).
-    ///
-    /// Call this while the process precision is f32: the observed
-    /// ranges are then exact. Calibrating under int8 still works — the
-    /// layers observe the (approximate) int8-path activations — but
-    /// adds quantization noise to the scales for no benefit. A network
-    /// that is never calibrated remains correct on the int8 path; each
-    /// weighted layer just falls back to a per-call max-abs estimate,
-    /// trading a scan of its input for the missing calibration.
-    pub fn calibrate(&self, input: &Tensor4, method: CalibrationMethod) -> TensorResult<Tensor4> {
-        if input.c() != self.input_shape.0
-            || input.h() != self.input_shape.1
-            || input.w() != self.input_shape.2
-        {
-            return Err(ShapeError::new(format!(
-                "network {}: calibration input shape {:?}, expected {:?}",
-                self.name,
-                (input.c(), input.h(), input.w()),
-                self.input_shape
-            )));
-        }
-        if self.nodes.is_empty() {
-            return Ok(input.clone());
-        }
-        let mut last_use = vec![0usize; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &inp in &node.inputs {
-                if inp != INPUT {
-                    last_use[inp.0] = i;
-                }
-            }
-        }
-        let mut activations: Vec<Option<Tensor4>> = (0..self.nodes.len()).map(|_| None).collect();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let input_refs: Vec<&Tensor4> = node
-                .inputs
-                .iter()
-                .map(|&id| {
-                    if id == INPUT {
-                        input
-                    } else {
-                        activations[id.0]
-                            .as_ref()
-                            .expect("topological order guarantees producer ran and is retained")
-                    }
-                })
-                .collect();
-            node.layer.observe_input(&input_refs, method);
-            let out = node.layer.forward(&input_refs)?;
-            activations[i] = Some(out);
-            for (j, slot) in activations.iter_mut().enumerate().take(i) {
-                if last_use[j] <= i && j != self.nodes.len() - 1 {
-                    *slot = None;
-                }
-            }
-        }
-        Ok(activations
-            .pop()
-            .flatten()
-            .expect("last node output retained"))
     }
 
     /// Replace the weights of layer `name` (pruning entry point).

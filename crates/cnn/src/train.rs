@@ -10,7 +10,10 @@ pub mod sequential;
 
 pub use sequential::{SequentialBuilder, SequentialNet, TrainLayer};
 
-use cap_tensor::{col2im, gemm, im2col, Conv2dParams, Matrix, ShapeError, Tensor4, TensorResult};
+use cap_tensor::{
+    col2im, conv2d, gemm, im2col, Conv2dParams, ConvWeights, Matrix, ShapeError, Tensor4,
+    TensorResult, WorkspacePool,
+};
 use std::collections::HashMap;
 
 /// Gradients produced by [`conv_backward`].
@@ -31,6 +34,28 @@ pub struct FcGrad {
     pub db: Vec<f32>,
     /// Input gradient (`batch × in`).
     pub dx: Matrix,
+}
+
+/// Forward convolution for the training path: [`conv2d`] (bias added,
+/// no ReLU) into a fresh tensor with throwaway scratch — training keeps
+/// every activation for the backward pass, so there is nothing to reuse.
+pub fn conv_forward(
+    input: &Tensor4,
+    weights: ConvWeights<'_>,
+    bias: &[f32],
+    params: &Conv2dParams,
+) -> TensorResult<Tensor4> {
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    conv2d(
+        input,
+        weights,
+        Some(bias),
+        false,
+        params,
+        &WorkspacePool::new(),
+        &mut out,
+    )?;
+    Ok(out)
 }
 
 /// Backward pass of an ungrouped convolution.
@@ -236,7 +261,7 @@ impl Sgd {
 mod tests {
     use super::*;
     use cap_tensor::init::xavier_uniform;
-    use cap_tensor::{conv2d_gemm, max_pool2d_indices, Pool2dParams};
+    use cap_tensor::{max_pool2d_indices, Pool2dParams};
 
     /// Central-difference numerical gradient of a scalar loss w.r.t. one
     /// weight element.
@@ -254,7 +279,7 @@ mod tests {
         let weights = xavier_uniform(3, 18, 21);
         let bias = vec![0.0; 3];
         // Loss = sum of outputs; so dy = ones.
-        let out = conv2d_gemm(&input, &weights, Some(&bias), &params).unwrap();
+        let out = conv_forward(&input, ConvWeights::Dense(&weights), &bias, &params).unwrap();
         let dy =
             Tensor4::from_vec(out.n(), out.c(), out.h(), out.w(), vec![1.0; out.len()]).unwrap();
         let grad = conv_backward(&input, &dy, &weights, &params).unwrap();
@@ -266,7 +291,7 @@ mod tests {
                 |v| {
                     let mut wmod = weights.clone();
                     wmod.set(r, c, v);
-                    conv2d_gemm(&input, &wmod, Some(&bias), &params)
+                    conv_forward(&input, ConvWeights::Dense(&wmod), &bias, &params)
                         .unwrap()
                         .as_slice()
                         .iter()
@@ -287,7 +312,7 @@ mod tests {
             |v| {
                 let mut xmod = input.clone();
                 xmod.as_mut_slice()[idx] = v;
-                conv2d_gemm(&xmod, &weights, Some(&bias), &params)
+                conv_forward(&xmod, ConvWeights::Dense(&weights), &bias, &params)
                     .unwrap()
                     .as_slice()
                     .iter()

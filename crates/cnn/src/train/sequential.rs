@@ -5,11 +5,12 @@
 //! on real training rather than on the calibrated model).
 
 use super::{
-    conv_backward, fc_backward, maxpool_backward, relu_backward, softmax_cross_entropy, Sgd,
+    conv_backward, conv_forward, fc_backward, maxpool_backward, relu_backward,
+    softmax_cross_entropy, Sgd,
 };
 use crate::accuracy::{evaluate_topk, AccuracyReport};
 use cap_tensor::{
-    conv2d_gemm, gemm, init::xavier_uniform, max_pool2d_indices, ops::relu_inplace, Conv2dParams,
+    gemm, init::xavier_uniform, max_pool2d_indices, ops::relu_inplace, Conv2dParams, ConvWeights,
     Matrix, Pool2dParams, ShapeError, Tensor4, TensorResult,
 };
 use serde::{Deserialize, Serialize};
@@ -227,7 +228,7 @@ impl SequentialNet {
             match layer {
                 TrainLayer::Conv { params, w, b } => {
                     caches.push(Cache::Conv { input: act.clone() });
-                    act = conv2d_gemm(&act, w, Some(b), params)?;
+                    act = conv_forward(&act, ConvWeights::Dense(w), b, params)?;
                 }
                 TrainLayer::Relu => {
                     caches.push(Cache::Relu { pre: act.clone() });

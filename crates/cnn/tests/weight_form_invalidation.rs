@@ -1,0 +1,90 @@
+//! A layer decides its weight form (dense or CSR) when its weights are
+//! set and builds the derived forms (CSR bands, int8 quantizations)
+//! lazily. `set_weights` must drop every one of them: after dense →
+//! pruned → dense swaps, with the precision override toggled between
+//! passes so each lazy form gets built and then orphaned, every output
+//! must be bitwise equal to a freshly constructed layer holding the
+//! same weights. A stale form surviving `set_weights` fails this.
+//!
+//! `precision::force` is process-global; this file is its own test
+//! binary with a single test, so nothing races it.
+
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, SPARSE_THRESHOLD};
+use cap_tensor::init::xavier_uniform;
+use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4};
+
+fn pruned(mut w: Matrix) -> Matrix {
+    for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+        if i % 3 != 0 {
+            *v = 0.0;
+        }
+    }
+    w
+}
+
+fn bits(t: &Tensor4) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Drive `layer` through dense → pruned → dense → pruned weights (a
+/// different matrix every round, so a form left over from any earlier
+/// round is wrong), running both precisions and both fusion flavors
+/// after every swap, against `fresh(weights)` — a newly constructed
+/// layer with the same weights.
+fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) -> L, x: &Tensor4) {
+    for round in 0..4 {
+        let dense = xavier_uniform(shape.0, shape.1, 20 + round as u64);
+        let weights = if round % 2 == 1 { pruned(dense) } else { dense };
+        layer.set_weights(weights.clone()).unwrap();
+        let reference = fresh(weights);
+        assert_eq!(
+            layer.weight_sparsity() > SPARSE_THRESHOLD,
+            round % 2 == 1,
+            "round {round} is on the wrong side of the sparse threshold"
+        );
+        for precision in [Precision::F32, Precision::Int8, Precision::F32] {
+            precision::force(Some(precision));
+            let (mut got, mut want) = (Tensor4::zeros(0, 0, 0, 0), Tensor4::zeros(0, 0, 0, 0));
+            layer.forward_into(&[x], &mut got).unwrap();
+            reference.forward_into(&[x], &mut want).unwrap();
+            assert!(bits(&got) == bits(&want), "round {round} {precision:?}");
+            layer.forward_into_fused(&[x], &mut got).unwrap();
+            reference.forward_into_fused(&[x], &mut want).unwrap();
+            assert!(
+                bits(&got) == bits(&want),
+                "round {round} {precision:?} fused"
+            );
+        }
+        precision::force(None);
+    }
+}
+
+#[test]
+fn set_weights_drops_every_cached_form() {
+    let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
+    let conv_w = xavier_uniform(6, 18, 11);
+    let bias = vec![0.05f32; 6];
+    let x = Tensor4::from_fn(2, 4, 6, 6, |n, c, h, w| {
+        ((n * 5 + c * 3 + h * 7 + w) % 9) as f32 / 4.0 - 1.0
+    });
+    let mut conv = ConvLayer::new("conv", params, conv_w.clone(), bias.clone()).unwrap();
+    // Build the initial weights' forms too, so round 0 already has
+    // something stale to trip over.
+    conv.forward(&[&x]).unwrap();
+    check(
+        &mut conv,
+        conv_w.shape(),
+        |w| ConvLayer::new("fresh", params, w, bias.clone()).unwrap(),
+        &x,
+    );
+
+    let fc_w = xavier_uniform(5, 4 * 6 * 6, 12);
+    let fc_bias = vec![-0.02f32; 5];
+    let mut fc = InnerProductLayer::new("fc", fc_w.clone(), fc_bias.clone()).unwrap();
+    check(
+        &mut fc,
+        fc_w.shape(),
+        |w| InnerProductLayer::new("fresh", w, fc_bias.clone()).unwrap(),
+        &x,
+    );
+}

@@ -200,7 +200,7 @@ fn steady_state_inference_allocates_nothing() {
     assert_eq!(allocs, 0, "shrunken batch must reuse grown buffers");
 
     // The batch-1 pruned-FC route: the fused CSR matvec
-    // (`matvec_fused_into`) runs straight from the input slice into the
+    // (`matvec_into`) runs straight from the input slice into the
     // arena slot — no Xᵀ/Y staging matrices, no transposes. Warm-up
     // absorbs the lazy CSR build and the fusion plan; steady state
     // must stay silent.

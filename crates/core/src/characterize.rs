@@ -147,13 +147,17 @@ mod tests {
     fn measured_distribution_convs_dominate() {
         // Real execution of the real Caffenet: the GEMM-bound layers
         // (conv + fc) should dominate wall-clock, as Figure 3 reports.
-        // With the SIMD-dispatched conv kernels the conv share at batch
-        // 1 sits near 0.40 — the ~2× faster packed GEMM shrinks conv
-        // wall-clock while the memory-bound fc6 matvec does not move
-        // (lanes don't help a bandwidth-bound row walk), so conv is
-        // co-dominant rather than outright majority. Floor at 0.25 to
-        // leave headroom for scheduler noise when the suite shares one
-        // core; the combined conv+fc bound below is the real claim.
+        // Measured conv share at batch 1 (PR 12, 2-core host): 0.60-0.63
+        // on the default release build — its lowest arm; scalar, int8
+        // and debug builds all sit higher (0.74-0.87), because they
+        // slow conv's compute more than fc6's bandwidth-bound matvec.
+        // PR 5-11 recorded ~0.40 here, but a third of every pass was
+        // the fc layers rescanning their weights for sparsity inside
+        // their own spans; with the weight form decided at
+        // `set_weights` the spans hold only the layers' work. Floor at
+        // 0.45 to leave headroom for scheduler noise when the suite
+        // shares a core; the combined conv+fc bound below is the other
+        // half of the claim.
         let net = caffenet(WeightInit::Gaussian { std: 0.01, seed: 7 }).unwrap();
         let input = Tensor4::from_fn(1, 3, 224, 224, |_, c, h, w| {
             ((c * 31 + h * 7 + w) % 17) as f32 / 17.0 - 0.5
@@ -174,7 +178,7 @@ mod tests {
             .filter(|l| l.kind.starts_with("fc"))
             .map(|l| l.share)
             .sum();
-        assert!(conv > 0.25, "conv share {conv}");
+        assert!(conv > 0.45, "conv share {conv}");
         assert!(conv + fc > 0.8, "conv+fc share {}", conv + fc);
         let total: f64 = shares.iter().map(|l| l.share).sum();
         assert!((total - 1.0).abs() < 1e-6);

@@ -26,7 +26,6 @@ pub mod filter;
 pub mod magnitude;
 pub mod profile;
 pub mod quantize;
-pub mod schedule;
 pub mod sensitivity;
 pub mod spec;
 pub mod structured;
@@ -38,7 +37,6 @@ pub use filter::prune_filters_l1;
 pub use magnitude::prune_magnitude;
 pub use profile::{caffenet_profile, googlenet_profile, AppProfile, LayerProfile};
 pub use quantize::{quantization_damage, quantize_uniform, QuantizationReport};
-pub use schedule::PruneSchedule;
 pub use spec::PruneSpec;
 pub use structured::prune_structured;
 pub use sweetspot::{sweet_spot, SweetSpot};

@@ -1,14 +1,19 @@
-//! 2-D convolution kernels: im2col+GEMM (Caffe's scheme), a direct
-//! sliding-window reference, and a sparse-weight variant for pruned layers.
+//! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
+//! ([`ConvWeights`]: dense or CSR, f32 or int8) and the one im2col+GEMM
+//! driver ([`conv2d`]) every form runs through. The direct
+//! sliding-window oracle lives in [`crate::reference`].
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::gemm::{gemm_packed_cols_fused, gemm_prealloc};
+use crate::gemm::gemm_packed;
 use crate::im2col::{im2col_packed_prealloc, im2col_prealloc, out_spatial};
-use crate::kernels::{EpiBias, Epilogue};
+use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
+use crate::quant::{
+    gemm_i8, pack_b_i8_into, quantize_dense_i8_into, symmetric_scale, QuantizedA, QuantizedCsr,
+};
 use crate::sparse::CsrMatrix;
 use crate::tensor4::Tensor4;
-use crate::workspace::WorkspacePool;
+use crate::workspace::{Workspace, WorkspacePool};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -16,7 +21,7 @@ use std::time::Instant;
 /// Start a clock for the GEMM/im2col time split, only when timed
 /// metrics are on (`timing` is hoisted out of the parallel image loop).
 #[inline]
-pub(crate) fn split_clock(timing: bool) -> Option<Instant> {
+fn split_clock(timing: bool) -> Option<Instant> {
     if timing {
         Some(Instant::now())
     } else {
@@ -26,7 +31,7 @@ pub(crate) fn split_clock(timing: bool) -> Option<Instant> {
 
 /// Credit elapsed time since `t0` to `counter` (no-op when timing off).
 #[inline]
-pub(crate) fn credit_ns(t0: Option<Instant>, counter: &cap_obs::Counter) {
+fn credit_ns(t0: Option<Instant>, counter: &cap_obs::Counter) {
     if let Some(t0) = t0 {
         counter.add(t0.elapsed().as_nanos() as u64);
     }
@@ -106,9 +111,15 @@ impl Conv2dParams {
         self.out_channels / self.groups.max(1)
     }
 
+    /// Rows of one group's im2col patch matrix — and columns of the
+    /// weight matrix: `in_per_group × kh × kw`.
+    pub fn col_rows(&self) -> usize {
+        self.in_per_group() * self.kh * self.kw
+    }
+
     /// Weight element count: `out_channels × in_per_group × kh × kw`.
     pub fn weight_len(&self) -> usize {
-        self.out_channels * self.in_per_group() * self.kh * self.kw
+        self.out_channels * self.col_rows()
     }
 
     /// Output spatial shape for an `h×w` input.
@@ -135,6 +146,38 @@ impl Conv2dParams {
         Ok(())
     }
 
+    /// Check a dense weight matrix's shape against the geometry.
+    pub(crate) fn check_weights(&self, shape: (usize, usize)) -> TensorResult<()> {
+        let expected = (self.out_channels, self.col_rows());
+        if shape != expected {
+            return Err(ShapeError::new(format!(
+                "conv: weights {shape:?}, expected {expected:?}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Check the input's channel count and the bias length.
+    pub(crate) fn check_io(&self, input: &Tensor4, bias: Option<&[f32]>) -> TensorResult<()> {
+        if input.c() != self.in_channels {
+            return Err(ShapeError::new(format!(
+                "conv: input channels {} != {}",
+                input.c(),
+                self.in_channels
+            )));
+        }
+        if let Some(b) = bias {
+            if b.len() != self.out_channels {
+                return Err(ShapeError::new(format!(
+                    "conv: bias length {} != out_channels {}",
+                    b.len(),
+                    self.out_channels
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Multiply–accumulate count for one image
     /// (`2 × macs` gives FLOPs; the CNN crate's FLOP model builds on this).
     pub fn macs(&self, h: usize, w: usize) -> TensorResult<u64> {
@@ -148,325 +191,153 @@ impl Conv2dParams {
     }
 }
 
-fn check_weights(params: &Conv2dParams, weights: &Matrix) -> TensorResult<()> {
-    params.validate()?;
-    let expected = (
-        params.out_channels,
-        params.in_per_group() * params.kh * params.kw,
-    );
-    if weights.shape() != expected {
-        return Err(ShapeError::new(format!(
-            "conv: weights {:?}, expected {:?}",
-            weights.shape(),
-            expected
-        )));
-    }
-    Ok(())
-}
-
-fn check_input(params: &Conv2dParams, input: &Tensor4) -> TensorResult<()> {
-    if input.c() != params.in_channels {
-        return Err(ShapeError::new(format!(
-            "conv: input channels {} != {}",
-            input.c(),
-            params.in_channels
-        )));
-    }
-    Ok(())
-}
-
-fn check_bias(params: &Conv2dParams, bias: Option<&[f32]>) -> TensorResult<()> {
-    if let Some(b) = bias {
-        if b.len() != params.out_channels {
-            return Err(ShapeError::new(format!(
-                "conv: bias length {} != out_channels {}",
-                b.len(),
-                params.out_channels
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Convolution via im2col + GEMM — the production path, matching Caffe.
+/// The weight operand of [`conv2d`]: which stored form of the
+/// `out_channels × in_per_group*kh*kw` filter matrix the multiply runs
+/// on. A borrowed, `Copy` view — the owner (a layer, a test) keeps
+/// whichever forms it needs and hands one over per call.
 ///
-/// `weights` is `out_channels × (in_per_group*kh*kw)`; `bias`, when given,
-/// has one entry per output channel. Images in the batch are processed in
-/// parallel.
-pub fn conv2d_gemm(
-    input: &Tensor4,
-    weights: &Matrix,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-) -> TensorResult<Tensor4> {
-    check_weights(params, weights)?;
-    check_input(params, input)?;
-    check_bias(params, bias)?;
-    let (n, _c, h, w) = input.shape();
-    let (oh, ow) = params.out_shape(h, w)?;
-    let mut out = Tensor4::zeros(n, params.out_channels, oh, ow);
-
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    let col_rows = cpg * params.kh * params.kw;
-    let n_out = oh * ow;
-    let out_image_len = params.out_channels * n_out;
-
-    let images: Vec<&[f32]> = (0..n).map(|i| input.image(i)).collect();
-    out.as_mut_slice()
-        .par_chunks_mut(out_image_len.max(1))
-        .zip(images.into_par_iter())
-        .try_for_each(|(out_img, in_img)| -> TensorResult<()> {
-            let mut cols = Matrix::zeros(col_rows, n_out);
-            let mut prod = Matrix::zeros(opg, n_out);
-            for g in 0..params.groups {
-                let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
-                im2col_prealloc(
-                    in_slice,
-                    cpg,
-                    h,
-                    w,
-                    params.kh,
-                    params.kw,
-                    params.pad,
-                    params.stride,
-                    &mut cols,
-                )?;
-                // Weight rows for this group form a contiguous band.
-                let wg = Matrix::from_vec(
-                    opg,
-                    col_rows,
-                    weights.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows].to_vec(),
-                )?;
-                gemm_prealloc(&wg, &cols, &mut prod)?;
-                let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
-                dst.copy_from_slice(prod.as_slice());
-            }
-            if let Some(b) = bias {
-                for (oc, bval) in b.iter().enumerate() {
-                    for v in &mut out_img[oc * n_out..(oc + 1) * n_out] {
-                        *v += bval;
-                    }
-                }
-            }
-            Ok(())
-        })?;
-    Ok(out)
+/// Every banded form holds one entry per channel group, each
+/// `out_per_group` rows; [`ConvWeights::csr_bands`],
+/// [`ConvWeights::i8_bands`] and [`ConvWeights::csr_i8_bands`] build
+/// them from the dense matrix.
+#[derive(Debug, Clone, Copy)]
+pub enum ConvWeights<'a> {
+    /// Dense f32. Group `g`'s filters are the contiguous row band
+    /// `g*out_per_group..`, so no per-group copy exists. Lowering is
+    /// the fused im2col-and-pack; the multiply is [`gemm_packed`].
+    Dense(&'a Matrix),
+    /// f32 CSR, for pruned weights: cost scales with stored values,
+    /// which is how pruning turns into wall-clock savings. Lowering is
+    /// the row-major im2col; the multiply is [`CsrMatrix::spmm_into`].
+    Csr(&'a [CsrMatrix]),
+    /// Int8 dense: pre-quantized weight bands against activations
+    /// quantized per image with `act_scale` (calibrated, or the
+    /// caller's max-abs estimate) and packed into the pair-interleaved
+    /// i8 panel layout in the lowering pass; the multiply is
+    /// [`gemm_i8`], dequantizing by `weight scale · act_scale` in its
+    /// store.
+    DenseI8 {
+        /// Quantized weight bands.
+        bands: &'a [QuantizedA],
+        /// Activation quantization scale for this call.
+        act_scale: f32,
+    },
+    /// Int8 CSR: quantized sparse weights against the row-major
+    /// quantized patch matrix, i32-exact SpMM rows.
+    CsrI8 {
+        /// Quantized CSR weight bands.
+        bands: &'a [QuantizedCsr],
+        /// Activation quantization scale for this call.
+        act_scale: f32,
+    },
 }
 
-/// Convolution with CSR-sparse weights — the pruned-layer fast path.
-///
-/// Identical contract to [`conv2d_gemm`] but the filter matrix is sparse;
-/// cost scales with stored weights, which is how pruning turns into
-/// wall-clock savings.
-pub fn conv2d_sparse(
-    input: &Tensor4,
-    weights: &CsrMatrix,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-) -> TensorResult<Tensor4> {
-    params.validate()?;
-    check_input(params, input)?;
-    check_bias(params, bias)?;
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    let col_rows = cpg * params.kh * params.kw;
-    if weights.shape() != (params.out_channels, col_rows) {
-        return Err(ShapeError::new(format!(
-            "conv_sparse: weights {:?}, expected {:?}",
-            weights.shape(),
-            (params.out_channels, col_rows)
-        )));
+impl ConvWeights<'_> {
+    /// Per-group CSR split of dense `weights` (zeros dropped; index
+    /// arithmetic only, no densify round-trip).
+    pub fn csr_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<CsrMatrix>> {
+        params.check_weights(weights.shape())?;
+        CsrMatrix::from_dense(weights, 0.0).split_rows(params.out_per_group())
     }
-    let (n, _c, h, w) = input.shape();
-    let (oh, ow) = params.out_shape(h, w)?;
-    let n_out = oh * ow;
-    let mut out = Tensor4::zeros(n, params.out_channels, oh, ow);
-    let out_image_len = params.out_channels * n_out;
 
-    // Pre-split the CSR weights per group (cheap: index arithmetic only).
-    let dense = weights.to_dense();
-    let group_csr: Vec<CsrMatrix> = (0..params.groups)
-        .map(|g| {
-            let band = Matrix::from_vec(
-                opg,
-                col_rows,
-                dense.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows].to_vec(),
-            )
-            .expect("band slice has exactly opg*col_rows elements");
-            CsrMatrix::from_dense(&band, 0.0)
-        })
-        .collect();
-
-    let images: Vec<&[f32]> = (0..n).map(|i| input.image(i)).collect();
-    out.as_mut_slice()
-        .par_chunks_mut(out_image_len.max(1))
-        .zip(images.into_par_iter())
-        .try_for_each(|(out_img, in_img)| -> TensorResult<()> {
-            let mut cols = Matrix::zeros(col_rows, n_out);
-            for (g, wg) in group_csr.iter().enumerate() {
-                let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
-                im2col_prealloc(
-                    in_slice,
-                    cpg,
-                    h,
-                    w,
-                    params.kh,
-                    params.kw,
-                    params.pad,
-                    params.stride,
-                    &mut cols,
-                )?;
-                let prod = wg.matmul_dense(&cols)?;
-                out_img[g * opg * n_out..(g + 1) * opg * n_out].copy_from_slice(prod.as_slice());
-            }
-            if let Some(b) = bias {
-                for (oc, bval) in b.iter().enumerate() {
-                    for v in &mut out_img[oc * n_out..(oc + 1) * n_out] {
-                        *v += bval;
-                    }
-                }
-            }
-            Ok(())
-        })?;
-    Ok(out)
-}
-
-/// Dense convolution weights pre-split into per-group GEMM bands.
-///
-/// [`conv2d_gemm`] re-slices and copies the group band out of the flat
-/// weight matrix for every image of every call; for Caffenet's grouped
-/// layers that is a fresh `O(weights)` allocation per image. Packing once
-/// at layer construction removes it from the steady state entirely.
-#[derive(Debug, Clone)]
-pub struct PackedConvWeights {
-    bands: Vec<Matrix>,
-}
-
-impl PackedConvWeights {
-    /// Split `weights` (`out_channels × in_per_group*kh*kw`) by group.
-    pub fn pack(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Self> {
-        check_weights(params, weights)?;
-        let opg = params.out_per_group();
-        let col_rows = params.in_per_group() * params.kh * params.kw;
-        let bands = (0..params.groups)
+    /// Per-group int8 quantization of dense `weights`, one max-abs
+    /// scale over the whole layer (per-layer symmetric quantization).
+    pub fn i8_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<QuantizedA>> {
+        params.check_weights(weights.shape())?;
+        let scale = symmetric_scale(weights.as_slice());
+        let (opg, col_rows) = (params.out_per_group(), params.col_rows());
+        Ok((0..params.groups)
             .map(|g| {
-                Matrix::from_vec(
+                QuantizedA::quantize(
+                    &weights.as_slice()[g * opg * col_rows..],
                     opg,
                     col_rows,
-                    weights.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows].to_vec(),
+                    scale,
                 )
             })
-            .collect::<TensorResult<Vec<_>>>()?;
-        Ok(Self { bands })
+            .collect())
     }
 
-    /// Number of groups.
-    #[inline]
-    pub fn groups(&self) -> usize {
-        self.bands.len()
+    /// Per-group int8 quantization of the CSR split of `weights`
+    /// (structure preserved), same per-layer scale as
+    /// [`ConvWeights::i8_bands`].
+    pub fn csr_i8_bands(
+        weights: &Matrix,
+        params: &Conv2dParams,
+    ) -> TensorResult<Vec<QuantizedCsr>> {
+        let scale = symmetric_scale(weights.as_slice());
+        Ok(Self::csr_bands(weights, params)?
+            .iter()
+            .map(|band| QuantizedCsr::from_csr(band, scale))
+            .collect())
     }
 
-    /// Weight band for group `g` (`out_per_group × in_per_group*kh*kw`).
-    #[inline]
-    pub fn band(&self, g: usize) -> &Matrix {
-        &self.bands[g]
-    }
-}
-
-/// Sparse convolution weights pre-split into per-group CSR bands.
-///
-/// Replaces [`conv2d_sparse`]'s per-call `to_dense()` + re-conversion:
-/// the CSR is split by rows directly (index arithmetic only, done once).
-#[derive(Debug, Clone)]
-pub struct PackedSparseConvWeights {
-    bands: Vec<CsrMatrix>,
-}
-
-impl PackedSparseConvWeights {
-    /// Split CSR `weights` (`out_channels × in_per_group*kh*kw`) by group.
-    pub fn pack(weights: &CsrMatrix, params: &Conv2dParams) -> TensorResult<Self> {
-        params.validate()?;
-        let col_rows = params.in_per_group() * params.kh * params.kw;
-        if weights.shape() != (params.out_channels, col_rows) {
-            return Err(ShapeError::new(format!(
-                "conv pack: sparse weights {:?}, expected {:?}",
-                weights.shape(),
-                (params.out_channels, col_rows)
-            )));
+    /// Check this form against the geometry: the dense matrix's shape,
+    /// or one `out_per_group × col_rows` band per group.
+    fn check(&self, params: &Conv2dParams) -> TensorResult<()> {
+        fn bands(
+            mut shapes: impl ExactSizeIterator<Item = (usize, usize)>,
+            params: &Conv2dParams,
+        ) -> TensorResult<()> {
+            let expected = (params.out_per_group(), params.col_rows());
+            if shapes.len() != params.groups || shapes.any(|shape| shape != expected) {
+                return Err(ShapeError::new(format!(
+                    "conv: expected {} weight bands of {expected:?}",
+                    params.groups
+                )));
+            }
+            Ok(())
         }
-        Ok(Self {
-            bands: weights.split_rows(params.out_per_group())?,
-        })
-    }
-
-    /// Number of groups.
-    #[inline]
-    pub fn groups(&self) -> usize {
-        self.bands.len()
-    }
-
-    /// CSR weight band for group `g`.
-    #[inline]
-    pub fn band(&self, g: usize) -> &CsrMatrix {
-        &self.bands[g]
+        match self {
+            ConvWeights::Dense(w) => params.check_weights(w.shape()),
+            ConvWeights::Csr(b) => bands(b.iter().map(|m| m.shape()), params),
+            ConvWeights::DenseI8 { bands: b, .. } => {
+                bands(b.iter().map(|q| (q.rows(), q.k())), params)
+            }
+            ConvWeights::CsrI8 { bands: b, .. } => {
+                bands(b.iter().map(|q| (q.rows(), q.cols())), params)
+            }
+        }
     }
 }
 
-/// im2col+GEMM convolution with pre-packed weights and pooled scratch —
-/// the zero-allocation steady-state path.
+/// 2-D convolution — the one production driver, matching Caffe's
+/// im2col + GEMM scheme.
 ///
-/// Numerically identical to [`conv2d_gemm`] (same kernels, same
-/// accumulation order); differs only in where buffers come from: weight
-/// bands are pre-split in `weights`, the `cols`/`prod` scratch matrices
-/// come from `pool` (one workspace per rayon worker), and the output is
-/// written into `out`, which is reshaped in place (reusing capacity).
-pub fn conv2d_gemm_packed(
-    input: &Tensor4,
-    weights: &PackedConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-) -> TensorResult<()> {
-    conv2d_gemm_packed_fused(input, weights, bias, params, pool, out, false)
-}
-
-/// [`conv2d_gemm_packed`] with the bias add and an optional ReLU fused
-/// into the GEMM store.
+/// Validates once, then per image (in parallel; each output image is
+/// owned by one task) and per channel group: **lower** the group's
+/// input channels to a patch matrix in the layout the weight form
+/// multiplies against, **multiply** with the bias (per output channel)
+/// and an optional ReLU folded into the store ([`Epilogue`]), writing
+/// straight into the group's band of the output image — an
+/// `out_per_group × oh*ow` row-major matrix in place, so nothing is
+/// copied afterwards. `relu` appends the `forward_into`-flavor ReLU;
+/// the result is bitwise identical to the unfused convolution followed
+/// by a standalone ReLU layer, on every bit-identical kernel path.
 ///
-/// The bias is applied through the kernel epilogue as one `f32` add per
-/// element — the same operation [`conv2d_gemm_packed`]'s separate bias
-/// pass performs — and `relu` appends the `forward_into`-flavor ReLU,
-/// so the output makes one round-trip through memory instead of up to
-/// three. Bitwise identical to the unfused convolution followed by a
-/// standalone ReLU layer, on every bit-identical kernel path.
-pub fn conv2d_gemm_packed_fused(
+/// Lowering scratch comes from `pool` (one workspace per rayon worker)
+/// and `out` is reshaped in place, so steady-state calls allocate
+/// nothing. When [`cap_obs::timing_enabled`], lowering and multiply
+/// time are credited to the `im2col_time_ns` / `gemm_time_ns` counters.
+pub fn conv2d(
     input: &Tensor4,
-    weights: &PackedConvWeights,
+    weights: ConvWeights<'_>,
     bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
     relu: bool,
+    params: &Conv2dParams,
+    pool: &WorkspacePool,
+    out: &mut Tensor4,
 ) -> TensorResult<()> {
     params.validate()?;
-    check_input(params, input)?;
-    check_bias(params, bias)?;
-    if weights.groups() != params.groups {
-        return Err(ShapeError::new(format!(
-            "conv packed: {} weight bands, expected {} groups",
-            weights.groups(),
-            params.groups
-        )));
-    }
+    params.check_io(input, bias)?;
+    weights.check(params)?;
     let (n, _c, h, w) = input.shape();
     let (oh, ow) = params.out_shape(h, w)?;
     out.resize(n, params.out_channels, oh, ow);
 
     let cpg = params.in_per_group();
     let opg = params.out_per_group();
-    let col_rows = cpg * params.kh * params.kw;
+    let col_rows = params.col_rows();
     let n_out = oh * ow;
     let out_image_len = params.out_channels * n_out;
     let in_image_len = params.in_channels * h * w;
@@ -474,6 +345,8 @@ pub fn conv2d_gemm_packed_fused(
     // One relaxed load outside the parallel loop decides whether the
     // GEMM/im2col split is measured for this call.
     let timing = cap_obs::timing_enabled();
+    let metrics = cap_obs::metrics();
+    let path = kernels::selected();
 
     // Pair output and input images by chunking both flat buffers — no
     // per-call Vec of image slices, keeping the steady state allocation-free.
@@ -483,222 +356,97 @@ pub fn conv2d_gemm_packed_fused(
         .try_for_each_init(
             || pool.checkout(),
             |ws, (out_img, in_img)| -> TensorResult<()> {
-                // Ungrouped convs write GEMM output straight into the
-                // output image, so the prod slot stays empty.
-                let prod_shape = if params.groups == 1 {
-                    (0, 0)
-                } else {
-                    (opg, n_out)
-                };
-                // The dense path unrolls straight into panel-packed
-                // layout, so the row-major cols slot stays empty.
-                let (_cols, packed, prod) = ws.conv_gemm_slots((0, 0), prod_shape);
+                let Workspace { cols, packed, qbuf } = &mut **ws;
+                if !matches!(weights, ConvWeights::Dense(_)) {
+                    // Every form but dense f32 lowers through the
+                    // row-major patch matrix.
+                    cols.resize(col_rows, n_out);
+                }
                 for g in 0..params.groups {
                     let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
-                    // Fused unroll+pack: emit the GEMM's panel layout
-                    // directly instead of writing a row-major column
-                    // matrix and re-copying it panel-packed — one write
-                    // pass over the activations instead of a write plus
-                    // a full read+write (see `im2col_packed_prealloc`).
-                    let t_col = split_clock(timing);
-                    im2col_packed_prealloc(
-                        in_slice,
-                        cpg,
-                        h,
-                        w,
-                        params.kh,
-                        params.kw,
-                        params.pad,
-                        params.stride,
-                        packed,
-                    )?;
-                    credit_ns(t_col, &cap_obs::metrics().im2col_time_ns);
-                    let t_gemm = split_clock(timing);
-                    let band = weights.band(g);
-                    // Bias and ReLU ride the GEMM store: `bias[g*opg + r]`
-                    // is the per-output-channel bias of GEMM row `r`, so
+                    let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
+                    // `bias[g*opg + r]` is the bias of GEMM row `r`, so
                     // the group's bias slice is a per-row epilogue.
+                    let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
                     let epi = Epilogue {
-                        bias: bias.map(|b| EpiBias::PerRow(&b[g * opg..(g + 1) * opg])),
+                        bias: row_bias.map(EpiBias::PerRow),
                         relu,
                     };
-                    if params.groups == 1 {
-                        gemm_packed_cols_fused(
-                            band.as_slice(),
-                            opg,
-                            col_rows,
-                            n_out,
-                            packed.as_slice(),
-                            out_img,
-                            epi,
-                        )?;
-                    } else {
-                        gemm_packed_cols_fused(
-                            band.as_slice(),
-                            opg,
-                            col_rows,
-                            n_out,
-                            packed.as_slice(),
-                            prod.as_mut_slice(),
-                            epi,
-                        )?;
-                        let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
-                        dst.copy_from_slice(prod.as_slice());
-                    }
-                    credit_ns(t_gemm, &cap_obs::metrics().gemm_time_ns);
-                }
-                Ok(())
-            },
-        )?;
-    Ok(())
-}
-
-/// CSR-sparse convolution with pre-split group bands and pooled scratch.
-///
-/// The zero-allocation counterpart of [`conv2d_sparse`]: no per-call
-/// densify/re-sparsify, no per-image `cols`/`prod` allocation.
-pub fn conv2d_sparse_packed(
-    input: &Tensor4,
-    weights: &PackedSparseConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-) -> TensorResult<()> {
-    conv2d_sparse_packed_fused(input, weights, bias, params, pool, out, false)
-}
-
-/// [`conv2d_sparse_packed`] with bias and an optional ReLU fused into
-/// the SpMM row store — the sparse counterpart of
-/// [`conv2d_gemm_packed_fused`], with the same bitwise-identity
-/// contract versus the unfused convolution + ReLU pair.
-pub fn conv2d_sparse_packed_fused(
-    input: &Tensor4,
-    weights: &PackedSparseConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-    relu: bool,
-) -> TensorResult<()> {
-    params.validate()?;
-    check_input(params, input)?;
-    check_bias(params, bias)?;
-    if weights.groups() != params.groups {
-        return Err(ShapeError::new(format!(
-            "conv sparse packed: {} weight bands, expected {} groups",
-            weights.groups(),
-            params.groups
-        )));
-    }
-    let (n, _c, h, w) = input.shape();
-    let (oh, ow) = params.out_shape(h, w)?;
-    out.resize(n, params.out_channels, oh, ow);
-
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    let col_rows = cpg * params.kh * params.kw;
-    let n_out = oh * ow;
-    let out_image_len = params.out_channels * n_out;
-    let in_image_len = params.in_channels * h * w;
-
-    let timing = cap_obs::timing_enabled();
-
-    // Chunk both flat buffers — no per-call Vec of image slices.
-    out.as_mut_slice()
-        .par_chunks_mut(out_image_len.max(1))
-        .zip(input.as_slice().par_chunks(in_image_len.max(1)))
-        .try_for_each_init(
-            || pool.checkout(),
-            |ws, (out_img, in_img)| -> TensorResult<()> {
-                let (cols, prod) = ws.conv_slots((col_rows, n_out), (opg, n_out));
-                for g in 0..params.groups {
-                    let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
+                    // Quantizing the patch matrix is lowering cost too,
+                    // credited to the im2col side of the time split.
                     let t_col = split_clock(timing);
-                    im2col_prealloc(
-                        in_slice,
-                        cpg,
-                        h,
-                        w,
-                        params.kh,
-                        params.kw,
-                        params.pad,
-                        params.stride,
-                        cols,
-                    )?;
-                    credit_ns(t_col, &cap_obs::metrics().im2col_time_ns);
-                    // Sparse×dense multiply is the GEMM of this path;
-                    // bias/ReLU ride its row stores (CSR rows are this
-                    // group's output channels, so the group bias slice
-                    // is the per-row bias).
-                    let t_gemm = split_clock(timing);
-                    weights.band(g).matmul_dense_into_fused(
-                        cols,
-                        prod,
-                        bias.map(|b| &b[g * opg..(g + 1) * opg]),
-                        relu,
-                    )?;
-                    credit_ns(t_gemm, &cap_obs::metrics().gemm_time_ns);
-                    out_img[g * opg * n_out..(g + 1) * opg * n_out]
-                        .copy_from_slice(prod.as_slice());
-                }
-                Ok(())
-            },
-        )?;
-    Ok(())
-}
+                    let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
+                    if let ConvWeights::Dense(_) = weights {
+                        // Fused unroll+pack: emit the GEMM's panel layout
+                        // directly — one write pass over the activations
+                        // instead of a write plus a full read+write.
+                        im2col_packed_prealloc(in_slice, cpg, h, w, kh, kw, pad, stride, packed)?;
+                    } else {
+                        im2col_prealloc(in_slice, cpg, h, w, kh, kw, pad, stride, cols)?;
+                    }
+                    match weights {
+                        ConvWeights::DenseI8 { act_scale, .. } => {
+                            pack_b_i8_into(cols.as_slice(), col_rows, n_out, 1.0 / act_scale, qbuf);
+                        }
+                        ConvWeights::CsrI8 { act_scale, .. } => {
+                            quantize_dense_i8_into(cols.as_slice(), 1.0 / act_scale, qbuf);
+                        }
+                        ConvWeights::Dense(_) | ConvWeights::Csr(_) => {}
+                    }
+                    credit_ns(t_col, &metrics.im2col_time_ns);
 
-/// Direct (sliding-window) convolution — correctness oracle and the
-/// baseline arm of the `conv_strategy` ablation bench.
-pub fn conv2d_direct(
-    input: &Tensor4,
-    weights: &Matrix,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-) -> TensorResult<Tensor4> {
-    check_weights(params, weights)?;
-    check_input(params, input)?;
-    check_bias(params, bias)?;
-    let (n, _c, h, w) = input.shape();
-    let (oh, ow) = params.out_shape(h, w)?;
-    let mut out = Tensor4::zeros(n, params.out_channels, oh, ow);
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    for ni in 0..n {
-        for oc in 0..params.out_channels {
-            let g = oc / opg;
-            let wrow = weights.row(oc);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bias.map_or(0.0, |b| b[oc]);
-                    for icg in 0..cpg {
-                        let ic = g * cpg + icg;
-                        for ky in 0..params.kh {
-                            let iy = (oy * params.stride + ky) as isize - params.pad as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            for kx in 0..params.kw {
-                                let ix = (ox * params.stride + kx) as isize - params.pad as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
-                                }
-                                let wv = wrow[(icg * params.kh + ky) * params.kw + kx];
-                                acc += wv * input.get(ni, ic, iy as usize, ix as usize);
-                            }
+                    let t_gemm = split_clock(timing);
+                    match weights {
+                        ConvWeights::Dense(wm) => gemm_packed(
+                            &wm.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows],
+                            opg,
+                            col_rows,
+                            n_out,
+                            packed.as_slice(),
+                            dst,
+                            epi,
+                        )?,
+                        ConvWeights::Csr(bands) => {
+                            bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
+                        }
+                        ConvWeights::DenseI8 { bands, act_scale } => {
+                            let band = &bands[g];
+                            let scale = band.scale() * act_scale;
+                            gemm_i8(band.data(), opg, band.kp(), n_out, qbuf, dst, scale, epi)?
+                        }
+                        ConvWeights::CsrI8 { bands, act_scale } => {
+                            let band = &bands[g];
+                            let scale = band.scale() * act_scale;
+                            dst.par_chunks_mut(n_out.max(1))
+                                .enumerate()
+                                .for_each(|(r, row)| {
+                                    let (vals, cidx) = band.row(r);
+                                    ki8::spmm_i8_row_with(
+                                        path,
+                                        vals,
+                                        cidx,
+                                        qbuf,
+                                        n_out,
+                                        row,
+                                        scale,
+                                        row_bias.map(|b| b[r]),
+                                        relu,
+                                    );
+                                });
                         }
                     }
-                    out.set(ni, oc, oy, ox, acc);
+                    credit_ns(t_gemm, &metrics.gemm_time_ns);
                 }
-            }
-        }
-    }
-    Ok(out)
+                Ok(())
+            },
+        )?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::conv2d_direct;
     use proptest::prelude::*;
 
     fn det_input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -708,36 +456,53 @@ mod tests {
     }
 
     fn det_weights(params: &Conv2dParams, seed: usize) -> Matrix {
-        Matrix::from_fn(
-            params.out_channels,
-            params.in_per_group() * params.kh * params.kw,
-            |r, c| ((((r + seed) * 13 + c * 7) % 9) as f32 - 4.0) / 4.0,
-        )
+        Matrix::from_fn(params.out_channels, params.col_rows(), |r, c| {
+            ((((r + seed) * 13 + c * 7) % 9) as f32 - 4.0) / 4.0
+        })
+    }
+
+    fn run(
+        input: &Tensor4,
+        weights: ConvWeights<'_>,
+        bias: Option<&[f32]>,
+        params: &Conv2dParams,
+    ) -> TensorResult<Tensor4> {
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        conv2d(
+            input,
+            weights,
+            bias,
+            false,
+            params,
+            &WorkspacePool::new(),
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     #[test]
-    fn gemm_matches_direct_ungrouped() {
+    fn dense_matches_direct_ungrouped() {
         let params = Conv2dParams::new(3, 8, 3, 1, 2);
         let input = det_input(2, 3, 9, 9);
         let weights = det_weights(&params, 1);
         let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.1).collect();
-        let a = conv2d_gemm(&input, &weights, Some(&bias), &params).unwrap();
+        let a = run(&input, ConvWeights::Dense(&weights), Some(&bias), &params).unwrap();
         let b = conv2d_direct(&input, &weights, Some(&bias), &params).unwrap();
         assert!(a.max_abs_diff(&b).unwrap() < 1e-4);
     }
 
     #[test]
-    fn gemm_matches_direct_grouped() {
+    fn dense_matches_direct_grouped() {
         let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
         let input = det_input(2, 4, 7, 7);
         let weights = det_weights(&params, 2);
-        let a = conv2d_gemm(&input, &weights, None, &params).unwrap();
+        let a = run(&input, ConvWeights::Dense(&weights), None, &params).unwrap();
         let b = conv2d_direct(&input, &weights, None, &params).unwrap();
         assert!(a.max_abs_diff(&b).unwrap() < 1e-4);
     }
 
     #[test]
-    fn sparse_matches_dense() {
+    fn csr_matches_dense() {
         let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
         let input = det_input(3, 4, 6, 6);
         let mut weights = det_weights(&params, 3);
@@ -747,10 +512,10 @@ mod tests {
                 *v = 0.0;
             }
         }
-        let csr = CsrMatrix::from_dense(&weights, 0.0);
+        let csr = ConvWeights::csr_bands(&weights, &params).unwrap();
         let bias = vec![0.5; 6];
-        let dense_out = conv2d_gemm(&input, &weights, Some(&bias), &params).unwrap();
-        let sparse_out = conv2d_sparse(&input, &csr, Some(&bias), &params).unwrap();
+        let dense_out = run(&input, ConvWeights::Dense(&weights), Some(&bias), &params).unwrap();
+        let sparse_out = run(&input, ConvWeights::Csr(&csr), Some(&bias), &params).unwrap();
         assert!(dense_out.max_abs_diff(&sparse_out).unwrap() < 1e-4);
     }
 
@@ -760,7 +525,7 @@ mod tests {
         let params = Conv2dParams::new(3, 3, 1, 0, 1);
         let input = det_input(1, 3, 4, 4);
         let weights = Matrix::identity(3);
-        let out = conv2d_gemm(&input, &weights, None, &params).unwrap();
+        let out = run(&input, ConvWeights::Dense(&weights), None, &params).unwrap();
         assert!(out.max_abs_diff(&input).unwrap() < 1e-6);
     }
 
@@ -770,7 +535,7 @@ mod tests {
         let input = Tensor4::zeros(1, 1, 2, 2);
         let weights = Matrix::zeros(2, 1);
         let bias = vec![1.5, -2.5];
-        let out = conv2d_gemm(&input, &weights, Some(&bias), &params).unwrap();
+        let out = run(&input, ConvWeights::Dense(&weights), Some(&bias), &params).unwrap();
         assert!(out.image(0)[..4].iter().all(|&v| v == 1.5));
         assert!(out.image(0)[4..].iter().all(|&v| v == -2.5));
     }
@@ -780,12 +545,26 @@ mod tests {
         let params = Conv2dParams::new(3, 8, 3, 1, 1);
         let input = det_input(1, 4, 6, 6); // wrong channels
         let weights = det_weights(&params, 0);
-        assert!(conv2d_gemm(&input, &weights, None, &params).is_err());
+        assert!(run(&input, ConvWeights::Dense(&weights), None, &params).is_err());
 
         let input = det_input(1, 3, 6, 6);
         let bad_weights = Matrix::zeros(8, 26); // wrong cols
-        assert!(conv2d_gemm(&input, &bad_weights, None, &params).is_err());
-        assert!(conv2d_gemm(&input, &weights, Some(&[0.0; 7]), &params).is_err());
+        assert!(run(&input, ConvWeights::Dense(&bad_weights), None, &params).is_err());
+        assert!(run(
+            &input,
+            ConvWeights::Dense(&weights),
+            Some(&[0.0; 7]),
+            &params
+        )
+        .is_err());
+
+        // Banded forms: band count and band shape are both checked.
+        let grouped = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
+        let bands = ConvWeights::csr_bands(&det_weights(&grouped, 0), &grouped).unwrap();
+        let input = det_input(1, 4, 6, 6);
+        assert!(run(&input, ConvWeights::Csr(&bands[..1]), None, &grouped).is_err());
+        let ungrouped = Conv2dParams::new(4, 6, 3, 1, 1);
+        assert!(run(&input, ConvWeights::Csr(&bands[..1]), None, &ungrouped).is_err());
     }
 
     #[test]
@@ -806,14 +585,14 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_gemm_matches_direct(
+        fn prop_dense_matches_direct(
             c in 1usize..4, oc_half in 1usize..3, k in 1usize..4,
             pad in 0usize..2, stride in 1usize..3, h in 4usize..8,
         ) {
             let params = Conv2dParams::new(c, oc_half * 2, k, pad, stride);
             let input = det_input(1, c, h, h);
             let weights = det_weights(&params, 5);
-            let a = conv2d_gemm(&input, &weights, None, &params).unwrap();
+            let a = run(&input, ConvWeights::Dense(&weights), None, &params).unwrap();
             let b = conv2d_direct(&input, &weights, None, &params).unwrap();
             prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-3);
         }

@@ -141,6 +141,12 @@ impl PackedB {
     pub fn shape(&self) -> (usize, usize) {
         (self.k, self.n)
     }
+
+    /// The panel-major storage, as [`gemm_packed`] consumes it.
+    #[inline]
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
 }
 
 /// Copy a row-major `k × n` slice into `PANEL`-column panel layout.
@@ -157,69 +163,13 @@ fn pack_panels(b_data: &[f32], k: usize, n: usize, dst: &mut [f32]) {
     }
 }
 
-/// Pack a row-major `k × n` slice into panel layout inside a reusable
-/// scratch matrix (resized in place, capacity kept across calls).
-///
-/// This is the per-call sibling of [`PackedB::pack`] for `B` operands
-/// that change every call — e.g. a convolution's im2col column matrix —
-/// where the O(k·n) copy is amortized against the O(m·k·n) multiply
-/// that follows via [`gemm_packed_cols`].
-pub fn pack_b_slice_into(b_data: &[f32], k: usize, n: usize, dst: &mut Matrix) {
-    let panels = n.div_ceil(PANEL);
-    dst.resize(panels.max(1), k * PANEL);
-    if panels > 0 {
-        pack_panels(b_data, k, n, dst.as_mut_slice());
-    }
-}
-
-/// GEMM against a `B` packed by [`pack_b_slice_into`].
-///
-/// `a_data` is `m × k` row-major, `packed_b` holds `n.div_ceil(PANEL)`
-/// panels of `k × PANEL`, `c_data` is `m × n` row-major. Identical
-/// accumulation order to [`gemm_prealloc`], so results are bit-equal.
-pub fn gemm_packed_cols(
-    a_data: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    packed_b: &[f32],
-    c_data: &mut [f32],
-) -> TensorResult<()> {
-    if a_data.len() != m * k {
-        return Err(ShapeError::new(format!(
-            "gemm_packed_cols: A length {} != {}x{}",
-            a_data.len(),
-            m,
-            k
-        )));
-    }
-    if c_data.len() != m * n {
-        return Err(ShapeError::new(format!(
-            "gemm_packed_cols: C length {} != {}x{}",
-            c_data.len(),
-            m,
-            n
-        )));
-    }
-    if packed_b.len() < n.div_ceil(PANEL) * k * PANEL {
-        return Err(ShapeError::new(format!(
-            "gemm_packed_cols: packed B length {} < {} panels of {}x{}",
-            packed_b.len(),
-            n.div_ceil(PANEL),
-            k,
-            PANEL
-        )));
-    }
-    gemm_packed_core(a_data, k, n, packed_b, c_data);
-    Ok(())
-}
-
 /// Multiply `A` by a pre-packed `B` into a preallocated output.
 ///
 /// Semantically identical to [`gemm_prealloc`] (same `kk`-ascending
 /// accumulation order per output element), but reads `B` as contiguous
 /// panels. Use when the same `B` is multiplied many times — the packing
-/// cost is amortized across calls.
+/// cost is amortized across calls. This is [`gemm_packed`] over
+/// `Matrix` operands with the identity epilogue.
 ///
 /// ```
 /// use cap_tensor::{gemm, gemm_prepacked, Matrix, PackedB};
@@ -250,47 +200,47 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
             (m, n)
         )));
     }
-    gemm_prepacked_slice(a.as_slice(), m, b, c.as_mut_slice())
+    gemm_packed(
+        a.as_slice(),
+        m,
+        ka,
+        n,
+        b.as_slice(),
+        c.as_mut_slice(),
+        Epilogue::NONE,
+    )
 }
 
-/// [`gemm_prepacked`] over raw row-major slices.
+/// The packed-GEMM driver: `C = epi(A · B)` over raw slices.
 ///
-/// `a` is `m × b.k` row-major, `c` is `m × b.n` row-major. Lets callers
-/// whose data lives in other containers (e.g. an NCHW `Tensor4` whose
-/// flattened images are already row-major feature rows) multiply without
-/// copying into a `Matrix` first.
-pub fn gemm_prepacked_slice(
-    a_data: &[f32],
-    m: usize,
-    b: &PackedB,
-    c_data: &mut [f32],
-) -> TensorResult<()> {
-    let (k, n) = b.shape();
-    if a_data.len() != m * k {
-        return Err(ShapeError::new(format!(
-            "gemm_prepacked: A length {} != {}x{}",
-            a_data.len(),
-            m,
-            k
-        )));
-    }
-    if c_data.len() != m * n {
-        return Err(ShapeError::new(format!(
-            "gemm_prepacked: C length {} != {}x{}",
-            c_data.len(),
-            m,
-            n
-        )));
-    }
-    gemm_packed_core(a_data, k, n, &b.data, c_data);
-    Ok(())
-}
-
-/// [`gemm_packed_cols`] plus a fused [`Epilogue`] (bias/ReLU folded
-/// into the store — see [`crate::kernels::Epilogue`] for the bitwise
-/// contract). The convolution layers use this to fuse their per-channel
-/// bias and a following ReLU into the GEMM itself.
-pub fn gemm_packed_cols_fused(
+/// `a_data` is `m × k` row-major, `packed_b` holds `n.div_ceil(PANEL)`
+/// panels of `k × PANEL` (a [`PackedB`]'s storage, or an im2col column
+/// matrix written panel-packed by
+/// [`crate::im2col::im2col_packed_prealloc`]), `c_data` is `m × n`
+/// row-major. Slices let callers whose data lives in other containers
+/// (an NCHW `Tensor4` whose flattened images are already row-major
+/// feature rows) multiply without copying into a `Matrix` first.
+///
+/// `epi` is folded into the store — a convolution passes its
+/// per-output-channel bias per row, a fully-connected layer its
+/// per-feature bias per column, either with a following ReLU; see
+/// [`Epilogue`] for the bitwise contract. [`Epilogue::NONE`] is the
+/// plain multiply.
+///
+/// The per-band microkernel lives in [`crate::kernels`]:
+/// register-blocked `ROW_BLOCK × PANEL` accumulation in ascending-`kk`
+/// order on every dispatch path, so results are bit-identical to
+/// [`gemm_prealloc`] and across scalar and (non-FMA) SIMD backends.
+///
+/// `m == 1` — the batch-1 inference shape — routes to the dedicated
+/// GEMV kernel instead of a degenerate one-row band: row bands cannot
+/// parallelize a single row, so the *columns* are split into
+/// panel-aligned chunks (`GEMV_COL_CHUNK`) that stream disjoint
+/// stripes of the packed `B` concurrently. Per output element the
+/// accumulation order is unchanged (each element's sum only ever walks
+/// its own panel in ascending `kk`), so the routing is bitwise
+/// invisible next to the band path.
+pub fn gemm_packed(
     a_data: &[f32],
     m: usize,
     k: usize,
@@ -301,7 +251,7 @@ pub fn gemm_packed_cols_fused(
 ) -> TensorResult<()> {
     if a_data.len() != m * k {
         return Err(ShapeError::new(format!(
-            "gemm_packed_cols: A length {} != {}x{}",
+            "gemm_packed: A length {} != {}x{}",
             a_data.len(),
             m,
             k
@@ -309,7 +259,7 @@ pub fn gemm_packed_cols_fused(
     }
     if c_data.len() != m * n {
         return Err(ShapeError::new(format!(
-            "gemm_packed_cols: C length {} != {}x{}",
+            "gemm_packed: C length {} != {}x{}",
             c_data.len(),
             m,
             n
@@ -317,85 +267,20 @@ pub fn gemm_packed_cols_fused(
     }
     if packed_b.len() < n.div_ceil(PANEL) * k * PANEL {
         return Err(ShapeError::new(format!(
-            "gemm_packed_cols: packed B length {} < {} panels of {}x{}",
+            "gemm_packed: packed B length {} < {} panels of {}x{}",
             packed_b.len(),
             n.div_ceil(PANEL),
             k,
             PANEL
         )));
     }
-    gemm_packed_core_fused(a_data, k, n, packed_b, c_data, epi);
-    Ok(())
-}
-
-/// [`gemm_prepacked_slice`] plus a fused [`Epilogue`] — the
-/// fully-connected layer's route for folding its per-output-column
-/// bias and a following ReLU into the GEMM/GEMV store.
-pub fn gemm_prepacked_slice_fused(
-    a_data: &[f32],
-    m: usize,
-    b: &PackedB,
-    c_data: &mut [f32],
-    epi: Epilogue<'_>,
-) -> TensorResult<()> {
-    let (k, n) = b.shape();
-    if a_data.len() != m * k {
-        return Err(ShapeError::new(format!(
-            "gemm_prepacked: A length {} != {}x{}",
-            a_data.len(),
-            m,
-            k
-        )));
-    }
-    if c_data.len() != m * n {
-        return Err(ShapeError::new(format!(
-            "gemm_prepacked: C length {} != {}x{}",
-            c_data.len(),
-            m,
-            n
-        )));
-    }
-    gemm_packed_core_fused(a_data, k, n, &b.data, c_data, epi);
-    Ok(())
-}
-
-/// Shared band loop for [`gemm_prepacked_slice`] / [`gemm_packed_cols`]:
-/// `b_data` is panel-packed, lengths already validated by callers.
-///
-/// The per-band microkernel lives in [`crate::kernels`]
-/// (`gemm_packed_band`): register-blocked `ROW_BLOCK × PANEL`
-/// accumulation in ascending-`kk` order on every dispatch path, so
-/// results are bit-identical across scalar and (non-FMA) SIMD backends.
-fn gemm_packed_core(a_data: &[f32], k: usize, n: usize, b_data: &[f32], c_data: &mut [f32]) {
-    gemm_packed_core_fused(a_data, k, n, b_data, c_data, Epilogue::NONE);
-}
-
-/// [`gemm_packed_core`] with a fused epilogue threaded through to the
-/// microkernels (a no-op epilogue dispatches to the plain kernels).
-///
-/// `m == 1` — the batch-1 inference shape — routes to the dedicated
-/// GEMV kernel instead of a degenerate one-row band: row bands cannot
-/// parallelize a single row, so the *columns* are split into
-/// panel-aligned chunks ([`GEMV_COL_CHUNK`]) that stream disjoint
-/// stripes of the packed `B` concurrently. Per output element the
-/// accumulation order is unchanged (each element's sum only ever walks
-/// its own panel in ascending `kk`), so the routing is bitwise
-/// invisible next to the band path.
-fn gemm_packed_core_fused(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_data: &mut [f32],
-    epi: Epilogue<'_>,
-) {
     // Resolve the kernel path once, outside the parallel loop, and pass
     // it by value into the band tasks (worker threads must not re-read
     // process-global dispatch state mid-operation).
     let path = kernels::selected();
-    if n > 0 && c_data.len() == n {
-        // m == 1: matvec. Validate the epilogue against the *full*
-        // width up front so a short bias panics here, not per-chunk.
+    if m == 1 && n > 0 {
+        // Matvec. Validate the epilogue against the *full* width up
+        // front so a short bias panics here, not per-chunk.
         epi.check(1, n);
         c_data
             .par_chunks_mut(GEMV_COL_CHUNK)
@@ -404,7 +289,7 @@ fn gemm_packed_core_fused(
                 let c0 = chunk * GEMV_COL_CHUNK;
                 // Chunks are panel-aligned, so the packed panels for
                 // columns [c0, c0 + len) start at panel c0/PANEL.
-                let b_sub = &b_data[(c0 / PANEL) * k * PANEL..];
+                let b_sub = &packed_b[(c0 / PANEL) * k * PANEL..];
                 let sub_epi = Epilogue {
                     bias: epi.bias.map(|b| match b {
                         EpiBias::PerRow(rb) => EpiBias::PerRow(rb),
@@ -414,61 +299,32 @@ fn gemm_packed_core_fused(
                     }),
                     relu: epi.relu,
                 };
-                kernels::gemv_packed_fused_with(
-                    path,
-                    a_data,
-                    c_chunk.len(),
-                    b_sub,
-                    c_chunk,
-                    sub_epi,
-                );
+                kernels::gemv_packed_with(path, a_data, c_chunk.len(), b_sub, c_chunk, sub_epi);
             });
-        return;
+        return Ok(());
     }
     c_data
         .par_chunks_mut((ROW_BAND * n).max(1))
         .enumerate()
         .for_each(|(band, c_band)| {
-            kernels::gemm_packed_band_fused_with(
+            kernels::gemm_packed_band_with(
                 path,
                 a_data,
                 k,
                 n,
-                b_data,
+                packed_b,
                 c_band,
                 band * ROW_BAND,
                 epi,
             );
         });
-}
-
-/// Naive triple-loop GEMM used as a correctness oracle in tests and as the
-/// baseline in the `conv_strategy` ablation bench.
-pub fn gemm_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
-    let (m, ka) = a.shape();
-    let (kb, n) = b.shape();
-    if ka != kb {
-        return Err(ShapeError::new(format!(
-            "gemm_naive: inner dims {}x{} * {}x{}",
-            m, ka, kb, n
-        )));
-    }
-    let mut c = Matrix::zeros(m, n);
-    for r in 0..m {
-        for kk in 0..ka {
-            let aik = a.get(r, kk);
-            for cc in 0..n {
-                let v = c.get(r, cc) + aik * b.get(kk, cc);
-                c.set(r, cc, v);
-            }
-        }
-    }
-    Ok(c)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::gemm_naive;
     use proptest::prelude::*;
 
     fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -583,8 +439,16 @@ mod tests {
                 bias: Some(EpiBias::PerCol(bias.as_slice())),
                 relu: true,
             };
-            gemm_prepacked_slice_fused(a.as_slice(), m, &packed, fused.as_mut_slice(), epi)
-                .unwrap();
+            gemm_packed(
+                a.as_slice(),
+                m,
+                k,
+                n,
+                packed.as_slice(),
+                fused.as_mut_slice(),
+                epi,
+            )
+            .unwrap();
 
             let got: Vec<u32> = fused.as_slice().iter().map(|v| v.to_bits()).collect();
             let want: Vec<u32> = unfused.as_slice().iter().map(|v| v.to_bits()).collect();

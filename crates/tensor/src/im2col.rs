@@ -169,7 +169,7 @@ fn packed_row_segments(
 /// `im2col` straight into the GEMM's panel-packed `B` layout, fusing the
 /// unroll and the pack into one write pass.
 ///
-/// Produces bit-for-bit the buffer `pack_b_slice_into(im2col(..))` would:
+/// Produces bit-for-bit the buffer `PackedB::pack(&im2col(..))` would:
 /// `out_h*out_w` columns in `PANEL`-column panels, each panel stored
 /// `(c*kh*kw) × PANEL` row-major, tail lanes zero. The separate pack is a
 /// full read + write of the column matrix per convolution per forward;
@@ -453,7 +453,7 @@ mod tests {
         }
 
         /// The fused unroll+pack emits bit-for-bit the buffer the
-        /// two-pass `im2col` → `pack_b_slice_into` pipeline produces,
+        /// two-pass `im2col` → `PackedB::pack` pipeline produces,
         /// including zero margins and zero panel-tail lanes — even when
         /// the scratch matrix starts full of stale garbage.
         #[test]
@@ -468,13 +468,11 @@ mod tests {
                 .map(|i| ((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 / 100.0 - 5.0)
                 .collect();
             let cols = im2col(&image, c, h, w, kh, kw, pad, stride).unwrap();
-            let (k_rows, n_out) = cols.shape();
-            let mut two_pass = Matrix::zeros(1, 1);
-            crate::gemm::pack_b_slice_into(cols.as_slice(), k_rows, n_out, &mut two_pass);
+            let two_pass = crate::gemm::PackedB::pack(&cols);
             // Poison the fused-path scratch to prove every lane is written.
             let mut fused = Matrix::from_fn(3, 7, |_, _| f32::NAN);
             im2col_packed_prealloc(&image, c, h, w, kh, kw, pad, stride, &mut fused).unwrap();
-            prop_assert_eq!(fused.shape(), two_pass.shape());
+            prop_assert_eq!(fused.len(), two_pass.as_slice().len());
             for (x, y) in fused.as_slice().iter().zip(two_pass.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }

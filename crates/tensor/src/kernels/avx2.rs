@@ -137,7 +137,11 @@ unsafe fn store_panel(acc: __m256, row: &mut [f32], c0: usize, width: usize) {
 }
 
 /// One row band of the packed-panel GEMM, AVX2 mul+add (bit-identical
-/// to [`super::scalar::gemm_packed_band`]).
+/// to [`super::scalar::gemm_packed_band`]), with `epi` applied
+/// in-register before each store (see [`super::Epilogue`] for the
+/// bit-identity argument). The identity epilogue instantiates the
+/// `NoEpi` body, so the unfused instruction stream carries no
+/// epilogue residue.
 ///
 /// # Safety
 /// CPU must support AVX2 (verified by the dispatch layer).
@@ -149,8 +153,14 @@ pub unsafe fn gemm_packed_band(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    epi: Epilogue<'_>,
 ) {
-    gemm_band_body::<false, NoEpi>(a_data, k, n, b_data, c_band, row0, NoEpi)
+    if epi.is_noop() {
+        return gemm_band_body::<false, NoEpi>(a_data, k, n, b_data, c_band, row0, NoEpi);
+    }
+    let rows_here = c_band.len() / n.max(1);
+    let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
+    gemm_band_body::<false, FusedEpi>(a_data, k, n, b_data, c_band, row0, fe)
 }
 
 /// [`gemm_packed_band`] with fused multiply-add (approximate parity).
@@ -165,46 +175,11 @@ pub unsafe fn gemm_packed_band_fma(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
-) {
-    gemm_band_body::<true, NoEpi>(a_data, k, n, b_data, c_band, row0, NoEpi)
-}
-
-/// [`gemm_packed_band`] with a fused bias/ReLU epilogue applied
-/// in-register before each store (see [`super::Epilogue`] for the
-/// bit-identity argument).
-///
-/// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_packed_band_fused(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
     epi: Epilogue<'_>,
 ) {
-    let rows_here = c_band.len() / n.max(1);
-    let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
-    gemm_band_body::<false, FusedEpi>(a_data, k, n, b_data, c_band, row0, fe)
-}
-
-/// [`gemm_packed_band_fused`] with fused multiply-add (approximate
-/// parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemm_packed_band_fused_fma(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-    epi: Epilogue<'_>,
-) {
+    if epi.is_noop() {
+        return gemm_band_body::<true, NoEpi>(a_data, k, n, b_data, c_band, row0, NoEpi);
+    }
     let rows_here = c_band.len() / n.max(1);
     let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
     gemm_band_body::<true, FusedEpi>(a_data, k, n, b_data, c_band, row0, fe)
@@ -408,14 +383,27 @@ fn gemv_entry_asserts(a_row: &[f32], n: usize, b_data: &[f32], c_row: &[f32]) {
 }
 
 /// Row-major matvec against panel-packed B (`k = a_row.len()`), AVX2
-/// mul+add — bit-identical to [`super::scalar::gemv_packed`].
+/// mul+add — bit-identical to [`super::scalar::gemv_packed`] — with
+/// `epi` fused into the store (a per-row bias indexes entry 0: the
+/// matvec output is row 0 of a `1×n` result).
 ///
 /// # Safety
 /// CPU must support AVX2 (verified by the dispatch layer).
 #[target_feature(enable = "avx2")]
-pub unsafe fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
+pub unsafe fn gemv_packed(
+    a_row: &[f32],
+    n: usize,
+    b_data: &[f32],
+    c_row: &mut [f32],
+    epi: Epilogue<'_>,
+) {
     gemv_entry_asserts(a_row, n, b_data, c_row);
-    gemv_row_body::<false, NoEpi>(a_row.as_ptr(), a_row.len(), n, b_data, c_row, 0, NoEpi)
+    let (a, k) = (a_row.as_ptr(), a_row.len());
+    if epi.is_noop() {
+        return gemv_row_body::<false, NoEpi>(a, k, n, b_data, c_row, 0, NoEpi);
+    }
+    let fe = FusedEpi::from_epilogue(epi, 1, n);
+    gemv_row_body::<false, FusedEpi>(a, k, n, b_data, c_row, 0, fe)
 }
 
 /// [`gemv_packed`] with fused multiply-add (approximate parity).
@@ -423,18 +411,7 @@ pub unsafe fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [
 /// # Safety
 /// CPU must support AVX2 and FMA (verified by the dispatch layer).
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemv_packed_fma(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
-    gemv_entry_asserts(a_row, n, b_data, c_row);
-    gemv_row_body::<true, NoEpi>(a_row.as_ptr(), a_row.len(), n, b_data, c_row, 0, NoEpi)
-}
-
-/// [`gemv_packed`] with a fused bias/ReLU epilogue (a per-row bias
-/// indexes entry 0 — the matvec output is row 0 of a `1×n` result).
-///
-/// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemv_packed_fused(
+pub unsafe fn gemv_packed_fma(
     a_row: &[f32],
     n: usize,
     b_data: &[f32],
@@ -442,29 +419,20 @@ pub unsafe fn gemv_packed_fused(
     epi: Epilogue<'_>,
 ) {
     gemv_entry_asserts(a_row, n, b_data, c_row);
+    let (a, k) = (a_row.as_ptr(), a_row.len());
+    if epi.is_noop() {
+        return gemv_row_body::<true, NoEpi>(a, k, n, b_data, c_row, 0, NoEpi);
+    }
     let fe = FusedEpi::from_epilogue(epi, 1, n);
-    gemv_row_body::<false, FusedEpi>(a_row.as_ptr(), a_row.len(), n, b_data, c_row, 0, fe)
-}
-
-/// [`gemv_packed_fused`] with fused multiply-add (approximate parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemv_packed_fused_fma(
-    a_row: &[f32],
-    n: usize,
-    b_data: &[f32],
-    c_row: &mut [f32],
-    epi: Epilogue<'_>,
-) {
-    gemv_entry_asserts(a_row, n, b_data, c_row);
-    let fe = FusedEpi::from_epilogue(epi, 1, n);
-    gemv_row_body::<true, FusedEpi>(a_row.as_ptr(), a_row.len(), n, b_data, c_row, 0, fe)
+    gemv_row_body::<true, FusedEpi>(a, k, n, b_data, c_row, 0, fe)
 }
 
 /// One CSR row of sparse×dense, AVX2 mul+add (bit-identical to
-/// [`super::scalar::spmm_row`]).
+/// [`super::scalar::spmm_row`]), with a scalar-bias/ReLU epilogue
+/// applied in-register before each store (one CSR output row carries a
+/// single bias value; `None` performs no bias add at all — adding a
+/// literal `0.0` would not be bitwise neutral). The identity epilogue
+/// takes its own copy of the body with the literals constant-folded.
 ///
 /// # Safety
 /// CPU must support AVX2 (verified by the dispatch layer).
@@ -475,8 +443,13 @@ pub unsafe fn spmm_row(
     b_data: &[f32],
     n: usize,
     c_row: &mut [f32],
+    bias: Option<f32>,
+    relu: bool,
 ) {
-    spmm_row_body::<false>(values, col_idx, b_data, n, c_row, None, false)
+    if bias.is_none() && !relu {
+        return spmm_row_body::<false>(values, col_idx, b_data, n, c_row, None, false);
+    }
+    spmm_row_body::<false>(values, col_idx, b_data, n, c_row, bias, relu)
 }
 
 /// [`spmm_row`] with fused multiply-add (approximate parity).
@@ -490,44 +463,12 @@ pub unsafe fn spmm_row_fma(
     b_data: &[f32],
     n: usize,
     c_row: &mut [f32],
-) {
-    spmm_row_body::<true>(values, col_idx, b_data, n, c_row, None, false)
-}
-
-/// [`spmm_row`] with a fused scalar-bias/ReLU epilogue applied
-/// in-register before each store (one CSR output row carries a single
-/// bias value; `None` fuses ReLU alone, performing no bias add at all —
-/// adding a literal `0.0` would not be bitwise neutral).
-///
-/// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn spmm_row_fused(
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
     bias: Option<f32>,
     relu: bool,
 ) {
-    spmm_row_body::<false>(values, col_idx, b_data, n, c_row, bias, relu)
-}
-
-/// [`spmm_row_fused`] with fused multiply-add (approximate parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn spmm_row_fused_fma(
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
-) {
+    if bias.is_none() && !relu {
+        return spmm_row_body::<true>(values, col_idx, b_data, n, c_row, None, false);
+    }
     spmm_row_body::<true>(values, col_idx, b_data, n, c_row, bias, relu)
 }
 
@@ -707,49 +648,6 @@ pub unsafe fn relu_into(src: &[f32], dst: &mut [f32]) {
     for j in j..len {
         let v = *sp.add(j);
         *dp.add(j) = if v > 0.0 { v } else { 0.0 };
-    }
-}
-
-/// Broadcast-add a scalar bias.
-///
-/// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn bias_broadcast(data: &mut [f32], b: f32) {
-    let len = data.len();
-    let p = data.as_mut_ptr();
-    let bv = _mm256_set1_ps(b);
-    let mut j = 0;
-    // In bounds: j + PANEL <= len.
-    while j + PANEL <= len {
-        let v = _mm256_loadu_ps(p.add(j));
-        _mm256_storeu_ps(p.add(j), _mm256_add_ps(v, bv));
-        j += PANEL;
-    }
-    for j in j..len {
-        *p.add(j) += b;
-    }
-}
-
-/// Pairwise `dst[i] += src[i]`.
-///
-/// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
-pub unsafe fn vec_add(dst: &mut [f32], src: &[f32]) {
-    let len = dst.len().min(src.len());
-    let dp = dst.as_mut_ptr();
-    let sp = src.as_ptr();
-    let mut j = 0;
-    // In bounds: j + PANEL <= len <= both slice lengths.
-    while j + PANEL <= len {
-        let d = _mm256_loadu_ps(dp.add(j));
-        let s = _mm256_loadu_ps(sp.add(j));
-        _mm256_storeu_ps(dp.add(j), _mm256_add_ps(d, s));
-        j += PANEL;
-    }
-    for j in j..len {
-        *dp.add(j) += *sp.add(j);
     }
 }
 

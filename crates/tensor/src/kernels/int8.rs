@@ -85,32 +85,6 @@ pub fn gemm_i8_packed_band_with(
     }
 }
 
-/// [`gemm_i8_packed_band_with`] on the process-selected path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_packed_band(
-    a_data: &[i8],
-    kp: usize,
-    n: usize,
-    b_data: &[i8],
-    c_band: &mut [f32],
-    row0: usize,
-    scale: f32,
-    epi: Epilogue<'_>,
-) {
-    gemm_i8_packed_band_with(
-        super::selected(),
-        a_data,
-        kp,
-        n,
-        b_data,
-        c_band,
-        row0,
-        scale,
-        epi,
-    );
-}
-
 /// Int8 matvec against the pair-interleaved panel-packed `b_data`:
 /// `c_row[..n] = dequant(a_row · B)` with `kp = a_row.len()` (even).
 /// `row_abs` is the absolute output row this matvec computes — it
@@ -142,29 +116,6 @@ pub fn gemv_i8_packed_with(
     }
 }
 
-/// [`gemv_i8_packed_with`] on the process-selected path.
-#[inline]
-pub fn gemv_i8_packed(
-    a_row: &[i8],
-    n: usize,
-    b_data: &[i8],
-    c_row: &mut [f32],
-    row_abs: usize,
-    scale: f32,
-    epi: Epilogue<'_>,
-) {
-    gemv_i8_packed_with(
-        super::selected(),
-        a_row,
-        n,
-        b_data,
-        c_row,
-        row_abs,
-        scale,
-        epi,
-    );
-}
-
 /// Column-block width of the int8 SpMM row kernel's stack-resident i32
 /// accumulator. Blocking exists because the output row is f32 but the
 /// accumulation must be integer-exact; it never affects results (exact
@@ -177,7 +128,7 @@ const SPMM_I8_BLOCK: usize = 256;
 /// i32 (exact — f32 accumulation would lose integer exactness past
 /// 2^24 on conv-sized rows), blocked over `SPMM_I8_BLOCK`-column
 /// slices that re-walk the row's nonzeros. `bias`/`relu` mirror the
-/// f32 [`super::spmm_row_fused_with`] scalar-bias epilogue, applied
+/// f32 [`super::spmm_row_with`] scalar-bias epilogue, applied
 /// after the `* scale` dequantization.
 #[inline]
 #[allow(clippy::too_many_arguments)]
@@ -205,32 +156,6 @@ pub fn spmm_i8_row_with(
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu),
     }
-}
-
-/// [`spmm_i8_row_with`] on the process-selected path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn spmm_i8_row(
-    values: &[i8],
-    col_idx: &[u32],
-    b_data: &[i8],
-    n: usize,
-    c_row: &mut [f32],
-    scale: f32,
-    bias: Option<f32>,
-    relu: bool,
-) {
-    spmm_i8_row_with(
-        super::selected(),
-        values,
-        col_idx,
-        b_data,
-        n,
-        c_row,
-        scale,
-        bias,
-        relu,
-    );
 }
 
 /// Dequantize one accumulator slot and apply the epilogue — the single

@@ -26,7 +26,8 @@
 //! scalar otherwise), `scalar`, `avx2`, or `avx2-fma`. Requesting a
 //! path the host cannot run falls back to scalar — never an error, so
 //! a binary built on an AVX2 machine still runs (and its tests still
-//! pass, none skipped) on one without.
+//! pass, none skipped) on one without. Any *other* value is fatal at
+//! first use (see [`crate::knob`]).
 //!
 //! The resolved path is published to the observability layer as the
 //! `kernel_path` gauge (see `cap_obs::kernel_path_name`), so metric
@@ -44,9 +45,8 @@ pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
 
+use crate::knob::{Knob, KnobValue};
 use crate::pool::Pool2dParams;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Column-panel width shared by [`crate::PackedB`] and the GEMM
 /// microkernels: eight `f32` values — exactly one AVX2 `__m256` lane
@@ -90,8 +90,8 @@ pub struct Epilogue<'a> {
 }
 
 impl Epilogue<'_> {
-    /// The identity epilogue: fused entry points degrade to the plain
-    /// kernel (same code path, zero extra floating-point operations).
+    /// The identity epilogue: every kernel degrades to its plain form
+    /// (same code path, zero extra floating-point operations).
     pub const NONE: Epilogue<'static> = Epilogue {
         bias: None,
         relu: false,
@@ -136,15 +136,23 @@ pub enum KernelPath {
     Avx2Fma,
 }
 
-impl KernelPath {
-    /// Stable lower-case name (`scalar` / `avx2` / `avx2-fma`), as
-    /// accepted by `CAP_TENSOR_KERNEL` and shown in reports.
-    pub fn name(self) -> &'static str {
+impl KnobValue for KernelPath {
+    const VALUES: &'static [Self] = &[KernelPath::Scalar, KernelPath::Avx2, KernelPath::Avx2Fma];
+
+    fn name(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
             KernelPath::Avx2 => "avx2",
             KernelPath::Avx2Fma => "avx2-fma",
         }
+    }
+}
+
+impl KernelPath {
+    /// Stable lower-case name (`scalar` / `avx2` / `avx2-fma`), as
+    /// accepted by `CAP_TENSOR_KERNEL` and shown in reports.
+    pub fn name(self) -> &'static str {
+        KnobValue::name(self)
     }
 
     /// Numeric code published to the `kernel_path` metrics gauge.
@@ -184,18 +192,28 @@ impl KernelPath {
 /// Parity tests iterate this list, so on a non-AVX2 host they compare
 /// scalar against scalar and still pass — zero skipped tests.
 pub fn available_paths() -> Vec<KernelPath> {
-    [KernelPath::Scalar, KernelPath::Avx2, KernelPath::Avx2Fma]
-        .into_iter()
+    KernelPath::VALUES
+        .iter()
+        .copied()
         .filter(|p| p.is_available())
         .collect()
 }
 
-/// Process-wide forced path: 0 = none, else `KernelPath::code()`.
-/// Test/bench hook only — see [`force`].
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Cached resolution of `CAP_TENSOR_KERNEL` + CPU feature detection.
-static SELECTED: OnceLock<KernelPath> = OnceLock::new();
+/// `CAP_TENSOR_KERNEL`: an explicit request if the host can run it
+/// (scalar otherwise — a clean fallback), else the fastest path that
+/// keeps bit-identity with scalar. Publishes the `kernel_path` gauge so
+/// snapshots, profiles and the sentinel record which backend produced
+/// their numbers.
+static KNOB: Knob<KernelPath> = Knob::new("CAP_TENSOR_KERNEL", |requested| {
+    let path = match requested {
+        Some(p) if p.is_available() => p,
+        Some(_) => KernelPath::Scalar,
+        None if KernelPath::Avx2.is_available() => KernelPath::Avx2,
+        None => KernelPath::Scalar,
+    };
+    cap_obs::metrics().kernel_path.set(path.code());
+    path
+});
 
 /// Force every subsequent dispatch onto `path` (or back to the
 /// automatic selection with `None`).
@@ -217,43 +235,7 @@ pub fn force(path: Option<KernelPath>) {
             p.name()
         );
     }
-    FORCED.store(path.map_or(0, |p| p.code() as u8), Ordering::Relaxed);
-}
-
-/// Parse a `CAP_TENSOR_KERNEL` value. Unknown strings behave as `auto`
-/// (never an error: a typo must not change numerical behavior, only
-/// miss an optimization).
-fn parse_env(value: &str) -> Option<KernelPath> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Some(KernelPath::Scalar),
-        "avx2" => Some(KernelPath::Avx2),
-        "avx2-fma" | "avx2fma" => Some(KernelPath::Avx2Fma),
-        _ => None, // "", "auto", or anything unrecognized
-    }
-}
-
-/// Resolve the startup selection: explicit request if available, else
-/// the best bit-identical path the CPU supports (AVX2 or scalar).
-fn resolve() -> KernelPath {
-    let requested = std::env::var("CAP_TENSOR_KERNEL")
-        .ok()
-        .and_then(|v| parse_env(&v));
-    let path = match requested {
-        Some(p) if p.is_available() => p,
-        Some(_) => KernelPath::Scalar, // requested but unavailable: clean fallback
-        None => {
-            // auto: fastest path that keeps bit-identity with scalar.
-            if KernelPath::Avx2.is_available() {
-                KernelPath::Avx2
-            } else {
-                KernelPath::Scalar
-            }
-        }
-    };
-    // Publish to the metrics registry so snapshots, profiles and the
-    // sentinel record which backend produced their numbers.
-    cap_obs::metrics().kernel_path.set(path.code());
-    path
+    KNOB.force(path);
 }
 
 /// The kernel path servicing this process's hot loops.
@@ -270,28 +252,26 @@ fn resolve() -> KernelPath {
 /// ```
 #[inline]
 pub fn selected() -> KernelPath {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => KernelPath::Scalar,
-        2 => KernelPath::Avx2,
-        3 => KernelPath::Avx2Fma,
-        _ => *SELECTED.get_or_init(resolve),
-    }
+    KNOB.selected()
 }
 
 // ---------------------------------------------------------------------------
-// Dispatching kernel entry points. Each has a `_with` variant taking an
-// explicit path (tests force paths; hot loops hoist `selected()` out of
-// their band/row loops) and a convenience wrapper using `selected()`.
+// Dispatching kernel entry points: one per microkernel, taking the path
+// explicitly (hot loops hoist `selected()` out of their band/row loops;
+// tests pin paths) and the epilogue to fuse into the store.
 // ---------------------------------------------------------------------------
 
 /// One row band of the packed-panel GEMM: multiply rows
 /// `row0 .. row0 + c_band.len()/n` of the `m×k` row-major `a_data`
 /// against the panel-packed `b_data` (`n.div_ceil(PANEL)` panels of
-/// `k × PANEL`), writing the `c_band` slice of the row-major output.
+/// `k × PANEL`), writing the `c_band` slice of the row-major output
+/// with `epi` folded into the store (one memory round-trip instead of
+/// three; [`Epilogue::NONE`] runs the plain kernel).
 ///
 /// Accumulation is ascending-`kk` per output element on every path;
-/// see [`KernelPath`] for the parity contract.
+/// see [`KernelPath`] and [`Epilogue`] for the parity contract.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_band_with(
     path: KernelPath,
     a_data: &[f32],
@@ -300,99 +280,36 @@ pub fn gemm_packed_band_with(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    epi: Epilogue<'_>,
 ) {
     match path {
-        KernelPath::Scalar => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0),
+        KernelPath::Scalar => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, epi),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2`/`Avx2Fma` are only ever produced by `selected()`
         // / `force()`, both of which verify via `is_available()` that the
         // CPU reports the avx2 (and fma) features the target_feature
-        // functions require. Slice bounds are asserted inside the kernels.
-        KernelPath::Avx2 => unsafe { avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0) },
+        // functions require. Slice and bias-length bounds are asserted
+        // inside the kernels before any raw load.
+        KernelPath::Avx2 => unsafe {
+            avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0, epi)
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above; `Avx2Fma` additionally implies the fma feature.
         KernelPath::Avx2Fma => unsafe {
-            avx2::gemm_packed_band_fma(a_data, k, n, b_data, c_band, row0)
+            avx2::gemm_packed_band_fma(a_data, k, n, b_data, c_band, row0, epi)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0),
+        _ => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, epi),
     }
-}
-
-/// [`gemm_packed_band_with`] on the process-selected path.
-#[inline]
-pub fn gemm_packed_band(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-) {
-    gemm_packed_band_with(selected(), a_data, k, n, b_data, c_band, row0);
-}
-
-/// [`gemm_packed_band_with`] plus a fused [`Epilogue`] — bias add and
-/// ReLU folded into the store, so the band makes one memory round-trip
-/// instead of three. Bitwise identical to the unfused kernel followed
-/// by separate bias and ReLU passes (see [`Epilogue`]).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed_band_fused_with(
-    path: KernelPath,
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-    epi: Epilogue<'_>,
-) {
-    if epi.is_noop() {
-        // Degrade to the plain kernel: zero epilogue overhead, and
-        // trivially the same instruction stream as before fusion.
-        return gemm_packed_band_with(path, a_data, k, n, b_data, c_band, row0);
-    }
-    match path {
-        KernelPath::Scalar => {
-            scalar::gemm_packed_band_fused(a_data, k, n, b_data, c_band, row0, epi)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `gemm_packed_band_with`); slice and bias-length bounds
-        // are asserted inside the kernel before any raw load.
-        KernelPath::Avx2 => unsafe {
-            avx2::gemm_packed_band_fused(a_data, k, n, b_data, c_band, row0, epi)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe {
-            avx2::gemm_packed_band_fused_fma(a_data, k, n, b_data, c_band, row0, epi)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemm_packed_band_fused(a_data, k, n, b_data, c_band, row0, epi),
-    }
-}
-
-/// [`gemm_packed_band_fused_with`] on the process-selected path.
-#[inline]
-pub fn gemm_packed_band_fused(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-    epi: Epilogue<'_>,
-) {
-    gemm_packed_band_fused_with(selected(), a_data, k, n, b_data, c_band, row0, epi);
 }
 
 /// Row-major matvec against a panel-packed B: `c_row[..n] = a_row · B`
 /// with `k = a_row.len()` and `b_data` holding `n.div_ceil(PANEL)`
 /// panels of `k × PANEL` — the batch-1 shape of the packed GEMM,
 /// streamed through a kernel built for a lone row (four panels × eight
-/// lanes of live accumulators; B read exactly once).
+/// lanes of live accumulators; B read exactly once), `epi` fused into
+/// the store. A per-row bias indexes entry 0 (the matvec result is
+/// row 0 of a `1×n` output).
 ///
 /// This is the band kernel's own trailing single-row path, extracted:
 /// outputs are bit-identical to [`gemm_packed_band_with`] on a 1-row
@@ -404,73 +321,34 @@ pub fn gemv_packed_with(
     n: usize,
     b_data: &[f32],
     c_row: &mut [f32],
-) {
-    match path {
-        KernelPath::Scalar => scalar::gemv_packed(a_row, n, b_data, c_row),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`;
-        // bounds asserted in the kernel.
-        KernelPath::Avx2 => unsafe { avx2::gemv_packed(a_row, n, b_data, c_row) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe { avx2::gemv_packed_fma(a_row, n, b_data, c_row) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemv_packed(a_row, n, b_data, c_row),
-    }
-}
-
-/// [`gemv_packed_with`] on the process-selected path.
-#[inline]
-pub fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
-    gemv_packed_with(selected(), a_row, n, b_data, c_row);
-}
-
-/// [`gemv_packed_with`] plus a fused [`Epilogue`]. A per-row bias
-/// indexes entry 0 (the matvec result is row 0 of a `1×n` output).
-#[inline]
-pub fn gemv_packed_fused_with(
-    path: KernelPath,
-    a_row: &[f32],
-    n: usize,
-    b_data: &[f32],
-    c_row: &mut [f32],
     epi: Epilogue<'_>,
 ) {
-    if epi.is_noop() {
-        // Degrade to the plain kernel (see `gemm_packed_band_fused_with`).
-        return gemv_packed_with(path, a_row, n, b_data, c_row);
-    }
     match path {
-        KernelPath::Scalar => scalar::gemv_packed_fused(a_row, n, b_data, c_row, epi),
+        KernelPath::Scalar => scalar::gemv_packed(a_row, n, b_data, c_row, epi),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`;
         // slice and bias-length bounds asserted in the kernel.
-        KernelPath::Avx2 => unsafe { avx2::gemv_packed_fused(a_row, n, b_data, c_row, epi) },
+        KernelPath::Avx2 => unsafe { avx2::gemv_packed(a_row, n, b_data, c_row, epi) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe { avx2::gemv_packed_fused_fma(a_row, n, b_data, c_row, epi) },
+        KernelPath::Avx2Fma => unsafe { avx2::gemv_packed_fma(a_row, n, b_data, c_row, epi) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemv_packed_fused(a_row, n, b_data, c_row, epi),
+        _ => scalar::gemv_packed(a_row, n, b_data, c_row, epi),
     }
 }
 
-/// [`gemv_packed_fused_with`] on the process-selected path.
-#[inline]
-pub fn gemv_packed_fused(
-    a_row: &[f32],
-    n: usize,
-    b_data: &[f32],
-    c_row: &mut [f32],
-    epi: Epilogue<'_>,
-) {
-    gemv_packed_fused_with(selected(), a_row, n, b_data, c_row, epi);
-}
-
 /// One CSR row of sparse×dense: `c_row = Σ_i values[i] * B[col_idx[i], :]`
-/// over the `k×n` row-major `b_data`. `c_row` is overwritten (not
-/// accumulated into). Ascending-`i` accumulation per output element on
-/// every path.
+/// over the `k×n` row-major `b_data`, then a scalar-bias/ReLU epilogue.
+/// `c_row` is overwritten (not accumulated into). Ascending-`i`
+/// accumulation per output element on every path.
+///
+/// One CSR output row has a single bias value (its output channel /
+/// feature), so the epilogue here is `(Option<f32>, bool)` rather than
+/// an [`Epilogue`]; `(None, false)` runs the plain kernel. Bias adds
+/// first, then the `forward_into`-flavor ReLU; bitwise identical to
+/// the plain kernel + bias pass + ReLU pass.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_row_with(
     path: KernelPath,
     values: &[f32],
@@ -478,83 +356,31 @@ pub fn spmm_row_with(
     b_data: &[f32],
     n: usize,
     c_row: &mut [f32],
-) {
-    match path {
-        KernelPath::Scalar => scalar::spmm_row(values, col_idx, b_data, n, c_row),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `gemm_packed_band_with`); bounds asserted in the kernel.
-        KernelPath::Avx2 => unsafe { avx2::spmm_row(values, col_idx, b_data, n, c_row) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe { avx2::spmm_row_fma(values, col_idx, b_data, n, c_row) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::spmm_row(values, col_idx, b_data, n, c_row),
-    }
-}
-
-/// [`spmm_row_with`] on the process-selected path.
-#[inline]
-pub fn spmm_row(values: &[f32], col_idx: &[u32], b_data: &[f32], n: usize, c_row: &mut [f32]) {
-    spmm_row_with(selected(), values, col_idx, b_data, n, c_row);
-}
-
-/// [`spmm_row_with`] plus a fused scalar-bias/ReLU epilogue. One CSR
-/// output row has a single bias value (its output channel / feature),
-/// so the epilogue here is `(Option<f32>, bool)` rather than an
-/// [`Epilogue`]; `None` fuses ReLU alone without a bias add. Bias adds
-/// first, then the `forward_into`-flavor ReLU; bitwise identical to
-/// the unfused kernel + bias pass + ReLU pass.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn spmm_row_fused_with(
-    path: KernelPath,
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
     bias: Option<f32>,
     relu: bool,
 ) {
-    if bias.is_none() && !relu {
-        // Degrade to the plain kernel (see `gemm_packed_band_fused_with`).
-        return spmm_row_with(path, values, col_idx, b_data, n, c_row);
-    }
     match path {
-        KernelPath::Scalar => scalar::spmm_row_fused(values, col_idx, b_data, n, c_row, bias, relu),
+        KernelPath::Scalar => scalar::spmm_row(values, col_idx, b_data, n, c_row, bias, relu),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`;
         // bounds asserted in the kernel.
         KernelPath::Avx2 => unsafe {
-            avx2::spmm_row_fused(values, col_idx, b_data, n, c_row, bias, relu)
+            avx2::spmm_row(values, col_idx, b_data, n, c_row, bias, relu)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, plus fma.
         KernelPath::Avx2Fma => unsafe {
-            avx2::spmm_row_fused_fma(values, col_idx, b_data, n, c_row, bias, relu)
+            avx2::spmm_row_fma(values, col_idx, b_data, n, c_row, bias, relu)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::spmm_row_fused(values, col_idx, b_data, n, c_row, bias, relu),
+        _ => scalar::spmm_row(values, col_idx, b_data, n, c_row, bias, relu),
     }
 }
 
-/// [`spmm_row_fused_with`] on the process-selected path.
-#[inline]
-pub fn spmm_row_fused(
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
-) {
-    spmm_row_fused_with(selected(), values, col_idx, b_data, n, c_row, bias, relu);
-}
-
 /// Sparse matvec dot — one CSR row against a dense vector:
-/// `Σ_i values[i] * x[col_idx[i]]`, ascending `i`.
+/// `Σ_i values[i] * x[col_idx[i]]`, ascending `i`, then the same
+/// bias/ReLU epilogue as [`spmm_row_with`] (`None` skips the bias add
+/// entirely).
 ///
 /// Every kernel path shares the scalar body: a single ascending-order
 /// dot product cannot be lane-split without reordering the summation,
@@ -562,26 +388,12 @@ pub fn spmm_row_fused(
 /// is bandwidth-bound, so the matvec win comes from eliminating the
 /// transpose/allocation round-trips, not from SIMD lanes.
 #[inline]
-pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32]) -> f32 {
-    scalar::spmv(values, col_idx, x)
-}
-
-/// [`spmv`] with a fused bias/ReLU epilogue (same path story; `None`
-/// skips the bias add entirely).
-#[inline]
-pub fn spmv_fused(
-    values: &[f32],
-    col_idx: &[u32],
-    x: &[f32],
-    bias: Option<f32>,
-    relu: bool,
-) -> f32 {
-    scalar::spmv_fused(values, col_idx, x, bias, relu)
+pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
+    scalar::spmv(values, col_idx, x, bias, relu)
 }
 
 /// `c_row[j] += a * b_row[j]` over `min(c_row.len(), b_row.len())`
-/// elements — the inner loop of the unpacked GEMM and of dense bias
-/// broadcasts over columns.
+/// elements — the inner loop of the unpacked GEMM.
 #[inline]
 pub fn axpy_with(path: KernelPath, c_row: &mut [f32], a: f32, b_row: &[f32]) {
     match path {
@@ -595,12 +407,6 @@ pub fn axpy_with(path: KernelPath, c_row: &mut [f32], a: f32, b_row: &[f32]) {
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::axpy(c_row, a, b_row),
     }
-}
-
-/// [`axpy_with`] on the process-selected path.
-#[inline]
-pub fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
-    axpy_with(selected(), c_row, a, b_row);
 }
 
 /// In-place ReLU: `v = if v < 0.0 { 0.0 } else { v }`. Preserves NaN
@@ -618,12 +424,6 @@ pub fn relu_inplace_with(path: KernelPath, data: &mut [f32]) {
     }
 }
 
-/// [`relu_inplace_with`] on the process-selected path.
-#[inline]
-pub fn relu_inplace(data: &mut [f32]) {
-    relu_inplace_with(selected(), data);
-}
-
 /// Out-of-place ReLU: `dst[i] = if src[i] > 0.0 { src[i] } else { 0.0 }`
 /// (the `forward_into` flavor: NaN and `-0.0` map to `+0.0`, matching
 /// the scalar ternary).
@@ -637,51 +437,6 @@ pub fn relu_into_with(path: KernelPath, src: &[f32], dst: &mut [f32]) {
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::relu_into(src, dst),
     }
-}
-
-/// [`relu_into_with`] on the process-selected path.
-#[inline]
-pub fn relu_into(src: &[f32], dst: &mut [f32]) {
-    relu_into_with(selected(), src, dst);
-}
-
-/// Broadcast-add a scalar bias: `v += b` for every element.
-#[inline]
-pub fn bias_broadcast_with(path: KernelPath, data: &mut [f32], b: f32) {
-    match path {
-        KernelPath::Scalar => scalar::bias_broadcast(data, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe { avx2::bias_broadcast(data, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::bias_broadcast(data, b),
-    }
-}
-
-/// [`bias_broadcast_with`] on the process-selected path.
-#[inline]
-pub fn bias_broadcast(data: &mut [f32], b: f32) {
-    bias_broadcast_with(selected(), data, b);
-}
-
-/// Pairwise add: `dst[i] += src[i]` over `min(dst.len(), src.len())`
-/// elements — the fully-connected layer's per-row bias add.
-#[inline]
-pub fn vec_add_with(path: KernelPath, dst: &mut [f32], src: &[f32]) {
-    match path {
-        KernelPath::Scalar => scalar::vec_add(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe { avx2::vec_add(dst, src) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::vec_add(dst, src),
-    }
-}
-
-/// [`vec_add_with`] on the process-selected path.
-#[inline]
-pub fn vec_add(dst: &mut [f32], src: &[f32]) {
-    vec_add_with(selected(), dst, src);
 }
 
 /// One output row of 2-D max pooling over a single `h×w` input plane:
@@ -715,19 +470,6 @@ pub fn max_pool_row_with(
     }
 }
 
-/// [`max_pool_row_with`] on the process-selected path.
-#[inline]
-pub fn max_pool_row(
-    plane: &[f32],
-    h: usize,
-    w: usize,
-    params: &Pool2dParams,
-    oy: usize,
-    out_row: &mut [f32],
-) {
-    max_pool_row_with(selected(), plane, h, w, params, oy, out_row);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,14 +487,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_env_values() {
-        assert_eq!(parse_env("scalar"), Some(KernelPath::Scalar));
-        assert_eq!(parse_env("AVX2"), Some(KernelPath::Avx2));
-        assert_eq!(parse_env("avx2-fma"), Some(KernelPath::Avx2Fma));
-        assert_eq!(parse_env("avx2fma"), Some(KernelPath::Avx2Fma));
-        assert_eq!(parse_env("auto"), None);
-        assert_eq!(parse_env(""), None);
-        assert_eq!(parse_env("riscv-vector"), None);
+    fn env_values_parse_and_unknown_is_an_error() {
+        assert_eq!(KNOB.parse("scalar"), Ok(Some(KernelPath::Scalar)));
+        assert_eq!(KNOB.parse("AVX2"), Ok(Some(KernelPath::Avx2)));
+        assert_eq!(KNOB.parse("avx2-fma"), Ok(Some(KernelPath::Avx2Fma)));
+        assert_eq!(KNOB.parse("auto"), Ok(None));
+        assert_eq!(KNOB.parse(""), Ok(None));
+        let message = KNOB.parse("riscv-vector").unwrap_err();
+        assert!(message.contains("CAP_TENSOR_KERNEL"), "{message}");
+        assert!(message.contains("riscv-vector"), "{message}");
+        assert!(
+            message.contains("auto, scalar, avx2, avx2-fma"),
+            "{message}"
+        );
     }
 
     #[test]
@@ -768,9 +515,7 @@ mod tests {
         assert!(p.is_available());
         // `auto` (and any CAP_TENSOR_KERNEL except avx2-fma) must keep
         // the bit-identity contract.
-        if std::env::var("CAP_TENSOR_KERNEL").map(|v| parse_env(&v))
-            != Ok(Some(KernelPath::Avx2Fma))
-        {
+        if std::env::var("CAP_TENSOR_KERNEL").as_deref() != Ok("avx2-fma") {
             assert!(p.is_bit_identical_to_scalar());
         }
     }

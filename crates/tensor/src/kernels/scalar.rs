@@ -47,9 +47,25 @@ fn apply_epilogue(c_band: &mut [f32], n: usize, row0: usize, epi: Epilogue<'_>) 
     }
 }
 
-/// One row band of the packed-panel GEMM. See
-/// [`super::gemm_packed_band_with`] for the contract.
+/// One row band of the packed-panel GEMM, epilogue applied. See
+/// [`super::gemm_packed_band_with`] for the contract. Runs the plain
+/// band loop and then `apply_epilogue` over the still-cache-resident
+/// band — bitwise identical to the in-register AVX2 variant.
 pub fn gemm_packed_band(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    epi: Epilogue<'_>,
+) {
+    epi.check(row0 + c_band.len() / n.max(1), n);
+    gemm_band_plain(a_data, k, n, b_data, c_band, row0);
+    apply_epilogue(c_band, n, row0, epi);
+}
+
+fn gemm_band_plain(
     a_data: &[f32],
     k: usize,
     n: usize,
@@ -107,7 +123,7 @@ pub fn gemm_packed_band(
     // (extracted from this loop, so the band result is unchanged).
     for local_r in local_r..rows_here {
         let r = row0 + local_r;
-        gemv_packed(
+        gemv_plain(
             &a_data[r * k..(r + 1) * k],
             n,
             b_data,
@@ -127,8 +143,15 @@ pub fn gemm_packed_band(
 /// Each output element accumulates in ascending-`kk` order — panel
 /// grouping only changes which elements are *concurrent*, never the
 /// order within one element's sum — so results are bit-identical to
-/// the band kernel (this *is* that code).
-pub fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
+/// the band kernel (this *is* that code). A per-row bias in `epi`
+/// indexes `bias[0]` (the matvec output is row 0 of a 1×n result).
+pub fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], epi: Epilogue<'_>) {
+    epi.check(1, n);
+    gemv_plain(a_row, n, b_data, c_row);
+    apply_epilogue(&mut c_row[..n], n, 0, epi);
+}
+
+fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
     let k = a_row.len();
     let panels = n.div_ceil(PANEL);
     let plen = k * PANEL;
@@ -183,54 +206,11 @@ pub fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
     }
 }
 
-/// [`gemm_packed_band`] with a fused bias/ReLU epilogue. The scalar
-/// flavor runs the plain band kernel and applies the epilogue over the
-/// still-cache-resident band (`apply_epilogue`) — bitwise identical to
-/// the in-register AVX2 variant.
-pub fn gemm_packed_band_fused(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-    epi: Epilogue<'_>,
-) {
-    epi.check(row0 + c_band.len() / n.max(1), n);
-    gemm_packed_band(a_data, k, n, b_data, c_band, row0);
-    apply_epilogue(c_band, n, row0, epi);
-}
-
-/// [`gemv_packed`] with a fused bias/ReLU epilogue. A per-row bias
-/// indexes `bias[0]` (the matvec output is row 0 of a 1×n result).
-pub fn gemv_packed_fused(
-    a_row: &[f32],
-    n: usize,
-    b_data: &[f32],
-    c_row: &mut [f32],
-    epi: Epilogue<'_>,
-) {
-    epi.check(1, n);
-    gemv_packed(a_row, n, b_data, c_row);
-    apply_epilogue(&mut c_row[..n], n, 0, epi);
-}
-
-/// One CSR row of sparse×dense. See [`super::spmm_row_with`].
-pub fn spmm_row(values: &[f32], col_idx: &[u32], b_data: &[f32], n: usize, c_row: &mut [f32]) {
-    c_row.fill(0.0);
-    for (&v, &c) in values.iter().zip(col_idx.iter()) {
-        let b_row = &b_data[c as usize * n..(c as usize + 1) * n];
-        for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-            *cv += v * bv;
-        }
-    }
-}
-
-/// [`spmm_row`] with a fused scalar-bias/ReLU epilogue (the bias of
-/// one CSR output row is a single value — conv output channel or FC
-/// output feature; `None` fuses ReLU alone). Bias adds first, then the
-/// `forward_into` ReLU.
-pub fn spmm_row_fused(
+/// One CSR row of sparse×dense with a scalar-bias/ReLU epilogue (the
+/// bias of one CSR output row is a single value — conv output channel
+/// or FC output feature; `None` skips the add). Bias adds first, then
+/// the `forward_into` ReLU. See [`super::spmm_row_with`].
+pub fn spmm_row(
     values: &[f32],
     col_idx: &[u32],
     b_data: &[f32],
@@ -239,7 +219,16 @@ pub fn spmm_row_fused(
     bias: Option<f32>,
     relu: bool,
 ) {
-    spmm_row(values, col_idx, b_data, n, c_row);
+    c_row.fill(0.0);
+    for (&v, &c) in values.iter().zip(col_idx.iter()) {
+        let b_row = &b_data[c as usize * n..(c as usize + 1) * n];
+        for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
+            *cv += v * bv;
+        }
+    }
+    if bias.is_none() && !relu {
+        return;
+    }
     for v in c_row.iter_mut().take(n) {
         let mut y = *v;
         if let Some(b) = bias {
@@ -253,29 +242,18 @@ pub fn spmm_row_fused(
 }
 
 /// Sparse dot product — one CSR row against a dense vector:
-/// `Σ_i values[i] * x[col_idx[i]]`, accumulated in ascending-`i` order.
+/// `Σ_i values[i] * x[col_idx[i]]`, accumulated in ascending-`i` order,
+/// then the same bias/ReLU epilogue as [`spmm_row`] (`None` skips the
+/// bias add entirely — a literal `+0.0` is not bitwise neutral).
 ///
 /// This is the matvec (`n = 1`) special case of [`spmm_row`] without
 /// the output-slice plumbing; the summation order is identical, so the
 /// result is bit-equal to routing through the SpMM kernel.
-pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
+pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
+    let mut y = 0.0f32;
     for (&v, &c) in values.iter().zip(col_idx.iter()) {
-        acc += v * x[c as usize];
+        y += v * x[c as usize];
     }
-    acc
-}
-
-/// [`spmv`] with a fused bias/ReLU epilogue (`None` skips the bias add
-/// entirely — a literal `+0.0` is not bitwise neutral).
-pub fn spmv_fused(
-    values: &[f32],
-    col_idx: &[u32],
-    x: &[f32],
-    bias: Option<f32>,
-    relu: bool,
-) -> f32 {
-    let mut y = spmv(values, col_idx, x);
     if let Some(b) = bias {
         y += b;
     }
@@ -305,20 +283,6 @@ pub fn relu_inplace(data: &mut [f32]) {
 pub fn relu_into(src: &[f32], dst: &mut [f32]) {
     for (o, &v) in dst.iter_mut().zip(src.iter()) {
         *o = if v > 0.0 { v } else { 0.0 };
-    }
-}
-
-/// Broadcast-add a scalar bias. See [`super::bias_broadcast_with`].
-pub fn bias_broadcast(data: &mut [f32], b: f32) {
-    for v in data {
-        *v += b;
-    }
-}
-
-/// Pairwise `dst[i] += src[i]`. See [`super::vec_add_with`].
-pub fn vec_add(dst: &mut [f32], src: &[f32]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d += s;
     }
 }
 

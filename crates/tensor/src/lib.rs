@@ -15,12 +15,14 @@
 //!   pruning ratios into wall-clock savings.
 //! * [`im2col()`] / [`col2im`] — the lowering that expresses convolution as
 //!   GEMM, exactly as Caffe does.
-//! * [`conv`] and [`pool`] — convolution (im2col+GEMM and direct) and
-//!   max/average pooling kernels.
+//! * [`conv`] and [`pool`] — the one convolution driver ([`conv2d`]:
+//!   im2col + GEMM over a [`ConvWeights`] form — dense or CSR, f32 or
+//!   int8 — with bias/ReLU as a fused [`Epilogue`]) and max/average
+//!   pooling kernels.
 //! * [`workspace`] — reusable scratch arenas ([`Workspace`],
-//!   [`WorkspacePool`]) behind the zero-allocation steady-state kernels
-//!   ([`conv2d_gemm_packed`], [`conv2d_sparse_packed`],
-//!   [`gemm_prepacked`]).
+//!   [`WorkspacePool`]) behind the zero-allocation steady state.
+//! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
+//!   [`reference::gemm_naive`]) that tests and benches import explicitly.
 //!
 //! All kernels are deterministic given deterministic inputs; parallelism
 //! via rayon never reorders reductions in a result-visible way (each
@@ -28,7 +30,8 @@
 //!
 //! The hot inner loops run on runtime-dispatched SIMD microkernels
 //! ([`kernels`]): AVX2 where the CPU has it, scalar everywhere else,
-//! overridable via `CAP_TENSOR_KERNEL={auto,scalar,avx2,avx2-fma}`.
+//! overridable via `CAP_TENSOR_KERNEL={auto,scalar,avx2,avx2-fma}`
+//! (any other value is fatal at first use — see [`knob`]).
 //! The default SIMD path is bit-identical to scalar, so determinism
 //! holds across backends too.
 
@@ -41,25 +44,20 @@ pub mod gemm;
 pub mod im2col;
 pub mod init;
 pub mod kernels;
+pub mod knob;
 pub mod ops;
 pub mod pool;
 pub mod precision;
 pub mod quant;
+pub mod reference;
 pub mod sparse;
 pub mod tensor4;
 pub mod workspace;
 
-pub use conv::{
-    conv2d_direct, conv2d_gemm, conv2d_gemm_packed, conv2d_gemm_packed_fused, conv2d_sparse,
-    conv2d_sparse_packed, conv2d_sparse_packed_fused, Conv2dParams, PackedConvWeights,
-    PackedSparseConvWeights,
-};
+pub use conv::{conv2d, Conv2dParams, ConvWeights};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
-pub use gemm::{
-    gemm, gemm_packed_cols, gemm_packed_cols_fused, gemm_prealloc, gemm_prepacked,
-    gemm_prepacked_slice, gemm_prepacked_slice_fused, pack_b_slice_into, PackedB,
-};
+pub use gemm::{gemm, gemm_packed, gemm_prealloc, gemm_prepacked, PackedB};
 pub use im2col::{col2im, im2col, im2col_packed_prealloc, im2col_prealloc};
 pub use kernels::{EpiBias, Epilogue, KernelPath};
 pub use pool::{
@@ -67,9 +65,8 @@ pub use pool::{
 };
 pub use precision::Precision;
 pub use quant::{
-    conv2d_i8_packed_fused, conv2d_i8_sparse_fused, gemm_i8, pack_b_i8_into, percentile_scale,
-    quantize_i8, quantize_rows_into, symmetric_scale, CalibrationMethod, PackedBI8, QuantizedA,
-    QuantizedConvWeights, QuantizedCsr, QuantizedSparseConvWeights,
+    gemm_i8, pack_b_i8_into, percentile_scale, quantize_i8, quantize_rows_into, symmetric_scale,
+    CalibrationMethod, PackedBI8, QuantizedA, QuantizedCsr,
 };
 pub use sparse::CsrMatrix;
 pub use tensor4::Tensor4;

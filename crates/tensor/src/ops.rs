@@ -6,14 +6,14 @@ use crate::kernels;
 /// In-place ReLU over a slice: `v = if v < 0.0 { 0.0 } else { v }`
 /// (NaN and `-0.0` pass through unchanged, on every kernel path).
 pub fn relu_inplace(data: &mut [f32]) {
-    kernels::relu_inplace(data);
+    kernels::relu_inplace_with(kernels::selected(), data);
 }
 
 /// Out-of-place ReLU: `dst[i] = if src[i] > 0.0 { src[i] } else { 0.0 }`
 /// over `min(src.len(), dst.len())` elements (NaN and `-0.0` flush to
 /// `+0.0`, on every kernel path).
 pub fn relu_into(src: &[f32], dst: &mut [f32]) {
-    kernels::relu_into(src, dst);
+    kernels::relu_into_with(kernels::selected(), src, dst);
 }
 
 /// ReLU derivative mask: 1.0 where the forward input was positive.

@@ -6,8 +6,8 @@
 //! path. This module is the knob that picks between them, mirroring the
 //! kernel-path machinery in [`crate::kernels`]: the `CAP_TENSOR_PRECISION`
 //! environment variable is read once per process — `f32`, `int8`, or
-//! `auto` (the default; f32). Unknown values behave as `auto`, never an
-//! error: a typo must not silently change numerics.
+//! `auto` (the default; f32). Any other value is fatal at first use
+//! (see [`crate::knob`]): a typo must not decide a model's numerics.
 //!
 //! Unlike the kernel path, *both* precisions are available on every CPU
 //! (the int8 kernels have a scalar reference path), so there is no
@@ -16,8 +16,7 @@
 //! weighted layer asks for it, exactly as kernel resolution publishes
 //! `kernel_path`.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use crate::knob::{Knob, KnobValue};
 
 /// Numeric precision used by conv/fc (weighted) layers.
 ///
@@ -35,13 +34,21 @@ pub enum Precision {
     Int8,
 }
 
-impl Precision {
-    /// Stable lower-case name as accepted by `CAP_TENSOR_PRECISION`.
-    pub fn name(self) -> &'static str {
+impl KnobValue for Precision {
+    const VALUES: &'static [Self] = &[Precision::F32, Precision::Int8];
+
+    fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
             Precision::Int8 => "int8",
         }
+    }
+}
+
+impl Precision {
+    /// Stable lower-case name as accepted by `CAP_TENSOR_PRECISION`.
+    pub fn name(self) -> &'static str {
+        KnobValue::name(self)
     }
 
     /// Stable numeric code published to the `precision_path` gauge
@@ -55,12 +62,13 @@ impl Precision {
     }
 }
 
-/// Process-wide forced precision: 0 = none, else `Precision::code()`.
-/// Test/ablation hook only — see [`force`].
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Cached resolution of `CAP_TENSOR_PRECISION`.
-static SELECTED: OnceLock<Precision> = OnceLock::new();
+/// `CAP_TENSOR_PRECISION`: `auto` is f32. Publishes the
+/// `precision_path` gauge.
+static KNOB: Knob<Precision> = Knob::new("CAP_TENSOR_PRECISION", |requested| {
+    let p = requested.unwrap_or(Precision::F32);
+    cap_obs::metrics().precision_path.set(p.code() as u64);
+    p
+});
 
 /// Force every subsequent weighted-layer dispatch to `precision` (or
 /// back to the environment-driven selection with `None`).
@@ -71,37 +79,13 @@ static SELECTED: OnceLock<Precision> = OnceLock::new();
 /// kernel override it can never panic — both precisions exist on every
 /// CPU. Concurrent tests asserting on a *specific* precision must
 /// serialize around it. The override also re-publishes the
-/// `precision_path` gauge so reports stay truthful.
+/// `precision_path` gauge (to the forced value, or back to the
+/// environment-driven one) so reports stay truthful.
 pub fn force(precision: Option<Precision>) {
-    FORCED.store(precision.map_or(0, |p| p.code()), Ordering::Relaxed);
-    if let Some(p) = precision {
-        cap_obs::metrics().precision_path.set(p.code() as u64);
-    } else {
-        // Restore the gauge to the environment-driven selection so a
-        // report built after the override is lifted reads correctly.
-        cap_obs::metrics()
-            .precision_path
-            .set(SELECTED.get_or_init(resolve).code() as u64);
-    }
-}
-
-/// Parse a `CAP_TENSOR_PRECISION` value. Unknown strings behave as
-/// `auto` (= f32): a typo must never silently quantize a model.
-fn parse_env(value: &str) -> Precision {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "int8" => Precision::Int8,
-        _ => Precision::F32, // "", "auto", "f32", or anything unrecognized
-    }
-}
-
-/// Resolve the startup selection from `CAP_TENSOR_PRECISION` and publish
-/// it to the `precision_path` gauge.
-fn resolve() -> Precision {
-    let p = std::env::var("CAP_TENSOR_PRECISION")
-        .map(|v| parse_env(&v))
-        .unwrap_or(Precision::F32);
-    cap_obs::metrics().precision_path.set(p.code() as u64);
-    p
+    KNOB.force(precision);
+    cap_obs::metrics()
+        .precision_path
+        .set(KNOB.selected().code() as u64);
 }
 
 /// The precision governing this process's weighted layers.
@@ -111,11 +95,7 @@ fn resolve() -> Precision {
 /// override, when set, wins without touching the cache.
 #[inline]
 pub fn selected() -> Precision {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => Precision::F32,
-        2 => Precision::Int8,
-        _ => *SELECTED.get_or_init(resolve),
-    }
+    KNOB.selected()
 }
 
 #[cfg(test)]
@@ -134,13 +114,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_env_accepts_known_values_and_defaults_to_f32() {
-        assert_eq!(parse_env("int8"), Precision::Int8);
-        assert_eq!(parse_env(" INT8 "), Precision::Int8);
-        assert_eq!(parse_env("f32"), Precision::F32);
-        assert_eq!(parse_env("auto"), Precision::F32);
-        assert_eq!(parse_env(""), Precision::F32);
-        assert_eq!(parse_env("bf16"), Precision::F32);
+    fn env_values_parse_and_unknown_is_an_error() {
+        assert_eq!(KNOB.parse("int8"), Ok(Some(Precision::Int8)));
+        assert_eq!(KNOB.parse(" INT8 "), Ok(Some(Precision::Int8)));
+        assert_eq!(KNOB.parse("f32"), Ok(Some(Precision::F32)));
+        assert_eq!(KNOB.parse("auto"), Ok(None));
+        assert_eq!(KNOB.parse(""), Ok(None));
+        let message = KNOB.parse("bf16").unwrap_err();
+        assert!(message.contains("CAP_TENSOR_PRECISION"), "{message}");
+        assert!(message.contains("bf16"), "{message}");
+        assert!(message.contains("auto, f32, int8"), "{message}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Symmetric int8 quantization: scales, packed quantized operands, and
-//! the drivers that turn the [`crate::kernels::int8`] microkernels into
-//! whole-layer convolution / GEMM execution.
+//! the GEMM driver over the [`crate::kernels::int8`] microkernels (the
+//! convolution driver, [`crate::conv2d`], takes the quantized operands
+//! built here as two of its [`crate::ConvWeights`] forms).
 //!
 //! # Quantization contract
 //!
@@ -30,14 +31,10 @@
 //! kernels. The `CAP_TENSOR_PRECISION` knob ([`crate::precision`])
 //! decides which path a `Network` runs.
 
-use crate::conv::{credit_ns, split_clock, Conv2dParams};
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::im2col::im2col_prealloc;
 use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue, PANEL};
 use crate::sparse::CsrMatrix;
-use crate::tensor4::Tensor4;
-use crate::workspace::WorkspacePool;
 use rayon::prelude::*;
 
 /// Max-abs symmetric scale: `max|x| / 127`, or `1.0` for an all-zero
@@ -137,8 +134,8 @@ pub fn quantize_rows_into(
 /// (`n.div_ceil(PANEL)` panels of `kp × PANEL`; depth pairs adjacent
 /// per column, tail columns and the odd-`k` pad zero-filled), reusing
 /// `out`'s capacity. Returns `kp`. This is the int8 analogue of
-/// `pack_b_slice_into` with the quantize folded into the single write
-/// pass.
+/// [`crate::PackedB::pack`] with the quantize folded into the single
+/// write pass.
 pub fn pack_b_i8_into(src: &[f32], k: usize, n: usize, inv_scale: f32, out: &mut Vec<i8>) -> usize {
     assert!(src.len() >= k * n, "pack_b_i8_into: src too short");
     let kp = k.next_multiple_of(2);
@@ -288,36 +285,25 @@ pub struct QuantizedCsr {
 }
 
 impl QuantizedCsr {
-    /// Quantize all of `csr` with `scale`.
+    /// Quantize `csr` with `scale`.
     pub fn from_csr(csr: &CsrMatrix, scale: f32) -> Self {
-        Self::from_csr_rows(csr, 0, csr.rows(), scale)
-    }
-
-    /// Quantize the row band `r0..r1` of `csr` with `scale` (used to
-    /// split grouped-convolution weights without densifying).
-    pub fn from_csr_rows(csr: &CsrMatrix, r0: usize, r1: usize, scale: f32) -> Self {
-        assert!(r0 <= r1 && r1 <= csr.rows());
-        let rows = r1 - r0;
         let inv = 1.0 / scale;
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+        let mut row_ptr = vec![0usize; csr.rows() + 1];
+        let mut col_idx = Vec::with_capacity(csr.nnz());
+        let mut values = Vec::with_capacity(csr.nnz());
         for (r, c, v) in csr.iter() {
-            if r < r0 || r >= r1 {
-                continue;
-            }
-            row_ptr[r - r0 + 1] += 1;
+            row_ptr[r + 1] += 1;
             col_idx.push(c as u32);
             values.push(quantize_i8(v, inv));
         }
-        for i in 0..rows {
+        for i in 0..csr.rows() {
             row_ptr[i + 1] += row_ptr[i];
         }
         Self {
             row_ptr,
             col_idx,
             values,
-            rows,
+            rows: csr.rows(),
             cols: csr.cols(),
             scale,
         }
@@ -437,328 +423,9 @@ pub fn gemm_i8(
     Ok(())
 }
 
-/// Convolution weights quantized per-tensor and split into per-group
-/// row-major i8 bands — the int8 analogue of
-/// [`crate::PackedConvWeights`]. The scale is max-abs over the whole
-/// layer (per-layer symmetric quantization).
-#[derive(Debug, Clone)]
-pub struct QuantizedConvWeights {
-    bands: Vec<QuantizedA>,
-    scale: f32,
-}
-
-impl QuantizedConvWeights {
-    /// Quantize `weights` (`out_channels × in_per_group*kh*kw`) and
-    /// split by group.
-    pub fn pack(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Self> {
-        params.validate()?;
-        let opg = params.out_per_group();
-        let col_rows = params.in_per_group() * params.kh * params.kw;
-        if weights.shape() != (params.out_channels, col_rows) {
-            return Err(ShapeError::new(format!(
-                "conv quantize: weights {:?}, expected {:?}",
-                weights.shape(),
-                (params.out_channels, col_rows)
-            )));
-        }
-        let scale = symmetric_scale(weights.as_slice());
-        let bands = (0..params.groups)
-            .map(|g| {
-                QuantizedA::quantize(
-                    &weights.as_slice()[g * opg * col_rows..],
-                    opg,
-                    col_rows,
-                    scale,
-                )
-            })
-            .collect();
-        Ok(Self { bands, scale })
-    }
-
-    /// Number of groups.
-    pub fn groups(&self) -> usize {
-        self.bands.len()
-    }
-
-    /// Quantized weight band for group `g`.
-    pub fn band(&self, g: usize) -> &QuantizedA {
-        &self.bands[g]
-    }
-
-    /// Weight dequantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-}
-
-/// Sparse convolution weights quantized per-tensor and split into
-/// per-group [`QuantizedCsr`] bands — the int8 analogue of
-/// [`crate::PackedSparseConvWeights`].
-#[derive(Debug, Clone)]
-pub struct QuantizedSparseConvWeights {
-    bands: Vec<QuantizedCsr>,
-    scale: f32,
-}
-
-impl QuantizedSparseConvWeights {
-    /// Quantize CSR `weights` (`out_channels × in_per_group*kh*kw`) and
-    /// split by group (structure preserved; no densify round-trip).
-    pub fn pack(weights: &CsrMatrix, params: &Conv2dParams) -> TensorResult<Self> {
-        params.validate()?;
-        let col_rows = params.in_per_group() * params.kh * params.kw;
-        if weights.shape() != (params.out_channels, col_rows) {
-            return Err(ShapeError::new(format!(
-                "conv quantize: sparse weights {:?}, expected {:?}",
-                weights.shape(),
-                (params.out_channels, col_rows)
-            )));
-        }
-        let max_abs = weights.iter().fold(0.0f32, |m, (_, _, v)| m.max(v.abs()));
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-        let opg = params.out_per_group();
-        let bands = (0..params.groups)
-            .map(|g| QuantizedCsr::from_csr_rows(weights, g * opg, (g + 1) * opg, scale))
-            .collect();
-        Ok(Self { bands, scale })
-    }
-
-    /// Number of groups.
-    pub fn groups(&self) -> usize {
-        self.bands.len()
-    }
-
-    /// Quantized CSR band for group `g`.
-    pub fn band(&self, g: usize) -> &QuantizedCsr {
-        &self.bands[g]
-    }
-
-    /// Weight dequantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-}
-
-fn check_conv_io(params: &Conv2dParams, input: &Tensor4, bias: Option<&[f32]>) -> TensorResult<()> {
-    if input.c() != params.in_channels {
-        return Err(ShapeError::new(format!(
-            "conv int8: input channels {} != {}",
-            input.c(),
-            params.in_channels
-        )));
-    }
-    if let Some(b) = bias {
-        if b.len() != params.out_channels {
-            return Err(ShapeError::new(format!(
-                "conv int8: bias length {} != out_channels {}",
-                b.len(),
-                params.out_channels
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Int8 im2col+GEMM convolution — the quantized counterpart of
-/// [`crate::conv2d_gemm_packed_fused`]. Weights arrive pre-quantized;
-/// activations are quantized per image inside the loop with
-/// `act_scale` (calibrated, or the caller's max-abs estimate), lowered
-/// by the f32 im2col and packed into the pair-interleaved i8 layout in
-/// the same scratch pass. Bias/ReLU (in f32, applied after
-/// dequantization) ride the GEMM store exactly as on the f32 path.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_i8_packed_fused(
-    input: &Tensor4,
-    weights: &QuantizedConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-    relu: bool,
-    act_scale: f32,
-) -> TensorResult<()> {
-    params.validate()?;
-    check_conv_io(params, input, bias)?;
-    if weights.groups() != params.groups {
-        return Err(ShapeError::new(format!(
-            "conv int8: {} weight bands, expected {} groups",
-            weights.groups(),
-            params.groups
-        )));
-    }
-    let (n, _c, h, w) = input.shape();
-    let (oh, ow) = params.out_shape(h, w)?;
-    out.resize(n, params.out_channels, oh, ow);
-
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    let col_rows = cpg * params.kh * params.kw;
-    let n_out = oh * ow;
-    let out_image_len = params.out_channels * n_out;
-    let in_image_len = params.in_channels * h * w;
-
-    let timing = cap_obs::timing_enabled();
-    let inv_act = 1.0 / act_scale;
-    let scale = weights.scale() * act_scale;
-
-    out.as_mut_slice()
-        .par_chunks_mut(out_image_len.max(1))
-        .zip(input.as_slice().par_chunks(in_image_len.max(1)))
-        .try_for_each_init(
-            || pool.checkout(),
-            |ws, (out_img, in_img)| -> TensorResult<()> {
-                let prod_shape = if params.groups == 1 {
-                    (0, 0)
-                } else {
-                    (opg, n_out)
-                };
-                let (cols, qb, prod) = ws.conv_quant_slots((col_rows, n_out), prod_shape);
-                for g in 0..params.groups {
-                    let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
-                    // Lower to the f32 patch matrix, then quantize+pack
-                    // it into the i8 panel layout in one write pass —
-                    // both are lowering cost, credited to the im2col
-                    // side of the time split.
-                    let t_col = split_clock(timing);
-                    im2col_prealloc(
-                        in_slice,
-                        cpg,
-                        h,
-                        w,
-                        params.kh,
-                        params.kw,
-                        params.pad,
-                        params.stride,
-                        cols,
-                    )?;
-                    let kp = pack_b_i8_into(cols.as_slice(), col_rows, n_out, inv_act, qb);
-                    credit_ns(t_col, &cap_obs::metrics().im2col_time_ns);
-                    let t_gemm = split_clock(timing);
-                    let band = weights.band(g);
-                    debug_assert_eq!(band.kp(), kp);
-                    let epi = Epilogue {
-                        bias: bias.map(|b| EpiBias::PerRow(&b[g * opg..(g + 1) * opg])),
-                        relu,
-                    };
-                    if params.groups == 1 {
-                        gemm_i8(band.data(), opg, kp, n_out, qb, out_img, scale, epi)?;
-                    } else {
-                        gemm_i8(
-                            band.data(),
-                            opg,
-                            kp,
-                            n_out,
-                            qb,
-                            prod.as_mut_slice(),
-                            scale,
-                            epi,
-                        )?;
-                        let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
-                        dst.copy_from_slice(prod.as_slice());
-                    }
-                    credit_ns(t_gemm, &cap_obs::metrics().gemm_time_ns);
-                }
-                Ok(())
-            },
-        )?;
-    Ok(())
-}
-
-/// Int8 CSR-sparse convolution — the quantized counterpart of
-/// [`crate::conv2d_sparse_packed_fused`]: quantized sparse weights
-/// against the row-major quantized patch matrix, i32-exact SpMM rows,
-/// dequantize + bias/ReLU in the store.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_i8_sparse_fused(
-    input: &Tensor4,
-    weights: &QuantizedSparseConvWeights,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    pool: &WorkspacePool,
-    out: &mut Tensor4,
-    relu: bool,
-    act_scale: f32,
-) -> TensorResult<()> {
-    params.validate()?;
-    check_conv_io(params, input, bias)?;
-    if weights.groups() != params.groups {
-        return Err(ShapeError::new(format!(
-            "conv int8: {} weight bands, expected {} groups",
-            weights.groups(),
-            params.groups
-        )));
-    }
-    let (n, _c, h, w) = input.shape();
-    let (oh, ow) = params.out_shape(h, w)?;
-    out.resize(n, params.out_channels, oh, ow);
-
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    let col_rows = cpg * params.kh * params.kw;
-    let n_out = oh * ow;
-    let out_image_len = params.out_channels * n_out;
-    let in_image_len = params.in_channels * h * w;
-
-    let timing = cap_obs::timing_enabled();
-    let inv_act = 1.0 / act_scale;
-    let scale = weights.scale() * act_scale;
-    let path = kernels::selected();
-
-    out.as_mut_slice()
-        .par_chunks_mut(out_image_len.max(1))
-        .zip(input.as_slice().par_chunks(in_image_len.max(1)))
-        .try_for_each_init(
-            || pool.checkout(),
-            |ws, (out_img, in_img)| -> TensorResult<()> {
-                let (cols, qb, prod) = ws.conv_quant_slots((col_rows, n_out), (opg, n_out));
-                for g in 0..params.groups {
-                    let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
-                    let t_col = split_clock(timing);
-                    im2col_prealloc(
-                        in_slice,
-                        cpg,
-                        h,
-                        w,
-                        params.kh,
-                        params.kw,
-                        params.pad,
-                        params.stride,
-                        cols,
-                    )?;
-                    quantize_dense_i8_into(cols.as_slice(), inv_act, qb);
-                    credit_ns(t_col, &cap_obs::metrics().im2col_time_ns);
-                    let t_gemm = split_clock(timing);
-                    let band = weights.band(g);
-                    prod.as_mut_slice()
-                        .par_chunks_mut(n_out.max(1))
-                        .enumerate()
-                        .for_each(|(r, prow)| {
-                            let (vals, cidx) = band.row(r);
-                            ki8::spmm_i8_row_with(
-                                path,
-                                vals,
-                                cidx,
-                                qb,
-                                n_out,
-                                prow,
-                                scale,
-                                bias.map(|b| b[g * opg + r]),
-                                relu,
-                            );
-                        });
-                    credit_ns(t_gemm, &cap_obs::metrics().gemm_time_ns);
-                    out_img[g * opg * n_out..(g + 1) * opg * n_out]
-                        .copy_from_slice(prod.as_slice());
-                }
-                Ok(())
-            },
-        )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::conv2d_gemm;
     use crate::gemm::gemm;
 
     fn det_matrix(rows: usize, cols: usize, seed: usize) -> Matrix {
@@ -828,57 +495,12 @@ mod tests {
         assert_eq!(q.rows(), 6);
         assert_eq!(q.cols(), 8);
         assert_eq!(q.nnz(), csr.nnz());
-        // Band split covers the same entries.
-        let top = QuantizedCsr::from_csr_rows(&csr, 0, 3, q.scale());
-        let bot = QuantizedCsr::from_csr_rows(&csr, 3, 6, q.scale());
+        // Quantizing the row bands one by one covers the same entries.
+        let bands = csr.split_rows(3).unwrap();
+        let top = QuantizedCsr::from_csr(&bands[0], q.scale());
+        let bot = QuantizedCsr::from_csr(&bands[1], q.scale());
         assert_eq!(top.nnz() + bot.nnz(), q.nnz());
         assert_eq!(top.row(1), q.row(1));
         assert_eq!(bot.row(0), q.row(3));
-    }
-
-    #[test]
-    fn int8_conv_tracks_f32_conv() {
-        let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
-        let input = Tensor4::from_fn(2, 4, 7, 7, |n, c, h, w| {
-            (((n * 7 + c * 5 + h * 3 + w) % 11) as f32 - 5.0) / 5.0
-        });
-        let weights = det_matrix(6, 2 * 9, 5);
-        let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.05).collect();
-        let want = conv2d_gemm(&input, &weights, Some(&bias), &params).unwrap();
-
-        let qw = QuantizedConvWeights::pack(&weights, &params).unwrap();
-        let act_scale = symmetric_scale(input.as_slice());
-        let pool = WorkspacePool::new();
-        let mut got = Tensor4::zeros(0, 0, 0, 0);
-        conv2d_i8_packed_fused(
-            &input,
-            &qw,
-            Some(&bias),
-            &params,
-            &pool,
-            &mut got,
-            false,
-            act_scale,
-        )
-        .unwrap();
-        assert!(got.max_abs_diff(&want).unwrap() < 0.2);
-
-        // The sparse int8 path agrees with the dense int8 path when the
-        // weights happen to be dense (same integer math, CSR order).
-        let csr = CsrMatrix::from_dense(&weights, 0.0);
-        let qs = QuantizedSparseConvWeights::pack(&csr, &params).unwrap();
-        let mut got_sparse = Tensor4::zeros(0, 0, 0, 0);
-        conv2d_i8_sparse_fused(
-            &input,
-            &qs,
-            Some(&bias),
-            &params,
-            &pool,
-            &mut got_sparse,
-            false,
-            act_scale,
-        )
-        .unwrap();
-        assert!(got_sparse.max_abs_diff(&want).unwrap() < 0.2);
     }
 }

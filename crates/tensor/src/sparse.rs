@@ -205,65 +205,68 @@ impl CsrMatrix {
     /// Sparse × dense multiplication into a preallocated output.
     ///
     /// `c` must already have shape `(self.rows, b.cols)`; prior contents
-    /// are overwritten. The zero-allocation variant of
-    /// [`CsrMatrix::matmul_dense`] for steady-state inference loops.
+    /// are overwritten. [`CsrMatrix::spmm_into`] over `Matrix` operands
+    /// with no epilogue.
     pub fn matmul_dense_into(&self, b: &Matrix, c: &mut Matrix) -> TensorResult<()> {
-        self.matmul_dense_into_fused(b, c, None, false)
+        if self.cols != b.rows() || c.shape() != (self.rows, b.cols()) {
+            return Err(ShapeError::new(format!(
+                "csr matmul: {}x{} * {:?} -> {:?}",
+                self.rows,
+                self.cols,
+                b.shape(),
+                c.shape()
+            )));
+        }
+        self.spmm_into(b.as_slice(), b.cols(), c.as_mut_slice(), None, false)
     }
 
-    /// [`CsrMatrix::matmul_dense_into`] with a fused bias/ReLU epilogue.
+    /// The SpMM driver: `C = epi(self · B)` over raw row-major slices,
+    /// `b_data` being `self.cols × n` and `c_data` `self.rows × n`
+    /// (overwritten). Zero-allocation, for steady-state inference loops.
     ///
     /// `row_bias`, when present, adds `row_bias[r]` to every element of
     /// output row `r` (CSR rows are conv output channels / FC output
     /// features), then `relu` applies the `forward_into`-flavor ReLU —
     /// both in the same pass that stores the row, saving two full
     /// round-trips of the output through memory. Bitwise identical to
-    /// the unfused multiply + bias pass + ReLU pass on every
+    /// the plain multiply + bias pass + ReLU pass on every
     /// bit-identical kernel path.
-    pub fn matmul_dense_into_fused(
+    pub fn spmm_into(
         &self,
-        b: &Matrix,
-        c: &mut Matrix,
+        b_data: &[f32],
+        n: usize,
+        c_data: &mut [f32],
         row_bias: Option<&[f32]>,
         relu: bool,
     ) -> TensorResult<()> {
-        if self.cols != b.rows() {
+        if b_data.len() != self.cols * n || c_data.len() != self.rows * n {
             return Err(ShapeError::new(format!(
-                "csr matmul: {}x{} * {}x{}",
+                "csr spmm: {}x{} * len {} -> len {} at n = {n}",
                 self.rows,
                 self.cols,
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let n = b.cols();
-        if c.shape() != (self.rows, n) {
-            return Err(ShapeError::new(format!(
-                "csr matmul: output {:?}, expected {:?}",
-                c.shape(),
-                (self.rows, n)
+                b_data.len(),
+                c_data.len()
             )));
         }
         if let Some(bias) = row_bias {
             if bias.len() < self.rows {
                 return Err(ShapeError::new(format!(
-                    "csr matmul: row bias has {} entries, need {}",
+                    "csr spmm: row bias has {} entries, need {}",
                     bias.len(),
                     self.rows
                 )));
             }
         }
-        let b_data = b.as_slice();
         // Resolve the kernel path once, outside the parallel loop, and
         // pass it by value into the per-row tasks. Dense-stored matrices
         // fall back to the scalar row kernel (see `spmm_effective_path`).
         let path = spmm_effective_path(kernels::selected(), self.density());
-        c.as_mut_slice()
+        c_data
             .par_chunks_mut(n.max(1))
             .enumerate()
             .for_each(|(r, c_row)| {
                 let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                kernels::spmm_row_fused_with(
+                kernels::spmm_row_with(
                     path,
                     &self.values[lo..hi],
                     &self.col_idx[lo..hi],
@@ -313,24 +316,17 @@ impl CsrMatrix {
     /// Sparse matrix–vector product.
     pub fn matvec(&self, x: &[f32]) -> TensorResult<Vec<f32>> {
         let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
+        self.matvec_into(x, &mut y, None, false)?;
         Ok(y)
     }
 
-    /// Sparse matrix–vector product into a caller-provided slice.
-    ///
-    /// The zero-allocation variant of [`CsrMatrix::matvec`] for
-    /// steady-state inference loops; `y` must have exactly `rows`
-    /// entries and is overwritten.
-    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> TensorResult<()> {
-        self.matvec_fused_into(x, y, None, false)
-    }
-
-    /// [`CsrMatrix::matvec_into`] with a fused bias/ReLU epilogue:
-    /// `y[r] = relu(Σ row_r · x + bias[r])`, each part optional and
-    /// skipped (not zero-filled) when absent. The batch-1 path of a
-    /// pruned fully-connected layer.
-    pub fn matvec_fused_into(
+    /// Sparse matrix–vector product into a caller-provided slice, with
+    /// a bias/ReLU epilogue: `y[r] = relu(Σ row_r · x + bias[r])`, each
+    /// part optional and skipped (not zero-filled) when absent. `y`
+    /// must have exactly `rows` entries and is overwritten.
+    /// Zero-allocation: the batch-1 path of a pruned fully-connected
+    /// layer.
+    pub fn matvec_into(
         &self,
         x: &[f32],
         y: &mut [f32],
@@ -363,7 +359,7 @@ impl CsrMatrix {
         }
         for (r, yr) in y.iter_mut().enumerate() {
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            *yr = kernels::spmv_fused(
+            *yr = kernels::spmv(
                 &self.values[lo..hi],
                 &self.col_idx[lo..hi],
                 x,
@@ -536,7 +532,7 @@ mod tests {
         }
 
         let mut fused = Matrix::zeros(8, 7);
-        csr.matmul_dense_into_fused(&b, &mut fused, Some(&bias), true)
+        csr.spmm_into(b.as_slice(), 7, fused.as_mut_slice(), Some(&bias), true)
             .unwrap();
         for (e, f) in expect.as_slice().iter().zip(fused.as_slice()) {
             assert_eq!(e.to_bits(), f.to_bits());
@@ -549,12 +545,12 @@ mod tests {
         let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.5 - 2.0).collect();
         let alloc = csr.matvec(&x).unwrap();
         let mut into = vec![f32::NAN; 6];
-        csr.matvec_into(&x, &mut into).unwrap();
+        csr.matvec_into(&x, &mut into, None, false).unwrap();
         for (a, b) in alloc.iter().zip(&into) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Shape errors on the output side too.
-        assert!(csr.matvec_into(&x, &mut [0.0; 5]).is_err());
+        assert!(csr.matvec_into(&x, &mut [0.0; 5], None, false).is_err());
     }
 
     #[test]
@@ -564,8 +560,7 @@ mod tests {
         let bias: Vec<f32> = (0..6).map(|r| 1.5 - r as f32).collect();
         let plain = csr.matvec(&x).unwrap();
         let mut fused = vec![0.0; 6];
-        csr.matvec_fused_into(&x, &mut fused, Some(&bias), true)
-            .unwrap();
+        csr.matvec_into(&x, &mut fused, Some(&bias), true).unwrap();
         for r in 0..6 {
             let y = plain[r] + bias[r];
             let y = if y > 0.0 { y } else { 0.0 };

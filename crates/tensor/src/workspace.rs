@@ -1,14 +1,15 @@
 //! Reusable scratch arenas for allocation-free steady-state kernels.
 //!
-//! The im2col+GEMM convolution path needs two per-image scratch matrices
-//! (the unrolled `cols` patch matrix and the per-group `prod` output
-//! panel). Allocating them per image puts the allocator on the critical
+//! The im2col+GEMM convolution path needs per-image lowering scratch
+//! (the unrolled patch matrix, row-major or panel-packed, and its int8
+//! copy). Allocating it per image puts the allocator on the critical
 //! path of every forward pass; §3 of the paper times exactly these loops,
 //! so the harness must not measure `malloc`.
 //!
-//! A [`Workspace`] owns those scratch slots and resizes them in place
-//! ([`Matrix::resize`] reuses capacity), so after the first pass over a
-//! given layer shape no allocator calls remain. A [`WorkspacePool`] hands
+//! A [`Workspace`] owns those scratch slots; kernels resize them in
+//! place ([`Matrix::resize`] reuses capacity, `Vec::resize` likewise),
+//! so after the first pass over a given layer shape no allocator calls
+//! remain. A [`WorkspacePool`] hands
 //! workspaces out to rayon workers: kernels draw one per worker with
 //! `for_each_init`-style loops and the pool recycles them across calls,
 //! keyed by nothing — any workspace fits any shape because slots grow to
@@ -18,16 +19,22 @@ use crate::dense::Matrix;
 use parking_lot::Mutex;
 use std::ops::{Deref, DerefMut};
 
-/// Scratch buffers for one in-flight image (or GEMM tile).
-///
-/// Slots are plain matrices reshaped on demand; contents are zeroed by
-/// `resize`, so kernels can rely on a clean accumulator.
+/// Scratch buffers for one in-flight image. The slots are independent
+/// (no invariant ties them together), handed out unshaped: whichever
+/// kernel uses one resizes it first and overwrites every element it
+/// later reads, so stale contents from earlier, differently-shaped work
+/// never leak into results.
 #[derive(Debug)]
 pub struct Workspace {
-    cols: Matrix,
-    packed: Matrix,
-    prod: Matrix,
-    qbuf: Vec<i8>,
+    /// Row-major im2col patch matrix (`in_per_group*kh*kw × oh*ow`).
+    pub cols: Matrix,
+    /// Panel-packed patch matrix, shaped by
+    /// [`crate::im2col_packed_prealloc`].
+    pub packed: Matrix,
+    /// Quantized-operand bytes: the int8 quantizers
+    /// ([`crate::quantize_rows_into`], [`crate::pack_b_i8_into`]) clear
+    /// and refill it.
+    pub qbuf: Vec<i8>,
 }
 
 impl Default for Workspace {
@@ -42,77 +49,14 @@ impl Workspace {
         Self {
             cols: Matrix::zeros(0, 0),
             packed: Matrix::zeros(0, 0),
-            prod: Matrix::zeros(0, 0),
             qbuf: Vec::new(),
         }
-    }
-
-    /// The im2col patch-matrix slot, reshaped to `rows × cols`.
-    pub fn cols_slot(&mut self, rows: usize, cols: usize) -> &mut Matrix {
-        self.cols.resize(rows, cols);
-        &mut self.cols
-    }
-
-    /// The GEMM product slot, reshaped to `rows × cols`.
-    pub fn prod_slot(&mut self, rows: usize, cols: usize) -> &mut Matrix {
-        self.prod.resize(rows, cols);
-        &mut self.prod
-    }
-
-    /// Both conv scratch slots at once (distinct borrows of one arena).
-    pub fn conv_slots(
-        &mut self,
-        cols_shape: (usize, usize),
-        prod_shape: (usize, usize),
-    ) -> (&mut Matrix, &mut Matrix) {
-        self.cols.resize(cols_shape.0, cols_shape.1);
-        self.prod.resize(prod_shape.0, prod_shape.1);
-        (&mut self.cols, &mut self.prod)
-    }
-
-    /// The conv scratch trio: im2col cols, the panel-packed copy of
-    /// cols, and the per-group GEMM product. `packed` is handed back
-    /// unshaped — `pack_b_slice_into` resizes it to the panel count —
-    /// and `prod` may be `(0, 0)` when the kernel writes the output
-    /// buffer directly (ungrouped convolution).
-    pub fn conv_gemm_slots(
-        &mut self,
-        cols_shape: (usize, usize),
-        prod_shape: (usize, usize),
-    ) -> (&mut Matrix, &mut Matrix, &mut Matrix) {
-        self.cols.resize(cols_shape.0, cols_shape.1);
-        self.prod.resize(prod_shape.0, prod_shape.1);
-        (&mut self.cols, &mut self.packed, &mut self.prod)
-    }
-
-    /// The quantized-operand scratch slot: a bare byte vector the int8
-    /// quantizers (`quantize_rows_into`, `pack_b_i8_into`) clear and
-    /// refill, retaining capacity across checkouts like every other
-    /// slot.
-    pub fn qbuf_slot(&mut self) -> &mut Vec<i8> {
-        &mut self.qbuf
-    }
-
-    /// The int8 conv scratch trio: f32 im2col cols, the quantized i8
-    /// copy (packed or row-major, kernel's choice — the slot is a bare
-    /// byte vector the quantizers resize), and the per-group product.
-    /// `prod` may be `(0, 0)` when the kernel writes the output buffer
-    /// directly.
-    pub fn conv_quant_slots(
-        &mut self,
-        cols_shape: (usize, usize),
-        prod_shape: (usize, usize),
-    ) -> (&mut Matrix, &mut Vec<i8>, &mut Matrix) {
-        self.cols.resize(cols_shape.0, cols_shape.1);
-        self.prod.resize(prod_shape.0, prod_shape.1);
-        (&mut self.cols, &mut self.qbuf, &mut self.prod)
     }
 
     /// Bytes currently live across all slots (lengths, not capacities —
     /// `Matrix` does not expose its backing capacity).
     pub fn reserved_bytes(&self) -> usize {
-        (self.cols.len() + self.packed.len() + self.prod.len()) * std::mem::size_of::<f32>()
-            + self.qbuf.len()
+        (self.cols.len() + self.packed.len()) * std::mem::size_of::<f32>() + self.qbuf.len()
     }
 }
 
@@ -142,16 +86,7 @@ impl WorkspacePool {
     /// `workspace_misses` — the steady-state claim "the pool stopped
     /// allocating" is `misses` staying flat while `hits` climbs.
     pub fn checkout(&self) -> PooledWorkspace<'_> {
-        let ws = self.draw();
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// Pop a recycled workspace or build one, recording hit/miss.
-    fn draw(&self) -> Workspace {
-        match self.free.lock().pop() {
+        let ws = match self.free.lock().pop() {
             Some(ws) => {
                 cap_obs::metrics().workspace_hits.inc();
                 ws
@@ -160,47 +95,16 @@ impl WorkspacePool {
                 cap_obs::metrics().workspace_misses.inc();
                 Workspace::new()
             }
+        };
+        PooledWorkspace {
+            pool: self,
+            ws: Some(ws),
         }
     }
 
     /// Number of idle workspaces currently in the pool.
     pub fn idle(&self) -> usize {
         self.free.lock().len()
-    }
-
-    /// Ensure at least `n` idle workspaces exist, creating the shortfall
-    /// up front.
-    ///
-    /// Data-parallel callers warm the pool to their worker count before
-    /// fanning out, so the first parallel pass draws pre-built
-    /// workspaces instead of racing to allocate them under the pool
-    /// lock.
-    pub fn warm(&self, n: usize) {
-        let mut free = self.free.lock();
-        while free.len() < n {
-            // Pre-building is still a build: count it as a miss so the
-            // hit/miss metrics tell the whole allocation story.
-            cap_obs::metrics().workspace_misses.inc();
-            free.push(Workspace::new());
-        }
-    }
-
-    /// Draw an *owned* workspace (no lifetime tie to the pool).
-    ///
-    /// The borrow-guarded [`WorkspacePool::checkout`] is the right call
-    /// within one stack frame; `take` is for workers that must move the
-    /// workspace across a thread boundary or hold it beyond the pool's
-    /// borrow. Pair with [`WorkspacePool::give`] to recycle — a taken
-    /// workspace that is never given back is simply dropped, which is
-    /// safe but forfeits its grown capacity.
-    pub fn take(&self) -> Workspace {
-        self.draw()
-    }
-
-    /// Return a workspace previously obtained with [`WorkspacePool::take`]
-    /// (or built elsewhere) to the idle set.
-    pub fn give(&self, ws: Workspace) {
-        self.free.lock().push(ws);
     }
 }
 
@@ -238,26 +142,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slots_resize_and_zero() {
+    fn slots_resize_zeroes_and_keeps_capacity() {
         let mut ws = Workspace::new();
-        {
-            let m = ws.cols_slot(3, 4);
-            assert_eq!(m.shape(), (3, 4));
-            m.set(1, 1, 5.0);
-        }
-        // Re-requesting the slot zeroes stale contents.
-        let m = ws.cols_slot(3, 4);
-        assert_eq!(m.get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn conv_slots_are_independent() {
-        let mut ws = Workspace::new();
-        let (cols, prod) = ws.conv_slots((2, 3), (4, 5));
-        cols.set(0, 0, 1.0);
-        prod.set(3, 4, 2.0);
-        assert_eq!(cols.shape(), (2, 3));
-        assert_eq!(prod.shape(), (4, 5));
+        ws.cols.resize(100, 100);
+        ws.cols.set(1, 1, 5.0);
+        ws.cols.resize(2, 2);
+        // Resizing zeroes stale contents, at any size.
+        ws.cols.resize(100, 100);
+        assert_eq!(ws.cols.shape(), (100, 100));
+        assert!(ws.cols.as_slice().iter().all(|&v| v == 0.0));
+        assert_eq!(ws.reserved_bytes(), 100 * 100 * 4);
     }
 
     #[test]
@@ -266,44 +160,17 @@ mod tests {
         assert_eq!(pool.idle(), 0);
         {
             let mut a = pool.checkout();
-            let _ = a.cols_slot(10, 10);
+            a.cols.resize(10, 10);
             let _b = pool.checkout();
             assert_eq!(pool.idle(), 0);
         }
         assert_eq!(pool.idle(), 2);
         {
-            // The recycled workspace keeps its grown capacity.
-            let mut again = pool.checkout();
-            assert!(again.reserved_bytes() == 0 || again.cols_slot(10, 10).len() == 100);
+            // One of the two recycled workspaces kept its grown slot.
+            let first = pool.checkout();
+            let second = pool.checkout();
+            assert_eq!(first.cols.len() + second.cols.len(), 100);
         }
         assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
-    fn warm_prebuilds_and_take_give_recycle() {
-        let pool = WorkspacePool::new();
-        pool.warm(3);
-        assert_eq!(pool.idle(), 3);
-        // Warming to a smaller count never shrinks the pool.
-        pool.warm(1);
-        assert_eq!(pool.idle(), 3);
-        let mut ws = pool.take();
-        assert_eq!(pool.idle(), 2);
-        let _ = ws.cols_slot(8, 8);
-        pool.give(ws);
-        assert_eq!(pool.idle(), 3);
-        // The recycled workspace comes back with its grown slot.
-        let mut again = pool.take();
-        assert_eq!(again.cols_slot(8, 8).len(), 64);
-    }
-
-    #[test]
-    fn capacity_survives_shrink_and_regrow() {
-        let mut ws = Workspace::new();
-        let _ = ws.cols_slot(100, 100);
-        let _ = ws.cols_slot(2, 2);
-        let m = ws.cols_slot(100, 100);
-        assert_eq!(m.shape(), (100, 100));
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 }

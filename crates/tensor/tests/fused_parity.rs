@@ -1,10 +1,10 @@
 //! Fused-epilogue and matvec kernel parity suite (PR 6 companion to
 //! `kernel_parity.rs`).
 //!
-//! Contract under test: every fused entry point — packed GEMM with an
-//! [`Epilogue`], the dedicated `m == 1` gemv route, and the CSR
+//! Contract under test: every epilogue-taking driver — `gemm_packed`
+//! with an [`Epilogue`], its dedicated `m == 1` gemv route, and the CSR
 //! spmm/spmv rows with a scalar bias/ReLU tail — produces output
-//! **bit-identical** to the unfused scalar kernel followed by a manual
+//! **bit-identical** to the scalar kernel with no epilogue followed by a manual
 //! bias-add and `forward_into`-flavor ReLU (negatives, `-0.0` and NaN
 //! all flush to `+0.0`), on every bit-identical dispatch path, across
 //! ragged shapes, `k = 0`, and NaN/signed-zero operands.
@@ -122,10 +122,12 @@ fn fused_gemm_on(path: KernelPath, a: &Matrix, b: &Matrix, epi: Epilogue<'_>) ->
     on_path(path, || {
         let packed = PackedB::pack(b);
         let mut c = Matrix::zeros(a.rows(), b.cols());
-        cap_tensor::gemm_prepacked_slice_fused(
+        cap_tensor::gemm_packed(
             a.as_slice(),
             a.rows(),
-            &packed,
+            a.cols(),
+            b.cols(),
+            packed.as_slice(),
             c.as_mut_slice(),
             epi,
         )
@@ -151,12 +153,7 @@ fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
     ] {
         let a = mat(m, k, 3);
         let b = mat(k, n, 4);
-        let reference = on_path(KernelPath::Scalar, || {
-            let packed = PackedB::pack(&b);
-            let mut c = Matrix::zeros(m, n);
-            cap_tensor::gemm_prepacked_slice(a.as_slice(), m, &packed, c.as_mut_slice()).unwrap();
-            c
-        });
+        let reference = fused_gemm_on(KernelPath::Scalar, &a, &b, Epilogue::NONE);
         for (row_bias, col_bias, relu) in epilogue_cases(m, n, 17) {
             let mut want = reference.clone();
             manual_epilogue(
@@ -208,14 +205,14 @@ fn gemv_kernel_bit_identical_and_fused_relu_flushes_nan_and_signed_zero() {
         a.as_mut_slice()[2] = f32::NAN;
         a.as_mut_slice()[4] = -0.0;
         let b = mat(k, n, 6);
-        let mut packed = Matrix::zeros(0, 0);
-        cap_tensor::pack_b_slice_into(b.as_slice(), k, n, &mut packed);
-
-        let reference = on_path(KernelPath::Scalar, || {
+        let packed = PackedB::pack(&b);
+        let gemv_on = |path: KernelPath, epi: Epilogue<'_>| {
             let mut c = vec![0.0f32; n];
-            kernels::gemv_packed(a.as_slice(), n, packed.as_slice(), &mut c);
+            kernels::gemv_packed_with(path, a.as_slice(), n, packed.as_slice(), &mut c, epi);
             c
-        });
+        };
+
+        let reference = gemv_on(KernelPath::Scalar, Epilogue::NONE);
         assert!(
             reference.iter().all(|v| v.is_nan()),
             "NaN must propagate through the unfused gemv"
@@ -225,27 +222,16 @@ fn gemv_kernel_bit_identical_and_fused_relu_flushes_nan_and_signed_zero() {
         assert!(want_relu.iter().all(|v| v.to_bits() == 0));
 
         for path in identical_paths() {
-            let got = on_path(path, || {
-                let mut c = vec![0.0f32; n];
-                kernels::gemv_packed(a.as_slice(), n, packed.as_slice(), &mut c);
-                c
-            });
+            let got = gemv_on(path, Epilogue::NONE);
             assert_bits_eq(&reference, &got, &format!("gemv n={n} on {}", path.name()));
 
-            let got_relu = on_path(path, || {
-                let mut c = vec![0.0f32; n];
-                kernels::gemv_packed_fused(
-                    a.as_slice(),
-                    n,
-                    packed.as_slice(),
-                    &mut c,
-                    Epilogue {
-                        bias: None,
-                        relu: true,
-                    },
-                );
-                c
-            });
+            let got_relu = gemv_on(
+                path,
+                Epilogue {
+                    bias: None,
+                    relu: true,
+                },
+            );
             assert_bits_eq(
                 &want_relu,
                 &got_relu,
@@ -279,11 +265,12 @@ fn fused_spmm_row_matches_scalar_unfused_plus_manual_epilogue() {
             (Some(-0.6f32), true),
             (Some(-0.0f32), true),
         ] {
-            let mut want = on_path(KernelPath::Scalar, || {
+            let spmm_row_on = |path: KernelPath, bias: Option<f32>, relu: bool| {
                 let mut c = vec![0.0f32; n];
-                kernels::spmm_row(values, col_idx, b.as_slice(), n, &mut c);
+                kernels::spmm_row_with(path, values, col_idx, b.as_slice(), n, &mut c, bias, relu);
                 c
-            });
+            };
+            let mut want = spmm_row_on(KernelPath::Scalar, None, false);
             for v in want.iter_mut() {
                 let mut y = *v;
                 if let Some(bv) = bias {
@@ -295,11 +282,7 @@ fn fused_spmm_row_matches_scalar_unfused_plus_manual_epilogue() {
                 *v = y;
             }
             for path in identical_paths() {
-                let got = on_path(path, || {
-                    let mut c = vec![0.0f32; n];
-                    kernels::spmm_row_fused(values, col_idx, b.as_slice(), n, &mut c, bias, relu);
-                    c
-                });
+                let got = spmm_row_on(path, bias, relu);
                 assert_bits_eq(
                     &want,
                     &got,
@@ -341,8 +324,17 @@ fn spmv_matches_spmm_row_at_n_equals_1_bitwise() {
                 }
             }
             let mut via_spmm = [0.0f32];
-            kernels::spmm_row_fused(&values, &col_idx, &x, 1, &mut via_spmm, bias, relu);
-            let via_spmv = kernels::spmv_fused(&values, &col_idx, &x, bias, relu);
+            kernels::spmm_row_with(
+                KernelPath::Scalar,
+                &values,
+                &col_idx,
+                &x,
+                1,
+                &mut via_spmm,
+                bias,
+                relu,
+            );
+            let via_spmv = kernels::spmv(&values, &col_idx, &x, bias, relu);
             assert_eq!(
                 via_spmm[0].to_bits(),
                 via_spmv.to_bits(),
@@ -370,12 +362,7 @@ proptest! {
         let a = mat(m, k, seed);
         let b = mat(k, n, seed.wrapping_add(1));
         let (row_bias, col_bias, relu) = epilogue_cases(m, n, seed)[flavor].clone();
-        let mut want = on_path(KernelPath::Scalar, || {
-            let packed = PackedB::pack(&b);
-            let mut c = Matrix::zeros(m, n);
-            cap_tensor::gemm_prepacked_slice(a.as_slice(), m, &packed, c.as_mut_slice()).unwrap();
-            c
-        });
+        let mut want = fused_gemm_on(KernelPath::Scalar, &a, &b, Epilogue::NONE);
         manual_epilogue(want.as_mut_slice(), n, row_bias.as_deref(), col_bias.as_deref(), relu);
         let epi_bias = row_bias
             .as_deref()
@@ -417,7 +404,7 @@ proptest! {
         for path in identical_paths() {
             let got = on_path(path, || {
                 let mut c = Matrix::zeros(m, n);
-                w.matmul_dense_into_fused(&b, &mut c, Some(&bias), relu).unwrap();
+                w.spmm_into(b.as_slice(), n, c.as_mut_slice(), Some(&bias), relu).unwrap();
                 c
             });
             for (x, y) in want.as_slice().iter().zip(got.as_slice().iter()) {
@@ -455,7 +442,7 @@ proptest! {
             *v = y;
         }
         let mut got = vec![0.0f32; rows];
-        w.matvec_fused_into(&x, &mut got, Some(&bias), relu).unwrap();
+        w.matvec_into(&x, &mut got, Some(&bias), relu).unwrap();
         for (x, y) in want.iter().zip(got.iter()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }

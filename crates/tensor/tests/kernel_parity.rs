@@ -234,35 +234,6 @@ fn elementwise_bit_identical_including_nan_and_signed_zero() {
             &got,
             &format!("relu_into on {}", path.name()),
         );
-
-        // bias broadcast + pairwise add, straight through the kernels API.
-        let bias_ref = on_path(KernelPath::Scalar, || {
-            let mut d = src.clone();
-            kernels::bias_broadcast(&mut d, 0.7);
-            d
-        });
-        let bias_got = on_path(path, || {
-            let mut d = src.clone();
-            kernels::bias_broadcast(&mut d, 0.7);
-            d
-        });
-        assert_bits_eq(
-            &bias_ref,
-            &bias_got,
-            &format!("bias_broadcast on {}", path.name()),
-        );
-
-        let add_ref = on_path(KernelPath::Scalar, || {
-            let mut d = src.clone();
-            kernels::vec_add(&mut d, &reference_into);
-            d
-        });
-        let add_got = on_path(path, || {
-            let mut d = src.clone();
-            kernels::vec_add(&mut d, &reference_into);
-            d
-        });
-        assert_bits_eq(&add_ref, &add_got, &format!("vec_add on {}", path.name()));
     }
 }
 

@@ -93,3 +93,28 @@ fn allocate_infeasible_exits_nonzero() {
     assert!(!ok);
     assert!(err.contains("no feasible"));
 }
+
+/// An unrecognised value of any execution knob aborts the process at
+/// the knob's first resolve, naming the variable, the bad value and the
+/// accepted set. `serve` runs real forward passes, so it resolves all
+/// four.
+#[test]
+fn unknown_knob_value_is_fatal_and_names_the_accepted_set() {
+    for (var, accepted) in [
+        ("CAP_TENSOR_KERNEL", "auto, scalar, avx2, avx2-fma"),
+        ("CAP_TENSOR_FUSION", "auto, on, off"),
+        ("CAP_CNN_DAG", "auto, on, off"),
+        ("CAP_TENSOR_PRECISION", "auto, f32, int8"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cap"))
+            .args(["serve", "--duration", "0.05"])
+            .env(var, "bogus")
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}: {err}");
+        assert!(err.contains(var), "{var}: {err}");
+        assert!(err.contains("\"bogus\""), "{var}: {err}");
+        assert!(err.contains(accepted), "{var}: {err}");
+    }
+}
