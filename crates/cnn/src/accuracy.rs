@@ -1,7 +1,7 @@
 //! Top-1 / Top-5 accuracy metrics (paper §3.2.2).
 
 use cap_tensor::ops::top_k_indices;
-use cap_tensor::{Matrix, ShapeError, Tensor4, TensorResult};
+use cap_tensor::{Matrix, ShapeError, TensorResult};
 use serde::{Deserialize, Serialize};
 
 /// Accuracy over an evaluated batch.
@@ -13,25 +13,6 @@ pub struct AccuracyReport {
     pub top5: f64,
     /// Number of samples evaluated.
     pub n: usize,
-}
-
-impl AccuracyReport {
-    /// Merge two reports (weighted by sample count).
-    pub fn merge(&self, other: &AccuracyReport) -> AccuracyReport {
-        let n = self.n + other.n;
-        if n == 0 {
-            return AccuracyReport {
-                top1: 0.0,
-                top5: 0.0,
-                n: 0,
-            };
-        }
-        AccuracyReport {
-            top1: (self.top1 * self.n as f64 + other.top1 * other.n as f64) / n as f64,
-            top5: (self.top5 * self.n as f64 + other.top5 * other.n as f64) / n as f64,
-            n,
-        }
-    }
 }
 
 /// Compute top-1/top-5 accuracy from a `batch × classes` score matrix
@@ -67,16 +48,6 @@ pub fn evaluate_topk(scores: &Matrix, labels: &[usize]) -> TensorResult<Accuracy
         top5: top5_hits as f64 / n.max(1) as f64,
         n,
     })
-}
-
-/// Convenience: evaluate a network-output tensor (`batch × classes × 1 × 1`).
-pub fn evaluate_topk_tensor(output: &Tensor4, labels: &[usize]) -> TensorResult<AccuracyReport> {
-    if output.h() != 1 || output.w() != 1 {
-        return Err(ShapeError::new(
-            "evaluate_topk_tensor: expected 1x1 spatial output",
-        ));
-    }
-    evaluate_topk(&output.to_matrix(), labels)
 }
 
 #[cfg(test)]
@@ -119,29 +90,5 @@ mod tests {
     fn rejects_bad_labels() {
         assert!(evaluate_topk(&scores(), &[1, 0]).is_err());
         assert!(evaluate_topk(&scores(), &[1, 0, 6]).is_err());
-    }
-
-    #[test]
-    fn merge_weights_by_count() {
-        let a = AccuracyReport {
-            top1: 1.0,
-            top5: 1.0,
-            n: 1,
-        };
-        let b = AccuracyReport {
-            top1: 0.0,
-            top5: 0.5,
-            n: 3,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.n, 4);
-        assert!((m.top1 - 0.25).abs() < 1e-9);
-        assert!((m.top5 - 0.625).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tensor_wrapper_requires_1x1() {
-        let t = Tensor4::zeros(2, 3, 2, 2);
-        assert!(evaluate_topk_tensor(&t, &[0, 1]).is_err());
     }
 }

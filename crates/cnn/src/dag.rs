@@ -274,9 +274,8 @@ impl DagExecutor {
 /// `total_work` (the sequential latency) and `critical_path` is exactly
 /// what the DAG-parallel executor can reclaim.
 ///
-/// Constructing a report publishes the floor to the
-/// `dag_critical_path_us` gauge in [`cap_obs::metrics()`], so profile
-/// snapshots carry it alongside the achieved latency histograms.
+/// `cap_obs::DagSummary` exports the floor next to the achieved
+/// latency in a `ProfileReport`.
 ///
 /// ```
 /// use cap_cnn::layer::{ConcatLayer, PoolLayer, PoolMode, ReluLayer};
@@ -380,9 +379,6 @@ impl CriticalPathReport {
         }
         path.reverse();
         let total_work: Duration = durs.iter().sum();
-        cap_obs::metrics()
-            .dag_critical_path_us
-            .set(span.as_micros() as u64);
         Ok(Self {
             network: net.name().to_string(),
             total_work,

@@ -8,7 +8,6 @@
 //! the same shape as the paper's GPU curve, with the saturation point
 //! set by core count instead of SM count.
 
-use crate::accuracy::{evaluate_topk_tensor, AccuracyReport};
 use crate::network::{ForwardArena, Network};
 use cap_tensor::{Tensor4, TensorResult};
 use serde::{Deserialize, Serialize};
@@ -101,75 +100,6 @@ pub fn run_batched(
     ))
 }
 
-/// Run inference and score it against labels in one pass.
-pub fn run_and_score(
-    net: &Network,
-    images: &Tensor4,
-    labels: &[usize],
-    batch: usize,
-) -> TensorResult<(AccuracyReport, ThroughputReport)> {
-    let n = images.n();
-    let batch = batch.max(1);
-    let (c, h, w) = (images.c(), images.h(), images.w());
-    let mut acc = AccuracyReport {
-        top1: 0.0,
-        top5: 0.0,
-        n: 0,
-    };
-    let mut chunk = Tensor4::zeros(0, 0, 0, 0);
-    let mut arena = ForwardArena::new();
-    let start = Instant::now();
-    let mut i = 0;
-    while i < n {
-        let take = batch.min(n - i);
-        chunk.resize(take, c, h, w);
-        for j in 0..take {
-            chunk.image_mut(j).copy_from_slice(images.image(i + j));
-        }
-        // Scoring reads straight from the arena-held output tensor — no
-        // per-image copies anywhere on this path.
-        let out = net.forward_into(&chunk, &mut arena)?;
-        let batch_acc = evaluate_topk_tensor(out, &labels[i..i + take])?;
-        acc = acc.merge(&batch_acc);
-        i += take;
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    Ok((
-        acc,
-        ThroughputReport {
-            images: n,
-            batch,
-            wall_s,
-            images_per_s: if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 },
-        },
-    ))
-}
-
-/// Measure throughput across batch sizes — the Figure 5 experiment run
-/// for real on this framework. Returns `(batch, images_per_s)` series.
-pub fn parallel_scaling(
-    net: &Network,
-    images: &Tensor4,
-    batch_sizes: &[usize],
-) -> TensorResult<Vec<(usize, f64)>> {
-    batch_sizes
-        .iter()
-        .map(|&b| {
-            // Warm up at the *measured* batch size: warming at a
-            // different size would leave arena buffers shaped for the
-            // wrong chunk, so the first timed run would pay the regrow.
-            let _ = run_batched(net, images, b)?;
-            // §3.3 protocol: three runs, keep the fastest.
-            let mut best = 0.0_f64;
-            for _ in 0..3 {
-                let (_, report) = run_batched(net, images, b)?;
-                best = best.max(report.images_per_s);
-            }
-            Ok((b, best))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,32 +158,5 @@ mod tests {
         let (out, report) = run_batched(&net, &imgs, 0).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(report.batch, 1);
-    }
-
-    #[test]
-    fn scaling_series_has_requested_points() {
-        let net = small_net();
-        let imgs = images(16);
-        let series = parallel_scaling(&net, &imgs, &[1, 4, 16]).unwrap();
-        assert_eq!(series.len(), 3);
-        assert!(series.iter().all(|&(_, r)| r > 0.0));
-    }
-
-    #[test]
-    fn run_and_score_counts_all_images() {
-        // A softmax-free net won't produce meaningful classes; build a
-        // 1x1-spatial net for scoring.
-        let mut net = Network::new("s", (4, 1, 1));
-        let p = Conv2dParams::new(4, 3, 1, 0, 1);
-        net.add_sequential(Box::new(
-            ConvLayer::new("c", p, xavier_uniform(3, 4, 5), vec![0.0; 3]).unwrap(),
-        ))
-        .unwrap();
-        let imgs = Tensor4::from_fn(9, 4, 1, 1, |i, c, _, _| ((i + c) % 5) as f32 - 2.0);
-        let labels = vec![0usize, 1, 2, 0, 1, 2, 0, 1, 2];
-        let (acc, report) = run_and_score(&net, &imgs, &labels, 4).unwrap();
-        assert_eq!(acc.n, 9);
-        assert_eq!(report.images, 9);
-        assert!(acc.top5 >= acc.top1);
     }
 }

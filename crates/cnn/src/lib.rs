@@ -43,7 +43,7 @@ pub mod train;
 pub use accuracy::{evaluate_topk, AccuracyReport};
 pub use dag::{CriticalPathReport, DagExecutor, DagMode};
 pub use fusion::FusionMode;
-pub use inference::{parallel_scaling, run_and_score, run_batched, ThroughputReport};
+pub use inference::{run_batched, ThroughputReport};
 pub use layer::{Layer, LayerKind};
 pub use network::{ForwardArena, ForwardRecord, LayerTiming, Network, NodeId};
 pub use parallel::{strong_scaling, InferenceReport, ParallelEngine, WorkerReport};

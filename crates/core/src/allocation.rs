@@ -134,9 +134,8 @@ pub fn allocate_ordered_with(
 
 /// [`allocate_ordered_with`] with observability hooks: reports one
 /// [`SpanScope::Allocation`] span covering the greedy search (`shape` =
-/// `[versions, resources, 0, 0]`) and counts the run in
-/// [`cap_obs::metrics()`].`allocation_runs`. With [`NoopTracer`] this
-/// is exactly [`allocate_ordered_with`].
+/// `[versions, resources, 0, 0]`). With [`NoopTracer`] this is exactly
+/// [`allocate_ordered_with`].
 pub fn allocate_traced<T: Tracer>(
     versions: &[AppVersion],
     resources: &[InstanceType],
@@ -145,7 +144,6 @@ pub fn allocate_traced<T: Tracer>(
     scaling: &GpuScaling,
     tracer: &T,
 ) -> Option<AllocationResult> {
-    cap_obs::metrics().allocation_runs.inc();
     let t0 = if tracer.enabled() {
         Some(Instant::now())
     } else {

@@ -133,12 +133,9 @@ pub fn evaluate_grid_with(
 
 /// [`evaluate_grid_with`] with observability hooks: reports one
 /// [`SpanScope::GridEval`] span covering the whole sweep (`shape` =
-/// `[versions, configs, batches, 0]`) and counts every evaluated
-/// (version, configuration, batch) triple in
-/// [`cap_obs::metrics()`].`grid_candidates` — the Figures 9/10 sweeps
-/// become visible in a metrics snapshot instead of being a silent
-/// rayon loop. With [`NoopTracer`] this is exactly
-/// [`evaluate_grid_with`].
+/// `[versions, configs, batches, 0]`) — the Figures 9/10 sweeps become
+/// visible in a trace instead of being a silent rayon loop. With
+/// [`NoopTracer`] this is exactly [`evaluate_grid_with`].
 pub fn evaluate_grid_traced<T: Tracer>(
     versions: &[AppVersion],
     configs: &[ResourceConfig],
@@ -147,9 +144,6 @@ pub fn evaluate_grid_traced<T: Tracer>(
     scaling: &GpuScaling,
     tracer: &T,
 ) -> Vec<EvaluatedConfig> {
-    cap_obs::metrics()
-        .grid_candidates
-        .add((versions.len() * configs.len() * batches.len()) as u64);
     let t0 = if tracer.enabled() {
         Some(Instant::now())
     } else {

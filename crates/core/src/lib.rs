@@ -58,6 +58,4 @@ pub use pareto::{pareto_front, pareto_indices, ParetoFrontier, ParetoPoint};
 pub use pareto3::{tri_pareto_indices, TriPoint};
 pub use spec_search::{min_time_spec, Floor, SpecSearchResult};
 pub use version::{caffenet_version_grid, googlenet_version_grid, AppVersion};
-pub use whatif::{
-    cost_curve, max_accuracy_within, min_cost_for_accuracy, min_time_for_accuracy, WhatIfAnswer,
-};
+pub use whatif::{max_accuracy_within, min_cost_for_accuracy, min_time_for_accuracy, WhatIfAnswer};

@@ -82,26 +82,6 @@ pub fn max_accuracy_within(
         .map(|(i, _)| answer(evals, i, metric))
 }
 
-/// The accuracy–cost trade curve: for each accuracy level present in the
-/// space (descending), the minimum cost to reach it — i.e. the
-/// cost-accuracy Pareto frontier expressed as a query result.
-pub fn cost_curve(evals: &[EvaluatedConfig], metric: AccuracyMetric) -> Vec<WhatIfAnswer> {
-    let mut levels: Vec<f64> = evals.iter().map(|e| e.accuracy(metric)).collect();
-    levels.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    levels.dedup();
-    let mut out = Vec::new();
-    let mut best_cost = f64::INFINITY;
-    for level in levels {
-        if let Some(a) = min_cost_for_accuracy(evals, metric, level) {
-            if a.cost_usd < best_cost {
-                best_cost = a.cost_usd;
-                out.push(a);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,24 +144,5 @@ mod tests {
     fn zero_budget_is_none() {
         let e = evals();
         assert!(max_accuracy_within(&e, AccuracyMetric::Top1, 3600.0, 0.0).is_none());
-    }
-
-    #[test]
-    fn cost_curve_is_frontier_shaped() {
-        let e = evals();
-        let curve = cost_curve(&e, AccuracyMetric::Top1);
-        assert!(!curve.is_empty());
-        // Accuracy strictly decreasing, cost strictly decreasing.
-        for w in curve.windows(2) {
-            assert!(w[1].accuracy < w[0].accuracy);
-            assert!(w[1].cost_usd < w[0].cost_usd);
-        }
-        // Matches the Pareto filter's point set.
-        let front = crate::explorer::frontier_indices(
-            &e,
-            AccuracyMetric::Top1,
-            crate::explorer::Objective::Cost,
-        );
-        assert_eq!(curve.len(), front.len());
     }
 }

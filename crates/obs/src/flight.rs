@@ -60,34 +60,6 @@ const W_LENS: usize = W_SHAPE + 4; // name_len | kind_len << 32
 const W_NAME: usize = W_LENS + 1; // 5 words
 const W_KIND: usize = W_NAME + NAME_BYTES / 8; // 2 words
 
-fn scope_code(s: SpanScope) -> u64 {
-    match s {
-        SpanScope::Forward => 0,
-        SpanScope::Layer => 1,
-        SpanScope::Worker => 2,
-        SpanScope::GridEval => 3,
-        SpanScope::Allocation => 4,
-        SpanScope::Request => 5,
-        SpanScope::QueueWait => 6,
-        SpanScope::BatchAssembly => 7,
-        SpanScope::ServeCompute => 8,
-    }
-}
-
-fn scope_from_code(c: u64) -> SpanScope {
-    match c {
-        0 => SpanScope::Forward,
-        1 => SpanScope::Layer,
-        2 => SpanScope::Worker,
-        3 => SpanScope::GridEval,
-        5 => SpanScope::Request,
-        6 => SpanScope::QueueWait,
-        7 => SpanScope::BatchAssembly,
-        8 => SpanScope::ServeCompute,
-        _ => SpanScope::Allocation,
-    }
-}
-
 /// Copy up to `max` bytes of `s` into consecutive little-endian words
 /// starting at `words[at]`, returning the byte count stored.
 fn store_str(words: &[AtomicU64], at: usize, s: &str, max: usize) -> u64 {
@@ -232,7 +204,7 @@ impl FlightRecorder {
         let start = self.epoch.elapsed().saturating_sub(elapsed);
         let w = &slot.words;
         w[W_TICKET].store(ticket, Ordering::Relaxed);
-        w[W_SCOPE].store(scope_code(info.scope), Ordering::Relaxed);
+        w[W_SCOPE].store(info.scope as u64, Ordering::Relaxed);
         w[W_INDEX].store(info.index as u64, Ordering::Relaxed);
         w[W_ELAPSED_NS].store(elapsed.as_nanos() as u64, Ordering::Relaxed);
         w[W_START_NS].store(start.as_nanos() as u64, Ordering::Relaxed);
@@ -286,12 +258,15 @@ impl FlightRecorder {
             if !consistent {
                 continue;
             }
+            let Some(&(scope, _)) = SpanScope::ALL.get(copied[W_SCOPE] as usize) else {
+                continue; // not a code `record` writes
+            };
             let name_len = copied[W_LENS] & 0xffff_ffff;
             let kind_len = copied[W_LENS] >> 32;
             out.push((
                 copied[W_TICKET],
                 SpanRecord {
-                    scope: scope_from_code(copied[W_SCOPE]),
+                    scope,
                     name: load_str(&copied, W_NAME, name_len, NAME_BYTES),
                     kind: load_str(&copied, W_KIND, kind_len, KIND_BYTES),
                     shape: [
@@ -396,6 +371,16 @@ mod tests {
         assert_eq!(indices, (12..20).collect::<Vec<_>>());
         assert_eq!(spans[0].shape, [1, 2, 3, 4]);
         assert_eq!(spans[0].kind, "conv");
+    }
+
+    #[test]
+    fn every_scope_round_trips() {
+        let fr = FlightRecorder::new(SpanScope::ALL.len());
+        for (scope, tag) in SpanScope::ALL {
+            fr.record(&SpanInfo::new(scope, tag), Duration::ZERO);
+        }
+        let dumped: Vec<_> = fr.dump().iter().map(|s| s.scope).collect();
+        assert_eq!(dumped, SpanScope::ALL.map(|(scope, _)| scope));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Log-linear (HDR-style) histograms with quantile estimation.
 //!
-//! The power-of-two [`Histogram`](crate::Histogram) answers "roughly
-//! what order of magnitude" — good enough for batch sizes, useless for
-//! a p99: a single bucket spanning `[512, 1024)` µs cannot distinguish
-//! a 520 µs tail from a 1 ms tail. [`HdrHistogram`] subdivides every
-//! power-of-two range into [`SUB_BUCKETS`] linear sub-buckets, which
-//! bounds the *relative* width of any bucket and therefore the error of
-//! any quantile read from it.
+//! A histogram with one bucket per power of two answers "roughly what
+//! order of magnitude" — useless for a p99: a single bucket spanning
+//! `[512, 1024)` µs cannot distinguish a 520 µs tail from a 1 ms tail.
+//! [`HdrHistogram`] subdivides every power-of-two range into
+//! [`SUB_BUCKETS`] linear sub-buckets, which bounds the *relative*
+//! width of any bucket and therefore the error of any quantile read
+//! from it.
 //!
 //! # Error bound
 //!
@@ -28,8 +28,8 @@
 //!
 //! # Concurrency
 //!
-//! Like the power-of-two histogram, recording is a handful of relaxed
-//! atomic adds — lock-free and wait-free, safe to call from every
+//! Recording is a handful of relaxed atomic adds — lock-free and
+//! wait-free, safe to call from every
 //! [`ParallelEngine`](https://docs.rs/cap-cnn) worker concurrently.
 //! Bucketing depends only on the value, so merging per-worker
 //! [`HdrSnapshot`]s is bucket-wise addition: associative, commutative,
@@ -49,6 +49,15 @@ pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
 /// exact unit buckets, then `SUB_BUCKETS` sub-buckets per exponent
 /// `SUB_BITS..64`.
 pub const HDR_BUCKETS: usize = (64 - SUB_BITS) * SUB_BUCKETS + SUB_BUCKETS;
+
+/// The standard latency percentiles every exporter reports, as
+/// `(text/JSON label, Prometheus quantile label, q)`.
+pub const QUANTILES: [(&str, &str, f64); 4] = [
+    ("p50", "0.5", 0.50),
+    ("p90", "0.9", 0.90),
+    ("p95", "0.95", 0.95),
+    ("p99", "0.99", 0.99),
+];
 
 /// Bucket index for a value.
 ///
@@ -240,15 +249,10 @@ impl HdrSnapshot {
             .map(|i| hdr_bucket_bounds(i).0)
     }
 
-    /// The standard latency percentiles `(p50, p90, p95, p99)`, or
-    /// `None` when empty.
+    /// The [`QUANTILES`] `(p50, p90, p95, p99)`, or `None` when empty.
     pub fn percentiles(&self) -> Option<(u64, u64, u64, u64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.90)?,
-            self.quantile(0.95)?,
-            self.quantile(0.99)?,
-        ))
+        let [p50, p90, p95, p99] = QUANTILES.map(|(_, _, q)| self.quantile(q));
+        Some((p50?, p90?, p95?, p99?))
     }
 }
 

@@ -5,7 +5,7 @@
 //! without editing code, the way Perseus-style per-layer profiling does
 //! for multi-tenant cost characterization.
 //!
-//! Three cooperating pieces:
+//! The cooperating pieces:
 //!
 //! * [`Tracer`] — span enter/exit hooks threaded through
 //!   `Network::forward_into_traced` (one span per DAG node, tagged with
@@ -14,11 +14,14 @@
 //!   [`NoopTracer`] is the disabled state; [`CollectingTracer`] records
 //!   [`SpanRecord`]s for aggregation.
 //! * [`MetricsRegistry`] — a process-global, lock-free set of
-//!   [`Counter`]s, [`Gauge`]s and histograms (forward-pass latency,
-//!   per-layer time, GEMM/im2col split, arena bytes, workspace pool
-//!   hits/misses, batch sizes) with plain-text and JSON exporters. The
-//!   timed histograms are log-linear [`HdrHistogram`]s, so snapshots
-//!   report p50/p90/p95/p99 with a documented ≤ 1/32 relative error.
+//!   [`Counter`]s, [`Gauge`]s and [`HdrHistogram`]s (forward-pass
+//!   latency, per-layer time, GEMM/im2col split, arena bytes, workspace
+//!   pool hits/misses, batch sizes, serving counters). The set is
+//!   declared once — one table row per instrument, listed in
+//!   [`INSTRUMENTS`] — and the text, JSON and Prometheus exporters all
+//!   walk that table. Histograms are log-linear, so snapshots report
+//!   the [`QUANTILES`] (p50/p90/p95/p99) with a documented ≤ 1/32
+//!   relative error.
 //! * [`ProfileReport`] — turns collected spans into a per-layer time
 //!   table comparable across pruning levels.
 //! * [`FlightRecorder`] — an always-on, fixed-capacity, lock-free ring
@@ -54,10 +57,10 @@ pub mod timeseries;
 pub mod trace_export;
 
 pub use flight::FlightRecorder;
-pub use hdr::{HdrHistogram, HdrSnapshot};
+pub use hdr::{HdrHistogram, HdrSnapshot, QUANTILES};
 pub use metrics::{
-    kernel_path_name, metrics, precision_path_name, timing_enabled, Counter, Gauge, Histogram,
-    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, TimingGuard,
+    kernel_path_name, metrics, precision_path_name, timing_enabled, Counter, Gauge, Instrument,
+    Kind, MetricsRegistry, MetricsSnapshot, Scope, TimingGuard, INSTRUMENTS,
 };
 pub use prom::{
     append_registry, prometheus_text, spawn_exporter, validate as validate_prometheus, PromStats,

@@ -1,12 +1,13 @@
-//! Lock-free metrics: counters, gauges, histograms, and the
-//! process-global [`MetricsRegistry`] that instrumented crates feed.
+//! Lock-free metrics: counters, gauges, and the process-global
+//! [`MetricsRegistry`] that instrumented crates feed.
 //!
-//! Two histogram flavors coexist: the compact power-of-two
-//! [`Histogram`] (40 buckets, order-of-magnitude resolution) and the
-//! log-linear [`HdrHistogram`] (sub-bucketed, so
-//! p50/p95/p99 read out with a bounded ≤ 1/32 relative error). The
-//! registry's timed histograms use the log-linear flavor — tail
-//! latencies are what a serving system is operated on.
+//! Which instruments exist is declared once, in the `instruments!`
+//! table below; the registry, its snapshot, `reset()` and every
+//! exporter (text, JSON, Prometheus) are derived from that table, so
+//! adding an instrument is one row. Distributions are log-linear
+//! [`HdrHistogram`]s, so p50/p95/p99 read out with a bounded ≤ 1/32
+//! relative error — tail latencies are what a serving system is
+//! operated on.
 //!
 //! Everything here is a relaxed atomic — no locks anywhere, so workers
 //! of a [`ParallelEngine`](https://docs.rs/cap-cnn) shard record into
@@ -17,14 +18,9 @@
 //! additionally gated behind the [`timing_enabled`] flag so the default
 //! configuration pays one relaxed load and a never-taken branch.
 
-use crate::hdr::{HdrHistogram, HdrSnapshot};
+use crate::hdr::{HdrHistogram, HdrSnapshot, QUANTILES};
 use crate::jsonutil::{write_json_f64, write_json_opt_u64, write_json_str};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1`
-/// holds values in `[2^(i-1), 2^i)`, and the last bucket additionally
-/// absorbs everything beyond `2^(BUCKETS-1)`.
-pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
@@ -105,136 +101,6 @@ impl Gauge {
     }
 }
 
-/// A lock-free histogram with power-of-two buckets.
-///
-/// Bucketing depends only on the recorded value — never on recording
-/// order or on which thread recorded — so merging per-worker snapshots
-/// is associative and commutative (asserted by the merge-stability unit
-/// test below).
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Bucket index for a value: 0 for 0, else `floor(log2 v) + 1`, clamped
-/// to the last bucket.
-#[inline]
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Self {
-            buckets: [ZERO; HISTOGRAM_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time copy of the histogram state. (Not atomic across
-    /// buckets under concurrent recording; take snapshots at quiescent
-    /// points when exact totals matter.)
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (dst, src) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset every bucket and the totals to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Owned, mergeable copy of a [`Histogram`]'s state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`HISTOGRAM_BUCKETS`]).
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Total observations.
-    pub count: u64,
-    /// Sum of all recorded values.
-    pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// An empty snapshot (identity element for [`merge`](Self::merge)).
-    pub fn empty() -> Self {
-        Self {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Fold another snapshot into this one. Pure bucket-wise addition:
-    /// associative, commutative, order-independent — merging per-worker
-    /// histograms yields bit-identical results regardless of join order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// Mean of recorded values, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// `[lo, hi)` value bounds of bucket `i`.
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        match i {
-            0 => (0, 1),
-            _ => (1u64 << (i - 1), 1u64 << i),
-        }
-    }
-}
-
 /// Global switch for metrics that need a clock read at the recording
 /// site. Nesting-safe: a counter of active enables, not a boolean.
 static TIMING_ENABLES: AtomicU64 = AtomicU64::new(0);
@@ -274,158 +140,265 @@ impl Drop for TimingGuard {
     }
 }
 
-/// The fixed set of pipeline metrics, fed by `cap-tensor`, `cap-cnn`
-/// and `cap-core` instrumentation. Obtain the process-global instance
-/// with [`metrics()`].
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
+/// How an instrument accumulates, which is also how exporters type it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A [`Counter`]; Prometheus family `cap_<name>_total`.
+    Counter,
+    /// A [`Gauge`]; Prometheus family `cap_<name>`.
+    Gauge,
+    /// An [`HdrHistogram`] exported as count, mean and the
+    /// [`QUANTILES`]; Prometheus summary `cap_<name>`.
+    Summary,
+}
+
+impl Kind {
+    /// The Prometheus `# TYPE` keyword.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Summary => "summary",
+        }
+    }
+}
+
+/// Whether [`MetricsRegistry::reset`] clears an instrument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Work done since the last reset; cleared.
+    Workload,
+    /// Describes the process, not work done, and is published only
+    /// once by the dispatch layer — a reset would erase it for every
+    /// later snapshot, so it is kept.
+    Environment,
+}
+
+/// One row of [`INSTRUMENTS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Instrument {
+    /// Field name in [`MetricsRegistry`] and [`MetricsSnapshot`], and
+    /// the exported metric name.
+    pub name: &'static str,
+    /// Counter, gauge or summary.
+    pub kind: Kind,
+    /// Cleared or kept by [`MetricsRegistry::reset`].
+    pub scope: Scope,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
+}
+
+/// One instrument's value in a [`MetricsSnapshot`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Value<'a> {
+    /// A counter or gauge reading.
+    Scalar(u64),
+    /// A summary's histogram state.
+    Summary(&'a HdrSnapshot),
+}
+
+/// The per-[`Kind`] pieces `instruments!` expands to: the live cell
+/// type, the snapshot field type, and how a cell is read and a snapshot
+/// field is handed to the exporters.
+#[rustfmt::skip]
+macro_rules! kind {
+    (cell Counter) => { Counter };
+    (cell Gauge) => { Gauge };
+    (cell Summary) => { HdrHistogram };
+    (snap Summary) => { HdrSnapshot };
+    (snap $scalar:ident) => { u64 };
+    (read Summary $cell:expr) => { $cell.snapshot() };
+    (read $scalar:ident $cell:expr) => { $cell.get() };
+    (value Summary $snap:expr) => { Value::Summary(&$snap) };
+    (value $scalar:ident $snap:expr) => { Value::Scalar($snap) };
+    (poke Counter $cell:expr, $v:expr) => { $cell.add($v) };
+    (poke Gauge $cell:expr, $v:expr) => { $cell.set($v) };
+    (poke Summary $cell:expr, $v:expr) => { $cell.record($v) };
+}
+
+/// The instrument table. One row per instrument —
+/// `name: Kind, Scope, help;` under its doc comment — and everything
+/// that has to know the set is generated from it: the
+/// [`MetricsRegistry`] fields and its `const` static, [`INSTRUMENTS`],
+/// [`MetricsSnapshot`], `snapshot()`, `reset()` and the value list the
+/// text, JSON and Prometheus exporters walk. An `Environment` gauge
+/// that holds a code names its decoder function and the code names,
+/// from 0 up.
+macro_rules! instruments {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident: $kind:ident, $scope:ident $(($decode:ident: $($code:literal),+))?, $help:expr;
+    )*) => {
+        /// The fixed set of pipeline metrics, fed by `cap-tensor`,
+        /// `cap-cnn` and `cap-serve` instrumentation. Obtain the
+        /// process-global instance with [`metrics()`].
+        #[derive(Debug, Default)]
+        pub struct MetricsRegistry {
+            $($(#[$doc])* pub $name: kind!(cell $kind),)*
+        }
+
+        static REGISTRY: MetricsRegistry = MetricsRegistry {
+            $($name: <kind!(cell $kind)>::new(),)*
+        };
+
+        /// Every registry instrument, in the order the text and JSON
+        /// exporters write them (Prometheus groups the same order by
+        /// kind: counters, gauges, summaries).
+        pub const INSTRUMENTS: &[Instrument] = &[$(
+            Instrument {
+                name: stringify!($name),
+                kind: Kind::$kind,
+                scope: Scope::$scope,
+                help: $help,
+            },
+        )*];
+
+        $($(
+            #[doc = concat!(
+                "Human-readable name for a `", stringify!($name), "` gauge code (`\"unknown\"` ",
+                "past the table). `cap-tensor` publishes the codes; a test there cross-checks ",
+                "the two tables."
+            )]
+            pub fn $decode(code: u64) -> &'static str {
+                [$($code),+].get(code as usize).copied().unwrap_or("unknown")
+            }
+        )?)*
+
+        /// Owned copy of the registry, with plain-text and JSON
+        /// exporters.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct MetricsSnapshot {
+            $(
+                #[doc = concat!("See [`MetricsRegistry::", stringify!($name), "`].")]
+                pub $name: kind!(snap $kind),
+            )*
+        }
+
+        impl MetricsRegistry {
+            /// Point-in-time copy of every metric, for export.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: kind!(read $kind self.$name),)*
+                }
+            }
+
+            /// Reset every [`Scope::Workload`] instrument to zero (tests
+            /// and between-experiment boundaries; concurrent recorders
+            /// may interleave). [`Scope::Environment`] ones are kept.
+            pub fn reset(&self) {
+                $(if Scope::$scope == Scope::Workload {
+                    self.$name.reset();
+                })*
+            }
+
+            /// Write `v` into every instrument.
+            #[cfg(test)]
+            fn poke_all(&self, v: u64) {
+                $(kind!(poke $kind self.$name, v);)*
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every instrument with its value, in [`INSTRUMENTS`]
+            /// order.
+            pub(crate) fn values(
+                &self,
+            ) -> impl Iterator<Item = (&'static Instrument, Value<'_>)> {
+                INSTRUMENTS.iter().zip([$(kind!(value $kind self.$name)),*])
+            }
+        }
+    };
+}
+
+/// Help text shared by every summary.
+const HDR_HELP: &str = "Log-linear HDR histogram, <=1/32 relative quantile error.";
+
+instruments! {
     /// Forward passes started (`Network::forward_into*`). Always on.
-    pub forward_passes: Counter,
+    forward_passes: Counter, Workload, "Forward passes executed.";
     /// Whole-pass latency in microseconds. Gated by [`timing_enabled`].
     /// Log-linear ([`HdrHistogram`]), so p50/p95/p99 read out with a
     /// bounded ≤ 1/32 relative error.
-    pub forward_latency_us: HdrHistogram,
+    forward_latency_us: Summary, Workload, HDR_HELP;
     /// Per-layer forward time in microseconds. Gated by [`timing_enabled`].
-    pub layer_time_us: HdrHistogram,
+    layer_time_us: Summary, Workload, HDR_HELP;
     /// Nanoseconds inside packed-GEMM kernels during convolution.
     /// Gated by [`timing_enabled`].
-    pub gemm_time_ns: Counter,
+    gemm_time_ns: Counter, Workload, "Nanoseconds inside packed-GEMM kernels.";
     /// Nanoseconds inside im2col lowering during convolution.
     /// Gated by [`timing_enabled`].
-    pub im2col_time_ns: Counter,
+    im2col_time_ns: Counter, Workload, "Nanoseconds inside im2col lowering.";
     /// High-water mark of `ForwardArena` activation bytes. Always on.
-    pub arena_bytes: Gauge,
+    arena_bytes: Gauge, Workload, "High-water mark of arena activation bytes.";
     /// Workspace-pool checkouts satisfied by a recycled workspace.
     /// Always on.
-    pub workspace_hits: Counter,
+    workspace_hits: Counter, Workload, "Workspace-pool checkouts satisfied by recycling.";
     /// Workspace-pool checkouts that had to build a new workspace.
     /// Always on.
-    pub workspace_misses: Counter,
+    workspace_misses: Counter, Workload, "Workspace-pool checkouts that built a new workspace.";
     /// Batch sizes seen by forward passes. Always on.
-    pub batch_sizes: HdrHistogram,
-    /// (version, configuration, batch) candidates evaluated by grid
-    /// exploration. Always on.
-    pub grid_candidates: Counter,
-    /// Algorithm 1 allocation runs. Always on.
-    pub allocation_runs: Counter,
+    batch_sizes: Summary, Workload, HDR_HELP;
     /// Which SIMD microkernel backend `cap-tensor` dispatched to, as a
     /// code decoded by [`kernel_path_name`] (0 until the first kernel
     /// resolves the path). An environment descriptor, not a workload
     /// counter: [`MetricsRegistry::reset`] deliberately leaves it alone
     /// so experiment boundaries don't erase which backend is running.
-    pub kernel_path: Gauge,
+    kernel_path: Gauge,
+        Environment(kernel_path_name: "unset", "scalar", "avx2", "avx2-fma"),
+        "Dispatched SIMD microkernel backend (code).";
     /// Which numeric precision `cap-tensor` resolved for the weighted
     /// layers, as a code decoded by [`precision_path_name`] (0 until
     /// the precision knob first resolves). Like `kernel_path` an
-    /// environment descriptor, not a workload counter:
-    /// [`MetricsRegistry::reset`] deliberately leaves it alone so
-    /// experiment boundaries don't erase which precision is running.
-    pub precision_path: Gauge,
+    /// environment descriptor that [`MetricsRegistry::reset`] keeps.
+    precision_path: Gauge,
+        Environment(precision_path_name: "unset", "f32", "int8"),
+        "Resolved inference precision for weighted layers (code).";
     /// Number of fused producer→ReLU steps in the network most recently
     /// executed by `Network::forward_into*` (0 when fusion is off or
     /// nothing matched). Overwritten by every traced forward pass and,
     /// unlike `kernel_path`, reset with the workload metrics — it
     /// describes what the last run did, not the process environment.
     /// Always on.
-    pub fused_layers: Gauge,
+    fused_layers: Gauge, Workload, "Fused producer-ReLU steps in the last network.";
     /// Forward passes executed on the intra-network DAG-parallel
     /// scheduler (a subset of `forward_passes`; sequential passes do
     /// not count). Always on.
-    pub dag_parallel_passes: Counter,
+    dag_parallel_passes: Counter, Workload, "Forward passes on the DAG-parallel scheduler.";
     /// Ready-queue insertions by the DAG scheduler (seed steps plus
     /// every cross-worker handoff that went through the queue). Always
     /// on.
-    pub dag_queue_pushes: Counter,
+    dag_queue_pushes: Counter, Workload, "DAG scheduler ready-queue insertions.";
     /// Steps executed via the chained fast path — a finishing worker
     /// directly running the first successor it made ready, skipping the
     /// queue. `dag_queue_pushes + dag_chained_steps` equals the total
     /// steps executed by DAG-parallel passes. Always on.
-    pub dag_chained_steps: Counter,
+    dag_chained_steps: Counter, Workload, "DAG steps run via the chained fast path.";
     /// Worker count of the most recent forward pass: 0 when it ran the
     /// sequential schedule, `n ≥ 1` when the DAG scheduler ran with `n`
     /// workers. A workload descriptor like `fused_layers` — overwritten
     /// every pass and cleared by [`MetricsRegistry::reset`]. Always on.
-    pub dag_workers: Gauge,
-    /// Critical-path length in microseconds of the last network
-    /// analyzed by `cap_cnn::CriticalPathReport` — the theoretical
-    /// batch-1 latency floor no node-parallel schedule can beat.
-    /// Published on analysis, not per pass; cleared by reset.
-    pub dag_critical_path_us: Gauge,
+    dag_workers: Gauge, Workload, "Worker count of the most recent forward pass.";
     /// Requests offered to the `cap-serve` router (admitted + shed).
     /// Always on.
-    pub serve_requests: Counter,
+    serve_requests: Counter, Workload, "Requests offered to the serve router.";
     /// Requests admitted into a tenant queue. Always on.
-    pub serve_admitted: Counter,
+    serve_admitted: Counter, Workload, "Requests admitted into a tenant queue.";
     /// Requests shed at admission because the tenant's bounded queue
     /// was full — the counted reject path; nothing is ever dropped
     /// silently. Always on.
-    pub serve_shed: Counter,
+    serve_shed: Counter, Workload, "Requests shed at admission.";
     /// Batches the router dispatched to the engine. Always on.
-    pub serve_batches: Counter,
+    serve_batches: Counter, Workload, "Batches dispatched to the engine.";
     /// High-water mark of any tenant queue's depth. Always on.
-    pub serve_queue_depth: Gauge,
+    serve_queue_depth: Gauge, Workload, "High-water mark of tenant queue depth.";
     /// Formed batch sizes at dispatch (occupancy of the dynamic
     /// batcher). Always on.
-    pub serve_batch_occupancy: HdrHistogram,
+    serve_batch_occupancy: Summary, Workload, HDR_HELP;
     /// End-to-end request latency (queue wait + service) in *virtual*
     /// microseconds from the router's deterministic clock — no clock
     /// read at the recording site, so unlike `forward_latency_us` this
     /// is always on and reproducible run-to-run. Always on.
-    pub serve_latency_us: HdrHistogram,
-}
-
-static REGISTRY: MetricsRegistry = MetricsRegistry {
-    forward_passes: Counter::new(),
-    forward_latency_us: HdrHistogram::new(),
-    layer_time_us: HdrHistogram::new(),
-    gemm_time_ns: Counter::new(),
-    im2col_time_ns: Counter::new(),
-    arena_bytes: Gauge::new(),
-    workspace_hits: Counter::new(),
-    workspace_misses: Counter::new(),
-    batch_sizes: HdrHistogram::new(),
-    grid_candidates: Counter::new(),
-    allocation_runs: Counter::new(),
-    kernel_path: Gauge::new(),
-    precision_path: Gauge::new(),
-    fused_layers: Gauge::new(),
-    dag_parallel_passes: Counter::new(),
-    dag_queue_pushes: Counter::new(),
-    dag_chained_steps: Counter::new(),
-    dag_workers: Gauge::new(),
-    dag_critical_path_us: Gauge::new(),
-    serve_requests: Counter::new(),
-    serve_admitted: Counter::new(),
-    serve_shed: Counter::new(),
-    serve_batches: Counter::new(),
-    serve_queue_depth: Gauge::new(),
-    serve_batch_occupancy: HdrHistogram::new(),
-    serve_latency_us: HdrHistogram::new(),
-};
-
-/// Human-readable name for a `kernel_path` gauge code. The codes are
-/// published by `cap_tensor::kernels` (`KernelPath::code`); the two
-/// tables are cross-checked by a test in that crate.
-pub fn kernel_path_name(code: u64) -> &'static str {
-    match code {
-        0 => "unset",
-        1 => "scalar",
-        2 => "avx2",
-        3 => "avx2-fma",
-        _ => "unknown",
-    }
-}
-
-/// Human-readable name for a `precision_path` gauge code. The codes
-/// are published by `cap_tensor::precision` (`Precision::code`); the
-/// two tables are cross-checked by a test in that crate.
-pub fn precision_path_name(code: u64) -> &'static str {
-    match code {
-        0 => "unset",
-        1 => "f32",
-        2 => "int8",
-        _ => "unknown",
-    }
+    serve_latency_us: Summary, Workload, HDR_HELP;
 }
 
 /// The process-global metrics registry.
@@ -440,189 +413,37 @@ pub fn metrics() -> &'static MetricsRegistry {
     &REGISTRY
 }
 
-impl MetricsRegistry {
-    /// Point-in-time copy of every metric, for export.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            forward_passes: self.forward_passes.get(),
-            forward_latency_us: self.forward_latency_us.snapshot(),
-            layer_time_us: self.layer_time_us.snapshot(),
-            gemm_time_ns: self.gemm_time_ns.get(),
-            im2col_time_ns: self.im2col_time_ns.get(),
-            arena_bytes: self.arena_bytes.get(),
-            workspace_hits: self.workspace_hits.get(),
-            workspace_misses: self.workspace_misses.get(),
-            batch_sizes: self.batch_sizes.snapshot(),
-            grid_candidates: self.grid_candidates.get(),
-            allocation_runs: self.allocation_runs.get(),
-            kernel_path: self.kernel_path.get(),
-            precision_path: self.precision_path.get(),
-            fused_layers: self.fused_layers.get(),
-            dag_parallel_passes: self.dag_parallel_passes.get(),
-            dag_queue_pushes: self.dag_queue_pushes.get(),
-            dag_chained_steps: self.dag_chained_steps.get(),
-            dag_workers: self.dag_workers.get(),
-            dag_critical_path_us: self.dag_critical_path_us.get(),
-            serve_requests: self.serve_requests.get(),
-            serve_admitted: self.serve_admitted.get(),
-            serve_shed: self.serve_shed.get(),
-            serve_batches: self.serve_batches.get(),
-            serve_queue_depth: self.serve_queue_depth.get(),
-            serve_batch_occupancy: self.serve_batch_occupancy.snapshot(),
-            serve_latency_us: self.serve_latency_us.snapshot(),
-        }
-    }
-
-    /// Reset every workload metric to zero (tests and between-experiment
-    /// boundaries; concurrent recorders may interleave).
-    ///
-    /// `kernel_path` and `precision_path` are *not* reset: they
-    /// describe the process environment (which SIMD backend and which
-    /// numeric precision dispatch selected), not work done, and the
-    /// dispatch layer publishes them only once — a reset would erase
-    /// them for every later snapshot. Tested by
-    /// `reset_preserves_kernel_path` below.
-    pub fn reset(&self) {
-        self.forward_passes.reset();
-        self.forward_latency_us.reset();
-        self.layer_time_us.reset();
-        self.gemm_time_ns.reset();
-        self.im2col_time_ns.reset();
-        self.arena_bytes.reset();
-        self.workspace_hits.reset();
-        self.workspace_misses.reset();
-        self.batch_sizes.reset();
-        self.grid_candidates.reset();
-        self.allocation_runs.reset();
-        self.fused_layers.reset();
-        self.dag_parallel_passes.reset();
-        self.dag_queue_pushes.reset();
-        self.dag_chained_steps.reset();
-        self.dag_workers.reset();
-        self.dag_critical_path_us.reset();
-        self.serve_requests.reset();
-        self.serve_admitted.reset();
-        self.serve_shed.reset();
-        self.serve_batches.reset();
-        self.serve_queue_depth.reset();
-        self.serve_batch_occupancy.reset();
-        self.serve_latency_us.reset();
-    }
-}
-
-/// Owned copy of the registry, with plain-text and JSON exporters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// See [`MetricsRegistry::forward_passes`].
-    pub forward_passes: u64,
-    /// See [`MetricsRegistry::forward_latency_us`].
-    pub forward_latency_us: HdrSnapshot,
-    /// See [`MetricsRegistry::layer_time_us`].
-    pub layer_time_us: HdrSnapshot,
-    /// See [`MetricsRegistry::gemm_time_ns`].
-    pub gemm_time_ns: u64,
-    /// See [`MetricsRegistry::im2col_time_ns`].
-    pub im2col_time_ns: u64,
-    /// See [`MetricsRegistry::arena_bytes`].
-    pub arena_bytes: u64,
-    /// See [`MetricsRegistry::workspace_hits`].
-    pub workspace_hits: u64,
-    /// See [`MetricsRegistry::workspace_misses`].
-    pub workspace_misses: u64,
-    /// See [`MetricsRegistry::batch_sizes`].
-    pub batch_sizes: HdrSnapshot,
-    /// See [`MetricsRegistry::grid_candidates`].
-    pub grid_candidates: u64,
-    /// See [`MetricsRegistry::allocation_runs`].
-    pub allocation_runs: u64,
-    /// See [`MetricsRegistry::kernel_path`]; decode with
-    /// [`kernel_path_name`].
-    pub kernel_path: u64,
-    /// See [`MetricsRegistry::precision_path`]; decode with
-    /// [`precision_path_name`].
-    pub precision_path: u64,
-    /// See [`MetricsRegistry::fused_layers`].
-    pub fused_layers: u64,
-    /// See [`MetricsRegistry::dag_parallel_passes`].
-    pub dag_parallel_passes: u64,
-    /// See [`MetricsRegistry::dag_queue_pushes`].
-    pub dag_queue_pushes: u64,
-    /// See [`MetricsRegistry::dag_chained_steps`].
-    pub dag_chained_steps: u64,
-    /// See [`MetricsRegistry::dag_workers`].
-    pub dag_workers: u64,
-    /// See [`MetricsRegistry::dag_critical_path_us`].
-    pub dag_critical_path_us: u64,
-    /// See [`MetricsRegistry::serve_requests`].
-    pub serve_requests: u64,
-    /// See [`MetricsRegistry::serve_admitted`].
-    pub serve_admitted: u64,
-    /// See [`MetricsRegistry::serve_shed`].
-    pub serve_shed: u64,
-    /// See [`MetricsRegistry::serve_batches`].
-    pub serve_batches: u64,
-    /// See [`MetricsRegistry::serve_queue_depth`].
-    pub serve_queue_depth: u64,
-    /// See [`MetricsRegistry::serve_batch_occupancy`].
-    pub serve_batch_occupancy: HdrSnapshot,
-    /// See [`MetricsRegistry::serve_latency_us`].
-    pub serve_latency_us: HdrSnapshot,
-}
-
 impl MetricsSnapshot {
-    fn scalars(&self) -> [(&'static str, u64); 21] {
-        [
-            ("forward_passes", self.forward_passes),
-            ("gemm_time_ns", self.gemm_time_ns),
-            ("im2col_time_ns", self.im2col_time_ns),
-            ("arena_bytes", self.arena_bytes),
-            ("workspace_hits", self.workspace_hits),
-            ("workspace_misses", self.workspace_misses),
-            ("grid_candidates", self.grid_candidates),
-            ("allocation_runs", self.allocation_runs),
-            ("kernel_path", self.kernel_path),
-            ("precision_path", self.precision_path),
-            ("fused_layers", self.fused_layers),
-            ("dag_parallel_passes", self.dag_parallel_passes),
-            ("dag_queue_pushes", self.dag_queue_pushes),
-            ("dag_chained_steps", self.dag_chained_steps),
-            ("dag_workers", self.dag_workers),
-            ("dag_critical_path_us", self.dag_critical_path_us),
-            ("serve_requests", self.serve_requests),
-            ("serve_admitted", self.serve_admitted),
-            ("serve_shed", self.serve_shed),
-            ("serve_batches", self.serve_batches),
-            ("serve_queue_depth", self.serve_queue_depth),
-        ]
+    fn scalars(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.values().filter_map(|(i, v)| match v {
+            Value::Scalar(v) => Some((i.name, v)),
+            Value::Summary(_) => None,
+        })
     }
 
-    /// The timed/size histograms by name, log-linear with quantiles.
-    pub fn histograms(&self) -> [(&'static str, &HdrSnapshot); 5] {
-        [
-            ("forward_latency_us", &self.forward_latency_us),
-            ("layer_time_us", &self.layer_time_us),
-            ("batch_sizes", &self.batch_sizes),
-            ("serve_batch_occupancy", &self.serve_batch_occupancy),
-            ("serve_latency_us", &self.serve_latency_us),
-        ]
+    fn summaries(&self) -> impl Iterator<Item = (&'static str, &HdrSnapshot)> {
+        self.values().filter_map(|(i, v)| match v {
+            Value::Summary(h) => Some((i.name, h)),
+            Value::Scalar(_) => None,
+        })
     }
 
     /// Plain-text export: one `name value` line per scalar, then one
-    /// line per histogram with count, mean, the p50/p90/p95/p99
-    /// quantiles (`-` when empty), and non-empty buckets.
+    /// line per summary with count, mean, the [`QUANTILES`] (`-` when
+    /// empty), and non-empty buckets.
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for (name, v) in self.scalars() {
             writeln!(out, "{name} {v}").unwrap();
         }
-        for (name, h) in self.histograms() {
+        for (name, h) in self.summaries() {
             write!(out, "{name} count {} mean {:.1}", h.count, h.mean()).unwrap();
-            match h.percentiles() {
-                Some((p50, p90, p95, p99)) => {
-                    write!(out, " p50 {p50} p90 {p90} p95 {p95} p99 {p99}").unwrap()
+            for (label, _, q) in QUANTILES {
+                match h.quantile(q) {
+                    Some(v) => write!(out, " {label} {v}").unwrap(),
+                    None => write!(out, " {label} -").unwrap(),
                 }
-                None => write!(out, " p50 - p90 - p95 - p99 -").unwrap(),
             }
             for (i, &c) in h.buckets.iter().enumerate() {
                 if c > 0 {
@@ -647,11 +468,11 @@ impl MetricsSnapshot {
             write_json_str(&mut out, name);
             write!(out, ":{v},").unwrap();
         }
-        for (name, h) in self.histograms() {
+        for (name, h) in self.summaries() {
             write_json_str(&mut out, name);
             write!(out, ":{{\"count\":{},\"sum\":{},\"mean\":", h.count, h.sum).unwrap();
             write_json_f64(&mut out, if h.count == 0 { 0.0 } else { h.mean() });
-            for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99)] {
+            for (label, _, q) in QUANTILES {
                 write!(out, ",\"{label}\":").unwrap();
                 write_json_opt_u64(&mut out, h.quantile(q));
             }
@@ -678,6 +499,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prom::{prometheus_text, validate};
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -697,66 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing_boundaries() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        for i in 1..8 {
-            let (lo, hi) = HistogramSnapshot::bucket_bounds(i);
-            assert_eq!(bucket_of(lo), i);
-            assert_eq!(bucket_of(hi - 1), i);
-        }
-    }
-
-    #[test]
-    fn histogram_merge_is_order_independent_across_workers() {
-        // The satellite test: bucketing must be stable when per-worker
-        // histograms are merged, in any order, versus one shared
-        // histogram receiving all values.
-        let values: Vec<u64> = (0..1000u64).map(|i| (i * 7919) % 5000).collect();
-
-        // One shared histogram, recorded concurrently by four workers.
-        let shared = Histogram::new();
-        std::thread::scope(|s| {
-            for chunk in values.chunks(250) {
-                let shared = &shared;
-                s.spawn(move || {
-                    for &v in chunk {
-                        shared.record(v);
-                    }
-                });
-            }
-        });
-
-        // Four private per-worker histograms, merged at join.
-        let workers: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
-        for (h, chunk) in workers.iter().zip(values.chunks(250)) {
-            for &v in chunk {
-                h.record(v);
-            }
-        }
-        let mut forward = HistogramSnapshot::empty();
-        for h in &workers {
-            forward.merge(&h.snapshot());
-        }
-        let mut reverse = HistogramSnapshot::empty();
-        for h in workers.iter().rev() {
-            reverse.merge(&h.snapshot());
-        }
-
-        assert_eq!(forward, reverse, "merge must be order-independent");
-        assert_eq!(
-            forward,
-            shared.snapshot(),
-            "merged per-worker histograms must equal concurrent shared recording"
-        );
-        assert_eq!(forward.count, 1000);
-    }
-
-    #[test]
     fn timing_guard_nests() {
         assert!(!timing_enabled());
         let a = TimingGuard::enable();
@@ -769,43 +531,108 @@ mod tests {
         assert!(!timing_enabled());
     }
 
+    /// The one registry test: whatever [`INSTRUMENTS`] declares is
+    /// exported exactly once by each exporter under its declared type
+    /// and help, and `reset()` clears exactly the workload rows. Adding
+    /// an instrument needs no edit here.
     #[test]
-    fn snapshot_exports_text_and_json() {
+    fn every_declared_instrument_is_exported_once_and_reset_follows_scope() {
         let reg = MetricsRegistry::default();
-        reg.forward_passes.add(3);
-        reg.workspace_hits.add(5);
-        reg.workspace_misses.inc();
-        reg.batch_sizes.record(4);
-        reg.batch_sizes.record(4);
-        reg.forward_latency_us.record(900);
+        reg.poke_all(7);
         let snap = reg.snapshot();
-
-        let text = snap.to_text();
-        assert!(text.contains("forward_passes 3"));
-        assert!(text.contains("workspace_hits 5"));
-        assert!(text.contains("batch_sizes count 2"));
-
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"forward_passes\":3"));
-        assert!(json.contains("\"batch_sizes\":{\"count\":2"));
-        // Bucket for 4 is [4,8): keyed by its lower bound.
-        assert!(json.contains("\"4\":2"));
+        let (text, json, prom) = (snap.to_text(), snap.to_json(), prometheus_text(&snap));
+        let stats = validate(&prom).expect("registry exposition must validate");
+        assert_eq!(stats.families, INSTRUMENTS.len());
+        for i in INSTRUMENTS {
+            let name = i.name;
+            let lines = text.lines().filter(|l| l.split(' ').next() == Some(name));
+            assert_eq!(lines.count(), 1, "{name} in to_text");
+            assert_eq!(
+                json.matches(&format!("\"{name}\":")).count(),
+                1,
+                "{name} in to_json"
+            );
+            let family = match i.kind {
+                Kind::Counter => format!("cap_{name}_total"),
+                Kind::Gauge | Kind::Summary => format!("cap_{name}"),
+            };
+            let header = format!(
+                "# HELP {family} {}\n# TYPE {family} {}\n",
+                i.help,
+                i.kind.as_str()
+            );
+            assert_eq!(
+                prom.matches(&header).count(),
+                1,
+                "{name} in prometheus_text"
+            );
+        }
+        reg.reset();
+        for (i, v) in reg.snapshot().values() {
+            let left = match v {
+                Value::Scalar(v) => v,
+                Value::Summary(h) => h.sum,
+            };
+            let kept = if i.scope == Scope::Environment { 7 } else { 0 };
+            assert_eq!(left, kept, "{} after reset", i.name);
+        }
     }
 
+    /// Format stability: the three exporters, byte for byte, on a fixed
+    /// registry state. The expected files were written by the exporters
+    /// as they stood before the instrument table existed.
     #[test]
-    fn registry_reset_clears_everything() {
+    fn exporter_output_matches_golden_bytes() {
         let reg = MetricsRegistry::default();
-        reg.forward_passes.inc();
-        reg.layer_time_us.record(10);
-        reg.arena_bytes.record_max(1024);
+        reg.forward_passes.add(3);
+        for v in [900, 1200, 45_000] {
+            reg.forward_latency_us.record(v);
+        }
+        reg.layer_time_us.record(17);
+        reg.gemm_time_ns.add(123_456);
+        reg.im2col_time_ns.add(7_890);
+        reg.arena_bytes.record_max(1 << 20);
+        reg.workspace_hits.add(5);
+        reg.workspace_misses.inc();
+        for v in [4, 4, 1] {
+            reg.batch_sizes.record(v);
+        }
+        reg.kernel_path.set(3);
+        reg.precision_path.set(1);
         reg.fused_layers.set(7);
-        reg.reset();
+        reg.dag_parallel_passes.add(2);
+        reg.dag_queue_pushes.add(11);
+        reg.dag_chained_steps.add(13);
+        reg.dag_workers.set(2);
+        reg.serve_requests.add(10);
+        reg.serve_admitted.add(8);
+        reg.serve_shed.add(2);
+        reg.serve_batches.add(3);
+        reg.serve_queue_depth.record_max(6);
+        reg.serve_latency_us.record(12_000); // serve_batch_occupancy stays empty
         let snap = reg.snapshot();
-        assert_eq!(snap.forward_passes, 0);
-        assert_eq!(snap.layer_time_us.count, 0);
-        assert_eq!(snap.arena_bytes, 0);
-        assert_eq!(snap.fused_layers, 0, "fused_layers is a workload metric");
+        assert_eq!(snap.to_text(), include_str!("../tests/golden/registry.txt"));
+        assert_eq!(
+            snap.to_json(),
+            include_str!("../tests/golden/registry.json")
+        );
+        assert_eq!(
+            prometheus_text(&snap),
+            include_str!("../tests/golden/registry.prom")
+        );
+    }
+
+    /// Doc drift: OBSERVABILITY.md names every instrument.
+    #[test]
+    fn every_instrument_is_documented() {
+        let doc = include_str!("../../../OBSERVABILITY.md");
+        for i in INSTRUMENTS {
+            assert!(
+                doc.contains(&format!("`{}`", i.name)),
+                "OBSERVABILITY.md lacks `{}`",
+                i.name
+            );
+        }
     }
 
     #[test]
@@ -854,80 +681,6 @@ mod tests {
         // A smaller later observation does not lower it (still a max).
         reg.arena_bytes.record_max(1024);
         assert_eq!(reg.snapshot().arena_bytes, 4096);
-    }
-
-    /// `kernel_path` is an environment descriptor published once by the
-    /// dispatch layer; a between-experiment reset must not erase it.
-    /// `precision_path` follows the same contract.
-    #[test]
-    fn reset_preserves_kernel_path() {
-        let reg = MetricsRegistry::default();
-        reg.kernel_path.set(2);
-        reg.precision_path.set(2);
-        reg.forward_passes.inc();
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.forward_passes, 0);
-        assert_eq!(snap.kernel_path, 2, "reset must keep the kernel path");
-        assert_eq!(kernel_path_name(snap.kernel_path), "avx2");
-        assert_eq!(snap.precision_path, 2, "reset must keep the precision path");
-        assert_eq!(precision_path_name(snap.precision_path), "int8");
-    }
-
-    /// The DAG scheduler metrics are workload metrics (unlike
-    /// `kernel_path`): reset clears all five, and the push/chained
-    /// counters export alongside the rest.
-    #[test]
-    fn dag_metrics_are_workload_metrics() {
-        let reg = MetricsRegistry::default();
-        reg.dag_parallel_passes.inc();
-        reg.dag_queue_pushes.add(3);
-        reg.dag_chained_steps.add(4);
-        reg.dag_workers.set(2);
-        reg.dag_critical_path_us.set(1500);
-        let snap = reg.snapshot();
-        assert_eq!(snap.dag_parallel_passes, 1);
-        assert_eq!(snap.dag_queue_pushes + snap.dag_chained_steps, 7);
-        assert!(snap.to_text().contains("dag_workers 2"));
-        assert!(snap.to_json().contains("\"dag_critical_path_us\":1500"));
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.dag_parallel_passes, 0);
-        assert_eq!(snap.dag_queue_pushes, 0);
-        assert_eq!(snap.dag_chained_steps, 0);
-        assert_eq!(snap.dag_workers, 0);
-        assert_eq!(snap.dag_critical_path_us, 0);
-    }
-
-    /// The serving metrics are workload metrics: reset clears them all,
-    /// the counters export as scalars, and the occupancy/latency
-    /// histograms ride the standard histogram exporters.
-    #[test]
-    fn serve_metrics_are_workload_metrics() {
-        let reg = MetricsRegistry::default();
-        reg.serve_requests.add(10);
-        reg.serve_admitted.add(8);
-        reg.serve_shed.add(2);
-        reg.serve_batches.add(3);
-        reg.serve_queue_depth.record_max(6);
-        reg.serve_batch_occupancy.record(4);
-        reg.serve_latency_us.record(12_000);
-        let snap = reg.snapshot();
-        assert_eq!(snap.serve_requests, snap.serve_admitted + snap.serve_shed);
-        let text = snap.to_text();
-        assert!(text.contains("serve_shed 2"));
-        assert!(text.contains("serve_queue_depth 6"));
-        assert!(text.contains("serve_batch_occupancy count 1"));
-        let json = snap.to_json();
-        assert!(json.contains("\"serve_batches\":3"));
-        assert!(json.contains("\"serve_latency_us\":{\"count\":1"));
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.serve_requests, 0);
-        assert_eq!(snap.serve_shed, 0);
-        assert_eq!(snap.serve_queue_depth, 0);
-        assert_eq!(snap.serve_batch_occupancy.count, 0);
-        assert_eq!(snap.serve_latency_us.count, 0);
     }
 
     #[test]

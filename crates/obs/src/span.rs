@@ -70,21 +70,37 @@ pub enum SpanScope {
 }
 
 impl SpanScope {
+    /// Every scope with its exporter tag. A scope's position here is
+    /// its stable numeric code (the flight recorder stores it).
+    pub(crate) const ALL: [(SpanScope, &'static str); 9] = [
+        (SpanScope::Forward, "forward"),
+        (SpanScope::Layer, "layer"),
+        (SpanScope::Worker, "worker"),
+        (SpanScope::GridEval, "grid_eval"),
+        (SpanScope::Allocation, "allocation"),
+        (SpanScope::Request, "request"),
+        (SpanScope::QueueWait, "queue_wait"),
+        (SpanScope::BatchAssembly, "batch_assembly"),
+        (SpanScope::ServeCompute, "serve_compute"),
+    ];
+
     /// Stable lower-case tag for exporters (`"layer"`, `"worker"`, ...).
     pub fn tag(self) -> &'static str {
-        match self {
-            SpanScope::Forward => "forward",
-            SpanScope::Layer => "layer",
-            SpanScope::Worker => "worker",
-            SpanScope::GridEval => "grid_eval",
-            SpanScope::Allocation => "allocation",
-            SpanScope::Request => "request",
-            SpanScope::QueueWait => "queue_wait",
-            SpanScope::BatchAssembly => "batch_assembly",
-            SpanScope::ServeCompute => "serve_compute",
-        }
+        Self::ALL[self as usize].1
     }
 }
+
+// `tag()` and the flight recorder index `ALL` by discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < SpanScope::ALL.len() {
+        assert!(
+            SpanScope::ALL[i].0 as usize == i,
+            "SpanScope::ALL out of declaration order"
+        );
+        i += 1;
+    }
+};
 
 /// Borrowed description of a span, passed to [`Tracer`] hooks.
 ///

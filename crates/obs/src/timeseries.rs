@@ -16,7 +16,7 @@
 //! window are dropped and counted in [`TimeSeries::late_dropped`]
 //! rather than silently resurrecting history.
 
-use crate::hdr::HdrSnapshot;
+use crate::hdr::{HdrSnapshot, QUANTILES};
 use crate::jsonutil::{write_json_opt_u64, write_json_str};
 use std::collections::VecDeque;
 use std::fmt::Write;
@@ -28,11 +28,11 @@ pub struct Window {
     /// Window ordinal: `floor(t_us / window_us)`. Sparse — consecutive
     /// retained windows may skip indexes (empty windows are absent).
     pub index: u64,
-    /// Counter deltas within this window, parallel to
-    /// [`TimeSeries::counter_names`].
+    /// Counter deltas within this window, one per declared counter
+    /// (see [`TimeSeries::counter_idx`]).
     pub counters: Vec<u64>,
-    /// Histogram state for observations within this window, parallel to
-    /// [`TimeSeries::hist_names`].
+    /// Histogram state for observations within this window, one per
+    /// declared histogram (see [`TimeSeries::hist_idx`]).
     pub hists: Vec<HdrSnapshot>,
 }
 
@@ -95,21 +95,6 @@ impl TimeSeries {
             evicted: 0,
             late_dropped: 0,
         }
-    }
-
-    /// Window width in virtual microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-
-    /// Declared counter names, in column order.
-    pub fn counter_names(&self) -> &[&'static str] {
-        &self.counter_names
-    }
-
-    /// Declared histogram names, in column order.
-    pub fn hist_names(&self) -> &[&'static str] {
-        &self.hist_names
     }
 
     /// Retained windows in ascending `index` order (sparse: empty
@@ -322,7 +307,7 @@ impl TimeSeries {
                 }
                 write_json_str(&mut out, name);
                 write!(out, ":{{\"count\":{},\"sum\":{}", h.count, h.sum).unwrap();
-                for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99)] {
+                for (label, _, q) in QUANTILES {
                     write!(out, ",\"{label}\":").unwrap();
                     write_json_opt_u64(&mut out, h.quantile(q));
                 }

@@ -52,11 +52,10 @@
 //! assert!(report.throughput_per_s > 0.0);
 //! ```
 //!
-//! Operator knobs (`CAP_SERVE_WORKERS`, `CAP_SERVE_MAX_BATCH`,
-//! `CAP_SERVE_QUEUE_CAP`, `CAP_SERVE_SLO_US`, `CAP_SERVE_DEADLINE_US`)
-//! follow the repo's `CAP_*` convention — unset or unparsable values
-//! fall back to defaults, never error. See `SERVING.md` for the
-//! operator guide and `DESIGN.md` §11 for the architecture rationale.
+//! Configuration is the [`RouterConfig`] and [`TenantConfig`] fields
+//! (and `cap serve --workers`); no environment variable changes what a
+//! router does. See `SERVING.md` for the operator guide and `DESIGN.md`
+//! §11 for the architecture rationale.
 
 #![warn(missing_docs)]
 
@@ -66,11 +65,9 @@ pub mod telemetry;
 pub mod tenant;
 pub mod trace;
 
-pub use router::{
-    apply_env_overrides, Router, RouterConfig, ServeReport, ServedOutput, TenantReport,
-};
+pub use router::{Router, RouterConfig, ServeReport, ServedOutput, TenantReport};
 pub use telemetry::{
-    append_serve_prometheus, TenantTelemetry, TENANT_TRACK_BASE, WORKER_TRACK_BASE,
+    append_serve_prometheus, Series, TenantTelemetry, TENANT_TRACK_BASE, WORKER_TRACK_BASE,
 };
 pub use tenant::{ServiceModel, TenantConfig};
 pub use trace::{det_ln, generate_trace, ArrivalEvent, ArrivalPattern};

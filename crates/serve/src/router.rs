@@ -35,10 +35,7 @@
 //! `shedding_bounds_queue` test drives the system at many times its
 //! capacity and asserts both.
 
-use crate::telemetry::{
-    self, TenantTelemetry, C_ADMITTED, C_BATCHES, C_COMPLETED, C_OFFERED, C_SHED, C_VIOLATIONS,
-    H_BATCH_OCCUPANCY, H_LATENCY_US,
-};
+use crate::telemetry::{self, Series, TenantTelemetry};
 use crate::tenant::TenantConfig;
 use crate::trace::ArrivalEvent;
 use cap_cnn::{Network, ParallelEngine};
@@ -53,13 +50,13 @@ use std::collections::VecDeque;
 pub struct RouterConfig {
     /// Simulated worker slots executing batches concurrently (virtual
     /// time); each dispatched batch also runs for real on the engine's
-    /// pooled state. Overridden by `CAP_SERVE_WORKERS`.
+    /// pooled state.
     pub workers: usize,
     /// Keep every request's output logits in the report (serving parity
     /// tests); off for load sweeps where only counts matter.
     pub collect_outputs: bool,
     /// Telemetry rollup window, virtual µs (see
-    /// [`TenantTelemetry`]). Overridden by `CAP_SERVE_WINDOW_US`.
+    /// [`TenantTelemetry`]).
     pub window_us: u64,
     /// Retained telemetry windows per tenant (older windows are
     /// evicted, keeping memory bounded on long traces).
@@ -80,48 +77,6 @@ impl Default for RouterConfig {
             series_windows: 256,
             slo_target: 0.99,
         }
-    }
-}
-
-/// Read a numeric `CAP_SERVE_*` override; invalid or unset values keep
-/// the default (a typo must never change behavior).
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-impl RouterConfig {
-    /// Defaults with `CAP_SERVE_WORKERS` applied, following the
-    /// `CAP_TENSOR_KERNEL` / `CAP_CNN_DAG` override convention.
-    pub fn from_env() -> Self {
-        let mut c = Self::default();
-        if let Some(w) = env_u64("CAP_SERVE_WORKERS") {
-            c.workers = (w as usize).max(1);
-        }
-        if let Some(w) = env_u64("CAP_SERVE_WINDOW_US") {
-            c.window_us = w.max(1);
-        }
-        c
-    }
-}
-
-/// Apply the per-tenant `CAP_SERVE_*` environment overrides to a
-/// config: `CAP_SERVE_MAX_BATCH`, `CAP_SERVE_QUEUE_CAP`,
-/// `CAP_SERVE_SLO_US`, `CAP_SERVE_DEADLINE_US`. Unset or unparsable
-/// variables leave the field unchanged. [`Router::new`] calls this on
-/// every tenant, so the environment is an operator-wide escape hatch
-/// exactly like the kernel/fusion/DAG knobs.
-pub fn apply_env_overrides(config: &mut TenantConfig) {
-    if let Some(v) = env_u64("CAP_SERVE_MAX_BATCH") {
-        config.max_batch = (v as usize).max(1);
-    }
-    if let Some(v) = env_u64("CAP_SERVE_QUEUE_CAP") {
-        config.queue_cap = (v as usize).max(1);
-    }
-    if let Some(v) = env_u64("CAP_SERVE_SLO_US") {
-        config.slo_us = v.max(1);
-    }
-    if let Some(v) = env_u64("CAP_SERVE_DEADLINE_US") {
-        config.batch_deadline_us = v;
     }
 }
 
@@ -296,8 +251,7 @@ pub struct Router {
 
 impl Router {
     /// Build a router over `(config, network)` tenants sharing one
-    /// engine worker pool. Applies the `CAP_SERVE_*` environment
-    /// overrides (see [`apply_env_overrides`]) to every tenant.
+    /// engine worker pool.
     pub fn new(config: RouterConfig, tenants: Vec<(TenantConfig, Network)>) -> Self {
         let engine = ParallelEngine::new(config.workers);
         let policy = SloPolicy {
@@ -310,8 +264,7 @@ impl Router {
             .collect();
         let tenants = tenants
             .into_iter()
-            .map(|(mut c, net)| {
-                apply_env_overrides(&mut c);
+            .map(|(c, net)| {
                 let target = c.target_batch();
                 TenantState {
                     config: c,
@@ -472,12 +425,13 @@ impl Router {
                         worst = worst.max(lat);
                         if lat > tenant.config.slo_us {
                             tenant.slo_violations += 1;
-                            tel.series.add(f.finish_us, C_VIOLATIONS, 1);
+                            tel.series.add(f.finish_us, Series::Violations.col(), 1);
                         }
                         tenant.latencies.push(lat);
                         metrics.serve_latency_us.record(lat);
-                        tel.series.add(f.finish_us, C_COMPLETED, 1);
-                        tel.series.observe(f.finish_us, H_LATENCY_US, lat);
+                        tel.series.add(f.finish_us, Series::Completed.col(), 1);
+                        tel.series
+                            .observe(f.finish_us, Series::LatencyUs.col(), lat);
                         if traced {
                             telemetry::emit_request_spans(
                                 tracer,
@@ -515,15 +469,15 @@ impl Router {
                 let tel = &mut self.telemetry[e.tenant];
                 tenant.offered += 1;
                 metrics.serve_requests.inc();
-                tel.series.add(e.t_us, C_OFFERED, 1);
+                tel.series.add(e.t_us, Series::Offered.col(), 1);
                 if tenant.queue.len() >= tenant.config.queue_cap {
                     tenant.shed += 1;
                     metrics.serve_shed.inc();
-                    tel.series.add(e.t_us, C_SHED, 1);
+                    tel.series.add(e.t_us, Series::Shed.col(), 1);
                 } else {
                     tenant.admitted += 1;
                     metrics.serve_admitted.inc();
-                    tel.series.add(e.t_us, C_ADMITTED, 1);
+                    tel.series.add(e.t_us, Series::Admitted.col(), 1);
                     tenant.queue.push_back(Pending {
                         seq: e.seq,
                         arrival_us: e.t_us,
@@ -563,8 +517,9 @@ impl Router {
                 let service_us = tenant.config.service.service_us(take);
                 let finish_us = now + service_us;
                 let tel = &mut self.telemetry[tidx];
-                tel.series.add(now, C_BATCHES, 1);
-                tel.series.observe(now, H_BATCH_OCCUPANCY, take as u64);
+                tel.series.add(now, Series::Batches.col(), 1);
+                tel.series
+                    .observe(now, Series::BatchOccupancy.col(), take as u64);
                 if tracer.enabled() {
                     telemetry::emit_batch_spans(
                         tracer,

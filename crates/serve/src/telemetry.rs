@@ -20,44 +20,94 @@ pub const TENANT_TRACK_BASE: u64 = 1_000;
 /// (`serve-worker-<w>` in Perfetto): `WORKER_TRACK_BASE + w`.
 pub const WORKER_TRACK_BASE: u64 = 2_000;
 
-/// Column order of the per-tenant series counters.
-pub const SERIES_COUNTERS: [&str; 6] = [
-    "offered",
-    "admitted",
-    "shed",
-    "completed",
-    "violations",
-    "batches",
-];
+/// One column of a tenant's windowed series. This enum and
+/// [`Series::ALL`] are the whole schema: the `TimeSeries` column names
+/// and indexes and the per-tenant Prometheus counters are read off them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Series {
+    /// Requests offered by the trace.
+    Offered,
+    /// Requests admitted into the queue.
+    Admitted,
+    /// Requests shed at admission.
+    Shed,
+    /// Requests completed.
+    Completed,
+    /// Completions over the latency SLO.
+    Violations,
+    /// Batches dispatched.
+    Batches,
+    /// End-to-end latency histogram, virtual µs.
+    LatencyUs,
+    /// Formed-batch-size histogram.
+    BatchOccupancy,
+}
 
-/// Column order of the per-tenant series histograms.
-pub const SERIES_HISTS: [&str; 2] = ["latency_us", "batch_occupancy"];
+/// A counter series' per-tenant Prometheus family: name, help text,
+/// and the run total in a [`TenantReport`].
+type PromCounter = (&'static str, &'static str, fn(&TenantReport) -> u64);
 
-/// Counter column indexes into [`SERIES_COUNTERS`].
-pub const C_OFFERED: usize = 0;
-/// See [`C_OFFERED`].
-pub const C_ADMITTED: usize = 1;
-/// See [`C_OFFERED`].
-pub const C_SHED: usize = 2;
-/// See [`C_OFFERED`].
-pub const C_COMPLETED: usize = 3;
-/// See [`C_OFFERED`].
-pub const C_VIOLATIONS: usize = 4;
-/// See [`C_OFFERED`].
-pub const C_BATCHES: usize = 5;
+impl Series {
+    /// Every series in declaration order — the counter columns, then
+    /// the histogram columns — with its `TimeSeries` column name and,
+    /// for a counter, its Prometheus family.
+    #[rustfmt::skip]
+    pub const ALL: [(Series, &'static str, Option<PromCounter>); 8] = [
+        (Series::Offered, "offered", Some(("cap_tenant_offered_total", "Requests offered to the tenant.", |t| t.offered))),
+        (Series::Admitted, "admitted", Some(("cap_tenant_admitted_total", "Requests admitted.", |t| t.admitted))),
+        (Series::Shed, "shed", Some(("cap_tenant_shed_total", "Requests shed at admission.", |t| t.shed))),
+        (Series::Completed, "completed", Some(("cap_tenant_completed_total", "Requests completed.", |t| t.completed))),
+        (Series::Violations, "violations", Some(("cap_tenant_slo_violations_total", "Completions over the latency SLO.", |t| t.slo_violations))),
+        (Series::Batches, "batches", Some(("cap_tenant_batches_total", "Batches dispatched.", |t| t.batches))),
+        (Series::LatencyUs, "latency_us", None),
+        (Series::BatchOccupancy, "batch_occupancy", None),
+    ];
 
-/// Histogram column indexes into [`SERIES_HISTS`].
-pub const H_LATENCY_US: usize = 0;
-/// See [`H_LATENCY_US`].
-pub const H_BATCH_OCCUPANCY: usize = 1;
+    /// How many of [`Series::ALL`], from the front, are counters.
+    const COUNTERS: usize = 6;
+
+    /// Column index in the tenant's `TimeSeries`, which numbers counter
+    /// and histogram columns separately.
+    pub(crate) const fn col(self) -> usize {
+        let i = self as usize;
+        if i < Self::COUNTERS {
+            i
+        } else {
+            i - Self::COUNTERS
+        }
+    }
+
+    fn new_series(window_us: u64, capacity: usize) -> TimeSeries {
+        let names = Self::ALL.map(|(_, name, _)| name);
+        let (counters, hists) = names.split_at(Self::COUNTERS);
+        TimeSeries::new(window_us, capacity, counters, hists)
+    }
+}
+
+// `col()` reads a variant's place in `ALL` off its discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < Series::ALL.len() {
+        let (series, _, prom) = &Series::ALL[i];
+        assert!(
+            *series as usize == i,
+            "Series::ALL out of declaration order"
+        );
+        assert!(
+            prom.is_some() == (i < Series::COUNTERS),
+            "Series::COUNTERS miscounts"
+        );
+        i += 1;
+    }
+};
 
 /// One tenant's telemetry for one serve run: the windowed series the
 /// router feeds event by event, and the SLO tracker derived from it at
 /// the end of the run.
 #[derive(Debug, Clone)]
 pub struct TenantTelemetry {
-    /// Windowed rollups of the [`SERIES_COUNTERS`]/[`SERIES_HISTS`]
-    /// schema, keyed by the router's virtual clock.
+    /// Windowed rollups of the [`Series`] schema, keyed by the router's
+    /// virtual clock.
     pub series: TimeSeries,
     /// Error-budget accounting fed from the series by
     /// [`finalize_slo`](Self::finalize_slo).
@@ -72,7 +122,7 @@ impl TenantTelemetry {
     /// virtual microseconds, SLO policy `policy`.
     pub fn new(window_us: u64, capacity: usize, policy: SloPolicy) -> Self {
         Self {
-            series: TimeSeries::new(window_us, capacity, &SERIES_COUNTERS, &SERIES_HISTS),
+            series: Series::new_series(window_us, capacity),
             slo: SloTracker::new(policy),
             window_us,
             capacity,
@@ -83,13 +133,7 @@ impl TenantTelemetry {
     /// Clear all state for a new serve run (each run gets a fresh
     /// series so repeat calls on one router stay independent).
     pub fn reset(&mut self) {
-        self.series = TimeSeries::new(
-            self.window_us,
-            self.capacity,
-            &SERIES_COUNTERS,
-            &SERIES_HISTS,
-        );
-        self.slo = SloTracker::new(self.policy);
+        *self = Self::new(self.window_us, self.capacity, self.policy);
     }
 
     /// Feed the finished series into the SLO tracker, window by window
@@ -102,8 +146,9 @@ impl TenantTelemetry {
             .windows()
             .iter()
             .map(|w| {
-                let bad = w.counters[C_VIOLATIONS] + w.counters[C_SHED];
-                let good = w.counters[C_COMPLETED].saturating_sub(w.counters[C_VIOLATIONS]);
+                let count = |s: Series| w.counters[s.col()];
+                let bad = count(Series::Violations) + count(Series::Shed);
+                let good = count(Series::Completed).saturating_sub(count(Series::Violations));
                 (w.index, good, bad)
             })
             .collect();
@@ -210,42 +255,11 @@ pub(crate) fn emit_batch_spans<T: Tracer>(
 /// the SLO standing (budget consumed, burn alerts) from a finished
 /// [`ServeReport`].
 pub fn append_serve_prometheus(w: &mut PromWriter, report: &ServeReport) {
-    let tenant_counter =
-        |w: &mut PromWriter, name: &str, help: &str, f: &dyn Fn(&TenantReport) -> u64| {
-            for t in &report.tenants {
-                w.counter(name, help, &[("tenant", &t.name)], f(t));
-            }
-        };
-    tenant_counter(
-        w,
-        "cap_tenant_offered_total",
-        "Requests offered to the tenant.",
-        &|t| t.offered,
-    );
-    tenant_counter(w, "cap_tenant_admitted_total", "Requests admitted.", &|t| {
-        t.admitted
-    });
-    tenant_counter(
-        w,
-        "cap_tenant_shed_total",
-        "Requests shed at admission.",
-        &|t| t.shed,
-    );
-    tenant_counter(
-        w,
-        "cap_tenant_completed_total",
-        "Requests completed.",
-        &|t| t.completed,
-    );
-    tenant_counter(
-        w,
-        "cap_tenant_slo_violations_total",
-        "Completions over the latency SLO.",
-        &|t| t.slo_violations,
-    );
-    tenant_counter(w, "cap_tenant_batches_total", "Batches dispatched.", &|t| {
-        t.batches
-    });
+    for (family, help, total) in Series::ALL.iter().filter_map(|(_, _, prom)| *prom) {
+        for t in &report.tenants {
+            w.counter(family, help, &[("tenant", &t.name)], total(t));
+        }
+    }
     for t in &report.tenants {
         let l = [("tenant", t.name.as_str())];
         w.gauge(
@@ -286,24 +300,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schema_indexes_match_names() {
-        assert_eq!(SERIES_COUNTERS[C_OFFERED], "offered");
-        assert_eq!(SERIES_COUNTERS[C_ADMITTED], "admitted");
-        assert_eq!(SERIES_COUNTERS[C_SHED], "shed");
-        assert_eq!(SERIES_COUNTERS[C_COMPLETED], "completed");
-        assert_eq!(SERIES_COUNTERS[C_VIOLATIONS], "violations");
-        assert_eq!(SERIES_COUNTERS[C_BATCHES], "batches");
-        assert_eq!(SERIES_HISTS[H_LATENCY_US], "latency_us");
-        assert_eq!(SERIES_HISTS[H_BATCH_OCCUPANCY], "batch_occupancy");
-    }
-
-    #[test]
     fn finalize_slo_derives_good_bad_from_series() {
         let mut tt = TenantTelemetry::new(1_000, 64, SloPolicy::default());
         // Window 0: 10 completions, 2 violations, 1 shed → good 8, bad 3.
-        tt.series.add(500, C_COMPLETED, 10);
-        tt.series.add(500, C_VIOLATIONS, 2);
-        tt.series.add(500, C_SHED, 1);
+        tt.series.add(500, Series::Completed.col(), 10);
+        tt.series.add(500, Series::Violations.col(), 2);
+        tt.series.add(500, Series::Shed.col(), 1);
         tt.finalize_slo();
         let s = tt.standing();
         assert_eq!(s.good, 8);
@@ -314,7 +316,7 @@ mod tests {
     #[test]
     fn reset_clears_between_runs() {
         let mut tt = TenantTelemetry::new(1_000, 64, SloPolicy::default());
-        tt.series.add(0, C_OFFERED, 5);
+        tt.series.add(0, Series::Offered.col(), 5);
         tt.finalize_slo();
         tt.reset();
         assert!(tt.series.windows().is_empty());

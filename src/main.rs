@@ -295,8 +295,8 @@ fn cmd_serve(args: &[String]) -> i32 {
 
     // Prometheus exposition of the finished run: the registry families
     // plus the per-tenant serving section (admission counters, latency
-    // quantiles, error-budget standing). The file passes the strict
-    // cap_obs checker — CI smoke-validates it via CAP_PROM_VALIDATE_FILE.
+    // quantiles, error-budget standing), written only if it passes
+    // the strict cap_obs checker.
     if let Some(path) = metrics_out {
         let mut w = cap_obs::PromWriter::new();
         cap_obs::append_registry(&mut w, &cap_obs::metrics().snapshot());

@@ -99,6 +99,54 @@ fn allocate_infeasible_exits_nonzero() {
 /// accepted set. `serve` runs real forward passes, so it resolves all
 /// four.
 #[test]
+fn serve_metrics_out_writes_a_valid_exposition() {
+    let path = std::env::temp_dir().join(format!("cap-cli-serve-{}.prom", std::process::id()));
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    let (_, err, ok) = cap(&[
+        "serve",
+        "--load",
+        "1",
+        "--duration",
+        "0.2",
+        "--metrics-out",
+        path_arg,
+    ]);
+    assert!(ok, "{err}");
+    let text = std::fs::read_to_string(&path).expect("metrics file written");
+    std::fs::remove_file(&path).ok();
+    let stats = cap_obs::validate_prometheus(&text).expect("on-disk exposition validates");
+
+    let mut families: Vec<(String, &str)> = cap_obs::INSTRUMENTS
+        .iter()
+        .map(|i| match i.kind {
+            cap_obs::Kind::Counter => (format!("cap_{}_total", i.name), "counter"),
+            kind => (format!("cap_{}", i.name), kind.as_str()),
+        })
+        .collect();
+    for (_, _, prom) in cloud_cost_accuracy::serve::Series::ALL {
+        families.extend(prom.map(|(family, _, _)| (family.to_string(), "counter")));
+    }
+    for gauge in [
+        "latency_p50_us",
+        "latency_p99_us",
+        "error_budget_consumed",
+        "burn_alerts",
+    ] {
+        families.push((format!("cap_tenant_{gauge}"), "gauge"));
+    }
+    for (family, ty) in &families {
+        assert!(
+            text.contains(&format!("# TYPE {family} {ty}\n")),
+            "missing {ty} family {family}"
+        );
+    }
+    assert_eq!(stats.families, families.len(), "no family beyond these");
+    for tenant in ["dense", "pruned-60"] {
+        assert!(text.contains(&format!("cap_tenant_offered_total{{tenant=\"{tenant}\"}}")));
+    }
+}
+
+#[test]
 fn unknown_knob_value_is_fatal_and_names_the_accepted_set() {
     for (var, accepted) in [
         ("CAP_TENSOR_KERNEL", "auto, scalar, avx2, avx2-fma"),
