@@ -1,9 +1,101 @@
 //! im2col+GEMM vs direct sliding-window convolution — the Caffe-lowering
-//! ablation (DESIGN.md §9) — over the driver's weight forms.
+//! ablation (DESIGN.md §9) — over the driver's weight forms, and the
+//! dense-vs-CSR crossover the layers' sparse thresholds are set from
+//! (`conv_form_*` for `SPARSE_THRESHOLD`, `fc_form_b1` for
+//! `FC_SPARSE_THRESHOLD`; table in EXPERIMENTS.md "PR 14").
 
 use cap_tensor::reference::conv2d_direct;
-use cap_tensor::{conv2d, Conv2dParams, ConvWeights, Matrix, Tensor4, WorkspacePool};
-use criterion::{criterion_group, criterion_main, Criterion};
+use cap_tensor::{
+    conv2d, gemm_packed, Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Matrix, PackedB, Tensor4,
+    WorkspacePool,
+};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// Unit-scale weights with `zero_pct` % of the elements zeroed at
+/// scattered positions (unstructured, as magnitude pruning leaves them).
+fn scattered(rows: usize, cols: usize, zero_pct: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, c| {
+        let h = (r * 31 + c * 17 + (r * c) % 7) % 100;
+        if h < zero_pct {
+            0.0
+        } else {
+            (h as f32 - 50.0) / 50.0 + 0.01
+        }
+    })
+}
+
+/// One Caffenet conv layer at batch 1 through `conv2d`: dense, CSR at
+/// rising unstructured sparsity, and both forms filter pruning can run
+/// on (every second filter zeroed).
+fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
+    let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
+        ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
+    });
+    let (rows, cols) = (params.out_channels, params.col_rows());
+    let bias = vec![0.1_f32; rows];
+    let pool = WorkspacePool::new();
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    let mut group = c.benchmark_group(name);
+    let mut run = |id: BenchmarkId, form: ConvWeights<'_>| {
+        group.bench_with_input(id, &form, |b, &form| {
+            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &pool, &mut out).unwrap())
+        });
+    };
+    let dense = scattered(rows, cols, 0);
+    run(BenchmarkId::new("dense", 0), ConvWeights::Dense(&dense));
+    for zero_pct in [40usize, 50, 60, 65, 70, 75, 80, 90] {
+        let csr = ConvWeights::csr_bands(&scattered(rows, cols, zero_pct), &params).unwrap();
+        run(BenchmarkId::new("csr", zero_pct), ConvWeights::Csr(&csr));
+    }
+    let mut half_rows = dense.clone();
+    for r in (1..rows).step_by(2) {
+        half_rows.row_mut(r).fill(0.0);
+    }
+    let csr = ConvWeights::csr_bands(&half_rows, &params).unwrap();
+    run(BenchmarkId::new("csr_rows", 50), ConvWeights::Csr(&csr));
+    let kept = ConvWeights::kept_row_bands(&half_rows, &params).unwrap();
+    run(
+        BenchmarkId::new("dense_rows", 50),
+        ConvWeights::DenseRows(&kept),
+    );
+    group.finish();
+}
+
+fn bench_weight_forms(c: &mut Criterion) {
+    bench_conv_forms(
+        c,
+        "conv_form_conv2",
+        Conv2dParams::grouped(96, 256, 5, 2, 1, 2),
+        27,
+    );
+    bench_conv_forms(
+        c,
+        "conv_form_conv3",
+        Conv2dParams::new(256, 384, 3, 1, 1),
+        13,
+    );
+
+    // Batch-1 fc (Caffenet fc7, 4096x4096): the dense side is the
+    // packed GEMV streaming all of Wᵀ once, the sparse side the CSR
+    // matvec streaming values + column indices — bandwidth against
+    // bandwidth, so the crossover is not the conv one.
+    let (outf, inf) = (4096usize, 4096usize);
+    let x: Vec<f32> = (0..inf).map(|i| (i % 13) as f32 / 13.0 - 0.5).collect();
+    let bias = vec![0.1_f32; outf];
+    let mut y = vec![0.0_f32; outf];
+    let mut group = c.benchmark_group("fc_form_b1");
+    let packed = PackedB::pack(&scattered(outf, inf, 0).transpose());
+    group.bench_function(BenchmarkId::new("dense", 0), |b| {
+        b.iter(|| gemm_packed(&x, 1, inf, outf, packed.as_slice(), &mut y, Epilogue::NONE).unwrap())
+    });
+    for zero_pct in [30usize, 40, 50, 60, 70, 80, 90] {
+        let csr = CsrMatrix::from_dense(&scattered(outf, inf, zero_pct), 0.0);
+        group.bench_with_input(BenchmarkId::new("csr", zero_pct), &csr, |b, csr| {
+            b.iter(|| csr.matvec_into(&x, &mut y, Some(&bias), true).unwrap())
+        });
+    }
+    group.finish();
+}
 
 fn bench_conv(c: &mut Criterion) {
     // A conv3-like layer at reduced channel count for bench runtime.
@@ -44,6 +136,6 @@ fn bench_conv(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_conv
+    targets = bench_conv, bench_weight_forms
 }
 criterion_main!(benches);

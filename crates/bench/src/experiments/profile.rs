@@ -95,6 +95,20 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
     out.push_str(&report60.to_text_table());
     out.push('\n');
     out.push_str(&report0.compare_table(&report60));
+    // One line for CI's job summary: did pruning pay, in total?
+    let conv_ms = |report: &ProfileReport| -> f64 {
+        let rows = report.layers().iter();
+        rows.filter(|l| convs.contains(&l.name))
+            .map(|l| l.mean().as_secs_f64() * 1e3)
+            .sum()
+    };
+    let (dense_ms, pruned_ms) = (conv_ms(&report0), conv_ms(&report60));
+    writeln!(
+        out,
+        "\nconv total: dense {dense_ms:.1} ms, pruned-60 {pruned_ms:.1} ms, ratio {:.2}",
+        pruned_ms / dense_ms
+    )
+    .unwrap();
 
     writeln!(out, "\n## JSON exports\n").unwrap();
     writeln!(out, "{}", report0.to_json()).unwrap();

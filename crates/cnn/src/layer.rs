@@ -19,7 +19,7 @@ mod softmax;
 pub use concat::ConcatLayer;
 pub use conv::{ConvLayer, SPARSE_THRESHOLD};
 pub use dropout::DropoutLayer;
-pub use inner_product::InnerProductLayer;
+pub use inner_product::{InnerProductLayer, FC_SPARSE_THRESHOLD};
 pub use lrn::LrnLayer;
 pub use pool::{PoolLayer, PoolMode};
 pub use relu::ReluLayer;

@@ -1,31 +1,69 @@
-//! Convolution layer with a sparse fast path for pruned weights.
+//! Convolution layer with fast paths for pruned weights.
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
     conv2d, precision, symmetric_scale, CalibrationMethod, Conv2dParams, ConvWeights, CsrMatrix,
-    Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4, TensorResult, WorkspacePool,
+    KeptRows, Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4, TensorResult,
+    WorkspacePool,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-/// Weight sparsity above which the CSR kernel beats dense GEMM. The
-/// break-even is measured by the `gemm` criterion bench; 40 % is a
-/// conservative default for the rayon CPU kernels here.
-pub const SPARSE_THRESHOLD: f64 = 0.4;
+/// Unstructured weight sparsity above which the CSR conv kernel beats
+/// the dense GEMM: the measured crossover at batch 1 on the Caffenet
+/// conv2 shape (0.75) — conv3 crosses between 0.65 and 0.70 — from
+/// `cargo bench -p cap-bench --bench conv_strategy -- conv_form`
+/// (table in EXPERIMENTS.md "PR 14").
+pub const SPARSE_THRESHOLD: f64 = 0.75;
 
 /// Why building a derived weight form cannot fail after construction.
 const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
 
+/// What decides the stored form a [`ConvLayer`] multiplies with —
+/// properties of the weights alone, found in one scan.
+#[derive(Debug, Clone, Copy)]
+struct WeightForm {
+    /// Some filters (rows) are all zero and the rest are dense (zero
+    /// fraction at most [`SPARSE_THRESHOLD`]): f32 multiplies the kept
+    /// rows only. Int8 has no row-compacted form and goes by `sparse`.
+    filter_pruned: bool,
+    /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: CSR.
+    sparse: bool,
+}
+
+impl WeightForm {
+    fn of(weights: &Matrix) -> Self {
+        let (rows, cols) = weights.shape();
+        // All-zero rows, and the zeros among the other (kept) rows.
+        let (mut zero_rows, mut kept_zeros) = (0, 0);
+        for r in 0..rows {
+            let zeros = weights.row(r).iter().filter(|&&v| v == 0.0).count();
+            if zeros == cols {
+                zero_rows += 1;
+            } else {
+                kept_zeros += zeros;
+            }
+        }
+        let above = |zeros: usize, of: usize| zeros as f64 / of.max(1) as f64 > SPARSE_THRESHOLD;
+        WeightForm {
+            filter_pruned: zero_rows > 0 && !above(kept_zeros, (rows - zero_rows) * cols),
+            sparse: above(zero_rows * cols + kept_zeros, rows * cols),
+        }
+    }
+}
+
 /// 2-D convolution layer (optionally grouped, AlexNet-style).
 ///
-/// Weights are stored dense. Whether they run dense or CSR is decided
-/// **once**, when they are set (`new` / `set_weights`): a zero fraction
-/// above [`SPARSE_THRESHOLD`] selects the CSR form, so pruning
-/// translates into real wall-clock savings exactly as in the
-/// sparse-Caffe substrate of the paper — and a forward pass never
-/// rescans the weights to find out. The derived forms (per-group CSR
-/// bands, int8 quantizations) are built on the first forward that needs
-/// them and dropped by `set_weights`; im2col scratch comes from a
+/// Weights are stored dense. The form they run in is decided **once**,
+/// when they are set (`new` / `set_weights`), so a forward pass never
+/// rescans them to find out: all-zero filters — what L1 filter pruning
+/// leaves — are dropped and the kept rows run through the dense GEMM,
+/// so the time of a filter-pruned layer falls with the filters that
+/// remain (`repro --exp profile`); otherwise a zero fraction above
+/// [`SPARSE_THRESHOLD`] selects the CSR form, which pays only at high
+/// unstructured sparsity. The derived forms (per-group kept-row or CSR
+/// bands, int8 quantizations) are built on the first forward that
+/// needs them and dropped by `set_weights`; im2col scratch comes from a
 /// per-layer [`WorkspacePool`], so steady-state forwards allocate
 /// nothing, take no lock and touch no reference count.
 pub struct ConvLayer {
@@ -33,13 +71,14 @@ pub struct ConvLayer {
     params: Conv2dParams,
     weights: Matrix,
     bias: Vec<f32>,
-    /// `weights.sparsity(0.0) > SPARSE_THRESHOLD`, as of the last
-    /// `new`/`set_weights`.
-    sparse: bool,
+    /// `WeightForm::of(&weights)`, as of the last `new`/`set_weights`.
+    form: WeightForm,
+    /// Per-group kept rows of `weights` (filter-pruned f32 path).
+    kept_rows: OnceLock<Vec<KeptRows>>,
     /// Per-group CSR split of `weights` (sparse f32 path).
     csr: OnceLock<Vec<CsrMatrix>>,
     /// Int8 quantization of `weights` (dense int8 path). Lazy rather
-    /// than decided with `sparse`: `precision::force` can flip the
+    /// than decided with `form`: `precision::force` can flip the
     /// precision at run time.
     dense_i8: OnceLock<Vec<QuantizedA>>,
     /// Int8 quantization of the CSR split (sparse int8 path).
@@ -80,9 +119,10 @@ impl ConvLayer {
         Ok(Self {
             name: name.into(),
             params,
-            sparse: weights.sparsity(0.0) > SPARSE_THRESHOLD,
+            form: WeightForm::of(&weights),
             weights,
             bias,
+            kept_rows: OnceLock::new(),
             csr: OnceLock::new(),
             dense_i8: OnceLock::new(),
             csr_i8: OnceLock::new(),
@@ -121,7 +161,11 @@ impl ConvLayer {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
         let (w, p) = (&self.weights, &self.params);
-        let weights = match (precision::selected(), self.sparse) {
+        let weights = match (precision::selected(), self.form.sparse) {
+            (Precision::F32, _) if self.form.filter_pruned => ConvWeights::DenseRows(
+                self.kept_rows
+                    .get_or_init(|| ConvWeights::kept_row_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+            ),
             (Precision::F32, false) => ConvWeights::Dense(w),
             (Precision::F32, true) => ConvWeights::Csr(
                 self.csr
@@ -203,8 +247,9 @@ impl Layer for ConvLayer {
                 self.weights.shape()
             )));
         }
-        self.sparse = weights.sparsity(0.0) > SPARSE_THRESHOLD;
+        self.form = WeightForm::of(&weights);
         self.weights = weights;
+        self.kept_rows = OnceLock::new();
         self.csr = OnceLock::new();
         self.dense_i8 = OnceLock::new();
         self.csr_i8 = OnceLock::new();
@@ -243,7 +288,7 @@ mod tests {
         let dense = layer(false);
         let mut sparse_weights = dense.weights().unwrap().clone();
         for (i, v) in sparse_weights.as_mut_slice().iter_mut().enumerate() {
-            if i % 2 == 0 {
+            if i % 5 != 0 {
                 *v = 0.0;
             }
         }

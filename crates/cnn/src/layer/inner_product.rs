@@ -9,14 +9,22 @@ use cap_tensor::{
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-use super::conv::SPARSE_THRESHOLD;
+/// Weight sparsity above which the CSR matvec beats the packed dense
+/// GEMV at batch 1. Both sides are bandwidth-bound (the dense one
+/// streams every weight once, the sparse one each stored value plus a
+/// column index, through a scalar kernel), so this is not the conv
+/// crossover: measured at 0.8 on the Caffenet fc7 shape by `cargo bench
+/// -p cap-bench --bench conv_strategy -- fc_form` (table in
+/// EXPERIMENTS.md "PR 14").
+pub const FC_SPARSE_THRESHOLD: f64 = 0.8;
 
 /// Fully-connected layer: flattens each image to a vector and applies
 /// `y = W x + b` with `W: out × in`.
 ///
-/// Like [`super::ConvLayer`], pruned (sparse) weights switch execution to
-/// the CSR kernel, and that choice is made once, when the weights are
-/// set — never per forward.
+/// Like [`super::ConvLayer`], weights pruned past a measured sparsity
+/// ([`FC_SPARSE_THRESHOLD`]) switch execution to the CSR kernel, and
+/// that choice is made once, when the weights are set — never per
+/// forward.
 pub struct InnerProductLayer {
     name: String,
     in_features: usize,
@@ -29,7 +37,7 @@ pub struct InnerProductLayer {
     /// happens once here, not per forward call.
     packed_t: PackedB,
     bias: Vec<f32>,
-    /// `weights.sparsity(0.0) > SPARSE_THRESHOLD`, as of the last
+    /// `weights.sparsity(0.0) > FC_SPARSE_THRESHOLD`, as of the last
     /// `new`/`set_weights`.
     sparse: bool,
     /// CSR view of `weights`, built on the first sparse forward;
@@ -63,7 +71,7 @@ impl InnerProductLayer {
             name: name.into(),
             in_features,
             out_features,
-            sparse: weights.sparsity(0.0) > SPARSE_THRESHOLD,
+            sparse: weights.sparsity(0.0) > FC_SPARSE_THRESHOLD,
             weights,
             packed_t,
             bias,
@@ -279,7 +287,7 @@ impl Layer for InnerProductLayer {
             )));
         }
         self.packed_t = PackedB::pack(&weights.transpose());
-        self.sparse = weights.sparsity(0.0) > SPARSE_THRESHOLD;
+        self.sparse = weights.sparsity(0.0) > FC_SPARSE_THRESHOLD;
         self.weights = weights;
         self.csr = OnceLock::new();
         self.packed_t_i8 = OnceLock::new();
@@ -329,7 +337,7 @@ mod tests {
     fn sparse_path_matches_dense() {
         let mut w = Matrix::from_fn(6, 10, |r, c| ((r + c) % 3) as f32 - 1.0);
         for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-            if i % 2 == 0 {
+            if i % 7 != 0 {
                 *v = 0.0;
             }
         }
@@ -339,7 +347,7 @@ mod tests {
             gemm(&w, &x).unwrap()
         };
         let fc = InnerProductLayer::new("fc_t", w, vec![0.0; 6]).unwrap();
-        assert!(fc.weight_sparsity() > SPARSE_THRESHOLD);
+        assert!(fc.weight_sparsity() > FC_SPARSE_THRESHOLD);
         let x_t = Matrix::from_fn(10, 3, |r, c| (r as f32 - c as f32) / 4.0).transpose();
         let x = Tensor4::from_matrix(&x_t, 10, 1, 1).unwrap();
         let y = fc.forward(&[&x]).unwrap();

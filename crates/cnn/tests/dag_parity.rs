@@ -13,6 +13,7 @@ use cap_cnn::dag::{self, DagMode};
 use cap_cnn::fusion::{self, FusionMode};
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
+    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{DagExecutor, NoopTracer, ParallelEngine};
@@ -31,16 +32,18 @@ fn force_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Zero every weight except each `keep_every`-th, so the layer crosses
-/// its sparse threshold and runs the CSR kernels.
-fn prune(w: &Matrix, keep_every: usize) -> Matrix {
+/// its sparse `threshold` and runs the CSR kernels.
+fn prune(w: &Matrix, keep_every: usize, threshold: f64) -> Matrix {
     let (rows, cols) = w.shape();
-    Matrix::from_fn(rows, cols, |r, c| {
+    let pruned = Matrix::from_fn(rows, cols, |r, c| {
         if (r * cols + c) % keep_every == 0 {
             w.get(r, c)
         } else {
             0.0
         }
-    })
+    });
+    assert!(pruned.sparsity(0.0) > threshold);
+    pruned
 }
 
 /// Generate a random branchy DAG: a conv→relu stem that fans out into
@@ -72,7 +75,7 @@ fn build_random_net(seed: u64, branches: usize, depth: usize, sparse: bool) -> N
                     let p = Conv2dParams::new(4, 4, 3, 1, 1);
                     let mut w = xavier_uniform(4, 36, seed + (b * 10 + d) as u64 + 1);
                     if sparse {
-                        w = prune(&w, 4);
+                        w = prune(&w, 5, SPARSE_THRESHOLD);
                     }
                     let c = net
                         .add_layer(
@@ -114,7 +117,7 @@ fn build_random_net(seed: u64, branches: usize, depth: usize, sparse: bool) -> N
     let (c, h, w) = net.shape_of(joined).unwrap();
     let mut wfc = xavier_uniform(10, c * h * w, seed + 99);
     if sparse {
-        wfc = prune(&wfc, 5);
+        wfc = prune(&wfc, 6, FC_SPARSE_THRESHOLD);
     }
     net.add_layer(
         Box::new(InnerProductLayer::new("fc", wfc, vec![0.01; 10]).unwrap()),

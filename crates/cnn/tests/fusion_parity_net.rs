@@ -11,7 +11,10 @@
 //! binary; other test binaries are separate processes).
 
 use cap_cnn::fusion::{self, FusionMode};
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer};
+use cap_cnn::layer::{
+    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
+    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD,
+};
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{run_batched, NoopTracer};
 use cap_tensor::init::xavier_uniform;
@@ -28,16 +31,18 @@ fn force_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Zero every weight except each `keep_every`-th, so the layer crosses
-/// its sparse threshold and runs the CSR kernels.
-fn prune(w: &Matrix, keep_every: usize) -> Matrix {
+/// its sparse `threshold` and runs the CSR kernels.
+fn prune(w: &Matrix, keep_every: usize, threshold: f64) -> Matrix {
     let (rows, cols) = w.shape();
-    Matrix::from_fn(rows, cols, |r, c| {
+    let pruned = Matrix::from_fn(rows, cols, |r, c| {
         if (r * cols + c) % keep_every == 0 {
             w.get(r, c)
         } else {
             0.0
         }
-    })
+    });
+    assert!(pruned.sparsity(0.0) > threshold);
+    pruned
 }
 
 /// conv → relu → pool → conv(optionally pruned) → relu →
@@ -67,7 +72,7 @@ fn build_net(seed: u64, sparse: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if sparse {
-        w2 = prune(&w2, 5);
+        w2 = prune(&w2, 5, SPARSE_THRESHOLD);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net
@@ -81,7 +86,7 @@ fn build_net(seed: u64, sparse: bool) -> Network {
         .unwrap();
     let mut w3 = xavier_uniform(16, 6 * 36, seed + 2);
     if sparse {
-        w3 = prune(&w3, 4);
+        w3 = prune(&w3, 6, FC_SPARSE_THRESHOLD);
     }
     let fc1 = net
         .add_layer(

@@ -1,23 +1,35 @@
-//! A layer decides its weight form (dense or CSR) when its weights are
-//! set and builds the derived forms (CSR bands, int8 quantizations)
-//! lazily. `set_weights` must drop every one of them: after dense →
-//! pruned → dense swaps, with the precision override toggled between
-//! passes so each lazy form gets built and then orphaned, every output
-//! must be bitwise equal to a freshly constructed layer holding the
-//! same weights. A stale form surviving `set_weights` fails this.
+//! A layer decides its weight form (dense, kept rows or CSR) when its
+//! weights are set and builds the derived forms (kept-row and CSR
+//! bands, int8 quantizations) lazily. `set_weights` must drop every one
+//! of them: after dense → filter-pruned → magnitude-pruned → dense
+//! swaps, with the precision override toggled between passes so each
+//! lazy form gets built and then orphaned, every output must be bitwise
+//! equal to a freshly constructed layer holding the same weights. A
+//! stale form surviving `set_weights` fails this.
 //!
 //! `precision::force` is process-global; this file is its own test
 //! binary with a single test, so nothing races it.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, SPARSE_THRESHOLD};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4};
 
-fn pruned(mut w: Matrix) -> Matrix {
+/// Unstructured zeros past both layers' CSR thresholds, no row emptied.
+fn magnitude_pruned(mut w: Matrix) -> Matrix {
     for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-        if i % 3 != 0 {
+        if i % 6 != 0 {
             *v = 0.0;
         }
+    }
+    w
+}
+
+/// Every second row zeroed, the rest left dense, as filter pruning
+/// leaves them: short of the CSR thresholds, so a conv layer runs its
+/// kept rows.
+fn filter_pruned(mut w: Matrix) -> Matrix {
+    for r in (0..w.rows()).step_by(2) {
+        w.row_mut(r).fill(0.0);
     }
     w
 }
@@ -26,21 +38,34 @@ fn bits(t: &Tensor4) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Drive `layer` through dense → pruned → dense → pruned weights (a
-/// different matrix every round, so a form left over from any earlier
-/// round is wrong), running both precisions and both fusion flavors
-/// after every swap, against `fresh(weights)` — a newly constructed
-/// layer with the same weights.
+/// Drive `layer` through dense → filter-pruned → magnitude-pruned →
+/// dense weights (a different matrix every round, so a form left over
+/// from any earlier round is wrong), running both precisions and both
+/// fusion flavors after every swap, against `fresh(weights)` — a newly
+/// constructed layer with the same weights.
 fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) -> L, x: &Tensor4) {
+    let csr_threshold = SPARSE_THRESHOLD.max(FC_SPARSE_THRESHOLD);
     for round in 0..4 {
         let dense = xavier_uniform(shape.0, shape.1, 20 + round as u64);
-        let weights = if round % 2 == 1 { pruned(dense) } else { dense };
+        let weights = match round {
+            1 => filter_pruned(dense),
+            2 => magnitude_pruned(dense),
+            _ => dense,
+        };
+        let zero_rows = (0..shape.0)
+            .filter(|&r| weights.row(r).iter().all(|&v| v == 0.0))
+            .count();
         layer.set_weights(weights.clone()).unwrap();
         let reference = fresh(weights);
         assert_eq!(
-            layer.weight_sparsity() > SPARSE_THRESHOLD,
-            round % 2 == 1,
+            layer.weight_sparsity() > csr_threshold,
+            round == 2,
             "round {round} is on the wrong side of the sparse threshold"
+        );
+        assert_eq!(
+            zero_rows > 0,
+            round == 1,
+            "round {round}: {zero_rows} zero rows"
         );
         for precision in [Precision::F32, Precision::Int8, Precision::F32] {
             precision::force(Some(precision));

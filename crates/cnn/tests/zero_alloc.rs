@@ -9,7 +9,7 @@
 
 use cap_cnn::layer::{
     ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
-    SoftmaxLayer,
+    SoftmaxLayer, FC_SPARSE_THRESHOLD,
 };
 use cap_cnn::network::{ForwardArena, Network};
 use cap_cnn::NoopTracer;
@@ -199,6 +199,35 @@ fn steady_state_inference_allocates_nothing() {
     });
     assert_eq!(allocs, 0, "shrunken batch must reuse grown buffers");
 
+    // The filter-pruned conv route: whole filters zeroed, as L1 filter
+    // pruning leaves them, so both convs multiply their kept rows only
+    // and move them into place inside the output band. Warm-up absorbs
+    // the lazy kept-row copy; steady state must stay silent, and the
+    // activation arena must be no larger than the dense net's.
+    {
+        let mut pruned_net = caffenet_shaped();
+        for name in ["conv1", "conv2"] {
+            let mut w = pruned_net.layer(name).unwrap().weights().unwrap().clone();
+            for r in (0..w.rows()).filter(|r| r % 3 != 1) {
+                w.row_mut(r).fill(0.0);
+            }
+            pruned_net.set_layer_weights(name, w).unwrap();
+        }
+        let mut pruned_arena = ForwardArena::new();
+        for _ in 0..3 {
+            pruned_net.forward_into(&images, &mut pruned_arena).unwrap();
+        }
+        let allocs = min_allocs_over(5, 10, || {
+            pruned_net.forward_into(&images, &mut pruned_arena).unwrap();
+        });
+        assert_eq!(
+            allocs, 0,
+            "filter-pruned conv (kept rows) must not allocate (got {allocs})",
+        );
+        net.forward_into(&images, &mut arena).unwrap();
+        assert!(pruned_arena.reserved_bytes() <= arena.reserved_bytes());
+    }
+
     // The batch-1 pruned-FC route: the fused CSR matvec
     // (`matvec_into`) runs straight from the input slice into the
     // arena slot — no Xᵀ/Y staging matrices, no transposes. Warm-up
@@ -208,12 +237,13 @@ fn steady_state_inference_allocates_nothing() {
         let dense = xavier_uniform(10, 48, 21);
         let (rows, cols) = dense.shape();
         let pruned = Matrix::from_fn(rows, cols, |r, c| {
-            if (r * cols + c) % 4 == 0 {
+            if (r * cols + c) % 6 == 0 {
                 dense.get(r, c)
             } else {
                 0.0
             }
         });
+        assert!(pruned.sparsity(0.0) > FC_SPARSE_THRESHOLD);
         let mut sparse_net = Network::new("sparse-fc", (48, 1, 1));
         sparse_net
             .add_sequential(Box::new(

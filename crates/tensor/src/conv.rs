@@ -1,7 +1,8 @@
 //! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
-//! ([`ConvWeights`]: dense or CSR, f32 or int8) and the one im2col+GEMM
-//! driver ([`conv2d`]) every form runs through. The direct
-//! sliding-window oracle lives in [`crate::reference`].
+//! ([`ConvWeights`]: dense, dense over the kept filters only, or CSR;
+//! f32 or int8) and the one im2col+GEMM driver ([`conv2d`]) every form
+//! runs through. The direct sliding-window oracle lives in
+//! [`crate::reference`].
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
@@ -191,23 +192,75 @@ impl Conv2dParams {
     }
 }
 
+/// One channel group's filters with the all-zero rows — the filters
+/// that filter pruning removed — left out: the ascending in-group
+/// indices of the rows that hold a non-zero weight, and a row-major
+/// copy of just those rows. Built by [`ConvWeights::kept_row_bands`].
+#[derive(Debug, Clone)]
+pub struct KeptRows {
+    rows: Vec<usize>,
+    /// `rows.len() × col_rows`.
+    weights: Vec<f32>,
+}
+
+impl KeptRows {
+    /// Finish a group's output band whose head holds the plain product
+    /// of the kept rows: back to front, move product row `i` to output
+    /// row `rows[i]` with the bias and ReLU applied on the way, and
+    /// fill every pruned row with the constant its all-zero filter
+    /// yields. Back to front because `rows[i] >= i`: a row's
+    /// destination never holds a product row that has yet to move.
+    fn spread(&self, dst: &mut [f32], n_out: usize, bias: Option<&[f32]>, relu: bool) {
+        let finish = |v: f32, b: Option<f32>| kernels::scalar::epilogue_one(v, b, relu);
+        let mut kept = self.rows.len();
+        for r in (0..dst.len() / n_out.max(1)).rev() {
+            let b = bias.map(|b| b[r]);
+            let (head, tail) = dst.split_at_mut(r * n_out);
+            let row = &mut tail[..n_out];
+            if kept > 0 && self.rows[kept - 1] == r {
+                kept -= 1;
+                if kept == r {
+                    row.iter_mut().for_each(|v| *v = finish(*v, b));
+                } else {
+                    let product = &head[kept * n_out..(kept + 1) * n_out];
+                    for (d, &s) in row.iter_mut().zip(product) {
+                        *d = finish(s, b);
+                    }
+                }
+            } else {
+                row.fill(finish(0.0, b));
+            }
+        }
+    }
+}
+
 /// The weight operand of [`conv2d`]: which stored form of the
 /// `out_channels × in_per_group*kh*kw` filter matrix the multiply runs
 /// on. A borrowed, `Copy` view — the owner (a layer, a test) keeps
 /// whichever forms it needs and hands one over per call.
 ///
-/// Every banded form holds one entry per channel group, each
-/// `out_per_group` rows; [`ConvWeights::csr_bands`],
-/// [`ConvWeights::i8_bands`] and [`ConvWeights::csr_i8_bands`] build
-/// them from the dense matrix.
+/// Every banded form holds one entry per channel group, each standing
+/// for `out_per_group` rows; [`ConvWeights::kept_row_bands`],
+/// [`ConvWeights::csr_bands`], [`ConvWeights::i8_bands`] and
+/// [`ConvWeights::csr_i8_bands`] build them from the dense matrix.
 #[derive(Debug, Clone, Copy)]
 pub enum ConvWeights<'a> {
     /// Dense f32. Group `g`'s filters are the contiguous row band
     /// `g*out_per_group..`, so no per-group copy exists. Lowering is
     /// the fused im2col-and-pack; the multiply is [`gemm_packed`].
     Dense(&'a Matrix),
-    /// f32 CSR, for pruned weights: cost scales with stored values,
-    /// which is how pruning turns into wall-clock savings. Lowering is
+    /// Dense f32 over the kept filters only, for filter-pruned weights
+    /// (whole rows zero): the same lowering and [`gemm_packed`] as
+    /// [`ConvWeights::Dense`] on a matrix with the zero rows removed,
+    /// so cost scales with the filters that remain — this is how
+    /// filter pruning turns into wall-clock savings. Kept channels are
+    /// bitwise equal to `Dense` on the same weights (same ascending-`kk`
+    /// sums) on every bit-identical kernel path; pruned channels hold
+    /// `epi(0.0 + bias)`.
+    DenseRows(&'a [KeptRows]),
+    /// f32 CSR, for weights with unstructured sparsity: cost scales
+    /// with stored values, at a per-value price several times the
+    /// dense kernel's, so it pays only at high sparsity. Lowering is
     /// the row-major im2col; the multiply is [`CsrMatrix::spmm_into`].
     Csr(&'a [CsrMatrix]),
     /// Int8 dense: pre-quantized weight bands against activations
@@ -233,6 +286,29 @@ pub enum ConvWeights<'a> {
 }
 
 impl ConvWeights<'_> {
+    /// Per-group split of dense `weights` into the rows that hold a
+    /// non-zero weight (a NaN counts as one).
+    pub fn kept_row_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<KeptRows>> {
+        params.check_weights(weights.shape())?;
+        let opg = params.out_per_group();
+        Ok((0..params.groups)
+            .map(|g| {
+                let mut band = KeptRows {
+                    rows: Vec::new(),
+                    weights: Vec::new(),
+                };
+                for r in 0..opg {
+                    let row = weights.row(g * opg + r);
+                    if row.iter().any(|&v| v != 0.0) {
+                        band.rows.push(r);
+                        band.weights.extend_from_slice(row);
+                    }
+                }
+                band
+            })
+            .collect())
+    }
+
     /// Per-group CSR split of dense `weights` (zeros dropped; index
     /// arithmetic only, no densify round-trip).
     pub fn csr_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<CsrMatrix>> {
@@ -290,6 +366,20 @@ impl ConvWeights<'_> {
         }
         match self {
             ConvWeights::Dense(w) => params.check_weights(w.shape()),
+            ConvWeights::DenseRows(b) => {
+                let fits = |band: &KeptRows| {
+                    band.weights.len() == band.rows.len() * params.col_rows()
+                        && band.rows.last().is_none_or(|&r| r < params.out_per_group())
+                };
+                if b.len() != params.groups || !b.iter().all(fits) {
+                    return Err(ShapeError::new(format!(
+                        "conv: expected {} kept-row bands within {:?}",
+                        params.groups,
+                        (params.out_per_group(), params.col_rows())
+                    )));
+                }
+                Ok(())
+            }
             ConvWeights::Csr(b) => bands(b.iter().map(|m| m.shape()), params),
             ConvWeights::DenseI8 { bands: b, .. } => {
                 bands(b.iter().map(|q| (q.rows(), q.k())), params)
@@ -314,6 +404,13 @@ impl ConvWeights<'_> {
 /// copied afterwards. `relu` appends the `forward_into`-flavor ReLU;
 /// the result is bitwise identical to the unfused convolution followed
 /// by a standalone ReLU layer, on every bit-identical kernel path.
+///
+/// [`ConvWeights::DenseRows`] treats a pruned filter as absent rather
+/// than as zeros. A group whose filters are all pruned is neither
+/// lowered nor multiplied, and a layer with every filter pruned is its
+/// bias broadcast. With non-finite activations a pruned channel
+/// still reads `epi(0.0 + bias)`, where [`ConvWeights::Dense`] on the
+/// same weights reads NaN (`0·inf`).
 ///
 /// Lowering scratch comes from `pool` (one workspace per rayon worker)
 /// and `out` is reshaped in place, so steady-state calls allocate
@@ -347,6 +444,7 @@ pub fn conv2d(
     let timing = cap_obs::timing_enabled();
     let metrics = cap_obs::metrics();
     let path = kernels::selected();
+    let lowers_packed = matches!(weights, ConvWeights::Dense(_) | ConvWeights::DenseRows(_));
 
     // Pair output and input images by chunking both flat buffers — no
     // per-call Vec of image slices, keeping the steady state allocation-free.
@@ -357,7 +455,7 @@ pub fn conv2d(
             || pool.checkout(),
             |ws, (out_img, in_img)| -> TensorResult<()> {
                 let Workspace { cols, packed, qbuf } = &mut **ws;
-                if !matches!(weights, ConvWeights::Dense(_)) {
+                if !lowers_packed {
                     // Every form but dense f32 lowers through the
                     // row-major patch matrix.
                     cols.resize(col_rows, n_out);
@@ -372,11 +470,18 @@ pub fn conv2d(
                         bias: row_bias.map(EpiBias::PerRow),
                         relu,
                     };
+                    if let ConvWeights::DenseRows(bands) = weights {
+                        if bands[g].rows.is_empty() {
+                            // No filter kept: nothing to lower or multiply.
+                            bands[g].spread(dst, n_out, row_bias, relu);
+                            continue;
+                        }
+                    }
                     // Quantizing the patch matrix is lowering cost too,
                     // credited to the im2col side of the time split.
                     let t_col = split_clock(timing);
                     let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
-                    if let ConvWeights::Dense(_) = weights {
+                    if lowers_packed {
                         // Fused unroll+pack: emit the GEMM's panel layout
                         // directly — one write pass over the activations
                         // instead of a write plus a full read+write.
@@ -391,7 +496,8 @@ pub fn conv2d(
                         ConvWeights::CsrI8 { act_scale, .. } => {
                             quantize_dense_i8_into(cols.as_slice(), 1.0 / act_scale, qbuf);
                         }
-                        ConvWeights::Dense(_) | ConvWeights::Csr(_) => {}
+                        ConvWeights::Dense(_) | ConvWeights::DenseRows(_) | ConvWeights::Csr(_) => {
+                        }
                     }
                     credit_ns(t_col, &metrics.im2col_time_ns);
 
@@ -406,6 +512,24 @@ pub fn conv2d(
                             dst,
                             epi,
                         )?,
+                        ConvWeights::DenseRows(bands) => {
+                            // The plain product of the kept rows goes
+                            // to the head of the band; `spread` then
+                            // moves each row to its channel (no side
+                            // buffer), applying the epilogue there.
+                            let band = &bands[g];
+                            let kept = band.rows.len();
+                            gemm_packed(
+                                &band.weights,
+                                kept,
+                                col_rows,
+                                n_out,
+                                packed.as_slice(),
+                                &mut dst[..kept * n_out],
+                                Epilogue::NONE,
+                            )?;
+                            band.spread(dst, n_out, row_bias, relu);
+                        }
                         ConvWeights::Csr(bands) => {
                             bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
                         }

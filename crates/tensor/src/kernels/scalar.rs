@@ -10,11 +10,27 @@
 use super::{EpiBias, Epilogue, PANEL, ROW_BLOCK};
 use crate::pool::Pool2dParams;
 
-/// Apply a fused epilogue to the already-stored rows of a band: bias
-/// first (per-row or per-column), then the `forward_into` ReLU flavor
+/// The fused epilogue on one element: the bias add (skipped, not
+/// zero-filled, for `None`), then the `forward_into` ReLU flavor
 /// (`v > 0.0` keeps `v`, everything else — negatives, `-0.0`, NaN —
-/// becomes `+0.0`). `row0` is the absolute index of the band's first
-/// row, used to index a per-row bias.
+/// becomes `+0.0`). Every scalar epilogue is this sequence; the AVX2
+/// stores perform the same two operations eight lanes at a time.
+#[inline(always)]
+pub fn epilogue_one(v: f32, bias: Option<f32>, relu: bool) -> f32 {
+    let v = match bias {
+        Some(b) => v + b,
+        None => v,
+    };
+    if !relu || v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
+/// Apply a fused epilogue ([`epilogue_one`] per element) to the
+/// already-stored rows of a band. `row0` is the absolute index of the
+/// band's first row, used to index a per-row bias.
 ///
 /// The scalar fused kernels run the plain kernel and then this pass
 /// over the cache-resident band. That is bitwise identical to applying
@@ -25,25 +41,25 @@ fn apply_epilogue(c_band: &mut [f32], n: usize, row0: usize, epi: Epilogue<'_>) 
     match epi.bias {
         Some(EpiBias::PerRow(b)) => {
             for (local_r, row) in c_band.chunks_mut(n.max(1)).enumerate() {
-                let bv = b[row0 + local_r];
+                let bv = Some(b[row0 + local_r]);
                 for v in row {
-                    *v += bv;
+                    *v = epilogue_one(*v, bv, epi.relu);
                 }
             }
         }
         Some(EpiBias::PerCol(b)) => {
             for row in c_band.chunks_mut(n.max(1)) {
                 for (v, &bv) in row.iter_mut().zip(b.iter()) {
-                    *v += bv;
+                    *v = epilogue_one(*v, Some(bv), epi.relu);
                 }
             }
         }
-        None => {}
-    }
-    if epi.relu {
-        for v in c_band {
-            *v = if *v > 0.0 { *v } else { 0.0 };
+        None if epi.relu => {
+            for v in c_band {
+                *v = epilogue_one(*v, None, true);
+            }
         }
+        None => {}
     }
 }
 
@@ -230,14 +246,7 @@ pub fn spmm_row(
         return;
     }
     for v in c_row.iter_mut().take(n) {
-        let mut y = *v;
-        if let Some(b) = bias {
-            y += b;
-        }
-        if relu {
-            y = if y > 0.0 { y } else { 0.0 };
-        }
-        *v = y;
+        *v = epilogue_one(*v, bias, relu);
     }
 }
 
@@ -254,13 +263,7 @@ pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu:
     for (&v, &c) in values.iter().zip(col_idx.iter()) {
         y += v * x[c as usize];
     }
-    if let Some(b) = bias {
-        y += b;
-    }
-    if relu {
-        y = if y > 0.0 { y } else { 0.0 };
-    }
-    y
+    epilogue_one(y, bias, relu)
 }
 
 /// `c_row[j] += a * b_row[j]`. See [`super::axpy_with`].

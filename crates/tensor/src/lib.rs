@@ -11,14 +11,14 @@
 //!   rayon-parallel GEMM ([`gemm()`]).
 //! * [`Tensor4`] — NCHW activation tensor used by the CNN layers.
 //! * [`CsrMatrix`] — compressed sparse row matrix with sparse×dense
-//!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel that turns
-//!   pruning ratios into wall-clock savings.
+//!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel for
+//!   weights with high unstructured sparsity.
 //! * [`im2col()`] / [`col2im`] — the lowering that expresses convolution as
 //!   GEMM, exactly as Caffe does.
 //! * [`conv`] and [`pool`] — the one convolution driver ([`conv2d`]:
-//!   im2col + GEMM over a [`ConvWeights`] form — dense or CSR, f32 or
-//!   int8 — with bias/ReLU as a fused [`Epilogue`]) and max/average
-//!   pooling kernels.
+//!   im2col + GEMM over a [`ConvWeights`] form — dense, dense over the
+//!   filters pruning kept, or CSR; f32 or int8 — with bias/ReLU as a
+//!   fused [`Epilogue`]) and max/average pooling kernels.
 //! * [`workspace`] — reusable scratch arenas ([`Workspace`],
 //!   [`WorkspacePool`]) behind the zero-allocation steady state.
 //! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
@@ -54,7 +54,7 @@ pub mod sparse;
 pub mod tensor4;
 pub mod workspace;
 
-pub use conv::{conv2d, Conv2dParams, ConvWeights};
+pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
 pub use gemm::{gemm, gemm_packed, gemm_prealloc, gemm_prepacked, PackedB};

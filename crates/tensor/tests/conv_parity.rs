@@ -16,6 +16,11 @@
 //!   the same weights on every path (exact i32 accumulation is
 //!   order-free; the dequantize epilogue is the same float sequence).
 //!
+//! * kept-rows f32 (`DenseRows`, filter-pruned weights): **bitwise**
+//!   equal (on bit-identical kernel paths) to `Dense` on the same
+//!   zero-row weights over every row pattern that changes its control
+//!   flow, within 1e-4 of the oracle, and no more scratch than `Dense`.
+//!
 //! One `WorkspacePool` and one output tensor serve the whole table, so
 //! every case after the first starts from scratch dirtied by earlier,
 //! differently-shaped work — results must not depend on it.
@@ -187,4 +192,149 @@ fn every_weight_form_matches_the_direct_oracle() {
             }
         }
     }
+}
+
+/// `weights(params, false)` with the listed filters (rows) zeroed.
+fn filter_pruned(params: &Conv2dParams, pruned_rows: &[usize]) -> Matrix {
+    let mut w = weights(params, false);
+    for &r in pruned_rows {
+        w.row_mut(r).fill(0.0);
+    }
+    w
+}
+
+#[test]
+fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
+    let pool = WorkspacePool::new();
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    let bit_identical = kernels::selected().is_bit_identical_to_scalar();
+    let all: Vec<usize> = (0..12).collect();
+    // 12 filters: one group of 12 or two of 6.
+    let patterns: [(&str, &[usize]); 7] = [
+        ("none pruned", &[]),
+        ("all pruned", &all),
+        ("first group pruned", &all[..6]),
+        ("kept count off the row block", &[1, 4, 5, 8, 10, 11]),
+        ("first and last rows pruned", &[0, 5, 6, 11]),
+        ("one kept row per group", &[0, 1, 2, 4, 5, 6, 7, 9, 10, 11]),
+        ("one kept row", &all[1..]),
+    ];
+    let bias: Vec<f32> = (0..12).map(|i| i as f32 * 0.05 - 0.3).collect();
+
+    for groups in [1usize, 2] {
+        let params = Conv2dParams::grouped(4, 12, 3, 1, 1, groups);
+        for (pattern, pruned_rows) in patterns {
+            let w = filter_pruned(&params, pruned_rows);
+            let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
+            for (batch, relu, bias) in [
+                (1usize, false, Some(&bias[..])),
+                (1, true, Some(&bias[..])),
+                (3, false, Some(&bias[..])),
+                (3, true, Some(&bias[..])),
+                (3, false, None),
+            ] {
+                let case = format!(
+                    "{pattern}: groups={groups} batch={batch} relu={relu} bias={}",
+                    bias.is_some()
+                );
+                let x = input(batch, 4, 7, 7);
+                let dense_form = ConvWeights::Dense(&w);
+                conv2d(&x, dense_form, bias, relu, &params, &pool, &mut out).unwrap();
+                let dense = out.clone();
+                // Every element must be written, not inherited.
+                out.as_mut_slice().fill(f32::NAN);
+                let kept_form = ConvWeights::DenseRows(&kept);
+                conv2d(&x, kept_form, bias, relu, &params, &pool, &mut out).unwrap();
+                if bit_identical {
+                    assert!(bits(&out) == bits(&dense), "{case}: vs dense");
+                } else {
+                    assert!(out.max_abs_diff(&dense).unwrap() < 1e-5, "{case}");
+                }
+                let mut oracle = conv2d_direct(&x, &w, bias, &params).unwrap();
+                if relu {
+                    relu_pass(&mut oracle);
+                }
+                let diff = out.max_abs_diff(&oracle).unwrap();
+                assert!(diff < 1e-4, "{case}: {diff} from the oracle");
+            }
+        }
+    }
+}
+
+/// The edge cases of treating a pruned filter as absent.
+#[test]
+fn pruned_filters_are_absent_not_zero() {
+    let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
+    let bias = [0.5f32, -0.5, 0.25, -0.0, 1.0, -2.0];
+    let epi = |b: f32, relu: bool| {
+        let v = 0.0 + b;
+        if !relu || v > 0.0 {
+            v
+        } else {
+            0.0
+        }
+    };
+    let n_out = 7 * 7;
+    let pool = WorkspacePool::new();
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    let x = input(2, 4, 7, 7);
+
+    // Group 1 entirely pruned: its channels hold the bias constant.
+    let w = filter_pruned(&params, &[3, 4, 5]);
+    let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
+    // Every filter pruned: the layer is its bias broadcast.
+    let none =
+        ConvWeights::kept_row_bands(&filter_pruned(&params, &[0, 1, 2, 3, 4, 5]), &params).unwrap();
+    for relu in [false, true] {
+        let rows = ConvWeights::DenseRows(&kept);
+        conv2d(&x, rows, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+        for n in 0..2 {
+            for (oc, &b) in bias.iter().enumerate().skip(3) {
+                let want = epi(b, relu).to_bits();
+                let got = &out.image(n)[oc * n_out..(oc + 1) * n_out];
+                assert!(got.iter().all(|v| v.to_bits() == want), "channel {oc}");
+            }
+        }
+        let rows = ConvWeights::DenseRows(&none);
+        conv2d(&x, rows, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+        for (i, v) in out.as_slice().iter().enumerate() {
+            let oc = i / n_out % 6;
+            assert_eq!(v.to_bits(), epi(bias[oc], relu).to_bits(), "element {i}");
+        }
+    }
+
+    // Non-finite activations: the dense form multiplies the zero
+    // filter through (0·inf = NaN), the kept-rows form does not.
+    let mut hot = x.clone();
+    hot.as_mut_slice().fill(f32::INFINITY);
+    let dense = ConvWeights::Dense(&w);
+    conv2d(&hot, dense, Some(&bias), false, &params, &pool, &mut out).unwrap();
+    assert!(out.image(0)[3 * n_out..].iter().all(|v| v.is_nan()));
+    let rows = ConvWeights::DenseRows(&kept);
+    conv2d(&hot, rows, Some(&bias), false, &params, &pool, &mut out).unwrap();
+    for (oc, &b) in bias.iter().enumerate().skip(3) {
+        let got = &out.image(0)[oc * n_out..(oc + 1) * n_out];
+        assert!(got.iter().all(|&v| v == b), "channel {oc}");
+    }
+}
+
+/// The kept-rows form works in the output band itself: its workspace
+/// high-water is the dense form's (the packed patch matrix), with no
+/// `kept × n_out` side buffer.
+#[test]
+fn kept_rows_form_needs_no_more_scratch_than_dense() {
+    let params = Conv2dParams::grouped(4, 12, 3, 1, 1, 2);
+    let w = filter_pruned(&params, &[1, 4, 5, 8, 10, 11]);
+    let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
+    let x = input(3, 4, 7, 7);
+    let scratch = |form: ConvWeights<'_>| {
+        let pool = WorkspacePool::new();
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        conv2d(&x, form, None, true, &params, &pool, &mut out).unwrap();
+        let held: Vec<_> = (0..pool.idle()).map(|_| pool.checkout()).collect();
+        held.iter().map(|ws| ws.reserved_bytes()).sum::<usize>()
+    };
+    let dense = scratch(ConvWeights::Dense(&w));
+    assert!(dense > 0);
+    assert_eq!(scratch(ConvWeights::DenseRows(&kept)), dense);
 }

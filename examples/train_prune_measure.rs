@@ -93,5 +93,6 @@ fn main() {
         );
     }
     println!("\nsweet-spot shape: accuracy holds at moderate ratios, falls at 90%;");
-    println!("sparse kernels pull ahead as sparsity rises (break-even ~40-50%).");
+    println!("sparse kernels pull ahead as sparsity rises (early, on convs this small;");
+    println!("on Caffenet shapes the crossover is ~75%: bench conv_strategy).");
 }
