@@ -21,7 +21,7 @@ fn build_net(seed: u64, sparse_conv: bool) -> Network {
     if sparse_conv {
         // Zero enough weights to cross the CSR threshold.
         for (i, v) in w1.as_mut_slice().iter_mut().enumerate() {
-            if i % 5 != 0 {
+            if i % 6 != 0 {
                 *v = 0.0;
             }
         }
@@ -155,10 +155,11 @@ fn arena_survives_weight_swap() {
 
     let mut w = net.layer("c1").unwrap().weights().unwrap().clone();
     for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-        if i % 5 != 0 {
+        if i % 6 != 0 {
             *v = 0.0;
         }
     }
+    assert!(w.sparsity(0.0) > SPARSE_THRESHOLD);
     net.set_layer_weights("c1", w).unwrap();
     let after_arena = net.forward_into(&x, &mut arena).unwrap().clone();
     let after_fresh = net.forward(&x).unwrap();

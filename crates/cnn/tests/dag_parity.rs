@@ -75,7 +75,7 @@ fn build_random_net(seed: u64, branches: usize, depth: usize, sparse: bool) -> N
                     let p = Conv2dParams::new(4, 4, 3, 1, 1);
                     let mut w = xavier_uniform(4, 36, seed + (b * 10 + d) as u64 + 1);
                     if sparse {
-                        w = prune(&w, 5, SPARSE_THRESHOLD);
+                        w = prune(&w, 6, SPARSE_THRESHOLD);
                     }
                     let c = net
                         .add_layer(

@@ -72,7 +72,7 @@ fn build_net(seed: u64, sparse: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if sparse {
-        w2 = prune(&w2, 5, SPARSE_THRESHOLD);
+        w2 = prune(&w2, 6, SPARSE_THRESHOLD);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

@@ -11,7 +11,9 @@
 //! activation ranges) keeps the int8 pass inside the same bound, and
 //! the sparse CSR int8 conv path tracks f32 on a pruned network.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer};
+use cap_cnn::layer::{
+    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SPARSE_THRESHOLD,
+};
 use cap_cnn::network::{Network, INPUT};
 use cap_cnn::run_batched;
 use cap_tensor::init::xavier_uniform;
@@ -51,12 +53,13 @@ fn build_net(seed: u64, prune: bool) -> Network {
     if prune {
         let (rows, cols) = w2.shape();
         w2 = Matrix::from_fn(rows, cols, |r, c| {
-            if (r * cols + c) % 5 == 0 {
+            if (r * cols + c) % 6 == 0 {
                 w2.get(r, c)
             } else {
                 0.0
             }
         });
+        assert!(w2.sparsity(0.0) > SPARSE_THRESHOLD);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

@@ -11,7 +11,9 @@
 //! On non-AVX2 hosts `available_paths()` is `[Scalar]` and the
 //! comparison degenerates to scalar vs scalar — a pass, never a skip.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer};
+use cap_cnn::layer::{
+    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer, SPARSE_THRESHOLD,
+};
 use cap_cnn::network::{Network, INPUT};
 use cap_cnn::run_batched;
 use cap_tensor::init::xavier_uniform;
@@ -43,12 +45,13 @@ fn build_net(seed: u64, prune: bool) -> Network {
     if prune {
         let (rows, cols) = w2.shape();
         w2 = Matrix::from_fn(rows, cols, |r, c| {
-            if (r * cols + c) % 5 == 0 {
+            if (r * cols + c) % 6 == 0 {
                 w2.get(r, c)
             } else {
                 0.0
             }
         });
+        assert!(w2.sparsity(0.0) > SPARSE_THRESHOLD);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

@@ -1,10 +1,16 @@
-//! Blocked, rayon-parallel dense GEMM.
+//! Dense GEMM: the unpacked reference multiply and the packed driver
+//! every conv and fully-connected layer runs on.
 //!
-//! `C = A * B` with `A: m×k`, `B: k×n`, `C: m×n`. The kernel splits `C`
-//! into row bands that are computed in parallel (each output row is owned
-//! by exactly one task, so the result is deterministic), and uses a
-//! k-blocked inner loop with a column-contiguous accumulation over `B`
-//! rows, which vectorizes well.
+//! `C = A * B` with `A: m×k`, `B: k×n`, `C: m×n`. [`gemm_prealloc`] is
+//! the plain row-major multiply (a k-blocked axpy walk over `B` rows)
+//! the packed path is pinned against; [`gemm_packed`] walks a
+//! panel-packed `B` in L2-sized column strips with a register-blocked
+//! microkernel. Both split `C` into row bands through the `rayon`
+//! iterator API — each output row is owned by exactly one task, so the
+//! result is deterministic — but this workspace's `shims/rayon` runs
+//! those iterators *sequentially* on the calling thread: parallelism
+//! comes from the batch level (`ParallelEngine`, the DAG scheduler),
+//! not from inside one multiply.
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
@@ -12,8 +18,27 @@ use crate::kernels;
 use crate::kernels::{EpiBias, Epilogue, PANEL};
 use rayon::prelude::*;
 
-/// Row-band size for parallel splitting. One band is one rayon task.
+/// Row-band size: one band is one task of the (sequential, see module
+/// docs) row split, and the unit the packed driver walks per strip.
 const ROW_BAND: usize = 32;
+
+/// Budget for one column strip of packed `B` in [`gemm_packed`]: the
+/// strip (`k × strip_cols × 4 B`) is what every row band re-reads, so
+/// it has to stay L2-resident next to the streamed `A` band and the
+/// `C` tile being written. Measured on the 2 MiB-L2 host over the 11
+/// Caffenet/Googlenet conv shapes (`cargo bench -p cap-bench --bench
+/// gemm -- gemm_layer_shapes`; table in EXPERIMENTS "PR 16"): 512 KiB
+/// is the best of 256 KiB / 512 KiB / 1 MiB / 1.5 MiB. A constant with
+/// its measurement on record, deliberately not a knob.
+const STRIP_BYTES: usize = 512 * 1024;
+
+/// Panels per column strip for a depth-`k` multiply: as many whole
+/// panel *pairs* (the AVX2 microkernel's tile width) as fit
+/// [`STRIP_BYTES`], and never fewer than one pair.
+fn strip_panels(k: usize) -> usize {
+    let panel_bytes = (k * PANEL * std::mem::size_of::<f32>()).max(1);
+    (STRIP_BYTES / panel_bytes / 2 * 2).max(2)
+}
 
 /// Columns per parallel chunk on the batch-1 (`m == 1`) GEMV route. A
 /// multiple of `PANEL` so chunk boundaries align with packed panels;
@@ -227,10 +252,22 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
 /// [`Epilogue`] for the bitwise contract. [`Epilogue::NONE`] is the
 /// plain multiply.
 ///
-/// The per-band microkernel lives in [`crate::kernels`]:
-/// register-blocked `ROW_BLOCK × PANEL` accumulation in ascending-`kk`
-/// order on every dispatch path, so results are bit-identical to
-/// [`gemm_prealloc`] and across scalar and (non-FMA) SIMD backends.
+/// The microkernel lives in [`crate::kernels`]: register-blocked
+/// `ROW_BLOCK × PANEL` accumulation in ascending-`kk` order on every
+/// dispatch path, so results are bit-identical to [`gemm_prealloc`]
+/// and across scalar and (non-FMA) SIMD backends.
+///
+/// Loop nest (`m ≥ 2`): **for each column strip of `B`, every row
+/// band**. A strip is `strip_panels(k)` panels — whole panel pairs
+/// within the 512 KiB `STRIP_BYTES` budget — so it stays in L2 while
+/// all `m / ROW_BLOCK` row blocks re-read it; the `A` band streams
+/// through once per strip and every `C` element is written exactly
+/// once. (Walking all of `B` per row block instead re-streams a
+/// 1–7 MB conv patch matrix from L3 `m/4` times.) A `B` that fits one
+/// strip is the one-iteration case of the same loop. Only the order
+/// in which tiles are visited depends on the strip size — each output
+/// element is one accumulator over its own panel — so outputs are
+/// bitwise independent of it.
 ///
 /// `m == 1` — the batch-1 inference shape — routes to the dedicated
 /// GEMV kernel instead of a degenerate one-row band: row bands cannot
@@ -274,14 +311,15 @@ pub fn gemm_packed(
             PANEL
         )));
     }
+    // Validate the epilogue against the whole output before the first
+    // store, so a short bias panics with `c_data` untouched — not after
+    // earlier bands, strips or GEMV chunks were already written.
+    epi.check(m, n);
     // Resolve the kernel path once, outside the parallel loop, and pass
     // it by value into the band tasks (worker threads must not re-read
     // process-global dispatch state mid-operation).
     let path = kernels::selected();
     if m == 1 && n > 0 {
-        // Matvec. Validate the epilogue against the *full* width up
-        // front so a short bias panics here, not per-chunk.
-        epi.check(1, n);
         c_data
             .par_chunks_mut(GEMV_COL_CHUNK)
             .enumerate()
@@ -303,21 +341,27 @@ pub fn gemm_packed(
             });
         return Ok(());
     }
-    c_data
-        .par_chunks_mut((ROW_BAND * n).max(1))
-        .enumerate()
-        .for_each(|(band, c_band)| {
-            kernels::gemm_packed_band_with(
-                path,
-                a_data,
-                k,
-                n,
-                packed_b,
-                c_band,
-                band * ROW_BAND,
-                epi,
-            );
-        });
+    let panels = n.div_ceil(PANEL);
+    let strip = strip_panels(k);
+    for p0 in (0..panels).step_by(strip) {
+        let strip_range = p0..(p0 + strip).min(panels);
+        c_data
+            .par_chunks_mut(ROW_BAND * n)
+            .enumerate()
+            .for_each(|(band, c_band)| {
+                kernels::gemm_packed_band_with(
+                    path,
+                    a_data,
+                    k,
+                    n,
+                    packed_b,
+                    c_band,
+                    band * ROW_BAND,
+                    strip_range.clone(),
+                    epi,
+                );
+            });
+    }
     Ok(())
 }
 
@@ -471,6 +515,43 @@ mod tests {
             let want: Vec<u32> = unfused.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "m = {m}, n = {n}");
         }
+    }
+
+    #[test]
+    fn strips_are_whole_panel_pairs_within_the_budget() {
+        for k in [0usize, 1, 147, 576, 1200, 2304, 4096, 9216, 1 << 20] {
+            let strip = strip_panels(k);
+            assert!(strip >= 2 && strip.is_multiple_of(2), "k = {k}: {strip}");
+            let bytes = strip * k * PANEL * std::mem::size_of::<f32>();
+            assert!(strip == 2 || bytes <= STRIP_BYTES, "k = {k}: {bytes} B");
+        }
+        // Caffenet conv2's 1200 taps: 13 panels fit, 12 make whole pairs.
+        assert_eq!(strip_panels(1200), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-row bias has 33 entries, need 40")]
+    fn short_bias_panics_before_any_store() {
+        // 40 rows, 5 panels of 128 KiB each (three 2-panel strips): a
+        // 33-entry bias covers every tile except the second row band's.
+        // It must be caught at entry, with `c` still untouched.
+        let (m, k, n) = (40, 4100, 40);
+        let a = mat(m, k, 31);
+        let packed = PackedB::pack(&mat(k, n, 32));
+        let bias = vec![0.5f32; 33];
+        let mut c = vec![7.0f32; m * n];
+        let epi = Epilogue {
+            bias: Some(EpiBias::PerRow(&bias)),
+            relu: true,
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gemm_packed(a.as_slice(), m, k, n, packed.as_slice(), &mut c, epi)
+        }));
+        assert!(
+            c.iter().all(|&v| v == 7.0),
+            "c was written before the check"
+        );
+        std::panic::resume_unwind(outcome.expect_err("a short bias must panic"));
     }
 
     #[test]

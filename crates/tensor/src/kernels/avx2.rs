@@ -21,6 +21,7 @@
 use super::{EpiBias, Epilogue, PANEL, ROW_BLOCK};
 use crate::pool::Pool2dParams;
 use std::arch::x86_64::*;
+use std::ops::Range;
 
 /// In-register epilogue hook applied between the final accumulate and
 /// the store. The GEMM/GEMV bodies are generic over this trait and
@@ -146,6 +147,7 @@ unsafe fn store_panel(acc: __m256, row: &mut [f32], c0: usize, width: usize) {
 /// # Safety
 /// CPU must support AVX2 (verified by the dispatch layer).
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn gemm_packed_band(
     a_data: &[f32],
     k: usize,
@@ -153,14 +155,15 @@ pub unsafe fn gemm_packed_band(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    panels: Range<usize>,
     epi: Epilogue<'_>,
 ) {
     if epi.is_noop() {
-        return gemm_band_body::<false, NoEpi>(a_data, k, n, b_data, c_band, row0, NoEpi);
+        return gemm_band_body::<false, NoEpi>(a_data, k, n, b_data, c_band, row0, panels, NoEpi);
     }
     let rows_here = c_band.len() / n.max(1);
     let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
-    gemm_band_body::<false, FusedEpi>(a_data, k, n, b_data, c_band, row0, fe)
+    gemm_band_body::<false, FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
 }
 
 /// [`gemm_packed_band`] with fused multiply-add (approximate parity).
@@ -168,6 +171,7 @@ pub unsafe fn gemm_packed_band(
 /// # Safety
 /// CPU must support AVX2 and FMA (verified by the dispatch layer).
 #[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn gemm_packed_band_fma(
     a_data: &[f32],
     k: usize,
@@ -175,19 +179,21 @@ pub unsafe fn gemm_packed_band_fma(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    panels: Range<usize>,
     epi: Epilogue<'_>,
 ) {
     if epi.is_noop() {
-        return gemm_band_body::<true, NoEpi>(a_data, k, n, b_data, c_band, row0, NoEpi);
+        return gemm_band_body::<true, NoEpi>(a_data, k, n, b_data, c_band, row0, panels, NoEpi);
     }
     let rows_here = c_band.len() / n.max(1);
     let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
-    gemm_band_body::<true, FusedEpi>(a_data, k, n, b_data, c_band, row0, fe)
+    gemm_band_body::<true, FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
 }
 
 /// Shared band body; mirrors the scalar kernel's row/panel structure
 /// with `__m256` registers replacing the `[f32; PANEL]` accumulators.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
     a_data: &[f32],
     k: usize,
@@ -195,14 +201,15 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    panels: Range<usize>,
     epi: E,
 ) {
-    let panels = n.div_ceil(PANEL);
     let rows_here = c_band.len() / n.max(1);
     // Entry invariants: every raw pointer below stays inside these
-    // asserted slice bounds.
+    // asserted slice bounds (`panels` only ever narrows the walk).
+    assert!(panels.end <= n.div_ceil(PANEL));
     assert!(a_data.len() >= (row0 + rows_here) * k);
-    assert!(b_data.len() >= panels * k * PANEL);
+    assert!(b_data.len() >= panels.end * k * PANEL);
     assert!(c_band.len() >= rows_here * n);
 
     // ROW_BLOCK output rows against panel *pairs*: 8 independent FMA
@@ -219,8 +226,8 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
         let ar1 = a_data.as_ptr().add((r + 1) * k);
         let ar2 = a_data.as_ptr().add((r + 2) * k);
         let ar3 = a_data.as_ptr().add((r + 3) * k);
-        let mut p = 0;
-        while p + 2 <= panels {
+        let mut p = panels.start;
+        while p + 2 <= panels.end {
             let pn0 = b_data.as_ptr().add(p * plen);
             let pn1 = b_data.as_ptr().add((p + 1) * plen);
             let mut acc00 = _mm256_setzero_ps();
@@ -267,7 +274,7 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
             p += 2;
         }
         // Odd trailing panel: the original single-panel, 4-chain kernel.
-        for p in p..panels {
+        for p in p..panels.end {
             let panel = b_data.as_ptr().add(p * plen);
             let mut acc0 = _mm256_setzero_ps();
             let mut acc1 = _mm256_setzero_ps();
@@ -305,6 +312,7 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
             b_data,
             &mut c_band[local_r * n..(local_r + 1) * n],
             r,
+            panels.clone(),
             epi,
         );
     }
@@ -314,14 +322,17 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
 /// kernel's single-row trailing path, extracted so batch-1 inference
 /// calls it directly. Four panels per pass — 32 live accumulator
 /// lanes — while B streams through once. `row_abs` is the absolute
-/// output-row index, used only by a fused per-row bias.
+/// output-row index, used only by a fused per-row bias; `panels` is
+/// the panel range to cover (all of them on the batch-1 route, one
+/// column strip as a band's trailing row).
 ///
 /// # Safety
 /// Expanded inside `#[target_feature(enable = "avx2")]` callers only;
 /// caller guarantees `a_row` points at `k` readable floats,
-/// `b_data.len() >= n.div_ceil(PANEL) * k * PANEL` and
-/// `c_row.len() >= n`.
+/// `panels.end <= n.div_ceil(PANEL)`,
+/// `b_data.len() >= panels.end * k * PANEL` and `c_row.len() >= n`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn gemv_row_body<const FMA: bool, E: EpiApply>(
     a_row: *const f32,
     k: usize,
@@ -329,13 +340,13 @@ unsafe fn gemv_row_body<const FMA: bool, E: EpiApply>(
     b_data: &[f32],
     c_row: &mut [f32],
     row_abs: usize,
+    panels: Range<usize>,
     epi: E,
 ) {
-    let panels = n.div_ceil(PANEL);
     let plen = k * PANEL;
     {
-        let mut p = 0;
-        while p + 4 <= panels {
+        let mut p = panels.start;
+        while p + 4 <= panels.end {
             let pn0 = b_data.as_ptr().add(p * plen);
             let pn1 = b_data.as_ptr().add((p + 1) * plen);
             let pn2 = b_data.as_ptr().add((p + 2) * plen);
@@ -358,7 +369,7 @@ unsafe fn gemv_row_body<const FMA: bool, E: EpiApply>(
             }
             p += 4;
         }
-        for p in p..panels {
+        for p in p..panels.end {
             let panel = b_data.as_ptr().add(p * plen);
             let mut acc = _mm256_setzero_ps();
             for kk in 0..k {
@@ -398,12 +409,13 @@ pub unsafe fn gemv_packed(
     epi: Epilogue<'_>,
 ) {
     gemv_entry_asserts(a_row, n, b_data, c_row);
+    let panels = 0..n.div_ceil(PANEL);
     let (a, k) = (a_row.as_ptr(), a_row.len());
     if epi.is_noop() {
-        return gemv_row_body::<false, NoEpi>(a, k, n, b_data, c_row, 0, NoEpi);
+        return gemv_row_body::<false, NoEpi>(a, k, n, b_data, c_row, 0, panels, NoEpi);
     }
     let fe = FusedEpi::from_epilogue(epi, 1, n);
-    gemv_row_body::<false, FusedEpi>(a, k, n, b_data, c_row, 0, fe)
+    gemv_row_body::<false, FusedEpi>(a, k, n, b_data, c_row, 0, panels, fe)
 }
 
 /// [`gemv_packed`] with fused multiply-add (approximate parity).
@@ -419,12 +431,13 @@ pub unsafe fn gemv_packed_fma(
     epi: Epilogue<'_>,
 ) {
     gemv_entry_asserts(a_row, n, b_data, c_row);
+    let panels = 0..n.div_ceil(PANEL);
     let (a, k) = (a_row.as_ptr(), a_row.len());
     if epi.is_noop() {
-        return gemv_row_body::<true, NoEpi>(a, k, n, b_data, c_row, 0, NoEpi);
+        return gemv_row_body::<true, NoEpi>(a, k, n, b_data, c_row, 0, panels, NoEpi);
     }
     let fe = FusedEpi::from_epilogue(epi, 1, n);
-    gemv_row_body::<true, FusedEpi>(a, k, n, b_data, c_row, 0, fe)
+    gemv_row_body::<true, FusedEpi>(a, k, n, b_data, c_row, 0, panels, fe)
 }
 
 /// One CSR row of sparse×dense, AVX2 mul+add (bit-identical to
@@ -657,7 +670,9 @@ pub unsafe fn relu_into(src: &[f32], dst: &mut [f32]) {
 /// left/right edge — run eight-per-register, one output column per
 /// lane; each lane replays the scalar cell's `(ky asc, kx asc)`
 /// `>`-compare + select sequence, so tie-breaking (`-0.0`, NaN) is
-/// bit-identical. Border columns take the scalar cell code.
+/// bit-identical. An interior that is not a multiple of eight ends
+/// with one block overlapping its predecessor; border columns (and an
+/// interior under eight wide) take the scalar cell code.
 ///
 /// # Safety
 /// CPU must support AVX2 (verified by the dispatch layer).
@@ -713,8 +728,14 @@ pub unsafe fn max_pool_row(
         0,
     );
     let pp = plane.as_ptr();
-    let mut ox = lo;
-    while ox + PANEL <= hi {
+    // Block starts: every PANEL columns from `lo`, then — when the
+    // interior is at least one block wide but not a whole number of
+    // them — one last block ending at `hi`. It overlaps the block
+    // before it and recomputes those outputs to the same bits, so only
+    // true border columns are left to the scalar cell code.
+    let full = (hi - lo) / PANEL;
+    let overlapped = (full > 0 && lo + full * PANEL < hi).then(|| hi - PANEL);
+    for ox in (0..full).map(|i| lo + i * PANEL).chain(overlapped) {
         let mut best = neg_inf;
         for ky in ky_lo..ky_hi {
             let iy = row_base + ky - pad; // ky range guarantees 0 <= iy < h
@@ -737,11 +758,12 @@ pub unsafe fn max_pool_row(
         // valid rows) yield 0.0, matching the scalar `hit` flag.
         let hit = _mm256_cmp_ps(best, neg_inf, _CMP_GT_OQ);
         _mm256_storeu_ps(out_row.as_mut_ptr().add(ox), _mm256_and_ps(best, hit));
-        ox += PANEL;
     }
+    // Everything in [lo, hi) is done iff at least one block ran.
+    let done = if full > 0 { hi } else { lo };
 
-    // Scalar interior tail + right border.
-    for (ox, o) in out_row.iter_mut().enumerate().skip(ox) {
+    // Scalar right border (and an interior narrower than one block).
+    for (ox, o) in out_row.iter_mut().enumerate().skip(done) {
         *o = super::scalar::max_pool_cell(plane, h, w, params, oy, ox);
     }
 }

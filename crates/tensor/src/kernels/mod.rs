@@ -47,6 +47,7 @@ pub mod avx2;
 
 use crate::knob::{Knob, KnobValue};
 use crate::pool::Pool2dParams;
+use std::ops::Range;
 
 /// Column-panel width shared by [`crate::PackedB`] and the GEMM
 /// microkernels: eight `f32` values — exactly one AVX2 `__m256` lane
@@ -261,15 +262,24 @@ pub fn selected() -> KernelPath {
 // tests pin paths) and the epilogue to fuse into the store.
 // ---------------------------------------------------------------------------
 
-/// One row band of the packed-panel GEMM: multiply rows
-/// `row0 .. row0 + c_band.len()/n` of the `m×k` row-major `a_data`
-/// against the panel-packed `b_data` (`n.div_ceil(PANEL)` panels of
-/// `k × PANEL`), writing the `c_band` slice of the row-major output
-/// with `epi` folded into the store (one memory round-trip instead of
-/// three; [`Epilogue::NONE`] runs the plain kernel).
+/// One tile of the packed-panel GEMM — a row band × a panel range:
+/// multiply rows `row0 .. row0 + c_band.len()/n` of the `m×k`
+/// row-major `a_data` against panels `panels` of the panel-packed
+/// `b_data` (`n.div_ceil(PANEL)` panels of `k × PANEL`), writing
+/// columns `panels.start * PANEL .. min(n, panels.end * PANEL)` of the
+/// `c_band` slice of the row-major output (full `n`-wide rows; the
+/// other columns are not touched) with `epi` folded into the store
+/// (one memory round-trip instead of three; [`Epilogue::NONE`] runs
+/// the plain kernel). [`crate::gemm_packed`] picks the ranges so that
+/// one range of `B` stays cache-resident across every band.
 ///
-/// Accumulation is ascending-`kk` per output element on every path;
-/// see [`KernelPath`] and [`Epilogue`] for the parity contract.
+/// Accumulation is ascending-`kk` per output element on every path —
+/// the range only selects *which* elements a call computes — see
+/// [`KernelPath`] and [`Epilogue`] for the parity contract.
+///
+/// # Panics
+/// If `panels.end > n.div_ceil(PANEL)`, or a slice is too short for
+/// the band, or the epilogue's bias does not cover it.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_band_with(
@@ -280,26 +290,29 @@ pub fn gemm_packed_band_with(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    panels: Range<usize>,
     epi: Epilogue<'_>,
 ) {
     match path {
-        KernelPath::Scalar => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, epi),
+        KernelPath::Scalar => {
+            scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
+        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2`/`Avx2Fma` are only ever produced by `selected()`
         // / `force()`, both of which verify via `is_available()` that the
         // CPU reports the avx2 (and fma) features the target_feature
-        // functions require. Slice and bias-length bounds are asserted
-        // inside the kernels before any raw load.
+        // functions require. Slice, panel-range and bias-length bounds
+        // are asserted inside the kernels before any raw load.
         KernelPath::Avx2 => unsafe {
-            avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0, epi)
+            avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above; `Avx2Fma` additionally implies the fma feature.
         KernelPath::Avx2Fma => unsafe {
-            avx2::gemm_packed_band_fma(a_data, k, n, b_data, c_band, row0, epi)
+            avx2::gemm_packed_band_fma(a_data, k, n, b_data, c_band, row0, panels, epi)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, epi),
+        _ => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi),
     }
 }
 

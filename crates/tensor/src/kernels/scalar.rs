@@ -9,6 +9,7 @@
 
 use super::{EpiBias, Epilogue, PANEL, ROW_BLOCK};
 use crate::pool::Pool2dParams;
+use std::ops::Range;
 
 /// The fused epilogue on one element: the bias add (skipped, not
 /// zero-filled, for `None`), then the `forward_into` ReLU flavor
@@ -28,45 +29,55 @@ pub fn epilogue_one(v: f32, bias: Option<f32>, relu: bool) -> f32 {
     }
 }
 
-/// Apply a fused epilogue ([`epilogue_one`] per element) to the
-/// already-stored rows of a band. `row0` is the absolute index of the
-/// band's first row, used to index a per-row bias.
+/// Apply a fused epilogue ([`epilogue_one`] per element) to columns
+/// `cols` of the already-stored rows of a band. `row0` is the absolute
+/// index of the band's first row, used to index a per-row bias; a
+/// per-column bias is indexed by absolute column.
 ///
 /// The scalar fused kernels run the plain kernel and then this pass
-/// over the cache-resident band. That is bitwise identical to applying
+/// over the cache-resident tile. That is bitwise identical to applying
 /// the same operations in-register before the store (the AVX2 fused
 /// path): an `f32` round-trip through memory is exact, and the
 /// floating-point operation sequence per element is the same.
-fn apply_epilogue(c_band: &mut [f32], n: usize, row0: usize, epi: Epilogue<'_>) {
-    match epi.bias {
-        Some(EpiBias::PerRow(b)) => {
-            for (local_r, row) in c_band.chunks_mut(n.max(1)).enumerate() {
+fn apply_epilogue(
+    c_band: &mut [f32],
+    n: usize,
+    row0: usize,
+    cols: Range<usize>,
+    epi: Epilogue<'_>,
+) {
+    if epi.is_noop() {
+        return;
+    }
+    for (local_r, row) in c_band.chunks_mut(n.max(1)).enumerate() {
+        let row = &mut row[cols.clone()];
+        match epi.bias {
+            Some(EpiBias::PerRow(b)) => {
                 let bv = Some(b[row0 + local_r]);
                 for v in row {
                     *v = epilogue_one(*v, bv, epi.relu);
                 }
             }
-        }
-        Some(EpiBias::PerCol(b)) => {
-            for row in c_band.chunks_mut(n.max(1)) {
-                for (v, &bv) in row.iter_mut().zip(b.iter()) {
+            Some(EpiBias::PerCol(b)) => {
+                for (v, &bv) in row.iter_mut().zip(&b[cols.clone()]) {
                     *v = epilogue_one(*v, Some(bv), epi.relu);
                 }
             }
-        }
-        None if epi.relu => {
-            for v in c_band {
-                *v = epilogue_one(*v, None, true);
+            None => {
+                for v in row {
+                    *v = epilogue_one(*v, None, epi.relu);
+                }
             }
         }
-        None => {}
     }
 }
 
-/// One row band of the packed-panel GEMM, epilogue applied. See
-/// [`super::gemm_packed_band_with`] for the contract. Runs the plain
-/// band loop and then `apply_epilogue` over the still-cache-resident
-/// band — bitwise identical to the in-register AVX2 variant.
+/// Panels `panels` of one row band of the packed-panel GEMM, epilogue
+/// applied. See [`super::gemm_packed_band_with`] for the contract. Runs
+/// the plain tile loop and then `apply_epilogue` over the tile's
+/// still-cache-resident columns — bitwise identical to the in-register
+/// AVX2 variant.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_band(
     a_data: &[f32],
     k: usize,
@@ -74,11 +85,14 @@ pub fn gemm_packed_band(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    panels: Range<usize>,
     epi: Epilogue<'_>,
 ) {
+    assert!(panels.end <= n.div_ceil(PANEL));
     epi.check(row0 + c_band.len() / n.max(1), n);
-    gemm_band_plain(a_data, k, n, b_data, c_band, row0);
-    apply_epilogue(c_band, n, row0, epi);
+    gemm_band_plain(a_data, k, n, b_data, c_band, row0, panels.clone());
+    let cols = panels.start * PANEL..n.min(panels.end * PANEL);
+    apply_epilogue(c_band, n, row0, cols, epi);
 }
 
 fn gemm_band_plain(
@@ -88,8 +102,8 @@ fn gemm_band_plain(
     b_data: &[f32],
     c_band: &mut [f32],
     row0: usize,
+    panels: Range<usize>,
 ) {
-    let panels = n.div_ceil(PANEL);
     let rows_here = c_band.len() / n.max(1);
     // Register-block ROW_BLOCK output rows against each panel:
     // every `kk` step issues ROW_BLOCK*PANEL independent
@@ -104,7 +118,7 @@ fn gemm_band_plain(
         let ar1 = &a_data[(r + 1) * k..(r + 2) * k];
         let ar2 = &a_data[(r + 2) * k..(r + 3) * k];
         let ar3 = &a_data[(r + 3) * k..(r + 4) * k];
-        for p in 0..panels {
+        for p in panels.clone() {
             let base = p * k * PANEL;
             let panel = &b_data[base..base + k * PANEL];
             let mut acc0 = [0.0f32; PANEL];
@@ -144,6 +158,7 @@ fn gemm_band_plain(
             n,
             b_data,
             &mut c_band[local_r * n..(local_r + 1) * n],
+            panels.clone(),
         );
     }
 }
@@ -163,16 +178,15 @@ fn gemm_band_plain(
 /// indexes `bias[0]` (the matvec output is row 0 of a 1×n result).
 pub fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], epi: Epilogue<'_>) {
     epi.check(1, n);
-    gemv_plain(a_row, n, b_data, c_row);
-    apply_epilogue(&mut c_row[..n], n, 0, epi);
+    gemv_plain(a_row, n, b_data, c_row, 0..n.div_ceil(PANEL));
+    apply_epilogue(&mut c_row[..n], n, 0, 0..n, epi);
 }
 
-fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
+fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], panels: Range<usize>) {
     let k = a_row.len();
-    let panels = n.div_ceil(PANEL);
     let plen = k * PANEL;
-    let mut p = 0;
-    while p + 4 <= panels {
+    let mut p = panels.start;
+    while p + 4 <= panels.end {
         let pn0 = &b_data[p * plen..(p + 1) * plen];
         let pn1 = &b_data[(p + 1) * plen..(p + 2) * plen];
         let pn2 = &b_data[(p + 2) * plen..(p + 3) * plen];
@@ -206,7 +220,7 @@ fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32]) {
         }
         p += 4;
     }
-    for p in p..panels {
+    for p in p..panels.end {
         let base = p * plen;
         let panel = &b_data[base..base + plen];
         let mut acc = [0.0f32; PANEL];

@@ -7,8 +7,9 @@
 //! matrix kernels so that pruned (sparsified) CNN layers actually run
 //! faster. This crate is that substrate, built from scratch:
 //!
-//! * [`Matrix`] — row-major dense `f32` matrix with a blocked,
-//!   rayon-parallel GEMM ([`gemm()`]).
+//! * [`Matrix`] — row-major dense `f32` matrix with a blocked GEMM
+//!   ([`gemm()`]) and the panel-packed, L2-strip-blocked driver the
+//!   layers run on ([`gemm_packed`]).
 //! * [`Tensor4`] — NCHW activation tensor used by the CNN layers.
 //! * [`CsrMatrix`] — compressed sparse row matrix with sparse×dense
 //!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel for
@@ -24,9 +25,11 @@
 //! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
 //!   [`reference::gemm_naive`]) that tests and benches import explicitly.
 //!
-//! All kernels are deterministic given deterministic inputs; parallelism
-//! via rayon never reorders reductions in a result-visible way (each
-//! output element is owned by exactly one task).
+//! All kernels are deterministic given deterministic inputs: each output
+//! element is owned by exactly one task of the `rayon`-style row split,
+//! so no reduction is ever reordered. (This workspace's `shims/rayon`
+//! runs those iterators sequentially; threads enter at the batch level,
+//! in `cap-cnn`.)
 //!
 //! The hot inner loops run on runtime-dispatched SIMD microkernels
 //! ([`kernels`]): AVX2 where the CPU has it, scalar everywhere else,

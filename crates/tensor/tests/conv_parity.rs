@@ -21,6 +21,10 @@
 //!   zero-row weights over every row pattern that changes its control
 //!   flow, within 1e-4 of the oracle, and no more scratch than `Dense`.
 //!
+//! * dense and kept-rows f32 on one geometry whose patch matrix spans
+//!   three column strips of the packed GEMM: **bitwise** the seed
+//!   composition (the strip walk only reorders tiles).
+//!
 //! One `WorkspacePool` and one output tensor serve the whole table, so
 //! every case after the first starts from scratch dirtied by earlier,
 //! differently-shaped work — results must not depend on it.
@@ -337,4 +341,50 @@ fn kept_rows_form_needs_no_more_scratch_than_dense() {
     let dense = scratch(ConvWeights::Dense(&w));
     assert!(dense > 0);
     assert_eq!(scratch(ConvWeights::DenseRows(&kept)), dense);
+}
+
+/// A patch matrix wider than two column strips of the packed GEMM
+/// (`k` = 64·3·3 = 576 taps puts 28 panels in a 512 KiB strip; 22×22
+/// output pixels are 61 panels — strips of 28, 28 and 5 with a ragged
+/// last panel), six filters so a 4-row block and two trailing rows
+/// cross every strip: both dense forms stay bitwise the unpacked seed
+/// composition, epilogue included.
+#[test]
+fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
+    let params = Conv2dParams::grouped(64, 6, 3, 1, 1, 1);
+    let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.05 - 0.1).collect();
+    let x = input(2, 64, 22, 22);
+    let pool = WorkspacePool::new();
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    let bit_identical = kernels::selected().is_bit_identical_to_scalar();
+    let dense_w = weights(&params, false);
+    let rows_w = filter_pruned(&params, &[1, 4]);
+    let kept = ConvWeights::kept_row_bands(&rows_w, &params).unwrap();
+    for relu in [false, true] {
+        for (name, form, w) in [
+            ("dense", ConvWeights::Dense(&dense_w), &dense_w),
+            ("kept-rows", ConvWeights::DenseRows(&kept), &rows_w),
+        ] {
+            out.as_mut_slice().fill(f32::NAN);
+            conv2d(&x, form, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+            let seed = seed_composition(&x, w, &bias, relu, &params, false);
+            if bit_identical {
+                assert!(
+                    bits(&out) == bits(&seed),
+                    "{name} relu={relu}: vs seed path"
+                );
+            } else {
+                assert!(
+                    out.max_abs_diff(&seed).unwrap() < 1e-4,
+                    "{name} relu={relu}"
+                );
+            }
+            let mut oracle = conv2d_direct(&x, w, Some(&bias), &params).unwrap();
+            if relu {
+                relu_pass(&mut oracle);
+            }
+            let diff = out.max_abs_diff(&oracle).unwrap();
+            assert!(diff < 1e-3, "{name} relu={relu}: {diff} from the oracle");
+        }
+    }
 }

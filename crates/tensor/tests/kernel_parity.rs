@@ -103,8 +103,9 @@ fn gemm_packed_bit_identical_ragged_shapes() {
         (3, 0, 5),   // k = 0: output must be all zeros on every path
         (4, 9, 8),
         (5, 16, 31),
-        (33, 12, 17), // crosses the 32-row parallel band boundary
+        (33, 12, 17), // crosses the 32-row band boundary
         (37, 19, 53),
+        (37, 4100, 53), // 128 KiB panels: four column strips, ragged last
     ] {
         let a = mat(m, k, 3);
         let b = mat(k, n, 4);
@@ -251,6 +252,10 @@ fn max_pool_bit_identical_with_padding_and_strides() {
         (6, 19, Pool2dParams::new(4, 2, 3)),
         (55, 55, Pool2dParams::new(3, 0, 2)),
         (2, 2, Pool2dParams::new(2, 1, 1)),
+        // Googlenet's inception pools: 12- and 26-column interiors, so
+        // the last 8-lane block overlaps the one before it.
+        (14, 14, Pool2dParams::new(3, 1, 1)),
+        (28, 28, Pool2dParams::new(3, 1, 1)),
     ];
     for (h, w, p) in cases {
         let input = Tensor4::from_fn(2, 3, h, w, |ni, ci, y, x| {

@@ -1,9 +1,23 @@
-//! Property-based parity suites for the packed GEMM: it must agree with
-//! the unpacked GEMM it replaces, across randomized shapes and contents.
-//! (The convolution driver built on it is pinned by `conv_parity.rs`.)
+//! Parity suites for the packed GEMM: it must agree with the unpacked
+//! GEMM it replaces, across randomized shapes and contents and across
+//! the column-strip boundaries of its loop nest. (The convolution
+//! driver built on it is pinned by `conv_parity.rs`.)
+//!
+//! `kernels::force` is process-global, so every test here serializes
+//! on one mutex.
 
-use cap_tensor::{gemm, gemm_prealloc, gemm_prepacked, Matrix, PackedB};
+use cap_tensor::kernels::{self, EpiBias, Epilogue, KernelPath};
+use cap_tensor::{gemm, gemm_packed, gemm_prealloc, gemm_prepacked, Matrix, PackedB};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// Global serialization around `kernels::force`.
+fn force_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let lock = LOCK.get_or_init(|| Mutex::new(()));
+    // A test that panicked while holding the lock already failed.
+    lock.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Deterministic pseudo-random fill that exercises positives, negatives
 /// and exact zeros (zeros matter: they trigger the GEMM skip branch).
@@ -22,6 +36,98 @@ fn matrix(rows: usize, cols: usize, seed: usize, zero_every: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| f(r * cols + c))
 }
 
+/// The strip-boundary table. `k` = 4100 makes one panel 128 KiB, so a
+/// column strip of the driver is its two-panel (16-column) minimum and
+/// small `n` already crosses strips: 13 (one ragged strip), 16 (exactly
+/// one strip), 24 (one panel more than a strip), 37 (n % 8 ≠ 0 and a
+/// lone ragged panel in the third strip), 40 (odd panel count in the
+/// last strip). `m` covers a tail-only band (2), a row block plus a
+/// tail row (5), a second band of one tail row (33) and two full bands
+/// (64). Every cell is the unpacked multiply followed by separate bias
+/// and ReLU passes: bitwise on the bit-identical paths, within
+/// `(k+2)·eps` of `Σ|a·b| + |bias|` on `avx2-fma` (against the scalar
+/// oracle), written through a NaN-filled `c`.
+#[test]
+fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
+    let _g = force_lock();
+    let k = 4100;
+    for n in [13usize, 16, 24, 37, 40] {
+        let b = matrix(k, n, n, 0);
+        let packed = PackedB::pack(&b);
+        for m in [2usize, 5, 33, 64] {
+            let a = matrix(m, k, m + 3, 5);
+            let row_bias: Vec<f32> = (0..m).map(|r| r as f32 * 0.25 - 3.0).collect();
+            let col_bias: Vec<f32> = (0..n).map(|j| 2.0 - j as f32 * 0.125).collect();
+            // The oracle runs on the scalar path whatever the
+            // environment selected.
+            let mut plain = Matrix::zeros(m, n);
+            kernels::force(Some(KernelPath::Scalar));
+            let oracle = gemm_prealloc(&a, &b, &mut plain);
+            kernels::force(None);
+            oracle.unwrap();
+            let abs_sum = |r: usize, j: usize| -> f32 {
+                (0..k).map(|i| (a.get(r, i) * b.get(i, j)).abs()).sum()
+            };
+            for (what, epi) in [
+                ("no epilogue", Epilogue::NONE),
+                (
+                    "per-row bias + relu",
+                    Epilogue {
+                        bias: Some(EpiBias::PerRow(&row_bias)),
+                        relu: true,
+                    },
+                ),
+                (
+                    "per-col bias",
+                    Epilogue {
+                        bias: Some(EpiBias::PerCol(&col_bias)),
+                        relu: false,
+                    },
+                ),
+            ] {
+                let bias_at = |r: usize, j: usize| match epi.bias {
+                    Some(EpiBias::PerRow(rb)) => Some(rb[r]),
+                    Some(EpiBias::PerCol(cb)) => Some(cb[j]),
+                    None => None,
+                };
+                for path in kernels::available_paths() {
+                    let mut c = Matrix::full(m, n, f32::NAN);
+                    kernels::force(Some(path));
+                    let run = gemm_packed(
+                        a.as_slice(),
+                        m,
+                        k,
+                        n,
+                        packed.as_slice(),
+                        c.as_mut_slice(),
+                        epi,
+                    );
+                    kernels::force(None);
+                    run.unwrap();
+                    for r in 0..m {
+                        for j in 0..n {
+                            let case =
+                                format!("{what} {m}x{k}x{n} on {} at ({r},{j})", path.name());
+                            let bias = bias_at(r, j);
+                            // An absent bias is skipped: `+ 0.0` is not bitwise neutral.
+                            let sum = bias.map_or(plain.get(r, j), |bv| plain.get(r, j) + bv);
+                            let want = if !epi.relu || sum > 0.0 { sum } else { 0.0 };
+                            let got = c.get(r, j);
+                            if path.is_bit_identical_to_scalar() {
+                                assert_eq!(got.to_bits(), want.to_bits(), "{case}");
+                            } else {
+                                let scale = abs_sum(r, j) + bias.unwrap_or(0.0).abs();
+                                let bound = (k as f32 + 2.0) * f32::EPSILON * scale;
+                                assert!((got - want).abs() <= bound, "{case}: {got} vs {want}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// Panel-packed GEMM ≡ plain GEMM. Accumulation order is identical
     /// (kk-ascending per output element), so parity is near-bitwise; the
@@ -34,13 +140,22 @@ proptest! {
         seed in 0usize..1000,
         zero_every in 0usize..4,
     ) {
+        let _g = force_lock();
         let a = matrix(m, k, seed, zero_every);
         let b = matrix(k, n, seed + 1, 0);
         let expect = gemm(&a, &b).unwrap();
         let packed = PackedB::pack(&b);
         let mut got = Matrix::zeros(m, n);
         gemm_prepacked(&a, &packed, &mut got).unwrap();
-        prop_assert!(expect.max_abs_diff(&got).unwrap() <= 1e-6);
+        // Under `CAP_TENSOR_KERNEL=avx2-fma` the unpacked walk's scalar
+        // tail columns round twice per step where the packed kernel
+        // fuses: `(k+2)·eps` of the largest possible `Σ|a·b|`.
+        let tol = if kernels::selected().is_bit_identical_to_scalar() {
+            1e-6
+        } else {
+            (k as f32 + 2.0) * f32::EPSILON * k as f32 * 2.5
+        };
+        prop_assert!(expect.max_abs_diff(&got).unwrap() <= tol);
     }
 
     /// The dense-zero skip probe must not change results relative to a
@@ -54,6 +169,7 @@ proptest! {
     ) {
         // Half the rows of A fully zeroed: mixes skip-branch rows and
         // dense-branch rows in one multiply.
+        let _g = force_lock();
         let mut a = matrix(m, k, seed, 0);
         for r in (0..m).step_by(2) {
             a.row_mut(r).fill(0.0);

@@ -7,7 +7,9 @@
 //! samples with `Instant`, and report min/median/mean per-iteration
 //! times on stdout. Every result is also appended as a JSON line to
 //! `target/criterion-shim.jsonl` (override with `CRITERION_SHIM_OUT`)
-//! so tooling can collect numbers without scraping stdout.
+//! so tooling can collect numbers without scraping stdout. As with
+//! criterion, `cargo bench --bench <name> -- <filter>` runs only the
+//! benches whose `group/id` contains `<filter>`.
 //!
 //! No statistical regression analysis, no HTML reports, no outlier
 //! rejection — medians on a quiet machine are adequate for the
@@ -220,6 +222,17 @@ fn budgeted_samples(requested: usize, estimate: Duration, iters: u64) -> usize {
     requested.min(fit.max(3))
 }
 
+/// Criterion's CLI filter, set by `criterion_main!` only (so unit tests
+/// that drive the engine directly are never filtered).
+static FILTER: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
+
+/// Read the bench filter from the command line: the first non-flag
+/// argument (cargo passes `--bench` ahead of it).
+#[doc(hidden)]
+pub fn filter_from_args() {
+    FILTER.get_or_init(|| std::env::args().skip(1).find(|a| !a.starts_with('-')));
+}
+
 fn run_bench<F>(group: Option<&str>, id: &str, sample_size: usize, mut f: F)
 where
     F: FnMut(&mut Bencher),
@@ -228,6 +241,9 @@ where
         Some(g) => format!("{g}/{id}"),
         None => id.to_string(),
     };
+    if matches!(FILTER.get(), Some(Some(filter)) if !full_id.contains(filter)) {
+        return;
+    }
     let mut b = Bencher {
         sample_size,
         samples_ns: Vec::new(),
@@ -316,6 +332,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
+            $crate::filter_from_args();
             $( $group(); )+
         }
     };
