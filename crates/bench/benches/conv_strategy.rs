@@ -3,11 +3,15 @@
 //! dense-vs-CSR crossover the layers' sparse thresholds are set from
 //! (`conv_form_*` for `SPARSE_THRESHOLD`, `fc_form_b1` for
 //! `FC_SPARSE_THRESHOLD`; table in EXPERIMENTS.md "PR 14").
+//! `conv_form_i8_*` is the int8 side: the lowering stages on their own
+//! and the int8 dense-vs-CSR crossover, which the layers take from the
+//! same `SPARSE_THRESHOLD` (table in EXPERIMENTS.md "PR 17").
 
+use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
-    conv2d, gemm_packed, Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Matrix, PackedB, Tensor4,
-    WorkspacePool,
+    conv2d, gemm_packed, im2col_i8_packed_prealloc, im2col_packed_prealloc, symmetric_scale,
+    Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Matrix, PackedB, Tensor4, WorkspacePool,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -61,19 +65,90 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
     group.finish();
 }
 
+/// The int8 side of one Caffenet conv layer at batch 1: the stages of
+/// its operand path on their own (quantize the image once; lower one
+/// group in int8, against the f32 packed lowering of the same group),
+/// then `conv2d` in f32, dense int8, and CSR int8 at rising
+/// unstructured sparsity — where CSR crosses under dense int8 is the
+/// int8 analogue of `SPARSE_THRESHOLD`.
+fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
+    let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
+        ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
+    });
+    let (rows, cols) = (params.out_channels, params.col_rows());
+    let bias = vec![0.1_f32; rows];
+    let act_scale = symmetric_scale(input.as_slice());
+    let mut group = c.benchmark_group(name);
+
+    let (cpg, k, pad, stride) = (params.in_per_group(), params.kh, params.pad, params.stride);
+    let image = &input.as_slice()[..cpg * hw * hw];
+    let mut packed = Matrix::zeros(0, 0);
+    group.bench_function("lower_f32", |b| {
+        b.iter(|| im2col_packed_prealloc(image, cpg, hw, hw, k, k, pad, stride, &mut packed))
+    });
+    let path = kernels::selected();
+    let mut q_image = vec![0i8; input.as_slice().len()];
+    group.bench_function("quantize_image", |b| {
+        b.iter(|| quantize_slice_with(path, input.as_slice(), 1.0 / act_scale, &mut q_image))
+    });
+    let (q_group, mut lines, mut q_packed) = (&q_image[..image.len()], Vec::new(), Vec::new());
+    group.bench_function("lower_i8", |b| {
+        b.iter(|| {
+            im2col_i8_packed_prealloc(
+                q_group,
+                cpg,
+                hw,
+                hw,
+                k,
+                k,
+                pad,
+                stride,
+                &mut lines,
+                &mut q_packed,
+            )
+        })
+    });
+
+    let pool = WorkspacePool::new();
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    let mut run = |id: BenchmarkId, form: ConvWeights<'_>| {
+        group.bench_with_input(id, &form, |b, &form| {
+            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &pool, &mut out).unwrap())
+        });
+    };
+    let dense = scattered(rows, cols, 0);
+    run(BenchmarkId::new("dense_f32", 0), ConvWeights::Dense(&dense));
+    for zero_pct in [0usize, 60, 70, 75, 80, 85, 90] {
+        let w = scattered(rows, cols, zero_pct);
+        let bands = ConvWeights::i8_bands(&w, &params).unwrap();
+        run(
+            BenchmarkId::new("dense_i8", zero_pct),
+            ConvWeights::DenseI8 {
+                bands: &bands,
+                act_scale,
+            },
+        );
+        if zero_pct > 0 {
+            let bands = ConvWeights::csr_i8_bands(&w, &params).unwrap();
+            run(
+                BenchmarkId::new("csr_i8", zero_pct),
+                ConvWeights::CsrI8 {
+                    bands: &bands,
+                    act_scale,
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_weight_forms(c: &mut Criterion) {
-    bench_conv_forms(
-        c,
-        "conv_form_conv2",
-        Conv2dParams::grouped(96, 256, 5, 2, 1, 2),
-        27,
-    );
-    bench_conv_forms(
-        c,
-        "conv_form_conv3",
-        Conv2dParams::new(256, 384, 3, 1, 1),
-        13,
-    );
+    let conv2 = Conv2dParams::grouped(96, 256, 5, 2, 1, 2);
+    let conv3 = Conv2dParams::new(256, 384, 3, 1, 1);
+    bench_conv_forms(c, "conv_form_conv2", conv2, 27);
+    bench_conv_forms(c, "conv_form_conv3", conv3, 13);
+    bench_conv_forms_i8(c, "conv_form_i8_conv2", conv2, 27);
+    bench_conv_forms_i8(c, "conv_form_i8_conv3", conv3, 13);
 
     // Batch-1 fc (Caffenet fc7, 4096x4096): the dense side is the
     // packed GEMV streaming all of Wᵀ once, the sparse side the CSR

@@ -9,7 +9,7 @@ use cap_cnn::models::{caffenet, WeightInit};
 use cap_cnn::{CollectingTracer, ForwardArena, LayerKind, Network, ProfileReport};
 use cap_obs::{SpanRecord, TimingGuard};
 use cap_pruning::{apply_to_network, PruneAlgorithm, PruneSpec};
-use cap_tensor::Tensor4;
+use cap_tensor::{precision, Precision, Tensor4};
 use std::fmt::Write;
 
 /// Timed passes per report. One warm-up pass precedes them so the
@@ -81,6 +81,21 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
     let (report0, mut spans) = profile(&dense, &input, "caffenet @ 0%", &tracer);
     let (report60, spans60) = profile(&pruned, &input, "caffenet @ 60% conv pruning", &tracer);
     spans.extend(spans60);
+    let snap = cap_obs::metrics().snapshot();
+    // The dense net once more under each precision, back to back, for
+    // the second summary line (uncalibrated int8: the per-call range
+    // scan is part of what the knob costs). Not in the tables, the
+    // JSON, the snapshot or the timeline: those stay the pruning story.
+    let profile_under = |p: Precision| {
+        precision::force(Some(p));
+        let (report, _) = profile(&dense, &input, p.name(), &tracer);
+        precision::force(None);
+        report
+    };
+    let (report_f32, report_i8) = (
+        profile_under(Precision::F32),
+        profile_under(Precision::Int8),
+    );
 
     let mut out = String::new();
     writeln!(out, "# Per-layer profile via the tracer (cap-obs)").unwrap();
@@ -109,13 +124,20 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
         pruned_ms / dense_ms
     )
     .unwrap();
+    // ... and one for the other knob: did int8 pay, on the same convs?
+    let (f32_ms, int8_ms) = (conv_ms(&report_f32), conv_ms(&report_i8));
+    writeln!(
+        out,
+        "conv total (int8): f32 {f32_ms:.1} ms, int8 {int8_ms:.1} ms, ratio {:.2}",
+        int8_ms / f32_ms
+    )
+    .unwrap();
 
     writeln!(out, "\n## JSON exports\n").unwrap();
     writeln!(out, "{}", report0.to_json()).unwrap();
     writeln!(out, "{}", report60.to_json()).unwrap();
 
     writeln!(out, "\n## Metrics registry snapshot\n").unwrap();
-    let snap = cap_obs::metrics().snapshot();
     out.push_str(&snap.to_text());
     writeln!(out, "\njson: {}", snap.to_json()).unwrap();
     (out, spans)

@@ -3,17 +3,19 @@
 //! simulated one). Three sections:
 //!
 //! 1. **Kernel arm** — f32 packed GEMM vs int8 packed GEMM on
-//!    conv-shaped problems, per dispatch path. The int8 timing
-//!    includes the runtime activation quantize (weights are pre-packed
-//!    in both arms), so the ratio is what a conv layer actually sees.
+//!    conv-shaped problems, per dispatch path (the int8 timing
+//!    includes the runtime quantize of its `A` rows; weights are
+//!    pre-packed in both arms), then what a conv layer actually sees:
+//!    `conv2d` on Caffenet's conv2 geometry at batch 1, f32 form
+//!    against int8 form, lowering and quantization included.
 //! 2. **Network arm** — a really-trained TinyNet converted to a layer
 //!    [`cap_cnn::network::Network`] and run twice through the *same*
 //!    code path: `CAP_TENSOR_PRECISION` f32 vs int8 (forced via
 //!    `precision::force`). Measured top-1/top-5 delta and throughput.
 //! 3. **Joint frontier** — a [`PrecisionModel`] built from the TinyNet
-//!    accuracy drops and the conv2-like kernel speedup (TinyNet's toy
-//!    GEMMs are quantize-overhead-bound, so its throughput ratio is
-//!    not representative of paper-scale layers); crossing it with the
+//!    accuracy drops and the conv2 `conv2d` speedup (TinyNet's toy
+//!    layers are overhead-bound, so its throughput ratio is not
+//!    representative of paper-scale layers); crossing it with the
 //!    calibrated Caffenet 60-version grid yields the 120-cell joint
 //!    prune × precision space, its Pareto frontier, and the
 //!    accuracy-floor sweet-spot map (`cap_core::joint`).
@@ -29,8 +31,9 @@ use cap_data::SyntheticImageNet;
 use cap_pruning::profile::caffenet_profile;
 use cap_tensor::kernels::{self, Epilogue};
 use cap_tensor::{
-    gemm_i8, gemm_prepacked, precision, quantize_rows_into, symmetric_scale, CalibrationMethod,
-    Matrix, PackedB, PackedBI8, Precision,
+    conv2d, gemm_i8, gemm_prepacked, precision, quantize_rows_into, symmetric_scale,
+    CalibrationMethod, Conv2dParams, ConvWeights, Matrix, PackedB, PackedBI8, Precision, Tensor4,
+    WorkspacePool,
 };
 use std::fmt::Write;
 use std::time::Instant;
@@ -63,10 +66,9 @@ pub fn quantize_ablation() -> String {
     // --- 1. Kernel arm -----------------------------------------------------
     let paths = kernels::available_paths();
     let dispatched = kernels::selected();
-    // int8/f32 ratio on the conv2-like shape under the dispatched path:
-    // the speedup a Caffenet-scale conv layer sees, fed to the joint
-    // model below (TinyNet's toy GEMMs are quantize-overhead-bound).
-    let mut conv_speedup = 1.0_f64;
+    // int8/f32 ratio of the bare conv2-like multiply under the
+    // dispatched path, printed beside the `conv2d` ratio below.
+    let mut gemm_speedup = 1.0_f64;
     writeln!(
         out,
         "\n## Packed GEMM, f32 vs int8 (GOP/s, best of repeated runs)"
@@ -107,7 +109,7 @@ pub fn quantize_ablation() -> String {
             });
             kernels::force(None);
             if label.starts_with("conv2") && p == dispatched {
-                conv_speedup = f32_secs / int8_secs;
+                gemm_speedup = f32_secs / int8_secs;
             }
             writeln!(
                 out,
@@ -120,6 +122,50 @@ pub fn quantize_ablation() -> String {
             .unwrap();
         }
     }
+
+    // What a Caffenet-scale conv layer sees, and what the joint model
+    // below is fed: the whole `conv2d` call — quantize, lower, multiply
+    // — on the conv2 geometry, one image, activation scale fixed
+    // beforehand as calibration does.
+    let params = Conv2dParams::grouped(96, 256, 5, 2, 1, 2);
+    let input = Tensor4::from_fn(1, 96, 27, 27, |_, c, h, w| {
+        ((c * 13 + h * 7 + w * 3) % 41) as f32 / 20.5 - 1.0
+    });
+    let weights = deterministic_matrix(256, params.col_rows(), 3);
+    let bands = ConvWeights::i8_bands(&weights, &params).expect("conv2 weight shape");
+    let int8_form = ConvWeights::DenseI8 {
+        bands: &bands,
+        act_scale: symmetric_scale(input.as_slice()),
+    };
+    let bias = vec![0.1_f32; 256];
+    let pool = WorkspacePool::new();
+    let mut conv_out = Tensor4::zeros(0, 0, 0, 0);
+    let mut conv_secs = |form: ConvWeights<'_>| {
+        best_secs(|| {
+            conv2d(
+                &input,
+                form,
+                Some(&bias),
+                true,
+                &params,
+                &pool,
+                &mut conv_out,
+            )
+            .unwrap()
+        })
+    };
+    let f32_secs = conv_secs(ConvWeights::Dense(&weights));
+    let int8_secs = conv_secs(int8_form);
+    let conv_speedup = f32_secs / int8_secs;
+    writeln!(
+        out,
+        "\nconv2d 96x27x27 -> 256, 5x5 pad 2, groups 2, batch 1 ({} path): \
+         f32 {:.2} ms, int8 {:.2} ms, int8/f32 {conv_speedup:.2}x (bare GEMM above: {gemm_speedup:.2}x)",
+        dispatched.name(),
+        f32_secs * 1e3,
+        int8_secs * 1e3
+    )
+    .unwrap();
 
     // --- 2. Network arm ----------------------------------------------------
     writeln!(out, "\n## TinyNet end-to-end: f32 vs int8 (same weights)").unwrap();
@@ -164,19 +210,20 @@ pub fn quantize_ablation() -> String {
         net_model.top5_drop * 100.0
     )
     .unwrap();
-    // TinyNet's GEMMs are far below the size where int8 pays for its
-    // runtime activation quantize, so its throughput ratio is not
-    // representative of a Caffenet-scale layer. The joint model takes
-    // the accuracy drops from the TinyNet arms (really executed, same
-    // weights) and the speedup from the conv2-like kernel measurement —
-    // the same reference-machine scaling the paper uses for its grid.
+    // TinyNet's layers are far below the size where the integer
+    // multiply outweighs the per-call quantize and widen, so its
+    // throughput ratio is not representative of a Caffenet-scale
+    // layer. The joint model takes the accuracy drops from the TinyNet
+    // arms (really executed, same weights) and the speedup from the
+    // conv2 `conv2d` measurement — the same reference-machine scaling
+    // the paper uses for its grid.
     let model = PrecisionModel {
         speedup: conv_speedup,
         ..net_model
     };
     writeln!(
         out,
-        "joint model: speedup {:.2}x (conv2-like kernel, {} path), drops from tinynet arms",
+        "joint model: speedup {:.2}x (conv2d on the conv2 geometry, {} path), drops from tinynet arms",
         model.speedup,
         dispatched.name()
     )

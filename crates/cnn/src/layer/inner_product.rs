@@ -103,13 +103,10 @@ impl InnerProductLayer {
     }
 
     fn packed_t_i8(&self) -> &PackedBI8 {
-        // Wᵀ holds the same values as W, so the per-tensor scale can be
-        // taken from the untransposed weights without a second pass.
+        // Packed from W's rows directly: an f32 transpose of fc6 would
+        // be 151 MB built only to be quantized and dropped.
         self.packed_t_i8.get_or_init(|| {
-            PackedBI8::pack(
-                &self.weights.transpose(),
-                symmetric_scale(self.weights.as_slice()),
-            )
+            PackedBI8::pack_transposed(&self.weights, symmetric_scale(self.weights.as_slice()))
         })
     }
 

@@ -14,7 +14,10 @@ use cap_cnn::layer::{
 use cap_cnn::network::{ForwardArena, Network};
 use cap_cnn::NoopTracer;
 use cap_obs::TimingGuard;
-use cap_tensor::{init::xavier_uniform, Conv2dParams, Matrix, Tensor4};
+use cap_tensor::{
+    conv2d, init::xavier_uniform, precision, CalibrationMethod, Conv2dParams, ConvWeights, Matrix,
+    Precision, Tensor4, WorkspacePool,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -105,6 +108,50 @@ fn caffenet_shaped() -> Network {
         .unwrap();
     net.add_sequential(Box::new(
         InnerProductLayer::new("fc3", xavier_uniform(10, 12 * 2 * 2, 13), vec![0.0; 10]).unwrap(),
+    ))
+    .unwrap();
+    net.add_sequential(Box::new(SoftmaxLayer::new("prob")))
+        .unwrap();
+    net
+}
+
+/// Geometry of [`int8_shaped`]'s second conv: two groups of 64 input
+/// channels, so a patch depth of 576 — past the 512 where the int8
+/// band kernel starts spilling partial sums to its thread-local.
+const INT8_CONV2: Conv2dParams = Conv2dParams {
+    in_channels: 128,
+    out_channels: 32,
+    kh: 3,
+    kw: 3,
+    pad: 1,
+    stride: 1,
+    groups: 2,
+};
+
+/// Grouped conv → pool → deep grouped conv → fc over 800 features: at
+/// batch 8 both the conv (16 filters per group) and the fc run the
+/// int8 band kernel's eight-row block on a depth past 512, so the
+/// widened-`A` and the partial-sum thread-locals are both in play.
+fn int8_shaped() -> Network {
+    let mut net = Network::new("mini-int8", (8, 10, 10));
+    let conv1 = Conv2dParams::grouped(8, 128, 3, 1, 1, 2);
+    net.add_sequential(Box::new(
+        ConvLayer::new("conv1", conv1, xavier_uniform(128, 36, 31), vec![0.05; 128]).unwrap(),
+    ))
+    .unwrap();
+    net.add_sequential(Box::new(ReluLayer::new("relu1")))
+        .unwrap();
+    net.add_sequential(Box::new(PoolLayer::new("pool1", PoolMode::Max, 2, 0, 2)))
+        .unwrap();
+    let w2 = xavier_uniform(32, INT8_CONV2.col_rows(), 32);
+    net.add_sequential(Box::new(
+        ConvLayer::new("conv2", INT8_CONV2, w2, vec![0.1; 32]).unwrap(),
+    ))
+    .unwrap();
+    net.add_sequential(Box::new(ReluLayer::new("relu2")))
+        .unwrap();
+    net.add_sequential(Box::new(
+        InnerProductLayer::new("fc3", xavier_uniform(10, 32 * 5 * 5, 33), vec![0.0; 10]).unwrap(),
     ))
     .unwrap();
     net.add_sequential(Box::new(SoftmaxLayer::new("prob")))
@@ -226,6 +273,64 @@ fn steady_state_inference_allocates_nothing() {
         );
         net.forward_into(&images, &mut arena).unwrap();
         assert!(pruned_arena.reserved_bytes() <= arena.reserved_bytes());
+    }
+
+    // The int8 route, calibrated: the image quantize, the i8 lowering
+    // and the integer GEMMs draw every buffer from the layers' pools,
+    // the arena or a thread-local, at batch 8 and at batch 1.
+    {
+        let int8_net = int8_shaped();
+        let eight = Tensor4::from_fn(8, 8, 10, 10, |n, c, h, w| {
+            (((n * 29 + c * 13 + h * 7 + w) % 17) as f32 - 8.0) / 8.0
+        });
+        let one = Tensor4::from_fn(1, 8, 10, 10, |_, c, h, w| {
+            (((c * 11 + h * 5 + w) % 13) as f32 - 6.0) / 6.0
+        });
+        precision::force(Some(Precision::F32));
+        int8_net
+            .calibrate(&eight, CalibrationMethod::MaxAbs)
+            .unwrap();
+        precision::force(Some(Precision::Int8));
+        let mut int8_arena = ForwardArena::new();
+        for images in [&eight, &one] {
+            for _ in 0..3 {
+                int8_net.forward_into(images, &mut int8_arena).unwrap();
+            }
+            let allocs = min_allocs_over(5, 10, || {
+                int8_net.forward_into(images, &mut int8_arena).unwrap();
+            });
+            assert_eq!(
+                allocs,
+                0,
+                "int8 forward passes at batch {} must not allocate (got {allocs})",
+                images.n(),
+            );
+        }
+        precision::force(None);
+
+        // What that costs in scratch, on the deep conv: the quantized
+        // image, two patch rows and the packed i8 patch matrix — where
+        // lowering in f32 first held the f32 patch matrix besides the
+        // packed one, a slot the int8 forms now leave empty.
+        let p = INT8_CONV2;
+        let w2 = xavier_uniform(32, p.col_rows(), 32);
+        let bands = ConvWeights::i8_bands(&w2, &p).unwrap();
+        let x = Tensor4::from_fn(1, 128, 5, 5, |_, c, h, w| {
+            ((c + h * 3 + w) % 9) as f32 / 9.0
+        });
+        let pool = WorkspacePool::new();
+        let form = ConvWeights::DenseI8 {
+            bands: &bands,
+            act_scale: 1.0 / 127.0,
+        };
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        conv2d(&x, form, None, true, &p, &pool, &mut out).unwrap();
+        let ws = pool.checkout();
+        let packed_i8 = 25usize.div_ceil(8) * p.col_rows() * 8;
+        let via_f32_patch_matrix = p.col_rows() * 25 * 4 + packed_i8;
+        assert_eq!(ws.cols.len(), 0);
+        assert_eq!(ws.qbuf.len(), packed_i8);
+        assert!(ws.reserved_bytes() <= via_f32_patch_matrix / 3);
     }
 
     // The batch-1 pruned-FC route: the fused CSR matvec

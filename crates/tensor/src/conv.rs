@@ -7,11 +7,12 @@
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::gemm::gemm_packed;
-use crate::im2col::{im2col_packed_prealloc, im2col_prealloc, out_spatial};
-use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
-use crate::quant::{
-    gemm_i8, pack_b_i8_into, quantize_dense_i8_into, symmetric_scale, QuantizedA, QuantizedCsr,
+use crate::im2col::{
+    im2col_i8_packed_prealloc, im2col_i8_prealloc, im2col_packed_prealloc, im2col_prealloc,
+    out_spatial,
 };
+use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
+use crate::quant::{gemm_i8, symmetric_scale, QuantizedA, QuantizedCsr};
 use crate::sparse::CsrMatrix;
 use crate::tensor4::Tensor4;
 use crate::workspace::{Workspace, WorkspacePool};
@@ -264,19 +265,20 @@ pub enum ConvWeights<'a> {
     /// the row-major im2col; the multiply is [`CsrMatrix::spmm_into`].
     Csr(&'a [CsrMatrix]),
     /// Int8 dense: pre-quantized weight bands against activations
-    /// quantized per image with `act_scale` (calibrated, or the
-    /// caller's max-abs estimate) and packed into the pair-interleaved
-    /// i8 panel layout in the lowering pass; the multiply is
-    /// [`gemm_i8`], dequantizing by `weight scale · act_scale` in its
-    /// store.
+    /// quantized with `act_scale` (calibrated, or the caller's max-abs
+    /// estimate) — each input image once, before lowering; the
+    /// lowering moves i8 straight into the pair-interleaved panel
+    /// layout; the multiply is [`gemm_i8`], dequantizing by
+    /// `weight scale · act_scale` in its store.
     DenseI8 {
         /// Quantized weight bands.
         bands: &'a [QuantizedA],
         /// Activation quantization scale for this call.
         act_scale: f32,
     },
-    /// Int8 CSR: quantized sparse weights against the row-major
-    /// quantized patch matrix, i32-exact SpMM rows.
+    /// Int8 CSR: quantized sparse weights against the row-major i8
+    /// patch matrix (lowered from the same once-quantized image),
+    /// i32-exact SpMM rows.
     CsrI8 {
         /// Quantized CSR weight bands.
         bands: &'a [QuantizedCsr],
@@ -405,6 +407,12 @@ impl ConvWeights<'_> {
 /// the result is bitwise identical to the unfused convolution followed
 /// by a standalone ReLU layer, on every bit-identical kernel path.
 ///
+/// The int8 forms **quantize** each input image once, ahead of the
+/// lowering, and lower in int8: lowering only copies values and pads
+/// with `0.0`, which quantizes to `0`, so the patch matrix is byte for
+/// byte the quantized f32 one at `kh*kw / stride²` times fewer
+/// quantizations and a quarter of the bytes moved.
+///
 /// [`ConvWeights::DenseRows`] treats a pruned filter as absent rather
 /// than as zeros. A group whose filters are all pruned is neither
 /// lowered nor multiplied, and a layer with every filter pruned is its
@@ -444,7 +452,6 @@ pub fn conv2d(
     let timing = cap_obs::timing_enabled();
     let metrics = cap_obs::metrics();
     let path = kernels::selected();
-    let lowers_packed = matches!(weights, ConvWeights::Dense(_) | ConvWeights::DenseRows(_));
 
     // Pair output and input images by chunking both flat buffers — no
     // per-call Vec of image slices, keeping the steady state allocation-free.
@@ -454,14 +461,31 @@ pub fn conv2d(
         .try_for_each_init(
             || pool.checkout(),
             |ws, (out_img, in_img)| -> TensorResult<()> {
-                let Workspace { cols, packed, qbuf } = &mut **ws;
-                if !lowers_packed {
-                    // Every form but dense f32 lowers through the
-                    // row-major patch matrix.
-                    cols.resize(col_rows, n_out);
+                let Workspace {
+                    cols,
+                    packed,
+                    qbuf,
+                    qimage,
+                    qlines,
+                } = &mut **ws;
+                match weights {
+                    ConvWeights::Csr(_) => cols.resize(col_rows, n_out),
+                    ConvWeights::DenseI8 { act_scale, .. }
+                    | ConvWeights::CsrI8 { act_scale, .. } => {
+                        // Quantization commutes with lowering (which
+                        // only copies values and pads with zero), so
+                        // the image is quantized once here instead of
+                        // once per patch element after it. Lowering
+                        // cost, like the rest of the operand's path.
+                        let t_quant = split_clock(timing);
+                        qimage.resize(in_img.len(), 0);
+                        ki8::quantize_slice_with(path, in_img, 1.0 / act_scale, qimage);
+                        credit_ns(t_quant, &metrics.im2col_time_ns);
+                    }
+                    ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {}
                 }
                 for g in 0..params.groups {
-                    let in_slice = &in_img[g * cpg * h * w..(g + 1) * cpg * h * w];
+                    let in_range = g * cpg * h * w..(g + 1) * cpg * h * w;
                     let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
                     // `bias[g*opg + r]` is the bias of GEMM row `r`, so
                     // the group's bias slice is a per-row epilogue.
@@ -477,26 +501,28 @@ pub fn conv2d(
                             continue;
                         }
                     }
-                    // Quantizing the patch matrix is lowering cost too,
-                    // credited to the im2col side of the time split.
                     let t_col = split_clock(timing);
                     let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
-                    if lowers_packed {
-                        // Fused unroll+pack: emit the GEMM's panel layout
-                        // directly — one write pass over the activations
-                        // instead of a write plus a full read+write.
-                        im2col_packed_prealloc(in_slice, cpg, h, w, kh, kw, pad, stride, packed)?;
-                    } else {
-                        im2col_prealloc(in_slice, cpg, h, w, kh, kw, pad, stride, cols)?;
-                    }
+                    // Each form lowers straight into the layout its
+                    // multiply reads — one write pass, no repack.
                     match weights {
-                        ConvWeights::DenseI8 { act_scale, .. } => {
-                            pack_b_i8_into(cols.as_slice(), col_rows, n_out, 1.0 / act_scale, qbuf);
+                        ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
+                            let image = &in_img[in_range];
+                            im2col_packed_prealloc(image, cpg, h, w, kh, kw, pad, stride, packed)?
                         }
-                        ConvWeights::CsrI8 { act_scale, .. } => {
-                            quantize_dense_i8_into(cols.as_slice(), 1.0 / act_scale, qbuf);
+                        ConvWeights::Csr(_) => {
+                            let image = &in_img[in_range];
+                            im2col_prealloc(image, cpg, h, w, kh, kw, pad, stride, cols)?
                         }
-                        ConvWeights::Dense(_) | ConvWeights::DenseRows(_) | ConvWeights::Csr(_) => {
+                        ConvWeights::DenseI8 { .. } => {
+                            let image = &qimage[in_range];
+                            im2col_i8_packed_prealloc(
+                                image, cpg, h, w, kh, kw, pad, stride, qlines, qbuf,
+                            )?;
+                        }
+                        ConvWeights::CsrI8 { .. } => {
+                            let image = &qimage[in_range];
+                            im2col_i8_prealloc(image, cpg, h, w, kh, kw, pad, stride, qbuf)?
                         }
                     }
                     credit_ns(t_col, &metrics.im2col_time_ns);

@@ -8,7 +8,8 @@
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::kernels::PANEL;
+use crate::kernels::int8::store_row_pair_with;
+use crate::kernels::{self, PANEL};
 
 /// Output spatial size of a convolution/pooling window sweep.
 ///
@@ -58,6 +59,169 @@ pub fn im2col(
     Ok(cols)
 }
 
+/// One lowering's geometry, validated once: the image is `c×h×w`, the
+/// patch matrix `rows × n_out`. Patch row `(ci*kh + ky)*kw + kx` holds
+/// tap `(ky, kx)` of channel `ci` for every output pixel `(oy, ox)`,
+/// column `oy*out_w + ox`. All four lowerings (f32 or i8, row-major or
+/// panel-packed) walk a patch row through [`Lowering::for_each_run`]
+/// and differ only in where a run's columns are stored.
+#[derive(Debug, Clone, Copy)]
+struct Lowering {
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    pad: usize,
+    stride: usize,
+    out_h: usize,
+    out_w: usize,
+    /// `c * kh * kw`.
+    rows: usize,
+    /// `out_h * out_w`.
+    n_out: usize,
+}
+
+/// A patch row's tap: `(ci, ky, kx)`, row `(ci*kh + ky)*kw + kx`.
+type Tap = (usize, usize, usize);
+
+impl Lowering {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        what: &str,
+        image_len: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        pad: usize,
+        stride: usize,
+    ) -> TensorResult<Self> {
+        if image_len != c * h * w {
+            return Err(ShapeError::new(format!(
+                "{what}: image length {image_len} != {c}x{h}x{w}"
+            )));
+        }
+        let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
+        Ok(Self {
+            h,
+            w,
+            kh,
+            kw,
+            pad,
+            stride,
+            out_h,
+            out_w,
+            rows: c * kh * kw,
+            n_out: out_h * out_w,
+        })
+    }
+
+    /// The tap `(ci, ky, kx)` of the patch row after `tap`'s: `kx`
+    /// fastest, then `ky`, then the channel (no division per row).
+    #[inline(always)]
+    fn next_tap(&self, (ci, ky, kx): Tap) -> Tap {
+        if kx + 1 < self.kw {
+            (ci, ky, kx + 1)
+        } else if ky + 1 < self.kh {
+            (ci, ky + 1, 0)
+        } else {
+            (ci + 1, 0, 0)
+        }
+    }
+
+    /// Decompose the patch row of tap `(ci, ky, kx)` into runs of
+    /// output columns and call `emit(c0, c1, taps)` for each: columns
+    /// `c0..c1` are zero padding when `taps` is `None`, else column
+    /// `c0 + i` is `taps[i * stride]`.
+    ///
+    /// For a fixed `(ky, kx, oy)` the source index is affine in `ox`
+    /// (`ix = ox*stride + kx - pad` on input row `iy`), so instead of a
+    /// bounds branch per element the valid `ox` range is computed once
+    /// per patch row and each output row is a zero run for each
+    /// out-of-image margin plus one run of taps — a contiguous copy at
+    /// stride 1, a strided gather otherwise. Lowering is pure data
+    /// movement: this decides how fast values land, never which.
+    #[inline(always)]
+    fn for_each_run<'a, T>(
+        &self,
+        image: &'a [T],
+        (ci, ky, kx): Tap,
+        mut emit: impl FnMut(usize, usize, Option<&'a [T]>),
+    ) {
+        let Self {
+            h,
+            w,
+            pad,
+            stride,
+            out_h,
+            out_w,
+            ..
+        } = *self;
+        let ch = &image[ci * h * w..(ci + 1) * h * w];
+        // ox is valid iff 0 <= ox*stride + kx - pad < w:
+        let ox_lo = if kx >= pad {
+            0
+        } else {
+            (pad - kx).div_ceil(stride).min(out_w)
+        };
+        let ox_hi = if w + pad <= kx {
+            0
+        } else {
+            ((w - 1 + pad - kx) / stride + 1).min(out_w)
+        }
+        .max(ox_lo);
+        for oy in 0..out_h {
+            let col0 = oy * out_w;
+            let iy = (oy * stride + ky) as isize - pad as isize;
+            if iy < 0 || (iy as usize) >= h {
+                emit(col0, col0 + out_w, None);
+                continue;
+            }
+            if ox_lo > 0 {
+                emit(col0, col0 + ox_lo, None);
+            }
+            if ox_hi < out_w {
+                emit(col0 + ox_hi, col0 + out_w, None);
+            }
+            if ox_lo < ox_hi {
+                // First valid source index; >= 0 by choice of ox_lo.
+                let base = iy as usize * w + ox_lo * stride + kx - pad;
+                emit(col0 + ox_lo, col0 + ox_hi, Some(&ch[base..]));
+            }
+        }
+    }
+
+    /// Write the patch row of `tap` into the contiguous `line` (`n_out`
+    /// long).
+    #[inline(always)]
+    fn lower_row<T: Copy + Default>(&self, image: &[T], tap: Tap, line: &mut [T]) {
+        let stride = self.stride;
+        self.for_each_run(image, tap, |c0, c1, taps| {
+            let dst = &mut line[c0..c1];
+            match taps {
+                None => dst.fill(T::default()),
+                Some(src) if stride == 1 => dst.copy_from_slice(&src[..dst.len()]),
+                Some(src) => {
+                    for (i, d) in dst.iter_mut().enumerate() {
+                        *d = src[i * stride];
+                    }
+                }
+            }
+        });
+    }
+
+    /// The row-major lowering: patch row `r` is `cols[r*n_out..]`.
+    /// Rows outermost for cache-friendly writes.
+    fn lower_rows<T: Copy + Default>(&self, image: &[T], cols: &mut [T]) {
+        let mut tap = (0, 0, 0);
+        for line in cols.chunks_exact_mut(self.n_out) {
+            self.lower_row(image, tap, line);
+            tap = self.next_tap(tap);
+        }
+    }
+}
+
 /// `im2col` into a preallocated output matrix (shape-checked), avoiding
 /// per-call allocation in batched inference loops.
 #[allow(clippy::too_many_arguments)]
@@ -72,76 +236,39 @@ pub fn im2col_prealloc(
     stride: usize,
     cols: &mut Matrix,
 ) -> TensorResult<()> {
-    if image.len() != c * h * w {
-        return Err(ShapeError::new(format!(
-            "im2col: image length {} != {}x{}x{}",
-            image.len(),
-            c,
-            h,
-            w
-        )));
-    }
-    let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
-    if cols.shape() != (c * kh * kw, out_h * out_w) {
+    let lo = Lowering::new("im2col", image.len(), c, h, w, kh, kw, pad, stride)?;
+    if cols.shape() != (lo.rows, lo.n_out) {
         return Err(ShapeError::new(format!(
             "im2col: cols shape {:?} != {:?}",
             cols.shape(),
-            (c * kh * kw, out_h * out_w)
+            (lo.rows, lo.n_out)
         )));
     }
-    let n_out = out_h * out_w;
-    let data = cols.as_mut_slice();
-    // Row index of `cols` enumerates (channel, ky, kx); column enumerates
-    // (oy, ox). We walk rows outermost for cache-friendly writes.
-    //
-    // For a fixed (ky, kx, oy) the source index is affine in ox
-    // (`ix = ox*stride + kx - pad` on input row `iy`), so instead of a
-    // bounds branch per element the valid `ox` range is computed once
-    // per output row and the body is a zero-fill of the out-of-image
-    // margins plus one contiguous `copy_from_slice` (stride 1) or a
-    // branchless strided gather. im2col is pure data movement — this
-    // changes nothing about which values land where, only how fast.
-    for ci in 0..c {
-        let ch = &image[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ci * kh + ky) * kw + kx;
-                let out_row = &mut data[row * n_out..(row + 1) * n_out];
-                // ox is valid iff 0 <= ox*stride + kx - pad < w:
-                let ox_lo = if kx >= pad {
-                    0
-                } else {
-                    (pad - kx).div_ceil(stride).min(out_w)
-                };
-                let ox_hi = if w + pad <= kx {
-                    0
-                } else {
-                    ((w - 1 + pad - kx) / stride + 1).min(out_w)
-                }
-                .max(ox_lo);
-                for oy in 0..out_h {
-                    let dst = &mut out_row[oy * out_w..(oy + 1) * out_w];
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || (iy as usize) >= h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &ch[iy as usize * w..(iy as usize + 1) * w];
-                    dst[..ox_lo].fill(0.0);
-                    dst[ox_hi..].fill(0.0);
-                    // First valid source index; >= 0 by choice of ox_lo.
-                    let base = ox_lo * stride + kx - pad;
-                    if stride == 1 {
-                        dst[ox_lo..ox_hi].copy_from_slice(&src_row[base..base + (ox_hi - ox_lo)]);
-                    } else {
-                        for (i, d) in dst[ox_lo..ox_hi].iter_mut().enumerate() {
-                            *d = src_row[base + i * stride];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    lo.lower_rows(image, cols.as_mut_slice());
+    Ok(())
+}
+
+/// [`im2col_prealloc`] over an already-quantized image: the row-major
+/// `(c*kh*kw) × (out_h*out_w)` i8 patch matrix the int8 SpMM reads,
+/// into `cols` (resized; every byte written). Lowering only moves
+/// values and pads with zero, and zero quantizes to zero, so this is
+/// byte for byte the quantized f32 patch matrix — from `c*h*w`
+/// quantizations instead of one per patch element.
+#[allow(clippy::too_many_arguments)]
+pub fn im2col_i8_prealloc(
+    image: &[i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    pad: usize,
+    stride: usize,
+    cols: &mut Vec<i8>,
+) -> TensorResult<()> {
+    let lo = Lowering::new("im2col_i8", image.len(), c, h, w, kh, kw, pad, stride)?;
+    cols.resize(lo.rows * lo.n_out, 0);
+    lo.lower_rows(image, cols);
     Ok(())
 }
 
@@ -188,83 +315,101 @@ pub fn im2col_packed_prealloc(
     stride: usize,
     packed: &mut Matrix,
 ) -> TensorResult<()> {
-    if image.len() != c * h * w {
-        return Err(ShapeError::new(format!(
-            "im2col_packed: image length {} != {}x{}x{}",
-            image.len(),
-            c,
-            h,
-            w
-        )));
-    }
-    let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
-    let n_out = out_h * out_w;
-    let k_rows = c * kh * kw;
+    let lo = Lowering::new("im2col_packed", image.len(), c, h, w, kh, kw, pad, stride)?;
+    let (k_rows, n_out) = (lo.rows, lo.n_out);
     let panels = n_out.div_ceil(PANEL);
     packed.resize(panels.max(1), k_rows * PANEL);
-    if k_rows == 0 {
-        return Ok(());
-    }
     let data = packed.as_mut_slice();
-    // Same row/run decomposition as `im2col_prealloc`; only the write
-    // addressing differs (panel segments instead of one contiguous row).
-    for ci in 0..c {
-        let ch = &image[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ci * kh + ky) * kw + kx;
-                // Zero the packed tail lanes past the last real column.
-                packed_row_segments(n_out, panels * PANEL, k_rows, row, |s, l| {
-                    data[s..s + l].fill(0.0)
+    let mut tap = (0, 0, 0);
+    for row in 0..k_rows {
+        // Zero the packed tail lanes past the last real column.
+        packed_row_segments(n_out, panels * PANEL, k_rows, row, |s, l| {
+            data[s..s + l].fill(0.0)
+        });
+        // Same runs as the row-major lowering; only the write
+        // addressing differs (panel segments instead of one line).
+        lo.for_each_run(image, tap, |c0, c1, taps| match taps {
+            None => packed_row_segments(c0, c1, k_rows, row, |s, l| data[s..s + l].fill(0.0)),
+            Some(src) if stride == 1 => {
+                let mut off = 0;
+                packed_row_segments(c0, c1, k_rows, row, |s, l| {
+                    data[s..s + l].copy_from_slice(&src[off..off + l]);
+                    off += l;
                 });
-                let ox_lo = if kx >= pad {
-                    0
-                } else {
-                    (pad - kx).div_ceil(stride).min(out_w)
-                };
-                let ox_hi = if w + pad <= kx {
-                    0
-                } else {
-                    ((w - 1 + pad - kx) / stride + 1).min(out_w)
-                }
-                .max(ox_lo);
-                for oy in 0..out_h {
-                    let col0 = oy * out_w;
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || (iy as usize) >= h {
-                        packed_row_segments(col0, col0 + out_w, k_rows, row, |s, l| {
-                            data[s..s + l].fill(0.0)
-                        });
-                        continue;
-                    }
-                    let src_row = &ch[iy as usize * w..(iy as usize + 1) * w];
-                    packed_row_segments(col0, col0 + ox_lo, k_rows, row, |s, l| {
-                        data[s..s + l].fill(0.0)
-                    });
-                    packed_row_segments(col0 + ox_hi, col0 + out_w, k_rows, row, |s, l| {
-                        data[s..s + l].fill(0.0)
-                    });
-                    let base = ox_lo * stride + kx - pad;
-                    if stride == 1 {
-                        let mut off = 0;
-                        packed_row_segments(col0 + ox_lo, col0 + ox_hi, k_rows, row, |s, l| {
-                            data[s..s + l].copy_from_slice(&src_row[base + off..base + off + l]);
-                            off += l;
-                        });
-                    } else {
-                        let mut idx = 0;
-                        packed_row_segments(col0 + ox_lo, col0 + ox_hi, k_rows, row, |s, l| {
-                            for d in 0..l {
-                                data[s + d] = src_row[base + (idx + d) * stride];
-                            }
-                            idx += l;
-                        });
-                    }
-                }
             }
-        }
+            Some(src) => {
+                let mut idx = 0;
+                packed_row_segments(c0, c1, k_rows, row, |s, l| {
+                    for d in 0..l {
+                        data[s + d] = src[(idx + d) * stride];
+                    }
+                    idx += l;
+                });
+            }
+        });
+        tap = lo.next_tap(tap);
     }
     Ok(())
+}
+
+/// The int8 convolution's lowering: an already-quantized image straight
+/// into the pair-interleaved i8 panel layout [`crate::gemm_i8`]
+/// multiplies — byte for byte what [`crate::pack_b_i8_into`] makes of
+/// the f32 patch matrix of the unquantized image (lowering only moves
+/// values and pads with zero, and zero quantizes to zero). Returns the
+/// even panel depth `kp`.
+///
+/// Two patch rows at a time are lowered into `lines` (two rows of whole
+/// panels, tail lanes zero) and stored as one depth pair, so every byte
+/// of `packed` — odd-depth pad row, panel tail lanes and zero margins
+/// included — is written and neither buffer needs clearing.
+#[allow(clippy::too_many_arguments)]
+pub fn im2col_i8_packed_prealloc(
+    image: &[i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    pad: usize,
+    stride: usize,
+    lines: &mut Vec<i8>,
+    packed: &mut Vec<i8>,
+) -> TensorResult<usize> {
+    let lo = Lowering::new(
+        "im2col_i8_packed",
+        image.len(),
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        pad,
+        stride,
+    )?;
+    let (k_rows, n_out) = (lo.rows, lo.n_out);
+    let kp = k_rows.next_multiple_of(2);
+    let lanes = n_out.next_multiple_of(PANEL);
+    packed.resize(lanes * kp, 0);
+    lines.resize(2 * lanes, 0);
+    let (even, odd) = lines.split_at_mut(lanes);
+    let path = kernels::selected();
+    even[n_out..].fill(0);
+    odd[n_out..].fill(0);
+    let mut tap = (0, 0, 0);
+    for t in 0..kp / 2 {
+        lo.lower_row(image, tap, &mut even[..n_out]);
+        tap = lo.next_tap(tap);
+        if 2 * t + 1 < k_rows {
+            lo.lower_row(image, tap, &mut odd[..n_out]);
+            tap = lo.next_tap(tap);
+        } else {
+            // The pad row of an odd depth.
+            odd.fill(0);
+        }
+        store_row_pair_with(path, even, odd, t, kp, packed);
+    }
+    Ok(kp)
 }
 
 /// Fold a column matrix back into an image, **accumulating** overlapping
@@ -476,6 +621,43 @@ mod tests {
             for (x, y) in fused.as_slice().iter().zip(two_pass.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+
+        /// Quantize-then-lower is byte for byte lower-then-quantize, for
+        /// both i8 layouts: the i8 lowerings of the quantized image
+        /// against the quantizers run over the f32 patch matrix. The
+        /// scale clips part of the range, and every scratch buffer
+        /// starts oversized and poisoned, so an unwritten byte (pad row
+        /// of an odd depth, panel tail lane, zero margin) would show.
+        #[test]
+        fn prop_i8_lowerings_match_quantized_f32_lowering(
+            c in 1usize..4, h in 1usize..10, w in 1usize..10,
+            kh in 1usize..5, kw in 1usize..5,
+            pad in 0usize..3, stride in 1usize..5,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(out_spatial(h, w, kh, kw, pad, stride).is_ok());
+            let image: Vec<f32> = (0..c * h * w)
+                .map(|i| ((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 / 100.0 - 5.0)
+                .collect();
+            let inv_scale = 127.0 / 4.0;
+            let cols = im2col(&image, c, h, w, kh, kw, pad, stride).unwrap();
+            let (k, n) = cols.shape();
+            let q_image: Vec<i8> = image.iter().map(|&v| crate::quantize_i8(v, inv_scale)).collect();
+
+            let mut want = Vec::new();
+            let kp = crate::pack_b_i8_into(cols.as_slice(), k, n, inv_scale, &mut want);
+            let (mut lines, mut packed) = (vec![77i8; 64], vec![77i8; 4 * want.len() + 5]);
+            let got_kp = im2col_i8_packed_prealloc(
+                &q_image, c, h, w, kh, kw, pad, stride, &mut lines, &mut packed,
+            ).unwrap();
+            prop_assert_eq!(got_kp, kp);
+            prop_assert_eq!(&packed, &want);
+
+            let want: Vec<i8> = cols.as_slice().iter().map(|&v| crate::quantize_i8(v, inv_scale)).collect();
+            let mut rows = vec![77i8; 2 * want.len() + 3];
+            im2col_i8_prealloc(&q_image, c, h, w, kh, kw, pad, stride, &mut rows).unwrap();
+            prop_assert_eq!(&rows, &want);
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Int8 integer microkernels: GEMM band, GEMV and SpMM-row with i32
-//! accumulation and a dequantize-in-epilogue store.
+//! Int8 integer microkernels: the slice quantizer, and GEMM band, GEMV
+//! and SpMM-row with i32 accumulation and a dequantize-in-epilogue store.
 //!
 //! These are the quantized counterparts of the f32 kernels in
 //! [`super::scalar`] / [`super::avx2`], dispatched through the same
@@ -33,8 +33,8 @@
 //!   of `kp × PANEL` i8, where each panel stores depth *pairs*
 //!   `(b[2t, j], b[2t+1, j])` contiguously per column `j`. One 16-byte
 //!   load therefore yields a full `PANEL`-column pair slice in exactly
-//!   the lane order `_mm256_madd_epi16` wants (see
-//!   [`crate::quant::pack_b_i8_into`]).
+//!   the lane order `_mm256_madd_epi16` wants ([`store_row_pair_with`]
+//!   writes it from two row-major rows).
 //! * SpMM `B` is plain row-major i8 (`k × n`), matching the f32 SpMM.
 
 use super::{EpiBias, Epilogue, KernelPath, PANEL};
@@ -44,6 +44,72 @@ use super::{EpiBias, Epilogue, KernelPath, PANEL};
 /// wrap. Far above any layer in this workspace (Caffenet fc6 has
 /// `k = 9216`).
 pub const MAX_K_I8: usize = 1 << 17;
+
+/// Quantize one value: `clamp(round(v * inv_scale), -127, 127)`.
+/// `inv_scale` is `1.0 / scale` (hoisted by callers); `round` is half
+/// away from zero, NaN maps to 0. The scalar oracle of
+/// [`quantize_slice_with`].
+#[inline]
+pub fn quantize_i8(v: f32, inv_scale: f32) -> i8 {
+    (v * inv_scale).round().clamp(-127.0, 127.0) as i8
+}
+
+/// Quantize `src` element-wise into `dst` (equal lengths, asserted):
+/// `dst[i] = quantize_i8(src[i], inv_scale)`, bitwise on every
+/// [`KernelPath`]. The one slice quantizer behind every `*_into` of
+/// [`crate::quant`] and the int8 convolution's image quantize.
+#[inline]
+pub fn quantize_slice_with(path: KernelPath, src: &[f32], inv_scale: f32, dst: &mut [i8]) {
+    assert_eq!(src.len(), dst.len(), "quantize: src and dst lengths differ");
+    match path {
+        KernelPath::Scalar => scalar::quantize_slice(src, inv_scale, dst),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: avx2 verified available by `selected()`/`force()`
+        // (see `gemm_i8_packed_band_with`); the lengths were asserted
+        // equal above, which is all the kernel's raw loads and stores
+        // rely on.
+        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
+            avx2::quantize_slice(src, inv_scale, dst)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar::quantize_slice(src, inv_scale, dst),
+    }
+}
+
+/// Write depth rows `2t` (`even`) and `2t + 1` (`odd`) of a `B` operand
+/// into the pair-interleaved panel layout: column `j` of panel `p` gets
+/// the adjacent bytes `(even[p*PANEL + j], odd[p*PANEL + j])` at
+/// `p*kp*PANEL + t*2*PANEL + 2*j` — row `r`, column `j` of a panel sits
+/// at `(r/2)*2*PANEL + 2*j + (r%2)`. `even` and `odd` hold whole panels
+/// (callers zero the lanes past the last real column, and pass a zero
+/// `odd` for the pad row of an odd depth), so all `2*PANEL` bytes of
+/// pair `t` are written in every panel the rows cover, starting at
+/// `packed`'s first panel.
+#[inline]
+pub fn store_row_pair_with(
+    path: KernelPath,
+    even: &[i8],
+    odd: &[i8],
+    t: usize,
+    kp: usize,
+    packed: &mut [i8],
+) {
+    assert_eq!(even.len(), odd.len());
+    assert!(even.len().is_multiple_of(PANEL) && 2 * t < kp);
+    assert!(packed.len() >= even.len() * kp, "packed B too short");
+    match path {
+        KernelPath::Scalar => scalar::store_row_pair(even, odd, t, kp, packed),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: avx2 verified available by `selected()`/`force()`
+        // (see `gemm_i8_packed_band_with`); the asserts above are the
+        // bounds of every raw load and store in the kernel.
+        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
+            avx2::store_row_pair(even, odd, t, kp, packed)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar::store_row_pair(even, odd, t, kp, packed),
+    }
+}
 
 /// One row band of the pair-interleaved int8 GEMM with a fused
 /// dequantize + bias/ReLU store: rows `row0 .. row0 + c_band.len()/n`
@@ -177,7 +243,24 @@ fn dequant_one(acc: i32, scale: f32, bias: f32, has_bias: bool, relu: bool) -> f
 
 /// Portable reference kernels — the parity oracle for the AVX2 path.
 mod scalar {
-    use super::{dequant_one, EpiBias, Epilogue, MAX_K_I8, PANEL, SPMM_I8_BLOCK};
+    use super::{dequant_one, quantize_i8, EpiBias, Epilogue, MAX_K_I8, PANEL, SPMM_I8_BLOCK};
+
+    pub fn quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = quantize_i8(v, inv_scale);
+        }
+    }
+
+    pub fn store_row_pair(even: &[i8], odd: &[i8], t: usize, kp: usize, packed: &mut [i8]) {
+        let rows = even.chunks_exact(PANEL).zip(odd.chunks_exact(PANEL));
+        for (panel, (e, o)) in packed.chunks_exact_mut(kp * PANEL).zip(rows) {
+            let pair = &mut panel[t * 2 * PANEL..(t + 1) * 2 * PANEL];
+            for ((d, &e), &o) in pair.chunks_exact_mut(2).zip(e).zip(o) {
+                d[0] = e;
+                d[1] = o;
+            }
+        }
+    }
 
     /// Dequantize-and-store one (possibly partial-width) panel slot.
     fn store_dequant(
@@ -332,6 +415,93 @@ mod avx2 {
     /// Exact integer accumulation makes the re-blocking invisible in
     /// the results.
     const KC_PAIRS: usize = 256;
+
+    /// `quantize_i8` on eight lanes, as i32: multiply, NaN → 0, clamp to
+    /// ±127, round half away from zero. Clamping first is exact: the
+    /// bounds are integers and rounding is monotonic. The rounding is
+    /// `trunc(x + copysign(h, x))` with `h = 0.5 − 2⁻²⁵`, the largest
+    /// float below 0.5: when `frac(|x|) < 0.5` the exact sum is below
+    /// the last float before the next integer and rounds no higher;
+    /// otherwise it lies within 2⁻²⁵ of that integer — under half the
+    /// float spacing there — and rounds onto it (the one exact tie,
+    /// `0.5 + h`, goes to the even 1.0). `_mm256_cvttps_epi32` is the
+    /// truncation.
+    #[inline(always)]
+    unsafe fn quantize8(v: __m256, inv_scale: __m256) -> __m256i {
+        let x = _mm256_mul_ps(v, inv_scale);
+        let x = _mm256_and_ps(x, _mm256_cmp_ps(x, x, _CMP_ORD_Q));
+        let x = _mm256_min_ps(
+            _mm256_max_ps(x, _mm256_set1_ps(-127.0)),
+            _mm256_set1_ps(127.0),
+        );
+        let sign = _mm256_and_ps(x, _mm256_set1_ps(-0.0));
+        let half = _mm256_or_ps(sign, _mm256_set1_ps(0.499_999_97));
+        _mm256_cvttps_epi32(_mm256_add_ps(x, half))
+    }
+
+    /// Slice quantizer; see the scalar oracle. 32 values per pass
+    /// narrow i32 → i16 → i8 with two in-lane saturating packs (no
+    /// value exceeds ±127, so nothing saturates) and one cross-lane
+    /// permute that restores element order; then eight at a time, then
+    /// the scalar expression.
+    ///
+    /// # Safety
+    /// CPU must support AVX2 (verified by the dispatch layer);
+    /// `src.len() == dst.len()` (asserted by the dispatch layer).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
+        let n = src.len();
+        let inv = _mm256_set1_ps(inv_scale);
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let mut i = 0;
+        while i + 32 <= n {
+            let a = quantize8(_mm256_loadu_ps(sp.add(i)), inv);
+            let b = quantize8(_mm256_loadu_ps(sp.add(i + 8)), inv);
+            let c = quantize8(_mm256_loadu_ps(sp.add(i + 16)), inv);
+            let d = quantize8(_mm256_loadu_ps(sp.add(i + 24)), inv);
+            // Per 128-bit lane: [a b | a b] and [c d | c d] as i16,
+            // then [a b c d | a b c d] as i8 in 4-byte groups.
+            let bytes = _mm256_packs_epi16(_mm256_packs_epi32(a, b), _mm256_packs_epi32(c, d));
+            let bytes = _mm256_permutevar8x32_epi32(bytes, order);
+            _mm256_storeu_si256(dp.add(i) as *mut __m256i, bytes);
+            i += 32;
+        }
+        while i + 8 <= n {
+            let q = quantize8(_mm256_loadu_ps(sp.add(i)), inv);
+            let lo = _mm256_castsi256_si128(q);
+            let hi = _mm256_extracti128_si256(q, 1);
+            let words = _mm_packs_epi32(lo, hi);
+            _mm_storel_epi64(dp.add(i) as *mut __m128i, _mm_packs_epi16(words, words));
+            i += 8;
+        }
+        super::scalar::quantize_slice(&src[i..], inv_scale, &mut dst[i..]);
+    }
+
+    /// Pair store; see the scalar oracle. One `punpcklbw` interleaves a
+    /// panel's eight `even` bytes with its eight `odd` bytes into the
+    /// sixteen bytes of depth pair `t`.
+    ///
+    /// # Safety
+    /// CPU must support AVX2 (verified by the dispatch layer);
+    /// `even.len() == odd.len()`, a multiple of `PANEL`; `2*t < kp`;
+    /// `packed.len() >= even.len() * kp` (all asserted by the dispatch
+    /// layer).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn store_row_pair(even: &[i8], odd: &[i8], t: usize, kp: usize, packed: &mut [i8]) {
+        let (ep, op) = (even.as_ptr(), odd.as_ptr());
+        let dst = packed.as_mut_ptr().add(t * 2 * PANEL);
+        for p in 0..even.len() / PANEL {
+            let e = _mm_loadl_epi64(ep.add(p * PANEL) as *const __m128i);
+            let o = _mm_loadl_epi64(op.add(p * PANEL) as *const __m128i);
+            // Last byte written: p*kp*PANEL + (t+1)*2*PANEL - 1, inside
+            // panel `p` because 2*(t+1) <= kp.
+            _mm_storeu_si128(
+                dst.add(p * kp * PANEL) as *mut __m128i,
+                _mm_unpacklo_epi8(e, o),
+            );
+        }
+    }
 
     /// Sign-extend `rows` rows of the row-major i8 `a_data` (row stride
     /// `kp`, starting at `row0`) into `buf` as contiguous i16 rows.

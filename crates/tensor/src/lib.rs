@@ -61,7 +61,10 @@ pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
 pub use gemm::{gemm, gemm_packed, gemm_prealloc, gemm_prepacked, PackedB};
-pub use im2col::{col2im, im2col, im2col_packed_prealloc, im2col_prealloc};
+pub use im2col::{
+    col2im, im2col, im2col_i8_packed_prealloc, im2col_i8_prealloc, im2col_packed_prealloc,
+    im2col_prealloc,
+};
 pub use kernels::{EpiBias, Epilogue, KernelPath};
 pub use pool::{
     avg_pool2d, avg_pool2d_into, max_pool2d, max_pool2d_indices, max_pool2d_into, Pool2dParams,

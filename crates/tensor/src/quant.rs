@@ -100,12 +100,7 @@ impl CalibrationMethod {
     }
 }
 
-/// Quantize one value: `clamp(round(v * inv_scale), -127, 127)`.
-/// `inv_scale` is `1.0 / scale` (hoisted by callers); NaN maps to 0.
-#[inline]
-pub fn quantize_i8(v: f32, inv_scale: f32) -> i8 {
-    (v * inv_scale).round().clamp(-127.0, 127.0) as i8
-}
+pub use crate::kernels::int8::quantize_i8;
 
 /// Quantize a row-major `rows × k` f32 slice into row-major i8 with
 /// the even row stride `kp` the int8 kernels require (odd `k` pads a
@@ -119,15 +114,23 @@ pub fn quantize_rows_into(
 ) -> usize {
     assert!(src.len() >= rows * k, "quantize_rows_into: src too short");
     let kp = k.next_multiple_of(2);
-    out.clear();
+    // Every byte is written below, so stale contents need no clearing.
     out.resize(rows * kp, 0);
-    for r in 0..rows {
-        for (d, &v) in out[r * kp..r * kp + k].iter_mut().zip(&src[r * k..]) {
-            *d = quantize_i8(v, inv_scale);
-        }
+    let path = kernels::selected();
+    // (`max(1)`: a zero depth leaves `out` empty and the loop idle.)
+    for (row, dst) in src
+        .chunks_exact(k.max(1))
+        .zip(out.chunks_exact_mut(kp.max(1)))
+    {
+        ki8::quantize_slice_with(path, row, inv_scale, &mut dst[..k]);
+        dst[k..].fill(0);
     }
     kp
 }
+
+/// Columns [`pack_b_i8_into`] quantizes per pass: two stack-resident
+/// patch rows of this many i8 (whole panels).
+const PACK_COLS: usize = 64 * PANEL;
 
 /// Quantize a row-major `k × n` f32 slice straight into the
 /// pair-interleaved i8 panel layout of [`crate::kernels::int8`]
@@ -135,33 +138,35 @@ pub fn quantize_rows_into(
 /// per column, tail columns and the odd-`k` pad zero-filled), reusing
 /// `out`'s capacity. Returns `kp`. This is the int8 analogue of
 /// [`crate::PackedB::pack`] with the quantize folded into the single
-/// write pass.
+/// write pass: per block of `PACK_COLS` columns, two rows at a time go
+/// through the slice quantizer and out as one depth pair.
 pub fn pack_b_i8_into(src: &[f32], k: usize, n: usize, inv_scale: f32, out: &mut Vec<i8>) -> usize {
     assert!(src.len() >= k * n, "pack_b_i8_into: src too short");
     let kp = k.next_multiple_of(2);
-    let panels = n.div_ceil(PANEL);
-    out.clear();
-    out.resize(panels * kp * PANEL, 0);
-    for p in 0..panels {
-        let c0 = p * PANEL;
-        let width = PANEL.min(n - c0);
-        let dst = &mut out[p * kp * PANEL..(p + 1) * kp * PANEL];
-        for r in 0..k {
-            let slot = (r / 2) * 2 * PANEL + (r % 2);
-            let srow = &src[r * n + c0..r * n + c0 + width];
-            for (j, &v) in srow.iter().enumerate() {
-                dst[slot + 2 * j] = quantize_i8(v, inv_scale);
+    let plen = kp * PANEL;
+    // Every byte is written below, so stale contents need no clearing.
+    out.resize(n.div_ceil(PANEL) * plen, 0);
+    let path = kernels::selected();
+    let (mut even, mut odd) = ([0i8; PACK_COLS], [0i8; PACK_COLS]);
+    for c0 in (0..n).step_by(PACK_COLS) {
+        let width = PACK_COLS.min(n - c0);
+        let lanes = width.next_multiple_of(PANEL);
+        let dst = &mut out[c0 / PANEL * plen..];
+        // Tail lanes of the last panel, past column `n`.
+        even[width..lanes].fill(0);
+        odd[width..lanes].fill(0);
+        for t in 0..kp / 2 {
+            let row = |r: usize| &src[r * n + c0..r * n + c0 + width];
+            ki8::quantize_slice_with(path, row(2 * t), inv_scale, &mut even[..width]);
+            if 2 * t + 1 < k {
+                ki8::quantize_slice_with(path, row(2 * t + 1), inv_scale, &mut odd[..width]);
+            } else {
+                odd.fill(0);
             }
+            ki8::store_row_pair_with(path, &even[..lanes], &odd[..lanes], t, kp, dst);
         }
     }
     kp
-}
-
-/// Quantize a flat f32 slice element-wise into `out` (same layout),
-/// reusing capacity — the SpMM path's row-major dense operand.
-pub fn quantize_dense_i8_into(src: &[f32], inv_scale: f32, out: &mut Vec<i8>) {
-    out.clear();
-    out.extend(src.iter().map(|&v| quantize_i8(v, inv_scale)));
 }
 
 /// A quantized row-major left operand (weights, or batched
@@ -218,8 +223,9 @@ impl QuantizedA {
 
 /// A quantized panel-packed right operand — the int8 analogue of
 /// [`crate::PackedB`], in the pair-interleaved layout of
-/// [`crate::kernels::int8`]. Built once per weight matrix (FC `Wᵀ`);
-/// activations use [`pack_b_i8_into`] into pooled scratch instead.
+/// [`crate::kernels::int8`]. Built once per weight matrix (FC `Wᵀ`,
+/// [`PackedBI8::pack_transposed`]); a convolution's activations reach
+/// the same layout through [`crate::im2col_i8_packed_prealloc`].
 #[derive(Debug, Clone)]
 pub struct PackedBI8 {
     data: Vec<i8>,
@@ -235,6 +241,40 @@ impl PackedBI8 {
         let (k, n) = b.shape();
         let mut data = Vec::new();
         let kp = pack_b_i8_into(b.as_slice(), k, n, 1.0 / scale, &mut data);
+        Self {
+            data,
+            k,
+            kp,
+            n,
+            scale,
+        }
+    }
+
+    /// Quantize and pack `wᵀ` reading `w` (`n × k`) in place: byte for
+    /// byte `pack(&w.transpose(), scale)` without materialising the
+    /// transpose. Panel `p` is rows `p*PANEL..` of `w`: each goes
+    /// through the slice quantizer whole (a row of `w` is contiguous),
+    /// then depth pair `t` of column `j` is the two adjacent bytes
+    /// `2t, 2t + 1` of quantized row `j`.
+    pub fn pack_transposed(w: &Matrix, scale: f32) -> Self {
+        let (n, k) = w.shape();
+        let kp = k.next_multiple_of(2);
+        let path = kernels::selected();
+        // Zeroed once: the odd-`k` pad byte of each row and, in the
+        // last panel, the rows past `n` are never written.
+        let mut data = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
+        let mut rows = vec![0i8; PANEL * kp];
+        for (p, panel) in data.chunks_exact_mut((kp * PANEL).max(1)).enumerate() {
+            let width = PANEL.min(n - p * PANEL);
+            for (j, q) in rows.chunks_exact_mut(kp.max(1)).take(width).enumerate() {
+                ki8::quantize_slice_with(path, w.row(p * PANEL + j), 1.0 / scale, &mut q[..k]);
+            }
+            for (t, pair) in panel.chunks_exact_mut(2 * PANEL).enumerate() {
+                for j in 0..width {
+                    pair[2 * j..2 * j + 2].copy_from_slice(&rows[j * kp + 2 * t..][..2]);
+                }
+            }
+        }
         Self {
             data,
             k,
@@ -361,7 +401,9 @@ fn epi_col_offset<'a>(epi: Epilogue<'a>, c0: usize) -> Epilogue<'a> {
 /// f32 `out`. Parallelism mirrors the f32 packed GEMM: `m == 1` routes
 /// through the GEMV kernel over column chunks, otherwise rows split
 /// into `ROW_BAND` bands — neither affects results (exact i32
-/// accumulation, then an element-wise float epilogue).
+/// accumulation, then an element-wise float epilogue). Operand lengths,
+/// the depth (`kp` even, at most [`ki8::MAX_K_I8`]) and the epilogue's
+/// bias are validated once, before the first store.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_i8(
     a_data: &[i8],
@@ -379,6 +421,29 @@ pub fn gemm_i8(
             out.len()
         )));
     }
+    if !kp.is_multiple_of(2) || kp > ki8::MAX_K_I8 {
+        return Err(ShapeError::new(format!(
+            "gemm_i8: depth {kp} must be even and at most {}",
+            ki8::MAX_K_I8
+        )));
+    }
+    if a_data.len() < m * kp {
+        return Err(ShapeError::new(format!(
+            "gemm_i8: A length {} < {m}x{kp}",
+            a_data.len()
+        )));
+    }
+    if b_data.len() < n.div_ceil(PANEL) * kp * PANEL {
+        return Err(ShapeError::new(format!(
+            "gemm_i8: packed B length {} < {} panels of {kp}x{PANEL}",
+            b_data.len(),
+            n.div_ceil(PANEL)
+        )));
+    }
+    // Everything the kernels assert per band or column chunk is checked
+    // here first, so bad operands or a short bias fail with `out`
+    // untouched — not after earlier bands or chunks were stored.
+    epi.check(m, n);
     if m == 0 || n == 0 {
         return Ok(());
     }
@@ -479,6 +544,123 @@ mod tests {
             for (g, w) in got.iter().zip(want.as_slice()) {
                 assert!((g - w).abs() < 0.05 * (k as f32).sqrt(), "{g} vs {w}");
             }
+        }
+    }
+
+    /// The pair-interleaved layout written from its definition, one
+    /// scalar `quantize_i8` per element: shares nothing with the
+    /// blocked, vectorized packers it checks.
+    fn pack_reference(b: &Matrix, inv_scale: f32) -> Vec<i8> {
+        let (k, n) = b.shape();
+        let kp = k.next_multiple_of(2);
+        let mut out = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
+        for r in 0..k {
+            for c in 0..n {
+                let (p, j) = (c / PANEL, c % PANEL);
+                out[p * kp * PANEL + (r / 2) * 2 * PANEL + 2 * j + (r % 2)] =
+                    quantize_i8(b.get(r, c), inv_scale);
+            }
+        }
+        out
+    }
+
+    /// Every byte is written — odd-`k` pad, tail lanes and all — so a
+    /// poisoned, oversized `out` leaves no trace. `n` = 1031 spans three
+    /// column blocks with a ragged last panel.
+    #[test]
+    fn quantizers_overwrite_stale_scratch_and_match_the_definition() {
+        for &(k, n) in &[(1usize, 1usize), (5, 13), (6, 16), (7, 1031), (2, 512)] {
+            let b = det_matrix(k, n, 4);
+            let inv = 1.0 / symmetric_scale(b.as_slice());
+            let mut out = vec![77i8; 3 * (k + 1) * (n + 8)];
+            let kp = pack_b_i8_into(b.as_slice(), k, n, inv, &mut out);
+            assert_eq!(kp, k.next_multiple_of(2));
+            assert_eq!(out, pack_reference(&b, inv), "pack {k}x{n}");
+
+            // The same matrix as `n`-long rows of an A operand.
+            let mut rows = vec![77i8; 3 * (k + 1) * (n + 8)];
+            let np = quantize_rows_into(b.as_slice(), k, n, inv, &mut rows);
+            assert_eq!((np, rows.len()), (n.next_multiple_of(2), k * np));
+            for r in 0..k {
+                for c in 0..np {
+                    let want = if c < n {
+                        quantize_i8(b.get(r, c), inv)
+                    } else {
+                        0
+                    };
+                    assert_eq!(rows[r * np + c], want, "rows {k}x{n} at ({r},{c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_transposed_is_bytewise_pack_of_the_transpose() {
+        // (out, in) = (n, k): odd k, n off the panel, a lone row, and a
+        // whole number of panels.
+        for &(n, k) in &[(13usize, 7usize), (8, 6), (1, 1), (17, 64), (24, 9)] {
+            let w = det_matrix(n, k, 5);
+            let scale = symmetric_scale(w.as_slice());
+            let direct = PackedBI8::pack_transposed(&w, scale);
+            let via_transpose = PackedBI8::pack(&w.transpose(), scale);
+            assert_eq!(direct.data(), via_transpose.data(), "W {n}x{k}");
+            assert_eq!(
+                (direct.k(), direct.kp(), direct.n(), direct.scale()),
+                (k, via_transpose.kp(), n, scale)
+            );
+        }
+    }
+
+    /// Bad operands are refused at entry, with `out` untouched: 40 rows
+    /// (two row bands) and 300 columns (two GEMV chunks) put the first
+    /// store of either route ahead of the kernel-level assert that
+    /// would otherwise catch each of these.
+    #[test]
+    fn gemm_i8_validates_operands_before_any_store() {
+        let (k, n) = (6usize, 300usize);
+        let qb = PackedBI8::pack(&det_matrix(k, n, 2), 0.01);
+        for m in [1usize, 40] {
+            let qa = QuantizedA::quantize(det_matrix(m, k, 1).as_slice(), m, k, 0.01);
+            let mut out = vec![f32::NAN; m * n];
+            let mut refused = |a: &[i8], kp: usize, b: &[i8]| {
+                let r = gemm_i8(a, m, kp, n, b, &mut out, 1.0, Epilogue::NONE);
+                assert!(out.iter().all(|v| v.is_nan()), "m={m}: out was written");
+                r.expect_err("bad operand accepted").to_string()
+            };
+            let (a, b) = (qa.data(), qb.data());
+            assert!(refused(&a[..a.len() - 1], k, b).contains("A length"));
+            assert!(refused(a, k, &b[..b.len() - 1]).contains("packed B length"));
+            assert!(refused(a, k - 1, b).contains("must be even"));
+            let deep = ki8::MAX_K_I8 + 2;
+            assert!(refused(a, deep, b).contains("at most"));
+            // ... and a good call still goes through.
+            gemm_i8(a, m, k, n, b, &mut out, 1.0, Epilogue::NONE).unwrap();
+            assert!(!out.iter().any(|v| v.is_nan()));
+        }
+    }
+
+    #[test]
+    fn gemm_i8_short_bias_panics_before_any_store() {
+        let (k, n) = (6usize, 300usize);
+        let qb = PackedBI8::pack(&det_matrix(k, n, 2), 0.01);
+        // Per row: covers the first row band only. Per column: covers
+        // the first GEMV chunk only.
+        let bias = vec![0.5f32; 290];
+        for (m, bias) in [
+            (40usize, EpiBias::PerRow(&bias[..33])),
+            (1, EpiBias::PerCol(&bias)),
+        ] {
+            let qa = QuantizedA::quantize(det_matrix(m, k, 1).as_slice(), m, k, 0.01);
+            let mut out = vec![f32::NAN; m * n];
+            let epi = Epilogue {
+                bias: Some(bias),
+                relu: true,
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                gemm_i8(qa.data(), m, k, n, qb.data(), &mut out, 1.0, epi)
+            }));
+            assert!(outcome.is_err(), "m={m}: a short bias must panic");
+            assert!(out.iter().all(|v| v.is_nan()), "m={m}: out was written");
         }
     }
 

@@ -1,8 +1,9 @@
 //! Reusable scratch arenas for allocation-free steady-state kernels.
 //!
 //! The im2col+GEMM convolution path needs per-image lowering scratch
-//! (the unrolled patch matrix, row-major or panel-packed, and its int8
-//! copy). Allocating it per image puts the allocator on the critical
+//! (the unrolled patch matrix, row-major or panel-packed, f32 or int8,
+//! and for int8 the quantized input image it is lowered from).
+//! Allocating it per image puts the allocator on the critical
 //! path of every forward pass; §3 of the paper times exactly these loops,
 //! so the harness must not measure `malloc`.
 //!
@@ -31,10 +32,19 @@ pub struct Workspace {
     /// Panel-packed patch matrix, shaped by
     /// [`crate::im2col_packed_prealloc`].
     pub packed: Matrix,
-    /// Quantized-operand bytes: the int8 quantizers
-    /// ([`crate::quantize_rows_into`], [`crate::pack_b_i8_into`]) clear
-    /// and refill it.
+    /// Quantized-operand bytes, resized and fully rewritten by whoever
+    /// fills it: the fc layers' activation rows
+    /// ([`crate::quantize_rows_into`]), or the int8 convolution's patch
+    /// matrix ([`crate::im2col_i8_packed_prealloc`] /
+    /// [`crate::im2col_i8_prealloc`]).
     pub qbuf: Vec<i8>,
+    /// The int8 convolution's input image, quantized once per image
+    /// (`in_channels × h × w` bytes — a quarter of the f32 image, where
+    /// the f32 `cols` detour it replaced held `kh*kw` times more).
+    pub qimage: Vec<i8>,
+    /// The two patch rows [`crate::im2col_i8_packed_prealloc`] has in
+    /// flight (`2 × oh*ow` rounded up to whole panels).
+    pub qlines: Vec<i8>,
 }
 
 impl Default for Workspace {
@@ -50,13 +60,18 @@ impl Workspace {
             cols: Matrix::zeros(0, 0),
             packed: Matrix::zeros(0, 0),
             qbuf: Vec::new(),
+            qimage: Vec::new(),
+            qlines: Vec::new(),
         }
     }
 
     /// Bytes currently live across all slots (lengths, not capacities —
     /// `Matrix` does not expose its backing capacity).
     pub fn reserved_bytes(&self) -> usize {
-        (self.cols.len() + self.packed.len()) * std::mem::size_of::<f32>() + self.qbuf.len()
+        (self.cols.len() + self.packed.len()) * std::mem::size_of::<f32>()
+            + self.qbuf.len()
+            + self.qimage.len()
+            + self.qlines.len()
     }
 }
 

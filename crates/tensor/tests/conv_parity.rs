@@ -25,14 +25,20 @@
 //!   three column strips of the packed GEMM: **bitwise** the seed
 //!   composition (the strip walk only reorders tiles).
 //!
+//! * int8 forms over a geometry table (stride × pad × groups, odd
+//!   patch depth, output pixels off the panel width): **bitwise** the
+//!   lower-then-quantize composition `conv2d` ran before it quantized
+//!   the image instead of the patch matrix — public `im2col` →
+//!   `pack_b_i8_into` → `gemm_i8` — on every path.
+//!
 //! One `WorkspacePool` and one output tensor serve the whole table, so
 //! every case after the first starts from scratch dirtied by earlier,
 //! differently-shaped work — results must not depend on it.
 
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
-    conv2d, gemm, im2col, kernels, symmetric_scale, Conv2dParams, ConvWeights, CsrMatrix, Matrix,
-    Tensor4, WorkspacePool,
+    conv2d, gemm, gemm_i8, im2col, kernels, pack_b_i8_into, symmetric_scale, Conv2dParams,
+    ConvWeights, CsrMatrix, EpiBias, Epilogue, Matrix, QuantizedA, Tensor4, WorkspacePool,
 };
 
 fn input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -193,6 +199,141 @@ fn every_weight_form_matches_the_direct_oracle() {
                     bits(&csr_i8) == bits(&pruned_dense_i8),
                     "csr-i8 vs dense-i8 on the same weights, {case}"
                 );
+            }
+        }
+    }
+}
+
+/// The int8 convolution as it ran before the image was quantized ahead
+/// of the lowering: per image and group, the f32 patch matrix, then
+/// quantize-and-pack every element of it, then the integer GEMM.
+fn lower_then_quantize(
+    x: &Tensor4,
+    bands: &[QuantizedA],
+    act_scale: f32,
+    bias: Option<&[f32]>,
+    relu: bool,
+    params: &Conv2dParams,
+) -> Tensor4 {
+    let (n, _c, h, wd) = x.shape();
+    let (oh, ow) = params.out_shape(h, wd).unwrap();
+    let (cpg, opg, n_out) = (params.in_per_group(), params.out_per_group(), oh * ow);
+    let mut out = Tensor4::zeros(n, params.out_channels, oh, ow);
+    let mut qb = Vec::new();
+    for ni in 0..n {
+        for (g, band) in bands.iter().enumerate() {
+            let cols = im2col(
+                &x.image(ni)[g * cpg * h * wd..(g + 1) * cpg * h * wd],
+                cpg,
+                h,
+                wd,
+                params.kh,
+                params.kw,
+                params.pad,
+                params.stride,
+            )
+            .unwrap();
+            pack_b_i8_into(
+                cols.as_slice(),
+                cols.rows(),
+                n_out,
+                1.0 / act_scale,
+                &mut qb,
+            );
+            gemm_i8(
+                band.data(),
+                opg,
+                band.kp(),
+                n_out,
+                &qb,
+                &mut out.image_mut(ni)[g * opg * n_out..(g + 1) * opg * n_out],
+                band.scale() * act_scale,
+                Epilogue {
+                    bias: bias.map(|b| EpiBias::PerRow(&b[g * opg..(g + 1) * opg])),
+                    relu,
+                },
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+/// Quantizing the image and lowering in int8 changes no output bit of
+/// either int8 form. 3 input channels per group under a 3×3 kernel give
+/// an odd patch depth (27, so a pad row); the 11×9 input gives 63, 99,
+/// 143, 20, 30, 42, 6, 9 and 12 output pixels — never a whole number of
+/// panels; 10 filters cross the 8-row block. The activation scale clips
+/// the top of the input range. The one pool's int8 slots and `out`
+/// start every case poisoned.
+#[test]
+fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
+    let pool = WorkspacePool::new();
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    let bias: Vec<f32> = (0..10).map(|i| i as f32 * 0.07 - 0.3).collect();
+    for groups in [1usize, 2] {
+        for stride in [1usize, 2, 4] {
+            for pad in [0usize, 1, 2] {
+                let params = Conv2dParams::grouped(3 * groups, 10, 3, pad, stride, groups);
+                assert_eq!(params.col_rows() % 2, 1);
+                let dense_w = weights(&params, false);
+                let pruned_w = weights(&params, true);
+                let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
+                let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
+                let csr_q = ConvWeights::csr_i8_bands(&pruned_w, &params).unwrap();
+                for batch in [1usize, 3] {
+                    let x = input(batch, 3 * groups, 11, 9);
+                    let act_scale = 0.75 * symmetric_scale(x.as_slice());
+                    for (relu, bias) in [
+                        (false, Some(&bias[..])),
+                        (true, Some(&bias[..])),
+                        (true, None),
+                    ] {
+                        let case = format!(
+                            "groups={groups} stride={stride} pad={pad} batch={batch} relu={relu} bias={}",
+                            bias.is_some()
+                        );
+                        for (name, form, oracle_bands) in [
+                            (
+                                "dense-i8",
+                                ConvWeights::DenseI8 {
+                                    bands: &dense_q,
+                                    act_scale,
+                                },
+                                &dense_q,
+                            ),
+                            (
+                                "csr-i8",
+                                ConvWeights::CsrI8 {
+                                    bands: &csr_q,
+                                    act_scale,
+                                },
+                                &pruned_q,
+                            ),
+                        ] {
+                            {
+                                let ws = &mut *pool.checkout();
+                                for slot in [&mut ws.qbuf, &mut ws.qimage, &mut ws.qlines] {
+                                    slot.clear();
+                                    slot.resize(8192, 77);
+                                }
+                            }
+                            out.as_mut_slice().fill(f32::NAN);
+                            conv2d(&x, form, bias, relu, &params, &pool, &mut out).unwrap();
+                            let (_, _, oh, ow) = out.shape();
+                            assert_ne!(oh * ow % 8, 0, "{case}");
+                            let want = lower_then_quantize(
+                                &x,
+                                oracle_bands,
+                                act_scale,
+                                bias,
+                                relu,
+                                &params,
+                            );
+                            assert!(bits(&out) == bits(&want), "{name} {case}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -7,15 +7,22 @@
 //! epilogue performs the same mul / add / ReLU sequence element-wise on
 //! both paths. These tests pin that across ragged shapes (`n` off the
 //! 8-wide panel, `k = 0`, batch-1) and the saturation edges (±127
-//! everywhere, the largest products the format can produce).
+//! everywhere, the largest products the format can produce). The slice
+//! quantizer is held to the same standard: every path bit-equals the
+//! scalar `quantize_i8` on every rounding tie, its neighbours, the
+//! clamp edges and the non-finite inputs.
 //!
 //! `kernels::force` is process-global, so path-pinning tests serialize
 //! on one mutex; on hosts without AVX2 each comparison degenerates to
 //! scalar vs scalar — still a pass, never a skip.
 
-use cap_tensor::kernels::int8::{gemm_i8_packed_band_with, gemv_i8_packed_with, spmm_i8_row_with};
+use cap_tensor::kernels::int8::{
+    gemm_i8_packed_band_with, gemv_i8_packed_with, quantize_slice_with, spmm_i8_row_with,
+};
 use cap_tensor::kernels::{self, EpiBias, Epilogue, KernelPath, PANEL};
-use cap_tensor::{gemm_i8, pack_b_i8_into, precision, quantize_rows_into, Matrix, Precision};
+use cap_tensor::{
+    gemm_i8, pack_b_i8_into, precision, quantize_i8, quantize_rows_into, Matrix, Precision,
+};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -263,6 +270,91 @@ proptest! {
         for path in all_paths() {
             let got = run(path);
             assert_bits_eq(&got, &want, &format!("gemm_i8 {path:?} m={m} k={k} n={n}"));
+        }
+    }
+}
+
+/// `quantize_slice_with` on every path against `quantize_i8` per
+/// element, over `values` at every offset of a 0–33-long window (so
+/// each value meets the 32-wide, the 8-wide and the scalar-tail code).
+fn assert_quantizer_matches_scalar(values: &[f32], inv_scale: f32) {
+    for path in all_paths() {
+        for len in 0..=33usize.min(values.len()) {
+            for window in values.windows(len.max(1)).step_by(7) {
+                let src = &window[..len];
+                let mut got = vec![77i8; len];
+                quantize_slice_with(path, src, inv_scale, &mut got);
+                for (i, (&g, &v)) in got.iter().zip(src).enumerate() {
+                    assert_eq!(
+                        g,
+                        quantize_i8(v, inv_scale),
+                        "{path:?} len {len} element {i}: {v:?} ({:#010x}) * {inv_scale}",
+                        v.to_bits()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The float just above (`+1`) or below (`-1`) `v` in magnitude.
+fn neighbour(v: f32, step: i32) -> f32 {
+    f32::from_bits((v.to_bits() as i32 + step) as u32)
+}
+
+/// Every rounding tie `k ± 0.5` for `|k| <= 128` with the floats on
+/// either side of it, signed zeros, denormals, the clamp edges and
+/// beyond, infinities and NaN (which quantizes to 0).
+#[test]
+fn quantizer_edges_are_bitwise_scalar_on_all_paths() {
+    let mut values = Vec::new();
+    for k in -128i32..=128 {
+        for tie in [k as f32 - 0.5, k as f32 + 0.5] {
+            values.extend([tie, neighbour(tie, 1), neighbour(tie, -1)]);
+        }
+    }
+    let denormal = f32::from_bits(1);
+    values.extend([0.0, -0.0, denormal, -denormal, f32::MIN_POSITIVE, 1e-30]);
+    values.extend([127.0, -127.0, 127.49, -127.49, 128.0, -128.0, 300.0, -300.0]);
+    values.extend([3.0e9, -3.0e9, f32::MAX, f32::MIN]);
+    values.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]);
+    assert_quantizer_matches_scalar(&values, 1.0);
+    // Scales that land products on and around ties, overflow the
+    // product to infinity, and turn an infinity into NaN (`inf * 0`).
+    for inv_scale in [0.5, 2.0, 127.0, 1.0 / 3.0, 0.037, 1.0e38, 0.0, -1.0] {
+        assert_quantizer_matches_scalar(&values, inv_scale);
+    }
+    // The spot checks the sweep above rests on.
+    assert_eq!(quantize_i8(0.5, 1.0), 1);
+    assert_eq!(quantize_i8(neighbour(0.5, -1), 1.0), 0);
+    assert_eq!(quantize_i8(-126.5, 1.0), -127);
+    assert_eq!(quantize_i8(f32::NAN, 1.0), 0);
+    assert_eq!(quantize_i8(f32::NEG_INFINITY, 1.0), -127);
+}
+
+proptest! {
+    /// Arbitrary bit patterns (NaN payloads, denormals, huge values
+    /// included) under arbitrary finite scales.
+    #[test]
+    fn prop_quantizer_all_paths_bitwise_scalar(
+        seed in 0u64..u64::MAX,
+        len in 0usize..100,
+        inv_bits in 0u32..0x7f80_0000,
+    ) {
+        let mut state = seed;
+        let values: Vec<f32> = (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                f32::from_bits((state >> 32) as u32)
+            })
+            .collect();
+        let inv_scale = f32::from_bits(inv_bits);
+        for path in all_paths() {
+            let mut got = vec![77i8; len];
+            quantize_slice_with(path, &values, inv_scale, &mut got);
+            for (&g, &v) in got.iter().zip(&values) {
+                prop_assert_eq!(g, quantize_i8(v, inv_scale), "{:?}: {:?} * {}", path, v, inv_scale);
+            }
         }
     }
 }
