@@ -11,7 +11,7 @@ use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
     conv2d, gemm_packed, im2col_i8_packed_prealloc, im2col_packed_prealloc, symmetric_scale,
-    Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Matrix, PackedB, Tensor4, WorkspacePool,
+    Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Matrix, PackedB, Tensor4, Workspace,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -37,12 +37,12 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
     });
     let (rows, cols) = (params.out_channels, params.col_rows());
     let bias = vec![0.1_f32; rows];
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let mut group = c.benchmark_group(name);
     let mut run = |id: BenchmarkId, form: ConvWeights<'_>| {
         group.bench_with_input(id, &form, |b, &form| {
-            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &pool, &mut out).unwrap())
+            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap())
         });
     };
     let dense = scattered(rows, cols, 0);
@@ -109,11 +109,11 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
         })
     });
 
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let mut run = |id: BenchmarkId, form: ConvWeights<'_>| {
         group.bench_with_input(id, &form, |b, &form| {
-            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &pool, &mut out).unwrap())
+            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap())
         });
     };
     let dense = scattered(rows, cols, 0);
@@ -190,8 +190,8 @@ fn bench_conv(c: &mut Criterion) {
     let csr = ConvWeights::csr_bands(&sparse_w, &params).unwrap();
 
     // Steady state, as a layer runs it: im2col scratch drawn from a
-    // workspace pool, output tensor reused across calls.
-    let pool = WorkspacePool::new();
+    // workspace, output tensor reused across calls.
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let mut group = c.benchmark_group("conv_13x13x64_to_96");
     group.bench_function("direct", |b| {
@@ -202,7 +202,7 @@ fn bench_conv(c: &mut Criterion) {
         ("sparse_csr_70pct", ConvWeights::Csr(&csr)),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| conv2d(&input, form, Some(&bias), false, &params, &pool, &mut out).unwrap())
+            b.iter(|| conv2d(&input, form, Some(&bias), false, &params, &mut ws, &mut out).unwrap())
         });
     }
     group.finish();

@@ -11,17 +11,22 @@
 //! scheduler can overlap. The critical-path analyzer bounds the
 //! exercise: no schedule can beat the longest dependency chain, so the
 //! report shows floor, achieved, and the gap.
+//!
+//! The last section is the end-to-end evidence that both schedules
+//! stay: full Googlenet at batch 1, sequential against whatever
+//! `DagMode::Auto` picks on this host, alternated round by round.
 
 use super::kernels_exp::best_secs;
 use cap_cnn::dag::{self, DagMode};
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
 };
+use cap_cnn::models::{googlenet, WeightInit};
 use cap_cnn::network::{Network, NodeId, INPUT};
 use cap_cnn::{CollectingTracer, CriticalPathReport, DagExecutor, ForwardArena, ProfileReport};
 use cap_tensor::{init::xavier_uniform, kernels, Conv2dParams, Tensor4, TensorResult};
 use std::fmt::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Inception-module channel plan:
 /// `(#1x1, #3x3reduce, #3x3, #5x5reduce, #5x5, #poolproj)`.
@@ -204,9 +209,75 @@ fn executor_latency(workers: usize, net: &Network, img: &Tensor4) -> Duration {
     }))
 }
 
-/// The `dagpar` registry entry: DAG-scheduler-off vs -on ablation plus
-/// the critical-path floor.
+/// Alternating rounds of [`googlenet_schedules`] in the registry entry.
+const GOOGLENET_ROUNDS: usize = 12;
+
+/// Full Googlenet at batch 1 under `DagMode::Off` and `DagMode::Auto`,
+/// both in every round (which goes first alternates) on one warmed
+/// arena, so host drift lands on both arms alike: median, min and
+/// rounds won per schedule. `Auto` decides from the plan's width and
+/// the core count, so on a one-core host it resolves to the sequential
+/// schedule (0 workers) and the arms tie.
+fn googlenet_schedules(rounds: usize) -> String {
+    let net = googlenet(WeightInit::Xavier { seed: 7 }).expect("googlenet builds");
+    let img = Tensor4::from_fn(1, 3, 224, 224, |_, c, h, w| {
+        ((c * 13 + h * 3 + w) % 23) as f32 / 23.0 - 0.5
+    });
+    let modes = [DagMode::Off, DagMode::Auto];
+    let mut arena = ForwardArena::new();
+    let mut pass_ms = |i: usize| {
+        on_mode(modes[i], || {
+            let t = Instant::now();
+            net.forward_into(&img, &mut arena).unwrap();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+    };
+    // Warm both schedules; the second pass leaves Auto's worker count.
+    pass_ms(0);
+    pass_ms(1);
+    let auto_workers = cap_obs::metrics().dag_workers.get();
+    let (mut ms, mut wins) = ([Vec::new(), Vec::new()], [0usize; 2]);
+    for r in 0..rounds {
+        let mut round = [0.0; 2];
+        for i in [r % 2, 1 - r % 2] {
+            round[i] = pass_ms(i);
+            ms[i].push(round[i]);
+        }
+        if round[0] != round[1] {
+            wins[usize::from(round[1] < round[0])] += 1;
+        }
+    }
+    let mut out = format!(
+        "\n## Full Googlenet, batch 1: dag=off vs dag=auto ({auto_workers} workers), \
+         {rounds} alternating rounds on one warmed arena\n\n\
+         {:<10} {:>10} {:>10} {:>6}\n",
+        "schedule", "median ms", "min ms", "wins"
+    );
+    for (i, mode) in modes.iter().enumerate() {
+        ms[i].sort_by(f64::total_cmp);
+        let median = (ms[i][(rounds - 1) / 2] + ms[i][rounds / 2]) / 2.0;
+        let (name, min) = (mode.name(), ms[i][0]);
+        writeln!(
+            out,
+            "dag={name:<6} {median:>10.1} {min:>10.1} {:>6}",
+            wins[i]
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// The `dagpar` registry entry: the mini-inception ablation, then the
+/// full-Googlenet schedule comparison.
 pub fn dagpar_ablation() -> String {
+    let mut out = mini_inception_ablation();
+    out.push_str(&googlenet_schedules(GOOGLENET_ROUNDS));
+    out
+}
+
+/// DAG-scheduler-off vs -on on [`mini_inception`] plus the
+/// critical-path floor.
+fn mini_inception_ablation() -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -319,7 +390,7 @@ mod tests {
 
     #[test]
     fn ablation_reports_floor_and_both_arms() {
-        let out = dagpar_ablation();
+        let out = mini_inception_ablation();
         assert!(out.contains("off vs on"), "{out}");
         assert!(out.contains("critical path"), "{out}");
         assert!(out.contains("sequential (dag=off)"), "{out}");
@@ -327,6 +398,11 @@ mod tests {
         assert!(out.contains("DagExecutor, 2 workers"), "{out}");
         // The DagSummary made it into the profile's JSON export.
         assert!(out.contains("\"dag\":{"), "{out}");
+        // One round of the Googlenet comparison (same test: `force` is
+        // process-global).
+        let out = googlenet_schedules(1);
+        assert!(out.contains("\ndag=off "), "{out}");
+        assert!(out.contains("\ndag=auto "), "{out}");
         // Force must have been restored for later tests in this process.
         let env_off = std::env::var("CAP_CNN_DAG").as_deref() == Ok("off");
         assert_eq!(dag::selected().enabled(), !env_off);

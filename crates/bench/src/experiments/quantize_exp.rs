@@ -33,7 +33,7 @@ use cap_tensor::kernels::{self, Epilogue};
 use cap_tensor::{
     conv2d, gemm_i8, gemm_prepacked, precision, quantize_rows_into, symmetric_scale,
     CalibrationMethod, Conv2dParams, ConvWeights, Matrix, PackedB, PackedBI8, Precision, Tensor4,
-    WorkspacePool,
+    Workspace,
 };
 use std::fmt::Write;
 use std::time::Instant;
@@ -138,7 +138,7 @@ pub fn quantize_ablation() -> String {
         act_scale: symmetric_scale(input.as_slice()),
     };
     let bias = vec![0.1_f32; 256];
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut conv_out = Tensor4::zeros(0, 0, 0, 0);
     let mut conv_secs = |form: ConvWeights<'_>| {
         best_secs(|| {
@@ -148,7 +148,7 @@ pub fn quantize_ablation() -> String {
                 Some(&bias),
                 true,
                 &params,
-                &pool,
+                &mut ws,
                 &mut conv_out,
             )
             .unwrap()

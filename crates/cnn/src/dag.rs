@@ -9,9 +9,9 @@
 //! the network executor can run independent DAG nodes concurrently on a
 //! ready-queue scheduler (atomic indegree counters, a shared injector
 //! queue, and a chained fast path for the single-successor case), with
-//! every node writing its own arena slot and drawing scratch from its
-//! own layer-local workspace pool, so concurrent branches share no
-//! mutable state.
+//! every node writing its own arena slot and every worker drawing
+//! scratch from the arena workspace it was handed at spawn, so
+//! concurrent branches share no mutable state.
 //!
 //! # Bitwise parity
 //!

@@ -25,7 +25,7 @@ pub use pool::{PoolLayer, PoolMode};
 pub use relu::ReluLayer;
 pub use softmax::SoftmaxLayer;
 
-use cap_tensor::{CalibrationMethod, Matrix, Tensor4, TensorResult};
+use cap_tensor::{CalibrationMethod, Matrix, Tensor4, TensorResult, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// Per-image shape `(channels, height, width)` flowing between layers.
@@ -81,15 +81,22 @@ pub trait Layer: Send + Sync {
     /// Execute the layer on its inputs (most layers take exactly one),
     /// writing into a reusable output tensor.
     ///
-    /// `out` is reshaped in place; once its buffer has grown to the
-    /// steady-state high-water mark, repeat calls allocate nothing.
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()>;
+    /// `out` is reshaped in place and kernel scratch is drawn from the
+    /// calling thread's `ws` (a layer holds none, so `&self` is shared
+    /// across threads without a lock); once both have grown to their
+    /// high-water mark, repeat calls allocate nothing.
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()>;
 
-    /// [`Layer::forward_into`] a freshly allocated tensor — the
-    /// convenience form for tests and one-off calls.
+    /// [`Layer::forward_into`] a fresh tensor through a throwaway
+    /// workspace — the convenience form for tests and one-off calls.
     fn forward(&self, inputs: &[&Tensor4]) -> TensorResult<Tensor4> {
         let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(inputs, &mut out)?;
+        self.forward_into(inputs, &mut Workspace::new(), &mut out)?;
         Ok(out)
     }
 
@@ -109,8 +116,13 @@ pub trait Layer: Send + Sync {
     /// way — forward then an in-place ReLU sweep; layers reporting
     /// [`Layer::supports_relu_fusion`] override it with a single-pass
     /// fused kernel.
-    fn forward_into_fused(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
-        self.forward_into(inputs, out)?;
+    fn forward_into_fused(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
+        self.forward_into(inputs, ws, out)?;
         for v in out.as_mut_slice() {
             *v = if *v > 0.0 { *v } else { 0.0 };
         }

@@ -1,7 +1,7 @@
 //! Channel-dimension concatenation (inception module output).
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{ShapeError, Tensor4, TensorResult};
+use cap_tensor::{ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Concatenate any number of same-spatial-shape tensors along channels —
 /// the join at the end of every Googlenet inception module.
@@ -25,7 +25,12 @@ impl Layer for ConcatLayer {
         LayerKind::Concat
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        _ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
         if inputs.is_empty() {
             return Err(ShapeError::new("concat: needs at least one input"));
         }

@@ -4,7 +4,7 @@ use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
     conv2d, precision, symmetric_scale, CalibrationMethod, Conv2dParams, ConvWeights, CsrMatrix,
     KeptRows, Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4, TensorResult,
-    WorkspacePool,
+    Workspace,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -64,9 +64,9 @@ impl WeightForm {
 /// [`SPARSE_THRESHOLD`] selects the CSR form, which pays only at high
 /// unstructured sparsity. The derived forms (per-group kept-row or CSR
 /// bands, int8 quantizations) are built on the first forward that
-/// needs them and dropped by `set_weights`; im2col scratch comes from a
-/// per-layer [`WorkspacePool`], so steady-state forwards allocate
-/// nothing, take no lock and touch no reference count.
+/// needs them and dropped by `set_weights`; im2col scratch is the
+/// caller's [`Workspace`], so steady-state forwards allocate nothing,
+/// take no lock and touch no reference count.
 pub struct ConvLayer {
     name: String,
     params: Conv2dParams,
@@ -88,8 +88,6 @@ pub struct ConvLayer {
     /// uncalibrated, in which case the int8 path falls back to a
     /// per-call max-abs estimate over the whole input tensor.
     act_scale: AtomicU32,
-    /// Reusable im2col scratch shared across forward calls.
-    pool: WorkspacePool,
 }
 
 impl ConvLayer {
@@ -128,7 +126,6 @@ impl ConvLayer {
             dense_i8: OnceLock::new(),
             csr_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
-            pool: WorkspacePool::new(),
         })
     }
 
@@ -144,8 +141,8 @@ impl ConvLayer {
 
     /// Calibrated activation scale, or a deterministic per-call max-abs
     /// estimate when no calibration pass has run. The fallback scans
-    /// the whole input tensor once, before any parallel fan-out, so
-    /// results do not depend on worker count or image order.
+    /// the whole input tensor once, so every image of the batch shares
+    /// one scale.
     fn act_scale_for(&self, input: &Tensor4) -> f32 {
         let s = f32::from_bits(self.act_scale.load(Ordering::Relaxed));
         if s > 0.0 {
@@ -157,7 +154,13 @@ impl ConvLayer {
 
     /// Shared body of [`Layer::forward_into`] / [`Layer::forward_into_fused`]:
     /// the only difference is whether a ReLU rides the kernel epilogue.
-    fn run(&self, inputs: &[&Tensor4], out: &mut Tensor4, relu: bool) -> TensorResult<()> {
+    fn run(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+        relu: bool,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
@@ -185,7 +188,7 @@ impl ConvLayer {
                 act_scale: self.act_scale_for(input),
             },
         };
-        conv2d(input, weights, Some(&self.bias), relu, p, &self.pool, out)
+        conv2d(input, weights, Some(&self.bias), relu, p, ws, out)
     }
 }
 
@@ -198,16 +201,26 @@ impl Layer for ConvLayer {
         LayerKind::Convolution
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
-        self.run(inputs, out, false)
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
+        self.run(inputs, ws, out, false)
     }
 
     fn supports_relu_fusion(&self) -> bool {
         true
     }
 
-    fn forward_into_fused(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
-        self.run(inputs, out, true)
+    fn forward_into_fused(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
+        self.run(inputs, ws, out, true)
     }
 
     fn out_shape(&self, in_shapes: &[ChwShape]) -> TensorResult<ChwShape> {

@@ -1,7 +1,7 @@
 //! Dropout layer — identity at inference time (Caffe semantics).
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{ShapeError, Tensor4, TensorResult};
+use cap_tensor::{ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Inference-mode dropout: a pass-through. Present so Caffenet's layer
 /// list (and its timing breakdown) matches the deployed prototxt.
@@ -35,7 +35,12 @@ impl Layer for DropoutLayer {
         LayerKind::Dropout
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        _ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("dropout: expected exactly one input"));
         };

@@ -4,7 +4,7 @@ use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
     gemm_i8, gemm_packed, precision, quantize_rows_into, symmetric_scale, CalibrationMethod,
     CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision, ShapeError, Tensor4,
-    TensorResult, WorkspacePool,
+    TensorResult, Workspace,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -50,9 +50,6 @@ pub struct InnerProductLayer {
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated (per-call max-abs fallback).
     act_scale: AtomicU32,
-    /// Scratch pool for the per-call quantized activation buffer on the
-    /// int8 path.
-    pool: WorkspacePool,
 }
 
 impl InnerProductLayer {
@@ -78,7 +75,6 @@ impl InnerProductLayer {
             csr: OnceLock::new(),
             packed_t_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
-            pool: WorkspacePool::new(),
         })
     }
 
@@ -123,7 +119,13 @@ impl InnerProductLayer {
 
     /// Shared body of [`Layer::forward_into`] / [`Layer::forward_into_fused`]:
     /// the only difference is whether a ReLU rides the kernel epilogue.
-    fn run(&self, inputs: &[&Tensor4], out: &mut Tensor4, relu: bool) -> TensorResult<()> {
+    fn run(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+        relu: bool,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("fc: expected exactly one input"));
         };
@@ -151,11 +153,19 @@ impl InnerProductLayer {
                 );
             }
             // Sparse path: CSR row-skipping needs W's rows, so compute
-            // W (out×in, sparse) × Xᵀ (in×batch) and transpose back.
-            // Bias/ReLU ride the SpMM row store (CSR rows are out
-            // features, so the bias is per-row there).
-            let x_t = input.to_matrix().transpose();
-            let mut y = Matrix::zeros(self.out_features, batch);
+            // W (out×in, sparse) × Xᵀ (in×batch) and transpose back,
+            // both staged in the workspace's f32 slots. Bias/ReLU ride
+            // the SpMM row store (CSR rows are out features, so the
+            // bias is per-row there).
+            let (x_t, y) = (&mut ws.cols, &mut ws.packed);
+            x_t.resize(self.in_features, batch);
+            // `sparse` implies non-empty weights, so `in_features >= 1`.
+            for (b, row) in input.as_slice().chunks_exact(self.in_features).enumerate() {
+                for (f, &v) in row.iter().enumerate() {
+                    x_t.set(f, b, v);
+                }
+            }
+            y.resize(self.out_features, batch);
             self.csr().spmm_into(
                 x_t.as_slice(),
                 batch,
@@ -171,7 +181,7 @@ impl InnerProductLayer {
             }
         } else if precision::selected() == Precision::Int8 {
             // Int8 dense path: quantize the flattened activations into
-            // pooled scratch with the calibrated (or fallback) scale,
+            // the workspace with the calibrated (or fallback) scale,
             // then run the integer GEMM against the pre-quantized Wᵀ,
             // dequantizing by the combined scale in the store epilogue.
             // The sparse branches above deliberately stay f32: CSR
@@ -179,7 +189,6 @@ impl InnerProductLayer {
             // there, and SpMV keeps its scalar-by-contract guarantee.
             let qw = self.packed_t_i8();
             let act_scale = self.act_scale_for(input);
-            let mut ws = self.pool.checkout();
             let kp = quantize_rows_into(
                 input.as_slice(),
                 batch,
@@ -235,16 +244,26 @@ impl Layer for InnerProductLayer {
         LayerKind::InnerProduct
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
-        self.run(inputs, out, false)
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
+        self.run(inputs, ws, out, false)
     }
 
     fn supports_relu_fusion(&self) -> bool {
         true
     }
 
-    fn forward_into_fused(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
-        self.run(inputs, out, true)
+    fn forward_into_fused(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
+        self.run(inputs, ws, out, true)
     }
 
     fn out_shape(&self, in_shapes: &[ChwShape]) -> TensorResult<ChwShape> {

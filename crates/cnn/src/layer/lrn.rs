@@ -2,8 +2,7 @@
 //! AlexNet/Caffenet and Googlenet.
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{ShapeError, Tensor4, TensorResult};
-use parking_lot::Mutex;
+use cap_tensor::{ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Across-channel local response normalization:
 /// `y = x / (k + alpha/n * sum_{neighbourhood} x^2)^beta`.
@@ -19,9 +18,6 @@ pub struct LrnLayer {
     alpha: f32,
     beta: f32,
     k: f32,
-    /// Reusable `h*w` square-sum plane; persists across forward calls so
-    /// the steady state allocates nothing.
-    scratch: Mutex<Vec<f32>>,
 }
 
 impl LrnLayer {
@@ -33,7 +29,6 @@ impl LrnLayer {
             alpha,
             beta,
             k,
-            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -52,7 +47,12 @@ impl Layer for LrnLayer {
         LayerKind::Lrn
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("lrn: expected exactly one input"));
         };
@@ -64,9 +64,9 @@ impl Layer for LrnLayer {
             return Ok(());
         }
         let scale = self.alpha / self.local_size as f32;
-        let mut sums = self.scratch.lock();
-        sums.clear();
-        sums.resize(hw, 0.0);
+        // The `h*w` square-sum plane.
+        ws.cols.resize(1, hw);
+        let sums = ws.cols.as_mut_slice();
         for ni in 0..n {
             let img = input.image(ni);
             let out_img = out.image_mut(ni);

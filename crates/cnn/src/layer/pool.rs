@@ -2,7 +2,7 @@
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
-    avg_pool2d_into, max_pool2d_into, Pool2dParams, ShapeError, Tensor4, TensorResult,
+    avg_pool2d_into, max_pool2d_into, Pool2dParams, ShapeError, Tensor4, TensorResult, Workspace,
 };
 use serde::{Deserialize, Serialize};
 
@@ -53,7 +53,12 @@ impl Layer for PoolLayer {
         LayerKind::Pooling
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        _ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("pool: expected exactly one input"));
         };

@@ -1,7 +1,7 @@
 //! ReLU activation layer.
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{ops::relu_into, ShapeError, Tensor4, TensorResult};
+use cap_tensor::{ops::relu_into, ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Rectified linear unit: `y = max(0, x)`, elementwise.
 pub struct ReluLayer {
@@ -24,7 +24,12 @@ impl Layer for ReluLayer {
         LayerKind::Relu
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        _ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("relu: expected exactly one input"));
         };

@@ -1,7 +1,7 @@
 //! Softmax classifier head.
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{ops::softmax_inplace, ShapeError, Tensor4, TensorResult};
+use cap_tensor::{ops::softmax_inplace, ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Per-image softmax over the channel dimension (expects 1×1 spatial).
 pub struct SoftmaxLayer {
@@ -24,7 +24,12 @@ impl Layer for SoftmaxLayer {
         LayerKind::Softmax
     }
 
-    fn forward_into(&self, inputs: &[&Tensor4], out: &mut Tensor4) -> TensorResult<()> {
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        _ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("softmax: expected exactly one input"));
         };

@@ -17,7 +17,7 @@ use crate::dag::{self, DagMode};
 use crate::fusion;
 use crate::layer::{ChwShape, Layer, LayerKind};
 use cap_obs::{CollectingTracer, NoopTracer, SpanInfo, SpanScope, Tracer};
-use cap_tensor::{CalibrationMethod, Matrix, ShapeError, Tensor4, TensorResult};
+use cap_tensor::{CalibrationMethod, Matrix, ShapeError, Tensor4, TensorResult, Workspace};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -200,6 +200,10 @@ struct Pass<'a, T: Tracer> {
     calibrate: Option<CalibrationMethod>,
 }
 
+/// Input refs `exec_plan_step` gathers on the stack for a multi-input
+/// node; twice an inception module's four branches.
+const STACK_INPUTS: usize = 8;
+
 /// Span kind tag for a fused step: the producer's tag plus the ReLU it
 /// absorbed, so profiles show `conv+relu` / `fc+relu` rows and the
 /// per-layer report can mark them fused.
@@ -256,17 +260,24 @@ impl ForwardRecord {
     }
 }
 
-/// Reusable per-node activation storage for repeated forward passes.
+/// Everything a forward pass writes, reused across passes: one
+/// activation tensor per node (the last is the output), and one
+/// kernel-scratch [`Workspace`] per thread that executes steps.
 ///
-/// [`Network::forward_into`] keeps one output tensor per node alive in
-/// here; after the first pass every buffer has reached its steady-state
+/// After the first pass every buffer has reached its steady-state
 /// high-water mark and subsequent passes (same batch size) allocate
 /// nothing. The arena retains *all* activations of a pass instead of
 /// freeing them after their last consumer, which is the right call for
-/// the modest batch sizes the batched-inference driver uses.
+/// the modest batch sizes the batched-inference driver uses. Scratch
+/// belongs to the executing thread, not to a layer: the sequential
+/// schedule lends every layer the same workspace, a DAG pass hands each
+/// worker its own at spawn, so it grows with the largest layer times
+/// the worker count, not with the layer count.
 #[derive(Default)]
 pub struct ForwardArena {
     slots: Vec<Tensor4>,
+    /// `scratch[t]` is executing thread `t`'s, for the whole pass.
+    scratch: Vec<Workspace>,
 }
 
 impl ForwardArena {
@@ -277,11 +288,17 @@ impl ForwardArena {
 
     /// Total bytes live across all activation slots (lower bound on what
     /// the arena retains; buffer capacity never shrinks below this).
+    /// Scratch is counted apart, by [`ForwardArena::scratch_bytes`].
     pub fn reserved_bytes(&self) -> usize {
         self.slots
             .iter()
             .map(|t| std::mem::size_of_val(t.as_slice()))
             .sum()
+    }
+
+    /// Kernel-scratch bytes retained, all threads' workspaces summed.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch.iter().map(Workspace::reserved_bytes).sum()
     }
 }
 
@@ -560,16 +577,16 @@ impl Network {
         })
     }
 
-    /// Run a forward pass through a reusable activation arena — the
+    /// Run a forward pass through a reusable arena — the
     /// zero-allocation steady-state path behind batched inference.
     ///
     /// Returns a reference to the output tensor, which lives in the
     /// arena (clone it if it must outlive the next pass). Layers write
-    /// into per-node tensors retained across calls via
-    /// [`Layer::forward_into`]; for purely sequential networks run on
-    /// dense weights, repeat passes at a fixed batch size perform no
-    /// heap allocation at all (the plan is built on the first pass and
-    /// cached).
+    /// into per-node tensors and draw scratch from per-thread
+    /// workspaces, both retained across calls; on the sequential
+    /// schedule, repeat passes at a fixed batch size perform no heap
+    /// allocation at all (the plan is built on the first pass and
+    /// cached). A DAG pass allocates what spawning its workers costs.
     ///
     /// This entry point honors the graph-level fusion pass (see
     /// [`crate::fusion`]): under `CAP_TENSOR_FUSION=auto` (the default)
@@ -829,18 +846,24 @@ impl Network {
             timing,
             calibrate,
         };
-        match Self::dag_worker_count(plan, schedule) {
+        let workers = Self::dag_worker_count(plan, schedule);
+        let threads = workers.unwrap_or(1);
+        if arena.scratch.len() < threads {
+            arena.scratch.resize_with(threads, Workspace::new);
+        }
+        let scratch = &mut arena.scratch[..threads];
+        match workers {
             Some(workers) => {
                 metrics.dag_parallel_passes.inc();
                 metrics.dag_workers.set(workers as u64);
-                self.run_plan_dag(&pass, workers)?;
+                self.run_plan_dag(&pass, scratch)?;
             }
             None => {
                 metrics.dag_workers.set(0);
                 for s in 0..plan.steps.len() {
                     // Contract of `exec_plan_step` holds trivially: one
                     // thread, steps in topological order, no resize.
-                    self.exec_plan_step(&pass, s)?;
+                    self.exec_plan_step(&pass, s, &mut scratch[0])?;
                 }
             }
         }
@@ -873,7 +896,8 @@ impl Network {
     }
 
     /// Execute plan step `s`: run its node's kernel (with the fused
-    /// ReLU epilogue when planned) into the step's arena slot, after
+    /// ReLU epilogue when planned, scratch from this thread's `ws`)
+    /// into the step's arena slot, after
     /// the calibration observer if the pass has one, emitting the layer
     /// span/timing when observability is on. Identical code serves the
     /// sequential loop and every DAG worker — which is the mechanical
@@ -884,7 +908,12 @@ impl Network {
     /// `plan.steps[s].node`, producer slots fully written and no longer
     /// mutated, arena slot vector not resized while `pass.slots` is
     /// live — see [`SlotsPtr`].
-    fn exec_plan_step<T: Tracer>(&self, pass: &Pass<'_, T>, s: usize) -> TensorResult<()> {
+    fn exec_plan_step<T: Tracer>(
+        &self,
+        pass: &Pass<'_, T>,
+        s: usize,
+        ws: &mut Workspace,
+    ) -> TensorResult<()> {
         let step = &pass.plan.steps[s];
         let i = step.node;
         let node = &self.nodes[i];
@@ -907,16 +936,22 @@ impl Network {
                 node.layer.observe_input(inputs, method);
             }
             if fused {
-                node.layer.forward_into_fused(inputs, out)
+                node.layer.forward_into_fused(inputs, ws, out)
             } else {
-                node.layer.forward_into(inputs, out)
+                node.layer.forward_into(inputs, ws, out)
             }
         };
-        match node.inputs.as_slice() {
-            // The common sequential case stays allocation-free; only
-            // multi-input joins (concat) gather refs into a Vec.
-            [only] => run(&[resolve(*only)])?,
-            many => run(&many.iter().map(|&id| resolve(id)).collect::<Vec<_>>())?,
+        // Input refs are gathered on the stack (an inception concat has
+        // four), on the heap only past `STACK_INPUTS`.
+        let ids = node.inputs.as_slice();
+        if ids.len() <= STACK_INPUTS {
+            let mut refs = [pass.input; STACK_INPUTS];
+            for (r, &id) in refs.iter_mut().zip(ids) {
+                *r = resolve(id);
+            }
+            run(&refs[..ids.len()])?
+        } else {
+            run(&ids.iter().map(|&id| resolve(id)).collect::<Vec<_>>())?
         }
         if let Some(t0) = node_start {
             let elapsed = t0.elapsed();
@@ -946,11 +981,15 @@ impl Network {
         Ok(())
     }
 
-    /// Run the plan on the ready-queue DAG scheduler with `workers`
-    /// threads (the calling thread is one of them, so `workers == 1`
-    /// spawns nothing and degenerates to a queue-ordered sequential
-    /// pass).
-    fn run_plan_dag<T: Tracer>(&self, pass: &Pass<'_, T>, workers: usize) -> TensorResult<()> {
+    /// Run the plan on the ready-queue DAG scheduler with one thread
+    /// per workspace in `scratch` (the calling thread is one of them,
+    /// so a single workspace spawns nothing and degenerates to a
+    /// queue-ordered sequential pass).
+    fn run_plan_dag<T: Tracer>(
+        &self,
+        pass: &Pass<'_, T>,
+        scratch: &mut [Workspace],
+    ) -> TensorResult<()> {
         let plan = pass.plan;
         let n_steps = plan.steps.len();
         let run = DagRun {
@@ -975,14 +1014,14 @@ impl Network {
             run.pushes.store(q.len() as u64, Ordering::Relaxed);
         }
         let run_ref = &run;
-        // Captures only shared refs, so the closure is itself Copy and
-        // can seed every worker.
-        let work = move || self.dag_worker_loop(pass, run_ref);
+        let (own, spawned) = scratch
+            .split_first_mut()
+            .expect("run_pass sizes scratch to at least one worker");
         rayon::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
+            for ws in spawned {
+                scope.spawn(move || self.dag_worker_loop(pass, run_ref, ws));
             }
-            work();
+            self.dag_worker_loop(pass, run_ref, own);
         });
         let metrics = cap_obs::metrics();
         metrics
@@ -998,9 +1037,10 @@ impl Network {
         Ok(())
     }
 
-    /// One DAG worker: pop ready steps, execute, release successors.
-    /// Exits when the pass completes or aborts.
-    fn dag_worker_loop<T: Tracer>(&self, pass: &Pass<'_, T>, run: &DagRun) {
+    /// One DAG worker: pop ready steps, execute them with its own
+    /// scratch, release successors. Exits when the pass completes or
+    /// aborts.
+    fn dag_worker_loop<T: Tracer>(&self, pass: &Pass<'_, T>, run: &DagRun, ws: &mut Workspace) {
         let plan = pass.plan;
         loop {
             // Park until a step is ready, the pass is done, or aborted.
@@ -1026,7 +1066,7 @@ impl Network {
                 if run.abort.load(Ordering::Relaxed) {
                     return;
                 }
-                if let Err(e) = self.exec_plan_step(pass, s) {
+                if let Err(e) = self.exec_plan_step(pass, s, ws) {
                     let mut failed = run.failed.lock().unwrap();
                     if failed.is_none() {
                         *failed = Some(e);

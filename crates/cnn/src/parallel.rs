@@ -83,7 +83,8 @@ impl InferenceReport {
 /// `(images_done, busy_s)` or the first error it hit.
 type WorkerOutcome = (WorkerState, TensorResult<(usize, f64)>);
 
-/// Per-worker reusable state: the staging chunk and the activation arena.
+/// Per-worker reusable state: the staging chunk and the arena
+/// (activations and kernel scratch).
 struct WorkerState {
     chunk: Tensor4,
     arena: ForwardArena,

@@ -12,7 +12,7 @@ pub use sequential::{SequentialBuilder, SequentialNet, TrainLayer};
 
 use cap_tensor::{
     col2im, conv2d, gemm, im2col, Conv2dParams, ConvWeights, Matrix, ShapeError, Tensor4,
-    TensorResult, WorkspacePool,
+    TensorResult, Workspace,
 };
 use std::collections::HashMap;
 
@@ -52,7 +52,7 @@ pub fn conv_forward(
         Some(bias),
         false,
         params,
-        &WorkspacePool::new(),
+        &mut Workspace::new(),
         &mut out,
     )?;
     Ok(out)

@@ -232,6 +232,52 @@ fn dag_parallel_is_deterministic_across_runs() {
     }
 }
 
+/// One arena, two networks, three worker counts, alternating: a chain
+/// and a four-branch pruned net (different slot counts, different
+/// activation shapes, CSR and dense convs and a batched sparse fc all
+/// drawing on the same workspaces) take turns on a single
+/// `ForwardArena` at 1, 2 and 4 `DagExecutor` workers. Every pass must
+/// equal the sequential pass of that net on that input through a fresh
+/// arena, bit for bit: a worker reading scratch another worker — or the
+/// previous, differently shaped pass — wrote would show here.
+#[test]
+fn one_arena_serves_alternating_networks_and_worker_counts() {
+    let _g = force_lock();
+    let nets = [
+        build_random_net(7, 1, 3, false),
+        build_random_net(12, 4, 3, true),
+    ];
+    assert_ne!(nets[0].len(), nets[1].len());
+    let bits = |t: &Tensor4| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+    // Three inputs per net, batch 1..=3, so no two consecutive passes
+    // of a net agree in shape or content.
+    let inputs: Vec<Tensor4> = (0..3).map(|v| images(v + 1, v * 5)).collect();
+    dag::force(Some(DagMode::Off));
+    let want: Vec<Vec<Vec<u32>>> = nets
+        .iter()
+        .map(|net| {
+            inputs
+                .iter()
+                .map(|x| bits(net.forward_into(x, &mut ForwardArena::new()).unwrap()))
+                .collect()
+        })
+        .collect();
+    dag::force(None);
+
+    let mut arena = ForwardArena::new();
+    for pass in 0..300 {
+        let (which, variant) = (pass % 2, pass % 3);
+        let workers = [1, 2, 4][(pass / 2) % 3];
+        let got = DagExecutor::new(workers)
+            .run(&nets[which], &inputs[variant], &mut arena)
+            .unwrap();
+        assert!(
+            bits(got) == want[which][variant],
+            "pass {pass}: net {which} input {variant} workers {workers}"
+        );
+    }
+}
+
 /// The degenerate single-node network survives every mode (and `Auto`
 /// declines to parallelize a width-1 plan).
 #[test]

@@ -3,6 +3,11 @@
 //! order — for every (images, batch, workers) combination, including
 //! ragged trailing chunks, more workers than chunks, and repeated runs
 //! through a recycled engine state pool.
+//!
+//! Workers share one `&Network` and nothing else: no layer holds
+//! scratch or a lock (the LRN's square-sum plane and the conv/fc
+//! lowering buffers are the worker's own arena workspace), so two
+//! workers may be inside the same LRN or conv at once.
 
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode,

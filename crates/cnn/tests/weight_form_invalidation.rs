@@ -12,7 +12,7 @@
 
 use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD};
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4};
+use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4, Workspace};
 
 /// Unstructured zeros past both layers' CSR thresholds, no row emptied.
 fn magnitude_pruned(mut w: Matrix) -> Matrix {
@@ -70,11 +70,12 @@ fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) 
         for precision in [Precision::F32, Precision::Int8, Precision::F32] {
             precision::force(Some(precision));
             let (mut got, mut want) = (Tensor4::zeros(0, 0, 0, 0), Tensor4::zeros(0, 0, 0, 0));
-            layer.forward_into(&[x], &mut got).unwrap();
-            reference.forward_into(&[x], &mut want).unwrap();
+            let ws = &mut Workspace::new();
+            layer.forward_into(&[x], ws, &mut got).unwrap();
+            reference.forward_into(&[x], ws, &mut want).unwrap();
             assert!(bits(&got) == bits(&want), "round {round} {precision:?}");
-            layer.forward_into_fused(&[x], &mut got).unwrap();
-            reference.forward_into_fused(&[x], &mut want).unwrap();
+            layer.forward_into_fused(&[x], ws, &mut got).unwrap();
+            reference.forward_into_fused(&[x], ws, &mut want).unwrap();
             assert!(
                 bits(&got) == bits(&want),
                 "round {round} {precision:?} fused"

@@ -7,16 +7,17 @@
 //! file holds exactly one test so no sibling test can allocate
 //! concurrently and pollute the count.
 
+use cap_cnn::dag::{self, DagMode};
 use cap_cnn::layer::{
-    ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
-    SoftmaxLayer, FC_SPARSE_THRESHOLD,
+    ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode,
+    ReluLayer, SoftmaxLayer, FC_SPARSE_THRESHOLD,
 };
-use cap_cnn::network::{ForwardArena, Network};
+use cap_cnn::network::{ForwardArena, Network, NodeId, INPUT};
 use cap_cnn::NoopTracer;
 use cap_obs::TimingGuard;
 use cap_tensor::{
     conv2d, init::xavier_uniform, precision, CalibrationMethod, Conv2dParams, ConvWeights, Matrix,
-    Precision, Tensor4, WorkspacePool,
+    Precision, Tensor4, Workspace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -159,8 +160,47 @@ fn int8_shaped() -> Network {
     net
 }
 
+/// Two inception-shaped modules back to back: each forks its input
+/// into four branches (1×1; 1×1 → 3×3; 1×1 → 5×5; pool → 1×1), every
+/// conv followed by a ReLU, and joins them in a four-input concat —
+/// the executor's multi-input path, twice per pass.
+fn inception_shaped() -> Network {
+    let mut net = Network::new("mini-inception", (8, 9, 9));
+    let mut seed = 40;
+    let mut conv = |net: &mut Network, name: String, from: NodeId, cin, cout, k, pad| {
+        seed += 1;
+        let p = Conv2dParams::new(cin, cout, k, pad, 1);
+        let w = xavier_uniform(cout, p.col_rows(), seed);
+        let layer = ConvLayer::new(name.clone(), p, w, vec![0.05; cout]).unwrap();
+        let c = net.add_layer(Box::new(layer), &[from]).unwrap();
+        net.add_layer(Box::new(ReluLayer::new(format!("{name}-relu"))), &[c])
+            .unwrap()
+    };
+    let mut from = INPUT;
+    for (m, cin) in [("a", 8), ("b", 16)] {
+        let b1 = conv(&mut net, format!("{m}-1x1"), from, cin, 4, 1, 0);
+        let r3 = conv(&mut net, format!("{m}-3x3r"), from, cin, 3, 1, 0);
+        let b3 = conv(&mut net, format!("{m}-3x3"), r3, 3, 6, 3, 1);
+        let r5 = conv(&mut net, format!("{m}-5x5r"), from, cin, 2, 1, 0);
+        let b5 = conv(&mut net, format!("{m}-5x5"), r5, 2, 3, 5, 2);
+        let pool = PoolLayer::new(format!("{m}-pool"), PoolMode::Max, 3, 1, 1);
+        let pl = net.add_layer(Box::new(pool), &[from]).unwrap();
+        let bp = conv(&mut net, format!("{m}-proj"), pl, cin, 3, 1, 0);
+        let cat = ConcatLayer::new(format!("{m}-out"));
+        from = net.add_layer(Box::new(cat), &[b1, b3, b5, bp]).unwrap();
+    }
+    net
+}
+
 #[test]
 fn steady_state_inference_allocates_nothing() {
+    // Zero allocation is the sequential schedule's guarantee, which is
+    // what `Auto` picks for every chain below. `CAP_CNN_DAG=on` forces
+    // the ready-queue scheduler (a queue and counters built per pass)
+    // even onto a chain; under it, test the schedule `Auto` picks.
+    if dag::selected() == DagMode::On {
+        dag::force(Some(DagMode::Auto));
+    }
     let net = caffenet_shaped();
     let batch = 4;
     let images = Tensor4::from_fn(batch, 3, 19, 19, |n, c, h, w| {
@@ -168,8 +208,8 @@ fn steady_state_inference_allocates_nothing() {
     });
     let mut arena = ForwardArena::new();
 
-    // Warm-up: grows workspace pools, packed-weight caches, and arena
-    // slots to their steady-state high-water marks.
+    // Warm-up: grows the arena's workspace, packed-weight caches, and
+    // arena slots to their steady-state high-water marks.
     for _ in 0..3 {
         net.forward_into(&images, &mut arena).unwrap();
     }
@@ -250,7 +290,8 @@ fn steady_state_inference_allocates_nothing() {
     // pruning leaves them, so both convs multiply their kept rows only
     // and move them into place inside the output band. Warm-up absorbs
     // the lazy kept-row copy; steady state must stay silent, and the
-    // activation arena must be no larger than the dense net's.
+    // arena — activations and kernel scratch — must be no larger than
+    // the dense net's.
     {
         let mut pruned_net = caffenet_shaped();
         for name in ["conv1", "conv2"] {
@@ -273,11 +314,13 @@ fn steady_state_inference_allocates_nothing() {
         );
         net.forward_into(&images, &mut arena).unwrap();
         assert!(pruned_arena.reserved_bytes() <= arena.reserved_bytes());
+        assert!(pruned_arena.scratch_bytes() > 0);
+        assert!(pruned_arena.scratch_bytes() <= arena.scratch_bytes());
     }
 
     // The int8 route, calibrated: the image quantize, the i8 lowering
-    // and the integer GEMMs draw every buffer from the layers' pools,
-    // the arena or a thread-local, at batch 8 and at batch 1.
+    // and the integer GEMMs draw every buffer from the arena or a
+    // thread-local, at batch 8 and at batch 1.
     {
         let int8_net = int8_shaped();
         let eight = Tensor4::from_fn(8, 8, 10, 10, |n, c, h, w| {
@@ -318,14 +361,13 @@ fn steady_state_inference_allocates_nothing() {
         let x = Tensor4::from_fn(1, 128, 5, 5, |_, c, h, w| {
             ((c + h * 3 + w) % 9) as f32 / 9.0
         });
-        let pool = WorkspacePool::new();
+        let mut ws = Workspace::new();
         let form = ConvWeights::DenseI8 {
             bands: &bands,
             act_scale: 1.0 / 127.0,
         };
         let mut out = Tensor4::zeros(0, 0, 0, 0);
-        conv2d(&x, form, None, true, &p, &pool, &mut out).unwrap();
-        let ws = pool.checkout();
+        conv2d(&x, form, None, true, &p, &mut ws, &mut out).unwrap();
         let packed_i8 = 25usize.div_ceil(8) * p.col_rows() * 8;
         let via_f32_patch_matrix = p.col_rows() * 25 * 4 + packed_i8;
         assert_eq!(ws.cols.len(), 0);
@@ -333,11 +375,11 @@ fn steady_state_inference_allocates_nothing() {
         assert!(ws.reserved_bytes() <= via_f32_patch_matrix / 3);
     }
 
-    // The batch-1 pruned-FC route: the fused CSR matvec
+    // The pruned-FC route. At batch 1 the fused CSR matvec
     // (`matvec_into`) runs straight from the input slice into the
-    // arena slot — no Xᵀ/Y staging matrices, no transposes. Warm-up
-    // absorbs the lazy CSR build and the fusion plan; steady state
-    // must stay silent.
+    // arena slot; at batch 8 the SpMM's Xᵀ and Y staging matrices are
+    // the arena workspace's f32 slots. Warm-up absorbs the lazy CSR
+    // build and the fusion plan; steady state must stay silent.
     {
         let dense = xavier_uniform(10, 48, 21);
         let (rows, cols) = dense.shape();
@@ -361,17 +403,45 @@ fn steady_state_inference_allocates_nothing() {
         sparse_net
             .add_sequential(Box::new(SoftmaxLayer::new("prob_s")))
             .unwrap();
-        let one = Tensor4::from_fn(1, 48, 1, 1, |_, c, _, _| (c as f32 - 24.0) / 25.0);
         let mut sparse_arena = ForwardArena::new();
-        for _ in 0..3 {
-            sparse_net.forward_into(&one, &mut sparse_arena).unwrap();
+        for batch in [1, 8] {
+            let x = Tensor4::from_fn(batch, 48, 1, 1, |n, c, _, _| {
+                ((n * 5 + c) as f32 - 24.0) / 25.0
+            });
+            for _ in 0..3 {
+                sparse_net.forward_into(&x, &mut sparse_arena).unwrap();
+            }
+            let allocs = min_allocs_over(5, 5, || {
+                sparse_net.forward_into(&x, &mut sparse_arena).unwrap();
+            });
+            assert_eq!(
+                allocs, 0,
+                "sparse FC at batch {batch} must not allocate (got {allocs})",
+            );
         }
-        let allocs = min_allocs_over(5, 5, || {
-            sparse_net.forward_into(&one, &mut sparse_arena).unwrap();
+    }
+
+    // Branches and joins, on the sequential schedule (a DAG pass spawns
+    // its workers, which allocates): a concat's input refs are gathered
+    // on the stack. This binary's only test, so no other `force` user
+    // can interleave.
+    {
+        let net = inception_shaped();
+        let x = Tensor4::from_fn(2, 8, 9, 9, |n, c, h, w| {
+            (((n * 31 + c * 11 + h * 3 + w) % 15) as f32 - 7.0) / 7.0
         });
+        dag::force(Some(DagMode::Off));
+        let mut arena = ForwardArena::new();
+        for _ in 0..3 {
+            net.forward_into(&x, &mut arena).unwrap();
+        }
+        let allocs = min_allocs_over(5, 10, || {
+            net.forward_into(&x, &mut arena).unwrap();
+        });
+        dag::force(None);
         assert_eq!(
             allocs, 0,
-            "batch-1 sparse FC (fused spmv) must not allocate (got {allocs})",
+            "sequential passes over a branchy net must not allocate (got {allocs})",
         );
     }
 }

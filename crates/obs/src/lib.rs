@@ -15,8 +15,8 @@
 //!   [`SpanRecord`]s for aggregation.
 //! * [`MetricsRegistry`] — a process-global, lock-free set of
 //!   [`Counter`]s, [`Gauge`]s and [`HdrHistogram`]s (forward-pass
-//!   latency, per-layer time, GEMM/im2col split, arena bytes, workspace
-//!   pool hits/misses, batch sizes, serving counters). The set is
+//!   latency, per-layer time, GEMM/im2col split, arena bytes, batch
+//!   sizes, DAG and serving counters). The set is
 //!   declared once — one table row per instrument, listed in
 //!   [`INSTRUMENTS`] — and the text, JSON and Prometheus exporters all
 //!   walk that table. Histograms are log-linear, so snapshots report

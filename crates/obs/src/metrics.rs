@@ -12,7 +12,7 @@
 //! Everything here is a relaxed atomic — no locks anywhere, so workers
 //! of a [`ParallelEngine`](https://docs.rs/cap-cnn) shard record into
 //! the same registry without contention-induced serialization, and
-//! recording never allocates. Cheap structural metrics (pool hits,
+//! recording never allocates. Cheap structural metrics (pass counts,
 //! batch sizes, arena bytes) are always on; metrics that need a clock
 //! read at the recording site (GEMM/im2col split, per-layer time) are
 //! additionally gated behind the [`timing_enabled`] flag so the default
@@ -330,12 +330,6 @@ instruments! {
     im2col_time_ns: Counter, Workload, "Nanoseconds inside im2col lowering.";
     /// High-water mark of `ForwardArena` activation bytes. Always on.
     arena_bytes: Gauge, Workload, "High-water mark of arena activation bytes.";
-    /// Workspace-pool checkouts satisfied by a recycled workspace.
-    /// Always on.
-    workspace_hits: Counter, Workload, "Workspace-pool checkouts satisfied by recycling.";
-    /// Workspace-pool checkouts that had to build a new workspace.
-    /// Always on.
-    workspace_misses: Counter, Workload, "Workspace-pool checkouts that built a new workspace.";
     /// Batch sizes seen by forward passes. Always on.
     batch_sizes: Summary, Workload, HDR_HELP;
     /// Which SIMD microkernel backend `cap-tensor` dispatched to, as a
@@ -405,9 +399,9 @@ instruments! {
 ///
 /// ```
 /// let m = cap_obs::metrics();
-/// let before = m.workspace_hits.get();
-/// m.workspace_hits.inc();
-/// assert_eq!(m.workspace_hits.get() - before, 1);
+/// let before = m.dag_queue_pushes.get();
+/// m.dag_queue_pushes.inc();
+/// assert_eq!(m.dag_queue_pushes.get() - before, 1);
 /// ```
 pub fn metrics() -> &'static MetricsRegistry {
     &REGISTRY
@@ -592,8 +586,6 @@ mod tests {
         reg.gemm_time_ns.add(123_456);
         reg.im2col_time_ns.add(7_890);
         reg.arena_bytes.record_max(1 << 20);
-        reg.workspace_hits.add(5);
-        reg.workspace_misses.inc();
         for v in [4, 4, 1] {
             reg.batch_sizes.record(v);
         }

@@ -15,13 +15,12 @@ use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
 use crate::quant::{gemm_i8, symmetric_scale, QuantizedA, QuantizedCsr};
 use crate::sparse::CsrMatrix;
 use crate::tensor4::Tensor4;
-use crate::workspace::{Workspace, WorkspacePool};
-use rayon::prelude::*;
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Start a clock for the GEMM/im2col time split, only when timed
-/// metrics are on (`timing` is hoisted out of the parallel image loop).
+/// metrics are on (`timing` is hoisted out of the image loop).
 #[inline]
 fn split_clock(timing: bool) -> Option<Instant> {
     if timing {
@@ -396,10 +395,9 @@ impl ConvWeights<'_> {
 /// 2-D convolution — the one production driver, matching Caffe's
 /// im2col + GEMM scheme.
 ///
-/// Validates once, then per image (in parallel; each output image is
-/// owned by one task) and per channel group: **lower** the group's
-/// input channels to a patch matrix in the layout the weight form
-/// multiplies against, **multiply** with the bias (per output channel)
+/// Validates once, then per image and per channel group: **lower** the
+/// group's input channels to a patch matrix in the layout the weight
+/// form multiplies against, **multiply** with the bias (per output channel)
 /// and an optional ReLU folded into the store ([`Epilogue`]), writing
 /// straight into the group's band of the output image — an
 /// `out_per_group × oh*ow` row-major matrix in place, so nothing is
@@ -420,9 +418,8 @@ impl ConvWeights<'_> {
 /// still reads `epi(0.0 + bias)`, where [`ConvWeights::Dense`] on the
 /// same weights reads NaN (`0·inf`).
 ///
-/// Lowering scratch comes from `pool` (one workspace per rayon worker)
-/// and `out` is reshaped in place, so steady-state calls allocate
-/// nothing. When [`cap_obs::timing_enabled`], lowering and multiply
+/// Lowering scratch is the caller's `ws` and `out` is reshaped in
+/// place, so steady-state calls allocate nothing. When [`cap_obs::timing_enabled`], lowering and multiply
 /// time are credited to the `im2col_time_ns` / `gemm_time_ns` counters.
 pub fn conv2d(
     input: &Tensor4,
@@ -430,7 +427,7 @@ pub fn conv2d(
     bias: Option<&[f32]>,
     relu: bool,
     params: &Conv2dParams,
-    pool: &WorkspacePool,
+    ws: &mut Workspace,
     out: &mut Tensor4,
 ) -> TensorResult<()> {
     params.validate()?;
@@ -447,149 +444,139 @@ pub fn conv2d(
     let out_image_len = params.out_channels * n_out;
     let in_image_len = params.in_channels * h * w;
 
-    // One relaxed load outside the parallel loop decides whether the
+    // One relaxed load outside the image loop decides whether the
     // GEMM/im2col split is measured for this call.
     let timing = cap_obs::timing_enabled();
     let metrics = cap_obs::metrics();
     let path = kernels::selected();
+    let Workspace {
+        cols,
+        packed,
+        qbuf,
+        qimage,
+        qlines,
+    } = ws;
 
     // Pair output and input images by chunking both flat buffers — no
     // per-call Vec of image slices, keeping the steady state allocation-free.
-    out.as_mut_slice()
-        .par_chunks_mut(out_image_len.max(1))
-        .zip(input.as_slice().par_chunks(in_image_len.max(1)))
-        .try_for_each_init(
-            || pool.checkout(),
-            |ws, (out_img, in_img)| -> TensorResult<()> {
-                let Workspace {
-                    cols,
-                    packed,
-                    qbuf,
-                    qimage,
-                    qlines,
-                } = &mut **ws;
-                match weights {
-                    ConvWeights::Csr(_) => cols.resize(col_rows, n_out),
-                    ConvWeights::DenseI8 { act_scale, .. }
-                    | ConvWeights::CsrI8 { act_scale, .. } => {
-                        // Quantization commutes with lowering (which
-                        // only copies values and pads with zero), so
-                        // the image is quantized once here instead of
-                        // once per patch element after it. Lowering
-                        // cost, like the rest of the operand's path.
-                        let t_quant = split_clock(timing);
-                        qimage.resize(in_img.len(), 0);
-                        ki8::quantize_slice_with(path, in_img, 1.0 / act_scale, qimage);
-                        credit_ns(t_quant, &metrics.im2col_time_ns);
-                    }
-                    ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {}
+    let out_images = out.as_mut_slice().chunks_mut(out_image_len.max(1));
+    let in_images = input.as_slice().chunks(in_image_len.max(1));
+    for (out_img, in_img) in out_images.zip(in_images) {
+        match weights {
+            ConvWeights::Csr(_) => cols.resize(col_rows, n_out),
+            ConvWeights::DenseI8 { act_scale, .. } | ConvWeights::CsrI8 { act_scale, .. } => {
+                // Quantization commutes with lowering (which only
+                // copies values and pads with zero), so the image is
+                // quantized once here instead of once per patch element
+                // after it. Lowering cost, like the rest of the
+                // operand's path.
+                let t_quant = split_clock(timing);
+                qimage.resize(in_img.len(), 0);
+                ki8::quantize_slice_with(path, in_img, 1.0 / act_scale, qimage);
+                credit_ns(t_quant, &metrics.im2col_time_ns);
+            }
+            ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {}
+        }
+        for g in 0..params.groups {
+            let in_range = g * cpg * h * w..(g + 1) * cpg * h * w;
+            let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
+            // `bias[g*opg + r]` is the bias of GEMM row `r`, so the
+            // group's bias slice is a per-row epilogue.
+            let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
+            let epi = Epilogue {
+                bias: row_bias.map(EpiBias::PerRow),
+                relu,
+            };
+            if let ConvWeights::DenseRows(bands) = weights {
+                if bands[g].rows.is_empty() {
+                    // No filter kept: nothing to lower or multiply.
+                    bands[g].spread(dst, n_out, row_bias, relu);
+                    continue;
                 }
-                for g in 0..params.groups {
-                    let in_range = g * cpg * h * w..(g + 1) * cpg * h * w;
-                    let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
-                    // `bias[g*opg + r]` is the bias of GEMM row `r`, so
-                    // the group's bias slice is a per-row epilogue.
-                    let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
-                    let epi = Epilogue {
-                        bias: row_bias.map(EpiBias::PerRow),
-                        relu,
-                    };
-                    if let ConvWeights::DenseRows(bands) = weights {
-                        if bands[g].rows.is_empty() {
-                            // No filter kept: nothing to lower or multiply.
-                            bands[g].spread(dst, n_out, row_bias, relu);
-                            continue;
-                        }
-                    }
-                    let t_col = split_clock(timing);
-                    let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
-                    // Each form lowers straight into the layout its
-                    // multiply reads — one write pass, no repack.
-                    match weights {
-                        ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
-                            let image = &in_img[in_range];
-                            im2col_packed_prealloc(image, cpg, h, w, kh, kw, pad, stride, packed)?
-                        }
-                        ConvWeights::Csr(_) => {
-                            let image = &in_img[in_range];
-                            im2col_prealloc(image, cpg, h, w, kh, kw, pad, stride, cols)?
-                        }
-                        ConvWeights::DenseI8 { .. } => {
-                            let image = &qimage[in_range];
-                            im2col_i8_packed_prealloc(
-                                image, cpg, h, w, kh, kw, pad, stride, qlines, qbuf,
-                            )?;
-                        }
-                        ConvWeights::CsrI8 { .. } => {
-                            let image = &qimage[in_range];
-                            im2col_i8_prealloc(image, cpg, h, w, kh, kw, pad, stride, qbuf)?
-                        }
-                    }
-                    credit_ns(t_col, &metrics.im2col_time_ns);
+            }
+            let t_col = split_clock(timing);
+            let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
+            // Each form lowers straight into the layout its multiply
+            // reads — one write pass, no repack.
+            match weights {
+                ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
+                    let image = &in_img[in_range];
+                    im2col_packed_prealloc(image, cpg, h, w, kh, kw, pad, stride, packed)?
+                }
+                ConvWeights::Csr(_) => {
+                    let image = &in_img[in_range];
+                    im2col_prealloc(image, cpg, h, w, kh, kw, pad, stride, cols)?
+                }
+                ConvWeights::DenseI8 { .. } => {
+                    let image = &qimage[in_range];
+                    im2col_i8_packed_prealloc(image, cpg, h, w, kh, kw, pad, stride, qlines, qbuf)?;
+                }
+                ConvWeights::CsrI8 { .. } => {
+                    let image = &qimage[in_range];
+                    im2col_i8_prealloc(image, cpg, h, w, kh, kw, pad, stride, qbuf)?
+                }
+            }
+            credit_ns(t_col, &metrics.im2col_time_ns);
 
-                    let t_gemm = split_clock(timing);
-                    match weights {
-                        ConvWeights::Dense(wm) => gemm_packed(
-                            &wm.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows],
-                            opg,
-                            col_rows,
-                            n_out,
-                            packed.as_slice(),
-                            dst,
-                            epi,
-                        )?,
-                        ConvWeights::DenseRows(bands) => {
-                            // The plain product of the kept rows goes
-                            // to the head of the band; `spread` then
-                            // moves each row to its channel (no side
-                            // buffer), applying the epilogue there.
-                            let band = &bands[g];
-                            let kept = band.rows.len();
-                            gemm_packed(
-                                &band.weights,
-                                kept,
-                                col_rows,
-                                n_out,
-                                packed.as_slice(),
-                                &mut dst[..kept * n_out],
-                                Epilogue::NONE,
-                            )?;
-                            band.spread(dst, n_out, row_bias, relu);
-                        }
-                        ConvWeights::Csr(bands) => {
-                            bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
-                        }
-                        ConvWeights::DenseI8 { bands, act_scale } => {
-                            let band = &bands[g];
-                            let scale = band.scale() * act_scale;
-                            gemm_i8(band.data(), opg, band.kp(), n_out, qbuf, dst, scale, epi)?
-                        }
-                        ConvWeights::CsrI8 { bands, act_scale } => {
-                            let band = &bands[g];
-                            let scale = band.scale() * act_scale;
-                            dst.par_chunks_mut(n_out.max(1))
-                                .enumerate()
-                                .for_each(|(r, row)| {
-                                    let (vals, cidx) = band.row(r);
-                                    ki8::spmm_i8_row_with(
-                                        path,
-                                        vals,
-                                        cidx,
-                                        qbuf,
-                                        n_out,
-                                        row,
-                                        scale,
-                                        row_bias.map(|b| b[r]),
-                                        relu,
-                                    );
-                                });
-                        }
-                    }
-                    credit_ns(t_gemm, &metrics.gemm_time_ns);
+            let t_gemm = split_clock(timing);
+            match weights {
+                ConvWeights::Dense(wm) => gemm_packed(
+                    &wm.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows],
+                    opg,
+                    col_rows,
+                    n_out,
+                    packed.as_slice(),
+                    dst,
+                    epi,
+                )?,
+                ConvWeights::DenseRows(bands) => {
+                    // The plain product of the kept rows goes to the
+                    // head of the band; `spread` then moves each row to
+                    // its channel (no side buffer), applying the
+                    // epilogue there.
+                    let band = &bands[g];
+                    let kept = band.rows.len();
+                    gemm_packed(
+                        &band.weights,
+                        kept,
+                        col_rows,
+                        n_out,
+                        packed.as_slice(),
+                        &mut dst[..kept * n_out],
+                        Epilogue::NONE,
+                    )?;
+                    band.spread(dst, n_out, row_bias, relu);
                 }
-                Ok(())
-            },
-        )?;
+                ConvWeights::Csr(bands) => {
+                    bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
+                }
+                ConvWeights::DenseI8 { bands, act_scale } => {
+                    let band = &bands[g];
+                    let scale = band.scale() * act_scale;
+                    gemm_i8(band.data(), opg, band.kp(), n_out, qbuf, dst, scale, epi)?
+                }
+                ConvWeights::CsrI8 { bands, act_scale } => {
+                    let band = &bands[g];
+                    let scale = band.scale() * act_scale;
+                    for (r, row) in dst.chunks_mut(n_out.max(1)).enumerate() {
+                        let (vals, cidx) = band.row(r);
+                        ki8::spmm_i8_row_with(
+                            path,
+                            vals,
+                            cidx,
+                            qbuf,
+                            n_out,
+                            row,
+                            scale,
+                            row_bias.map(|b| b[r]),
+                            relu,
+                        );
+                    }
+                }
+            }
+            credit_ns(t_gemm, &metrics.gemm_time_ns);
+        }
+    }
     Ok(())
 }
 
@@ -624,7 +611,7 @@ mod tests {
             bias,
             false,
             params,
-            &WorkspacePool::new(),
+            &mut Workspace::new(),
             &mut out,
         )?;
         Ok(out)

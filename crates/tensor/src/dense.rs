@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// The storage layout is `data[r * cols + c]`. All CNN weights and im2col
 /// buffers in the workspace use this type; it is deliberately minimal and
 /// allocation-transparent so kernels can reuse buffers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -107,6 +107,13 @@ impl Matrix {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Elements the backing buffer can hold without reallocating: the
+    /// high-water mark of a matrix reused through [`Matrix::resize`].
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Immutable view of the underlying row-major data.

@@ -20,8 +20,8 @@
 //!   im2col + GEMM over a [`ConvWeights`] form — dense, dense over the
 //!   filters pruning kept, or CSR; f32 or int8 — with bias/ReLU as a
 //!   fused [`Epilogue`]) and max/average pooling kernels.
-//! * [`workspace`] — reusable scratch arenas ([`Workspace`],
-//!   [`WorkspacePool`]) behind the zero-allocation steady state.
+//! * [`workspace`] — the reusable kernel scratch ([`Workspace`]) a
+//!   caller lends by `&mut`, behind the zero-allocation steady state.
 //! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
 //!   [`reference::gemm_naive`]) that tests and benches import explicitly.
 //!
@@ -76,4 +76,4 @@ pub use quant::{
 };
 pub use sparse::CsrMatrix;
 pub use tensor4::Tensor4;
-pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};
+pub use workspace::Workspace;

@@ -1,36 +1,36 @@
-//! Reusable scratch arenas for allocation-free steady-state kernels.
+//! Reusable kernel scratch for allocation-free steady-state passes.
 //!
 //! The im2col+GEMM convolution path needs per-image lowering scratch
 //! (the unrolled patch matrix, row-major or panel-packed, f32 or int8,
 //! and for int8 the quantized input image it is lowered from).
-//! Allocating it per image puts the allocator on the critical
-//! path of every forward pass; §3 of the paper times exactly these loops,
-//! so the harness must not measure `malloc`.
+//! Allocating it per image would put `malloc` inside the loops §3 of
+//! the paper times.
 //!
 //! A [`Workspace`] owns those scratch slots; kernels resize them in
 //! place ([`Matrix::resize`] reuses capacity, `Vec::resize` likewise),
-//! so after the first pass over a given layer shape no allocator calls
-//! remain. A [`WorkspacePool`] hands
-//! workspaces out to rayon workers: kernels draw one per worker with
-//! `for_each_init`-style loops and the pool recycles them across calls,
-//! keyed by nothing — any workspace fits any shape because slots grow to
-//! the high-water mark of whatever passes through them.
+//! so once it has seen the largest shape that passes through it no
+//! allocator calls remain. It belongs to the thread that runs the pass:
+//! a caller lends it by `&mut`, so there is nothing to check out, lock
+//! or count. `cap-cnn`'s `ForwardArena` keeps one per executing thread
+//! and every layer of the pass shares it — any workspace fits any
+//! shape, so scratch grows with the largest layer, not the layer count.
 
 use crate::dense::Matrix;
-use parking_lot::Mutex;
-use std::ops::{Deref, DerefMut};
 
-/// Scratch buffers for one in-flight image. The slots are independent
-/// (no invariant ties them together), handed out unshaped: whichever
-/// kernel uses one resizes it first and overwrites every element it
-/// later reads, so stale contents from earlier, differently-shaped work
-/// never leak into results.
-#[derive(Debug)]
+/// Scratch buffers for one kernel call at a time. The slots are
+/// independent (no invariant ties them together), handed out unshaped:
+/// whichever kernel uses one resizes it first and overwrites every
+/// element it later reads, so stale contents from earlier,
+/// differently-shaped work never leak into results.
+#[derive(Debug, Default)]
 pub struct Workspace {
-    /// Row-major im2col patch matrix (`in_per_group*kh*kw × oh*ow`).
+    /// Row-major f32 scratch: the CSR convolution's im2col patch matrix
+    /// (`in_per_group*kh*kw × oh*ow`), the LRN layer's square-sum
+    /// plane, the batched sparse fc's `Xᵀ`.
     pub cols: Matrix,
-    /// Panel-packed patch matrix, shaped by
-    /// [`crate::im2col_packed_prealloc`].
+    /// The dense convolution's panel-packed patch matrix, shaped by
+    /// [`crate::im2col_packed_prealloc`]; the batched sparse fc's
+    /// `W·Xᵀ` before it is transposed into the output.
     pub packed: Matrix,
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
@@ -47,108 +47,20 @@ pub struct Workspace {
     pub qlines: Vec<i8>,
 }
 
-impl Default for Workspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Workspace {
     /// An empty workspace; slots grow on first use.
     pub fn new() -> Self {
-        Self {
-            cols: Matrix::zeros(0, 0),
-            packed: Matrix::zeros(0, 0),
-            qbuf: Vec::new(),
-            qimage: Vec::new(),
-            qlines: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Bytes currently live across all slots (lengths, not capacities —
-    /// `Matrix` does not expose its backing capacity).
+    /// Bytes the slots retain: capacities, not lengths — a slot's
+    /// length follows the last kernel that shaped it, its footprint is
+    /// the largest shape it has held.
     pub fn reserved_bytes(&self) -> usize {
-        (self.cols.len() + self.packed.len()) * std::mem::size_of::<f32>()
-            + self.qbuf.len()
-            + self.qimage.len()
-            + self.qlines.len()
-    }
-}
-
-/// A checkout/return pool of [`Workspace`]s shared by rayon workers.
-///
-/// Layers own one pool each; every `forward` draws however many
-/// workspaces the worker count demands (one per worker) and returns them
-/// on drop. Steady state therefore holds the pool size at the maximum
-/// concurrency ever seen, and no allocation happens after warm-up.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    free: Mutex<Vec<Workspace>>,
-}
-
-impl WorkspacePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self {
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Draw a workspace, creating one only if the pool is empty.
-    ///
-    /// Every checkout is counted in the global metrics registry: a
-    /// recycled workspace is a `workspace_hits`, a fresh build is a
-    /// `workspace_misses` — the steady-state claim "the pool stopped
-    /// allocating" is `misses` staying flat while `hits` climbs.
-    pub fn checkout(&self) -> PooledWorkspace<'_> {
-        let ws = match self.free.lock().pop() {
-            Some(ws) => {
-                cap_obs::metrics().workspace_hits.inc();
-                ws
-            }
-            None => {
-                cap_obs::metrics().workspace_misses.inc();
-                Workspace::new()
-            }
-        };
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// Number of idle workspaces currently in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.lock().len()
-    }
-}
-
-/// RAII guard for a pooled [`Workspace`]; returns it on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace<'a> {
-    pool: &'a WorkspacePool,
-    ws: Option<Workspace>,
-}
-
-impl Deref for PooledWorkspace<'_> {
-    type Target = Workspace;
-
-    fn deref(&self) -> &Workspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut Workspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            self.pool.free.lock().push(ws);
-        }
+        (self.cols.capacity() + self.packed.capacity()) * std::mem::size_of::<f32>()
+            + self.qbuf.capacity()
+            + self.qimage.capacity()
+            + self.qlines.capacity()
     }
 }
 
@@ -167,25 +79,5 @@ mod tests {
         assert_eq!(ws.cols.shape(), (100, 100));
         assert!(ws.cols.as_slice().iter().all(|&v| v == 0.0));
         assert_eq!(ws.reserved_bytes(), 100 * 100 * 4);
-    }
-
-    #[test]
-    fn pool_recycles_workspaces() {
-        let pool = WorkspacePool::new();
-        assert_eq!(pool.idle(), 0);
-        {
-            let mut a = pool.checkout();
-            a.cols.resize(10, 10);
-            let _b = pool.checkout();
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 2);
-        {
-            // One of the two recycled workspaces kept its grown slot.
-            let first = pool.checkout();
-            let second = pool.checkout();
-            assert_eq!(first.cols.len() + second.cols.len(), 100);
-        }
-        assert_eq!(pool.idle(), 2);
     }
 }

@@ -31,14 +31,14 @@
 //!   the image instead of the patch matrix — public `im2col` →
 //!   `pack_b_i8_into` → `gemm_i8` — on every path.
 //!
-//! One `WorkspacePool` and one output tensor serve the whole table, so
+//! One `Workspace` and one output tensor serve the whole table, so
 //! every case after the first starts from scratch dirtied by earlier,
 //! differently-shaped work — results must not depend on it.
 
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
     conv2d, gemm, gemm_i8, im2col, kernels, pack_b_i8_into, symmetric_scale, Conv2dParams,
-    ConvWeights, CsrMatrix, EpiBias, Epilogue, Matrix, QuantizedA, Tensor4, WorkspacePool,
+    ConvWeights, CsrMatrix, EpiBias, Epilogue, Matrix, QuantizedA, Tensor4, Workspace,
 };
 
 fn input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -131,7 +131,7 @@ fn bits(t: &Tensor4) -> Vec<u32> {
 
 #[test]
 fn every_weight_form_matches_the_direct_oracle() {
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let bit_identical = kernels::selected().is_bit_identical_to_scalar();
 
@@ -159,7 +159,7 @@ fn every_weight_form_matches_the_direct_oracle() {
                     t
                 };
                 let mut run = |form: ConvWeights<'_>| {
-                    conv2d(&x, form, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+                    conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
                     out.clone()
                 };
 
@@ -264,11 +264,11 @@ fn lower_then_quantize(
 /// an odd patch depth (27, so a pad row); the 11×9 input gives 63, 99,
 /// 143, 20, 30, 42, 6, 9 and 12 output pixels — never a whole number of
 /// panels; 10 filters cross the 8-row block. The activation scale clips
-/// the top of the input range. The one pool's int8 slots and `out`
-/// start every case poisoned.
+/// the top of the input range. The one workspace's int8 slots and
+/// `out` start every case poisoned.
 #[test]
 fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let bias: Vec<f32> = (0..10).map(|i| i as f32 * 0.07 - 0.3).collect();
     for groups in [1usize, 2] {
@@ -311,15 +311,12 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                                 &pruned_q,
                             ),
                         ] {
-                            {
-                                let ws = &mut *pool.checkout();
-                                for slot in [&mut ws.qbuf, &mut ws.qimage, &mut ws.qlines] {
-                                    slot.clear();
-                                    slot.resize(8192, 77);
-                                }
+                            for slot in [&mut ws.qbuf, &mut ws.qimage, &mut ws.qlines] {
+                                slot.clear();
+                                slot.resize(8192, 77);
                             }
                             out.as_mut_slice().fill(f32::NAN);
-                            conv2d(&x, form, bias, relu, &params, &pool, &mut out).unwrap();
+                            conv2d(&x, form, bias, relu, &params, &mut ws, &mut out).unwrap();
                             let (_, _, oh, ow) = out.shape();
                             assert_ne!(oh * ow % 8, 0, "{case}");
                             let want = lower_then_quantize(
@@ -350,7 +347,7 @@ fn filter_pruned(params: &Conv2dParams, pruned_rows: &[usize]) -> Matrix {
 
 #[test]
 fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let bit_identical = kernels::selected().is_bit_identical_to_scalar();
     let all: Vec<usize> = (0..12).collect();
@@ -384,12 +381,12 @@ fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
                 );
                 let x = input(batch, 4, 7, 7);
                 let dense_form = ConvWeights::Dense(&w);
-                conv2d(&x, dense_form, bias, relu, &params, &pool, &mut out).unwrap();
+                conv2d(&x, dense_form, bias, relu, &params, &mut ws, &mut out).unwrap();
                 let dense = out.clone();
                 // Every element must be written, not inherited.
                 out.as_mut_slice().fill(f32::NAN);
                 let kept_form = ConvWeights::DenseRows(&kept);
-                conv2d(&x, kept_form, bias, relu, &params, &pool, &mut out).unwrap();
+                conv2d(&x, kept_form, bias, relu, &params, &mut ws, &mut out).unwrap();
                 if bit_identical {
                     assert!(bits(&out) == bits(&dense), "{case}: vs dense");
                 } else {
@@ -420,7 +417,7 @@ fn pruned_filters_are_absent_not_zero() {
         }
     };
     let n_out = 7 * 7;
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let x = input(2, 4, 7, 7);
 
@@ -432,7 +429,7 @@ fn pruned_filters_are_absent_not_zero() {
         ConvWeights::kept_row_bands(&filter_pruned(&params, &[0, 1, 2, 3, 4, 5]), &params).unwrap();
     for relu in [false, true] {
         let rows = ConvWeights::DenseRows(&kept);
-        conv2d(&x, rows, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+        conv2d(&x, rows, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
         for n in 0..2 {
             for (oc, &b) in bias.iter().enumerate().skip(3) {
                 let want = epi(b, relu).to_bits();
@@ -441,7 +438,7 @@ fn pruned_filters_are_absent_not_zero() {
             }
         }
         let rows = ConvWeights::DenseRows(&none);
-        conv2d(&x, rows, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+        conv2d(&x, rows, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
         for (i, v) in out.as_slice().iter().enumerate() {
             let oc = i / n_out % 6;
             assert_eq!(v.to_bits(), epi(bias[oc], relu).to_bits(), "element {i}");
@@ -453,10 +450,10 @@ fn pruned_filters_are_absent_not_zero() {
     let mut hot = x.clone();
     hot.as_mut_slice().fill(f32::INFINITY);
     let dense = ConvWeights::Dense(&w);
-    conv2d(&hot, dense, Some(&bias), false, &params, &pool, &mut out).unwrap();
+    conv2d(&hot, dense, Some(&bias), false, &params, &mut ws, &mut out).unwrap();
     assert!(out.image(0)[3 * n_out..].iter().all(|v| v.is_nan()));
     let rows = ConvWeights::DenseRows(&kept);
-    conv2d(&hot, rows, Some(&bias), false, &params, &pool, &mut out).unwrap();
+    conv2d(&hot, rows, Some(&bias), false, &params, &mut ws, &mut out).unwrap();
     for (oc, &b) in bias.iter().enumerate().skip(3) {
         let got = &out.image(0)[oc * n_out..(oc + 1) * n_out];
         assert!(got.iter().all(|&v| v == b), "channel {oc}");
@@ -473,11 +470,10 @@ fn kept_rows_form_needs_no_more_scratch_than_dense() {
     let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
     let x = input(3, 4, 7, 7);
     let scratch = |form: ConvWeights<'_>| {
-        let pool = WorkspacePool::new();
+        let mut ws = Workspace::new();
         let mut out = Tensor4::zeros(0, 0, 0, 0);
-        conv2d(&x, form, None, true, &params, &pool, &mut out).unwrap();
-        let held: Vec<_> = (0..pool.idle()).map(|_| pool.checkout()).collect();
-        held.iter().map(|ws| ws.reserved_bytes()).sum::<usize>()
+        conv2d(&x, form, None, true, &params, &mut ws, &mut out).unwrap();
+        ws.reserved_bytes()
     };
     let dense = scratch(ConvWeights::Dense(&w));
     assert!(dense > 0);
@@ -495,7 +491,7 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     let params = Conv2dParams::grouped(64, 6, 3, 1, 1, 1);
     let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.05 - 0.1).collect();
     let x = input(2, 64, 22, 22);
-    let pool = WorkspacePool::new();
+    let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let bit_identical = kernels::selected().is_bit_identical_to_scalar();
     let dense_w = weights(&params, false);
@@ -507,7 +503,7 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
             ("kept-rows", ConvWeights::DenseRows(&kept), &rows_w),
         ] {
             out.as_mut_slice().fill(f32::NAN);
-            conv2d(&x, form, Some(&bias), relu, &params, &pool, &mut out).unwrap();
+            conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
             let seed = seed_composition(&x, w, &bias, relu, &params, false);
             if bit_identical {
                 assert!(

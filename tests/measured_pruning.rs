@@ -139,7 +139,7 @@ fn all_three_algorithms_hit_requested_sparsity_on_googlenet_layer() {
 #[test]
 fn filter_pruned_conv_layer_is_bitwise_the_dense_driver_on_the_same_weights() {
     use cap_cnn::layer::ConvLayer;
-    use cap_tensor::{conv2d, kernels, Conv2dParams, ConvWeights, Precision, WorkspacePool};
+    use cap_tensor::{conv2d, kernels, Conv2dParams, ConvWeights, Precision, Workspace};
 
     if cap_tensor::precision::selected() != Precision::F32 {
         return; // the int8 leg quantizes; its parity is `int8_net.rs`
@@ -154,16 +154,16 @@ fn filter_pruned_conv_layer_is_bitwise_the_dense_driver_on_the_same_weights() {
         let pruned = prune_filters_l1(&mut w, ratio).unwrap();
         assert!(!pruned.is_empty());
         let layer = ConvLayer::new("conv", params, w.clone(), bias.clone()).unwrap();
-        let pool = WorkspacePool::new();
+        let mut ws = Workspace::new();
         let (mut got, mut want) = (Tensor4::zeros(0, 0, 0, 0), Tensor4::zeros(0, 0, 0, 0));
         for relu in [false, true] {
             if relu {
-                layer.forward_into_fused(&[&x], &mut got).unwrap();
+                layer.forward_into_fused(&[&x], &mut ws, &mut got).unwrap();
             } else {
-                layer.forward_into(&[&x], &mut got).unwrap();
+                layer.forward_into(&[&x], &mut ws, &mut got).unwrap();
             }
             let dense = ConvWeights::Dense(&w);
-            conv2d(&x, dense, Some(&bias), relu, &params, &pool, &mut want).unwrap();
+            conv2d(&x, dense, Some(&bias), relu, &params, &mut ws, &mut want).unwrap();
             if kernels::selected().is_bit_identical_to_scalar() {
                 let bits =
                     |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
