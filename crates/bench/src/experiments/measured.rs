@@ -1,18 +1,30 @@
 //! Measured-track experiments: no calibrated profiles involved — a
-//! really-trained CNN, really pruned, really executed.
+//! really-trained CNN, really pruned, really executed. Accuracy comes
+//! from the training forward ([`SequentialNet::evaluate`]); every
+//! millisecond comes from the production executor, `run_batched` over
+//! [`SequentialNet::to_network`], so the weight form that runs is the
+//! one `ConvLayer` selects.
 
-use cap_cnn::models::TinyNet;
-use cap_cnn::train::Sgd;
+use cap_cnn::layer::ConvLayer;
+use cap_cnn::train::{SequentialBuilder, SequentialNet, Sgd};
+use cap_cnn::{run_batched, LayerKind, Network};
 use cap_data::SyntheticImageNet;
 use cap_pruning::magnitude::sparsity_mask;
 use cap_pruning::prune_magnitude;
+use cap_tensor::Tensor4;
+use std::collections::HashMap;
 use std::fmt::Write;
-use std::time::Instant;
 
-pub(crate) fn train(data: &SyntheticImageNet, seed: u64) -> TinyNet {
-    let mut net = TinyNet::new(data.image_shape, 8, 12, data.classes, seed).expect("shape ok");
+/// The TinyNet preset after 40 SGD steps of 32 images.
+pub(crate) fn train(data: &SyntheticImageNet, seed: u64) -> SequentialNet {
+    let net =
+        SequentialNet::tinynet(data.image_shape, 8, 12, data.classes, seed).expect("shape ok");
+    train_epochs(net, data, 5)
+}
+
+fn train_epochs(mut net: SequentialNet, data: &SyntheticImageNet, epochs: usize) -> SequentialNet {
     let mut sgd = Sgd::new(0.03, 0.9);
-    for _epoch in 0..5 {
+    for _epoch in 0..epochs {
         for b in 0..8 {
             let (x, labels) = data.batch(b * 32, 32);
             net.train_batch(&x, &labels, &mut sgd, None)
@@ -22,26 +34,55 @@ pub(crate) fn train(data: &SyntheticImageNet, seed: u64) -> TinyNet {
     net
 }
 
-fn clone_net(from: &TinyNet, data: &SyntheticImageNet, seed: u64) -> TinyNet {
-    let mut to = TinyNet::new(data.image_shape, 8, 12, data.classes, seed).unwrap();
-    to.conv1_w = from.conv1_w.clone();
-    to.conv1_b = from.conv1_b.clone();
-    to.conv2_w = from.conv2_w.clone();
-    to.conv2_b = from.conv2_b.clone();
-    to.fc_w = from.fc_w.clone();
-    to.fc_b = from.fc_b.clone();
-    to
+/// Batch size of the timed fig6m / fig8m passes. `run_batched` builds a
+/// fresh arena per call, and first-touching it is a per-call cost that
+/// depends on the allocator's state, not on the weights; eight chunks
+/// per call (128 test images) keep it small against the compute, which
+/// fig5m shows does not depend on the batch size.
+const TIMED_BATCH: usize = 16;
+
+/// Seconds the production executor takes over `images` in batches of
+/// `batch`: min-of-3 of `run_batched`'s own stopwatch (§3.3), after a
+/// warm-up pass that builds the layers' derived weight forms.
+pub(crate) fn best_wall_s(net: &Network, images: &Tensor4, batch: usize) -> f64 {
+    let wall_s = || {
+        run_batched(net, images, batch)
+            .expect("forward pass")
+            .1
+            .wall_s
+    };
+    wall_s();
+    (0..3).map(|_| wall_s()).fold(f64::INFINITY, f64::min)
+}
+
+/// The stored form each conv layer of `net` multiplies with
+/// ([`ConvLayer::weight_form_name`]): one name when all layers agree,
+/// else one per layer.
+fn conv_forms(net: &Network) -> String {
+    let mut forms: Vec<&str> = net
+        .layers_of_kind(LayerKind::Convolution)
+        .iter()
+        .map(|name| {
+            let weights = net.layer(name).and_then(|l| l.weights());
+            ConvLayer::weight_form_name(weights.expect("conv layer has weights"))
+        })
+        .collect();
+    if forms.windows(2).all(|w| w[0] == w[1]) {
+        forms.truncate(1);
+    }
+    forms.join("/")
 }
 
 /// Figure 6, measured: prune a really-trained TinyNet's convolution
 /// layers across the standard ratio grid (with brief masked fine-tuning,
 /// as the paper's pruning tool chain does) and record measured accuracy
-/// and measured dense/sparse batch latency.
+/// and the production executor's batch latency.
 pub fn fig6m() -> String {
     let data = SyntheticImageNet::tiny(2026);
     let net = train(&data, 7);
     let (test_x, test_labels) = data.batch(10_000, 128);
     let base = net.evaluate(&test_x, &test_labels).expect("eval");
+    let convs = [0, 3];
 
     let mut out = String::new();
     writeln!(
@@ -59,58 +100,67 @@ pub fn fig6m() -> String {
     .unwrap();
     writeln!(
         out,
-        "\n{:>6} {:>10} {:>8} {:>8} {:>11} {:>11}",
-        "ratio", "sparsity", "top1", "top5", "dense ms", "sparse ms"
+        "\n{:>6} {:>10} {:>8} {:>8} {:>9} {:>12}",
+        "ratio", "sparsity", "top1", "top5", "ms", "conv form"
     )
     .unwrap();
+    // (ratio, top-1, ms, form) per row, for the trailer.
+    let mut rows = Vec::new();
     for i in 0..=9u32 {
         let ratio = i as f64 / 10.0;
-        let mut pruned = clone_net(&net, &data, 7);
-        prune_magnitude(&mut pruned.conv1_w, ratio).unwrap();
-        prune_magnitude(&mut pruned.conv2_w, ratio).unwrap();
+        let mut pruned = net.clone();
+        let mut masks = HashMap::new();
+        for idx in convs {
+            let w = pruned.layer_mut(idx).unwrap().weights_mut().unwrap();
+            prune_magnitude(w, ratio).unwrap();
+            masks.insert(idx, sparsity_mask(w));
+        }
         if ratio > 0.0 {
-            let m1 = sparsity_mask(&pruned.conv1_w);
-            let m2 = sparsity_mask(&pruned.conv2_w);
             let mut ft = Sgd::new(0.01, 0.9);
             for b in 0..4 {
                 let (x, labels) = data.batch(b * 32, 32);
                 pruned
-                    .train_batch(&x, &labels, &mut ft, Some((&m1, &m2)))
+                    .train_batch(&x, &labels, &mut ft, Some(&masks))
                     .unwrap();
             }
         }
         let report = pruned.evaluate(&test_x, &test_labels).unwrap();
-        // Min-of-3 timing per §3.3.
-        let mut dense_ms = f64::INFINITY;
-        let mut sparse_ms = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            pruned.logits(&test_x).unwrap();
-            dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
-            let t1 = Instant::now();
-            pruned.logits_sparse(&test_x).unwrap();
-            sparse_ms = sparse_ms.min(t1.elapsed().as_secs_f64() * 1000.0);
-        }
+        let network = pruned.to_network().expect("trained net as Network");
+        let ms = best_wall_s(&network, &test_x, TIMED_BATCH) * 1000.0;
+        let form = conv_forms(&network);
         writeln!(
             out,
-            "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>11.2} {:>11.2}",
+            "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2} {:>12}",
             ratio * 100.0,
             pruned.conv_sparsity() * 100.0,
             report.top1 * 100.0,
             report.top5 * 100.0,
-            dense_ms,
-            sparse_ms
+            ms,
+            form
         )
         .unwrap();
+        rows.push((ratio, report.top1, ms, form));
     }
+    let plateau = rows
+        .iter()
+        .take_while(|r| r.1 >= base.top1 - 0.01)
+        .last()
+        .map_or(0.0, |r| r.0);
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let csr_from = rows.iter().find(|r| r.3 == "csr").map_or_else(
+        || "no row runs all-csr".to_string(),
+        |r| format!("all conv layers run csr from {:.0}%", r.0 * 100.0),
+    );
     writeln!(
         out,
-        "\nmeasured sweet-spot shape: accuracy plateaus at moderate ratios and cliffs near 90%;"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "sparse CSR kernels overtake dense execution as sparsity grows."
+        "\nfig6m: top-1 within 1 pp of baseline through {:.0}% pruning, {:.1}% at {:.0}%; {:.2} ms unpruned -> {:.2} ms at {:.0}% ({:.2}x); {csr_from}",
+        plateau * 100.0,
+        last.1 * 100.0,
+        last.0 * 100.0,
+        first.2,
+        last.2,
+        last.0 * 100.0,
+        first.2 / last.2,
     )
     .unwrap();
     out
@@ -120,7 +170,9 @@ pub fn fig6m() -> String {
 /// batch size ("parallel inferences" on the CPU substrate).
 pub fn fig5m() -> String {
     let data = SyntheticImageNet::tiny(11);
-    let net = train(&data, 3);
+    let net = train(&data, 3)
+        .to_network()
+        .expect("trained net as Network");
     let (imgs, _) = data.batch(20_000, 256);
     let mut out = String::new();
     writeln!(
@@ -129,55 +181,39 @@ pub fn fig5m() -> String {
     )
     .unwrap();
     writeln!(out, "{:>7} {:>14}", "batch", "images/s").unwrap();
-    let mut first = 0.0;
-    let mut last = 0.0;
-    for &b in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
-        let mut best = 0.0_f64;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            // Batched execution through the real conv kernels.
-            let mut i = 0;
-            while i < imgs.n() {
-                let take = b.min(imgs.n() - i);
-                let mut chunk = cap_tensor::Tensor4::zeros(take, 3, 16, 16);
-                for j in 0..take {
-                    chunk.image_mut(j).copy_from_slice(imgs.image(i + j));
-                }
-                net.logits(&chunk).unwrap();
-                i += take;
-            }
-            let rate = imgs.n() as f64 / t0.elapsed().as_secs_f64();
-            best = best.max(rate);
-        }
-        if b == 1 {
-            first = best;
-        }
-        last = best;
-        writeln!(out, "{:>7} {:>14.0}", b, best).unwrap();
+    let mut rates = Vec::new();
+    for b in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
+        let rate = imgs.n() as f64 / best_wall_s(&net, &imgs, b);
+        writeln!(out, "{:>7} {:>14.0}", b, rate).unwrap();
+        rates.push((b, rate));
     }
+    let (first, last) = (rates[0], rates[rates.len() - 1]);
+    let peak = rates
+        .iter()
+        .fold(first, |m, &r| if r.1 > m.1 { r } else { m });
     writeln!(
         out,
-        "\nbatching speedup at saturation: {:.1}x (paper's GPU curve: ~2.8x, saturating at ~300)",
-        last / first.max(1e-9)
+        "\nfig5m: batching speedup over batch 1: {:.2}x at batch {}, peak {:.2}x at batch {} (paper's GPU curve: ~2.8x, saturating at ~300)",
+        last.1 / first.1,
+        last.0,
+        peak.1 / first.1,
+        peak.0
     )
     .unwrap();
     out
 }
 
 /// Figure 8, measured: multi-layer pruning on a really-trained
-/// three-conv "mini-Caffenet" (SequentialNet) — nonpruned vs first-two
-/// layers vs all conv layers, with measured accuracy and latency.
+/// three-conv "mini-Caffenet" — nonpruned vs first-two layers vs all
+/// conv layers, with measured accuracy and production-executor latency.
 pub fn fig8m() -> String {
-    use cap_cnn::train::{SequentialBuilder, SequentialNet};
-    use cap_pruning::prune_magnitude as prune;
-
     let data = SyntheticImageNet {
         classes: 8,
         image_shape: (3, 16, 16),
         seed: 909,
         noise: 0.8,
     };
-    let mut net = SequentialBuilder::new(data.image_shape, 77)
+    let net = SequentialBuilder::new(data.image_shape, 77)
         .conv(8, 3, 1)
         .relu()
         .maxpool(2)
@@ -188,14 +224,7 @@ pub fn fig8m() -> String {
         .relu()
         .fc(data.classes)
         .expect("geometry valid");
-    let mut sgd = Sgd::new(0.03, 0.9);
-    for _epoch in 0..6 {
-        for b in 0..8 {
-            let (x, labels) = data.batch(b * 32, 32);
-            net.train_batch(&x, &labels, &mut sgd, None)
-                .expect("train step");
-        }
-    }
+    let net = train_epochs(net, &data, 6);
     let (test_x, test_labels) = data.batch(12_000, 128);
 
     let conv_indices = net.weighted_layer_indices();
@@ -214,35 +243,45 @@ pub fn fig8m() -> String {
     .unwrap();
     writeln!(
         out,
-        "{:<14} {:>8} {:>8} {:>11}",
-        "config", "top1", "top5", "latency ms"
+        "{:<14} {:>8} {:>8} {:>11} {:>16}",
+        "config", "top1", "top5", "latency ms", "conv form"
     )
     .unwrap();
+    // (top-1, ms) per row, for the trailer.
+    let mut rows = Vec::new();
     for (name, idxs) in variants {
-        let mut pruned: SequentialNet = net.clone();
+        let mut pruned = net.clone();
         for &i in &idxs {
-            prune(pruned.layer_mut(i).unwrap().weights_mut().unwrap(), 0.85).unwrap();
+            prune_magnitude(pruned.layer_mut(i).unwrap().weights_mut().unwrap(), 0.85).unwrap();
         }
         let report = pruned.evaluate(&test_x, &test_labels).expect("eval");
-        let mut ms = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            pruned.logits(&test_x).unwrap();
-            ms = ms.min(t.elapsed().as_secs_f64() * 1000.0);
-        }
+        let network = pruned.to_network().expect("trained net as Network");
+        let ms = best_wall_s(&network, &test_x, TIMED_BATCH) * 1000.0;
         writeln!(
             out,
-            "{:<14} {:>7.1}% {:>7.1}% {:>11.2}",
+            "{:<14} {:>7.1}% {:>7.1}% {:>11.2} {:>16}",
             name,
             report.top1 * 100.0,
             report.top5 * 100.0,
-            ms
+            ms,
+            conv_forms(&network)
         )
         .unwrap();
+        rows.push((report.top1, ms));
     }
+    let falls = |f: fn(&(f64, f64)) -> f64| rows.windows(2).all(|w| f(&w[1]) < f(&w[0]));
+    let verdict = |falls: bool| if falls { "falls" } else { "does NOT fall" };
     writeln!(
         out,
-        "\nObservation 3, measured: combining layers costs at least as much accuracy\nas the worst single layer, while latency falls further."
+        "\nfig8m: Observation 3, measured: top-1 {:.1} -> {:.1} -> {:.1} % {} and latency {:.2} -> {:.2} -> {:.2} ms {} with every layer group pruned",
+        rows[0].0 * 100.0,
+        rows[1].0 * 100.0,
+        rows[2].0 * 100.0,
+        verdict(falls(|r| r.0)),
+        rows[0].1,
+        rows[1].1,
+        rows[2].1,
+        verdict(falls(|r| r.1)),
     )
     .unwrap();
     out

@@ -8,9 +8,9 @@
 //!    pre-packed in both arms), then what a conv layer actually sees:
 //!    `conv2d` on Caffenet's conv2 geometry at batch 1, f32 form
 //!    against int8 form, lowering and quantization included.
-//! 2. **Network arm** — a really-trained TinyNet converted to a layer
-//!    [`cap_cnn::network::Network`] and run twice through the *same*
-//!    code path: `CAP_TENSOR_PRECISION` f32 vs int8 (forced via
+//! 2. **Network arm** — a really-trained TinyNet as a
+//!    [`cap_cnn::network::Network`] (`SequentialNet::to_network`), run
+//!    twice through the *same* code path: `CAP_TENSOR_PRECISION` f32 vs int8 (forced via
 //!    `precision::force`). Measured top-1/top-5 delta and throughput.
 //! 3. **Joint frontier** — a [`PrecisionModel`] built from the TinyNet
 //!    accuracy drops and the conv2 `conv2d` speedup (TinyNet's toy
@@ -24,7 +24,7 @@
 //! host the kernel table degenerates to the scalar arm only.
 
 use super::kernels_exp::best_secs;
-use super::measured::train;
+use super::measured::{best_wall_s, train};
 use cap_cnn::{evaluate_topk, run_batched};
 use cap_core::{caffenet_version_grid, joint_frontier, joint_grid, sweet_spots, PrecisionModel};
 use cap_data::SyntheticImageNet;
@@ -36,7 +36,6 @@ use cap_tensor::{
     Workspace,
 };
 use std::fmt::Write;
-use std::time::Instant;
 
 /// Conv-shaped GEMM problems, `(label, m, k, n)`: Caffenet's conv2 /
 /// conv3 im2col shapes plus a batch-1 FC slice (GEMV route).
@@ -180,13 +179,8 @@ pub fn quantize_ablation() -> String {
     let mut arms = Vec::new();
     for (name, prec) in [("f32", None), ("int8", Some(Precision::Int8))] {
         precision::force(prec);
-        let (outputs, _) = run_batched(&net, &test_x, 64).unwrap(); // warm
-        let mut secs = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            run_batched(&net, &test_x, 64).unwrap();
-            secs = secs.min(t.elapsed().as_secs_f64());
-        }
+        let (outputs, _) = run_batched(&net, &test_x, 64).unwrap();
+        let secs = best_wall_s(&net, &test_x, 64);
         precision::force(None);
         let acc = evaluate_topk(&scores_matrix(&outputs), &test_labels).unwrap();
         let s_per_img = secs / test_x.shape().0 as f64;

@@ -139,6 +139,22 @@ impl ConvLayer {
         &self.bias
     }
 
+    /// Name of the stored form a layer holding `weights` multiplies
+    /// with under the selected precision (the arms of the forward's own
+    /// choice): `dense`, `dense-rows` (all-zero filters dropped), `csr`,
+    /// `dense-i8` or `csr-i8` — for reports that say which form a timed
+    /// row ran.
+    pub fn weight_form_name(weights: &Matrix) -> &'static str {
+        let form = WeightForm::of(weights);
+        match (precision::selected(), form.sparse) {
+            (Precision::F32, _) if form.filter_pruned => "dense-rows",
+            (Precision::F32, false) => "dense",
+            (Precision::F32, true) => "csr",
+            (Precision::Int8, false) => "dense-i8",
+            (Precision::Int8, true) => "csr-i8",
+        }
+    }
+
     /// Calibrated activation scale, or a deterministic per-call max-abs
     /// estimate when no calibration pass has run. The fallback scans
     /// the whole input tensor once, so every image of the batch shares

@@ -63,7 +63,7 @@ impl InnerProductLayer {
                 out_features
             )));
         }
-        let packed_t = PackedB::pack(&weights.transpose());
+        let packed_t = PackedB::pack_transposed(&weights);
         Ok(Self {
             name: name.into(),
             in_features,
@@ -302,7 +302,7 @@ impl Layer for InnerProductLayer {
                 self.weights.shape()
             )));
         }
-        self.packed_t = PackedB::pack(&weights.transpose());
+        self.packed_t = PackedB::pack_transposed(&weights);
         self.sparse = weights.sparsity(0.0) > FC_SPARSE_THRESHOLD;
         self.weights = weights;
         self.csr = OnceLock::new();

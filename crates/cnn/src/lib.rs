@@ -14,11 +14,14 @@
 //! * [`fusion`] — the `CAP_TENSOR_FUSION` mode governing the executor's
 //!   graph-level `conv → relu` / `fc → relu` fusion pass (bitwise
 //!   identical either way; `auto` fuses).
-//! * [`models`] — Caffenet, Googlenet and the small trainable `TinyNet`.
+//! * [`models`] — Caffenet and Googlenet.
 //! * [`accuracy`] — top-1 / top-5 metrics as defined in §3.2.2 of the
 //!   paper.
-//! * [`train`] — SGD with momentum and backprop for the TinyNet path, so
-//!   accuracy-vs-pruning curves can be *measured*, not just modelled.
+//! * [`train`] — SGD with momentum and backprop for a small trainable
+//!   [`train::SequentialNet`] (the *TinyNet* preset among them), so
+//!   accuracy-vs-pruning curves can be *measured*, not just modelled;
+//!   a trained net runs only as a [`Network`]
+//!   ([`train::SequentialNet::to_network`]).
 //! * [`parallel`] — the data-parallel inference engine: a worker pool
 //!   sharding batched workloads with bitwise-deterministic outputs, and
 //!   the strong-scaling measurement that calibrates `cap-cloud`'s
@@ -51,5 +54,5 @@ pub use parallel::{strong_scaling, InferenceReport, ParallelEngine, WorkerReport
 // Observability vocabulary (tracers, span scopes) used by the traced
 // entry points, re-exported so callers need not name `cap_obs` directly.
 pub use cap_obs::{
-    CollectingTracer, DagSummary, FlightRecorder, NoopTracer, ProfileReport, TeeTracer, Tracer,
+    CollectingTracer, DagSummary, FlightRecorder, NoopTracer, ProfileReport, Tracer,
 };

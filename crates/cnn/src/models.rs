@@ -1,12 +1,11 @@
-//! Model zoo: the two CNNs the paper evaluates plus a small trainable net.
+//! Model zoo: the two CNNs the paper evaluates. (The small trainable
+//! net is a preset of [`crate::train::SequentialNet`].)
 
 mod caffenet;
 mod googlenet;
-mod tinynet;
 
 pub use caffenet::{caffenet, CAFFENET_CONV_LAYERS};
 pub use googlenet::{googlenet, GOOGLENET_SELECTED_LAYERS};
-pub use tinynet::TinyNet;
 
 use cap_tensor::init::{gaussian, xavier_uniform};
 use cap_tensor::Matrix;

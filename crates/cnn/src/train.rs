@@ -2,9 +2,11 @@
 //! softmax–cross-entropy loss, and SGD with momentum.
 //!
 //! The paper consumes *trained* CNNs; since no trained Caffe weights are
-//! available here, the [`crate::models::TinyNet`] path trains a small CNN
-//! for real on synthetic data so that accuracy-vs-pruning curves can be
-//! measured end-to-end rather than only modelled.
+//! available here, [`SequentialNet`] trains a small CNN for real on
+//! synthetic data so that accuracy-vs-pruning curves can be measured
+//! end-to-end rather than only modelled. Training ends at
+//! [`SequentialNet::to_network`]: inference, and every timed pass, is
+//! [`crate::Network`]'s.
 
 pub mod sequential;
 

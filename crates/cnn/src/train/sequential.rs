@@ -1,14 +1,23 @@
-//! A configurable trainable sequential CNN — the generalization of
-//! [`crate::models::TinyNet`] that lets measured experiments build
-//! arbitrary conv/pool/fc stacks (e.g. a three-conv "mini-Caffenet" for
-//! measuring multi-layer pruning interactions, Figure 8's Observation 3,
-//! on real training rather than on the calibrated model).
+//! A configurable trainable sequential CNN: measured experiments build
+//! conv/pool/fc stacks (the two-conv [`SequentialNet::tinynet`] preset,
+//! a three-conv "mini-Caffenet" for Figure 8's Observation 3), train
+//! and prune them for real, and hand them to the production executor
+//! with [`SequentialNet::to_network`].
+//!
+//! The paper's Caffenet/Googlenet arrive pre-trained on 1.2 M ImageNet
+//! images; that substrate is unavailable here, so these nets close the
+//! loop at laptop scale. The forward pass in this module exists for the
+//! backward pass (it caches every activation): accuracy comes from it,
+//! time never does — a trained net reaches inference only through
+//! [`Network`].
 
 use super::{
     conv_backward, conv_forward, fc_backward, maxpool_backward, relu_backward,
     softmax_cross_entropy, Sgd,
 };
 use crate::accuracy::{evaluate_topk, AccuracyReport};
+use crate::layer::{ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer};
+use crate::network::Network;
 use cap_tensor::{
     gemm, init::xavier_uniform, max_pool2d_indices, ops::relu_inplace, Conv2dParams, ConvWeights,
     Matrix, Pool2dParams, ShapeError, Tensor4, TensorResult,
@@ -184,6 +193,45 @@ enum Cache {
 }
 
 impl SequentialNet {
+    /// The *TinyNet* preset: `conv3×3(c1) → relu → pool2 → conv3×3(c2) →
+    /// relu → pool2 → fc(classes)`, Xavier-initialized. `h` and `w` must
+    /// be multiples of 4 so both poolings divide evenly.
+    pub fn tinynet(
+        in_shape: (usize, usize, usize),
+        c1: usize,
+        c2: usize,
+        classes: usize,
+        seed: u64,
+    ) -> TensorResult<Self> {
+        let (c, h, w) = in_shape;
+        if h % 4 != 0 || w % 4 != 0 || h < 4 || w < 4 {
+            return Err(ShapeError::new(
+                "tinynet: spatial dims must be multiples of 4",
+            ));
+        }
+        let conv = |cin: usize, cout: usize, seed: u64| TrainLayer::Conv {
+            params: Conv2dParams::new(cin, cout, 3, 1, 1),
+            w: xavier_uniform(cout, cin * 9, seed),
+            b: vec![0.0; cout],
+        };
+        let pool = TrainLayer::MaxPool { k: 2, stride: 2 };
+        Ok(Self {
+            in_shape,
+            layers: vec![
+                conv(c, c1, seed ^ 0x11),
+                TrainLayer::Relu,
+                pool.clone(),
+                conv(c1, c2, seed ^ 0x22),
+                TrainLayer::Relu,
+                pool,
+                TrainLayer::Fc {
+                    w: xavier_uniform(classes, c2 * (h / 4) * (w / 4), seed ^ 0x33),
+                    b: vec![0.0; classes],
+                },
+            ],
+        })
+    }
+
     /// Per-image input shape.
     pub fn in_shape(&self) -> (usize, usize, usize) {
         self.in_shape
@@ -349,6 +397,58 @@ impl SequentialNet {
     pub fn evaluate(&self, x: &Tensor4, labels: &[usize]) -> TensorResult<AccuracyReport> {
         evaluate_topk(&self.logits(x)?, labels)
     }
+
+    /// Overall weight sparsity of the convolution layers.
+    pub fn conv_sparsity(&self) -> f64 {
+        let convs = self.layers.iter().filter_map(|l| match l {
+            TrainLayer::Conv { w, .. } => Some(w),
+            _ => None,
+        });
+        let (zeros, total) =
+            convs.fold((0, 0), |(z, t), w| (z + w.len() - w.nnz(0.0), t + w.len()));
+        zeros as f64 / total.max(1) as f64
+    }
+
+    /// This net as a [`Network`] of production layers — the only way a
+    /// trained net reaches inference, so the pruned-weight form
+    /// [`ConvLayer`] selects, the fused kernels and the
+    /// `CAP_TENSOR_PRECISION` switch all apply to what gets timed.
+    /// Nodes are named per kind in order (`conv1, relu1, pool1, …, fc`).
+    /// Weights are cloned into the layers; retrain-then-rebuild to
+    /// refresh. Outputs match [`Self::logits`] up to float-association
+    /// differences in the packed kernels (same math, different loop
+    /// order).
+    pub fn to_network(&self) -> TensorResult<Network> {
+        let mut net = Network::new("sequential", self.in_shape);
+        let (mut convs, mut relus, mut pools) = (0, 0, 0);
+        let name = |kind: &str, count: &mut usize| {
+            *count += 1;
+            format!("{kind}{count}")
+        };
+        for layer in &self.layers {
+            let layer: Box<dyn Layer> = match layer {
+                TrainLayer::Conv { params, w, b } => Box::new(ConvLayer::new(
+                    name("conv", &mut convs),
+                    *params,
+                    w.clone(),
+                    b.clone(),
+                )?),
+                TrainLayer::Relu => Box::new(ReluLayer::new(name("relu", &mut relus))),
+                TrainLayer::MaxPool { k, stride } => Box::new(PoolLayer::new(
+                    name("pool", &mut pools),
+                    PoolMode::Max,
+                    *k,
+                    0,
+                    *stride,
+                )),
+                TrainLayer::Fc { w, b } => {
+                    Box::new(InnerProductLayer::new("fc", w.clone(), b.clone())?)
+                }
+            };
+            net.add_sequential(layer)?;
+        }
+        Ok(net)
+    }
 }
 
 /// Per-batch shape `(n, c, h, w)` flowing *into* layer `idx`.
@@ -413,6 +513,11 @@ mod tests {
             .unwrap()
     }
 
+    /// The TinyNet preset at the scale its own tests always used.
+    fn tiny(seed: u64) -> SequentialNet {
+        SequentialNet::tinynet((2, 8, 8), 4, 6, 3, seed).unwrap()
+    }
+
     #[test]
     fn builder_tracks_shapes_and_counts_params() {
         let net = three_conv_net(5);
@@ -422,6 +527,12 @@ mod tests {
         assert_eq!(
             net.param_count(),
             (6 * 18 + 6) + (8 * 54 + 8) + (10 * 72 + 10) + (4 * 160 + 4)
+        );
+        let preset = tiny(1);
+        assert_eq!(preset.weighted_layer_indices(), vec![0, 3, 6]);
+        assert_eq!(
+            preset.param_count(),
+            (4 * 18 + 4) + (6 * 36 + 6) + (3 * 24 + 3)
         );
     }
 
@@ -434,6 +545,12 @@ mod tests {
     }
 
     #[test]
+    fn tinynet_rejects_non_multiple_of_four() {
+        assert!(SequentialNet::tinynet((1, 6, 6), 2, 2, 2, 1).is_err());
+        assert!(SequentialNet::tinynet((1, 0, 4), 2, 2, 2, 1).is_err());
+    }
+
+    #[test]
     fn logits_shape_is_batch_by_classes() {
         let net = three_conv_net(7);
         let (x, _) = batch(4, 5, (2, 16, 16));
@@ -442,46 +559,56 @@ mod tests {
     }
 
     #[test]
-    fn training_reduces_loss_on_three_conv_stack() {
-        let mut net = three_conv_net(11);
-        let mut sgd = Sgd::new(0.03, 0.9);
-        let (x, labels) = batch(4, 12, (2, 16, 16));
-        let first = net.train_batch(&x, &labels, &mut sgd, None).unwrap();
-        let mut last = first;
-        for _ in 0..40 {
-            last = net.train_batch(&x, &labels, &mut sgd, None).unwrap();
+    fn training_reduces_loss_and_beats_chance() {
+        // (net, classes, images, lr, steps, top-1 floor)
+        let cases = [
+            (three_conv_net(11), 4, 12, 0.03, 40, 0.5),
+            (tiny(7), 3, 9, 0.05, 30, 0.34),
+            (tiny(11), 3, 12, 0.05, 60, 0.6),
+        ];
+        for (mut net, classes, n, lr, steps, floor) in cases {
+            let mut sgd = Sgd::new(lr, 0.9);
+            let (x, labels) = batch(classes, n, net.in_shape());
+            let first = net.train_batch(&x, &labels, &mut sgd, None).unwrap();
+            let mut last = first;
+            for _ in 0..steps {
+                last = net.train_batch(&x, &labels, &mut sgd, None).unwrap();
+            }
+            assert!(last < first * 0.5, "loss {first} -> {last}");
+            let acc = net.evaluate(&x, &labels).unwrap();
+            assert!(acc.top1 > floor, "top1 {}", acc.top1);
         }
-        assert!(last < first * 0.5, "loss {first} -> {last}");
-        let acc = net.evaluate(&x, &labels).unwrap();
-        assert!(acc.top1 > 0.5, "top1 {}", acc.top1);
     }
 
     #[test]
     fn masked_training_keeps_pruned_weights_zero() {
-        let mut net = three_conv_net(13);
-        // Zero half of conv2 (layer index 3) and freeze with a mask.
-        let w = net.layer_mut(3).unwrap().weights_mut().unwrap();
-        for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-            if i % 2 == 0 {
-                *v = 0.0;
+        // Zero part of one conv layer, freeze it with a mask, fine-tune.
+        for (mut net, idx, every, classes) in [(three_conv_net(13), 3, 2, 4), (tiny(17), 0, 3, 3)] {
+            let w = net.layer_mut(idx).unwrap().weights_mut().unwrap();
+            for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+                if i % every == 0 {
+                    *v = 0.0;
+                }
             }
+            let mask: Vec<f32> = w
+                .as_slice()
+                .iter()
+                .map(|&v| if v == 0.0 { 0.0 } else { 1.0 })
+                .collect();
+            let zeros_before = w.len() - w.nnz(0.0);
+            let sparsity_before = net.conv_sparsity();
+            assert!(sparsity_before > 0.0);
+            let masks = std::collections::HashMap::from([(idx, mask)]);
+            let mut sgd = Sgd::new(0.03, 0.9);
+            let (x, labels) = batch(classes, 8, net.in_shape());
+            for _ in 0..5 {
+                net.train_batch(&x, &labels, &mut sgd, Some(&masks))
+                    .unwrap();
+            }
+            let w = net.layers()[idx].weights().unwrap();
+            assert_eq!(w.len() - w.nnz(0.0), zeros_before);
+            assert!(net.conv_sparsity() >= sparsity_before - 1e-9);
         }
-        let mask: Vec<f32> = w
-            .as_slice()
-            .iter()
-            .map(|&v| if v == 0.0 { 0.0 } else { 1.0 })
-            .collect();
-        let zeros_before = w.len() - w.nnz(0.0);
-        let mut masks = std::collections::HashMap::new();
-        masks.insert(3usize, mask);
-        let mut sgd = Sgd::new(0.03, 0.9);
-        let (x, labels) = batch(4, 8, (2, 16, 16));
-        for _ in 0..5 {
-            net.train_batch(&x, &labels, &mut sgd, Some(&masks))
-                .unwrap();
-        }
-        let w = net.layers()[3].weights().unwrap();
-        assert_eq!(w.len() - w.nnz(0.0), zeros_before);
     }
 
     #[test]
@@ -500,10 +627,94 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let net = three_conv_net(17);
-        let json = serde_json::to_string(&net).unwrap();
-        let back: SequentialNet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, net);
+        // A checkpoint restores the model exactly, trained weights included.
+        for (mut net, classes) in [(three_conv_net(17), 4), (tiny(21), 3)] {
+            let mut sgd = Sgd::new(0.05, 0.9);
+            let (x, labels) = batch(classes, 6, net.in_shape());
+            for _ in 0..3 {
+                net.train_batch(&x, &labels, &mut sgd, None).unwrap();
+            }
+            let json = serde_json::to_string(&net).unwrap();
+            let back: SequentialNet = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, net);
+            // Restored model produces identical logits.
+            let (a, b) = (net.logits(&x).unwrap(), back.logits(&x).unwrap());
+            assert!(a.max_abs_diff(&b).unwrap() == 0.0);
+        }
+    }
+
+    /// Zero the `ratio` fraction of rows (filters) with the smallest L1
+    /// norm — what `cap_pruning::prune_filters_l1` leaves.
+    fn prune_filters(w: &mut Matrix, ratio: f64) {
+        let l1 = |w: &Matrix, r: usize| w.row(r).iter().map(|v| v.abs()).sum::<f32>();
+        let mut rows: Vec<usize> = (0..w.rows()).collect();
+        rows.sort_by(|&a, &b| l1(w, a).partial_cmp(&l1(w, b)).unwrap());
+        for &r in &rows[..(w.rows() as f64 * ratio).round() as usize] {
+            w.row_mut(r).fill(0.0);
+        }
+    }
+
+    #[test]
+    fn to_network_matches_training_forward_in_every_weight_form() {
+        use crate::layer::SPARSE_THRESHOLD;
+        use crate::run_batched;
+        use cap_tensor::{precision, CalibrationMethod, Precision};
+
+        fn zero_rows(w: &Matrix) -> usize {
+            (0..w.rows())
+                .filter(|&r| w.row(r).iter().all(|&v| v == 0.0))
+                .count()
+        }
+        // (form, how to prune into it, the property `ConvLayer` picks
+        // that form by — so the case really lands where it says).
+        type Case = (&'static str, fn(&mut Matrix), fn(&Matrix) -> bool);
+        let forms: [Case; 3] = [
+            ("dense", |_| {}, |w| w.sparsity(0.0) == 0.0),
+            // Magnitude pruning row by row, so no filter empties out.
+            (
+                "csr",
+                |w| (0..w.rows()).for_each(|r| prune_slice(w.row_mut(r), 0.85)),
+                |w| w.sparsity(0.0) > SPARSE_THRESHOLD && zero_rows(w) == 0,
+            ),
+            (
+                "dense rows",
+                |w| prune_filters(w, 0.5),
+                |w| zero_rows(w) * 2 == w.rows() && w.sparsity(0.0) == 0.5,
+            ),
+        ];
+        for (form, prune, in_form) in forms {
+            let mut trained = SequentialNet::tinynet((2, 16, 16), 8, 12, 4, 13).unwrap();
+            for idx in [0, 3] {
+                let w = trained.layer_mut(idx).unwrap().weights_mut().unwrap();
+                prune(w);
+                assert!(in_form(w), "{form}: layer {idx}");
+            }
+            let (x, _) = batch(4, 5, trained.in_shape());
+            let net = trained.to_network().unwrap();
+            let names: Vec<&str> = net.layer_names().collect();
+            assert_eq!(
+                names,
+                ["conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "fc"]
+            );
+            // Calibrated, so the int8 leg's activation scales do not
+            // depend on how the images are chunked.
+            net.calibrate(&x, CalibrationMethod::MaxAbs).unwrap();
+            let (whole, _) = run_batched(&net, &x, 5).unwrap();
+            let (chunked, _) = run_batched(&net, &x, 2).unwrap();
+            let bits = |out: &[Vec<f32>]| -> Vec<u32> {
+                out.iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&whole), bits(&chunked), "{form}: batch-invariant");
+            if precision::selected() != Precision::F32 {
+                continue; // the int8 leg quantizes; its bound is `int8_net.rs`
+            }
+            let logits = trained.logits(&x).unwrap();
+            for (i, image) in whole.iter().enumerate() {
+                for (got, want) in image.iter().zip(logits.row(i)) {
+                    assert!((got - want).abs() < 1e-4, "{form}: {got} vs {want}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -541,10 +752,13 @@ mod tests {
     /// Minimal magnitude pruning helper (avoids a dev-dependency cycle
     /// with cap-pruning).
     fn cap_tensor_prune(w: &mut Matrix, ratio: f64) {
-        let len = w.len();
-        let k = (len as f64 * ratio).round() as usize;
-        let mut idx: Vec<usize> = (0..len).collect();
-        let data = w.as_mut_slice();
+        prune_slice(w.as_mut_slice(), ratio);
+    }
+
+    /// Zero the `ratio` fraction of `data` with the smallest magnitude.
+    fn prune_slice(data: &mut [f32], ratio: f64) {
+        let k = (data.len() as f64 * ratio).round() as usize;
+        let mut idx: Vec<usize> = (0..data.len()).collect();
         idx.sort_by(|&a, &b| data[a].abs().partial_cmp(&data[b].abs()).unwrap());
         for &i in idx.iter().take(k) {
             data[i] = 0.0;

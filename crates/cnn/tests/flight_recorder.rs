@@ -127,7 +127,7 @@ fn ring_keeps_exactly_the_last_capacity_spans() {
         "a saturated ring dumps exactly its capacity"
     );
     // Quiescent now: recording a single span evicts exactly the oldest.
-    let marker = cap_obs::SpanInfo::new(SpanScope::GridEval, "marker-after-wrap");
+    let marker = cap_obs::SpanInfo::new(SpanScope::Forward, "marker-after-wrap");
     recorder.span_exit(&marker, std::time::Duration::from_micros(5));
     let spans2 = recorder.dump();
     assert_eq!(spans2.len(), 32);

@@ -15,9 +15,7 @@
 use crate::metrics::{car, tar, AccuracyMetric};
 use crate::version::AppVersion;
 use cap_cloud::{simulate_with, Distribution, GpuScaling, InstanceType, ResourceConfig};
-use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Constraints and workload for an allocation request.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -123,49 +121,6 @@ pub fn allocate_ordered(
 /// Algorithm 1 with explicit ordering *and* GPU-scaling model — pass
 /// [`GpuScaling::Ideal`] to reproduce the paper's analytic selection.
 pub fn allocate_ordered_with(
-    versions: &[AppVersion],
-    resources: &[InstanceType],
-    req: &AllocationRequest,
-    order: GreedyOrder,
-    scaling: &GpuScaling,
-) -> Option<AllocationResult> {
-    allocate_traced(versions, resources, req, order, scaling, &NoopTracer)
-}
-
-/// [`allocate_ordered_with`] with observability hooks: reports one
-/// [`SpanScope::Allocation`] span covering the greedy search (`shape` =
-/// `[versions, resources, 0, 0]`). With [`NoopTracer`] this is exactly
-/// [`allocate_ordered_with`].
-pub fn allocate_traced<T: Tracer>(
-    versions: &[AppVersion],
-    resources: &[InstanceType],
-    req: &AllocationRequest,
-    order: GreedyOrder,
-    scaling: &GpuScaling,
-    tracer: &T,
-) -> Option<AllocationResult> {
-    let t0 = if tracer.enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    };
-    let result = allocate_inner(versions, resources, req, order, scaling);
-    if let Some(t0) = t0 {
-        tracer.span_exit(
-            &SpanInfo {
-                scope: SpanScope::Allocation,
-                name: "algorithm1",
-                kind: "",
-                shape: [versions.len(), resources.len(), 0, 0],
-                index: 0,
-            },
-            t0.elapsed(),
-        );
-    }
-    result
-}
-
-fn allocate_inner(
     versions: &[AppVersion],
     resources: &[InstanceType],
     req: &AllocationRequest,

@@ -43,17 +43,8 @@ pub fn layer_time_distribution_model(profile: &AppProfile) -> Vec<LayerShare> {
     out
 }
 
-/// Figure 3 measured for real: run one timed forward pass of a network
-/// and report each layer's wall-clock share.
-pub fn layer_time_distribution_measured(
-    net: &Network,
-    input: &Tensor4,
-) -> TensorResult<Vec<LayerShare>> {
-    layer_time_distribution_min_of(net, input, 1)
-}
-
-/// Figure 3 with the paper's §3.3 protocol: `runs` timed passes,
-/// per-layer minimum duration, normalized to shares.
+/// Figure 3 measured for real with the paper's §3.3 protocol: `runs`
+/// timed passes, per-layer minimum duration, normalized to shares.
 ///
 /// Timing comes from the observability layer — each pass runs through
 /// [`Network::forward_into_traced`] with a [`CollectingTracer`] and the

@@ -7,10 +7,8 @@ use crate::metrics::{car, tar, AccuracyMetric};
 use crate::pareto::{pareto_indices, ParetoPoint};
 use crate::version::AppVersion;
 use cap_cloud::{simulate_with, Distribution, GpuScaling, ResourceConfig};
-use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// One evaluated candidate: an application version on a resource
 /// configuration, with predicted time and cost.
@@ -122,50 +120,6 @@ pub fn evaluate_grid(
 
 /// [`evaluate_grid`] under an explicit multi-GPU scaling model.
 pub fn evaluate_grid_with(
-    versions: &[AppVersion],
-    configs: &[ResourceConfig],
-    w: u64,
-    batches: &[u32],
-    scaling: &GpuScaling,
-) -> Vec<EvaluatedConfig> {
-    evaluate_grid_traced(versions, configs, w, batches, scaling, &NoopTracer)
-}
-
-/// [`evaluate_grid_with`] with observability hooks: reports one
-/// [`SpanScope::GridEval`] span covering the whole sweep (`shape` =
-/// `[versions, configs, batches, 0]`) — the Figures 9/10 sweeps become
-/// visible in a trace instead of being a silent rayon loop. With
-/// [`NoopTracer`] this is exactly [`evaluate_grid_with`].
-pub fn evaluate_grid_traced<T: Tracer>(
-    versions: &[AppVersion],
-    configs: &[ResourceConfig],
-    w: u64,
-    batches: &[u32],
-    scaling: &GpuScaling,
-    tracer: &T,
-) -> Vec<EvaluatedConfig> {
-    let t0 = if tracer.enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    };
-    let evals = evaluate_grid_inner(versions, configs, w, batches, scaling);
-    if let Some(t0) = t0 {
-        tracer.span_exit(
-            &SpanInfo {
-                scope: SpanScope::GridEval,
-                name: "evaluate_grid",
-                kind: "",
-                shape: [versions.len(), configs.len(), batches.len(), 0],
-                index: 0,
-            },
-            t0.elapsed(),
-        );
-    }
-    evals
-}
-
-fn evaluate_grid_inner(
     versions: &[AppVersion],
     configs: &[ResourceConfig],
     w: u64,

@@ -42,13 +42,13 @@ pub mod version;
 pub mod whatif;
 
 pub use allocation::{
-    allocate, allocate_ordered, allocate_ordered_with, allocate_traced, AllocationRequest,
-    AllocationResult, GreedyOrder,
+    allocate, allocate_ordered, allocate_ordered_with, AllocationRequest, AllocationResult,
+    GreedyOrder,
 };
 pub use exhaustive::{exhaustive_search, ExhaustiveResult};
 pub use explorer::{
-    evaluate_all, evaluate_grid, evaluate_grid_traced, evaluate_grid_with, feasible_by_budget,
-    feasible_by_deadline, frontier_indices, savings_at_best_accuracy, EvaluatedConfig, Objective,
+    evaluate_all, evaluate_grid, evaluate_grid_with, feasible_by_budget, feasible_by_deadline,
+    frontier_indices, savings_at_best_accuracy, EvaluatedConfig, Objective,
 };
 pub use joint::{
     joint_frontier, joint_grid, joint_grid_from_profile, sweet_spots, JointPoint, PrecisionModel,

@@ -332,9 +332,8 @@ impl Tracer for FlightRecorder {
 
 /// The process-wide flight recorder (capacity [`GLOBAL_CAPACITY`]),
 /// created on first use. Binaries install it behind their panic hook
-/// (`repro` does) and attach it to long-running work with a
-/// [`crate::TeeTracer`], so the last moments before a crash are always
-/// recoverable.
+/// (`repro` does) and pass it as the tracer of long-running work, so
+/// the last moments before a crash are always recoverable.
 pub fn global() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightRecorder::new(GLOBAL_CAPACITY))

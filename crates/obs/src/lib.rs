@@ -69,7 +69,7 @@ pub use prom::{
 pub use report::{DagSummary, LayerRow, ProfileReport};
 pub use slo::{BurnAlert, BurnKind, SloPolicy, SloStanding, SloTracker};
 pub use span::{
-    current_tid, CollectingTracer, NoopTracer, SpanInfo, SpanRecord, SpanScope, TeeTracer, Tracer,
+    current_tid, CollectingTracer, NoopTracer, SpanInfo, SpanRecord, SpanScope, Tracer,
 };
 pub use timeseries::{TimeSeries, Window};
 pub use trace_export::chrome_trace_json;

@@ -51,10 +51,6 @@ pub enum SpanScope {
     Layer,
     /// One data-parallel worker's chunk-range loop.
     Worker,
-    /// One versions × configurations × batches grid evaluation.
-    GridEval,
-    /// One run of Algorithm 1 (greedy TAR/CAR allocation).
-    Allocation,
     /// One served request's whole lifecycle (enqueue → completion) on
     /// its tenant's track; virtual-clock timestamped by the router.
     Request,
@@ -72,12 +68,10 @@ pub enum SpanScope {
 impl SpanScope {
     /// Every scope with its exporter tag. A scope's position here is
     /// its stable numeric code (the flight recorder stores it).
-    pub(crate) const ALL: [(SpanScope, &'static str); 9] = [
+    pub(crate) const ALL: [(SpanScope, &'static str); 7] = [
         (SpanScope::Forward, "forward"),
         (SpanScope::Layer, "layer"),
         (SpanScope::Worker, "worker"),
-        (SpanScope::GridEval, "grid_eval"),
-        (SpanScope::Allocation, "allocation"),
         (SpanScope::Request, "request"),
         (SpanScope::QueueWait, "queue_wait"),
         (SpanScope::BatchAssembly, "batch_assembly"),
@@ -346,69 +340,6 @@ impl Tracer for CollectingTracer {
     }
 }
 
-/// A tracer that fans every span out to two underlying tracers — e.g.
-/// a [`CollectingTracer`] for a profile report *and* the process-wide
-/// [`crate::FlightRecorder`], in one pass.
-///
-/// Enabled iff either side is; each hook is forwarded only to the sides
-/// that report themselves enabled, so pairing with a disabled side adds
-/// one inlined boolean check and nothing else.
-///
-/// ```
-/// use cap_obs::{CollectingTracer, NoopTracer, SpanInfo, SpanScope, TeeTracer, Tracer};
-/// use std::time::Duration;
-///
-/// let collector = CollectingTracer::new();
-/// let tee = TeeTracer::new(&collector, NoopTracer);
-/// assert!(tee.enabled());
-/// tee.span_exit(&SpanInfo::new(SpanScope::Layer, "conv1"), Duration::from_micros(5));
-/// assert_eq!(collector.len(), 1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TeeTracer<A, B>(A, B);
-
-impl<A: Tracer, B: Tracer> TeeTracer<A, B> {
-    /// Fan spans out to `a` and `b`.
-    pub fn new(a: A, b: B) -> Self {
-        Self(a, b)
-    }
-}
-
-impl<A: Tracer, B: Tracer> Tracer for TeeTracer<A, B> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    #[inline]
-    fn span_enter(&self, info: &SpanInfo<'_>) {
-        if self.0.enabled() {
-            self.0.span_enter(info);
-        }
-        if self.1.enabled() {
-            self.1.span_enter(info);
-        }
-    }
-
-    fn span_exit(&self, info: &SpanInfo<'_>, elapsed: Duration) {
-        if self.0.enabled() {
-            self.0.span_exit(info, elapsed);
-        }
-        if self.1.enabled() {
-            self.1.span_exit(info, elapsed);
-        }
-    }
-
-    fn span_at(&self, info: &SpanInfo<'_>, start: Duration, elapsed: Duration, track: u64) {
-        if self.0.enabled() {
-            self.0.span_at(info, start, elapsed, track);
-        }
-        if self.1.enabled() {
-            self.1.span_at(info, start, elapsed, track);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +393,7 @@ mod tests {
     #[test]
     fn scope_tags_are_stable() {
         assert_eq!(SpanScope::Layer.tag(), "layer");
-        assert_eq!(SpanScope::GridEval.tag(), "grid_eval");
+        assert_eq!(SpanScope::ServeCompute.tag(), "serve_compute");
     }
 
     #[test]
@@ -492,31 +423,5 @@ mod tests {
         let other = std::thread::spawn(current_tid).join().unwrap();
         assert_ne!(here, other);
         assert!(here > 0 && other > 0);
-    }
-
-    #[test]
-    fn tee_fans_out_to_both_enabled_sides() {
-        let a = CollectingTracer::new();
-        let b = CollectingTracer::new();
-        let tee = TeeTracer::new(&a, &b);
-        assert!(tee.enabled());
-        tee.span_exit(
-            &SpanInfo::new(SpanScope::Worker, "worker"),
-            Duration::from_micros(7),
-        );
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-
-        // A disabled side is skipped but does not disable the pair.
-        let tee = TeeTracer::new(&a, NoopTracer);
-        assert!(tee.enabled());
-        tee.span_exit(
-            &SpanInfo::new(SpanScope::Worker, "worker"),
-            Duration::from_micros(7),
-        );
-        assert_eq!(a.len(), 2);
-
-        // Both sides disabled: the tee is disabled too.
-        assert!(!TeeTracer::new(NoopTracer, NoopTracer).enabled());
     }
 }

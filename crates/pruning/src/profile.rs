@@ -18,7 +18,7 @@
 //!   0.09 s → 0.05 s sweep.
 //!
 //! The same `PruneSpec` drives both this model (paper scale) and real
-//! pruned-weight execution (`cap_cnn::models::TinyNet` scale), so every
+//! pruned-weight execution (`cap_cnn::train::SequentialNet` scale), so every
 //! downstream consumer is exercised against genuinely measured numbers
 //! too.
 

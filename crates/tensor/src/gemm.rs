@@ -161,6 +161,24 @@ impl PackedB {
         Self { k, n, data }
     }
 
+    /// Pack `wᵀ` reading `w` (`n × k`) in place: byte for byte
+    /// `pack(&w.transpose())` without materialising the transpose (for
+    /// Caffenet fc6 that temporary is 151 MB). Panel `p` is rows
+    /// `p*PANEL..` of `w`: lane `j` of depth `kk` is element `kk` of
+    /// row `p*PANEL + j`; the last panel's lanes past `n` stay zero.
+    pub fn pack_transposed(w: &Matrix) -> Self {
+        let (n, k) = w.shape();
+        let mut data = vec![0.0f32; n.div_ceil(PANEL) * k * PANEL];
+        for (p, panel) in data.chunks_exact_mut((k * PANEL).max(1)).enumerate() {
+            for j in 0..PANEL.min(n - p * PANEL) {
+                for (lanes, &v) in panel.chunks_exact_mut(PANEL).zip(w.row(p * PANEL + j)) {
+                    lanes[j] = v;
+                }
+            }
+        }
+        Self { k, n, data }
+    }
+
     /// Logical `(k, n)` shape of the packed matrix.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {

@@ -128,6 +128,29 @@ fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
     }
 }
 
+/// `PackedB::pack_transposed(w)` is `PackedB::pack(&w.transpose())`
+/// bit for bit — shape, panels and zeroed tail lanes — on ragged and
+/// degenerate shapes (`w` is `n × k`; a panel is 8 columns of `wᵀ`).
+#[test]
+fn pack_transposed_is_pack_of_the_transpose() {
+    for (n, k) in [
+        (1, 1),
+        (8, 5),
+        (13, 7),
+        (16, 1),
+        (37, 29),
+        (5, 0),
+        (0, 5),
+        (0, 0),
+    ] {
+        let w = matrix(n, k, n + 2 * k, 3);
+        let (got, want) = (PackedB::pack_transposed(&w), PackedB::pack(&w.transpose()));
+        assert_eq!(got.shape(), want.shape(), "{n}x{k}");
+        let bits = |p: &PackedB| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{n}x{k}");
+    }
+}
+
 proptest! {
     /// Panel-packed GEMM ≡ plain GEMM. Accumulation order is identical
     /// (kk-ascending per output element), so parity is near-bitwise; the

@@ -12,7 +12,8 @@
 //! * [`tensor`] ([`cap_tensor`]) — dense/sparse linear algebra, im2col
 //!   convolution, pooling.
 //! * [`cnn`] ([`cap_cnn`]) — Caffe-like inference framework, Caffenet,
-//!   Googlenet, trainable TinyNet.
+//!   Googlenet, and a small trainable `SequentialNet` that reaches
+//!   inference only as a `Network` (`to_network()`).
 //! * [`pruning`] ([`cap_pruning`]) — pruning algorithms, prune specs,
 //!   sweet-spot detection, calibrated profiles.
 //! * [`cloud`] ([`cap_cloud`]) — EC2 catalog (Table 3), GPU saturation,
@@ -62,9 +63,9 @@ pub mod prelude {
     };
     pub use cap_cnn::{
         evaluate_topk,
-        models::{caffenet, googlenet, TinyNet, WeightInit},
+        models::{caffenet, googlenet, WeightInit},
         run_batched, strong_scaling,
-        train::Sgd,
+        train::{SequentialBuilder, SequentialNet, Sgd},
         AccuracyReport, InferenceReport, Layer, LayerKind, Network, ParallelEngine,
     };
     pub use cap_core::{

@@ -32,7 +32,7 @@ fn quantization_and_sharing_compose_with_real_network() {
 fn gradual_schedule_reaches_target_with_fine_tuning() {
     use cap_pruning::magnitude::sparsity_mask;
     let data = SyntheticImageNet::tiny(88);
-    let mut net = TinyNet::new(data.image_shape, 6, 8, data.classes, 4).unwrap();
+    let mut net = SequentialNet::tinynet(data.image_shape, 6, 8, data.classes, 4).unwrap();
     let mut sgd = Sgd::new(0.03, 0.9);
     for b in 0..10 {
         let (x, labels) = data.batch(b * 24, 24);
@@ -42,15 +42,16 @@ fn gradual_schedule_reaches_target_with_fine_tuning() {
     // fast early and flattens near the target.
     let schedule = (1..=4).map(|i| 0.8 - 0.8 * (1.0 - i as f64 / 4.0).powi(3));
     for target in schedule {
-        prune_magnitude(&mut net.conv1_w, target).unwrap();
-        prune_magnitude(&mut net.conv2_w, target).unwrap();
-        let m1 = sparsity_mask(&net.conv1_w);
-        let m2 = sparsity_mask(&net.conv2_w);
+        let mut masks = std::collections::HashMap::new();
+        for conv in [0, 3] {
+            let w = net.layer_mut(conv).unwrap().weights_mut().unwrap();
+            prune_magnitude(w, target).unwrap();
+            masks.insert(conv, sparsity_mask(w));
+        }
         let mut ft = Sgd::new(0.01, 0.9);
         for b in 0..3 {
             let (x, labels) = data.batch(b * 24, 24);
-            net.train_batch(&x, &labels, &mut ft, Some((&m1, &m2)))
-                .unwrap();
+            net.train_batch(&x, &labels, &mut ft, Some(&masks)).unwrap();
         }
     }
     assert!(

@@ -27,7 +27,7 @@ fn batched_inference_runner_on_tinynet_matches_direct_logits() {
     use cap_cnn::Network;
     use cap_tensor::{init::xavier_uniform, Conv2dParams};
 
-    // Build an inference Network (not the trainable TinyNet) and check
+    // Build an inference Network by hand (not from a trained net) and check
     // the chunked runner agrees with a single whole-batch forward.
     let mut net = Network::new("t", (3, 8, 8));
     net.add_sequential(Box::new(
