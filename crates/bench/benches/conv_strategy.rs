@@ -4,8 +4,8 @@
 //! (`conv_form_*` for `SPARSE_THRESHOLD`, `fc_form_b1` for
 //! `FC_SPARSE_THRESHOLD`; table in EXPERIMENTS.md "PR 14").
 //! `conv_form_i8_*` is the int8 side: the lowering stages on their own
-//! and the int8 dense-vs-CSR crossover, which the layers take from the
-//! same `SPARSE_THRESHOLD` (table in EXPERIMENTS.md "PR 17").
+//! and the int8 dense-vs-CSR crossover `SPARSE_THRESHOLD_I8` is set
+//! from (table in EXPERIMENTS.md "PR 23").
 
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
@@ -15,15 +15,17 @@ use cap_tensor::{
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// Unit-scale weights with `zero_pct` % of the elements zeroed at
-/// scattered positions (unstructured, as magnitude pruning leaves them).
-fn scattered(rows: usize, cols: usize, zero_pct: usize) -> Matrix {
+/// Unit-scale weights with `zero_pct` % (to a tenth) of the elements
+/// zeroed at scattered positions (unstructured, as magnitude pruning
+/// leaves them).
+fn scattered(rows: usize, cols: usize, zero_pct: f64) -> Matrix {
+    let zero_permille = (zero_pct * 10.0).round() as usize;
     Matrix::from_fn(rows, cols, |r, c| {
-        let h = (r * 31 + c * 17 + (r * c) % 7) % 100;
-        if h < zero_pct {
+        let h = (r * 31 + c * 17 + (r * c) % 7) % 1000;
+        if h < zero_permille {
             0.0
         } else {
-            (h as f32 - 50.0) / 50.0 + 0.01
+            ((h % 100) as f32 - 50.0) / 50.0 + 0.01
         }
     })
 }
@@ -45,9 +47,9 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
             b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap())
         });
     };
-    let dense = scattered(rows, cols, 0);
+    let dense = scattered(rows, cols, 0.0);
     run(BenchmarkId::new("dense", 0), ConvWeights::Dense(&dense));
-    for zero_pct in [40usize, 50, 60, 65, 70, 75, 80, 90] {
+    for zero_pct in [40.0, 50.0, 60.0, 65.0, 70.0, 75.0, 80.0, 90.0] {
         let csr = ConvWeights::csr_bands(&scattered(rows, cols, zero_pct), &params).unwrap();
         run(BenchmarkId::new("csr", zero_pct), ConvWeights::Csr(&csr));
     }
@@ -69,8 +71,8 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
 /// its operand path on their own (quantize the image once; lower one
 /// group in int8, against the f32 packed lowering of the same group),
 /// then `conv2d` in f32, dense int8, and CSR int8 at rising
-/// unstructured sparsity — where CSR crosses under dense int8 is the
-/// int8 analogue of `SPARSE_THRESHOLD`.
+/// unstructured sparsity — where CSR crosses under dense int8 is
+/// `SPARSE_THRESHOLD_I8`.
 fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
     let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
         ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
@@ -116,9 +118,9 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
             b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap())
         });
     };
-    let dense = scattered(rows, cols, 0);
+    let dense = scattered(rows, cols, 0.0);
     run(BenchmarkId::new("dense_f32", 0), ConvWeights::Dense(&dense));
-    for zero_pct in [0usize, 60, 70, 75, 80, 85, 90] {
+    for zero_pct in [0.0, 60.0, 70.0, 80.0, 85.0, 90.0, 92.5, 95.0, 97.5] {
         let w = scattered(rows, cols, zero_pct);
         let bands = ConvWeights::i8_bands(&w, &params).unwrap();
         run(
@@ -128,7 +130,7 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
                 act_scale,
             },
         );
-        if zero_pct > 0 {
+        if zero_pct > 0.0 {
             let bands = ConvWeights::csr_i8_bands(&w, &params).unwrap();
             run(
                 BenchmarkId::new("csr_i8", zero_pct),
@@ -159,11 +161,11 @@ fn bench_weight_forms(c: &mut Criterion) {
     let bias = vec![0.1_f32; outf];
     let mut y = vec![0.0_f32; outf];
     let mut group = c.benchmark_group("fc_form_b1");
-    let packed = PackedB::pack(&scattered(outf, inf, 0).transpose());
+    let packed = PackedB::pack(&scattered(outf, inf, 0.0).transpose());
     group.bench_function(BenchmarkId::new("dense", 0), |b| {
         b.iter(|| gemm_packed(&x, 1, inf, outf, packed.as_slice(), &mut y, Epilogue::NONE).unwrap())
     });
-    for zero_pct in [30usize, 40, 50, 60, 70, 80, 90] {
+    for zero_pct in [30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0] {
         let csr = CsrMatrix::from_dense(&scattered(outf, inf, zero_pct), 0.0);
         group.bench_with_input(BenchmarkId::new("csr", zero_pct), &csr, |b, csr| {
             b.iter(|| csr.matvec_into(&x, &mut y, Some(&bias), true).unwrap())

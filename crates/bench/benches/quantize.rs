@@ -1,13 +1,19 @@
 //! Int8 quantized-kernel ablation: f32 packed GEMM vs the int8 path
 //! (runtime activation quantize + int8 GEMM) under each dispatch path,
 //! plus the bare activation-quantize overhead that separates the two
-//! (DESIGN.md §12 int8 execution model).
+//! (DESIGN.md §12 int8 execution model), and the integer multiply
+//! kernels against each other on Caffenet's shapes
+//! (`gemm_i8_kernels`).
 
+use cap_tensor::kernels::int8::{
+    gemm_i8_packed_band_with, gemv_i8_packed_with, Int8Kernel, ROW_BAND,
+};
 use cap_tensor::kernels::{self, Epilogue, KernelPath};
 use cap_tensor::{
     gemm_i8, gemm_prepacked, quantize_rows_into, symmetric_scale, Matrix, PackedB, PackedBI8,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::{Duration, Instant};
 
 fn mat(rows: usize, cols: usize, salt: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -77,5 +83,100 @@ fn bench_quantize_paths(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_quantize_paths);
+/// The bare int8 multiply (operands quantized beforehand) on every
+/// integer kernel this host can run, over the multiplies of a Caffenet
+/// batch-8 pass: the five conv shapes (one group, one image) and the
+/// three fc layers. A kernel the host lacks is named and skipped. Ends
+/// with one `gemm_i8_kernels:` line — the vnni/avx2 speed ratio, min
+/// and max over the shapes, each side from its fastest call — for the
+/// CI job summary.
+fn bench_i8_kernels(c: &mut Criterion) {
+    const SHAPES: [(&str, usize, usize, usize); 8] = [
+        ("conv1", 96, 363, 3025),
+        ("conv2_group", 128, 1200, 729),
+        ("conv3", 384, 2304, 169),
+        ("conv4_group", 192, 1728, 169),
+        ("conv5_group", 128, 1728, 169),
+        ("fc6_b8", 8, 9216, 4096),
+        ("fc7_b8", 8, 4096, 4096),
+        ("fc8_b8", 8, 4096, 1000),
+    ];
+    let kernels = Int8Kernel::available();
+    for missing in Int8Kernel::ALL.iter().filter(|k| !kernels.contains(k)) {
+        println!(
+            "gemm_i8_kernels: note: `{}` is not available on this host, skipped",
+            missing.name()
+        );
+    }
+    let mut group = c.benchmark_group("gemm_i8_kernels");
+    // (vnni/avx2 ratio, shape) where both ran.
+    let mut ratios: Vec<(f64, &str)> = Vec::new();
+    for (name, m, k, n) in SHAPES {
+        let a = mat(m, k, 1);
+        let b = mat(k, n, 2);
+        let pb = PackedBI8::pack(&b, symmetric_scale(b.as_slice()));
+        let mut qa: Vec<i8> = Vec::new();
+        let kp = quantize_rows_into(a.as_slice(), m, k, 127.0, &mut qa);
+        let mut out = vec![0.0f32; m * n];
+        // Each kernel's fastest call.
+        let mut fastest: Vec<(Int8Kernel, Duration)> = Vec::new();
+        for &kernel in &kernels {
+            let mut best = Duration::MAX;
+            group.bench_function(BenchmarkId::new(name, kernel.name()), |bch| {
+                bch.iter(|| {
+                    let t0 = Instant::now();
+                    // `gemm_i8`'s own walk, with the kernel named.
+                    for (bi, band) in out.chunks_mut(ROW_BAND * n).enumerate() {
+                        let row0 = bi * ROW_BAND;
+                        let (pbd, epi) = (pb.data(), Epilogue::NONE);
+                        gemm_i8_packed_band_with(kernel, &qa, kp, n, pbd, band, row0, 1.0, epi);
+                    }
+                    best = best.min(t0.elapsed());
+                })
+            });
+            fastest.push((kernel, best));
+        }
+        let secs = |kernel| {
+            let ran = fastest
+                .iter()
+                .find(|(k, t)| *k == kernel && *t < Duration::MAX);
+            ran.map(|(_, t)| t.as_secs_f64())
+        };
+        if let (Some(avx2), Some(vnni)) = (secs(Int8Kernel::Avx2), secs(Int8Kernel::Vnni)) {
+            ratios.push((avx2 / vnni, name));
+        }
+    }
+    // The batch-1 route of the same kernels: fc7 as a matvec.
+    let (k, n) = (4096, 4096);
+    let pb = PackedBI8::pack(&mat(k, n, 2), 1.0 / 127.0);
+    let mut qa: Vec<i8> = Vec::new();
+    quantize_rows_into(mat(1, k, 1).as_slice(), 1, k, 127.0, &mut qa);
+    let mut out = vec![0.0f32; n];
+    for &kernel in &kernels {
+        group.bench_function(BenchmarkId::new("fc7_b1", kernel.name()), |bch| {
+            bch.iter(|| {
+                gemv_i8_packed_with(kernel, &qa, n, pb.data(), &mut out, 0, 1.0, Epilogue::NONE)
+            })
+        });
+    }
+    group.finish();
+    ratios.sort_by(|x, y| x.0.total_cmp(&y.0));
+    match (ratios.first(), ratios.last()) {
+        (Some(lo), Some(hi)) => println!(
+            "gemm_i8_kernels: vnni/avx2 min {:.2}x ({}) max {:.2}x ({}) over {} shapes",
+            lo.0,
+            lo.1,
+            hi.0,
+            hi.1,
+            ratios.len()
+        ),
+        _ => println!("gemm_i8_kernels: vnni/avx2 not measured on this host"),
+    }
+}
+
+criterion_group! {
+    name = benches;
+    config = Criterion::default().sample_size(20);
+    targets = bench_quantize_paths, bench_i8_kernels
+}
 criterion_main!(benches);

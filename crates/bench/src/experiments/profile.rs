@@ -124,12 +124,14 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
         pruned_ms / dense_ms
     )
     .unwrap();
-    // ... and one for the other knob: did int8 pay, on the same convs?
+    // ... and one for the other knob: did int8 pay, on the same convs
+    // — and on which integer kernel, since the ratio is that kernel's.
     let (f32_ms, int8_ms) = (conv_ms(&report_f32), conv_ms(&report_i8));
     writeln!(
         out,
-        "conv total (int8): f32 {f32_ms:.1} ms, int8 {int8_ms:.1} ms, ratio {:.2}",
-        int8_ms / f32_ms
+        "conv total (int8): f32 {f32_ms:.1} ms, int8 {int8_ms:.1} ms, ratio {:.2}, precision {}",
+        int8_ms / f32_ms,
+        report_i8.precision()
     )
     .unwrap();
 

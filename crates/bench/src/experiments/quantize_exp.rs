@@ -21,7 +21,8 @@
 //!    accuracy-floor sweet-spot map (`cap_core::joint`).
 //!
 //! Numbers are measured on this host, min-of-repeats; on a non-AVX2
-//! host the kernel table degenerates to the scalar arm only.
+//! host the kernel table degenerates to the scalar arm only. The
+//! header names the integer kernel the int8 numbers ran on.
 
 use super::kernels_exp::best_secs;
 use super::measured::{best_wall_s, train};
@@ -29,7 +30,7 @@ use cap_cnn::{evaluate_topk, run_batched};
 use cap_core::{caffenet_version_grid, joint_frontier, joint_grid, sweet_spots, PrecisionModel};
 use cap_data::SyntheticImageNet;
 use cap_pruning::profile::caffenet_profile;
-use cap_tensor::kernels::{self, Epilogue};
+use cap_tensor::kernels::{self, int8::Int8Kernel, Epilogue};
 use cap_tensor::{
     conv2d, gemm_i8, gemm_prepacked, precision, quantize_rows_into, symmetric_scale,
     CalibrationMethod, Conv2dParams, ConvWeights, Matrix, PackedB, PackedBI8, Precision, Tensor4,
@@ -65,6 +66,15 @@ pub fn quantize_ablation() -> String {
     // --- 1. Kernel arm -----------------------------------------------------
     let paths = kernels::available_paths();
     let dispatched = kernels::selected();
+    // Every int8 number below is this kernel's: a host without the
+    // integer dot product reads `avx2` here and ~3x lower ratios.
+    writeln!(
+        out,
+        "kernel: {}, int8 kernel: {}",
+        dispatched.name(),
+        Int8Kernel::for_path(dispatched).name()
+    )
+    .unwrap();
     // int8/f32 ratio of the bare conv2-like multiply under the
     // dispatched path, printed beside the `conv2d` ratio below.
     let mut gemm_speedup = 1.0_f64;
@@ -75,8 +85,8 @@ pub fn quantize_ablation() -> String {
     .unwrap();
     writeln!(
         out,
-        "{:<26} {:>9} {:>10} {:>10} {:>8}",
-        "shape", "path", "f32", "int8", "int8/f32"
+        "{:<26} {:>9} {:>7} {:>10} {:>10} {:>8}",
+        "shape", "path", "i8 krn", "f32", "int8", "int8/f32"
     )
     .unwrap();
     for &(label, m, k, n) in SHAPES {
@@ -112,8 +122,9 @@ pub fn quantize_ablation() -> String {
             }
             writeln!(
                 out,
-                "{label:<26} {:>9} {:>10.2} {:>10.2} {:>7.2}x",
+                "{label:<26} {:>9} {:>7} {:>10.2} {:>10.2} {:>7.2}x",
                 p.name(),
+                Int8Kernel::for_path(p).name(),
                 ops / f32_secs / 1e9,
                 ops / int8_secs / 1e9,
                 f32_secs / int8_secs

@@ -279,10 +279,13 @@ pub fn run_workload() -> SentinelRun {
     // would make BENCH_baseline.json unportable across runners. The
     // strict counters above are allocation/shape metrics and identical
     // on every backend — see crates/tensor/tests/kernel_parity.rs.
+    // The integer kernel beside it (from the int8-fidelity segment):
+    // it, not the backend, sets the speed of every int8 row.
     writeln!(
         report,
-        "kernel backend: {}\n",
-        cap_obs::kernel_path_name(snap.kernel_path)
+        "kernel backend: {}, int8 kernel: {}\n",
+        cap_obs::kernel_path_name(snap.kernel_path),
+        cap_obs::int8_kernel_name(snap.int8_kernel)
     )
     .unwrap();
     writeln!(

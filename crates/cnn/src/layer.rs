@@ -17,7 +17,7 @@ mod relu;
 mod softmax;
 
 pub use concat::ConcatLayer;
-pub use conv::{ConvLayer, SPARSE_THRESHOLD};
+pub use conv::{ConvLayer, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8};
 pub use dropout::DropoutLayer;
 pub use inner_product::{InnerProductLayer, FC_SPARSE_THRESHOLD};
 pub use lrn::LrnLayer;

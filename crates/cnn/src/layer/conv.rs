@@ -17,6 +17,14 @@ use std::sync::OnceLock;
 /// walked `B` in L2-sized strips and the dense side got faster).
 pub const SPARSE_THRESHOLD: f64 = 0.8;
 
+/// [`SPARSE_THRESHOLD`] for the int8 forms. The dense int8 multiply
+/// runs on the CPU's integer dot product where it has one, the int8
+/// CSR rows do not, so the crossover sits far higher: CSR is ~1.8×
+/// slower than dense at 0.90 and level with it at 0.95 on both the
+/// conv2 and conv3 shapes — `cargo bench -p cap-bench --bench
+/// conv_strategy -- conv_form_i8` (table in EXPERIMENTS.md "PR 23").
+pub const SPARSE_THRESHOLD_I8: f64 = 0.95;
+
 /// Why building a derived weight form cannot fail after construction.
 const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
 
@@ -26,10 +34,15 @@ const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights"
 struct WeightForm {
     /// Some filters (rows) are all zero and the rest are dense (zero
     /// fraction at most [`SPARSE_THRESHOLD`]): f32 multiplies the kept
-    /// rows only. Int8 has no row-compacted form and goes by `sparse`.
+    /// rows only. Int8 has no row-compacted form and goes by
+    /// `sparse_i8`.
     filter_pruned: bool,
-    /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: CSR.
+    /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: f32
+    /// runs CSR.
     sparse: bool,
+    /// The overall zero fraction is above [`SPARSE_THRESHOLD_I8`]:
+    /// int8 runs CSR.
+    sparse_i8: bool,
 }
 
 impl WeightForm {
@@ -45,10 +58,21 @@ impl WeightForm {
                 kept_zeros += zeros;
             }
         }
-        let above = |zeros: usize, of: usize| zeros as f64 / of.max(1) as f64 > SPARSE_THRESHOLD;
+        let fraction = |zeros: usize, of: usize| zeros as f64 / of.max(1) as f64;
+        let kept = fraction(kept_zeros, (rows - zero_rows) * cols);
+        let overall = fraction(zero_rows * cols + kept_zeros, rows * cols);
         WeightForm {
-            filter_pruned: zero_rows > 0 && !above(kept_zeros, (rows - zero_rows) * cols),
-            sparse: above(zero_rows * cols + kept_zeros, rows * cols),
+            filter_pruned: zero_rows > 0 && kept <= SPARSE_THRESHOLD,
+            sparse: overall > SPARSE_THRESHOLD,
+            sparse_i8: overall > SPARSE_THRESHOLD_I8,
+        }
+    }
+
+    /// The sparse flag the selected precision goes by.
+    fn sparse_for(&self, precision: Precision) -> bool {
+        match precision {
+            Precision::F32 => self.sparse,
+            Precision::Int8 => self.sparse_i8,
         }
     }
 }
@@ -61,12 +85,13 @@ impl WeightForm {
 /// leaves — are dropped and the kept rows run through the dense GEMM,
 /// so the time of a filter-pruned layer falls with the filters that
 /// remain (`repro --exp profile`); otherwise a zero fraction above
-/// [`SPARSE_THRESHOLD`] selects the CSR form, which pays only at high
-/// unstructured sparsity. The derived forms (per-group kept-row or CSR
-/// bands, int8 quantizations) are built on the first forward that
-/// needs them and dropped by `set_weights`; im2col scratch is the
-/// caller's [`Workspace`], so steady-state forwards allocate nothing,
-/// take no lock and touch no reference count.
+/// [`SPARSE_THRESHOLD`] ([`SPARSE_THRESHOLD_I8`] under int8) selects
+/// the CSR form, which pays only at high unstructured sparsity. The
+/// derived forms (per-group kept-row or CSR bands, int8 quantizations)
+/// are built on the first forward that needs them and dropped by
+/// `set_weights`; im2col scratch is the caller's [`Workspace`], so
+/// steady-state forwards allocate nothing, take no lock and touch no
+/// reference count.
 pub struct ConvLayer {
     name: String,
     params: Conv2dParams,
@@ -146,7 +171,8 @@ impl ConvLayer {
     /// row ran.
     pub fn weight_form_name(weights: &Matrix) -> &'static str {
         let form = WeightForm::of(weights);
-        match (precision::selected(), form.sparse) {
+        let precision = precision::selected();
+        match (precision, form.sparse_for(precision)) {
             (Precision::F32, _) if form.filter_pruned => "dense-rows",
             (Precision::F32, false) => "dense",
             (Precision::F32, true) => "csr",
@@ -181,7 +207,8 @@ impl ConvLayer {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
         let (w, p) = (&self.weights, &self.params);
-        let weights = match (precision::selected(), self.form.sparse) {
+        let precision = precision::selected();
+        let weights = match (precision, self.form.sparse_for(precision)) {
             (Precision::F32, _) if self.form.filter_pruned => ConvWeights::DenseRows(
                 self.kept_rows
                     .get_or_init(|| ConvWeights::kept_row_bands(w, p).expect(FORM_SHAPE_CHECKED)),

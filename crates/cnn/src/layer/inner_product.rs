@@ -117,6 +117,21 @@ impl InnerProductLayer {
         }
     }
 
+    /// The quantized activations' row stride must be the depth `Wᵀ` was
+    /// packed for: `gemm_i8` checks each operand against the depth it is
+    /// *given*, so a mismatch would read a `B` packed for another depth
+    /// without tripping any of its checks.
+    fn check_depth(&self, activations_kp: usize, weights_kp: usize) -> TensorResult<()> {
+        if activations_kp != weights_kp {
+            return Err(ShapeError::new(format!(
+                "fc {}: activations quantized to depth {activations_kp}, \
+                 int8 weights packed for depth {weights_kp}",
+                self.name
+            )));
+        }
+        Ok(())
+    }
+
     /// Shared body of [`Layer::forward_into`] / [`Layer::forward_into_fused`]:
     /// the only difference is whether a ReLU rides the kernel epilogue.
     fn run(
@@ -196,7 +211,7 @@ impl InnerProductLayer {
                 1.0 / act_scale,
                 &mut ws.qbuf,
             );
-            debug_assert_eq!(kp, qw.kp());
+            self.check_depth(kp, qw.kp())?;
             gemm_i8(
                 &ws.qbuf,
                 batch,
@@ -372,6 +387,18 @@ mod tests {
                 assert!((y.get(b, o, 0, 0) - dense_result.get(o, b)).abs() < 1e-4);
             }
         }
+    }
+
+    #[test]
+    fn int8_depth_mismatch_is_a_shape_error_naming_the_layer() {
+        let fc = InnerProductLayer::new("fc_t", Matrix::zeros(3, 10), vec![0.0; 3]).unwrap();
+        assert!(fc.check_depth(12, 12).is_ok());
+        let message = fc.check_depth(12, 10).unwrap_err().to_string();
+        assert!(message.contains("fc fc_t"), "{message}");
+        assert!(
+            message.contains("12") && message.contains("10"),
+            "{message}"
+        );
     }
 
     #[test]

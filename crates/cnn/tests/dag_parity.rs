@@ -13,7 +13,7 @@ use cap_cnn::dag::{self, DagMode};
 use cap_cnn::fusion::{self, FusionMode};
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
-    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD,
+    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{DagExecutor, NoopTracer, ParallelEngine};
@@ -75,7 +75,7 @@ fn build_random_net(seed: u64, branches: usize, depth: usize, sparse: bool) -> N
                     let p = Conv2dParams::new(4, 4, 3, 1, 1);
                     let mut w = xavier_uniform(4, 36, seed + (b * 10 + d) as u64 + 1);
                     if sparse {
-                        w = prune(&w, 6, SPARSE_THRESHOLD);
+                        w = prune(&w, 32, SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
                     }
                     let c = net
                         .add_layer(
@@ -201,7 +201,10 @@ proptest! {
                 );
             }
         }
-        // Explicit executor at several worker counts, same contract.
+        // Explicit executor at several worker counts, same contract —
+        // on the reference's path, whatever the environment selects
+        // (`avx2-fma` is not bit-identical to it).
+        kernels::force(Some(KernelPath::Scalar));
         for workers in [1, 2, 4] {
             let exec = DagExecutor::new(workers);
             let mut arena = ForwardArena::new();
@@ -214,6 +217,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&out, &reference, "DagExecutor workers={}", workers);
         }
+        kernels::force(None);
     }
 }
 

@@ -13,7 +13,7 @@
 use cap_cnn::fusion::{self, FusionMode};
 use cap_cnn::layer::{
     ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
-    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD,
+    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{run_batched, NoopTracer};
@@ -72,7 +72,7 @@ fn build_net(seed: u64, sparse: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if sparse {
-        w2 = prune(&w2, 6, SPARSE_THRESHOLD);
+        w2 = prune(&w2, 32, SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

@@ -10,18 +10,24 @@
 //! `precision::force` is process-global; this file is its own test
 //! binary with a single test, so nothing races it.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD};
+use cap_cnn::layer::{
+    ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
+};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4, Workspace};
 
-/// Unstructured zeros past both layers' CSR thresholds, no row emptied.
-fn magnitude_pruned(mut w: Matrix) -> Matrix {
-    for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-        if i % 6 != 0 {
-            *v = 0.0;
+/// Unstructured zeros past every CSR threshold, f32 or int8, with no
+/// row emptied: one weight kept per row, at a column that moves with
+/// the row.
+fn magnitude_pruned(w: Matrix) -> Matrix {
+    let (rows, cols) = w.shape();
+    Matrix::from_fn(rows, cols, |r, c| {
+        if c == (5 * r + 3) % cols {
+            w.get(r, c)
+        } else {
+            0.0
         }
-    }
-    w
+    })
 }
 
 /// Every second row zeroed, the rest left dense, as filter pruning
@@ -44,7 +50,9 @@ fn bits(t: &Tensor4) -> Vec<u32> {
 /// fusion flavors after every swap, against `fresh(weights)` — a newly
 /// constructed layer with the same weights.
 fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) -> L, x: &Tensor4) {
-    let csr_threshold = SPARSE_THRESHOLD.max(FC_SPARSE_THRESHOLD);
+    let csr_threshold = SPARSE_THRESHOLD
+        .max(SPARSE_THRESHOLD_I8)
+        .max(FC_SPARSE_THRESHOLD);
     for round in 0..4 {
         let dense = xavier_uniform(shape.0, shape.1, 20 + round as u64);
         let weights = match round {
@@ -87,10 +95,10 @@ fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) 
 
 #[test]
 fn set_weights_drops_every_cached_form() {
-    let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
-    let conv_w = xavier_uniform(6, 18, 11);
+    let params = Conv2dParams::grouped(8, 6, 3, 1, 1, 2);
+    let conv_w = xavier_uniform(6, 36, 11);
     let bias = vec![0.05f32; 6];
-    let x = Tensor4::from_fn(2, 4, 6, 6, |n, c, h, w| {
+    let x = Tensor4::from_fn(2, 8, 6, 6, |n, c, h, w| {
         ((n * 5 + c * 3 + h * 7 + w) % 9) as f32 / 4.0 - 1.0
     });
     let mut conv = ConvLayer::new("conv", params, conv_w.clone(), bias.clone()).unwrap();
@@ -104,7 +112,7 @@ fn set_weights_drops_every_cached_form() {
         &x,
     );
 
-    let fc_w = xavier_uniform(5, 4 * 6 * 6, 12);
+    let fc_w = xavier_uniform(5, 8 * 6 * 6, 12);
     let fc_bias = vec![-0.02f32; 5];
     let mut fc = InnerProductLayer::new("fc", fc_w.clone(), fc_bias.clone()).unwrap();
     check(

@@ -117,8 +117,8 @@ fn caffenet_shaped() -> Network {
 }
 
 /// Geometry of [`int8_shaped`]'s second conv: two groups of 64 input
-/// channels, so a patch depth of 576 — past the 512 where the int8
-/// band kernel starts spilling partial sums to its thread-local.
+/// channels, a patch depth of 576 and 16 filters per group — two full
+/// six-row tiles and a four-row one per band.
 const INT8_CONV2: Conv2dParams = Conv2dParams {
     in_channels: 128,
     out_channels: 32,
@@ -130,9 +130,12 @@ const INT8_CONV2: Conv2dParams = Conv2dParams {
 };
 
 /// Grouped conv → pool → deep grouped conv → fc over 800 features: at
-/// batch 8 both the conv (16 filters per group) and the fc run the
-/// int8 band kernel's eight-row block on a depth past 512, so the
-/// widened-`A` and the partial-sum thread-locals are both in play.
+/// batch 8 both the convs and the fc run the int8 band kernel, at
+/// batch 1 the fc runs the GEMV. What scratch those use beyond the
+/// arena depends on the integer kernel the host resolves to: `vnni`
+/// reads `A` in place and keeps its row sums on the stack; `avx2`
+/// widens each `A` band into a thread-local (grown during warm-up);
+/// scalar has none.
 fn int8_shaped() -> Network {
     let mut net = Network::new("mini-int8", (8, 10, 10));
     let conv1 = Conv2dParams::grouped(8, 128, 3, 1, 1, 2);
@@ -352,7 +355,7 @@ fn steady_state_inference_allocates_nothing() {
         precision::force(None);
 
         // What that costs in scratch, on the deep conv: the quantized
-        // image, two patch rows and the packed i8 patch matrix — where
+        // image, four patch rows and the packed i8 patch matrix — where
         // lowering in f32 first held the f32 patch matrix besides the
         // packed one, a slot the int8 forms now leave empty.
         let p = INT8_CONV2;

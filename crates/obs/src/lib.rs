@@ -59,8 +59,8 @@ pub mod trace_export;
 pub use flight::FlightRecorder;
 pub use hdr::{HdrHistogram, HdrSnapshot, QUANTILES};
 pub use metrics::{
-    kernel_path_name, metrics, precision_path_name, timing_enabled, Counter, Gauge, Instrument,
-    Kind, MetricsRegistry, MetricsSnapshot, Scope, TimingGuard, INSTRUMENTS,
+    int8_kernel_name, kernel_path_name, metrics, precision_path_name, timing_enabled, Counter,
+    Gauge, Instrument, Kind, MetricsRegistry, MetricsSnapshot, Scope, TimingGuard, INSTRUMENTS,
 };
 pub use prom::{
     append_registry, prometheus_text, spawn_exporter, validate as validate_prometheus, PromStats,

@@ -347,6 +347,15 @@ instruments! {
     precision_path: Gauge,
         Environment(precision_path_name: "unset", "f32", "int8"),
         "Resolved inference precision for weighted layers (code).";
+    /// Which integer multiply kernel `cap-tensor` runs the int8 GEMM
+    /// on, as a code decoded by [`int8_kernel_name`] (0 until the
+    /// first int8 multiply resolves it). It follows from the CPU, not
+    /// from a setting, and two hosts that both read `avx2` / `int8`
+    /// above can differ severalfold here. An environment descriptor
+    /// that [`MetricsRegistry::reset`] keeps.
+    int8_kernel: Gauge,
+        Environment(int8_kernel_name: "unset", "scalar", "avx2", "vnni"),
+        "Integer multiply kernel behind the int8 GEMM (code).";
     /// Number of fused producer→ReLU steps in the network most recently
     /// executed by `Network::forward_into*` (0 when fusion is off or
     /// nothing matched). Overwritten by every traced forward pass and,
@@ -591,6 +600,7 @@ mod tests {
         }
         reg.kernel_path.set(3);
         reg.precision_path.set(1);
+        reg.int8_kernel.set(3);
         reg.fused_layers.set(7);
         reg.dag_parallel_passes.add(2);
         reg.dag_queue_pushes.add(11);
@@ -682,6 +692,15 @@ mod tests {
         assert_eq!(kernel_path_name(2), "avx2");
         assert_eq!(kernel_path_name(3), "avx2-fma");
         assert_eq!(kernel_path_name(99), "unknown");
+    }
+
+    #[test]
+    fn int8_kernel_names_decode() {
+        assert_eq!(int8_kernel_name(0), "unset");
+        assert_eq!(int8_kernel_name(1), "scalar");
+        assert_eq!(int8_kernel_name(2), "avx2");
+        assert_eq!(int8_kernel_name(3), "vnni");
+        assert_eq!(int8_kernel_name(99), "unknown");
     }
 
     #[test]

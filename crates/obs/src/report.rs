@@ -101,8 +101,10 @@ pub struct ProfileReport {
     kernel: &'static str,
     /// Numeric precision name captured from the `precision_path`
     /// metrics gauge at build time (`"unset"` when no weighted layer
-    /// has resolved the precision knob yet).
-    precision: &'static str,
+    /// has resolved the precision knob yet); for int8, followed by the
+    /// integer kernel from the `int8_kernel` gauge — `int8 (vnni)` —
+    /// since that, not the precision, sets the speed of an int8 row.
+    precision: String,
     /// Optional critical-path context (floor vs. achieved latency).
     dag: Option<DagSummary>,
 }
@@ -115,8 +117,15 @@ impl ProfileReport {
     /// rendered table and JSON record which microkernel backend
     /// (`scalar` / `avx2` / …) the profiled run dispatched to.
     pub fn from_spans(label: impl Into<String>, spans: &[SpanRecord]) -> Self {
-        let precision = crate::metrics::precision_path_name(crate::metrics().precision_path.get());
+        let metrics = crate::metrics();
+        let precision = crate::metrics::precision_path_name(metrics.precision_path.get());
         let int8 = precision == "int8";
+        let precision = if int8 {
+            let kernel = crate::metrics::int8_kernel_name(metrics.int8_kernel.get());
+            format!("{precision} ({kernel})")
+        } else {
+            precision.to_string()
+        };
         let mut index: HashMap<&str, usize> = HashMap::new();
         let mut layers: Vec<LayerRow> = Vec::new();
         for s in spans.iter().filter(|s| s.scope == SpanScope::Layer) {
@@ -142,7 +151,7 @@ impl ProfileReport {
         Self {
             label: label.into(),
             layers,
-            kernel: crate::metrics::kernel_path_name(crate::metrics().kernel_path.get()),
+            kernel: crate::metrics::kernel_path_name(metrics.kernel_path.get()),
             precision,
             dag: None,
         }
@@ -186,9 +195,10 @@ impl ProfileReport {
     }
 
     /// Numeric precision the profiled process resolved for weighted
-    /// layers (`"unset"` if the knob had not resolved at build time).
-    pub fn precision(&self) -> &'static str {
-        self.precision
+    /// layers (`"unset"` if the knob had not resolved at build time),
+    /// with the integer kernel for int8: `int8 (vnni)`.
+    pub fn precision(&self) -> &str {
+        &self.precision
     }
 
     /// Aggregated rows in execution order.
@@ -289,7 +299,7 @@ impl ProfileReport {
         out.push_str(",\"kernel\":");
         write_json_str(&mut out, self.kernel);
         out.push_str(",\"precision\":");
-        write_json_str(&mut out, self.precision);
+        write_json_str(&mut out, &self.precision);
         write!(out, ",\"total_ms\":{:.6},\"layers\":[", total * 1000.0).unwrap();
         for (i, l) in self.layers.iter().enumerate() {
             if i > 0 {
@@ -458,6 +468,7 @@ mod tests {
     #[test]
     fn report_records_precision_and_flags_quantized_rows() {
         crate::metrics().precision_path.set(2);
+        crate::metrics().int8_kernel.set(3);
         let r = ProfileReport::from_spans(
             "q",
             &[
@@ -466,22 +477,24 @@ mod tests {
                 span("fc", "fc", 40),
             ],
         );
-        assert_eq!(r.precision(), "int8");
-        assert!(r.to_text_table().contains("precision: int8"));
+        assert_eq!(r.precision(), "int8 (vnni)");
+        assert!(r.to_text_table().contains("precision: int8 (vnni))"));
         let json = r.to_json();
-        assert!(json.contains("\"precision\":\"int8\""), "{json}");
+        assert!(json.contains("\"precision\":\"int8 (vnni)\""), "{json}");
         // Weighted layers (conv, fc) are flagged; pooling stays f32.
         assert!(r.layers()[0].quantized && r.layers()[2].quantized);
         assert!(!r.layers()[1].quantized);
         assert!(json.contains("\"quantized\":true"), "{json}");
         assert!(json.contains("\"quantized\":false"), "{json}");
 
-        // Back to f32: nothing is flagged.
+        // Back to f32: nothing is flagged, and the integer kernel —
+        // still resolved — is not part of the label.
         crate::metrics().precision_path.set(1);
         let r = ProfileReport::from_spans("f", &[span("conv1", "conv", 10)]);
         assert_eq!(r.precision(), "f32");
         assert!(!r.layers()[0].quantized);
         crate::metrics().precision_path.set(0);
+        crate::metrics().int8_kernel.set(0);
     }
 
     #[test]

@@ -266,7 +266,7 @@ pub enum ConvWeights<'a> {
     /// Int8 dense: pre-quantized weight bands against activations
     /// quantized with `act_scale` (calibrated, or the caller's max-abs
     /// estimate) — each input image once, before lowering; the
-    /// lowering moves i8 straight into the pair-interleaved panel
+    /// lowering moves i8 straight into the quad-interleaved panel
     /// layout; the multiply is [`gemm_i8`], dequantizing by
     /// `weight scale · act_scale` in its store.
     DenseI8 {

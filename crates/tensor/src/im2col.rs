@@ -8,7 +8,7 @@
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::kernels::int8::store_row_pair_with;
+use crate::kernels::int8::{padded_depth, store_row_quad_with, QUAD};
 use crate::kernels::{self, PANEL};
 
 /// Output spatial size of a convolution/pooling window sweep.
@@ -353,16 +353,17 @@ pub fn im2col_packed_prealloc(
 }
 
 /// The int8 convolution's lowering: an already-quantized image straight
-/// into the pair-interleaved i8 panel layout [`crate::gemm_i8`]
+/// into the quad-interleaved i8 panel layout [`crate::gemm_i8`]
 /// multiplies — byte for byte what [`crate::pack_b_i8_into`] makes of
 /// the f32 patch matrix of the unquantized image (lowering only moves
 /// values and pads with zero, and zero quantizes to zero). Returns the
-/// even panel depth `kp`.
+/// padded panel depth `kp`.
 ///
-/// Two patch rows at a time are lowered into `lines` (two rows of whole
-/// panels, tail lanes zero) and stored as one depth pair, so every byte
-/// of `packed` — odd-depth pad row, panel tail lanes and zero margins
-/// included — is written and neither buffer needs clearing.
+/// Four patch rows at a time are lowered into `lines` (four rows of
+/// whole panels, tail lanes zero) and stored as one depth quad, so
+/// every byte of `packed` — pad rows past the depth, panel tail lanes
+/// and zero margins included — is written and neither buffer needs
+/// clearing.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_i8_packed_prealloc(
     image: &[i8],
@@ -388,26 +389,25 @@ pub fn im2col_i8_packed_prealloc(
         stride,
     )?;
     let (k_rows, n_out) = (lo.rows, lo.n_out);
-    let kp = k_rows.next_multiple_of(2);
+    let kp = padded_depth(k_rows);
     let lanes = n_out.next_multiple_of(PANEL);
     packed.resize(lanes * kp, 0);
-    lines.resize(2 * lanes, 0);
-    let (even, odd) = lines.split_at_mut(lanes);
+    lines.resize(QUAD * lanes, 0);
     let path = kernels::selected();
-    even[n_out..].fill(0);
-    odd[n_out..].fill(0);
     let mut tap = (0, 0, 0);
-    for t in 0..kp / 2 {
-        lo.lower_row(image, tap, &mut even[..n_out]);
-        tap = lo.next_tap(tap);
-        if 2 * t + 1 < k_rows {
-            lo.lower_row(image, tap, &mut odd[..n_out]);
-            tap = lo.next_tap(tap);
-        } else {
-            // The pad row of an odd depth.
-            odd.fill(0);
+    for q in 0..kp / QUAD {
+        for (i, line) in lines.chunks_exact_mut(lanes).enumerate() {
+            if QUAD * q + i < k_rows {
+                lo.lower_row(image, tap, &mut line[..n_out]);
+                line[n_out..].fill(0);
+                tap = lo.next_tap(tap);
+            } else {
+                // A pad row past the depth.
+                line.fill(0);
+            }
         }
-        store_row_pair_with(path, even, odd, t, kp, packed);
+        let rows = std::array::from_fn(|i| &lines[i * lanes..(i + 1) * lanes]);
+        store_row_quad_with(path, rows, q, kp, packed);
     }
     Ok(kp)
 }
@@ -625,10 +625,12 @@ mod tests {
 
         /// Quantize-then-lower is byte for byte lower-then-quantize, for
         /// both i8 layouts: the i8 lowerings of the quantized image
-        /// against the quantizers run over the f32 patch matrix. The
+        /// against the f32 patch matrix quantized element by element
+        /// into each layout's definition (and, for the packed one, the
+        /// f32 packer too). The
         /// scale clips part of the range, and every scratch buffer
         /// starts oversized and poisoned, so an unwritten byte (pad row
-        /// of an odd depth, panel tail lane, zero margin) would show.
+        /// past the depth, panel tail lane, zero margin) would show.
         #[test]
         fn prop_i8_lowerings_match_quantized_f32_lowering(
             c in 1usize..4, h in 1usize..10, w in 1usize..10,
@@ -645,8 +647,20 @@ mod tests {
             let (k, n) = cols.shape();
             let q_image: Vec<i8> = image.iter().map(|&v| crate::quantize_i8(v, inv_scale)).collect();
 
-            let mut want = Vec::new();
-            let kp = crate::pack_b_i8_into(cols.as_slice(), k, n, inv_scale, &mut want);
+            // The quad layout from its definition: row `r`, column `c`
+            // of the patch matrix at `(r/4)*4*PANEL + 4*(c%PANEL) + r%4`
+            // of panel `c/PANEL`; everything else zero.
+            let kp = k.next_multiple_of(4);
+            let mut want = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
+            for r in 0..k {
+                for col in 0..n {
+                    let at = (col / PANEL) * kp * PANEL + (r / 4) * 4 * PANEL + 4 * (col % PANEL) + r % 4;
+                    want[at] = crate::quantize_i8(cols.get(r, col), inv_scale);
+                }
+            }
+            let mut via_f32 = vec![77i8; 2 * want.len() + 9];
+            prop_assert_eq!(crate::pack_b_i8_into(cols.as_slice(), k, n, inv_scale, &mut via_f32), kp);
+            prop_assert_eq!(&via_f32, &want);
             let (mut lines, mut packed) = (vec![77i8; 64], vec![77i8; 4 * want.len() + 5]);
             let got_kp = im2col_i8_packed_prealloc(
                 &q_image, c, h, w, kh, kw, pad, stride, &mut lines, &mut packed,

@@ -2,48 +2,96 @@
 //! and SpMM-row with i32 accumulation and a dequantize-in-epilogue store.
 //!
 //! These are the quantized counterparts of the f32 kernels in
-//! [`super::scalar`] / [`super::avx2`], dispatched through the same
-//! [`KernelPath`] machinery. Operands are symmetric int8 (see
+//! [`super::scalar`] / [`super::avx2`]. Operands are symmetric int8 (see
 //! [`crate::quant`]): weights and activations are `q = clamp(round(x/s),
 //! -127, 127)` for per-tensor scales, so a GEMM accumulates exact
 //! integer products and multiplies the combined scale back in at the
 //! store — `c = (Σ a_q·b_q) as f32 * (s_a·s_b)`, followed by the same
 //! bias-add/ReLU sequence as the f32 [`Epilogue`].
 //!
-//! # Bitwise parity across paths
-//!
-//! Unlike f32, int8×int8→i32 accumulation is **exact**: |q| ≤ 127 so
-//! every product fits in 15 bits and an i32 accumulator holds the sum
-//! without rounding (callers keep `k` under [`MAX_K_I8`], asserted at
-//! every entry). Exact integer addition is associative, so scalar and
-//! AVX2 produce the *same* i32 totals regardless of blocking. The
-//! dequantize store then performs an identical float sequence on both
-//! paths — `i32 as f32` (one round-to-nearest-even, which is exactly
-//! what `_mm256_cvtepi32_ps` performs), one `* scale`, one `+ bias`,
-//! compare-and-mask ReLU, never an FMA — so the int8 kernels are
-//! **bitwise identical on every path**, including `avx2-fma` (there is
-//! no integer FMA; that path simply runs the AVX2 kernel).
-//!
 //! # Layouts
 //!
-//! * `A` is row-major i8 with row stride `kp` = `k` rounded up to even
-//!   (odd-`k` rows are zero-padded — harmless under symmetric
-//!   quantization, `0` maps to `0.0`).
-//! * `B` is pair-interleaved panel-packed: `n.div_ceil(PANEL)` panels
-//!   of `kp × PANEL` i8, where each panel stores depth *pairs*
-//!   `(b[2t, j], b[2t+1, j])` contiguously per column `j`. One 16-byte
-//!   load therefore yields a full `PANEL`-column pair slice in exactly
-//!   the lane order `_mm256_madd_epi16` wants ([`store_row_pair_with`]
-//!   writes it from two row-major rows).
+//! * `A` is row-major i8 with row stride `kp` = [`padded_depth`]`(k)`,
+//!   `k` rounded up to a whole [`QUAD`] (pad bytes are zero — harmless
+//!   under symmetric quantization, `0` maps to `0.0`).
+//! * `B` is quad-interleaved panel-packed: `n.div_ceil(PANEL)` panels of
+//!   `kp × PANEL` i8, where each panel stores, per depth *quad* `r/4`,
+//!   the four depth bytes of column `j` side by side — row `r`, column
+//!   `j` of a panel sits at `(r/4)*4*PANEL + 4*j + (r%4)`. One 32-byte
+//!   load is therefore eight columns × four depths, each 32-bit lane
+//!   one column: the operand shape of `vpdpbusd`, and — sign-extended
+//!   half by half — of `vpmaddwd`. [`store_row_quad_with`] writes one
+//!   quad from four row-major rows; it is the only writer's primitive,
+//!   so every packer in [`crate::quant`] and [`mod@crate::im2col`] agrees.
 //! * SpMM `B` is plain row-major i8 (`k × n`), matching the f32 SpMM.
+//!
+//! # Three multiply kernels, one result
+//!
+//! Which integer kernel multiplies is a property of the CPU
+//! ([`Int8Kernel`], resolved by [`selected`] from the process's
+//! [`KernelPath`] and feature detection — there is no knob for it):
+//!
+//! * **scalar** — the oracle: four products per column per quad, in i32.
+//! * **avx2** — `vpmaddwd` on operands sign-extended to i16: the two
+//!   16-byte halves of a quad row against a `vpbroadcastq` of four
+//!   widened `A` values, two accumulators per row and panel (each lane
+//!   half a column's quad), folded by one `vphaddd` + `vpermd` at the
+//!   store. `A` is widened once per call into a thread-local.
+//! * **vnni** — `vpdpbusd`, 32 u8×s8 products into eight i32 lanes in
+//!   one µop with no intermediate saturation, on hosts reporting
+//!   `avxvnni` or `avx512vnni`+`avx512vl` (ymm either way; one body,
+//!   two encodings). `A` is read as signed bytes straight from the
+//!   caller's slice; the instruction wants its *other* operand
+//!   unsigned, so each loaded `B` quad row is flipped with one
+//!   `vpxor 0x80` (`b + 128` as u8, shared by every row of the tile)
+//!   and the surplus `128 · Σₖ a[r][k]` is subtracted per row before
+//!   the store.
+//!
+//! Int8×int8→i32 accumulation is **exact**: every product is at most
+//! `2¹⁴` in magnitude and at most [`MAX_K_I8`] of them are summed, so
+//! the true sum — and every partial sum of the scalar and `vpmaddwd`
+//! walks — fits an i32 for *any* bytes, raw `-128` included (`vpmaddwd`
+//! saturates only on two `-32768` inputs, unreachable from i8). The
+//! biased `vpdpbusd` sums can exceed i32, but the instruction wraps,
+//! the subtraction wraps, and arithmetic mod 2³² lands on the true sum
+//! because that sum fits. Exact integer addition is associative, so
+//! all three kernels produce the *same* i32 totals regardless of
+//! blocking. The dequantize store then performs an identical float
+//! sequence everywhere — `i32 as f32` (one round-to-nearest-even,
+//! exactly what `_mm256_cvtepi32_ps` performs), one `* scale`, one
+//! `+ bias`, compare-and-mask ReLU, never an FMA — so the int8 kernels
+//! are **bitwise identical**, under every [`KernelPath`] (there is no
+//! integer FMA; `avx2-fma` runs the same integer kernel as `avx2`).
+//!
+//! The other way to feed signed×signed into `vpdpbusd` — `vpabsb` one
+//! operand, `vpsignb` the other by its sign — spends a second µop on
+//! every product vector instead of one `vpxor` per tile column, and is
+//! wrong for `-128` (`vpsignb` cannot negate it).
 
 use super::{EpiBias, Epilogue, KernelPath, PANEL};
 
+/// Depth bytes of one column that sit side by side in a packed `B`
+/// panel (one 32-bit lane of a quad row).
+pub const QUAD: usize = 4;
+
+/// The row stride of an int8 `A` operand and the panel depth of an
+/// int8 `B` operand for logical depth `k`: `k` rounded up to a whole
+/// [`QUAD`].
+#[inline]
+pub fn padded_depth(k: usize) -> usize {
+    k.next_multiple_of(QUAD)
+}
+
 /// Maximum depth (`kp`, or SpMM row nnz) the int8 kernels accept:
-/// `MAX_K_I8 * 127 * 127 < i32::MAX`, so an i32 accumulator can never
-/// wrap. Far above any layer in this workspace (Caffenet fc6 has
-/// `k = 9216`).
-pub const MAX_K_I8: usize = 1 << 17;
+/// `MAX_K_I8 * 128 * 128 < 2³¹`, so the i32 sum of any `MAX_K_I8`
+/// i8×i8 products cannot wrap. Far above any layer in this workspace
+/// (Caffenet fc6 has `k = 9216`).
+pub const MAX_K_I8: usize = (1 << 17) - QUAD;
+
+/// Rows of `A` the SIMD band kernels hold against one group of `B`
+/// panels — eight six-row register tiles — and the band height
+/// [`crate::gemm_i8`] cuts its output into.
+pub const ROW_BAND: usize = 48;
 
 /// Quantize one value: `clamp(round(v * inv_scale), -127, 127)`.
 /// `inv_scale` is `1.0 / scale` (hoisted by callers); `round` is half
@@ -52,6 +100,124 @@ pub const MAX_K_I8: usize = 1 << 17;
 #[inline]
 pub fn quantize_i8(v: f32, inv_scale: f32) -> i8 {
     (v * inv_scale).round().clamp(-127.0, 127.0) as i8
+}
+
+/// Which integer multiply kernel runs the int8 GEMM band and GEMV.
+/// All three are bitwise equal (module docs); the variants exist so
+/// tests and benches can name each one, not so anything can choose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Int8Kernel {
+    /// Portable safe-Rust loops. Always available; the parity oracle.
+    Scalar,
+    /// `vpmaddwd` on sign-extended operands.
+    Avx2,
+    /// `vpdpbusd` (`avxvnni`, or `avx512vnni` + `avx512vl`).
+    Vnni,
+}
+
+/// An [`Int8Kernel`] the host was seen to support, down to the
+/// instruction encoding — what the dispatchers match on.
+#[derive(Clone, Copy)]
+enum Isa {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    VnniVex,
+    #[cfg(target_arch = "x86_64")]
+    VnniEvex,
+}
+
+impl Int8Kernel {
+    /// Every kernel, scalar first.
+    pub const ALL: [Int8Kernel; 3] = [Int8Kernel::Scalar, Int8Kernel::Avx2, Int8Kernel::Vnni];
+
+    /// Stable lower-case name (`scalar` / `avx2` / `vnni`) shown in
+    /// reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Int8Kernel::Scalar => "scalar",
+            Int8Kernel::Avx2 => "avx2",
+            Int8Kernel::Vnni => "vnni",
+        }
+    }
+
+    /// Numeric code published to the `int8_kernel` metrics gauge.
+    /// Matches [`cap_obs::int8_kernel_name`]; `0` is reserved for
+    /// "unset" (no int8 multiply has been dispatched yet).
+    pub fn code(self) -> u64 {
+        match self {
+            Int8Kernel::Scalar => 1,
+            Int8Kernel::Avx2 => 2,
+            Int8Kernel::Vnni => 3,
+        }
+    }
+
+    /// Detect the CPU features this kernel's `#[target_feature]`
+    /// functions are compiled with (cached by `std`; a relaxed load
+    /// per feature).
+    fn isa(self) -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if self != Int8Kernel::Scalar && is_x86_feature_detected!("avx2") {
+            if self == Int8Kernel::Avx2 {
+                return Some(Isa::Avx2);
+            }
+            if is_x86_feature_detected!("avxvnni") {
+                return Some(Isa::VnniVex);
+            }
+            if is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512vl") {
+                return Some(Isa::VnniEvex);
+            }
+        }
+        (self == Int8Kernel::Scalar).then_some(Isa::Scalar)
+    }
+
+    /// [`Int8Kernel::isa`] for a dispatcher about to enter the kernel.
+    ///
+    /// # Panics
+    /// If the host cannot run this kernel.
+    fn checked_isa(self) -> Isa {
+        self.isa()
+            .unwrap_or_else(|| panic!("int8 kernel {} is not available on this host", self.name()))
+    }
+
+    /// Whether the current host can execute this kernel.
+    pub fn is_available(self) -> bool {
+        self.isa().is_some()
+    }
+
+    /// Every kernel the current host can execute, scalar first.
+    pub fn available() -> Vec<Int8Kernel> {
+        Self::ALL.into_iter().filter(|k| k.is_available()).collect()
+    }
+
+    /// The kernel that multiplies under `path`: scalar stays scalar,
+    /// and either SIMD path takes the fastest integer kernel the CPU
+    /// has.
+    pub fn for_path(path: KernelPath) -> Int8Kernel {
+        match path {
+            KernelPath::Scalar => Int8Kernel::Scalar,
+            KernelPath::Avx2 | KernelPath::Avx2Fma if Int8Kernel::Vnni.is_available() => {
+                Int8Kernel::Vnni
+            }
+            KernelPath::Avx2 | KernelPath::Avx2Fma => Int8Kernel::Avx2,
+        }
+    }
+}
+
+/// The integer kernel behind [`crate::gemm_i8`] in this process:
+/// [`Int8Kernel::for_path`] of [`super::selected`]. Publishes the
+/// `int8_kernel` gauge, so any report of an int8 time can say which
+/// kernel produced it (written only when it changes: every multiply
+/// on every thread passes through here).
+#[inline]
+pub fn selected() -> Int8Kernel {
+    let kernel = Int8Kernel::for_path(super::selected());
+    let gauge = &cap_obs::metrics().int8_kernel;
+    if gauge.get() != kernel.code() {
+        gauge.set(kernel.code());
+    }
+    kernel
 }
 
 /// Quantize `src` element-wise into `dst` (equal lengths, asserted):
@@ -64,65 +230,72 @@ pub fn quantize_slice_with(path: KernelPath, src: &[f32], inv_scale: f32, dst: &
     match path {
         KernelPath::Scalar => scalar::quantize_slice(src, inv_scale, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `gemm_i8_packed_band_with`); the lengths were asserted
+        // SAFETY: `Avx2`/`Avx2Fma` are only ever produced by
+        // `super::selected()` / `super::force()`, both of which verify
+        // via `is_available()` that the CPU reports the avx2 feature
+        // the target_feature kernel requires; the lengths were asserted
         // equal above, which is all the kernel's raw loads and stores
         // rely on.
         KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            avx2::quantize_slice(src, inv_scale, dst)
+            x86::quantize_slice(src, inv_scale, dst)
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::quantize_slice(src, inv_scale, dst),
     }
 }
 
-/// Write depth rows `2t` (`even`) and `2t + 1` (`odd`) of a `B` operand
-/// into the pair-interleaved panel layout: column `j` of panel `p` gets
-/// the adjacent bytes `(even[p*PANEL + j], odd[p*PANEL + j])` at
-/// `p*kp*PANEL + t*2*PANEL + 2*j` — row `r`, column `j` of a panel sits
-/// at `(r/2)*2*PANEL + 2*j + (r%2)`. `even` and `odd` hold whole panels
-/// (callers zero the lanes past the last real column, and pass a zero
-/// `odd` for the pad row of an odd depth), so all `2*PANEL` bytes of
-/// pair `t` are written in every panel the rows cover, starting at
+/// Write depth rows `4q .. 4q + 4` of a `B` operand into the
+/// quad-interleaved panel layout: column `j` of panel `p` gets the four
+/// adjacent bytes `rows[0..4][p*PANEL + j]` at `p*kp*PANEL +
+/// q*4*PANEL + 4*j`. The rows hold whole panels (callers zero the lanes
+/// past the last real column, and pass zero rows for the pad rows of a
+/// depth that is not a multiple of four), so all `4*PANEL` bytes of
+/// quad `q` are written in every panel the rows cover, starting at
 /// `packed`'s first panel.
 #[inline]
-pub fn store_row_pair_with(
+pub fn store_row_quad_with(
     path: KernelPath,
-    even: &[i8],
-    odd: &[i8],
-    t: usize,
+    rows: [&[i8]; QUAD],
+    q: usize,
     kp: usize,
     packed: &mut [i8],
 ) {
-    assert_eq!(even.len(), odd.len());
-    assert!(even.len().is_multiple_of(PANEL) && 2 * t < kp);
-    assert!(packed.len() >= even.len() * kp, "packed B too short");
+    let lanes = rows[0].len();
+    assert!(rows.iter().all(|r| r.len() == lanes) && lanes.is_multiple_of(PANEL));
+    assert!(kp.is_multiple_of(QUAD) && QUAD * (q + 1) <= kp);
+    assert!(packed.len() >= lanes * kp, "packed B too short");
     match path {
-        KernelPath::Scalar => scalar::store_row_pair(even, odd, t, kp, packed),
+        KernelPath::Scalar => scalar::store_row_quad(rows, q, kp, packed),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `gemm_i8_packed_band_with`); the asserts above are the
-        // bounds of every raw load and store in the kernel.
+        // (see `quantize_slice_with`); the asserts above are the bounds
+        // of every raw load and store in the kernel.
         KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            avx2::store_row_pair(even, odd, t, kp, packed)
+            x86::store_row_quad(rows, q, kp, packed)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::store_row_pair(even, odd, t, kp, packed),
+        _ => scalar::store_row_quad(rows, q, kp, packed),
     }
 }
 
-/// One row band of the pair-interleaved int8 GEMM with a fused
+/// One row band of the quad-interleaved int8 GEMM with a fused
 /// dequantize + bias/ReLU store: rows `row0 .. row0 + c_band.len()/n`
-/// of the row-major i8 `a_data` (row stride `kp`, even) against the
-/// panel-packed i8 `b_data`, writing dequantized f32 into `c_band`.
+/// of the row-major i8 `a_data` (row stride `kp`, a multiple of
+/// [`QUAD`]) against the panel-packed i8 `b_data`, writing dequantized
+/// f32 into `c_band`.
 ///
 /// `scale` is the combined dequantization factor (`s_a · s_b`); `epi`
 /// is applied after it exactly as in the f32 fused kernels. Outputs are
-/// bitwise identical on every [`KernelPath`] (see module docs).
+/// bitwise identical on every [`Int8Kernel`] (see module docs).
+///
+/// # Panics
+/// If the host cannot run `kernel`, `kp` is not a multiple of four or
+/// exceeds [`MAX_K_I8`], or a slice or the epilogue's bias is too short
+/// for the band.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_i8_packed_band_with(
-    path: KernelPath,
+    kernel: Int8Kernel,
     a_data: &[i8],
     kp: usize,
     n: usize,
@@ -132,35 +305,36 @@ pub fn gemm_i8_packed_band_with(
     scale: f32,
     epi: Epilogue<'_>,
 ) {
-    match path {
-        KernelPath::Scalar => {
-            scalar::gemm_i8_packed_band(a_data, kp, n, b_data, c_band, row0, scale, epi)
-        }
+    match kernel.checked_isa() {
+        Isa::Scalar => scalar::gemm_i8_packed_band(a_data, kp, n, b_data, c_band, row0, scale, epi),
+        // SAFETY (all three): `checked_isa` just saw the CPU report
+        // every feature the arm's `#[target_feature]` function enables;
+        // slice, depth and bias bounds are asserted inside the kernel
+        // before any raw load.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2`/`Avx2Fma` are only ever produced by
-        // `super::selected()` / `super::force()`, both of which verify
-        // via `is_available()` that the CPU reports the avx2 feature
-        // the target_feature kernel requires (fma implies avx2 too;
-        // integer kernels have no FMA variant). Slice bounds are
-        // asserted inside the kernel before any raw load.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            avx2::gemm_i8_packed_band(a_data, kp, n, b_data, c_band, row0, scale, epi)
+        Isa::Avx2 => unsafe { x86::band_madd(a_data, kp, n, b_data, c_band, row0, scale, epi) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::VnniVex => unsafe {
+            x86::band_vnni_vex(a_data, kp, n, b_data, c_band, row0, scale, epi)
         },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemm_i8_packed_band(a_data, kp, n, b_data, c_band, row0, scale, epi),
+        #[cfg(target_arch = "x86_64")]
+        Isa::VnniEvex => unsafe {
+            x86::band_vnni_evex(a_data, kp, n, b_data, c_band, row0, scale, epi)
+        },
     }
 }
 
-/// Int8 matvec against the pair-interleaved panel-packed `b_data`:
-/// `c_row[..n] = dequant(a_row · B)` with `kp = a_row.len()` (even).
-/// `row_abs` is the absolute output row this matvec computes — it
-/// indexes a [`EpiBias::PerRow`] bias (0 for a standalone matvec).
-/// The batch-1 shape of [`gemm_i8_packed_band_with`], bit-identical to
-/// a 1-row band on every path.
+/// Int8 matvec against the quad-interleaved panel-packed `b_data`:
+/// `c_row[..n] = dequant(a_row · B)` with `kp = a_row.len()` (a
+/// multiple of [`QUAD`]). `row_abs` is the absolute output row this
+/// matvec computes — it indexes a [`EpiBias::PerRow`] bias (0 for a
+/// standalone matvec). The batch-1 shape of
+/// [`gemm_i8_packed_band_with`] — the same tile at one row × four
+/// panels — bit-identical to a 1-row band on every kernel; same panics.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn gemv_i8_packed_with(
-    path: KernelPath,
+    kernel: Int8Kernel,
     a_row: &[i8],
     n: usize,
     b_data: &[i8],
@@ -169,16 +343,17 @@ pub fn gemv_i8_packed_with(
     scale: f32,
     epi: Epilogue<'_>,
 ) {
-    match path {
-        KernelPath::Scalar => scalar::gemv_i8_packed(a_row, n, b_data, c_row, row_abs, scale, epi),
+    match kernel.checked_isa() {
+        Isa::Scalar => scalar::gemv_i8_packed(a_row, n, b_data, c_row, row_abs, scale, epi),
+        // SAFETY (all three): as in `gemm_i8_packed_band_with`.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `gemm_i8_packed_band_with`); bounds asserted in the kernel.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            avx2::gemv_i8_packed(a_row, n, b_data, c_row, row_abs, scale, epi)
+        Isa::Avx2 => unsafe { x86::gemv_madd(a_row, n, b_data, c_row, row_abs, scale, epi) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::VnniVex => unsafe { x86::gemv_vnni_vex(a_row, n, b_data, c_row, row_abs, scale, epi) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::VnniEvex => unsafe {
+            x86::gemv_vnni_evex(a_row, n, b_data, c_row, row_abs, scale, epi)
         },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::gemv_i8_packed(a_row, n, b_data, c_row, row_abs, scale, epi),
     }
 }
 
@@ -215,9 +390,9 @@ pub fn spmm_i8_row_with(
         }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `gemm_i8_packed_band_with`); bounds asserted in the kernel.
+        // (see `quantize_slice_with`); bounds asserted in the kernel.
         KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            avx2::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu)
+            x86::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu)
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu),
@@ -225,7 +400,7 @@ pub fn spmm_i8_row_with(
 }
 
 /// Dequantize one accumulator slot and apply the epilogue — the single
-/// shared float sequence both paths replay per element: `i32 as f32`,
+/// shared float sequence every kernel replays per element: `i32 as f32`,
 /// `* scale`, `+ bias`, compare-ReLU. Kept scalar here as the
 /// reference; the AVX2 store performs the same operations eight lanes
 /// at a time (`_mm256_cvtepi32_ps` rounds exactly like `as f32`).
@@ -241,9 +416,11 @@ fn dequant_one(acc: i32, scale: f32, bias: f32, has_bias: bool, relu: bool) -> f
     v
 }
 
-/// Portable reference kernels — the parity oracle for the AVX2 path.
+/// Portable reference kernels — the parity oracle for the SIMD kernels.
 mod scalar {
-    use super::{dequant_one, quantize_i8, EpiBias, Epilogue, MAX_K_I8, PANEL, SPMM_I8_BLOCK};
+    use super::{
+        dequant_one, quantize_i8, EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD, SPMM_I8_BLOCK,
+    };
 
     pub fn quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
         for (d, &v) in dst.iter_mut().zip(src) {
@@ -251,13 +428,14 @@ mod scalar {
         }
     }
 
-    pub fn store_row_pair(even: &[i8], odd: &[i8], t: usize, kp: usize, packed: &mut [i8]) {
-        let rows = even.chunks_exact(PANEL).zip(odd.chunks_exact(PANEL));
-        for (panel, (e, o)) in packed.chunks_exact_mut(kp * PANEL).zip(rows) {
-            let pair = &mut panel[t * 2 * PANEL..(t + 1) * 2 * PANEL];
-            for ((d, &e), &o) in pair.chunks_exact_mut(2).zip(e).zip(o) {
-                d[0] = e;
-                d[1] = o;
+    pub fn store_row_quad(rows: [&[i8]; QUAD], q: usize, kp: usize, packed: &mut [i8]) {
+        let panels = packed.chunks_exact_mut(kp * PANEL);
+        for (p, panel) in panels.take(rows[0].len() / PANEL).enumerate() {
+            let quad = &mut panel[q * QUAD * PANEL..(q + 1) * QUAD * PANEL];
+            for (j, column) in quad.chunks_exact_mut(QUAD).enumerate() {
+                for (d, row) in column.iter_mut().zip(rows) {
+                    *d = row[p * PANEL + j];
+                }
             }
         }
     }
@@ -292,7 +470,10 @@ mod scalar {
         epi: Epilogue<'_>,
     ) {
         let kp = a_row.len();
-        assert!(kp.is_multiple_of(2), "int8 pack: depth {kp} must be even");
+        assert!(
+            kp.is_multiple_of(QUAD),
+            "int8 pack: depth {kp} must be a multiple of {QUAD}"
+        );
         assert!(kp <= MAX_K_I8, "int8 kernel: depth {kp} overflows i32");
         let panels = n.div_ceil(PANEL);
         let plen = kp * PANEL;
@@ -302,11 +483,14 @@ mod scalar {
         for p in 0..panels {
             let panel = &b_data[p * plen..(p + 1) * plen];
             let mut acc = [0i32; PANEL];
-            for (t, pair) in panel.chunks_exact(2 * PANEL).enumerate() {
-                let a0 = a_row[2 * t] as i32;
-                let a1 = a_row[2 * t + 1] as i32;
-                for (a, bp) in acc.iter_mut().zip(pair.chunks_exact(2)) {
-                    *a += a0 * bp[0] as i32 + a1 * bp[1] as i32;
+            for (quad, a) in panel
+                .chunks_exact(QUAD * PANEL)
+                .zip(a_row.chunks_exact(QUAD))
+            {
+                for (sum, column) in acc.iter_mut().zip(quad.chunks_exact(QUAD)) {
+                    for (&av, &bv) in a.iter().zip(column) {
+                        *sum += av as i32 * bv as i32;
+                    }
                 }
             }
             let c0 = p * PANEL;
@@ -379,43 +563,25 @@ mod scalar {
     }
 }
 
-/// AVX2 int8 kernels (`x86_64` only). Same caller contract as
-/// [`super::avx2`]: the dispatch layer above is the only caller and has
-/// verified the avx2 CPU feature; slice invariants are asserted at
-/// entry. `_mm256_madd_epi16` on sign-extended i8 pairs is exact (the
-/// only saturating madd case needs two `-32768` inputs, unreachable
-/// from i8), so these produce the same i32 totals as the scalar loops.
+/// AVX2 and VNNI int8 kernels (`x86_64` only). The dispatchers above
+/// are the only callers: each has seen the CPU report the features of
+/// the `#[target_feature]` function it enters, and every such function
+/// asserts its slice invariants at entry, before any raw load.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_op_in_unsafe_fn)]
-mod avx2 {
-    use super::{EpiBias, Epilogue, MAX_K_I8, PANEL, SPMM_I8_BLOCK};
+mod x86 {
+    use super::{EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD, ROW_BAND, SPMM_I8_BLOCK};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
     thread_local! {
-        /// Per-thread scratch holding the current A band sign-extended
-        /// to i16. Widening once per kernel call turns the per-panel
-        /// activation broadcast from two scalar byte loads plus
-        /// shift/or/`set1` (~5 uops, repeated for every panel pass)
-        /// into a single `vpbroadcastd` from memory — the band kernel's
-        /// former bottleneck. Purely a speed transform: the widened
-        /// values are the same integers, so results stay bit-identical.
+        /// Per-thread scratch holding the `vpmaddwd` kernel's current A
+        /// band sign-extended to i16, so four activations reach all
+        /// lanes as one `vpbroadcastq` from memory. Purely a speed
+        /// transform: the widened values are the same integers. (The
+        /// VNNI kernel reads A's bytes where the caller put them.)
         static A16: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
-
-        /// Per-thread i32 accumulator spill for the depth-chunked band
-        /// path (`pairs > KC_PAIRS`): 8 rows × panel-rounded `n`.
-        static ACC32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
     }
-
-    /// Depth-pair chunk of the blocked band path. At Caffenet's deepest
-    /// shapes (`kp` ≈ 2300+) the eight widened A rows plus one packed
-    /// panel overflow L1 and every panel pass re-misses; chunking the
-    /// depth walk keeps the live slices (8 × `KC_PAIRS` i16 of A,
-    /// `KC_PAIRS × 16` i8 of B, the i32 spill row) cache-resident.
-    /// Exact integer accumulation makes the re-blocking invisible in
-    /// the results.
-    const KC_PAIRS: usize = 256;
-
     /// `quantize_i8` on eight lanes, as i32: multiply, NaN → 0, clamp to
     /// ±127, round half away from zero. Clamping first is exact: the
     /// bounds are integers and rounding is monotonic. The rounding is
@@ -478,38 +644,40 @@ mod avx2 {
         super::scalar::quantize_slice(&src[i..], inv_scale, &mut dst[i..]);
     }
 
-    /// Pair store; see the scalar oracle. One `punpcklbw` interleaves a
-    /// panel's eight `even` bytes with its eight `odd` bytes into the
-    /// sixteen bytes of depth pair `t`.
+    /// Quad store; see the scalar oracle. Per panel, two `punpcklbw`
+    /// pair rows 0/1 and 2/3 byte by byte, and `punpcklwd` / `punpckhwd`
+    /// of those put the four depth bytes of columns 0–3 / 4–7 side by
+    /// side: the thirty-two bytes of depth quad `q`.
     ///
     /// # Safety
-    /// CPU must support AVX2 (verified by the dispatch layer);
-    /// `even.len() == odd.len()`, a multiple of `PANEL`; `2*t < kp`;
-    /// `packed.len() >= even.len() * kp` (all asserted by the dispatch
-    /// layer).
+    /// CPU must support AVX2 (verified by the dispatch layer); the four
+    /// rows are equally long, a multiple of `PANEL`; `4*(q+1) <= kp`;
+    /// `packed.len() >= rows[0].len() * kp` (all asserted by the
+    /// dispatch layer).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn store_row_pair(even: &[i8], odd: &[i8], t: usize, kp: usize, packed: &mut [i8]) {
-        let (ep, op) = (even.as_ptr(), odd.as_ptr());
-        let dst = packed.as_mut_ptr().add(t * 2 * PANEL);
-        for p in 0..even.len() / PANEL {
-            let e = _mm_loadl_epi64(ep.add(p * PANEL) as *const __m128i);
-            let o = _mm_loadl_epi64(op.add(p * PANEL) as *const __m128i);
-            // Last byte written: p*kp*PANEL + (t+1)*2*PANEL - 1, inside
-            // panel `p` because 2*(t+1) <= kp.
-            _mm_storeu_si128(
-                dst.add(p * kp * PANEL) as *mut __m128i,
-                _mm_unpacklo_epi8(e, o),
-            );
+    pub unsafe fn store_row_quad(rows: [&[i8]; QUAD], q: usize, kp: usize, packed: &mut [i8]) {
+        let [r0, r1, r2, r3] = rows;
+        let dst = packed.as_mut_ptr().add(q * QUAD * PANEL);
+        for p in 0..r0.len() / PANEL {
+            let at = |row: &[i8]| _mm_loadl_epi64(row.as_ptr().add(p * PANEL) as *const __m128i);
+            let r01 = _mm_unpacklo_epi8(at(r0), at(r1));
+            let r23 = _mm_unpacklo_epi8(at(r2), at(r3));
+            // Last byte written: p*kp*PANEL + (q+1)*QUAD*PANEL - 1,
+            // inside panel `p` because QUAD*(q+1) <= kp.
+            let quad = dst.add(p * kp * PANEL) as *mut __m128i;
+            _mm_storeu_si128(quad, _mm_unpacklo_epi16(r01, r23));
+            _mm_storeu_si128(quad.add(1), _mm_unpackhi_epi16(r01, r23));
         }
     }
 
-    /// Sign-extend `rows` rows of the row-major i8 `a_data` (row stride
-    /// `kp`, starting at `row0`) into `buf` as contiguous i16 rows.
+    /// Sign-extend the first `rows` rows of the row-major i8 `a` (row
+    /// stride `kp`; `a.len() >= rows * kp`) into `buf` as contiguous
+    /// i16 rows.
     #[inline(always)]
-    unsafe fn widen_rows(a_data: &[i8], row0: usize, rows: usize, kp: usize, buf: &mut Vec<i16>) {
+    unsafe fn widen_rows(a: &[i8], rows: usize, kp: usize, buf: &mut Vec<i16>) {
         buf.resize(rows * kp, 0);
         for r in 0..rows {
-            let src = a_data.as_ptr().add((row0 + r) * kp);
+            let src = a.as_ptr().add(r * kp);
             let dst = buf.as_mut_ptr().add(r * kp);
             let mut t = 0;
             while t + 16 <= kp {
@@ -524,188 +692,342 @@ mod avx2 {
         }
     }
 
-    /// Per-store epilogue state, bounds-checked once at kernel entry
-    /// (mirror of the f32 `FusedEpi` in [`crate::kernels::avx2`]).
-    #[derive(Clone, Copy)]
-    struct EpiI8<'a> {
-        row_bias: Option<&'a [f32]>,
-        col_bias: Option<&'a [f32]>,
+    /// Where the sums of one band or GEMV call go, and how: the output
+    /// rows (`n` wide, the first being absolute row `row0`), the
+    /// dequantization scale and the epilogue — built only by
+    /// [`Out::checked`], whose asserts are the bounds of every raw load
+    /// and store the kernels make.
+    struct Out<'c, 'e> {
+        kp: usize,
+        n: usize,
+        c: &'c mut [f32],
+        row0: usize,
+        scale: f32,
+        row_bias: Option<&'e [f32]>,
+        col_bias: Option<&'e [f32]>,
         relu: bool,
     }
 
-    impl<'a> EpiI8<'a> {
-        fn from_epilogue(epi: Epilogue<'a>, rows_needed: usize, n: usize) -> Self {
-            epi.check(rows_needed, n);
+    impl<'c, 'e> Out<'c, 'e> {
+        /// The entry asserts of every band and GEMV kernel: the depth
+        /// is whole quads within [`MAX_K_I8`], `a` holds the call's
+        /// `rows` rows of it, `b` the panels of `n` columns, `c` the
+        /// `rows × n` outputs, and the epilogue's bias covers absolute
+        /// rows up to `row0 + rows` and `n` columns.
+        #[allow(clippy::too_many_arguments)]
+        fn checked(
+            kp: usize,
+            a: &[i8],
+            rows: usize,
+            n: usize,
+            b: &[i8],
+            c: &'c mut [f32],
+            row0: usize,
+            scale: f32,
+            epi: Epilogue<'e>,
+        ) -> Self {
+            assert!(
+                kp.is_multiple_of(QUAD),
+                "int8 pack: depth {kp} must be a multiple of {QUAD}"
+            );
+            assert!(kp <= MAX_K_I8, "int8 kernel: depth {kp} overflows i32");
+            assert!(a.len() >= rows * kp);
+            assert!(b.len() >= n.div_ceil(PANEL) * kp * PANEL);
+            assert!(c.len() >= rows * n);
+            epi.check(row0 + rows, n);
             let (row_bias, col_bias) = match epi.bias {
                 Some(EpiBias::PerRow(b)) => (Some(b), None),
                 Some(EpiBias::PerCol(b)) => (None, Some(b)),
                 None => (None, None),
             };
-            EpiI8 {
+            Out {
+                kp,
+                n,
+                c,
+                row0,
+                scale,
                 row_bias,
                 col_bias,
                 relu: epi.relu,
             }
         }
-    }
 
-    /// Broadcast the widened activation pair `(a[2t], a[2t+1])` into
-    /// all eight 32-bit lanes as adjacent i16s — the left operand of
-    /// `_mm256_madd_epi16` against a pair-interleaved B load. `aw` is
-    /// an i16 row from [`widen_rows`], so one pair is exactly one
-    /// (possibly unaligned) 32-bit load: a single `vpbroadcastd`.
-    #[inline(always)]
-    unsafe fn broadcast_pair(aw: *const i16, t: usize) -> __m256i {
-        _mm256_set1_epi32((aw.add(2 * t) as *const i32).read_unaligned())
-    }
-
-    /// Load depth-pair `t` of one packed panel: 16 i8 → 16 i16 lanes in
-    /// `(b[2t, j], b[2t+1, j])` column order.
-    #[inline(always)]
-    unsafe fn load_pair_panel(pn: *const i8, t: usize) -> __m256i {
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(pn.add(t * 2 * PANEL) as *const __m128i))
-    }
-
-    /// Dequantize one accumulator register and store it through the
-    /// epilogue — element-wise the exact float sequence of the scalar
-    /// `dequant_one`: `_mm256_cvtepi32_ps` rounds like `i32 as f32`
-    /// (nearest-even), then one mul, one add, compare-and-mask ReLU.
-    /// No FMA anywhere, so lanes are bitwise equal to scalar.
-    #[inline(always)]
-    unsafe fn store_dequant(
-        acc: __m256i,
-        row: &mut [f32],
-        c0: usize,
-        width: usize,
-        row_abs: usize,
-        scale: f32,
-        fe: EpiI8<'_>,
-    ) {
-        let mut v = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_set1_ps(scale));
-        if let Some(b) = fe.row_bias {
-            v = _mm256_add_ps(v, _mm256_set1_ps(b[row_abs]));
-        }
-        if let Some(b) = fe.col_bias {
-            let bv = if width == PANEL {
-                // In bounds: width == PANEL implies c0 + PANEL <= n and
-                // `from_epilogue` asserted b.len() >= n.
-                _mm256_loadu_ps(b.as_ptr().add(c0))
+        /// Dequantize one register of sums — row `r` of this call,
+        /// panel `p` — and store it through the epilogue:
+        /// element-wise the exact float sequence of the scalar
+        /// `dequant_one`. `_mm256_cvtepi32_ps` rounds like `i32 as f32`
+        /// (nearest-even), then one mul, one add, compare-and-mask
+        /// ReLU. No FMA anywhere, so lanes are bitwise equal to scalar.
+        #[inline(always)]
+        unsafe fn store(&mut self, sums: __m256i, r: usize, p: usize) {
+            let (n, c0) = (self.n, p * PANEL);
+            let width = PANEL.min(n - c0);
+            let mut v = _mm256_mul_ps(_mm256_cvtepi32_ps(sums), _mm256_set1_ps(self.scale));
+            if let Some(b) = self.row_bias {
+                v = _mm256_add_ps(v, _mm256_set1_ps(b[self.row0 + r]));
+            }
+            if let Some(b) = self.col_bias {
+                let bv = if width == PANEL {
+                    // In bounds: width == PANEL implies c0 + PANEL <= n
+                    // and `checked` asserted b.len() >= n.
+                    _mm256_loadu_ps(b.as_ptr().add(c0))
+                } else {
+                    let mut tmp = [0.0f32; PANEL];
+                    tmp[..width].copy_from_slice(&b[c0..c0 + width]);
+                    _mm256_loadu_ps(tmp.as_ptr())
+                };
+                v = _mm256_add_ps(v, bv);
+            }
+            if self.relu {
+                let pos = _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ);
+                v = _mm256_and_ps(v, pos);
+            }
+            let row = &mut self.c[r * n..(r + 1) * n];
+            if width == PANEL {
+                // In bounds: `row` is `n` long and c0 + PANEL <= n.
+                _mm256_storeu_ps(row.as_mut_ptr().add(c0), v);
             } else {
                 let mut tmp = [0.0f32; PANEL];
-                tmp[..width].copy_from_slice(&b[c0..c0 + width]);
-                _mm256_loadu_ps(tmp.as_ptr())
-            };
-            v = _mm256_add_ps(v, bv);
-        }
-        if fe.relu {
-            let pos = _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ);
-            v = _mm256_and_ps(v, pos);
-        }
-        if width == PANEL {
-            _mm256_storeu_ps(row.as_mut_ptr().add(c0), v);
-        } else {
-            let mut tmp = [0.0f32; PANEL];
-            _mm256_storeu_ps(tmp.as_mut_ptr(), v);
-            row[c0..c0 + width].copy_from_slice(&tmp[..width]);
+                _mm256_storeu_ps(tmp.as_mut_ptr(), v);
+                row[c0..c0 + width].copy_from_slice(&tmp[..width]);
+            }
         }
     }
 
-    /// Int8 GEMV over pair-interleaved panels; see the scalar oracle.
-    ///
-    /// # Safety
-    /// CPU must support AVX2 (verified by the dispatch layer).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemv_i8_packed(
-        a_row: &[i8],
-        n: usize,
-        b_data: &[i8],
-        c_row: &mut [f32],
-        row_abs: usize,
-        scale: f32,
-        epi: Epilogue<'_>,
-    ) {
-        let kp = a_row.len();
-        assert!(kp.is_multiple_of(2), "int8 pack: depth {kp} must be even");
-        assert!(kp <= MAX_K_I8, "int8 kernel: depth {kp} overflows i32");
-        let panels = n.div_ceil(PANEL);
-        let plen = kp * PANEL;
-        assert!(b_data.len() >= panels * plen);
-        assert!(c_row.len() >= n);
-        let fe = EpiI8::from_epilogue(epi, row_abs + 1, n);
-        A16.with(|cell| {
-            let buf = &mut *cell.borrow_mut();
-            widen_rows(a_row, 0, 1, kp, buf);
-            gemv_body(buf.as_ptr(), kp, n, b_data, c_row, row_abs, scale, fe);
-        });
+    /// One way of multiplying a register tile of the quad layout:
+    /// `R` rows of `A` against `P` panels of `B` over the whole depth.
+    /// The band and GEMV walks below are written once over it.
+    trait Mac {
+        /// Element of the `A` rows the tile reads: the caller's bytes,
+        /// or a widened copy.
+        type A: Copy;
+
+        /// What [`Mac::tile`] must subtract from every sum of the row
+        /// at `a_row` (`kp` elements) — computed once per row, not
+        /// once per tile.
+        #[inline(always)]
+        unsafe fn row_surplus(_a_row: *const Self::A, _kp: usize) -> i32 {
+            0
+        }
+
+        /// The `R × P` tile: `Σₖ a[r][k] · b[k][j]` for rows `a`,
+        /// `a + kp`, … and the eight columns of each panel at `pn`, as
+        /// one i32 register per row and panel, lanes in column order.
+        /// Reads `R × kp` elements of `a` and `kp × PANEL` bytes of
+        /// each panel.
+        unsafe fn tile<const R: usize, const P: usize>(
+            a: *const Self::A,
+            kp: usize,
+            surplus: &[i32],
+            pn: [*const i8; P],
+        ) -> [[__m256i; P]; R];
     }
 
-    /// Shared GEMV body over a widened (i16) activation row: four
-    /// panels per pass (4 independent madd/add chains) while the packed
-    /// operand streams through once.
+    /// `vpmaddwd` on sign-extended operands. Exact: the lone
+    /// saturating case needs two `-32768` inputs, unreachable from i8.
+    struct Madd;
+
+    impl Mac for Madd {
+        type A = i16;
+
+        /// Per quad and panel, the two 16-byte halves of the quad row
+        /// widen to columns 0–3 and 4–7 (four depths each, adjacent);
+        /// `vpmaddwd` against the row's four activations, broadcast as
+        /// one 64-bit load, leaves each column's quad as two adjacent
+        /// i32 lanes. `lo`/`hi` accumulate those per row; the end folds
+        /// each pair with `vphaddd` — which interleaves the halves per
+        /// 128-bit lane as columns 0 1 4 5 | 2 3 6 7 — and `vpermd`
+        /// restores column order.
+        #[inline(always)]
+        unsafe fn tile<const R: usize, const P: usize>(
+            a: *const i16,
+            kp: usize,
+            _surplus: &[i32],
+            pn: [*const i8; P],
+        ) -> [[__m256i; P]; R] {
+            let zero = _mm256_setzero_si256();
+            let mut lo = [[zero; P]; R];
+            let mut hi = [[zero; P]; R];
+            for q in 0..kp / QUAD {
+                let mut b = [(zero, zero); P];
+                for p in 0..P {
+                    let quad = pn[p].add(q * QUAD * PANEL) as *const __m128i;
+                    b[p] = (
+                        _mm256_cvtepi8_epi16(_mm_loadu_si128(quad)),
+                        _mm256_cvtepi8_epi16(_mm_loadu_si128(quad.add(1))),
+                    );
+                }
+                for r in 0..R {
+                    let four = a.add(r * kp + q * QUAD) as *const i64;
+                    let av = _mm256_set1_epi64x(four.read_unaligned());
+                    for p in 0..P {
+                        lo[r][p] = _mm256_add_epi32(lo[r][p], _mm256_madd_epi16(b[p].0, av));
+                        hi[r][p] = _mm256_add_epi32(hi[r][p], _mm256_madd_epi16(b[p].1, av));
+                    }
+                }
+            }
+            let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
+            let mut sums = [[zero; P]; R];
+            for r in 0..R {
+                for p in 0..P {
+                    let folded = _mm256_hadd_epi32(lo[r][p], hi[r][p]);
+                    sums[r][p] = _mm256_permutevar8x32_epi32(folded, order);
+                }
+            }
+            sums
+        }
+    }
+
+    /// Sum of the eight i32 lanes.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemv_body(
-        ap: *const i16,
-        kp: usize,
-        n: usize,
-        b_data: &[i8],
-        c_row: &mut [f32],
-        row_abs: usize,
-        scale: f32,
-        fe: EpiI8<'_>,
-    ) {
-        let pairs = kp / 2;
-        let panels = n.div_ceil(PANEL);
-        let plen = kp * PANEL;
-        let mut p = 0;
-        while p + 4 <= panels {
-            let pn0 = b_data.as_ptr().add(p * plen);
-            let pn1 = b_data.as_ptr().add((p + 1) * plen);
-            let pn2 = b_data.as_ptr().add((p + 2) * plen);
-            let pn3 = b_data.as_ptr().add((p + 3) * plen);
-            let mut acc0 = _mm256_setzero_si256();
-            let mut acc1 = _mm256_setzero_si256();
-            let mut acc2 = _mm256_setzero_si256();
-            let mut acc3 = _mm256_setzero_si256();
-            for t in 0..pairs {
-                let av = broadcast_pair(ap, t);
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(load_pair_panel(pn0, t), av));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(load_pair_panel(pn1, t), av));
-                acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(load_pair_panel(pn2, t), av));
-                acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(load_pair_panel(pn3, t), av));
-            }
-            for (i, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                let c0 = (p + i) * PANEL;
-                let width = PANEL.min(n - c0);
-                store_dequant(acc, c_row, c0, width, row_abs, scale, fe);
-            }
-            p += 4;
-        }
-        while p < panels {
-            let pn = b_data.as_ptr().add(p * plen);
-            let mut acc = _mm256_setzero_si256();
-            for t in 0..pairs {
-                let av = broadcast_pair(ap, t);
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(load_pair_panel(pn, t), av));
-            }
-            let c0 = p * PANEL;
-            let width = PANEL.min(n - c0);
-            store_dequant(acc, c_row, c0, width, row_abs, scale, fe);
-            p += 1;
-        }
+    unsafe fn hsum_epi32(v: __m256i) -> i32 {
+        let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b10_11_00_01));
+        _mm_cvtsi128_si32(s)
     }
 
-    /// Int8 GEMM band: four output rows × two packed panels per pass
-    /// (eight live madd/add chains, each B load shared by four rows).
-    /// Exact i32 accumulation keeps this bit-identical to the scalar
-    /// row-at-a-time walk.
+    /// The `vpdpbusd` kernel for one encoding of the instruction: the
+    /// [`Mac`] and its two `#[target_feature]` entry points. `$dpbusd`
+    /// is `(acc, u8 lanes, s8 lanes) -> acc + Σ₄ u8·s8` per 32-bit
+    /// lane, wrapping.
+    macro_rules! vnni_kernel {
+        ($mac:ident, $band:ident, $gemv:ident, $features:literal, $dpbusd:ident) => {
+            struct $mac;
+
+            impl Mac for $mac {
+                type A = i8;
+
+                /// `128 · Σₖ a[k]`: what the `+128` on every `B` byte
+                /// adds to each sum of this row. At most `2³¹ − 2¹⁶`
+                /// in magnitude ([`MAX_K_I8`]).
+                #[inline(always)]
+                unsafe fn row_surplus(a_row: *const i8, kp: usize) -> i32 {
+                    let ones = _mm256_set1_epi8(1);
+                    let mut sums = _mm256_setzero_si256();
+                    let mut t = 0;
+                    while t + 32 <= kp {
+                        let av = _mm256_loadu_si256(a_row.add(t) as *const __m256i);
+                        sums = $dpbusd(sums, ones, av);
+                        t += 32;
+                    }
+                    let mut sum = hsum_epi32(sums);
+                    while t < kp {
+                        sum += *a_row.add(t) as i32;
+                        t += 1;
+                    }
+                    128 * sum
+                }
+
+                /// Per quad, each panel's quad row is loaded and
+                /// flipped to unsigned once, then multiplied against
+                /// every row's four activation bytes (one 32-bit
+                /// broadcast load): `R × P` independent `vpdpbusd`
+                /// chains — 6 × 2 fills the sixteen ymm registers with
+                /// twelve accumulators, two `B` rows, the broadcast and
+                /// the flip mask.
+                #[inline(always)]
+                unsafe fn tile<const R: usize, const P: usize>(
+                    a: *const i8,
+                    kp: usize,
+                    surplus: &[i32],
+                    pn: [*const i8; P],
+                ) -> [[__m256i; P]; R] {
+                    let zero = _mm256_setzero_si256();
+                    let flip = _mm256_set1_epi8(-128);
+                    let mut sums = [[zero; P]; R];
+                    for q in 0..kp / QUAD {
+                        let mut b = [zero; P];
+                        for p in 0..P {
+                            let quad = pn[p].add(q * QUAD * PANEL) as *const __m256i;
+                            b[p] = _mm256_xor_si256(_mm256_loadu_si256(quad), flip);
+                        }
+                        for r in 0..R {
+                            let four = a.add(r * kp + q * QUAD) as *const i32;
+                            let av = _mm256_set1_epi32(four.read_unaligned());
+                            for p in 0..P {
+                                sums[r][p] = $dpbusd(sums[r][p], b[p], av);
+                            }
+                        }
+                    }
+                    for r in 0..R {
+                        let over = _mm256_set1_epi32(surplus[r]);
+                        for p in 0..P {
+                            sums[r][p] = _mm256_sub_epi32(sums[r][p], over);
+                        }
+                    }
+                    sums
+                }
+            }
+
+            /// Int8 GEMM band on `vpdpbusd`; see the scalar oracle.
+            ///
+            /// # Safety
+            /// The CPU must support the enabled target features
+            /// (verified by the dispatch layer).
+            #[target_feature(enable = $features)]
+            #[allow(clippy::too_many_arguments)]
+            pub unsafe fn $band(
+                a_data: &[i8],
+                kp: usize,
+                n: usize,
+                b_data: &[i8],
+                c_band: &mut [f32],
+                row0: usize,
+                scale: f32,
+                epi: Epilogue<'_>,
+            ) {
+                let rows = c_band.len() / n.max(1);
+                let a = &a_data[row0 * kp..];
+                let mut out = Out::checked(kp, a, rows, n, b_data, c_band, row0, scale, epi);
+                band_body::<$mac, 2>(a.as_ptr(), rows, b_data, &mut out);
+            }
+
+            /// Int8 GEMV on `vpdpbusd`; see the scalar oracle.
+            ///
+            /// # Safety
+            /// The CPU must support the enabled target features
+            /// (verified by the dispatch layer).
+            #[target_feature(enable = $features)]
+            #[allow(clippy::too_many_arguments)]
+            pub unsafe fn $gemv(
+                a_row: &[i8],
+                n: usize,
+                b_data: &[i8],
+                c_row: &mut [f32],
+                row_abs: usize,
+                scale: f32,
+                epi: Epilogue<'_>,
+            ) {
+                let kp = a_row.len();
+                let mut out = Out::checked(kp, a_row, 1, n, b_data, c_row, row_abs, scale, epi);
+                rows_by_panels::<$mac, 4>(a_row.as_ptr(), 0, 1, b_data, &mut out);
+            }
+        };
+    }
+
+    vnni_kernel!(
+        VnniVex,
+        band_vnni_vex,
+        gemv_vnni_vex,
+        "avx2,avxvnni",
+        _mm256_dpbusd_avx_epi32
+    );
+    vnni_kernel!(
+        VnniEvex,
+        band_vnni_evex,
+        gemv_vnni_evex,
+        "avx2,avx512vnni,avx512vl",
+        _mm256_dpbusd_epi32
+    );
+
+    /// Int8 GEMM band on `vpmaddwd`; see the scalar oracle.
     ///
     /// # Safety
     /// CPU must support AVX2 (verified by the dispatch layer).
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_i8_packed_band(
+    pub unsafe fn band_madd(
         a_data: &[i8],
         kp: usize,
         n: usize,
@@ -715,181 +1037,127 @@ mod avx2 {
         scale: f32,
         epi: Epilogue<'_>,
     ) {
-        assert!(kp.is_multiple_of(2), "int8 pack: depth {kp} must be even");
-        assert!(kp <= MAX_K_I8, "int8 kernel: depth {kp} overflows i32");
-        let panels = n.div_ceil(PANEL);
-        let plen = kp * PANEL;
-        let rows_here = c_band.len() / n.max(1);
-        assert!(a_data.len() >= (row0 + rows_here) * kp);
-        assert!(b_data.len() >= panels * plen);
-        assert!(c_band.len() >= rows_here * n);
-        let fe = EpiI8::from_epilogue(epi, row0 + rows_here, n);
+        let rows = c_band.len() / n.max(1);
+        let a = &a_data[row0 * kp..];
+        let mut out = Out::checked(kp, a, rows, n, b_data, c_band, row0, scale, epi);
         A16.with(|cell| {
-            let buf = &mut *cell.borrow_mut();
-            widen_rows(a_data, row0, rows_here, kp, buf);
-            band_body(
-                buf.as_ptr(),
-                rows_here,
-                row0,
-                kp,
-                n,
-                b_data,
-                c_band,
-                scale,
-                fe,
-            );
+            let wide = &mut *cell.borrow_mut();
+            widen_rows(a, rows, kp, wide);
+            band_body::<Madd, 1>(wide.as_ptr(), rows, b_data, &mut out);
         });
     }
 
-    /// Accumulate depth-pairs `t0..t1` of one packed panel into eight
-    /// row accumulators — the shared inner loop of both band variants.
-    #[inline(always)]
-    unsafe fn accum8(
-        acc: &mut [__m256i; 8],
-        pn: *const i8,
-        ar: &[*const i16; 8],
-        t0: usize,
-        t1: usize,
+    /// Int8 GEMV on `vpmaddwd`; see the scalar oracle.
+    ///
+    /// # Safety
+    /// CPU must support AVX2 (verified by the dispatch layer).
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn gemv_madd(
+        a_row: &[i8],
+        n: usize,
+        b_data: &[i8],
+        c_row: &mut [f32],
+        row_abs: usize,
+        scale: f32,
+        epi: Epilogue<'_>,
     ) {
-        for t in t0..t1 {
-            let bv = load_pair_panel(pn, t);
-            acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(bv, broadcast_pair(ar[0], t)));
-            acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(bv, broadcast_pair(ar[1], t)));
-            acc[2] = _mm256_add_epi32(acc[2], _mm256_madd_epi16(bv, broadcast_pair(ar[2], t)));
-            acc[3] = _mm256_add_epi32(acc[3], _mm256_madd_epi16(bv, broadcast_pair(ar[3], t)));
-            acc[4] = _mm256_add_epi32(acc[4], _mm256_madd_epi16(bv, broadcast_pair(ar[4], t)));
-            acc[5] = _mm256_add_epi32(acc[5], _mm256_madd_epi16(bv, broadcast_pair(ar[5], t)));
-            acc[6] = _mm256_add_epi32(acc[6], _mm256_madd_epi16(bv, broadcast_pair(ar[6], t)));
-            acc[7] = _mm256_add_epi32(acc[7], _mm256_madd_epi16(bv, broadcast_pair(ar[7], t)));
+        let kp = a_row.len();
+        let mut out = Out::checked(kp, a_row, 1, n, b_data, c_row, row_abs, scale, epi);
+        A16.with(|cell| {
+            let wide = &mut *cell.borrow_mut();
+            widen_rows(a_row, 1, kp, wide);
+            rows_by_panels::<Madd, 4>(wide.as_ptr(), 0, 1, b_data, &mut out);
+        });
+    }
+
+    /// Rows `r .. r + rows` of the call (at most [`ROW_BAND`]; `a`
+    /// points at row `r`) against every panel of `B`, `P` panels at a
+    /// time and the ragged rest one by one. Panels are the outer walk:
+    /// each group of `B` panels is streamed in once and stays in L1
+    /// while the `A` rows — L1- or L2-resident — pass over it tile by
+    /// tile, so however large `B` is, it is read from memory exactly
+    /// once per call.
+    #[inline(always)]
+    unsafe fn rows_by_panels<K: Mac, const P: usize>(
+        a: *const K::A,
+        r: usize,
+        rows: usize,
+        b_data: &[i8],
+        out: &mut Out<'_, '_>,
+    ) {
+        let kp = out.kp;
+        let panels = out.n.div_ceil(PANEL);
+        let plen = kp * PANEL;
+        let b = b_data.as_ptr();
+        let mut surplus = [0i32; ROW_BAND];
+        for (i, over) in surplus[..rows].iter_mut().enumerate() {
+            *over = K::row_surplus(a.add(i * kp), kp);
+        }
+        let mut p = 0;
+        while p + P <= panels {
+            let mut pn = [b; P];
+            for (j, panel) in pn.iter_mut().enumerate() {
+                *panel = b.add((p + j) * plen);
+            }
+            rows_by_tiles::<K, P>(a, r, rows, &surplus, pn, p, out);
+            p += P;
+        }
+        while p < panels {
+            rows_by_tiles::<K, 1>(a, r, rows, &surplus, [b.add(p * plen)], p, out);
+            p += 1;
         }
     }
 
-    /// Band body over the widened A rows (`aw`, row stride `kp`): four
-    /// output rows × one packed panel per pass, eight live madd/add
-    /// chains, each B load shared by eight rows. One panel (not two)
-    /// per pass keeps the streamed B working set at `kp × PANEL` bytes
-    /// — small enough to stay L1-resident next to the widened A rows
-    /// even at Caffenet's deepest `k` — while eight rows halve the
-    /// per-row B traffic of a four-row block.
+    /// Rows `r .. r + rows` against the `P` panels `pn` (panel index
+    /// `p` on): register tiles of six rows, then the one tile of
+    /// whatever rows remain, each dequantized and stored.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn band_body(
-        aw: *const i16,
-        rows_here: usize,
-        row0: usize,
-        kp: usize,
-        n: usize,
-        b_data: &[i8],
-        c_band: &mut [f32],
-        scale: f32,
-        fe: EpiI8<'_>,
+    unsafe fn rows_by_tiles<K: Mac, const P: usize>(
+        a: *const K::A,
+        r: usize,
+        rows: usize,
+        surplus: &[i32; ROW_BAND],
+        pn: [*const i8; P],
+        p: usize,
+        out: &mut Out<'_, '_>,
     ) {
-        let panels = n.div_ceil(PANEL);
-        let plen = kp * PANEL;
-        let pairs = kp / 2;
+        macro_rules! tile {
+            ($rows:literal, $at:expr) => {{
+                let sums = K::tile::<$rows, P>(a.add($at * out.kp), out.kp, &surplus[$at..], pn);
+                for (i, row_sums) in sums.iter().enumerate() {
+                    for (j, &sum) in row_sums.iter().enumerate() {
+                        out.store(sum, r + $at + i, p + j);
+                    }
+                }
+            }};
+        }
+        let mut at = 0;
+        while at + 6 <= rows {
+            tile!(6, at);
+            at += 6;
+        }
+        match rows - at {
+            5 => tile!(5, at),
+            4 => tile!(4, at),
+            3 => tile!(3, at),
+            2 => tile!(2, at),
+            1 => tile!(1, at),
+            _ => {}
+        }
+    }
 
-        const RB: usize = 8;
-        let mut local_r = 0;
-        if pairs <= KC_PAIRS {
-            // Shallow depth: the whole panel plus the A rows fit L1 —
-            // accumulate each panel in registers, store once.
-            while local_r + RB <= rows_here {
-                let r = row0 + local_r;
-                let ar: [*const i16; RB] = std::array::from_fn(|i| aw.add((local_r + i) * kp));
-                for p in 0..panels {
-                    let pn = b_data.as_ptr().add(p * plen);
-                    let mut acc = [_mm256_setzero_si256(); RB];
-                    accum8(&mut acc, pn, &ar, 0, pairs);
-                    let c0 = p * PANEL;
-                    let width = PANEL.min(n - c0);
-                    for (i, a) in acc.into_iter().enumerate() {
-                        let row = &mut c_band[(local_r + i) * n..(local_r + i + 1) * n];
-                        store_dequant(a, row, c0, width, r + i, scale, fe);
-                    }
-                }
-                local_r += RB;
-            }
-        } else {
-            // Deep depth: chunk the depth walk, spilling partial i32
-            // sums to a panel-rounded scratch (see [`KC_PAIRS`]).
-            ACC32.with(|cell| {
-                let spill = &mut *cell.borrow_mut();
-                let stride = panels * PANEL;
-                spill.resize(RB * stride, 0);
-                while local_r + RB <= rows_here {
-                    let r = row0 + local_r;
-                    let ar: [*const i16; RB] = std::array::from_fn(|i| aw.add((local_r + i) * kp));
-                    spill.fill(0);
-                    let mut t0 = 0;
-                    while t0 < pairs {
-                        let t1 = (t0 + KC_PAIRS).min(pairs);
-                        for p in 0..panels {
-                            let pn = b_data.as_ptr().add(p * plen);
-                            let sp = spill.as_mut_ptr().add(p * PANEL);
-                            let mut acc: [__m256i; RB] = std::array::from_fn(|i| {
-                                _mm256_loadu_si256(sp.add(i * stride) as *const __m256i)
-                            });
-                            accum8(&mut acc, pn, &ar, t0, t1);
-                            for (i, a) in acc.into_iter().enumerate() {
-                                _mm256_storeu_si256(sp.add(i * stride) as *mut __m256i, a);
-                            }
-                        }
-                        t0 = t1;
-                    }
-                    for p in 0..panels {
-                        let c0 = p * PANEL;
-                        let width = PANEL.min(n - c0);
-                        for i in 0..RB {
-                            let a = _mm256_loadu_si256(
-                                spill.as_ptr().add(i * stride + c0) as *const __m256i
-                            );
-                            let row = &mut c_band[(local_r + i) * n..(local_r + i + 1) * n];
-                            store_dequant(a, row, c0, width, r + i, scale, fe);
-                        }
-                    }
-                    local_r += RB;
-                }
-            });
-        }
-        // 4..8 remaining rows: one four-row pass, same single-panel walk.
-        if local_r + 4 <= rows_here {
-            let r = row0 + local_r;
-            let ar: [*const i16; 4] = std::array::from_fn(|i| aw.add((local_r + i) * kp));
-            for p in 0..panels {
-                let pn = b_data.as_ptr().add(p * plen);
-                let mut acc = [_mm256_setzero_si256(); 4];
-                for t in 0..pairs {
-                    let bv = load_pair_panel(pn, t);
-                    acc[0] =
-                        _mm256_add_epi32(acc[0], _mm256_madd_epi16(bv, broadcast_pair(ar[0], t)));
-                    acc[1] =
-                        _mm256_add_epi32(acc[1], _mm256_madd_epi16(bv, broadcast_pair(ar[1], t)));
-                    acc[2] =
-                        _mm256_add_epi32(acc[2], _mm256_madd_epi16(bv, broadcast_pair(ar[2], t)));
-                    acc[3] =
-                        _mm256_add_epi32(acc[3], _mm256_madd_epi16(bv, broadcast_pair(ar[3], t)));
-                }
-                let c0 = p * PANEL;
-                let width = PANEL.min(n - c0);
-                for (i, a) in acc.into_iter().enumerate() {
-                    let row = &mut c_band[(local_r + i) * n..(local_r + i + 1) * n];
-                    store_dequant(a, row, c0, width, r + i, scale, fe);
-                }
-            }
-            local_r += 4;
-        }
-        // Trailing rows one at a time through the GEMV body.
-        for local_r in local_r..rows_here {
-            gemv_body(
-                aw.add(local_r * kp),
-                kp,
-                n,
-                b_data,
-                &mut c_band[local_r * n..(local_r + 1) * n],
-                row0 + local_r,
-                scale,
-                fe,
-            );
+    /// A band of any height as sub-bands of at most [`ROW_BAND`] rows.
+    #[inline(always)]
+    unsafe fn band_body<K: Mac, const P: usize>(
+        a: *const K::A,
+        rows: usize,
+        b_data: &[i8],
+        out: &mut Out<'_, '_>,
+    ) {
+        for r in (0..rows).step_by(ROW_BAND) {
+            let sub = ROW_BAND.min(rows - r);
+            rows_by_panels::<K, P>(a.add(r * out.kp), r, sub, b_data, out);
         }
     }
 
@@ -955,21 +1223,16 @@ mod tests {
         (((i * 37 + 11) % m) as i64 - (m as i64 / 2)) as i8
     }
 
-    /// Pack a row-major i8 `k×n` matrix into pair-interleaved panels
-    /// (test-local; the production pack in `crate::quant` quantizes
-    /// from f32 and is tested there).
-    fn pack_pairs(b: &[i8], k: usize, n: usize) -> (Vec<i8>, usize) {
-        let kp = k.next_multiple_of(2);
-        let panels = n.div_ceil(PANEL);
-        let mut out = vec![0i8; panels * kp * PANEL];
-        for p in 0..panels {
-            let c0 = p * PANEL;
-            let width = PANEL.min(n - c0);
-            let dst = &mut out[p * kp * PANEL..(p + 1) * kp * PANEL];
-            for r in 0..k {
-                for j in 0..width {
-                    dst[(r / 2) * 2 * PANEL + 2 * j + (r % 2)] = b[r * n + c0 + j];
-                }
+    /// Pack a row-major i8 `k×n` matrix into quad-interleaved panels,
+    /// from the layout's definition (test-local; the production packers
+    /// in `crate::quant` quantize from f32 and are tested there).
+    fn pack_quads(b: &[i8], k: usize, n: usize) -> (Vec<i8>, usize) {
+        let kp = padded_depth(k);
+        let mut out = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
+        for r in 0..k {
+            for c in 0..n {
+                let (p, j) = (c / PANEL, c % PANEL);
+                out[p * kp * PANEL + (r / 4) * 4 * PANEL + 4 * j + (r % 4)] = b[r * n + c];
             }
         }
         (out, kp)
@@ -990,21 +1253,43 @@ mod tests {
     }
 
     #[test]
-    fn band_matches_reference_on_all_paths() {
+    fn names_codes_and_resolution() {
+        for k in Int8Kernel::ALL {
+            // The obs-side label table must agree with our codes.
+            assert_eq!(cap_obs::int8_kernel_name(k.code()), k.name());
+        }
+        assert_eq!(cap_obs::int8_kernel_name(0), "unset");
+        assert_eq!(Int8Kernel::available()[0], Int8Kernel::Scalar);
+        assert_eq!(Int8Kernel::for_path(KernelPath::Scalar), Int8Kernel::Scalar);
+        // A SIMD path takes the best integer kernel the host has, and
+        // both SIMD paths take the same one.
+        let best = *Int8Kernel::available().last().unwrap();
+        for path in available_paths() {
+            if path != KernelPath::Scalar {
+                assert_eq!(Int8Kernel::for_path(path), best);
+            }
+        }
+        let kernel = selected();
+        assert!(kernel.is_available());
+        assert_eq!(cap_obs::metrics().int8_kernel.get(), kernel.code());
+    }
+
+    #[test]
+    fn band_matches_reference_on_all_kernels() {
         for &(m, k, n) in &[(1, 5, 3), (4, 8, 16), (7, 9, 13), (3, 0, 5), (5, 6, 1)] {
             let a: Vec<i8> = (0..m * k).map(|i| det_i8(i, 255)).collect();
             let b: Vec<i8> = (0..k * n).map(|i| det_i8(i + 3, 255)).collect();
-            let (packed, kp) = pack_pairs(&b, k, n);
-            // Re-pad A rows to the even stride.
+            let (packed, kp) = pack_quads(&b, k, n);
+            // Re-pad A rows to the quad stride.
             let mut ap = vec![0i8; m * kp];
             for r in 0..m {
                 ap[r * kp..r * kp + k].copy_from_slice(&a[r * k..(r + 1) * k]);
             }
             let want = reference_gemm(&a, m, k, n, &b, 0.125);
-            for path in available_paths() {
+            for kernel in Int8Kernel::available() {
                 let mut got = vec![0.0f32; m * n];
                 gemm_i8_packed_band_with(
-                    path,
+                    kernel,
                     &ap,
                     kp,
                     n,
@@ -1014,7 +1299,7 @@ mod tests {
                     0.125,
                     Epilogue::NONE,
                 );
-                assert_eq!(got, want, "path {} shape {m}x{k}x{n}", path.name());
+                assert_eq!(got, want, "kernel {} shape {m}x{k}x{n}", kernel.name());
             }
         }
     }
@@ -1024,13 +1309,13 @@ mod tests {
         let (m, k, n) = (2, 4, 6);
         let a: Vec<i8> = (0..m * k).map(|i| det_i8(i, 9)).collect();
         let b: Vec<i8> = (0..k * n).map(|i| det_i8(i + 1, 9)).collect();
-        let (packed, kp) = pack_pairs(&b, k, n);
+        let (packed, kp) = pack_quads(&b, k, n);
         let row_bias = [10.0f32, -100.0];
         let plain = reference_gemm(&a, m, k, n, &b, 1.0);
-        for path in available_paths() {
+        for kernel in Int8Kernel::available() {
             let mut got = vec![0.0f32; m * n];
             gemm_i8_packed_band_with(
-                path,
+                kernel,
                 &a,
                 kp,
                 n,
@@ -1046,8 +1331,34 @@ mod tests {
             for r in 0..m {
                 for j in 0..n {
                     let want = (plain[r * n + j] + row_bias[r]).max(0.0);
-                    assert_eq!(got[r * n + j], want, "path {}", path.name());
+                    assert_eq!(got[r * n + j], want, "kernel {}", kernel.name());
                 }
+            }
+        }
+    }
+
+    /// The quad store against the layout's definition on every path:
+    /// three panels, a middle quad of a deeper panel, and a poisoned
+    /// destination whose other quads must stay untouched.
+    #[test]
+    fn store_row_quad_writes_exactly_its_quad_on_all_paths() {
+        let (lanes, kp, q) = (3 * PANEL, 12, 1);
+        let rows: Vec<Vec<i8>> = (0..QUAD)
+            .map(|i| (0..lanes).map(|c| det_i8(i * 100 + c, 251)).collect())
+            .collect();
+        for path in available_paths() {
+            let mut packed = vec![77i8; lanes * kp + 5];
+            let views = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+            store_row_quad_with(path, views, q, kp, &mut packed);
+            for (at, &got) in packed.iter().enumerate() {
+                let (p, rest) = (at / (kp * PANEL), at % (kp * PANEL));
+                let (quad, j, i) = (rest / (4 * PANEL), rest % (4 * PANEL) / 4, rest % 4);
+                let want = if p < 3 && quad == q {
+                    rows[i][p * PANEL + j]
+                } else {
+                    77
+                };
+                assert_eq!(got, want, "path {} byte {at}", path.name());
             }
         }
     }

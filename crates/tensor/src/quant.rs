@@ -9,8 +9,8 @@
 //! scale `s` maps to `q = clamp(round(x / s), -127, 127)` ([`quantize_i8`];
 //! `round` is Rust's half-away-from-zero, NaN maps to 0) and back to
 //! `x ≈ q · s`. The range is `±127`, not `-128`, so negation stays
-//! closed and the AVX2 `madd` accumulation can never hit its lone
-//! saturation case. Scales come from [`symmetric_scale`] (max-abs) or
+//! closed (the integer kernels are exact for a raw `-128` all the
+//! same). Scales come from [`symmetric_scale`] (max-abs) or
 //! [`percentile_scale`] (clipping outliers); a degenerate all-zero
 //! tensor gets scale 1.0 so dequantization stays finite.
 //!
@@ -103,8 +103,8 @@ impl CalibrationMethod {
 pub use crate::kernels::int8::quantize_i8;
 
 /// Quantize a row-major `rows × k` f32 slice into row-major i8 with
-/// the even row stride `kp` the int8 kernels require (odd `k` pads a
-/// zero), reusing `out`'s capacity. Returns `kp`.
+/// the row stride `kp` the int8 kernels require ([`ki8::padded_depth`];
+/// pad bytes zero), reusing `out`'s capacity. Returns `kp`.
 pub fn quantize_rows_into(
     src: &[f32],
     rows: usize,
@@ -113,7 +113,7 @@ pub fn quantize_rows_into(
     out: &mut Vec<i8>,
 ) -> usize {
     assert!(src.len() >= rows * k, "quantize_rows_into: src too short");
-    let kp = k.next_multiple_of(2);
+    let kp = ki8::padded_depth(k);
     // Every byte is written below, so stale contents need no clearing.
     out.resize(rows * kp, 0);
     let path = kernels::selected();
@@ -128,50 +128,53 @@ pub fn quantize_rows_into(
     kp
 }
 
-/// Columns [`pack_b_i8_into`] quantizes per pass: two stack-resident
+/// Columns [`pack_b_i8_into`] quantizes per pass: four stack-resident
 /// patch rows of this many i8 (whole panels).
 const PACK_COLS: usize = 64 * PANEL;
 
 /// Quantize a row-major `k × n` f32 slice straight into the
-/// pair-interleaved i8 panel layout of [`crate::kernels::int8`]
-/// (`n.div_ceil(PANEL)` panels of `kp × PANEL`; depth pairs adjacent
-/// per column, tail columns and the odd-`k` pad zero-filled), reusing
-/// `out`'s capacity. Returns `kp`. This is the int8 analogue of
-/// [`crate::PackedB::pack`] with the quantize folded into the single
-/// write pass: per block of `PACK_COLS` columns, two rows at a time go
-/// through the slice quantizer and out as one depth pair.
+/// quad-interleaved i8 panel layout of [`crate::kernels::int8`]
+/// (`n.div_ceil(PANEL)` panels of `kp × PANEL`; tail columns and the
+/// pad rows past `k` zero-filled), reusing `out`'s capacity. Returns
+/// `kp`. This is the int8 analogue of [`crate::PackedB::pack`] with the
+/// quantize folded into the single write pass: per block of `PACK_COLS`
+/// columns, four rows at a time go through the slice quantizer and out
+/// as one depth quad.
 pub fn pack_b_i8_into(src: &[f32], k: usize, n: usize, inv_scale: f32, out: &mut Vec<i8>) -> usize {
     assert!(src.len() >= k * n, "pack_b_i8_into: src too short");
-    let kp = k.next_multiple_of(2);
+    let kp = ki8::padded_depth(k);
     let plen = kp * PANEL;
     // Every byte is written below, so stale contents need no clearing.
     out.resize(n.div_ceil(PANEL) * plen, 0);
     let path = kernels::selected();
-    let (mut even, mut odd) = ([0i8; PACK_COLS], [0i8; PACK_COLS]);
+    let mut lines = [[0i8; PACK_COLS]; ki8::QUAD];
     for c0 in (0..n).step_by(PACK_COLS) {
         let width = PACK_COLS.min(n - c0);
         let lanes = width.next_multiple_of(PANEL);
         let dst = &mut out[c0 / PANEL * plen..];
-        // Tail lanes of the last panel, past column `n`.
-        even[width..lanes].fill(0);
-        odd[width..lanes].fill(0);
-        for t in 0..kp / 2 {
-            let row = |r: usize| &src[r * n + c0..r * n + c0 + width];
-            ki8::quantize_slice_with(path, row(2 * t), inv_scale, &mut even[..width]);
-            if 2 * t + 1 < k {
-                ki8::quantize_slice_with(path, row(2 * t + 1), inv_scale, &mut odd[..width]);
-            } else {
-                odd.fill(0);
+        for q in 0..kp / ki8::QUAD {
+            for (i, line) in lines.iter_mut().enumerate() {
+                let r = ki8::QUAD * q + i;
+                if r < k {
+                    let row = &src[r * n + c0..r * n + c0 + width];
+                    ki8::quantize_slice_with(path, row, inv_scale, &mut line[..width]);
+                    // Tail lanes of the last panel, past column `n`.
+                    line[width..lanes].fill(0);
+                } else {
+                    // A pad row past the depth.
+                    line[..lanes].fill(0);
+                }
             }
-            ki8::store_row_pair_with(path, &even[..lanes], &odd[..lanes], t, kp, dst);
+            let rows = lines.each_ref().map(|line| &line[..lanes]);
+            ki8::store_row_quad_with(path, rows, q, kp, dst);
         }
     }
     kp
 }
 
 /// A quantized row-major left operand (weights, or batched
-/// activations): i8 rows with even stride `kp`, plus the scale that
-/// dequantizes them.
+/// activations): i8 rows with the padded stride `kp`, plus the scale
+/// that dequantizes them.
 #[derive(Debug, Clone)]
 pub struct QuantizedA {
     data: Vec<i8>,
@@ -210,7 +213,7 @@ impl QuantizedA {
         self.k
     }
 
-    /// Padded (even) row stride.
+    /// Padded row stride ([`ki8::padded_depth`] of `k`).
     pub fn kp(&self) -> usize {
         self.kp
     }
@@ -222,7 +225,7 @@ impl QuantizedA {
 }
 
 /// A quantized panel-packed right operand — the int8 analogue of
-/// [`crate::PackedB`], in the pair-interleaved layout of
+/// [`crate::PackedB`], in the quad-interleaved layout of
 /// [`crate::kernels::int8`]. Built once per weight matrix (FC `Wᵀ`,
 /// [`PackedBI8::pack_transposed`]); a convolution's activations reach
 /// the same layout through [`crate::im2col_i8_packed_prealloc`].
@@ -254,14 +257,15 @@ impl PackedBI8 {
     /// byte `pack(&w.transpose(), scale)` without materialising the
     /// transpose. Panel `p` is rows `p*PANEL..` of `w`: each goes
     /// through the slice quantizer whole (a row of `w` is contiguous),
-    /// then depth pair `t` of column `j` is the two adjacent bytes
-    /// `2t, 2t + 1` of quantized row `j`.
+    /// then depth quad `q` of column `j` is the four adjacent bytes
+    /// `4q .. 4q + 4` of quantized row `j`.
     pub fn pack_transposed(w: &Matrix, scale: f32) -> Self {
+        const QUAD: usize = ki8::QUAD;
         let (n, k) = w.shape();
-        let kp = k.next_multiple_of(2);
+        let kp = ki8::padded_depth(k);
         let path = kernels::selected();
-        // Zeroed once: the odd-`k` pad byte of each row and, in the
-        // last panel, the rows past `n` are never written.
+        // Zeroed once: the pad bytes of each row and, in the last
+        // panel, the rows past `n` are never written.
         let mut data = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
         let mut rows = vec![0i8; PANEL * kp];
         for (p, panel) in data.chunks_exact_mut((kp * PANEL).max(1)).enumerate() {
@@ -269,9 +273,10 @@ impl PackedBI8 {
             for (j, q) in rows.chunks_exact_mut(kp.max(1)).take(width).enumerate() {
                 ki8::quantize_slice_with(path, w.row(p * PANEL + j), 1.0 / scale, &mut q[..k]);
             }
-            for (t, pair) in panel.chunks_exact_mut(2 * PANEL).enumerate() {
+            for (q, quad) in panel.chunks_exact_mut(QUAD * PANEL).enumerate() {
                 for j in 0..width {
-                    pair[2 * j..2 * j + 2].copy_from_slice(&rows[j * kp + 2 * t..][..2]);
+                    quad[QUAD * j..QUAD * (j + 1)]
+                        .copy_from_slice(&rows[j * kp + QUAD * q..][..QUAD]);
                 }
             }
         }
@@ -294,7 +299,7 @@ impl PackedBI8 {
         self.k
     }
 
-    /// Padded (even) panel depth.
+    /// Padded panel depth ([`ki8::padded_depth`] of `k`).
     pub fn kp(&self) -> usize {
         self.kp
     }
@@ -376,10 +381,6 @@ impl QuantizedCsr {
     }
 }
 
-/// Row bands processed per rayon task by [`gemm_i8`] (mirrors the f32
-/// GEMM's banding).
-const ROW_BAND: usize = 32;
-
 /// Output columns per rayon task on the single-row (GEMV) route.
 const GEMV_COL_CHUNK: usize = 32 * PANEL;
 
@@ -396,14 +397,15 @@ fn epi_col_offset<'a>(epi: Epilogue<'a>, c0: usize) -> Epilogue<'a> {
 }
 
 /// Int8 GEMM driver: `m × kp` row-major i8 `a_data` times the
-/// pair-interleaved panel-packed `b_data` (`n` columns), dequantized by
+/// quad-interleaved panel-packed `b_data` (`n` columns), dequantized by
 /// `scale` with `epi` fused into the store, written to the row-major
 /// f32 `out`. Parallelism mirrors the f32 packed GEMM: `m == 1` routes
 /// through the GEMV kernel over column chunks, otherwise rows split
-/// into `ROW_BAND` bands — neither affects results (exact i32
-/// accumulation, then an element-wise float epilogue). Operand lengths,
-/// the depth (`kp` even, at most [`ki8::MAX_K_I8`]) and the epilogue's
-/// bias are validated once, before the first store.
+/// into [`ki8::ROW_BAND`] bands — neither affects results (exact i32
+/// accumulation, then an element-wise float epilogue) — and neither
+/// does the integer kernel, [`ki8::selected`]. Operand lengths, the
+/// depth (`kp` a multiple of four, at most [`ki8::MAX_K_I8`]) and the
+/// epilogue's bias are validated once, before the first store.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_i8(
     a_data: &[i8],
@@ -421,9 +423,10 @@ pub fn gemm_i8(
             out.len()
         )));
     }
-    if !kp.is_multiple_of(2) || kp > ki8::MAX_K_I8 {
+    if !kp.is_multiple_of(ki8::QUAD) || kp > ki8::MAX_K_I8 {
         return Err(ShapeError::new(format!(
-            "gemm_i8: depth {kp} must be even and at most {}",
+            "gemm_i8: depth {kp} must be a multiple of {} and at most {}",
+            ki8::QUAD,
             ki8::MAX_K_I8
         )));
     }
@@ -447,7 +450,7 @@ pub fn gemm_i8(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    let path = kernels::selected();
+    let kernel = ki8::selected();
     if m == 1 {
         let plen = kp * PANEL;
         out[..n]
@@ -457,7 +460,7 @@ pub fn gemm_i8(
                 let c0 = ci * GEMV_COL_CHUNK;
                 let b_sub = &b_data[(c0 / PANEL) * plen..];
                 ki8::gemv_i8_packed_with(
-                    path,
+                    kernel,
                     &a_data[..kp],
                     chunk.len(),
                     b_sub,
@@ -469,17 +472,17 @@ pub fn gemm_i8(
             });
     } else {
         out[..m * n]
-            .par_chunks_mut(ROW_BAND * n)
+            .par_chunks_mut(ki8::ROW_BAND * n)
             .enumerate()
             .for_each(|(bi, band)| {
                 ki8::gemm_i8_packed_band_with(
-                    path,
+                    kernel,
                     a_data,
                     kp,
                     n,
                     b_data,
                     band,
-                    bi * ROW_BAND,
+                    bi * ki8::ROW_BAND,
                     scale,
                     epi,
                 );
@@ -547,40 +550,49 @@ mod tests {
         }
     }
 
-    /// The pair-interleaved layout written from its definition, one
+    /// The quad-interleaved layout written from its definition, one
     /// scalar `quantize_i8` per element: shares nothing with the
     /// blocked, vectorized packers it checks.
     fn pack_reference(b: &Matrix, inv_scale: f32) -> Vec<i8> {
         let (k, n) = b.shape();
-        let kp = k.next_multiple_of(2);
+        let kp = k.next_multiple_of(4);
         let mut out = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
         for r in 0..k {
             for c in 0..n {
                 let (p, j) = (c / PANEL, c % PANEL);
-                out[p * kp * PANEL + (r / 2) * 2 * PANEL + 2 * j + (r % 2)] =
+                out[p * kp * PANEL + (r / 4) * 4 * PANEL + 4 * j + (r % 4)] =
                     quantize_i8(b.get(r, c), inv_scale);
             }
         }
         out
     }
 
-    /// Every byte is written — odd-`k` pad, tail lanes and all — so a
-    /// poisoned, oversized `out` leaves no trace. `n` = 1031 spans three
-    /// column blocks with a ragged last panel.
+    /// Every byte is written — pad rows past `k`, tail lanes and all —
+    /// so a poisoned, oversized `out` leaves no trace. The depths cover
+    /// every `k % 4`; `n` = 1031 spans three column blocks with a
+    /// ragged last panel.
     #[test]
     fn quantizers_overwrite_stale_scratch_and_match_the_definition() {
-        for &(k, n) in &[(1usize, 1usize), (5, 13), (6, 16), (7, 1031), (2, 512)] {
+        let shapes = [
+            (1usize, 1usize),
+            (5, 13),
+            (6, 16),
+            (7, 1031),
+            (2, 512),
+            (8, 9),
+        ];
+        for &(k, n) in &shapes {
             let b = det_matrix(k, n, 4);
             let inv = 1.0 / symmetric_scale(b.as_slice());
-            let mut out = vec![77i8; 3 * (k + 1) * (n + 8)];
+            let mut out = vec![77i8; 3 * (k + 3) * (n + 8)];
             let kp = pack_b_i8_into(b.as_slice(), k, n, inv, &mut out);
-            assert_eq!(kp, k.next_multiple_of(2));
+            assert_eq!(kp, k.next_multiple_of(4));
             assert_eq!(out, pack_reference(&b, inv), "pack {k}x{n}");
 
             // The same matrix as `n`-long rows of an A operand.
-            let mut rows = vec![77i8; 3 * (k + 1) * (n + 8)];
+            let mut rows = vec![77i8; 3 * (k + 3) * (n + 8)];
             let np = quantize_rows_into(b.as_slice(), k, n, inv, &mut rows);
-            assert_eq!((np, rows.len()), (n.next_multiple_of(2), k * np));
+            assert_eq!((np, rows.len()), (n.next_multiple_of(4), k * np));
             for r in 0..k {
                 for c in 0..np {
                     let want = if c < n {
@@ -596,8 +608,8 @@ mod tests {
 
     #[test]
     fn pack_transposed_is_bytewise_pack_of_the_transpose() {
-        // (out, in) = (n, k): odd k, n off the panel, a lone row, and a
-        // whole number of panels.
+        // (out, in) = (n, k): every k % 4, n off the panel, a lone row,
+        // and a whole number of panels.
         for &(n, k) in &[(13usize, 7usize), (8, 6), (1, 1), (17, 64), (24, 9)] {
             let w = det_matrix(n, k, 5);
             let scale = symmetric_scale(w.as_slice());
@@ -605,21 +617,26 @@ mod tests {
             let via_transpose = PackedBI8::pack(&w.transpose(), scale);
             assert_eq!(direct.data(), via_transpose.data(), "W {n}x{k}");
             assert_eq!(
+                direct.data(),
+                pack_reference(&w.transpose(), 1.0 / scale),
+                "W {n}x{k}"
+            );
+            assert_eq!(
                 (direct.k(), direct.kp(), direct.n(), direct.scale()),
                 (k, via_transpose.kp(), n, scale)
             );
         }
     }
 
-    /// Bad operands are refused at entry, with `out` untouched: 40 rows
+    /// Bad operands are refused at entry, with `out` untouched: 60 rows
     /// (two row bands) and 300 columns (two GEMV chunks) put the first
     /// store of either route ahead of the kernel-level assert that
     /// would otherwise catch each of these.
     #[test]
     fn gemm_i8_validates_operands_before_any_store() {
-        let (k, n) = (6usize, 300usize);
+        let (k, n) = (8usize, 300usize);
         let qb = PackedBI8::pack(&det_matrix(k, n, 2), 0.01);
-        for m in [1usize, 40] {
+        for m in [1usize, 60] {
             let qa = QuantizedA::quantize(det_matrix(m, k, 1).as_slice(), m, k, 0.01);
             let mut out = vec![f32::NAN; m * n];
             let mut refused = |a: &[i8], kp: usize, b: &[i8]| {
@@ -630,8 +647,12 @@ mod tests {
             let (a, b) = (qa.data(), qb.data());
             assert!(refused(&a[..a.len() - 1], k, b).contains("A length"));
             assert!(refused(a, k, &b[..b.len() - 1]).contains("packed B length"));
-            assert!(refused(a, k - 1, b).contains("must be even"));
-            let deep = ki8::MAX_K_I8 + 2;
+            // A depth off the quad — even included: a `B` packed for
+            // the pair layout this replaced must not multiply.
+            for off in 1..4 {
+                assert!(refused(a, k - off, b).contains("multiple of 4"));
+            }
+            let deep = ki8::MAX_K_I8 + 4;
             assert!(refused(a, deep, b).contains("at most"));
             // ... and a good call still goes through.
             gemm_i8(a, m, k, n, b, &mut out, 1.0, Epilogue::NONE).unwrap();
@@ -641,13 +662,13 @@ mod tests {
 
     #[test]
     fn gemm_i8_short_bias_panics_before_any_store() {
-        let (k, n) = (6usize, 300usize);
+        let (k, n) = (8usize, 300usize);
         let qb = PackedBI8::pack(&det_matrix(k, n, 2), 0.01);
         // Per row: covers the first row band only. Per column: covers
         // the first GEMV chunk only.
         let bias = vec![0.5f32; 290];
         for (m, bias) in [
-            (40usize, EpiBias::PerRow(&bias[..33])),
+            (60usize, EpiBias::PerRow(&bias[..49])),
             (1, EpiBias::PerCol(&bias)),
         ] {
             let qa = QuantizedA::quantize(det_matrix(m, k, 1).as_slice(), m, k, 0.01);

@@ -42,8 +42,8 @@ pub struct Workspace {
     /// (`in_channels × h × w` bytes — a quarter of the f32 image, where
     /// the f32 `cols` detour it replaced held `kh*kw` times more).
     pub qimage: Vec<i8>,
-    /// The two patch rows [`crate::im2col_i8_packed_prealloc`] has in
-    /// flight (`2 × oh*ow` rounded up to whole panels).
+    /// The four patch rows [`crate::im2col_i8_packed_prealloc`] has in
+    /// flight (`4 × oh*ow` rounded up to whole panels).
     pub qlines: Vec<i8>,
 }
 

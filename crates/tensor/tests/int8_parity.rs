@@ -1,30 +1,35 @@
 //! Int8 kernel parity suite.
 //!
-//! The int8 contract is *stronger* than the f32 one: every dispatch
-//! path — scalar, `avx2`, **and** `avx2-fma` — produces bit-identical
-//! outputs, because the hot loop accumulates exactly in i32 (no integer
-//! FMA exists; the fma path reuses the avx2 kernel) and the dequantize
-//! epilogue performs the same mul / add / ReLU sequence element-wise on
-//! both paths. These tests pin that across ragged shapes (`n` off the
-//! 8-wide panel, `k = 0`, batch-1) and the saturation edges (±127
-//! everywhere, the largest products the format can produce). The slice
-//! quantizer is held to the same standard: every path bit-equals the
-//! scalar `quantize_i8` on every rounding tie, its neighbours, the
-//! clamp edges and the non-finite inputs.
+//! The int8 contract is *stronger* than the f32 one: every integer
+//! multiply kernel — scalar, `avx2` (`vpmaddwd`) and `vnni`
+//! (`vpdpbusd`) — and therefore every dispatch path produces
+//! bit-identical outputs, because the hot loop accumulates exactly in
+//! i32 and the dequantize epilogue performs the same mul / add / ReLU
+//! sequence element-wise everywhere. These tests pin that across ragged
+//! shapes (`n` off the 8-wide panel, every `k % 4`, `k = 0`, every row
+//! count the six-row register tile splits differently) and the
+//! saturation edges (±127 everywhere, and the raw `-128` bytes the
+//! quantizer never emits but the public entry points accept — the
+//! inputs on which the VNNI kernel's `+128` bias would go wrong first).
+//! The slice quantizer is held to the same standard: every path
+//! bit-equals the scalar `quantize_i8` on every rounding tie, its
+//! neighbours, the clamp edges and the non-finite inputs.
 //!
-//! `kernels::force` is process-global, so path-pinning tests serialize
-//! on one mutex; on hosts without AVX2 each comparison degenerates to
-//! scalar vs scalar — still a pass, never a skip.
+//! Kernels are named directly ([`Int8Kernel`]); one the host cannot run
+//! is skipped with a printed note, never failed. `kernels::force` is
+//! process-global, so the driver tests that pin a path serialize on one
+//! mutex.
 
 use cap_tensor::kernels::int8::{
     gemm_i8_packed_band_with, gemv_i8_packed_with, quantize_slice_with, spmm_i8_row_with,
+    Int8Kernel, MAX_K_I8,
 };
 use cap_tensor::kernels::{self, EpiBias, Epilogue, KernelPath, PANEL};
 use cap_tensor::{
     gemm_i8, pack_b_i8_into, precision, quantize_i8, quantize_rows_into, Matrix, Precision,
 };
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 
 /// Global serialization for tests that call `kernels::force`.
 fn force_lock() -> MutexGuard<'static, ()> {
@@ -33,21 +38,33 @@ fn force_lock() -> MutexGuard<'static, ()> {
     lock.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Pack a row-major `k × n` i8 matrix into the pair-interleaved panel
-/// layout the int8 kernels consume (reference implementation, written
-/// independently of `pack_b_i8_into`).
-fn pack_pairs(b: &[i8], k: usize, n: usize) -> (Vec<i8>, usize) {
-    let kp = k.next_multiple_of(2);
-    let panels = n.div_ceil(PANEL);
-    let mut out = vec![0i8; panels * kp * PANEL];
-    for p in 0..panels {
-        let c0 = p * PANEL;
-        let width = PANEL.min(n - c0);
-        let dst = &mut out[p * kp * PANEL..(p + 1) * kp * PANEL];
-        for r in 0..k {
-            for j in 0..width {
-                dst[(r / 2) * 2 * PANEL + 2 * j + (r % 2)] = b[r * n + c0 + j];
+/// Every int8 kernel this host can run, scalar first; the others are
+/// named once on stderr so a green run says what it did not cover.
+fn kernels_under_test() -> Vec<Int8Kernel> {
+    static NOTE: Once = Once::new();
+    NOTE.call_once(|| {
+        for kernel in Int8Kernel::ALL {
+            if !kernel.is_available() {
+                eprintln!(
+                    "note: int8 kernel `{}` is not available on this host; its arms are skipped",
+                    kernel.name()
+                );
             }
+        }
+    });
+    Int8Kernel::available()
+}
+
+/// Pack a row-major `k × n` i8 matrix into the quad-interleaved panel
+/// layout the int8 kernels consume, from the layout's definition
+/// (independent of `pack_b_i8_into`).
+fn pack_quads(b: &[i8], k: usize, n: usize) -> (Vec<i8>, usize) {
+    let kp = k.next_multiple_of(4);
+    let mut out = vec![0i8; n.div_ceil(PANEL) * kp * PANEL];
+    for r in 0..k {
+        for c in 0..n {
+            let (p, j) = (c / PANEL, c % PANEL);
+            out[p * kp * PANEL + (r / 4) * 4 * PANEL + 4 * j + (r % 4)] = b[r * n + c];
         }
     }
     (out, kp)
@@ -102,14 +119,17 @@ fn on_path<T>(path: KernelPath, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Every available path: the int8 contract includes `avx2-fma`.
+/// Every available path: the path-dispatched int8 routines (quantizer,
+/// SpMM row, the `gemm_i8` driver) include `avx2-fma`.
 fn all_paths() -> Vec<KernelPath> {
     kernels::available_paths()
 }
 
+/// One band over all `m` rows into a NaN-filled output: a lane the
+/// kernel skipped would survive as NaN.
 #[allow(clippy::too_many_arguments)]
 fn band_on(
-    path: KernelPath,
+    kernel: Int8Kernel,
     a: &[i8],
     m: usize,
     kp: usize,
@@ -118,30 +138,29 @@ fn band_on(
     scale: f32,
     epi: Epilogue<'_>,
 ) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    gemm_i8_packed_band_with(path, a, kp, n, packed, &mut c, 0, scale, epi);
+    let mut c = vec![f32::NAN; m * n];
+    gemm_i8_packed_band_with(kernel, a, kp, n, packed, &mut c, 0, scale, epi);
     c
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// GEMM band kernel: every path bit-equals scalar AND the exact i64
+    /// GEMM band kernel: every kernel bit-equals the exact i64
     /// reference, for arbitrary i8 operands over ragged shapes.
     #[test]
-    fn prop_band_all_paths_bitwise_equal(
-        m in 1usize..6,
+    fn prop_band_all_kernels_bitwise_equal(
+        m in 1usize..15,
         k in 0usize..33,
         n in 1usize..28,
         seed in 0u64..1000,
         relu in proptest::bool::ANY,
         with_bias in proptest::bool::ANY,
     ) {
-        let _guard = force_lock();
-        let kp = k.next_multiple_of(2);
+        let kp = k.next_multiple_of(4);
         let gen = |i: usize| -> i8 {
             let h = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seed);
-            ((h % 255) as i64 - 127) as i8
+            ((h % 256) as i64 - 128) as i8
         };
         let mut a = vec![0i8; m * kp];
         for r in 0..m {
@@ -150,7 +169,7 @@ proptest! {
             }
         }
         let b: Vec<i8> = (0..k * n).map(|i| gen(i.wrapping_mul(7) + 3)).collect();
-        let (packed, kp2) = pack_pairs(&b, k, n);
+        let (packed, kp2) = pack_quads(&b, k, n);
         prop_assert_eq!(kp, kp2);
         let scale = 0.037f32;
         let bias: Vec<f32> = (0..m).map(|r| r as f32 * 0.21 - 0.3).collect();
@@ -159,39 +178,38 @@ proptest! {
             relu,
         };
         let want = reference(&a, m, kp, k, &b, n, scale, with_bias.then_some(&bias), true, relu);
-        for path in all_paths() {
-            let got = band_on(path, &a, m, kp, n, &packed, scale, epi());
-            assert_bits_eq(&got, &want, &format!("band {path:?} m={m} k={k} n={n}"));
+        for kernel in kernels_under_test() {
+            let got = band_on(kernel, &a, m, kp, n, &packed, scale, epi());
+            assert_bits_eq(&got, &want, &format!("band {kernel:?} m={m} k={k} n={n}"));
         }
     }
 
     /// GEMV kernel parity on single rows, including partial panels.
     #[test]
-    fn prop_gemv_all_paths_bitwise_equal(
+    fn prop_gemv_all_kernels_bitwise_equal(
         k in 0usize..40,
-        n in 1usize..30,
+        n in 1usize..50,
         seed in 0u64..1000,
         relu in proptest::bool::ANY,
     ) {
-        let _guard = force_lock();
-        let kp = k.next_multiple_of(2);
+        let kp = k.next_multiple_of(4);
         let gen = |i: usize| -> i8 {
             let h = (i as u64).wrapping_mul(0x517C_C1B7).wrapping_add(seed);
-            ((h % 255) as i64 - 127) as i8
+            ((h % 256) as i64 - 128) as i8
         };
         let mut a = vec![0i8; kp];
         for (t, v) in a.iter_mut().enumerate().take(k) {
             *v = gen(t);
         }
         let b: Vec<i8> = (0..k * n).map(|i| gen(i + 17)).collect();
-        let (packed, _) = pack_pairs(&b, k, n);
+        let (packed, _) = pack_quads(&b, k, n);
         let scale = 0.011f32;
         let cb: Vec<f32> = (0..n).map(|c| c as f32 * 0.03 - 0.1).collect();
         let want = reference(&a, 1, kp, k, &b, n, scale, Some(&cb), false, relu);
-        for path in all_paths() {
-            let mut got = vec![0.0f32; n];
+        for kernel in kernels_under_test() {
+            let mut got = vec![f32::NAN; n];
             gemv_i8_packed_with(
-                path,
+                kernel,
                 &a,
                 n,
                 &packed,
@@ -200,7 +218,7 @@ proptest! {
                 scale,
                 Epilogue { bias: Some(EpiBias::PerCol(&cb)), relu },
             );
-            assert_bits_eq(&got, &want, &format!("gemv {path:?} k={k} n={n}"));
+            assert_bits_eq(&got, &want, &format!("gemv {kernel:?} k={k} n={n}"));
         }
     }
 
@@ -359,14 +377,132 @@ proptest! {
     }
 }
 
-/// Saturation edge: every operand at ±127 — the largest magnitude
-/// products (16129) the format can produce — over a depth large enough
-/// to stress the 16-bit pair stage, on every path.
+/// Deterministic bytes over the whole i8 range, `-128` included.
+fn det_bytes(len: usize, salt: usize) -> Vec<i8> {
+    (0..len)
+        .map(|i| (((i + salt).wrapping_mul(2_654_435_761) >> 7) % 256) as u8 as i8)
+        .collect()
+}
+
+/// The band, the GEMV and the `gemm_i8` driver on every kernel against
+/// the i64 reference over the grid the register tiling can get wrong:
+/// every `k % 4` and `k = 0`, `n` on and off the panel and the
+/// four-panel GEMV group, row counts that leave every remainder of the
+/// six-row tile and cross the 48-row sub-band, and each epilogue —
+/// into NaN-filled outputs.
 #[test]
-fn saturation_edges_are_exact_on_all_paths() {
+fn every_kernel_matches_the_reference_over_the_shape_grid() {
     let _guard = force_lock();
+    let scale = 0.0173f32;
+    for m in [1usize, 2, 5, 6, 7, 13, 33, 55] {
+        for k in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 37] {
+            for n in [1usize, 7, 8, 9, 21, 32, 37] {
+                let kp = k.next_multiple_of(4);
+                let mut a = vec![0i8; m * kp];
+                for (r, row) in a.chunks_exact_mut(kp.max(1)).enumerate() {
+                    row[..k].copy_from_slice(&det_bytes(k, r * 131 + m));
+                }
+                let b = det_bytes(k * n, 7 + n);
+                let (packed, _) = pack_quads(&b, k, n);
+                let row_bias: Vec<f32> = (0..m).map(|r| r as f32 * 0.21 - 0.9).collect();
+                let col_bias: Vec<f32> = (0..n).map(|c| 0.4 - c as f32 * 0.13).collect();
+                for (bias, per_row, relu) in [
+                    (None, true, false),
+                    (Some(&row_bias), true, true),
+                    (Some(&col_bias), false, true),
+                ] {
+                    let epi = Epilogue {
+                        bias: bias.map(|b| match per_row {
+                            true => EpiBias::PerRow(b),
+                            false => EpiBias::PerCol(b),
+                        }),
+                        relu,
+                    };
+                    let bias = bias.map(|b| &b[..]);
+                    let want = reference(&a, m, kp, k, &b, n, scale, bias, per_row, relu);
+                    let what = format!("m={m} k={k} n={n} per_row={per_row} relu={relu}");
+                    for kernel in kernels_under_test() {
+                        let got = band_on(kernel, &a, m, kp, n, &packed, scale, epi);
+                        assert_bits_eq(&got, &want, &format!("band {kernel:?} {what}"));
+                        // Each row again as a matvec at its absolute row.
+                        for r in 0..m {
+                            let mut row = vec![f32::NAN; n];
+                            let a_row = &a[r * kp..(r + 1) * kp];
+                            gemv_i8_packed_with(kernel, a_row, n, &packed, &mut row, r, scale, epi);
+                            let want_row = &want[r * n..(r + 1) * n];
+                            assert_bits_eq(
+                                &row,
+                                want_row,
+                                &format!("gemv {kernel:?} row {r} {what}"),
+                            );
+                        }
+                    }
+                    for path in all_paths() {
+                        let got = on_path(path, || {
+                            let mut c = vec![f32::NAN; m * n];
+                            gemm_i8(&a, m, kp, n, &packed, &mut c, scale, epi).unwrap();
+                            c
+                        });
+                        assert_bits_eq(&got, &want, &format!("gemm_i8 {path:?} {what}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The exactness table: constant operands at the extremes of the byte
+/// range, whose sums are known in closed form, at the shallowest depth
+/// and at the deepest the kernels accept. `±127` are the largest
+/// products the quantizer can produce; raw `-128` is what it never
+/// emits but `gemm_i8` accepts — `(-128)² · MAX_K_I8` is the largest
+/// sum there is, `-128 · 127` the case a sign trick gets wrong, and
+/// all of them push the VNNI kernel's biased partial sums past i32, so
+/// a `+128` correction that is off by anything shows here.
+#[test]
+fn extreme_operands_are_exact_at_the_depth_limits() {
+    let (m, n) = (7usize, 9usize);
+    let scale = 1.0f32;
+    for kp in [4usize, MAX_K_I8] {
+        for (av, bv) in [
+            (127i8, 127i8),
+            (-127, 127),
+            (-128, -128),
+            (-128, 127),
+            (127, -128),
+        ] {
+            let sum = av as i64 * bv as i64 * kp as i64;
+            let sum = i32::try_from(sum).expect("the true sum fits i32 by MAX_K_I8");
+            let want = vec![sum as f32 * scale; m * n];
+            let a = vec![av; m * kp];
+            let (packed, _) = pack_quads(&vec![bv; kp * n], kp, n);
+            for kernel in kernels_under_test() {
+                let what = format!("{kernel:?} {av} x {bv} at kp={kp}");
+                let got = band_on(kernel, &a, m, kp, n, &packed, scale, Epilogue::NONE);
+                assert_bits_eq(&got, &want, &format!("band {what}"));
+                let mut row = vec![f32::NAN; n];
+                gemv_i8_packed_with(
+                    kernel,
+                    &a[..kp],
+                    n,
+                    &packed,
+                    &mut row,
+                    0,
+                    scale,
+                    Epilogue::NONE,
+                );
+                assert_bits_eq(&row, &want[..n], &format!("gemv {what}"));
+            }
+        }
+    }
+}
+
+/// Alternating ±127 signs: the largest-magnitude products cancel, so a
+/// kernel that saturated a 16-bit stage would drift from the reference.
+#[test]
+fn saturation_edges_are_exact_on_all_kernels() {
     let (m, k, n) = (3usize, 512usize, 17usize);
-    let kp = k.next_multiple_of(2);
+    let kp = k.next_multiple_of(4);
     let mut a = vec![0i8; m * kp];
     for r in 0..m {
         for t in 0..k {
@@ -376,41 +512,12 @@ fn saturation_edges_are_exact_on_all_paths() {
     let b: Vec<i8> = (0..k * n)
         .map(|i| if i % 3 == 0 { -127 } else { 127 })
         .collect();
-    let (packed, _) = pack_pairs(&b, k, n);
+    let (packed, _) = pack_quads(&b, k, n);
     let scale = 1e-4f32;
     let want = reference(&a, m, kp, k, &b, n, scale, None, true, false);
-    for path in all_paths() {
-        let got = band_on(path, &a, m, kp, n, &packed, scale, Epilogue::NONE);
-        assert_bits_eq(&got, &want, &format!("saturation {path:?}"));
-    }
-}
-
-/// `k = 0` (empty accumulation) must still run the epilogue.
-#[test]
-fn k_zero_runs_epilogue_on_all_paths() {
-    let _guard = force_lock();
-    let n = 11usize;
-    let bias: Vec<f32> = (0..n).map(|c| c as f32 - 5.0).collect();
-    let packed = vec![0i8; n.div_ceil(PANEL) * PANEL * 2];
-    for path in all_paths() {
-        let mut got = vec![f32::NAN; n];
-        gemv_i8_packed_with(
-            path,
-            &[],
-            n,
-            &packed,
-            &mut got,
-            0,
-            1.0,
-            Epilogue {
-                bias: Some(EpiBias::PerCol(&bias)),
-                relu: true,
-            },
-        );
-        for (c, v) in got.iter().enumerate() {
-            let want = (bias[c]).max(0.0);
-            assert_eq!(v.to_bits(), want.to_bits(), "{path:?} col {c}");
-        }
+    for kernel in kernels_under_test() {
+        let got = band_on(kernel, &a, m, kp, n, &packed, scale, Epilogue::NONE);
+        assert_bits_eq(&got, &want, &format!("saturation {kernel:?}"));
     }
 }
 
