@@ -11,21 +11,14 @@
 //! # Virtual-clock serving timeline: one track per tenant plus router
 //! # worker tracks, bit-identical run to run:
 //! cargo run --release -p cap-bench --bin repro -- --exp serve --trace-out serve.json
-//! # Perf-regression sentinel against the checked-in baseline (exits
-//! # nonzero on a strict violation):
-//! cargo run --release -p cap-bench --bin repro -- --exp sentinel --baseline BENCH_baseline.json
-//! cargo run --release -p cap-bench --bin repro -- --exp sentinel --write-baseline BENCH_baseline.json
 //! ```
 
-use cap_bench::experiments::{profile, sentinel, serve_exp};
+use cap_bench::experiments::{profile, serve_exp};
 use cap_bench::{run_experiment, EXPERIMENTS};
 use std::path::Path;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro --exp <id>|all [--out DIR] [--trace-out FILE] \
-         [--baseline FILE] [--write-baseline FILE] | --list"
-    );
+    eprintln!("usage: repro --exp <id>|all [--out DIR] [--trace-out FILE] | --list");
     eprintln!("experiments:");
     for (id, desc, _) in EXPERIMENTS {
         eprintln!("  {id:<15} {desc}");
@@ -55,64 +48,11 @@ fn write_file(path: &str, contents: &str) {
     println!("wrote {path}");
 }
 
-/// The sentinel path owns the process exit code: 0 clean, 1 on a
-/// strict baseline violation, 2 when the baseline cannot be read.
-fn run_sentinel(baseline: Option<&str>, write_baseline: Option<&str>, out_dir: Option<&str>) -> ! {
-    let run = sentinel::run_workload();
-    emit("sentinel", &run.report, out_dir);
-    if let Some(path) = write_baseline {
-        write_file(path, &run.baseline_json());
-    }
-    let Some(path) = baseline else {
-        std::process::exit(0);
-    };
-    let contents = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("failed reading baseline {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match run.compare(&contents) {
-        Ok(cmp) => {
-            println!("\n# Baseline comparison ({path})\n\n{}", cmp.report);
-            if cmp.strict_violations > 0 {
-                eprintln!(
-                    "sentinel: {} strict violation(s) against {path}",
-                    cmp.strict_violations
-                );
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("sentinel: unusable baseline {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    // Whatever goes wrong, the global flight recorder's last spans are
-    // worth more than the panic message alone: dump the timeline tail
-    // to stderr before unwinding kills it.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        default_hook(info);
-        let dump = cap_obs::flight::global().dump_text();
-        if dump.is_empty() {
-            eprintln!("flight recorder: no spans recorded");
-        } else {
-            eprintln!("flight recorder (most recent spans last):\n{dump}");
-        }
-    }));
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exp: Option<String> = None;
     let mut out_dir: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
     let mut list = false;
     let mut i = 0;
     while i < args.len() {
@@ -128,14 +68,6 @@ fn main() {
             }
             "--trace-out" => {
                 trace_out = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--baseline" => {
-                baseline = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--write-baseline" => {
-                write_baseline = args.get(i + 1).cloned();
                 i += 1;
             }
             _ => usage(),
@@ -162,18 +94,7 @@ fn main() {
         eprintln!("--trace-out requires an experiment with a span source (profile, serve)");
         usage();
     }
-    if (baseline.is_some() || write_baseline.is_some()) && exp != "sentinel" {
-        eprintln!("--baseline/--write-baseline only apply to --exp sentinel");
-        usage();
-    }
 
-    if exp == "sentinel" {
-        run_sentinel(
-            baseline.as_deref(),
-            write_baseline.as_deref(),
-            out_dir.as_deref(),
-        );
-    }
     if exp == "profile" {
         let (report, spans) = profile::profile_caffenet_with_trace();
         emit("profile", &report, out_dir.as_deref());

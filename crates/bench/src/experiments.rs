@@ -15,7 +15,6 @@ pub mod profile;
 mod quantize_exp;
 pub mod scaling_exp;
 mod sensitivity;
-pub mod sentinel;
 pub mod serve_exp;
 mod tables;
 
@@ -114,11 +113,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "scalingm",
         "Strong scaling of the parallel inference engine + Amdahl fit",
         scaling_exp::scalingm,
-    ),
-    (
-        "sentinel",
-        "Perf-regression sentinel workload (compare with --baseline, emit with --write-baseline)",
-        sentinel::sentinel,
     ),
     (
         "kernels",

@@ -73,24 +73,3 @@ fn chrome_trace_json_is_valid_with_control_chars() {
     // Empty trace parses too.
     assert_parses(&chrome_trace_json(&[]), "empty chrome trace");
 }
-
-#[test]
-fn sentinel_baseline_json_is_valid() {
-    // Pure-policy check (no workload): a synthetic run's baseline file
-    // parses; the real run's file is checked in sentinel_gate.rs.
-    use cap_bench::experiments::sentinel::{MetricKind, SentinelMetric, SentinelRun};
-    let run = SentinelRun {
-        metrics: vec![SentinelMetric {
-            name: "forward_passes",
-            value: 24.0,
-            kind: MetricKind::Strict,
-            rel_tol: 0.0,
-        }],
-        report: String::new(),
-    };
-    let v = assert_parses(&run.baseline_json(), "sentinel baseline");
-    match serde::map_field(&v, "schema").unwrap() {
-        Value::Str(s) => assert_eq!(s, cap_bench::experiments::sentinel::SCHEMA),
-        other => panic!("schema should be a string, got {other:?}"),
-    }
-}

@@ -10,10 +10,11 @@
 //! cores — the same shape as the paper's GPU curve, with the
 //! saturation point set by core count instead of SM count.
 
-use crate::network::{ForwardArena, Network};
+use crate::network::Network;
+use crate::parallel::{run_chunk_range, WorkerState};
+use cap_obs::NoopTracer;
 use cap_tensor::{Tensor4, TensorResult};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Throughput measured over one batched run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -28,13 +29,30 @@ pub struct ThroughputReport {
     pub images_per_s: f64,
 }
 
+impl ThroughputReport {
+    pub(crate) fn over(images: usize, batch: usize, wall_s: f64) -> Self {
+        let images_per_s = if wall_s > 0.0 {
+            images as f64 / wall_s
+        } else {
+            0.0
+        };
+        Self {
+            images,
+            batch,
+            wall_s,
+            images_per_s,
+        }
+    }
+}
+
 /// Run inference over `images` in batches of `batch`, returning the
 /// network outputs per image (in order) and a throughput report.
 ///
 /// A trailing partial batch is executed as-is, reusing the same chunk
 /// buffer (shrunk in place) rather than allocating a fresh tensor; all
-/// layer activations come from one [`ForwardArena`] reused across
-/// batches.
+/// layer activations come from one [`crate::ForwardArena`] reused
+/// across batches. This is the chunk loop of a [`crate::ParallelEngine`]
+/// worker, run over every chunk on the calling thread.
 ///
 /// Every kernel on this path computes each image independently, so the
 /// per-image outputs are **bitwise-equal across batch sizes** (and equal
@@ -72,34 +90,19 @@ pub fn run_batched(
 ) -> TensorResult<(Vec<Vec<f32>>, ThroughputReport)> {
     let n = images.n();
     let batch = batch.max(1);
-    let (c, h, w) = (images.c(), images.h(), images.w());
-    let mut outputs = Vec::with_capacity(n);
-    let mut chunk = Tensor4::zeros(0, 0, 0, 0);
-    let mut arena = ForwardArena::new();
-    let start = Instant::now();
-    let mut i = 0;
-    while i < n {
-        let take = batch.min(n - i);
-        chunk.resize(take, c, h, w);
-        for j in 0..take {
-            chunk.image_mut(j).copy_from_slice(images.image(i + j));
-        }
-        let out = net.forward_into(&chunk, &mut arena)?;
-        for j in 0..take {
-            outputs.push(out.image(j).to_vec());
-        }
-        i += take;
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    Ok((
-        outputs,
-        ThroughputReport {
-            images: n,
-            batch,
-            wall_s,
-            images_per_s: if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 },
-        },
-    ))
+    let mut outputs = vec![Vec::new(); n];
+    let (_, wall_s) = run_chunk_range(
+        net,
+        images,
+        batch,
+        0,
+        n.div_ceil(batch),
+        &mut WorkerState::default(),
+        &mut outputs,
+        0,
+        &NoopTracer,
+    )?;
+    Ok((outputs, ThroughputReport::over(n, batch, wall_s)))
 }
 
 #[cfg(test)]

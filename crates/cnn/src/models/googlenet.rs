@@ -211,6 +211,8 @@ mod tests {
         check("inception-4e-output", (832, 14, 14));
         check("inception-5b-output", (1024, 7, 7));
         check("pool5-7x7-s1", (1024, 1, 1));
+        let by_layer: u64 = net.macs_by_layer().unwrap().iter().map(|l| l.2).sum();
+        assert_eq!(by_layer, net.macs_per_image().unwrap());
     }
 
     #[test]

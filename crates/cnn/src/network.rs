@@ -34,6 +34,11 @@ pub const INPUT: NodeId = NodeId(usize::MAX);
 struct Node {
     layer: Box<dyn Layer>,
     inputs: Vec<NodeId>,
+    /// Per-image output shape and MACs, fixed when the node is added:
+    /// both depend only on the layer's parameters and its input shapes,
+    /// and `set_weights` rejects a weight matrix of a different shape.
+    out_shape: ChwShape,
+    macs: u64,
 }
 
 /// One unit of work in a fusion [`Plan`]: run node `node`, optionally
@@ -369,13 +374,15 @@ impl Network {
                 layer.name()
             )));
         }
-        // Shape-check the whole prefix up to and including this layer.
         let in_shapes = self.resolve_shapes(inputs)?;
-        layer.out_shape(&in_shapes)?;
+        let out_shape = layer.out_shape(&in_shapes)?;
+        let macs = layer.macs_per_image(&in_shapes)?;
         self.by_name.insert(layer.name().to_string(), id);
         self.nodes.push(Node {
             layer,
             inputs: inputs.to_vec(),
+            out_shape,
+            macs,
         });
         // The plans are a function of the node list; rebuild lazily.
         self.plans = Default::default();
@@ -394,48 +401,27 @@ impl Network {
     }
 
     fn resolve_shapes(&self, inputs: &[NodeId]) -> TensorResult<Vec<ChwShape>> {
-        inputs
-            .iter()
-            .map(|&id| {
-                if id == INPUT {
-                    Ok(self.input_shape)
-                } else {
-                    self.shape_of(id)
-                }
-            })
-            .collect()
+        inputs.iter().map(|&id| self.shape_of(id)).collect()
     }
 
-    /// Per-image output shape of node `id`, derived by walking the DAG.
+    /// Per-image output shape of node `id` ([`INPUT`]: the input shape).
     pub fn shape_of(&self, id: NodeId) -> TensorResult<ChwShape> {
         if id == INPUT {
             return Ok(self.input_shape);
         }
-        // Compute shapes for all nodes up to `id` (cheap: pure arithmetic).
-        let mut shapes: Vec<ChwShape> = Vec::with_capacity(id.0 + 1);
-        for node in &self.nodes[..=id.0] {
-            let in_shapes: Vec<ChwShape> = node
-                .inputs
-                .iter()
-                .map(|&i| {
-                    if i == INPUT {
-                        self.input_shape
-                    } else {
-                        shapes[i.0]
-                    }
-                })
-                .collect();
-            shapes.push(node.layer.out_shape(&in_shapes)?);
-        }
-        Ok(shapes[id.0])
+        self.nodes.get(id.0).map(|n| n.out_shape).ok_or_else(|| {
+            ShapeError::new(format!(
+                "network {}: no node {} ({} nodes)",
+                self.name,
+                id.0,
+                self.nodes.len()
+            ))
+        })
     }
 
     /// Per-image output shape of the network (last node).
     pub fn output_shape(&self) -> TensorResult<ChwShape> {
-        if self.nodes.is_empty() {
-            return Ok(self.input_shape);
-        }
-        self.shape_of(NodeId(self.nodes.len() - 1))
+        Ok(self.nodes.last().map_or(self.input_shape, |n| n.out_shape))
     }
 
     /// Look up a node id by layer name.
@@ -476,50 +462,16 @@ impl Network {
 
     /// Total MACs per image, summed across layers.
     pub fn macs_per_image(&self) -> TensorResult<u64> {
-        let mut shapes: Vec<ChwShape> = Vec::with_capacity(self.nodes.len());
-        let mut total = 0u64;
-        for node in &self.nodes {
-            let in_shapes: Vec<ChwShape> = node
-                .inputs
-                .iter()
-                .map(|&i| {
-                    if i == INPUT {
-                        self.input_shape
-                    } else {
-                        shapes[i.0]
-                    }
-                })
-                .collect();
-            total += node.layer.macs_per_image(&in_shapes)?;
-            shapes.push(node.layer.out_shape(&in_shapes)?);
-        }
-        Ok(total)
+        Ok(self.nodes.iter().map(|n| n.macs).sum())
     }
 
     /// Per-layer MACs per image, `(name, kind, macs)` in execution order.
     pub fn macs_by_layer(&self) -> TensorResult<Vec<(String, LayerKind, u64)>> {
-        let mut shapes: Vec<ChwShape> = Vec::with_capacity(self.nodes.len());
-        let mut out = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let in_shapes: Vec<ChwShape> = node
-                .inputs
-                .iter()
-                .map(|&i| {
-                    if i == INPUT {
-                        self.input_shape
-                    } else {
-                        shapes[i.0]
-                    }
-                })
-                .collect();
-            out.push((
-                node.layer.name().to_string(),
-                node.layer.kind(),
-                node.layer.macs_per_image(&in_shapes)?,
-            ));
-            shapes.push(node.layer.out_shape(&in_shapes)?);
-        }
-        Ok(out)
+        Ok(self
+            .nodes
+            .iter()
+            .map(|n| (n.layer.name().to_string(), n.layer.kind(), n.macs))
+            .collect())
     }
 
     /// Run a forward pass, returning only the output tensor.
@@ -1017,7 +969,7 @@ impl Network {
         let (own, spawned) = scratch
             .split_first_mut()
             .expect("run_pass sizes scratch to at least one worker");
-        rayon::scope(|scope| {
+        std::thread::scope(|scope| {
             for ws in spawned {
                 scope.spawn(move || self.dag_worker_loop(pass, run_ref, ws));
             }
@@ -1139,6 +1091,14 @@ mod tests {
         let net = tiny_sequential();
         assert_eq!(net.output_shape().unwrap(), (4, 4, 4));
         assert_eq!(net.len(), 3);
+    }
+
+    #[test]
+    fn shape_of_unknown_node_is_an_error() {
+        let net = tiny_sequential();
+        assert_eq!(net.shape_of(NodeId(2)).unwrap(), (4, 4, 4));
+        let err = net.shape_of(NodeId(3)).unwrap_err().to_string();
+        assert!(err.contains("tiny") && err.contains("no node 3"), "{err}");
     }
 
     #[test]

@@ -4,19 +4,20 @@
 //! cleanly across GPUs and instances; [`crate::inference::run_batched`]
 //! gave us the single-worker measurement. This module adds the parallel
 //! counterpart: a [`ParallelEngine`] shards the *chunk sequence* of a
-//! batched workload across a fixed pool of OS threads (via the
-//! `rayon::scope` fork-join primitive), so strong-scaling efficiency can
-//! be measured rather than assumed, and fed back into `cap-cloud`'s
-//! execution simulator as a calibrated efficiency curve.
+//! batched workload across one scoped OS thread per worker
+//! (`std::thread::scope`), so strong-scaling efficiency can be measured
+//! rather than assumed, and fed back into `cap-cloud`'s execution
+//! simulator as a calibrated efficiency curve.
 //!
 //! # Determinism
 //!
 //! Output ordering and *values* are bitwise-identical to the sequential
-//! path. The engine reproduces exactly the chunk boundaries
-//! `run_batched` would use (`batch`-sized, trailing partial chunk
-//! as-is), assigns each worker a contiguous run of chunks, and every
-//! output image is written by exactly one worker into its own disjoint
-//! slice of the result. Per-worker state — the staging chunk tensor and
+//! path: `run_batched` is this module's chunk loop (`run_chunk_range`)
+//! over every chunk on the calling thread, so both cut the same
+//! `batch`-sized chunks (trailing partial chunk as-is). The engine
+//! assigns each worker a contiguous run of chunks, and every output
+//! image is written by exactly one worker into its own disjoint slice
+//! of the result. Per-worker state — the staging chunk tensor and
 //! the [`ForwardArena`] — is checked out of an engine-owned pool, so
 //! workers share no mutable state and repeat runs reuse the grown
 //! buffers (the zero-allocation steady state of the sequential path,
@@ -31,8 +32,8 @@ use crate::inference::ThroughputReport;
 use crate::network::{ForwardArena, Network};
 use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
 use cap_tensor::{Tensor4, TensorResult};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Wall-clock account of one worker's share of a parallel run.
@@ -79,13 +80,9 @@ impl InferenceReport {
     }
 }
 
-/// What one worker hands back at join: its reusable state plus either
-/// `(images_done, busy_s)` or the first error it hit.
-type WorkerOutcome = (WorkerState, TensorResult<(usize, f64)>);
-
 /// Per-worker reusable state: the staging chunk and the arena
 /// (activations and kernel scratch).
-struct WorkerState {
+pub(crate) struct WorkerState {
     chunk: Tensor4,
     arena: ForwardArena,
 }
@@ -149,6 +146,12 @@ impl ParallelEngine {
         self.workers
     }
 
+    fn pool(&self) -> MutexGuard<'_, Vec<WorkerState>> {
+        // A `WorkerState` is buffers a pass overwrites from the start;
+        // no panic can leave the list itself half-updated.
+        self.pool.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Run inference over `images` in batches of `batch`, sharded across
     /// the engine's workers.
     ///
@@ -195,8 +198,8 @@ impl ParallelEngine {
     /// [`cap_obs::CollectingTracer`] or [`cap_obs::FlightRecorder`]
     /// does).
     ///
-    /// Workers run on fresh OS threads (the `rayon::scope` shim spawns
-    /// one per worker), and recording tracers stamp each span with the
+    /// Workers run on fresh OS threads (one scoped thread per worker),
+    /// and recording tracers stamp each span with the
     /// reporting thread's [`cap_obs::current_tid`] — so in a collected
     /// trace every worker's spans land on their own thread track, with
     /// the per-layer spans nested inside that worker's
@@ -243,38 +246,45 @@ impl ParallelEngine {
         }
 
         let states: Vec<WorkerState> = {
-            let mut pool = self.pool.lock();
+            let mut pool = self.pool();
             (0..active)
                 .map(|_| pool.pop().unwrap_or_default())
                 .collect()
         };
-        let mut results: Vec<Option<WorkerOutcome>> = (0..active).map(|_| None).collect();
 
         let start = Instant::now();
-        rayon::scope(|s| {
-            for (w, (((slot, out_slice), mut state), &(c0, c1))) in results
-                .iter_mut()
-                .zip(parts)
+        let joined: Vec<(WorkerState, TensorResult<(usize, f64)>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = parts
+                .into_iter()
                 .zip(states)
-                .zip(ranges.iter())
+                .zip(&ranges)
                 .enumerate()
-            {
-                s.spawn(move || {
-                    let r = run_chunk_range(
-                        net, images, batch, c0, c1, &mut state, out_slice, w, tracer,
-                    );
-                    *slot = Some((state, r));
-                });
-            }
+                .map(|(w, ((out_slice, mut state), &(c0, c1)))| {
+                    s.spawn(move || {
+                        // `DagMode::Auto` keeps this thread's passes
+                        // sequential instead of stacking node-parallel
+                        // threads on the engine's (`CAP_CNN_DAG=on`
+                        // still overrides).
+                        let _dag_guard = crate::dag::EngineWorkerGuard::enter();
+                        let r = run_chunk_range(
+                            net, images, batch, c0, c1, &mut state, out_slice, w, tracer,
+                        );
+                        (state, r)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
         let wall_s = start.elapsed().as_secs_f64();
 
         let mut worker_reports = Vec::with_capacity(self.workers);
         let mut first_err = None;
         {
-            let mut pool = self.pool.lock();
-            for (w, slot) in results.into_iter().enumerate() {
-                let (state, outcome) = slot.expect("scope joins every spawned worker");
+            let mut pool = self.pool();
+            for (w, (state, outcome)) in joined.into_iter().enumerate() {
                 pool.push(state);
                 match outcome {
                     Ok((images_done, busy_s)) => worker_reports.push(WorkerReport {
@@ -308,12 +318,7 @@ impl ParallelEngine {
         Ok((
             outputs,
             InferenceReport {
-                throughput: ThroughputReport {
-                    images: n,
-                    batch,
-                    wall_s,
-                    images_per_s: if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 },
-                },
+                throughput: ThroughputReport::over(n, batch, wall_s),
                 workers: worker_reports,
             },
         ))
@@ -351,24 +356,23 @@ impl ParallelEngine {
     /// assert_eq!(out, seq);
     /// ```
     pub fn run_chunk(&self, net: &Network, chunk: &Tensor4) -> TensorResult<Vec<Vec<f32>>> {
-        let mut state = {
-            let mut pool = self.pool.lock();
-            pool.pop().unwrap_or_default()
-        };
+        let mut state = self.pool().pop().unwrap_or_default();
         let result = match net.forward_into(chunk, &mut state.arena) {
             Ok(y) => Ok((0..chunk.n()).map(|j| y.image(j).to_vec()).collect()),
             Err(e) => Err(e),
         };
-        self.pool.lock().push(state);
+        self.pool().push(state);
         result
     }
 }
 
-/// One worker's loop: execute chunks `c0..c1`, writing per-image outputs
-/// into `out` (indexed relative to the range's first image). Reports one
-/// [`SpanScope::Worker`] span covering the whole loop to `tracer`.
+/// The chunk loop, of one engine worker or of
+/// [`crate::inference::run_batched`]: execute chunks `c0..c1`, writing
+/// per-image outputs into `out` (indexed relative to the range's first
+/// image). Reports one [`SpanScope::Worker`] span covering the whole
+/// loop to `tracer`; returns the images done and the seconds it took.
 #[allow(clippy::too_many_arguments)]
-fn run_chunk_range<T: Tracer>(
+pub(crate) fn run_chunk_range<T: Tracer>(
     net: &Network,
     images: &Tensor4,
     batch: usize,
@@ -382,11 +386,6 @@ fn run_chunk_range<T: Tracer>(
     let n = images.n();
     let (c, h, w) = (images.c(), images.h(), images.w());
     let base = c0 * batch;
-    // Mark this thread as a data-parallel worker for the duration of
-    // its chunk loop: `DagMode::Auto` then keeps the forward passes
-    // below sequential instead of stacking node-parallel threads on
-    // top of the engine's (`CAP_CNN_DAG=on` still overrides).
-    let _dag_guard = crate::dag::EngineWorkerGuard::enter();
     let busy = Instant::now();
     let mut images_done = 0usize;
     for chunk_idx in c0..c1 {
@@ -540,7 +539,7 @@ mod tests {
         // Second run draws the same worker states back out of the pool.
         let (b, _) = engine.run_batched(&net, &imgs, 2).unwrap();
         assert_eq!(a, b);
-        assert_eq!(engine.pool.lock().len(), 2);
+        assert_eq!(engine.pool().len(), 2);
     }
 
     #[test]

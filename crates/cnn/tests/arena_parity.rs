@@ -5,23 +5,14 @@
 
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, Layer, LrnLayer, PoolLayer, PoolMode,
-    ReluLayer, SoftmaxLayer, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
+    ReluLayer, SoftmaxLayer,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_tensor::{init::xavier_uniform, Conv2dParams, Matrix, Tensor4};
 use proptest::prelude::*;
 
-/// Zero all but one weight in 32: past the CSR crossover of either
-/// precision, so the layer runs its CSR form in an int8 leg too.
-fn csr_sparse(mut w: Matrix) -> Matrix {
-    for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-        if i % 32 != 0 {
-            *v = 0.0;
-        }
-    }
-    assert!(w.sparsity(0.0) > SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
-    w
-}
+mod common;
+use common::csr_weights;
 
 /// A small net exercising every layer type with an overridden
 /// `forward_into`: grouped conv, relu, LRN, pool, branchy concat,
@@ -31,7 +22,7 @@ fn build_net(seed: u64, sparse_conv: bool) -> Network {
     let p1 = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
     let mut w1 = xavier_uniform(6, 2 * 9, seed);
     if sparse_conv {
-        w1 = csr_sparse(w1);
+        w1 = csr_weights(w1);
     }
     let c1 = net
         .add_layer(
@@ -159,7 +150,7 @@ fn arena_survives_weight_swap() {
     let mut arena = ForwardArena::new();
     let before = net.forward_into(&x, &mut arena).unwrap().clone();
 
-    let w = csr_sparse(net.layer("c1").unwrap().weights().unwrap().clone());
+    let w = csr_weights(net.layer("c1").unwrap().weights().unwrap().clone());
     net.set_layer_weights("c1", w).unwrap();
     let after_arena = net.forward_into(&x, &mut arena).unwrap().clone();
     let after_fresh = net.forward(&x).unwrap();

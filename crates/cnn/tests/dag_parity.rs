@@ -13,7 +13,7 @@ use cap_cnn::dag::{self, DagMode};
 use cap_cnn::fusion::{self, FusionMode};
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
-    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
+    FC_SPARSE_THRESHOLD,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{DagExecutor, NoopTracer, ParallelEngine};
@@ -22,6 +22,8 @@ use cap_tensor::kernels::{self, KernelPath};
 use cap_tensor::{Conv2dParams, Matrix, Tensor4};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+
+mod common;
 
 /// Global serialization for tests that touch the process-global force
 /// hooks or assert on the global metrics registry.
@@ -75,7 +77,7 @@ fn build_random_net(seed: u64, branches: usize, depth: usize, sparse: bool) -> N
                     let p = Conv2dParams::new(4, 4, 3, 1, 1);
                     let mut w = xavier_uniform(4, 36, seed + (b * 10 + d) as u64 + 1);
                     if sparse {
-                        w = prune(&w, 32, SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
+                        w = common::csr_weights(w);
                     }
                     let c = net
                         .add_layer(

@@ -12,8 +12,7 @@
 
 use cap_cnn::fusion::{self, FusionMode};
 use cap_cnn::layer::{
-    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer,
-    FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
+    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer, FC_SPARSE_THRESHOLD,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{run_batched, NoopTracer};
@@ -21,6 +20,8 @@ use cap_tensor::init::xavier_uniform;
 use cap_tensor::kernels::{self, KernelPath};
 use cap_tensor::{Conv2dParams, Matrix, Tensor4};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+
+mod common;
 
 /// Global serialization for tests that touch `fusion::force`,
 /// `kernels::force`, or the global metrics registry.
@@ -72,7 +73,7 @@ fn build_net(seed: u64, sparse: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if sparse {
-        w2 = prune(&w2, 32, SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
+        w2 = common::csr_weights(w2);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

@@ -11,15 +11,14 @@
 //! activation ranges) keeps the int8 pass inside the same bound, and
 //! the sparse CSR int8 conv path tracks f32 on a pruned network.
 
-use cap_cnn::layer::{
-    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SPARSE_THRESHOLD,
-    SPARSE_THRESHOLD_I8,
-};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer};
 use cap_cnn::network::{Network, INPUT};
 use cap_cnn::run_batched;
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{precision, CalibrationMethod, Conv2dParams, Matrix, Precision, Tensor4};
+use cap_tensor::{precision, CalibrationMethod, Conv2dParams, Precision, Tensor4};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+
+mod common;
 
 /// `precision::force` is process-global; every test in this binary
 /// serializes on one mutex so a parallel test never observes int8.
@@ -52,16 +51,7 @@ fn build_net(seed: u64, prune: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if prune {
-        let (rows, cols) = w2.shape();
-        w2 = Matrix::from_fn(rows, cols, |r, c| {
-            if (r * cols + c) % 32 == 0 {
-                w2.get(r, c)
-            } else {
-                0.0
-            }
-        });
-        // Past both crossovers: CSR under f32 and under int8.
-        assert!(w2.sparsity(0.0) > SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
+        w2 = common::csr_weights(w2);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

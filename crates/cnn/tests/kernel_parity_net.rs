@@ -11,15 +11,14 @@
 //! On non-AVX2 hosts `available_paths()` is `[Scalar]` and the
 //! comparison degenerates to scalar vs scalar — a pass, never a skip.
 
-use cap_cnn::layer::{
-    ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer, SPARSE_THRESHOLD,
-    SPARSE_THRESHOLD_I8,
-};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer, SoftmaxLayer};
 use cap_cnn::network::{Network, INPUT};
 use cap_cnn::run_batched;
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::kernels::{self, KernelPath};
-use cap_tensor::{Conv2dParams, Matrix, Tensor4};
+use cap_tensor::{Conv2dParams, Tensor4};
+
+mod common;
 
 /// conv → relu → pool → conv(pruned/sparse) → relu → fc → softmax:
 /// every kernel family the dispatch layer serves, in one pass.
@@ -44,16 +43,7 @@ fn build_net(seed: u64, prune: bool) -> Network {
     // Second conv, optionally pruned hard enough to take the CSR path.
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if prune {
-        let (rows, cols) = w2.shape();
-        w2 = Matrix::from_fn(rows, cols, |r, c| {
-            if (r * cols + c) % 32 == 0 {
-                w2.get(r, c)
-            } else {
-                0.0
-            }
-        });
-        // Past both crossovers, so an int8 leg runs CSR too.
-        assert!(w2.sparsity(0.0) > SPARSE_THRESHOLD.max(SPARSE_THRESHOLD_I8));
+        w2 = common::csr_weights(w2);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net

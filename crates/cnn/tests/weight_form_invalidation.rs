@@ -10,15 +10,15 @@
 //! `precision::force` is process-global; this file is its own test
 //! binary with a single test, so nothing races it.
 
-use cap_cnn::layer::{
-    ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8,
-};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4, Workspace};
 
-/// Unstructured zeros past every CSR threshold, f32 or int8, with no
-/// row emptied: one weight kept per row, at a column that moves with
-/// the row.
+mod common;
+
+/// Unstructured zeros that put either layer kind on its CSR form
+/// (`runs_csr` in `check` asserts it), with no row emptied: one weight
+/// kept per row, at a column that moves with the row.
 fn magnitude_pruned(w: Matrix) -> Matrix {
     let (rows, cols) = w.shape();
     Matrix::from_fn(rows, cols, |r, c| {
@@ -48,11 +48,15 @@ fn bits(t: &Tensor4) -> Vec<u32> {
 /// dense weights (a different matrix every round, so a form left over
 /// from any earlier round is wrong), running both precisions and both
 /// fusion flavors after every swap, against `fresh(weights)` — a newly
-/// constructed layer with the same weights.
-fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) -> L, x: &Tensor4) {
-    let csr_threshold = SPARSE_THRESHOLD
-        .max(SPARSE_THRESHOLD_I8)
-        .max(FC_SPARSE_THRESHOLD);
+/// constructed layer with the same weights. `runs_csr` is the layer
+/// kind's own answer to "do these weights multiply through CSR".
+fn check<L: Layer>(
+    layer: &mut L,
+    shape: (usize, usize),
+    fresh: impl Fn(Matrix) -> L,
+    runs_csr: impl Fn(&Matrix) -> bool,
+    x: &Tensor4,
+) {
     for round in 0..4 {
         let dense = xavier_uniform(shape.0, shape.1, 20 + round as u64);
         let weights = match round {
@@ -64,9 +68,8 @@ fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) 
             .filter(|&r| weights.row(r).iter().all(|&v| v == 0.0))
             .count();
         layer.set_weights(weights.clone()).unwrap();
-        let reference = fresh(weights);
         assert_eq!(
-            layer.weight_sparsity() > csr_threshold,
+            runs_csr(&weights),
             round == 2,
             "round {round} is on the wrong side of the sparse threshold"
         );
@@ -75,6 +78,7 @@ fn check<L: Layer>(layer: &mut L, shape: (usize, usize), fresh: impl Fn(Matrix) 
             round == 1,
             "round {round}: {zero_rows} zero rows"
         );
+        let reference = fresh(weights);
         for precision in [Precision::F32, Precision::Int8, Precision::F32] {
             precision::force(Some(precision));
             let (mut got, mut want) = (Tensor4::zeros(0, 0, 0, 0), Tensor4::zeros(0, 0, 0, 0));
@@ -109,6 +113,7 @@ fn set_weights_drops_every_cached_form() {
         &mut conv,
         conv_w.shape(),
         |w| ConvLayer::new("fresh", params, w, bias.clone()).unwrap(),
+        common::conv_runs_csr,
         &x,
     );
 
@@ -119,6 +124,7 @@ fn set_weights_drops_every_cached_form() {
         &mut fc,
         fc_w.shape(),
         |w| InnerProductLayer::new("fresh", w, fc_bias.clone()).unwrap(),
+        |w| w.sparsity(0.0) > FC_SPARSE_THRESHOLD,
         &x,
     );
 }

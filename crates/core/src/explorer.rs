@@ -7,7 +7,6 @@ use crate::metrics::{car, tar, AccuracyMetric};
 use crate::pareto::{pareto_indices, ParetoPoint};
 use crate::version::AppVersion;
 use cap_cloud::{simulate_with, Distribution, GpuScaling, ResourceConfig};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One evaluated candidate: an application version on a resource
@@ -90,8 +89,7 @@ pub fn tri_frontier_indices(evals: &[EvaluatedConfig], metric: AccuracyMetric) -
 /// `w`-image workload at `batch` parallel inferences per GPU.
 ///
 /// Uses the paper's Eq. 4 equal-split distribution and the default
-/// (calibrated sub-linear) multi-GPU scaling model; evaluation is
-/// rayon-parallel over the cross-product.
+/// (calibrated sub-linear) multi-GPU scaling model.
 pub fn evaluate_all(
     versions: &[AppVersion],
     configs: &[ResourceConfig],
@@ -126,12 +124,9 @@ pub fn evaluate_grid_with(
     batches: &[u32],
     scaling: &GpuScaling,
 ) -> Vec<EvaluatedConfig> {
-    let triples: Vec<(usize, usize, u32)> = (0..versions.len())
+    (0..versions.len())
         .flat_map(|v| (0..configs.len()).flat_map(move |c| batches.iter().map(move |&b| (v, c, b))))
-        .collect();
-    triples
-        .par_iter()
-        .filter_map(|&(vi, ci, batch)| {
+        .filter_map(|(vi, ci, batch)| {
             let v = &versions[vi];
             let cfg = &configs[ci];
             let est = simulate_with(cfg, &v.exec, w, batch, Distribution::EqualSplit, scaling)?;

@@ -1,4 +1,4 @@
-//! The flight recorder: an always-on, fixed-capacity, lock-free ring
+//! The flight recorder: a fixed-capacity, lock-free ring
 //! of the last N spans.
 //!
 //! A [`CollectingTracer`](crate::CollectingTracer) is a profiling tool:
@@ -36,7 +36,6 @@
 
 use crate::span::{current_tid, SpanInfo, SpanRecord, SpanScope, Tracer};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Bytes of a span name retained inline (longer names truncate).
@@ -111,7 +110,7 @@ impl Slot {
 }
 
 /// A fixed-capacity lock-free ring buffer of the last N spans — the
-/// always-on counterpart of [`crate::CollectingTracer`] (module docs
+/// bounded counterpart of [`crate::CollectingTracer`] (module docs
 /// explain the seqlock protocol).
 ///
 /// Implements [`Tracer`], so it attaches anywhere a tracer goes:
@@ -330,18 +329,6 @@ impl Tracer for FlightRecorder {
     }
 }
 
-/// The process-wide flight recorder (capacity [`GLOBAL_CAPACITY`]),
-/// created on first use. Binaries install it behind their panic hook
-/// (`repro` does) and pass it as the tracer of long-running work, so
-/// the last moments before a crash are always recoverable.
-pub fn global() -> &'static FlightRecorder {
-    static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| FlightRecorder::new(GLOBAL_CAPACITY))
-}
-
-/// Capacity of the [`global`] flight recorder.
-pub const GLOBAL_CAPACITY: usize = 512;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,12 +436,6 @@ mod tests {
             );
             assert_eq!(s.elapsed, Duration::from_nanos(s.index as u64));
         }
-    }
-
-    #[test]
-    fn global_is_a_singleton() {
-        assert_eq!(global().capacity(), GLOBAL_CAPACITY);
-        assert!(std::ptr::eq(global(), global()));
     }
 
     #[test]

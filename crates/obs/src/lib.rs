@@ -24,9 +24,9 @@
 //!   relative error.
 //! * [`ProfileReport`] — turns collected spans into a per-layer time
 //!   table comparable across pruning levels.
-//! * [`FlightRecorder`] — an always-on, fixed-capacity, lock-free ring
-//!   of the last N spans, cheap enough for release builds; dump it on
-//!   demand or from a panic hook.
+//! * [`FlightRecorder`] — a fixed-capacity, lock-free ring of the last
+//!   N spans, cheap enough to leave attached in release builds; dump
+//!   it on demand or from a panic hook.
 //! * [`trace_export`] — renders any span list as a Chrome
 //!   `trace_event` JSON timeline loadable in Perfetto.
 //!

@@ -79,11 +79,11 @@ impl Gauge {
     /// pre-reset peak. A gauge like `arena_bytes` therefore reflects
     /// the era since the last reset only if recording sites re-report
     /// their current value afterwards (the forward pass does, every
-    /// pass). Snapshot consumers that compare against a baseline (the
-    /// `sentinel` experiment) must reset **before** their warm-up so
+    /// pass). Snapshot consumers that assert an exact value (cap-bench's
+    /// `tests/pipeline_shape.rs`) must reset **before** their warm-up so
     /// the mark they capture covers exactly their own run; resetting
     /// mid-run would otherwise publish a partial, stale-looking
-    /// high-water into the baseline. Tested by
+    /// high-water. Tested by
     /// `reset_then_record_max_republishes_current_high_water` below.
     #[inline]
     pub fn record_max(&self, v: u64) {

@@ -5,21 +5,17 @@
 //! the plain row-major multiply (a k-blocked axpy walk over `B` rows)
 //! the packed path is pinned against; [`gemm_packed`] walks a
 //! panel-packed `B` in L2-sized column strips with a register-blocked
-//! microkernel. Both split `C` into row bands through the `rayon`
-//! iterator API — each output row is owned by exactly one task, so the
-//! result is deterministic — but this workspace's `shims/rayon` runs
-//! those iterators *sequentially* on the calling thread: parallelism
-//! comes from the batch level (`ParallelEngine`, the DAG scheduler),
-//! not from inside one multiply.
+//! microkernel. Both run on the calling thread, one row band of `C`
+//! after another: parallelism comes from the batch level
+//! (`ParallelEngine`, the DAG scheduler), not from inside one multiply.
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels;
-use crate::kernels::{EpiBias, Epilogue, PANEL};
-use rayon::prelude::*;
+use crate::kernels::{Epilogue, PANEL};
 
-/// Row-band size: one band is one task of the (sequential, see module
-/// docs) row split, and the unit the packed driver walks per strip.
+/// Row-band size: the rows of `C` the packed driver finishes against one
+/// column strip before moving down (cache blocking).
 const ROW_BAND: usize = 32;
 
 /// Budget for one column strip of packed `B` in [`gemm_packed`]: the
@@ -39,11 +35,6 @@ fn strip_panels(k: usize) -> usize {
     let panel_bytes = (k * PANEL * std::mem::size_of::<f32>()).max(1);
     (STRIP_BYTES / panel_bytes / 2 * 2).max(2)
 }
-
-/// Columns per parallel chunk on the batch-1 (`m == 1`) GEMV route. A
-/// multiple of `PANEL` so chunk boundaries align with packed panels;
-/// 32 panels ≈ one L1-resident output stripe per task.
-const GEMV_COL_CHUNK: usize = 32 * PANEL;
 
 /// Block size along the shared `k` dimension (cache blocking).
 const K_BLOCK: usize = 256;
@@ -86,51 +77,44 @@ pub fn gemm_prealloc(a: &Matrix, b: &Matrix, c: &mut Matrix) -> TensorResult<()>
     let a_data = a.as_slice();
     let b_data = b.as_slice();
     let c_data = c.as_mut_slice();
-    // Resolve the kernel path once, outside the parallel loop, and pass
-    // it by value into the band tasks (worker threads must not re-read
-    // process-global dispatch state mid-operation).
     let path = kernels::selected();
 
-    // Parallelize over disjoint row bands of C.
-    c_data
-        .par_chunks_mut(ROW_BAND * n)
-        .enumerate()
-        .for_each(|(band, c_band)| {
-            let row0 = band * ROW_BAND;
-            let rows_here = c_band.len() / n.max(1);
-            c_band.fill(0.0);
-            let mut k0 = 0;
-            while k0 < k {
-                let k1 = (k0 + K_BLOCK).min(k);
-                for local_r in 0..rows_here {
-                    let r = row0 + local_r;
-                    let a_row = &a_data[r * k..(r + 1) * k];
-                    let c_row = &mut c_band[local_r * n..(local_r + 1) * n];
-                    let a_blk = &a_row[k0..k1];
-                    // Cheap density probe: O(k_block) against an inner loop
-                    // of O(k_block * n). Only pay the per-element zero-skip
-                    // branch when this row block actually carries zeros
-                    // (pruned weights); dense rows take the branch-free
-                    // loop, which the compiler vectorizes cleanly.
-                    let zeros = a_blk.iter().filter(|&&v| v == 0.0).count();
-                    if zeros * SKIP_DENOM >= a_blk.len() * SKIP_NUMER {
-                        for (kk, &aik) in a_blk.iter().enumerate() {
-                            if aik == 0.0 {
-                                continue; // skip zero weights: sparsity win
-                            }
-                            let b_row = &b_data[(k0 + kk) * n..(k0 + kk + 1) * n];
-                            kernels::axpy_with(path, c_row, aik, b_row);
+    for (band, c_band) in c_data.chunks_mut((ROW_BAND * n).max(1)).enumerate() {
+        let row0 = band * ROW_BAND;
+        let rows_here = c_band.len() / n.max(1);
+        c_band.fill(0.0);
+        let mut k0 = 0;
+        while k0 < k {
+            let k1 = (k0 + K_BLOCK).min(k);
+            for local_r in 0..rows_here {
+                let r = row0 + local_r;
+                let a_row = &a_data[r * k..(r + 1) * k];
+                let c_row = &mut c_band[local_r * n..(local_r + 1) * n];
+                let a_blk = &a_row[k0..k1];
+                // Cheap density probe: O(k_block) against an inner loop
+                // of O(k_block * n). Only pay the per-element zero-skip
+                // branch when this row block actually carries zeros
+                // (pruned weights); dense rows take the branch-free
+                // loop, which the compiler vectorizes cleanly.
+                let zeros = a_blk.iter().filter(|&&v| v == 0.0).count();
+                if zeros * SKIP_DENOM >= a_blk.len() * SKIP_NUMER {
+                    for (kk, &aik) in a_blk.iter().enumerate() {
+                        if aik == 0.0 {
+                            continue; // skip zero weights: sparsity win
                         }
-                    } else {
-                        for (kk, &aik) in a_blk.iter().enumerate() {
-                            let b_row = &b_data[(k0 + kk) * n..(k0 + kk + 1) * n];
-                            kernels::axpy_with(path, c_row, aik, b_row);
-                        }
+                        let b_row = &b_data[(k0 + kk) * n..(k0 + kk + 1) * n];
+                        kernels::axpy_with(path, c_row, aik, b_row);
+                    }
+                } else {
+                    for (kk, &aik) in a_blk.iter().enumerate() {
+                        let b_row = &b_data[(k0 + kk) * n..(k0 + kk + 1) * n];
+                        kernels::axpy_with(path, c_row, aik, b_row);
                     }
                 }
-                k0 = k1;
             }
-        });
+            k0 = k1;
+        }
+    }
     Ok(())
 }
 
@@ -287,14 +271,12 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
 /// element is one accumulator over its own panel — so outputs are
 /// bitwise independent of it.
 ///
-/// `m == 1` — the batch-1 inference shape — routes to the dedicated
-/// GEMV kernel instead of a degenerate one-row band: row bands cannot
-/// parallelize a single row, so the *columns* are split into
-/// panel-aligned chunks (`GEMV_COL_CHUNK`) that stream disjoint
-/// stripes of the packed `B` concurrently. Per output element the
-/// accumulation order is unchanged (each element's sum only ever walks
-/// its own panel in ascending `kk`), so the routing is bitwise
-/// invisible next to the band path.
+/// `m == 1` — the batch-1 inference shape — is one call of the
+/// dedicated GEMV kernel over all `n` columns instead of a degenerate
+/// one-row band. Per output element the accumulation order is
+/// unchanged (each element's sum only ever walks its own panel in
+/// ascending `kk`), so the routing is bitwise invisible next to the
+/// band path.
 pub fn gemm_packed(
     a_data: &[f32],
     m: usize,
@@ -331,54 +313,30 @@ pub fn gemm_packed(
     }
     // Validate the epilogue against the whole output before the first
     // store, so a short bias panics with `c_data` untouched — not after
-    // earlier bands, strips or GEMV chunks were already written.
+    // earlier bands or strips were already written.
     epi.check(m, n);
-    // Resolve the kernel path once, outside the parallel loop, and pass
-    // it by value into the band tasks (worker threads must not re-read
-    // process-global dispatch state mid-operation).
     let path = kernels::selected();
     if m == 1 && n > 0 {
-        c_data
-            .par_chunks_mut(GEMV_COL_CHUNK)
-            .enumerate()
-            .for_each(|(chunk, c_chunk)| {
-                let c0 = chunk * GEMV_COL_CHUNK;
-                // Chunks are panel-aligned, so the packed panels for
-                // columns [c0, c0 + len) start at panel c0/PANEL.
-                let b_sub = &packed_b[(c0 / PANEL) * k * PANEL..];
-                let sub_epi = Epilogue {
-                    bias: epi.bias.map(|b| match b {
-                        EpiBias::PerRow(rb) => EpiBias::PerRow(rb),
-                        // The kernel indexes a per-column bias by local
-                        // column, so shift its window to this chunk.
-                        EpiBias::PerCol(cb) => EpiBias::PerCol(&cb[c0..]),
-                    }),
-                    relu: epi.relu,
-                };
-                kernels::gemv_packed_with(path, a_data, c_chunk.len(), b_sub, c_chunk, sub_epi);
-            });
+        kernels::gemv_packed_with(path, a_data, n, packed_b, c_data, epi);
         return Ok(());
     }
     let panels = n.div_ceil(PANEL);
     let strip = strip_panels(k);
     for p0 in (0..panels).step_by(strip) {
         let strip_range = p0..(p0 + strip).min(panels);
-        c_data
-            .par_chunks_mut(ROW_BAND * n)
-            .enumerate()
-            .for_each(|(band, c_band)| {
-                kernels::gemm_packed_band_with(
-                    path,
-                    a_data,
-                    k,
-                    n,
-                    packed_b,
-                    c_band,
-                    band * ROW_BAND,
-                    strip_range.clone(),
-                    epi,
-                );
-            });
+        for (band, c_band) in c_data.chunks_mut((ROW_BAND * n).max(1)).enumerate() {
+            kernels::gemm_packed_band_with(
+                path,
+                a_data,
+                k,
+                n,
+                packed_b,
+                c_band,
+                band * ROW_BAND,
+                strip_range.clone(),
+                epi,
+            );
+        }
     }
     Ok(())
 }
@@ -386,6 +344,7 @@ pub fn gemm_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::EpiBias;
     use crate::reference::gemm_naive;
     use proptest::prelude::*;
 
@@ -460,7 +419,7 @@ mod tests {
 
     #[test]
     fn batch1_gemv_route_is_bitwise_equal_to_band_path() {
-        // m == 1 routes through the chunked GEMV kernel; outputs must be
+        // m == 1 routes through the GEMV kernel; outputs must be
         // bit-equal to the generic row-band path (and hence to gemm())
         // on every path that is bit-identical to scalar. The FMA path
         // rounds once per step where its scalar edge code rounds twice,
@@ -469,7 +428,7 @@ mod tests {
         // these operands are signed.
         let bitwise = kernels::selected().is_bit_identical_to_scalar();
         let k = 40;
-        for n in [1usize, 7, 8, 63, 64, 257, GEMV_COL_CHUNK + 5] {
+        for n in [1usize, 7, 8, 63, 64, 257, 32 * PANEL + 5] {
             let a = mat(1, k, 11);
             let b = mat(k, n, 12);
             let packed = PackedB::pack(&b);

@@ -13,8 +13,8 @@
 //!   `PANEL` dimension. Uses separate multiply and add instructions in
 //!   the **same per-element, ascending-`kk` order** as the scalar code,
 //!   so results are **bit-identical** to [`KernelPath::Scalar`] — the
-//!   parity guarantees of `run_batched` / `ParallelEngine` and the
-//!   perf sentinel's strict counters keep holding whichever path runs.
+//!   parity guarantees of `run_batched` / `ParallelEngine` keep
+//!   holding whichever path runs.
 //! * [`KernelPath::Avx2Fma`] — opt-in fused multiply-add variant.
 //!   Fusion skips the intermediate rounding of `a*b`, so outputs are
 //!   *more* accurate but only approximately equal to scalar (ULP-bounded;
@@ -31,8 +31,8 @@
 //!
 //! The resolved path is published to the observability layer as the
 //! `kernel_path` gauge (see `cap_obs::kernel_path_name`), so metric
-//! snapshots, `ProfileReport`s and the perf sentinel all record which
-//! backend produced their numbers.
+//! snapshots and `ProfileReport`s record which backend produced their
+//! numbers.
 //!
 //! All `unsafe` in `cap-tensor` lives in this directory: the [`avx2`]
 //! submodule (intrinsics) and the dispatch call sites below that enter
@@ -203,8 +203,7 @@ pub fn available_paths() -> Vec<KernelPath> {
 /// `CAP_TENSOR_KERNEL`: an explicit request if the host can run it
 /// (scalar otherwise — a clean fallback), else the fastest path that
 /// keeps bit-identity with scalar. Publishes the `kernel_path` gauge so
-/// snapshots, profiles and the sentinel record which backend produced
-/// their numbers.
+/// snapshots and profiles record which backend produced their numbers.
 static KNOB: Knob<KernelPath> = Knob::new("CAP_TENSOR_KERNEL", |requested| {
     let path = match requested {
         Some(p) if p.is_available() => p,

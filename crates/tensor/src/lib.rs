@@ -25,11 +25,10 @@
 //! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
 //!   [`reference::gemm_naive`]) that tests and benches import explicitly.
 //!
-//! All kernels are deterministic given deterministic inputs: each output
-//! element is owned by exactly one task of the `rayon`-style row split,
-//! so no reduction is ever reordered. (This workspace's `shims/rayon`
-//! runs those iterators sequentially; threads enter at the batch level,
-//! in `cap-cnn`.)
+//! All kernels are deterministic given deterministic inputs: every
+//! kernel runs on the thread that calls it and accumulates each output
+//! element in one fixed order. Threads enter at the batch and DAG-node
+//! level, in `cap-cnn`.
 //!
 //! The hot inner loops run on runtime-dispatched SIMD microkernels
 //! ([`kernels`]): AVX2 where the CPU has it, scalar everywhere else,

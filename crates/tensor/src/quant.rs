@@ -33,9 +33,8 @@
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue, PANEL};
+use crate::kernels::{self, int8 as ki8, Epilogue, PANEL};
 use crate::sparse::CsrMatrix;
-use rayon::prelude::*;
 
 /// Max-abs symmetric scale: `max|x| / 127`, or `1.0` for an all-zero
 /// (or empty) slice so downstream divisions stay finite. NaN entries
@@ -381,29 +380,14 @@ impl QuantizedCsr {
     }
 }
 
-/// Output columns per rayon task on the single-row (GEMV) route.
-const GEMV_COL_CHUNK: usize = 32 * PANEL;
-
-/// Shift a [`EpiBias::PerCol`] epilogue to a column-chunk origin (a
-/// per-row bias is chunk-invariant).
-fn epi_col_offset<'a>(epi: Epilogue<'a>, c0: usize) -> Epilogue<'a> {
-    match epi.bias {
-        Some(EpiBias::PerCol(b)) => Epilogue {
-            bias: Some(EpiBias::PerCol(&b[c0..])),
-            relu: epi.relu,
-        },
-        _ => epi,
-    }
-}
-
 /// Int8 GEMM driver: `m × kp` row-major i8 `a_data` times the
 /// quad-interleaved panel-packed `b_data` (`n` columns), dequantized by
 /// `scale` with `epi` fused into the store, written to the row-major
-/// f32 `out`. Parallelism mirrors the f32 packed GEMM: `m == 1` routes
-/// through the GEMV kernel over column chunks, otherwise rows split
-/// into [`ki8::ROW_BAND`] bands — neither affects results (exact i32
-/// accumulation, then an element-wise float epilogue) — and neither
-/// does the integer kernel, [`ki8::selected`]. Operand lengths, the
+/// f32 `out`. The walk mirrors the f32 packed GEMM: `m == 1` is one
+/// call of the GEMV kernel, otherwise one [`ki8::ROW_BAND`]-row band
+/// after another — neither affects results (exact i32 accumulation,
+/// then an element-wise float epilogue) — and neither does the integer
+/// kernel, [`ki8::selected`]. Operand lengths, the
 /// depth (`kp` a multiple of four, at most [`ki8::MAX_K_I8`]) and the
 /// epilogue's bias are validated once, before the first store.
 #[allow(clippy::too_many_arguments)]
@@ -443,50 +427,39 @@ pub fn gemm_i8(
             n.div_ceil(PANEL)
         )));
     }
-    // Everything the kernels assert per band or column chunk is checked
-    // here first, so bad operands or a short bias fail with `out`
-    // untouched — not after earlier bands or chunks were stored.
+    // Everything the kernels assert per band is checked here first, so
+    // bad operands or a short bias fail with `out` untouched — not
+    // after earlier bands were stored.
     epi.check(m, n);
     if m == 0 || n == 0 {
         return Ok(());
     }
     let kernel = ki8::selected();
     if m == 1 {
-        let plen = kp * PANEL;
-        out[..n]
-            .par_chunks_mut(GEMV_COL_CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let c0 = ci * GEMV_COL_CHUNK;
-                let b_sub = &b_data[(c0 / PANEL) * plen..];
-                ki8::gemv_i8_packed_with(
-                    kernel,
-                    &a_data[..kp],
-                    chunk.len(),
-                    b_sub,
-                    chunk,
-                    0,
-                    scale,
-                    epi_col_offset(epi, c0),
-                );
-            });
+        ki8::gemv_i8_packed_with(
+            kernel,
+            &a_data[..kp],
+            n,
+            b_data,
+            &mut out[..n],
+            0,
+            scale,
+            epi,
+        );
     } else {
-        out[..m * n]
-            .par_chunks_mut(ki8::ROW_BAND * n)
-            .enumerate()
-            .for_each(|(bi, band)| {
-                ki8::gemm_i8_packed_band_with(
-                    kernel,
-                    a_data,
-                    kp,
-                    n,
-                    b_data,
-                    band,
-                    bi * ki8::ROW_BAND,
-                    scale,
-                    epi,
-                );
-            });
+        for (bi, band) in out[..m * n].chunks_mut(ki8::ROW_BAND * n).enumerate() {
+            ki8::gemm_i8_packed_band_with(
+                kernel,
+                a_data,
+                kp,
+                n,
+                b_data,
+                band,
+                bi * ki8::ROW_BAND,
+                scale,
+                epi,
+            );
+        }
     }
     Ok(())
 }
@@ -495,6 +468,7 @@ pub fn gemm_i8(
 mod tests {
     use super::*;
     use crate::gemm::gemm;
+    use crate::kernels::EpiBias;
 
     fn det_matrix(rows: usize, cols: usize, seed: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -629,9 +603,9 @@ mod tests {
     }
 
     /// Bad operands are refused at entry, with `out` untouched: 60 rows
-    /// (two row bands) and 300 columns (two GEMV chunks) put the first
-    /// store of either route ahead of the kernel-level assert that
-    /// would otherwise catch each of these.
+    /// (two row bands) and 300 columns (38 panels for the GEMV walk) put
+    /// the first store of either route ahead of the kernel-level assert
+    /// that would otherwise catch each of these.
     #[test]
     fn gemm_i8_validates_operands_before_any_store() {
         let (k, n) = (8usize, 300usize);
@@ -665,7 +639,7 @@ mod tests {
         let (k, n) = (8usize, 300usize);
         let qb = PackedBI8::pack(&det_matrix(k, n, 2), 0.01);
         // Per row: covers the first row band only. Per column: covers
-        // the first GEMV chunk only.
+        // the first 290 of 300 columns.
         let bias = vec![0.5f32; 290];
         for (m, bias) in [
             (60usize, EpiBias::PerRow(&bias[..49])),

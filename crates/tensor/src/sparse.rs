@@ -10,7 +10,6 @@ use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels;
 use crate::kernels::KernelPath;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Stored density above which the SpMM row kernel runs scalar even when
@@ -193,9 +192,9 @@ impl CsrMatrix {
 
     /// Sparse × dense multiplication: `self (m×k) * b (k×n) -> m×n`.
     ///
-    /// Each output row is produced by one task (rayon over rows), walking
-    /// only the stored values of the corresponding CSR row — cost is
-    /// `O(nnz_row * n)` instead of `O(k * n)`.
+    /// Each output row walks only the stored values of the
+    /// corresponding CSR row — cost is `O(nnz_row * n)` instead of
+    /// `O(k * n)`.
     pub fn matmul_dense(&self, b: &Matrix) -> TensorResult<Matrix> {
         let mut c = Matrix::zeros(self.rows, b.cols());
         self.matmul_dense_into(b, &mut c)?;
@@ -257,26 +256,22 @@ impl CsrMatrix {
                 )));
             }
         }
-        // Resolve the kernel path once, outside the parallel loop, and
-        // pass it by value into the per-row tasks. Dense-stored matrices
-        // fall back to the scalar row kernel (see `spmm_effective_path`).
+        // Dense-stored matrices fall back to the scalar row kernel (see
+        // `spmm_effective_path`).
         let path = spmm_effective_path(kernels::selected(), self.density());
-        c_data
-            .par_chunks_mut(n.max(1))
-            .enumerate()
-            .for_each(|(r, c_row)| {
-                let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                kernels::spmm_row_with(
-                    path,
-                    &self.values[lo..hi],
-                    &self.col_idx[lo..hi],
-                    b_data,
-                    n,
-                    c_row,
-                    row_bias.map(|bias| bias[r]),
-                    relu,
-                );
-            });
+        for (r, c_row) in c_data.chunks_mut(n.max(1)).enumerate() {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            kernels::spmm_row_with(
+                path,
+                &self.values[lo..hi],
+                &self.col_idx[lo..hi],
+                b_data,
+                n,
+                c_row,
+                row_bias.map(|bias| bias[r]),
+                relu,
+            );
+        }
         Ok(())
     }
 

@@ -140,12 +140,12 @@ fn fused_gemm_on(path: KernelPath, a: &Matrix, b: &Matrix, epi: Epilogue<'_>) ->
 fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
     let _g = force_lock();
     // Ragged on purpose: m = 1 takes the dedicated gemv route (incl. n
-    // past the 256-column gemv chunk), k = 0 leaves pure-epilogue
+    // past 32 panels), k = 0 leaves pure-epilogue
     // output, n off the 8-wide panel.
     for (m, k, n) in [
         (1, 1, 1),
         (1, 7, 13),
-        (1, 24, 300), // batch-1 across multiple gemv column chunks
+        (1, 24, 300), // batch-1, many 4-panel gemv steps plus a tail
         (3, 0, 5),    // k = 0: epilogue applies to an all-zero product
         (4, 9, 8),
         (5, 16, 31),
