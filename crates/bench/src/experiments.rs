@@ -4,7 +4,7 @@
 mod ablation;
 mod algorithm;
 mod characterization;
-pub mod dagpar_exp;
+mod dagpar_exp;
 mod extensions;
 mod frontier;
 mod fusion_exp;
@@ -121,7 +121,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "fusion",
-        "Ablation: graph-level conv/fc→relu fusion (CAP_TENSOR_FUSION) off vs on",
+        "Ablation: graph-level conv/fc→relu fusion (CAP_TENSOR_FUSION) off vs auto",
         fusion_exp::fusion_ablation,
     ),
     (

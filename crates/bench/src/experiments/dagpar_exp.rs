@@ -122,7 +122,7 @@ fn inception(
 /// reduced channel counts), global average pooling, and a 10-way
 /// classifier — branchy enough that the plan width reaches 4, small
 /// enough that the ablation completes in seconds.
-pub fn mini_inception() -> Network {
+fn mini_inception() -> Network {
     let mut net = Network::new("mini-inception", (3, 32, 32));
     let stem = conv(
         &mut net,
@@ -173,7 +173,7 @@ pub fn mini_inception() -> Network {
 }
 
 /// Batch-1 input for [`mini_inception`].
-pub fn one_image() -> Tensor4 {
+fn one_image() -> Tensor4 {
     Tensor4::from_fn(1, 3, 32, 32, |_, c, h, w| {
         ((c * 17 + h * 3 + w) % 23) as f32 / 11.0 - 1.0
     })

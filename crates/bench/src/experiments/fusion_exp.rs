@@ -1,5 +1,5 @@
 //! Layer-fusion ablation: the graph-level `conv → relu` / `fc → relu`
-//! fusion pass (`CAP_TENSOR_FUSION`, PR 6) off vs on, on the same
+//! fusion pass (`CAP_TENSOR_FUSION`) off vs auto, on the same
 //! network, weights, and kernel path — so the measured delta is pure
 //! memory-traffic savings from skipping the intermediate activation
 //! round-trip, never an accuracy trade (the fused pass is bit-identical
@@ -39,10 +39,14 @@ fn rate(mode: FusionMode, net: &cap_cnn::Network, imgs: &Tensor4, batch: usize) 
     })
 }
 
-/// The `fusion` registry entry: fusion-off vs fusion-on ablation.
+/// The `fusion` registry entry: fusion-off vs fusion-auto ablation.
 pub fn fusion_ablation() -> String {
     let mut out = String::new();
-    writeln!(out, "# Layer-fusion ablation: CAP_TENSOR_FUSION off vs on").unwrap();
+    writeln!(
+        out,
+        "# Layer-fusion ablation: CAP_TENSOR_FUSION off vs auto"
+    )
+    .unwrap();
     writeln!(
         out,
         "\nkernel path: {} (same on both arms); fusion default: {}",
@@ -80,7 +84,7 @@ pub fn fusion_ablation() -> String {
     writeln!(
         out,
         "{:<34} {:>10} {:>10} {:>9}",
-        "arm", "off", "on", "speedup"
+        "arm", "off", "auto", "speedup"
     )
     .unwrap();
 
@@ -96,11 +100,11 @@ pub fn fusion_ablation() -> String {
     ];
     for (label, net, imgs, batch) in arms {
         let off = rate(FusionMode::Off, net, imgs, batch);
-        let on = rate(FusionMode::On, net, imgs, batch);
+        let auto = rate(FusionMode::Auto, net, imgs, batch);
         writeln!(
             out,
-            "{label:<34} {off:>10.1} {on:>10.1} {:>8.2}x",
-            on / off.max(1e-12)
+            "{label:<34} {off:>10.1} {auto:>10.1} {:>8.2}x",
+            auto / off.max(1e-12)
         )
         .unwrap();
     }
@@ -122,7 +126,7 @@ mod tests {
     #[test]
     fn ablation_reports_both_arms_and_restores_selection() {
         let out = fusion_ablation();
-        assert!(out.contains("off vs on"), "{out}");
+        assert!(out.contains("off vs auto"), "{out}");
         assert!(out.contains("dense, batch 1"), "{out}");
         assert!(out.contains("60% conv-pruned, batch 1"), "{out}");
         assert!(out.contains("fused producer→relu pairs"), "{out}");

@@ -4,8 +4,8 @@
 //! composes them with the elementwise kernels (ReLU, bias, max-pool).
 //!
 //! Every arm runs the *same* code path through the public API; only the
-//! forced [`KernelPath`] differs. Because the default SIMD path is
-//! bit-identical to scalar (see `crates/tensor/tests/kernel_parity.rs`),
+//! forced [`KernelPath`] differs. Because every path is bit-identical
+//! to scalar (see `crates/tensor/tests/kernel_parity.rs`),
 //! the measured deltas are pure execution-speed effects, never
 //! accuracy trades. On a non-AVX2 host only the scalar arm is
 //! available and the table says so instead of skipping silently.
@@ -54,11 +54,10 @@ pub(crate) fn best_secs<F: FnMut()>(mut f: F) -> f64 {
     best
 }
 
-/// Best SIMD arm over the scalar arm (`rates[0]`); 1.0 when only the
-/// scalar path exists.
-fn best_speedup(rates: &[f64]) -> f64 {
-    let best = rates[1..].iter().copied().fold(rates[0], f64::max);
-    best / rates[0].max(1e-12)
+/// The SIMD arm (last) over the scalar arm (`rates[0]`); 1.0 when only
+/// the scalar path exists.
+fn speedup(rates: &[f64]) -> f64 {
+    rates[rates.len() - 1] / rates[0].max(1e-12)
 }
 
 fn on_path<T>(path: KernelPath, f: impl FnOnce() -> T) -> T {
@@ -113,7 +112,7 @@ pub fn kernels_ablation() -> String {
         for r in &rates {
             write!(out, " {r:>10.2}").unwrap();
         }
-        writeln!(out, " {:>8.2}x", best_speedup(&rates)).unwrap();
+        writeln!(out, " {:>8.2}x", speedup(&rates)).unwrap();
     }
 
     // --- Sparse CSR x dense ------------------------------------------------
@@ -157,7 +156,7 @@ pub fn kernels_ablation() -> String {
         for r in &rates {
             write!(out, " {r:>10.2}").unwrap();
         }
-        writeln!(out, " {:>8.2}x", best_speedup(&rates)).unwrap();
+        writeln!(out, " {:>8.2}x", speedup(&rates)).unwrap();
     }
 
     // --- End-to-end network forward ----------------------------------------
@@ -192,12 +191,12 @@ pub fn kernels_ablation() -> String {
         for r in &rates {
             write!(out, " {r:>10.1}").unwrap();
         }
-        writeln!(out, " {:>8.2}x", best_speedup(&rates)).unwrap();
+        writeln!(out, " {:>8.2}x", speedup(&rates)).unwrap();
     }
 
     writeln!(
         out,
-        "\nparity contract: every non-fma arm above is bit-identical to scalar \
+        "\nparity contract: every arm above is bit-identical to scalar \
          (crates/tensor/tests/kernel_parity.rs, crates/cnn/tests/kernel_parity_net.rs); \
          speedups are execution-only, never accuracy trades."
     )

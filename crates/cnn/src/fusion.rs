@@ -5,13 +5,13 @@
 //! ride the GEMM/SpMM store ([`cap_tensor::Epilogue`]), saving two full
 //! round-trips of each activation through memory. The rewrite is a pure
 //! scheduling change: fused kernels are **bitwise identical** to the
-//! unfused layer pair on every bit-identical kernel path, so fusion can
-//! be toggled freely without changing a single output bit — which is
+//! unfused layer pair on every kernel path, so fusion can be toggled
+//! freely without changing a single output bit — which is
 //! exactly what the parity escape hatch here is for.
 //!
 //! Selection mirrors `CAP_TENSOR_KERNEL` (see [`cap_tensor::kernels`]):
 //! the `CAP_TENSOR_FUSION` environment variable is read once per
-//! process — `on`, `off`, or `auto` (the default; fusion enabled).
+//! process — `auto` (the default; fusion enabled) or `off`.
 //! Any other value is fatal at first use (see [`cap_tensor::knob`]).
 
 use cap_tensor::knob::{Knob, KnobValue};
@@ -22,20 +22,17 @@ pub enum FusionMode {
     /// Decide automatically — fusion is a pure win (bitwise identical,
     /// strictly less memory traffic), so `Auto` fuses.
     Auto,
-    /// Fuse eligible chains.
-    On,
     /// Run every layer unfused — the parity escape hatch and the
     /// baseline arm of the `fusion` ablation experiment.
     Off,
 }
 
 impl KnobValue for FusionMode {
-    const VALUES: &'static [Self] = &[FusionMode::Auto, FusionMode::On, FusionMode::Off];
+    const VALUES: &'static [Self] = &[FusionMode::Auto, FusionMode::Off];
 
     fn name(self) -> &'static str {
         match self {
             FusionMode::Auto => "auto",
-            FusionMode::On => "on",
             FusionMode::Off => "off",
         }
     }
@@ -88,20 +85,20 @@ mod tests {
 
     #[test]
     fn env_values_parse_and_unknown_is_an_error() {
-        assert_eq!(KNOB.parse("on"), Ok(Some(FusionMode::On)));
         assert_eq!(KNOB.parse(" OFF "), Ok(Some(FusionMode::Off)));
         assert_eq!(KNOB.parse("auto"), Ok(Some(FusionMode::Auto)));
         assert_eq!(KNOB.parse(""), Ok(None));
-        let message = KNOB.parse("bogus").unwrap_err();
-        assert!(message.contains("CAP_TENSOR_FUSION"), "{message}");
-        assert!(message.contains("bogus"), "{message}");
-        assert!(message.contains("auto, on, off"), "{message}");
+        for bad in ["bogus", "on"] {
+            let message = KNOB.parse(bad).unwrap_err();
+            assert!(message.contains("CAP_TENSOR_FUSION"), "{message}");
+            assert!(message.contains(bad), "{message}");
+            assert!(message.ends_with("accepted: auto, off"), "{message}");
+        }
     }
 
     #[test]
-    fn auto_and_on_enable_off_disables() {
+    fn auto_enables_off_disables() {
         assert!(FusionMode::Auto.enabled());
-        assert!(FusionMode::On.enabled());
         assert!(!FusionMode::Off.enabled());
     }
 
@@ -109,8 +106,8 @@ mod tests {
     fn force_overrides_and_clears() {
         force(Some(FusionMode::Off));
         assert_eq!(selected(), FusionMode::Off);
-        force(Some(FusionMode::On));
-        assert_eq!(selected(), FusionMode::On);
+        force(Some(FusionMode::Auto));
+        assert_eq!(selected(), FusionMode::Auto);
         force(None);
         // Back to env/auto; whatever it is, it must be stable.
         assert_eq!(selected(), selected());

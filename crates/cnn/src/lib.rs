@@ -53,6 +53,4 @@ pub use parallel::{strong_scaling, InferenceReport, ParallelEngine, WorkerReport
 
 // Observability vocabulary (tracers, span scopes) used by the traced
 // entry points, re-exported so callers need not name `cap_obs` directly.
-pub use cap_obs::{
-    CollectingTracer, DagSummary, FlightRecorder, NoopTracer, ProfileReport, Tracer,
-};
+pub use cap_obs::{CollectingTracer, DagSummary, NoopTracer, ProfileReport, Tracer};

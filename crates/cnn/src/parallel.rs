@@ -195,8 +195,7 @@ impl ParallelEngine {
     /// and each forward pass inside the worker emits the usual per-layer
     /// spans via [`Network::forward_into_traced`] — all into the shared
     /// `tracer`, which therefore must tolerate concurrent reporting (a
-    /// [`cap_obs::CollectingTracer`] or [`cap_obs::FlightRecorder`]
-    /// does).
+    /// [`cap_obs::CollectingTracer`] does).
     ///
     /// Workers run on fresh OS threads (one scoped thread per worker),
     /// and recording tracers stamp each span with the

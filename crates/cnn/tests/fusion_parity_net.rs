@@ -1,7 +1,7 @@
 //! Network-level fusion parity: a full forward pass must be **bitwise
 //! identical** whether the executor's graph-level `conv → relu` /
 //! `fc → relu` fusion pass is on or off (`CAP_TENSOR_FUSION`), on every
-//! bit-identical microkernel path — the end-to-end closure of the
+//! microkernel path — the end-to-end closure of the
 //! per-kernel fused-epilogue guarantees in
 //! `crates/tensor/tests/fused_parity.rs`.
 //!
@@ -142,13 +142,6 @@ fn assert_outputs_bitwise_equal(a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
     }
 }
 
-fn identical_paths() -> Vec<KernelPath> {
-    kernels::available_paths()
-        .into_iter()
-        .filter(|p| p.is_bit_identical_to_scalar())
-        .collect()
-}
-
 #[test]
 fn dense_network_fused_bitwise_identical_to_unfused() {
     let _g = force_lock();
@@ -157,19 +150,13 @@ fn dense_network_fused_bitwise_identical_to_unfused() {
         let imgs = images(n, 3);
         // The gold reference: unfused scalar.
         let reference = forward_on(FusionMode::Off, KernelPath::Scalar, &net, &imgs, batch);
-        for path in identical_paths() {
-            for mode in [FusionMode::On, FusionMode::Auto] {
-                let got = forward_on(mode, path, &net, &imgs, batch);
-                assert_outputs_bitwise_equal(
-                    &reference,
-                    &got,
-                    &format!(
-                        "dense net n={n} batch={batch} fusion={} on {}",
-                        mode.name(),
-                        path.name()
-                    ),
-                );
-            }
+        for path in kernels::available_paths() {
+            let got = forward_on(FusionMode::Auto, path, &net, &imgs, batch);
+            assert_outputs_bitwise_equal(
+                &reference,
+                &got,
+                &format!("dense net n={n} batch={batch} fused on {}", path.name()),
+            );
         }
     }
 }
@@ -183,8 +170,8 @@ fn pruned_network_fused_bitwise_identical_to_unfused() {
     for (n, batch) in [(1, 1), (6, 2)] {
         let imgs = images(n, 9);
         let reference = forward_on(FusionMode::Off, KernelPath::Scalar, &net, &imgs, batch);
-        for path in identical_paths() {
-            let got = forward_on(FusionMode::On, path, &net, &imgs, batch);
+        for path in kernels::available_paths() {
+            let got = forward_on(FusionMode::Auto, path, &net, &imgs, batch);
             assert_outputs_bitwise_equal(
                 &reference,
                 &got,
@@ -197,12 +184,12 @@ fn pruned_network_fused_bitwise_identical_to_unfused() {
 #[test]
 fn mode_switching_leaves_no_stale_state() {
     let _g = force_lock();
-    // The plan cache keys on the fusion mode: flipping off → on → off
+    // The plan cache keys on the fusion mode: flipping off → auto → off
     // must reproduce the first unfused run bit-for-bit.
     let net = build_net(13, false);
     let imgs = images(4, 1);
     let first = forward_on(FusionMode::Off, KernelPath::Scalar, &net, &imgs, 2);
-    let _ = forward_on(FusionMode::On, KernelPath::Scalar, &net, &imgs, 2);
+    let _ = forward_on(FusionMode::Auto, KernelPath::Scalar, &net, &imgs, 2);
     let again = forward_on(FusionMode::Off, KernelPath::Scalar, &net, &imgs, 2);
     assert_outputs_bitwise_equal(&first, &again, "unfused after mode switching");
 }
@@ -224,14 +211,14 @@ fn fusion_override_is_honored_and_gauge_tracks_it() {
         "fusion=off must fuse nothing"
     );
 
-    // Forced on: every fusible producer→relu pair collapses.
-    fusion::force(Some(FusionMode::On));
+    // Forced auto: every fusible producer→relu pair collapses.
+    fusion::force(Some(FusionMode::Auto));
     net.forward_into_traced(&imgs, &mut arena, &NoopTracer)
         .unwrap();
     assert_eq!(
         cap_obs::metrics().snapshot().fused_layers,
         FUSIBLE_PAIRS,
-        "fusion=on must fuse all fusible pairs"
+        "fusion=auto must fuse all fusible pairs"
     );
     fusion::force(None);
 
@@ -242,12 +229,8 @@ fn fusion_override_is_honored_and_gauge_tracks_it() {
             assert_eq!(fusion::selected(), FusionMode::Off);
             assert!(!fusion::selected().enabled());
         }
-        Ok("on") => {
-            assert_eq!(fusion::selected(), FusionMode::On);
-            assert!(fusion::selected().enabled());
-        }
-        // auto / unset / unknown: fusion defaults ON (it is bitwise
-        // invisible by the contract this file proves).
+        // auto / unset: fusion defaults on (it is bitwise invisible by
+        // the contract this file proves).
         _ => {
             assert_eq!(fusion::selected(), FusionMode::Auto);
             assert!(fusion::selected().enabled());

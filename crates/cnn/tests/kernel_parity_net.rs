@@ -1,8 +1,8 @@
 //! Network-level kernel parity: a full forward pass — conv (packed
 //! GEMM), ReLU, LRN, max-pool, fully-connected (GEMM + bias), softmax,
 //! plus the sparse CSR path through a pruned conv — must be **bitwise
-//! identical** whichever bit-identical microkernel path
-//! (`cap_tensor::kernels`) the dispatcher runs on. This is the
+//! identical** whichever microkernel path (`cap_tensor::kernels`) the
+//! dispatcher runs on. This is the
 //! end-to-end closure of the per-kernel guarantees in
 //! `crates/tensor/tests/kernel_parity.rs`: if any layer's inner loop
 //! re-ordered its accumulation under SIMD, the logits would drift and
@@ -77,8 +77,8 @@ fn images(n: usize, seed: usize) -> Tensor4 {
 
 fn forward_on(path: KernelPath, net: &Network, imgs: &Tensor4, batch: usize) -> Vec<Vec<f32>> {
     // `kernels::force` is process-global: another test's `force(None)`
-    // mid-pass would drop this one onto the environment's path, which
-    // under `CAP_TENSOR_KERNEL=avx2-fma` is not bit-identical.
+    // mid-pass would drop this one onto the environment's path, so the
+    // pass would no longer run on the path it names.
     static FORCED: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _guard = FORCED.lock().unwrap_or_else(|e| e.into_inner());
     kernels::force(Some(path));
@@ -103,9 +103,6 @@ fn dense_network_forward_bitwise_identical_across_paths() {
         let imgs = images(n, 3);
         let reference = forward_on(KernelPath::Scalar, &net, &imgs, batch);
         for path in kernels::available_paths() {
-            if !path.is_bit_identical_to_scalar() {
-                continue; // avx2-fma is approximate by contract
-            }
             let got = forward_on(path, &net, &imgs, batch);
             assert_outputs_bitwise_equal(
                 &reference,
@@ -124,9 +121,6 @@ fn pruned_network_forward_bitwise_identical_across_paths() {
     let imgs = images(6, 9);
     let reference = forward_on(KernelPath::Scalar, &net, &imgs, 2);
     for path in kernels::available_paths() {
-        if !path.is_bit_identical_to_scalar() {
-            continue;
-        }
         let got = forward_on(path, &net, &imgs, 2);
         assert_outputs_bitwise_equal(&reference, &got, &format!("pruned net on {}", path.name()));
     }
@@ -141,9 +135,6 @@ fn repeated_forwards_stable_after_path_switching() {
     let imgs = images(4, 1);
     let first = forward_on(KernelPath::Scalar, &net, &imgs, 2);
     for path in kernels::available_paths() {
-        if !path.is_bit_identical_to_scalar() {
-            continue;
-        }
         let _ = forward_on(path, &net, &imgs, 2);
     }
     let again = forward_on(KernelPath::Scalar, &net, &imgs, 2);

@@ -24,9 +24,6 @@
 //!   relative error.
 //! * [`ProfileReport`] — turns collected spans into a per-layer time
 //!   table comparable across pruning levels.
-//! * [`FlightRecorder`] — a fixed-capacity, lock-free ring of the last
-//!   N spans, cheap enough to leave attached in release builds; dump
-//!   it on demand or from a panic hook.
 //! * [`trace_export`] — renders any span list as a Chrome
 //!   `trace_event` JSON timeline loadable in Perfetto.
 //!
@@ -45,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod flight;
 pub mod hdr;
 mod jsonutil;
 pub mod metrics;
@@ -56,7 +52,6 @@ pub mod span;
 pub mod timeseries;
 pub mod trace_export;
 
-pub use flight::FlightRecorder;
 pub use hdr::{HdrHistogram, HdrSnapshot, QUANTILES};
 pub use metrics::{
     int8_kernel_name, kernel_path_name, metrics, precision_path_name, timing_enabled, Counter,

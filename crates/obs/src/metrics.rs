@@ -338,7 +338,7 @@ instruments! {
     /// counter: [`MetricsRegistry::reset`] deliberately leaves it alone
     /// so experiment boundaries don't erase which backend is running.
     kernel_path: Gauge,
-        Environment(kernel_path_name: "unset", "scalar", "avx2", "avx2-fma"),
+        Environment(kernel_path_name: "unset", "scalar", "avx2"),
         "Dispatched SIMD microkernel backend (code).";
     /// Which numeric precision `cap-tensor` resolved for the weighted
     /// layers, as a code decoded by [`precision_path_name`] (0 until
@@ -690,7 +690,7 @@ mod tests {
         assert_eq!(kernel_path_name(0), "unset");
         assert_eq!(kernel_path_name(1), "scalar");
         assert_eq!(kernel_path_name(2), "avx2");
-        assert_eq!(kernel_path_name(3), "avx2-fma");
+        assert_eq!(kernel_path_name(3), "unknown");
         assert_eq!(kernel_path_name(99), "unknown");
     }
 

@@ -66,35 +66,19 @@ pub enum SpanScope {
 }
 
 impl SpanScope {
-    /// Every scope with its exporter tag. A scope's position here is
-    /// its stable numeric code (the flight recorder stores it).
-    pub(crate) const ALL: [(SpanScope, &'static str); 7] = [
-        (SpanScope::Forward, "forward"),
-        (SpanScope::Layer, "layer"),
-        (SpanScope::Worker, "worker"),
-        (SpanScope::Request, "request"),
-        (SpanScope::QueueWait, "queue_wait"),
-        (SpanScope::BatchAssembly, "batch_assembly"),
-        (SpanScope::ServeCompute, "serve_compute"),
-    ];
-
     /// Stable lower-case tag for exporters (`"layer"`, `"worker"`, ...).
     pub fn tag(self) -> &'static str {
-        Self::ALL[self as usize].1
+        match self {
+            SpanScope::Forward => "forward",
+            SpanScope::Layer => "layer",
+            SpanScope::Worker => "worker",
+            SpanScope::Request => "request",
+            SpanScope::QueueWait => "queue_wait",
+            SpanScope::BatchAssembly => "batch_assembly",
+            SpanScope::ServeCompute => "serve_compute",
+        }
     }
 }
-
-// `tag()` and the flight recorder index `ALL` by discriminant.
-const _: () = {
-    let mut i = 0;
-    while i < SpanScope::ALL.len() {
-        assert!(
-            SpanScope::ALL[i].0 as usize == i,
-            "SpanScope::ALL out of declaration order"
-        );
-        i += 1;
-    }
-};
 
 /// Borrowed description of a span, passed to [`Tracer`] hooks.
 ///
@@ -216,7 +200,7 @@ impl Tracer for NoopTracer {
 }
 
 /// An owned copy of one finished span, as retained by
-/// [`CollectingTracer`] and [`crate::FlightRecorder`].
+/// [`CollectingTracer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Pipeline region.

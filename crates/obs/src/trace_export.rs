@@ -2,9 +2,8 @@
 //! file Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` can
 //! open.
 //!
-//! Any `Vec<SpanRecord>` works — a [`CollectingTracer`]'s take, a
-//! [`FlightRecorder`](crate::FlightRecorder) dump — because PR 4's
-//! [`SpanRecord`] carries everything a timeline needs: a `start` offset
+//! Any `Vec<SpanRecord>` works — a [`CollectingTracer`]'s take, say —
+//! because [`SpanRecord`] carries everything a timeline needs: a `start` offset
 //! on the tracer's shared epoch and the recording thread's `tid`.
 //! Each span becomes one complete (`"ph":"X"`) event; events sharing a
 //! `tid` land on the same track, where the viewer nests them by time

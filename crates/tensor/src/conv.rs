@@ -255,7 +255,7 @@ pub enum ConvWeights<'a> {
     /// so cost scales with the filters that remain — this is how
     /// filter pruning turns into wall-clock savings. Kept channels are
     /// bitwise equal to `Dense` on the same weights (same ascending-`kk`
-    /// sums) on every bit-identical kernel path; pruned channels hold
+    /// sums) on every kernel path; pruned channels hold
     /// `epi(0.0 + bias)`.
     DenseRows(&'a [KeptRows]),
     /// f32 CSR, for weights with unstructured sparsity: cost scales
@@ -403,7 +403,7 @@ impl ConvWeights<'_> {
 /// `out_per_group × oh*ow` row-major matrix in place, so nothing is
 /// copied afterwards. `relu` appends the `forward_into`-flavor ReLU;
 /// the result is bitwise identical to the unfused convolution followed
-/// by a standalone ReLU layer, on every bit-identical kernel path.
+/// by a standalone ReLU layer, on every kernel path.
 ///
 /// The int8 forms **quantize** each input image once, ahead of the
 /// lowering, and lower in int8: lowering only copies values and pads

@@ -257,7 +257,7 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
 /// The microkernel lives in [`crate::kernels`]: register-blocked
 /// `ROW_BLOCK × PANEL` accumulation in ascending-`kk` order on every
 /// dispatch path, so results are bit-identical to [`gemm_prealloc`]
-/// and across scalar and (non-FMA) SIMD backends.
+/// and across scalar and SIMD backends.
 ///
 /// Loop nest (`m ≥ 2`): **for each column strip of `B`, every row
 /// band**. A strip is `strip_panels(k)` panels — whole panel pairs
@@ -421,12 +421,7 @@ mod tests {
     fn batch1_gemv_route_is_bitwise_equal_to_band_path() {
         // m == 1 routes through the GEMV kernel; outputs must be
         // bit-equal to the generic row-band path (and hence to gemm())
-        // on every path that is bit-identical to scalar. The FMA path
-        // rounds once per step where its scalar edge code rounds twice,
-        // so there the two routes agree to the `(k+2)·eps` bound of
-        // `tests/kernel_parity.rs`, taken relative to Σ|a·b| because
-        // these operands are signed.
-        let bitwise = kernels::selected().is_bit_identical_to_scalar();
+        // on every kernel path.
         let k = 40;
         for n in [1usize, 7, 8, 63, 64, 257, 32 * PANEL + 5] {
             let a = mat(1, k, 11);
@@ -437,16 +432,7 @@ mod tests {
             let oracle = gemm(&a, &b).unwrap();
             for j in 0..n {
                 let (got, want) = (c.get(0, j), oracle.get(0, j));
-                if bitwise {
-                    assert_eq!(got.to_bits(), want.to_bits(), "n = {n}, column {j}");
-                } else {
-                    let scale: f32 = (0..k).map(|i| (a.get(0, i) * b.get(i, j)).abs()).sum();
-                    let bound = (k as f32 + 2.0) * f32::EPSILON * scale;
-                    assert!(
-                        (got - want).abs() <= bound,
-                        "n = {n}, column {j}: {got} vs {want}, bound {bound:e}"
-                    );
-                }
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {n}, column {j}");
             }
         }
     }

@@ -1,20 +1,17 @@
 //! AVX2 microkernels (`x86_64` only).
 //!
 //! Every function here is `unsafe` with the same contract: **the caller
-//! must have verified that the CPU supports AVX2** (and FMA for the
-//! `_fma` variants) via `is_x86_feature_detected!` — the dispatch layer
-//! in [`super`] is the only caller and does exactly that. Slice-length
-//! invariants are `assert!`ed at entry, so every raw load/store below
-//! is in bounds by construction.
+//! must have verified that the CPU supports AVX2** via
+//! `is_x86_feature_detected!` — the dispatch layer in [`super`] is the
+//! only caller and does exactly that. Slice-length invariants are
+//! `assert!`ed at entry, so every raw load/store below is in bounds by
+//! construction.
 //!
-//! Bit-identity: the non-FMA kernels replay the scalar loops' exact
+//! Bit-identity: every kernel replays the scalar loop's exact
 //! per-element operation sequence — same ascending-`kk` (or `-i`)
 //! accumulation, separate `_mm256_mul_ps` + `_mm256_add_ps` (Rust never
 //! enables floating-point contraction, so these are not silently fused)
-//! — just eight elements per instruction. The `_fma` variants swap in
-//! `_mm256_fmadd_ps`, which skips the intermediate rounding of `a*b`
-//! and is therefore only approximately equal to scalar (see
-//! `tests/kernel_parity.rs` for the ULP bound).
+//! — just eight elements per instruction.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -112,16 +109,11 @@ impl EpiApply for FusedEpi<'_> {
     }
 }
 
-/// One multiply-accumulate step: `acc + a*b`, fused iff `FMA`.
-/// With `FMA = false` this is the same two rounded operations the
-/// scalar kernels perform, in the same order.
+/// One multiply-accumulate step: `acc + a*b` as the same two rounded
+/// operations the scalar kernels perform, in the same order.
 #[inline(always)]
-unsafe fn madd<const FMA: bool>(a: __m256, b: __m256, acc: __m256) -> __m256 {
-    if FMA {
-        _mm256_fmadd_ps(a, b, acc)
-    } else {
-        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-    }
+unsafe fn madd(a: __m256, b: __m256, acc: __m256) -> __m256 {
+    _mm256_add_ps(acc, _mm256_mul_ps(a, b))
 }
 
 /// Store a register to the (possibly partial-width) `width`-column slot
@@ -159,42 +151,18 @@ pub unsafe fn gemm_packed_band(
     epi: Epilogue<'_>,
 ) {
     if epi.is_noop() {
-        return gemm_band_body::<false, NoEpi>(a_data, k, n, b_data, c_band, row0, panels, NoEpi);
+        return gemm_band_body::<NoEpi>(a_data, k, n, b_data, c_band, row0, panels, NoEpi);
     }
     let rows_here = c_band.len() / n.max(1);
     let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
-    gemm_band_body::<false, FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
-}
-
-/// [`gemm_packed_band`] with fused multiply-add (approximate parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn gemm_packed_band_fma(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-    panels: Range<usize>,
-    epi: Epilogue<'_>,
-) {
-    if epi.is_noop() {
-        return gemm_band_body::<true, NoEpi>(a_data, k, n, b_data, c_band, row0, panels, NoEpi);
-    }
-    let rows_here = c_band.len() / n.max(1);
-    let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
-    gemm_band_body::<true, FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
+    gemm_band_body::<FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
 }
 
 /// Shared band body; mirrors the scalar kernel's row/panel structure
 /// with `__m256` registers replacing the `[f32; PANEL]` accumulators.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
+unsafe fn gemm_band_body<E: EpiApply>(
     a_data: &[f32],
     k: usize,
     n: usize,
@@ -212,9 +180,10 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
     assert!(b_data.len() >= panels.end * k * PANEL);
     assert!(c_band.len() >= rows_here * n);
 
-    // ROW_BLOCK output rows against panel *pairs*: 8 independent FMA
-    // chains per `kk` step — enough to cover the 4-cycle add latency at
-    // 2 issues/cycle, which a single-panel kernel (4 chains) cannot.
+    // ROW_BLOCK output rows against panel *pairs*: 8 independent
+    // multiply-add chains per `kk` step — enough to cover the 4-cycle
+    // add latency at 2 issues/cycle, which a single-panel kernel (4
+    // chains) cannot.
     // Each output element still accumulates in ascending-`kk` order,
     // exactly like the scalar kernel: widening the tile adds more
     // concurrent elements, it never reorders any one element's sum.
@@ -242,17 +211,17 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
                 let pv0 = _mm256_loadu_ps(pn0.add(kk * PANEL));
                 let pv1 = _mm256_loadu_ps(pn1.add(kk * PANEL));
                 let a0 = _mm256_set1_ps(*ar0.add(kk));
-                acc00 = madd::<FMA>(a0, pv0, acc00);
-                acc01 = madd::<FMA>(a0, pv1, acc01);
+                acc00 = madd(a0, pv0, acc00);
+                acc01 = madd(a0, pv1, acc01);
                 let a1 = _mm256_set1_ps(*ar1.add(kk));
-                acc10 = madd::<FMA>(a1, pv0, acc10);
-                acc11 = madd::<FMA>(a1, pv1, acc11);
+                acc10 = madd(a1, pv0, acc10);
+                acc11 = madd(a1, pv1, acc11);
                 let a2 = _mm256_set1_ps(*ar2.add(kk));
-                acc20 = madd::<FMA>(a2, pv0, acc20);
-                acc21 = madd::<FMA>(a2, pv1, acc21);
+                acc20 = madd(a2, pv0, acc20);
+                acc21 = madd(a2, pv1, acc21);
                 let a3 = _mm256_set1_ps(*ar3.add(kk));
-                acc30 = madd::<FMA>(a3, pv0, acc30);
-                acc31 = madd::<FMA>(a3, pv1, acc31);
+                acc30 = madd(a3, pv0, acc30);
+                acc31 = madd(a3, pv1, acc31);
             }
             let c0 = p * PANEL;
             let c1 = (p + 1) * PANEL;
@@ -282,10 +251,10 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
             let mut acc3 = _mm256_setzero_ps();
             for kk in 0..k {
                 let pv = _mm256_loadu_ps(panel.add(kk * PANEL));
-                acc0 = madd::<FMA>(_mm256_set1_ps(*ar0.add(kk)), pv, acc0);
-                acc1 = madd::<FMA>(_mm256_set1_ps(*ar1.add(kk)), pv, acc1);
-                acc2 = madd::<FMA>(_mm256_set1_ps(*ar2.add(kk)), pv, acc2);
-                acc3 = madd::<FMA>(_mm256_set1_ps(*ar3.add(kk)), pv, acc3);
+                acc0 = madd(_mm256_set1_ps(*ar0.add(kk)), pv, acc0);
+                acc1 = madd(_mm256_set1_ps(*ar1.add(kk)), pv, acc1);
+                acc2 = madd(_mm256_set1_ps(*ar2.add(kk)), pv, acc2);
+                acc3 = madd(_mm256_set1_ps(*ar3.add(kk)), pv, acc3);
             }
             let c0 = p * PANEL;
             let width = PANEL.min(n - c0);
@@ -305,7 +274,7 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
     // (extracted from this loop, so the band result is unchanged).
     for local_r in local_r..rows_here {
         let r = row0 + local_r;
-        gemv_row_body::<FMA, E>(
+        gemv_row_body::<E>(
             a_data.as_ptr().add(r * k),
             k,
             n,
@@ -333,7 +302,7 @@ unsafe fn gemm_band_body<const FMA: bool, E: EpiApply>(
 /// `b_data.len() >= panels.end * k * PANEL` and `c_row.len() >= n`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemv_row_body<const FMA: bool, E: EpiApply>(
+unsafe fn gemv_row_body<E: EpiApply>(
     a_row: *const f32,
     k: usize,
     n: usize,
@@ -357,10 +326,10 @@ unsafe fn gemv_row_body<const FMA: bool, E: EpiApply>(
             let mut acc3 = _mm256_setzero_ps();
             for kk in 0..k {
                 let av = _mm256_set1_ps(*a_row.add(kk));
-                acc0 = madd::<FMA>(av, _mm256_loadu_ps(pn0.add(kk * PANEL)), acc0);
-                acc1 = madd::<FMA>(av, _mm256_loadu_ps(pn1.add(kk * PANEL)), acc1);
-                acc2 = madd::<FMA>(av, _mm256_loadu_ps(pn2.add(kk * PANEL)), acc2);
-                acc3 = madd::<FMA>(av, _mm256_loadu_ps(pn3.add(kk * PANEL)), acc3);
+                acc0 = madd(av, _mm256_loadu_ps(pn0.add(kk * PANEL)), acc0);
+                acc1 = madd(av, _mm256_loadu_ps(pn1.add(kk * PANEL)), acc1);
+                acc2 = madd(av, _mm256_loadu_ps(pn2.add(kk * PANEL)), acc2);
+                acc3 = madd(av, _mm256_loadu_ps(pn3.add(kk * PANEL)), acc3);
             }
             for (i, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
                 let c0 = (p + i) * PANEL;
@@ -374,23 +343,13 @@ unsafe fn gemv_row_body<const FMA: bool, E: EpiApply>(
             let mut acc = _mm256_setzero_ps();
             for kk in 0..k {
                 let av = _mm256_set1_ps(*a_row.add(kk));
-                acc = madd::<FMA>(av, _mm256_loadu_ps(panel.add(kk * PANEL)), acc);
+                acc = madd(av, _mm256_loadu_ps(panel.add(kk * PANEL)), acc);
             }
             let c0 = p * PANEL;
             let width = PANEL.min(n - c0);
             store_panel(epi.apply(acc, row_abs, c0, width), c_row, c0, width);
         }
     }
-}
-
-/// Entry checks shared by the public GEMV wrappers.
-#[inline(always)]
-fn gemv_entry_asserts(a_row: &[f32], n: usize, b_data: &[f32], c_row: &[f32]) {
-    let panels = n.div_ceil(PANEL);
-    // Entry invariants: every raw pointer in `gemv_row_body` stays
-    // inside these asserted bounds.
-    assert!(b_data.len() >= panels * a_row.len() * PANEL);
-    assert!(c_row.len() >= n);
 }
 
 /// Row-major matvec against panel-packed B (`k = a_row.len()`), AVX2
@@ -408,36 +367,17 @@ pub unsafe fn gemv_packed(
     c_row: &mut [f32],
     epi: Epilogue<'_>,
 ) {
-    gemv_entry_asserts(a_row, n, b_data, c_row);
     let panels = 0..n.div_ceil(PANEL);
     let (a, k) = (a_row.as_ptr(), a_row.len());
+    // Entry invariants: every raw pointer in `gemv_row_body` stays
+    // inside these asserted bounds.
+    assert!(b_data.len() >= panels.end * k * PANEL);
+    assert!(c_row.len() >= n);
     if epi.is_noop() {
-        return gemv_row_body::<false, NoEpi>(a, k, n, b_data, c_row, 0, panels, NoEpi);
+        return gemv_row_body::<NoEpi>(a, k, n, b_data, c_row, 0, panels, NoEpi);
     }
     let fe = FusedEpi::from_epilogue(epi, 1, n);
-    gemv_row_body::<false, FusedEpi>(a, k, n, b_data, c_row, 0, panels, fe)
-}
-
-/// [`gemv_packed`] with fused multiply-add (approximate parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemv_packed_fma(
-    a_row: &[f32],
-    n: usize,
-    b_data: &[f32],
-    c_row: &mut [f32],
-    epi: Epilogue<'_>,
-) {
-    gemv_entry_asserts(a_row, n, b_data, c_row);
-    let panels = 0..n.div_ceil(PANEL);
-    let (a, k) = (a_row.as_ptr(), a_row.len());
-    if epi.is_noop() {
-        return gemv_row_body::<true, NoEpi>(a, k, n, b_data, c_row, 0, panels, NoEpi);
-    }
-    let fe = FusedEpi::from_epilogue(epi, 1, n);
-    gemv_row_body::<true, FusedEpi>(a, k, n, b_data, c_row, 0, panels, fe)
+    gemv_row_body::<FusedEpi>(a, k, n, b_data, c_row, 0, panels, fe)
 }
 
 /// One CSR row of sparse×dense, AVX2 mul+add (bit-identical to
@@ -460,29 +400,9 @@ pub unsafe fn spmm_row(
     relu: bool,
 ) {
     if bias.is_none() && !relu {
-        return spmm_row_body::<false>(values, col_idx, b_data, n, c_row, None, false);
+        return spmm_row_body(values, col_idx, b_data, n, c_row, None, false);
     }
-    spmm_row_body::<false>(values, col_idx, b_data, n, c_row, bias, relu)
-}
-
-/// [`spmm_row`] with fused multiply-add (approximate parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn spmm_row_fma(
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
-) {
-    if bias.is_none() && !relu {
-        return spmm_row_body::<true>(values, col_idx, b_data, n, c_row, None, false);
-    }
-    spmm_row_body::<true>(values, col_idx, b_data, n, c_row, bias, relu)
+    spmm_row_body(values, col_idx, b_data, n, c_row, bias, relu)
 }
 
 /// Fold a fused scalar-bias/ReLU epilogue into one SpMM output
@@ -504,7 +424,7 @@ unsafe fn spmm_epi(mut acc: __m256, bias: Option<f32>, relu: bool) -> __m256 {
 /// output stays in registers across the whole nonzero walk. Per output
 /// element the nonzeros still accumulate in ascending-`i` order.
 #[inline(always)]
-unsafe fn spmm_row_body<const FMA: bool>(
+unsafe fn spmm_row_body(
     values: &[f32],
     col_idx: &[u32],
     b_data: &[f32],
@@ -532,10 +452,10 @@ unsafe fn spmm_row_body<const FMA: bool>(
         for i in 0..nnz {
             let v = _mm256_set1_ps(*values.get_unchecked(i));
             let row = bp.add(*col_idx.get_unchecked(i) as usize * n + j);
-            acc0 = madd::<FMA>(v, _mm256_loadu_ps(row), acc0);
-            acc1 = madd::<FMA>(v, _mm256_loadu_ps(row.add(PANEL)), acc1);
-            acc2 = madd::<FMA>(v, _mm256_loadu_ps(row.add(2 * PANEL)), acc2);
-            acc3 = madd::<FMA>(v, _mm256_loadu_ps(row.add(3 * PANEL)), acc3);
+            acc0 = madd(v, _mm256_loadu_ps(row), acc0);
+            acc1 = madd(v, _mm256_loadu_ps(row.add(PANEL)), acc1);
+            acc2 = madd(v, _mm256_loadu_ps(row.add(2 * PANEL)), acc2);
+            acc3 = madd(v, _mm256_loadu_ps(row.add(3 * PANEL)), acc3);
         }
         let cp = c_row.as_mut_ptr().add(j);
         _mm256_storeu_ps(cp, spmm_epi(acc0, bias, relu));
@@ -550,7 +470,7 @@ unsafe fn spmm_row_body<const FMA: bool>(
         for i in 0..nnz {
             let v = _mm256_set1_ps(*values.get_unchecked(i));
             let row = bp.add(*col_idx.get_unchecked(i) as usize * n + j);
-            acc = madd::<FMA>(v, _mm256_loadu_ps(row), acc);
+            acc = madd(v, _mm256_loadu_ps(row), acc);
         }
         _mm256_storeu_ps(c_row.as_mut_ptr().add(j), spmm_epi(acc, bias, relu));
         j += PANEL;
@@ -578,20 +498,6 @@ unsafe fn spmm_row_body<const FMA: bool>(
 /// CPU must support AVX2 (verified by the dispatch layer).
 #[target_feature(enable = "avx2")]
 pub unsafe fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
-    axpy_body::<false>(c_row, a, b_row)
-}
-
-/// [`axpy`] with fused multiply-add (approximate parity).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy_fma(c_row: &mut [f32], a: f32, b_row: &[f32]) {
-    axpy_body::<true>(c_row, a, b_row)
-}
-
-#[inline(always)]
-unsafe fn axpy_body<const FMA: bool>(c_row: &mut [f32], a: f32, b_row: &[f32]) {
     let len = c_row.len().min(b_row.len());
     let av = _mm256_set1_ps(a);
     let cp = c_row.as_mut_ptr();
@@ -601,7 +507,7 @@ unsafe fn axpy_body<const FMA: bool>(c_row: &mut [f32], a: f32, b_row: &[f32]) {
     while j + PANEL <= len {
         let c = _mm256_loadu_ps(cp.add(j));
         let b = _mm256_loadu_ps(bp.add(j));
-        _mm256_storeu_ps(cp.add(j), madd::<FMA>(av, b, c));
+        _mm256_storeu_ps(cp.add(j), madd(av, b, c));
         j += PANEL;
     }
     for j in j..len {

@@ -60,8 +60,7 @@
 //! sequence everywhere — `i32 as f32` (one round-to-nearest-even,
 //! exactly what `_mm256_cvtepi32_ps` performs), one `* scale`, one
 //! `+ bias`, compare-and-mask ReLU, never an FMA — so the int8 kernels
-//! are **bitwise identical**, under every [`KernelPath`] (there is no
-//! integer FMA; `avx2-fma` runs the same integer kernel as `avx2`).
+//! are **bitwise identical**, under every [`KernelPath`].
 //!
 //! The other way to feed signed×signed into `vpdpbusd` — `vpabsb` one
 //! operand, `vpsignb` the other by its sign — spends a second µop on
@@ -197,10 +196,8 @@ impl Int8Kernel {
     pub fn for_path(path: KernelPath) -> Int8Kernel {
         match path {
             KernelPath::Scalar => Int8Kernel::Scalar,
-            KernelPath::Avx2 | KernelPath::Avx2Fma if Int8Kernel::Vnni.is_available() => {
-                Int8Kernel::Vnni
-            }
-            KernelPath::Avx2 | KernelPath::Avx2Fma => Int8Kernel::Avx2,
+            KernelPath::Avx2 if Int8Kernel::Vnni.is_available() => Int8Kernel::Vnni,
+            KernelPath::Avx2 => Int8Kernel::Avx2,
         }
     }
 }
@@ -230,15 +227,13 @@ pub fn quantize_slice_with(path: KernelPath, src: &[f32], inv_scale: f32, dst: &
     match path {
         KernelPath::Scalar => scalar::quantize_slice(src, inv_scale, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2`/`Avx2Fma` are only ever produced by
+        // SAFETY: `Avx2` is only ever produced by
         // `super::selected()` / `super::force()`, both of which verify
         // via `is_available()` that the CPU reports the avx2 feature
         // the target_feature kernel requires; the lengths were asserted
         // equal above, which is all the kernel's raw loads and stores
         // rely on.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            x86::quantize_slice(src, inv_scale, dst)
-        },
+        KernelPath::Avx2 => unsafe { x86::quantize_slice(src, inv_scale, dst) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::quantize_slice(src, inv_scale, dst),
     }
@@ -270,9 +265,7 @@ pub fn store_row_quad_with(
         // SAFETY: avx2 verified available by `selected()`/`force()`
         // (see `quantize_slice_with`); the asserts above are the bounds
         // of every raw load and store in the kernel.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            x86::store_row_quad(rows, q, kp, packed)
-        },
+        KernelPath::Avx2 => unsafe { x86::store_row_quad(rows, q, kp, packed) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::store_row_quad(rows, q, kp, packed),
     }
@@ -391,7 +384,7 @@ pub fn spmm_i8_row_with(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`
         // (see `quantize_slice_with`); bounds asserted in the kernel.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
+        KernelPath::Avx2 => unsafe {
             x86::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu)
         },
         #[cfg(not(target_arch = "x86_64"))]

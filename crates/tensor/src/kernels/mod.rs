@@ -12,18 +12,16 @@
 //!   ([`avx2`], `x86_64` only), eight `f32` lanes across the GEMM
 //!   `PANEL` dimension. Uses separate multiply and add instructions in
 //!   the **same per-element, ascending-`kk` order** as the scalar code,
-//!   so results are **bit-identical** to [`KernelPath::Scalar`] — the
-//!   parity guarantees of `run_batched` / `ParallelEngine` keep
-//!   holding whichever path runs.
-//! * [`KernelPath::Avx2Fma`] — opt-in fused multiply-add variant.
-//!   Fusion skips the intermediate rounding of `a*b`, so outputs are
-//!   *more* accurate but only approximately equal to scalar (ULP-bounded;
-//!   see `crates/tensor/tests/kernel_parity.rs`). Never selected by
-//!   `auto` — it must be requested explicitly.
+//!   so results are **bit-identical** to [`KernelPath::Scalar`].
+//!
+//! That is the one contract every path keeps: the kernel path is a
+//! speed choice, never an accuracy one, so the parity guarantees of
+//! `run_batched` / `ParallelEngine` / the DAG executor hold whichever
+//! path runs, and parity tests assert bitwise on every path.
 //!
 //! Selection happens on first use and honors the `CAP_TENSOR_KERNEL`
 //! environment variable: `auto` (default; AVX2 when the CPU has it,
-//! scalar otherwise), `scalar`, `avx2`, or `avx2-fma`. Requesting a
+//! scalar otherwise), `scalar`, or `avx2`. Requesting a
 //! path the host cannot run falls back to scalar — never an error, so
 //! a binary built on an AVX2 machine still runs (and its tests still
 //! pass, none skipped) on one without. Any *other* value is fatal at
@@ -132,25 +130,21 @@ pub enum KernelPath {
     Scalar,
     /// AVX2 mul+add intrinsics, bit-identical to [`KernelPath::Scalar`].
     Avx2,
-    /// AVX2+FMA fused intrinsics — opt-in, approximate (ULP-bounded)
-    /// parity with scalar.
-    Avx2Fma,
 }
 
 impl KnobValue for KernelPath {
-    const VALUES: &'static [Self] = &[KernelPath::Scalar, KernelPath::Avx2, KernelPath::Avx2Fma];
+    const VALUES: &'static [Self] = &[KernelPath::Scalar, KernelPath::Avx2];
 
     fn name(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
             KernelPath::Avx2 => "avx2",
-            KernelPath::Avx2Fma => "avx2-fma",
         }
     }
 }
 
 impl KernelPath {
-    /// Stable lower-case name (`scalar` / `avx2` / `avx2-fma`), as
+    /// Stable lower-case name (`scalar` / `avx2`), as
     /// accepted by `CAP_TENSOR_KERNEL` and shown in reports.
     pub fn name(self) -> &'static str {
         KnobValue::name(self)
@@ -163,14 +157,7 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => 1,
             KernelPath::Avx2 => 2,
-            KernelPath::Avx2Fma => 3,
         }
-    }
-
-    /// Whether this path promises bit-identical outputs to
-    /// [`KernelPath::Scalar`] (everything except the fused-FMA mode).
-    pub fn is_bit_identical_to_scalar(self) -> bool {
-        !matches!(self, KernelPath::Avx2Fma)
     }
 
     /// Whether the current host can execute this path.
@@ -179,12 +166,8 @@ impl KernelPath {
             KernelPath::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2Fma => {
-                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-            }
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            KernelPath::Avx2 => false,
         }
     }
 }
@@ -201,8 +184,8 @@ pub fn available_paths() -> Vec<KernelPath> {
 }
 
 /// `CAP_TENSOR_KERNEL`: an explicit request if the host can run it
-/// (scalar otherwise — a clean fallback), else the fastest path that
-/// keeps bit-identity with scalar. Publishes the `kernel_path` gauge so
+/// (scalar otherwise — a clean fallback), else the fastest path the
+/// host has. Publishes the `kernel_path` gauge so
 /// snapshots and profiles record which backend produced their numbers.
 static KNOB: Knob<KernelPath> = Knob::new("CAP_TENSOR_KERNEL", |requested| {
     let path = match requested {
@@ -297,18 +280,13 @@ pub fn gemm_packed_band_with(
             scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2`/`Avx2Fma` are only ever produced by `selected()`
-        // / `force()`, both of which verify via `is_available()` that the
-        // CPU reports the avx2 (and fma) features the target_feature
-        // functions require. Slice, panel-range and bias-length bounds
-        // are asserted inside the kernels before any raw load.
+        // SAFETY: `Avx2` is only ever produced by `selected()` /
+        // `force()`, both of which verify via `is_available()` that the
+        // CPU reports the avx2 feature the target_feature functions
+        // require. Slice, panel-range and bias-length bounds are asserted
+        // inside the kernels before any raw load.
         KernelPath::Avx2 => unsafe {
             avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; `Avx2Fma` additionally implies the fma feature.
-        KernelPath::Avx2Fma => unsafe {
-            avx2::gemm_packed_band_fma(a_data, k, n, b_data, c_band, row0, panels, epi)
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi),
@@ -341,9 +319,6 @@ pub fn gemv_packed_with(
         // SAFETY: avx2 verified available by `selected()`/`force()`;
         // slice and bias-length bounds asserted in the kernel.
         KernelPath::Avx2 => unsafe { avx2::gemv_packed(a_row, n, b_data, c_row, epi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe { avx2::gemv_packed_fma(a_row, n, b_data, c_row, epi) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::gemv_packed(a_row, n, b_data, c_row, epi),
     }
@@ -379,11 +354,6 @@ pub fn spmm_row_with(
         KernelPath::Avx2 => unsafe {
             avx2::spmm_row(values, col_idx, b_data, n, c_row, bias, relu)
         },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe {
-            avx2::spmm_row_fma(values, col_idx, b_data, n, c_row, bias, relu)
-        },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::spmm_row(values, col_idx, b_data, n, c_row, bias, relu),
     }
@@ -413,9 +383,6 @@ pub fn axpy_with(path: KernelPath, c_row: &mut [f32], a: f32, b_row: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`.
         KernelPath::Avx2 => unsafe { avx2::axpy(c_row, a, b_row) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        KernelPath::Avx2Fma => unsafe { avx2::axpy_fma(c_row, a, b_row) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::axpy(c_row, a, b_row),
     }
@@ -430,7 +397,7 @@ pub fn relu_inplace_with(path: KernelPath, data: &mut [f32]) {
         KernelPath::Scalar => scalar::relu_inplace(data),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe { avx2::relu_inplace(data) },
+        KernelPath::Avx2 => unsafe { avx2::relu_inplace(data) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::relu_inplace(data),
     }
@@ -445,7 +412,7 @@ pub fn relu_into_with(path: KernelPath, src: &[f32], dst: &mut [f32]) {
         KernelPath::Scalar => scalar::relu_into(src, dst),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe { avx2::relu_into(src, dst) },
+        KernelPath::Avx2 => unsafe { avx2::relu_into(src, dst) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::relu_into(src, dst),
     }
@@ -474,9 +441,7 @@ pub fn max_pool_row_with(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 verified available by `selected()`/`force()`;
         // the kernel asserts `plane.len() >= h*w` before any raw load.
-        KernelPath::Avx2 | KernelPath::Avx2Fma => unsafe {
-            avx2::max_pool_row(plane, h, w, params, oy, out_row)
-        },
+        KernelPath::Avx2 => unsafe { avx2::max_pool_row(plane, h, w, params, oy, out_row) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::max_pool_row(plane, h, w, params, oy, out_row),
     }
@@ -490,8 +455,7 @@ mod tests {
     fn names_and_codes_are_stable() {
         assert_eq!(KernelPath::Scalar.name(), "scalar");
         assert_eq!(KernelPath::Avx2.name(), "avx2");
-        assert_eq!(KernelPath::Avx2Fma.name(), "avx2-fma");
-        for p in [KernelPath::Scalar, KernelPath::Avx2, KernelPath::Avx2Fma] {
+        for p in [KernelPath::Scalar, KernelPath::Avx2] {
             // The obs-side label table must agree with our codes.
             assert_eq!(cap_obs::kernel_path_name(p.code()), p.name());
         }
@@ -502,14 +466,13 @@ mod tests {
     fn env_values_parse_and_unknown_is_an_error() {
         assert_eq!(KNOB.parse("scalar"), Ok(Some(KernelPath::Scalar)));
         assert_eq!(KNOB.parse("AVX2"), Ok(Some(KernelPath::Avx2)));
-        assert_eq!(KNOB.parse("avx2-fma"), Ok(Some(KernelPath::Avx2Fma)));
         assert_eq!(KNOB.parse("auto"), Ok(None));
         assert_eq!(KNOB.parse(""), Ok(None));
         let message = KNOB.parse("riscv-vector").unwrap_err();
         assert!(message.contains("CAP_TENSOR_KERNEL"), "{message}");
         assert!(message.contains("riscv-vector"), "{message}");
         assert!(
-            message.contains("auto, scalar, avx2, avx2-fma"),
+            message.ends_with("accepted: auto, scalar, avx2"),
             "{message}"
         );
     }
@@ -525,11 +488,9 @@ mod tests {
     fn selected_is_available_and_bit_identical_by_default() {
         let p = selected();
         assert!(p.is_available());
-        // `auto` (and any CAP_TENSOR_KERNEL except avx2-fma) must keep
-        // the bit-identity contract.
-        if std::env::var("CAP_TENSOR_KERNEL").as_deref() != Ok("avx2-fma") {
-            assert!(p.is_bit_identical_to_scalar());
-        }
+        // Every path is bit-identical to scalar, so the only thing left
+        // to check is that the knob resolved to one of them.
+        assert!(KernelPath::VALUES.contains(&p));
     }
 
     #[test]

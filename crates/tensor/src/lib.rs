@@ -32,10 +32,9 @@
 //!
 //! The hot inner loops run on runtime-dispatched SIMD microkernels
 //! ([`kernels`]): AVX2 where the CPU has it, scalar everywhere else,
-//! overridable via `CAP_TENSOR_KERNEL={auto,scalar,avx2,avx2-fma}`
-//! (any other value is fatal at first use — see [`knob`]).
-//! The default SIMD path is bit-identical to scalar, so determinism
-//! holds across backends too.
+//! overridable via `CAP_TENSOR_KERNEL={auto,scalar,avx2}` (any other
+//! value is fatal at first use — see [`knob`]). Every path is
+//! bit-identical to scalar, so determinism holds across backends too.
 
 #![warn(missing_docs)]
 

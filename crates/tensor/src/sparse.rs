@@ -29,13 +29,10 @@ pub const SPMM_DENSE_FALLBACK_DENSITY: f64 = 0.75;
 /// the matrix density.
 ///
 /// Swaps `path` to [`KernelPath::Scalar`] when `density` exceeds
-/// [`SPMM_DENSE_FALLBACK_DENSITY`] — but **only** when the requested
-/// path is bit-identical to scalar ([`KernelPath::Avx2`] or scalar
-/// itself), so the swap is invisible in outputs. An explicitly forced
-/// [`KernelPath::Avx2Fma`] is honored unchanged: substituting scalar
-/// there would alter the numbers the caller opted into.
+/// [`SPMM_DENSE_FALLBACK_DENSITY`]. Every path is bit-identical to
+/// scalar, so the swap is invisible in outputs.
 pub fn spmm_effective_path(path: KernelPath, density: f64) -> KernelPath {
-    if density > SPMM_DENSE_FALLBACK_DENSITY && path.is_bit_identical_to_scalar() {
+    if density > SPMM_DENSE_FALLBACK_DENSITY {
         KernelPath::Scalar
     } else {
         path
@@ -228,8 +225,7 @@ impl CsrMatrix {
     /// features), then `relu` applies the `forward_into`-flavor ReLU —
     /// both in the same pass that stores the row, saving two full
     /// round-trips of the output through memory. Bitwise identical to
-    /// the plain multiply + bias pass + ReLU pass on every
-    /// bit-identical kernel path.
+    /// the plain multiply + bias pass + ReLU pass on every kernel path.
     pub fn spmm_into(
         &self,
         b_data: &[f32],
@@ -476,7 +472,7 @@ mod tests {
             spmm_effective_path(KernelPath::Scalar, 0.4),
             KernelPath::Scalar
         );
-        // Dense-stored matrices swap bit-identical paths to scalar...
+        // Dense-stored matrices swap every path to scalar.
         assert_eq!(
             spmm_effective_path(KernelPath::Avx2, 1.0),
             KernelPath::Scalar
@@ -484,12 +480,6 @@ mod tests {
         assert_eq!(
             spmm_effective_path(KernelPath::Scalar, 1.0),
             KernelPath::Scalar
-        );
-        // ...but never an explicitly requested FMA path (different
-        // numerics — the caller opted into them).
-        assert_eq!(
-            spmm_effective_path(KernelPath::Avx2Fma, 1.0),
-            KernelPath::Avx2Fma
         );
         // Boundary: exactly at the threshold keeps the requested path.
         assert_eq!(
@@ -502,7 +492,7 @@ mod tests {
     fn dense_stored_matmul_matches_gemm_on_every_arm() {
         // A fully dense matrix stored as CSR (density 1.0) trips the
         // scalar fallback; a sparse one does not. Both arms must agree
-        // with the dense GEMM oracle bitwise (bit-identical paths only).
+        // with the dense GEMM oracle.
         for keep_every in [1usize, 3] {
             let (dense, csr) = sparse_dense_pair(9, 14, keep_every);
             let b = Matrix::from_fn(14, 6, |r, c| ((r * 2 + c) % 9) as f32 - 4.0);

@@ -5,10 +5,10 @@
 //! [`conv2d`] and is held against the direct sliding-window oracle
 //! ([`conv2d_direct`]), which shares no code with it:
 //!
-//! * f32 forms: within 1e-4 of the oracle, and **bitwise** equal (on
-//!   bit-identical kernel paths) to the allocating seed composition the
-//!   driver replaced — per image and group, `im2col` → unpacked `gemm`
-//!   / CSR `matmul_dense` → a separate bias pass → a separate ReLU pass.
+//! * f32 forms: within 1e-4 of the oracle, and **bitwise** equal to the
+//!   allocating seed composition the driver replaced — per image and
+//!   group, `im2col` → unpacked `gemm` / CSR `matmul_dense` → a separate
+//!   bias pass → a separate ReLU pass.
 //!   That is the fusion contract (fused == unfused + passes) and the
 //!   packed-vs-unpacked contract in one assertion.
 //! * int8 forms: within the int8 bound (0.2 absolute on unit-scale
@@ -17,9 +17,9 @@
 //!   order-free; the dequantize epilogue is the same float sequence).
 //!
 //! * kept-rows f32 (`DenseRows`, filter-pruned weights): **bitwise**
-//!   equal (on bit-identical kernel paths) to `Dense` on the same
-//!   zero-row weights over every row pattern that changes its control
-//!   flow, within 1e-4 of the oracle, and no more scratch than `Dense`.
+//!   equal to `Dense` on the same zero-row weights over every row
+//!   pattern that changes its control flow, within 1e-4 of the oracle,
+//!   and no more scratch than `Dense`.
 //!
 //! * dense and kept-rows f32 on one geometry whose patch matrix spans
 //!   three column strips of the packed GEMM: **bitwise** the seed
@@ -37,8 +37,8 @@
 
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
-    conv2d, gemm, gemm_i8, im2col, kernels, pack_b_i8_into, symmetric_scale, Conv2dParams,
-    ConvWeights, CsrMatrix, EpiBias, Epilogue, Matrix, QuantizedA, Tensor4, Workspace,
+    conv2d, gemm, gemm_i8, im2col, pack_b_i8_into, symmetric_scale, Conv2dParams, ConvWeights,
+    CsrMatrix, EpiBias, Epilogue, Matrix, QuantizedA, Tensor4, Workspace,
 };
 
 fn input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -133,7 +133,6 @@ fn bits(t: &Tensor4) -> Vec<u32> {
 fn every_weight_form_matches_the_direct_oracle() {
     let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
-    let bit_identical = kernels::selected().is_bit_identical_to_scalar();
 
     for groups in [1usize, 2] {
         let params = Conv2dParams::grouped(4, 6, 3, 1, 1, groups);
@@ -171,11 +170,7 @@ fn every_weight_form_matches_the_direct_oracle() {
                     let diff = got.max_abs_diff(&oracle(w)).unwrap();
                     assert!(diff < 1e-4, "{name} {case}: {diff} from the oracle");
                     let seed = seed_composition(&x, w, &bias, relu, &params, sparse);
-                    if bit_identical {
-                        assert!(bits(&got) == bits(&seed), "{name} {case}: vs seed path");
-                    } else {
-                        assert!(got.max_abs_diff(&seed).unwrap() < 1e-5, "{name} {case}");
-                    }
+                    assert!(bits(&got) == bits(&seed), "{name} {case}: vs seed path");
                 }
 
                 let dense_i8 = run(ConvWeights::DenseI8 {
@@ -349,7 +344,6 @@ fn filter_pruned(params: &Conv2dParams, pruned_rows: &[usize]) -> Matrix {
 fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
     let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
-    let bit_identical = kernels::selected().is_bit_identical_to_scalar();
     let all: Vec<usize> = (0..12).collect();
     // 12 filters: one group of 12 or two of 6.
     let patterns: [(&str, &[usize]); 7] = [
@@ -387,11 +381,7 @@ fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
                 out.as_mut_slice().fill(f32::NAN);
                 let kept_form = ConvWeights::DenseRows(&kept);
                 conv2d(&x, kept_form, bias, relu, &params, &mut ws, &mut out).unwrap();
-                if bit_identical {
-                    assert!(bits(&out) == bits(&dense), "{case}: vs dense");
-                } else {
-                    assert!(out.max_abs_diff(&dense).unwrap() < 1e-5, "{case}");
-                }
+                assert!(bits(&out) == bits(&dense), "{case}: vs dense");
                 let mut oracle = conv2d_direct(&x, &w, bias, &params).unwrap();
                 if relu {
                     relu_pass(&mut oracle);
@@ -493,7 +483,6 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     let x = input(2, 64, 22, 22);
     let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
-    let bit_identical = kernels::selected().is_bit_identical_to_scalar();
     let dense_w = weights(&params, false);
     let rows_w = filter_pruned(&params, &[1, 4]);
     let kept = ConvWeights::kept_row_bands(&rows_w, &params).unwrap();
@@ -505,17 +494,10 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
             out.as_mut_slice().fill(f32::NAN);
             conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
             let seed = seed_composition(&x, w, &bias, relu, &params, false);
-            if bit_identical {
-                assert!(
-                    bits(&out) == bits(&seed),
-                    "{name} relu={relu}: vs seed path"
-                );
-            } else {
-                assert!(
-                    out.max_abs_diff(&seed).unwrap() < 1e-4,
-                    "{name} relu={relu}"
-                );
-            }
+            assert!(
+                bits(&out) == bits(&seed),
+                "{name} relu={relu}: vs seed path"
+            );
             let mut oracle = conv2d_direct(&x, w, Some(&bias), &params).unwrap();
             if relu {
                 relu_pass(&mut oracle);

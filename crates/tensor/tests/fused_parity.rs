@@ -6,7 +6,7 @@
 //! spmm/spmv rows with a scalar bias/ReLU tail — produces output
 //! **bit-identical** to the scalar kernel with no epilogue followed by a manual
 //! bias-add and `forward_into`-flavor ReLU (negatives, `-0.0` and NaN
-//! all flush to `+0.0`), on every bit-identical dispatch path, across
+//! all flush to `+0.0`), on every dispatch path, across
 //! ragged shapes, `k = 0`, and NaN/signed-zero operands.
 //!
 //! `kernels::force` is process-global; tests serialize on one mutex.
@@ -31,14 +31,6 @@ fn on_path<T>(path: KernelPath, f: impl FnOnce() -> T) -> T {
     let out = f();
     kernels::force(None);
     out
-}
-
-/// Bit-identical paths to compare against scalar (excludes `Avx2Fma`).
-fn identical_paths() -> Vec<KernelPath> {
-    kernels::available_paths()
-        .into_iter()
-        .filter(|p| p.is_bit_identical_to_scalar())
-        .collect()
 }
 
 /// Deterministic awkward-valued matrix: zeros, signed zeros, negatives.
@@ -167,7 +159,7 @@ fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
                 .as_deref()
                 .map(EpiBias::PerRow)
                 .or(col_bias.as_deref().map(EpiBias::PerCol));
-            for path in identical_paths() {
+            for path in kernels::available_paths() {
                 let got = fused_gemm_on(
                     path,
                     &a,
@@ -221,7 +213,7 @@ fn gemv_kernel_bit_identical_and_fused_relu_flushes_nan_and_signed_zero() {
         manual_epilogue(&mut want_relu, n, None, None, true);
         assert!(want_relu.iter().all(|v| v.to_bits() == 0));
 
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = gemv_on(path, Epilogue::NONE);
             assert_bits_eq(&reference, &got, &format!("gemv n={n} on {}", path.name()));
 
@@ -281,7 +273,7 @@ fn fused_spmm_row_matches_scalar_unfused_plus_manual_epilogue() {
                 }
                 *v = y;
             }
-            for path in identical_paths() {
+            for path in kernels::available_paths() {
                 let got = spmm_row_on(path, bias, relu);
                 assert_bits_eq(
                     &want,
@@ -347,7 +339,7 @@ fn spmv_matches_spmm_row_at_n_equals_1_bitwise() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fused packed GEMM (any epilogue flavor, any bit-identical path,
+    /// Fused packed GEMM (any epilogue flavor, any path,
     /// m = 1 gemv route included) equals scalar unfused + manual
     /// epilogue, bit for bit, on arbitrary ragged shapes.
     #[test]
@@ -368,7 +360,7 @@ proptest! {
             .as_deref()
             .map(EpiBias::PerRow)
             .or(col_bias.as_deref().map(EpiBias::PerCol));
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = fused_gemm_on(path, &a, &b, Epilogue { bias: epi_bias, relu });
             for (x, y) in want.as_slice().iter().zip(got.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -401,7 +393,7 @@ proptest! {
         let bias = bias_vec(m, seed.wrapping_add(3));
         let mut want = on_path(KernelPath::Scalar, || w.matmul_dense(&b).unwrap());
         manual_epilogue(want.as_mut_slice(), n, Some(&bias), None, relu);
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = on_path(path, || {
                 let mut c = Matrix::zeros(m, n);
                 w.spmm_into(b.as_slice(), n, c.as_mut_slice(), Some(&bias), relu).unwrap();

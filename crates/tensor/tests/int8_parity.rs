@@ -119,12 +119,6 @@ fn on_path<T>(path: KernelPath, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Every available path: the path-dispatched int8 routines (quantizer,
-/// SpMM row, the `gemm_i8` driver) include `avx2-fma`.
-fn all_paths() -> Vec<KernelPath> {
-    kernels::available_paths()
-}
-
 /// One band over all `m` rows into a NaN-filled output: a lane the
 /// kernel skipped would survive as NaN.
 #[allow(clippy::too_many_arguments)]
@@ -250,7 +244,7 @@ proptest! {
             let v = acc as i32 as f32 * scale - 0.05;
             *w = if relu && v <= 0.0 { 0.0 } else { v + 0.0 };
         }
-        for path in all_paths() {
+        for path in kernels::available_paths() {
             let mut got = vec![0.0f32; n];
             spmm_i8_row_with(path, &values, &col_idx, &b, n, &mut got, scale, Some(-0.05), relu);
             assert_bits_eq(&got, &want, &format!("spmm {path:?} n={n} nnz={nnz}"));
@@ -285,7 +279,7 @@ proptest! {
             c
         });
         let want = run(KernelPath::Scalar);
-        for path in all_paths() {
+        for path in kernels::available_paths() {
             let got = run(path);
             assert_bits_eq(&got, &want, &format!("gemm_i8 {path:?} m={m} k={k} n={n}"));
         }
@@ -296,7 +290,7 @@ proptest! {
 /// element, over `values` at every offset of a 0–33-long window (so
 /// each value meets the 32-wide, the 8-wide and the scalar-tail code).
 fn assert_quantizer_matches_scalar(values: &[f32], inv_scale: f32) {
-    for path in all_paths() {
+    for path in kernels::available_paths() {
         for len in 0..=33usize.min(values.len()) {
             for window in values.windows(len.max(1)).step_by(7) {
                 let src = &window[..len];
@@ -367,7 +361,7 @@ proptest! {
             })
             .collect();
         let inv_scale = f32::from_bits(inv_bits);
-        for path in all_paths() {
+        for path in kernels::available_paths() {
             let mut got = vec![77i8; len];
             quantize_slice_with(path, &values, inv_scale, &mut got);
             for (&g, &v) in got.iter().zip(&values) {
@@ -437,7 +431,7 @@ fn every_kernel_matches_the_reference_over_the_shape_grid() {
                             );
                         }
                     }
-                    for path in all_paths() {
+                    for path in kernels::available_paths() {
                         let got = on_path(path, || {
                             let mut c = vec![f32::NAN; m * n];
                             gemm_i8(&a, m, kp, n, &packed, &mut c, scale, epi).unwrap();

@@ -1,11 +1,10 @@
 //! Scalar ↔ SIMD kernel parity suite.
 //!
-//! The dispatch contract (`cap_tensor::kernels`): every path except the
-//! opt-in `avx2-fma` produces **bit-identical** outputs to the scalar
-//! kernels — same `f32::to_bits` for every element, including NaN
-//! payloads and signed zeros — across ragged shapes (`n` not a multiple
-//! of the 8-wide panel, `k = 0`, single-row batch-1). The fused-FMA
-//! path is held to a documented ULP-style relative bound instead.
+//! The dispatch contract (`cap_tensor::kernels`): every path produces
+//! **bit-identical** outputs to the scalar kernels — same `f32::to_bits`
+//! for every element, including NaN payloads and signed zeros — across
+//! ragged shapes (`n` not a multiple of the 8-wide panel, `k = 0`,
+//! single-row batch-1).
 //!
 //! `kernels::force` is process-global, so every test that pins a path
 //! serializes on one mutex; on hosts without AVX2, `available_paths()`
@@ -35,8 +34,8 @@ fn on_path<T>(path: KernelPath, f: impl FnOnce() -> T) -> T {
 }
 
 /// Deterministic test matrix with awkward values: negatives, zeros and
-/// fractions whose products round (so FMA vs mul+add differences are
-/// visible if a kernel fuses when it must not).
+/// fractions whose products round (so a kernel that fused its
+/// multiply-add would show up as a bit difference).
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
         let h = r
@@ -60,14 +59,6 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
             "{what}: element {i} differs ({x} vs {y})"
         );
     }
-}
-
-/// Bit-identical paths to compare against scalar (excludes `Avx2Fma`).
-fn identical_paths() -> Vec<KernelPath> {
-    kernels::available_paths()
-        .into_iter()
-        .filter(|p| p.is_bit_identical_to_scalar())
-        .collect()
 }
 
 fn gemm_prepacked_on(path: KernelPath, a: &Matrix, b: &Matrix) -> Matrix {
@@ -113,7 +104,7 @@ fn gemm_packed_bit_identical_ragged_shapes() {
         if k == 0 {
             assert!(reference.as_slice().iter().all(|&v| v == 0.0));
         }
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = gemm_prepacked_on(path, &a, &b);
             assert_bits_eq(
                 reference.as_slice(),
@@ -133,7 +124,7 @@ fn gemm_prealloc_axpy_bit_identical() {
         let a = mat(m, k, 11);
         let b = mat(k, n, 12);
         let reference = gemm_prealloc_on(KernelPath::Scalar, &a, &b);
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = gemm_prealloc_on(path, &a, &b);
             assert_bits_eq(
                 reference.as_slice(),
@@ -159,7 +150,7 @@ fn spmm_bit_identical_across_sparsity() {
             let w = CsrMatrix::from_dense(&dense, 0.0);
             let b = mat(k, n, 21);
             let reference = spmm_on(KernelPath::Scalar, &w, &b);
-            for path in identical_paths() {
+            for path in kernels::available_paths() {
                 let got = spmm_on(path, &w, &b);
                 assert_bits_eq(
                     reference.as_slice(),
@@ -213,7 +204,7 @@ fn elementwise_bit_identical_including_nan_and_signed_zero() {
     assert_eq!(reference_into[3].to_bits(), 0.0f32.to_bits());
     assert_eq!(reference_into[1].to_bits(), 0.0f32.to_bits());
 
-    for path in identical_paths() {
+    for path in kernels::available_paths() {
         let got = on_path(path, || {
             let mut d = src.clone();
             cap_tensor::ops::relu_inplace(&mut d);
@@ -270,7 +261,7 @@ fn max_pool_bit_identical_with_padding_and_strides() {
         let reference = on_path(KernelPath::Scalar, || {
             cap_tensor::max_pool2d(&input, &p).unwrap()
         });
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = on_path(path, || cap_tensor::max_pool2d(&input, &p).unwrap());
             assert_bits_eq(
                 reference.as_slice(),
@@ -298,42 +289,9 @@ fn max_pool_all_negative_infinity_plane_matches_scalar_zero() {
         cap_tensor::max_pool2d(&input, &p).unwrap()
     });
     assert!(reference.as_slice().iter().all(|&v| v.to_bits() == 0));
-    for path in identical_paths() {
+    for path in kernels::available_paths() {
         let got = on_path(path, || cap_tensor::max_pool2d(&input, &p).unwrap());
         assert_bits_eq(reference.as_slice(), got.as_slice(), path.name());
-    }
-}
-
-#[test]
-fn avx2_fma_path_is_ulp_close_to_scalar() {
-    if !KernelPath::Avx2Fma.is_available() {
-        // Scalar-only host: the FMA contract is vacuous here; the
-        // bit-identity tests above still ran in full.
-        return;
-    }
-    let _g = force_lock();
-    // Positive-valued operands (no catastrophic cancellation), so the
-    // fused path's error stays within a small relative bound of the
-    // twice-rounded scalar result: each of k fused steps differs from
-    // mul+add by at most half an ulp of the partial sum.
-    let (m, k, n) = (9, 33, 29);
-    let a = Matrix::from_fn(m, k, |r, c| 0.1 + ((r * 31 + c * 17) % 23) as f32 / 23.0);
-    let b = Matrix::from_fn(k, n, |r, c| 0.1 + ((r * 13 + c * 7) % 19) as f32 / 19.0);
-    let reference = gemm_prepacked_on(KernelPath::Scalar, &a, &b);
-    let fused = gemm_prepacked_on(KernelPath::Avx2Fma, &a, &b);
-    for (i, (x, y)) in reference
-        .as_slice()
-        .iter()
-        .zip(fused.as_slice().iter())
-        .enumerate()
-    {
-        let rel = (x - y).abs() / x.abs().max(f32::MIN_POSITIVE);
-        // k+1 roundings at epsilon/2 each, with slack for the panel sum.
-        let bound = (k as f32 + 2.0) * f32::EPSILON;
-        assert!(
-            rel <= bound,
-            "fma gemm element {i}: {x} vs {y}, rel err {rel:e} > bound {bound:e}"
-        );
     }
 }
 
@@ -344,34 +302,22 @@ fn dispatch_override_is_honored() {
     let selected = kernels::selected();
     // Whatever was selected must be runnable here.
     assert!(selected.is_available());
-    match std::env::var("CAP_TENSOR_KERNEL").as_deref() {
-        Ok("scalar") => assert_eq!(
-            selected,
-            KernelPath::Scalar,
-            "CAP_TENSOR_KERNEL=scalar must pin the scalar path"
-        ),
-        Ok("avx2") if KernelPath::Avx2.is_available() => {
-            assert_eq!(selected, KernelPath::Avx2)
-        }
-        Ok("avx2-fma") if KernelPath::Avx2Fma.is_available() => {
-            assert_eq!(selected, KernelPath::Avx2Fma)
-        }
-        Ok("avx2") | Ok("avx2-fma") => assert_eq!(
-            selected,
-            KernelPath::Scalar,
-            "unavailable request must fall back to scalar"
-        ),
-        // auto / unset / unknown: the default selection must keep the
-        // bit-identity contract.
-        _ => assert!(selected.is_bit_identical_to_scalar()),
-    }
+    let requested = std::env::var("CAP_TENSOR_KERNEL");
+    let expected = match requested.as_deref() {
+        Ok("scalar") => KernelPath::Scalar,
+        // `avx2`, `auto` and unset: AVX2 where the host has it, scalar
+        // (the clean fallback) where it does not.
+        _ if KernelPath::Avx2.is_available() => KernelPath::Avx2,
+        _ => KernelPath::Scalar,
+    };
+    assert_eq!(selected, expected, "CAP_TENSOR_KERNEL={requested:?}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Packed GEMM stays bit-identical across every available
-    /// bit-identical path on arbitrary ragged shapes, k = 0 included.
+    /// Packed GEMM stays bit-identical across every available path on
+    /// arbitrary ragged shapes, k = 0 included.
     #[test]
     fn prop_gemm_packed_bit_identical(
         m in 1usize..20,
@@ -383,7 +329,7 @@ proptest! {
         let a = mat(m, k, seed);
         let b = mat(k, n, seed.wrapping_add(1));
         let reference = gemm_prepacked_on(KernelPath::Scalar, &a, &b);
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = gemm_prepacked_on(path, &a, &b);
             for (x, y) in reference.as_slice().iter().zip(got.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -411,7 +357,7 @@ proptest! {
         let w = CsrMatrix::from_dense(&dense, 0.0);
         let b = mat(k, n, seed.wrapping_add(2));
         let reference = spmm_on(KernelPath::Scalar, &w, &b);
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = spmm_on(path, &w, &b);
             for (x, y) in reference.as_slice().iter().zip(got.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -439,7 +385,7 @@ proptest! {
         let reference = on_path(KernelPath::Scalar, || {
             cap_tensor::max_pool2d(&input, &p).unwrap()
         });
-        for path in identical_paths() {
+        for path in kernels::available_paths() {
             let got = on_path(path, || cap_tensor::max_pool2d(&input, &p).unwrap());
             for (x, y) in reference.as_slice().iter().zip(got.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());

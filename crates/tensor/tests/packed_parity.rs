@@ -43,10 +43,9 @@ fn matrix(rows: usize, cols: usize, seed: usize, zero_every: usize) -> Matrix {
 /// lone ragged panel in the third strip), 40 (odd panel count in the
 /// last strip). `m` covers a tail-only band (2), a row block plus a
 /// tail row (5), a second band of one tail row (33) and two full bands
-/// (64). Every cell is the unpacked multiply followed by separate bias
-/// and ReLU passes: bitwise on the bit-identical paths, within
-/// `(k+2)·eps` of `Σ|a·b| + |bias|` on `avx2-fma` (against the scalar
-/// oracle), written through a NaN-filled `c`.
+/// (64). Every cell is, bitwise on every path, the scalar unpacked
+/// multiply followed by separate bias and ReLU passes, written through
+/// a NaN-filled `c`.
 #[test]
 fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
     let _g = force_lock();
@@ -65,9 +64,6 @@ fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
             let oracle = gemm_prealloc(&a, &b, &mut plain);
             kernels::force(None);
             oracle.unwrap();
-            let abs_sum = |r: usize, j: usize| -> f32 {
-                (0..k).map(|i| (a.get(r, i) * b.get(i, j)).abs()).sum()
-            };
             for (what, epi) in [
                 ("no epilogue", Epilogue::NONE),
                 (
@@ -112,14 +108,7 @@ fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
                             // An absent bias is skipped: `+ 0.0` is not bitwise neutral.
                             let sum = bias.map_or(plain.get(r, j), |bv| plain.get(r, j) + bv);
                             let want = if !epi.relu || sum > 0.0 { sum } else { 0.0 };
-                            let got = c.get(r, j);
-                            if path.is_bit_identical_to_scalar() {
-                                assert_eq!(got.to_bits(), want.to_bits(), "{case}");
-                            } else {
-                                let scale = abs_sum(r, j) + bias.unwrap_or(0.0).abs();
-                                let bound = (k as f32 + 2.0) * f32::EPSILON * scale;
-                                assert!((got - want).abs() <= bound, "{case}: {got} vs {want}");
-                            }
+                            assert_eq!(c.get(r, j).to_bits(), want.to_bits(), "{case}");
                         }
                     }
                 }
@@ -152,9 +141,9 @@ fn pack_transposed_is_pack_of_the_transpose() {
 }
 
 proptest! {
-    /// Panel-packed GEMM ≡ plain GEMM. Accumulation order is identical
-    /// (kk-ascending per output element), so parity is near-bitwise; the
-    /// tolerance only covers ±0.0 sign plus fused rounding differences.
+    /// Panel-packed GEMM ≡ plain GEMM, bitwise: accumulation order is
+    /// identical (kk-ascending per output element), and the zero terms
+    /// the unpacked walk skips are neutral on a `+0.0`-seeded sum.
     #[test]
     fn packed_gemm_matches_gemm(
         m in 1usize..24,
@@ -170,15 +159,8 @@ proptest! {
         let packed = PackedB::pack(&b);
         let mut got = Matrix::zeros(m, n);
         gemm_prepacked(&a, &packed, &mut got).unwrap();
-        // Under `CAP_TENSOR_KERNEL=avx2-fma` the unpacked walk's scalar
-        // tail columns round twice per step where the packed kernel
-        // fuses: `(k+2)·eps` of the largest possible `Σ|a·b|`.
-        let tol = if kernels::selected().is_bit_identical_to_scalar() {
-            1e-6
-        } else {
-            (k as f32 + 2.0) * f32::EPSILON * k as f32 * 2.5
-        };
-        prop_assert!(expect.max_abs_diff(&got).unwrap() <= tol);
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&expect), bits(&got));
     }
 
     /// The dense-zero skip probe must not change results relative to a

@@ -153,13 +153,13 @@ fn all_three_algorithms_hit_requested_sparsity_on_googlenet_layer() {
 }
 
 /// L1 filter pruning zeroes whole filters, and a conv layer drops them
-/// from its multiply: on every kernel path that is bit-identical to
-/// scalar its output equals the dense driver run on the same zero-row
-/// matrix bit for bit, pruned channels included.
+/// from its multiply: on every kernel path its output equals the dense
+/// driver run on the same zero-row matrix bit for bit, pruned channels
+/// included.
 #[test]
 fn filter_pruned_conv_layer_is_bitwise_the_dense_driver_on_the_same_weights() {
     use cap_cnn::layer::ConvLayer;
-    use cap_tensor::{conv2d, kernels, Conv2dParams, ConvWeights, Precision, Workspace};
+    use cap_tensor::{conv2d, Conv2dParams, ConvWeights, Precision, Workspace};
 
     if cap_tensor::precision::selected() != Precision::F32 {
         return; // the int8 leg quantizes; its parity is `int8_net.rs`
@@ -169,6 +169,7 @@ fn filter_pruned_conv_layer_is_bitwise_the_dense_driver_on_the_same_weights() {
     let x = Tensor4::from_fn(2, 8, 9, 9, |n, c, h, w| {
         ((n * 7 + c * 5 + h * 3 + w) % 11) as f32 / 5.0 - 1.0
     });
+    let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for ratio in [0.3, 0.6, 0.9] {
         let mut w = cap_tensor::init::xavier_uniform(20, params.col_rows(), 17);
         let pruned = prune_filters_l1(&mut w, ratio).unwrap();
@@ -184,13 +185,7 @@ fn filter_pruned_conv_layer_is_bitwise_the_dense_driver_on_the_same_weights() {
             }
             let dense = ConvWeights::Dense(&w);
             conv2d(&x, dense, Some(&bias), relu, &params, &mut ws, &mut want).unwrap();
-            if kernels::selected().is_bit_identical_to_scalar() {
-                let bits =
-                    |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert!(bits(&got) == bits(&want), "ratio {ratio} relu {relu}");
-            } else {
-                assert!(got.max_abs_diff(&want).unwrap() < 1e-5, "ratio {ratio}");
-            }
+            assert!(bits(&got) == bits(&want), "ratio {ratio} relu {relu}");
         }
     }
 }
