@@ -1,9 +1,11 @@
 //! Dense vs CSR-sparse GEMM across sparsity levels — locates the
 //! break-even point that justifies the sparse-Caffe substrate
-//! (DESIGN.md §9 ablation) — and the packed GEMM on the real conv
-//! layer shapes, the record behind `gemm.rs`'s `STRIP_BYTES`.
+//! (DESIGN.md §9 ablation) — the packed GEMM on the real conv layer
+//! shapes, the record behind `gemm.rs`'s `STRIP_BYTES`, and the
+//! batch-1 Caffenet multiplies split across a two-thread worker team.
 
-use cap_tensor::{gemm, gemm_prepacked, CsrMatrix, Matrix, PackedB};
+use cap_tensor::team::{self, Team};
+use cap_tensor::{gemm, gemm_packed, gemm_prepacked, CsrMatrix, Epilogue, Matrix, PackedB};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
 
@@ -103,9 +105,129 @@ fn bench_layer_shapes(c: &mut Criterion) {
     }
 }
 
+/// Fastest call of `run` over the group's samples, as `id`.
+fn fastest(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    mut run: impl FnMut(),
+) -> Duration {
+    let mut best = Duration::MAX;
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            let t0 = Instant::now();
+            run();
+            best = best.min(t0.elapsed());
+        })
+    });
+    best
+}
+
+/// The multiplies of a batch-1 Caffenet pass on one thread and split
+/// across a two-thread [`Team`]: the eight conv multiplies (conv2,
+/// conv4 and conv5 are two groups each) cut by rows of `A`
+/// (`team::split_rows`), and the fc6/fc7/fc8 GEMVs against their packed
+/// `Wᵀ` cut by panel-aligned column ranges (`team::split_columns`).
+/// The network cuts conv1, conv3 and the GEMVs this way; on two threads
+/// it runs a grouped layer's two groups one per thread instead, and
+/// cuts each group by rows only on three or more. The two outputs of every
+/// multiply are compared bit for bit. Ends with one `gemm_split:` line
+/// — the 2-worker speed-up over 1 worker, min and max over the
+/// multiplies, each arm from its fastest call — for the CI job summary.
+fn bench_split(c: &mut Criterion) {
+    const CONV: [(&str, usize, usize, usize); 8] = [
+        ("conv1", 96, 363, 3025),
+        ("conv2_g1", 128, 1200, 729),
+        ("conv2_g2", 128, 1200, 729),
+        ("conv3", 384, 2304, 169),
+        ("conv4_g1", 192, 1728, 169),
+        ("conv4_g2", 192, 1728, 169),
+        ("conv5_g1", 128, 1728, 169),
+        ("conv5_g2", 128, 1728, 169),
+    ];
+    const FC: [(&str, usize, usize); 3] = [
+        ("fc6", 9216, 4096),
+        ("fc7", 4096, 4096),
+        ("fc8", 4096, 1000),
+    ];
+    let mut group = c.benchmark_group("gemm_split");
+    let mut two = Team::new(2);
+    let mut speedups: Vec<(f64, &str)> = Vec::new();
+    let mut measure =
+        |name: &'static str, len: usize, multiply: &dyn Fn(Option<&mut Team>, &mut [f32])| {
+            let mut outs = [vec![0.0f32; len], vec![0.0f32; len]];
+            let [one_out, two_out] = &mut outs;
+            let one = fastest(&mut group, BenchmarkId::new(name, "1w"), || {
+                multiply(None, one_out)
+            });
+            let split = fastest(&mut group, BenchmarkId::new(name, "2w"), || {
+                multiply(Some(&mut two), two_out)
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(one_out) == bits(two_out),
+                "gemm_split/{name}: split output differs"
+            );
+            if split < Duration::MAX {
+                let speedup = one.as_secs_f64() / split.as_secs_f64();
+                println!("gemm_split/{name}: 2w/1w {speedup:.2}x");
+                speedups.push((speedup, name));
+            }
+        };
+    for (seed, (name, m, k, n)) in CONV.into_iter().enumerate() {
+        let a = Matrix::from_fn(m, k, |r, q| {
+            ((r * 7 + q * 3 + seed) % 17) as f32 / 17.0 - 0.5
+        });
+        let packed = PackedB::pack(&Matrix::from_fn(k, n, |r, q| {
+            ((r + q * 5 + seed) % 13) as f32 / 13.0 - 0.5
+        }));
+        let (a, b) = (a.as_slice(), packed.as_slice());
+        measure(name, m * n, &|team, out| {
+            team::split_rows(team, k, n, out, &|rows, part| {
+                let a = &a[rows.start * k..rows.end * k];
+                gemm_packed(a, rows.len(), k, n, b, part, Epilogue::NONE)
+            })
+            .unwrap()
+        });
+    }
+    for (name, k, n) in FC {
+        let x = Matrix::from_fn(1, k, |_, q| (q % 19) as f32 / 19.0 - 0.5);
+        let w_t = PackedB::pack_transposed(&Matrix::from_fn(n, k, |r, q| {
+            ((r * 3 + q * 11) % 23) as f32 / 23.0 - 0.5
+        }));
+        let (x, b) = (x.as_slice(), w_t.as_slice());
+        measure(name, n, &|team, out| {
+            team::split_columns(team, k, out, &|cols, part| {
+                gemm_packed(
+                    x,
+                    1,
+                    k,
+                    cols.len(),
+                    &b[cols.start * k..],
+                    part,
+                    Epilogue::NONE,
+                )
+            })
+            .unwrap()
+        });
+    }
+    group.finish();
+    speedups.sort_by(|x, y| x.0.total_cmp(&y.0));
+    if let (Some(lo), Some(hi)) = (speedups.first(), speedups.last()) {
+        println!(
+            "gemm_split: 2w/1w min {:.2}x ({}) max {:.2}x ({}) over {} multiplies on {}",
+            lo.0,
+            lo.1,
+            hi.0,
+            hi.1,
+            speedups.len(),
+            cap_tensor::kernels::selected().name()
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_layer_shapes
+    targets = bench_gemm, bench_layer_shapes, bench_split
 }
 criterion_main!(benches);

@@ -9,9 +9,11 @@
 //! the network executor can run independent DAG nodes concurrently on a
 //! ready-queue scheduler (atomic indegree counters, a shared injector
 //! queue, and a chained fast path for the single-successor case), with
-//! every node writing its own arena slot and every worker drawing
-//! scratch from the arena workspace it was handed at spawn, so
-//! concurrent branches share no mutable state.
+//! every node writing its own arena slot and every worker — the calling
+//! thread or a helper of the arena's persistent worker team — drawing
+//! scratch from its own workspace, so concurrent branches share no
+//! mutable state. A chain has no branches to overlap; there the same
+//! team splits the large kernels instead (DESIGN.md §10).
 //!
 //! # Bitwise parity
 //!
@@ -27,14 +29,17 @@
 //!
 //! Mirrors `CAP_TENSOR_KERNEL` / `CAP_TENSOR_FUSION`: the `CAP_CNN_DAG`
 //! environment variable is read once per process — `on`, `off`, or
-//! `auto` (the default). `Auto` engages the parallel scheduler only
-//! when it can pay: the plan has at least two steps ready at some depth
-//! (`width > 1`), the host has more than one core, and the pass is not
-//! already running inside a [`crate::ParallelEngine`] worker (stacking
-//! node-parallelism on top of data-parallelism would oversubscribe the
-//! machine). `On` forces the scheduler unconditionally; `Off` is the
-//! sequential escape hatch and the baseline arm of the `dagpar`
-//! ablation. Any other value is fatal at first use (see
+//! `auto` (the default). It decides how many threads a pass gets; the
+//! plan decides how they are used. `Auto` gives a pass the host's cores
+//! unless it is already running inside a [`crate::ParallelEngine`]
+//! worker (stacking them on data-parallelism would oversubscribe the
+//! machine): a branchy plan (at least two steps ready at some depth,
+//! `width > 1`) runs them on the ready queue, a chain splits its large
+//! kernels across them, and a chain with no kernel big enough to split
+//! runs on one. `On` forces the ready queue unconditionally (a chain
+//! then degenerates to one worker draining it); `Off` is one thread per
+//! pass — the sequential escape hatch and the baseline arm of the
+//! `dagpar` ablation. Any other value is fatal at first use (see
 //! [`cap_tensor::knob`]).
 
 use crate::network::{ForwardArena, ForwardRecord, Network, INPUT};
@@ -57,16 +62,17 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagMode {
-    /// Decide per pass: parallelize when the plan has branch
-    /// parallelism (`width > 1`), the host has more than one core, and
-    /// the pass is not already inside a data-parallel engine worker.
+    /// The host's cores per pass, unless inside a data-parallel engine
+    /// worker: the ready queue when the plan has branch parallelism
+    /// (`width > 1`), kernel splits on a chain.
     Auto,
     /// Always route through the DAG scheduler, even for purely
     /// sequential chains (they degenerate to one worker draining the
     /// queue) and inside engine workers.
     On,
-    /// Always run the sequential schedule — the parity escape hatch and
-    /// the baseline arm of the `dagpar` ablation experiment.
+    /// One thread per pass: the sequential schedule, no kernel splits
+    /// — the parity escape hatch and the baseline arm of the `dagpar`
+    /// ablation experiment.
     Off,
 }
 
@@ -137,13 +143,13 @@ pub(crate) fn host_parallelism() -> usize {
 thread_local! {
     /// True while this thread is a [`crate::ParallelEngine`] worker
     /// executing its chunk loop. `DagMode::Auto` checks it to avoid
-    /// stacking node-parallel threads on top of data-parallel ones.
+    /// stacking a pass's worker team on top of data-parallel threads.
     static IN_ENGINE_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// RAII flag marking the current thread as a data-parallel engine
-/// worker for its lifetime; `DagMode::Auto` stays sequential on such
-/// threads.
+/// worker for its lifetime; `DagMode::Auto` gives passes on such
+/// threads one thread.
 pub(crate) struct EngineWorkerGuard {
     was: bool,
 }
@@ -223,8 +229,8 @@ impl DagExecutor {
         Self::new(host_parallelism())
     }
 
-    /// Configured worker count (an upper bound: a pass never spawns
-    /// more workers than its plan has width).
+    /// Configured worker count (an upper bound: a pass never runs more
+    /// workers than its plan has width).
     pub fn workers(&self) -> usize {
         self.workers
     }

@@ -2,7 +2,7 @@
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
-    gemm_i8, gemm_packed, precision, quantize_rows_into, symmetric_scale, CalibrationMethod,
+    gemm_i8, gemm_packed, precision, quantize_rows_into, symmetric_scale, team, CalibrationMethod,
     CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision, ShapeError, Tensor4,
     TensorResult, Workspace,
 };
@@ -212,19 +212,32 @@ impl InnerProductLayer {
                 &mut ws.qbuf,
             );
             self.check_depth(kp, qw.kp())?;
-            gemm_i8(
-                &ws.qbuf,
-                batch,
-                kp,
-                self.out_features,
-                qw.data(),
-                out.as_mut_slice(),
-                qw.scale() * act_scale,
-                Epilogue {
-                    bias: Some(EpiBias::PerCol(&self.bias)),
-                    relu,
-                },
-            )?;
+            let (a, scale) = (ws.qbuf.as_slice(), qw.scale() * act_scale);
+            let epi = Epilogue {
+                bias: Some(EpiBias::PerCol(&self.bias)),
+                relu,
+            };
+            if batch == 1 {
+                // A GEMV: cut by panel-aligned column ranges across the
+                // workspace's team, when it has one and the layer is
+                // big enough.
+                team::split_columns(ws.team.as_mut(), kp, out.as_mut_slice(), &|cols, part| {
+                    let b = &qw.data()[cols.start * kp..];
+                    gemm_i8(
+                        a,
+                        1,
+                        kp,
+                        cols.len(),
+                        b,
+                        part,
+                        scale,
+                        epi.offset(0, cols.start),
+                    )
+                })?;
+            } else {
+                let (n, b) = (self.out_features, qw.data());
+                gemm_i8(a, batch, kp, n, b, out.as_mut_slice(), scale, epi)?;
+            }
         } else {
             // Dense path: Y = X · Wᵀ, vectorizable at any batch size. A
             // `(n, c, 1, 1)` tensor's flat data IS the `n × c` row-major
@@ -232,19 +245,21 @@ impl InnerProductLayer {
             // no copies: the GEMM writes into `out`'s reused buffer
             // (routing through the dedicated gemv kernel when batch is
             // 1), and bias/ReLU ride its store as a per-column epilogue
-            // (out features are GEMM columns here).
-            gemm_packed(
-                input.as_slice(),
-                batch,
-                self.in_features,
-                self.out_features,
-                self.packed_t.as_slice(),
-                out.as_mut_slice(),
-                Epilogue {
-                    bias: Some(EpiBias::PerCol(&self.bias)),
-                    relu,
-                },
-            )?;
+            // (out features are GEMM columns here). At batch 1 the
+            // GEMV is cut by column ranges, as in the int8 branch.
+            let (x, k, b) = (input.as_slice(), self.in_features, self.packed_t.as_slice());
+            let epi = Epilogue {
+                bias: Some(EpiBias::PerCol(&self.bias)),
+                relu,
+            };
+            if batch == 1 {
+                team::split_columns(ws.team.as_mut(), k, out.as_mut_slice(), &|cols, part| {
+                    let b = &b[cols.start * k..];
+                    gemm_packed(x, 1, k, cols.len(), b, part, epi.offset(0, cols.start))
+                })?;
+            } else {
+                gemm_packed(x, batch, k, self.out_features, b, out.as_mut_slice(), epi)?;
+            }
         }
         Ok(())
     }

@@ -17,11 +17,14 @@ use crate::dag::{self, DagMode};
 use crate::fusion;
 use crate::layer::{ChwShape, Layer, LayerKind};
 use cap_obs::{CollectingTracer, NoopTracer, SpanInfo, SpanScope, Tracer};
-use cap_tensor::{CalibrationMethod, Matrix, ShapeError, Tensor4, TensorResult, Workspace};
+use cap_tensor::{
+    team, CalibrationMethod, Matrix, ShapeError, Team, Tensor4, TensorResult, Workspace,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Identifier of a node within a [`Network`].
@@ -75,6 +78,9 @@ struct Plan {
     /// 4 inside a Googlenet inception module. `DagMode::Auto` engages
     /// the parallel scheduler only when this exceeds 1.
     width: usize,
+    /// Largest per-image MAC count of any step: whether a chain pass
+    /// has a kernel worth a worker team at all.
+    max_macs: u64,
 }
 
 impl Plan {
@@ -119,6 +125,12 @@ impl Plan {
             width = width.max(per_level[l]);
         }
         self.width = width;
+        self.max_macs = self
+            .steps
+            .iter()
+            .map(|step| nodes[step.node].macs)
+            .max()
+            .unwrap_or(0);
     }
 }
 
@@ -146,7 +158,10 @@ unsafe impl Send for SlotsPtr {}
 unsafe impl Sync for SlotsPtr {}
 
 /// Shared state of one DAG-parallel pass: the ready queue plus the
-/// indegree handoff counters.
+/// indegree handoff counters. Lives in the [`ForwardArena`] and is
+/// reset, not rebuilt, by every pass, so a DAG pass allocates nothing
+/// once the arena has seen its plan.
+#[derive(Default)]
 struct DagRun {
     /// Steps whose dependencies are all satisfied, awaiting a worker.
     queue: Mutex<VecDeque<usize>>,
@@ -157,7 +172,7 @@ struct DagRun {
     indeg: Vec<AtomicU32>,
     /// Steps not yet completed; 0 means the pass is done.
     remaining: AtomicUsize,
-    /// Set on the first kernel error; workers drain and exit.
+    /// Set on the first kernel error or panic; workers drain and exit.
     abort: AtomicBool,
     /// The first error observed (kernel errors are all shape errors and
     /// deterministic, so "first" is stable in practice).
@@ -168,6 +183,63 @@ struct DagRun {
     /// executes the first successor it made ready), flushed to
     /// `dag_chained_steps`.
     chained: AtomicU64,
+}
+
+impl DagRun {
+    /// Arm for one pass of `plan`: every countdown at its initial
+    /// indegree, the queue holding the dependency-free steps (at
+    /// minimum the first node, whose only input is the network input).
+    /// Allocates only when the arena meets a plan with more steps.
+    fn reset(&mut self, plan: &Plan) {
+        if self.indeg.len() == plan.indeg.len() {
+            for (counter, &d) in self.indeg.iter_mut().zip(&plan.indeg) {
+                *counter.get_mut() = d;
+            }
+        } else {
+            self.indeg = plan.indeg.iter().map(|&d| AtomicU32::new(d)).collect();
+        }
+        let queue = self.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
+        queue.clear();
+        queue.reserve(plan.steps.len());
+        queue.extend((0..plan.indeg.len()).filter(|&s| plan.indeg[s] == 0));
+        *self.pushes.get_mut() = queue.len() as u64;
+        *self.chained.get_mut() = 0;
+        *self.remaining.get_mut() = plan.steps.len();
+        *self.abort.get_mut() = false;
+        *self
+            .failed
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<usize>> {
+        // A worker that panicked holding the lock left a queue of step
+        // indices, each valid; the pass is aborted anyway.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record the first failure, stop every worker and wake the parked.
+    fn abort(&self, error: Option<ShapeError>) {
+        if let Some(e) = error {
+            let mut failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
+            failed.get_or_insert(e);
+        }
+        self.abort.store(true, Ordering::Release);
+        drop(self.queue());
+        self.ready.notify_all();
+    }
+}
+
+/// How one pass uses the threads it gets.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// The plan's steps in order on the calling thread; with
+    /// `threads > 1` the arena's worker team rides in the workspace for
+    /// the kernels to split across.
+    Chain { threads: usize },
+    /// The ready-queue scheduler with `workers` threads, each running
+    /// its steps' kernels inline.
+    Dag { workers: usize },
 }
 
 /// How one pass picks its plan and its scheduler — the only thing the
@@ -266,29 +338,82 @@ impl ForwardRecord {
 }
 
 /// Everything a forward pass writes, reused across passes: one
-/// activation tensor per node (the last is the output), and one
-/// kernel-scratch [`Workspace`] per thread that executes steps.
+/// activation tensor per node (the last is the output), the calling
+/// thread's kernel-scratch [`Workspace`], the worker [`Team`] a pass
+/// with more than one thread runs on, and the DAG scheduler's queue.
 ///
 /// After the first pass every buffer has reached its steady-state
 /// high-water mark and subsequent passes (same batch size) allocate
-/// nothing. The arena retains *all* activations of a pass instead of
-/// freeing them after their last consumer, which is the right call for
-/// the modest batch sizes the batched-inference driver uses. Scratch
-/// belongs to the executing thread, not to a layer: the sequential
-/// schedule lends every layer the same workspace, a DAG pass hands each
-/// worker its own at spawn, so it grows with the largest layer times
-/// the worker count, not with the layer count.
+/// nothing — on every schedule. The arena retains *all* activations of
+/// a pass instead of freeing them after their last consumer, which is
+/// the right call for the modest batch sizes batched inference uses.
+/// Scratch belongs to the executing thread, not to a layer: the calling
+/// thread lends every layer the same workspace, and each helper of the
+/// team keeps its own, so scratch grows with the largest layer times
+/// the thread count, not with the layer count.
+///
+/// The team is built on the first pass that wants more than one thread
+/// and joined when the arena drops; how many threads a pass wants is
+/// `CAP_CNN_DAG`'s call (`off`: one; `auto`: the host's cores, one
+/// inside a [`crate::ParallelEngine`] worker) unless the arena was made
+/// with [`ForwardArena::with_team`].
 #[derive(Default)]
 pub struct ForwardArena {
     slots: Vec<Tensor4>,
-    /// `scratch[t]` is executing thread `t`'s, for the whole pass.
-    scratch: Vec<Workspace>,
+    /// The calling thread's scratch; `scratch.team` is the arena's
+    /// worker team.
+    scratch: Workspace,
+    /// Threads of a [`ForwardArena::with_team`] arena, which every pass
+    /// uses whatever the knob says.
+    pinned: Option<usize>,
+    /// Threads the team in `scratch` was asked for (it may hold fewer,
+    /// if the OS refused a helper).
+    team_asked: usize,
+    dag: DagRun,
 }
 
 impl ForwardArena {
     /// Create an empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An arena whose passes run on `team`: each gets
+    /// `team.threads()` threads whatever `CAP_CNN_DAG` says — the ready
+    /// queue where the plan branches, kernel splits on a chain. The
+    /// explicit way to pick a pass's thread count, as
+    /// [`crate::DagExecutor::new`] picks a DAG pass's worker count;
+    /// [`Network::forward_timed`] and [`Network::calibrate`] stay on
+    /// one thread regardless.
+    ///
+    /// ```
+    /// use cap_cnn::layer::ConvLayer;
+    /// use cap_cnn::network::{ForwardArena, Network};
+    /// use cap_tensor::{init::xavier_uniform, Conv2dParams, Team, Tensor4};
+    ///
+    /// let mut net = Network::new("one-conv", (16, 32, 32));
+    /// let p = Conv2dParams::new(16, 30, 3, 1, 1);
+    /// let w = xavier_uniform(30, p.col_rows(), 1);
+    /// net.add_sequential(Box::new(ConvLayer::new("conv", p, w, vec![0.1; 30]).unwrap()))
+    ///     .unwrap();
+    /// let x = Tensor4::from_fn(1, 16, 32, 32, |_, c, h, w| (c + h * w) as f32 / 99.0);
+    ///
+    /// let one = net.forward_into(&x, &mut ForwardArena::with_team(Team::new(1))).unwrap().clone();
+    /// // 4.4 M multiply-accumulates: the 30 filters split by rows across
+    /// // three threads.
+    /// let mut arena = ForwardArena::with_team(Team::new(3));
+    /// let three = net.forward_into(&x, &mut arena).unwrap();
+    /// assert_eq!(three.as_slice(), one.as_slice()); // bitwise
+    /// ```
+    pub fn with_team(team: Team) -> Self {
+        let threads = team.threads();
+        let mut arena = Self {
+            pinned: Some(threads),
+            team_asked: threads,
+            ..Self::default()
+        };
+        arena.scratch.team = Some(team);
+        arena
     }
 
     /// Total bytes live across all activation slots (lower bound on what
@@ -303,7 +428,22 @@ impl ForwardArena {
 
     /// Kernel-scratch bytes retained, all threads' workspaces summed.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.iter().map(Workspace::reserved_bytes).sum()
+        self.scratch.reserved_bytes()
+    }
+
+    /// Make sure the arena has a team for a pass that wants `threads`.
+    /// The one there is stays if it has that many threads or more (a
+    /// ready queue runs no more workers than its width, a split no more
+    /// parts than it pays for), or if it was asked for that many and
+    /// the OS gave it fewer; only a team asked for fewer is rebuilt.
+    fn ensure_team(&mut self, threads: usize) {
+        if let Some(team) = &self.scratch.team {
+            if team.threads() >= threads || self.team_asked >= threads {
+                return;
+            }
+        }
+        self.scratch.team = Some(Team::new(threads));
+        self.team_asked = threads;
     }
 }
 
@@ -535,15 +675,20 @@ impl Network {
     /// Returns a reference to the output tensor, which lives in the
     /// arena (clone it if it must outlive the next pass). Layers write
     /// into per-node tensors and draw scratch from per-thread
-    /// workspaces, both retained across calls; on the sequential
-    /// schedule, repeat passes at a fixed batch size perform no heap
-    /// allocation at all (the plan is built on the first pass and
-    /// cached). A DAG pass allocates what spawning its workers costs.
+    /// workspaces, both retained across calls; repeat passes at a fixed
+    /// batch size perform no heap allocation at all, on every schedule
+    /// (the plan is built on the first pass and cached, the arena's
+    /// worker team on the first pass that wants one, and the DAG
+    /// scheduler's queue is the arena's).
     ///
     /// This entry point honors the graph-level fusion pass (see
-    /// [`crate::fusion`]): under `CAP_TENSOR_FUSION=auto` (the default)
-    /// or `on`, eligible `conv → relu` / `fc → relu` chains execute as
-    /// single fused steps, bitwise identical to the unfused schedule.
+    /// [`crate::fusion`]): under `CAP_TENSOR_FUSION=auto` (the default),
+    /// eligible `conv → relu` / `fc → relu` chains execute as single
+    /// fused steps, bitwise identical to the unfused schedule. It also
+    /// honors `CAP_CNN_DAG` (see [`ForwardArena`]): a pass with more
+    /// than one thread runs a branchy plan on the ready queue and
+    /// splits a chain's large kernels across the arena's team — bitwise
+    /// identical to one thread either way.
     pub fn forward_into<'a>(
         &self,
         input: &Tensor4,
@@ -706,36 +851,63 @@ impl Network {
             succs: Vec::new(),
             indeg: Vec::new(),
             width: 0,
+            max_macs: 0,
         };
         plan.finalize(&self.nodes);
         plan
     }
 
-    /// Decide whether a pass runs on the DAG scheduler, and with how
-    /// many workers (`None` = the sequential schedule). Worker counts
-    /// are clamped to the plan's width — extra workers would only park
-    /// on the queue.
-    fn dag_worker_count(plan: &Plan, schedule: Schedule) -> Option<usize> {
+    /// Decide how many threads a pass gets and how it uses them.
+    ///
+    /// The count: the `schedule`'s own ([`crate::DagExecutor`]), the
+    /// pinned team's ([`ForwardArena::with_team`]), or `CAP_CNN_DAG`'s
+    /// — one under `off` or inside a data-parallel engine worker
+    /// (stacking threads on the engine's would oversubscribe the host),
+    /// the host's cores under `auto`. `on` forces the ready queue with
+    /// as many workers as the plan is wide, even one.
+    ///
+    /// The use is the plan's: the ready queue when it branches (never
+    /// more workers than its width), kernel splits when it is a chain —
+    /// and one thread when the arena has no team yet and no step of the
+    /// chain is big enough to split at this batch, so small nets never
+    /// build one. A team already there is used; each kernel then decides
+    /// for itself whether it splits.
+    fn pass_layout(plan: &Plan, schedule: Schedule, arena: &ForwardArena, batch: usize) -> Layout {
         let width = plan.width.max(1);
-        match schedule {
-            Schedule::PerNode => None,
-            Schedule::Dag(workers) => Some(workers.clamp(1, width)),
-            Schedule::Knobs => match dag::selected() {
-                DagMode::Off => None,
-                DagMode::On => Some(dag::host_parallelism().clamp(1, width)),
-                // Engage only where it can pay: real branch parallelism,
-                // more than one core, and not already inside a
-                // data-parallel engine worker (node-parallelism on top of
-                // data-parallelism would oversubscribe the host).
-                DagMode::Auto => {
-                    (plan.width > 1 && !dag::in_engine_worker() && dag::host_parallelism() > 1)
-                        .then(|| dag::host_parallelism().min(plan.width))
+        let threads = match schedule {
+            Schedule::PerNode => 1,
+            Schedule::Dag(workers) => {
+                return Layout::Dag {
+                    workers: workers.clamp(1, width),
                 }
+            }
+            Schedule::Knobs => match (arena.pinned, dag::selected()) {
+                (Some(threads), _) => threads,
+                (None, DagMode::Off) => 1,
+                (None, DagMode::On) => {
+                    return Layout::Dag {
+                        workers: dag::host_parallelism().clamp(1, width),
+                    }
+                }
+                (None, DagMode::Auto) if dag::in_engine_worker() => 1,
+                (None, DagMode::Auto) => dag::host_parallelism(),
             },
+        };
+        if threads > 1 && plan.width > 1 {
+            Layout::Dag {
+                workers: threads.min(width),
+            }
+        } else if threads > 1
+            && (arena.scratch.team.is_some()
+                || team::worth_a_team(threads, plan.max_macs.saturating_mul(batch as u64)))
+        {
+            Layout::Chain { threads }
+        } else {
+            Layout::Chain { threads: 1 }
         }
     }
 
-    /// The one pass: validate the input, pick the plan and scheduler
+    /// The one pass: validate the input, pick the plan and the layout
     /// `schedule` asks for, run every step through
     /// [`Network::exec_plan_step`], and return the arena slot holding
     /// the output.
@@ -787,6 +959,7 @@ impl Network {
         let fuse = !matches!(schedule, Schedule::PerNode) && fusion::selected().enabled();
         let plan = self.plans[fuse as usize].get_or_init(|| self.build_plan(fuse));
         metrics.fused_layers.set(plan.fused_count);
+        let layout = Self::pass_layout(plan, schedule, arena, input.n());
         let pass = Pass {
             plan,
             input,
@@ -798,25 +971,34 @@ impl Network {
             timing,
             calibrate,
         };
-        let workers = Self::dag_worker_count(plan, schedule);
-        let threads = workers.unwrap_or(1);
-        if arena.scratch.len() < threads {
-            arena.scratch.resize_with(threads, Workspace::new);
-        }
-        let scratch = &mut arena.scratch[..threads];
-        match workers {
-            Some(workers) => {
+        match layout {
+            Layout::Dag { workers } => {
                 metrics.dag_parallel_passes.inc();
                 metrics.dag_workers.set(workers as u64);
-                self.run_plan_dag(&pass, scratch)?;
-            }
-            None => {
-                metrics.dag_workers.set(0);
-                for s in 0..plan.steps.len() {
-                    // Contract of `exec_plan_step` holds trivially: one
-                    // thread, steps in topological order, no resize.
-                    self.exec_plan_step(&pass, s, &mut scratch[0])?;
+                if workers > 1 {
+                    arena.ensure_team(workers);
                 }
+                self.run_plan_dag(&pass, &mut arena.scratch, &mut arena.dag, workers)?;
+            }
+            Layout::Chain { threads } => {
+                metrics.dag_workers.set(0);
+                // A one-thread pass parks the team (if the arena has
+                // one) out of the workspace, so no kernel splits.
+                let parked = if threads > 1 {
+                    arena.ensure_team(threads);
+                    None
+                } else {
+                    arena.scratch.team.take()
+                };
+                // Contract of `exec_plan_step` holds trivially: one
+                // thread runs the steps, in topological order, and
+                // nothing resizes the slot vector.
+                let steps = (0..plan.steps.len())
+                    .try_for_each(|s| self.exec_plan_step(&pass, s, &mut arena.scratch));
+                if parked.is_some() {
+                    arena.scratch.team = parked;
+                }
+                steps?;
             }
         }
         let out_slot = plan.slot_of[self.nodes.len() - 1];
@@ -933,48 +1115,31 @@ impl Network {
         Ok(())
     }
 
-    /// Run the plan on the ready-queue DAG scheduler with one thread
-    /// per workspace in `scratch` (the calling thread is one of them,
-    /// so a single workspace spawns nothing and degenerates to a
-    /// queue-ordered sequential pass).
+    /// Run the plan on the ready-queue DAG scheduler with `workers`
+    /// threads: the calling thread with `ws` plus helpers of `ws`'s
+    /// team, each with its own workspace. The team is lent out for the
+    /// pass, so no step's kernel splits; one worker runs the queue on
+    /// the calling thread alone.
     fn run_plan_dag<T: Tracer>(
         &self,
         pass: &Pass<'_, T>,
-        scratch: &mut [Workspace],
+        ws: &mut Workspace,
+        run: &mut DagRun,
+        workers: usize,
     ) -> TensorResult<()> {
-        let plan = pass.plan;
-        let n_steps = plan.steps.len();
-        let run = DagRun {
-            queue: Mutex::new(VecDeque::with_capacity(n_steps)),
-            ready: Condvar::new(),
-            indeg: plan.indeg.iter().map(|&d| AtomicU32::new(d)).collect(),
-            remaining: AtomicUsize::new(n_steps),
-            abort: AtomicBool::new(false),
-            failed: Mutex::new(None),
-            pushes: AtomicU64::new(0),
-            chained: AtomicU64::new(0),
-        };
-        {
-            // Seed the queue with every dependency-free step (at minimum
-            // the first node, whose only input is the network input).
-            let mut q = run.queue.lock().unwrap();
-            for (s, &d) in plan.indeg.iter().enumerate() {
-                if d == 0 {
-                    q.push_back(s);
-                }
+        run.reset(pass.plan);
+        let run = &*run;
+        // Not handed back if a step panicked: the team drops (joining
+        // its idle helpers) and the next pass that wants one builds it.
+        let mut team = ws.team.take();
+        match team.as_mut() {
+            Some(team) if workers > 1 => {
+                let parts = workers.min(team.threads());
+                team.run(parts, ws, &|_, ws| self.dag_worker_loop(pass, run, ws));
             }
-            run.pushes.store(q.len() as u64, Ordering::Relaxed);
+            _ => self.dag_worker_loop(pass, run, ws),
         }
-        let run_ref = &run;
-        let (own, spawned) = scratch
-            .split_first_mut()
-            .expect("run_pass sizes scratch to at least one worker");
-        std::thread::scope(|scope| {
-            for ws in spawned {
-                scope.spawn(move || self.dag_worker_loop(pass, run_ref, ws));
-            }
-            self.dag_worker_loop(pass, run_ref, own);
-        });
+        ws.team = team;
         let metrics = cap_obs::metrics();
         metrics
             .dag_queue_pushes
@@ -982,7 +1147,12 @@ impl Network {
         metrics
             .dag_chained_steps
             .add(run.chained.load(Ordering::Relaxed));
-        if let Some(e) = run.failed.lock().unwrap().take() {
+        if let Some(e) = run
+            .failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             return Err(e);
         }
         debug_assert_eq!(run.remaining.load(Ordering::Acquire), 0);
@@ -991,13 +1161,14 @@ impl Network {
 
     /// One DAG worker: pop ready steps, execute them with its own
     /// scratch, release successors. Exits when the pass completes or
-    /// aborts.
+    /// aborts; a step's error or panic aborts the pass for every worker
+    /// (the panic then resurfaces on the caller, see [`Team::run`]).
     fn dag_worker_loop<T: Tracer>(&self, pass: &Pass<'_, T>, run: &DagRun, ws: &mut Workspace) {
         let plan = pass.plan;
         loop {
             // Park until a step is ready, the pass is done, or aborted.
             let step = {
-                let mut q = run.queue.lock().unwrap();
+                let mut q = run.queue();
                 loop {
                     if run.abort.load(Ordering::Acquire)
                         || run.remaining.load(Ordering::Acquire) == 0
@@ -1007,7 +1178,7 @@ impl Network {
                     if let Some(s) = q.pop_front() {
                         break s;
                     }
-                    q = run.ready.wait(q).unwrap();
+                    q = run.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
             };
             // Chained fast path: after finishing a step, directly run
@@ -1018,15 +1189,13 @@ impl Network {
                 if run.abort.load(Ordering::Relaxed) {
                     return;
                 }
-                if let Err(e) = self.exec_plan_step(pass, s, ws) {
-                    let mut failed = run.failed.lock().unwrap();
-                    if failed.is_none() {
-                        *failed = Some(e);
+                match panic::catch_unwind(AssertUnwindSafe(|| self.exec_plan_step(pass, s, ws))) {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => return run.abort(Some(e)),
+                    Err(payload) => {
+                        run.abort(None);
+                        panic::resume_unwind(payload);
                     }
-                    drop(failed);
-                    run.abort.store(true, Ordering::Release);
-                    run.ready.notify_all();
-                    return;
                 }
                 // Handoff: the slot write above happens-before any
                 // consumer via the AcqRel decrement chain (release
@@ -1037,7 +1206,7 @@ impl Network {
                             run.chained.fetch_add(1, Ordering::Relaxed);
                             next = Some(succ);
                         } else {
-                            run.queue.lock().unwrap().push_back(succ);
+                            run.queue().push_back(succ);
                             run.pushes.fetch_add(1, Ordering::Relaxed);
                             run.ready.notify_one();
                         }
@@ -1047,7 +1216,7 @@ impl Network {
                     // Last step overall: wake every parked worker. Taking
                     // the lock orders the decrement before their re-check,
                     // so no waiter can miss it.
-                    drop(run.queue.lock().unwrap());
+                    drop(run.queue());
                     run.ready.notify_all();
                 }
             }

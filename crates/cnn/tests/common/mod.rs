@@ -27,3 +27,18 @@ pub fn csr_weights(mut w: Matrix) -> Matrix {
     );
     w
 }
+
+/// `w` with every third filter (row) zeroed — what L1 filter pruning
+/// leaves, which puts an f32 conv layer on its kept-rows form
+/// (asserted).
+pub fn filter_pruned_weights(mut w: Matrix) -> Matrix {
+    for r in (0..w.rows()).filter(|r| r % 3 == 1) {
+        w.row_mut(r).fill(0.0);
+    }
+    let form = ConvLayer::weight_form_name(&w);
+    assert!(
+        matches!(form, "dense-rows" | "dense-i8"),
+        "filter-pruned weights run {form}"
+    );
+    w
+}

@@ -1,7 +1,8 @@
 //! Steady-state allocation audit: after a warm-up pass has grown every
 //! buffer to its high-water mark, repeated batched inference through a
-//! [`ForwardArena`] must perform **zero** heap allocations — the PR's
-//! headline acceptance criterion.
+//! [`ForwardArena`] must perform **zero** heap allocations, on every
+//! schedule: one thread, kernels split across the arena's team, and
+//! the DAG ready queue.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this
 //! file holds exactly one test so no sibling test can allocate
@@ -17,7 +18,7 @@ use cap_cnn::{NoopTracer, Tracer};
 use cap_obs::{SpanInfo, SpanScope, TimingGuard};
 use cap_tensor::{
     conv2d, init::xavier_uniform, precision, CalibrationMethod, Conv2dParams, ConvWeights, Matrix,
-    Precision, Tensor4, Workspace,
+    Precision, Team, Tensor4, Workspace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -213,13 +214,9 @@ fn inception_shaped() -> Network {
 
 #[test]
 fn steady_state_inference_allocates_nothing() {
-    // Zero allocation is the sequential schedule's guarantee, which is
-    // what `Auto` picks for every chain below. `CAP_CNN_DAG=on` forces
-    // the ready-queue scheduler (a queue and counters built per pass)
-    // even onto a chain; under it, test the schedule `Auto` picks.
-    if dag::selected() == DagMode::On {
-        dag::force(Some(DagMode::Auto));
-    }
+    // Every schedule `CAP_CNN_DAG` can pick — one thread, kernel splits
+    // on a chain, the ready queue — is allocation-free once warm, so
+    // the passes below run under whatever the environment says.
     let net = caffenet_shaped();
     let batch = 4;
     let images = Tensor4::from_fn(batch, 3, 19, 19, |n, c, h, w| {
@@ -444,9 +441,10 @@ fn steady_state_inference_allocates_nothing() {
         }
     }
 
-    // Branches and joins, on the sequential schedule (a DAG pass spawns
-    // its workers, which allocates): a concat's input refs are gathered
-    // on the stack. This binary's only test, so no other `force` user
+    // Branches and joins: a concat's input refs are gathered on the
+    // stack, on the sequential schedule and on the ready queue alike —
+    // the queue and its counters are the arena's, the workers the
+    // arena's team. This binary's only test, so no other `force` user
     // can interleave.
     {
         let net = inception_shaped();
@@ -465,6 +463,72 @@ fn steady_state_inference_allocates_nothing() {
         assert_eq!(
             allocs, 0,
             "sequential passes over a branchy net must not allocate (got {allocs})",
+        );
+
+        let mut arena = ForwardArena::with_team(Team::new(2));
+        let dag_passes = cap_obs::metrics().dag_parallel_passes.get();
+        for _ in 0..3 {
+            net.forward_into(&x, &mut arena).unwrap();
+        }
+        assert_eq!(cap_obs::metrics().dag_parallel_passes.get(), dag_passes + 3);
+        let allocs = min_allocs_over(5, 10, || {
+            net.forward_into(&x, &mut arena).unwrap();
+        });
+        assert_eq!(
+            allocs, 0,
+            "DAG passes on a two-thread team must not allocate (got {allocs})",
+        );
+    }
+
+    // A chain whose kernels split: every conv multiply, band and fc
+    // GEMV of the Caffenet-shaped net cut across three threads, at
+    // batch 1 (rows and columns) and batch 4 (bands). The helpers'
+    // workspaces grow during warm-up like the caller's.
+    {
+        let mut arena = ForwardArena::with_team(Team::new(3).with_min_part_macs(0));
+        let one = Tensor4::from_fn(1, 3, 19, 19, |_, c, h, w| {
+            (((c * 17 + h * 5 + w) % 13) as f32 - 6.0) / 5.0
+        });
+        for x in [&one, &images] {
+            for _ in 0..3 {
+                net.forward_into(x, &mut arena).unwrap();
+            }
+            let splits = cap_obs::metrics().intra_op_splits.get();
+            let allocs = min_allocs_over(5, 10, || {
+                net.forward_into(x, &mut arena).unwrap();
+            });
+            assert!(cap_obs::metrics().intra_op_splits.get() > splits);
+            assert_eq!(
+                allocs,
+                0,
+                "split passes at batch {} must not allocate (got {allocs})",
+                x.n()
+            );
+        }
+        assert!(arena.scratch_bytes() > 0);
+
+        // The same arena alternating the chain (three threads) with a
+        // two-branch plan (two ready-queue workers): the three-thread
+        // team serves both and is never rebuilt, which would spawn.
+        let mut pair = Network::new("two-branches", (3, 19, 19));
+        for (name, k, pad, seed) in [("a", 3, 1, 51), ("b", 1, 0, 52)] {
+            let p = Conv2dParams::new(3, 4, k, pad, 1);
+            let conv = ConvLayer::new(name, p, xavier_uniform(4, p.col_rows(), seed), vec![0.0; 4]);
+            pair.add_layer(Box::new(conv.unwrap()), &[INPUT]).unwrap();
+        }
+        pair.add_layer(Box::new(ConcatLayer::new("cat")), &[NodeId(0), NodeId(1)])
+            .unwrap();
+        let mut both = || {
+            pair.forward_into(&one, &mut arena).unwrap();
+            net.forward_into(&one, &mut arena).unwrap();
+        };
+        for _ in 0..3 {
+            both();
+        }
+        let allocs = min_allocs_over(5, 10, both);
+        assert_eq!(
+            allocs, 0,
+            "alternating a two-wide plan and a chain must not allocate (got {allocs})",
         );
     }
 }

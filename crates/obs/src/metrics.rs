@@ -381,6 +381,12 @@ instruments! {
     /// workers. A workload descriptor like `fused_layers` — overwritten
     /// every pass and cleared by [`MetricsRegistry::reset`]. Always on.
     dag_workers: Gauge, Workload, "Worker count of the most recent forward pass.";
+    /// Kernel calls split across a pass's worker team
+    /// (`cap_tensor::team::split`): a convolution's multiply cut by
+    /// rows of `A`, its batch cut by images, or a batch-1 GEMV cut by
+    /// column ranges. Zero over a run means every kernel ran on one
+    /// thread. Always on.
+    intra_op_splits: Counter, Workload, "Kernel calls split across a pass's worker team.";
     /// Requests offered to the `cap-serve` router (admitted + shed).
     /// Always on.
     serve_requests: Counter, Workload, "Requests offered to the serve router.";
@@ -606,6 +612,7 @@ mod tests {
         reg.dag_queue_pushes.add(11);
         reg.dag_chained_steps.add(13);
         reg.dag_workers.set(2);
+        reg.intra_op_splits.add(5);
         reg.serve_requests.add(10);
         reg.serve_admitted.add(8);
         reg.serve_shed.add(2);

@@ -14,6 +14,7 @@ use crate::im2col::{
 use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
 use crate::quant::{gemm_i8, symmetric_scale, QuantizedA, QuantizedCsr};
 use crate::sparse::CsrMatrix;
+use crate::team;
 use crate::tensor4::Tensor4;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
@@ -418,9 +419,22 @@ impl ConvWeights<'_> {
 /// still reads `epi(0.0 + bias)`, where [`ConvWeights::Dense`] on the
 /// same weights reads NaN (`0·inf`).
 ///
+/// When `ws` carries a [`Team`](team::Team), the call spreads across it
+/// ([`mod@team`]). The output is `n × groups` bands, one per image
+/// and group, each lowered and multiplied independently: with at least
+/// as many bands as threads the bands are cut across the team, each
+/// thread lowering into its own workspace (a batch-1 grouped layer
+/// splits by groups, a batch by images). With fewer, each band is
+/// lowered on the calling thread and its dense multiply (f32 or int8,
+/// all filters or the kept ones) is cut by rows of `A`. Either way a
+/// piece is the same kernel on a sub-range, so the output is bitwise
+/// the one-thread call's. The CSR forms split only by bands.
+///
 /// Lowering scratch is the caller's `ws` and `out` is reshaped in
-/// place, so steady-state calls allocate nothing. When [`cap_obs::timing_enabled`], lowering and multiply
-/// time are credited to the `im2col_time_ns` / `gemm_time_ns` counters.
+/// place, so steady-state calls allocate nothing. When
+/// [`cap_obs::timing_enabled`], lowering and multiply time are credited
+/// to the `im2col_time_ns` / `gemm_time_ns` counters (summed over the
+/// threads of a band split).
 pub fn conv2d(
     input: &Tensor4,
     weights: ConvWeights<'_>,
@@ -436,50 +450,120 @@ pub fn conv2d(
     let (n, _c, h, w) = input.shape();
     let (oh, ow) = params.out_shape(h, w)?;
     out.resize(n, params.out_channels, oh, ow);
+    let call = ConvCall {
+        weights,
+        bias,
+        relu,
+        params,
+        h,
+        w,
+        n_out: oh * ow,
+    };
+    let bands = n * params.groups;
+    if ws.team.as_ref().is_some_and(|t| bands >= t.threads()) {
+        let band_len = (params.out_per_group() * call.n_out).max(1);
+        let macs = call.macs_per_image() * n as u64;
+        let by_bands = |offset: usize, out: &mut [f32], ws: &mut Workspace| {
+            call.bands(input.as_slice(), offset / band_len, out, ws)
+        };
+        return team::split_scratch(ws, macs, out.as_mut_slice(), band_len, &by_bands);
+    }
+    call.bands(input.as_slice(), 0, out.as_mut_slice(), ws)
+}
 
-    let cpg = params.in_per_group();
-    let opg = params.out_per_group();
-    let col_rows = params.col_rows();
-    let n_out = oh * ow;
-    let out_image_len = params.out_channels * n_out;
-    let in_image_len = params.in_channels * h * w;
+/// One validated [`conv2d`] call: everything but the images.
+#[derive(Clone, Copy)]
+struct ConvCall<'a> {
+    weights: ConvWeights<'a>,
+    bias: Option<&'a [f32]>,
+    relu: bool,
+    params: &'a Conv2dParams,
+    h: usize,
+    w: usize,
+    n_out: usize,
+}
 
-    // One relaxed load outside the image loop decides whether the
-    // GEMM/im2col split is measured for this call.
-    let timing = cap_obs::timing_enabled();
-    let metrics = cap_obs::metrics();
-    let path = kernels::selected();
-    let Workspace {
-        cols,
-        packed,
-        qbuf,
-        qimage,
-        qlines,
-    } = ws;
-
-    // Pair output and input images by chunking both flat buffers — no
-    // per-call Vec of image slices, keeping the steady state allocation-free.
-    let out_images = out.as_mut_slice().chunks_mut(out_image_len.max(1));
-    let in_images = input.as_slice().chunks(in_image_len.max(1));
-    for (out_img, in_img) in out_images.zip(in_images) {
-        match weights {
-            ConvWeights::Csr(_) => cols.resize(col_rows, n_out),
-            ConvWeights::DenseI8 { act_scale, .. } | ConvWeights::CsrI8 { act_scale, .. } => {
-                // Quantization commutes with lowering (which only
-                // copies values and pads with zero), so the image is
-                // quantized once here instead of once per patch element
-                // after it. Lowering cost, like the rest of the
-                // operand's path.
-                let t_quant = split_clock(timing);
-                qimage.resize(in_img.len(), 0);
-                ki8::quantize_slice_with(path, in_img, 1.0 / act_scale, qimage);
-                credit_ns(t_quant, &metrics.im2col_time_ns);
+impl ConvCall<'_> {
+    /// Multiply-accumulates of one image under this weight form.
+    fn macs_per_image(&self) -> u64 {
+        let taps = match self.weights {
+            ConvWeights::Dense(_) | ConvWeights::DenseI8 { .. } => {
+                self.params.out_channels * self.params.col_rows()
             }
-            ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {}
-        }
-        for g in 0..params.groups {
+            ConvWeights::DenseRows(b) => {
+                b.iter().map(|band| band.rows.len()).sum::<usize>() * self.params.col_rows()
+            }
+            ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum(),
+            ConvWeights::CsrI8 { bands, .. } => bands.iter().map(QuantizedCsr::nnz).sum(),
+        };
+        (taps * self.n_out) as u64
+    }
+
+    /// Convolve the output bands `first..` that `out` holds — band `b`
+    /// is group `b % groups` of image `b / groups` of the batch
+    /// `input`, an `out_per_group × oh*ow` matrix — scratch and team
+    /// from `ws`.
+    fn bands(
+        &self,
+        input: &[f32],
+        first: usize,
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) -> TensorResult<()> {
+        let Self {
+            weights,
+            bias,
+            relu,
+            params,
+            h,
+            w,
+            n_out,
+        } = *self;
+        let cpg = params.in_per_group();
+        let opg = params.out_per_group();
+        let col_rows = params.col_rows();
+        let in_image_len = params.in_channels * h * w;
+
+        // One relaxed load outside the band loop decides whether the
+        // GEMM/im2col split is measured for this call.
+        let timing = cap_obs::timing_enabled();
+        let metrics = cap_obs::metrics();
+        let path = kernels::selected();
+        let Workspace {
+            cols,
+            packed,
+            qbuf,
+            qimage,
+            qlines,
+            team,
+        } = ws;
+
+        // The image whose per-image operand (the CSR patch matrix's
+        // shape, the int8 quantized image) `ws` holds.
+        let mut prepared = None;
+        for (b, dst) in (first..).zip(out.chunks_mut((opg * n_out).max(1))) {
+            let (i, g) = (b / params.groups, b % params.groups);
+            let in_img = &input[i * in_image_len..(i + 1) * in_image_len];
+            if prepared != Some(i) {
+                prepared = Some(i);
+                match weights {
+                    ConvWeights::Csr(_) => cols.resize(col_rows, n_out),
+                    ConvWeights::DenseI8 { act_scale, .. }
+                    | ConvWeights::CsrI8 { act_scale, .. } => {
+                        // Quantization commutes with lowering (which
+                        // only copies values and pads with zero), so the
+                        // image is quantized once here instead of once
+                        // per patch element after it. Lowering cost,
+                        // like the rest of the operand's path.
+                        let t_quant = split_clock(timing);
+                        qimage.resize(in_img.len(), 0);
+                        ki8::quantize_slice_with(path, in_img, 1.0 / act_scale, qimage);
+                        credit_ns(t_quant, &metrics.im2col_time_ns);
+                    }
+                    ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {}
+                }
+            }
             let in_range = g * cpg * h * w..(g + 1) * cpg * h * w;
-            let dst = &mut out_img[g * opg * n_out..(g + 1) * opg * n_out];
             // `bias[g*opg + r]` is the bias of GEMM row `r`, so the
             // group's bias slice is a per-row epilogue.
             let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
@@ -519,31 +603,41 @@ pub fn conv2d(
             credit_ns(t_col, &metrics.im2col_time_ns);
 
             let t_gemm = split_clock(timing);
+            let team = team.as_mut();
             match weights {
-                ConvWeights::Dense(wm) => gemm_packed(
-                    &wm.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows],
-                    opg,
-                    col_rows,
-                    n_out,
-                    packed.as_slice(),
-                    dst,
-                    epi,
-                )?,
+                ConvWeights::Dense(wm) => {
+                    let a = &wm.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows];
+                    let b = packed.as_slice();
+                    team::split_rows(team, col_rows, n_out, dst, &|rows, part| {
+                        let a = &a[rows.start * col_rows..rows.end * col_rows];
+                        gemm_packed(
+                            a,
+                            rows.len(),
+                            col_rows,
+                            n_out,
+                            b,
+                            part,
+                            epi.offset(rows.start, 0),
+                        )
+                    })?
+                }
                 ConvWeights::DenseRows(bands) => {
                     // The plain product of the kept rows goes to the
-                    // head of the band; `spread` then moves each row to
-                    // its channel (no side buffer), applying the
+                    // head of the band; `spread` then moves each row
+                    // to its channel (no side buffer), applying the
                     // epilogue there.
                     let band = &bands[g];
                     let kept = band.rows.len();
-                    gemm_packed(
-                        &band.weights,
-                        kept,
+                    let b = packed.as_slice();
+                    team::split_rows(
+                        team,
                         col_rows,
                         n_out,
-                        packed.as_slice(),
                         &mut dst[..kept * n_out],
-                        Epilogue::NONE,
+                        &|rows, part| {
+                            let a = &band.weights[rows.start * col_rows..rows.end * col_rows];
+                            gemm_packed(a, rows.len(), col_rows, n_out, b, part, Epilogue::NONE)
+                        },
                     )?;
                     band.spread(dst, n_out, row_bias, relu);
                 }
@@ -552,8 +646,13 @@ pub fn conv2d(
                 }
                 ConvWeights::DenseI8 { bands, act_scale } => {
                     let band = &bands[g];
-                    let scale = band.scale() * act_scale;
-                    gemm_i8(band.data(), opg, band.kp(), n_out, qbuf, dst, scale, epi)?
+                    let (kp, scale) = (band.kp(), band.scale() * act_scale);
+                    let b = qbuf.as_slice();
+                    team::split_rows(team, kp, n_out, dst, &|rows, part| {
+                        let a = &band.data()[rows.start * kp..];
+                        let epi = epi.offset(rows.start, 0);
+                        gemm_i8(a, rows.len(), kp, n_out, b, part, scale, epi)
+                    })?
                 }
                 ConvWeights::CsrI8 { bands, act_scale } => {
                     let band = &bands[g];
@@ -576,8 +675,8 @@ pub fn conv2d(
             }
             credit_ns(t_gemm, &metrics.gemm_time_ns);
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

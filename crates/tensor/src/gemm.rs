@@ -6,8 +6,13 @@
 //! the packed path is pinned against; [`gemm_packed`] walks a
 //! panel-packed `B` in L2-sized column strips with a register-blocked
 //! microkernel. Both run on the calling thread, one row band of `C`
-//! after another: parallelism comes from the batch level
-//! (`ParallelEngine`, the DAG scheduler), not from inside one multiply.
+//! after another. A caller with a worker [`crate::Team`] cuts one
+//! multiply across threads *around* this function, not inside it: rows of
+//! `A` ([`crate::team::split_rows`], a conv's filters) or panel-aligned
+//! column ranges of a batch-1 GEMV ([`crate::team::split_columns`]),
+//! each piece one `gemm_packed` call on a sub-range — so every output
+//! element keeps its single ascending-`kk` chain and the bits do not
+//! depend on the team.
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};

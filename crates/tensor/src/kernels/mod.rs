@@ -32,10 +32,10 @@
 //! snapshots and `ProfileReport`s record which backend produced their
 //! numbers.
 //!
-//! All `unsafe` in `cap-tensor` lives in this directory: the [`avx2`]
-//! submodule (intrinsics) and the dispatch call sites below that enter
-//! it, each with a safety comment tying the call to the CPU-feature
-//! check that makes it sound.
+//! All `unsafe` in `cap-tensor` lives in this directory and in
+//! [`crate::team`]: here the [`avx2`] submodule (intrinsics) and the
+//! dispatch call sites below that enter it, each with a safety comment
+//! tying the call to the CPU-feature check that makes it sound.
 
 pub mod int8;
 pub mod scalar;
@@ -95,6 +95,20 @@ impl Epilogue<'_> {
         bias: None,
         relu: false,
     };
+
+    /// This epilogue as seen by the sub-block of the output that starts
+    /// at row `row0`, column `col0`: a per-row bias starts at entry
+    /// `row0`, a per-column bias at entry `col0`. What a piece of a
+    /// split multiply (a row range of a conv, a column range of a GEMV)
+    /// hands its kernel, so each element gets the bias it would get
+    /// unsplit.
+    pub fn offset(self, row0: usize, col0: usize) -> Self {
+        let bias = self.bias.map(|b| match b {
+            EpiBias::PerRow(b) => EpiBias::PerRow(&b[row0.min(b.len())..]),
+            EpiBias::PerCol(b) => EpiBias::PerCol(&b[col0.min(b.len())..]),
+        });
+        Epilogue { bias, ..self }
+    }
 
     /// Whether this epilogue performs no work at all.
     pub fn is_noop(&self) -> bool {

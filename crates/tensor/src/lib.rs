@@ -22,13 +22,18 @@
 //!   fused [`Epilogue`]) and max/average pooling kernels.
 //! * [`workspace`] — the reusable kernel scratch ([`Workspace`]) a
 //!   caller lends by `&mut`, behind the zero-allocation steady state.
+//! * [`team`] — the persistent worker [`Team`] a workspace may carry,
+//!   and the splits that cut one multiply or one batch across it.
 //! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
 //!   [`reference::gemm_naive`]) that tests and benches import explicitly.
 //!
 //! All kernels are deterministic given deterministic inputs: every
-//! kernel runs on the thread that calls it and accumulates each output
-//! element in one fixed order. Threads enter at the batch and DAG-node
-//! level, in `cap-cnn`.
+//! output element is accumulated by one thread in one fixed order. A
+//! convolution or batch-1 GEMV whose workspace carries a [`Team`] cuts
+//! its output into contiguous pieces across the team's threads
+//! ([`mod@team`]); a piece is the same kernel on a sub-range, so the
+//! bits do not depend on the team size. Which passes get a team is
+//! decided in `cap-cnn`.
 //!
 //! The hot inner loops run on runtime-dispatched SIMD microkernels
 //! ([`kernels`]): AVX2 where the CPU has it, scalar everywhere else,
@@ -52,6 +57,7 @@ pub mod precision;
 pub mod quant;
 pub mod reference;
 pub mod sparse;
+pub mod team;
 pub mod tensor4;
 pub mod workspace;
 
@@ -73,5 +79,6 @@ pub use quant::{
     CalibrationMethod, PackedBI8, QuantizedA, QuantizedCsr,
 };
 pub use sparse::CsrMatrix;
+pub use team::Team;
 pub use tensor4::Tensor4;
 pub use workspace::Workspace;

@@ -11,11 +11,15 @@
 //! so once it has seen the largest shape that passes through it no
 //! allocator calls remain. It belongs to the thread that runs the pass:
 //! a caller lends it by `&mut`, so there is nothing to check out, lock
-//! or count. `cap-cnn`'s `ForwardArena` keeps one per executing thread
-//! and every layer of the pass shares it — any workspace fits any
-//! shape, so scratch grows with the largest layer, not the layer count.
+//! or count. `cap-cnn`'s `ForwardArena` keeps one for the calling
+//! thread and every layer of the pass shares it — any workspace fits
+//! any shape, so scratch grows with the largest layer, not the layer
+//! count. The same workspace carries the [`Team`] that thread may split
+//! a kernel across; each helper of the team keeps a workspace of its
+//! own.
 
 use crate::dense::Matrix;
+use crate::team::Team;
 
 /// Scratch buffers for one kernel call at a time. The slots are
 /// independent (no invariant ties them together), handed out unshaped:
@@ -45,6 +49,11 @@ pub struct Workspace {
     /// The four patch rows [`crate::im2col_i8_packed_prealloc`] has in
     /// flight (`4 × oh*ow` rounded up to whole panels).
     pub qlines: Vec<i8>,
+    /// The helpers a kernel called with this workspace may split its
+    /// work across ([`crate::team`]); `None` runs every kernel
+    /// inline on the calling thread. A helper's own workspace never has
+    /// one, so a split never nests.
+    pub team: Option<Team>,
 }
 
 impl Workspace {
@@ -53,14 +62,16 @@ impl Workspace {
         Self::default()
     }
 
-    /// Bytes the slots retain: capacities, not lengths — a slot's
-    /// length follows the last kernel that shaped it, its footprint is
-    /// the largest shape it has held.
+    /// Bytes the slots retain, the team's helpers' workspaces
+    /// included: capacities, not lengths — a slot's length follows the
+    /// last kernel that shaped it, its footprint is the largest shape it
+    /// has held.
     pub fn reserved_bytes(&self) -> usize {
         (self.cols.capacity() + self.packed.capacity()) * std::mem::size_of::<f32>()
             + self.qbuf.capacity()
             + self.qimage.capacity()
             + self.qlines.capacity()
+            + self.team.as_ref().map_or(0, Team::scratch_bytes)
     }
 }
 
