@@ -2,10 +2,14 @@
 //! break-even point that justifies the sparse-Caffe substrate
 //! (DESIGN.md §9 ablation) — the packed GEMM on the real conv layer
 //! shapes, the record behind `gemm.rs`'s `STRIP_BYTES`, and the
-//! batch-1 Caffenet multiplies split across a two-thread worker team.
+//! batch-1 Caffenet multiplies and Googlenet stem pools and LRNs split
+//! across a two-thread worker team.
 
 use cap_tensor::team::{self, Team};
-use cap_tensor::{gemm, gemm_packed, gemm_prepacked, CsrMatrix, Epilogue, Matrix, PackedB};
+use cap_tensor::{
+    gemm, gemm_packed, gemm_prepacked, lrn_into, max_pool2d_into, CsrMatrix, Epilogue, LrnParams,
+    Matrix, PackedB, Pool2dParams, Tensor4, Workspace,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
 
@@ -122,17 +126,19 @@ fn fastest(
     best
 }
 
-/// The multiplies of a batch-1 Caffenet pass on one thread and split
-/// across a two-thread [`Team`]: the eight conv multiplies (conv2,
-/// conv4 and conv5 are two groups each) cut by rows of `A`
-/// (`team::split_rows`), and the fc6/fc7/fc8 GEMVs against their packed
-/// `Wᵀ` cut by panel-aligned column ranges (`team::split_columns`).
-/// The network cuts conv1, conv3 and the GEMVs this way; on two threads
-/// it runs a grouped layer's two groups one per thread instead, and
-/// cuts each group by rows only on three or more. The two outputs of every
-/// multiply are compared bit for bit. Ends with one `gemm_split:` line
-/// — the 2-worker speed-up over 1 worker, min and max over the
-/// multiplies, each arm from its fastest call — for the CI job summary.
+/// The multiplies of a batch-1 Caffenet pass, and the pools and LRNs of
+/// Googlenet's stem, on one thread and split across a two-thread
+/// [`Team`]: the eight conv multiplies (conv2, conv4 and conv5 are two
+/// groups each) cut by rows of `A` (`team::split_rows`), the
+/// fc6/fc7/fc8 GEMVs against their packed `Wᵀ` cut by panel-aligned
+/// column ranges (`team::split_columns`), and pool1, norm1, norm2 and
+/// pool2 cut by channel planes (a workspace carrying the team). The
+/// network cuts conv1, conv3 and the GEMVs this way; on two threads it
+/// runs a grouped layer's two groups one per thread instead, and cuts
+/// each group by rows only on three or more. The two outputs of every
+/// kernel are compared bit for bit. Ends with one `gemm_split:` line —
+/// the 2-worker speed-up over 1 worker, min and max over the kernels,
+/// each arm from its fastest call — for the CI job summary.
 fn bench_split(c: &mut Criterion) {
     const CONV: [(&str, usize, usize, usize); 8] = [
         ("conv1", 96, 363, 3025),
@@ -150,19 +156,21 @@ fn bench_split(c: &mut Criterion) {
         ("fc8", 4096, 1000),
     ];
     let mut group = c.benchmark_group("gemm_split");
-    let mut two = Team::new(2);
+    let mut one_ws = Workspace::new();
+    let mut two_ws = Workspace::new();
+    two_ws.team = Some(Team::new(2));
     let mut speedups: Vec<(f64, &str)> = Vec::new();
     let mut measure =
-        |name: &'static str, len: usize, multiply: &dyn Fn(Option<&mut Team>, &mut [f32])| {
-            let mut outs = [vec![0.0f32; len], vec![0.0f32; len]];
+        |name: &'static str, len: usize, run: &dyn Fn(&mut Workspace, &mut Tensor4)| {
+            let mut outs = [Tensor4::zeros(1, 1, 1, len), Tensor4::zeros(1, 1, 1, len)];
             let [one_out, two_out] = &mut outs;
             let one = fastest(&mut group, BenchmarkId::new(name, "1w"), || {
-                multiply(None, one_out)
+                run(&mut one_ws, one_out)
             });
             let split = fastest(&mut group, BenchmarkId::new(name, "2w"), || {
-                multiply(Some(&mut two), two_out)
+                run(&mut two_ws, two_out)
             });
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let bits = |t: &Tensor4| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert!(
                 bits(one_out) == bits(two_out),
                 "gemm_split/{name}: split output differs"
@@ -181,8 +189,8 @@ fn bench_split(c: &mut Criterion) {
             ((r + q * 5 + seed) % 13) as f32 / 13.0 - 0.5
         }));
         let (a, b) = (a.as_slice(), packed.as_slice());
-        measure(name, m * n, &|team, out| {
-            team::split_rows(team, k, n, out, &|rows, part| {
+        measure(name, m * n, &|ws, out| {
+            team::split_rows(ws.team.as_mut(), k, n, out.as_mut_slice(), &|rows, part| {
                 let a = &a[rows.start * k..rows.end * k];
                 gemm_packed(a, rows.len(), k, n, b, part, Epilogue::NONE)
             })
@@ -195,8 +203,8 @@ fn bench_split(c: &mut Criterion) {
             ((r * 3 + q * 11) % 23) as f32 / 23.0 - 0.5
         }));
         let (x, b) = (x.as_slice(), w_t.as_slice());
-        measure(name, n, &|team, out| {
-            team::split_columns(team, k, out, &|cols, part| {
+        measure(name, n, &|ws, out| {
+            team::split_columns(ws.team.as_mut(), k, out.as_mut_slice(), &|cols, part| {
                 gemm_packed(
                     x,
                     1,
@@ -210,11 +218,39 @@ fn bench_split(c: &mut Criterion) {
             .unwrap()
         });
     }
+    // Googlenet's stem at batch 1: the window kernels between conv1,
+    // conv2-3x3 and inception 3a.
+    let activations = |c: usize, hw: usize| {
+        Tensor4::from_fn(1, c, hw, hw, |_, ch, y, x| {
+            ((ch * 7 + y * 3 + x) % 23) as f32 / 23.0 - 0.5
+        })
+    };
+    let pool = Pool2dParams::new(3, 0, 2);
+    let lrn = LrnParams {
+        local_size: 5,
+        alpha: 1e-4,
+        beta: 0.75,
+        k: 2.0,
+    };
+    let (conv1, conv2) = (activations(64, 112), activations(192, 56));
+    let (pool1, norm2) = (activations(64, 56), activations(192, 56));
+    measure("pool1", 0, &|ws, out| {
+        max_pool2d_into(&conv1, &pool, ws, out).unwrap()
+    });
+    measure("norm1", 0, &|ws, out| {
+        lrn_into(&pool1, &lrn, ws, out).unwrap()
+    });
+    measure("norm2", 0, &|ws, out| {
+        lrn_into(&conv2, &lrn, ws, out).unwrap()
+    });
+    measure("pool2", 0, &|ws, out| {
+        max_pool2d_into(&norm2, &pool, ws, out).unwrap()
+    });
     group.finish();
     speedups.sort_by(|x, y| x.0.total_cmp(&y.0));
     if let (Some(lo), Some(hi)) = (speedups.first(), speedups.last()) {
         println!(
-            "gemm_split: 2w/1w min {:.2}x ({}) max {:.2}x ({}) over {} multiplies on {}",
+            "gemm_split: 2w/1w min {:.2}x ({}) max {:.2}x ({}) over {} kernels on {}",
             lo.0,
             lo.1,
             hi.0,

@@ -4,7 +4,7 @@
 //! from everything else (DESIGN.md §6 kernel dispatch).
 
 use cap_tensor::kernels::{self, KernelPath};
-use cap_tensor::{gemm_prepacked, CsrMatrix, Matrix, PackedB, Pool2dParams, Tensor4};
+use cap_tensor::{gemm_prepacked, CsrMatrix, Matrix, PackedB, Pool2dParams, Tensor4, Workspace};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn mat(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -65,6 +65,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
     let pool = Pool2dParams::new(3, 0, 2);
     let (oh, ow) = pool.out_shape(55, 55).unwrap();
     let mut pooled = Tensor4::zeros(1, 96, oh, ow);
+    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("kernel_elementwise_96x55x55");
     for path in kernels::available_paths() {
         let mut buf = acts.clone();
@@ -78,7 +79,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("maxpool3s2", path.name()), |b| {
             forced(path, || {
-                b.iter(|| cap_tensor::max_pool2d_into(&acts, &pool, &mut pooled).unwrap())
+                b.iter(|| cap_tensor::max_pool2d_into(&acts, &pool, &mut ws, &mut pooled).unwrap())
             })
         });
     }

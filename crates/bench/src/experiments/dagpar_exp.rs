@@ -363,8 +363,9 @@ fn mini_inception_ablation() -> String {
         out,
         "\nparity contract: DAG-parallel and sequential passes are bitwise \
          identical (crates/cnn/tests/dag_parity.rs); speedups are schedule \
-         overlap only. Sequential chains (mini-Caffenet) have plan width 1, \
-         so CAP_CNN_DAG=auto leaves them on the sequential path untouched."
+         overlap only. Under CAP_CNN_DAG=auto only the stages where a plan \
+         branches take the queue; a chain's steps (mini-Caffenet) and the \
+         steps between modules split their kernels across the same threads."
     )
     .unwrap();
     out

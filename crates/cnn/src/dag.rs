@@ -12,8 +12,11 @@
 //! every node writing its own arena slot and every worker — the calling
 //! thread or a helper of the arena's persistent worker team — drawing
 //! scratch from its own workspace, so concurrent branches share no
-//! mutable state. A chain has no branches to overlap; there the same
-//! team splits the large kernels instead (DESIGN.md §10).
+//! mutable state. The queue runs only the stages where the plan
+//! branches (an inception module's four branches); the steps between
+//! them — Googlenet's stem, concats and pools, a chain's every step —
+//! have nothing to overlap, and there the same team splits their large
+//! kernels instead (DESIGN.md §10).
 //!
 //! # Bitwise parity
 //!
@@ -33,14 +36,15 @@
 //! plan decides how they are used. `Auto` gives a pass the host's cores
 //! unless it is already running inside a [`crate::ParallelEngine`]
 //! worker (stacking them on data-parallelism would oversubscribe the
-//! machine): a branchy plan (at least two steps ready at some depth,
-//! `width > 1`) runs them on the ready queue, a chain splits its large
-//! kernels across them, and a chain with no kernel big enough to split
-//! runs on one. `On` forces the ready queue unconditionally (a chain
-//! then degenerates to one worker draining it); `Off` is one thread per
-//! pass — the sequential escape hatch and the baseline arm of the
-//! `dagpar` ablation. Any other value is fatal at first use (see
-//! [`cap_tensor::knob`]).
+//! machine). The pass walks the plan's stages with them: a stage where
+//! two or more steps are ready at some depth (`width > 1`) runs them on
+//! the ready queue, every other step runs alone with its large kernels
+//! split across them, and a chain with no kernel big enough to split
+//! runs on one. `On` forces the whole plan onto the ready queue as one
+//! stage (a chain then degenerates to one worker draining it); `Off` is
+//! one thread per pass — the sequential escape hatch and the baseline
+//! arm of the `dagpar` ablation. Any other value is fatal at first use
+//! (see [`cap_tensor::knob`]).
 
 use crate::network::{ForwardArena, ForwardRecord, Network, INPUT};
 use cap_obs::{NoopTracer, Tracer};
@@ -63,12 +67,12 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagMode {
     /// The host's cores per pass, unless inside a data-parallel engine
-    /// worker: the ready queue when the plan has branch parallelism
-    /// (`width > 1`), kernel splits on a chain.
+    /// worker: the ready queue in each stage where the plan branches
+    /// (`width > 1`), kernel splits in every other step.
     Auto,
-    /// Always route through the DAG scheduler, even for purely
-    /// sequential chains (they degenerate to one worker draining the
-    /// queue) and inside engine workers.
+    /// Always route the whole plan through the DAG scheduler as one
+    /// stage, even for purely sequential chains (they degenerate to one
+    /// worker draining the queue) and inside engine workers.
     On,
     /// One thread per pass: the sequential schedule, no kernel splits
     /// — the parity escape hatch and the baseline arm of the `dagpar`
@@ -177,11 +181,12 @@ pub(crate) fn in_engine_worker() -> bool {
 /// count.
 ///
 /// [`Network::forward_into`] already routes through the DAG scheduler
-/// automatically under `CAP_CNN_DAG=auto|on`, sizing workers to
-/// `min(plan width, host cores)`. `DagExecutor` is the explicit
-/// entry point for callers that want to pin the worker count — the
-/// `dagpar` ablation sweeps it — or to run DAG-parallel regardless of
-/// the process-wide mode.
+/// under `CAP_CNN_DAG=auto|on` — the stages where the plan branches
+/// under `auto`, the whole plan under `on` — sizing workers to
+/// `min(width, host cores)`. `DagExecutor` is the explicit entry point
+/// for callers that want the whole plan on the queue with a pinned
+/// worker count — the `dagpar` ablation sweeps it — regardless of the
+/// process-wide mode.
 ///
 /// Output is **bitwise identical** to [`Network::forward_into`] with
 /// the scheduler off; the proptest suite in

@@ -2,22 +2,19 @@
 //! AlexNet/Caffenet and Googlenet.
 
 use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{ShapeError, Tensor4, TensorResult, Workspace};
+use cap_tensor::{lrn_into, LrnParams, ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Across-channel local response normalization:
 /// `y = x / (k + alpha/n * sum_{neighbourhood} x^2)^beta`.
 ///
-/// The window square-sum is maintained as a sliding plane across
-/// channels (one add + one subtract per element instead of an
+/// The kernel is [`cap_tensor::lrn_into`]: a sliding square-sum plane
+/// across channels (one add + one subtract per element instead of an
 /// O(local_size) rescan), keeping LRN a small slice of Caffenet's
-/// wall-clock as in the paper's Figure 3 breakdown.
+/// wall-clock as in the paper's Figure 3 breakdown, split across the
+/// workspace's team by channel ranges.
 pub struct LrnLayer {
     name: String,
-    /// Neighbourhood size (channels), `local_size` in Caffe.
-    local_size: usize,
-    alpha: f32,
-    beta: f32,
-    k: f32,
+    params: LrnParams,
 }
 
 impl LrnLayer {
@@ -25,10 +22,12 @@ impl LrnLayer {
     pub fn new(name: impl Into<String>, local_size: usize, alpha: f32, beta: f32, k: f32) -> Self {
         Self {
             name: name.into(),
-            local_size: local_size.max(1),
-            alpha,
-            beta,
-            k,
+            params: LrnParams {
+                local_size: local_size.max(1),
+                alpha,
+                beta,
+                k,
+            },
         }
     }
 
@@ -56,52 +55,7 @@ impl Layer for LrnLayer {
         let [input] = inputs else {
             return Err(ShapeError::new("lrn: expected exactly one input"));
         };
-        let (n, c, h, w) = input.shape();
-        out.resize(n, c, h, w);
-        let half = self.local_size / 2;
-        let hw = h * w;
-        if c == 0 || hw == 0 {
-            return Ok(());
-        }
-        let scale = self.alpha / self.local_size as f32;
-        // The `h*w` square-sum plane.
-        ws.cols.resize(1, hw);
-        let sums = ws.cols.as_mut_slice();
-        for ni in 0..n {
-            let img = input.image(ni);
-            let out_img = out.image_mut(ni);
-            // Seed the window with channels [0, half].
-            sums.fill(0.0);
-            for cj in 0..=half.min(c - 1) {
-                let plane = &img[cj * hw..(cj + 1) * hw];
-                for (s, &v) in sums.iter_mut().zip(plane) {
-                    *s += v * v;
-                }
-            }
-            for ci in 0..c {
-                let (in_plane, out_plane) = (
-                    &img[ci * hw..(ci + 1) * hw],
-                    &mut out_img[ci * hw..(ci + 1) * hw],
-                );
-                for ((o, &v), &s) in out_plane.iter_mut().zip(in_plane).zip(sums.iter()) {
-                    *o = v / (self.k + scale * s).powf(self.beta);
-                }
-                // Slide the window: channel ci+half+1 enters, ci-half leaves.
-                if ci + half + 1 < c {
-                    let plane = &img[(ci + half + 1) * hw..(ci + half + 2) * hw];
-                    for (s, &v) in sums.iter_mut().zip(plane) {
-                        *s += v * v;
-                    }
-                }
-                if ci >= half {
-                    let plane = &img[(ci - half) * hw..(ci - half + 1) * hw];
-                    for (s, &v) in sums.iter_mut().zip(plane) {
-                        *s -= v * v;
-                    }
-                }
-            }
-        }
-        Ok(())
+        lrn_into(input, &self.params, ws, out)
     }
 
     fn out_shape(&self, in_shapes: &[ChwShape]) -> TensorResult<ChwShape> {
@@ -116,7 +70,7 @@ impl Layer for LrnLayer {
         let [(c, h, w)] = in_shapes else {
             return Err(ShapeError::new("lrn: expected exactly one input shape"));
         };
-        Ok((*c * *h * *w * self.local_size) as u64)
+        Ok((*c * *h * *w * self.params.local_size) as u64)
     }
 }
 

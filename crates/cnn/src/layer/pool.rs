@@ -56,15 +56,15 @@ impl Layer for PoolLayer {
     fn forward_into(
         &self,
         inputs: &[&Tensor4],
-        _ws: &mut Workspace,
+        ws: &mut Workspace,
         out: &mut Tensor4,
     ) -> TensorResult<()> {
         let [input] = inputs else {
             return Err(ShapeError::new("pool: expected exactly one input"));
         };
         match self.mode {
-            PoolMode::Max => max_pool2d_into(input, &self.params, out),
-            PoolMode::Avg => avg_pool2d_into(input, &self.params, out),
+            PoolMode::Max => max_pool2d_into(input, &self.params, ws, out),
+            PoolMode::Avg => avg_pool2d_into(input, &self.params, ws, out),
         }
     }
 

@@ -1,4 +1,5 @@
-//! DAG network executor with per-layer wall-clock timing.
+//! The network executor: a DAG of layers run as a sequence of stages,
+//! with per-layer wall-clock timing.
 //!
 //! A [`Network`] is a directed acyclic graph of layers. Nodes are added in
 //! topological order (each node may only reference earlier nodes or the
@@ -9,9 +10,18 @@
 //! [`Network::forward_into_traced`], [`Network::calibrate`] and
 //! [`crate::DagExecutor`] — runs a cached plan of steps through
 //! `exec_plan_step`, the only function that calls into a layer. The
-//! entry points differ in their `Schedule` (which plan, which
-//! scheduler) and in what observes the pass: per-layer timing is a
+//! entry points differ in their `Schedule` (which plan, how many
+//! threads) and in what observes the pass: per-layer timing is a
 //! [`Tracer`], calibration a per-step hook.
+//!
+//! The plan is cut into stages at the steps no dependency edge crosses.
+//! A pass walks them in order with one thread count: a one-step stage
+//! (a chain's every step; Googlenet's stem, concats and pools) runs on
+//! the calling thread with the arena's worker team in its workspace,
+//! so its kernel splits; a stage where branches run side by side (an
+//! inception module) runs on the ready queue, one branch per worker.
+//! `CAP_CNN_DAG=on` and [`crate::DagExecutor`] run the whole plan as one
+//! stage on the ready queue.
 
 use crate::dag::{self, DagMode};
 use crate::fusion;
@@ -22,6 +32,7 @@ use cap_tensor::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -51,6 +62,17 @@ struct ExecStep {
     fused_relu: Option<usize>,
 }
 
+/// A run of consecutive plan steps that executes as one unit: every
+/// producer a step has outside its stage lies in an earlier one, so
+/// once the stages before it are done, a stage needs nothing else.
+struct Stage {
+    steps: Range<usize>,
+    /// Most steps of the stage sharing a dependency depth within it: 1
+    /// for a single step (or a chain), 4 for a Googlenet inception
+    /// module's branches.
+    width: usize,
+}
+
 /// Cached execution schedule of a [`Network`].
 ///
 /// Built once per `(network, fused?)` pair by pattern-matching
@@ -67,28 +89,54 @@ struct Plan {
     /// `fused_layers` gauge.
     fused_count: u64,
     /// Step-level dependency graph: `succs[s]` lists the steps that
-    /// consume step `s`'s output (deduplicated). Drives the DAG
-    /// scheduler's indegree handoff.
+    /// consume step `s`'s output (deduplicated, ascending). Drives the
+    /// DAG scheduler's indegree handoff.
     succs: Vec<Vec<usize>>,
     /// Initial indegree per step — the number of *distinct producer
     /// steps* it waits on (the network input counts as always-ready).
     indeg: Vec<u32>,
+    /// The pass as a sequence of stages, cut at the steps no dependency
+    /// edge crosses (see [`Plan::finalize`]).
+    stages: Vec<Stage>,
+    /// `indeg` counting only producers in the step's own stage: what a
+    /// stage's ready queue waits on, once the earlier stages are done.
+    stage_indeg: Vec<u32>,
     /// Maximum number of steps sharing a dependency depth: the branch
-    /// parallelism available to the DAG scheduler. 1 for a pure chain,
-    /// 4 inside a Googlenet inception module. `DagMode::Auto` engages
-    /// the parallel scheduler only when this exceeds 1.
+    /// parallelism of the whole plan as one stage. 1 for a pure chain,
+    /// 4 for Googlenet (inside an inception module).
     width: usize,
     /// Largest per-image MAC count of any step: whether a chain pass
     /// has a kernel worth a worker team at all.
     max_macs: u64,
 }
 
+/// The most steps of the run `steps` that share a dependency depth,
+/// counting only the `producers` inside the run.
+fn depth_width(steps: Range<usize>, producers: &[Vec<usize>]) -> usize {
+    let mut level = vec![0usize; steps.len()];
+    let mut per_level = vec![0usize; steps.len()];
+    for s in steps.clone() {
+        let own = producers[s].iter().filter(|&&d| d >= steps.start);
+        let l = own.map(|&d| level[d - steps.start] + 1).max().unwrap_or(0);
+        level[s - steps.start] = l;
+        per_level[l] += 1;
+    }
+    per_level.into_iter().max().unwrap_or(0)
+}
+
 impl Plan {
     /// Derive the step-level dependency graph (`succs`, `indeg`,
-    /// `width`) from the chosen steps. A fused ReLU is *inside* its
-    /// producer's step, so consumers of either node depend on that one
-    /// step; duplicate edges (a concat reading one producer twice)
-    /// collapse to a single indegree count.
+    /// `width`) from the chosen steps, and cut it into stages. A fused
+    /// ReLU is *inside* its producer's step, so consumers of either
+    /// node depend on that one step; duplicate edges (a concat reading
+    /// one producer twice) collapse to a single indegree count.
+    ///
+    /// A *cut step* is one that no dependency edge crosses: nothing
+    /// produced before it — the network input included — is read after
+    /// it. Googlenet's cut steps are its stem, every inception concat,
+    /// pool3, pool4 and the head. Each cut step is a stage of its own;
+    /// the steps between two cuts form one stage, wide where branches
+    /// run side by side.
     fn finalize(&mut self, nodes: &[Node]) {
         let n_steps = self.steps.len();
         // Node index → the step whose execution produces its output.
@@ -101,12 +149,15 @@ impl Plan {
         }
         self.succs = vec![Vec::new(); n_steps];
         self.indeg = vec![0u32; n_steps];
-        let mut level = vec![0usize; n_steps];
-        let mut deps: Vec<usize> = Vec::new();
+        let mut producers: Vec<Vec<usize>> = Vec::with_capacity(n_steps);
+        // The last step that reads the network input.
+        let mut input_read_until = 0;
         for (s, step) in self.steps.iter().enumerate() {
-            deps.clear();
+            let mut deps = Vec::new();
             for &inp in &nodes[step.node].inputs {
-                if inp != INPUT {
+                if inp == INPUT {
+                    input_read_until = s;
+                } else {
                     deps.push(step_of_node[self.slot_of[inp.0]]);
                 }
             }
@@ -115,16 +166,43 @@ impl Plan {
             for &d in &deps {
                 self.succs[d].push(s);
                 self.indeg[s] += 1;
-                level[s] = level[s].max(level[d] + 1);
+            }
+            producers.push(deps);
+        }
+        self.width = depth_width(0..n_steps, &producers);
+
+        // `read_until`: the last step reading anything produced so far.
+        let mut read_until = input_read_until;
+        let mut start = 0;
+        for s in 0..n_steps {
+            if read_until <= s {
+                if start < s {
+                    self.stages.push(Stage {
+                        steps: start..s,
+                        width: depth_width(start..s, &producers),
+                    });
+                }
+                self.stages.push(Stage {
+                    steps: s..s + 1,
+                    width: 1,
+                });
+                start = s + 1;
+            }
+            read_until = read_until.max(self.succs[s].last().copied().unwrap_or(s));
+        }
+        if start < n_steps {
+            self.stages.push(Stage {
+                steps: start..n_steps,
+                width: depth_width(start..n_steps, &producers),
+            });
+        }
+        self.stage_indeg = vec![0u32; n_steps];
+        for stage in &self.stages {
+            for s in stage.steps.clone() {
+                let own = producers[s].iter().filter(|&&d| d >= stage.steps.start);
+                self.stage_indeg[s] = own.count() as u32;
             }
         }
-        let mut per_level = vec![0usize; n_steps + 1];
-        let mut width = 0;
-        for &l in &level {
-            per_level[l] += 1;
-            width = width.max(per_level[l]);
-        }
-        self.width = width;
         self.max_macs = self
             .steps
             .iter()
@@ -145,7 +223,8 @@ impl Plan {
 /// 2. each plan step is executed by exactly one thread, which is the
 ///    only writer of that step's slot, ever;
 /// 3. a step runs only after all its producers' completion decrements
-///    (`AcqRel` on the indegree atomics, or the queue mutex), so
+///    (`AcqRel` on the indegree atomics, or the queue mutex) — or, for
+///    a producer in an earlier stage, after that stage's join — so
 ///    producer slots are fully written and quiescent when read.
 #[derive(Clone, Copy)]
 struct SlotsPtr {
@@ -157,27 +236,30 @@ struct SlotsPtr {
 unsafe impl Send for SlotsPtr {}
 unsafe impl Sync for SlotsPtr {}
 
-/// Shared state of one DAG-parallel pass: the ready queue plus the
+/// Shared state of one stage on the ready queue: the queue plus the
 /// indegree handoff counters. Lives in the [`ForwardArena`] and is
-/// reset, not rebuilt, by every pass, so a DAG pass allocates nothing
-/// once the arena has seen its plan.
+/// reset, not rebuilt, for every stage, so a queued stage allocates
+/// nothing once the arena has seen its plan.
 #[derive(Default)]
 struct DagRun {
     /// Steps whose dependencies are all satisfied, awaiting a worker.
     queue: Mutex<VecDeque<usize>>,
-    /// Signalled on every push, on abort, and when the pass completes.
+    /// Signalled on every push, on abort, and when the stage completes.
     ready: Condvar,
-    /// Per-step countdown of unfinished producers; the worker that
-    /// decrements one to zero owns (or enqueues) that step.
+    /// Per-step countdown of unfinished producers in the stage; the
+    /// worker that decrements one to zero owns (or enqueues) that step.
     indeg: Vec<AtomicU32>,
-    /// Steps not yet completed; 0 means the pass is done.
+    /// End of the stage's steps: successors from here on belong to
+    /// later stages and are not released by this one.
+    end: usize,
+    /// Steps not yet completed; 0 means the stage is done.
     remaining: AtomicUsize,
     /// Set on the first kernel error or panic; workers drain and exit.
     abort: AtomicBool,
     /// The first error observed (kernel errors are all shape errors and
     /// deterministic, so "first" is stable in practice).
     failed: Mutex<Option<ShapeError>>,
-    /// Queue round-trips, flushed to `dag_queue_pushes` once per pass.
+    /// Queue round-trips, flushed to `dag_queue_pushes` once per stage.
     pushes: AtomicU64,
     /// Steps run via the chained fast path (a finishing worker directly
     /// executes the first successor it made ready), flushed to
@@ -186,25 +268,26 @@ struct DagRun {
 }
 
 impl DagRun {
-    /// Arm for one pass of `plan`: every countdown at its initial
-    /// indegree, the queue holding the dependency-free steps (at
-    /// minimum the first node, whose only input is the network input).
-    /// Allocates only when the arena meets a plan with more steps.
-    fn reset(&mut self, plan: &Plan) {
-        if self.indeg.len() == plan.indeg.len() {
-            for (counter, &d) in self.indeg.iter_mut().zip(&plan.indeg) {
-                *counter.get_mut() = d;
-            }
-        } else {
-            self.indeg = plan.indeg.iter().map(|&d| AtomicU32::new(d)).collect();
+    /// Arm for `stage` of a plan of `n_steps` steps, whose countdowns
+    /// start at `indeg`: the queue holds the stage's steps that wait on
+    /// nothing inside it. Allocates only when the arena meets a plan
+    /// with more steps.
+    fn reset(&mut self, n_steps: usize, stage: &Stage, indeg: &[u32]) {
+        if self.indeg.len() < n_steps {
+            self.indeg.resize_with(n_steps, AtomicU32::default);
         }
+        let steps = stage.steps.clone();
+        for s in steps.clone() {
+            *self.indeg[s].get_mut() = indeg[s];
+        }
+        self.end = steps.end;
         let queue = self.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
         queue.clear();
-        queue.reserve(plan.steps.len());
-        queue.extend((0..plan.indeg.len()).filter(|&s| plan.indeg[s] == 0));
+        queue.reserve(n_steps);
+        queue.extend(steps.filter(|&s| indeg[s] == 0));
         *self.pushes.get_mut() = queue.len() as u64;
         *self.chained.get_mut() = 0;
-        *self.remaining.get_mut() = plan.steps.len();
+        *self.remaining.get_mut() = stage.steps.len();
         *self.abort.get_mut() = false;
         *self
             .failed
@@ -232,14 +315,17 @@ impl DagRun {
 
 /// How one pass uses the threads it gets.
 #[derive(Clone, Copy)]
-enum Layout {
-    /// The plan's steps in order on the calling thread; with
-    /// `threads > 1` the arena's worker team rides in the workspace for
-    /// the kernels to split across.
-    Chain { threads: usize },
-    /// The ready-queue scheduler with `workers` threads, each running
-    /// its steps' kernels inline.
-    Dag { workers: usize },
+struct Layout {
+    /// Threads every stage may use. A stage of width 1 runs its steps
+    /// in order on the calling thread, with the arena's worker team in
+    /// the workspace when this exceeds 1, so its kernels split; a wider
+    /// stage runs on the ready queue with `min(threads, width)`
+    /// workers, each running its steps' kernels inline.
+    threads: usize,
+    /// The whole plan is one stage on the ready queue, with `threads`
+    /// workers even if that is one (`CAP_CNN_DAG=on`,
+    /// [`crate::DagExecutor`]).
+    queue_all: bool,
 }
 
 /// How one pass picks its plan and its scheduler — the only thing the
@@ -380,8 +466,8 @@ impl ForwardArena {
 
     /// An arena whose passes run on `team`: each gets
     /// `team.threads()` threads whatever `CAP_CNN_DAG` says — the ready
-    /// queue where the plan branches, kernel splits on a chain. The
-    /// explicit way to pick a pass's thread count, as
+    /// queue in a stage where the plan branches, kernel splits in every
+    /// other step. The explicit way to pick a pass's thread count, as
     /// [`crate::DagExecutor::new`] picks a DAG pass's worker count;
     /// [`Network::forward_timed`] and [`Network::calibrate`] stay on
     /// one thread regardless.
@@ -686,9 +772,10 @@ impl Network {
     /// eligible `conv → relu` / `fc → relu` chains execute as single
     /// fused steps, bitwise identical to the unfused schedule. It also
     /// honors `CAP_CNN_DAG` (see [`ForwardArena`]): a pass with more
-    /// than one thread runs a branchy plan on the ready queue and
-    /// splits a chain's large kernels across the arena's team — bitwise
-    /// identical to one thread either way.
+    /// than one thread runs each stage where the plan branches on the
+    /// ready queue and splits the large kernels of every other step
+    /// across the arena's team — bitwise identical to one thread either
+    /// way.
     pub fn forward_into<'a>(
         &self,
         input: &Tensor4,
@@ -850,6 +937,8 @@ impl Network {
             fused_count,
             succs: Vec::new(),
             indeg: Vec::new(),
+            stages: Vec::new(),
+            stage_indeg: Vec::new(),
             width: 0,
             max_macs: 0,
         };
@@ -863,47 +952,38 @@ impl Network {
     /// pinned team's ([`ForwardArena::with_team`]), or `CAP_CNN_DAG`'s
     /// — one under `off` or inside a data-parallel engine worker
     /// (stacking threads on the engine's would oversubscribe the host),
-    /// the host's cores under `auto`. `on` forces the ready queue with
-    /// as many workers as the plan is wide, even one.
+    /// the host's cores under `auto`. `on` forces the whole plan onto
+    /// the ready queue with as many workers as the plan is wide, even
+    /// one.
     ///
-    /// The use is the plan's: the ready queue when it branches (never
-    /// more workers than its width), kernel splits when it is a chain —
-    /// and one thread when the arena has no team yet and no step of the
-    /// chain is big enough to split at this batch, so small nets never
-    /// build one. A team already there is used; each kernel then decides
-    /// for itself whether it splits.
+    /// Otherwise the pass walks its stages with that count — and with
+    /// one thread when the plan never branches, the arena has no team
+    /// yet and no step is big enough to split at this batch, so small
+    /// chains never build one. A team already there is used; each
+    /// kernel then decides for itself whether it splits.
     fn pass_layout(plan: &Plan, schedule: Schedule, arena: &ForwardArena, batch: usize) -> Layout {
         let width = plan.width.max(1);
+        let queue_all = |workers: usize| Layout {
+            threads: workers.clamp(1, width),
+            queue_all: true,
+        };
         let threads = match schedule {
             Schedule::PerNode => 1,
-            Schedule::Dag(workers) => {
-                return Layout::Dag {
-                    workers: workers.clamp(1, width),
-                }
-            }
+            Schedule::Dag(workers) => return queue_all(workers),
             Schedule::Knobs => match (arena.pinned, dag::selected()) {
                 (Some(threads), _) => threads,
                 (None, DagMode::Off) => 1,
-                (None, DagMode::On) => {
-                    return Layout::Dag {
-                        workers: dag::host_parallelism().clamp(1, width),
-                    }
-                }
+                (None, DagMode::On) => return queue_all(dag::host_parallelism()),
                 (None, DagMode::Auto) if dag::in_engine_worker() => 1,
                 (None, DagMode::Auto) => dag::host_parallelism(),
             },
         };
-        if threads > 1 && plan.width > 1 {
-            Layout::Dag {
-                workers: threads.min(width),
-            }
-        } else if threads > 1
-            && (arena.scratch.team.is_some()
-                || team::worth_a_team(threads, plan.max_macs.saturating_mul(batch as u64)))
-        {
-            Layout::Chain { threads }
-        } else {
-            Layout::Chain { threads: 1 }
+        let uses_team = plan.width > 1
+            || arena.scratch.team.is_some()
+            || team::worth_a_team(threads, plan.max_macs.saturating_mul(batch as u64));
+        Layout {
+            threads: if uses_team { threads } else { 1 },
+            queue_all: false,
         }
     }
 
@@ -971,36 +1051,54 @@ impl Network {
             timing,
             calibrate,
         };
-        match layout {
-            Layout::Dag { workers } => {
-                metrics.dag_parallel_passes.inc();
-                metrics.dag_workers.set(workers as u64);
-                if workers > 1 {
-                    arena.ensure_team(workers);
-                }
-                self.run_plan_dag(&pass, &mut arena.scratch, &mut arena.dag, workers)?;
-            }
-            Layout::Chain { threads } => {
-                metrics.dag_workers.set(0);
-                // A one-thread pass parks the team (if the arena has
-                // one) out of the workspace, so no kernel splits.
-                let parked = if threads > 1 {
-                    arena.ensure_team(threads);
-                    None
-                } else {
-                    arena.scratch.team.take()
-                };
+        // A one-thread pass parks the team (if the arena has one) out of
+        // the workspace, so no kernel splits.
+        let parked = if layout.threads > 1 {
+            arena.ensure_team(layout.threads);
+            None
+        } else {
+            arena.scratch.team.take()
+        };
+        let whole = [Stage {
+            steps: 0..plan.steps.len(),
+            width: plan.width,
+        }];
+        let (stages, indeg) = if layout.queue_all {
+            (&whole[..], &plan.indeg)
+        } else {
+            (&plan.stages[..], &plan.stage_indeg)
+        };
+        // The most ready-queue workers any stage ran with; 0 if none.
+        let mut queued = 0;
+        let outcome = stages.iter().try_for_each(|stage| {
+            let workers = layout.threads.min(stage.width);
+            if layout.queue_all || workers > 1 {
+                queued = queued.max(workers);
+                self.run_plan_dag(
+                    &pass,
+                    &mut arena.scratch,
+                    &mut arena.dag,
+                    stage,
+                    indeg,
+                    workers,
+                )
+            } else {
                 // Contract of `exec_plan_step` holds trivially: one
-                // thread runs the steps, in topological order, and
-                // nothing resizes the slot vector.
-                let steps = (0..plan.steps.len())
-                    .try_for_each(|s| self.exec_plan_step(&pass, s, &mut arena.scratch));
-                if parked.is_some() {
-                    arena.scratch.team = parked;
-                }
-                steps?;
+                // thread runs the stage's steps, in topological order,
+                // after every earlier stage, and nothing resizes the
+                // slot vector.
+                (stage.steps.clone())
+                    .try_for_each(|s| self.exec_plan_step(&pass, s, &mut arena.scratch))
             }
+        });
+        if parked.is_some() {
+            arena.scratch.team = parked;
         }
+        metrics.dag_workers.set(queued as u64);
+        if queued > 0 {
+            metrics.dag_parallel_passes.inc();
+        }
+        outcome?;
         let out_slot = plan.slot_of[self.nodes.len() - 1];
         metrics
             .arena_bytes
@@ -1115,19 +1213,22 @@ impl Network {
         Ok(())
     }
 
-    /// Run the plan on the ready-queue DAG scheduler with `workers`
-    /// threads: the calling thread with `ws` plus helpers of `ws`'s
-    /// team, each with its own workspace. The team is lent out for the
-    /// pass, so no step's kernel splits; one worker runs the queue on
-    /// the calling thread alone.
+    /// Run `stage` on the ready-queue DAG scheduler with `workers`
+    /// threads, its steps' countdowns starting at `indeg`: the calling
+    /// thread with `ws` plus helpers of `ws`'s team, each with its own
+    /// workspace. The team is lent out for the stage, so no step's
+    /// kernel splits; one worker runs the queue on the calling thread
+    /// alone.
     fn run_plan_dag<T: Tracer>(
         &self,
         pass: &Pass<'_, T>,
         ws: &mut Workspace,
         run: &mut DagRun,
+        stage: &Stage,
+        indeg: &[u32],
         workers: usize,
     ) -> TensorResult<()> {
-        run.reset(pass.plan);
+        run.reset(pass.plan.steps.len(), stage, indeg);
         let run = &*run;
         // Not handed back if a step panicked: the team drops (joining
         // its idle helpers) and the next pass that wants one builds it.
@@ -1160,13 +1261,14 @@ impl Network {
     }
 
     /// One DAG worker: pop ready steps, execute them with its own
-    /// scratch, release successors. Exits when the pass completes or
-    /// aborts; a step's error or panic aborts the pass for every worker
-    /// (the panic then resurfaces on the caller, see [`Team::run`]).
+    /// scratch, release their successors in the stage. Exits when the
+    /// stage completes or aborts; a step's error or panic aborts it for
+    /// every worker (the panic then resurfaces on the caller, see
+    /// [`Team::run`]).
     fn dag_worker_loop<T: Tracer>(&self, pass: &Pass<'_, T>, run: &DagRun, ws: &mut Workspace) {
         let plan = pass.plan;
         loop {
-            // Park until a step is ready, the pass is done, or aborted.
+            // Park until a step is ready, the stage is done, or aborted.
             let step = {
                 let mut q = run.queue();
                 loop {
@@ -1199,8 +1301,11 @@ impl Network {
                 }
                 // Handoff: the slot write above happens-before any
                 // consumer via the AcqRel decrement chain (release
-                // sequence) — or the queue mutex, on the push path.
-                for &succ in &plan.succs[s] {
+                // sequence) — or the queue mutex, on the push path. A
+                // consumer in a later stage reads it after this stage's
+                // join.
+                let in_stage = plan.succs[s].iter().take_while(|&&t| t < run.end);
+                for &succ in in_stage {
                     if run.indeg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
                         if next.is_none() {
                             run.chained.fetch_add(1, Ordering::Relaxed);
@@ -1213,9 +1318,9 @@ impl Network {
                     }
                 }
                 if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Last step overall: wake every parked worker. Taking
-                    // the lock orders the decrement before their re-check,
-                    // so no waiter can miss it.
+                    // Last step of the stage: wake every parked worker.
+                    // Taking the lock orders the decrement before their
+                    // re-check, so no waiter can miss it.
                     drop(run.queue());
                     run.ready.notify_all();
                 }
@@ -1289,6 +1394,86 @@ mod tests {
         let dist = rec.time_distribution();
         let total: f64 = dist.iter().map(|(_, _, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    /// `(first step, steps, width)` of every stage of `net`'s plan.
+    fn stages(net: &Network, fuse: bool) -> Vec<(usize, usize, usize)> {
+        let plan = net.build_plan(fuse);
+        let stage = |st: &Stage| (st.steps.start, st.steps.len(), st.width);
+        plan.stages.iter().map(stage).collect()
+    }
+
+    #[test]
+    fn a_chain_is_one_stage_per_step() {
+        let net = tiny_sequential();
+        assert_eq!(stages(&net, false), [(0, 1, 1), (1, 1, 1), (2, 1, 1)]);
+        // The fused ReLU is inside conv1's step.
+        assert_eq!(stages(&net, true), [(0, 1, 1), (1, 1, 1)]);
+    }
+
+    #[test]
+    fn googlenet_is_cut_at_its_stem_concats_pools_and_head() {
+        let net = crate::models::googlenet(crate::models::WeightInit::Zeros).unwrap();
+        let stages = stages(&net, true);
+        assert_eq!(stages.iter().map(|s| s.1).sum::<usize>(), 85);
+        let (wide, single): (Vec<(usize, usize, usize)>, Vec<_>) =
+            stages.iter().partition(|s| s.2 > 1);
+        // Nine modules of seven branch steps, four wide; the 7-step
+        // stem, nine concats, pool3, pool4 and the 4-step head alone.
+        assert_eq!(wide.len(), 9);
+        assert!(wide.iter().all(|s| s.1 == 7 && s.2 == 4), "{wide:?}");
+        assert_eq!(single.len(), 22);
+        assert!(single.iter().all(|s| s.1 == 1));
+        assert_eq!(
+            &stages[..8],
+            &[
+                (0, 1, 1),
+                (1, 1, 1),
+                (2, 1, 1),
+                (3, 1, 1),
+                (4, 1, 1),
+                (5, 1, 1),
+                (6, 1, 1),
+                (7, 7, 4),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_branch_read_past_a_step_keeps_that_step_in_the_stage() {
+        // a, b and c read the network input, so nothing before the
+        // concat is a cut step: one three-step stage, two wide (a → ar
+        // beside b). A skip edge around a chain (d → e → f, d also read
+        // by g) keeps e and f in one stage of width 1.
+        let mut net = Network::new("skips", (3, 4, 4));
+        let p = Conv2dParams::new(3, 3, 1, 0, 1);
+        let conv = |name: &str, seed| {
+            let w = xavier_uniform(3, 3, seed);
+            Box::new(ConvLayer::new(name, p, w, vec![0.0; 3]).unwrap())
+        };
+        let a = net.add_layer(conv("a", 1), &[INPUT]).unwrap();
+        let ar = net.add_layer(Box::new(ReluLayer::new("ar")), &[a]).unwrap();
+        let b = net.add_layer(conv("b", 2), &[INPUT]).unwrap();
+        let cat = ConcatLayer::new("cat");
+        let d = net.add_layer(Box::new(cat), &[ar, b]).unwrap();
+        let e = net.add_layer(Box::new(ReluLayer::new("e")), &[d]).unwrap();
+        let f = net.add_layer(Box::new(ReluLayer::new("f")), &[e]).unwrap();
+        net.add_layer(Box::new(ConcatLayer::new("g")), &[d, f])
+            .unwrap();
+        assert_eq!(
+            stages(&net, false),
+            [(0, 3, 2), (3, 1, 1), (4, 2, 1), (6, 1, 1)]
+        );
+        let x = Tensor4::from_fn(1, 3, 4, 4, |_, c, h, w| (c + h * w) as f32 / 9.0 - 0.5);
+        let one = net
+            .forward_into(&x, &mut ForwardArena::with_team(Team::new(1)))
+            .unwrap()
+            .clone();
+        let mut two = ForwardArena::with_team(Team::new(2));
+        assert_eq!(
+            net.forward_into(&x, &mut two).unwrap().as_slice(),
+            one.as_slice()
+        );
     }
 
     #[test]

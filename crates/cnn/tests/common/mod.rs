@@ -2,8 +2,13 @@
 //! with `mod common;` and uses what it needs).
 #![allow(dead_code)]
 
-use cap_cnn::layer::ConvLayer;
-use cap_tensor::Matrix;
+use cap_cnn::layer::{
+    ConcatLayer, ConvLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
+    SoftmaxLayer,
+};
+use cap_cnn::network::{Network, NodeId, INPUT};
+use cap_tensor::init::xavier_uniform;
+use cap_tensor::{Conv2dParams, Matrix};
 
 /// Whether a [`ConvLayer`] holding `w` multiplies through CSR under the
 /// selected precision — the layer's own answer, so no suite re-derives
@@ -41,4 +46,98 @@ pub fn filter_pruned_weights(mut w: Matrix) -> Matrix {
         "filter-pruned weights run {form}"
     );
     w
+}
+
+/// An inception-shaped net on a 3×16×16 input, every conv's weights
+/// `conv_weights(filters, taps, seed)`: a stem (conv 3→24, 3×3 → ReLU
+/// → LRN → 3×3/2 max pool), two four-branch modules (1×1; 1×1 → 3×3;
+/// 1×1 → 5×5; 3×3 max pool → 1×1 projection — every conv followed by a
+/// ReLU — joined by a four-input concat) with a 3×3/2 max pool between
+/// them, and an fc head (512 → 70 → softmax). Its plan is one stage per
+/// stem step, concat, pool and head step, and one four-wide stage per
+/// module's branches.
+pub fn inception_shaped(mut conv_weights: impl FnMut(usize, usize, u64) -> Matrix) -> Network {
+    let mut net = Network::new("mini-inception", (3, 16, 16));
+    let mut seed = 60;
+    let mut conv = |net: &mut Network, name: String, from: NodeId, p: Conv2dParams| {
+        seed += 1;
+        let w = conv_weights(p.out_channels, p.col_rows(), seed);
+        let bias = (0..p.out_channels)
+            .map(|i| 0.01 * i as f32 - 0.05)
+            .collect();
+        let c = net
+            .add_layer(
+                Box::new(ConvLayer::new(name.clone(), p, w, bias).unwrap()),
+                &[from],
+            )
+            .unwrap();
+        net.add_layer(Box::new(ReluLayer::new(format!("{name}-relu"))), &[c])
+            .unwrap()
+    };
+    let stem = conv(
+        &mut net,
+        "stem".into(),
+        INPUT,
+        Conv2dParams::new(3, 24, 3, 1, 1),
+    );
+    let norm = net
+        .add_layer(Box::new(LrnLayer::alexnet("stem-norm")), &[stem])
+        .unwrap();
+    let pool = PoolLayer::new("stem-pool", PoolMode::Max, 3, 0, 2);
+    let mut from = net.add_layer(Box::new(pool), &[norm]).unwrap();
+    // (tag, input channels, #1×1, #3×3 reduce, #3×3, #5×5 reduce, #5×5, #pool proj)
+    for (m, cin, n1, n3r, n3, n5r, n5, np) in
+        [("a", 24, 8, 6, 10, 4, 6, 6), ("b", 30, 8, 6, 12, 4, 6, 6)]
+    {
+        if m == "b" {
+            let cut = PoolLayer::new("cut-pool", PoolMode::Max, 3, 0, 2);
+            from = net.add_layer(Box::new(cut), &[from]).unwrap();
+        }
+        let b1 = conv(
+            &mut net,
+            format!("{m}-1x1"),
+            from,
+            Conv2dParams::new(cin, n1, 1, 0, 1),
+        );
+        let r3 = conv(
+            &mut net,
+            format!("{m}-3x3r"),
+            from,
+            Conv2dParams::new(cin, n3r, 1, 0, 1),
+        );
+        let b3 = conv(
+            &mut net,
+            format!("{m}-3x3"),
+            r3,
+            Conv2dParams::new(n3r, n3, 3, 1, 1),
+        );
+        let r5 = conv(
+            &mut net,
+            format!("{m}-5x5r"),
+            from,
+            Conv2dParams::new(cin, n5r, 1, 0, 1),
+        );
+        let b5 = conv(
+            &mut net,
+            format!("{m}-5x5"),
+            r5,
+            Conv2dParams::new(n5r, n5, 5, 2, 1),
+        );
+        let pool = PoolLayer::new(format!("{m}-pool"), PoolMode::Max, 3, 1, 1);
+        let pl = net.add_layer(Box::new(pool), &[from]).unwrap();
+        let bp = conv(
+            &mut net,
+            format!("{m}-proj"),
+            pl,
+            Conv2dParams::new(cin, np, 1, 0, 1),
+        );
+        let cat = ConcatLayer::new(format!("{m}-out"));
+        from = net.add_layer(Box::new(cat), &[b1, b3, b5, bp]).unwrap();
+    }
+    assert_eq!(net.shape_of(from).unwrap(), (32, 4, 4));
+    let fc = InnerProductLayer::new("fc", xavier_uniform(70, 512, 69), vec![0.01; 70]);
+    net.add_layer(Box::new(fc.unwrap()), &[from]).unwrap();
+    net.add_sequential(Box::new(SoftmaxLayer::new("prob")))
+        .unwrap();
+    net
 }

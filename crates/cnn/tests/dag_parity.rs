@@ -1,8 +1,9 @@
 //! DAG-parallel/sequential parity: a forward pass scheduled by the
-//! intra-network DAG executor (`CAP_CNN_DAG`) must be **bitwise
-//! identical** to the sequential schedule, on every kernel path, with
-//! fusion on or off, dense or pruned/CSR — the
-//! whole-net closure of the scheduling-cannot-change-bits argument in
+//! intra-network DAG executor (`CAP_CNN_DAG`) — the whole plan on the
+//! ready queue, or staged with only its branchy stages there — must be
+//! **bitwise identical** to the sequential schedule, on every kernel
+//! path, with fusion on or off, dense or pruned/CSR — the whole-net
+//! closure of the scheduling-cannot-change-bits argument in
 //! `cap_cnn::dag`, proptested over randomly generated branchy DAGs.
 //!
 //! `dag::force`, `fusion::force` and `kernels::force` are all
@@ -19,7 +20,7 @@ use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::{DagExecutor, NoopTracer, ParallelEngine};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::kernels::{self, KernelPath};
-use cap_tensor::{Conv2dParams, Matrix, Tensor4};
+use cap_tensor::{Conv2dParams, Matrix, Team, Tensor4};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -209,6 +210,19 @@ proptest! {
                 .map(|v| v.to_bits())
                 .collect();
             prop_assert_eq!(&out, &reference, "DagExecutor workers={}", workers);
+        }
+        // Staged on teams that split whatever has two units: one-step
+        // stages split their kernels, branchy stages take the queue.
+        for threads in [2, 3] {
+            let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
+            let out: Vec<u32> = net
+                .forward_into(&imgs, &mut arena)
+                .unwrap()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            prop_assert_eq!(&out, &reference, "staged, team of {}", threads);
         }
     }
 }
@@ -416,6 +430,31 @@ fn dag_override_is_honored_and_metrics_track_it() {
         handoffs,
         net.len() as u64 - fused,
         "every step is handed off exactly once"
+    );
+
+    // Staged, on two threads (what `auto` gives a pass on a two-core
+    // host; pinned here so every host agrees): the stem conv, its ReLU
+    // (unfused), the concat and the fc are one-step stages on the
+    // calling thread, so only the branches' steps — one wide stage —
+    // go through the queue, and the pass still counts once.
+    fusion::force(Some(FusionMode::Off));
+    let (pushes0, chained0, passes0) = (
+        metrics.dag_queue_pushes.get(),
+        metrics.dag_chained_steps.get(),
+        metrics.dag_parallel_passes.get(),
+    );
+    let mut two = ForwardArena::with_team(Team::new(2));
+    net.forward_into_traced(&imgs, &mut two, &NoopTracer)
+        .unwrap();
+    fusion::force(None);
+    assert_eq!(metrics.dag_workers.get(), 2);
+    assert_eq!(metrics.dag_parallel_passes.get(), passes0 + 1);
+    let handoffs =
+        (metrics.dag_queue_pushes.get() - pushes0) + (metrics.dag_chained_steps.get() - chained0);
+    assert_eq!(
+        handoffs,
+        net.len() as u64 - 4,
+        "the wide stage's steps are handed off exactly once, the others never"
     );
     dag::force(None);
 

@@ -1,16 +1,18 @@
 //! Split parity: a forward pass whose kernels are cut across a worker
 //! team — a convolution by output bands (groups, images) or by rows of
-//! `A`, a batch-1 fc GEMV by column ranges — is **bitwise identical**
-//! to the same pass on one thread, for every conv weight form, batch
-//! size and team size, on every kernel path.
+//! `A`, a batch-1 fc GEMV by column ranges, a pool or LRN by images or
+//! planes — and whose branchy stages run on the ready queue is
+//! **bitwise identical** to the same pass on one thread, for every conv
+//! weight form, batch size and team size, on every kernel path.
 //!
 //! Team size is chosen explicitly (`ForwardArena::with_team`). The
 //! parity teams split from the first unit of work (the test seam
 //! `with_min_part_macs(0)`), so the tiny, awkward shapes below are
 //! actually cut; the split count of a Caffenet-shaped pass is taken on
 //! the measured per-part minimum. `kernels::force` and
-//! `precision::force` are process-global and the `intra_op_splits`
-//! counter is shared, so the tests serialize on one mutex.
+//! `precision::force` are process-global and the `intra_op_splits` and
+//! `dag_parallel_passes` counters are shared, so the tests serialize on
+//! one mutex.
 
 use cap_cnn::layer::{
     ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
@@ -127,11 +129,11 @@ fn eager_arena(threads: usize) -> ForwardArena {
     ForwardArena::with_team(Team::new(threads).with_min_part_macs(0))
 }
 
-/// `form`'s net under its precision, int8 scales calibrated in f32 on
-/// `calib` (so a batch-1 pass and a batched pass quantize alike).
-fn net_for(form: Form, calib: &Tensor4) -> Network {
+/// `build(form)` under `form`'s precision, int8 scales calibrated in
+/// f32 on `calib` (so a batch-1 pass and a batched pass quantize alike).
+fn net_for(form: Form, calib: &Tensor4, build: fn(Form) -> Network) -> Network {
     precision::force(Some(form.precision()));
-    let net = awkward_net(form);
+    let net = build(form);
     precision::force(Some(Precision::F32));
     net.calibrate(calib, CalibrationMethod::MaxAbs).unwrap();
     precision::force(Some(form.precision()));
@@ -144,7 +146,7 @@ fn every_form_batch_and_team_size_matches_one_thread_bitwise() {
     for path in kernels::available_paths() {
         kernels::force(Some(path));
         for form in Form::ALL {
-            let net = net_for(form, &images(8, 0));
+            let net = net_for(form, &images(8, 0), awkward_net);
             for batch in [1, 2, 3, 8] {
                 let x = images(batch, batch);
                 let want = bits(
@@ -184,7 +186,7 @@ fn batch1_split_output_equals_the_run_batched_row() {
     kernels::force(Some(KernelPath::Scalar));
     for form in Form::ALL {
         let x = images(5, 7);
-        let net = net_for(form, &x);
+        let net = net_for(form, &x, awkward_net);
         let (rows, _) = ParallelEngine::new(1).run_batched(&net, &x, 5).unwrap();
         let mut arena = eager_arena(2);
         for (i, row) in rows.iter().enumerate() {
@@ -208,21 +210,98 @@ fn batch1_split_output_equals_the_run_batched_row() {
     kernels::force(None);
 }
 
-/// Caffenet's layer sequence at a fraction of its size: conv1, pool,
-/// LRN, grouped conv2, LRN, conv3, grouped conv4 and conv5, pool,
-/// fc6 / fc7 / fc8 with dropout between. Every conv, every group of a
-/// grouped one and every fc carries at least twice the measured
-/// per-part minimum (2²⁰ multiply-accumulates) at batch 1 — as every
-/// layer of the real Caffenet does, many times over — so each splits
-/// on two threads without the test seam.
+/// The images [`common::inception_shaped`] takes.
+fn inception_images(n: usize, salt: usize) -> Tensor4 {
+    Tensor4::from_fn(n, 3, 16, 16, |i, c, h, w| {
+        (((i * 41 + c * 13 + h * 7 + w + salt) % 29) as f32 - 14.0) / 10.0
+    })
+}
+
+/// The inception-shaped net with every conv in `form` (asserted).
+fn inception_net(form: Form) -> Network {
+    common::inception_shaped(|filters, taps, seed| {
+        let w = form.weights(filters, taps, seed);
+        assert_eq!(ConvLayer::weight_form_name(&w), form.name());
+        w
+    })
+}
+
+/// A staged pass: the inception-shaped net's stem, pool cut and head
+/// run one step at a time with the team splitting their kernels, its
+/// modules' branches on the ready queue — bitwise the one-thread pass
+/// for every form, batch and team size. Each pass with a team of two or
+/// more queues (one `dag_parallel_passes` per pass) and splits exactly
+/// the one-step stages' kernels: the LRN, the stem pool and the pool cut
+/// once each (by images when the batch fills the team, else by planes),
+/// the batch-1 fc GEMV once, and the stem conv once by images — or,
+/// with fewer images than threads, each image's multiply by rows, which
+/// the CSR forms do not split. Nothing inside a module splits: the
+/// team is lent to the queue there.
+#[test]
+fn staged_inception_pass_matches_one_thread_bitwise() {
+    let _g = force_lock();
+    let metrics = cap_obs::metrics();
+    for path in kernels::available_paths() {
+        kernels::force(Some(path));
+        for form in Form::ALL {
+            let net = net_for(form, &inception_images(8, 0), inception_net);
+            for batch in [1, 2, 3, 8] {
+                let x = inception_images(batch, batch);
+                let want = bits(
+                    net.forward_into(&x, &mut eager_arena(1))
+                        .unwrap()
+                        .as_slice(),
+                );
+                for threads in [1, 2, 3] {
+                    let stem_conv = match form {
+                        _ if batch >= threads => 1,
+                        Form::Csr | Form::CsrI8 => 0,
+                        _ => batch as u64,
+                    };
+                    let per_pass = match threads {
+                        1 => (0, 0),
+                        _ => (stem_conv + 3 + u64::from(batch == 1), 1),
+                    };
+                    let mut arena = eager_arena(threads);
+                    for pass in 0..2 {
+                        let (splits0, queued0) = (splits(), metrics.dag_parallel_passes.get());
+                        let got = bits(net.forward_into(&x, &mut arena).unwrap().as_slice());
+                        let what = format!(
+                            "{} {} batch {batch} team {threads} pass {pass}",
+                            path.name(),
+                            form.name()
+                        );
+                        let counted = (
+                            splits() - splits0,
+                            metrics.dag_parallel_passes.get() - queued0,
+                        );
+                        assert_eq!(counted, per_pass, "(splits, queued passes): {what}");
+                        assert!(got == want, "staged output differs: {what}");
+                    }
+                }
+            }
+        }
+    }
+    precision::force(None);
+    kernels::force(None);
+}
+
+/// Caffenet's layer sequence at a fraction of its size: conv1, pool1,
+/// norm1, grouped conv2, pool2, norm2, conv3, grouped conv4 and conv5,
+/// pool5, fc6 / fc7 / fc8 with dropout between. Every conv, every group
+/// of a grouped one, every fc and the two pool → LRN pairs carry at
+/// least twice the measured per-part minimum (2²⁰ multiply-accumulates
+/// or their equivalent) at batch 1, and pool5 less — as in the real
+/// Caffenet — so each but pool5 splits on two threads without the test
+/// seam.
 fn caffenet_shaped() -> Network {
-    let mut net = Network::new("caffenet-shaped", (8, 32, 32));
+    let mut net = Network::new("caffenet-shaped", (8, 48, 48));
     let convs = [
-        ("conv1", Conv2dParams::new(8, 32, 3, 1, 1)),
-        ("conv2", Conv2dParams::grouped(32, 48, 5, 2, 1, 2)),
-        ("conv3", Conv2dParams::new(48, 64, 3, 1, 1)),
-        ("conv4", Conv2dParams::grouped(64, 64, 3, 1, 1, 2)),
-        ("conv5", Conv2dParams::grouped(64, 64, 3, 1, 1, 2)),
+        ("conv1", Conv2dParams::new(8, 48, 3, 1, 1)),
+        ("conv2", Conv2dParams::grouped(48, 192, 5, 2, 1, 2)),
+        ("conv3", Conv2dParams::new(192, 96, 3, 1, 1)),
+        ("conv4", Conv2dParams::grouped(96, 96, 3, 1, 1, 2)),
+        ("conv5", Conv2dParams::grouped(96, 96, 3, 1, 1, 2)),
     ];
     for (seed, (name, p)) in convs.into_iter().enumerate() {
         let w = xavier_uniform(p.out_channels, p.col_rows(), seed as u64 + 1);
@@ -230,27 +309,22 @@ fn caffenet_shaped() -> Network {
         net.add_sequential(Box::new(conv)).unwrap();
         net.add_sequential(Box::new(ReluLayer::new(format!("{name}-relu"))))
             .unwrap();
-        match name {
-            "conv1" => {
-                let pool = PoolLayer::new("pool1", PoolMode::Max, 2, 0, 2);
-                net.add_sequential(Box::new(pool)).unwrap();
-                net.add_sequential(Box::new(LrnLayer::alexnet("norm1")))
-                    .unwrap();
-            }
-            "conv2" => {
-                net.add_sequential(Box::new(LrnLayer::alexnet("norm2")))
-                    .unwrap();
-            }
-            "conv5" => {
-                let pool = PoolLayer::new("pool5", PoolMode::Max, 2, 0, 2);
-                net.add_sequential(Box::new(pool)).unwrap();
-            }
-            _ => {}
+        let stage = match name {
+            "conv1" => "1",
+            "conv2" => "2",
+            "conv5" => "5",
+            _ => continue,
+        };
+        let pool = PoolLayer::new(format!("pool{stage}"), PoolMode::Max, 3, 0, 2);
+        net.add_sequential(Box::new(pool)).unwrap();
+        if stage != "5" {
+            net.add_sequential(Box::new(LrnLayer::alexnet(format!("norm{stage}"))))
+                .unwrap();
         }
     }
     let fcs = [
-        ("fc6", 64 * 8 * 8, 640),
-        ("fc7", 640, 3500),
+        ("fc6", 96 * 6 * 6, 700),
+        ("fc7", 700, 3500),
         ("fc8", 3500, 640),
     ];
     for (seed, (name, inputs, outputs)) in fcs.into_iter().enumerate() {
@@ -270,21 +344,22 @@ fn caffenet_shaped() -> Network {
 }
 
 /// What one batch-1 Caffenet pass adds to `intra_op_splits`. On two
-/// threads, 8: conv1 and conv3 by rows, conv2/4/5 by their two groups
-/// (two bands fill two threads), fc6/7/8 by columns. On three, 11: two
+/// threads, 12: conv1 and conv3 by rows, conv2/4/5 by their two groups
+/// (two bands fill two threads), fc6/7/8 by columns, and pool1, norm1,
+/// pool2 and norm2 by planes; pool5 stays whole. On three, 15: two
 /// bands are too few for three threads, so each group's multiply splits
 /// by rows instead. The output stays the one-thread pass's bits.
 #[test]
-fn batch1_caffenet_shaped_pass_splits_each_multiply_once_per_band() {
+fn batch1_caffenet_shaped_pass_splits_each_kernel_once_per_band() {
     let _g = force_lock();
     precision::force(Some(Precision::F32));
     let net = caffenet_shaped();
-    let x = Tensor4::from_fn(1, 8, 32, 32, |_, c, h, w| {
+    let x = Tensor4::from_fn(1, 8, 48, 48, |_, c, h, w| {
         (((c * 11 + h * 5 + w) % 19) as f32 - 9.0) / 9.0
     });
     let mut one = ForwardArena::with_team(Team::new(1));
     let want = bits(net.forward_into(&x, &mut one).unwrap().as_slice());
-    for (threads, per_pass) in [(2, 8), (3, 11)] {
+    for (threads, per_pass) in [(2, 12), (3, 15)] {
         let mut arena = ForwardArena::with_team(Team::new(threads));
         for pass in 0..2 {
             let before = splits();

@@ -21,7 +21,7 @@ use cap_tensor::init::xavier_uniform;
 use cap_tensor::{Conv2dParams, Team, Tensor4, TensorResult, Workspace};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 fn force_lock() -> MutexGuard<'static, ()> {
@@ -92,7 +92,7 @@ fn images(n: usize, c: usize, hw: usize, salt: usize) -> Tensor4 {
 /// such branches ready the helper takes the other one.
 struct PanicOnHelper {
     name: String,
-    armed: AtomicBool,
+    armed: Arc<AtomicBool>,
 }
 
 impl Layer for PanicOnHelper {
@@ -138,14 +138,18 @@ impl Layer for PanicOnHelper {
 fn helper_panic_resurfaces_and_the_arena_stays_usable() {
     let _g = force_lock();
     let mut net = Network::new("panicky", (2, 4, 4));
-    let arm = |name: &str| {
+    let triggers = [
+        Arc::new(AtomicBool::new(true)),
+        Arc::new(AtomicBool::new(true)),
+    ];
+    let arm = |name: &str, armed: &Arc<AtomicBool>| {
         Box::new(PanicOnHelper {
             name: name.into(),
-            armed: AtomicBool::new(true),
+            armed: Arc::clone(armed),
         })
     };
-    let a = net.add_layer(arm("a"), &[INPUT]).unwrap();
-    let b = net.add_layer(arm("b"), &[INPUT]).unwrap();
+    let a = net.add_layer(arm("a", &triggers[0]), &[INPUT]).unwrap();
+    let b = net.add_layer(arm("b", &triggers[1]), &[INPUT]).unwrap();
     net.add_layer(Box::new(ConcatLayer::new("cat")), &[a, b])
         .unwrap();
     let x = images(1, 2, 4, 0);
@@ -172,6 +176,11 @@ fn helper_panic_resurfaces_and_the_arena_stays_usable() {
         }
     }
     assert!(panicked >= 1, "no branch ever ran on the helper");
+    // Which branch the helper takes is a race, so one may still be
+    // armed; disarm it, or a check below could meet its panic.
+    for armed in &triggers {
+        armed.store(false, Ordering::Relaxed);
+    }
     for _ in 0..3 {
         assert_eq!(bits(net.forward_into(&x, &mut arena).unwrap()), want);
     }

@@ -2,13 +2,13 @@
 //! buffer to its high-water mark, repeated batched inference through a
 //! [`ForwardArena`] must perform **zero** heap allocations, on every
 //! schedule: one thread, kernels split across the arena's team, and
-//! the DAG ready queue.
+//! the DAG ready queue — alone or in stages between split steps.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this
 //! file holds exactly one test so no sibling test can allocate
 //! concurrently and pollute the count.
 
-use cap_cnn::dag::{self, DagMode};
+use cap_cnn::dag::{self, DagExecutor, DagMode};
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode,
     ReluLayer, SoftmaxLayer, FC_SPARSE_THRESHOLD,
@@ -23,6 +23,8 @@ use cap_tensor::{
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
+
+mod common;
 
 struct CountingAlloc;
 
@@ -180,12 +182,13 @@ fn int8_shaped() -> Network {
     net
 }
 
-/// Two inception-shaped modules back to back: each forks its input
-/// into four branches (1×1; 1×1 → 3×3; 1×1 → 5×5; pool → 1×1), every
-/// conv followed by a ReLU, and joins them in a four-input concat —
-/// the executor's multi-input path, twice per pass.
-fn inception_shaped() -> Network {
-    let mut net = Network::new("mini-inception", (8, 9, 9));
+/// Two inception-shaped modules back to back with no stem: the first
+/// forks the network input itself into four branches (1×1; 1×1 → 3×3;
+/// 1×1 → 5×5; pool → 1×1), every conv followed by a ReLU, and joins
+/// them in a four-input concat. So the plan's first stage is wide, and
+/// the ready queue starts with four input readers.
+fn inception_from_input() -> Network {
+    let mut net = Network::new("input-inception", (8, 9, 9));
     let mut seed = 40;
     let mut conv = |net: &mut Network, name: String, from: NodeId, cin, cout, k, pad| {
         seed += 1;
@@ -441,43 +444,100 @@ fn steady_state_inference_allocates_nothing() {
         }
     }
 
-    // Branches and joins: a concat's input refs are gathered on the
-    // stack, on the sequential schedule and on the ready queue alike —
-    // the queue and its counters are the arena's, the workers the
-    // arena's team. This binary's only test, so no other `force` user
-    // can interleave.
-    {
-        let net = inception_shaped();
-        let x = Tensor4::from_fn(2, 8, 9, 9, |n, c, h, w| {
-            (((n * 31 + c * 11 + h * 3 + w) % 15) as f32 - 7.0) / 7.0
-        });
+    // Branches and joins: a concat's input refs gathered on the stack,
+    // the queue and its counters the arena's, the workers the arena's
+    // team. Two nets: the shared inception-shaped one, whose stem, pool
+    // cut and head run one step at a time (every kernel, pool and LRN
+    // split; the LRN's sums plane each helper's own) between its two
+    // queued modules, and `inception_from_input`, whose first stage is
+    // four branches seeded from the input. Each runs sequentially, then
+    // in stages on a two- and a three-thread team, then as one
+    // whole-plan stage on the ready queue (`DagExecutor`, what
+    // `CAP_CNN_DAG=on` runs) with two and three workers, where every
+    // step is handed off through the queue or the chained path. This
+    // binary's only test, so no other `force` user can interleave.
+    let branchy = [
+        (
+            common::inception_shaped(xavier_uniform),
+            Tensor4::from_fn(2, 3, 16, 16, |n, c, h, w| {
+                (((n * 31 + c * 11 + h * 3 + w) % 15) as f32 - 7.0) / 7.0
+            }),
+            true,
+        ),
+        (
+            inception_from_input(),
+            Tensor4::from_fn(2, 8, 9, 9, |n, c, h, w| {
+                (((n * 31 + c * 11 + h * 3 + w) % 15) as f32 - 7.0) / 7.0
+            }),
+            false,
+        ),
+    ];
+    let metrics = cap_obs::metrics();
+    // Each net with whether it has a one-step stage with a kernel to
+    // split: only the stem net does.
+    for (net, x, has_stem) in &branchy {
+        let name = net.name();
         dag::force(Some(DagMode::Off));
         let mut arena = ForwardArena::new();
         for _ in 0..3 {
-            net.forward_into(&x, &mut arena).unwrap();
+            net.forward_into(x, &mut arena).unwrap();
         }
         let allocs = min_allocs_over(5, 10, || {
-            net.forward_into(&x, &mut arena).unwrap();
+            net.forward_into(x, &mut arena).unwrap();
         });
         dag::force(None);
         assert_eq!(
             allocs, 0,
-            "sequential passes over a branchy net must not allocate (got {allocs})",
+            "sequential passes over {name} must not allocate (got {allocs})",
         );
 
-        let mut arena = ForwardArena::with_team(Team::new(2));
-        let dag_passes = cap_obs::metrics().dag_parallel_passes.get();
-        for _ in 0..3 {
-            net.forward_into(&x, &mut arena).unwrap();
+        for threads in [2, 3] {
+            let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
+            let (queued, splits) = (
+                metrics.dag_parallel_passes.get(),
+                metrics.intra_op_splits.get(),
+            );
+            for _ in 0..3 {
+                net.forward_into(x, &mut arena).unwrap();
+            }
+            assert_eq!(metrics.dag_parallel_passes.get(), queued + 3);
+            assert_eq!(metrics.intra_op_splits.get() > splits, *has_stem);
+            let allocs = min_allocs_over(5, 10, || {
+                net.forward_into(x, &mut arena).unwrap();
+            });
+            assert_eq!(
+                allocs, 0,
+                "staged passes over {name} on a {threads}-thread team must not allocate \
+                 (got {allocs})",
+            );
         }
-        assert_eq!(cap_obs::metrics().dag_parallel_passes.get(), dag_passes + 3);
-        let allocs = min_allocs_over(5, 10, || {
-            net.forward_into(&x, &mut arena).unwrap();
-        });
-        assert_eq!(
-            allocs, 0,
-            "DAG passes on a two-thread team must not allocate (got {allocs})",
-        );
+
+        for workers in [2, 3] {
+            let exec = DagExecutor::new(workers);
+            let mut arena = ForwardArena::new();
+            for _ in 0..3 {
+                exec.run(net, x, &mut arena).unwrap();
+            }
+            assert_eq!(metrics.dag_workers.get(), workers as u64);
+            let steps = net.len() as u64 - metrics.fused_layers.get();
+            let handoffs = || metrics.dag_queue_pushes.get() + metrics.dag_chained_steps.get();
+            let before = handoffs();
+            let mut passes = 0;
+            let allocs = min_allocs_over(5, 10, || {
+                exec.run(net, x, &mut arena).unwrap();
+                passes += 1;
+            });
+            assert_eq!(
+                allocs, 0,
+                "whole-plan ready-queue passes over {name} with {workers} workers must not \
+                 allocate (got {allocs})",
+            );
+            assert_eq!(
+                handoffs() - before,
+                steps * passes,
+                "every step of every {name} pass goes through the queue or the chained path",
+            );
+        }
     }
 
     // A chain whose kernels split: every conv multiply, band and fc

@@ -363,8 +363,9 @@ instruments! {
     /// describes what the last run did, not the process environment.
     /// Always on.
     fused_layers: Gauge, Workload, "Fused producer-ReLU steps in the last network.";
-    /// Forward passes executed on the intra-network DAG-parallel
-    /// scheduler (a subset of `forward_passes`; sequential passes do
+    /// Forward passes that ran at least one stage on the intra-network
+    /// DAG-parallel scheduler, once each however many stages did (a
+    /// subset of `forward_passes`; passes that ran no stage there do
     /// not count). Always on.
     dag_parallel_passes: Counter, Workload, "Forward passes on the DAG-parallel scheduler.";
     /// Ready-queue insertions by the DAG scheduler (seed steps plus
@@ -373,19 +374,22 @@ instruments! {
     dag_queue_pushes: Counter, Workload, "DAG scheduler ready-queue insertions.";
     /// Steps executed via the chained fast path — a finishing worker
     /// directly running the first successor it made ready, skipping the
-    /// queue. `dag_queue_pushes + dag_chained_steps` equals the total
-    /// steps executed by DAG-parallel passes. Always on.
+    /// queue. `dag_queue_pushes + dag_chained_steps` equals the steps
+    /// that ran on the ready queue: under `CAP_CNN_DAG=auto` those of
+    /// the stages where the plan branches, under `on` every step.
+    /// Always on.
     dag_chained_steps: Counter, Workload, "DAG steps run via the chained fast path.";
-    /// Worker count of the most recent forward pass: 0 when it ran the
-    /// sequential schedule, `n ≥ 1` when the DAG scheduler ran with `n`
-    /// workers. A workload descriptor like `fused_layers` — overwritten
-    /// every pass and cleared by [`MetricsRegistry::reset`]. Always on.
+    /// Ready-queue workers of the most recent forward pass (the most
+    /// any of its stages ran with): 0 when no stage ran on the DAG
+    /// scheduler. A workload descriptor like `fused_layers` —
+    /// overwritten every pass and cleared by
+    /// [`MetricsRegistry::reset`]. Always on.
     dag_workers: Gauge, Workload, "Worker count of the most recent forward pass.";
     /// Kernel calls split across a pass's worker team
-    /// (`cap_tensor::team::split`): a convolution's multiply cut by
-    /// rows of `A`, its batch cut by images, or a batch-1 GEMV cut by
-    /// column ranges. Zero over a run means every kernel ran on one
-    /// thread. Always on.
+    /// (`cap_tensor::team`): a convolution's multiply cut by rows of
+    /// `A` or its bands by groups or images, a batch-1 GEMV cut by
+    /// column ranges, a pool or LRN cut by images or channel planes.
+    /// Zero over a run means every kernel ran on one thread. Always on.
     intra_op_splits: Counter, Workload, "Kernel calls split across a pass's worker team.";
     /// Requests offered to the `cap-serve` router (admitted + shed).
     /// Always on.

@@ -19,7 +19,8 @@
 //! * [`conv`] and [`pool`] — the one convolution driver ([`conv2d`]:
 //!   im2col + GEMM over a [`ConvWeights`] form — dense, dense over the
 //!   filters pruning kept, or CSR; f32 or int8 — with bias/ReLU as a
-//!   fused [`Epilogue`]) and max/average pooling kernels.
+//!   fused [`Epilogue`]), and the max/average pooling and local
+//!   response normalization kernels ([`lrn_into`]).
 //! * [`workspace`] — the reusable kernel scratch ([`Workspace`]) a
 //!   caller lends by `&mut`, behind the zero-allocation steady state.
 //! * [`team`] — the persistent worker [`Team`] a workspace may carry,
@@ -29,8 +30,9 @@
 //!
 //! All kernels are deterministic given deterministic inputs: every
 //! output element is accumulated by one thread in one fixed order. A
-//! convolution or batch-1 GEMV whose workspace carries a [`Team`] cuts
-//! its output into contiguous pieces across the team's threads
+//! convolution, batch-1 GEMV, pooling or LRN call whose workspace
+//! carries a [`Team`] cuts its output into contiguous pieces across the
+//! team's threads
 //! ([`mod@team`]); a piece is the same kernel on a sub-range, so the
 //! bits do not depend on the team size. Which passes get a team is
 //! decided in `cap-cnn`.
@@ -71,7 +73,8 @@ pub use im2col::{
 };
 pub use kernels::{EpiBias, Epilogue, KernelPath};
 pub use pool::{
-    avg_pool2d, avg_pool2d_into, max_pool2d, max_pool2d_indices, max_pool2d_into, Pool2dParams,
+    avg_pool2d, avg_pool2d_into, lrn_into, max_pool2d, max_pool2d_indices, max_pool2d_into,
+    LrnParams, Pool2dParams,
 };
 pub use precision::Precision;
 pub use quant::{

@@ -1,4 +1,5 @@
-//! Elementwise and rowwise operations: ReLU, softmax, LRN helpers.
+//! Elementwise and rowwise operations: ReLU, softmax, top-k, cross
+//! entropy.
 
 use crate::dense::Matrix;
 use crate::kernels;

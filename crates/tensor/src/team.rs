@@ -10,15 +10,16 @@
 //!   pieces of whole units, one closure call per piece, piece 0 on the
 //!   caller: [`split_rows`] cuts a multiply by rows of `A`,
 //!   [`split_columns`] a batch-1 GEMV by panel-aligned column ranges,
-//!   and [`crate::conv2d`] cuts its output bands (groups, images)
-//!   handing every piece its thread's own [`Workspace`]. A piece is a
-//!   contiguous sub-problem of the same kernel (a row range of `A` and
-//!   `C`, or a panel range of `B` and `C`), so every output element is
-//!   still one register chain on one thread in the same order:
-//!   splitting is bitwise invisible.
+//!   [`crate::conv2d`] cuts its output bands (groups, images) and the
+//!   pools and [`crate::lrn_into`] their output planes (images,
+//!   channels), handing every piece its thread's own [`Workspace`]. A
+//!   piece is a contiguous sub-problem of the same kernel (a row range
+//!   of `A` and `C`, a panel range of `B` and `C`, a range of planes),
+//!   so every output element is still computed by one thread in the
+//!   same order: splitting is bitwise invisible.
 //! * **Whole schedulers** — [`Team::run`] runs one closure per thread,
 //!   each with its thread's workspace; `cap-cnn`'s DAG ready queue is
-//!   its caller.
+//!   its caller, once per stage of a pass where the plan branches.
 //!
 //! A split is only worth its fork-join when every part carries enough
 //! work: a piece gets at least the team's per-part minimum of
@@ -29,9 +30,9 @@
 //! split never nests.
 //!
 //! Idle helpers spin for `SPIN` after their last part (long enough to
-//! bridge the gap between back-to-back multiplies, short against the
-//! pool and LRN layers between others), then park on a condition
-//! variable, so a quiet team costs no core.
+//! bridge the gap between back-to-back kernels, short against a concat,
+//! a layer too small to split or the tail of a branch), then park on a
+//! condition variable, so a quiet team costs no core.
 //!
 //! All `unsafe` outside [`crate::kernels`] lives in this module: the
 //! lifetime-erased job a helper reads, and the disjoint pieces of one
@@ -62,15 +63,18 @@ use std::time::{Duration, Instant};
 const MIN_PART_MACS: u64 = 1 << 20;
 
 /// How long an idle thread — a helper waiting for its next part, or a
-/// caller waiting for its helpers — spins before it parks. Measured on
-/// a batch-1 Caffenet pass on the 2-core host (`repro --exp profile`,
-/// per-layer means), the gaps between consecutive splits fall in two
-/// groups: four of a few µs (conv3→conv4→conv5, ReLU fused and nothing
-/// between; fc6→fc7→fc8, a 2 µs dropout between), which the spin
-/// bridges, and three of 0.18–0.68 ms (pool5; pool2 + norm2; pool1 +
-/// norm1), where the helpers park and a wake-up costs ~20–25 µs —
-/// ~70 µs of a ~24 ms pass. Spinning through those instead would burn
-/// ~1.3 ms of the second core per pass.
+/// caller waiting for its helpers — spins before it parks. Measured as
+/// a helper's idle time before each job over staged batch-1 passes on
+/// a two-thread team on the 2-core host: Caffenet's 12 jobs per pass
+/// leave ~7 gaps under 50 µs, which the spin bridges, and ~5 of
+/// 0.05–5 ms; Googlenet's 18 (its split stem and pool steps, its nine
+/// module stages) leave ~4 under 50 µs and ~14 longer, five of them
+/// 50–100 µs, the length of a concat before a module stage. A parked
+/// helper picks its job up ~10–17 µs late, so parking costs Googlenet
+/// at most ~0.25 ms of a ~53 ms pass. Spinning 100 µs would save ~5 of
+/// those parks (~0.06 ms) for ~0.56 ms more of the second core per
+/// pass, and 200 µs ~7.5 parks for ~1.4 ms (EXPERIMENTS.md, "How long
+/// a helper spins").
 const SPIN: Duration = Duration::from_micros(50);
 
 /// One part of a job, run on a helper: `(part, helper's workspace)`.
@@ -515,7 +519,7 @@ fn split<T: Send>(
 /// `ws`'s own, piece 0 runs on the caller with `ws` (its team lent out,
 /// so nothing inside splits again) and piece `t` on helper `t` with
 /// that helper's workspace. This is how [`crate::conv2d`] cuts its
-/// output bands.
+/// output bands and the pools and LRN their planes.
 pub(crate) fn split_scratch<T: Send>(
     ws: &mut Workspace,
     macs: u64,

@@ -29,7 +29,7 @@ use crate::team::Team;
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Row-major f32 scratch: the CSR convolution's im2col patch matrix
-    /// (`in_per_group*kh*kw × oh*ow`), the LRN layer's square-sum
+    /// (`in_per_group*kh*kw × oh*ow`), [`crate::lrn_into`]'s square-sum
     /// plane, the batched sparse fc's `Xᵀ`.
     pub cols: Matrix,
     /// The dense convolution's panel-packed patch matrix, shaped by
