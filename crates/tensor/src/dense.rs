@@ -200,7 +200,9 @@ impl Matrix {
         }
     }
 
-    /// `self += alpha * other`, shape-checked.
+    /// `self += alpha * other`, shape-checked. A multiply then an add,
+    /// not the kernels' fused step: training and test helpers, held to
+    /// a tolerance, never to [`crate::kernels`] bits.
     pub fn axpy(&mut self, alpha: f32, other: &Matrix) -> TensorResult<()> {
         if self.shape() != other.shape() {
             return Err(ShapeError::new(format!(
@@ -243,7 +245,9 @@ impl Matrix {
     ///
     /// The zero-allocation variant of [`Matrix::matvec`] for
     /// steady-state inference loops; `y` must have exactly `rows`
-    /// entries and is overwritten.
+    /// entries and is overwritten. Each step is a multiply then an add,
+    /// not the kernels' fused step ([`crate::kernels`]): a tolerance
+    /// oracle, never compared bit for bit.
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> TensorResult<()> {
         if x.len() != self.cols {
             return Err(ShapeError::new(format!(

@@ -1,7 +1,7 @@
-//! AVX2 microkernels (`x86_64` only).
+//! AVX2 + FMA microkernels (`x86_64` only).
 //!
 //! Every function here is `unsafe` with the same contract: **the caller
-//! must have verified that the CPU supports AVX2** via
+//! must have verified that the CPU supports AVX2 and FMA** via
 //! `is_x86_feature_detected!` — the dispatch layer in [`super`] is the
 //! only caller and does exactly that. Slice-length invariants are
 //! `assert!`ed at entry, so every raw load/store below is in bounds by
@@ -9,9 +9,11 @@
 //!
 //! Bit-identity: every kernel replays the scalar loop's exact
 //! per-element operation sequence — same ascending-`kk` (or `-i`)
-//! accumulation, separate `_mm256_mul_ps` + `_mm256_add_ps` (Rust never
-//! enables floating-point contraction, so these are not silently fused)
-//! — just eight elements per instruction.
+//! accumulation, each step one `_mm256_fmadd_ps` where the scalar code
+//! has one `f32::mul_add` (the FMA contract in [`super`]), and the
+//! scalar tails call `mul_add` themselves — just eight elements per
+//! instruction. The epilogue's bias add stays a separate `_mm256_add_ps`:
+//! Rust never contracts floating-point operations on its own.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -31,10 +33,11 @@ trait EpiApply: Copy {
     /// row index), columns `c0 .. c0 + width`.
     ///
     /// # Safety
-    /// Caller must run with AVX2 enabled (these are `#[inline(always)]`
-    /// helpers expanded inside `#[target_feature(enable = "avx2")]`
-    /// kernels) and, for [`FusedEpi`], guarantee the bias-slice bounds
-    /// checked by [`FusedEpi::from_epilogue`].
+    /// Caller must run with AVX2 and FMA enabled (these are
+    /// `#[inline(always)]` helpers expanded inside
+    /// `#[target_feature(enable = "avx2,fma")]` kernels) and, for
+    /// [`FusedEpi`], guarantee the bias-slice bounds checked by
+    /// [`FusedEpi::from_epilogue`].
     unsafe fn apply(self, acc: __m256, row_abs: usize, c0: usize, width: usize) -> __m256;
 }
 
@@ -109,11 +112,11 @@ impl EpiApply for FusedEpi<'_> {
     }
 }
 
-/// One multiply-accumulate step: `acc + a*b` as the same two rounded
-/// operations the scalar kernels perform, in the same order.
+/// One multiply-accumulate step: `a*b + acc` as one fused multiply-add,
+/// rounded once — per lane the scalar kernels' `a.mul_add(b, acc)`.
 #[inline(always)]
 unsafe fn madd(a: __m256, b: __m256, acc: __m256) -> __m256 {
-    _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+    _mm256_fmadd_ps(a, b, acc)
 }
 
 /// Store a register to the (possibly partial-width) `width`-column slot
@@ -129,7 +132,7 @@ unsafe fn store_panel(acc: __m256, row: &mut [f32], c0: usize, width: usize) {
     }
 }
 
-/// One row band of the packed-panel GEMM, AVX2 mul+add (bit-identical
+/// One row band of the packed-panel GEMM, AVX2 FMA (bit-identical
 /// to [`super::scalar::gemm_packed_band`]), with `epi` applied
 /// in-register before each store (see [`super::Epilogue`] for the
 /// bit-identity argument). The identity epilogue instantiates the
@@ -137,8 +140,8 @@ unsafe fn store_panel(acc: __m256, row: &mut [f32], c0: usize, width: usize) {
 /// epilogue residue.
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn gemm_packed_band(
     a_data: &[f32],
@@ -181,9 +184,9 @@ unsafe fn gemm_band_body<E: EpiApply>(
     assert!(c_band.len() >= rows_here * n);
 
     // ROW_BLOCK output rows against panel *pairs*: 8 independent
-    // multiply-add chains per `kk` step — enough to cover the 4-cycle
-    // add latency at 2 issues/cycle, which a single-panel kernel (4
-    // chains) cannot.
+    // fused multiply-add chains per `kk` step — enough to cover the
+    // 4-cycle FMA latency at 2 issues/cycle, which a single-panel
+    // kernel (4 chains) cannot.
     // Each output element still accumulates in ascending-`kk` order,
     // exactly like the scalar kernel: widening the tile adds more
     // concurrent elements, it never reorders any one element's sum.
@@ -296,7 +299,7 @@ unsafe fn gemm_band_body<E: EpiApply>(
 /// column strip as a band's trailing row).
 ///
 /// # Safety
-/// Expanded inside `#[target_feature(enable = "avx2")]` callers only;
+/// Expanded inside `#[target_feature(enable = "avx2,fma")]` callers only;
 /// caller guarantees `a_row` points at `k` readable floats,
 /// `panels.end <= n.div_ceil(PANEL)`,
 /// `b_data.len() >= panels.end * k * PANEL` and `c_row.len() >= n`.
@@ -353,13 +356,13 @@ unsafe fn gemv_row_body<E: EpiApply>(
 }
 
 /// Row-major matvec against panel-packed B (`k = a_row.len()`), AVX2
-/// mul+add — bit-identical to [`super::scalar::gemv_packed`] — with
+/// FMA — bit-identical to [`super::scalar::gemv_packed`] — with
 /// `epi` fused into the store (a per-row bias indexes entry 0: the
 /// matvec output is row 0 of a `1×n` result).
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 pub unsafe fn gemv_packed(
     a_row: &[f32],
     n: usize,
@@ -380,7 +383,7 @@ pub unsafe fn gemv_packed(
     gemv_row_body::<FusedEpi>(a, k, n, b_data, c_row, 0, panels, fe)
 }
 
-/// One CSR row of sparse×dense, AVX2 mul+add (bit-identical to
+/// One CSR row of sparse×dense, AVX2 FMA (bit-identical to
 /// [`super::scalar::spmm_row`]), with a scalar-bias/ReLU epilogue
 /// applied in-register before each store (one CSR output row carries a
 /// single bias value; `None` performs no bias add at all — adding a
@@ -388,8 +391,8 @@ pub unsafe fn gemv_packed(
 /// takes its own copy of the body with the literals constant-folded.
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 pub unsafe fn spmm_row(
     values: &[f32],
     col_idx: &[u32],
@@ -420,9 +423,9 @@ unsafe fn spmm_epi(mut acc: __m256, bias: Option<f32>, relu: bool) -> __m256 {
     acc
 }
 
-/// Shared SpMM row body: column-blocked (32 → 8 → scalar tail) so the
-/// output stays in registers across the whole nonzero walk. Per output
-/// element the nonzeros still accumulate in ascending-`i` order.
+/// Shared SpMM row body: column-blocked (64 → 32 → 8 → scalar tail) so
+/// the output stays in registers across the whole nonzero walk. Per
+/// output element the nonzeros still accumulate in ascending-`i` order.
 #[inline(always)]
 unsafe fn spmm_row_body(
     values: &[f32],
@@ -441,46 +444,29 @@ unsafe fn spmm_row_body(
         .iter()
         .all(|&c| (c as usize + 1) * n <= b_data.len()));
 
-    let bp = b_data.as_ptr();
+    let (values, col_idx) = (&values[..nnz], &col_idx[..nnz]);
     let mut j = 0;
-    // 32-column blocks: 4 registers live across the nonzero walk.
-    while j + 4 * PANEL <= n {
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        for i in 0..nnz {
-            let v = _mm256_set1_ps(*values.get_unchecked(i));
-            let row = bp.add(*col_idx.get_unchecked(i) as usize * n + j);
-            acc0 = madd(v, _mm256_loadu_ps(row), acc0);
-            acc1 = madd(v, _mm256_loadu_ps(row.add(PANEL)), acc1);
-            acc2 = madd(v, _mm256_loadu_ps(row.add(2 * PANEL)), acc2);
-            acc3 = madd(v, _mm256_loadu_ps(row.add(3 * PANEL)), acc3);
-        }
-        let cp = c_row.as_mut_ptr().add(j);
-        _mm256_storeu_ps(cp, spmm_epi(acc0, bias, relu));
-        _mm256_storeu_ps(cp.add(PANEL), spmm_epi(acc1, bias, relu));
-        _mm256_storeu_ps(cp.add(2 * PANEL), spmm_epi(acc2, bias, relu));
-        _mm256_storeu_ps(cp.add(3 * PANEL), spmm_epi(acc3, bias, relu));
+    // 64-column blocks: eight FMA chains per nonzero cover the FMA
+    // latency (four chains ran ~10 % under the unfused kernel at 90 %
+    // sparsity); then at most one 32-column block.
+    while j + 8 * PANEL <= n {
+        spmm_block::<8>(values, col_idx, b_data, n, c_row, j, bias, relu);
+        j += 8 * PANEL;
+    }
+    if j + 4 * PANEL <= n {
+        spmm_block::<4>(values, col_idx, b_data, n, c_row, j, bias, relu);
         j += 4 * PANEL;
     }
-    // 8-column blocks.
     while j + PANEL <= n {
-        let mut acc = _mm256_setzero_ps();
-        for i in 0..nnz {
-            let v = _mm256_set1_ps(*values.get_unchecked(i));
-            let row = bp.add(*col_idx.get_unchecked(i) as usize * n + j);
-            acc = madd(v, _mm256_loadu_ps(row), acc);
-        }
-        _mm256_storeu_ps(c_row.as_mut_ptr().add(j), spmm_epi(acc, bias, relu));
+        spmm_block::<1>(values, col_idx, b_data, n, c_row, j, bias, relu);
         j += PANEL;
     }
-    // Scalar tail: same ascending-`i` per-element accumulation.
+    // Scalar tail: same ascending-`i` per-element fused accumulation.
     for jj in j..n {
         let mut acc = 0.0f32;
         for i in 0..nnz {
-            acc += values.get_unchecked(i)
-                * b_data.get_unchecked(*col_idx.get_unchecked(i) as usize * n + jj);
+            let b = *b_data.get_unchecked(*col_idx.get_unchecked(i) as usize * n + jj);
+            acc = values.get_unchecked(i).mul_add(b, acc);
         }
         if let Some(b) = bias {
             acc += b;
@@ -492,11 +478,45 @@ unsafe fn spmm_row_body(
     }
 }
 
-/// `c_row[j] += a * b_row[j]`, AVX2 mul+add.
+/// Columns `j .. j + R * PANEL` of one CSR row: `R` registers live
+/// across the whole nonzero walk, epilogue applied before the store.
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// Expanded inside `#[target_feature(enable = "avx2,fma")]` callers
+/// only; caller guarantees `j + R * PANEL <= n`, `c_row.len() >= n`,
+/// `values.len() == col_idx.len()` and that every column index
+/// addresses a full `n`-wide row of `b_data`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn spmm_block<const R: usize>(
+    values: &[f32],
+    col_idx: &[u32],
+    b_data: &[f32],
+    n: usize,
+    c_row: &mut [f32],
+    j: usize,
+    bias: Option<f32>,
+    relu: bool,
+) {
+    let mut acc = [_mm256_setzero_ps(); R];
+    for (&v, &c) in values.iter().zip(col_idx) {
+        let v = _mm256_set1_ps(v);
+        let row = b_data.as_ptr().add(c as usize * n + j);
+        for (t, a) in acc.iter_mut().enumerate() {
+            *a = madd(v, _mm256_loadu_ps(row.add(t * PANEL)), *a);
+        }
+    }
+    let cp = c_row.as_mut_ptr().add(j);
+    for (t, a) in acc.into_iter().enumerate() {
+        _mm256_storeu_ps(cp.add(t * PANEL), spmm_epi(a, bias, relu));
+    }
+}
+
+/// `c_row[j] = a * b_row[j] + c_row[j]`, AVX2 FMA.
+///
+/// # Safety
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 pub unsafe fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
     let len = c_row.len().min(b_row.len());
     let av = _mm256_set1_ps(a);
@@ -511,7 +531,7 @@ pub unsafe fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
         j += PANEL;
     }
     for j in j..len {
-        *cp.add(j) += a * *bp.add(j);
+        *cp.add(j) = a.mul_add(*bp.add(j), *cp.add(j));
     }
 }
 
@@ -521,8 +541,8 @@ pub unsafe fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
 /// NaN/`-0.0` behavior differs from the scalar branch).
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 pub unsafe fn relu_inplace(data: &mut [f32]) {
     let len = data.len();
     let p = data.as_mut_ptr();
@@ -548,8 +568,8 @@ pub unsafe fn relu_inplace(data: &mut [f32]) {
 /// (NaN and `-0.0` flush to `+0.0`), via a `>` compare mask.
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 pub unsafe fn relu_into(src: &[f32], dst: &mut [f32]) {
     let len = src.len().min(dst.len());
     let sp = src.as_ptr();
@@ -581,8 +601,8 @@ pub unsafe fn relu_into(src: &[f32], dst: &mut [f32]) {
 /// interior under eight wide) take the scalar cell code.
 ///
 /// # Safety
-/// CPU must support AVX2 (verified by the dispatch layer).
-#[target_feature(enable = "avx2")]
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
 pub unsafe fn max_pool_row(
     plane: &[f32],
     h: usize,

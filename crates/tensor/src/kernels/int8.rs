@@ -60,7 +60,9 @@
 //! sequence everywhere — `i32 as f32` (one round-to-nearest-even,
 //! exactly what `_mm256_cvtepi32_ps` performs), one `* scale`, one
 //! `+ bias`, compare-and-mask ReLU, never an FMA — so the int8 kernels
-//! are **bitwise identical**, under every [`KernelPath`].
+//! are **bitwise identical**, under every [`KernelPath`]. The f32 FMA
+//! contract of [`super`] covers multiply-accumulate chains; this store
+//! is not one (one product, one bias add), so it keeps both roundings.
 //!
 //! The other way to feed signed×signed into `vpdpbusd` — `vpabsb` one
 //! operand, `vpsignb` the other by its sign — spends a second µop on

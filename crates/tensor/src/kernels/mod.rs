@@ -8,11 +8,24 @@
 //!
 //! * [`KernelPath::Scalar`] — safe Rust, the portable fallback and the
 //!   correctness oracle ([`scalar`]). Runs everywhere.
-//! * [`KernelPath::Avx2`] — explicit AVX2 intrinsics
+//! * [`KernelPath::Avx2`] — explicit AVX2 + FMA intrinsics
 //!   ([`avx2`], `x86_64` only), eight `f32` lanes across the GEMM
-//!   `PANEL` dimension. Uses separate multiply and add instructions in
-//!   the **same per-element, ascending-`kk` order** as the scalar code,
-//!   so results are **bit-identical** to [`KernelPath::Scalar`].
+//!   `PANEL` dimension, in the **same per-element, ascending-`kk`
+//!   order** as the scalar code, so results are **bit-identical** to
+//!   [`KernelPath::Scalar`].
+//!
+//! **The f32 multiply-accumulate contract is FMA.** Each step of every
+//! multiply-accumulate chain — the packed GEMM band and GEMV, the CSR
+//! row and dot, `axpy` — is one fused multiply-add, rounded once: the
+//! scalar oracle writes `f32::mul_add`, the AVX2 kernels
+//! `_mm256_fmadd_ps`. On `x86_64` the scalar chains run an
+//! FMA-compiled build of the same source whenever the CPU has FMA
+//! (`scalar_mac!` below), and a plain build whose `mul_add` is libm's
+//! correctly rounded `fmaf` only where it does not — same bits, much
+//! slower. What is not a chain keeps its separate roundings: the
+//! epilogue's bias add and ReLU, int8 dequantization (an `i32` sum
+//! times a scale, plus the bias), pools, LRN window sums, and the
+//! tolerance oracles in [`crate::reference`] and [`crate::Matrix`].
 //!
 //! That is the one contract every path keeps: the kernel path is a
 //! speed choice, never an accuracy one, so the parity guarantees of
@@ -20,8 +33,8 @@
 //! path runs, and parity tests assert bitwise on every path.
 //!
 //! Selection happens on first use and honors the `CAP_TENSOR_KERNEL`
-//! environment variable: `auto` (default; AVX2 when the CPU has it,
-//! scalar otherwise), `scalar`, or `avx2`. Requesting a
+//! environment variable: `auto` (default; AVX2 when the CPU has AVX2
+//! and FMA, scalar otherwise), `scalar`, or `avx2`. Requesting a
 //! path the host cannot run falls back to scalar — never an error, so
 //! a binary built on an AVX2 machine still runs (and its tests still
 //! pass, none skipped) on one without. Any *other* value is fatal at
@@ -34,8 +47,9 @@
 //!
 //! All `unsafe` in `cap-tensor` lives in this directory and in
 //! [`crate::team`]: here the [`avx2`] submodule (intrinsics) and the
-//! dispatch call sites below that enter it, each with a safety comment
-//! tying the call to the CPU-feature check that makes it sound.
+//! dispatch call sites below that enter it or the scalar FMA build,
+//! each with a safety comment tying the call to the CPU-feature check
+//! that makes it sound.
 
 pub mod int8;
 pub mod scalar;
@@ -49,7 +63,8 @@ use std::ops::Range;
 
 /// Column-panel width shared by [`crate::PackedB`] and the GEMM
 /// microkernels: eight `f32` values — exactly one AVX2 `__m256` lane
-/// group, and two SSE registers on the scalar/autovectorized path.
+/// group, which the scalar kernels' FMA build also fills (two SSE
+/// registers in their plain build).
 pub const PANEL: usize = 8;
 
 /// Output rows register-blocked together by the packed GEMM band
@@ -142,7 +157,9 @@ impl Epilogue<'_> {
 pub enum KernelPath {
     /// Portable safe-Rust loops. Always available; the parity oracle.
     Scalar,
-    /// AVX2 mul+add intrinsics, bit-identical to [`KernelPath::Scalar`].
+    /// AVX2 fused multiply-add intrinsics, bit-identical to
+    /// [`KernelPath::Scalar`]. Available only where the CPU has both
+    /// `avx2` and `fma`; an AVX2 host without FMA runs scalar.
     Avx2,
 }
 
@@ -179,7 +196,7 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2 => is_x86_feature_detected!("avx2"),
+            KernelPath::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
             #[cfg(not(target_arch = "x86_64"))]
             KernelPath::Avx2 => false,
         }
@@ -258,6 +275,27 @@ pub fn selected() -> KernelPath {
 // tests pin paths) and the epilogue to fuse into the store.
 // ---------------------------------------------------------------------------
 
+/// Call the scalar multiply-accumulate kernel `scalar::$kernel`: its
+/// FMA-compiled build when the CPU has FMA, the plain build (libm
+/// `fmaf`, the same bits, ~30× slower) only where it does not. Which
+/// build runs is a CPU property invisible in the output, so it is not
+/// a [`KernelPath`].
+macro_rules! scalar_mac {
+    ($kernel:ident($($arg:expr),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        let out = if is_x86_feature_detected!("fma") {
+            // SAFETY: the CPU has just reported the `fma` feature this
+            // build is compiled for.
+            unsafe { scalar::fma::$kernel($($arg),*) }
+        } else {
+            scalar::$kernel($($arg),*)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let out = scalar::$kernel($($arg),*);
+        out
+    }};
+}
+
 /// One tile of the packed-panel GEMM — a row band × a panel range:
 /// multiply rows `row0 .. row0 + c_band.len()/n` of the `m×k`
 /// row-major `a_data` against panels `panels` of the panel-packed
@@ -291,14 +329,16 @@ pub fn gemm_packed_band_with(
 ) {
     match path {
         KernelPath::Scalar => {
-            scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
+            scalar_mac!(gemm_packed_band(
+                a_data, k, n, b_data, c_band, row0, panels, epi
+            ))
         }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` is only ever produced by `selected()` /
         // `force()`, both of which verify via `is_available()` that the
-        // CPU reports the avx2 feature the target_feature functions
-        // require. Slice, panel-range and bias-length bounds are asserted
-        // inside the kernels before any raw load.
+        // CPU reports the avx2 and fma features the target_feature
+        // functions require. Slice, panel-range and bias-length bounds
+        // are asserted inside the kernels before any raw load.
         KernelPath::Avx2 => unsafe {
             avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
         },
@@ -328,9 +368,9 @@ pub fn gemv_packed_with(
     epi: Epilogue<'_>,
 ) {
     match path {
-        KernelPath::Scalar => scalar::gemv_packed(a_row, n, b_data, c_row, epi),
+        KernelPath::Scalar => scalar_mac!(gemv_packed(a_row, n, b_data, c_row, epi)),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`;
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`;
         // slice and bias-length bounds asserted in the kernel.
         KernelPath::Avx2 => unsafe { avx2::gemv_packed(a_row, n, b_data, c_row, epi) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -361,9 +401,11 @@ pub fn spmm_row_with(
     relu: bool,
 ) {
     match path {
-        KernelPath::Scalar => scalar::spmm_row(values, col_idx, b_data, n, c_row, bias, relu),
+        KernelPath::Scalar => {
+            scalar_mac!(spmm_row(values, col_idx, b_data, n, c_row, bias, relu))
+        }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`;
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`;
         // bounds asserted in the kernel.
         KernelPath::Avx2 => unsafe {
             avx2::spmm_row(values, col_idx, b_data, n, c_row, bias, relu)
@@ -378,24 +420,26 @@ pub fn spmm_row_with(
 /// bias/ReLU epilogue as [`spmm_row_with`] (`None` skips the bias add
 /// entirely).
 ///
-/// Every kernel path shares the scalar body: a single ascending-order
-/// dot product cannot be lane-split without reordering the summation,
-/// which would break the bit-identity contract — and batch-1 sparse FC
-/// is bandwidth-bound, so the matvec win comes from eliminating the
-/// transpose/allocation round-trips, not from SIMD lanes.
+/// Every kernel path shares the scalar body (its FMA build where the
+/// CPU has FMA): a single ascending-order dot product cannot be
+/// lane-split without reordering the summation, which would break the
+/// bit-identity contract — and batch-1 sparse FC is bandwidth-bound,
+/// so the matvec win comes from eliminating the transpose/allocation
+/// round-trips, not from SIMD lanes.
 #[inline]
 pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
-    scalar::spmv(values, col_idx, x, bias, relu)
+    scalar_mac!(spmv(values, col_idx, x, bias, relu))
 }
 
-/// `c_row[j] += a * b_row[j]` over `min(c_row.len(), b_row.len())`
-/// elements — the inner loop of the unpacked GEMM.
+/// `c_row[j] = a * b_row[j] + c_row[j]`, fused, over
+/// `min(c_row.len(), b_row.len())` elements — the inner loop of the
+/// unpacked GEMM.
 #[inline]
 pub fn axpy_with(path: KernelPath, c_row: &mut [f32], a: f32, b_row: &[f32]) {
     match path {
-        KernelPath::Scalar => scalar::axpy(c_row, a, b_row),
+        KernelPath::Scalar => scalar_mac!(axpy(c_row, a, b_row)),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`.
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`.
         KernelPath::Avx2 => unsafe { avx2::axpy(c_row, a, b_row) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::axpy(c_row, a, b_row),
@@ -410,7 +454,7 @@ pub fn relu_inplace_with(path: KernelPath, data: &mut [f32]) {
     match path {
         KernelPath::Scalar => scalar::relu_inplace(data),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`.
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`.
         KernelPath::Avx2 => unsafe { avx2::relu_inplace(data) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::relu_inplace(data),
@@ -425,7 +469,7 @@ pub fn relu_into_with(path: KernelPath, src: &[f32], dst: &mut [f32]) {
     match path {
         KernelPath::Scalar => scalar::relu_into(src, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`.
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`.
         KernelPath::Avx2 => unsafe { avx2::relu_into(src, dst) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::relu_into(src, dst),
@@ -453,7 +497,7 @@ pub fn max_pool_row_with(
     match path {
         KernelPath::Scalar => scalar::max_pool_row(plane, h, w, params, oy, out_row),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`;
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`;
         // the kernel asserts `plane.len() >= h*w` before any raw load.
         KernelPath::Avx2 => unsafe { avx2::max_pool_row(plane, h, w, params, oy, out_row) },
         #[cfg(not(target_arch = "x86_64"))]

@@ -2,10 +2,22 @@
 //! correctness oracle every SIMD path is tested against.
 //!
 //! These are the original inner loops of `gemm.rs` / `sparse.rs` /
-//! `ops.rs` / `pool.rs`, moved here verbatim so both dispatch targets
-//! live side by side. The compiler autovectorizes the fixed-width
-//! `PANEL` accumulator loops reasonably well; the explicit AVX2 path
-//! exists to stop leaving the rest of the lanes on the table.
+//! `ops.rs` / `pool.rs`, moved here so both dispatch targets live side
+//! by side. The compiler autovectorizes the fixed-width `PANEL`
+//! accumulator loops reasonably well; the explicit AVX2 path exists to
+//! stop leaving the rest of the lanes on the table.
+//!
+//! Every step of a multiply-accumulate chain (the GEMM band, the GEMV,
+//! the CSR row and dot, `axpy`) is one `f32::mul_add`: a fused
+//! multiply-add, rounded once. That is the contract of every
+//! [`super::KernelPath`]. The functions holding those chains are
+//! `#[inline(always)]`, so this one source compiles twice: called
+//! directly it is the plain build, where `mul_add` is a libm `fmaf`
+//! call (correctly rounded, so the same bits, but ~30× slower); the
+//! private `fma` module inlines it into `#[target_feature(enable =
+//! "fma")]` functions, where it is one `vfmadd` per step. The dispatch
+//! layer takes the `fma` build whenever the CPU has FMA. The epilogue
+//! below is not a chain and keeps its separately rounded bias add.
 
 use super::{EpiBias, Epilogue, PANEL, ROW_BLOCK};
 use crate::pool::Pool2dParams;
@@ -77,6 +89,7 @@ fn apply_epilogue(
 /// the plain tile loop and then `apply_epilogue` over the tile's
 /// still-cache-resident columns — bitwise identical to the in-register
 /// AVX2 variant.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed_band(
     a_data: &[f32],
@@ -95,6 +108,7 @@ pub fn gemm_packed_band(
     apply_epilogue(c_band, n, row0, cols, epi);
 }
 
+#[inline(always)]
 fn gemm_band_plain(
     a_data: &[f32],
     k: usize,
@@ -111,38 +125,32 @@ fn gemm_band_plain(
     // accumulator chain would expose. Each output element still
     // accumulates in ascending-`kk` order, so results are
     // bit-identical to the unblocked walk.
+    //
+    // One accumulator row per A row, each updated by its own lane loop:
+    // in the FMA build that shape vectorizes to one 8-lane `vfmadd` per
+    // row and `kk` (2.2× the rate of the lane-interleaved form, which
+    // the vectorizer splits into mixed 4-lane and single-lane FMAs).
     let mut local_r = 0;
     while local_r + ROW_BLOCK <= rows_here {
         let r = row0 + local_r;
-        let ar0 = &a_data[r * k..(r + 1) * k];
-        let ar1 = &a_data[(r + 1) * k..(r + 2) * k];
-        let ar2 = &a_data[(r + 2) * k..(r + 3) * k];
-        let ar3 = &a_data[(r + 3) * k..(r + 4) * k];
+        let a_rows: [&[f32]; ROW_BLOCK] =
+            std::array::from_fn(|i| &a_data[(r + i) * k..(r + i + 1) * k]);
         for p in panels.clone() {
             let base = p * k * PANEL;
             let panel = &b_data[base..base + k * PANEL];
-            let mut acc0 = [0.0f32; PANEL];
-            let mut acc1 = [0.0f32; PANEL];
-            let mut acc2 = [0.0f32; PANEL];
-            let mut acc3 = [0.0f32; PANEL];
-            for (((prow, &a0), (&a1, &a2)), &a3) in panel
-                .chunks_exact(PANEL)
-                .zip(ar0.iter())
-                .zip(ar1.iter().zip(ar2.iter()))
-                .zip(ar3.iter())
-            {
+            let mut acc = [[0.0f32; PANEL]; ROW_BLOCK];
+            for (kk, prow) in panel.chunks_exact(PANEL).enumerate() {
                 let prow: &[f32; PANEL] = prow.try_into().unwrap();
-                for j in 0..PANEL {
-                    let pv = prow[j];
-                    acc0[j] += a0 * pv;
-                    acc1[j] += a1 * pv;
-                    acc2[j] += a2 * pv;
-                    acc3[j] += a3 * pv;
+                for (accr, a_row) in acc.iter_mut().zip(a_rows) {
+                    let av = a_row[kk];
+                    for (x, &pv) in accr.iter_mut().zip(prow) {
+                        *x = av.mul_add(pv, *x);
+                    }
                 }
             }
             let c0 = p * PANEL;
             let width = PANEL.min(n - c0);
-            for (i, accr) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
+            for (i, accr) in acc.iter().enumerate() {
                 let row = &mut c_band[(local_r + i) * n..(local_r + i + 1) * n];
                 row[c0..c0 + width].copy_from_slice(&accr[..width]);
             }
@@ -176,12 +184,14 @@ fn gemm_band_plain(
 /// order within one element's sum — so results are bit-identical to
 /// the band kernel (this *is* that code). A per-row bias in `epi`
 /// indexes `bias[0]` (the matvec output is row 0 of a 1×n result).
+#[inline(always)]
 pub fn gemv_packed(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], epi: Epilogue<'_>) {
     epi.check(1, n);
     gemv_plain(a_row, n, b_data, c_row, 0..n.div_ceil(PANEL));
     apply_epilogue(&mut c_row[..n], n, 0, 0..n, epi);
 }
 
+#[inline(always)]
 fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], panels: Range<usize>) {
     let k = a_row.len();
     let plen = k * PANEL;
@@ -207,10 +217,10 @@ fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], panels
             let p2: &[f32; PANEL] = p2.try_into().unwrap();
             let p3: &[f32; PANEL] = p3.try_into().unwrap();
             for j in 0..PANEL {
-                acc0[j] += aik * p0[j];
-                acc1[j] += aik * p1[j];
-                acc2[j] += aik * p2[j];
-                acc3[j] += aik * p3[j];
+                acc0[j] = aik.mul_add(p0[j], acc0[j]);
+                acc1[j] = aik.mul_add(p1[j], acc1[j]);
+                acc2[j] = aik.mul_add(p2[j], acc2[j]);
+                acc3[j] = aik.mul_add(p3[j], acc3[j]);
             }
         }
         for (i, accr) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
@@ -227,7 +237,7 @@ fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], panels
         for (&aik, prow) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
             let prow: &[f32; PANEL] = prow.try_into().unwrap();
             for (av, pv) in acc.iter_mut().zip(prow.iter()) {
-                *av += aik * pv;
+                *av = aik.mul_add(*pv, *av);
             }
         }
         let c0 = p * PANEL;
@@ -240,6 +250,7 @@ fn gemv_plain(a_row: &[f32], n: usize, b_data: &[f32], c_row: &mut [f32], panels
 /// bias of one CSR output row is a single value — conv output channel
 /// or FC output feature; `None` skips the add). Bias adds first, then
 /// the `forward_into` ReLU. See [`super::spmm_row_with`].
+#[inline(always)]
 pub fn spmm_row(
     values: &[f32],
     col_idx: &[u32],
@@ -253,7 +264,7 @@ pub fn spmm_row(
     for (&v, &c) in values.iter().zip(col_idx.iter()) {
         let b_row = &b_data[c as usize * n..(c as usize + 1) * n];
         for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-            *cv += v * bv;
+            *cv = v.mul_add(*bv, *cv);
         }
     }
     if bias.is_none() && !relu {
@@ -265,25 +276,87 @@ pub fn spmm_row(
 }
 
 /// Sparse dot product — one CSR row against a dense vector:
-/// `Σ_i values[i] * x[col_idx[i]]`, accumulated in ascending-`i` order,
-/// then the same bias/ReLU epilogue as [`spmm_row`] (`None` skips the
+/// `Σ_i values[i] * x[col_idx[i]]`, one fused multiply-add per nonzero
+/// in ascending-`i` order, then the same bias/ReLU epilogue as [`spmm_row`] (`None` skips the
 /// bias add entirely — a literal `+0.0` is not bitwise neutral).
 ///
 /// This is the matvec (`n = 1`) special case of [`spmm_row`] without
 /// the output-slice plumbing; the summation order is identical, so the
 /// result is bit-equal to routing through the SpMM kernel.
+#[inline(always)]
 pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
     let mut y = 0.0f32;
     for (&v, &c) in values.iter().zip(col_idx.iter()) {
-        y += v * x[c as usize];
+        y = v.mul_add(x[c as usize], y);
     }
     epilogue_one(y, bias, relu)
 }
 
-/// `c_row[j] += a * b_row[j]`. See [`super::axpy_with`].
+/// `c_row[j] = a * b_row[j] + c_row[j]`, fused. See
+/// [`super::axpy_with`].
+#[inline(always)]
 pub fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
     for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-        *cv += a * bv;
+        *cv = a.mul_add(*bv, *cv);
+    }
+}
+
+/// The multiply-accumulate kernels above, compiled with the `fma`
+/// target feature: each is the same source inlined, so the same bits
+/// as the plain build, with every `mul_add` one instruction instead of
+/// a libm call. Calling one is only sound once the CPU has reported
+/// `fma` (the dispatch layer checks before every call).
+#[cfg(target_arch = "x86_64")]
+pub(super) mod fma {
+    use super::{Epilogue, Range};
+
+    #[target_feature(enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_packed_band(
+        a_data: &[f32],
+        k: usize,
+        n: usize,
+        b_data: &[f32],
+        c_band: &mut [f32],
+        row0: usize,
+        panels: Range<usize>,
+        epi: Epilogue<'_>,
+    ) {
+        super::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi);
+    }
+
+    #[target_feature(enable = "fma")]
+    pub fn gemv_packed(
+        a_row: &[f32],
+        n: usize,
+        b_data: &[f32],
+        c_row: &mut [f32],
+        epi: Epilogue<'_>,
+    ) {
+        super::gemv_packed(a_row, n, b_data, c_row, epi);
+    }
+
+    #[target_feature(enable = "fma")]
+    pub fn spmm_row(
+        values: &[f32],
+        col_idx: &[u32],
+        b_data: &[f32],
+        n: usize,
+        c_row: &mut [f32],
+        bias: Option<f32>,
+        relu: bool,
+    ) {
+        super::spmm_row(values, col_idx, b_data, n, c_row, bias, relu);
+    }
+
+    #[target_feature(enable = "fma")]
+    pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
+        super::spmv(values, col_idx, x, bias, relu)
+    }
+
+    #[target_feature(enable = "fma")]
+    pub fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
+        super::axpy(c_row, a, b_row);
     }
 }
 

@@ -326,7 +326,9 @@ pub fn lrn_into(
 
 /// Channels `range` of one `c`-channel image `img` into `out`, the
 /// window's square sums sliding in `sums` from channel 0 (see
-/// [`lrn_into`]).
+/// [`lrn_into`]). A sliding add/subtract window is not a
+/// multiply-accumulate chain, so it stays outside the FMA contract of
+/// [`crate::kernels`]: each square and each sum round separately.
 fn lrn_channels(
     img: &[f32],
     c: usize,

@@ -4,7 +4,9 @@
 //! Nothing on a production path calls into this module; tests and
 //! benches import it explicitly (`cap_tensor::reference::…`). The loops
 //! are written for obviousness, not speed, and share no code with the
-//! kernels they check.
+//! kernels they check. They also keep a separate multiply and add where
+//! the kernels fuse them (the FMA contract of [`crate::kernels`]): they
+//! bound the kernels' error within a tolerance, never bit for bit.
 
 use crate::conv::Conv2dParams;
 use crate::dense::Matrix;

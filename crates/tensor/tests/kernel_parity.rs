@@ -34,7 +34,7 @@ fn on_path<T>(path: KernelPath, f: impl FnOnce() -> T) -> T {
 }
 
 /// Deterministic test matrix with awkward values: negatives, zeros and
-/// fractions whose products round (so a kernel that fused its
+/// fractions whose products round (so a kernel that did not fuse its
 /// multiply-add would show up as a bit difference).
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -139,7 +139,15 @@ fn gemm_prealloc_axpy_bit_identical() {
 fn spmm_bit_identical_across_sparsity() {
     let _g = force_lock();
     for keep_every in [1, 2, 3, 7] {
-        for (m, k, n) in [(1, 9, 13), (13, 17, 5), (9, 24, 40), (6, 8, 1)] {
+        // n = 107 reaches the AVX2 row's 64-, 32- and 8-column blocks
+        // and its scalar tail.
+        for (m, k, n) in [
+            (1, 9, 13),
+            (13, 17, 5),
+            (9, 24, 40),
+            (6, 8, 1),
+            (5, 19, 107),
+        ] {
             let dense = Matrix::from_fn(m, k, |r, c| {
                 if (r * k + c).is_multiple_of(keep_every) {
                     (r as f32 - c as f32) / 3.0 + 0.25
