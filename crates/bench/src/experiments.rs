@@ -126,7 +126,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "dagpar",
-        "Ablation: intra-network DAG-parallel scheduler (CAP_CNN_DAG) off vs on + critical path",
+        "Ablation: intra-network DAG-parallel scheduler (CAP_CNN_DAG) off vs auto + critical path",
         dagpar_exp::dagpar_ablation,
     ),
     (

@@ -1,9 +1,10 @@
-//! Intra-network DAG-parallel ablation: the ready-queue node scheduler
-//! (`CAP_CNN_DAG`, PR 7) off vs on, on the same branchy network,
-//! weights, fusion plan, and kernel path — so the measured delta is
-//! pure schedule overlap of independent branches, never a numeric
-//! trade (DAG-parallel output is bit-identical to sequential by the
-//! contract proved in `crates/cnn/tests/dag_parity.rs`).
+//! Intra-network DAG-parallel ablation: the staged walk (`CAP_CNN_DAG`)
+//! off vs auto, and on teams of pinned size, on the same branchy
+//! network, weights, fusion plan, and kernel path — so the measured
+//! delta is pure schedule overlap of independent branches and split
+//! kernels, never a numeric trade (DAG-parallel output is bit-identical
+//! to sequential by the contract proved in
+//! `crates/cnn/tests/dag_parity.rs`).
 //!
 //! Batch 1 is the whole point: data-parallel chunking
 //! ([`cap_cnn::ParallelEngine`]) cannot touch single-request latency,
@@ -23,8 +24,8 @@ use cap_cnn::layer::{
 };
 use cap_cnn::models::{googlenet, WeightInit};
 use cap_cnn::network::{Network, NodeId, INPUT};
-use cap_cnn::{CollectingTracer, CriticalPathReport, DagExecutor, ForwardArena, ProfileReport};
-use cap_tensor::{init::xavier_uniform, kernels, Conv2dParams, Tensor4, TensorResult};
+use cap_cnn::{CollectingTracer, CriticalPathReport, ForwardArena, ProfileReport};
+use cap_tensor::{init::xavier_uniform, kernels, Conv2dParams, Team, Tensor4, TensorResult};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
 
@@ -188,24 +189,12 @@ fn on_mode<T>(mode: DagMode, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Best batch-1 forward latency under `mode` (one warm-up pass first).
-fn latency(mode: DagMode, net: &Network, img: &Tensor4) -> Duration {
-    on_mode(mode, || {
-        let mut arena = ForwardArena::new();
-        net.forward_into(img, &mut arena).unwrap();
-        Duration::from_secs_f64(best_secs(|| {
-            net.forward_into(img, &mut arena).unwrap();
-        }))
-    })
-}
-
-/// Best batch-1 latency through an explicit [`DagExecutor`].
-fn executor_latency(workers: usize, net: &Network, img: &Tensor4) -> Duration {
-    let exec = DagExecutor::new(workers);
-    let mut arena = ForwardArena::new();
-    exec.run(net, img, &mut arena).unwrap();
+/// Best batch-1 forward latency through `arena` (one warm-up pass
+/// first).
+fn latency(mut arena: ForwardArena, net: &Network, img: &Tensor4) -> Duration {
+    net.forward_into(img, &mut arena).unwrap();
     Duration::from_secs_f64(best_secs(|| {
-        exec.run(net, img, &mut arena).unwrap();
+        net.forward_into(img, &mut arena).unwrap();
     }))
 }
 
@@ -275,13 +264,13 @@ pub fn dagpar_ablation() -> String {
     out
 }
 
-/// DAG-scheduler-off vs -on on [`mini_inception`] plus the
-/// critical-path floor.
+/// `CAP_CNN_DAG` off vs auto and pinned teams on [`mini_inception`],
+/// plus the critical-path floor.
 fn mini_inception_ablation() -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "# Intra-network DAG-parallel ablation: CAP_CNN_DAG off vs on"
+        "# Intra-network DAG-parallel ablation: CAP_CNN_DAG off vs auto"
     )
     .unwrap();
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -317,20 +306,18 @@ fn mini_inception_ablation() -> String {
         "arm", "latency ms", "speedup", "% of floor"
     )
     .unwrap();
-    let off = latency(DagMode::Off, &net, &img);
-    let mut rows: Vec<(String, Duration)> = vec![
-        ("sequential (dag=off)".into(), off),
-        (
-            "dag=on (auto-sized)".into(),
-            latency(DagMode::On, &net, &img),
-        ),
-    ];
-    for workers in [2, 4] {
-        rows.push((
-            format!("DagExecutor, {workers} workers"),
-            executor_latency(workers, &net, &img),
-        ));
+    let mut rows: Vec<(String, Duration)> = [DagMode::Off, DagMode::Auto]
+        .into_iter()
+        .map(|mode| {
+            let t = on_mode(mode, || latency(ForwardArena::new(), &net, &img));
+            (format!("dag={}", mode.name()), t)
+        })
+        .collect();
+    for threads in [2, 4] {
+        let arena = ForwardArena::with_team(Team::new(threads));
+        rows.push((format!("team of {threads}"), latency(arena, &net, &img)));
     }
+    let off = rows[0].1;
     for (label, t) in &rows {
         writeln!(
             out,
@@ -342,18 +329,18 @@ fn mini_inception_ablation() -> String {
         .unwrap();
     }
 
-    // Profile with the floor attached: traced DAG-parallel passes feed
-    // a ProfileReport, and the DagSummary rides along into text + JSON.
+    // Profile with the floor attached: traced `auto` passes feed a
+    // ProfileReport, and the DagSummary rides along into text + JSON.
     let achieved = rows[1].1;
     let workers = host.min(4) as u64;
     let tracer = CollectingTracer::new();
-    on_mode(DagMode::On, || {
+    on_mode(DagMode::Auto, || {
         let mut arena = ForwardArena::new();
         for _ in 0..3 {
             net.forward_into_traced(&img, &mut arena, &tracer).unwrap();
         }
     });
-    let report = ProfileReport::from_spans("mini-inception (dag=on)", &tracer.take_spans())
+    let report = ProfileReport::from_spans("mini-inception (dag=auto)", &tracer.take_spans())
         .with_dag_summary(cp.summary(achieved, workers));
     writeln!(out, "\n## Profile with critical-path summary\n").unwrap();
     out.push_str(&report.to_text_table());
@@ -392,11 +379,11 @@ mod tests {
     #[test]
     fn ablation_reports_floor_and_both_arms() {
         let out = mini_inception_ablation();
-        assert!(out.contains("off vs on"), "{out}");
+        assert!(out.contains("off vs auto"), "{out}");
         assert!(out.contains("critical path"), "{out}");
-        assert!(out.contains("sequential (dag=off)"), "{out}");
-        assert!(out.contains("dag=on (auto-sized)"), "{out}");
-        assert!(out.contains("DagExecutor, 2 workers"), "{out}");
+        for row in ["dag=off", "dag=auto", "team of 2", "team of 4"] {
+            assert!(out.contains(&format!("\n{row} ")), "{row}: {out}");
+        }
         // The DagSummary made it into the profile's JSON export.
         assert!(out.contains("\"dag\":{"), "{out}");
         // One round of the Googlenet comparison (same test: `force` is

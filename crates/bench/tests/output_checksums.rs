@@ -8,9 +8,10 @@
 //! `CAP_TENSOR_KERNEL`, `CAP_TENSOR_FUSION` and `CAP_CNN_DAG` setting
 //! (precision is forced per row). Each row is checked three ways: one
 //! thread, a two-thread arena team (stages, kernel splits and the ready
-//! queue where the plan branches), and the whole plan on the ready
-//! queue with two workers. A row that changes means some output bit
-//! changed; a change that alters outputs on purpose updates the table.
+//! queue where the plan branches), and a three-thread team that splits
+//! every kernel with two units of work into uneven parts. A row that
+//! changes means some output bit changed; a change that alters outputs
+//! on purpose updates the table.
 //!
 //! The table was recorded under the FMA contract of
 //! `cap_tensor::kernels` (every f32 multiply-accumulate step one fused
@@ -20,7 +21,7 @@
 //! minutes in debug. Every CI test leg runs it as its own step; by hand,
 //! `cargo test --release -p cap-bench --test output_checksums -- --ignored`.
 
-use cap_cnn::dag::{self, DagExecutor, DagMode};
+use cap_cnn::dag::{self, DagMode};
 use cap_cnn::models::{caffenet, googlenet, WeightInit, CAFFENET_CONV_LAYERS};
 use cap_cnn::network::{ForwardArena, Network};
 use cap_pruning::{apply_to_network, caffenet_profile, PruneAlgorithm};
@@ -59,27 +60,22 @@ fn images(batch: usize) -> Tensor4 {
 }
 
 /// The checksum of `net` on `x`, after asserting that one thread, a
-/// two-thread team and a two-worker whole-plan queue agree on it. The
+/// two-thread team and an eager three-thread team agree on it. The
 /// second pass through each arena is the one hashed, so warm state
 /// (packed weights, grown scratch) is covered too.
 fn checksum(net: &Network, x: &Tensor4) -> u64 {
+    let hash = |mut arena: ForwardArena| {
+        net.forward_into(x, &mut arena).unwrap();
+        fnv1a(net.forward_into(x, &mut arena).unwrap().as_slice())
+    };
     dag::force(Some(DagMode::Off));
-    let mut one = ForwardArena::new();
-    net.forward_into(x, &mut one).unwrap();
-    let sequential = fnv1a(net.forward_into(x, &mut one).unwrap().as_slice());
+    let sequential = hash(ForwardArena::new());
     dag::force(None);
-
-    let mut team = ForwardArena::with_team(Team::new(2));
-    net.forward_into(x, &mut team).unwrap();
-    let split = fnv1a(net.forward_into(x, &mut team).unwrap().as_slice());
-
-    let exec = DagExecutor::new(2);
-    let mut queue = ForwardArena::new();
-    exec.run(net, x, &mut queue).unwrap();
-    let queued = fnv1a(exec.run(net, x, &mut queue).unwrap().as_slice());
+    let split = hash(ForwardArena::with_team(Team::new(2)));
+    let eager = hash(ForwardArena::with_team(Team::new(3).with_min_part_macs(0)));
 
     assert_eq!(split, sequential, "{}: two-thread team", net.name());
-    assert_eq!(queued, sequential, "{}: whole-plan queue", net.name());
+    assert_eq!(eager, sequential, "{}: eager three-thread team", net.name());
     sequential
 }
 

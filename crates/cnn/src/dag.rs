@@ -1,5 +1,5 @@
-//! Intra-network DAG-parallel execution: mode selection, the explicit
-//! [`DagExecutor`] harness, and the critical-path analyzer.
+//! Intra-network DAG-parallel execution: mode selection and the
+//! critical-path analyzer.
 //!
 //! Data-parallel chunking ([`crate::ParallelEngine`]) cannot speed up a
 //! single request — batch-1 latency is bounded by one forward pass.
@@ -31,25 +31,24 @@
 //! # Selection
 //!
 //! Mirrors `CAP_TENSOR_KERNEL` / `CAP_TENSOR_FUSION`: the `CAP_CNN_DAG`
-//! environment variable is read once per process — `on`, `off`, or
-//! `auto` (the default). It decides how many threads a pass gets; the
-//! plan decides how they are used. `Auto` gives a pass the host's cores
-//! unless it is already running inside a [`crate::ParallelEngine`]
-//! worker (stacking them on data-parallelism would oversubscribe the
-//! machine). The pass walks the plan's stages with them: a stage where
-//! two or more steps are ready at some depth (`width > 1`) runs them on
-//! the ready queue, every other step runs alone with its large kernels
-//! split across them, and a chain with no kernel big enough to split
-//! runs on one. `On` forces the whole plan onto the ready queue as one
-//! stage (a chain then degenerates to one worker draining it); `Off` is
-//! one thread per pass — the sequential escape hatch and the baseline
-//! arm of the `dagpar` ablation. Any other value is fatal at first use
-//! (see [`cap_tensor::knob`]).
+//! environment variable is read once per process — `off` or `auto` (the
+//! default). It decides how many threads a pass gets; the plan decides
+//! how they are used. `Auto` gives a pass the host's cores unless it is
+//! already running inside a [`crate::ParallelEngine`] worker (stacking
+//! them on data-parallelism would oversubscribe the machine). The pass
+//! walks the plan's stages with them: a stage where two or more steps
+//! are ready at some depth (`width > 1`) runs them on the ready queue,
+//! every other step runs alone with its large kernels split across
+//! them, and a chain with no kernel big enough to split runs on one.
+//! `Off` is one thread per pass — the sequential escape hatch and the
+//! baseline arm of the `dagpar` ablation. Any other value is fatal at
+//! first use (see [`cap_tensor::knob`]). An arena made with
+//! [`crate::ForwardArena::with_team`] pins its passes' thread count
+//! instead, whatever the knob says.
 
-use crate::network::{ForwardArena, ForwardRecord, Network, INPUT};
-use cap_obs::{NoopTracer, Tracer};
+use crate::network::{ForwardRecord, Network, INPUT};
 use cap_tensor::knob::{Knob, KnobValue};
-use cap_tensor::{ShapeError, Tensor4, TensorResult};
+use cap_tensor::{ShapeError, TensorResult};
 use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -61,7 +60,7 @@ use std::time::Duration;
 /// use cap_cnn::DagMode;
 ///
 /// assert_eq!(DagMode::Auto.name(), "auto");
-/// assert!(DagMode::On.enabled());
+/// assert!(DagMode::Auto.enabled());
 /// assert!(!DagMode::Off.enabled());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,10 +69,6 @@ pub enum DagMode {
     /// worker: the ready queue in each stage where the plan branches
     /// (`width > 1`), kernel splits in every other step.
     Auto,
-    /// Always route the whole plan through the DAG scheduler as one
-    /// stage, even for purely sequential chains (they degenerate to one
-    /// worker draining the queue) and inside engine workers.
-    On,
     /// One thread per pass: the sequential schedule, no kernel splits
     /// — the parity escape hatch and the baseline arm of the `dagpar`
     /// ablation experiment.
@@ -81,12 +76,11 @@ pub enum DagMode {
 }
 
 impl KnobValue for DagMode {
-    const VALUES: &'static [Self] = &[DagMode::Auto, DagMode::On, DagMode::Off];
+    const VALUES: &'static [Self] = &[DagMode::Auto, DagMode::Off];
 
     fn name(self) -> &'static str {
         match self {
             DagMode::Auto => "auto",
-            DagMode::On => "on",
             DagMode::Off => "off",
         }
     }
@@ -175,101 +169,6 @@ impl Drop for EngineWorkerGuard {
 /// Whether the current thread is inside a data-parallel engine worker.
 pub(crate) fn in_engine_worker() -> bool {
     IN_ENGINE_WORKER.with(|f| f.get())
-}
-
-/// An explicit intra-network DAG-parallel executor with a fixed worker
-/// count.
-///
-/// [`Network::forward_into`] already routes through the DAG scheduler
-/// under `CAP_CNN_DAG=auto|on` — the stages where the plan branches
-/// under `auto`, the whole plan under `on` — sizing workers to
-/// `min(width, host cores)`. `DagExecutor` is the explicit entry point
-/// for callers that want the whole plan on the queue with a pinned
-/// worker count — the `dagpar` ablation sweeps it — regardless of the
-/// process-wide mode.
-///
-/// Output is **bitwise identical** to [`Network::forward_into`] with
-/// the scheduler off; the proptest suite in
-/// `crates/cnn/tests/dag_parity.rs` pins this across generated branchy
-/// DAGs and kernel × fusion arms.
-///
-/// ```
-/// use cap_cnn::layer::{ConcatLayer, ReluLayer, PoolLayer, PoolMode};
-/// use cap_cnn::network::{ForwardArena, Network, INPUT};
-/// use cap_cnn::DagExecutor;
-/// use cap_tensor::Tensor4;
-///
-/// // input → {relu, pool} → concat: two independent branches.
-/// let mut net = Network::new("branchy", (2, 4, 4));
-/// let a = net.add_layer(Box::new(ReluLayer::new("a")), &[INPUT]).unwrap();
-/// let b = net
-///     .add_layer(Box::new(PoolLayer::new("b", PoolMode::Max, 1, 0, 1)), &[INPUT])
-///     .unwrap();
-/// net.add_layer(Box::new(ConcatLayer::new("cat")), &[a, b]).unwrap();
-///
-/// let x = Tensor4::from_fn(1, 2, 4, 4, |_, c, h, w| (c + h + w) as f32 - 4.0);
-/// let mut seq_arena = ForwardArena::new();
-/// let seq = net.forward_into(&x, &mut seq_arena).unwrap().clone();
-///
-/// let exec = DagExecutor::new(2);
-/// let mut arena = ForwardArena::new();
-/// let par = exec.run(&net, &x, &mut arena).unwrap();
-/// assert_eq!(par.as_slice(), seq.as_slice()); // bitwise-equal branches
-/// ```
-#[derive(Debug, Clone)]
-pub struct DagExecutor {
-    workers: usize,
-}
-
-impl DagExecutor {
-    /// An executor with a fixed worker count (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-        }
-    }
-
-    /// An executor sized to the host's available hardware parallelism.
-    pub fn with_available_parallelism() -> Self {
-        Self::new(host_parallelism())
-    }
-
-    /// Configured worker count (an upper bound: a pass never runs more
-    /// workers than its plan has width).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Run one DAG-parallel forward pass, unconditionally using the
-    /// ready-queue scheduler (the process-wide [`DagMode`] is not
-    /// consulted; fusion and kernel dispatch apply as usual).
-    ///
-    /// Returns a reference to the output tensor in `arena`, exactly
-    /// like [`Network::forward_into`].
-    pub fn run<'a>(
-        &self,
-        net: &Network,
-        input: &Tensor4,
-        arena: &'a mut ForwardArena,
-    ) -> TensorResult<&'a Tensor4> {
-        self.run_traced(net, input, arena, &NoopTracer)
-    }
-
-    /// [`DagExecutor::run`] with observability hooks: per-node
-    /// [`cap_obs::SpanScope::Layer`] spans are reported from whichever
-    /// worker thread executed the node (recording tracers stamp
-    /// [`cap_obs::current_tid`], so traces show branches on separate
-    /// thread tracks), plus the enclosing
-    /// [`cap_obs::SpanScope::Forward`] span from the calling thread.
-    pub fn run_traced<'a, T: Tracer>(
-        &self,
-        net: &Network,
-        input: &Tensor4,
-        arena: &'a mut ForwardArena,
-        tracer: &T,
-    ) -> TensorResult<&'a Tensor4> {
-        net.forward_dag_traced(input, arena, tracer, self.workers)
-    }
 }
 
 /// Critical-path analysis of one measured forward pass: the theoretical
@@ -467,24 +366,24 @@ impl CriticalPathReport {
 mod tests {
     use super::*;
     use crate::layer::{ConcatLayer, ConvLayer, PoolLayer, PoolMode, ReluLayer};
-    use cap_tensor::{init::xavier_uniform, Conv2dParams};
+    use cap_tensor::{init::xavier_uniform, Conv2dParams, Tensor4};
 
     #[test]
     fn env_values_parse_and_unknown_is_an_error() {
-        assert_eq!(KNOB.parse("on"), Ok(Some(DagMode::On)));
         assert_eq!(KNOB.parse(" OFF "), Ok(Some(DagMode::Off)));
         assert_eq!(KNOB.parse("auto"), Ok(Some(DagMode::Auto)));
         assert_eq!(KNOB.parse(""), Ok(None));
-        let message = KNOB.parse("bogus").unwrap_err();
-        assert!(message.contains("CAP_CNN_DAG"), "{message}");
-        assert!(message.contains("bogus"), "{message}");
-        assert!(message.contains("auto, on, off"), "{message}");
+        for removed in ["bogus", "on"] {
+            let message = KNOB.parse(removed).unwrap_err();
+            assert!(message.contains("CAP_CNN_DAG"), "{message}");
+            assert!(message.contains(removed), "{message}");
+            assert!(message.contains("auto, off"), "{message}");
+        }
     }
 
     #[test]
     fn mode_enablement() {
         assert!(DagMode::Auto.enabled());
-        assert!(DagMode::On.enabled());
         assert!(!DagMode::Off.enabled());
     }
 
@@ -524,30 +423,6 @@ mod tests {
         net.add_layer(Box::new(ConcatLayer::new("cat")), &[ar, b])
             .unwrap();
         net
-    }
-
-    #[test]
-    fn executor_matches_sequential_bitwise() {
-        let net = branchy();
-        let x = Tensor4::from_fn(2, 3, 6, 6, |n, c, h, w| ((n + c + h + w) % 5) as f32 - 2.0);
-        force(Some(DagMode::Off));
-        let mut seq_arena = ForwardArena::new();
-        let seq = net.forward_into(&x, &mut seq_arena).unwrap().clone();
-        force(None);
-        for workers in [1, 2, 4] {
-            let exec = DagExecutor::new(workers);
-            let mut arena = ForwardArena::new();
-            let out = exec.run(&net, &x, &mut arena).unwrap();
-            let sb: Vec<u32> = seq.as_slice().iter().map(|v| v.to_bits()).collect();
-            let ob: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, ob, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn executor_clamps_workers() {
-        assert_eq!(DagExecutor::new(0).workers(), 1);
-        assert!(DagExecutor::with_available_parallelism().workers() >= 1);
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //!   the strong-scaling measurement that calibrates `cap-cloud`'s
 //!   efficiency curve.
 //! * [`dag`] — intra-network DAG-parallel execution for batch-1
-//!   latency: the `CAP_CNN_DAG` mode, the explicit [`DagExecutor`], and
-//!   the [`CriticalPathReport`] latency-floor analyzer (bitwise
-//!   identical to the sequential schedule either way).
+//!   latency: the `CAP_CNN_DAG` mode (how many threads a pass walks its
+//!   stages with; [`ForwardArena::with_team`] pins the count) and the
+//!   [`CriticalPathReport`] latency-floor analyzer (bitwise identical
+//!   to the sequential schedule either way).
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,7 @@ pub mod parallel;
 pub mod train;
 
 pub use accuracy::{evaluate_topk, AccuracyReport};
-pub use dag::{CriticalPathReport, DagExecutor, DagMode};
+pub use dag::{CriticalPathReport, DagMode};
 pub use fusion::FusionMode;
 pub use inference::{run_batched, ThroughputReport};
 pub use layer::{Layer, LayerKind};

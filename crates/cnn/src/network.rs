@@ -7,12 +7,11 @@
 //!
 //! There is **one executor**: every entry point — [`Network::forward`],
 //! [`Network::forward_timed`], [`Network::forward_into`],
-//! [`Network::forward_into_traced`], [`Network::calibrate`] and
-//! [`crate::DagExecutor`] — runs a cached plan of steps through
-//! `exec_plan_step`, the only function that calls into a layer. The
-//! entry points differ in their `Schedule` (which plan, how many
-//! threads) and in what observes the pass: per-layer timing is a
-//! [`Tracer`], calibration a per-step hook.
+//! [`Network::forward_into_traced`] and [`Network::calibrate`] — runs a
+//! cached plan of steps through `exec_plan_step`, the only function
+//! that calls into a layer. The entry points differ in their `Schedule`
+//! (which plan, how many threads) and in what observes the pass:
+//! per-layer timing is a [`Tracer`], calibration a per-step hook.
 //!
 //! The plan is cut into stages at the steps no dependency edge crosses.
 //! A pass walks them in order with one thread count: a one-step stage
@@ -20,8 +19,8 @@
 //! the calling thread with the arena's worker team in its workspace,
 //! so its kernel splits; a stage where branches run side by side (an
 //! inception module) runs on the ready queue, one branch per worker.
-//! `CAP_CNN_DAG=on` and [`crate::DagExecutor`] run the whole plan as one
-//! stage on the ready queue.
+//! That staged walk is the only way a pass with more than one thread
+//! runs.
 
 use crate::dag::{self, DagMode};
 use crate::fusion;
@@ -92,19 +91,14 @@ struct Plan {
     /// consume step `s`'s output (deduplicated, ascending). Drives the
     /// DAG scheduler's indegree handoff.
     succs: Vec<Vec<usize>>,
-    /// Initial indegree per step — the number of *distinct producer
-    /// steps* it waits on (the network input counts as always-ready).
-    indeg: Vec<u32>,
     /// The pass as a sequence of stages, cut at the steps no dependency
     /// edge crosses (see [`Plan::finalize`]).
     stages: Vec<Stage>,
-    /// `indeg` counting only producers in the step's own stage: what a
-    /// stage's ready queue waits on, once the earlier stages are done.
+    /// Initial indegree per step: the distinct producer steps in its
+    /// own stage it waits on — what a stage's ready queue counts down
+    /// once the earlier stages are done (the network input and earlier
+    /// stages' outputs count as always-ready).
     stage_indeg: Vec<u32>,
-    /// Maximum number of steps sharing a dependency depth: the branch
-    /// parallelism of the whole plan as one stage. 1 for a pure chain,
-    /// 4 for Googlenet (inside an inception module).
-    width: usize,
     /// Largest per-image MAC count of any step: whether a chain pass
     /// has a kernel worth a worker team at all.
     max_macs: u64,
@@ -125,11 +119,11 @@ fn depth_width(steps: Range<usize>, producers: &[Vec<usize>]) -> usize {
 }
 
 impl Plan {
-    /// Derive the step-level dependency graph (`succs`, `indeg`,
-    /// `width`) from the chosen steps, and cut it into stages. A fused
-    /// ReLU is *inside* its producer's step, so consumers of either
-    /// node depend on that one step; duplicate edges (a concat reading
-    /// one producer twice) collapse to a single indegree count.
+    /// Derive the step-level dependency graph (`succs`) from the chosen
+    /// steps, and cut it into stages with their indegrees. A fused ReLU
+    /// is *inside* its producer's step, so consumers of either node
+    /// depend on that one step; duplicate edges (a concat reading one
+    /// producer twice) collapse to a single indegree count.
     ///
     /// A *cut step* is one that no dependency edge crosses: nothing
     /// produced before it — the network input included — is read after
@@ -148,7 +142,6 @@ impl Plan {
             }
         }
         self.succs = vec![Vec::new(); n_steps];
-        self.indeg = vec![0u32; n_steps];
         let mut producers: Vec<Vec<usize>> = Vec::with_capacity(n_steps);
         // The last step that reads the network input.
         let mut input_read_until = 0;
@@ -165,11 +158,9 @@ impl Plan {
             deps.dedup();
             for &d in &deps {
                 self.succs[d].push(s);
-                self.indeg[s] += 1;
             }
             producers.push(deps);
         }
-        self.width = depth_width(0..n_steps, &producers);
 
         // `read_until`: the last step reading anything produced so far.
         let mut read_until = input_read_until;
@@ -268,11 +259,12 @@ struct DagRun {
 }
 
 impl DagRun {
-    /// Arm for `stage` of a plan of `n_steps` steps, whose countdowns
-    /// start at `indeg`: the queue holds the stage's steps that wait on
+    /// Arm for `stage` of `plan`, whose countdowns start at the plan's
+    /// stage indegrees: the queue holds the stage's steps that wait on
     /// nothing inside it. Allocates only when the arena meets a plan
     /// with more steps.
-    fn reset(&mut self, n_steps: usize, stage: &Stage, indeg: &[u32]) {
+    fn reset(&mut self, plan: &Plan, stage: &Stage) {
+        let (n_steps, indeg) = (plan.steps.len(), &plan.stage_indeg);
         if self.indeg.len() < n_steps {
             self.indeg.resize_with(n_steps, AtomicU32::default);
         }
@@ -313,21 +305,6 @@ impl DagRun {
     }
 }
 
-/// How one pass uses the threads it gets.
-#[derive(Clone, Copy)]
-struct Layout {
-    /// Threads every stage may use. A stage of width 1 runs its steps
-    /// in order on the calling thread, with the arena's worker team in
-    /// the workspace when this exceeds 1, so its kernels split; a wider
-    /// stage runs on the ready queue with `min(threads, width)`
-    /// workers, each running its steps' kernels inline.
-    threads: usize,
-    /// The whole plan is one stage on the ready queue, with `threads`
-    /// workers even if that is one (`CAP_CNN_DAG=on`,
-    /// [`crate::DagExecutor`]).
-    queue_all: bool,
-}
-
 /// How one pass picks its plan and its scheduler — the only thing the
 /// public entry points disagree on.
 #[derive(Clone, Copy)]
@@ -335,9 +312,6 @@ enum Schedule {
     /// The process-wide fusion and DAG modes ([`Network::forward`],
     /// [`Network::forward_into`], [`Network::forward_into_traced`]).
     Knobs,
-    /// Process-wide fusion mode, ready-queue scheduler forced with
-    /// this worker cap ([`crate::DagExecutor`]).
-    Dag(usize),
     /// One unfused step per node, in insertion order, on the calling
     /// thread — the measuring ([`Network::forward_timed`]) and
     /// calibrating ([`Network::calibrate`]) schedule: a fused step
@@ -467,8 +441,8 @@ impl ForwardArena {
     /// An arena whose passes run on `team`: each gets
     /// `team.threads()` threads whatever `CAP_CNN_DAG` says — the ready
     /// queue in a stage where the plan branches, kernel splits in every
-    /// other step. The explicit way to pick a pass's thread count, as
-    /// [`crate::DagExecutor::new`] picks a DAG pass's worker count;
+    /// other step. The explicit way to pick a pass's thread count (the
+    /// parity tests and the `dagpar` experiment pin theirs this way);
     /// [`Network::forward_timed`] and [`Network::calibrate`] stay on
     /// one thread regardless.
     ///
@@ -832,20 +806,6 @@ impl Network {
         Ok(&arena.slots[slot])
     }
 
-    /// [`crate::DagExecutor`] entry point: run the DAG-parallel
-    /// scheduler unconditionally with an explicit worker-count cap,
-    /// ignoring the process-wide [`DagMode`].
-    pub(crate) fn forward_dag_traced<'a, T: Tracer>(
-        &self,
-        input: &Tensor4,
-        arena: &'a mut ForwardArena,
-        tracer: &T,
-        workers: usize,
-    ) -> TensorResult<&'a Tensor4> {
-        let slot = self.run_pass(input, arena, tracer, Schedule::Dag(workers), None)?;
-        Ok(&arena.slots[slot])
-    }
-
     /// Activation-range calibration pass for the int8 execution path.
     ///
     /// Runs one forward pass over `input` (a representative calibration
@@ -936,61 +896,52 @@ impl Network {
             slot_of,
             fused_count,
             succs: Vec::new(),
-            indeg: Vec::new(),
             stages: Vec::new(),
             stage_indeg: Vec::new(),
-            width: 0,
             max_macs: 0,
         };
         plan.finalize(&self.nodes);
         plan
     }
 
-    /// Decide how many threads a pass gets and how it uses them.
+    /// Decide how many threads every stage of a pass may use.
     ///
-    /// The count: the `schedule`'s own ([`crate::DagExecutor`]), the
-    /// pinned team's ([`ForwardArena::with_team`]), or `CAP_CNN_DAG`'s
-    /// — one under `off` or inside a data-parallel engine worker
-    /// (stacking threads on the engine's would oversubscribe the host),
-    /// the host's cores under `auto`. `on` forces the whole plan onto
-    /// the ready queue with as many workers as the plan is wide, even
-    /// one.
+    /// The count: the pinned team's ([`ForwardArena::with_team`]) or
+    /// `CAP_CNN_DAG`'s — one under `off` or inside a data-parallel
+    /// engine worker (stacking threads on the engine's would
+    /// oversubscribe the host), the host's cores under `auto`.
     ///
-    /// Otherwise the pass walks its stages with that count — and with
-    /// one thread when the plan never branches, the arena has no team
-    /// yet and no step is big enough to split at this batch, so small
-    /// chains never build one. A team already there is used; each
-    /// kernel then decides for itself whether it splits.
-    fn pass_layout(plan: &Plan, schedule: Schedule, arena: &ForwardArena, batch: usize) -> Layout {
-        let width = plan.width.max(1);
-        let queue_all = |workers: usize| Layout {
-            threads: workers.clamp(1, width),
-            queue_all: true,
-        };
+    /// The pass walks its stages with that count — or with one thread
+    /// when the plan never branches, the arena has no team yet and no
+    /// step is big enough to split at this batch, so small chains never
+    /// build one. A team already there is used; each kernel then
+    /// decides for itself whether it splits.
+    fn pass_threads(plan: &Plan, schedule: Schedule, arena: &ForwardArena, batch: usize) -> usize {
         let threads = match schedule {
             Schedule::PerNode => 1,
-            Schedule::Dag(workers) => return queue_all(workers),
             Schedule::Knobs => match (arena.pinned, dag::selected()) {
                 (Some(threads), _) => threads,
                 (None, DagMode::Off) => 1,
-                (None, DagMode::On) => return queue_all(dag::host_parallelism()),
                 (None, DagMode::Auto) if dag::in_engine_worker() => 1,
                 (None, DagMode::Auto) => dag::host_parallelism(),
             },
         };
-        let uses_team = plan.width > 1
-            || arena.scratch.team.is_some()
+        let uses_team = arena.scratch.team.is_some()
+            || plan.stages.iter().any(|stage| stage.width > 1)
             || team::worth_a_team(threads, plan.max_macs.saturating_mul(batch as u64));
-        Layout {
-            threads: if uses_team { threads } else { 1 },
-            queue_all: false,
+        if uses_team {
+            threads
+        } else {
+            1
         }
     }
 
-    /// The one pass: validate the input, pick the plan and the layout
-    /// `schedule` asks for, run every step through
-    /// [`Network::exec_plan_step`], and return the arena slot holding
-    /// the output.
+    /// The one pass: validate the input, pick the plan and the thread
+    /// count `schedule` asks for, walk the plan's stages (a stage wider
+    /// than one step on the ready queue when the pass has more than one
+    /// thread, every other in order on the calling thread), run every
+    /// step through [`Network::exec_plan_step`], and return the arena
+    /// slot holding the output.
     fn run_pass<T: Tracer>(
         &self,
         input: &Tensor4,
@@ -1039,7 +990,7 @@ impl Network {
         let fuse = !matches!(schedule, Schedule::PerNode) && fusion::selected().enabled();
         let plan = self.plans[fuse as usize].get_or_init(|| self.build_plan(fuse));
         metrics.fused_layers.set(plan.fused_count);
-        let layout = Self::pass_layout(plan, schedule, arena, input.n());
+        let threads = Self::pass_threads(plan, schedule, arena, input.n());
         let pass = Pass {
             plan,
             input,
@@ -1053,35 +1004,19 @@ impl Network {
         };
         // A one-thread pass parks the team (if the arena has one) out of
         // the workspace, so no kernel splits.
-        let parked = if layout.threads > 1 {
-            arena.ensure_team(layout.threads);
+        let parked = if threads > 1 {
+            arena.ensure_team(threads);
             None
         } else {
             arena.scratch.team.take()
         };
-        let whole = [Stage {
-            steps: 0..plan.steps.len(),
-            width: plan.width,
-        }];
-        let (stages, indeg) = if layout.queue_all {
-            (&whole[..], &plan.indeg)
-        } else {
-            (&plan.stages[..], &plan.stage_indeg)
-        };
         // The most ready-queue workers any stage ran with; 0 if none.
         let mut queued = 0;
-        let outcome = stages.iter().try_for_each(|stage| {
-            let workers = layout.threads.min(stage.width);
-            if layout.queue_all || workers > 1 {
+        let outcome = plan.stages.iter().try_for_each(|stage| {
+            let workers = threads.min(stage.width);
+            if workers > 1 {
                 queued = queued.max(workers);
-                self.run_plan_dag(
-                    &pass,
-                    &mut arena.scratch,
-                    &mut arena.dag,
-                    stage,
-                    indeg,
-                    workers,
-                )
+                self.run_plan_dag(&pass, &mut arena.scratch, &mut arena.dag, stage, workers)
             } else {
                 // Contract of `exec_plan_step` holds trivially: one
                 // thread runs the stage's steps, in topological order,
@@ -1214,33 +1149,28 @@ impl Network {
     }
 
     /// Run `stage` on the ready-queue DAG scheduler with `workers`
-    /// threads, its steps' countdowns starting at `indeg`: the calling
-    /// thread with `ws` plus helpers of `ws`'s team, each with its own
-    /// workspace. The team is lent out for the stage, so no step's
-    /// kernel splits; one worker runs the queue on the calling thread
-    /// alone.
+    /// threads: the calling thread with `ws` plus helpers of `ws`'s
+    /// team, each with its own workspace. The team is lent out for the
+    /// stage, so no step's kernel splits.
     fn run_plan_dag<T: Tracer>(
         &self,
         pass: &Pass<'_, T>,
         ws: &mut Workspace,
         run: &mut DagRun,
         stage: &Stage,
-        indeg: &[u32],
         workers: usize,
     ) -> TensorResult<()> {
-        run.reset(pass.plan.steps.len(), stage, indeg);
+        run.reset(pass.plan, stage);
         let run = &*run;
         // Not handed back if a step panicked: the team drops (joining
         // its idle helpers) and the next pass that wants one builds it.
-        let mut team = ws.team.take();
-        match team.as_mut() {
-            Some(team) if workers > 1 => {
-                let parts = workers.min(team.threads());
-                team.run(parts, ws, &|_, ws| self.dag_worker_loop(pass, run, ws));
-            }
-            _ => self.dag_worker_loop(pass, run, ws),
-        }
-        ws.team = team;
+        let mut team = ws
+            .team
+            .take()
+            .expect("a queued stage runs on the arena's team");
+        let parts = workers.min(team.threads());
+        team.run(parts, ws, &|_, ws| self.dag_worker_loop(pass, run, ws));
+        ws.team = Some(team);
         let metrics = cap_obs::metrics();
         metrics
             .dag_queue_pushes

@@ -262,8 +262,7 @@ impl ParallelEngine {
                     s.spawn(move || {
                         // `DagMode::Auto` keeps this thread's passes on
                         // one thread instead of stacking a worker team
-                        // on the engine's (`CAP_CNN_DAG=on` still puts
-                        // branchy plans on the ready queue).
+                        // on the engine's.
                         let _dag_guard = crate::dag::EngineWorkerGuard::enter();
                         let r = run_chunk_range(
                             net, images, batch, c0, c1, &mut state, out_slice, w, tracer,

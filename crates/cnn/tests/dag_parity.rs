@@ -1,10 +1,12 @@
-//! DAG-parallel/sequential parity: a forward pass scheduled by the
-//! intra-network DAG executor (`CAP_CNN_DAG`) — the whole plan on the
-//! ready queue, or staged with only its branchy stages there — must be
-//! **bitwise identical** to the sequential schedule, on every kernel
-//! path, with fusion on or off, dense or pruned/CSR — the whole-net
-//! closure of the scheduling-cannot-change-bits argument in
-//! `cap_cnn::dag`, proptested over randomly generated branchy DAGs.
+//! DAG-parallel/sequential parity: a forward pass walked in stages on
+//! more than one thread — its branchy stages on the ready queue, its
+//! one-step stages with their kernels split — must be **bitwise
+//! identical** to the sequential schedule, on every kernel path, with
+//! fusion on or off, dense or pruned/CSR — the whole-net closure of
+//! the scheduling-cannot-change-bits argument in `cap_cnn::dag`,
+//! proptested over randomly generated branchy DAGs. Thread counts are
+//! pinned with `ForwardArena::with_team`; `CAP_CNN_DAG` picks between
+//! one thread and the host's cores.
 //!
 //! `dag::force`, `fusion::force` and `kernels::force` are all
 //! process-global, so every test serializes on one mutex (which also
@@ -17,7 +19,7 @@ use cap_cnn::layer::{
     FC_SPARSE_THRESHOLD,
 };
 use cap_cnn::network::{ForwardArena, Network, INPUT};
-use cap_cnn::{DagExecutor, NoopTracer, ParallelEngine};
+use cap_cnn::{NoopTracer, ParallelEngine};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::kernels::{self, KernelPath};
 use cap_tensor::{Conv2dParams, Matrix, Team, Tensor4};
@@ -136,9 +138,15 @@ fn images(n: usize, seed: usize) -> Tensor4 {
     })
 }
 
-/// One forward pass under forced (dag, fusion, kernel) modes, returning
-/// the output bits.
-fn forward_bits(
+fn bits(t: &Tensor4) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One forward pass through `arena` under forced (dag, fusion, kernel)
+/// modes, returning the output bits. A [`ForwardArena::with_team`]
+/// arena ignores the dag mode.
+fn bits_through(
+    mut arena: ForwardArena,
     dag_mode: DagMode,
     fus: FusionMode,
     path: KernelPath,
@@ -148,27 +156,43 @@ fn forward_bits(
     dag::force(Some(dag_mode));
     fusion::force(Some(fus));
     kernels::force(Some(path));
-    let mut arena = ForwardArena::new();
-    let out = net
-        .forward_into(imgs, &mut arena)
-        .unwrap()
-        .as_slice()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
+    let out = bits(net.forward_into(imgs, &mut arena).unwrap());
     kernels::force(None);
     fusion::force(None);
     dag::force(None);
     out
 }
 
+/// [`bits_through`] a fresh arena, the thread count `dag_mode`'s.
+fn forward_bits(
+    dag_mode: DagMode,
+    fus: FusionMode,
+    path: KernelPath,
+    net: &Network,
+    imgs: &Tensor4,
+) -> Vec<u32> {
+    bits_through(ForwardArena::new(), dag_mode, fus, path, net, imgs)
+}
+
+/// [`bits_through`] an arena whose passes run on a team of `threads`.
+fn team_bits(
+    threads: usize,
+    fus: FusionMode,
+    path: KernelPath,
+    net: &Network,
+    imgs: &Tensor4,
+) -> Vec<u32> {
+    let arena = ForwardArena::with_team(Team::new(threads));
+    bits_through(arena, DagMode::Off, fus, path, net, imgs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// Random branchy DAGs — fan-out, fan-in, pure chains, dense and
-    /// pruned — produce bitwise-identical output whether scheduled
-    /// sequentially or DAG-parallel, across every kernel path and both
-    /// fusion arms.
+    /// pruned — produce bitwise-identical output whether run on one
+    /// thread or walked in stages on a team, across every kernel path
+    /// and both fusion arms.
     #[test]
     fn dag_parallel_matches_sequential_bitwise(
         seed in 0u64..40,
@@ -189,39 +213,21 @@ proptest! {
                     &seq, &reference,
                     "sequential arm drifted: fusion={} path={}", fus.name(), path.name()
                 );
-                let par = forward_bits(DagMode::On, fus, path, &net, &imgs);
-                prop_assert_eq!(
-                    &par, &reference,
-                    "dag arm differs: fusion={} path={} branches={} depth={} sparse={}",
-                    fus.name(), path.name(), branches, depth, sparse
-                );
+                for threads in [1, 2, 4] {
+                    let par = team_bits(threads, fus, path, &net, &imgs);
+                    prop_assert_eq!(
+                        &par, &reference,
+                        "team of {} differs: fusion={} path={} branches={} depth={} sparse={}",
+                        threads, fus.name(), path.name(), branches, depth, sparse
+                    );
+                }
             }
-        }
-        // Explicit executor at several worker counts, same contract, on
-        // whatever path the environment selects.
-        for workers in [1, 2, 4] {
-            let exec = DagExecutor::new(workers);
-            let mut arena = ForwardArena::new();
-            let out: Vec<u32> = exec
-                .run(&net, &imgs, &mut arena)
-                .unwrap()
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            prop_assert_eq!(&out, &reference, "DagExecutor workers={}", workers);
         }
         // Staged on teams that split whatever has two units: one-step
         // stages split their kernels, branchy stages take the queue.
         for threads in [2, 3] {
             let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
-            let out: Vec<u32> = net
-                .forward_into(&imgs, &mut arena)
-                .unwrap()
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
+            let out = bits(net.forward_into(&imgs, &mut arena).unwrap());
             prop_assert_eq!(&out, &reference, "staged, team of {}", threads);
         }
     }
@@ -235,42 +241,31 @@ fn dag_parallel_is_deterministic_across_runs() {
     let _g = force_lock();
     let net = build_random_net(23, 4, 3, false);
     let imgs = images(2, 5);
-    let first = forward_bits(
-        DagMode::On,
-        FusionMode::Auto,
-        KernelPath::Scalar,
-        &net,
-        &imgs,
-    );
+    let first = team_bits(4, FusionMode::Auto, KernelPath::Scalar, &net, &imgs);
     for run in 0..5 {
-        let again = forward_bits(
-            DagMode::On,
-            FusionMode::Auto,
-            KernelPath::Scalar,
-            &net,
-            &imgs,
-        );
+        let again = team_bits(4, FusionMode::Auto, KernelPath::Scalar, &net, &imgs);
         assert_eq!(first, again, "run {run} diverged");
     }
 }
 
-/// One arena, two networks, three worker counts, alternating: a chain
+/// One arena, two networks, three batch sizes, alternating: a chain
 /// and a four-branch pruned net (different slot counts, different
 /// activation shapes, CSR and dense convs and a batched sparse fc all
 /// drawing on the same workspaces) take turns on a single
-/// `ForwardArena` at 1, 2 and 4 `DagExecutor` workers. Every pass must
-/// equal the sequential pass of that net on that input through a fresh
-/// arena, bit for bit: a worker reading scratch another worker — or the
-/// previous, differently shaped pass — wrote would show here.
+/// `ForwardArena` with a four-thread team that splits every kernel it
+/// can — the chain's steps split, the branchy net's wide stages on the
+/// ready queue. Every pass must equal the sequential pass of that net
+/// on that input through a fresh arena, bit for bit: a worker reading
+/// scratch another worker — or the previous, differently shaped pass —
+/// wrote would show here.
 #[test]
-fn one_arena_serves_alternating_networks_and_worker_counts() {
+fn one_arena_serves_alternating_networks_and_batch_sizes() {
     let _g = force_lock();
     let nets = [
         build_random_net(7, 1, 3, false),
         build_random_net(12, 4, 3, true),
     ];
     assert_ne!(nets[0].len(), nets[1].len());
-    let bits = |t: &Tensor4| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
     // Three inputs per net, batch 1..=3, so no two consecutive passes
     // of a net agree in shape or content.
     let inputs: Vec<Tensor4> = (0..3).map(|v| images(v + 1, v * 5)).collect();
@@ -286,16 +281,15 @@ fn one_arena_serves_alternating_networks_and_worker_counts() {
         .collect();
     dag::force(None);
 
-    let mut arena = ForwardArena::new();
+    let mut arena = ForwardArena::with_team(Team::new(4).with_min_part_macs(0));
     for pass in 0..300 {
         let (which, variant) = (pass % 2, pass % 3);
-        let workers = [1, 2, 4][(pass / 2) % 3];
-        let got = DagExecutor::new(workers)
-            .run(&nets[which], &inputs[variant], &mut arena)
+        let got = nets[which]
+            .forward_into(&inputs[variant], &mut arena)
             .unwrap();
         assert!(
             bits(got) == want[which][variant],
-            "pass {pass}: net {which} input {variant} workers {workers}"
+            "pass {pass}: net {which} input {variant}"
         );
     }
 }
@@ -315,10 +309,14 @@ fn single_node_net_all_modes() {
         &net,
         &imgs,
     );
-    for mode in [DagMode::Auto, DagMode::On] {
-        let got = forward_bits(mode, FusionMode::Off, KernelPath::Scalar, &net, &imgs);
-        assert_eq!(got, reference, "mode={}", mode.name());
-    }
+    let got = forward_bits(
+        DagMode::Auto,
+        FusionMode::Off,
+        KernelPath::Scalar,
+        &net,
+        &imgs,
+    );
+    assert_eq!(got, reference);
     let before = cap_obs::metrics().dag_parallel_passes.get();
     dag::force(Some(DagMode::Auto));
     let mut arena = ForwardArena::new();
@@ -331,8 +329,8 @@ fn single_node_net_all_modes() {
     );
 }
 
-/// A kernel error inside a branch aborts the DAG pass cleanly: the
-/// error is returned (not a hang, not a panic), matching the
+/// A kernel error inside a branch aborts the ready-queue stage cleanly:
+/// the error is returned (not a hang, not a panic), matching the
 /// sequential schedule's behavior.
 #[test]
 fn dag_pass_propagates_branch_errors() {
@@ -352,17 +350,17 @@ fn dag_pass_propagates_branch_errors() {
     dag::force(Some(DagMode::Off));
     let mut arena = ForwardArena::new();
     let seq_err = net.forward_into(&imgs, &mut arena).unwrap_err();
-    dag::force(Some(DagMode::On));
-    let mut arena = ForwardArena::new();
-    let dag_err = net.forward_into(&imgs, &mut arena).unwrap_err();
     dag::force(None);
+    // Both branches read the input: one two-wide stage on the queue.
+    let mut arena = ForwardArena::with_team(Team::new(2));
+    let dag_err = net.forward_into(&imgs, &mut arena).unwrap_err();
+    assert_eq!(cap_obs::metrics().dag_workers.get(), 2);
     assert_eq!(seq_err, dag_err, "same first error either way");
 }
 
 /// `DagMode::Auto` stays sequential inside data-parallel engine
 /// workers: stacking node-parallel threads on top of the engine's
-/// would oversubscribe the host. (`CAP_CNN_DAG=on` still overrides —
-/// also checked.)
+/// would oversubscribe the host.
 #[test]
 fn auto_defers_to_data_parallel_engine() {
     let _g = force_lock();
@@ -372,23 +370,13 @@ fn auto_defers_to_data_parallel_engine() {
 
     dag::force(Some(DagMode::Auto));
     let before = metrics.dag_parallel_passes.get();
-    let engine = ParallelEngine::new(2);
-    let (out_auto, _) = engine.run_batched(&net, &imgs, 2).unwrap();
+    ParallelEngine::new(2).run_batched(&net, &imgs, 2).unwrap();
+    dag::force(None);
     assert_eq!(
         metrics.dag_parallel_passes.get(),
         before,
         "auto must not nest DAG workers inside engine workers"
     );
-
-    dag::force(Some(DagMode::On));
-    let before = metrics.dag_parallel_passes.get();
-    let (out_on, _) = engine.run_batched(&net, &imgs, 2).unwrap();
-    assert!(
-        metrics.dag_parallel_passes.get() > before,
-        "on must override the engine-worker guard"
-    );
-    dag::force(None);
-    assert_eq!(out_auto, out_on, "nesting decision cannot change bits");
 }
 
 /// The CI-matrix assert (mirrors `fusion_override_is_honored…`): the
@@ -407,36 +395,14 @@ fn dag_override_is_honored_and_metrics_track_it() {
     net.forward_into_traced(&imgs, &mut arena, &NoopTracer)
         .unwrap();
     assert_eq!(metrics.dag_workers.get(), 0, "dag=off must run sequential");
-
-    // Forced on: the scheduler runs with >= 1 worker and accounts every
-    // step through exactly one of the two handoff paths.
-    let (pushes0, chained0, passes0) = (
-        metrics.dag_queue_pushes.get(),
-        metrics.dag_chained_steps.get(),
-        metrics.dag_parallel_passes.get(),
-    );
-    dag::force(Some(DagMode::On));
-    net.forward_into_traced(&imgs, &mut arena, &NoopTracer)
-        .unwrap();
-    assert!(metrics.dag_workers.get() >= 1, "dag=on must schedule");
-    assert_eq!(metrics.dag_parallel_passes.get(), passes0 + 1);
-    // Every plan step reaches a worker exactly once, via the shared
-    // queue or the chained fast path. Steps = nodes minus fused-away
-    // ReLUs (the gauge holds this pass's fused count).
-    let handoffs =
-        (metrics.dag_queue_pushes.get() - pushes0) + (metrics.dag_chained_steps.get() - chained0);
-    let fused = metrics.fused_layers.get();
-    assert_eq!(
-        handoffs,
-        net.len() as u64 - fused,
-        "every step is handed off exactly once"
-    );
+    dag::force(None);
 
     // Staged, on two threads (what `auto` gives a pass on a two-core
     // host; pinned here so every host agrees): the stem conv, its ReLU
     // (unfused), the concat and the fc are one-step stages on the
     // calling thread, so only the branches' steps — one wide stage —
-    // go through the queue, and the pass still counts once.
+    // go through the queue, each exactly once, via the shared queue or
+    // the chained fast path, and the pass counts once.
     fusion::force(Some(FusionMode::Off));
     let (pushes0, chained0, passes0) = (
         metrics.dag_queue_pushes.get(),
@@ -456,7 +422,6 @@ fn dag_override_is_honored_and_metrics_track_it() {
         net.len() as u64 - 4,
         "the wide stage's steps are handed off exactly once, the others never"
     );
-    dag::force(None);
 
     // Un-forced, the selection must honor CAP_CNN_DAG (what the CI
     // dag-matrix leg asserts).
@@ -465,11 +430,7 @@ fn dag_override_is_honored_and_metrics_track_it() {
             assert_eq!(dag::selected(), DagMode::Off);
             assert!(!dag::selected().enabled());
         }
-        Ok("on") => {
-            assert_eq!(dag::selected(), DagMode::On);
-            assert!(dag::selected().enabled());
-        }
-        // auto / unset / unknown: Auto (parallelize where it pays).
+        // auto / unset: Auto (parallelize where it pays).
         _ => {
             assert_eq!(dag::selected(), DagMode::Auto);
             assert!(dag::selected().enabled());

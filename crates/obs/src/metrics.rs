@@ -375,9 +375,8 @@ instruments! {
     /// Steps executed via the chained fast path — a finishing worker
     /// directly running the first successor it made ready, skipping the
     /// queue. `dag_queue_pushes + dag_chained_steps` equals the steps
-    /// that ran on the ready queue: under `CAP_CNN_DAG=auto` those of
-    /// the stages where the plan branches, under `on` every step.
-    /// Always on.
+    /// that ran on the ready queue: those of the stages where the plan
+    /// branches, when the pass has more than one thread. Always on.
     dag_chained_steps: Counter, Workload, "DAG steps run via the chained fast path.";
     /// Ready-queue workers of the most recent forward pass (the most
     /// any of its stages ran with): 0 when no stage ran on the DAG

@@ -148,14 +148,15 @@ fn serve_metrics_out_writes_a_valid_exposition() {
 
 #[test]
 fn unknown_knob_value_is_fatal_and_names_the_accepted_set() {
-    // Rows 2 and 4 are spellings that are no longer values: they fail
-    // like any typo.
+    // Rows 2, 4 and 6 are spellings that are no longer values: they
+    // fail like any typo.
     for (var, value, accepted) in [
         ("CAP_TENSOR_KERNEL", "bogus", "auto, scalar, avx2"),
         ("CAP_TENSOR_KERNEL", "avx2-fma", "auto, scalar, avx2"),
         ("CAP_TENSOR_FUSION", "bogus", "auto, off"),
         ("CAP_TENSOR_FUSION", "on", "auto, off"),
-        ("CAP_CNN_DAG", "bogus", "auto, on, off"),
+        ("CAP_CNN_DAG", "bogus", "auto, off"),
+        ("CAP_CNN_DAG", "on", "auto, off"),
         ("CAP_TENSOR_PRECISION", "bogus", "auto, f32, int8"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_cap"))
