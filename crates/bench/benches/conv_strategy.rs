@@ -6,14 +6,19 @@
 //! `conv_form_i8_*` is the int8 side: the lowering stages on their own
 //! and the int8 dense-vs-CSR crossover `SPARSE_THRESHOLD_I8` is set
 //! from (table in EXPERIMENTS.md "PR 23").
+//! `lowering` is the two packed lowerings alone on the real batch-1
+//! shapes, the f32 one on one and two threads, the int8 one on one
+//! (tables in EXPERIMENTS.md, "The lowering alone" and after it).
 
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
-    conv2d, gemm_packed, im2col_i8_packed_prealloc, im2col_packed_prealloc, symmetric_scale,
-    Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Matrix, PackedB, Tensor4, Workspace,
+    conv2d, gemm_packed, im2col, im2col_packed_prealloc, pack_b_i8_into, symmetric_scale,
+    Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Lowering, Matrix, PackedB, Team, Tensor4,
+    Workspace,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::{Duration, Instant};
 
 /// Unit-scale weights with `zero_pct` % (to a tenth) of the elements
 /// zeroed at scattered positions (unstructured, as magnitude pruning
@@ -93,21 +98,13 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
     group.bench_function("quantize_image", |b| {
         b.iter(|| quantize_slice_with(path, input.as_slice(), 1.0 / act_scale, &mut q_image))
     });
-    let (q_group, mut lines, mut q_packed) = (&q_image[..image.len()], Vec::new(), Vec::new());
+    let lo = Lowering::new(cpg, hw, hw, k, k, pad, stride).unwrap();
+    let q_group = &q_image[..image.len()];
+    let (mut q_padded, mut lines, mut q_packed) = (Vec::new(), Vec::new(), Vec::new());
     group.bench_function("lower_i8", |b| {
         b.iter(|| {
-            im2col_i8_packed_prealloc(
-                q_group,
-                cpg,
-                hw,
-                hw,
-                k,
-                k,
-                pad,
-                stride,
-                &mut lines,
-                &mut q_packed,
-            )
+            let q_padded = lo.padded(q_group, &mut q_padded).unwrap();
+            lo.quads_into(q_padded, &mut lines, &mut q_packed).unwrap()
         })
     });
 
@@ -210,9 +207,147 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fastest call of `run` over the group's samples, as `id`.
+fn fastest(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    mut run: impl FnMut(),
+) -> Duration {
+    let mut best = Duration::MAX;
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            let t0 = Instant::now();
+            run();
+            best = best.min(t0.elapsed());
+        })
+    });
+    best
+}
+
+/// The lowering stage of every batch-1 conv shape of Caffenet (conv1–5,
+/// one group each) and of Googlenet's stem (conv1, conv2-reduce,
+/// conv2-3x3) and inception 3a / 4a / 5a (the 1×1 pack, the 3×3 and
+/// the 5×5, each on its reduce's output), as `conv2d` runs it: the f32
+/// arm pads the image and writes the packed panels
+/// ([`Lowering::panels_into`]) on one thread and split by panel ranges
+/// across a two-thread [`Team`], the two outputs compared bit for bit;
+/// the int8 arm quantizes into the padded layout and writes the quad
+/// panels ([`Lowering::quads_into`]) on one thread, compared with the
+/// f32 patch matrix packed by [`pack_b_i8_into`]. Ends with one
+/// `lowering:` line — min / max GB/s of the one-thread arms (the f32
+/// image read plus the packed `B` written, from the fastest call) and
+/// min / max of the f32 2-worker speed-up — for the CI job summary.
+fn bench_lowering(c: &mut Criterion) {
+    // (name, input channels of one group, input side, kernel, pad, stride)
+    const SHAPES: [(&str, usize, usize, usize, usize, usize); 17] = [
+        ("caffenet_conv1", 3, 224, 11, 2, 4),
+        ("caffenet_conv2", 48, 27, 5, 2, 1),
+        ("caffenet_conv3", 256, 13, 3, 1, 1),
+        ("caffenet_conv4", 192, 13, 3, 1, 1),
+        ("caffenet_conv5", 192, 13, 3, 1, 1),
+        ("googlenet_conv1", 3, 224, 7, 3, 2),
+        ("googlenet_conv2_reduce", 64, 56, 1, 0, 1),
+        ("googlenet_conv2_3x3", 64, 56, 3, 1, 1),
+        ("incep3a_1x1", 192, 28, 1, 0, 1),
+        ("incep3a_3x3", 96, 28, 3, 1, 1),
+        ("incep3a_5x5", 16, 28, 5, 2, 1),
+        ("incep4a_1x1", 480, 14, 1, 0, 1),
+        ("incep4a_3x3", 96, 14, 3, 1, 1),
+        ("incep4a_5x5", 16, 14, 5, 2, 1),
+        ("incep5a_1x1", 832, 7, 1, 0, 1),
+        ("incep5a_3x3", 160, 7, 3, 1, 1),
+        ("incep5a_5x5", 32, 7, 5, 2, 1),
+    ];
+    let mut group = c.benchmark_group("lowering");
+    let mut team = Team::new(2);
+    let mut rates: Vec<(f64, String)> = Vec::new();
+    let mut speedups: Vec<(f64, String)> = Vec::new();
+    for (name, ch, hw, k, pad, stride) in SHAPES {
+        let image: Vec<f32> = (0..ch * hw * hw)
+            .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+            .collect();
+        let lo = Lowering::new(ch, hw, hw, k, k, pad, stride).unwrap();
+        let rate = |one: Duration, written: usize| {
+            (4 * image.len() + written) as f64 / one.as_nanos() as f64
+        };
+
+        let mut padded = [Vec::new(), Vec::new()];
+        let mut packed = [Matrix::zeros(0, 0), Matrix::zeros(0, 0)];
+        let mut f32_arm = |i: usize, team: Option<&mut Team>| {
+            let parts = if team.is_some() { 2 } else { 1 };
+            let padded = lo.padded(&image, &mut padded[i]).unwrap();
+            lo.panels_into(team, parts, padded, &mut packed[i]).unwrap()
+        };
+        let one = fastest(&mut group, BenchmarkId::new(name, "f32_1w"), || {
+            f32_arm(0, None)
+        });
+        let two = fastest(&mut group, BenchmarkId::new(name, "f32_2w"), || {
+            f32_arm(1, Some(&mut team))
+        });
+        if one < Duration::MAX && two < Duration::MAX {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&packed[0]) == bits(&packed[1]),
+                "lowering/{name}: split f32 panels differ"
+            );
+            let gbs = rate(one, 4 * packed[0].len());
+            let speedup = one.as_secs_f64() / two.as_secs_f64();
+            println!("lowering/{name}/f32: {gbs:.1} GB/s, 2w/1w {speedup:.2}x");
+            rates.push((gbs, format!("{name}/f32")));
+            speedups.push((speedup, format!("{name}/f32")));
+        }
+
+        let inv_scale = 127.0;
+        let (mut q_padded, mut lines, mut q_packed) = (Vec::new(), Vec::new(), Vec::new());
+        let one = fastest(&mut group, BenchmarkId::new(name, "i8_1w"), || {
+            lo.quantize_padded(&image, inv_scale, &mut q_padded)
+                .unwrap();
+            lo.quads_into(&q_padded, &mut lines, &mut q_packed).unwrap();
+        });
+        if one < Duration::MAX {
+            let cols = im2col(&image, ch, hw, hw, k, k, pad, stride).unwrap();
+            let mut want = Vec::new();
+            pack_b_i8_into(
+                cols.as_slice(),
+                cols.rows(),
+                cols.cols(),
+                inv_scale,
+                &mut want,
+            );
+            assert!(q_packed == want, "lowering/{name}: i8 quads differ");
+            let gbs = rate(one, q_packed.len());
+            println!("lowering/{name}/i8: {gbs:.1} GB/s");
+            rates.push((gbs, format!("{name}/i8")));
+        }
+    }
+    group.finish();
+    rates.sort_by(|x, y| x.0.total_cmp(&y.0));
+    speedups.sort_by(|x, y| x.0.total_cmp(&y.0));
+    if let (Some(slow), Some(fast), Some(least), Some(most)) = (
+        rates.first(),
+        rates.last(),
+        speedups.first(),
+        speedups.last(),
+    ) {
+        println!(
+            "lowering: min {:.1} GB/s ({}) max {:.1} GB/s ({}), 2w/1w min {:.2}x ({}) max {:.2}x ({}) over {} lowerings on {}",
+            slow.0,
+            slow.1,
+            fast.0,
+            fast.1,
+            least.0,
+            least.1,
+            most.0,
+            most.1,
+            rates.len(),
+            cap_tensor::kernels::selected().name()
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_conv, bench_weight_forms
+    targets = bench_conv, bench_weight_forms, bench_lowering
 }
 criterion_main!(benches);

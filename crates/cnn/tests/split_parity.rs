@@ -234,9 +234,10 @@ fn inception_net(form: Form) -> Network {
 /// the one-step stages' kernels: the LRN, the stem pool and the pool cut
 /// once each (by images when the batch fills the team, else by planes),
 /// the batch-1 fc GEMV once, and the stem conv once by images — or,
-/// with fewer images than threads, each image's multiply by rows, which
-/// the CSR forms do not split. Nothing inside a module splits: the
-/// team is lent to the queue there.
+/// with fewer images than threads, each image's multiply by rows,
+/// which the CSR forms do not split, after (in f32) its lowering by
+/// panels: two splits an f32 image, one an int8 one. Nothing inside a
+/// module splits: the team is lent to the queue there.
 #[test]
 fn staged_inception_pass_matches_one_thread_bitwise() {
     let _g = force_lock();
@@ -256,7 +257,8 @@ fn staged_inception_pass_matches_one_thread_bitwise() {
                     let stem_conv = match form {
                         _ if batch >= threads => 1,
                         Form::Csr | Form::CsrI8 => 0,
-                        _ => batch as u64,
+                        Form::DenseI8 => batch as u64,
+                        Form::Dense | Form::DenseRows => 2 * batch as u64,
                     };
                     let per_pass = match threads {
                         1 => (0, 0),
@@ -344,11 +346,13 @@ fn caffenet_shaped() -> Network {
 }
 
 /// What one batch-1 Caffenet pass adds to `intra_op_splits`. On two
-/// threads, 12: conv1 and conv3 by rows, conv2/4/5 by their two groups
-/// (two bands fill two threads), fc6/7/8 by columns, and pool1, norm1,
-/// pool2 and norm2 by planes; pool5 stays whole. On three, 15: two
-/// bands are too few for three threads, so each group's multiply splits
-/// by rows instead. The output stays the one-thread pass's bits.
+/// threads, 14: conv1 and conv3 twice each — the lowering by panels,
+/// then the multiply by rows — conv2/4/5 by their two groups (two bands
+/// fill two threads), fc6/7/8 by columns, and pool1, norm1, pool2 and
+/// norm2 by planes; pool5 stays whole. On three, 23: two bands are too
+/// few for three threads, so each group's lowering and multiply split
+/// instead, by panels and by rows. The output stays the one-thread
+/// pass's bits.
 #[test]
 fn batch1_caffenet_shaped_pass_splits_each_kernel_once_per_band() {
     let _g = force_lock();
@@ -359,7 +363,7 @@ fn batch1_caffenet_shaped_pass_splits_each_kernel_once_per_band() {
     });
     let mut one = ForwardArena::with_team(Team::new(1));
     let want = bits(net.forward_into(&x, &mut one).unwrap().as_slice());
-    for (threads, per_pass) in [(2, 12), (3, 15)] {
+    for (threads, per_pass) in [(2, 14), (3, 23)] {
         let mut arena = ForwardArena::with_team(Team::new(threads));
         for pass in 0..2 {
             let before = splits();

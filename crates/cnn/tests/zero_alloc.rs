@@ -375,10 +375,12 @@ fn steady_state_inference_allocates_nothing() {
         }
         precision::force(None);
 
-        // What that costs in scratch, on the deep conv: the quantized
-        // image, four patch rows and the packed i8 patch matrix — where
-        // lowering in f32 first held the f32 patch matrix besides the
-        // packed one, a slot the int8 forms now leave empty.
+        // What that costs in scratch, on the deep conv: one group's 64
+        // channels quantized straight into their padded 7×7 planes, four
+        // patch rows and the packed i8 patch matrix — where lowering in
+        // f32 first held the f32 patch matrix besides the packed one, a
+        // slot the int8 forms leave empty, as they leave the f32 padded
+        // image.
         let p = INT8_CONV2;
         let w2 = xavier_uniform(32, p.col_rows(), 32);
         let bands = ConvWeights::i8_bands(&w2, &p).unwrap();
@@ -395,6 +397,9 @@ fn steady_state_inference_allocates_nothing() {
         let packed_i8 = 25usize.div_ceil(8) * p.col_rows() * 8;
         let via_f32_patch_matrix = p.col_rows() * 25 * 4 + packed_i8;
         assert_eq!(ws.cols.len(), 0);
+        assert_eq!(ws.padded.len(), 0);
+        assert_eq!(ws.qimage.len(), 64 * 7 * 7);
+        assert_eq!(ws.qlines.len(), 4 * 25usize.next_multiple_of(8));
         assert_eq!(ws.qbuf.len(), packed_i8);
         assert!(ws.reserved_bytes() <= via_f32_patch_matrix / 3);
     }
@@ -578,5 +583,57 @@ fn steady_state_inference_allocates_nothing() {
             allocs, 0,
             "alternating a two-wide plan and a chain must not allocate (got {allocs})",
         );
+    }
+
+    // The lowering split: a batch-1 dense conv whose multiply is cut by
+    // rows first has its lowering cut by panels into as many parts —
+    // pieces that read the caller's padded image (the workspace's
+    // `padded`, or `qimage` for int8) and write their panels of the
+    // caller's packed `B`. On the Caffenet-, int8- and inception-shaped
+    // nets at batch 1, on two and three pinned threads, steady state
+    // still allocates nothing. (The int8-shaped net's convs have two
+    // groups: on two threads each helper lowers a whole group into its
+    // own workspace, on three each group's multiply splits by rows
+    // after the caller lowers it; int8 lowerings never split.)
+    {
+        let int8_net = int8_shaped();
+        precision::force(Some(Precision::F32));
+        let calib = Tensor4::from_fn(4, 8, 10, 10, |n, c, h, w| {
+            (((n * 29 + c * 13 + h * 7 + w) % 17) as f32 - 8.0) / 8.0
+        });
+        int8_net
+            .calibrate(&calib, CalibrationMethod::MaxAbs)
+            .unwrap();
+        let inception = common::inception_shaped(xavier_uniform);
+        let image = |c, hw| {
+            Tensor4::from_fn(1, c, hw, hw, |_, c, h, w| {
+                (((c * 17 + h * 5 + w) % 13) as f32 - 6.0) / 5.0
+            })
+        };
+        let nets = [
+            ("caffenet-shaped", &net, image(3, 19), Precision::F32),
+            ("int8-shaped", &int8_net, image(8, 10), Precision::Int8),
+            ("inception-shaped", &inception, image(3, 16), Precision::F32),
+        ];
+        for threads in [2, 3] {
+            for (name, net, x, precision) in &nets {
+                precision::force(Some(*precision));
+                let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
+                for _ in 0..3 {
+                    net.forward_into(x, &mut arena).unwrap();
+                }
+                let splits = cap_obs::metrics().intra_op_splits.get();
+                let allocs = min_allocs_over(5, 10, || {
+                    net.forward_into(x, &mut arena).unwrap();
+                });
+                assert!(cap_obs::metrics().intra_op_splits.get() > splits, "{name}");
+                assert_eq!(
+                    allocs, 0,
+                    "batch-1 passes over {name} with split lowerings on a {threads}-thread \
+                     team must not allocate (got {allocs})",
+                );
+            }
+        }
+        precision::force(None);
     }
 }

@@ -325,8 +325,13 @@ instruments! {
     /// Nanoseconds inside packed-GEMM kernels during convolution.
     /// Gated by [`timing_enabled`].
     gemm_time_ns: Counter, Workload, "Nanoseconds inside packed-GEMM kernels.";
-    /// Nanoseconds inside im2col lowering during convolution.
-    /// Gated by [`timing_enabled`].
+    /// Nanoseconds inside im2col lowering during convolution: padding
+    /// the image (the int8 forms quantize it on the way) and writing the
+    /// patch matrix. Wall time on the thread that called the
+    /// convolution: a lowering split across the worker team counts
+    /// once, as `gemm_time_ns` counts a row-split multiply; each band of
+    /// a band split counts on the thread that ran it. Gated by
+    /// [`timing_enabled`].
     im2col_time_ns: Counter, Workload, "Nanoseconds inside im2col lowering.";
     /// High-water mark of `ForwardArena` activation bytes. Always on.
     arena_bytes: Gauge, Workload, "High-water mark of arena activation bytes.";
@@ -386,9 +391,12 @@ instruments! {
     dag_workers: Gauge, Workload, "Worker count of the most recent forward pass.";
     /// Kernel calls split across a pass's worker team
     /// (`cap_tensor::team`): a convolution's multiply cut by rows of
-    /// `A` or its bands by groups or images, a batch-1 GEMV cut by
-    /// column ranges, a pool or LRN cut by images or channel planes.
-    /// Zero over a run means every kernel ran on one thread. Always on.
+    /// `A` or its bands by groups or images, an f32 convolution's
+    /// lowering cut by panel ranges (its own split, ahead of the row
+    /// split of the multiply it feeds), a batch-1 GEMV cut by column
+    /// ranges, a pool
+    /// or LRN cut by images or channel planes. Zero over a run means
+    /// every kernel ran on one thread. Always on.
     intra_op_splits: Counter, Workload, "Kernel calls split across a pass's worker team.";
     /// Requests offered to the `cap-serve` router (admitted + shed).
     /// Always on.

@@ -7,10 +7,7 @@
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::gemm::gemm_packed;
-use crate::im2col::{
-    im2col_i8_packed_prealloc, im2col_i8_prealloc, im2col_packed_prealloc, im2col_prealloc,
-    out_spatial,
-};
+use crate::im2col::{out_spatial, Lowering};
 use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
 use crate::quant::{gemm_i8, symmetric_scale, QuantizedA, QuantizedCsr};
 use crate::sparse::CsrMatrix;
@@ -397,7 +394,8 @@ impl ConvWeights<'_> {
 /// im2col + GEMM scheme.
 ///
 /// Validates once, then per image and per channel group: **lower** the
-/// group's input channels to a patch matrix in the layout the weight
+/// group's input channels — padded once into the workspace, then
+/// unrolled ([`Lowering`]) — to a patch matrix in the layout the weight
 /// form multiplies against, **multiply** with the bias (per output channel)
 /// and an optional ReLU folded into the store ([`Epilogue`]), writing
 /// straight into the group's band of the output image — an
@@ -406,10 +404,10 @@ impl ConvWeights<'_> {
 /// the result is bitwise identical to the unfused convolution followed
 /// by a standalone ReLU layer, on every kernel path.
 ///
-/// The int8 forms **quantize** each input image once, ahead of the
-/// lowering, and lower in int8: lowering only copies values and pads
-/// with `0.0`, which quantizes to `0`, so the patch matrix is byte for
-/// byte the quantized f32 one at `kh*kw / stride²` times fewer
+/// The int8 forms **quantize** each input image once, straight into its
+/// padded layout, and lower in int8: lowering only copies values and
+/// pads with `0.0`, which quantizes to `0`, so the patch matrix is byte
+/// for byte the quantized f32 one at `kh*kw / stride²` times fewer
 /// quantizations and a quarter of the bytes moved.
 ///
 /// [`ConvWeights::DenseRows`] treats a pruned filter as absent rather
@@ -424,17 +422,22 @@ impl ConvWeights<'_> {
 /// and group, each lowered and multiplied independently: with at least
 /// as many bands as threads the bands are cut across the team, each
 /// thread lowering into its own workspace (a batch-1 grouped layer
-/// splits by groups, a batch by images). With fewer, each band is
-/// lowered on the calling thread and its dense multiply (f32 or int8,
-/// all filters or the kept ones) is cut by rows of `A`. Either way a
-/// piece is the same kernel on a sub-range, so the output is bitwise
-/// the one-thread call's. The CSR forms split only by bands.
+/// splits by groups, a batch by images). With fewer, each band's dense
+/// multiply (f32 or int8, all filters or the kept ones) is cut by rows
+/// of `A`; in f32, first its lowering by panel ranges into as many
+/// parts, the pieces reading the caller's padded image and writing
+/// their own panels of the caller's packed `B` (the int8 lowering runs
+/// on the caller). Either way a piece is the same kernel on a
+/// sub-range, so the output is bitwise the one-thread call's. The CSR
+/// forms split only by bands.
 ///
 /// Lowering scratch is the caller's `ws` and `out` is reshaped in
 /// place, so steady-state calls allocate nothing. When
 /// [`cap_obs::timing_enabled`], lowering and multiply time are credited
-/// to the `im2col_time_ns` / `gemm_time_ns` counters (summed over the
-/// threads of a band split).
+/// to the `im2col_time_ns` / `gemm_time_ns` counters as wall time on
+/// the thread that runs the band: a lowering or multiply split across
+/// the team counts once, on the caller, and a band split sums its
+/// bands' times over the threads that ran them.
 pub fn conv2d(
     input: &Tensor4,
     weights: ConvWeights<'_>,
@@ -522,7 +525,9 @@ impl ConvCall<'_> {
         let cpg = params.in_per_group();
         let opg = params.out_per_group();
         let col_rows = params.col_rows();
-        let in_image_len = params.in_channels * h * w;
+        // One group's lowering: its input channels, padded once, into
+        // its patch matrix.
+        let lo = Lowering::new(cpg, h, w, params.kh, params.kw, params.pad, params.stride)?;
 
         // One relaxed load outside the band loop decides whether the
         // GEMM/im2col split is measured for this call.
@@ -533,37 +538,15 @@ impl ConvCall<'_> {
             cols,
             packed,
             qbuf,
+            padded,
             qimage,
             qlines,
             team,
         } = ws;
 
-        // The image whose per-image operand (the CSR patch matrix's
-        // shape, the int8 quantized image) `ws` holds.
-        let mut prepared = None;
         for (b, dst) in (first..).zip(out.chunks_mut((opg * n_out).max(1))) {
             let (i, g) = (b / params.groups, b % params.groups);
-            let in_img = &input[i * in_image_len..(i + 1) * in_image_len];
-            if prepared != Some(i) {
-                prepared = Some(i);
-                match weights {
-                    ConvWeights::Csr(_) => cols.resize(col_rows, n_out),
-                    ConvWeights::DenseI8 { act_scale, .. }
-                    | ConvWeights::CsrI8 { act_scale, .. } => {
-                        // Quantization commutes with lowering (which
-                        // only copies values and pads with zero), so the
-                        // image is quantized once here instead of once
-                        // per patch element after it. Lowering cost,
-                        // like the rest of the operand's path.
-                        let t_quant = split_clock(timing);
-                        qimage.resize(in_img.len(), 0);
-                        ki8::quantize_slice_with(path, in_img, 1.0 / act_scale, qimage);
-                        credit_ns(t_quant, &metrics.im2col_time_ns);
-                    }
-                    ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {}
-                }
-            }
-            let in_range = g * cpg * h * w..(g + 1) * cpg * h * w;
+            let image = &input[(i * params.groups + g) * cpg * h * w..][..cpg * h * w];
             // `bias[g*opg + r]` is the bias of GEMM row `r`, so the
             // group's bias slice is a per-row epilogue.
             let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
@@ -579,25 +562,35 @@ impl ConvCall<'_> {
                 }
             }
             let t_col = split_clock(timing);
-            let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
-            // Each form lowers straight into the layout its multiply
-            // reads — one write pass, no repack.
+            // Each form pads the group's channels once (the int8 forms
+            // quantize straight into the padded layout: quantization
+            // commutes with lowering, which only copies values and pads
+            // with zero, so the image is quantized once instead of once
+            // per patch element) and lowers straight into the layout its
+            // multiply reads — one write pass, no repack.
             match weights {
                 ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
-                    let image = &in_img[in_range];
-                    im2col_packed_prealloc(image, cpg, h, w, kh, kw, pad, stride, packed)?
+                    // The f32 multiply about to run splits its output
+                    // rows into as many parts as its lowering's panels.
+                    let product_len = match weights {
+                        ConvWeights::DenseRows(bands) => bands[g].rows.len() * n_out,
+                        _ => dst.len(),
+                    };
+                    let parts = team::row_parts(team.as_ref(), col_rows, n_out, product_len);
+                    lo.panels_into(team.as_mut(), parts, lo.padded(image, padded)?, packed)?
                 }
                 ConvWeights::Csr(_) => {
-                    let image = &in_img[in_range];
-                    im2col_prealloc(image, cpg, h, w, kh, kw, pad, stride, cols)?
+                    cols.resize_for_overwrite(col_rows, n_out);
+                    lo.rows_into(lo.padded(image, padded)?, cols.as_mut_slice())?
                 }
-                ConvWeights::DenseI8 { .. } => {
-                    let image = &qimage[in_range];
-                    im2col_i8_packed_prealloc(image, cpg, h, w, kh, kw, pad, stride, qlines, qbuf)?;
+                ConvWeights::DenseI8 { act_scale, .. } => {
+                    lo.quantize_padded(image, 1.0 / act_scale, qimage)?;
+                    lo.quads_into(qimage, qlines, qbuf)?;
                 }
-                ConvWeights::CsrI8 { .. } => {
-                    let image = &qimage[in_range];
-                    im2col_i8_prealloc(image, cpg, h, w, kh, kw, pad, stride, qbuf)?
+                ConvWeights::CsrI8 { act_scale, .. } => {
+                    lo.quantize_padded(image, 1.0 / act_scale, qimage)?;
+                    qbuf.resize(col_rows * n_out, 0);
+                    lo.rows_into(qimage, qbuf)?
                 }
             }
             credit_ns(t_col, &metrics.im2col_time_ns);

@@ -63,6 +63,15 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// [`Matrix::resize`] for a caller that writes every element next
+    /// (the lowerings): stale contents stay and only growth is zeroed,
+    /// so the reshape is not a pass over the buffer.
+    pub(crate) fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Create a matrix by evaluating `f(row, col)` for every element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);

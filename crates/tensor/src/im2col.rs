@@ -5,11 +5,33 @@
 //! scheme: for an input image of shape `C×H×W` and a kernel `kh×kw` with
 //! stride/pad, the column matrix has shape
 //! `(C*kh*kw) × (out_h*out_w)`.
+//!
+//! Every lowering reads the image **padded once**: each `h×w` plane
+//! copied into the middle of a zero `(h+2·pad)×(w+2·pad)` one
+//! ([`Lowering::padded`]; the int8 convolution quantizes straight into
+//! it, [`Lowering::quantize_padded`]). No tap then falls outside its
+//! source, and all four lowerings (f32 or i8, row-major or panel-packed)
+//! walk one decomposition of the patch matrix: patch row `(ci, ky, kx)`
+//! reads padded plane `ci` from offset `ky*wp + kx`, the taps in one
+//! flat loop, and the output columns cut into *runs* — stretches inside
+//! one output row, whose sources sit `stride` apart. A row-major
+//! lowering ([`Lowering::rows_into`]) copies a patch row run by run; so
+//! does the int8 quad lowering ([`Lowering::quads_into`]), four rows
+//! into line buffers, then interleaved into their quad. The f32 panel
+//! lowering ([`Lowering::panels_into`]) writes `B` one panel at a time,
+//! contiguously: it resolves the runs of a panel's `PANEL` columns
+//! once, then gathers each patch row's `PANEL` lanes into an array and
+//! stores it — one 8-float copy when the panel lies inside one output
+//! row at stride 1. Because its panels are contiguous, it splits across
+//! a [`Team`] by panel ranges; lowering only moves values and writes
+//! zeros, so the split is bitwise invisible.
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::kernels::int8::{padded_depth, store_row_quad_with, QUAD};
+use crate::kernels::int8::{padded_depth, quantize_slice_with, store_row_quad_with, QUAD};
 use crate::kernels::{self, PANEL};
+use crate::team::{self, Team};
+use std::ops::Range;
 
 /// Output spatial size of a convolution/pooling window sweep.
 ///
@@ -55,25 +77,39 @@ pub fn im2col(
 ) -> TensorResult<Matrix> {
     let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
     let mut cols = Matrix::zeros(c * kh * kw, out_h * out_w);
-    im2col_prealloc(image, c, h, w, kh, kw, pad, stride, &mut cols)?;
+    im2col_prealloc(
+        image,
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        pad,
+        stride,
+        &mut Vec::new(),
+        &mut cols,
+    )?;
     Ok(cols)
 }
 
-/// One lowering's geometry, validated once: the image is `c×h×w`, the
-/// patch matrix `rows × n_out`. Patch row `(ci*kh + ky)*kw + kx` holds
-/// tap `(ky, kx)` of channel `ci` for every output pixel `(oy, ox)`,
-/// column `oy*out_w + ox`. All four lowerings (f32 or i8, row-major or
-/// panel-packed) walk a patch row through [`Lowering::for_each_run`]
-/// and differ only in where a run's columns are stored.
+/// One lowering's geometry, validated once: a `c×h×w` image by a
+/// `kh×kw` kernel at `pad` and `stride`, into the patch matrix of
+/// [`Lowering::rows`] × `out_h*out_w`. Patch row
+/// `(ci*kh + ky)*kw + kx` holds tap `(ky, kx)` of channel `ci` for every
+/// output pixel `(oy, ox)`, column `oy*out_w + ox`. See the
+/// [module docs](self) for the walk every lowering shares.
 #[derive(Debug, Clone, Copy)]
-struct Lowering {
+pub struct Lowering {
+    c: usize,
     h: usize,
     w: usize,
     kh: usize,
     kw: usize,
     pad: usize,
     stride: usize,
-    out_h: usize,
+    /// The padded plane: `h + 2*pad` × `w + 2*pad`.
+    hp: usize,
+    wp: usize,
     out_w: usize,
     /// `c * kh * kw`.
     rows: usize,
@@ -81,12 +117,38 @@ struct Lowering {
     n_out: usize,
 }
 
-/// A patch row's tap: `(ci, ky, kx)`, row `(ci*kh + ky)*kw + kx`.
-type Tap = (usize, usize, usize);
-
 impl Lowering {
+    /// The lowering of a `c×h×w` image; errors if the window never fits.
+    pub fn new(
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        pad: usize,
+        stride: usize,
+    ) -> TensorResult<Self> {
+        let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
+        Ok(Self {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            pad,
+            stride,
+            hp: h + 2 * pad,
+            wp: w + 2 * pad,
+            out_w,
+            rows: c * kh * kw,
+            n_out: out_h * out_w,
+        })
+    }
+
+    /// [`Lowering::new`] for an entry point handed the image: checks its
+    /// length too.
     #[allow(clippy::too_many_arguments)]
-    fn new(
+    fn for_image(
         what: &str,
         image_len: usize,
         c: usize,
@@ -97,133 +159,363 @@ impl Lowering {
         pad: usize,
         stride: usize,
     ) -> TensorResult<Self> {
+        let lo = Self::new(c, h, w, kh, kw, pad, stride)?;
+        lo.check_image(what, image_len)?;
+        Ok(lo)
+    }
+
+    /// Errors unless the image is `c×h×w` long.
+    fn check_image(&self, what: &str, image_len: usize) -> TensorResult<()> {
+        let Self { c, h, w, .. } = *self;
         if image_len != c * h * w {
             return Err(ShapeError::new(format!(
                 "{what}: image length {image_len} != {c}x{h}x{w}"
             )));
         }
-        let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
-        Ok(Self {
-            h,
-            w,
-            kh,
-            kw,
-            pad,
-            stride,
-            out_h,
-            out_w,
-            rows: c * kh * kw,
-            n_out: out_h * out_w,
-        })
+        Ok(())
     }
 
-    /// The tap `(ci, ky, kx)` of the patch row after `tap`'s: `kx`
-    /// fastest, then `ky`, then the channel (no division per row).
-    #[inline(always)]
-    fn next_tap(&self, (ci, ky, kx): Tap) -> Tap {
-        if kx + 1 < self.kw {
-            (ci, ky, kx + 1)
-        } else if ky + 1 < self.kh {
-            (ci, ky + 1, 0)
-        } else {
-            (ci + 1, 0, 0)
+    /// Errors unless the padded image is [`Lowering::padded_len`] long.
+    fn check_padded(&self, padded_len: usize) -> TensorResult<()> {
+        if padded_len != self.padded_len() {
+            return Err(ShapeError::new(format!(
+                "lowering: padded image length {padded_len} != {}",
+                self.padded_len()
+            )));
         }
+        Ok(())
     }
 
-    /// Decompose the patch row of tap `(ci, ky, kx)` into runs of
-    /// output columns and call `emit(c0, c1, taps)` for each: columns
-    /// `c0..c1` are zero padding when `taps` is `None`, else column
-    /// `c0 + i` is `taps[i * stride]`.
-    ///
-    /// For a fixed `(ky, kx, oy)` the source index is affine in `ox`
-    /// (`ix = ox*stride + kx - pad` on input row `iy`), so instead of a
-    /// bounds branch per element the valid `ox` range is computed once
-    /// per patch row and each output row is a zero run for each
-    /// out-of-image margin plus one run of taps — a contiguous copy at
-    /// stride 1, a strided gather otherwise. Lowering is pure data
-    /// movement: this decides how fast values land, never which.
-    #[inline(always)]
-    fn for_each_run<'a, T>(
+    /// Patch rows: `c * kh * kw`, the depth of the multiply.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Column panels of the packed layouts: `n_out / PANEL`, rounded up.
+    pub fn panels(&self) -> usize {
+        self.n_out.div_ceil(PANEL)
+    }
+
+    /// Elements of the padded image the lowerings read:
+    /// `c × (h + 2*pad) × (w + 2*pad)`.
+    pub fn padded_len(&self) -> usize {
+        self.c * self.hp * self.wp
+    }
+
+    /// The `c×h×w` `image` with its zero border in place: `image`
+    /// itself when `pad` is 0, else its planes padded into `scratch`
+    /// (resized; every element written). Errors if `image` is not
+    /// `c×h×w` long.
+    pub fn padded<'a, T: Copy + Default>(
         &self,
         image: &'a [T],
-        (ci, ky, kx): Tap,
-        mut emit: impl FnMut(usize, usize, Option<&'a [T]>),
-    ) {
+        scratch: &'a mut Vec<T>,
+    ) -> TensorResult<&'a [T]> {
+        self.check_image("padded", image.len())?;
+        if self.pad == 0 {
+            return Ok(image);
+        }
+        self.pad_with(scratch, |dst| dst.copy_from_slice(image));
+        Ok(scratch)
+    }
+
+    /// Quantize the `c×h×w` `image` by `inv_scale` straight into its
+    /// padded layout in `dst` (resized; every byte written): one
+    /// quantize of the whole image, then each row moved to its place.
+    /// The border is `0`, what a padding `0.0` quantizes to. Errors if
+    /// `image` is not `c×h×w` long.
+    pub fn quantize_padded(
+        &self,
+        image: &[f32],
+        inv_scale: f32,
+        dst: &mut Vec<i8>,
+    ) -> TensorResult<()> {
+        self.check_image("quantize_padded", image.len())?;
+        let path = kernels::selected();
+        self.pad_with(dst, |dst| quantize_slice_with(path, image, inv_scale, dst));
+        Ok(())
+    }
+
+    /// Resize `dst` to the padded layout, let `fill` write the `c×h×w`
+    /// unpadded planes at its head, then spread their rows to their
+    /// padded places and zero the border.
+    fn pad_with<T: Copy + Default>(&self, dst: &mut Vec<T>, fill: impl FnOnce(&mut [T])) {
         let Self {
+            c,
             h,
             w,
             pad,
-            stride,
-            out_h,
-            out_w,
+            hp,
+            wp,
             ..
         } = *self;
-        let ch = &image[ci * h * w..(ci + 1) * h * w];
-        // ox is valid iff 0 <= ox*stride + kx - pad < w:
-        let ox_lo = if kx >= pad {
-            0
-        } else {
-            (pad - kx).div_ceil(stride).min(out_w)
-        };
-        let ox_hi = if w + pad <= kx {
-            0
-        } else {
-            ((w - 1 + pad - kx) / stride + 1).min(out_w)
+        dst.resize(self.padded_len(), T::default());
+        fill(&mut dst[..c * h * w]);
+        if pad == 0 {
+            return;
         }
-        .max(ox_lo);
-        for oy in 0..out_h {
-            let col0 = oy * out_w;
-            let iy = (oy * stride + ky) as isize - pad as isize;
-            if iy < 0 || (iy as usize) >= h {
-                emit(col0, col0 + out_w, None);
-                continue;
-            }
-            if ox_lo > 0 {
-                emit(col0, col0 + ox_lo, None);
-            }
-            if ox_hi < out_w {
-                emit(col0 + ox_hi, col0 + out_w, None);
-            }
-            if ox_lo < ox_hi {
-                // First valid source index; >= 0 by choice of ox_lo.
-                let base = iy as usize * w + ox_lo * stride + kx - pad;
-                emit(col0 + ox_lo, col0 + ox_hi, Some(&ch[base..]));
-            }
+        // Back to front: row `r`'s padded place starts at or past its
+        // unpadded one, `r*w`, and every row before it still lies
+        // unread below `r*w`, so no move overwrites a row yet to move.
+        // Behind each moved row, the zeros up to the next row's place
+        // (its right pad and the next row's left one, or the bottom and
+        // top pad rows between planes) are one run.
+        let mut end = dst.len();
+        for r in (0..c * h).rev() {
+            let at = (r / h) * hp * wp + (r % h + pad) * wp + pad;
+            dst.copy_within(r * w..(r + 1) * w, at);
+            dst[at + w..end].fill(T::default());
+            end = at;
+        }
+        dst[..end].fill(T::default());
+    }
+
+    /// Every patch row's offset into the padded image, in row order:
+    /// row `(ci*kh + ky)*kw + kx` reads from `at = (ci*hp + ky)*wp + kx`.
+    fn taps(&self) -> Taps {
+        Taps {
+            lo: *self,
+            left: self.rows,
+            ky: 0,
+            kx: 0,
+            at: 0,
         }
     }
 
-    /// Write the patch row of `tap` into the contiguous `line` (`n_out`
-    /// long).
+    /// Cut the output columns `cols` into runs and call
+    /// `f(col, len, src)` for each: column `col + i` of every patch row
+    /// reads `src + i*stride` past the row's `at`. A run is a stretch of
+    /// one output row — the whole map when output rows are as wide as
+    /// the padded plane (a 1×1 kernel without padding), since they then
+    /// follow one another in it.
     #[inline(always)]
-    fn lower_row<T: Copy + Default>(&self, image: &[T], tap: Tap, line: &mut [T]) {
+    fn runs(&self, cols: Range<usize>, mut f: impl FnMut(usize, usize, usize)) {
+        let row = if self.out_w == self.wp {
+            self.n_out
+        } else {
+            self.out_w
+        };
+        let mut col = cols.start;
+        while col < cols.end {
+            let (oy, ox) = (col / row, col % row);
+            let len = (row - ox).min(cols.end - col);
+            f(col, len, (oy * self.wp + ox) * self.stride);
+            col += len;
+        }
+    }
+
+    /// Patch row `at` of the padded image into `line` (`n_out` long),
+    /// run by run.
+    #[inline(always)]
+    fn row_into<T: Copy>(&self, padded: &[T], at: usize, line: &mut [T]) {
         let stride = self.stride;
-        self.for_each_run(image, tap, |c0, c1, taps| {
-            let dst = &mut line[c0..c1];
-            match taps {
-                None => dst.fill(T::default()),
-                Some(src) if stride == 1 => dst.copy_from_slice(&src[..dst.len()]),
-                Some(src) => {
-                    for (i, d) in dst.iter_mut().enumerate() {
-                        *d = src[i * stride];
-                    }
+        self.runs(0..self.n_out, |col, len, src| {
+            let (dst, src) = (&mut line[col..col + len], &padded[at + src..]);
+            if stride == 1 {
+                dst.copy_from_slice(&src[..len]);
+            } else {
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d = src[i * stride];
                 }
             }
         });
     }
 
-    /// The row-major lowering: patch row `r` is `cols[r*n_out..]`.
-    /// Rows outermost for cache-friendly writes.
-    fn lower_rows<T: Copy + Default>(&self, image: &[T], cols: &mut [T]) {
-        let mut tap = (0, 0, 0);
-        for line in cols.chunks_exact_mut(self.n_out) {
-            self.lower_row(image, tap, line);
-            tap = self.next_tap(tap);
+    /// The row-major lowering of the padded image (f32, or i8 for the
+    /// int8 SpMM): patch row `r` is `cols[r*n_out..]`, every element
+    /// written. Errors if `padded` is not [`Lowering::padded_len`] long
+    /// or `cols` not `rows * n_out`.
+    pub fn rows_into<T: Copy>(&self, padded: &[T], cols: &mut [T]) -> TensorResult<()> {
+        self.check_padded(padded.len())?;
+        if cols.len() != self.rows * self.n_out {
+            return Err(ShapeError::new(format!(
+                "lowering: patch matrix length {} != {}x{}",
+                cols.len(),
+                self.rows,
+                self.n_out
+            )));
         }
+        for (line, at) in cols.chunks_exact_mut(self.n_out).zip(self.taps()) {
+            self.row_into(padded, at, line);
+        }
+        Ok(())
+    }
+
+    /// The f32 panel lowering: the packed `B` [`crate::gemm_packed`]
+    /// multiplies — `n_out / PANEL` panels (rounded up), each
+    /// `rows × PANEL` row-major, tail lanes zero — into `packed`
+    /// (reshaped; every element written), cut by panel ranges into up to
+    /// `parts` pieces across `team` (at most one per thread and per
+    /// panel; `None` or one part lowers inline). Errors if `padded` is
+    /// not [`Lowering::padded_len`] long.
+    pub fn panels_into(
+        &self,
+        team: Option<&mut Team>,
+        parts: usize,
+        padded: &[f32],
+        packed: &mut Matrix,
+    ) -> TensorResult<()> {
+        self.check_padded(padded.len())?;
+        packed.resize_for_overwrite(self.panels().max(1), self.rows * PANEL);
+        let block = self.rows * PANEL;
+        team::split(
+            team,
+            parts,
+            packed.as_mut_slice(),
+            block,
+            &|offset, piece| {
+                self.lower_panels(padded, offset / block, piece);
+                Ok(())
+            },
+        )
+    }
+
+    /// Write panels `first..` into `out`, whole `rows × PANEL` blocks,
+    /// one after the other: each patch row's `PANEL` lanes gathered into
+    /// an array and stored as one 8-float copy. The gather is itself one
+    /// copy when the panel lies inside one output row at stride 1.
+    fn lower_panels(&self, padded: &[f32], first: usize, out: &mut [f32]) {
+        let stride = self.stride;
+        for (p, block) in (first..).zip(out.chunks_exact_mut(self.rows * PANEL)) {
+            let cols = p * PANEL..((p + 1) * PANEL).min(self.n_out);
+            let from = Sources::of(self, cols);
+            match from.whole {
+                Some(s) if stride == 1 => self.walk(block, |at| {
+                    let run = &padded[at + s..at + s + PANEL];
+                    run.try_into().expect("PANEL lanes")
+                }),
+                Some(s) => self.walk(block, |at| {
+                    let run = &padded[at + s..at + s + stride * (PANEL - 1) + 1];
+                    std::array::from_fn(|j| run[stride * j])
+                }),
+                None => self.walk(block, |at| {
+                    std::array::from_fn(|j| {
+                        if j < from.live {
+                            padded[at + from.lane[j]]
+                        } else {
+                            0.0
+                        }
+                    })
+                }),
+            }
+        }
+    }
+
+    /// Fill one panel's `block`, patch row `r`'s lanes being `lanes(at)`
+    /// for its `at`.
+    #[inline(always)]
+    fn walk(&self, block: &mut [f32], lanes: impl Fn(usize) -> [f32; PANEL]) {
+        for (row, at) in block.chunks_exact_mut(PANEL).zip(self.taps()) {
+            row.copy_from_slice(&lanes(at));
+        }
+    }
+
+    /// The int8 quad lowering: the quad-interleaved panels
+    /// [`crate::gemm_i8`] multiplies (layout in
+    /// [`crate::kernels::int8`]) — byte for byte what
+    /// [`crate::pack_b_i8_into`] makes of the f32 patch matrix of the
+    /// unquantized image — into `packed` (resized). Four patch rows at a
+    /// time are lowered into `lines` (resized: four rows of whole
+    /// panels, tail lanes zero) and stored as one depth quad
+    /// ([`store_row_quad_with`]), so every byte of `packed` — pad rows
+    /// past the depth and panel tail lanes included — is written and
+    /// neither buffer needs clearing. Returns the padded depth `kp`.
+    /// Errors if `padded` is not [`Lowering::padded_len`] long.
+    pub fn quads_into(
+        &self,
+        padded: &[i8],
+        lines: &mut Vec<i8>,
+        packed: &mut Vec<i8>,
+    ) -> TensorResult<usize> {
+        self.check_padded(padded.len())?;
+        let (kp, n_out) = (padded_depth(self.rows), self.n_out);
+        let lanes = n_out.next_multiple_of(PANEL);
+        packed.resize(lanes * kp, 0);
+        lines.resize(QUAD * lanes, 0);
+        let path = kernels::selected();
+        let mut taps = self.taps();
+        for q in 0..kp / QUAD {
+            for line in lines.chunks_exact_mut(lanes) {
+                if let Some(at) = taps.next() {
+                    self.row_into(padded, at, &mut line[..n_out]);
+                    line[n_out..].fill(0);
+                } else {
+                    // A pad row past the depth.
+                    line.fill(0);
+                }
+            }
+            let rows = std::array::from_fn(|i| &lines[i * lanes..(i + 1) * lanes]);
+            store_row_quad_with(path, rows, q, kp, packed);
+        }
+        Ok(kp)
     }
 }
 
-/// `im2col` into a preallocated output matrix (shape-checked), avoiding
-/// per-call allocation in batched inference loops.
+/// Where one panel's lanes come from, relative to a patch row's `at`,
+/// resolved once for all its patch rows: each live lane's source (lanes
+/// past `live` are a tail past `n_out`, zero), and the whole panel's
+/// when it is one run of `PANEL` lanes.
+struct Sources {
+    lane: [usize; PANEL],
+    live: usize,
+    whole: Option<usize>,
+}
+
+impl Sources {
+    fn of(lo: &Lowering, cols: Range<usize>) -> Self {
+        let mut from = Self {
+            lane: [0; PANEL],
+            live: cols.len(),
+            whole: None,
+        };
+        lo.runs(cols.clone(), |col, len, at| {
+            if len == PANEL {
+                from.whole = Some(at);
+            }
+            let lane = col - cols.start;
+            for i in 0..len {
+                from.lane[lane + i] = at + i * lo.stride;
+            }
+        });
+        from
+    }
+}
+
+/// [`Lowering::taps`]: one flat loop stepping `at`. (A nest of three
+/// with a one-trip inner loop — every 1×1 conv — costs several times
+/// the 8-lane copy it drives.)
+struct Taps {
+    lo: Lowering,
+    left: usize,
+    ky: usize,
+    kx: usize,
+    at: usize,
+}
+
+impl Iterator for Taps {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        let (lo, at) = (&self.lo, self.at);
+        self.left -= 1;
+        (self.kx, self.at) = (self.kx + 1, at + 1);
+        if self.kx == lo.kw {
+            (self.kx, self.ky, self.at) = (0, self.ky + 1, self.at + lo.wp - lo.kw);
+            if self.ky == lo.kh {
+                (self.ky, self.at) = (0, self.at + (lo.hp - lo.kh) * lo.wp);
+            }
+        }
+        Some(at)
+    }
+}
+
+/// `im2col` into a preallocated output matrix (shape-checked), the
+/// image padded into `padded` (resized) when `pad > 0`, so a caller
+/// that keeps both buffers allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_prealloc(
     image: &[f32],
@@ -234,9 +526,10 @@ pub fn im2col_prealloc(
     kw: usize,
     pad: usize,
     stride: usize,
+    padded: &mut Vec<f32>,
     cols: &mut Matrix,
 ) -> TensorResult<()> {
-    let lo = Lowering::new("im2col", image.len(), c, h, w, kh, kw, pad, stride)?;
+    let lo = Lowering::for_image("im2col", image.len(), c, h, w, kh, kw, pad, stride)?;
     if cols.shape() != (lo.rows, lo.n_out) {
         return Err(ShapeError::new(format!(
             "im2col: cols shape {:?} != {:?}",
@@ -244,53 +537,7 @@ pub fn im2col_prealloc(
             (lo.rows, lo.n_out)
         )));
     }
-    lo.lower_rows(image, cols.as_mut_slice());
-    Ok(())
-}
-
-/// [`im2col_prealloc`] over an already-quantized image: the row-major
-/// `(c*kh*kw) × (out_h*out_w)` i8 patch matrix the int8 SpMM reads,
-/// into `cols` (resized; every byte written). Lowering only moves
-/// values and pads with zero, and zero quantizes to zero, so this is
-/// byte for byte the quantized f32 patch matrix — from `c*h*w`
-/// quantizations instead of one per patch element.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_i8_prealloc(
-    image: &[i8],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    pad: usize,
-    stride: usize,
-    cols: &mut Vec<i8>,
-) -> TensorResult<()> {
-    let lo = Lowering::new("im2col_i8", image.len(), c, h, w, kh, kw, pad, stride)?;
-    cols.resize(lo.rows * lo.n_out, 0);
-    lo.lower_rows(image, cols);
-    Ok(())
-}
-
-/// Visit the packed-layout segments covering columns `[c0, c1)` of
-/// logical row `row`: panel `p` stores its `k × PANEL` block at
-/// `p*k*PANEL`, row-major, so a column range maps to at most one
-/// contiguous lane run per panel. Calls `f(dst_start, len)` per run.
-#[inline]
-fn packed_row_segments(
-    c0: usize,
-    c1: usize,
-    k: usize,
-    row: usize,
-    mut f: impl FnMut(usize, usize),
-) {
-    let mut c = c0;
-    while c < c1 {
-        let lane = c % PANEL;
-        let take = (PANEL - lane).min(c1 - c);
-        f((c / PANEL) * k * PANEL + row * PANEL + lane, take);
-        c += take;
-    }
+    lo.rows_into(lo.padded(image, padded)?, cols.as_mut_slice())
 }
 
 /// `im2col` straight into the GEMM's panel-packed `B` layout, fusing the
@@ -303,6 +550,12 @@ fn packed_row_segments(
 /// emitting packed layout directly deletes that round-trip, which is pure
 /// memory bandwidth at batch 1. Every lane of `packed` is written (valid
 /// taps, zero margins, zero tail), so no stale scratch survives reuse.
+///
+/// One thread, and **not allocation-free when `pad > 0`**: each call
+/// pads the image into a temporary `Vec` (allocated, filled and freed
+/// per call). [`crate::conv2d`] instead pads into its
+/// [`crate::Workspace`] with [`Lowering::padded`] and lowers with
+/// [`Lowering::panels_into`], the same lowering, on a team.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_packed_prealloc(
     image: &[f32],
@@ -315,101 +568,8 @@ pub fn im2col_packed_prealloc(
     stride: usize,
     packed: &mut Matrix,
 ) -> TensorResult<()> {
-    let lo = Lowering::new("im2col_packed", image.len(), c, h, w, kh, kw, pad, stride)?;
-    let (k_rows, n_out) = (lo.rows, lo.n_out);
-    let panels = n_out.div_ceil(PANEL);
-    packed.resize(panels.max(1), k_rows * PANEL);
-    let data = packed.as_mut_slice();
-    let mut tap = (0, 0, 0);
-    for row in 0..k_rows {
-        // Zero the packed tail lanes past the last real column.
-        packed_row_segments(n_out, panels * PANEL, k_rows, row, |s, l| {
-            data[s..s + l].fill(0.0)
-        });
-        // Same runs as the row-major lowering; only the write
-        // addressing differs (panel segments instead of one line).
-        lo.for_each_run(image, tap, |c0, c1, taps| match taps {
-            None => packed_row_segments(c0, c1, k_rows, row, |s, l| data[s..s + l].fill(0.0)),
-            Some(src) if stride == 1 => {
-                let mut off = 0;
-                packed_row_segments(c0, c1, k_rows, row, |s, l| {
-                    data[s..s + l].copy_from_slice(&src[off..off + l]);
-                    off += l;
-                });
-            }
-            Some(src) => {
-                let mut idx = 0;
-                packed_row_segments(c0, c1, k_rows, row, |s, l| {
-                    for d in 0..l {
-                        data[s + d] = src[(idx + d) * stride];
-                    }
-                    idx += l;
-                });
-            }
-        });
-        tap = lo.next_tap(tap);
-    }
-    Ok(())
-}
-
-/// The int8 convolution's lowering: an already-quantized image straight
-/// into the quad-interleaved i8 panel layout [`crate::gemm_i8`]
-/// multiplies — byte for byte what [`crate::pack_b_i8_into`] makes of
-/// the f32 patch matrix of the unquantized image (lowering only moves
-/// values and pads with zero, and zero quantizes to zero). Returns the
-/// padded panel depth `kp`.
-///
-/// Four patch rows at a time are lowered into `lines` (four rows of
-/// whole panels, tail lanes zero) and stored as one depth quad, so
-/// every byte of `packed` — pad rows past the depth, panel tail lanes
-/// and zero margins included — is written and neither buffer needs
-/// clearing.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_i8_packed_prealloc(
-    image: &[i8],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    pad: usize,
-    stride: usize,
-    lines: &mut Vec<i8>,
-    packed: &mut Vec<i8>,
-) -> TensorResult<usize> {
-    let lo = Lowering::new(
-        "im2col_i8_packed",
-        image.len(),
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        pad,
-        stride,
-    )?;
-    let (k_rows, n_out) = (lo.rows, lo.n_out);
-    let kp = padded_depth(k_rows);
-    let lanes = n_out.next_multiple_of(PANEL);
-    packed.resize(lanes * kp, 0);
-    lines.resize(QUAD * lanes, 0);
-    let path = kernels::selected();
-    let mut tap = (0, 0, 0);
-    for q in 0..kp / QUAD {
-        for (i, line) in lines.chunks_exact_mut(lanes).enumerate() {
-            if QUAD * q + i < k_rows {
-                lo.lower_row(image, tap, &mut line[..n_out]);
-                line[n_out..].fill(0);
-                tap = lo.next_tap(tap);
-            } else {
-                // A pad row past the depth.
-                line.fill(0);
-            }
-        }
-        let rows = std::array::from_fn(|i| &lines[i * lanes..(i + 1) * lanes]);
-        store_row_quad_with(path, rows, q, kp, packed);
-    }
-    Ok(kp)
+    let lo = Lowering::for_image("im2col_packed", image.len(), c, h, w, kh, kw, pad, stride)?;
+    lo.panels_into(None, 1, lo.padded(image, &mut Vec::new())?, packed)
 }
 
 /// Fold a column matrix back into an image, **accumulating** overlapping
@@ -559,6 +719,126 @@ mod tests {
         })
     }
 
+    /// A deterministic image of `len` values in `[-5, 5)`.
+    fn det_image(len: usize, seed: u64) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                ((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 / 100.0 - 5.0
+            })
+            .collect()
+    }
+
+    /// The f32 panel lowering cut across a team of 2 and of 3 (one part
+    /// per thread, or per panel when there are fewer), and the int8 quad
+    /// lowering (one thread) of the image quantized into its padded
+    /// layout, byte for byte against their layouts' definitions over
+    /// [`im2col_reference`]: f32 panel `p`, row `r`, lane `j` at
+    /// `p*k*PANEL + r*PANEL + j`; the int8 one at
+    /// `p*kp*PANEL + (r/4)*4*PANEL + 4*j + r%4` of the quantized
+    /// reference; every other element zero. Every buffer — padded images
+    /// and line buffers included — starts oversized and poisoned, so an
+    /// element no piece wrote, or a piece lowering another's panels,
+    /// shows.
+    #[allow(clippy::too_many_arguments)]
+    fn split_lowerings_match(
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        pad: usize,
+        stride: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let image = det_image(c * h * w, seed);
+        let cols = im2col_reference(&image, c, h, w, kh, kw, pad, stride);
+        let (k, n) = cols.shape();
+        let (panels, kp, inv_scale) = (n.div_ceil(PANEL), k.next_multiple_of(QUAD), 127.0 / 4.0);
+        let mut want_f32 = vec![0.0f32; panels * k * PANEL];
+        let mut want_i8 = vec![0i8; panels * kp * PANEL];
+        for r in 0..k {
+            for col in 0..n {
+                let (p, j) = (col / PANEL, col % PANEL);
+                want_f32[p * k * PANEL + r * PANEL + j] = cols.get(r, col);
+                want_i8[p * kp * PANEL + (r / QUAD) * QUAD * PANEL + QUAD * j + r % QUAD] =
+                    crate::quantize_i8(cols.get(r, col), inv_scale);
+            }
+        }
+        let lo = Lowering::new(c, h, w, kh, kw, pad, stride).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [2, 3] {
+            let mut team = Team::new(threads).with_min_part_macs(0);
+            let mut scratch = vec![f32::NAN; lo.padded_len() + 7];
+            let mut packed = Matrix::from_fn(3, 7, |_, _| f32::NAN);
+            let padded = lo.padded(&image, &mut scratch).unwrap();
+            lo.panels_into(Some(&mut team), threads, padded, &mut packed)
+                .unwrap();
+            prop_assert_eq!(
+                bits(packed.as_slice()),
+                bits(&want_f32),
+                "f32, team of {}",
+                threads
+            );
+        }
+
+        let mut q_padded = vec![77i8; lo.padded_len() + 7];
+        lo.quantize_padded(&image, inv_scale, &mut q_padded)
+            .unwrap();
+        let (mut lines, mut q_packed) = (vec![77i8; 64], vec![77i8; 2 * want_i8.len() + 5]);
+        let got_kp = lo.quads_into(&q_padded, &mut lines, &mut q_packed).unwrap();
+        prop_assert_eq!(got_kp, kp);
+        prop_assert_eq!(&q_packed, &want_i8, "int8");
+        Ok(())
+    }
+
+    #[test]
+    fn lowering_entry_points_reject_a_short_image() {
+        let lo = Lowering::new(2, 5, 5, 3, 3, 1, 1).unwrap();
+        let short = vec![0.5f32; 2 * 5 * 5 - 1];
+        for pad in [1, 0] {
+            let lo = Lowering::new(2, 5, 5, 3, 3, pad, 1).unwrap();
+            let err = lo.padded(&short, &mut Vec::new()).unwrap_err();
+            assert!(
+                err.to_string().contains("image length 49 != 2x5x5"),
+                "{err}"
+            );
+        }
+        assert!(lo.quantize_padded(&short, 1.0, &mut Vec::new()).is_err());
+        let (padded, wrong) = (
+            vec![0.0f32; lo.padded_len()],
+            vec![0.0f32; lo.padded_len() - 1],
+        );
+        let mut cols = vec![0.0f32; lo.rows() * 25];
+        assert!(lo.rows_into(&wrong, &mut cols).is_err());
+        assert!(lo.rows_into(&padded, &mut cols[1..]).is_err());
+        assert!(lo
+            .panels_into(None, 1, &wrong, &mut Matrix::zeros(0, 0))
+            .is_err());
+        let q_wrong = vec![0i8; lo.padded_len() + 1];
+        assert!(lo
+            .quads_into(&q_wrong, &mut Vec::new(), &mut Vec::new())
+            .is_err());
+    }
+
+    #[test]
+    fn split_lowerings_match_on_stem_shapes() {
+        for (what, c, hw, k, pad, stride) in [
+            // 12×12 output: panels straddle output rows; depth 147.
+            ("googlenet conv1, 7x7 s2 p3", 3, 23, 7, 3, 2),
+            // 6×6 output, a 4-lane tail panel; depth 363.
+            ("caffenet conv1, 11x11 s4 p2", 3, 27, 11, 2, 4),
+            // A 7×7 map (out_w < PANEL); depth 45.
+            ("7x7 map, 3x3 p1", 5, 7, 3, 1, 1),
+            // Pad past every tap's offset: whole zero rows and columns.
+            ("1x1 p3", 2, 5, 1, 3, 1),
+            // A 1×1 pack: one run over the whole map.
+            ("1x1 pack", 6, 9, 1, 0, 1),
+        ] {
+            split_lowerings_match(c, hw, hw, k, k, pad, stride, 7)
+                .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        }
+    }
+
     proptest! {
         /// <x, im2col(y)> == <col2im(x), y> — adjointness of the pair,
         /// checked via the count matrix trick on random shapes.
@@ -661,17 +941,38 @@ mod tests {
             let mut via_f32 = vec![77i8; 2 * want.len() + 9];
             prop_assert_eq!(crate::pack_b_i8_into(cols.as_slice(), k, n, inv_scale, &mut via_f32), kp);
             prop_assert_eq!(&via_f32, &want);
+            // The quantized image padded, and the image quantized
+            // straight into its padded layout (`conv2d`'s way), agree.
+            let lo = Lowering::new(c, h, w, kh, kw, pad, stride).unwrap();
+            let mut scratch = vec![77i8; 3];
+            let q_padded = lo.padded(&q_image, &mut scratch).unwrap();
+            let mut fused = vec![77i8; lo.padded_len() + 11];
+            lo.quantize_padded(&image, inv_scale, &mut fused).unwrap();
+            prop_assert_eq!(&fused[..], q_padded);
             let (mut lines, mut packed) = (vec![77i8; 64], vec![77i8; 4 * want.len() + 5]);
-            let got_kp = im2col_i8_packed_prealloc(
-                &q_image, c, h, w, kh, kw, pad, stride, &mut lines, &mut packed,
-            ).unwrap();
-            prop_assert_eq!(got_kp, kp);
+            prop_assert_eq!(lo.quads_into(q_padded, &mut lines, &mut packed).unwrap(), kp);
             prop_assert_eq!(&packed, &want);
 
             let want: Vec<i8> = cols.as_slice().iter().map(|&v| crate::quantize_i8(v, inv_scale)).collect();
-            let mut rows = vec![77i8; 2 * want.len() + 3];
-            im2col_i8_prealloc(&q_image, c, h, w, kh, kw, pad, stride, &mut rows).unwrap();
+            let mut rows = vec![77i8; want.len()];
+            lo.rows_into(q_padded, &mut rows).unwrap();
             prop_assert_eq!(&rows, &want);
+        }
+
+        /// The f32 panel lowering split by panel ranges across a team of
+        /// 2 and of 3, and the int8 quad lowering, are byte for byte
+        /// their layouts' definitions ([`split_lowerings_match`]), on
+        /// ragged kernels, strides up to 4, pads past the kernel offset,
+        /// maps narrower than a panel and depths of every residue mod 4.
+        #[test]
+        fn prop_split_lowerings_match_reference(
+            c in 1usize..5, h in 1usize..12, w in 1usize..12,
+            kh in 1usize..6, kw in 1usize..6,
+            pad in 0usize..4, stride in 1usize..5,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(out_spatial(h, w, kh, kw, pad, stride).is_ok());
+            split_lowerings_match(c, h, w, kh, kw, pad, stride, seed)?;
         }
     }
 }

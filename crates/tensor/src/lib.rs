@@ -15,7 +15,9 @@
 //!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel for
 //!   weights with high unstructured sparsity.
 //! * [`im2col()`] / [`col2im`] — the lowering that expresses convolution as
-//!   GEMM, exactly as Caffe does.
+//!   GEMM, exactly as Caffe does; [`Lowering`] writes the layouts the
+//!   multiplies read from an image padded once, the f32 panels split
+//!   by panel ranges across a [`Team`].
 //! * [`conv`] and [`pool`] — the one convolution driver ([`conv2d`]:
 //!   im2col + GEMM over a [`ConvWeights`] form — dense, dense over the
 //!   filters pruning kept, or CSR; f32 or int8 — with bias/ReLU as a
@@ -67,10 +69,7 @@ pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
 pub use gemm::{gemm, gemm_packed, gemm_prealloc, gemm_prepacked, PackedB};
-pub use im2col::{
-    col2im, im2col, im2col_i8_packed_prealloc, im2col_i8_prealloc, im2col_packed_prealloc,
-    im2col_prealloc,
-};
+pub use im2col::{col2im, im2col, im2col_packed_prealloc, im2col_prealloc, Lowering};
 pub use kernels::{EpiBias, Epilogue, KernelPath};
 pub use pool::{
     avg_pool2d, avg_pool2d_into, lrn_into, max_pool2d, max_pool2d_indices, max_pool2d_into,

@@ -227,7 +227,7 @@ impl QuantizedA {
 /// [`crate::PackedB`], in the quad-interleaved layout of
 /// [`crate::kernels::int8`]. Built once per weight matrix (FC `Wᵀ`,
 /// [`PackedBI8::pack_transposed`]); a convolution's activations reach
-/// the same layout through [`crate::im2col_i8_packed_prealloc`].
+/// the same layout through [`crate::Lowering::quads_into`].
 #[derive(Debug, Clone)]
 pub struct PackedBI8 {
     data: Vec<i8>,

@@ -10,11 +10,13 @@
 //!   pieces of whole units, one closure call per piece, piece 0 on the
 //!   caller: [`split_rows`] cuts a multiply by rows of `A`,
 //!   [`split_columns`] a batch-1 GEMV by panel-aligned column ranges,
-//!   [`crate::conv2d`] cuts its output bands (groups, images) and the
-//!   pools and [`crate::lrn_into`] their output planes (images,
-//!   channels), handing every piece its thread's own [`Workspace`]. A
-//!   piece is a contiguous sub-problem of the same kernel (a row range
-//!   of `A` and `C`, a panel range of `B` and `C`, a range of planes),
+//!   [`crate::Lowering`] the f32 packed `B` it writes by panel ranges
+//!   (as many parts as the multiply it feeds), [`crate::conv2d`] cuts its
+//!   output bands (groups, images) and the pools and
+//!   [`crate::lrn_into`] their output planes (images, channels),
+//!   handing every piece its thread's own [`Workspace`]. A piece is a
+//!   contiguous sub-problem of the same kernel (a row range of `A` and
+//!   `C`, a panel range of `B` and `C`, a range of planes),
 //!   so every output element is still computed by one thread in the
 //!   same order: splitting is bitwise invisible.
 //! * **Whole schedulers** — [`Team::run`] runs one closure per thread,
@@ -482,16 +484,18 @@ type SplitFn<'a, T> = dyn Fn(usize, &mut [T]) -> TensorResult<()> + Sync + 'a;
 type ScratchSplitFn<'a, T> =
     dyn Fn(usize, &mut [T], &mut Workspace) -> TensorResult<()> + Sync + 'a;
 
-/// Cut `out` into contiguous pieces of whole `unit`s and run
-/// `f(offset, piece)` on each — across `team` when
-/// [`Team::parts_for`]`(macs, units)` says more than one part pays,
-/// else once, inline, over all of `out`. Piece 0 runs on the calling
-/// thread. Returns the error of the lowest-offset piece that failed,
-/// the one an unsplit call would have hit first; a panic resurfaces as
-/// in [`Team::run`].
-fn split<T: Send>(
+/// Cut `out` into `parts` contiguous pieces of whole `unit`s — fewer
+/// where the team has fewer threads or `out` fewer units — and run
+/// `f(offset, piece)` on each across `team`; with one part, or no team,
+/// once, inline, over all of `out`. Piece 0 runs on the calling thread.
+/// Returns the error of the lowest-offset piece that failed, the one an
+/// unsplit call would have hit first; a panic resurfaces as in
+/// [`Team::run`]. The callers choose `parts` by [`Team::parts_for`]
+/// (`split_rows`, `split_columns`), or take a multiply's count for the
+/// lowering that feeds it ([`crate::conv2d`]).
+pub(crate) fn split<T: Send>(
     team: Option<&mut Team>,
-    macs: u64,
+    parts: usize,
     out: &mut [T],
     unit: usize,
     f: &SplitFn<'_, T>,
@@ -499,7 +503,7 @@ fn split<T: Send>(
     let unit = unit.max(1);
     let parts = team
         .as_deref()
-        .map_or(1, |t| t.parts_for(macs, out.len().div_ceil(unit)));
+        .map_or(1, |t| parts.min(t.threads()).min(out.len().div_ceil(unit)));
     let Some(team) = team.filter(|_| parts > 1) else {
         return f(0, out);
     };
@@ -596,10 +600,18 @@ pub fn split_rows(
     multiply: &PieceFn<'_>,
 ) -> TensorResult<()> {
     let n = n.max(1);
-    let macs = (out.len() * depth) as u64;
-    split(team, macs, out, ROW_BLOCK * n, &|offset, piece| {
+    let parts = row_parts(team.as_deref(), depth, n, out.len());
+    split(team, parts, out, ROW_BLOCK * n, &|offset, piece| {
         let r0 = offset / n;
         multiply(r0..r0 + piece.len() / n, piece)
+    })
+}
+
+/// How many parts [`split_rows`] cuts the `len`-element output (rows of
+/// `n`) of a depth-`depth` multiply into on `team`: 1 without one.
+pub(crate) fn row_parts(team: Option<&Team>, depth: usize, n: usize, len: usize) -> usize {
+    team.map_or(1, |t| {
+        t.parts_for((len * depth) as u64, len.div_ceil(ROW_BLOCK * n.max(1)))
     })
 }
 
@@ -617,7 +629,10 @@ pub fn split_columns(
     gemv: &PieceFn<'_>,
 ) -> TensorResult<()> {
     let macs = (out.len() * depth) as u64;
-    split(team, macs, out, GEMV_STEP, &|offset, piece| {
+    let parts = team
+        .as_deref()
+        .map_or(1, |t| t.parts_for(macs, out.len().div_ceil(GEMV_STEP)));
+    split(team, parts, out, GEMV_STEP, &|offset, piece| {
         gemv(offset..offset + piece.len(), piece)
     })
 }
@@ -659,7 +674,7 @@ mod tests {
                 }
                 Ok(())
             };
-            split(Some(&mut team), u64::MAX, &mut out, unit, &f).unwrap();
+            split(Some(&mut team), usize::MAX, &mut out, unit, &f).unwrap();
             let want: Vec<u32> = (1..=len as u32).collect();
             assert_eq!(out, want, "len {len} unit {unit} parts {parts}");
         }
@@ -677,7 +692,7 @@ mod tests {
         let caller_panics = Mutex::new(caller_panics);
         let mut out = [0u8; 2];
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            split(Some(&mut team), u64::MAX, &mut out, 1, &|offset, _| {
+            split(Some(&mut team), usize::MAX, &mut out, 1, &|offset, _| {
                 if offset == 0 {
                     panicking.send(()).unwrap();
                     panic!("caller part");
@@ -697,7 +712,7 @@ mod tests {
         let mut team = Team::new(3).with_min_part_macs(0);
         let mut out = [0u8; 3];
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            split(Some(&mut team), u64::MAX, &mut out, 1, &|offset, _| {
+            split(Some(&mut team), usize::MAX, &mut out, 1, &|offset, _| {
                 if offset == 2 {
                     panic!("part two");
                 }
@@ -706,10 +721,16 @@ mod tests {
         }));
         let payload = outcome.expect_err("a helper panic must reach the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"part two"));
-        split(Some(&mut team), u64::MAX, &mut out, 1, &|offset, piece| {
-            piece[0] = offset as u8 + 1;
-            Ok(())
-        })
+        split(
+            Some(&mut team),
+            usize::MAX,
+            &mut out,
+            1,
+            &|offset, piece| {
+                piece[0] = offset as u8 + 1;
+                Ok(())
+            },
+        )
         .unwrap();
         assert_eq!(out, [1, 2, 3]);
     }
@@ -718,7 +739,7 @@ mod tests {
     fn lowest_failing_piece_wins() {
         let mut team = Team::new(3).with_min_part_macs(0);
         let mut out = [0u8; 3];
-        let err = split(Some(&mut team), u64::MAX, &mut out, 1, &|offset, _| {
+        let err = split(Some(&mut team), usize::MAX, &mut out, 1, &|offset, _| {
             if offset >= 1 {
                 Err(ShapeError::new(format!("part {offset}")))
             } else {
@@ -737,10 +758,16 @@ mod tests {
         let mut team = Team::new(3).with_min_part_macs(0);
         let mut out = [0u64; 3];
         for round in 1..=10_000u64 {
-            split(Some(&mut team), u64::MAX, &mut out, 1, &|offset, piece| {
-                piece[0] = round * 10 + offset as u64;
-                Ok(())
-            })
+            split(
+                Some(&mut team),
+                usize::MAX,
+                &mut out,
+                1,
+                &|offset, piece| {
+                    piece[0] = round * 10 + offset as u64;
+                    Ok(())
+                },
+            )
             .unwrap();
             assert_eq!(out, [round * 10, round * 10 + 1, round * 10 + 2]);
             if round % 100 == 0 {
@@ -787,7 +814,7 @@ mod tests {
     fn no_team_runs_inline_once() {
         let mut out = [0u8; 4];
         let calls = AtomicUsize::new(0);
-        split(None, u64::MAX, &mut out, 1, &|offset, piece| {
+        split(None, usize::MAX, &mut out, 1, &|offset, piece| {
             calls.fetch_add(1, Ordering::Relaxed);
             assert_eq!((offset, piece.len()), (0, 4));
             Ok(())

@@ -1,8 +1,9 @@
 //! Reusable kernel scratch for allocation-free steady-state passes.
 //!
-//! The im2col+GEMM convolution path needs per-image lowering scratch
-//! (the unrolled patch matrix, row-major or panel-packed, f32 or int8,
-//! and for int8 the quantized input image it is lowered from).
+//! The im2col+GEMM convolution path needs per-image lowering scratch:
+//! the input padded once (f32, or for int8 quantized straight into its
+//! padded layout) and the unrolled patch matrix lowered from it,
+//! row-major or panel-packed.
 //! Allocating it per image would put `malloc` inside the loops §3 of
 //! the paper times.
 //!
@@ -16,7 +17,9 @@
 //! any shape, so scratch grows with the largest layer, not the layer
 //! count. The same workspace carries the [`Team`] that thread may split
 //! a kernel across; each helper of the team keeps a workspace of its
-//! own.
+//! own. An f32 lowering split across the team uses none of the
+//! helpers': its pieces read the caller's padded image and write their
+//! own panels of the caller's patch matrix.
 
 use crate::dense::Matrix;
 use crate::team::Team;
@@ -33,20 +36,27 @@ pub struct Workspace {
     /// plane, the batched sparse fc's `Xᵀ`.
     pub cols: Matrix,
     /// The dense convolution's panel-packed patch matrix, shaped by
-    /// [`crate::im2col_packed_prealloc`]; the batched sparse fc's
+    /// [`crate::Lowering::panels_into`]; the batched sparse fc's
     /// `W·Xᵀ` before it is transposed into the output.
     pub packed: Matrix,
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
     /// ([`crate::quantize_rows_into`]), or the int8 convolution's patch
-    /// matrix ([`crate::im2col_i8_packed_prealloc`] /
-    /// [`crate::im2col_i8_prealloc`]).
+    /// matrix (quad-packed by [`crate::Lowering::quads_into`], or
+    /// row-major for the int8 SpMM).
     pub qbuf: Vec<i8>,
-    /// The int8 convolution's input image, quantized once per image
-    /// (`in_channels × h × w` bytes — a quarter of the f32 image, where
-    /// the f32 `cols` detour it replaced held `kh*kw` times more).
+    /// The f32 convolution's input channels of one group, padded once
+    /// ([`crate::Lowering::padded`]: `in_per_group ×
+    /// (h+2·pad) × (w+2·pad)`) for the lowering to read; untouched when
+    /// `pad` is 0, where the input is read in place.
+    pub padded: Vec<f32>,
+    /// The int8 convolution's input channels of one group, quantized
+    /// once, straight into their padded layout
+    /// ([`crate::Lowering::quantize_padded`]) — a quarter of the
+    /// bytes of the padded f32 planes, where the f32 `cols` detour it
+    /// replaced held `kh*kw` times more.
     pub qimage: Vec<i8>,
-    /// The four patch rows [`crate::im2col_i8_packed_prealloc`] has in
+    /// The four patch rows [`crate::Lowering::quads_into`] has in
     /// flight (`4 × oh*ow` rounded up to whole panels).
     pub qlines: Vec<i8>,
     /// The helpers a kernel called with this workspace may split its
@@ -67,7 +77,8 @@ impl Workspace {
     /// last kernel that shaped it, its footprint is the largest shape it
     /// has held.
     pub fn reserved_bytes(&self) -> usize {
-        (self.cols.capacity() + self.packed.capacity()) * std::mem::size_of::<f32>()
+        (self.cols.capacity() + self.packed.capacity() + self.padded.capacity())
+            * std::mem::size_of::<f32>()
             + self.qbuf.capacity()
             + self.qimage.capacity()
             + self.qlines.capacity()
