@@ -3,8 +3,10 @@
 //! (DESIGN.md §9 ablation) — the packed GEMM on the real conv layer
 //! shapes, the record behind `gemm.rs`'s `STRIP_BYTES`, and the
 //! batch-1 Caffenet multiplies and Googlenet stem pools and LRNs split
-//! across a two-thread worker team.
+//! across a two-thread worker team, and every Caffenet and Googlenet
+//! max pool and LRN on one thread.
 
+use cap_tensor::kernels::{self, KernelPath};
 use cap_tensor::team::{self, Team};
 use cap_tensor::{
     gemm, gemm_packed, gemm_prepacked, lrn_into, max_pool2d_into, CsrMatrix, Epilogue, LrnParams,
@@ -261,9 +263,114 @@ fn bench_split(c: &mut Criterion) {
     }
 }
 
+/// Every max pool and LRN shape of Caffenet and Googlenet at batch 1
+/// on one thread (a workspace without a team), each output compared
+/// bit for bit with the scalar path's. Prints each kernel's rate — the
+/// bytes it reads and writes once over its fastest call — and its cost
+/// per window tap (pools) or per element (LRN), the unit of
+/// `POOL_TAP_MACS` / `LRN_ELEMENT_MACS` in `pool.rs`; ends with one
+/// `window:` line, min and max GB/s, for the CI job summary.
+fn bench_window(c: &mut Criterion) {
+    // (name, channels, input side, window, pad, stride); Googlenet's
+    // inception 4b, 4c and 4d pools share one shape.
+    const POOLS: [(&str, usize, usize, usize, usize, usize); 14] = [
+        ("caffenet_pool1", 96, 55, 3, 0, 2),
+        ("caffenet_pool2", 256, 27, 3, 0, 2),
+        ("caffenet_pool5", 256, 13, 3, 0, 2),
+        ("googlenet_pool1", 64, 112, 3, 0, 2),
+        ("googlenet_pool2", 192, 56, 3, 0, 2),
+        ("incep3a_pool", 192, 28, 3, 1, 1),
+        ("incep3b_pool", 256, 28, 3, 1, 1),
+        ("googlenet_pool3", 480, 28, 3, 0, 2),
+        ("incep4a_pool", 480, 14, 3, 1, 1),
+        ("incep4b_pool", 512, 14, 3, 1, 1),
+        ("incep4e_pool", 528, 14, 3, 1, 1),
+        ("googlenet_pool4", 832, 14, 3, 0, 2),
+        ("incep5a_pool", 832, 7, 3, 1, 1),
+        ("incep5b_pool", 832, 7, 3, 1, 1),
+    ];
+    // (name, channels, side); every one is `LrnLayer::alexnet`'s.
+    const LRNS: [(&str, usize, usize); 4] = [
+        ("caffenet_norm1", 96, 27),
+        ("caffenet_norm2", 256, 13),
+        ("googlenet_norm1", 64, 56),
+        ("googlenet_norm2", 192, 56),
+    ];
+    let lrn = LrnParams {
+        local_size: 5,
+        alpha: 1e-4,
+        beta: 0.75,
+        k: 2.0,
+    };
+    let mut group = c.benchmark_group("window");
+    let mut ws = Workspace::new();
+    let mut rates: Vec<(f64, &str)> = Vec::new();
+    let mut measure = |name: &'static str,
+                       input: &Tensor4,
+                       units: (usize, &str),
+                       run: &dyn Fn(&Tensor4, &mut Workspace, &mut Tensor4)| {
+        let mut want = Tensor4::zeros(0, 0, 0, 0);
+        kernels::force(Some(KernelPath::Scalar));
+        run(input, &mut Workspace::new(), &mut want);
+        kernels::force(None);
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        let best = fastest(&mut group, BenchmarkId::new(name, "1w"), || {
+            run(input, &mut ws, &mut out)
+        });
+        if best < Duration::MAX {
+            let bits = |t: &Tensor4| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&out) == bits(&want),
+                "window/{name}: differs from scalar"
+            );
+            let ns = best.as_nanos() as f64;
+            let gbs = (4 * (input.len() + out.len())) as f64 / ns;
+            let per = ns / units.0 as f64;
+            println!("window/{name}: {gbs:.1} GB/s, {per:.3} ns per {}", units.1);
+            rates.push((gbs, name));
+        }
+    };
+    let activations = |c: usize, hw: usize| {
+        Tensor4::from_fn(1, c, hw, hw, |_, ch, y, x| {
+            ((ch * 7 + y * 3 + x) % 23) as f32 / 23.0 - 0.5
+        })
+    };
+    for (name, ch, hw, k, pad, stride) in POOLS {
+        let p = Pool2dParams::new(k, pad, stride);
+        let (oh, ow) = p.out_shape(hw, hw).unwrap();
+        measure(
+            name,
+            &activations(ch, hw),
+            (ch * oh * ow * k * k, "tap"),
+            &|x, ws, out| max_pool2d_into(x, &p, ws, out).unwrap(),
+        );
+    }
+    for (name, ch, hw) in LRNS {
+        measure(
+            name,
+            &activations(ch, hw),
+            (ch * hw * hw, "element"),
+            &|x, ws, out| lrn_into(x, &lrn, ws, out).unwrap(),
+        );
+    }
+    group.finish();
+    rates.sort_by(|x, y| x.0.total_cmp(&y.0));
+    if let (Some(lo), Some(hi)) = (rates.first(), rates.last()) {
+        println!(
+            "window: min {:.1} GB/s ({}) max {:.1} GB/s ({}) over {} kernels on {}",
+            lo.0,
+            lo.1,
+            hi.0,
+            hi.1,
+            rates.len(),
+            kernels::selected().name()
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_layer_shapes, bench_split
+    targets = bench_gemm, bench_layer_shapes, bench_split, bench_window
 }
 criterion_main!(benches);

@@ -15,7 +15,9 @@
 //!
 //! The table was recorded under the FMA contract of
 //! `cap_tensor::kernels` (every f32 multiply-accumulate step one fused
-//! multiply-add); it moves only when some output bit is meant to.
+//! multiply-add), with LRN's β = 0.75 power taken as two square roots
+//! (every row passes through an LRN); it moves only when some output
+//! bit is meant to.
 //!
 //! `#[ignore]`d because the full-size nets take seconds in release and
 //! minutes in debug. Every CI test leg runs it as its own step; by hand,
@@ -32,15 +34,15 @@ const INIT: WeightInit = WeightInit::Xavier { seed: 7 };
 /// `(row, checksum)`, in the order [`output_checksums_are_pinned`]
 /// computes them.
 const TABLE: [(&str, u64); 9] = [
-    ("caffenet f32 b1", 0x7385_adec_db68_41ed),
-    ("caffenet f32 b8", 0xe8a9_fbcc_ef66_e3fa),
-    ("caffenet filter-l1 knees b1", 0x00a1_4f50_7273_4ea4),
-    ("caffenet filter-l1 knees b8", 0x9041_600d_7bcf_e3dd),
-    ("caffenet csr b1", 0x0404_bbf8_b405_c6e7),
-    ("caffenet csr b8", 0x1c1d_b05c_f522_98fe),
-    ("caffenet int8 b8", 0x688d_0301_4afb_f4ad),
-    ("caffenet int8 b1", 0xe901_a5c4_04c9_6f81),
-    ("googlenet f32 b1", 0x2f04_111d_d938_ab36),
+    ("caffenet f32 b1", 0x9d32_6c31_970d_e225),
+    ("caffenet f32 b8", 0xad46_7dea_0403_5b32),
+    ("caffenet filter-l1 knees b1", 0x5545_2bd0_610a_0770),
+    ("caffenet filter-l1 knees b8", 0xc563_bdfe_04e4_9d5e),
+    ("caffenet csr b1", 0x4801_39f4_f2bc_6ca2),
+    ("caffenet csr b8", 0x09ca_2d9b_4c23_2425),
+    ("caffenet int8 b8", 0xe56d_255a_64a3_1b9b),
+    ("caffenet int8 b1", 0x9c74_6596_289b_a19a),
+    ("googlenet f32 b1", 0xc4bd_3edc_d4ee_861e),
 ];
 
 /// FNV-1a over the little-endian bytes of every value's bits.

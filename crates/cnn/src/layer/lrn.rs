@@ -9,9 +9,12 @@ use cap_tensor::{lrn_into, LrnParams, ShapeError, Tensor4, TensorResult, Workspa
 ///
 /// The kernel is [`cap_tensor::lrn_into`]: a sliding square-sum plane
 /// across channels (one add + one subtract per element instead of an
-/// O(local_size) rescan), keeping LRN a small slice of Caffenet's
-/// wall-clock as in the paper's Figure 3 breakdown, split across the
-/// workspace's team by channel ranges.
+/// O(local_size) rescan), behind the kernel dispatch, with β = 0.75's
+/// power taken as two square roots instead of `powf`; split across the
+/// workspace's team by channel ranges. A `local_size` of 0 or an even
+/// one is kept as given and rejected as a [`ShapeError`] by
+/// [`Layer::out_shape`] (so by `Network::add_layer`) and by the
+/// kernel, as Caffe rejects it.
 pub struct LrnLayer {
     name: String,
     params: LrnParams,
@@ -23,7 +26,7 @@ impl LrnLayer {
         Self {
             name: name.into(),
             params: LrnParams {
-                local_size: local_size.max(1),
+                local_size,
                 alpha,
                 beta,
                 k,
@@ -62,6 +65,7 @@ impl Layer for LrnLayer {
         let [shape] = in_shapes else {
             return Err(ShapeError::new("lrn: expected exactly one input shape"));
         };
+        self.params.validate()?;
         Ok(*shape)
     }
 
@@ -90,6 +94,23 @@ mod tests {
             assert_eq!(a.signum(), b.signum());
             // With k=2 and beta>0 the denominator > 1, so |y| < |x| unless x == 0.
             assert!(b.abs() <= a.abs());
+        }
+    }
+
+    #[test]
+    fn zero_or_even_local_size_is_a_shape_error() {
+        let x = Tensor4::zeros(1, 4, 2, 2);
+        for size in [0, 2, 4] {
+            let l = LrnLayer::new("norm", size, 1e-4, 0.75, 2.0);
+            let err = l.out_shape(&[(4, 2, 2)]).unwrap_err();
+            assert!(err.to_string().contains("local_size"), "{err}");
+            assert!(l.forward(&[&x]).is_err(), "size {size}");
+            let mut net = crate::network::Network::new("n", (4, 2, 2));
+            assert!(net.add_sequential(Box::new(l)).is_err(), "size {size}");
+        }
+        for size in [1, 3, 5] {
+            let l = LrnLayer::new("norm", size, 1e-4, 0.75, 2.0);
+            assert_eq!(l.out_shape(&[(4, 2, 2)]).unwrap(), (4, 2, 2));
         }
     }
 

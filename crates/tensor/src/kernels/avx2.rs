@@ -590,106 +590,245 @@ pub unsafe fn relu_into(src: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// One output row of 2-D max pooling.
-///
-/// Interior output columns — whose windows never clip the plane's
-/// left/right edge — run eight-per-register, one output column per
-/// lane; each lane replays the scalar cell's `(ky asc, kx asc)`
-/// `>`-compare + select sequence, so tie-breaking (`-0.0`, NaN) is
-/// bit-identical. An interior that is not a multiple of eight ends
-/// with one block overlapping its predecessor; border columns (and an
-/// interior under eight wide) take the scalar cell code.
+/// Geometry of one `-inf`-padded plane as [`max_pool_planes`] walks it.
+struct PoolPlane {
+    /// Row pitch of the padded plane.
+    pw: usize,
+    k: usize,
+    s: usize,
+    ow: usize,
+    /// Lane offsets `l·s` of the strided gather.
+    vindex: __m256i,
+    /// Lanes `< ow % 8`: what a partial last block stores.
+    tail: __m256i,
+    /// Lanes `< w % 8`: the last load and store of a row's copy.
+    tail_w: __m256i,
+}
+
+/// Max pooling of whole planes. Each plane is copied into `padded`
+/// with a `-inf` border wide enough that every output column — the
+/// last block's overhang and a ceil-mode window hanging past the pad
+/// included — reads inside it, so every output row runs in whole
+/// 8-lane blocks, one output column per lane, with no edge case. A
+/// `-inf` cell never wins the scalar `>` compare and never sets its
+/// `hit` flag, so each lane replaying the scalar cell's
+/// `(ky asc, kx asc)` compare + select sequence over the padded window
+/// yields the bits of the scalar walk over the clipped one (`-0.0`,
+/// NaN and all-padding windows included). The border is written once
+/// per call; each plane rewrites only its interior.
 ///
 /// # Safety
 /// CPU must support AVX2 and FMA (verified by the dispatch layer).
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn max_pool_row(
-    plane: &[f32],
-    h: usize,
-    w: usize,
+pub unsafe fn max_pool_planes(
+    input: &[f32],
+    (h, w): (usize, usize),
     params: &Pool2dParams,
-    oy: usize,
-    out_row: &mut [f32],
+    (oh, ow): (usize, usize),
+    padded: &mut Vec<f32>,
+    out: &mut [f32],
 ) {
-    // Entry invariant for the raw window loads below.
-    assert!(plane.len() >= h * w);
-    let ow = out_row.len();
     let (k, pad, s) = (params.k, params.pad, params.stride);
-
-    // Interior ox range: every window column in [0, w).
-    //   ox*s - pad >= 0           =>  ox >= ceil(pad / s)
-    //   ox*s - pad + k - 1 < w    =>  ox <= (w + pad - k) / s
-    let lo = if s == 0 { ow } else { pad.div_ceil(s) };
-    let hi = if s > 0 && w + pad >= k {
-        ((w + pad - k) / s + 1).min(ow)
-    } else {
-        lo.min(ow)
-    };
-    let lo = lo.min(hi);
-
-    // Valid window rows for this output row (uniform across ox, and a
-    // contiguous range — no per-row allocation on this hot path):
-    // iy = row_base + ky - pad must land in [0, h).
-    let row_base = oy * s;
-    let ky_lo = pad.saturating_sub(row_base);
-    let ky_hi = (h + pad).saturating_sub(row_base).min(k);
-
-    // Scalar left border.
-    for (ox, o) in out_row.iter_mut().enumerate().take(lo) {
-        *o = super::scalar::max_pool_cell(plane, h, w, params, oy, ox);
+    if oh * ow == 0 {
+        return;
     }
+    let planes = out.len() / (oh * ow);
+    // Entry invariants for the raw window loads below.
+    assert!(s > 0 && out.len() == planes * oh * ow && input.len() >= planes * h * w);
+    // Lane l of block b reads column (8b + l)·s + kx < blocks·8·s + k,
+    // and row oy·s + ky < (oh − 1)·s + k; the stride-2 loads read
+    // sixteen contiguous columns, one past the last lane's.
+    let blocks = ow.div_ceil(PANEL);
+    let size = || -> Option<(usize, usize)> {
+        let pw = w
+            .checked_add(pad)?
+            .max((blocks * PANEL).checked_mul(s)?.checked_add(k)?);
+        let ph = h
+            .checked_add(pad)?
+            .max((oh - 1).checked_mul(s)?.checked_add(k)?);
+        Some((pw, pw.checked_mul(ph)?))
+    };
+    // Checked: every raw offset below is bounded by `len`.
+    let (pw, len) = size().expect("max pool: padded plane size overflows usize");
+    padded.clear();
+    padded.resize(len, f32::NEG_INFINITY);
+    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+    let plane = PoolPlane {
+        pw,
+        k,
+        s,
+        ow,
+        vindex: _mm256_mullo_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(s as i32),
+        ),
+        tail: lanes_below(ow % PANEL),
+        tail_w: lanes_below(w % PANEL),
+    };
+    for (p, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        for y in 0..h {
+            let src = &input[(p * h + y) * w..][..w];
+            copy_row(src, &mut padded[(y + pad) * pw + pad..][..w], plane.tail_w);
+        }
+        // The models' geometries get their taps unrolled at compile
+        // time (2–3× as fast as `k` read at run time on the 3×3s); any
+        // other runs generic, its lanes gathered.
+        match (s, k) {
+            (1, 3) => pool_plane::<1, 3>(padded, &plane, out_plane),
+            (2, 3) => pool_plane::<2, 3>(padded, &plane, out_plane),
+            (2, 2) => pool_plane::<2, 2>(padded, &plane, out_plane),
+            _ => pool_plane::<0, 0>(padded, &plane, out_plane),
+        }
+    }
+}
 
-    // SIMD interior: 8 output columns per register.
+/// The mask of lanes `< n`.
+///
+/// # Safety
+/// Expanded inside `#[target_feature(enable = "avx2,fma")]` callers only.
+#[inline(always)]
+#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+unsafe fn lanes_below(n: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(n as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// `dst = src` (equal lengths), eight lanes at a time and the last
+/// `len % 8` under the mask `tail`: a plane row is too short for a
+/// `memcpy` call to pay.
+///
+/// # Safety
+/// Expanded inside `#[target_feature(enable = "avx2,fma")]` callers
+/// only; `tail` masks lanes `< src.len() % 8`.
+#[inline(always)]
+unsafe fn copy_row(src: &[f32], dst: &mut [f32], tail: __m256i) {
+    let len = src.len();
+    assert_eq!(dst.len(), len);
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    let mut j = 0;
+    while j + PANEL <= len {
+        _mm256_storeu_ps(dp.add(j), _mm256_loadu_ps(sp.add(j)));
+        j += PANEL;
+    }
+    if j < len {
+        _mm256_maskstore_ps(dp.add(j), tail, _mm256_maskload_ps(sp.add(j), tail));
+    }
+}
+
+/// Every output block of one padded plane. `S` is the stride, 1 or 2
+/// (contiguous loads), or 0 for `plane`'s stride in gathered lanes; `K`
+/// the window size, or 0 to read it from `plane`. One block's taps form
+/// one dependent chain; the core overlaps consecutive blocks on its own
+/// (walking two to six blocks side by side measured no faster).
+///
+/// # Safety
+/// Expanded inside [`max_pool_planes`] only, which sized `padded` for
+/// `plane` and `out` to `oh × ow`.
+#[inline(always)]
+unsafe fn pool_plane<const S: usize, const K: usize>(
+    padded: &[f32],
+    plane: &PoolPlane,
+    out: &mut [f32],
+) {
+    let k = if K == 0 { plane.k } else { K };
     let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
-    // Lane l reads input column base_ix + l*s.
-    #[allow(clippy::cast_possible_truncation)]
-    let vindex = _mm256_set_epi32(
-        (7 * s) as i32,
-        (6 * s) as i32,
-        (5 * s) as i32,
-        (4 * s) as i32,
-        (3 * s) as i32,
-        (2 * s) as i32,
-        s as i32,
-        0,
-    );
-    let pp = plane.as_ptr();
-    // Block starts: every PANEL columns from `lo`, then — when the
-    // interior is at least one block wide but not a whole number of
-    // them — one last block ending at `hi`. It overlaps the block
-    // before it and recomputes those outputs to the same bits, so only
-    // true border columns are left to the scalar cell code.
-    let full = (hi - lo) / PANEL;
-    let overlapped = (full > 0 && lo + full * PANEL < hi).then(|| hi - PANEL);
-    for ox in (0..full).map(|i| lo + i * PANEL).chain(overlapped) {
-        let mut best = neg_inf;
-        for ky in ky_lo..ky_hi {
-            let iy = row_base + ky - pad; // ky range guarantees 0 <= iy < h
-            for kx in 0..k {
-                let base_ix = ox * s + kx - pad; // ox >= lo guarantees >= 0
-                                                 // Furthest lane reads (ox+7)*s + kx - pad < w (ox+7 < hi).
-                let row = pp.add(iy * w + base_ix);
-                let v = if s == 1 {
-                    _mm256_loadu_ps(row)
-                } else {
-                    _mm256_i32gather_ps::<4>(row, vindex)
-                };
-                // Scalar replay: `if v > best { best = v }` per lane
-                // (NaN compares false and is ignored, like the scalar).
-                let gt = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
-                best = _mm256_blendv_ps(best, v, gt);
+    for (oy, out_row) in out.chunks_exact_mut(plane.ow).enumerate() {
+        let row = padded.as_ptr().add(oy * plane.s * plane.pw);
+        for ox in (0..plane.ow).step_by(PANEL) {
+            let src = row.add(ox * plane.s);
+            let mut best = neg_inf;
+            for ky in 0..k {
+                for kx in 0..k {
+                    let p = src.add(ky * plane.pw + kx);
+                    let v = match S {
+                        1 => _mm256_loadu_ps(p),
+                        // The even columns of sixteen, in lane order
+                        // 0 1 4 5 2 3 6 7 until the store.
+                        2 => _mm256_shuffle_ps::<0b10_00_10_00>(
+                            _mm256_loadu_ps(p),
+                            _mm256_loadu_ps(p.add(PANEL)),
+                        ),
+                        _ => _mm256_i32gather_ps::<4>(p, plane.vindex),
+                    };
+                    // Scalar replay: `if v > best { best = v }` per
+                    // lane. `maxps(v, best)` is exactly
+                    // `v > best ? v : best`: a NaN `v` and a tie of
+                    // zeros keep `best`, which is never NaN.
+                    best = _mm256_max_ps(v, best);
+                }
+            }
+            // Nothing beat -inf (all cells -inf, NaN or padding): 0.0,
+            // matching the scalar `hit` flag.
+            let mut v = _mm256_and_ps(best, _mm256_cmp_ps(best, neg_inf, _CMP_GT_OQ));
+            if S == 2 {
+                v = _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(v)));
+            }
+            let o = out_row.as_mut_ptr().add(ox);
+            if ox + PANEL <= plane.ow {
+                _mm256_storeu_ps(o, v);
+            } else {
+                _mm256_maskstore_ps(o, plane.tail, v);
             }
         }
-        // Windows where nothing beat -inf (all cells -inf or NaN, or no
-        // valid rows) yield 0.0, matching the scalar `hit` flag.
-        let hit = _mm256_cmp_ps(best, neg_inf, _CMP_GT_OQ);
-        _mm256_storeu_ps(out_row.as_mut_ptr().add(ox), _mm256_and_ps(best, hit));
     }
-    // Everything in [lo, hi) is done iff at least one block ran.
-    let done = if full > 0 { hi } else { lo };
+}
 
-    // Scalar right border (and an interior narrower than one block).
-    for (ox, o) in out_row.iter_mut().enumerate().skip(done) {
-        *o = super::scalar::max_pool_cell(plane, h, w, params, oy, ox);
+/// One channel step of LRN's sliding window, eight elements per
+/// instruction: the β = 0.75 output as `v / (r · √r)`, `r = √(k + scale·s)`,
+/// then the square sums' add and subtract — the scalar step's
+/// operations per element, each correctly rounded, fused into one pass
+/// over `sums`. See [`super::lrn_step_with`].
+///
+/// # Safety
+/// CPU must support AVX2 and FMA (verified by the dispatch layer).
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn lrn_step(
+    k: f32,
+    scale: f32,
+    mut out: Option<(&[f32], &mut [f32])>,
+    enter: Option<&[f32]>,
+    leave: Option<&[f32]>,
+    sums: &mut [f32],
+) {
+    let n = sums.len();
+    // Entry invariant for the raw loads and stores below.
+    assert!(
+        out.as_ref()
+            .is_none_or(|(x, o)| x.len() >= n && o.len() >= n)
+            && enter.is_none_or(|e| e.len() >= n)
+            && leave.is_none_or(|l| l.len() >= n)
+    );
+    let (kv, sv) = (_mm256_set1_ps(k), _mm256_set1_ps(scale));
+    let io = out.as_mut().map(|(x, o)| (x.as_ptr(), o.as_mut_ptr()));
+    let (ep, lp) = (enter.map(<[f32]>::as_ptr), leave.map(<[f32]>::as_ptr));
+    let sp = sums.as_mut_ptr();
+    let mut j = 0;
+    while j + PANEL <= n {
+        let mut s = _mm256_loadu_ps(sp.add(j));
+        if let Some((x, o)) = io {
+            let r = _mm256_sqrt_ps(_mm256_add_ps(kv, _mm256_mul_ps(sv, s)));
+            let d = _mm256_mul_ps(r, _mm256_sqrt_ps(r));
+            _mm256_storeu_ps(o.add(j), _mm256_div_ps(_mm256_loadu_ps(x.add(j)), d));
+        }
+        if let Some(e) = ep {
+            let v = _mm256_loadu_ps(e.add(j));
+            s = _mm256_add_ps(s, _mm256_mul_ps(v, v));
+        }
+        if let Some(l) = lp {
+            let v = _mm256_loadu_ps(l.add(j));
+            s = _mm256_sub_ps(s, _mm256_mul_ps(v, v));
+        }
+        _mm256_storeu_ps(sp.add(j), s);
+        j += PANEL;
     }
+    super::scalar::lrn_step(
+        k,
+        scale,
+        out.map(|(x, o)| (&x[j..], &mut o[j..])),
+        enter.map(|e| &e[j..]),
+        leave.map(|l| &l[j..]),
+        &mut sums[j..],
+    );
 }

@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD microkernels.
 //!
 //! Every hot inner loop of the crate — the packed-panel GEMM band, the
-//! CSR sparse×dense row kernel, and the elementwise ReLU / bias /
-//! max-pool loops — funnels through this module, which selects an
-//! implementation **once per process** and hands the hot loops a
-//! [`KernelPath`] they can carry by value:
+//! CSR sparse×dense row kernel, the elementwise ReLU / bias loops, max
+//! pooling and the LRN channel step — funnels through this module,
+//! which selects an implementation **once per process** and hands the
+//! hot loops a [`KernelPath`] they can carry by value:
 //!
 //! * [`KernelPath::Scalar`] — safe Rust, the portable fallback and the
 //!   correctness oracle ([`scalar`]). Runs everywhere.
@@ -476,32 +476,83 @@ pub fn relu_into_with(path: KernelPath, src: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// One output row of 2-D max pooling over a single `h×w` input plane:
-/// fills `out_row` (length `ow`) for output row `oy`. Padding cells
-/// never win (treated as `-inf`); an all-padding window yields `0.0`.
+/// Max pooling of whole planes: `out` holds `out.len() / (oh·ow)`
+/// output planes, plane `p` pooled from the `h×w` plane `p` of
+/// `input`. Padding cells never win (treated as `-inf`); an
+/// all-padding window yields `0.0`.
 ///
-/// The AVX2 path assigns one output column per lane and replays the
-/// scalar cell's exact `(ky asc, kx asc)` compare sequence per lane,
-/// so `-0.0`/NaN tie-breaking is bit-identical; window positions that
-/// clip the plane's left/right edge always take the scalar cell code.
+/// The scalar path is the oracle: each cell walks its window clipped
+/// to the plane, `(ky asc, kx asc)`, with a strict `>`. The AVX2 path
+/// copies each plane into `padded` (the piece's own scratch) with a
+/// `-inf` border wide enough that every output row, ceil-mode overhang
+/// included, runs in whole 8-lane blocks, one output column per lane;
+/// each lane replays the scalar compare sequence over the padded
+/// window, so `-0.0`/NaN tie-breaking is bit-identical. The scalar path
+/// leaves `padded` untouched.
+///
+/// # Panics
+/// If `input` holds fewer planes than `out`, or `out` is not whole
+/// `oh × ow` planes.
 #[inline]
-pub fn max_pool_row_with(
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn max_pool_planes_with(
     path: KernelPath,
-    plane: &[f32],
-    h: usize,
-    w: usize,
+    input: &[f32],
+    in_hw: (usize, usize),
     params: &Pool2dParams,
-    oy: usize,
-    out_row: &mut [f32],
+    out_hw: (usize, usize),
+    padded: &mut Vec<f32>,
+    out: &mut [f32],
 ) {
     match path {
-        KernelPath::Scalar => scalar::max_pool_row(plane, h, w, params, oy, out_row),
+        KernelPath::Scalar => scalar::max_pool_planes(input, in_hw, params, out_hw, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 and fma verified available by `selected()`/`force()`;
-        // the kernel asserts `plane.len() >= h*w` before any raw load.
-        KernelPath::Avx2 => unsafe { avx2::max_pool_row(plane, h, w, params, oy, out_row) },
+        // the kernel asserts the input and output lengths before any raw
+        // load and sizes `padded` for every window it reads.
+        KernelPath::Avx2 => unsafe {
+            avx2::max_pool_planes(input, in_hw, params, out_hw, padded, out)
+        },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::max_pool_row(plane, h, w, params, oy, out_row),
+        _ => scalar::max_pool_planes(input, in_hw, params, out_hw, out),
+    }
+}
+
+/// One channel step of across-channel LRN over a plane of window
+/// square sums `sums`: when `out` is `Some((x, y))`, the β = 0.75
+/// output `y = x / d^0.75` with `d = k + scale·sums`, computed as
+/// `x / (r · √r)` with `r = √d`; then `sums += e²` for the plane
+/// `enter` and `sums -= l²` for `leave`, in that order. Over
+/// `sums.len()` elements.
+///
+/// Every operation is a correctly rounded square root, multiply, add,
+/// subtract or divide, so every path gives the same bits — except a
+/// NaN's sign and payload where two NaNs meet, which Rust's float
+/// semantics leave open (the NaNs themselves land alike). LRN is not
+/// a multiply-accumulate chain: it stays outside the FMA contract, each
+/// square and each sum rounded separately. Any other β is the caller's
+/// (`powf`, scalar only), passing `out = None`.
+///
+/// # Panics
+/// If a given plane is shorter than `sums`.
+#[inline]
+pub fn lrn_step_with(
+    path: KernelPath,
+    k: f32,
+    scale: f32,
+    out: Option<(&[f32], &mut [f32])>,
+    enter: Option<&[f32]>,
+    leave: Option<&[f32]>,
+    sums: &mut [f32],
+) {
+    match path {
+        KernelPath::Scalar => scalar::lrn_step(k, scale, out, enter, leave, sums),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: avx2 and fma verified available by `selected()`/`force()`;
+        // the kernel asserts every plane covers `sums` before any raw load.
+        KernelPath::Avx2 => unsafe { avx2::lrn_step(k, scale, out, enter, leave, sums) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar::lrn_step(k, scale, out, enter, leave, sums),
     }
 }
 

@@ -414,16 +414,65 @@ pub(crate) fn max_pool_cell(
     }
 }
 
-/// One output row of 2-D max pooling. See [`super::max_pool_row_with`].
-pub fn max_pool_row(
-    plane: &[f32],
-    h: usize,
-    w: usize,
+/// Max pooling of whole `h×w` planes. See [`super::max_pool_planes_with`].
+pub fn max_pool_planes(
+    input: &[f32],
+    (h, w): (usize, usize),
     params: &Pool2dParams,
-    oy: usize,
-    out_row: &mut [f32],
+    (oh, ow): (usize, usize),
+    out: &mut [f32],
 ) {
-    for (ox, o) in out_row.iter_mut().enumerate() {
-        *o = max_pool_cell(plane, h, w, params, oy, ox);
+    if oh * ow == 0 {
+        return;
+    }
+    let planes = out.len() / (oh * ow);
+    assert!(out.len() == planes * oh * ow && input.len() >= planes * h * w);
+    for (p, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let in_plane = &input[p * h * w..(p + 1) * h * w];
+        for (cell, o) in out_plane.iter_mut().enumerate() {
+            *o = max_pool_cell(in_plane, h, w, params, cell / ow, cell % ow);
+        }
+    }
+}
+
+/// LRN's `d^0.75` for β = 0.75, as `√d · √√d`: two square roots and a
+/// multiply, each correctly rounded, so every path gets the same bits
+/// (`powf` is neither correctly rounded nor vectorizable).
+#[inline(always)]
+fn pow075(d: f32) -> f32 {
+    let r = d.sqrt();
+    r * r.sqrt()
+}
+
+/// One channel step of LRN's sliding window. See [`super::lrn_step_with`].
+pub fn lrn_step(
+    k: f32,
+    scale: f32,
+    out: Option<(&[f32], &mut [f32])>,
+    enter: Option<&[f32]>,
+    leave: Option<&[f32]>,
+    sums: &mut [f32],
+) {
+    let n = sums.len();
+    assert!(
+        out.as_ref()
+            .is_none_or(|(x, o)| x.len() >= n && o.len() >= n)
+            && enter.is_none_or(|e| e.len() >= n)
+            && leave.is_none_or(|l| l.len() >= n)
+    );
+    if let Some((x, out)) = out {
+        for ((o, &v), &s) in out.iter_mut().zip(x).zip(sums.iter()) {
+            *o = v / pow075(k + scale * s);
+        }
+    }
+    if let Some(enter) = enter {
+        for (s, &v) in sums.iter_mut().zip(enter) {
+            *s += v * v;
+        }
+    }
+    if let Some(leave) = leave {
+        for (s, &v) in sums.iter_mut().zip(leave) {
+            *s -= v * v;
+        }
     }
 }

@@ -1,37 +1,47 @@
 //! Max and average pooling and across-channel local response
 //! normalization: the window kernels between the convolutions.
 //!
+//! Max pooling and LRN run behind the kernel dispatch
+//! ([`crate::kernels`]), each with a scalar oracle and an AVX2 path
+//! that agree bit for bit: max pooling as whole planes, the AVX2 path
+//! reading each from a `-inf`-padded copy in the workspace's `padded`
+//! slot, every output row in whole 8-lane blocks; LRN as one channel
+//! step at a time of a sliding square-sum window, with β = 0.75's power
+//! taken as two square roots. Average pooling is scalar.
+//!
 //! Each writes whole output planes (one image's channel) and, when the
 //! workspace carries a [`Team`], cuts them across it: by images when the
 //! batch has at least as many as the team has threads — as
 //! [`crate::conv2d`] cuts its bands, so each thread reads what it
 //! convolved — else by planes. A piece is the same kernel over a range
-//! of planes, so the output is bitwise the one-thread call's. Their
-//! work enters the one split rule ([`mod@crate::team`]) in packed-GEMM
-//! multiply-accumulate equivalents, through the per-element costs
-//! below.
+//! of planes with its thread's own workspace, so the output is bitwise
+//! the one-thread call's. Their work enters the one split rule
+//! ([`mod@crate::team`]) in packed-GEMM multiply-accumulate
+//! equivalents, through the per-element costs below.
 
 use crate::error::{ShapeError, TensorResult};
 use crate::im2col::out_spatial;
-use crate::kernels;
+use crate::kernels::{self, KernelPath};
 use crate::team::{self, Team};
 use crate::tensor4::Tensor4;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Packed-GEMM multiply-accumulates that take as long as one pooling
-/// window tap: 0.22–0.28 ns per tap on Googlenet's and Caffenet's max
-/// pools, against 0.022–0.024 ns per multiply-accumulate of the packed
-/// GEMM on their conv shapes, one thread of the 2-core host
-/// (EXPERIMENTS.md, the section on the pass in stages). A measurement,
-/// not a knob.
-const POOL_TAP_MACS: u64 = 10;
+/// Packed-GEMM multiply-accumulates that take as long as one max-pool
+/// window tap: 0.18–0.26 ns per tap on Googlenet's pool1 and pool2 and
+/// Caffenet's pool1, 0.08–0.10 on inception 3a's 3×3/1 pool, against
+/// 0.034–0.051 ns per multiply-accumulate of the packed GEMM on three
+/// conv shapes (2.1–5.8 per tap, 4.5 on average), one thread of the
+/// 2-core host, best of 40 calls (EXPERIMENTS.md, the section on the
+/// window kernels at memory speed). A measurement, not a knob.
+const POOL_TAP_MACS: u64 = 5;
 
 /// Packed-GEMM multiply-accumulates that take as long as one LRN output
-/// element: ~4.8 ns, nearly all of it `powf`, on the same host and
-/// record as [`POOL_TAP_MACS`].
-const LRN_ELEMENT_MACS: u64 = 200;
+/// element: 0.96–1.18 ns (two square roots and a divide, where `powf`
+/// took 8.0–8.8 ns on the same shapes), 23–30 and 26 on average, on
+/// the same host and record as [`POOL_TAP_MACS`].
+const LRN_ELEMENT_MACS: u64 = 25;
 
 /// A kernel over the output planes `first..` that `piece` holds, with
 /// its thread's workspace.
@@ -108,8 +118,10 @@ pub fn max_pool2d(input: &Tensor4, params: &Pool2dParams) -> TensorResult<Tensor
 }
 
 /// Max pooling into a reusable output tensor (reshaped in place; no
-/// argmax map). The zero-allocation variant for inference loops; split
-/// across `ws`'s team, if it has one, as the [module docs](self) say.
+/// argmax map). The zero-allocation variant for inference loops: on the
+/// AVX2 path each plane is padded into `ws.padded`, which keeps its
+/// capacity; split across `ws`'s team, if it has one, as the
+/// [module docs](self) say.
 pub fn max_pool2d_into(
     input: &Tensor4,
     params: &Pool2dParams,
@@ -119,9 +131,6 @@ pub fn max_pool2d_into(
     let (n, c, h, w) = input.shape();
     let (oh, ow) = params.out_shape(h, w)?;
     out.resize(n, c, oh, ow);
-    // Resolve the kernel path once; the row kernel vectorizes interior
-    // windows (one output column per SIMD lane) and replays the scalar
-    // window walk on the borders — bit-identical on every path.
     let path = kernels::selected();
     let in_data = input.as_slice();
     let plane = oh * ow;
@@ -133,13 +142,18 @@ pub fn max_pool2d_into(
         plane,
         macs,
         out.as_mut_slice(),
-        &|first, piece, _| {
-            for (p, out_plane) in (first..).zip(piece.chunks_mut(plane.max(1))) {
-                let in_plane = &in_data[p * h * w..(p + 1) * h * w];
-                for (oy, out_row) in out_plane.chunks_mut(ow.max(1)).enumerate() {
-                    kernels::max_pool_row_with(path, in_plane, h, w, params, oy, out_row);
-                }
-            }
+        &|first, piece, ws| {
+            let planes = first..first + piece.len() / plane.max(1);
+            let input = &in_data[planes.start * h * w..planes.end * h * w];
+            kernels::max_pool_planes_with(
+                path,
+                input,
+                (h, w),
+                params,
+                (oh, ow),
+                &mut ws.padded,
+                piece,
+            );
             Ok(())
         },
     )
@@ -260,7 +274,7 @@ pub fn avg_pool2d_into(
 /// and last channel).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LrnParams {
-    /// Neighbourhood size in channels, at least 1.
+    /// Neighbourhood size in channels: odd, so the window has a centre.
     pub local_size: usize,
     /// Scale of the square sum.
     pub alpha: f32,
@@ -270,11 +284,27 @@ pub struct LrnParams {
     pub k: f32,
 }
 
+impl LrnParams {
+    /// `Ok` when `local_size` is odd (and so at least 1): a window of
+    /// 0 channels has nothing to sum, and an even one has no centre,
+    /// which Caffe rejects too.
+    pub fn validate(&self) -> TensorResult<()> {
+        if self.local_size.is_multiple_of(2) {
+            return Err(ShapeError::new(format!(
+                "lrn: local_size {} must be odd and >= 1",
+                self.local_size
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// Local response normalization into a reusable output tensor
 /// (reshaped in place). The window's square sums are one `h×w` plane in
 /// `ws.cols`, each helper's its own, so steady-state calls allocate
 /// nothing; split across `ws`'s team, if it has one, as the
-/// [module docs](self) say.
+/// [module docs](self) say. A `local_size` that is 0 or even is a
+/// [`ShapeError`] ([`LrnParams::validate`]).
 ///
 /// The sums slide across the channels — one add as a channel enters the
 /// window, one subtract as one leaves — instead of rescanning
@@ -283,21 +313,25 @@ pub struct LrnParams {
 /// first window afresh: float addition is not associative, and only the
 /// same adds and subtracts in the same order give every output the bits
 /// of the one-thread call.
+///
+/// Each channel step is [`kernels::lrn_step_with`]. For β = 0.75, the
+/// only β the models use, it computes `d^0.75` as `√d · √√d`, on every
+/// kernel path to the same bits; any other β raises `d` with `powf`,
+/// in scalar code.
 pub fn lrn_into(
     input: &Tensor4,
     params: &LrnParams,
     ws: &mut Workspace,
     out: &mut Tensor4,
 ) -> TensorResult<()> {
-    if params.local_size == 0 {
-        return Err(ShapeError::new("lrn: local_size must be >= 1"));
-    }
+    params.validate()?;
     let (n, c, h, w) = input.shape();
     out.resize(n, c, h, w);
     let hw = h * w;
     if out.is_empty() {
         return Ok(());
     }
+    let path = kernels::selected();
     let data = input.as_slice();
     let macs = out.len() as u64 * LRN_ELEMENT_MACS;
     split_planes(
@@ -316,7 +350,7 @@ pub fn lrn_into(
                 let c1 = c.min(c0 + rest.len() / hw);
                 let (head, tail) = std::mem::take(&mut rest).split_at_mut((c1 - c0) * hw);
                 let img = &data[image * c * hw..(image + 1) * c * hw];
-                lrn_channels(img, c, hw, params, c0..c1, head, sums);
+                lrn_channels(path, img, c, hw, params, c0..c1, head, sums);
                 (plane, rest) = (plane + c1 - c0, tail);
             }
             Ok(())
@@ -326,10 +360,10 @@ pub fn lrn_into(
 
 /// Channels `range` of one `c`-channel image `img` into `out`, the
 /// window's square sums sliding in `sums` from channel 0 (see
-/// [`lrn_into`]). A sliding add/subtract window is not a
-/// multiply-accumulate chain, so it stays outside the FMA contract of
-/// [`crate::kernels`]: each square and each sum round separately.
+/// [`lrn_into`]).
+#[allow(clippy::too_many_arguments)]
 fn lrn_channels(
+    path: KernelPath,
     img: &[f32],
     c: usize,
     hw: usize,
@@ -340,35 +374,37 @@ fn lrn_channels(
 ) {
     let half = params.local_size / 2;
     let scale = params.alpha / params.local_size as f32;
+    let pow075 = params.beta == 0.75;
     let plane = |ci: usize| &img[ci * hw..(ci + 1) * hw];
+    let step = |out, enter, leave, sums: &mut [f32]| {
+        kernels::lrn_step_with(path, params.k, scale, out, enter, leave, sums)
+    };
     // Seed the window with channels [0, half].
     sums.fill(0.0);
     for cj in 0..=half.min(c - 1) {
-        for (s, &v) in sums.iter_mut().zip(plane(cj)) {
-            *s += v * v;
-        }
+        step(None, Some(plane(cj)), None, sums);
     }
+    let mut outs = out.chunks_exact_mut(hw);
     for ci in 0..range.end {
-        if ci >= range.start {
-            let out_plane = &mut out[(ci - range.start) * hw..][..hw];
-            for ((o, &v), &s) in out_plane.iter_mut().zip(plane(ci)).zip(sums.iter()) {
-                *o = v / (params.k + scale * s).powf(params.beta);
+        let mut out = (ci >= range.start).then(|| {
+            let out = outs
+                .next()
+                .expect("`out` holds one plane per channel of `range`");
+            (plane(ci), out)
+        });
+        if !pow075 {
+            if let Some((x, out)) = out.take() {
+                for ((o, &v), &s) in out.iter_mut().zip(x).zip(sums.iter()) {
+                    *o = v / (params.k + scale * s).powf(params.beta);
+                }
             }
         }
-        if ci + 1 == range.end {
-            break;
-        }
-        // Slide the window: channel ci+half+1 enters, ci-half leaves.
-        if ci + half + 1 < c {
-            for (s, &v) in sums.iter_mut().zip(plane(ci + half + 1)) {
-                *s += v * v;
-            }
-        }
-        if ci >= half {
-            for (s, &v) in sums.iter_mut().zip(plane(ci - half)) {
-                *s -= v * v;
-            }
-        }
+        // Then slide the window, unless this was the last channel:
+        // channel ci+half+1 enters, ci-half leaves.
+        let more = ci + 1 < range.end;
+        let enter = (more && ci + half + 1 < c).then(|| plane(ci + half + 1));
+        let leave = (more && ci >= half).then(|| plane(ci - half));
+        step(out, enter, leave, sums);
     }
 }
 
@@ -435,6 +471,22 @@ mod tests {
         // 2x2 window with pad 1: corner windows see a single valid cell.
         let out = avg_pool2d(&input, &Pool2dParams::new(2, 1, 1)).unwrap();
         assert_eq!(out.get(0, 0, 0, 0), 4.0);
+    }
+
+    #[test]
+    fn lrn_rejects_zero_and_even_local_size() {
+        let x = Tensor4::zeros(1, 4, 2, 2);
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        for local_size in [0, 2, 6] {
+            let params = LrnParams {
+                local_size,
+                alpha: 1e-4,
+                beta: 0.75,
+                k: 2.0,
+            };
+            let err = lrn_into(&x, &params, &mut Workspace::new(), &mut out).unwrap_err();
+            assert!(err.to_string().contains("must be odd"), "{err}");
+        }
     }
 
     proptest! {

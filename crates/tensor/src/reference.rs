@@ -11,6 +11,7 @@
 use crate::conv::Conv2dParams;
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
+use crate::pool::LrnParams;
 use crate::tensor4::Tensor4;
 
 /// Direct (sliding-window) convolution — the oracle for
@@ -86,4 +87,33 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
         }
     }
     Ok(c)
+}
+
+/// Across-channel local response normalization in `f64` — the oracle
+/// for [`crate::lrn_into`]: every element's window rescanned over its
+/// `local_size` channels (clipped at the first and last), no sliding
+/// sums, and the power taken with `f64::powf`. Returns the outputs in
+/// NCHW order, unrounded to `f32`, so a test can measure the kernel's
+/// relative error rather than compare bits.
+pub fn lrn(input: &Tensor4, params: &LrnParams) -> TensorResult<Vec<f64>> {
+    params.validate()?;
+    let (n, c, h, w) = input.shape();
+    let half = params.local_size / 2;
+    let scale = f64::from(params.alpha) / params.local_size as f64;
+    let mut out = Vec::with_capacity(input.len());
+    for ni in 0..n {
+        for ci in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    let window = ci.saturating_sub(half)..(ci + half + 1).min(c);
+                    let sum: f64 = window
+                        .map(|cj| f64::from(input.get(ni, cj, y, x)).powi(2))
+                        .sum();
+                    let d = f64::from(params.k) + scale * sum;
+                    out.push(f64::from(input.get(ni, ci, y, x)) / d.powf(f64::from(params.beta)));
+                }
+            }
+        }
+    }
+    Ok(out)
 }

@@ -48,7 +48,9 @@ pub struct Workspace {
     /// The f32 convolution's input channels of one group, padded once
     /// ([`crate::Lowering::padded`]: `in_per_group ×
     /// (h+2·pad) × (w+2·pad)`) for the lowering to read; untouched when
-    /// `pad` is 0, where the input is read in place.
+    /// `pad` is 0, where the input is read in place. Also the AVX2 max
+    /// pool's one `-inf`-padded input plane
+    /// ([`crate::kernels::max_pool_planes_with`]).
     pub padded: Vec<f32>,
     /// The int8 convolution's input channels of one group, quantized
     /// once, straight into their padded layout

@@ -255,33 +255,110 @@ fn max_pool_bit_identical_with_padding_and_strides() {
         // the last 8-lane block overlaps the one before it.
         (14, 14, Pool2dParams::new(3, 1, 1)),
         (28, 28, Pool2dParams::new(3, 1, 1)),
+        // Maps narrower than one 8-lane block: Googlenet 5a's module
+        // pool, Caffenet's pool5 and the serving demo net's pool2.
+        (7, 7, Pool2dParams::new(3, 1, 1)),
+        (13, 13, Pool2dParams::new(3, 0, 2)),
+        (8, 8, Pool2dParams::new(2, 0, 2)),
+        // Ceil mode: the last window hangs past the pad (6x6), and one
+        // that would start in the pad is clamped away (5x9).
+        (6, 6, Pool2dParams::new(3, 1, 2)),
+        (5, 9, Pool2dParams::new(2, 1, 2)),
     ];
     for (h, w, p) in cases {
-        let input = Tensor4::from_fn(2, 3, h, w, |ni, ci, y, x| {
-            let v = ((ni * 7 + ci * 5 + y * 3 + x) % 13) as f32 - 6.0;
-            // Sprinkle signed zeros and negatives to stress tie-breaking.
-            if v == 0.0 {
-                -0.0
-            } else {
-                v
+        for nan in [false, true] {
+            let input = Tensor4::from_fn(2, 3, h, w, |ni, ci, y, x| {
+                let v = ((ni * 7 + ci * 5 + y * 3 + x) % 13) as f32 - 6.0;
+                // Sprinkle signed zeros and negatives to stress
+                // tie-breaking, and in the second pass NaNs, which
+                // never win.
+                if v == 0.0 {
+                    -0.0
+                } else if nan && (ni + ci + y * 5 + x) % 7 == 3 {
+                    f32::NAN
+                } else {
+                    v
+                }
+            });
+            let reference = on_path(KernelPath::Scalar, || {
+                cap_tensor::max_pool2d(&input, &p).unwrap()
+            });
+            for path in kernels::available_paths() {
+                let got = on_path(path, || cap_tensor::max_pool2d(&input, &p).unwrap());
+                assert_bits_eq(
+                    reference.as_slice(),
+                    got.as_slice(),
+                    &format!(
+                        "max_pool {h}x{w} k={} pad={} s={} nan={nan} on {}",
+                        p.k,
+                        p.pad,
+                        p.stride,
+                        path.name()
+                    ),
+                );
             }
-        });
-        let reference = on_path(KernelPath::Scalar, || {
-            cap_tensor::max_pool2d(&input, &p).unwrap()
-        });
-        for path in kernels::available_paths() {
-            let got = on_path(path, || cap_tensor::max_pool2d(&input, &p).unwrap());
-            assert_bits_eq(
-                reference.as_slice(),
-                got.as_slice(),
-                &format!(
-                    "max_pool {h}x{w} k={} pad={} s={} on {}",
-                    p.k,
-                    p.pad,
-                    p.stride,
-                    path.name()
-                ),
-            );
+        }
+    }
+}
+
+#[test]
+fn lrn_bit_identical_on_special_values() {
+    let _g = force_lock();
+    // NaN, signed zeros, infinities and values whose squares overflow
+    // or underflow, among ordinary ones: 4x13 planes, so each channel
+    // step runs six 8-lane blocks and a scalar tail. Every output that
+    // is not NaN carries the scalar bits; NaN lands where it does on
+    // scalar.
+    let specials = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        3.0e38,
+        -2.0e19,
+        1.0e-30,
+        f32::MIN_POSITIVE,
+        1.5,
+        -0.25,
+    ];
+    let input = Tensor4::from_fn(2, 9, 4, 13, |ni, ci, y, x| {
+        let i = ni * 31 + ci * 7 + y * 13 + x;
+        if i % 3 == 0 {
+            specials[i / 3 % specials.len()]
+        } else {
+            ((i % 17) as f32 - 8.0) / 3.0
+        }
+    });
+    for local_size in [1, 3, 5] {
+        for beta in [0.75, 0.6] {
+            let params = cap_tensor::LrnParams {
+                local_size,
+                alpha: 1e-4,
+                beta,
+                k: 2.0,
+            };
+            let run = || {
+                let mut out = Tensor4::zeros(0, 0, 0, 0);
+                cap_tensor::lrn_into(&input, &params, &mut cap_tensor::Workspace::new(), &mut out)
+                    .unwrap();
+                out
+            };
+            let reference = on_path(KernelPath::Scalar, run);
+            for path in kernels::available_paths() {
+                let got = on_path(path, run);
+                for (i, (x, y)) in reference.as_slice().iter().zip(got.as_slice()).enumerate() {
+                    // A NaN's sign and payload are left open by Rust's
+                    // float semantics once two NaNs meet in an add, and
+                    // the compiler commutes adds: only where the NaNs
+                    // are is part of the contract.
+                    assert!(
+                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                        "lrn local_size={local_size} beta={beta} on {}: element {i} differs ({x} vs {y})",
+                        path.name()
+                    );
+                }
+            }
         }
     }
 }
