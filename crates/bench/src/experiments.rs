@@ -126,7 +126,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "dagpar",
-        "Ablation: intra-network DAG-parallel scheduler (CAP_CNN_DAG) off vs auto + critical path",
+        "Ablation: threads inside one pass (CAP_CNN_DAG) off vs auto and pinned teams",
         dagpar_exp::dagpar_ablation,
     ),
     (

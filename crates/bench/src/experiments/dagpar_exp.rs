@@ -1,21 +1,17 @@
-//! Intra-network DAG-parallel ablation: the staged walk (`CAP_CNN_DAG`)
-//! off vs auto, and on teams of pinned size, on the same branchy
-//! network, weights, fusion plan, and kernel path — so the measured
-//! delta is pure schedule overlap of independent branches and split
-//! kernels, never a numeric trade (DAG-parallel output is bit-identical
-//! to sequential by the contract proved in
-//! `crates/cnn/tests/dag_parity.rs`).
+//! Threads inside one pass: `CAP_CNN_DAG` off vs auto, and teams of
+//! pinned size, on the same branchy network, weights, fusion plan and
+//! kernel path — so the measured delta is split kernels only, never a
+//! numeric trade (a pass on a team is bit-identical to one thread by
+//! the contract proved in `crates/cnn/tests/dag_parity.rs`).
 //!
 //! Batch 1 is the whole point: data-parallel chunking
 //! ([`cap_cnn::ParallelEngine`]) cannot touch single-request latency,
-//! while an inception module carries four independent branches the node
-//! scheduler can overlap. The critical-path analyzer bounds the
-//! exercise: no schedule can beat the longest dependency chain, so the
-//! report shows floor, achieved, and the gap.
+//! while the steps of one pass — an inception module's branches among
+//! them — each split their large kernels across the arena's team.
 //!
-//! The last section is the end-to-end evidence that both schedules
-//! stay: full Googlenet at batch 1, sequential against whatever
-//! `DagMode::Auto` picks on this host, alternated round by round.
+//! The last section is the end-to-end evidence on full Googlenet at
+//! batch 1: one thread against whatever `DagMode::Auto` gives a pass on
+//! this host, alternated round by round.
 
 use super::kernels_exp::best_secs;
 use cap_cnn::dag::{self, DagMode};
@@ -24,7 +20,7 @@ use cap_cnn::layer::{
 };
 use cap_cnn::models::{googlenet, WeightInit};
 use cap_cnn::network::{Network, NodeId, INPUT};
-use cap_cnn::{CollectingTracer, CriticalPathReport, ForwardArena, ProfileReport};
+use cap_cnn::ForwardArena;
 use cap_tensor::{init::xavier_uniform, kernels, Conv2dParams, Team, Tensor4, TensorResult};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
@@ -189,13 +185,17 @@ fn on_mode<T>(mode: DagMode, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Best batch-1 forward latency through `arena` (one warm-up pass
-/// first).
-fn latency(mut arena: ForwardArena, net: &Network, img: &Tensor4) -> Duration {
+/// Best batch-1 forward latency through `arena` and the kernel splits
+/// of one pass (one warm-up pass first).
+fn latency(mut arena: ForwardArena, net: &Network, img: &Tensor4) -> (Duration, u64) {
+    let splits = &cap_obs::metrics().intra_op_splits;
+    let before = splits.get();
     net.forward_into(img, &mut arena).unwrap();
-    Duration::from_secs_f64(best_secs(|| {
+    let per_pass = splits.get() - before;
+    let best = best_secs(|| {
         net.forward_into(img, &mut arena).unwrap();
-    }))
+    });
+    (Duration::from_secs_f64(best), per_pass)
 }
 
 /// Alternating rounds of [`googlenet_schedules`] in the registry entry.
@@ -204,9 +204,8 @@ const GOOGLENET_ROUNDS: usize = 12;
 /// Full Googlenet at batch 1 under `DagMode::Off` and `DagMode::Auto`,
 /// both in every round (which goes first alternates) on one warmed
 /// arena, so host drift lands on both arms alike: median, min and
-/// rounds won per schedule. `Auto` decides from the plan's width and
-/// the core count, so on a one-core host it resolves to the sequential
-/// schedule (0 workers) and the arms tie.
+/// rounds won per schedule. `Auto` gives a pass the host's cores, so
+/// on a one-core host both arms run on one thread and tie.
 fn googlenet_schedules(rounds: usize) -> String {
     let net = googlenet(WeightInit::Xavier { seed: 7 }).expect("googlenet builds");
     let img = Tensor4::from_fn(1, 3, 224, 224, |_, c, h, w| {
@@ -221,10 +220,9 @@ fn googlenet_schedules(rounds: usize) -> String {
             t.elapsed().as_secs_f64() * 1e3
         })
     };
-    // Warm both schedules; the second pass leaves Auto's worker count.
     pass_ms(0);
     pass_ms(1);
-    let auto_workers = cap_obs::metrics().dag_workers.get();
+    let auto_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (mut ms, mut wins) = ([Vec::new(), Vec::new()], [0usize; 2]);
     for r in 0..rounds {
         let mut round = [0.0; 2];
@@ -237,7 +235,7 @@ fn googlenet_schedules(rounds: usize) -> String {
         }
     }
     let mut out = format!(
-        "\n## Full Googlenet, batch 1: dag=off vs dag=auto ({auto_workers} workers), \
+        "\n## Full Googlenet, batch 1: dag=off vs dag=auto ({auto_threads} threads), \
          {rounds} alternating rounds on one warmed arena\n\n\
          {:<10} {:>10} {:>10} {:>6}\n",
         "schedule", "median ms", "min ms", "wins"
@@ -264,15 +262,10 @@ pub fn dagpar_ablation() -> String {
     out
 }
 
-/// `CAP_CNN_DAG` off vs auto and pinned teams on [`mini_inception`],
-/// plus the critical-path floor.
+/// `CAP_CNN_DAG` off vs auto and pinned teams on [`mini_inception`].
 fn mini_inception_ablation() -> String {
     let mut out = String::new();
-    writeln!(
-        out,
-        "# Intra-network DAG-parallel ablation: CAP_CNN_DAG off vs auto"
-    )
-    .unwrap();
+    writeln!(out, "# Threads inside one pass: CAP_CNN_DAG off vs auto").unwrap();
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     writeln!(
         out,
@@ -286,27 +279,14 @@ fn mini_inception_ablation() -> String {
     let net = mini_inception();
     let img = one_image();
 
-    // The floor: per-node times from a sequential timed pass, longest
-    // dependency chain through the DAG. Warm first and keep the fastest
-    // of several passes — a cold pass inflates every node and would
-    // overstate the floor.
-    net.forward_timed(&img).unwrap();
-    let rec = (0..5)
-        .map(|_| net.forward_timed(&img).unwrap())
-        .min_by_key(|r| r.total_time())
-        .unwrap();
-    let cp = CriticalPathReport::from_forward_record(&net, &rec).unwrap();
-    writeln!(out, "\n## Critical path (mini-inception, batch 1)\n").unwrap();
-    out.push_str(&cp.to_text());
-
     writeln!(out, "\n## Batch-1 latency (best of repeated runs)\n").unwrap();
     writeln!(
         out,
-        "{:<26} {:>12} {:>9} {:>11}",
-        "arm", "latency ms", "speedup", "% of floor"
+        "{:<26} {:>12} {:>9} {:>7}",
+        "arm", "latency ms", "speedup", "splits"
     )
     .unwrap();
-    let mut rows: Vec<(String, Duration)> = [DagMode::Off, DagMode::Auto]
+    let mut rows: Vec<(String, (Duration, u64))> = [DagMode::Off, DagMode::Auto]
         .into_iter()
         .map(|mode| {
             let t = on_mode(mode, || latency(ForwardArena::new(), &net, &img));
@@ -317,42 +297,23 @@ fn mini_inception_ablation() -> String {
         let arena = ForwardArena::with_team(Team::new(threads));
         rows.push((format!("team of {threads}"), latency(arena, &net, &img)));
     }
-    let off = rows[0].1;
-    for (label, t) in &rows {
+    let (off, _) = rows[0].1;
+    for (label, (t, splits)) in &rows {
         writeln!(
             out,
-            "{label:<26} {:>12.3} {:>8.2}x {:>10.0}%",
+            "{label:<26} {:>12.3} {:>8.2}x {splits:>7}",
             t.as_secs_f64() * 1e3,
             off.as_secs_f64() / t.as_secs_f64().max(1e-12),
-            cp.efficiency(*t) * 100.0,
         )
         .unwrap();
     }
 
-    // Profile with the floor attached: traced `auto` passes feed a
-    // ProfileReport, and the DagSummary rides along into text + JSON.
-    let achieved = rows[1].1;
-    let workers = host.min(4) as u64;
-    let tracer = CollectingTracer::new();
-    on_mode(DagMode::Auto, || {
-        let mut arena = ForwardArena::new();
-        for _ in 0..3 {
-            net.forward_into_traced(&img, &mut arena, &tracer).unwrap();
-        }
-    });
-    let report = ProfileReport::from_spans("mini-inception (dag=auto)", &tracer.take_spans())
-        .with_dag_summary(cp.summary(achieved, workers));
-    writeln!(out, "\n## Profile with critical-path summary\n").unwrap();
-    out.push_str(&report.to_text_table());
-    writeln!(out, "\njson: {}", report.to_json()).unwrap();
-
     writeln!(
         out,
-        "\nparity contract: DAG-parallel and sequential passes are bitwise \
-         identical (crates/cnn/tests/dag_parity.rs); speedups are schedule \
-         overlap only. Under CAP_CNN_DAG=auto only the stages where a plan \
-         branches take the queue; a chain's steps (mini-Caffenet) and the \
-         steps between modules split their kernels across the same threads."
+        "\nparity contract: a pass on a team is bitwise identical to one \
+         thread (crates/cnn/tests/dag_parity.rs); speedups are split \
+         kernels only. `splits` counts the kernel calls of one pass cut \
+         across the team; every step runs once, in plan order."
     )
     .unwrap();
     out
@@ -377,15 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn ablation_reports_floor_and_both_arms() {
+    fn ablation_reports_every_arm() {
         let out = mini_inception_ablation();
         assert!(out.contains("off vs auto"), "{out}");
-        assert!(out.contains("critical path"), "{out}");
         for row in ["dag=off", "dag=auto", "team of 2", "team of 4"] {
             assert!(out.contains(&format!("\n{row} ")), "{row}: {out}");
         }
-        // The DagSummary made it into the profile's JSON export.
-        assert!(out.contains("\"dag\":{"), "{out}");
         // One round of the Googlenet comparison (same test: `force` is
         // process-global).
         let out = googlenet_schedules(1);

@@ -26,12 +26,12 @@
 //!   sharding batched workloads with bitwise-deterministic outputs, and
 //!   the strong-scaling measurement that calibrates `cap-cloud`'s
 //!   efficiency curve.
-//! * [`dag`] — intra-network DAG-parallel execution for batch-1
-//!   latency: the `CAP_CNN_DAG` mode (how many threads a pass walks its
-//!   stages with; [`ForwardArena::with_team`] pins the count) and the
-//!   [`CriticalPathReport`] latency-floor analyzer (bitwise identical
-//!   to the sequential schedule either way).
+//! * [`dag`] — the `CAP_CNN_DAG` mode: how many threads one pass
+//!   splits its kernels across, for batch-1 latency
+//!   ([`ForwardArena::with_team`] pins the count; bitwise identical to
+//!   one thread either way).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;
@@ -45,7 +45,7 @@ pub mod parallel;
 pub mod train;
 
 pub use accuracy::{evaluate_topk, AccuracyReport};
-pub use dag::{CriticalPathReport, DagMode};
+pub use dag::DagMode;
 pub use fusion::FusionMode;
 pub use inference::{run_batched, ThroughputReport};
 pub use layer::{Layer, LayerKind};
@@ -54,4 +54,4 @@ pub use parallel::{strong_scaling, InferenceReport, ParallelEngine, WorkerReport
 
 // Observability vocabulary (tracers, span scopes) used by the traced
 // entry points, re-exported so callers need not name `cap_obs` directly.
-pub use cap_obs::{CollectingTracer, DagSummary, NoopTracer, ProfileReport, Tracer};
+pub use cap_obs::{CollectingTracer, NoopTracer, ProfileReport, Tracer};

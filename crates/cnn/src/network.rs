@@ -1,5 +1,5 @@
-//! The network executor: a DAG of layers run as a sequence of stages,
-//! with per-layer wall-clock timing.
+//! The network executor: a DAG of layers run step by step in
+//! topological order, with per-layer wall-clock timing.
 //!
 //! A [`Network`] is a directed acyclic graph of layers. Nodes are added in
 //! topological order (each node may only reference earlier nodes or the
@@ -13,14 +13,12 @@
 //! (which plan, how many threads) and in what observes the pass:
 //! per-layer timing is a [`Tracer`], calibration a per-step hook.
 //!
-//! The plan is cut into stages at the steps no dependency edge crosses.
-//! A pass walks them in order with one thread count: a one-step stage
-//! (a chain's every step; Googlenet's stem, concats and pools) runs on
-//! the calling thread with the arena's worker team in its workspace,
-//! so its kernel splits; a stage where branches run side by side (an
-//! inception module) runs on the ready queue, one branch per worker.
-//! That staged walk is the only way a pass with more than one thread
-//! runs.
+//! A pass walks the plan's steps in order on the calling thread. With
+//! more than one thread, the arena's worker team sits in the calling
+//! thread's workspace, so every step's large kernels split across it
+//! (a conv by bands, rows or panels, a batch-1 fc by columns, a pool
+//! or LRN by planes); each step still runs once, in the same order, so
+//! the thread count never changes output bits.
 
 use crate::dag::{self, DagMode};
 use crate::fusion;
@@ -30,11 +28,8 @@ use cap_tensor::{
     team, CalibrationMethod, Matrix, ShapeError, Team, Tensor4, TensorResult, Workspace,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Identifier of a node within a [`Network`].
@@ -61,17 +56,6 @@ struct ExecStep {
     fused_relu: Option<usize>,
 }
 
-/// A run of consecutive plan steps that executes as one unit: every
-/// producer a step has outside its stage lies in an earlier one, so
-/// once the stages before it are done, a stage needs nothing else.
-struct Stage {
-    steps: Range<usize>,
-    /// Most steps of the stage sharing a dependency depth within it: 1
-    /// for a single step (or a chain), 4 for a Googlenet inception
-    /// module's branches.
-    width: usize,
-}
-
 /// Cached execution schedule of a [`Network`].
 ///
 /// Built once per `(network, fused?)` pair by pattern-matching
@@ -87,229 +71,16 @@ struct Plan {
     /// Number of fused producer→ReLU pairs, published to the
     /// `fused_layers` gauge.
     fused_count: u64,
-    /// Step-level dependency graph: `succs[s]` lists the steps that
-    /// consume step `s`'s output (deduplicated, ascending). Drives the
-    /// DAG scheduler's indegree handoff.
-    succs: Vec<Vec<usize>>,
-    /// The pass as a sequence of stages, cut at the steps no dependency
-    /// edge crosses (see [`Plan::finalize`]).
-    stages: Vec<Stage>,
-    /// Initial indegree per step: the distinct producer steps in its
-    /// own stage it waits on — what a stage's ready queue counts down
-    /// once the earlier stages are done (the network input and earlier
-    /// stages' outputs count as always-ready).
-    stage_indeg: Vec<u32>,
-    /// Largest per-image MAC count of any step: whether a chain pass
-    /// has a kernel worth a worker team at all.
+    /// Largest per-image MAC count of any step: whether a pass has a
+    /// kernel worth a worker team at all.
     max_macs: u64,
 }
 
-/// The most steps of the run `steps` that share a dependency depth,
-/// counting only the `producers` inside the run.
-fn depth_width(steps: Range<usize>, producers: &[Vec<usize>]) -> usize {
-    let mut level = vec![0usize; steps.len()];
-    let mut per_level = vec![0usize; steps.len()];
-    for s in steps.clone() {
-        let own = producers[s].iter().filter(|&&d| d >= steps.start);
-        let l = own.map(|&d| level[d - steps.start] + 1).max().unwrap_or(0);
-        level[s - steps.start] = l;
-        per_level[l] += 1;
-    }
-    per_level.into_iter().max().unwrap_or(0)
-}
-
-impl Plan {
-    /// Derive the step-level dependency graph (`succs`) from the chosen
-    /// steps, and cut it into stages with their indegrees. A fused ReLU
-    /// is *inside* its producer's step, so consumers of either node
-    /// depend on that one step; duplicate edges (a concat reading one
-    /// producer twice) collapse to a single indegree count.
-    ///
-    /// A *cut step* is one that no dependency edge crosses: nothing
-    /// produced before it — the network input included — is read after
-    /// it. Googlenet's cut steps are its stem, every inception concat,
-    /// pool3, pool4 and the head. Each cut step is a stage of its own;
-    /// the steps between two cuts form one stage, wide where branches
-    /// run side by side.
-    fn finalize(&mut self, nodes: &[Node]) {
-        let n_steps = self.steps.len();
-        // Node index → the step whose execution produces its output.
-        let mut step_of_node = vec![0usize; nodes.len()];
-        for (s, step) in self.steps.iter().enumerate() {
-            step_of_node[step.node] = s;
-            if let Some(r) = step.fused_relu {
-                step_of_node[r] = s;
-            }
-        }
-        self.succs = vec![Vec::new(); n_steps];
-        let mut producers: Vec<Vec<usize>> = Vec::with_capacity(n_steps);
-        // The last step that reads the network input.
-        let mut input_read_until = 0;
-        for (s, step) in self.steps.iter().enumerate() {
-            let mut deps = Vec::new();
-            for &inp in &nodes[step.node].inputs {
-                if inp == INPUT {
-                    input_read_until = s;
-                } else {
-                    deps.push(step_of_node[self.slot_of[inp.0]]);
-                }
-            }
-            deps.sort_unstable();
-            deps.dedup();
-            for &d in &deps {
-                self.succs[d].push(s);
-            }
-            producers.push(deps);
-        }
-
-        // `read_until`: the last step reading anything produced so far.
-        let mut read_until = input_read_until;
-        let mut start = 0;
-        for s in 0..n_steps {
-            if read_until <= s {
-                if start < s {
-                    self.stages.push(Stage {
-                        steps: start..s,
-                        width: depth_width(start..s, &producers),
-                    });
-                }
-                self.stages.push(Stage {
-                    steps: s..s + 1,
-                    width: 1,
-                });
-                start = s + 1;
-            }
-            read_until = read_until.max(self.succs[s].last().copied().unwrap_or(s));
-        }
-        if start < n_steps {
-            self.stages.push(Stage {
-                steps: start..n_steps,
-                width: depth_width(start..n_steps, &producers),
-            });
-        }
-        self.stage_indeg = vec![0u32; n_steps];
-        for stage in &self.stages {
-            for s in stage.steps.clone() {
-                let own = producers[s].iter().filter(|&&d| d >= stage.steps.start);
-                self.stage_indeg[s] = own.count() as u32;
-            }
-        }
-        self.max_macs = self
-            .steps
-            .iter()
-            .map(|step| nodes[step.node].macs)
-            .max()
-            .unwrap_or(0);
-    }
-}
-
-/// Shared mutable view of the arena's slot vector, handed to the DAG
-/// scheduler's worker threads (and, for code unity, the sequential
-/// loop).
-///
-/// Safety rests on three invariants, upheld by every user:
-/// 1. the `Vec<Tensor4>` is pre-sized before the pointer is taken and
-///    never resized while it is live (individual tensors may grow their
-///    *own* heap buffers — that never moves the outer vector);
-/// 2. each plan step is executed by exactly one thread, which is the
-///    only writer of that step's slot, ever;
-/// 3. a step runs only after all its producers' completion decrements
-///    (`AcqRel` on the indegree atomics, or the queue mutex) — or, for
-///    a producer in an earlier stage, after that stage's join — so
-///    producer slots are fully written and quiescent when read.
-#[derive(Clone, Copy)]
-struct SlotsPtr {
-    ptr: *mut Tensor4,
-}
-
-// SAFETY: see the struct docs — exclusive-writer and handoff-ordering
-// invariants make cross-thread sharing of the raw pointer sound.
-unsafe impl Send for SlotsPtr {}
-unsafe impl Sync for SlotsPtr {}
-
-/// Shared state of one stage on the ready queue: the queue plus the
-/// indegree handoff counters. Lives in the [`ForwardArena`] and is
-/// reset, not rebuilt, for every stage, so a queued stage allocates
-/// nothing once the arena has seen its plan.
-#[derive(Default)]
-struct DagRun {
-    /// Steps whose dependencies are all satisfied, awaiting a worker.
-    queue: Mutex<VecDeque<usize>>,
-    /// Signalled on every push, on abort, and when the stage completes.
-    ready: Condvar,
-    /// Per-step countdown of unfinished producers in the stage; the
-    /// worker that decrements one to zero owns (or enqueues) that step.
-    indeg: Vec<AtomicU32>,
-    /// End of the stage's steps: successors from here on belong to
-    /// later stages and are not released by this one.
-    end: usize,
-    /// Steps not yet completed; 0 means the stage is done.
-    remaining: AtomicUsize,
-    /// Set on the first kernel error or panic; workers drain and exit.
-    abort: AtomicBool,
-    /// The first error observed (kernel errors are all shape errors and
-    /// deterministic, so "first" is stable in practice).
-    failed: Mutex<Option<ShapeError>>,
-    /// Queue round-trips, flushed to `dag_queue_pushes` once per stage.
-    pushes: AtomicU64,
-    /// Steps run via the chained fast path (a finishing worker directly
-    /// executes the first successor it made ready), flushed to
-    /// `dag_chained_steps`.
-    chained: AtomicU64,
-}
-
-impl DagRun {
-    /// Arm for `stage` of `plan`, whose countdowns start at the plan's
-    /// stage indegrees: the queue holds the stage's steps that wait on
-    /// nothing inside it. Allocates only when the arena meets a plan
-    /// with more steps.
-    fn reset(&mut self, plan: &Plan, stage: &Stage) {
-        let (n_steps, indeg) = (plan.steps.len(), &plan.stage_indeg);
-        if self.indeg.len() < n_steps {
-            self.indeg.resize_with(n_steps, AtomicU32::default);
-        }
-        let steps = stage.steps.clone();
-        for s in steps.clone() {
-            *self.indeg[s].get_mut() = indeg[s];
-        }
-        self.end = steps.end;
-        let queue = self.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
-        queue.clear();
-        queue.reserve(n_steps);
-        queue.extend(steps.filter(|&s| indeg[s] == 0));
-        *self.pushes.get_mut() = queue.len() as u64;
-        *self.chained.get_mut() = 0;
-        *self.remaining.get_mut() = stage.steps.len();
-        *self.abort.get_mut() = false;
-        *self
-            .failed
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    fn queue(&self) -> MutexGuard<'_, VecDeque<usize>> {
-        // A worker that panicked holding the lock left a queue of step
-        // indices, each valid; the pass is aborted anyway.
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Record the first failure, stop every worker and wake the parked.
-    fn abort(&self, error: Option<ShapeError>) {
-        if let Some(e) = error {
-            let mut failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
-            failed.get_or_insert(e);
-        }
-        self.abort.store(true, Ordering::Release);
-        drop(self.queue());
-        self.ready.notify_all();
-    }
-}
-
-/// How one pass picks its plan and its scheduler — the only thing the
-/// public entry points disagree on.
+/// How one pass picks its plan and its thread count — the only thing
+/// the public entry points disagree on.
 #[derive(Clone, Copy)]
 enum Schedule {
-    /// The process-wide fusion and DAG modes ([`Network::forward`],
+    /// The process-wide fusion and thread modes ([`Network::forward`],
     /// [`Network::forward_into`], [`Network::forward_into_traced`]).
     Knobs,
     /// One unfused step per node, in insertion order, on the calling
@@ -320,12 +91,11 @@ enum Schedule {
     PerNode,
 }
 
-/// Everything `exec_plan_step` needs besides the step index, shared by
-/// the sequential loop and every DAG worker of one pass.
+/// Everything `exec_plan_step` needs besides the step index and the
+/// buffers it writes.
 struct Pass<'a, T: Tracer> {
     plan: &'a Plan,
     input: &'a Tensor4,
-    slots: SlotsPtr,
     tracer: &'a T,
     /// Some observability channel (tracer or timed metrics) is on:
     /// read the clock around each step.
@@ -399,8 +169,8 @@ impl ForwardRecord {
 
 /// Everything a forward pass writes, reused across passes: one
 /// activation tensor per node (the last is the output), the calling
-/// thread's kernel-scratch [`Workspace`], the worker [`Team`] a pass
-/// with more than one thread runs on, and the DAG scheduler's queue.
+/// thread's kernel-scratch [`Workspace`] and the worker [`Team`] a
+/// pass with more than one thread splits its kernels across.
 ///
 /// After the first pass every buffer has reached its steady-state
 /// high-water mark and subsequent passes (same batch size) allocate
@@ -429,7 +199,6 @@ pub struct ForwardArena {
     /// Threads the team in `scratch` was asked for (it may hold fewer,
     /// if the OS refused a helper).
     team_asked: usize,
-    dag: DagRun,
 }
 
 impl ForwardArena {
@@ -439,12 +208,11 @@ impl ForwardArena {
     }
 
     /// An arena whose passes run on `team`: each gets
-    /// `team.threads()` threads whatever `CAP_CNN_DAG` says — the ready
-    /// queue in a stage where the plan branches, kernel splits in every
-    /// other step. The explicit way to pick a pass's thread count (the
-    /// parity tests and the `dagpar` experiment pin theirs this way);
-    /// [`Network::forward_timed`] and [`Network::calibrate`] stay on
-    /// one thread regardless.
+    /// `team.threads()` threads whatever `CAP_CNN_DAG` says, its steps
+    /// walked in order with their kernels split. The explicit way to
+    /// pick a pass's thread count (the parity tests and the `dagpar`
+    /// experiment pin theirs this way); [`Network::forward_timed`] and
+    /// [`Network::calibrate`] stay on one thread regardless.
     ///
     /// ```
     /// use cap_cnn::layer::ConvLayer;
@@ -493,9 +261,9 @@ impl ForwardArena {
 
     /// Make sure the arena has a team for a pass that wants `threads`.
     /// The one there is stays if it has that many threads or more (a
-    /// ready queue runs no more workers than its width, a split no more
-    /// parts than it pays for), or if it was asked for that many and
-    /// the OS gave it fewer; only a team asked for fewer is rebuilt.
+    /// split runs no more parts than it pays for), or if it was asked
+    /// for that many and the OS gave it fewer; only a team asked for
+    /// fewer is rebuilt.
     fn ensure_team(&mut self, threads: usize) {
         if let Some(team) = &self.scratch.team {
             if team.threads() >= threads || self.team_asked >= threads {
@@ -738,18 +506,15 @@ impl Network {
     /// workspaces, both retained across calls; repeat passes at a fixed
     /// batch size perform no heap allocation at all, on every schedule
     /// (the plan is built on the first pass and cached, the arena's
-    /// worker team on the first pass that wants one, and the DAG
-    /// scheduler's queue is the arena's).
+    /// worker team on the first pass that wants one).
     ///
     /// This entry point honors the graph-level fusion pass (see
     /// [`crate::fusion`]): under `CAP_TENSOR_FUSION=auto` (the default),
     /// eligible `conv → relu` / `fc → relu` chains execute as single
     /// fused steps, bitwise identical to the unfused schedule. It also
     /// honors `CAP_CNN_DAG` (see [`ForwardArena`]): a pass with more
-    /// than one thread runs each stage where the plan branches on the
-    /// ready queue and splits the large kernels of every other step
-    /// across the arena's team — bitwise identical to one thread either
-    /// way.
+    /// than one thread splits the large kernels of its steps across the
+    /// arena's team — bitwise identical to one thread either way.
     pub fn forward_into<'a>(
         &self,
         input: &Tensor4,
@@ -836,16 +601,6 @@ impl Network {
         Ok(arena.slots.swap_remove(slot))
     }
 
-    /// Input references of node `i` (possibly [`INPUT`]), in
-    /// declaration order. The critical-path analyzer walks the DAG
-    /// through this.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    pub fn inputs_of(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes[i].inputs.iter().copied()
-    }
-
     /// Build the execution schedule, fusing eligible chains iff `fuse`.
     ///
     /// A ReLU node `r` is fused into its producer `p` when the pair is
@@ -891,31 +646,30 @@ impl Network {
                 i += 1;
             }
         }
-        let mut plan = Plan {
+        let max_macs = steps
+            .iter()
+            .map(|step| self.nodes[step.node].macs)
+            .max()
+            .unwrap_or(0);
+        Plan {
             steps,
             slot_of,
             fused_count,
-            succs: Vec::new(),
-            stages: Vec::new(),
-            stage_indeg: Vec::new(),
-            max_macs: 0,
-        };
-        plan.finalize(&self.nodes);
-        plan
+            max_macs,
+        }
     }
 
-    /// Decide how many threads every stage of a pass may use.
+    /// Decide how many threads a pass may split its kernels across.
     ///
     /// The count: the pinned team's ([`ForwardArena::with_team`]) or
     /// `CAP_CNN_DAG`'s — one under `off` or inside a data-parallel
     /// engine worker (stacking threads on the engine's would
     /// oversubscribe the host), the host's cores under `auto`.
     ///
-    /// The pass walks its stages with that count — or with one thread
-    /// when the plan never branches, the arena has no team yet and no
-    /// step is big enough to split at this batch, so small chains never
-    /// build one. A team already there is used; each kernel then
-    /// decides for itself whether it splits.
+    /// The pass gets that count — or one thread when the arena has no
+    /// team yet and no step is big enough to split at this batch, so
+    /// small nets never build one. A team already there is used; each
+    /// kernel then decides for itself whether it splits.
     fn pass_threads(plan: &Plan, schedule: Schedule, arena: &ForwardArena, batch: usize) -> usize {
         let threads = match schedule {
             Schedule::PerNode => 1,
@@ -927,7 +681,6 @@ impl Network {
             },
         };
         let uses_team = arena.scratch.team.is_some()
-            || plan.stages.iter().any(|stage| stage.width > 1)
             || team::worth_a_team(threads, plan.max_macs.saturating_mul(batch as u64));
         if uses_team {
             threads
@@ -937,11 +690,10 @@ impl Network {
     }
 
     /// The one pass: validate the input, pick the plan and the thread
-    /// count `schedule` asks for, walk the plan's stages (a stage wider
-    /// than one step on the ready queue when the pass has more than one
-    /// thread, every other in order on the calling thread), run every
-    /// step through [`Network::exec_plan_step`], and return the arena
-    /// slot holding the output.
+    /// count `schedule` asks for, run every step in order on the calling
+    /// thread through [`Network::exec_plan_step`] (its kernels split
+    /// across the arena's team when the pass has more than one thread),
+    /// and return the arena slot holding the output.
     fn run_pass<T: Tracer>(
         &self,
         input: &Tensor4,
@@ -994,9 +746,6 @@ impl Network {
         let pass = Pass {
             plan,
             input,
-            slots: SlotsPtr {
-                ptr: arena.slots.as_mut_ptr(),
-            },
             tracer,
             observing,
             timing,
@@ -1010,28 +759,10 @@ impl Network {
         } else {
             arena.scratch.team.take()
         };
-        // The most ready-queue workers any stage ran with; 0 if none.
-        let mut queued = 0;
-        let outcome = plan.stages.iter().try_for_each(|stage| {
-            let workers = threads.min(stage.width);
-            if workers > 1 {
-                queued = queued.max(workers);
-                self.run_plan_dag(&pass, &mut arena.scratch, &mut arena.dag, stage, workers)
-            } else {
-                // Contract of `exec_plan_step` holds trivially: one
-                // thread runs the stage's steps, in topological order,
-                // after every earlier stage, and nothing resizes the
-                // slot vector.
-                (stage.steps.clone())
-                    .try_for_each(|s| self.exec_plan_step(&pass, s, &mut arena.scratch))
-            }
-        });
+        let outcome = (0..plan.steps.len())
+            .try_for_each(|s| self.exec_plan_step(&pass, s, &mut arena.slots, &mut arena.scratch));
         if parked.is_some() {
             arena.scratch.team = parked;
-        }
-        metrics.dag_workers.set(queued as u64);
-        if queued > 0 {
-            metrics.dag_parallel_passes.inc();
         }
         outcome?;
         let out_slot = plan.slot_of[self.nodes.len() - 1];
@@ -1063,38 +794,33 @@ impl Network {
     }
 
     /// Execute plan step `s`: run its node's kernel (with the fused
-    /// ReLU epilogue when planned, scratch from this thread's `ws`)
-    /// into the step's arena slot, after
-    /// the calibration observer if the pass has one, emitting the layer
-    /// span/timing when observability is on. Identical code serves the
-    /// sequential loop and every DAG worker — which is the mechanical
-    /// reason scheduling cannot change output bits — and nothing else
-    /// in this file calls into a layer's forward.
+    /// ReLU epilogue when planned, scratch and team from `ws`) into the
+    /// step's arena slot, after the calibration observer if the pass
+    /// has one, emitting the layer span/timing when observability is
+    /// on. Nothing else in this file calls into a layer's forward.
     ///
-    /// Unchecked contract (callers): exclusive access to slot
-    /// `plan.steps[s].node`, producer slots fully written and no longer
-    /// mutated, arena slot vector not resized while `pass.slots` is
-    /// live — see [`SlotsPtr`].
+    /// Node `i`'s output is slot `i`, and every producer's slot comes
+    /// before it (`slot_of[id] <= id < i`, nodes being topologically
+    /// ordered), so the producers are read from `slots[..i]` while slot
+    /// `i` is written.
     fn exec_plan_step<T: Tracer>(
         &self,
         pass: &Pass<'_, T>,
         s: usize,
+        slots: &mut [Tensor4],
         ws: &mut Workspace,
     ) -> TensorResult<()> {
         let step = &pass.plan.steps[s];
         let i = step.node;
         let node = &self.nodes[i];
         let node_start = pass.observing.then(Instant::now);
-        // SAFETY: slot `i` is this step's own (exclusive by contract).
-        let out = unsafe { &mut *pass.slots.ptr.add(i) };
+        let (done, rest) = slots.split_at_mut(i);
+        let out = &mut rest[0];
         let resolve = |id: NodeId| -> &Tensor4 {
             if id == INPUT {
                 pass.input
             } else {
-                // SAFETY: producer slots are fully written, quiescent,
-                // and distinct from slot `i` (`slot_of[id] <= id < i`
-                // by topological order).
-                unsafe { &*pass.slots.ptr.add(pass.plan.slot_of[id.0]).cast_const() }
+                &done[pass.plan.slot_of[id.0]]
             }
         };
         let fused = step.fused_relu.is_some();
@@ -1146,116 +872,6 @@ impl Network {
             }
         }
         Ok(())
-    }
-
-    /// Run `stage` on the ready-queue DAG scheduler with `workers`
-    /// threads: the calling thread with `ws` plus helpers of `ws`'s
-    /// team, each with its own workspace. The team is lent out for the
-    /// stage, so no step's kernel splits.
-    fn run_plan_dag<T: Tracer>(
-        &self,
-        pass: &Pass<'_, T>,
-        ws: &mut Workspace,
-        run: &mut DagRun,
-        stage: &Stage,
-        workers: usize,
-    ) -> TensorResult<()> {
-        run.reset(pass.plan, stage);
-        let run = &*run;
-        // Not handed back if a step panicked: the team drops (joining
-        // its idle helpers) and the next pass that wants one builds it.
-        let mut team = ws
-            .team
-            .take()
-            .expect("a queued stage runs on the arena's team");
-        let parts = workers.min(team.threads());
-        team.run(parts, ws, &|_, ws| self.dag_worker_loop(pass, run, ws));
-        ws.team = Some(team);
-        let metrics = cap_obs::metrics();
-        metrics
-            .dag_queue_pushes
-            .add(run.pushes.load(Ordering::Relaxed));
-        metrics
-            .dag_chained_steps
-            .add(run.chained.load(Ordering::Relaxed));
-        if let Some(e) = run
-            .failed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            return Err(e);
-        }
-        debug_assert_eq!(run.remaining.load(Ordering::Acquire), 0);
-        Ok(())
-    }
-
-    /// One DAG worker: pop ready steps, execute them with its own
-    /// scratch, release their successors in the stage. Exits when the
-    /// stage completes or aborts; a step's error or panic aborts it for
-    /// every worker (the panic then resurfaces on the caller, see
-    /// [`Team::run`]).
-    fn dag_worker_loop<T: Tracer>(&self, pass: &Pass<'_, T>, run: &DagRun, ws: &mut Workspace) {
-        let plan = pass.plan;
-        loop {
-            // Park until a step is ready, the stage is done, or aborted.
-            let step = {
-                let mut q = run.queue();
-                loop {
-                    if run.abort.load(Ordering::Acquire)
-                        || run.remaining.load(Ordering::Acquire) == 0
-                    {
-                        return;
-                    }
-                    if let Some(s) = q.pop_front() {
-                        break s;
-                    }
-                    q = run.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            // Chained fast path: after finishing a step, directly run
-            // the first successor it made ready — the backbone chain of
-            // a branchy net never round-trips through the queue.
-            let mut next = Some(step);
-            while let Some(s) = next.take() {
-                if run.abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                match panic::catch_unwind(AssertUnwindSafe(|| self.exec_plan_step(pass, s, ws))) {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => return run.abort(Some(e)),
-                    Err(payload) => {
-                        run.abort(None);
-                        panic::resume_unwind(payload);
-                    }
-                }
-                // Handoff: the slot write above happens-before any
-                // consumer via the AcqRel decrement chain (release
-                // sequence) — or the queue mutex, on the push path. A
-                // consumer in a later stage reads it after this stage's
-                // join.
-                let in_stage = plan.succs[s].iter().take_while(|&&t| t < run.end);
-                for &succ in in_stage {
-                    if run.indeg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        if next.is_none() {
-                            run.chained.fetch_add(1, Ordering::Relaxed);
-                            next = Some(succ);
-                        } else {
-                            run.queue().push_back(succ);
-                            run.pushes.fetch_add(1, Ordering::Relaxed);
-                            run.ready.notify_one();
-                        }
-                    }
-                }
-                if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Last step of the stage: wake every parked worker.
-                    // Taking the lock orders the decrement before their
-                    // re-check, so no waiter can miss it.
-                    drop(run.queue());
-                    run.ready.notify_all();
-                }
-            }
-        }
     }
 
     /// Replace the weights of layer `name` (pruning entry point).
@@ -1326,55 +942,20 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9);
     }
 
-    /// `(first step, steps, width)` of every stage of `net`'s plan.
-    fn stages(net: &Network, fuse: bool) -> Vec<(usize, usize, usize)> {
-        let plan = net.build_plan(fuse);
-        let stage = |st: &Stage| (st.steps.start, st.steps.len(), st.width);
-        plan.stages.iter().map(stage).collect()
-    }
-
     #[test]
-    fn a_chain_is_one_stage_per_step() {
+    fn a_fused_relu_is_inside_its_producers_step() {
         let net = tiny_sequential();
-        assert_eq!(stages(&net, false), [(0, 1, 1), (1, 1, 1), (2, 1, 1)]);
-        // The fused ReLU is inside conv1's step.
-        assert_eq!(stages(&net, true), [(0, 1, 1), (1, 1, 1)]);
+        assert_eq!(net.build_plan(false).steps.len(), 3);
+        assert_eq!(net.build_plan(true).steps.len(), 2);
+        let googlenet = crate::models::googlenet(crate::models::WeightInit::Zeros).unwrap();
+        assert_eq!(googlenet.build_plan(true).steps.len(), 85);
     }
 
     #[test]
-    fn googlenet_is_cut_at_its_stem_concats_pools_and_head() {
-        let net = crate::models::googlenet(crate::models::WeightInit::Zeros).unwrap();
-        let stages = stages(&net, true);
-        assert_eq!(stages.iter().map(|s| s.1).sum::<usize>(), 85);
-        let (wide, single): (Vec<(usize, usize, usize)>, Vec<_>) =
-            stages.iter().partition(|s| s.2 > 1);
-        // Nine modules of seven branch steps, four wide; the 7-step
-        // stem, nine concats, pool3, pool4 and the 4-step head alone.
-        assert_eq!(wide.len(), 9);
-        assert!(wide.iter().all(|s| s.1 == 7 && s.2 == 4), "{wide:?}");
-        assert_eq!(single.len(), 22);
-        assert!(single.iter().all(|s| s.1 == 1));
-        assert_eq!(
-            &stages[..8],
-            &[
-                (0, 1, 1),
-                (1, 1, 1),
-                (2, 1, 1),
-                (3, 1, 1),
-                (4, 1, 1),
-                (5, 1, 1),
-                (6, 1, 1),
-                (7, 7, 4),
-            ]
-        );
-    }
-
-    #[test]
-    fn a_branch_read_past_a_step_keeps_that_step_in_the_stage() {
-        // a, b and c read the network input, so nothing before the
-        // concat is a cut step: one three-step stage, two wide (a → ar
-        // beside b). A skip edge around a chain (d → e → f, d also read
-        // by g) keeps e and f in one stage of width 1.
+    fn a_skip_edge_net_matches_one_thread_on_two() {
+        // a and b read the network input and a concat joins them; a
+        // skip edge around a chain (d → e → f, d also read by g) reads
+        // a slot several steps back.
         let mut net = Network::new("skips", (3, 4, 4));
         let p = Conv2dParams::new(3, 3, 1, 0, 1);
         let conv = |name: &str, seed| {
@@ -1390,16 +971,12 @@ mod tests {
         let f = net.add_layer(Box::new(ReluLayer::new("f")), &[e]).unwrap();
         net.add_layer(Box::new(ConcatLayer::new("g")), &[d, f])
             .unwrap();
-        assert_eq!(
-            stages(&net, false),
-            [(0, 3, 2), (3, 1, 1), (4, 2, 1), (6, 1, 1)]
-        );
         let x = Tensor4::from_fn(1, 3, 4, 4, |_, c, h, w| (c + h * w) as f32 / 9.0 - 0.5);
         let one = net
             .forward_into(&x, &mut ForwardArena::with_team(Team::new(1)))
             .unwrap()
             .clone();
-        let mut two = ForwardArena::with_team(Team::new(2));
+        let mut two = ForwardArena::with_team(Team::new(2).with_min_part_macs(0));
         assert_eq!(
             net.forward_into(&x, &mut two).unwrap().as_slice(),
             one.as_slice()

@@ -53,9 +53,7 @@ pub fn filter_pruned_weights(mut w: Matrix) -> Matrix {
 /// → LRN → 3×3/2 max pool), two four-branch modules (1×1; 1×1 → 3×3;
 /// 1×1 → 5×5; 3×3 max pool → 1×1 projection — every conv followed by a
 /// ReLU — joined by a four-input concat) with a 3×3/2 max pool between
-/// them, and an fc head (512 → 70 → softmax). Its plan is one stage per
-/// stem step, concat, pool and head step, and one four-wide stage per
-/// module's branches.
+/// them, and an fc head (512 → 70 → softmax).
 pub fn inception_shaped(mut conv_weights: impl FnMut(usize, usize, u64) -> Matrix) -> Network {
     let mut net = Network::new("mini-inception", (3, 16, 16));
     let mut seed = 60;

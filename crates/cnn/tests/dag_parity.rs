@@ -1,12 +1,12 @@
-//! DAG-parallel/sequential parity: a forward pass walked in stages on
-//! more than one thread — its branchy stages on the ready queue, its
-//! one-step stages with their kernels split — must be **bitwise
-//! identical** to the sequential schedule, on every kernel path, with
-//! fusion on or off, dense or pruned/CSR — the whole-net closure of
-//! the scheduling-cannot-change-bits argument in `cap_cnn::dag`,
-//! proptested over randomly generated branchy DAGs. Thread counts are
-//! pinned with `ForwardArena::with_team`; `CAP_CNN_DAG` picks between
-//! one thread and the host's cores.
+//! Thread-count parity on branchy nets: a forward pass on more than
+//! one thread — every step in order on the caller, its kernels split
+//! across the arena's team — must be **bitwise identical** to the
+//! one-thread pass, on every kernel path, with fusion on or off, dense
+//! or pruned/CSR — the whole-net closure of the
+//! splitting-cannot-change-bits argument in `cap_cnn::dag`, proptested
+//! over randomly generated branchy DAGs. Thread counts are pinned with
+//! `ForwardArena::with_team`; `CAP_CNN_DAG` picks between one thread
+//! and the host's cores.
 //!
 //! `dag::force`, `fusion::force` and `kernels::force` are all
 //! process-global, so every test serializes on one mutex (which also
@@ -191,8 +191,8 @@ proptest! {
 
     /// Random branchy DAGs — fan-out, fan-in, pure chains, dense and
     /// pruned — produce bitwise-identical output whether run on one
-    /// thread or walked in stages on a team, across every kernel path
-    /// and both fusion arms.
+    /// thread or with their kernels split across a team, across every
+    /// kernel path and both fusion arms.
     #[test]
     fn dag_parallel_matches_sequential_bitwise(
         seed in 0u64..40,
@@ -223,19 +223,20 @@ proptest! {
                 }
             }
         }
-        // Staged on teams that split whatever has two units: one-step
-        // stages split their kernels, branchy stages take the queue.
+        // On teams that split whatever has two units: every step's
+        // kernels split, the branches' included.
         for threads in [2, 3] {
             let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
             let out = bits(net.forward_into(&imgs, &mut arena).unwrap());
-            prop_assert_eq!(&out, &reference, "staged, team of {}", threads);
+            prop_assert_eq!(&out, &reference, "eager split, team of {}", threads);
         }
     }
 }
 
-/// Two DAG-parallel runs are bit-identical to each other even though
-/// the scheduling order is nondeterministic — each node writes its own
-/// slot from the same inputs, so interleaving cannot leak into values.
+/// Two runs on a four-thread team are bit-identical to each other even
+/// though which helper finishes a piece first varies — each piece
+/// writes its own part of the output from the same inputs, so timing
+/// cannot leak into values.
 #[test]
 fn dag_parallel_is_deterministic_across_runs() {
     let _g = force_lock();
@@ -253,8 +254,7 @@ fn dag_parallel_is_deterministic_across_runs() {
 /// activation shapes, CSR and dense convs and a batched sparse fc all
 /// drawing on the same workspaces) take turns on a single
 /// `ForwardArena` with a four-thread team that splits every kernel it
-/// can — the chain's steps split, the branchy net's wide stages on the
-/// ready queue. Every pass must equal the sequential pass of that net
+/// can, in both nets. Every pass must equal the sequential pass of that net
 /// on that input through a fresh arena, bit for bit: a worker reading
 /// scratch another worker — or the previous, differently shaped pass —
 /// wrote would show here.
@@ -295,7 +295,7 @@ fn one_arena_serves_alternating_networks_and_batch_sizes() {
 }
 
 /// The degenerate single-node network survives every mode (and `Auto`
-/// declines to parallelize a width-1 plan).
+/// splits nothing in a net with no kernel worth a team).
 #[test]
 fn single_node_net_all_modes() {
     let _g = force_lock();
@@ -317,21 +317,21 @@ fn single_node_net_all_modes() {
         &imgs,
     );
     assert_eq!(got, reference);
-    let before = cap_obs::metrics().dag_parallel_passes.get();
+    let before = cap_obs::metrics().intra_op_splits.get();
     dag::force(Some(DagMode::Auto));
     let mut arena = ForwardArena::new();
     net.forward_into(&imgs, &mut arena).unwrap();
     dag::force(None);
     assert_eq!(
-        cap_obs::metrics().dag_parallel_passes.get(),
+        cap_obs::metrics().intra_op_splits.get(),
         before,
-        "auto must not schedule a width-1 plan"
+        "auto must not split a net with nothing to split"
     );
 }
 
-/// A kernel error inside a branch aborts the ready-queue stage cleanly:
-/// the error is returned (not a hang, not a panic), matching the
-/// sequential schedule's behavior.
+/// A kernel error inside a branch aborts a pass on a team cleanly: the
+/// error is returned (not a hang, not a panic), the same first error
+/// the one-thread pass returns.
 #[test]
 fn dag_pass_propagates_branch_errors() {
     let _g = force_lock();
@@ -351,77 +351,79 @@ fn dag_pass_propagates_branch_errors() {
     let mut arena = ForwardArena::new();
     let seq_err = net.forward_into(&imgs, &mut arena).unwrap_err();
     dag::force(None);
-    // Both branches read the input: one two-wide stage on the queue.
-    let mut arena = ForwardArena::with_team(Team::new(2));
-    let dag_err = net.forward_into(&imgs, &mut arena).unwrap_err();
-    assert_eq!(cap_obs::metrics().dag_workers.get(), 2);
-    assert_eq!(seq_err, dag_err, "same first error either way");
+    let mut arena = ForwardArena::with_team(Team::new(2).with_min_part_macs(0));
+    let team_err = net.forward_into(&imgs, &mut arena).unwrap_err();
+    assert_eq!(seq_err, team_err, "same first error either way");
 }
 
-/// `DagMode::Auto` stays sequential inside data-parallel engine
-/// workers: stacking node-parallel threads on top of the engine's
-/// would oversubscribe the host.
+/// One 16→32 3×3 conv on 32×32 maps: 4.7 M multiply-accumulates an
+/// image, enough that `DagMode::Auto` splits it on any host with two
+/// cores or more.
+fn big_conv_net() -> Network {
+    let mut net = Network::new("big-conv", (16, 32, 32));
+    let p = Conv2dParams::new(16, 32, 3, 1, 1);
+    let w = xavier_uniform(32, p.col_rows(), 5);
+    net.add_sequential(Box::new(
+        ConvLayer::new("conv", p, w, vec![0.0; 32]).unwrap(),
+    ))
+    .unwrap();
+    net
+}
+
+/// `DagMode::Auto` keeps each pass on one thread inside data-parallel
+/// engine workers: stacking a worker team on top of the engine's
+/// threads would oversubscribe the host. The same net outside the
+/// engine splits wherever the host has two cores.
 #[test]
 fn auto_defers_to_data_parallel_engine() {
     let _g = force_lock();
-    let net = build_random_net(31, 3, 2, false);
-    let imgs = images(6, 7);
-    let metrics = cap_obs::metrics();
+    let net = big_conv_net();
+    let imgs = Tensor4::from_fn(4, 16, 32, 32, |n, c, h, w| {
+        (((n * 7 + c * 5 + h * 3 + w) % 17) as f32 - 8.0) / 8.0
+    });
+    let splits = || cap_obs::metrics().intra_op_splits.get();
 
     dag::force(Some(DagMode::Auto));
-    let before = metrics.dag_parallel_passes.get();
-    ParallelEngine::new(2).run_batched(&net, &imgs, 2).unwrap();
+    let before = splits();
+    net.forward_into(&imgs, &mut ForwardArena::new()).unwrap();
+    let outside = splits() - before;
+    let before = splits();
+    ParallelEngine::new(2).run_batched(&net, &imgs, 1).unwrap();
+    let inside = splits() - before;
     dag::force(None);
-    assert_eq!(
-        metrics.dag_parallel_passes.get(),
-        before,
-        "auto must not nest DAG workers inside engine workers"
-    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(outside > 0, cores > 1, "auto outside the engine");
+    assert_eq!(inside, 0, "auto must not split inside engine workers");
 }
 
 /// The CI-matrix assert (mirrors `fusion_override_is_honored…`): the
-/// un-forced selection must honor `CAP_CNN_DAG`, and the scheduler
-/// metrics must track which schedule actually ran.
+/// un-forced selection must honor `CAP_CNN_DAG`, and `intra_op_splits`
+/// must track whether a pass used more than one thread.
 #[test]
 fn dag_override_is_honored_and_metrics_track_it() {
     let _g = force_lock();
     let net = build_random_net(17, 4, 2, false);
     let imgs = images(2, 3);
     let metrics = cap_obs::metrics();
-    let mut arena = ForwardArena::new();
+    let splits = || metrics.intra_op_splits.get();
 
-    // Forced off: sequential schedule, dag_workers reads 0.
+    // Forced off: one thread, so no kernel splits.
     dag::force(Some(DagMode::Off));
-    net.forward_into_traced(&imgs, &mut arena, &NoopTracer)
+    let before = splits();
+    net.forward_into_traced(&imgs, &mut ForwardArena::new(), &NoopTracer)
         .unwrap();
-    assert_eq!(metrics.dag_workers.get(), 0, "dag=off must run sequential");
+    assert_eq!(splits(), before, "dag=off must run on one thread");
     dag::force(None);
 
-    // Staged, on two threads (what `auto` gives a pass on a two-core
-    // host; pinned here so every host agrees): the stem conv, its ReLU
-    // (unfused), the concat and the fc are one-step stages on the
-    // calling thread, so only the branches' steps — one wide stage —
-    // go through the queue, each exactly once, via the shared queue or
-    // the chained fast path, and the pass counts once.
-    fusion::force(Some(FusionMode::Off));
-    let (pushes0, chained0, passes0) = (
-        metrics.dag_queue_pushes.get(),
-        metrics.dag_chained_steps.get(),
-        metrics.dag_parallel_passes.get(),
-    );
-    let mut two = ForwardArena::with_team(Team::new(2));
+    // On a pinned two-thread team that splits whatever has two units,
+    // the kernels split, the branches' included. Nothing counts
+    // `dag_parallel_passes` any more.
+    let (before, passes0) = (splits(), metrics.dag_parallel_passes.get());
+    let mut two = ForwardArena::with_team(Team::new(2).with_min_part_macs(0));
     net.forward_into_traced(&imgs, &mut two, &NoopTracer)
         .unwrap();
-    fusion::force(None);
-    assert_eq!(metrics.dag_workers.get(), 2);
-    assert_eq!(metrics.dag_parallel_passes.get(), passes0 + 1);
-    let handoffs =
-        (metrics.dag_queue_pushes.get() - pushes0) + (metrics.dag_chained_steps.get() - chained0);
-    assert_eq!(
-        handoffs,
-        net.len() as u64 - 4,
-        "the wide stage's steps are handed off exactly once, the others never"
-    );
+    assert!(splits() > before, "a two-thread team must split");
+    assert_eq!(metrics.dag_parallel_passes.get(), passes0);
 
     // Un-forced, the selection must honor CAP_CNN_DAG (what the CI
     // dag-matrix leg asserts).

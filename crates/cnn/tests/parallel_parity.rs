@@ -19,8 +19,8 @@ use cap_tensor::{init::xavier_uniform, Conv2dParams, Tensor4};
 use proptest::prelude::*;
 
 /// A branchy net (conv → relu → LRN → two conv branches → concat → pool
-/// → dropout → fc → softmax) so parity covers every layer kind and the
-/// DAG scheduler, not just a sequential stack.
+/// → dropout → fc → softmax) so parity covers every layer kind and a
+/// branching plan, not just a sequential stack.
 fn build_net(seed: u64) -> Network {
     let mut net = Network::new("par-parity", (4, 9, 9));
     let p1 = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);

@@ -1,27 +1,27 @@
 //! Split parity: a forward pass whose kernels are cut across a worker
 //! team — a convolution by output bands (groups, images) or by rows of
 //! `A`, a batch-1 fc GEMV by column ranges, a pool or LRN by images or
-//! planes — and whose branchy stages run on the ready queue is
-//! **bitwise identical** to the same pass on one thread, for every conv
-//! weight form, batch size and team size, on every kernel path.
+//! planes — is **bitwise identical** to the same pass on one thread,
+//! for every conv weight form, batch size and team size, on every
+//! kernel path, branchy nets included.
 //!
 //! Team size is chosen explicitly (`ForwardArena::with_team`). The
 //! parity teams split from the first unit of work (the test seam
 //! `with_min_part_macs(0)`), so the tiny, awkward shapes below are
 //! actually cut; the split count of a Caffenet-shaped pass is taken on
 //! the measured per-part minimum. `kernels::force` and
-//! `precision::force` are process-global and the `intra_op_splits` and
-//! `dag_parallel_passes` counters are shared, so the tests serialize on
-//! one mutex.
+//! `precision::force` are process-global and the `intra_op_splits`
+//! counter is shared, so the tests serialize on one mutex.
 
 use cap_cnn::layer::{
     ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
     SoftmaxLayer,
 };
 use cap_cnn::network::{ForwardArena, Network};
+use cap_cnn::LayerKind;
 use cap_cnn::ParallelEngine;
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::kernels::{self, KernelPath};
+use cap_tensor::kernels::{self, KernelPath, ROW_BLOCK};
 use cap_tensor::{precision, CalibrationMethod, Conv2dParams, Matrix, Precision, Team, Tensor4};
 use std::sync::{Mutex, MutexGuard};
 
@@ -226,22 +226,56 @@ fn inception_net(form: Form) -> Network {
     })
 }
 
-/// A staged pass: the inception-shaped net's stem, pool cut and head
-/// run one step at a time with the team splitting their kernels, its
-/// modules' branches on the ready queue — bitwise the one-thread pass
-/// for every form, batch and team size. Each pass with a team of two or
-/// more queues (one `dag_parallel_passes` per pass) and splits exactly
-/// the one-step stages' kernels: the LRN, the stem pool and the pool cut
-/// once each (by images when the batch fills the team, else by planes),
-/// the batch-1 fc GEMV once, and the stem conv once by images — or,
-/// with fewer images than threads, each image's multiply by rows,
-/// which the CSR forms do not split, after (in f32) its lowering by
-/// panels: two splits an f32 image, one an int8 one. Nothing inside a
-/// module splits: the team is lent to the queue there.
+/// What one pass of the inception-shaped `net` in `form` adds to
+/// `intra_op_splits` on a team of `threads` ≥ 2 splitting from the
+/// first unit, at `batch`. Every step runs in order on the caller, so
+/// the modules' steps split like the stem's:
+///
+/// * each conv once by images when the batch fills the team; with
+///   fewer images than threads, each image's multiply by rows where it
+///   has more than one [`ROW_BLOCK`] of rows to multiply (a
+///   filter-pruned layer multiplies only its kept rows; the CSR forms
+///   never split by rows), after — in f32 — its lowering by panels:
+///   two splits an f32 image, one an int8 one;
+/// * the LRN and the four max pools (stem, cut and one per module)
+///   once each, by images or planes;
+/// * the batch-1 fc GEMV once, by columns.
+fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> u64 {
+    let conv = |name: &String| -> u64 {
+        if batch >= threads {
+            return 1;
+        }
+        let filters = net.shape_of(net.node_id(name).unwrap()).unwrap().0;
+        let (rows, per_image) = match form {
+            Form::Csr | Form::CsrI8 => return 0,
+            // `common::filter_pruned_weights` zeroes every row r ≡ 1 (mod 3).
+            Form::DenseRows => (filters - (filters + 1) / 3, 2),
+            Form::Dense => (filters, 2),
+            Form::DenseI8 => (filters, 1),
+        };
+        if rows > ROW_BLOCK {
+            per_image * batch as u64
+        } else {
+            0
+        }
+    };
+    let convs: u64 = net
+        .layers_of_kind(LayerKind::Convolution)
+        .iter()
+        .map(conv)
+        .sum();
+    let windows =
+        net.layers_of_kind(LayerKind::Pooling).len() + net.layers_of_kind(LayerKind::Lrn).len();
+    convs + windows as u64 + u64::from(batch == 1)
+}
+
+/// The inception-shaped net on teams of one to three threads: its
+/// steps in order, every kernel split where it can be, modules
+/// included — bitwise the one-thread pass for every form, batch and
+/// team size, with exactly [`inception_splits`] splits a pass.
 #[test]
-fn staged_inception_pass_matches_one_thread_bitwise() {
+fn inception_pass_on_a_team_matches_one_thread_bitwise() {
     let _g = force_lock();
-    let metrics = cap_obs::metrics();
     for path in kernels::available_paths() {
         kernels::force(Some(path));
         for form in Form::ALL {
@@ -254,31 +288,21 @@ fn staged_inception_pass_matches_one_thread_bitwise() {
                         .as_slice(),
                 );
                 for threads in [1, 2, 3] {
-                    let stem_conv = match form {
-                        _ if batch >= threads => 1,
-                        Form::Csr | Form::CsrI8 => 0,
-                        Form::DenseI8 => batch as u64,
-                        Form::Dense | Form::DenseRows => 2 * batch as u64,
-                    };
                     let per_pass = match threads {
-                        1 => (0, 0),
-                        _ => (stem_conv + 3 + u64::from(batch == 1), 1),
+                        1 => 0,
+                        _ => inception_splits(&net, form, batch, threads),
                     };
                     let mut arena = eager_arena(threads);
                     for pass in 0..2 {
-                        let (splits0, queued0) = (splits(), metrics.dag_parallel_passes.get());
+                        let before = splits();
                         let got = bits(net.forward_into(&x, &mut arena).unwrap().as_slice());
                         let what = format!(
                             "{} {} batch {batch} team {threads} pass {pass}",
                             path.name(),
                             form.name()
                         );
-                        let counted = (
-                            splits() - splits0,
-                            metrics.dag_parallel_passes.get() - queued0,
-                        );
-                        assert_eq!(counted, per_pass, "(splits, queued passes): {what}");
-                        assert!(got == want, "staged output differs: {what}");
+                        assert_eq!(splits() - before, per_pass, "splits: {what}");
+                        assert!(got == want, "split output differs: {what}");
                     }
                 }
             }

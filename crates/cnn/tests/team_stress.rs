@@ -1,14 +1,13 @@
 //! Adversarial tests for the arena's worker team at the pass level: a
-//! panic on a helper thread, a failing layer under a split, the places
-//! a split must not happen (inside a DAG worker, inside a data-parallel
-//! engine worker), and many short passes of both kinds through one
-//! arena. The team's own primitives — every `unsafe` block and atomic
-//! handoff in `cap_tensor::team` — are tested next to them, in that
-//! module.
+//! panic on a helper thread, a failing layer under a split, where a
+//! split must happen (inside the branches of a branchy plan) and where
+//! it must not (inside a data-parallel engine worker), and many short
+//! passes of both kinds through one arena. The team's own primitives —
+//! every `unsafe` block and atomic handoff in `cap_tensor::team` — are
+//! tested next to them, in that module.
 //!
-//! `dag::force` is process-global and the `intra_op_splits` /
-//! `dag_parallel_passes` counters are shared, so the tests serialize on
-//! one mutex.
+//! `dag::force` is process-global and the `intra_op_splits` counter is
+//! shared, so the tests serialize on one mutex.
 
 use cap_cnn::dag::{self, DagMode};
 use cap_cnn::layer::{
@@ -18,11 +17,10 @@ use cap_cnn::layer::{
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::ParallelEngine;
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{Conv2dParams, Team, Tensor4, TensorResult, Workspace};
+use cap_tensor::{team, Conv2dParams, Team, Tensor4, TensorResult, Workspace};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 fn force_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -87,9 +85,9 @@ fn images(n: usize, c: usize, hw: usize, salt: usize) -> Tensor4 {
     })
 }
 
-/// An identity layer that panics once, when armed and run on a team
-/// helper; on the calling thread it first waits a little, so with two
-/// such branches ready the helper takes the other one.
+/// An identity layer that copies its input row by row as a kernel
+/// split across the workspace's team, and panics once, when armed, in
+/// the piece a team helper runs.
 struct PanicOnHelper {
     name: String,
     armed: Arc<AtomicBool>,
@@ -107,22 +105,28 @@ impl Layer for PanicOnHelper {
     fn forward_into(
         &self,
         inputs: &[&Tensor4],
-        _ws: &mut Workspace,
+        ws: &mut Workspace,
         out: &mut Tensor4,
     ) -> TensorResult<()> {
-        let on_helper = std::thread::current()
-            .name()
-            .is_some_and(|n| n.starts_with("cap-team"));
-        if on_helper && self.armed.swap(false, Ordering::Relaxed) {
-            panic!("layer {} on a helper", self.name);
-        }
-        if !on_helper {
-            std::thread::sleep(Duration::from_millis(5));
-        }
         let (n, c, h, w) = inputs[0].shape();
         out.resize(n, c, h, w);
-        out.as_mut_slice().copy_from_slice(inputs[0].as_slice());
-        Ok(())
+        let input = inputs[0].as_slice();
+        team::split_rows(
+            ws.team.as_mut(),
+            1,
+            w,
+            out.as_mut_slice(),
+            &|rows, piece| {
+                let on_helper = std::thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with("cap-team"));
+                if on_helper && self.armed.swap(false, Ordering::Relaxed) {
+                    panic!("layer {} on a helper", self.name);
+                }
+                piece.copy_from_slice(&input[rows.start * w..rows.end * w]);
+                Ok(())
+            },
+        )
     }
 
     fn out_shape(&self, in_shapes: &[ChwShape]) -> TensorResult<ChwShape> {
@@ -138,29 +142,28 @@ impl Layer for PanicOnHelper {
 fn helper_panic_resurfaces_and_the_arena_stays_usable() {
     let _g = force_lock();
     let mut net = Network::new("panicky", (2, 4, 4));
-    let triggers = [
-        Arc::new(AtomicBool::new(true)),
-        Arc::new(AtomicBool::new(true)),
-    ];
-    let arm = |name: &str, armed: &Arc<AtomicBool>| {
-        Box::new(PanicOnHelper {
-            name: name.into(),
-            armed: Arc::clone(armed),
-        })
+    let armed = Arc::new(AtomicBool::new(false));
+    let layer = PanicOnHelper {
+        name: "a".into(),
+        armed: Arc::clone(&armed),
     };
-    let a = net.add_layer(arm("a", &triggers[0]), &[INPUT]).unwrap();
-    let b = net.add_layer(arm("b", &triggers[1]), &[INPUT]).unwrap();
+    let a = net.add_layer(Box::new(layer), &[INPUT]).unwrap();
+    let b = net
+        .add_layer(Box::new(ReluLayer::new("b")), &[INPUT])
+        .unwrap();
     net.add_layer(Box::new(ConcatLayer::new("cat")), &[a, b])
         .unwrap();
     let x = images(1, 2, 4, 0);
     let want = bits(net.forward_into(&x, &mut eager_arena(1)).unwrap());
 
-    // Two branches on two threads: the helper runs one and panics. The
-    // panic must reach this thread (not hang the caller's worker on the
-    // ready queue), and the same arena must serve the next passes.
+    // Eight rows of four on two threads: the helper copies the second
+    // half and panics once. The panic must reach this thread (not hang
+    // the caller waiting for its helper), and the same arena must
+    // serve the next passes.
     let mut arena = eager_arena(2);
+    armed.store(true, Ordering::Relaxed);
     let mut panicked = 0;
-    for _ in 0..20 {
+    for _ in 0..5 {
         match panic::catch_unwind(AssertUnwindSafe(|| {
             net.forward_into(&x, &mut arena).map(bits)
         })) {
@@ -175,12 +178,7 @@ fn helper_panic_resurfaces_and_the_arena_stays_usable() {
             Ok(out) => assert_eq!(out.unwrap(), want),
         }
     }
-    assert!(panicked >= 1, "no branch ever ran on the helper");
-    // Which branch the helper takes is a race, so one may still be
-    // armed; disarm it, or a check below could meet its panic.
-    for armed in &triggers {
-        armed.store(false, Ordering::Relaxed);
-    }
+    assert_eq!(panicked, 1, "the armed piece runs on the helper once");
     for _ in 0..3 {
         assert_eq!(bits(net.forward_into(&x, &mut arena).unwrap()), want);
     }
@@ -212,20 +210,19 @@ fn a_failing_layer_returns_the_one_thread_error() {
 }
 
 #[test]
-fn no_split_inside_a_dag_worker_or_an_engine_worker() {
+fn branches_split_and_engine_workers_do_not() {
     let _g = force_lock();
-    let metrics = cap_obs::metrics();
 
-    // A branchy plan on a team that would split anything: the team runs
-    // the ready queue, and every step's kernels run inline.
+    // A branchy plan on a team that would split anything: the branches
+    // run one after another on the caller, each splitting its kernels
+    // (the conv by rows, the pool by planes; the concat never splits).
     let net = branchy();
     let x = images(1, 4, 8, 2);
     let want = bits(net.forward_into(&x, &mut eager_arena(1)).unwrap());
-    let (splits0, dag0) = (splits(), metrics.dag_parallel_passes.get());
+    let before = splits();
     let got = bits(net.forward_into(&x, &mut eager_arena(2)).unwrap());
     assert_eq!(got, want);
-    assert_eq!(metrics.dag_parallel_passes.get(), dag0 + 1);
-    assert_eq!(splits(), splits0, "a DAG worker split a kernel");
+    assert!(splits() - before >= 3, "every branch's kernel splits");
 
     // A chain whose first conv (2.65 M MACs per image) clears the
     // default per-part minimum twice over: on its own it splits (given
@@ -263,8 +260,7 @@ fn short_branchy_passes_alternate_with_chain_passes_on_one_arena() {
                 .collect()
         })
         .collect();
-    let metrics = cap_obs::metrics();
-    let (splits0, dag0) = (splits(), metrics.dag_parallel_passes.get());
+    let splits0 = splits();
     let mut arena = eager_arena(3);
     for pass in 0..600 {
         let (which, variant) = (pass % 2, (pass / 2) % 3);
@@ -279,6 +275,5 @@ fn short_branchy_passes_alternate_with_chain_passes_on_one_arena() {
             variant + 1
         );
     }
-    assert_eq!(metrics.dag_parallel_passes.get() - dag0, 300);
-    assert!(splits() - splits0 >= 300, "every chain pass splits");
+    assert!(splits() - splits0 >= 600, "every pass splits");
 }

@@ -1,15 +1,14 @@
 //! Steady-state allocation audit: after a warm-up pass has grown every
 //! buffer to its high-water mark, repeated batched inference through a
 //! [`ForwardArena`] must perform **zero** heap allocations, on every
-//! schedule: one thread, kernels split across the arena's team, and
-//! the DAG ready queue in the stages between split steps.
+//! schedule: one thread, or every step's kernels split across the
+//! arena's team.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this
 //! file holds exactly one test so no sibling test can allocate
 //! concurrently and pollute the count.
 
 use cap_cnn::dag::{self, DagMode};
-use cap_cnn::fusion;
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode,
     ReluLayer, SoftmaxLayer, FC_SPARSE_THRESHOLD,
@@ -186,8 +185,8 @@ fn int8_shaped() -> Network {
 /// Two inception-shaped modules back to back with no stem: the first
 /// forks the network input itself into four branches (1×1; 1×1 → 3×3;
 /// 1×1 → 5×5; pool → 1×1), every conv followed by a ReLU, and joins
-/// them in a four-input concat. So the plan's first stage is wide, and
-/// the ready queue starts with four input readers.
+/// them in a four-input concat. So four steps read the network input,
+/// and the only kernels to split are inside the modules.
 fn inception_from_input() -> Network {
     let mut net = Network::new("input-inception", (8, 9, 9));
     let mut seed = 40;
@@ -218,8 +217,8 @@ fn inception_from_input() -> Network {
 
 #[test]
 fn steady_state_inference_allocates_nothing() {
-    // Every schedule `CAP_CNN_DAG` can pick — one thread, kernel splits
-    // on a chain, the ready queue — is allocation-free once warm, so
+    // Every schedule `CAP_CNN_DAG` can pick — one thread, or kernel
+    // splits on the host's cores — is allocation-free once warm, so
     // the passes below run under whatever the environment says.
     let net = caffenet_shaped();
     let batch = 4;
@@ -451,41 +450,30 @@ fn steady_state_inference_allocates_nothing() {
     }
 
     // Branches and joins: a concat's input refs gathered on the stack,
-    // the queue and its counters the arena's, the workers the arena's
-    // team. Two nets: the shared inception-shaped one, whose stem, pool
-    // cut and head run one step at a time (every kernel, pool and LRN
-    // split; the LRN's sums plane each helper's own) between its two
-    // queued modules, and `inception_from_input`, whose first stage is
-    // four branches seeded from the input. Each runs sequentially, then
-    // in stages on a two- and a three-thread team, where every step of
-    // a wide stage is handed off through the queue or the chained path
-    // and no other step is. This binary's only test, so no other
-    // `force` user can interleave.
+    // the workers the arena's team. Two nets: the shared
+    // inception-shaped one (a stem, a pool cut and a head around two
+    // modules), and `inception_from_input`, whose first module reads
+    // the input itself. Each runs sequentially, then on a two- and a
+    // three-thread team, where every step runs in order on the caller
+    // and the kernels inside the modules split like every other step's
+    // (the LRN's sums plane and the convs' scratch each helper's own).
+    // This binary's only test, so no other `force` user can interleave.
     let branchy = [
         (
             common::inception_shaped(xavier_uniform),
             Tensor4::from_fn(2, 3, 16, 16, |n, c, h, w| {
                 (((n * 31 + c * 11 + h * 3 + w) % 15) as f32 - 7.0) / 7.0
             }),
-            true,
         ),
         (
             inception_from_input(),
             Tensor4::from_fn(2, 8, 9, 9, |n, c, h, w| {
                 (((n * 31 + c * 11 + h * 3 + w) % 15) as f32 - 7.0) / 7.0
             }),
-            false,
         ),
     ];
     let metrics = cap_obs::metrics();
-    // Both nets have two inception modules of thirteen nodes, seven
-    // steps once each branch conv absorbs its ReLU; no other step is in
-    // a wide stage.
-    let wide_steps = 2 * if fusion::selected().enabled() { 7 } else { 13 };
-    let handoffs = || metrics.dag_queue_pushes.get() + metrics.dag_chained_steps.get();
-    // Each net with whether it has a one-step stage with a kernel to
-    // split: only the stem net does.
-    for (net, x, has_stem) in &branchy {
+    for (net, x) in &branchy {
         let name = net.name();
         dag::force(Some(DagMode::Off));
         let mut arena = ForwardArena::new();
@@ -503,32 +491,21 @@ fn steady_state_inference_allocates_nothing() {
 
         for threads in [2, 3] {
             let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
-            let (queued, splits) = (
-                metrics.dag_parallel_passes.get(),
-                metrics.intra_op_splits.get(),
-            );
             for _ in 0..3 {
                 net.forward_into(x, &mut arena).unwrap();
             }
-            assert_eq!(metrics.dag_parallel_passes.get(), queued + 3);
-            assert_eq!(metrics.dag_workers.get(), threads as u64);
-            assert_eq!(metrics.intra_op_splits.get() > splits, *has_stem);
-            let before = handoffs();
-            let mut passes = 0;
+            let splits = metrics.intra_op_splits.get();
             let allocs = min_allocs_over(5, 10, || {
                 net.forward_into(x, &mut arena).unwrap();
-                passes += 1;
             });
-            assert_eq!(
-                allocs, 0,
-                "staged passes over {name} on a {threads}-thread team must not allocate \
-                 (got {allocs})",
+            assert!(
+                metrics.intra_op_splits.get() > splits,
+                "passes over {name} on a {threads}-thread team must split",
             );
             assert_eq!(
-                handoffs() - before,
-                wide_steps * passes,
-                "every wide-stage step of every {name} pass goes through the queue or the \
-                 chained path, and no other step does",
+                allocs, 0,
+                "split passes over {name} on a {threads}-thread team must not allocate \
+                 (got {allocs})",
             );
         }
     }
@@ -560,9 +537,9 @@ fn steady_state_inference_allocates_nothing() {
         }
         assert!(arena.scratch_bytes() > 0);
 
-        // The same arena alternating the chain (three threads) with a
-        // two-branch plan (two ready-queue workers): the three-thread
-        // team serves both and is never rebuilt, which would spawn.
+        // The same arena alternating the chain with a two-branch plan:
+        // the three-thread team serves both and is never rebuilt, which
+        // would spawn.
         let mut pair = Network::new("two-branches", (3, 19, 19));
         for (name, k, pad, seed) in [("a", 3, 1, 51), ("b", 1, 0, 52)] {
             let p = Conv2dParams::new(3, 4, k, pad, 1);

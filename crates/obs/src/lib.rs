@@ -16,7 +16,7 @@
 //! * [`MetricsRegistry`] — a process-global, lock-free set of
 //!   [`Counter`]s, [`Gauge`]s and [`HdrHistogram`]s (forward-pass
 //!   latency, per-layer time, GEMM/im2col split, arena bytes, batch
-//!   sizes, DAG and serving counters). The set is
+//!   sizes, kernel-split and serving counters). The set is
 //!   declared once — one table row per instrument, listed in
 //!   [`INSTRUMENTS`] — and the text, JSON and Prometheus exporters all
 //!   walk that table. Histograms are log-linear, so snapshots report
@@ -61,7 +61,7 @@ pub use prom::{
     append_registry, prometheus_text, spawn_exporter, validate as validate_prometheus, PromStats,
     PromWriter,
 };
-pub use report::{DagSummary, LayerRow, ProfileReport};
+pub use report::{LayerRow, ProfileReport};
 pub use slo::{BurnAlert, BurnKind, SloPolicy, SloStanding, SloTracker};
 pub use span::{
     current_tid, CollectingTracer, NoopTracer, SpanInfo, SpanRecord, SpanScope, Tracer,

@@ -368,27 +368,12 @@ instruments! {
     /// describes what the last run did, not the process environment.
     /// Always on.
     fused_layers: Gauge, Workload, "Fused producer-ReLU steps in the last network.";
-    /// Forward passes that ran at least one stage on the intra-network
-    /// DAG-parallel scheduler, once each however many stages did (a
-    /// subset of `forward_passes`; passes that ran no stage there do
-    /// not count). Always on.
+    /// Always 0: nothing increments it since the executor lost its
+    /// branch scheduler (a pass's threads show in `intra_op_splits`).
+    /// Kept only because the frozen benchmark harness reads it; it goes
+    /// with the next benchmark change (ROADMAP.md, "Unfreeze the
+    /// benchmark once").
     dag_parallel_passes: Counter, Workload, "Forward passes on the DAG-parallel scheduler.";
-    /// Ready-queue insertions by the DAG scheduler (seed steps plus
-    /// every cross-worker handoff that went through the queue). Always
-    /// on.
-    dag_queue_pushes: Counter, Workload, "DAG scheduler ready-queue insertions.";
-    /// Steps executed via the chained fast path — a finishing worker
-    /// directly running the first successor it made ready, skipping the
-    /// queue. `dag_queue_pushes + dag_chained_steps` equals the steps
-    /// that ran on the ready queue: those of the stages where the plan
-    /// branches, when the pass has more than one thread. Always on.
-    dag_chained_steps: Counter, Workload, "DAG steps run via the chained fast path.";
-    /// Ready-queue workers of the most recent forward pass (the most
-    /// any of its stages ran with): 0 when no stage ran on the DAG
-    /// scheduler. A workload descriptor like `fused_layers` —
-    /// overwritten every pass and cleared by
-    /// [`MetricsRegistry::reset`]. Always on.
-    dag_workers: Gauge, Workload, "Worker count of the most recent forward pass.";
     /// Kernel calls split across a pass's worker team
     /// (`cap_tensor::team`): a convolution's multiply cut by rows of
     /// `A` or its bands by groups or images, an f32 convolution's
@@ -425,9 +410,9 @@ instruments! {
 ///
 /// ```
 /// let m = cap_obs::metrics();
-/// let before = m.dag_queue_pushes.get();
-/// m.dag_queue_pushes.inc();
-/// assert_eq!(m.dag_queue_pushes.get() - before, 1);
+/// let before = m.intra_op_splits.get();
+/// m.intra_op_splits.inc();
+/// assert_eq!(m.intra_op_splits.get() - before, 1);
 /// ```
 pub fn metrics() -> &'static MetricsRegistry {
     &REGISTRY
@@ -620,9 +605,6 @@ mod tests {
         reg.int8_kernel.set(3);
         reg.fused_layers.set(7);
         reg.dag_parallel_passes.add(2);
-        reg.dag_queue_pushes.add(11);
-        reg.dag_chained_steps.add(13);
-        reg.dag_workers.set(2);
         reg.intra_op_splits.add(5);
         reg.serve_requests.add(10);
         reg.serve_admitted.add(8);

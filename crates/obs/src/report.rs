@@ -42,38 +42,6 @@ impl LayerRow {
     }
 }
 
-/// Critical-path context attached to a [`ProfileReport`]: how close a
-/// measured batch-1 latency came to the network's theoretical floor.
-///
-/// Produced by `cap_cnn::CriticalPathReport` (the longest-path analysis
-/// lives there, next to the DAG); this is only the rendering-side
-/// record, so `cap-obs` stays dependency-free.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagSummary {
-    /// Theoretical batch-1 latency floor: the longest dependency chain
-    /// through the network at measured per-node times.
-    pub critical_path: Duration,
-    /// Sequential batch-1 latency: the sum of all per-node times.
-    pub total_work: Duration,
-    /// Measured latency of the schedule being reported.
-    pub achieved: Duration,
-    /// Worker count the schedule ran with (0 = sequential).
-    pub workers: u64,
-}
-
-impl DagSummary {
-    /// Achieved parallel efficiency against the floor:
-    /// `critical_path / achieved` (1.0 = the scheduler hit the floor).
-    pub fn efficiency(&self) -> f64 {
-        let a = self.achieved.as_secs_f64();
-        if a <= 0.0 {
-            0.0
-        } else {
-            self.critical_path.as_secs_f64() / a
-        }
-    }
-}
-
 /// A per-layer time table built from tracer spans, comparable across
 /// pruning levels (same layer names, different times).
 ///
@@ -105,8 +73,6 @@ pub struct ProfileReport {
     /// integer kernel from the `int8_kernel` gauge — `int8 (vnni)` —
     /// since that, not the precision, sets the speed of an int8 row.
     precision: String,
-    /// Optional critical-path context (floor vs. achieved latency).
-    dag: Option<DagSummary>,
 }
 
 impl ProfileReport {
@@ -153,34 +119,7 @@ impl ProfileReport {
             layers,
             kernel: crate::metrics::kernel_path_name(metrics.kernel_path.get()),
             precision,
-            dag: None,
         }
-    }
-
-    /// Attach critical-path context; the text table gains a
-    /// `# critical path:` line and the JSON a `"dag"` object.
-    ///
-    /// ```
-    /// use cap_obs::{DagSummary, ProfileReport};
-    /// use std::time::Duration;
-    ///
-    /// let r = ProfileReport::from_spans("m", &[]).with_dag_summary(DagSummary {
-    ///     critical_path: Duration::from_micros(800),
-    ///     total_work: Duration::from_micros(1400),
-    ///     achieved: Duration::from_micros(1000),
-    ///     workers: 4,
-    /// });
-    /// assert!((r.dag().unwrap().efficiency() - 0.8).abs() < 1e-9);
-    /// assert!(r.to_json().contains("\"workers\":4"));
-    /// ```
-    pub fn with_dag_summary(mut self, dag: DagSummary) -> Self {
-        self.dag = Some(dag);
-        self
-    }
-
-    /// Critical-path context, if one was attached.
-    pub fn dag(&self) -> Option<&DagSummary> {
-        self.dag.as_ref()
     }
 
     /// Report label (e.g. `"caffenet @ 60% pruning"`).
@@ -270,19 +209,6 @@ impl ProfileReport {
             100.0
         )
         .unwrap();
-        if let Some(d) = &self.dag {
-            writeln!(
-                out,
-                "# critical path: {:.3} ms floor, {:.3} ms sequential work, \
-                 achieved {:.3} ms on {} workers ({:.0}% of floor)",
-                d.critical_path.as_secs_f64() * 1000.0,
-                d.total_work.as_secs_f64() * 1000.0,
-                d.achieved.as_secs_f64() * 1000.0,
-                d.workers,
-                d.efficiency() * 100.0
-            )
-            .unwrap();
-        }
         out
     }
 
@@ -329,25 +255,6 @@ impl ProfileReport {
             .unwrap();
         }
         out.push(']');
-        if let Some(d) = &self.dag {
-            write!(
-                out,
-                ",\"dag\":{{\"critical_path_ms\":{:.6},\"total_work_ms\":{:.6},\
-                 \"achieved_ms\":{:.6},\"workers\":{},\"efficiency\":",
-                d.critical_path.as_secs_f64() * 1000.0,
-                d.total_work.as_secs_f64() * 1000.0,
-                d.achieved.as_secs_f64() * 1000.0,
-                d.workers
-            )
-            .unwrap();
-            let eff = d.efficiency();
-            if eff.is_finite() {
-                write!(out, "{eff:.6}").unwrap();
-            } else {
-                out.push_str("null");
-            }
-            out.push('}');
-        }
         out.push('}');
         out
     }
@@ -517,33 +424,6 @@ mod tests {
         assert!(json.contains("\"kind\":\"conv+relu\""), "{json}");
         assert!(json.contains("\"fused\":true"), "{json}");
         assert!(json.contains("\"fused\":false"), "{json}");
-    }
-
-    #[test]
-    fn dag_summary_renders_in_text_and_json() {
-        let r = ProfileReport::from_spans("d", &[span("conv1", "conv", 100)]).with_dag_summary(
-            DagSummary {
-                critical_path: Duration::from_micros(600),
-                total_work: Duration::from_micros(1200),
-                achieved: Duration::from_micros(750),
-                workers: 2,
-            },
-        );
-        let d = r.dag().unwrap();
-        assert!((d.efficiency() - 0.8).abs() < 1e-9);
-        let table = r.to_text_table();
-        assert!(table.contains("# critical path: 0.600 ms floor"), "{table}");
-        assert!(table.contains("on 2 workers (80% of floor)"), "{table}");
-        let json = r.to_json();
-        assert!(
-            json.contains("\"dag\":{\"critical_path_ms\":0.600000"),
-            "{json}"
-        );
-        assert!(json.contains("\"efficiency\":0.8"), "{json}");
-        // Reports without a summary keep the old shape.
-        let plain = ProfileReport::from_spans("p", &[span("c", "conv", 1)]);
-        assert!(plain.dag().is_none());
-        assert!(!plain.to_json().contains("\"dag\""));
     }
 
     #[test]

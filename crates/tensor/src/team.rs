@@ -4,24 +4,19 @@
 //! helpers spawned once and kept for the team's lifetime (`cap-cnn`'s
 //! `ForwardArena` holds one in its [`Workspace`], created on the first
 //! pass that wants more than one thread and joined when it drops). It
-//! serves two kinds of work:
-//!
-//! * **Parts of one kernel** — an output slice cut into contiguous
-//!   pieces of whole units, one closure call per piece, piece 0 on the
-//!   caller: [`split_rows`] cuts a multiply by rows of `A`,
-//!   [`split_columns`] a batch-1 GEMV by panel-aligned column ranges,
-//!   [`crate::Lowering`] the f32 packed `B` it writes by panel ranges
-//!   (as many parts as the multiply it feeds), [`crate::conv2d`] cuts its
-//!   output bands (groups, images) and the pools and
-//!   [`crate::lrn_into`] their output planes (images, channels),
-//!   handing every piece its thread's own [`Workspace`]. A piece is a
-//!   contiguous sub-problem of the same kernel (a row range of `A` and
-//!   `C`, a panel range of `B` and `C`, a range of planes),
-//!   so every output element is still computed by one thread in the
-//!   same order: splitting is bitwise invisible.
-//! * **Whole schedulers** — [`Team::run`] runs one closure per thread,
-//!   each with its thread's workspace; `cap-cnn`'s DAG ready queue is
-//!   its caller, once per stage of a pass where the plan branches.
+//! runs the parts of one kernel: an output slice cut into contiguous
+//! pieces of whole units, one closure call per piece, piece 0 on the
+//! caller. [`split_rows`] cuts a multiply by rows of `A`,
+//! [`split_columns`] a batch-1 GEMV by panel-aligned column ranges,
+//! [`crate::Lowering`] the f32 packed `B` it writes by panel ranges (as
+//! many parts as the multiply it feeds), [`crate::conv2d`] cuts its
+//! output bands (groups, images) and the pools and [`crate::lrn_into`]
+//! their output planes (images, channels), handing every piece its
+//! thread's own [`Workspace`]. A piece is a contiguous sub-problem of
+//! the same kernel (a row range of `A` and `C`, a panel range of `B`
+//! and `C`, a range of planes), so every output element is still
+//! computed by one thread in the same order: splitting is bitwise
+//! invisible.
 //!
 //! A split is only worth its fork-join when every part carries enough
 //! work: a piece gets at least the team's per-part minimum of
@@ -314,23 +309,6 @@ impl Team {
         part_count(self.threads(), macs, units, self.min_part_macs)
     }
 
-    /// Run `f(part, ws)` for every part in `0..parts`, part 0 on the
-    /// calling thread with `ws` and part `t` on helper `t` with that
-    /// helper's own workspace; return when all have finished. A panic
-    /// in any part resurfaces here once every part is done (the
-    /// caller's own first, else the lowest-numbered helper's).
-    ///
-    /// # Panics
-    /// If `parts` is 0 or more than [`Team::threads`].
-    pub fn run(
-        &mut self,
-        parts: usize,
-        ws: &mut Workspace,
-        f: &(dyn Fn(usize, &mut Workspace) + Sync),
-    ) {
-        self.run_parts(parts, f, || f(0, ws));
-    }
-
     /// Post parts `1..parts` to the helpers, run `own` (part 0) here,
     /// wait for the helpers, then resurface the first panic.
     fn run_parts(&mut self, parts: usize, part: &PartFn<'_>, own: impl FnOnce()) {
@@ -489,8 +467,9 @@ type ScratchSplitFn<'a, T> =
 /// `f(offset, piece)` on each across `team`; with one part, or no team,
 /// once, inline, over all of `out`. Piece 0 runs on the calling thread.
 /// Returns the error of the lowest-offset piece that failed, the one an
-/// unsplit call would have hit first; a panic resurfaces as in
-/// [`Team::run`]. The callers choose `parts` by [`Team::parts_for`]
+/// unsplit call would have hit first. A panic in any piece resurfaces
+/// here once every piece is done (the caller's own first, else the
+/// lowest-numbered helper's). The callers choose `parts` by [`Team::parts_for`]
 /// (`split_rows`, `split_columns`), or take a multiply's count for the
 /// lowering that feeds it ([`crate::conv2d`]).
 pub(crate) fn split<T: Send>(
