@@ -26,18 +26,17 @@
 //!
 //! Mirrors `CAP_TENSOR_KERNEL` / `CAP_TENSOR_FUSION`: the `CAP_CNN_DAG`
 //! environment variable is read once per process — `off` or `auto` (the
-//! default). `Auto` gives a pass the host's cores unless it is already
-//! running inside a [`crate::ParallelEngine`] worker (stacking them on
-//! data-parallelism would oversubscribe the machine); a net with no
-//! kernel big enough to split runs on one. `Off` is one thread per pass
-//! — the sequential escape hatch and the baseline arm of the `dagpar`
+//! default). `Auto` gives a pass the host's cores; a net with no kernel
+//! big enough to split runs on one. `Off` is one thread per pass — the
+//! sequential escape hatch and the baseline arm of the `dagpar`
 //! ablation. Any other value is fatal at first use (see
 //! [`cap_tensor::knob`]). An arena made with
 //! [`crate::ForwardArena::with_team`] pins its passes' thread count
-//! instead, whatever the knob says.
+//! instead, whatever the knob says: a [`crate::ParallelEngine`]'s
+//! workers run their passes on one-thread teams of that kind (stacking
+//! a pass's threads on the engine's would oversubscribe the machine).
 
 use cap_tensor::knob::{Knob, KnobValue};
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Whether a forward pass splits its kernels across more than one
@@ -52,8 +51,8 @@ use std::sync::OnceLock;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagMode {
-    /// The host's cores per pass, unless inside a data-parallel engine
-    /// worker: every step's large kernels split across them.
+    /// The host's cores per pass (unless the arena pins its team): every
+    /// step's large kernels split across them.
     Auto,
     /// One thread per pass: the sequential schedule, no kernel splits
     /// — the parity escape hatch and the baseline arm of the `dagpar`
@@ -124,39 +123,6 @@ pub(crate) fn host_parallelism() -> usize {
     })
 }
 
-thread_local! {
-    /// True while this thread is a [`crate::ParallelEngine`] worker
-    /// executing its chunk loop. `DagMode::Auto` checks it to avoid
-    /// stacking a pass's worker team on top of data-parallel threads.
-    static IN_ENGINE_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII flag marking the current thread as a data-parallel engine
-/// worker for its lifetime; `DagMode::Auto` gives passes on such
-/// threads one thread.
-pub(crate) struct EngineWorkerGuard {
-    was: bool,
-}
-
-impl EngineWorkerGuard {
-    pub(crate) fn enter() -> Self {
-        let was = IN_ENGINE_WORKER.with(|f| f.replace(true));
-        Self { was }
-    }
-}
-
-impl Drop for EngineWorkerGuard {
-    fn drop(&mut self) {
-        let was = self.was;
-        IN_ENGINE_WORKER.with(|f| f.set(was));
-    }
-}
-
-/// Whether the current thread is inside a data-parallel engine worker.
-pub(crate) fn in_engine_worker() -> bool {
-    IN_ENGINE_WORKER.with(|f| f.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,20 +144,5 @@ mod tests {
     fn mode_enablement() {
         assert!(DagMode::Auto.enabled());
         assert!(!DagMode::Off.enabled());
-    }
-
-    #[test]
-    fn engine_worker_guard_nests() {
-        assert!(!in_engine_worker());
-        {
-            let _a = EngineWorkerGuard::enter();
-            assert!(in_engine_worker());
-            {
-                let _b = EngineWorkerGuard::enter();
-                assert!(in_engine_worker());
-            }
-            assert!(in_engine_worker());
-        }
-        assert!(!in_engine_worker());
     }
 }

@@ -184,9 +184,9 @@ impl ForwardRecord {
 ///
 /// The team is built on the first pass that wants more than one thread
 /// and joined when the arena drops; how many threads a pass wants is
-/// `CAP_CNN_DAG`'s call (`off`: one; `auto`: the host's cores, one
-/// inside a [`crate::ParallelEngine`] worker) unless the arena was made
-/// with [`ForwardArena::with_team`].
+/// `CAP_CNN_DAG`'s call (`off`: one; `auto`: the host's cores) unless
+/// the arena was made with [`ForwardArena::with_team`] — as every
+/// [`crate::ParallelEngine`] worker's is, on one thread.
 #[derive(Default)]
 pub struct ForwardArena {
     slots: Vec<Tensor4>,
@@ -661,10 +661,9 @@ impl Network {
 
     /// Decide how many threads a pass may split its kernels across.
     ///
-    /// The count: the pinned team's ([`ForwardArena::with_team`]) or
-    /// `CAP_CNN_DAG`'s — one under `off` or inside a data-parallel
-    /// engine worker (stacking threads on the engine's would
-    /// oversubscribe the host), the host's cores under `auto`.
+    /// The count: the pinned team's ([`ForwardArena::with_team`]; one
+    /// in a data-parallel engine worker's arena) or `CAP_CNN_DAG`'s —
+    /// one under `off`, the host's cores under `auto`.
     ///
     /// The pass gets that count — or one thread when the arena has no
     /// team yet and no step is big enough to split at this batch, so
@@ -676,7 +675,6 @@ impl Network {
             Schedule::Knobs => match (arena.pinned, dag::selected()) {
                 (Some(threads), _) => threads,
                 (None, DagMode::Off) => 1,
-                (None, DagMode::Auto) if dag::in_engine_worker() => 1,
                 (None, DagMode::Auto) => dag::host_parallelism(),
             },
         };

@@ -4,10 +4,13 @@
 //! cleanly across GPUs and instances; [`crate::inference::run_batched`]
 //! gave us the single-worker measurement. This module adds the parallel
 //! counterpart: a [`ParallelEngine`] shards the *chunk sequence* of a
-//! batched workload across one scoped OS thread per worker
-//! (`std::thread::scope`), so strong-scaling efficiency can be measured
-//! rather than assumed, and fed back into `cap-cloud`'s execution
-//! simulator as a calibrated efficiency curve.
+//! batched workload across the threads of its own persistent [`Team`]
+//! (the worker-team type a [`ForwardArena`] splits kernels across), one
+//! thread per worker with the caller as worker 0, so strong-scaling
+//! efficiency can be measured rather than assumed, and fed back into
+//! `cap-cloud`'s execution simulator as a calibrated efficiency curve.
+//! The engine's passes each run on one thread: its team is the set of
+//! threads they would otherwise stack on.
 //!
 //! # Determinism
 //!
@@ -31,7 +34,7 @@
 use crate::inference::ThroughputReport;
 use crate::network::{ForwardArena, Network};
 use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
-use cap_tensor::{Tensor4, TensorResult};
+use cap_tensor::{team, Team, Tensor4, TensorResult};
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -61,25 +64,6 @@ pub struct InferenceReport {
     pub workers: Vec<WorkerReport>,
 }
 
-impl InferenceReport {
-    /// Fraction of total worker-seconds actually spent computing:
-    /// `Σ busy / (wall · workers)`. 1.0 is perfect strong scaling; the
-    /// gap to 1.0 is load imbalance plus spawn/join overhead.
-    pub fn parallel_efficiency(&self) -> f64 {
-        let wall = self.throughput.wall_s;
-        if wall <= 0.0 || self.workers.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self.workers.iter().map(|w| w.busy_s).sum();
-        (busy / (wall * self.workers.len() as f64)).min(1.0)
-    }
-
-    /// The critical-path worker time (slowest worker's busy seconds).
-    pub fn critical_path_s(&self) -> f64 {
-        self.workers.iter().map(|w| w.busy_s).fold(0.0, f64::max)
-    }
-}
-
 /// Per-worker reusable state: the staging chunk and the arena
 /// (activations and kernel scratch).
 pub(crate) struct WorkerState {
@@ -96,13 +80,38 @@ impl Default for WorkerState {
     }
 }
 
+/// A pooled state, or a new one whose passes run on one thread: the
+/// engine's own team is the set of threads they would otherwise stack
+/// on.
+fn checkout(pool: &mut Vec<WorkerState>) -> WorkerState {
+    pool.pop().unwrap_or_else(|| WorkerState {
+        arena: ForwardArena::with_team(Team::new(1)),
+        ..WorkerState::default()
+    })
+}
+
+/// One worker's share of a run: its pooled state, its contiguous chunk
+/// range (`first_chunk` on, `report.chunks` long), its disjoint slice
+/// of the outputs and its report.
+struct Share<'a> {
+    state: WorkerState,
+    first_chunk: usize,
+    out: &'a mut [Vec<f32>],
+    report: WorkerReport,
+}
+
 /// A fixed-width data-parallel executor for batched inference.
 ///
 /// The engine owns no network — it is a reusable harness that runs any
 /// [`Network`] over any image set. Worker state (chunk buffers and
 /// [`ForwardArena`]s) is pooled inside the engine, so a long-lived
 /// engine reaches the same zero-allocation steady state per worker that
-/// the sequential driver reaches globally.
+/// the sequential driver reaches globally. So are the worker threads:
+/// the engine builds its [`Team`] on the first run with chunks for more
+/// than one worker and keeps it until it drops, so an engine used only
+/// through [`ParallelEngine::run_chunk`] never spawns a thread. A run
+/// holds the team for its whole length; a second run started
+/// concurrently on the same engine waits for it.
 ///
 /// ```
 /// use cap_cnn::layer::ReluLayer;
@@ -121,6 +130,9 @@ impl Default for WorkerState {
 /// ```
 pub struct ParallelEngine {
     workers: usize,
+    /// The workers' threads, built on the first run with chunks for
+    /// more than one; held for the length of a run.
+    team: Mutex<Option<Team>>,
     pool: Mutex<Vec<WorkerState>>,
 }
 
@@ -129,16 +141,9 @@ impl ParallelEngine {
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
+            team: Mutex::new(None),
             pool: Mutex::new(Vec::new()),
         }
-    }
-
-    /// An engine sized to the host's available hardware parallelism.
-    pub fn with_available_parallelism() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(workers)
     }
 
     /// Configured worker count.
@@ -197,12 +202,14 @@ impl ParallelEngine {
     /// `tracer`, which therefore must tolerate concurrent reporting (a
     /// [`cap_obs::CollectingTracer`] does).
     ///
-    /// Workers run on fresh OS threads (one scoped thread per worker),
-    /// and recording tracers stamp each span with the
-    /// reporting thread's [`cap_obs::current_tid`] — so in a collected
-    /// trace every worker's spans land on their own thread track, with
-    /// the per-layer spans nested inside that worker's
-    /// [`SpanScope::Worker`] span by time containment.
+    /// Worker 0 runs on the calling thread and worker `w` on helper `w`
+    /// of the engine's team — the same threads on every run — and
+    /// recording tracers stamp each span with the reporting thread's
+    /// [`cap_obs::current_tid`], so in a collected trace every worker's
+    /// spans land on their own thread track, with the per-layer spans
+    /// nested inside that worker's [`SpanScope::Worker`] span by time
+    /// containment. The first error by worker order is returned; a
+    /// worker's panic resurfaces here once every worker has finished.
     ///
     /// With [`NoopTracer`] this is exactly [`ParallelEngine::run_batched`]:
     /// the no-op instrumentation monomorphizes away.
@@ -216,108 +223,98 @@ impl ParallelEngine {
         let n = images.n();
         let batch = batch.max(1);
         let n_chunks = n.div_ceil(batch);
-        let active = self.workers.min(n_chunks);
+        // A run that panicked poisoned this lock but left the team
+        // whole: `run_pieces` returns only once every worker is done.
+        let mut team = self.team.lock().unwrap_or_else(|e| e.into_inner());
+        let mut active = self.workers.min(n_chunks);
+        if active > 1 {
+            // A team the OS gave fewer helpers runs fewer workers.
+            active = active.min(
+                team.get_or_insert_with(|| Team::new(self.workers))
+                    .threads(),
+            );
+        }
 
         // Contiguous chunk ranges per active worker, balanced to within
-        // one chunk: the first `n_chunks % active` workers take one extra.
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(active);
-        if let (Some(per), Some(extra)) =
-            (n_chunks.checked_div(active), n_chunks.checked_rem(active))
-        {
-            let mut c = 0;
-            for w in 0..active {
-                let take = per + usize::from(w < extra);
-                ranges.push((c, c + take));
-                c += take;
-            }
-        }
-
+        // one chunk (the first `n_chunks % active` workers take one
+        // extra), each with its disjoint slice of the outputs (chunk
+        // ranges are contiguous in image space).
         let mut outputs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        // Disjoint per-worker output slices (chunk ranges are contiguous
-        // in image space).
-        let mut parts: Vec<&mut [Vec<f32>]> = Vec::with_capacity(active);
-        let mut rest: &mut [Vec<f32>] = &mut outputs;
-        for &(c0, c1) in &ranges {
-            let img_span = (c1 * batch).min(n) - c0 * batch;
-            let (head, tail) = rest.split_at_mut(img_span);
-            parts.push(head);
-            rest = tail;
-        }
-
-        let states: Vec<WorkerState> = {
-            let mut pool = self.pool();
-            (0..active)
-                .map(|_| pool.pop().unwrap_or_default())
-                .collect()
-        };
-
-        let start = Instant::now();
-        let joined: Vec<(WorkerState, TensorResult<(usize, f64)>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .zip(states)
-                .zip(&ranges)
-                .enumerate()
-                .map(|(w, ((out_slice, mut state), &(c0, c1)))| {
-                    s.spawn(move || {
-                        // `DagMode::Auto` keeps this thread's passes on
-                        // one thread instead of stacking a worker team
-                        // on the engine's.
-                        let _dag_guard = crate::dag::EngineWorkerGuard::enter();
-                        let r = run_chunk_range(
-                            net, images, batch, c0, c1, &mut state, out_slice, w, tracer,
-                        );
-                        (state, r)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let wall_s = start.elapsed().as_secs_f64();
-
-        let mut worker_reports = Vec::with_capacity(self.workers);
-        let mut first_err = None;
+        let mut shares = Vec::with_capacity(active);
         {
             let mut pool = self.pool();
-            for (w, (state, outcome)) in joined.into_iter().enumerate() {
-                pool.push(state);
-                match outcome {
-                    Ok((images_done, busy_s)) => worker_reports.push(WorkerReport {
-                        worker: w,
-                        chunks: ranges[w].1 - ranges[w].0,
-                        images: images_done,
-                        busy_s,
-                    }),
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
+            let mut rest: &mut [Vec<f32>] = &mut outputs;
+            let mut c0 = 0;
+            for worker in 0..active {
+                let chunks = n_chunks / active + usize::from(worker < n_chunks % active);
+                let (out, tail) = rest.split_at_mut(((c0 + chunks) * batch).min(n) - c0 * batch);
+                rest = tail;
+                shares.push(Share {
+                    state: checkout(&mut pool),
+                    first_chunk: c0,
+                    out,
+                    report: WorkerReport {
+                        worker,
+                        chunks,
+                        images: 0,
+                        busy_s: 0.0,
+                    },
+                });
+                c0 += chunks;
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+
+        // A piece of `shares` is one worker's share on the team; all of
+        // them (none or one) run here when there is no team to share.
+        let run = |_: usize, piece: &mut [Share<'_>]| {
+            piece.iter_mut().try_for_each(|share| {
+                let (c0, report) = (share.first_chunk, &mut share.report);
+                (report.images, report.busy_s) = run_chunk_range(
+                    net,
+                    images,
+                    batch,
+                    c0,
+                    c0 + report.chunks,
+                    &mut share.state,
+                    share.out,
+                    report.worker,
+                    tracer,
+                )?;
+                Ok(())
+            })
+        };
+        let start = Instant::now();
+        let outcome = match team.as_mut() {
+            Some(team) if active > 1 => team::run_pieces(team, active, &mut shares, 1, &run),
+            _ => run(0, &mut shares),
+        };
+        let wall_s = start.elapsed().as_secs_f64();
+        drop(team);
+
+        let mut pool = self.pool();
+        let mut workers: Vec<WorkerReport> = shares
+            .into_iter()
+            .map(|share| {
+                pool.push(share.state);
+                share.report
+            })
+            .collect();
+        drop(pool);
+        outcome?;
         // Idle workers (more workers than chunks) appear with zero work
         // so reports always have `self.workers` entries.
-        for w in active..self.workers {
-            worker_reports.push(WorkerReport {
-                worker: w,
-                chunks: 0,
-                images: 0,
-                busy_s: 0.0,
-            });
-        }
+        workers.extend((active..self.workers).map(|worker| WorkerReport {
+            worker,
+            chunks: 0,
+            images: 0,
+            busy_s: 0.0,
+        }));
 
         Ok((
             outputs,
             InferenceReport {
                 throughput: ThroughputReport::over(n, batch, wall_s),
-                workers: worker_reports,
+                workers,
             },
         ))
     }
@@ -331,7 +328,9 @@ impl ParallelEngine {
     /// pooled `WorkerState` — sharing the same arena pool as
     /// [`ParallelEngine::run_batched`] — so a long-lived serving
     /// process reaches the usual zero-allocation steady state once the
-    /// pool has seen the largest batch shape in flight.
+    /// pool has seen the largest batch shape in flight. Like every pass
+    /// the engine runs, this one runs on one thread, the caller's; it
+    /// never builds the engine's team.
     ///
     /// Outputs are bitwise-identical to running the same images through
     /// [`crate::inference::run_batched`] in any batch grouping (the
@@ -354,7 +353,7 @@ impl ParallelEngine {
     /// assert_eq!(out, seq);
     /// ```
     pub fn run_chunk(&self, net: &Network, chunk: &Tensor4) -> TensorResult<Vec<Vec<f32>>> {
-        let mut state = self.pool().pop().unwrap_or_default();
+        let mut state = checkout(&mut self.pool());
         let result = match net.forward_into(chunk, &mut state.arena) {
             Ok(y) => Ok((0..chunk.n()).map(|j| y.image(j).to_vec()).collect()),
             Err(e) => Err(e),
@@ -500,9 +499,6 @@ mod tests {
         assert_eq!(chunks, 6); // ceil(11/2)
         assert_eq!(images, 11);
         assert!(report.throughput.images_per_s > 0.0);
-        let eff = report.parallel_efficiency();
-        assert!((0.0..=1.0).contains(&eff), "efficiency {eff}");
-        assert!(report.critical_path_s() <= report.throughput.wall_s * 1.5);
     }
 
     #[test]

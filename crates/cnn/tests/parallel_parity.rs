@@ -14,7 +14,8 @@ use cap_cnn::layer::{
     ReluLayer, SoftmaxLayer,
 };
 use cap_cnn::network::{Network, INPUT};
-use cap_cnn::{run_batched, ParallelEngine};
+use cap_cnn::{run_batched, CollectingTracer, ParallelEngine};
+use cap_obs::SpanScope;
 use cap_tensor::{init::xavier_uniform, Conv2dParams, Tensor4};
 use proptest::prelude::*;
 
@@ -167,4 +168,31 @@ fn batch_larger_than_workload_single_chunk() {
     assert_eq!(par, seq);
     // One chunk → exactly one worker does all the images.
     assert_eq!(report.workers.iter().filter(|w| w.images == 3).count(), 1);
+}
+
+#[test]
+fn engine_runs_reuse_their_threads() {
+    // Worker 0 is the caller and worker 1 a helper of the engine's
+    // team, built on the first run and kept: both runs stamp their
+    // worker spans with the same two thread ids.
+    let net = build_net(3);
+    let imgs = images(4, 0);
+    let engine = ParallelEngine::new(2);
+    let worker_tids = || {
+        let tracer = CollectingTracer::new();
+        engine.run_batched_traced(&net, &imgs, 1, &tracer).unwrap();
+        let mut tids: Vec<(usize, u64)> = tracer
+            .take_spans()
+            .into_iter()
+            .filter(|s| s.scope == SpanScope::Worker)
+            .map(|s| (s.index, s.tid))
+            .collect();
+        tids.sort_unstable();
+        tids
+    };
+    let first = worker_tids();
+    assert_eq!(first.len(), 2, "{first:?}");
+    assert_eq!(first[0].1, cap_obs::current_tid(), "worker 0 is the caller");
+    assert_ne!(first[1].1, first[0].1, "worker 1 has a thread of its own");
+    assert_eq!(worker_tids(), first, "the second run reuses the threads");
 }

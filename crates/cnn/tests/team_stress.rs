@@ -1,8 +1,9 @@
-//! Adversarial tests for the arena's worker team at the pass level: a
-//! panic on a helper thread, a failing layer under a split, where a
-//! split must happen (inside the branches of a branchy plan) and where
-//! it must not (inside a data-parallel engine worker), and many short
-//! passes of both kinds through one arena. The team's own primitives —
+//! Adversarial tests for the worker teams at the pass level: a panic on
+//! a helper thread, a panic and an error in a data-parallel engine's
+//! second worker, a failing layer under a split, where a split must
+//! happen (inside the branches of a branchy plan) and where it must not
+//! (inside a data-parallel engine worker), and many short passes of
+//! both kinds through one arena. The team's own primitives —
 //! every `unsafe` block and atomic handoff in `cap_tensor::team` — are
 //! tested next to them, in that module.
 //!
@@ -17,7 +18,7 @@ use cap_cnn::layer::{
 use cap_cnn::network::{ForwardArena, Network, INPUT};
 use cap_cnn::ParallelEngine;
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{team, Conv2dParams, Team, Tensor4, TensorResult, Workspace};
+use cap_tensor::{team, Conv2dParams, ShapeError, Team, Tensor4, TensorResult, Workspace};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -182,6 +183,106 @@ fn helper_panic_resurfaces_and_the_arena_stays_usable() {
     for _ in 0..3 {
         assert_eq!(bits(net.forward_into(&x, &mut arena).unwrap()), want);
     }
+}
+
+/// An identity layer that trips on every image whose first value is at
+/// least `from` while armed: it panics (and disarms, so only the first
+/// such image panics) or returns an error naming the image.
+struct TripOnImage {
+    from: f32,
+    panics: bool,
+    armed: Arc<AtomicBool>,
+}
+
+impl Layer for TripOnImage {
+    fn name(&self) -> &str {
+        "trip"
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Dropout
+    }
+
+    fn forward_into(
+        &self,
+        inputs: &[&Tensor4],
+        _ws: &mut Workspace,
+        out: &mut Tensor4,
+    ) -> TensorResult<()> {
+        let x = inputs[0];
+        for j in 0..x.n() {
+            let marker = x.image(j)[0];
+            if marker >= self.from && self.armed.load(Ordering::Relaxed) {
+                if self.panics && self.armed.swap(false, Ordering::Relaxed) {
+                    panic!("trip on image {marker}");
+                }
+                return Err(ShapeError::new(format!("trip rejects image {marker}")));
+            }
+        }
+        let (n, c, h, w) = x.shape();
+        out.resize(n, c, h, w);
+        out.as_mut_slice().copy_from_slice(x.as_slice());
+        Ok(())
+    }
+
+    fn out_shape(&self, in_shapes: &[ChwShape]) -> TensorResult<ChwShape> {
+        Ok(in_shapes[0])
+    }
+
+    fn macs_per_image(&self, _in_shapes: &[ChwShape]) -> TensorResult<u64> {
+        Ok(0)
+    }
+}
+
+#[test]
+fn engine_worker_panic_and_error_come_back_and_the_engine_recovers() {
+    let _g = force_lock();
+    // Four images at batch 1 on two workers: the second worker runs
+    // images 2 and 3, whose first values are 20 and 30.
+    let x = Tensor4::from_fn(4, 1, 2, 2, |i, _, h, w| (i * 10 + h * 2 + w) as f32);
+    let tripping = |panics: bool, armed: &Arc<AtomicBool>| {
+        let mut net = Network::new("tripping", (1, 2, 2));
+        let trip = TripOnImage {
+            from: 20.0,
+            panics,
+            armed: Arc::clone(armed),
+        };
+        net.add_sequential(Box::new(trip)).unwrap();
+        net.add_sequential(Box::new(ReluLayer::new("r"))).unwrap();
+        net
+    };
+
+    // A panic in the second worker's range reaches the caller once both
+    // workers are done; the engine's team mutex is poisoned and its
+    // worker states are lost with the unwind, and the next runs must
+    // recover both and match the sequential driver bit for bit.
+    let armed = Arc::new(AtomicBool::new(false));
+    let net = tripping(true, &armed);
+    let (want, _) = cap_cnn::run_batched(&net, &x, 1).unwrap();
+    let engine = ParallelEngine::new(2);
+    assert_eq!(engine.run_batched(&net, &x, 1).unwrap().0, want);
+    armed.store(true, Ordering::Relaxed);
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| engine.run_batched(&net, &x, 1)))
+        .expect_err("the worker's panic must reach the caller");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some("trip on image 20")
+    );
+    for _ in 0..3 {
+        let (got, report) = engine.run_batched(&net, &x, 1).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(report.workers.iter().map(|w| w.images).sum::<usize>(), 4);
+    }
+
+    // An error in the second worker's range is the sequential driver's
+    // error: the first image that fails, in input order.
+    let armed = Arc::new(AtomicBool::new(true));
+    let net = tripping(false, &armed);
+    let one = cap_cnn::run_batched(&net, &x, 1).unwrap_err();
+    assert_eq!(one, ShapeError::new("trip rejects image 20"));
+    assert_eq!(engine.run_batched(&net, &x, 1).unwrap_err(), one);
+    armed.store(false, Ordering::Relaxed);
+    assert_eq!(engine.run_batched(&net, &x, 1).unwrap().0.len(), 4);
 }
 
 #[test]

@@ -251,7 +251,9 @@ pub struct Router {
 
 impl Router {
     /// Build a router over `(config, network)` tenants sharing one
-    /// engine worker pool.
+    /// engine. Its `config.workers` are slots on the virtual clock: every
+    /// batch runs through [`ParallelEngine::run_chunk`] on the calling
+    /// thread, one thread per pass, so the router starts no thread.
     pub fn new(config: RouterConfig, tenants: Vec<(TenantConfig, Network)>) -> Self {
         let engine = ParallelEngine::new(config.workers);
         let policy = SloPolicy {

@@ -121,3 +121,51 @@ fn parity_holds_for_pruned_tenants() {
         assert_eq!(out.logits, reference[img]);
     }
 }
+
+#[test]
+fn served_passes_never_split_their_kernels() {
+    // Every batch runs through `ParallelEngine::run_chunk` on one
+    // thread; the demo nets are far below the per-part minimum of a
+    // kernel split besides, so replaying a three-tenant trace must not
+    // move the split counter (no other net in this binary is big
+    // enough to split either).
+    let pool = fleet::demo_images(8);
+    let tenants = vec![
+        fleet::pruned_tenant("dense", 1, 0.0),
+        fleet::pruned_tenant("pruned-60", 2, 0.6),
+        fleet::pruned_tenant("pruned-90", 3, 0.9),
+    ];
+    let mut router = Router::new(
+        RouterConfig {
+            workers: 2,
+            ..RouterConfig::default()
+        },
+        tenants,
+    );
+    let trace = generate_trace(
+        35,
+        &[
+            ArrivalPattern::Poisson { rate_per_s: 800.0 },
+            ArrivalPattern::Diurnal {
+                base_per_s: 200.0,
+                peak_per_s: 1_400.0,
+                period_s: 0.25,
+            },
+            ArrivalPattern::Burst {
+                base_per_s: 400.0,
+                burst_per_s: 4_000.0,
+                burst_every_s: 0.25,
+                burst_len_s: 0.05,
+            },
+        ],
+        0.3,
+    );
+    let metrics = cap_obs::metrics();
+    let (splits, passes) = (metrics.intra_op_splits.get(), metrics.forward_passes.get());
+    let report = router
+        .serve_trace(&trace, &[pool.clone(), pool.clone(), pool.clone()])
+        .unwrap();
+    assert!(report.batches > 50, "{} batches", report.batches);
+    assert!(metrics.forward_passes.get() - passes >= report.batches);
+    assert_eq!(metrics.intra_op_splits.get(), splits, "a served pass split");
+}

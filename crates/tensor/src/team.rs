@@ -1,22 +1,24 @@
-//! A persistent worker team: the threads one forward pass runs on.
+//! A persistent worker team: the threads one forward pass, or one
+//! data-parallel run, runs on.
 //!
 //! A [`Team`] of `threads` is the calling thread plus `threads - 1`
 //! helpers spawned once and kept for the team's lifetime (`cap-cnn`'s
 //! `ForwardArena` holds one in its [`Workspace`], created on the first
-//! pass that wants more than one thread and joined when it drops). It
-//! runs the parts of one kernel: an output slice cut into contiguous
-//! pieces of whole units, one closure call per piece, piece 0 on the
-//! caller. [`split_rows`] cuts a multiply by rows of `A`,
-//! [`split_columns`] a batch-1 GEMV by panel-aligned column ranges,
-//! [`crate::Lowering`] the f32 packed `B` it writes by panel ranges (as
-//! many parts as the multiply it feeds), [`crate::conv2d`] cuts its
-//! output bands (groups, images) and the pools and [`crate::lrn_into`]
-//! their output planes (images, channels), handing every piece its
-//! thread's own [`Workspace`]. A piece is a contiguous sub-problem of
-//! the same kernel (a row range of `A` and `C`, a panel range of `B`
-//! and `C`, a range of planes), so every output element is still
-//! computed by one thread in the same order: splitting is bitwise
-//! invisible.
+//! pass that wants more than one thread and joined when it drops; its
+//! `ParallelEngine` holds one and runs its workers' chunk ranges as the
+//! pieces of [`run_pieces`]). In a pass it runs the parts of one
+//! kernel: an output slice cut into contiguous pieces of whole units,
+//! one closure call per piece, piece 0 on the caller. [`split_rows`]
+//! cuts a multiply by rows of `A`, [`split_columns`] a batch-1 GEMV by
+//! panel-aligned column ranges, [`crate::Lowering`] the f32 packed `B`
+//! it writes by panel ranges (as many parts as the multiply it feeds),
+//! [`crate::conv2d`] cuts its output bands (groups, images) and the
+//! pools and [`crate::lrn_into`] their output planes (images,
+//! channels), handing every piece its thread's own [`Workspace`]. A
+//! piece is a contiguous sub-problem of the same kernel (a row range of
+//! `A` and `C`, a panel range of `B` and `C`, a range of planes), so
+//! every output element is still computed by one thread in the same
+//! order: splitting is bitwise invisible.
 //!
 //! A split is only worth its fork-join when every part carries enough
 //! work: a piece gets at least the team's per-part minimum of
@@ -487,7 +489,26 @@ pub(crate) fn split<T: Send>(
         return f(0, out);
     };
     cap_obs::metrics().intra_op_splits.inc();
-    let pieces = Pieces::new(out, unit, parts);
+    run_pieces(team, parts, out, unit, f)
+}
+
+/// Cut `out` into `parts` contiguous pieces of whole `unit`s and run
+/// `f(offset, piece)` on each across `team`, piece 0 on the calling
+/// thread; panics unless `parts` is 1 to `team.threads()`. The
+/// fork-join under every kernel split, but it counts no split:
+/// `cap-cnn`'s `ParallelEngine` runs its workers through it, one share
+/// — a pooled arena, a chunk range and that range's slice of the
+/// outputs — per piece. Returns the error of the lowest-offset piece
+/// that failed; a panic in any piece resurfaces once every piece is
+/// done.
+pub fn run_pieces<T: Send>(
+    team: &mut Team,
+    parts: usize,
+    out: &mut [T],
+    unit: usize,
+    f: &(dyn Fn(usize, &mut [T]) -> TensorResult<()> + Sync),
+) -> TensorResult<()> {
+    let pieces = Pieces::new(out, unit.max(1), parts);
     let first = FirstError::default();
     let run = |part: usize| {
         // SAFETY: `run_parts` calls this once per part number.
