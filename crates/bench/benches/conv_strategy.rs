@@ -9,6 +9,11 @@
 //! `lowering` is the two packed lowerings alone on the real batch-1
 //! shapes, the f32 one on one and two threads, the int8 one on one
 //! (tables in EXPERIMENTS.md, "The lowering alone" and after it).
+//! `winograd` is the dense f32 3×3 on both of its algorithms, im2col
+//! and Winograd F(2×2, 3×3), on every Googlenet / Caffenet 3×3 shape and
+//! the serving demo's, at one and two workers — the crossover
+//! `WINOGRAD_MIN_CHANNELS` / `WINOGRAD_MIN_MAP` are set from (table in
+//! EXPERIMENTS.md "PR 36").
 
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
@@ -345,9 +350,140 @@ fn bench_lowering(c: &mut Criterion) {
     }
 }
 
+/// Every dense f32 3×3 stride-1 conv shape of Googlenet (conv2 and the
+/// nine inception modules) and Caffenet (conv3–conv5, conv4/5 grouped)
+/// at batch 1, the serving demo net's two, and a ladder of narrow
+/// shapes between them, through `conv2d` on both algorithms — im2col +
+/// GEMM (`ConvWeights::Dense`) and Winograd F(2×2, 3×3)
+/// (`ConvWeights::Winograd`) — on one thread and on a two-thread
+/// [`Team`]. Inside the bench, each algorithm's two-worker output must
+/// equal its one-worker output bit for bit, and Winograd must agree
+/// with im2col to 1e-4 of the output's scale. Prints each shape's
+/// im2col ÷ Winograd time ratio and ends with one `winograd:` line —
+/// min / max of the ratio over the model shapes at one and two workers
+/// and the summed-time ratio — for the CI job summary.
+fn bench_winograd(c: &mut Criterion) {
+    // (name, input channels, output channels, groups, map side, model?)
+    const SHAPES: [(&str, usize, usize, usize, usize, bool); 20] = [
+        ("googlenet_conv2_3x3", 64, 192, 1, 56, true),
+        ("incep3a_3x3", 96, 128, 1, 28, true),
+        ("incep3b_3x3", 128, 192, 1, 28, true),
+        ("incep4a_3x3", 96, 208, 1, 14, true),
+        ("incep4b_3x3", 112, 224, 1, 14, true),
+        ("incep4c_3x3", 128, 256, 1, 14, true),
+        ("incep4d_3x3", 144, 288, 1, 14, true),
+        ("incep4e_3x3", 160, 320, 1, 14, true),
+        ("incep5a_3x3", 160, 320, 1, 7, true),
+        ("incep5b_3x3", 192, 384, 1, 7, true),
+        ("caffenet_conv3", 256, 384, 1, 13, true),
+        ("caffenet_conv4", 384, 384, 2, 13, true),
+        ("caffenet_conv5", 384, 256, 2, 13, true),
+        ("demo_conv1", 3, 8, 1, 16, false),
+        ("demo_conv2", 8, 8, 1, 8, false),
+        ("narrow_16to32_28", 16, 32, 1, 28, false),
+        ("narrow_24to24_16", 24, 24, 1, 16, false),
+        ("narrow_32to32_14", 32, 32, 1, 14, false),
+        ("narrow_32to32_7", 32, 32, 1, 7, false),
+        ("narrow_64to64_7", 64, 64, 1, 7, false),
+    ];
+    let mut group = c.benchmark_group("winograd");
+    let mut team = Team::new(2);
+    let (mut ratios_1w, mut ratios_2w) = (Vec::new(), Vec::new());
+    let mut totals = [Duration::ZERO; 4];
+    for (name, cin, cout, groups, hw, model) in SHAPES {
+        let params = Conv2dParams::grouped(cin, cout, 3, 1, 1, groups);
+        let input = Tensor4::from_fn(1, cin, hw, hw, |_, ci, h, w| {
+            ((ci * 7 + h * 3 + w) % 13) as f32 / 13.0 - 0.5
+        });
+        let weights = Matrix::from_fn(cout, params.col_rows(), |r, c| {
+            (((r * 31 + c * 17) % 29) as f32 / 29.0 - 0.5) / (params.col_rows() as f32).sqrt()
+        });
+        let bias = vec![0.05_f32; cout];
+        let bands = ConvWeights::winograd_bands(&weights, &params).unwrap();
+        let forms = [
+            ("im2col", ConvWeights::Dense(&weights)),
+            ("winograd", ConvWeights::Winograd(&bands)),
+        ];
+        let mut outs = vec![Tensor4::zeros(0, 0, 0, 0); 4];
+        let mut times = [Duration::MAX; 4];
+        for (f, (form_name, form)) in forms.into_iter().enumerate() {
+            for workers in [1, 2] {
+                let arm = 2 * f + workers - 1;
+                let mut ws = Workspace::new();
+                if workers == 2 {
+                    ws.team = Some(std::mem::replace(&mut team, Team::new(1)));
+                }
+                let out = &mut outs[arm];
+                times[arm] = fastest(
+                    &mut group,
+                    BenchmarkId::new(name, format!("{form_name}_{workers}w")),
+                    || conv2d(&input, form, Some(&bias), true, &params, &mut ws, out).unwrap(),
+                );
+                if let Some(t) = ws.team.take() {
+                    team = t;
+                }
+            }
+        }
+        if times.contains(&Duration::MAX) {
+            continue;
+        }
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&outs[0]) == bits(&outs[1]),
+            "winograd/{name}: split im2col differs"
+        );
+        assert!(
+            bits(&outs[2]) == bits(&outs[3]),
+            "winograd/{name}: split Winograd differs"
+        );
+        let scale = outs[0]
+            .as_slice()
+            .iter()
+            .fold(0.0f32, |a, v| a.max(v.abs()));
+        let gap = outs[0].max_abs_diff(&outs[2]).unwrap();
+        assert!(
+            gap <= 1e-4 * scale.max(1.0),
+            "winograd/{name}: {gap} from im2col"
+        );
+        let ratio =
+            |im2col: Duration, winograd: Duration| im2col.as_secs_f64() / winograd.as_secs_f64();
+        let (one, two) = (ratio(times[0], times[2]), ratio(times[1], times[3]));
+        println!("winograd/{name}: im2col/winograd 1w {one:.2}x, 2w {two:.2}x");
+        if model {
+            ratios_1w.push((one, name));
+            ratios_2w.push((two, name));
+            for (total, t) in totals.iter_mut().zip(times) {
+                *total += t;
+            }
+        }
+    }
+    group.finish();
+    let span = |ratios: &mut Vec<(f64, &str)>| {
+        ratios.sort_by(|x, y| x.0.total_cmp(&y.0));
+        match (ratios.first(), ratios.last()) {
+            (Some(lo), Some(hi)) => {
+                format!("min {:.2}x ({}) max {:.2}x ({})", lo.0, lo.1, hi.0, hi.1)
+            }
+            _ => "no shapes".into(),
+        }
+    };
+    if !ratios_1w.is_empty() {
+        let total = |i: usize, w: usize| totals[i].as_secs_f64() / totals[w].as_secs_f64();
+        println!(
+            "winograd: im2col/winograd on {} model 3x3s, 1w {}, 2w {}, summed 1w {:.2}x 2w {:.2}x on {}",
+            ratios_1w.len(),
+            span(&mut ratios_1w),
+            span(&mut ratios_2w),
+            total(0, 2),
+            total(1, 3),
+            cap_tensor::kernels::selected().name()
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_conv, bench_weight_forms, bench_lowering
+    targets = bench_conv, bench_weight_forms, bench_lowering, bench_winograd
 }
 criterion_main!(benches);

@@ -6,8 +6,9 @@
 //! one `ConvLayer` selects.
 
 use cap_cnn::layer::ConvLayer;
-use cap_cnn::train::{SequentialBuilder, SequentialNet, Sgd};
-use cap_cnn::{run_batched, LayerKind, Network};
+use cap_cnn::network::{NodeId, INPUT};
+use cap_cnn::train::{SequentialBuilder, SequentialNet, Sgd, TrainLayer};
+use cap_cnn::{run_batched, Network};
 use cap_data::SyntheticImageNet;
 use cap_pruning::magnitude::sparsity_mask;
 use cap_pruning::prune_magnitude;
@@ -55,16 +56,23 @@ pub(crate) fn best_wall_s(net: &Network, images: &Tensor4, batch: usize) -> f64 
     (0..3).map(|_| wall_s()).fold(f64::INFINITY, f64::min)
 }
 
-/// The stored form each conv layer of `net` multiplies with
-/// ([`ConvLayer::weight_form_name`]): one name when all layers agree,
-/// else one per layer.
-fn conv_forms(net: &Network) -> String {
+/// The stored form each conv layer of `net` multiplies with in
+/// `network`, the executor's copy of it ([`ConvLayer::weight_form_name`]
+/// on the layer's geometry and input map): one name when all layers
+/// agree, else one per layer.
+fn conv_forms(net: &SequentialNet, network: &Network) -> String {
     let mut forms: Vec<&str> = net
-        .layers_of_kind(LayerKind::Convolution)
+        .layers()
         .iter()
-        .map(|name| {
-            let weights = net.layer(name).and_then(|l| l.weights());
-            ConvLayer::weight_form_name(weights.expect("conv layer has weights"))
+        .enumerate()
+        .filter_map(|(i, layer)| match layer {
+            TrainLayer::Conv { params, w, .. } => {
+                // `to_network` adds one node per layer, in order.
+                let from = i.checked_sub(1).map_or(INPUT, NodeId);
+                let (_, h, w_in) = network.shape_of(from).expect("node of the network");
+                Some(ConvLayer::weight_form_name(w, params, (h, w_in)))
+            }
+            _ => None,
         })
         .collect();
     if forms.windows(2).all(|w| w[0] == w[1]) {
@@ -127,7 +135,7 @@ pub fn fig6m() -> String {
         let report = pruned.evaluate(&test_x, &test_labels).unwrap();
         let network = pruned.to_network().expect("trained net as Network");
         let ms = best_wall_s(&network, &test_x, TIMED_BATCH) * 1000.0;
-        let form = conv_forms(&network);
+        let form = conv_forms(&pruned, &network);
         writeln!(
             out,
             "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2} {:>12}",
@@ -264,7 +272,7 @@ pub fn fig8m() -> String {
             report.top1 * 100.0,
             report.top5 * 100.0,
             ms,
-            conv_forms(&network)
+            conv_forms(&pruned, &network)
         )
         .unwrap();
         rows.push((report.top1, ms));

@@ -12,11 +12,13 @@ const BATCH: usize = 8;
 /// (4 sequential + 2 engine runs) × 4 chunks.
 const PASSES: u64 = 24;
 /// Arena high-water of mini-Caffenet at batch 8 under the fused plan
-/// and under `CAP_TENSOR_FUSION=off`, as the PR 23 binary reported
-/// them. A different value means the planner or the arena changed, and
-/// the constant moves in the PR that changes it.
-const ARENA_BYTES_FUSED: u64 = 2_565_376;
-const ARENA_BYTES_UNFUSED: u64 = 4_428_032;
+/// and under `CAP_TENSOR_FUSION=off`: the capacities of the plan's
+/// liveness slots, as the PR 36 binary reported them (one slot per
+/// node held 2_565_376 and 4_428_032). A different value means the
+/// planner or the arena changed, and the constant moves in the PR that
+/// changes it.
+const ARENA_BYTES_FUSED: u64 = 1_444_864;
+const ARENA_BYTES_UNFUSED: u64 = 1_968_128;
 
 #[test]
 fn batched_workload_makes_the_expected_passes_over_the_expected_arena() {

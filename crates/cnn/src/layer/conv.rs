@@ -2,9 +2,9 @@
 
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
-    conv2d, precision, symmetric_scale, CalibrationMethod, Conv2dParams, ConvWeights, CsrMatrix,
-    KeptRows, Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4, TensorResult,
-    Workspace,
+    conv2d, precision, symmetric_scale, winograd, CalibrationMethod, Conv2dParams, ConvWeights,
+    CsrMatrix, KeptRows, Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4,
+    TensorResult, WinogradBand, Workspace,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -25,6 +25,26 @@ pub const SPARSE_THRESHOLD: f64 = 0.8;
 /// conv_strategy -- conv_form_i8` (table in EXPERIMENTS.md "PR 23").
 pub const SPARSE_THRESHOLD_I8: f64 = 0.95;
 
+/// Fewest input and output channels per group at which a dense f32
+/// 3×3 stride-1 pad-1 conv runs the Winograd form: from `cargo bench
+/// -p cap-bench --bench conv_strategy -- winograd` (table in
+/// EXPERIMENTS.md "PR 36"), im2col ÷ Winograd time at one and two
+/// workers: 0.58–0.67 at 16→32 channels on a 28×28 map, 0.89–0.90 at
+/// 24→24 on 16×16, 0.93–0.96 at 32→32 on 14×14 (1.08–1.13 on 7×7), and
+/// 1.35–1.40 at 64→64 on 7×7; every Googlenet and Caffenet 3×3 (64 to
+/// 384 per group) gains 1.1–1.7×. The serving demo net's convs (3→8,
+/// 8→8: 0.33–0.55) stay on im2col.
+pub const WINOGRAD_MIN_CHANNELS: usize = 64;
+
+/// Smallest input map side (height and width) at which the Winograd
+/// form runs. Every 3×3 of Googlenet and Caffenet on a map of 13 or
+/// more gains 1.2–1.5× (same bench). Googlenet's two 7×7 inception-5
+/// 3×3s gain too, but little: ~1 ms of a one-thread pass for 7.6 MiB
+/// of transformed filters, which took `googlenet_dense_b1`'s peak RSS
+/// to +5.0 % of the im2col build's (EXPERIMENTS.md "PR 36"), so maps
+/// below 8 stay on im2col.
+pub const WINOGRAD_MIN_MAP: usize = 8;
+
 /// Why building a derived weight form cannot fail after construction.
 const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
 
@@ -43,6 +63,18 @@ struct WeightForm {
     /// The overall zero fraction is above [`SPARSE_THRESHOLD_I8`]:
     /// int8 runs CSR.
     sparse_i8: bool,
+}
+
+/// Whether a dense f32 conv of geometry `params` on an `h×w` input map
+/// runs the Winograd form: a 3×3 stride-1 pad-1 kernel with at least
+/// [`WINOGRAD_MIN_CHANNELS`] input and output channels per group, on a
+/// map at least [`WINOGRAD_MIN_MAP`] on a side. Geometry only — never
+/// the batch or the thread count — so an image's output bits do not
+/// depend on either.
+fn runs_winograd(params: &Conv2dParams, (h, w): (usize, usize)) -> bool {
+    winograd::fits(params)
+        && params.in_per_group().min(params.out_per_group()) >= WINOGRAD_MIN_CHANNELS
+        && h.min(w) >= WINOGRAD_MIN_MAP
 }
 
 impl WeightForm {
@@ -86,10 +118,13 @@ impl WeightForm {
 /// so the time of a filter-pruned layer falls with the filters that
 /// remain (`repro --exp profile`); otherwise a zero fraction above
 /// [`SPARSE_THRESHOLD`] ([`SPARSE_THRESHOLD_I8`] under int8) selects
-/// the CSR form, which pays only at high unstructured sparsity. The
-/// derived forms (per-group kept-row or CSR bands, int8 quantizations)
-/// are built on the first forward that needs them and dropped by
-/// `set_weights`; im2col scratch is the caller's [`Workspace`], so
+/// the CSR form, which pays only at high unstructured sparsity. Dense
+/// f32 weights of a 3×3 stride-1 pad-1 conv wide enough and on a map
+/// large enough (`WINOGRAD_MIN_*`) run the Winograd F(2×2, 3×3) form,
+/// 2.25× fewer multiplies; the rest run im2col + GEMM. The derived
+/// forms (per-group kept-row, CSR or Winograd bands, int8
+/// quantizations) are built on the first forward that needs them and
+/// dropped by `set_weights`; im2col scratch is the caller's [`Workspace`], so
 /// steady-state forwards allocate nothing, take no lock and touch no
 /// reference count.
 pub struct ConvLayer {
@@ -103,6 +138,8 @@ pub struct ConvLayer {
     kept_rows: OnceLock<Vec<KeptRows>>,
     /// Per-group CSR split of `weights` (sparse f32 path).
     csr: OnceLock<Vec<CsrMatrix>>,
+    /// Per-group Winograd transform of `weights` (dense f32 3×3 path).
+    winograd: OnceLock<Vec<WinogradBand>>,
     /// Int8 quantization of `weights` (dense int8 path). Lazy rather
     /// than decided with `form`: `precision::force` can flip the
     /// precision at run time.
@@ -148,6 +185,7 @@ impl ConvLayer {
             bias,
             kept_rows: OnceLock::new(),
             csr: OnceLock::new(),
+            winograd: OnceLock::new(),
             dense_i8: OnceLock::new(),
             csr_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
@@ -164,16 +202,23 @@ impl ConvLayer {
         &self.bias
     }
 
-    /// Name of the stored form a layer holding `weights` multiplies
-    /// with under the selected precision (the arms of the forward's own
-    /// choice): `dense`, `dense-rows` (all-zero filters dropped), `csr`,
+    /// Name of the stored form a layer of geometry `params` holding
+    /// `weights` multiplies with on an input map of `map` (height,
+    /// width), under the selected precision (the arms of the forward's
+    /// own choice): `dense`, `winograd` (dense 3×3 in F(2×2, 3×3)
+    /// form), `dense-rows` (all-zero filters dropped), `csr`,
     /// `dense-i8` or `csr-i8` — for reports that say which form a timed
     /// row ran.
-    pub fn weight_form_name(weights: &Matrix) -> &'static str {
+    pub fn weight_form_name(
+        weights: &Matrix,
+        params: &Conv2dParams,
+        map: (usize, usize),
+    ) -> &'static str {
         let form = WeightForm::of(weights);
         let precision = precision::selected();
         match (precision, form.sparse_for(precision)) {
             (Precision::F32, _) if form.filter_pruned => "dense-rows",
+            (Precision::F32, false) if runs_winograd(params, map) => "winograd",
             (Precision::F32, false) => "dense",
             (Precision::F32, true) => "csr",
             (Precision::Int8, false) => "dense-i8",
@@ -213,6 +258,13 @@ impl ConvLayer {
                 self.kept_rows
                     .get_or_init(|| ConvWeights::kept_row_bands(w, p).expect(FORM_SHAPE_CHECKED)),
             ),
+            (Precision::F32, false) if runs_winograd(p, (input.h(), input.w())) => {
+                ConvWeights::Winograd(
+                    self.winograd.get_or_init(|| {
+                        ConvWeights::winograd_bands(w, p).expect(FORM_SHAPE_CHECKED)
+                    }),
+                )
+            }
             (Precision::F32, false) => ConvWeights::Dense(w),
             (Precision::F32, true) => ConvWeights::Csr(
                 self.csr
@@ -308,6 +360,7 @@ impl Layer for ConvLayer {
         self.weights = weights;
         self.kept_rows = OnceLock::new();
         self.csr = OnceLock::new();
+        self.winograd = OnceLock::new();
         self.dense_i8 = OnceLock::new();
         self.csr_i8 = OnceLock::new();
         Ok(())

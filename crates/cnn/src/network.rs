@@ -61,19 +61,40 @@ struct ExecStep {
 /// Built once per `(network, fused?)` pair by pattern-matching
 /// `conv → relu` / `fc → relu` chains; a fused ReLU node disappears as
 /// a step and its output aliases its producer's arena slot
-/// (`slot_of`), so the ReLU's own activation buffer is never sized —
-/// the arena high-water mark drops by exactly those activations.
+/// (`slot_of`), so the ReLU's own activation buffer is never sized.
+///
+/// Arena slots are assigned by liveness: a step writes a slot whose
+/// value no later step reads — never one of its own inputs — and a
+/// slot is free again after the last step that reads its value, except
+/// the network output's, which is never reused. So the arena holds as
+/// many activations as are live at once, not one per node.
 struct Plan {
     steps: Vec<ExecStep>,
-    /// Arena slot holding node `i`'s output (fused ReLUs alias their
-    /// producer's slot; every other node owns its own slot).
+    /// Arena slot holding node `i`'s output once its step has run, until
+    /// the last step that reads it (fused ReLUs share their producer's).
     slot_of: Vec<usize>,
+    /// Slots the plan uses: what a [`ForwardArena`] holds.
+    slot_count: usize,
     /// Number of fused producer→ReLU pairs, published to the
     /// `fused_layers` gauge.
     fused_count: u64,
     /// Largest per-image MAC count of any step: whether a pass has a
     /// kernel worth a worker team at all.
     max_macs: u64,
+}
+
+/// One step of a plan as the arena sees it ([`Network::plan_slots`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StepSlots {
+    /// The node whose output the step leaves in `writes`: the node it
+    /// runs, or the ReLU fused into it.
+    pub value: NodeId,
+    /// The slot the step writes.
+    pub writes: usize,
+    /// Each input node and the slot the step reads it from (`None`:
+    /// the network input).
+    pub reads: Vec<(NodeId, Option<usize>)>,
 }
 
 /// How one pass picks its plan and its thread count — the only thing
@@ -167,17 +188,19 @@ impl ForwardRecord {
     }
 }
 
-/// Everything a forward pass writes, reused across passes: one
-/// activation tensor per node (the last is the output), the calling
-/// thread's kernel-scratch [`Workspace`] and the worker [`Team`] a
-/// pass with more than one thread splits its kernels across.
+/// Everything a forward pass writes, reused across passes: the
+/// activation slots of the plan (each holds one node's output from its
+/// step until the last step that reads it, then the next node's the
+/// plan assigns it — so a slot grows to the largest activation it
+/// carries, and the arena to the activations live at once, not to
+/// every node's), the calling thread's kernel-scratch [`Workspace`]
+/// and the worker [`Team`] a pass with more than one thread splits its
+/// kernels across.
 ///
 /// After the first pass every buffer has reached its steady-state
 /// high-water mark and subsequent passes (same batch size) allocate
-/// nothing — on every schedule. The arena retains *all* activations of
-/// a pass instead of freeing them after their last consumer, which is
-/// the right call for the modest batch sizes batched inference uses.
-/// Scratch belongs to the executing thread, not to a layer: the calling
+/// nothing — on every schedule. Scratch belongs to the executing
+/// thread, not to a layer: the calling
 /// thread lends every layer the same workspace, and each helper of the
 /// team keeps its own, so scratch grows with the largest layer times
 /// the thread count, not with the layer count.
@@ -244,13 +267,14 @@ impl ForwardArena {
         arena
     }
 
-    /// Total bytes live across all activation slots (lower bound on what
-    /// the arena retains; buffer capacity never shrinks below this).
-    /// Scratch is counted apart, by [`ForwardArena::scratch_bytes`].
+    /// Bytes the activation slots retain: capacities, not lengths — a
+    /// reused slot's last tensor can be smaller than the largest it
+    /// carried, and its buffer keeps that size. Scratch is counted
+    /// apart, by [`ForwardArena::scratch_bytes`].
     pub fn reserved_bytes(&self) -> usize {
         self.slots
             .iter()
-            .map(|t| std::mem::size_of_val(t.as_slice()))
+            .map(|t| t.capacity() * std::mem::size_of::<f32>())
             .sum()
     }
 
@@ -502,7 +526,7 @@ impl Network {
     ///
     /// Returns a reference to the output tensor, which lives in the
     /// arena (clone it if it must outlive the next pass). Layers write
-    /// into per-node tensors and draw scratch from per-thread
+    /// into the plan's liveness slots and draw scratch from per-thread
     /// workspaces, both retained across calls; repeat passes at a fixed
     /// batch size perform no heap allocation at all, on every schedule
     /// (the plan is built on the first pass and cached, the arena's
@@ -608,6 +632,11 @@ impl Network {
     /// `p`, `p` opts in via [`Layer::supports_relu_fusion`], and `p` is
     /// consumed by nothing but `r` — otherwise another consumer would
     /// observe pre-ReLU activations that no longer exist anywhere.
+    ///
+    /// Then each step gets its output slot by liveness (see [`Plan`]),
+    /// best fit by per-image size: the smallest free slot that already
+    /// holds as much, else the largest free one (it grows), else a new
+    /// one.
     fn build_plan(&self, fuse: bool) -> Plan {
         let n = self.nodes.len();
         let mut consumers = vec![0usize; n];
@@ -651,12 +680,89 @@ impl Network {
             .map(|step| self.nodes[step.node].macs)
             .max()
             .unwrap_or(0);
+        let slot_count = self.assign_slots(&steps, &mut slot_of);
         Plan {
             steps,
             slot_of,
+            slot_count,
             fused_count,
             max_macs,
         }
+    }
+
+    /// Give every step of `steps` its output slot by liveness, writing
+    /// it to `slot_of` for the step's node and its fused ReLU; returns
+    /// the slot count.
+    fn assign_slots(&self, steps: &[ExecStep], slot_of: &mut [usize]) -> usize {
+        let n = self.nodes.len();
+        // The last step that reads each node's value (`None`: no step).
+        let mut last_read: Vec<Option<usize>> = vec![None; n];
+        for (s, step) in steps.iter().enumerate() {
+            for &id in &self.nodes[step.node].inputs {
+                if id != INPUT {
+                    last_read[id.0] = Some(s);
+                }
+            }
+        }
+        let output = n.checked_sub(1);
+        // Per-image elements each slot has carried, and which are free.
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut free: Vec<usize> = Vec::new();
+        // Slots whose value's last reader is step `s`, freed after it.
+        let mut frees_after: Vec<Vec<usize>> = vec![Vec::new(); steps.len()];
+        for (s, step) in steps.iter().enumerate() {
+            let value = step.fused_relu.unwrap_or(step.node);
+            let (c, h, w) = self.nodes[value].out_shape;
+            let need = c * h * w;
+            let fits = free
+                .iter()
+                .enumerate()
+                .filter(|&(_, &k)| sizes[k] >= need)
+                .min_by_key(|&(_, &k)| sizes[k]);
+            let largest = free.iter().enumerate().max_by_key(|&(_, &k)| sizes[k]);
+            let slot = match fits.or(largest) {
+                Some((at, &k)) => {
+                    free.swap_remove(at);
+                    k
+                }
+                None => {
+                    sizes.push(0);
+                    sizes.len() - 1
+                }
+            };
+            sizes[slot] = sizes[slot].max(need);
+            slot_of[step.node] = slot;
+            slot_of[value] = slot;
+            // A value nothing reads is dead once written; the output
+            // never is.
+            if Some(value) != output {
+                frees_after[last_read[value].unwrap_or(s)].push(slot);
+            }
+            free.append(&mut frees_after[s]);
+        }
+        sizes.len()
+    }
+
+    /// The arena slots of this network's plan (`fused`: the plan with
+    /// `conv → relu` / `fc → relu` fused, as [`Network::forward_into`]
+    /// runs under `CAP_TENSOR_FUSION=auto`; else one step per node) —
+    /// for a checker that the slots never clobber a value still to be
+    /// read.
+    #[doc(hidden)]
+    pub fn plan_slots(&self, fused: bool) -> Vec<StepSlots> {
+        let plan = self.build_plan(fused);
+        plan.steps
+            .iter()
+            .map(|step| StepSlots {
+                value: NodeId(step.fused_relu.unwrap_or(step.node)),
+                writes: plan.slot_of[step.node],
+                reads: self.nodes[step.node]
+                    .inputs
+                    .iter()
+                    .map(|&id| (id, (id != INPUT).then(|| plan.slot_of[id.0])))
+                    .collect(),
+            })
+            .collect()
     }
 
     /// Decide how many threads a pass may split its kernels across.
@@ -720,14 +826,11 @@ impl Network {
         let observing = tracer.enabled() || timing;
         let pass_start = observing.then(Instant::now);
 
-        let slots = self.nodes.len().max(1);
-        if arena.slots.len() < slots {
-            arena
-                .slots
-                .resize_with(slots, || Tensor4::zeros(0, 0, 0, 0));
-        }
         if self.nodes.is_empty() {
             metrics.fused_layers.set(0);
+            if arena.slots.is_empty() {
+                arena.slots.push(Tensor4::default());
+            }
             let (n, c, h, w) = input.shape();
             let out = &mut arena.slots[0];
             out.resize(n, c, h, w);
@@ -735,10 +838,13 @@ impl Network {
             return Ok(0);
         }
         // Fused ReLU nodes are no steps of their own: their producer
-        // runs `forward_into_fused` and their arena slot stays
-        // zero-sized.
+        // runs `forward_into_fused` into its slot, which the ReLU's
+        // readers read.
         let fuse = !matches!(schedule, Schedule::PerNode) && fusion::selected().enabled();
         let plan = self.plans[fuse as usize].get_or_init(|| self.build_plan(fuse));
+        if arena.slots.len() < plan.slot_count {
+            arena.slots.resize_with(plan.slot_count, Tensor4::default);
+        }
         metrics.fused_layers.set(plan.fused_count);
         let threads = Self::pass_threads(plan, schedule, arena, input.n());
         let pass = Pass {
@@ -797,10 +903,10 @@ impl Network {
     /// has one, emitting the layer span/timing when observability is
     /// on. Nothing else in this file calls into a layer's forward.
     ///
-    /// Node `i`'s output is slot `i`, and every producer's slot comes
-    /// before it (`slot_of[id] <= id < i`, nodes being topologically
-    /// ordered), so the producers are read from `slots[..i]` while slot
-    /// `i` is written.
+    /// The step's output tensor is taken out of its slot for the run
+    /// and put back after it — a move of the tensor, not of its buffer —
+    /// so its inputs are read from the other slots meanwhile: the plan
+    /// never gives a step one of its own inputs' slots.
     fn exec_plan_step<T: Tracer>(
         &self,
         pass: &Pass<'_, T>,
@@ -808,17 +914,32 @@ impl Network {
         slots: &mut [Tensor4],
         ws: &mut Workspace,
     ) -> TensorResult<()> {
-        let step = &pass.plan.steps[s];
-        let i = step.node;
-        let node = &self.nodes[i];
         let node_start = pass.observing.then(Instant::now);
-        let (done, rest) = slots.split_at_mut(i);
-        let out = &mut rest[0];
+        let slot = pass.plan.slot_of[pass.plan.steps[s].node];
+        let mut out = std::mem::take(&mut slots[slot]);
+        let outcome = self.run_step(pass, s, slots, ws, &mut out, node_start);
+        slots[slot] = out;
+        outcome
+    }
+
+    /// The body of [`Network::exec_plan_step`] once the step's output
+    /// tensor `out` is out of its slot.
+    fn run_step<T: Tracer>(
+        &self,
+        pass: &Pass<'_, T>,
+        s: usize,
+        slots: &[Tensor4],
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+        node_start: Option<Instant>,
+    ) -> TensorResult<()> {
+        let step = &pass.plan.steps[s];
+        let node = &self.nodes[step.node];
         let resolve = |id: NodeId| -> &Tensor4 {
             if id == INPUT {
                 pass.input
             } else {
-                &done[pass.plan.slot_of[id.0]]
+                &slots[pass.plan.slot_of[id.0]]
             }
         };
         let fused = step.fused_relu.is_some();

@@ -181,3 +181,25 @@ fn set_weights_keeps_matrix_weights_in_sync() {
     fc.set_weights(new_w.clone()).unwrap();
     assert_eq!(fc.weights().unwrap().as_slice(), new_w.as_slice());
 }
+
+/// The arena's slot plan on the real models and the inception-shaped
+/// test net, fused and unfused: no step clobbers a value still to be
+/// read or writes its own input, the output slot is never reused, and
+/// the slots hold far less than one per node.
+#[test]
+fn slot_plans_never_clobber_a_live_value() {
+    use cap_cnn::models::{caffenet, googlenet, WeightInit};
+    let nets = [
+        googlenet(WeightInit::Zeros).unwrap(),
+        caffenet(WeightInit::Zeros).unwrap(),
+        common::inception_shaped(xavier_uniform),
+    ];
+    for net in &nets {
+        for fused in [false, true] {
+            let plan = common::check_slot_plan(net, fused);
+            let what = format!("{} fused {fused}", net.name());
+            assert!(plan.peak_live <= plan.reserved, "{what}: {plan:?}");
+            assert!(plan.slots < net.len() / 4, "{what}: {plan:?}");
+        }
+    }
+}

@@ -9,12 +9,22 @@ use cap_cnn::layer::{
 use cap_cnn::network::{Network, NodeId, INPUT};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::{Conv2dParams, Matrix};
+use std::collections::HashSet;
+
+/// [`ConvLayer::weight_form_name`] of `w` held by a 1×1 conv on a 1×1
+/// map — a geometry that never runs the Winograd form, so the name
+/// follows the weights alone: `dense`, `dense-rows` or `csr` (or the
+/// int8 ones), whatever geometry the suite's layer has.
+pub fn form_name(w: &Matrix) -> &'static str {
+    let one_by_one = Conv2dParams::new(w.cols(), w.rows(), 1, 0, 1);
+    ConvLayer::weight_form_name(w, &one_by_one, (1, 1))
+}
 
 /// Whether a [`ConvLayer`] holding `w` multiplies through CSR under the
 /// selected precision — the layer's own answer, so no suite re-derives
 /// the `SPARSE_THRESHOLD` / `SPARSE_THRESHOLD_I8` rule.
 pub fn conv_runs_csr(w: &Matrix) -> bool {
-    matches!(ConvLayer::weight_form_name(w), "csr" | "csr-i8")
+    matches!(form_name(w), "csr" | "csr-i8")
 }
 
 /// `w` with all but one weight in 32 zeroed — unstructured zeros that
@@ -25,11 +35,7 @@ pub fn csr_weights(mut w: Matrix) -> Matrix {
             *v = 0.0;
         }
     }
-    assert!(
-        conv_runs_csr(&w),
-        "1-in-32 weights run {}",
-        ConvLayer::weight_form_name(&w)
-    );
+    assert!(conv_runs_csr(&w), "1-in-32 weights run {}", form_name(&w));
     w
 }
 
@@ -40,7 +46,7 @@ pub fn filter_pruned_weights(mut w: Matrix) -> Matrix {
     for r in (0..w.rows()).filter(|r| r % 3 == 1) {
         w.row_mut(r).fill(0.0);
     }
-    let form = ConvLayer::weight_form_name(&w);
+    let form = form_name(&w);
     assert!(
         matches!(form, "dense-rows" | "dense-i8"),
         "filter-pruned weights run {form}"
@@ -138,4 +144,75 @@ pub fn inception_shaped(mut conv_weights: impl FnMut(usize, usize, u64) -> Matri
     net.add_sequential(Box::new(SoftmaxLayer::new("prob")))
         .unwrap();
     net
+}
+
+/// What [`check_slot_plan`] measured of a plan, in per-image f32
+/// elements.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotPlan {
+    /// Slots the plan uses.
+    pub slots: usize,
+    /// Each slot's largest value, summed: what the arena's activation
+    /// buffers hold per image once every slot has carried its largest.
+    pub reserved: usize,
+    /// The most values live at once — a step's output and every value
+    /// it or a later step reads — summed: no slot assignment can hold
+    /// less.
+    pub peak_live: usize,
+}
+
+/// Check `net`'s arena slot plan ([`Network::plan_slots`], fused or
+/// not) by simulation, independently of how it was built: walking the
+/// steps in order with each slot's current value, every step must read
+/// each input from a slot that still holds that input's value (so no
+/// step wrote a slot whose value a later step reads), write none of the
+/// slots it reads, and the network output must still be in its slot
+/// at the end (so it was never reused). Panics naming the step that
+/// breaks a rule; returns the plan's sizes.
+pub fn check_slot_plan(net: &Network, fused: bool) -> SlotPlan {
+    let steps = net.plan_slots(fused);
+    let slots = steps.iter().map(|s| s.writes + 1).max().unwrap_or(0);
+    let elems = |id: NodeId| {
+        let (c, h, w) = net.shape_of(id).unwrap();
+        c * h * w
+    };
+    let mut holds: Vec<Option<NodeId>> = vec![None; slots];
+    let mut largest = vec![0usize; slots];
+    let mut peak_live = 0;
+    for (s, step) in steps.iter().enumerate() {
+        for &(id, slot) in &step.reads {
+            match slot {
+                None => assert_eq!(id, INPUT, "step {s}: node {id:?} read without a slot"),
+                Some(k) => {
+                    assert_eq!(holds[k], Some(id), "step {s}: slot {k} lost {id:?}");
+                    assert_ne!(k, step.writes, "step {s} writes its own input's slot {k}");
+                }
+            }
+        }
+        holds[step.writes] = Some(step.value);
+        largest[step.writes] = largest[step.writes].max(elems(step.value));
+        // Live while step `s` runs: its output, and every held value
+        // this step or a later one reads.
+        let read: HashSet<NodeId> = steps[s..]
+            .iter()
+            .flat_map(|t| t.reads.iter().map(|&(id, _)| id))
+            .collect();
+        let live: usize = holds
+            .iter()
+            .flatten()
+            .filter(|&&id| read.contains(&id) || id == step.value)
+            .map(|&id| elems(id))
+            .sum();
+        peak_live = peak_live.max(live);
+    }
+    if let Some(last) = steps.last() {
+        let output = NodeId(net.len() - 1);
+        assert_eq!(last.value, output, "the last step leaves the output");
+        assert_eq!(holds[last.writes], Some(output), "output slot reused");
+    }
+    SlotPlan {
+        slots,
+        reserved: largest.iter().sum(),
+        peak_live,
+    }
 }

@@ -189,6 +189,23 @@ fn team_bits(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
+    /// The arena's liveness slots on random branchy DAGs, fused and
+    /// unfused: every step reads its inputs from slots that still hold
+    /// them, never writes its own input's slot, and the output slot is
+    /// never reused (`common::check_slot_plan`). Pure: no pass runs.
+    #[test]
+    fn random_dag_slot_plans_never_clobber_a_live_value(
+        seed in 0u64..40,
+        branches in 1usize..6,
+        depth in 1usize..5,
+    ) {
+        let net = build_random_net(seed, branches, depth, false);
+        for fused in [false, true] {
+            let plan = common::check_slot_plan(&net, fused);
+            prop_assert!(plan.peak_live <= plan.reserved, "{:?}", plan);
+        }
+    }
+
     /// Random branchy DAGs — fan-out, fan-in, pure chains, dense and
     /// pruned — produce bitwise-identical output whether run on one
     /// thread or with their kernels split across a team, across every

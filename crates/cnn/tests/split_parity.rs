@@ -92,7 +92,11 @@ fn awkward_net(form: Form) -> Network {
     let c2 = Conv2dParams::grouped(14, 22, 3, 1, 2, 2);
     for (name, p, seed) in [("conv1", c1, 1), ("conv2", c2, 2)] {
         let w = form.weights(p.out_channels, p.col_rows(), seed);
-        assert_eq!(ConvLayer::weight_form_name(&w), form.name(), "{name}");
+        assert_eq!(
+            ConvLayer::weight_form_name(&w, &p, (11, 9)),
+            form.name(),
+            "{name}"
+        );
         let bias = (0..p.out_channels).map(|i| 0.02 * i as f32 - 0.1).collect();
         net.add_sequential(Box::new(ConvLayer::new(name, p, w, bias).unwrap()))
             .unwrap();
@@ -221,7 +225,7 @@ fn inception_images(n: usize, salt: usize) -> Tensor4 {
 fn inception_net(form: Form) -> Network {
     common::inception_shaped(|filters, taps, seed| {
         let w = form.weights(filters, taps, seed);
-        assert_eq!(ConvLayer::weight_form_name(&w), form.name());
+        assert_eq!(common::form_name(&w), form.name());
         w
     })
 }
@@ -314,10 +318,13 @@ fn inception_pass_on_a_team_matches_one_thread_bitwise() {
 
 /// Caffenet's layer sequence at a fraction of its size: conv1, pool1,
 /// norm1, grouped conv2, pool2, norm2, conv3, grouped conv4 and conv5,
-/// pool5, fc6 / fc7 / fc8 with dropout between. Every conv, every group
-/// of a grouped one and every fc carries at least twice the measured
-/// per-part minimum (2²⁰ multiply-accumulates) at batch 1, so each
-/// splits on two threads without the test seam. The pools and LRNs
+/// pool5, fc6 / fc7 / fc8 with dropout between. conv3 is a 3×3 wide
+/// enough for the Winograd form (asserted); conv1 (8 input channels),
+/// conv2 (5×5) and conv4 / conv5 (48 channels per group) run im2col.
+/// Every conv, every group of a grouped one and every fc carries at
+/// least twice the measured per-part minimum (2²⁰ multiply-accumulates,
+/// or Winograd multiplies) at batch 1, so each splits on two threads
+/// without the test seam. The pools and LRNs
 /// (48 and 192 planes of 24×24 and 12×12) carry less in
 /// multiply-accumulate equivalents and stay whole, as the real
 /// Caffenet's pool2, norm2 and pool5 do; their splits are
@@ -331,8 +338,12 @@ fn caffenet_shaped() -> Network {
         ("conv4", Conv2dParams::grouped(96, 96, 3, 1, 1, 2)),
         ("conv5", Conv2dParams::grouped(96, 96, 3, 1, 1, 2)),
     ];
+    let mut map = 48;
     for (seed, (name, p)) in convs.into_iter().enumerate() {
         let w = xavier_uniform(p.out_channels, p.col_rows(), seed as u64 + 1);
+        let winograd = name == "conv3";
+        let form = ConvLayer::weight_form_name(&w, &p, (map, map));
+        assert_eq!(form == "winograd", winograd, "{name} runs {form}");
         let conv = ConvLayer::new(name, p, w, vec![0.01; p.out_channels]).unwrap();
         net.add_sequential(Box::new(conv)).unwrap();
         net.add_sequential(Box::new(ReluLayer::new(format!("{name}-relu"))))
@@ -345,6 +356,7 @@ fn caffenet_shaped() -> Network {
         };
         let pool = PoolLayer::new(format!("pool{stage}"), PoolMode::Max, 3, 0, 2);
         net.add_sequential(Box::new(pool)).unwrap();
+        map /= 2;
         if stage != "5" {
             net.add_sequential(Box::new(LrnLayer::alexnet(format!("norm{stage}"))))
                 .unwrap();
@@ -372,12 +384,13 @@ fn caffenet_shaped() -> Network {
 }
 
 /// What one batch-1 Caffenet pass adds to `intra_op_splits`. On two
-/// threads, 10: conv1 and conv3 twice each — the lowering by panels,
-/// then the multiply by rows — conv2/4/5 by their two groups (two bands
-/// fill two threads) and fc6/7/8 by columns; the pools and LRNs stay
-/// whole. On three, 19: two bands are too few for three threads, so
-/// each group's lowering and multiply split instead, by panels and by
-/// rows. The output stays the one-thread pass's bits.
+/// threads, 10: conv1 and conv3 twice each — conv1's lowering by panels
+/// then its multiply by rows, conv3's Winograd input transform by tile
+/// panels then its products by rows — conv2/4/5 by their two groups
+/// (two bands fill two threads) and fc6/7/8 by columns; the pools and
+/// LRNs stay whole. On three, 19: two bands are too few for three
+/// threads, so each group's lowering and multiply split instead, by
+/// panels and by rows. The output stays the one-thread pass's bits.
 #[test]
 fn batch1_caffenet_shaped_pass_splits_each_kernel_once_per_band() {
     let _g = force_lock();

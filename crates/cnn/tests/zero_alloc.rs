@@ -215,6 +215,109 @@ fn inception_from_input() -> Network {
     net
 }
 
+/// A Caffenet-shaped net whose 3×3s run the Winograd form (asserted):
+/// a strided stem (im2col), LRN and pool, then a grouped 3×3 (two
+/// groups of 64 channels) and a 3×3 128 → 96 on 8×8 maps, a pool and
+/// an fc head.
+fn caffenet_winograd() -> Network {
+    let mut net = Network::new("caffenet-winograd", (3, 31, 31));
+    let convs = [
+        ("conv1", Conv2dParams::new(3, 128, 3, 1, 2), 31),
+        ("conv2", Conv2dParams::grouped(128, 128, 3, 1, 1, 2), 8),
+        ("conv3", Conv2dParams::new(128, 96, 3, 1, 1), 8),
+    ];
+    for (seed, (name, p, map)) in convs.into_iter().enumerate() {
+        let w = xavier_uniform(p.out_channels, p.col_rows(), 70 + seed as u64);
+        let form = ConvLayer::weight_form_name(&w, &p, (map, map));
+        assert_eq!(form == "winograd", name != "conv1", "{name} runs {form}");
+        let conv = ConvLayer::new(name, p, w, vec![0.02; p.out_channels]).unwrap();
+        net.add_sequential(Box::new(conv)).unwrap();
+        net.add_sequential(Box::new(ReluLayer::new(format!("{name}-relu"))))
+            .unwrap();
+        if name == "conv1" {
+            net.add_sequential(Box::new(LrnLayer::alexnet("norm1")))
+                .unwrap();
+            let pool = PoolLayer::new("pool1", PoolMode::Max, 3, 0, 2);
+            net.add_sequential(Box::new(pool)).unwrap();
+        }
+    }
+    let pool = PoolLayer::new("pool3", PoolMode::Max, 2, 0, 2);
+    net.add_sequential(Box::new(pool)).unwrap();
+    let fc = InnerProductLayer::new("fc", xavier_uniform(10, 96 * 16, 73), vec![0.0; 10]);
+    net.add_sequential(Box::new(fc.unwrap())).unwrap();
+    net.add_sequential(Box::new(SoftmaxLayer::new("prob")))
+        .unwrap();
+    net
+}
+
+/// Two inception-shaped modules on a 32×8×8 input whose 3×3 branches
+/// (64 → 64 after a 1×1 reduce) run the Winograd form (asserted), the
+/// other branches im2col, joined by four-input concats, and an fc head.
+fn inception_winograd() -> Network {
+    let mut net = Network::new("inception-winograd", (32, 8, 8));
+    let mut seed = 80;
+    let mut conv = |net: &mut Network, name: String, from: NodeId, p: Conv2dParams| {
+        seed += 1;
+        let w = xavier_uniform(p.out_channels, p.col_rows(), seed);
+        let form = ConvLayer::weight_form_name(&w, &p, (8, 8));
+        assert_eq!(
+            form == "winograd",
+            name.ends_with("-3x3"),
+            "{name} runs {form}"
+        );
+        let layer = ConvLayer::new(name.clone(), p, w, vec![0.05; p.out_channels]).unwrap();
+        let c = net.add_layer(Box::new(layer), &[from]).unwrap();
+        net.add_layer(Box::new(ReluLayer::new(format!("{name}-relu"))), &[c])
+            .unwrap()
+    };
+    let mut from = INPUT;
+    for (m, cin) in [("a", 32), ("b", 96)] {
+        let b1 = conv(
+            &mut net,
+            format!("{m}-1x1"),
+            from,
+            Conv2dParams::new(cin, 16, 1, 0, 1),
+        );
+        let r3 = conv(
+            &mut net,
+            format!("{m}-3x3r"),
+            from,
+            Conv2dParams::new(cin, 64, 1, 0, 1),
+        );
+        let b3 = conv(
+            &mut net,
+            format!("{m}-3x3"),
+            r3,
+            Conv2dParams::new(64, 64, 3, 1, 1),
+        );
+        let r5 = conv(
+            &mut net,
+            format!("{m}-5x5r"),
+            from,
+            Conv2dParams::new(cin, 8, 1, 0, 1),
+        );
+        let b5 = conv(
+            &mut net,
+            format!("{m}-5x5"),
+            r5,
+            Conv2dParams::new(8, 8, 5, 2, 1),
+        );
+        let pool = PoolLayer::new(format!("{m}-pool"), PoolMode::Max, 3, 1, 1);
+        let pl = net.add_layer(Box::new(pool), &[from]).unwrap();
+        let bp = conv(
+            &mut net,
+            format!("{m}-proj"),
+            pl,
+            Conv2dParams::new(cin, 8, 1, 0, 1),
+        );
+        let cat = ConcatLayer::new(format!("{m}-out"));
+        from = net.add_layer(Box::new(cat), &[b1, b3, b5, bp]).unwrap();
+    }
+    let fc = InnerProductLayer::new("fc", xavier_uniform(10, 96 * 64, 99), vec![0.0; 10]);
+    net.add_layer(Box::new(fc.unwrap()), &[from]).unwrap();
+    net
+}
+
 #[test]
 fn steady_state_inference_allocates_nothing() {
     // Every schedule `CAP_CNN_DAG` can pick — one thread, or kernel
@@ -609,6 +712,66 @@ fn steady_state_inference_allocates_nothing() {
                     "batch-1 passes over {name} with split lowerings on a {threads}-thread \
                      team must not allocate (got {allocs})",
                 );
+            }
+        }
+        precision::force(None);
+    }
+
+    // The Winograd form: batch-1 passes on a Caffenet-shaped and an
+    // inception-shaped net whose 3×3s run it — the input transform into
+    // the caller's packed `B` (split by tile panels), the products and
+    // the output transform into each part's own `M` chunk (split by
+    // rows) — allocate nothing once warm, on one, two and three pinned
+    // threads (the teams splitting from the first unit of work). And
+    // the activation slots hold exactly what the plan's liveness slots
+    // need: each slot's largest value, no more, and never less than
+    // the values live at once. The form is f32's, whatever the
+    // environment's precision.
+    {
+        precision::force(Some(Precision::F32));
+        let fused = cap_cnn::fusion::selected().enabled();
+        let nets = [
+            (
+                caffenet_winograd(),
+                Tensor4::from_fn(1, 3, 31, 31, |_, c, h, w| {
+                    (((c * 17 + h * 5 + w) % 13) as f32 - 6.0) / 5.0
+                }),
+            ),
+            (
+                inception_winograd(),
+                Tensor4::from_fn(1, 32, 8, 8, |_, c, h, w| {
+                    (((c * 7 + h * 3 + w) % 11) as f32 - 5.0) / 5.0
+                }),
+            ),
+        ];
+        for (net, x) in &nets {
+            let name = net.name();
+            let plan = common::check_slot_plan(net, fused);
+            for threads in [1, 2, 3] {
+                let team = match threads {
+                    1 => Team::new(1),
+                    _ => Team::new(threads).with_min_part_macs(0),
+                };
+                let mut arena = ForwardArena::with_team(team);
+                for _ in 0..3 {
+                    net.forward_into(x, &mut arena).unwrap();
+                }
+                let splits = cap_obs::metrics().intra_op_splits.get();
+                let allocs = min_allocs_over(5, 10, || {
+                    net.forward_into(x, &mut arena).unwrap();
+                });
+                assert_eq!(
+                    allocs, 0,
+                    "Winograd passes over {name} on {threads} threads must not allocate \
+                     (got {allocs})",
+                );
+                assert_eq!(
+                    cap_obs::metrics().intra_op_splits.get() > splits,
+                    threads > 1
+                );
+                let bytes = |elems: usize| elems * std::mem::size_of::<f32>();
+                assert_eq!(arena.reserved_bytes(), bytes(plan.reserved), "{name}");
+                assert!(bytes(plan.peak_live) <= arena.reserved_bytes(), "{name}");
             }
         }
         precision::force(None);

@@ -1,18 +1,20 @@
 //! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
-//! ([`ConvWeights`]: dense, dense over the kept filters only, or CSR;
-//! f32 or int8) and the one im2col+GEMM driver ([`conv2d`]) every form
-//! runs through. The direct sliding-window oracle lives in
-//! [`crate::reference`].
+//! ([`ConvWeights`]: dense, dense over the kept filters only, CSR, or
+//! Winograd-transformed; f32 or int8) and the one driver ([`conv2d`])
+//! every form runs through — im2col + GEMM, or for the Winograd form
+//! F(2×2, 3×3) tiles + 16 GEMMs ([`mod@crate::winograd`]). The direct
+//! sliding-window oracles live in [`crate::reference`].
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::gemm::gemm_packed;
 use crate::im2col::{out_spatial, Lowering};
-use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue};
+use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue, ROW_BLOCK};
 use crate::quant::{gemm_i8, symmetric_scale, QuantizedA, QuantizedCsr};
 use crate::sparse::CsrMatrix;
 use crate::team;
 use crate::tensor4::Tensor4;
+use crate::winograd::{self, Tiles, WinogradBand, POSITIONS};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -239,8 +241,9 @@ impl KeptRows {
 ///
 /// Every banded form holds one entry per channel group, each standing
 /// for `out_per_group` rows; [`ConvWeights::kept_row_bands`],
-/// [`ConvWeights::csr_bands`], [`ConvWeights::i8_bands`] and
-/// [`ConvWeights::csr_i8_bands`] build them from the dense matrix.
+/// [`ConvWeights::csr_bands`], [`ConvWeights::winograd_bands`],
+/// [`ConvWeights::i8_bands`] and [`ConvWeights::csr_i8_bands`] build
+/// them from the dense matrix.
 #[derive(Debug, Clone, Copy)]
 pub enum ConvWeights<'a> {
     /// Dense f32. Group `g`'s filters are the contiguous row band
@@ -261,6 +264,16 @@ pub enum ConvWeights<'a> {
     /// dense kernel's, so it pays only at high sparsity. Lowering is
     /// the row-major im2col; the multiply is [`CsrMatrix::spmm_into`].
     Csr(&'a [CsrMatrix]),
+    /// Dense f32 in Winograd F(2×2, 3×3) form, for 3×3 stride-1 pad-1
+    /// convolutions only ([`winograd::fits`]): per group the 16
+    /// `out_per_group × in_per_group` matrices `U = G g Gᵀ`. Lowering
+    /// is the input transform `Bᵀ d B` of every 2×2-output tile, packed
+    /// as 16 panel matrices; the multiply is 16 [`gemm_packed`]s and
+    /// the output transform `Aᵀ M A`, with the bias and ReLU, stored in
+    /// place — 2.25× fewer multiplies than [`ConvWeights::Dense`], and
+    /// a different rounding (bounded against the f64 oracle
+    /// [`crate::reference::conv2d_f64`] in `tests/winograd_oracle.rs`).
+    Winograd(&'a [WinogradBand]),
     /// Int8 dense: pre-quantized weight bands against activations
     /// quantized with `act_scale` (calibrated, or the caller's max-abs
     /// estimate) — each input image once, before lowering; the
@@ -313,6 +326,28 @@ impl ConvWeights<'_> {
     pub fn csr_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<CsrMatrix>> {
         params.check_weights(weights.shape())?;
         CsrMatrix::from_dense(weights, 0.0).split_rows(params.out_per_group())
+    }
+
+    /// Per-group Winograd transform of dense `weights`: the 16 matrices
+    /// `U = G g Gᵀ` of each group. Errors unless the geometry is one
+    /// the form computes ([`winograd::fits`]: 3×3, stride 1, pad 1).
+    pub fn winograd_bands(
+        weights: &Matrix,
+        params: &Conv2dParams,
+    ) -> TensorResult<Vec<WinogradBand>> {
+        params.check_weights(weights.shape())?;
+        if !winograd::fits(params) {
+            return Err(ShapeError::new(format!(
+                "conv: Winograd needs a 3x3 stride-1 pad-1 kernel, got {}x{} stride {} pad {}",
+                params.kh, params.kw, params.stride, params.pad
+            )));
+        }
+        let (opg, col_rows) = (params.out_per_group(), params.col_rows());
+        Ok(weights
+            .as_slice()
+            .chunks_exact((opg * col_rows).max(1))
+            .map(|filters| WinogradBand::transform(filters, opg, params.in_per_group()))
+            .collect())
     }
 
     /// Per-group int8 quantization of dense `weights`, one max-abs
@@ -380,6 +415,20 @@ impl ConvWeights<'_> {
                 Ok(())
             }
             ConvWeights::Csr(b) => bands(b.iter().map(|m| m.shape()), params),
+            ConvWeights::Winograd(b) => {
+                let expected = (params.out_per_group(), params.in_per_group());
+                if !winograd::fits(params)
+                    || b.len() != params.groups
+                    || b.iter().any(|band| band.shape() != expected)
+                {
+                    return Err(ShapeError::new(format!(
+                        "conv: expected {} Winograd bands of {expected:?} for a 3x3 \
+                         stride-1 pad-1 kernel",
+                        params.groups
+                    )));
+                }
+                Ok(())
+            }
             ConvWeights::DenseI8 { bands: b, .. } => {
                 bands(b.iter().map(|q| (q.rows(), q.k())), params)
             }
@@ -391,7 +440,8 @@ impl ConvWeights<'_> {
 }
 
 /// 2-D convolution — the one production driver, matching Caffe's
-/// im2col + GEMM scheme.
+/// im2col + GEMM scheme, or for [`ConvWeights::Winograd`] the
+/// Winograd F(2×2, 3×3) one.
 ///
 /// Validates once, then per image and per channel group: **lower** the
 /// group's input channels — padded once into the workspace, then
@@ -409,6 +459,19 @@ impl ConvWeights<'_> {
 /// pads with `0.0`, which quantizes to `0`, so the patch matrix is byte
 /// for byte the quantized f32 one at `kh*kw / stride²` times fewer
 /// quantizations and a quarter of the bytes moved.
+///
+/// The Winograd form lowers by the **input transform** instead: per
+/// image and group, the channels padded into `ws.padded` and each
+/// 2×2-output tile's `Bᵀ d B` written as 16 panel-packed matrices into
+/// `ws.packed`, split by tile panels across the team like the f32
+/// lowering. It multiplies by 16 [`gemm_packed`]s per chunk of tiles
+/// and rows into a small `M` (the running thread's `ws.cols`), then the
+/// **output transform** `Aᵀ M A` adds the bias, applies the ReLU and
+/// stores each tile's outputs in place; the products and the output
+/// transform split by output-channel rows, each part running all 16
+/// products for its rows. Its rounding differs from im2col's (see
+/// [`mod@crate::winograd`]), but its bits do not depend on the kernel
+/// path, the team or the batch either.
 ///
 /// [`ConvWeights::DenseRows`] treats a pruned filter as absent rather
 /// than as zeros. A group whose filters are all pruned is neither
@@ -437,7 +500,9 @@ impl ConvWeights<'_> {
 /// to the `im2col_time_ns` / `gemm_time_ns` counters as wall time on
 /// the thread that runs the band: a lowering or multiply split across
 /// the team counts once, on the caller, and a band split sums its
-/// bands' times over the threads that ran them.
+/// bands' times over the threads that ran them. The Winograd input
+/// transform counts as lowering, its products and output transform as
+/// multiply.
 pub fn conv2d(
     input: &Tensor4,
     weights: ConvWeights<'_>,
@@ -498,8 +563,90 @@ impl ConvCall<'_> {
             }
             ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum(),
             ConvWeights::CsrI8 { bands, .. } => bands.iter().map(QuantizedCsr::nnz).sum(),
+            ConvWeights::Winograd(_) => {
+                let tiles = Tiles::new(1, self.h, self.w).count();
+                let per_tile = POSITIONS * self.params.in_per_group() * self.params.out_channels;
+                return (per_tile * tiles) as u64;
+            }
         };
         (taps * self.n_out) as u64
+    }
+
+    /// [`ConvCall::bands`] for the Winograd form: per band, the input
+    /// transform into the workspace's `packed` slot (split by tile
+    /// panels), then the 16 products and the output transform (split by
+    /// output-channel rows, each part with its own thread's `M` chunk in
+    /// `cols`), into as many parts as the team gives the products.
+    fn winograd_bands(
+        &self,
+        bands: &[WinogradBand],
+        input: &[f32],
+        first: usize,
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) -> TensorResult<()> {
+        let Self {
+            bias,
+            relu,
+            params,
+            h,
+            w,
+            n_out,
+            ..
+        } = *self;
+        let (cpg, opg) = (params.in_per_group(), params.out_per_group());
+        let tiles = Tiles::new(cpg, h, w);
+        let timing = cap_obs::timing_enabled();
+        let metrics = cap_obs::metrics();
+        let macs = (POSITIONS * cpg * opg * tiles.count()) as u64;
+        for (b, dst) in (first..).zip(out.chunks_mut((opg * n_out).max(1))) {
+            let (i, g) = (b / params.groups, b % params.groups);
+            let image = &input[(i * params.groups + g) * cpg * h * w..][..cpg * h * w];
+            let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
+            // The input transform splits its tile panels into as many
+            // parts as the products will split their rows.
+            let parts = team::row_parts(
+                ws.team.as_ref(),
+                POSITIONS * cpg,
+                tiles.count(),
+                opg * tiles.count(),
+            );
+            let t_col = split_clock(timing);
+            winograd::transform_image(
+                &tiles,
+                image,
+                ws.team.as_mut(),
+                parts,
+                &mut ws.padded,
+                &mut ws.packed,
+            )?;
+            credit_ns(t_col, &metrics.im2col_time_ns);
+
+            let t_gemm = split_clock(timing);
+            // `V` leaves the workspace for the products, so each part can
+            // borrow its own thread's workspace for `M`.
+            let v = std::mem::take(&mut ws.packed);
+            let band = &bands[g];
+            let products = |offset: usize, piece: &mut [f32], ws: &mut Workspace| {
+                let r0 = offset / n_out.max(1);
+                let rows = r0..r0 + piece.len() / n_out.max(1);
+                winograd::products_into(
+                    &tiles,
+                    band,
+                    v.as_slice(),
+                    rows,
+                    row_bias,
+                    relu,
+                    &mut ws.cols,
+                    piece,
+                )
+            };
+            let outcome = team::split_scratch(ws, macs, dst, ROW_BLOCK * n_out, &products);
+            ws.packed = v;
+            outcome?;
+            credit_ns(t_gemm, &metrics.gemm_time_ns);
+        }
+        Ok(())
     }
 
     /// Convolve the output bands `first..` that `out` holds — band `b`
@@ -513,6 +660,9 @@ impl ConvCall<'_> {
         out: &mut [f32],
         ws: &mut Workspace,
     ) -> TensorResult<()> {
+        if let ConvWeights::Winograd(bands) = self.weights {
+            return self.winograd_bands(bands, input, first, out, ws);
+        }
         let Self {
             weights,
             bias,
@@ -592,6 +742,7 @@ impl ConvCall<'_> {
                     qbuf.resize(col_rows * n_out, 0);
                     lo.rows_into(qimage, qbuf)?
                 }
+                ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }
             credit_ns(t_col, &metrics.im2col_time_ns);
 
@@ -665,6 +816,7 @@ impl ConvCall<'_> {
                         );
                     }
                 }
+                ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }
             credit_ns(t_gemm, &metrics.gemm_time_ns);
         }

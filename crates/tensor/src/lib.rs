@@ -20,15 +20,17 @@
 //!   by panel ranges across a [`Team`].
 //! * [`conv`] and [`pool`] — the one convolution driver ([`conv2d`]:
 //!   im2col + GEMM over a [`ConvWeights`] form — dense, dense over the
-//!   filters pruning kept, or CSR; f32 or int8 — with bias/ReLU as a
-//!   fused [`Epilogue`]), and the max/average pooling and local
-//!   response normalization kernels ([`lrn_into`]).
+//!   filters pruning kept, or CSR; f32 or int8 — or Winograd
+//!   F(2×2, 3×3) over 16 GEMMs for dense 3×3s ([`mod@winograd`]), with
+//!   bias/ReLU as a fused [`Epilogue`]), and the max/average pooling
+//!   and local response normalization kernels ([`lrn_into`]).
 //! * [`workspace`] — the reusable kernel scratch ([`Workspace`]) a
 //!   caller lends by `&mut`, behind the zero-allocation steady state.
 //! * [`team`] — the persistent worker [`Team`] a workspace may carry,
 //!   and the splits that cut one multiply or one batch across it.
 //! * [`mod@reference`] — naive oracles ([`reference::conv2d_direct`],
-//!   [`reference::gemm_naive`]) that tests and benches import explicitly.
+//!   the f64 [`reference::conv2d_f64`], [`reference::gemm_naive`]) that
+//!   tests and benches import explicitly.
 //!
 //! All kernels are deterministic given deterministic inputs: every
 //! output element is accumulated by one thread in one fixed order. A
@@ -63,6 +65,7 @@ pub mod reference;
 pub mod sparse;
 pub mod team;
 pub mod tensor4;
+pub mod winograd;
 pub mod workspace;
 
 pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
@@ -83,4 +86,5 @@ pub use quant::{
 pub use sparse::CsrMatrix;
 pub use team::Team;
 pub use tensor4::Tensor4;
+pub use winograd::WinogradBand;
 pub use workspace::Workspace;

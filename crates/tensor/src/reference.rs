@@ -66,6 +66,56 @@ pub fn conv2d_direct(
     Ok(out)
 }
 
+/// Convolution in `f64` — the oracle every f32 form of
+/// [`crate::conv2d`] is bounded against (im2col + GEMM and Winograd
+/// alike): each output's window summed tap by tap in `f64`, then the
+/// bias added and, with `relu`, negatives clamped to zero. Returns the
+/// outputs in NCHW order, unrounded to `f32`, so a test can measure a
+/// kernel's relative error rather than compare bits. Shares no code
+/// with the kernels, nor with [`conv2d_direct`] (which sums in f32).
+pub fn conv2d_f64(
+    input: &Tensor4,
+    weights: &Matrix,
+    bias: Option<&[f32]>,
+    relu: bool,
+    params: &Conv2dParams,
+) -> TensorResult<Vec<f64>> {
+    params.validate()?;
+    params.check_weights(weights.shape())?;
+    params.check_io(input, bias)?;
+    let (n, _c, h, w) = input.shape();
+    let (oh, ow) = params.out_shape(h, w)?;
+    let (cpg, opg) = (params.in_per_group(), params.out_per_group());
+    let (kh, kw, pad, stride) = (params.kh, params.kw, params.pad, params.stride);
+    let mut out = Vec::with_capacity(n * params.out_channels * oh * ow);
+    for ni in 0..n {
+        for oc in 0..params.out_channels {
+            let g = oc / opg;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f64;
+                    for icg in 0..cpg {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let (iy, ix) = (oy * stride + ky, ox * stride + kx);
+                                if iy < pad || ix < pad || iy - pad >= h || ix - pad >= w {
+                                    continue;
+                                }
+                                let x = input.get(ni, g * cpg + icg, iy - pad, ix - pad);
+                                let wv = weights.get(oc, (icg * kh + ky) * kw + kx);
+                                acc += f64::from(wv) * f64::from(x);
+                            }
+                        }
+                    }
+                    let v = acc + bias.map_or(0.0, |b| f64::from(b[oc]));
+                    out.push(if !relu || v > 0.0 { v } else { 0.0 });
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Naive triple-loop GEMM — the oracle for [`crate::gemm()`].
 pub fn gemm_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     let (m, ka) = a.shape();

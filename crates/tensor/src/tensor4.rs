@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `n` indexes the image in the batch, `c` the channel, `h`/`w` the spatial
 /// position. Activations flowing between CNN layers are `Tensor4`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Tensor4 {
     n: usize,
     c: usize,
@@ -50,14 +50,23 @@ impl Tensor4 {
     /// All elements are reset to zero. Like [`Matrix::resize`], the backing
     /// `Vec` only grows when the new size exceeds the high-water mark, so a
     /// `Tensor4` used as an activation slot stops allocating once it has
-    /// seen the largest shape that flows through it.
+    /// seen the largest shape that flows through it — and grows to exactly
+    /// that shape, not to the next doubling, so its capacity is its
+    /// largest shape.
     pub fn resize(&mut self, n: usize, c: usize, h: usize, w: usize) {
         self.n = n;
         self.c = c;
         self.h = h;
         self.w = w;
         self.data.clear();
+        self.data.reserve_exact(n * c * h * w);
         self.data.resize(n * c * h * w, 0.0);
+    }
+
+    /// Elements the backing buffer holds room for: the largest shape
+    /// [`Tensor4::resize`] has given it (or its construction size).
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Create a tensor by evaluating `f(n, c, h, w)` for every element.

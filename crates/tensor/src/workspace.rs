@@ -32,12 +32,15 @@ use crate::team::Team;
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Row-major f32 scratch: the CSR convolution's im2col patch matrix
-    /// (`in_per_group*kh*kw × oh*ow`), [`crate::lrn_into`]'s square-sum
-    /// plane, the batched sparse fc's `Xᵀ`.
+    /// (`in_per_group*kh*kw × oh*ow`), the Winograd convolution's `M`
+    /// chunk (16 products of a few rows × tiles, [`mod@crate::winograd`]),
+    /// [`crate::lrn_into`]'s square-sum plane, the batched sparse fc's
+    /// `Xᵀ`.
     pub cols: Matrix,
     /// The dense convolution's panel-packed patch matrix, shaped by
-    /// [`crate::Lowering::panels_into`]; the batched sparse fc's
-    /// `W·Xᵀ` before it is transposed into the output.
+    /// [`crate::Lowering::panels_into`], or the Winograd form's 16
+    /// panel-packed transformed input tiles `V`; the batched sparse
+    /// fc's `W·Xᵀ` before it is transposed into the output.
     pub packed: Matrix,
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
@@ -48,7 +51,8 @@ pub struct Workspace {
     /// The f32 convolution's input channels of one group, padded once
     /// ([`crate::Lowering::padded`]: `in_per_group ×
     /// (h+2·pad) × (w+2·pad)`) for the lowering to read; untouched when
-    /// `pad` is 0, where the input is read in place. Also the AVX2 max
+    /// `pad` is 0, where the input is read in place. The Winograd form
+    /// pads into it too, to whole 4×4 tile windows. Also the AVX2 max
     /// pool's one `-inf`-padded input plane
     /// ([`crate::kernels::max_pool_planes_with`]).
     pub padded: Vec<f32>,

@@ -11,6 +11,8 @@
 //! ```
 
 use cap_cnn::layer::{ConvLayer, SPARSE_THRESHOLD};
+use cap_cnn::network::{NodeId, INPUT};
+use cap_cnn::train::TrainLayer;
 use cap_pruning::magnitude::sparsity_mask;
 use cloud_cost_accuracy::prelude::*;
 use std::collections::HashMap;
@@ -76,8 +78,15 @@ fn main() {
         let wall_ms = || run_batched(&network, &test_x, 16).unwrap().1.wall_s * 1000.0;
         wall_ms();
         let ms = (0..3).map(|_| wall_ms()).fold(f64::INFINITY, f64::min);
-        let forms = [0, 3]
-            .map(|conv| ConvLayer::weight_form_name(pruned.layers()[conv].weights().unwrap()));
+        let forms = [0, 3].map(|conv| {
+            let TrainLayer::Conv { params, w, .. } = &pruned.layers()[conv] else {
+                unreachable!("layers 0 and 3 of TinyNet are its convs")
+            };
+            // `to_network` adds one node per layer, in order.
+            let from = conv.checked_sub(1).map_or(INPUT, NodeId);
+            let (_, h, w_in) = network.shape_of(from).unwrap();
+            ConvLayer::weight_form_name(w, params, (h, w_in))
+        });
         println!(
             "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2} {:>12}",
             ratio * 100.0,
