@@ -4,8 +4,8 @@
 //! (`conv_form_*` for `SPARSE_THRESHOLD`, `fc_form_b1` for
 //! `FC_SPARSE_THRESHOLD`; table in EXPERIMENTS.md "PR 14").
 //! `conv_form_i8_*` is the int8 side: the lowering stages on their own
-//! and the int8 dense-vs-CSR crossover `SPARSE_THRESHOLD_I8` is set
-//! from (table in EXPERIMENTS.md "PR 23").
+//! and the dense int8 conv against f32, the one int8 conv form at every
+//! sparsity.
 //! `lowering` is the two packed lowerings alone on the real batch-1
 //! shapes, the f32 one on one and two threads, the int8 one on one
 //! (tables in EXPERIMENTS.md, "The lowering alone" and after it).
@@ -80,9 +80,8 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
 /// The int8 side of one Caffenet conv layer at batch 1: the stages of
 /// its operand path on their own (quantize the image once; lower one
 /// group in int8, against the f32 packed lowering of the same group),
-/// then `conv2d` in f32, dense int8, and CSR int8 at rising
-/// unstructured sparsity — where CSR crosses under dense int8 is
-/// `SPARSE_THRESHOLD_I8`.
+/// then `conv2d` in f32 and in dense int8 at rising unstructured
+/// sparsity.
 fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
     let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
         ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
@@ -132,16 +131,6 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
                 act_scale,
             },
         );
-        if zero_pct > 0.0 {
-            let bands = ConvWeights::csr_i8_bands(&w, &params).unwrap();
-            run(
-                BenchmarkId::new("csr_i8", zero_pct),
-                ConvWeights::CsrI8 {
-                    bands: &bands,
-                    act_scale,
-                },
-            );
-        }
     }
     group.finish();
 }

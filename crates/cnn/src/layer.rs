@@ -17,9 +17,7 @@ mod relu;
 mod softmax;
 
 pub use concat::ConcatLayer;
-pub use conv::{
-    ConvLayer, SPARSE_THRESHOLD, SPARSE_THRESHOLD_I8, WINOGRAD_MIN_CHANNELS, WINOGRAD_MIN_MAP,
-};
+pub use conv::{ConvLayer, SPARSE_THRESHOLD, WINOGRAD_MIN_CHANNELS, WINOGRAD_MIN_MAP};
 pub use dropout::DropoutLayer;
 pub use inner_product::{InnerProductLayer, FC_SPARSE_THRESHOLD};
 pub use lrn::LrnLayer;

@@ -3,8 +3,8 @@
 use super::{ChwShape, Layer, LayerKind};
 use cap_tensor::{
     conv2d, precision, symmetric_scale, winograd, CalibrationMethod, Conv2dParams, ConvWeights,
-    CsrMatrix, KeptRows, Matrix, Precision, QuantizedA, QuantizedCsr, ShapeError, Tensor4,
-    TensorResult, WinogradBand, Workspace,
+    CsrMatrix, KeptRows, Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult,
+    WinogradBand, Workspace,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -16,14 +16,6 @@ use std::sync::OnceLock;
 /// (table in EXPERIMENTS.md "PR 16"; it was 0.75 until the packed GEMM
 /// walked `B` in L2-sized strips and the dense side got faster).
 pub const SPARSE_THRESHOLD: f64 = 0.8;
-
-/// [`SPARSE_THRESHOLD`] for the int8 forms. The dense int8 multiply
-/// runs on the CPU's integer dot product where it has one, the int8
-/// CSR rows do not, so the crossover sits far higher: CSR is ~1.8×
-/// slower than dense at 0.90 and level with it at 0.95 on both the
-/// conv2 and conv3 shapes — `cargo bench -p cap-bench --bench
-/// conv_strategy -- conv_form_i8` (table in EXPERIMENTS.md "PR 23").
-pub const SPARSE_THRESHOLD_I8: f64 = 0.95;
 
 /// Fewest input and output channels per group at which a dense f32
 /// 3×3 stride-1 pad-1 conv runs the Winograd form: from `cargo bench
@@ -48,21 +40,17 @@ pub const WINOGRAD_MIN_MAP: usize = 8;
 /// Why building a derived weight form cannot fail after construction.
 const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
 
-/// What decides the stored form a [`ConvLayer`] multiplies with —
-/// properties of the weights alone, found in one scan.
+/// What decides the stored form an f32 [`ConvLayer`] multiplies with —
+/// properties of the weights alone, found in one scan. Int8 has one
+/// form, dense.
 #[derive(Debug, Clone, Copy)]
 struct WeightForm {
     /// Some filters (rows) are all zero and the rest are dense (zero
-    /// fraction at most [`SPARSE_THRESHOLD`]): f32 multiplies the kept
-    /// rows only. Int8 has no row-compacted form and goes by
-    /// `sparse_i8`.
+    /// fraction at most [`SPARSE_THRESHOLD`]): multiply the kept rows
+    /// only.
     filter_pruned: bool,
-    /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: f32
-    /// runs CSR.
+    /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: run CSR.
     sparse: bool,
-    /// The overall zero fraction is above [`SPARSE_THRESHOLD_I8`]:
-    /// int8 runs CSR.
-    sparse_i8: bool,
 }
 
 /// Whether a dense f32 conv of geometry `params` on an `h×w` input map
@@ -96,15 +84,6 @@ impl WeightForm {
         WeightForm {
             filter_pruned: zero_rows > 0 && kept <= SPARSE_THRESHOLD,
             sparse: overall > SPARSE_THRESHOLD,
-            sparse_i8: overall > SPARSE_THRESHOLD_I8,
-        }
-    }
-
-    /// The sparse flag the selected precision goes by.
-    fn sparse_for(&self, precision: Precision) -> bool {
-        match precision {
-            Precision::F32 => self.sparse,
-            Precision::Int8 => self.sparse_i8,
         }
     }
 }
@@ -117,14 +96,15 @@ impl WeightForm {
 /// leaves — are dropped and the kept rows run through the dense GEMM,
 /// so the time of a filter-pruned layer falls with the filters that
 /// remain (`repro --exp profile`); otherwise a zero fraction above
-/// [`SPARSE_THRESHOLD`] ([`SPARSE_THRESHOLD_I8`] under int8) selects
-/// the CSR form, which pays only at high unstructured sparsity. Dense
-/// f32 weights of a 3×3 stride-1 pad-1 conv wide enough and on a map
-/// large enough (`WINOGRAD_MIN_*`) run the Winograd F(2×2, 3×3) form,
-/// 2.25× fewer multiplies; the rest run im2col + GEMM. The derived
-/// forms (per-group kept-row, CSR or Winograd bands, int8
-/// quantizations) are built on the first forward that needs them and
-/// dropped by `set_weights`; im2col scratch is the caller's [`Workspace`], so
+/// [`SPARSE_THRESHOLD`] selects the CSR form, which pays only at high
+/// unstructured sparsity. Dense f32 weights of a 3×3 stride-1 pad-1
+/// conv wide enough and on a map large enough (`WINOGRAD_MIN_*`) run
+/// the Winograd F(2×2, 3×3) form, 2.25× fewer multiplies; the rest run
+/// im2col + GEMM. Under int8 every sparsity runs the dense int8 GEMM:
+/// its integer dot product beats an int8 CSR walk below ~97 % zeros.
+/// The derived forms (per-group kept-row, CSR or Winograd bands, the
+/// int8 quantization) are built on the first forward that needs them
+/// and dropped by `set_weights`; im2col scratch is the caller's [`Workspace`], so
 /// steady-state forwards allocate nothing, take no lock and touch no
 /// reference count.
 pub struct ConvLayer {
@@ -140,12 +120,10 @@ pub struct ConvLayer {
     csr: OnceLock<Vec<CsrMatrix>>,
     /// Per-group Winograd transform of `weights` (dense f32 3×3 path).
     winograd: OnceLock<Vec<WinogradBand>>,
-    /// Int8 quantization of `weights` (dense int8 path). Lazy rather
+    /// Int8 quantization of `weights` (the int8 path). Lazy rather
     /// than decided with `form`: `precision::force` can flip the
     /// precision at run time.
     dense_i8: OnceLock<Vec<QuantizedA>>,
-    /// Int8 quantization of the CSR split (sparse int8 path).
-    csr_i8: OnceLock<Vec<QuantizedCsr>>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated, in which case the int8 path falls back to a
     /// per-call max-abs estimate over the whole input tensor.
@@ -187,7 +165,6 @@ impl ConvLayer {
             csr: OnceLock::new(),
             winograd: OnceLock::new(),
             dense_i8: OnceLock::new(),
-            csr_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
         })
     }
@@ -206,23 +183,20 @@ impl ConvLayer {
     /// `weights` multiplies with on an input map of `map` (height,
     /// width), under the selected precision (the arms of the forward's
     /// own choice): `dense`, `winograd` (dense 3×3 in F(2×2, 3×3)
-    /// form), `dense-rows` (all-zero filters dropped), `csr`,
-    /// `dense-i8` or `csr-i8` — for reports that say which form a timed
-    /// row ran.
+    /// form), `dense-rows` (all-zero filters dropped), `csr` or
+    /// `dense-i8` — for reports that say which form a timed row ran.
     pub fn weight_form_name(
         weights: &Matrix,
         params: &Conv2dParams,
         map: (usize, usize),
     ) -> &'static str {
         let form = WeightForm::of(weights);
-        let precision = precision::selected();
-        match (precision, form.sparse_for(precision)) {
-            (Precision::F32, _) if form.filter_pruned => "dense-rows",
-            (Precision::F32, false) if runs_winograd(params, map) => "winograd",
-            (Precision::F32, false) => "dense",
-            (Precision::F32, true) => "csr",
-            (Precision::Int8, false) => "dense-i8",
-            (Precision::Int8, true) => "csr-i8",
+        match precision::selected() {
+            Precision::Int8 => "dense-i8",
+            Precision::F32 if form.filter_pruned => "dense-rows",
+            Precision::F32 if form.sparse => "csr",
+            Precision::F32 if runs_winograd(params, map) => "winograd",
+            Precision::F32 => "dense",
         }
     }
 
@@ -252,36 +226,26 @@ impl ConvLayer {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
         let (w, p) = (&self.weights, &self.params);
-        let precision = precision::selected();
-        let weights = match (precision, self.form.sparse_for(precision)) {
-            (Precision::F32, _) if self.form.filter_pruned => ConvWeights::DenseRows(
-                self.kept_rows
-                    .get_or_init(|| ConvWeights::kept_row_bands(w, p).expect(FORM_SHAPE_CHECKED)),
-            ),
-            (Precision::F32, false) if runs_winograd(p, (input.h(), input.w())) => {
-                ConvWeights::Winograd(
-                    self.winograd.get_or_init(|| {
-                        ConvWeights::winograd_bands(w, p).expect(FORM_SHAPE_CHECKED)
-                    }),
-                )
-            }
-            (Precision::F32, false) => ConvWeights::Dense(w),
-            (Precision::F32, true) => ConvWeights::Csr(
-                self.csr
-                    .get_or_init(|| ConvWeights::csr_bands(w, p).expect(FORM_SHAPE_CHECKED)),
-            ),
-            (Precision::Int8, false) => ConvWeights::DenseI8 {
+        let weights = match precision::selected() {
+            Precision::Int8 => ConvWeights::DenseI8 {
                 bands: self
                     .dense_i8
                     .get_or_init(|| ConvWeights::i8_bands(w, p).expect(FORM_SHAPE_CHECKED)),
                 act_scale: self.act_scale_for(input),
             },
-            (Precision::Int8, true) => ConvWeights::CsrI8 {
-                bands: self
-                    .csr_i8
-                    .get_or_init(|| ConvWeights::csr_i8_bands(w, p).expect(FORM_SHAPE_CHECKED)),
-                act_scale: self.act_scale_for(input),
-            },
+            Precision::F32 if self.form.filter_pruned => ConvWeights::DenseRows(
+                self.kept_rows
+                    .get_or_init(|| ConvWeights::kept_row_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+            ),
+            Precision::F32 if self.form.sparse => ConvWeights::Csr(
+                self.csr
+                    .get_or_init(|| ConvWeights::csr_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+            ),
+            Precision::F32 if runs_winograd(p, (input.h(), input.w())) => ConvWeights::Winograd(
+                self.winograd
+                    .get_or_init(|| ConvWeights::winograd_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+            ),
+            Precision::F32 => ConvWeights::Dense(w),
         };
         conv2d(input, weights, Some(&self.bias), relu, p, ws, out)
     }
@@ -362,7 +326,6 @@ impl Layer for ConvLayer {
         self.csr = OnceLock::new();
         self.winograd = OnceLock::new();
         self.dense_i8 = OnceLock::new();
-        self.csr_i8 = OnceLock::new();
         Ok(())
     }
 

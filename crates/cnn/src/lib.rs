@@ -49,7 +49,7 @@ pub use dag::DagMode;
 pub use fusion::FusionMode;
 pub use inference::{run_batched, ThroughputReport};
 pub use layer::{Layer, LayerKind};
-pub use network::{ForwardArena, ForwardRecord, LayerTiming, Network, NodeId};
+pub use network::{ForwardArena, Network, NodeId};
 pub use parallel::{strong_scaling, InferenceReport, ParallelEngine, WorkerReport};
 
 // Observability vocabulary (tracers, span scopes) used by the traced

@@ -6,12 +6,12 @@
 //! network input), which is how Caffe prototxts are written too.
 //!
 //! There is **one executor**: every entry point — [`Network::forward`],
-//! [`Network::forward_timed`], [`Network::forward_into`],
-//! [`Network::forward_into_traced`] and [`Network::calibrate`] — runs a
-//! cached plan of steps through `exec_plan_step`, the only function
-//! that calls into a layer. The entry points differ in their `Schedule`
-//! (which plan, how many threads) and in what observes the pass:
-//! per-layer timing is a [`Tracer`], calibration a per-step hook.
+//! [`Network::forward_into`], [`Network::forward_into_traced`] and
+//! [`Network::calibrate`] — runs the same cached plan of steps, on the
+//! same thread count, through `exec_plan_step`, the only function that
+//! calls into a layer. The entry points differ only in what observes
+//! the pass: per-layer timing is a [`Tracer`], calibration a per-step
+//! hook.
 //!
 //! A pass walks the plan's steps in order on the calling thread. With
 //! more than one thread, the arena's worker team sits in the calling
@@ -23,14 +23,14 @@
 use crate::dag::{self, DagMode};
 use crate::fusion;
 use crate::layer::{ChwShape, Layer, LayerKind};
-use cap_obs::{CollectingTracer, NoopTracer, SpanInfo, SpanScope, Tracer};
+use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
 use cap_tensor::{
     team, CalibrationMethod, Matrix, ShapeError, Team, Tensor4, TensorResult, Workspace,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Identifier of a node within a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -97,21 +97,6 @@ pub struct StepSlots {
     pub reads: Vec<(NodeId, Option<usize>)>,
 }
 
-/// How one pass picks its plan and its thread count — the only thing
-/// the public entry points disagree on.
-#[derive(Clone, Copy)]
-enum Schedule {
-    /// The process-wide fusion and thread modes ([`Network::forward`],
-    /// [`Network::forward_into`], [`Network::forward_into_traced`]).
-    Knobs,
-    /// One unfused step per node, in insertion order, on the calling
-    /// thread — the measuring ([`Network::forward_timed`]) and
-    /// calibrating ([`Network::calibrate`]) schedule: a fused step
-    /// would blend a ReLU's time into its producer, and both want every
-    /// node visited in a fixed order.
-    PerNode,
-}
-
 /// Everything `exec_plan_step` needs besides the step index and the
 /// buffers it writes.
 struct Pass<'a, T: Tracer> {
@@ -140,51 +125,6 @@ fn fused_kind_tag(kind: LayerKind) -> &'static str {
         LayerKind::Convolution => "conv+relu",
         LayerKind::InnerProduct => "fc+relu",
         _ => "fused+relu",
-    }
-}
-
-/// Wall-clock duration attributed to one layer during a forward pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LayerTiming {
-    /// Layer name.
-    pub name: String,
-    /// Layer kind tag (`conv`, `fc`, ...).
-    pub kind: String,
-    /// Duration of the layer's executor span: resolving its inputs
-    /// plus `Layer::forward_into`.
-    pub duration: Duration,
-}
-
-/// Result of a timed forward pass.
-#[derive(Debug)]
-pub struct ForwardRecord {
-    /// Final output tensor (the last node's output).
-    pub output: Tensor4,
-    /// Per-layer durations in execution order.
-    pub timings: Vec<LayerTiming>,
-}
-
-impl ForwardRecord {
-    /// Total time across all layers.
-    pub fn total_time(&self) -> Duration {
-        self.timings.iter().map(|t| t.duration).sum()
-    }
-
-    /// Fraction of total time spent in each layer, in execution order.
-    /// Returns `(name, kind, fraction)` triples; fractions sum to 1.
-    pub fn time_distribution(&self) -> Vec<(String, String, f64)> {
-        let total = self.total_time().as_secs_f64();
-        self.timings
-            .iter()
-            .map(|t| {
-                let f = if total > 0.0 {
-                    t.duration.as_secs_f64() / total
-                } else {
-                    0.0
-                };
-                (t.name.clone(), t.kind.clone(), f)
-            })
-            .collect()
     }
 }
 
@@ -234,8 +174,7 @@ impl ForwardArena {
     /// `team.threads()` threads whatever `CAP_CNN_DAG` says, its steps
     /// walked in order with their kernels split. The explicit way to
     /// pick a pass's thread count (the parity tests and the `dagpar`
-    /// experiment pin theirs this way); [`Network::forward_timed`] and
-    /// [`Network::calibrate`] stay on one thread regardless.
+    /// experiment pin theirs this way).
     ///
     /// ```
     /// use cap_cnn::layer::ConvLayer;
@@ -490,35 +429,8 @@ impl Network {
     /// ```
     pub fn forward(&self, input: &Tensor4) -> TensorResult<Tensor4> {
         let mut arena = ForwardArena::new();
-        let slot = self.run_pass(input, &mut arena, &NoopTracer, Schedule::Knobs, None)?;
+        let slot = self.run_pass(input, &mut arena, &NoopTracer, None)?;
         Ok(arena.slots.swap_remove(slot))
-    }
-
-    /// Run a forward pass and record per-layer wall-clock durations —
-    /// the measurement behind Figure 3.
-    ///
-    /// Always one unfused step per node, sequentially, whatever the
-    /// fusion and DAG knobs say: this is the per-layer measurement
-    /// instrument, and fusing would blend a ReLU's time into its
-    /// producer. The timings are the executor's own layer spans.
-    pub fn forward_timed(&self, input: &Tensor4) -> TensorResult<ForwardRecord> {
-        let mut arena = ForwardArena::new();
-        let tracer = CollectingTracer::new();
-        let slot = self.run_pass(input, &mut arena, &tracer, Schedule::PerNode, None)?;
-        let timings = tracer
-            .take_spans()
-            .into_iter()
-            .filter(|span| span.scope == SpanScope::Layer)
-            .map(|span| LayerTiming {
-                name: span.name,
-                kind: span.kind,
-                duration: span.elapsed,
-            })
-            .collect();
-        Ok(ForwardRecord {
-            output: arena.slots.swap_remove(slot),
-            timings,
-        })
     }
 
     /// Run a forward pass through a reusable arena — the
@@ -591,7 +503,7 @@ impl Network {
         arena: &'a mut ForwardArena,
         tracer: &T,
     ) -> TensorResult<&'a Tensor4> {
-        let slot = self.run_pass(input, arena, tracer, Schedule::Knobs, None)?;
+        let slot = self.run_pass(input, arena, tracer, None)?;
         Ok(&arena.slots[slot])
     }
 
@@ -602,9 +514,10 @@ impl Network {
     /// consume via [`Layer::observe_input`] so weighted layers can
     /// derive and store their input-activation scale with `method`.
     /// Returns the pass's output tensor, so the caller can reuse it
-    /// (e.g. to score the calibration batch). Like
-    /// [`Network::forward_timed`] it visits every node unfused, in
-    /// insertion order.
+    /// (e.g. to score the calibration batch). It runs the plan and the
+    /// thread count [`Network::forward_into`] does — fused steps and
+    /// split kernels change no bit, so every layer sees the inputs a
+    /// one-thread unfused pass would show it.
     ///
     /// Call this while the process precision is f32: the observed
     /// ranges are then exact. Calibrating under int8 still works — the
@@ -615,13 +528,7 @@ impl Network {
     /// trading a scan of its input for the missing calibration.
     pub fn calibrate(&self, input: &Tensor4, method: CalibrationMethod) -> TensorResult<Tensor4> {
         let mut arena = ForwardArena::new();
-        let slot = self.run_pass(
-            input,
-            &mut arena,
-            &NoopTracer,
-            Schedule::PerNode,
-            Some(method),
-        )?;
+        let slot = self.run_pass(input, &mut arena, &NoopTracer, Some(method))?;
         Ok(arena.slots.swap_remove(slot))
     }
 
@@ -775,14 +682,11 @@ impl Network {
     /// team yet and no step is big enough to split at this batch, so
     /// small nets never build one. A team already there is used; each
     /// kernel then decides for itself whether it splits.
-    fn pass_threads(plan: &Plan, schedule: Schedule, arena: &ForwardArena, batch: usize) -> usize {
-        let threads = match schedule {
-            Schedule::PerNode => 1,
-            Schedule::Knobs => match (arena.pinned, dag::selected()) {
-                (Some(threads), _) => threads,
-                (None, DagMode::Off) => 1,
-                (None, DagMode::Auto) => dag::host_parallelism(),
-            },
+    fn pass_threads(plan: &Plan, arena: &ForwardArena, batch: usize) -> usize {
+        let threads = match (arena.pinned, dag::selected()) {
+            (Some(threads), _) => threads,
+            (None, DagMode::Off) => 1,
+            (None, DagMode::Auto) => dag::host_parallelism(),
         };
         let uses_team = arena.scratch.team.is_some()
             || team::worth_a_team(threads, plan.max_macs.saturating_mul(batch as u64));
@@ -793,8 +697,9 @@ impl Network {
         }
     }
 
-    /// The one pass: validate the input, pick the plan and the thread
-    /// count `schedule` asks for, run every step in order on the calling
+    /// The one pass: validate the input, pick the plan the fusion knob
+    /// and the thread count the arena and `CAP_CNN_DAG` ask for, run
+    /// every step in order on the calling
     /// thread through [`Network::exec_plan_step`] (its kernels split
     /// across the arena's team when the pass has more than one thread),
     /// and return the arena slot holding the output.
@@ -803,7 +708,6 @@ impl Network {
         input: &Tensor4,
         arena: &mut ForwardArena,
         tracer: &T,
-        schedule: Schedule,
         calibrate: Option<CalibrationMethod>,
     ) -> TensorResult<usize> {
         if input.c() != self.input_shape.0
@@ -840,13 +744,13 @@ impl Network {
         // Fused ReLU nodes are no steps of their own: their producer
         // runs `forward_into_fused` into its slot, which the ReLU's
         // readers read.
-        let fuse = !matches!(schedule, Schedule::PerNode) && fusion::selected().enabled();
+        let fuse = fusion::selected().enabled();
         let plan = self.plans[fuse as usize].get_or_init(|| self.build_plan(fuse));
         if arena.slots.len() < plan.slot_count {
             arena.slots.resize_with(plan.slot_count, Tensor4::default);
         }
         metrics.fused_layers.set(plan.fused_count);
-        let threads = Self::pass_threads(plan, schedule, arena, input.n());
+        let threads = Self::pass_threads(plan, arena, input.n());
         let pass = Pass {
             plan,
             input,
@@ -1046,19 +950,6 @@ mod tests {
         let x = Tensor4::from_fn(2, 3, 8, 8, |n, c, h, w| ((n + c + h + w) % 3) as f32 - 1.0);
         let y = net.forward(&x).unwrap();
         assert_eq!(y.shape(), (2, 4, 4, 4));
-    }
-
-    #[test]
-    fn forward_timed_records_all_layers() {
-        let net = tiny_sequential();
-        let x = Tensor4::zeros(1, 3, 8, 8);
-        let rec = net.forward_timed(&x).unwrap();
-        assert_eq!(rec.timings.len(), 3);
-        assert_eq!(rec.timings[0].name, "conv1");
-        assert_eq!(rec.timings[0].kind, "conv");
-        let dist = rec.time_distribution();
-        let total: f64 = dist.iter().map(|(_, _, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn sparse_layer_path_matches_dense_kernel() {
     let bias = vec![0.05f32; 6];
     let ref_out = cap_tensor::reference::conv2d_direct(&x, &w, Some(&bias), &p1).unwrap();
     // The oracle is exact f32; an int8 precision leg runs the layer
-    // through the quantized CSR form, which is held to the int8 bound
+    // through the dense int8 form, which is held to the int8 bound
     // instead. (Reading the process precision rather than forcing f32:
     // the override is process-global and would race the other tests in
     // this binary, which compare two passes bitwise.)

@@ -8,13 +8,13 @@ use cap_cnn::layer::{
 };
 use cap_cnn::network::{Network, NodeId, INPUT};
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{Conv2dParams, Matrix};
+use cap_tensor::{precision, Conv2dParams, Matrix, Precision};
 use std::collections::HashSet;
 
 /// [`ConvLayer::weight_form_name`] of `w` held by a 1×1 conv on a 1×1
 /// map — a geometry that never runs the Winograd form, so the name
-/// follows the weights alone: `dense`, `dense-rows` or `csr` (or the
-/// int8 ones), whatever geometry the suite's layer has.
+/// follows the weights alone: `dense`, `dense-rows` or `csr` (or
+/// `dense-i8` under int8), whatever geometry the suite's layer has.
 pub fn form_name(w: &Matrix) -> &'static str {
     let one_by_one = Conv2dParams::new(w.cols(), w.rows(), 1, 0, 1);
     ConvLayer::weight_form_name(w, &one_by_one, (1, 1))
@@ -22,20 +22,23 @@ pub fn form_name(w: &Matrix) -> &'static str {
 
 /// Whether a [`ConvLayer`] holding `w` multiplies through CSR under the
 /// selected precision — the layer's own answer, so no suite re-derives
-/// the `SPARSE_THRESHOLD` / `SPARSE_THRESHOLD_I8` rule.
+/// the `SPARSE_THRESHOLD` rule. Only f32 has a CSR form.
 pub fn conv_runs_csr(w: &Matrix) -> bool {
-    matches!(form_name(w), "csr" | "csr-i8")
+    form_name(w) == "csr"
 }
 
 /// `w` with all but one weight in 32 zeroed — unstructured zeros that
-/// put a conv layer on its CSR form (asserted).
+/// put an f32 conv layer on its CSR form (asserted under f32; int8 runs
+/// every sparsity dense).
 pub fn csr_weights(mut w: Matrix) -> Matrix {
     for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
         if i % 32 != 0 {
             *v = 0.0;
         }
     }
-    assert!(conv_runs_csr(&w), "1-in-32 weights run {}", form_name(&w));
+    if precision::selected() == Precision::F32 {
+        assert!(conv_runs_csr(&w), "1-in-32 weights run {}", form_name(&w));
+    }
     w
 }
 

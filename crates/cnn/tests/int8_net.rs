@@ -9,7 +9,7 @@
 //!
 //! Also covered: `Network::calibrate` (max-abs and percentile
 //! activation ranges) keeps the int8 pass inside the same bound, and
-//! the sparse CSR int8 conv path tracks f32 on a pruned network.
+//! a 97 %-pruned conv (CSR in f32, dense int8 under int8) tracks f32.
 
 use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer};
 use cap_cnn::network::{Network, INPUT};
@@ -28,7 +28,7 @@ fn force_lock() -> MutexGuard<'static, ()> {
     lock.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// conv → relu → pool → conv (optionally pruned onto the CSR path) →
+/// conv → relu → pool → conv (optionally pruned onto the f32 CSR path) →
 /// relu → fc: every layer family the int8 path quantizes, ending on
 /// raw logits so the comparison is not flattened by softmax.
 fn build_net(seed: u64, prune: bool) -> Network {
@@ -145,9 +145,9 @@ fn int8_logits_track_f32_within_bound() {
 }
 
 #[test]
-fn pruned_int8_sparse_path_tracks_f32() {
-    // 97% pruned conv2 rides the quantized CSR SpMM path; the rest the
-    // dense int8 GEMM path — both int8 families in one forward pass.
+fn pruned_int8_tracks_f32() {
+    // 97% pruned conv2 runs CSR in f32 and the dense int8 GEMM under
+    // int8, like every other layer of the pass.
     let _guard = force_lock();
     let net = build_net(11, true);
     let imgs = images(10, 9);

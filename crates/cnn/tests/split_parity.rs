@@ -32,24 +32,18 @@ fn force_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The five stored forms a conv layer can multiply with.
+/// The im2col stored forms a conv layer can multiply with (the
+/// Winograd one has its own suite).
 #[derive(Debug, Clone, Copy)]
 enum Form {
     Dense,
     DenseRows,
     Csr,
     DenseI8,
-    CsrI8,
 }
 
 impl Form {
-    const ALL: [Form; 5] = [
-        Form::Dense,
-        Form::DenseRows,
-        Form::Csr,
-        Form::DenseI8,
-        Form::CsrI8,
-    ];
+    const ALL: [Form; 4] = [Form::Dense, Form::DenseRows, Form::Csr, Form::DenseI8];
 
     /// `ConvLayer::weight_form_name` of a layer in this form.
     fn name(self) -> &'static str {
@@ -58,14 +52,13 @@ impl Form {
             Form::DenseRows => "dense-rows",
             Form::Csr => "csr",
             Form::DenseI8 => "dense-i8",
-            Form::CsrI8 => "csr-i8",
         }
     }
 
     fn precision(self) -> Precision {
         match self {
             Form::Dense | Form::DenseRows | Form::Csr => Precision::F32,
-            Form::DenseI8 | Form::CsrI8 => Precision::Int8,
+            Form::DenseI8 => Precision::Int8,
         }
     }
 
@@ -75,7 +68,7 @@ impl Form {
         match self {
             Form::Dense | Form::DenseI8 => w,
             Form::DenseRows => common::filter_pruned_weights(w),
-            Form::Csr | Form::CsrI8 => common::csr_weights(w),
+            Form::Csr => common::csr_weights(w),
         }
     }
 }
@@ -238,8 +231,8 @@ fn inception_net(form: Form) -> Network {
 /// * each conv once by images when the batch fills the team; with
 ///   fewer images than threads, each image's multiply by rows where it
 ///   has more than one [`ROW_BLOCK`] of rows to multiply (a
-///   filter-pruned layer multiplies only its kept rows; the CSR forms
-///   never split by rows), after — in f32 — its lowering by panels:
+///   filter-pruned layer multiplies only its kept rows; the CSR form
+///   never splits by rows), after — in f32 — its lowering by panels:
 ///   two splits an f32 image, one an int8 one;
 /// * the LRN and the four max pools (stem, cut and one per module)
 ///   once each, by images or planes;
@@ -251,7 +244,7 @@ fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> 
         }
         let filters = net.shape_of(net.node_id(name).unwrap()).unwrap().0;
         let (rows, per_image) = match form {
-            Form::Csr | Form::CsrI8 => return 0,
+            Form::Csr => return 0,
             // `common::filter_pruned_weights` zeroes every row r ≡ 1 (mod 3).
             Form::DenseRows => (filters - (filters + 1) / 3, 2),
             Form::Dense => (filters, 2),

@@ -1,16 +1,21 @@
 //! A layer decides its weight form (dense, kept rows or CSR) when its
 //! weights are set and builds the derived forms (kept-row and CSR
 //! bands, int8 quantizations) lazily. `set_weights` must drop every one
-//! of them: after dense → filter-pruned → magnitude-pruned → dense
-//! swaps, with the precision override toggled between passes so each
-//! lazy form gets built and then orphaned, every output must be bitwise
-//! equal to a freshly constructed layer holding the same weights. A
-//! stale form surviving `set_weights` fails this.
+//! of them: after dense → filter-pruned → magnitude-pruned → boundary →
+//! NaN-holding → dense swaps, with the precision override toggled
+//! between passes so each lazy form gets built and then orphaned, every
+//! output must be bitwise equal to a freshly constructed layer holding
+//! the same weights. A stale form surviving `set_weights` fails this.
+//!
+//! The same rounds pin where the forms change: a zero fraction of
+//! exactly the layer's threshold stays dense and one more zero runs
+//! CSR; a NaN weight reads NaN in its output channel on CSR as it does
+//! on dense; and under int8 a conv runs dense at every sparsity.
 //!
 //! `precision::force` is process-global; this file is its own test
 //! binary with a single test, so nothing races it.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4, Workspace};
 
@@ -40,43 +45,91 @@ fn filter_pruned(mut w: Matrix) -> Matrix {
     w
 }
 
+/// `w` with exactly `fraction` of its elements zeroed (asserted exact
+/// in f64), plus `extra` more; the kept ones evenly spaced, so no row
+/// empties.
+fn zeroed_to(w: Matrix, fraction: f64, extra: usize) -> Matrix {
+    let (rows, cols) = w.shape();
+    let len = rows * cols;
+    let zeros = (fraction * len as f64).round() as usize;
+    assert_eq!(zeros as f64 / len as f64, fraction, "{len} elements");
+    let keep = len - zeros - extra;
+    Matrix::from_fn(rows, cols, |r, c| {
+        let i = r * cols + c;
+        if i * keep / len != (i + 1) * keep / len {
+            w.get(r, c)
+        } else {
+            0.0
+        }
+    })
+}
+
+/// `w` with one weight of row 1 set to NaN: a stored value on every
+/// form, so output channel 1 reads NaN.
+fn with_nan(mut w: Matrix) -> Matrix {
+    let c = (0..w.cols()).find(|&c| w.get(1, c) != 0.0).unwrap();
+    w.set(1, c, f32::NAN);
+    w
+}
+
+/// Whether an fc layer holding `w` multiplies through CSR in f32, from
+/// how it treats an infinite input: the dense GEMV multiplies every
+/// weight, so a zero weight of row 0 against it reads NaN (`0·∞`);
+/// CSR never visits the zero and reads the bias.
+fn fc_runs_csr(w: &Matrix) -> bool {
+    let Some(j) = (0..w.cols()).find(|&j| w.get(0, j) == 0.0) else {
+        return false;
+    };
+    let fc = InnerProductLayer::new("probe", w.clone(), vec![0.0; w.rows()]).unwrap();
+    let mut x = Tensor4::zeros(1, w.cols(), 1, 1);
+    x.as_mut_slice()[j] = f32::INFINITY;
+    !fc.forward(&[&x]).unwrap().as_slice()[0].is_nan()
+}
+
 fn bits(t: &Tensor4) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Drive `layer` through dense → filter-pruned → magnitude-pruned →
-/// dense weights (a different matrix every round, so a form left over
-/// from any earlier round is wrong), running both precisions and both
-/// fusion flavors after every swap, against `fresh(weights)` — a newly
-/// constructed layer with the same weights. `runs_csr` is the layer
-/// kind's own answer to "do these weights multiply through CSR".
+/// Drive `layer` through a different matrix every round (so a form
+/// left over from any earlier round is wrong): dense, filter-pruned,
+/// magnitude-pruned, exactly `threshold` zeros and one zero more, a
+/// NaN weight among CSR weights and among dense ones, dense again —
+/// running both precisions and both fusion flavors after every swap,
+/// against `fresh(weights)`, a newly constructed layer with the same
+/// weights. `runs_csr` is the layer kind's own answer to "do these
+/// weights multiply through CSR" in f32.
 fn check<L: Layer>(
     layer: &mut L,
     shape: (usize, usize),
+    threshold: f64,
     fresh: impl Fn(Matrix) -> L,
     runs_csr: impl Fn(&Matrix) -> bool,
     x: &Tensor4,
 ) {
-    for round in 0..4 {
-        let dense = xavier_uniform(shape.0, shape.1, 20 + round as u64);
-        let weights = match round {
-            1 => filter_pruned(dense),
-            2 => magnitude_pruned(dense),
-            _ => dense,
-        };
+    let w = |seed: u64| xavier_uniform(shape.0, shape.1, seed);
+    let rounds = [
+        ("dense", w(20), false),
+        ("filter-pruned", filter_pruned(w(21)), false),
+        ("magnitude-pruned", magnitude_pruned(w(22)), true),
+        ("at the threshold", zeroed_to(w(23), threshold, 0), false),
+        ("one zero past it", zeroed_to(w(24), threshold, 1), true),
+        ("csr with a NaN", with_nan(magnitude_pruned(w(25))), true),
+        ("dense with a NaN", with_nan(w(26)), false),
+        ("dense again", w(27), false),
+    ];
+    for (round, weights, csr) in rounds {
         let zero_rows = (0..shape.0)
             .filter(|&r| weights.row(r).iter().all(|&v| v == 0.0))
             .count();
+        let nan = weights.as_slice().iter().any(|v| v.is_nan());
         layer.set_weights(weights.clone()).unwrap();
-        assert_eq!(
-            runs_csr(&weights),
-            round == 2,
-            "round {round} is on the wrong side of the sparse threshold"
-        );
+        // CSR is an f32 form: int8 runs every sparsity dense.
+        precision::force(Some(Precision::F32));
+        assert_eq!(runs_csr(&weights), csr, "{round}: wrong form");
         assert_eq!(
             zero_rows > 0,
-            round == 1,
-            "round {round}: {zero_rows} zero rows"
+            round == "filter-pruned",
+            "{round}: {zero_rows} zero rows"
         );
         let reference = fresh(weights);
         for precision in [Precision::F32, Precision::Int8, Precision::F32] {
@@ -85,13 +138,23 @@ fn check<L: Layer>(
             let ws = &mut Workspace::new();
             layer.forward_into(&[x], ws, &mut got).unwrap();
             reference.forward_into(&[x], ws, &mut want).unwrap();
-            assert!(bits(&got) == bits(&want), "round {round} {precision:?}");
+            assert!(bits(&got) == bits(&want), "{round} {precision:?}");
+            let unfused = got.clone();
             layer.forward_into_fused(&[x], ws, &mut got).unwrap();
             reference.forward_into_fused(&[x], ws, &mut want).unwrap();
-            assert!(
-                bits(&got) == bits(&want),
-                "round {round} {precision:?} fused"
-            );
+            assert!(bits(&got) == bits(&want), "{round} {precision:?} fused");
+            if nan && precision == Precision::F32 {
+                // Int8 quantizes a NaN weight to 0, and the fused ReLU
+                // maps NaN to 0; the plain f32 output keeps it.
+                let plane = unfused.h() * unfused.w();
+                for i in 0..unfused.n() {
+                    let channel = &unfused.image(i)[plane..2 * plane];
+                    assert!(
+                        channel.iter().all(|v| v.is_nan()),
+                        "{round}: image {i} channel 1 is not NaN"
+                    );
+                }
+            }
         }
         precision::force(None);
     }
@@ -99,9 +162,11 @@ fn check<L: Layer>(
 
 #[test]
 fn set_weights_drops_every_cached_form() {
-    let params = Conv2dParams::grouped(8, 6, 3, 1, 1, 2);
-    let conv_w = xavier_uniform(6, 36, 11);
-    let bias = vec![0.05f32; 6];
+    // 10 × 36 conv weights and 5 × 288 fc weights: both thresholds are
+    // a whole number of zeros.
+    let params = Conv2dParams::grouped(8, 10, 3, 1, 1, 2);
+    let conv_w = xavier_uniform(10, 36, 11);
+    let bias = vec![0.05f32; 10];
     let x = Tensor4::from_fn(2, 8, 6, 6, |n, c, h, w| {
         ((n * 5 + c * 3 + h * 7 + w) % 9) as f32 / 4.0 - 1.0
     });
@@ -112,10 +177,19 @@ fn set_weights_drops_every_cached_form() {
     check(
         &mut conv,
         conv_w.shape(),
+        SPARSE_THRESHOLD,
         |w| ConvLayer::new("fresh", params, w, bias.clone()).unwrap(),
         common::conv_runs_csr,
         &x,
     );
+    // Under int8 a conv has one form, whatever its zeros.
+    precision::force(Some(Precision::Int8));
+    for fraction in [0.8, 0.95, 0.975] {
+        let w = zeroed_to(xavier_uniform(10, 36, 30), fraction, 0);
+        let form = ConvLayer::weight_form_name(&w, &params, (6, 6));
+        assert_eq!(form, "dense-i8", "{fraction} zeros");
+    }
+    precision::force(None);
 
     let fc_w = xavier_uniform(5, 8 * 6 * 6, 12);
     let fc_bias = vec![-0.02f32; 5];
@@ -123,8 +197,9 @@ fn set_weights_drops_every_cached_form() {
     check(
         &mut fc,
         fc_w.shape(),
+        FC_SPARSE_THRESHOLD,
         |w| InnerProductLayer::new("fresh", w, fc_bias.clone()).unwrap(),
-        |w| w.sparsity(0.0) > FC_SPARSE_THRESHOLD,
+        fc_runs_csr,
         &x,
     );
 }

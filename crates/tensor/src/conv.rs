@@ -1,6 +1,6 @@
 //! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
-//! ([`ConvWeights`]: dense, dense over the kept filters only, CSR, or
-//! Winograd-transformed; f32 or int8) and the one driver ([`conv2d`])
+//! ([`ConvWeights`]: f32 dense, dense over the kept filters only, CSR,
+//! or Winograd-transformed; or int8 dense) and the one driver ([`conv2d`])
 //! every form runs through — im2col + GEMM, or for the Winograd form
 //! F(2×2, 3×3) tiles + 16 GEMMs ([`mod@crate::winograd`]). The direct
 //! sliding-window oracles live in [`crate::reference`].
@@ -9,8 +9,8 @@ use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::gemm::gemm_packed;
 use crate::im2col::{out_spatial, Lowering};
-use crate::kernels::{self, int8 as ki8, EpiBias, Epilogue, ROW_BLOCK};
-use crate::quant::{gemm_i8, symmetric_scale, QuantizedA, QuantizedCsr};
+use crate::kernels::{self, EpiBias, Epilogue, ROW_BLOCK};
+use crate::quant::{gemm_i8, symmetric_scale, QuantizedA};
 use crate::sparse::CsrMatrix;
 use crate::team;
 use crate::tensor4::Tensor4;
@@ -241,9 +241,8 @@ impl KeptRows {
 ///
 /// Every banded form holds one entry per channel group, each standing
 /// for `out_per_group` rows; [`ConvWeights::kept_row_bands`],
-/// [`ConvWeights::csr_bands`], [`ConvWeights::winograd_bands`],
-/// [`ConvWeights::i8_bands`] and [`ConvWeights::csr_i8_bands`] build
-/// them from the dense matrix.
+/// [`ConvWeights::csr_bands`], [`ConvWeights::winograd_bands`] and
+/// [`ConvWeights::i8_bands`] build them from the dense matrix.
 #[derive(Debug, Clone, Copy)]
 pub enum ConvWeights<'a> {
     /// Dense f32. Group `g`'s filters are the contiguous row band
@@ -283,15 +282,6 @@ pub enum ConvWeights<'a> {
     DenseI8 {
         /// Quantized weight bands.
         bands: &'a [QuantizedA],
-        /// Activation quantization scale for this call.
-        act_scale: f32,
-    },
-    /// Int8 CSR: quantized sparse weights against the row-major i8
-    /// patch matrix (lowered from the same once-quantized image),
-    /// i32-exact SpMM rows.
-    CsrI8 {
-        /// Quantized CSR weight bands.
-        bands: &'a [QuantizedCsr],
         /// Activation quantization scale for this call.
         act_scale: f32,
     },
@@ -368,20 +358,6 @@ impl ConvWeights<'_> {
             .collect())
     }
 
-    /// Per-group int8 quantization of the CSR split of `weights`
-    /// (structure preserved), same per-layer scale as
-    /// [`ConvWeights::i8_bands`].
-    pub fn csr_i8_bands(
-        weights: &Matrix,
-        params: &Conv2dParams,
-    ) -> TensorResult<Vec<QuantizedCsr>> {
-        let scale = symmetric_scale(weights.as_slice());
-        Ok(Self::csr_bands(weights, params)?
-            .iter()
-            .map(|band| QuantizedCsr::from_csr(band, scale))
-            .collect())
-    }
-
     /// Check this form against the geometry: the dense matrix's shape,
     /// or one `out_per_group × col_rows` band per group.
     fn check(&self, params: &Conv2dParams) -> TensorResult<()> {
@@ -432,9 +408,6 @@ impl ConvWeights<'_> {
             ConvWeights::DenseI8 { bands: b, .. } => {
                 bands(b.iter().map(|q| (q.rows(), q.k())), params)
             }
-            ConvWeights::CsrI8 { bands: b, .. } => {
-                bands(b.iter().map(|q| (q.rows(), q.cols())), params)
-            }
         }
     }
 }
@@ -454,7 +427,7 @@ impl ConvWeights<'_> {
 /// the result is bitwise identical to the unfused convolution followed
 /// by a standalone ReLU layer, on every kernel path.
 ///
-/// The int8 forms **quantize** each input image once, straight into its
+/// The int8 form **quantizes** each input image once, straight into its
 /// padded layout, and lower in int8: lowering only copies values and
 /// pads with `0.0`, which quantizes to `0`, so the patch matrix is byte
 /// for byte the quantized f32 one at `kh*kw / stride²` times fewer
@@ -492,7 +465,7 @@ impl ConvWeights<'_> {
 /// their own panels of the caller's packed `B` (the int8 lowering runs
 /// on the caller). Either way a piece is the same kernel on a
 /// sub-range, so the output is bitwise the one-thread call's. The CSR
-/// forms split only by bands.
+/// form splits only by bands.
 ///
 /// Lowering scratch is the caller's `ws` and `out` is reshaped in
 /// place, so steady-state calls allocate nothing. When
@@ -562,7 +535,6 @@ impl ConvCall<'_> {
                 b.iter().map(|band| band.rows.len()).sum::<usize>() * self.params.col_rows()
             }
             ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum(),
-            ConvWeights::CsrI8 { bands, .. } => bands.iter().map(QuantizedCsr::nnz).sum(),
             ConvWeights::Winograd(_) => {
                 let tiles = Tiles::new(1, self.h, self.w).count();
                 let per_tile = POSITIONS * self.params.in_per_group() * self.params.out_channels;
@@ -683,7 +655,6 @@ impl ConvCall<'_> {
         // GEMM/im2col split is measured for this call.
         let timing = cap_obs::timing_enabled();
         let metrics = cap_obs::metrics();
-        let path = kernels::selected();
         let Workspace {
             cols,
             packed,
@@ -712,8 +683,8 @@ impl ConvCall<'_> {
                 }
             }
             let t_col = split_clock(timing);
-            // Each form pads the group's channels once (the int8 forms
-            // quantize straight into the padded layout: quantization
+            // Each form pads the group's channels once (the int8 form
+            // quantizes straight into the padded layout: quantization
             // commutes with lowering, which only copies values and pads
             // with zero, so the image is quantized once instead of once
             // per patch element) and lowers straight into the layout its
@@ -736,11 +707,6 @@ impl ConvCall<'_> {
                 ConvWeights::DenseI8 { act_scale, .. } => {
                     lo.quantize_padded(image, 1.0 / act_scale, qimage)?;
                     lo.quads_into(qimage, qlines, qbuf)?;
-                }
-                ConvWeights::CsrI8 { act_scale, .. } => {
-                    lo.quantize_padded(image, 1.0 / act_scale, qimage)?;
-                    qbuf.resize(col_rows * n_out, 0);
-                    lo.rows_into(qimage, qbuf)?
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }
@@ -797,24 +763,6 @@ impl ConvCall<'_> {
                         let epi = epi.offset(rows.start, 0);
                         gemm_i8(a, rows.len(), kp, n_out, b, part, scale, epi)
                     })?
-                }
-                ConvWeights::CsrI8 { bands, act_scale } => {
-                    let band = &bands[g];
-                    let scale = band.scale() * act_scale;
-                    for (r, row) in dst.chunks_mut(n_out.max(1)).enumerate() {
-                        let (vals, cidx) = band.row(r);
-                        ki8::spmm_i8_row_with(
-                            path,
-                            vals,
-                            cidx,
-                            qbuf,
-                            n_out,
-                            row,
-                            scale,
-                            row_bias.map(|b| b[r]),
-                            relu,
-                        );
-                    }
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }

@@ -3,6 +3,13 @@
 use crate::error::{ShapeError, TensorResult};
 use serde::{Deserialize, Serialize};
 
+/// Whether `v` is a stored value at threshold `eps`: anything whose
+/// magnitude is not `<= eps`, a NaN included.
+#[inline]
+pub(crate) fn counts_as_nonzero(v: f32, eps: f32) -> bool {
+    v.abs() > eps || v.is_nan()
+}
+
 /// A row-major dense matrix of `f32`.
 ///
 /// The storage layout is `data[r * cols + c]`. All CNN weights and im2col
@@ -179,9 +186,13 @@ impl Matrix {
         out
     }
 
-    /// Count of elements with magnitude strictly greater than `eps`.
+    /// Count of elements whose magnitude is not `<= eps`: those above
+    /// it, and NaNs (a NaN weight is not a pruned one).
     pub fn nnz(&self, eps: f32) -> usize {
-        self.data.iter().filter(|v| v.abs() > eps).count()
+        self.data
+            .iter()
+            .filter(|&&v| counts_as_nonzero(v, eps))
+            .count()
     }
 
     /// Fraction of elements that are (near-)zero: `1 - nnz/len`.
@@ -332,6 +343,8 @@ mod tests {
         let m = Matrix::from_vec(1, 4, vec![0.0, 1.0, 0.0, -2.0]).unwrap();
         assert_eq!(m.nnz(0.0), 2);
         assert!((m.sparsity(0.0) - 0.5).abs() < 1e-9);
+        let m = Matrix::from_vec(1, 4, vec![0.0, f32::NAN, 0.0, -2.0]).unwrap();
+        assert_eq!(m.nnz(0.0), 2);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! copied into the middle of a zero `(h+2·pad)×(w+2·pad)` one
 //! ([`Lowering::padded`]; the int8 convolution quantizes straight into
 //! it, [`Lowering::quantize_padded`]). No tap then falls outside its
-//! source, and all four lowerings (f32 or i8, row-major or panel-packed)
-//! walk one decomposition of the patch matrix: patch row `(ci, ky, kx)`
+//! source, and all three lowerings (f32 row-major, f32 panel-packed, i8
+//! quad-packed) walk one decomposition of the patch matrix: patch row `(ci, ky, kx)`
 //! reads padded plane `ci` from offset `ky*wp + kx`, the taps in one
 //! flat loop, and the output columns cut into *runs* — stretches inside
 //! one output row, whose sources sit `stride` apart. A row-major
@@ -321,11 +321,11 @@ impl Lowering {
         });
     }
 
-    /// The row-major lowering of the padded image (f32, or i8 for the
-    /// int8 SpMM): patch row `r` is `cols[r*n_out..]`, every element
-    /// written. Errors if `padded` is not [`Lowering::padded_len`] long
-    /// or `cols` not `rows * n_out`.
-    pub fn rows_into<T: Copy>(&self, padded: &[T], cols: &mut [T]) -> TensorResult<()> {
+    /// The row-major lowering of the padded image (the f32 CSR form's):
+    /// patch row `r` is `cols[r*n_out..]`, every element written.
+    /// Errors if `padded` is not [`Lowering::padded_len`] long or `cols`
+    /// not `rows * n_out`.
+    pub fn rows_into(&self, padded: &[f32], cols: &mut [f32]) -> TensorResult<()> {
         self.check_padded(padded.len())?;
         if cols.len() != self.rows * self.n_out {
             return Err(ShapeError::new(format!(
@@ -952,11 +952,6 @@ mod tests {
             let (mut lines, mut packed) = (vec![77i8; 64], vec![77i8; 4 * want.len() + 5]);
             prop_assert_eq!(lo.quads_into(q_padded, &mut lines, &mut packed).unwrap(), kp);
             prop_assert_eq!(&packed, &want);
-
-            let want: Vec<i8> = cols.as_slice().iter().map(|&v| crate::quantize_i8(v, inv_scale)).collect();
-            let mut rows = vec![77i8; want.len()];
-            lo.rows_into(q_padded, &mut rows).unwrap();
-            prop_assert_eq!(&rows, &want);
         }
 
         /// The f32 panel lowering split by panel ranges across a team of

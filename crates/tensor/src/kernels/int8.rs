@@ -1,5 +1,5 @@
-//! Int8 integer microkernels: the slice quantizer, and GEMM band, GEMV
-//! and SpMM-row with i32 accumulation and a dequantize-in-epilogue store.
+//! Int8 integer microkernels: the slice quantizer, and GEMM band and
+//! GEMV with i32 accumulation and a dequantize-in-epilogue store.
 //!
 //! These are the quantized counterparts of the f32 kernels in
 //! [`super::scalar`] / [`super::avx2`]. Operands are symmetric int8 (see
@@ -23,7 +23,6 @@
 //!   half by half — of `vpmaddwd`. [`store_row_quad_with`] writes one
 //!   quad from four row-major rows; it is the only writer's primitive,
 //!   so every packer in [`crate::quant`] and [`mod@crate::im2col`] agrees.
-//! * SpMM `B` is plain row-major i8 (`k × n`), matching the f32 SpMM.
 //!
 //! # Three multiply kernels, one result
 //!
@@ -83,7 +82,7 @@ pub fn padded_depth(k: usize) -> usize {
     k.next_multiple_of(QUAD)
 }
 
-/// Maximum depth (`kp`, or SpMM row nnz) the int8 kernels accept:
+/// Maximum depth (`kp`) the int8 kernels accept:
 /// `MAX_K_I8 * 128 * 128 < 2³¹`, so the i32 sum of any `MAX_K_I8`
 /// i8×i8 products cannot wrap. Far above any layer in this workspace
 /// (Caffenet fc6 has `k = 9216`).
@@ -352,48 +351,6 @@ pub fn gemv_i8_packed_with(
     }
 }
 
-/// Column-block width of the int8 SpMM row kernel's stack-resident i32
-/// accumulator. Blocking exists because the output row is f32 but the
-/// accumulation must be integer-exact; it never affects results (exact
-/// integer sums are blocking-invariant).
-const SPMM_I8_BLOCK: usize = 256;
-
-/// One CSR row of int8 sparse×dense with a fused dequantize +
-/// bias/ReLU store: `c_row = dequant(Σ_i values[i] * B[col_idx[i], :])`
-/// over the row-major i8 `b_data` (`n` columns). The accumulator is
-/// i32 (exact — f32 accumulation would lose integer exactness past
-/// 2^24 on conv-sized rows), blocked over `SPMM_I8_BLOCK`-column
-/// slices that re-walk the row's nonzeros. `bias`/`relu` mirror the
-/// f32 [`super::spmm_row_with`] scalar-bias epilogue, applied
-/// after the `* scale` dequantization.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn spmm_i8_row_with(
-    path: KernelPath,
-    values: &[i8],
-    col_idx: &[u32],
-    b_data: &[i8],
-    n: usize,
-    c_row: &mut [f32],
-    scale: f32,
-    bias: Option<f32>,
-    relu: bool,
-) {
-    match path {
-        KernelPath::Scalar => {
-            scalar::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 verified available by `selected()`/`force()`
-        // (see `quantize_slice_with`); bounds asserted in the kernel.
-        KernelPath::Avx2 => unsafe {
-            x86::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::spmm_i8_row(values, col_idx, b_data, n, c_row, scale, bias, relu),
-    }
-}
-
 /// Dequantize one accumulator slot and apply the epilogue — the single
 /// shared float sequence every kernel replays per element: `i32 as f32`,
 /// `* scale`, `+ bias`, compare-ReLU. Kept scalar here as the
@@ -413,9 +370,7 @@ fn dequant_one(acc: i32, scale: f32, bias: f32, has_bias: bool, relu: bool) -> f
 
 /// Portable reference kernels — the parity oracle for the SIMD kernels.
 mod scalar {
-    use super::{
-        dequant_one, quantize_i8, EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD, SPMM_I8_BLOCK,
-    };
+    use super::{dequant_one, quantize_i8, EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD};
 
     pub fn quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
         for (d, &v) in dst.iter_mut().zip(src) {
@@ -523,39 +478,6 @@ mod scalar {
             );
         }
     }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn spmm_i8_row(
-        values: &[i8],
-        col_idx: &[u32],
-        b_data: &[i8],
-        n: usize,
-        c_row: &mut [f32],
-        scale: f32,
-        bias: Option<f32>,
-        relu: bool,
-    ) {
-        assert_eq!(values.len(), col_idx.len());
-        assert!(values.len() <= MAX_K_I8, "int8 spmm: row nnz overflows i32");
-        assert!(c_row.len() >= n);
-        let mut c0 = 0;
-        while c0 < n {
-            let width = SPMM_I8_BLOCK.min(n - c0);
-            let mut acc = [0i32; SPMM_I8_BLOCK];
-            for (&v, &ci) in values.iter().zip(col_idx.iter()) {
-                let base = ci as usize * n + c0;
-                let brow = &b_data[base..base + width];
-                let vi = v as i32;
-                for (a, &bv) in acc[..width].iter_mut().zip(brow.iter()) {
-                    *a += vi * bv as i32;
-                }
-            }
-            for (j, &a) in acc[..width].iter().enumerate() {
-                c_row[c0 + j] = dequant_one(a, scale, bias.unwrap_or(0.0), bias.is_some(), relu);
-            }
-            c0 += width;
-        }
-    }
 }
 
 /// AVX2 and VNNI int8 kernels (`x86_64` only). The dispatchers above
@@ -565,7 +487,7 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_op_in_unsafe_fn)]
 mod x86 {
-    use super::{EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD, ROW_BAND, SPMM_I8_BLOCK};
+    use super::{EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD, ROW_BAND};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -1155,58 +1077,6 @@ mod x86 {
             rows_by_panels::<K, P>(a.add(r * out.kp), r, sub, b_data, out);
         }
     }
-
-    /// Int8 SpMM row; see the scalar oracle for the blocking contract.
-    ///
-    /// # Safety
-    /// CPU must support AVX2 (verified by the dispatch layer).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn spmm_i8_row(
-        values: &[i8],
-        col_idx: &[u32],
-        b_data: &[i8],
-        n: usize,
-        c_row: &mut [f32],
-        scale: f32,
-        bias: Option<f32>,
-        relu: bool,
-    ) {
-        assert_eq!(values.len(), col_idx.len());
-        assert!(values.len() <= MAX_K_I8, "int8 spmm: row nnz overflows i32");
-        assert!(c_row.len() >= n);
-        let mut c0 = 0;
-        while c0 < n {
-            let width = SPMM_I8_BLOCK.min(n - c0);
-            let mut acc = [0i32; SPMM_I8_BLOCK];
-            for (&v, &ci) in values.iter().zip(col_idx.iter()) {
-                let base = ci as usize * n + c0;
-                // Bounds for the raw 8-byte loads below: the full block
-                // slice must be inside b_data.
-                assert!(b_data.len() >= base + width);
-                let brow = b_data.as_ptr().add(base);
-                let vb = _mm256_set1_epi32(v as i32);
-                let mut j = 0;
-                while j + PANEL <= width {
-                    let bv = _mm256_cvtepi8_epi32(_mm_loadl_epi64(brow.add(j) as *const __m128i));
-                    let av = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-                    let sum = _mm256_add_epi32(av, _mm256_mullo_epi32(bv, vb));
-                    _mm256_storeu_si256(acc.as_mut_ptr().add(j) as *mut __m256i, sum);
-                    j += PANEL;
-                }
-                let vi = v as i32;
-                while j < width {
-                    acc[j] += vi * *brow.add(j) as i32;
-                    j += 1;
-                }
-            }
-            for (j, &a) in acc[..width].iter().enumerate() {
-                c_row[c0 + j] =
-                    super::dequant_one(a, scale, bias.unwrap_or(0.0), bias.is_some(), relu);
-            }
-            c0 += width;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1355,37 +1225,6 @@ mod tests {
                 };
                 assert_eq!(got, want, "path {} byte {at}", path.name());
             }
-        }
-    }
-
-    #[test]
-    fn spmm_row_matches_dense_reference_on_all_paths() {
-        let (k, n) = (7, 300); // n spans two SPMM blocks
-        let b: Vec<i8> = (0..k * n).map(|i| det_i8(i, 255)).collect();
-        let values: Vec<i8> = vec![3, -127, 64];
-        let col_idx: Vec<u32> = vec![0, 3, 6];
-        let mut want = vec![0.0f32; n];
-        for j in 0..n {
-            let mut acc = 0i32;
-            for (v, &c) in values.iter().zip(&col_idx) {
-                acc += *v as i32 * b[c as usize * n + j] as i32;
-            }
-            want[j] = (acc as f32 * 0.5 - 1.0).max(0.0);
-        }
-        for path in available_paths() {
-            let mut got = vec![0.0f32; n];
-            spmm_i8_row_with(
-                path,
-                &values,
-                &col_idx,
-                &b,
-                n,
-                &mut got,
-                0.5,
-                Some(-1.0),
-                true,
-            );
-            assert_eq!(got, want, "path {}", path.name());
         }
     }
 }

@@ -81,7 +81,7 @@ pub use pool::{
 pub use precision::Precision;
 pub use quant::{
     gemm_i8, pack_b_i8_into, percentile_scale, quantize_i8, quantize_rows_into, symmetric_scale,
-    CalibrationMethod, PackedBI8, QuantizedA, QuantizedCsr,
+    CalibrationMethod, PackedBI8, QuantizedA,
 };
 pub use sparse::CsrMatrix;
 pub use team::Team;

@@ -1,7 +1,7 @@
 //! Symmetric int8 quantization: scales, packed quantized operands, and
 //! the GEMM driver over the [`crate::kernels::int8`] microkernels (the
 //! convolution driver, [`crate::conv2d`], takes the quantized operands
-//! built here as two of its [`crate::ConvWeights`] forms).
+//! built here as its [`crate::ConvWeights::DenseI8`] form).
 //!
 //! # Quantization contract
 //!
@@ -34,7 +34,6 @@
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels::{self, int8 as ki8, Epilogue, PANEL};
-use crate::sparse::CsrMatrix;
 
 /// Max-abs symmetric scale: `max|x| / 127`, or `1.0` for an all-zero
 /// (or empty) slice so downstream divisions stay finite. NaN entries
@@ -306,72 +305,6 @@ impl PackedBI8 {
     /// Column count.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Dequantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-}
-
-/// A quantized CSR matrix: the f32 values of a [`CsrMatrix`] mapped to
-/// i8 with one per-tensor scale, structure (row pointers / column
-/// indices) unchanged. Built through the public CSR iterator, so it
-/// needs no access to the source matrix's internals.
-#[derive(Debug, Clone)]
-pub struct QuantizedCsr {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<i8>,
-    rows: usize,
-    cols: usize,
-    scale: f32,
-}
-
-impl QuantizedCsr {
-    /// Quantize `csr` with `scale`.
-    pub fn from_csr(csr: &CsrMatrix, scale: f32) -> Self {
-        let inv = 1.0 / scale;
-        let mut row_ptr = vec![0usize; csr.rows() + 1];
-        let mut col_idx = Vec::with_capacity(csr.nnz());
-        let mut values = Vec::with_capacity(csr.nnz());
-        for (r, c, v) in csr.iter() {
-            row_ptr[r + 1] += 1;
-            col_idx.push(c as u32);
-            values.push(quantize_i8(v, inv));
-        }
-        for i in 0..csr.rows() {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        Self {
-            row_ptr,
-            col_idx,
-            values,
-            rows: csr.rows(),
-            cols: csr.cols(),
-            scale,
-        }
-    }
-
-    /// `(values, col_idx)` of row `r`.
-    pub fn row(&self, r: usize) -> (&[i8], &[u32]) {
-        let (s, e) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        (&self.values[s..e], &self.col_idx[s..e])
-    }
-
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Stored entry count.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
     }
 
     /// Dequantization scale.
@@ -657,27 +590,5 @@ mod tests {
             assert!(outcome.is_err(), "m={m}: a short bias must panic");
             assert!(out.iter().all(|v| v.is_nan()), "m={m}: out was written");
         }
-    }
-
-    #[test]
-    fn quantized_csr_preserves_structure() {
-        let mut m = det_matrix(6, 8, 3);
-        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
-            if i % 3 != 0 {
-                *v = 0.0;
-            }
-        }
-        let csr = CsrMatrix::from_dense(&m, 0.0);
-        let q = QuantizedCsr::from_csr(&csr, symmetric_scale(m.as_slice()));
-        assert_eq!(q.rows(), 6);
-        assert_eq!(q.cols(), 8);
-        assert_eq!(q.nnz(), csr.nnz());
-        // Quantizing the row bands one by one covers the same entries.
-        let bands = csr.split_rows(3).unwrap();
-        let top = QuantizedCsr::from_csr(&bands[0], q.scale());
-        let bot = QuantizedCsr::from_csr(&bands[1], q.scale());
-        assert_eq!(top.nnz() + bot.nnz(), q.nnz());
-        assert_eq!(top.row(1), q.row(1));
-        assert_eq!(bot.row(0), q.row(3));
     }
 }

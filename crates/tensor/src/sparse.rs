@@ -6,38 +6,10 @@
 //! pruned weight matrix converted once to CSR then multiplied against
 //! dense activation panels, skipping zero weights entirely.
 
-use crate::dense::Matrix;
+use crate::dense::{counts_as_nonzero, Matrix};
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels;
-use crate::kernels::KernelPath;
 use serde::{Deserialize, Serialize};
-
-/// Stored density above which the SpMM row kernel runs scalar even when
-/// AVX2 was auto-selected.
-///
-/// The AVX2 SpMM kernel wins by amortizing each stored value over eight
-/// output lanes, but its gather-free broadcast-multiply loop carries
-/// fixed per-value overhead that only pays off when zeros are actually
-/// skipped. BENCH_pr5 measured the crossover directly: at 60% sparsity
-/// AVX2 does 60.63 GFLOPS vs 41.80 scalar, while at 0% sparsity (a
-/// fully dense matrix stored as CSR) AVX2 drops to 10.11 GFLOPS vs
-/// 11.76 scalar. Above this density the scalar row kernel is the faster
-/// arm, so [`spmm_effective_path`] swaps to it.
-pub const SPMM_DENSE_FALLBACK_DENSITY: f64 = 0.75;
-
-/// Resolve the kernel path the SpMM row loop should actually run, given
-/// the matrix density.
-///
-/// Swaps `path` to [`KernelPath::Scalar`] when `density` exceeds
-/// [`SPMM_DENSE_FALLBACK_DENSITY`]. Every path is bit-identical to
-/// scalar, so the swap is invisible in outputs.
-pub fn spmm_effective_path(path: KernelPath, density: f64) -> KernelPath {
-    if density > SPMM_DENSE_FALLBACK_DENSITY {
-        KernelPath::Scalar
-    } else {
-        path
-    }
-}
 
 /// Compressed sparse row matrix of `f32`.
 ///
@@ -60,7 +32,9 @@ pub struct CsrMatrix {
 
 impl CsrMatrix {
     /// Build a CSR matrix from a dense matrix, dropping every element with
-    /// magnitude `<= eps`.
+    /// magnitude `<= eps` — the elements [`Matrix::nnz`] does not count,
+    /// so a NaN is stored and reaches the output as it does on a dense
+    /// multiply.
     ///
     /// A first counting pass sizes `col_idx`/`values` exactly, so
     /// converting a large pruned layer performs one allocation per
@@ -71,14 +45,14 @@ impl CsrMatrix {
             cols <= u32::MAX as usize,
             "csr: {cols} columns exceed u32 index range"
         );
-        let nnz = dense.as_slice().iter().filter(|v| v.abs() > eps).count();
+        let nnz = dense.nnz(eps);
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
         row_ptr.push(0);
         for r in 0..rows {
             for (c, &v) in dense.row(r).iter().enumerate() {
-                if v.abs() > eps {
+                if counts_as_nonzero(v, eps) {
                     col_idx.push(c as u32);
                     values.push(v);
                 }
@@ -252,9 +226,7 @@ impl CsrMatrix {
                 )));
             }
         }
-        // Dense-stored matrices fall back to the scalar row kernel (see
-        // `spmm_effective_path`).
-        let path = spmm_effective_path(kernels::selected(), self.density());
+        let path = kernels::selected();
         for (r, c_row) in c_data.chunks_mut(n.max(1)).enumerate() {
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
             kernels::spmm_row_with(
@@ -360,14 +332,6 @@ impl CsrMatrix {
         }
         Ok(())
     }
-
-    /// Iterate over stored `(row, col, value)` triples in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
-        (0..self.rows).flat_map(move |r| {
-            (self.row_ptr[r]..self.row_ptr[r + 1])
-                .map(move |i| (r, self.col_idx[i] as usize, self.values[i]))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -443,18 +407,12 @@ mod tests {
 
     #[test]
     fn eps_threshold_drops_small_values() {
-        let dense = Matrix::from_vec(1, 3, vec![0.05, -0.5, 0.0]).unwrap();
+        let dense = Matrix::from_vec(1, 4, vec![0.05, -0.5, 0.0, f32::NAN]).unwrap();
         let csr = CsrMatrix::from_dense(&dense, 0.1);
-        assert_eq!(csr.nnz(), 1);
+        assert_eq!(csr.nnz(), 2);
+        assert_eq!(csr.nnz(), dense.nnz(0.1));
         assert_eq!(csr.to_dense().get(0, 1), -0.5);
-    }
-
-    #[test]
-    fn iter_yields_row_major_triples() {
-        let dense = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]).unwrap();
-        let csr = CsrMatrix::from_dense(&dense, 0.0);
-        let triples: Vec<_> = csr.iter().collect();
-        assert_eq!(triples, vec![(0, 0, 1.0), (1, 1, 2.0)]);
+        assert!(csr.to_dense().get(0, 3).is_nan());
     }
 
     #[test]
@@ -465,34 +423,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_fallback_heuristic_per_arm() {
-        // Sparse matrices keep whatever path was selected.
-        assert_eq!(spmm_effective_path(KernelPath::Avx2, 0.4), KernelPath::Avx2);
-        assert_eq!(
-            spmm_effective_path(KernelPath::Scalar, 0.4),
-            KernelPath::Scalar
-        );
-        // Dense-stored matrices swap every path to scalar.
-        assert_eq!(
-            spmm_effective_path(KernelPath::Avx2, 1.0),
-            KernelPath::Scalar
-        );
-        assert_eq!(
-            spmm_effective_path(KernelPath::Scalar, 1.0),
-            KernelPath::Scalar
-        );
-        // Boundary: exactly at the threshold keeps the requested path.
-        assert_eq!(
-            spmm_effective_path(KernelPath::Avx2, SPMM_DENSE_FALLBACK_DENSITY),
-            KernelPath::Avx2
-        );
-    }
-
-    #[test]
     fn dense_stored_matmul_matches_gemm_on_every_arm() {
-        // A fully dense matrix stored as CSR (density 1.0) trips the
-        // scalar fallback; a sparse one does not. Both arms must agree
-        // with the dense GEMM oracle.
+        // A fully dense matrix stored as CSR (density 1.0) and a sparse
+        // one both agree with the dense GEMM oracle.
         for keep_every in [1usize, 3] {
             let (dense, csr) = sparse_dense_pair(9, 14, keep_every);
             let b = Matrix::from_fn(14, 6, |r, c| ((r * 2 + c) % 9) as f32 - 4.0);

@@ -45,8 +45,7 @@ pub struct Workspace {
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
     /// ([`crate::quantize_rows_into`]), or the int8 convolution's patch
-    /// matrix (quad-packed by [`crate::Lowering::quads_into`], or
-    /// row-major for the int8 SpMM).
+    /// matrix (quad-packed by [`crate::Lowering::quads_into`]).
     pub qbuf: Vec<i8>,
     /// The f32 convolution's input channels of one group, padded once
     /// ([`crate::Lowering::padded`]: `in_per_group ×

@@ -1,6 +1,6 @@
 //! Table-driven parity for the one convolution driver.
 //!
-//! Every [`ConvWeights`] form {dense-f32, csr-f32, dense-i8, csr-i8} ×
+//! Every im2col [`ConvWeights`] form {dense-f32, csr-f32, dense-i8} ×
 //! {no ReLU, fused ReLU} × groups {1, 2} × batch {1, 3} runs through
 //! [`conv2d`] and is held against the direct sliding-window oracle
 //! ([`conv2d_direct`]), which shares no code with it:
@@ -11,10 +11,8 @@
 //!   bias pass → a separate ReLU pass.
 //!   That is the fusion contract (fused == unfused + passes) and the
 //!   packed-vs-unpacked contract in one assertion.
-//! * int8 forms: within the int8 bound (0.2 absolute on unit-scale
-//!   data) of the oracle, and csr-i8 **bitwise** equal to dense-i8 on
-//!   the same weights on every path (exact i32 accumulation is
-//!   order-free; the dequantize epilogue is the same float sequence).
+//! * dense-i8, on dense and on half-zero weights: within the int8
+//!   bound (0.2 absolute on unit-scale data) of the oracle.
 //!
 //! * kept-rows f32 (`DenseRows`, filter-pruned weights): **bitwise**
 //!   equal to `Dense` on the same zero-row weights over every row
@@ -25,7 +23,7 @@
 //!   three column strips of the packed GEMM: **bitwise** the seed
 //!   composition (the strip walk only reorders tiles).
 //!
-//! * int8 forms over a geometry table (stride × pad × groups, odd
+//! * dense-i8 over a geometry table (stride × pad × groups, odd
 //!   patch depth, output pixels off the panel width): **bitwise** the
 //!   lower-then-quantize composition `conv2d` ran before it quantized
 //!   the image instead of the patch matrix — public `im2col` →
@@ -142,8 +140,6 @@ fn every_weight_form_matches_the_direct_oracle() {
         let csr = ConvWeights::csr_bands(&pruned_w, &params).unwrap();
         let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
         let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
-        let csr_q = ConvWeights::csr_i8_bands(&pruned_w, &params).unwrap();
-        assert_eq!(csr_q[0].scale(), pruned_q[0].scale());
 
         for batch in [1usize, 3] {
             let x = input(batch, 4, 7, 7);
@@ -173,27 +169,14 @@ fn every_weight_form_matches_the_direct_oracle() {
                     assert!(bits(&got) == bits(&seed), "{name} {case}: vs seed path");
                 }
 
-                let dense_i8 = run(ConvWeights::DenseI8 {
-                    bands: &dense_q,
-                    act_scale,
-                });
-                let diff = dense_i8.max_abs_diff(&oracle(&dense_w)).unwrap();
-                assert!(diff < 0.2, "dense-i8 {case}: {diff} from the oracle");
-
-                let csr_i8 = run(ConvWeights::CsrI8 {
-                    bands: &csr_q,
-                    act_scale,
-                });
-                let diff = csr_i8.max_abs_diff(&oracle(&pruned_w)).unwrap();
-                assert!(diff < 0.2, "csr-i8 {case}: {diff} from the oracle");
-                let pruned_dense_i8 = run(ConvWeights::DenseI8 {
-                    bands: &pruned_q,
-                    act_scale,
-                });
-                assert!(
-                    bits(&csr_i8) == bits(&pruned_dense_i8),
-                    "csr-i8 vs dense-i8 on the same weights, {case}"
-                );
+                for (name, bands, w) in [
+                    ("dense-i8", &dense_q, &dense_w),
+                    ("pruned dense-i8", &pruned_q, &pruned_w),
+                ] {
+                    let got = run(ConvWeights::DenseI8 { bands, act_scale });
+                    let diff = got.max_abs_diff(&oracle(w)).unwrap();
+                    assert!(diff < 0.2, "{name} {case}: {diff} from the oracle");
+                }
             }
         }
     }
@@ -255,12 +238,12 @@ fn lower_then_quantize(
 }
 
 /// Quantizing the image and lowering in int8 changes no output bit of
-/// either int8 form. 3 input channels per group under a 3×3 kernel give
-/// an odd patch depth (27, so a pad row); the 11×9 input gives 63, 99,
-/// 143, 20, 30, 42, 6, 9 and 12 output pixels — never a whole number of
-/// panels; 10 filters cross the 8-row block. The activation scale clips
-/// the top of the input range. The one workspace's int8 slots and
-/// `out` start every case poisoned.
+/// the int8 form, on dense or half-zero weights. 3 input channels per
+/// group under a 3×3 kernel give an odd patch depth (27, so a pad row);
+/// the 11×9 input gives 63, 99, 143, 20, 30, 42, 6, 9 and 12 output
+/// pixels — never a whole number of panels; 10 filters cross the 8-row
+/// block. The activation scale clips the top of the input range. The
+/// one workspace's int8 slots and `out` start every case poisoned.
 #[test]
 fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
     let mut ws = Workspace::new();
@@ -275,7 +258,6 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                 let pruned_w = weights(&params, true);
                 let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
                 let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
-                let csr_q = ConvWeights::csr_i8_bands(&pruned_w, &params).unwrap();
                 for batch in [1usize, 3] {
                     let x = input(batch, 3 * groups, 11, 9);
                     let act_scale = 0.75 * symmetric_scale(x.as_slice());
@@ -288,24 +270,10 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                             "groups={groups} stride={stride} pad={pad} batch={batch} relu={relu} bias={}",
                             bias.is_some()
                         );
-                        for (name, form, oracle_bands) in [
-                            (
-                                "dense-i8",
-                                ConvWeights::DenseI8 {
-                                    bands: &dense_q,
-                                    act_scale,
-                                },
-                                &dense_q,
-                            ),
-                            (
-                                "csr-i8",
-                                ConvWeights::CsrI8 {
-                                    bands: &csr_q,
-                                    act_scale,
-                                },
-                                &pruned_q,
-                            ),
-                        ] {
+                        for (name, bands) in
+                            [("dense-i8", &dense_q), ("pruned dense-i8", &pruned_q)]
+                        {
+                            let form = ConvWeights::DenseI8 { bands, act_scale };
                             for slot in [&mut ws.qbuf, &mut ws.qimage, &mut ws.qlines] {
                                 slot.clear();
                                 slot.resize(8192, 77);
@@ -314,14 +282,8 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                             conv2d(&x, form, bias, relu, &params, &mut ws, &mut out).unwrap();
                             let (_, _, oh, ow) = out.shape();
                             assert_ne!(oh * ow % 8, 0, "{case}");
-                            let want = lower_then_quantize(
-                                &x,
-                                oracle_bands,
-                                act_scale,
-                                bias,
-                                relu,
-                                &params,
-                            );
+                            let want =
+                                lower_then_quantize(&x, bands, act_scale, bias, relu, &params);
                             assert!(bits(&out) == bits(&want), "{name} {case}");
                         }
                     }

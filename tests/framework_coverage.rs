@@ -1,23 +1,33 @@
 //! Coverage for framework paths not central to the headline experiments:
-//! timing records, batched inference over the big models, profile and
-//! record serialization, and scaling-law baselines.
+//! per-layer timing spans, batched inference over the big models,
+//! profile and record serialization, and scaling-law baselines.
 
 use cloud_cost_accuracy::prelude::*;
 
 #[test]
 fn caffenet_timed_forward_record_is_complete() {
+    use cap_cnn::{fusion, ForwardArena};
+    use cap_obs::{CollectingTracer, SpanScope};
     use cap_tensor::Tensor4;
     let net = caffenet(WeightInit::Gaussian { std: 0.01, seed: 2 }).unwrap();
     let x = Tensor4::from_fn(1, 3, 224, 224, |_, c, h, w| {
         ((c * 5 + h + w * 2) % 19) as f32 / 19.0 - 0.5
     });
-    let record = net.forward_timed(&x).unwrap();
-    // Every layer appears exactly once, in prototxt order.
-    let names: Vec<&str> = record.timings.iter().map(|t| t.name.as_str()).collect();
-    assert_eq!(names.len(), net.len());
-    assert_eq!(names.first(), Some(&"conv1"));
-    assert_eq!(names.last(), Some(&"prob"));
-    assert!(record.total_time().as_nanos() > 0);
+    let tracer = CollectingTracer::new();
+    net.forward_into_traced(&x, &mut ForwardArena::new(), &tracer)
+        .unwrap();
+    let layers: Vec<_> = tracer
+        .take_spans()
+        .into_iter()
+        .filter(|span| span.scope == SpanScope::Layer)
+        .collect();
+    // One layer span per plan step, in prototxt order.
+    let steps = net.plan_slots(fusion::selected().enabled()).len();
+    assert_eq!(layers.len(), steps);
+    assert_eq!(layers.first().map(|s| s.name.as_str()), Some("conv1"));
+    assert_eq!(layers.last().map(|s| s.name.as_str()), Some("prob"));
+    let total: std::time::Duration = layers.iter().map(|s| s.elapsed).sum();
+    assert!(total.as_nanos() > 0);
 }
 
 #[test]
