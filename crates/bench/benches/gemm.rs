@@ -3,14 +3,15 @@
 //! (DESIGN.md §9 ablation) — the packed GEMM on the real conv layer
 //! shapes, the record behind `gemm.rs`'s `STRIP_BYTES`, and the
 //! batch-1 Caffenet multiplies and Googlenet stem pools and LRNs split
-//! across a two-thread worker team, and every Caffenet and Googlenet
-//! max pool and LRN on one thread.
+//! across a two-thread worker team, every Caffenet and Googlenet
+//! max pool and LRN on one thread, and the f32 GEMM's ymm and zmm
+//! register tiles against each other.
 
 use cap_tensor::kernels::{self, KernelPath};
 use cap_tensor::team::{self, Team};
 use cap_tensor::{
-    gemm, gemm_packed, gemm_prepacked, lrn_into, max_pool2d_into, CsrMatrix, Epilogue, LrnParams,
-    Matrix, PackedB, Pool2dParams, Tensor4, Workspace,
+    gemm, gemm_packed, gemm_packed_with, gemm_prepacked, lrn_into, max_pool2d_into, CsrMatrix,
+    Epilogue, F32Tile, LrnParams, Matrix, PackedB, Pool2dParams, Tensor4, Workspace,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
@@ -61,35 +62,19 @@ fn bench_gemm(c: &mut Criterion) {
 /// Ends with one `gemm_layer_shapes:` line (min / max GFLOP/s over the
 /// shapes, each from its fastest call) for the CI job summary.
 fn bench_layer_shapes(c: &mut Criterion) {
-    const SHAPES: [(&str, usize, usize, usize); 11] = [
-        ("googlenet_conv1", 64, 147, 12544),
-        ("googlenet_conv2_3x3", 192, 576, 3136),
-        ("incep3a_3x3", 128, 864, 784),
-        ("incep3b_3x3", 192, 1152, 784),
-        ("incep3b_5x5", 96, 800, 784),
-        ("incep4e_3x3", 320, 1440, 196),
-        ("caffenet_conv1", 96, 363, 3025),
-        ("caffenet_conv2_group", 128, 1200, 729),
-        ("caffenet_conv3", 384, 2304, 169),
-        ("caffenet_conv4_group", 192, 1728, 169),
-        ("incep3a_1x1", 64, 192, 784),
-    ];
     let mut group = c.benchmark_group("gemm_layer_shapes");
     let mut rates: Vec<(f64, &str)> = Vec::new();
-    for (name, m, k, n) in SHAPES {
+    for (name, m, k, n) in LAYER_SHAPES {
         let a = Matrix::from_fn(m, k, |r, q| ((r * 7 + q * 3) % 17) as f32 / 17.0 - 0.5);
         let packed = PackedB::pack(&Matrix::from_fn(k, n, |r, q| {
             ((r + q * 5) % 13) as f32 / 13.0 - 0.5
         }));
         let mut out = Matrix::zeros(m, n);
-        let mut best = Duration::MAX;
-        group.bench_function(BenchmarkId::new(name, format!("{m}x{k}x{n}")), |b| {
-            b.iter(|| {
-                let t0 = Instant::now();
-                gemm_prepacked(&a, &packed, &mut out).unwrap();
-                best = best.min(t0.elapsed());
-            })
-        });
+        let best = fastest(
+            &mut group,
+            BenchmarkId::new(name, format!("{m}x{k}x{n}")),
+            || gemm_prepacked(&a, &packed, &mut out).unwrap(),
+        );
         if best < Duration::MAX {
             let gflops = 2.0 * (m * k * n) as f64 / best.as_nanos() as f64;
             println!("gemm_layer_shapes/{name}: {gflops:.1} GFLOP/s");
@@ -110,6 +95,95 @@ fn bench_layer_shapes(c: &mut Criterion) {
         );
     }
 }
+
+/// The f32 GEMM's two SIMD register tiles against each other: the
+/// 256-bit ymm tile and the 512-bit zmm tile (`F32Tile`), each through
+/// `gemm_packed`'s own loop nest (`gemm_packed_with`), on the
+/// [`LAYER_SHAPES`] and one Winograd position product (inception 3a's
+/// 3×3: 128 filters × 96 channels × 196 tiles, whose `n` leaves an odd
+/// last panel). The two outputs of every shape are compared bit for
+/// bit. Ends with one `gemm_tiles:` line — the zmm/ymm speed ratio, min
+/// and max over the shapes, each arm from its fastest call — or, on a
+/// host without AVX-512F (or AVX2), a note that it has nothing to
+/// compare, for the CI job summary.
+fn bench_tiles(c: &mut Criterion) {
+    if !(F32Tile::Ymm.is_available() && F32Tile::Zmm.is_available()) {
+        println!(
+            "gemm_tiles: note: this host has no AVX-512F (or no AVX2); no zmm tile to compare"
+        );
+        return;
+    }
+    let wino = ("incep3a_3x3_wino_position", 128, 96, 196);
+    let mut group = c.benchmark_group("gemm_tiles");
+    let mut ratios: Vec<(f64, &str)> = Vec::new();
+    for (name, m, k, n) in LAYER_SHAPES.into_iter().chain([wino]) {
+        let a = Matrix::from_fn(m, k, |r, q| ((r * 7 + q * 3) % 17) as f32 / 17.0 - 0.5);
+        let packed = PackedB::pack(&Matrix::from_fn(k, n, |r, q| {
+            ((r + q * 5) % 13) as f32 / 13.0 - 0.5
+        }));
+        let mut outs = [vec![0.0f32; m * n], vec![0.0f32; m * n]];
+        let mut best = [Duration::MAX; 2];
+        for ((tile, out), best) in [F32Tile::Ymm, F32Tile::Zmm]
+            .into_iter()
+            .zip(&mut outs)
+            .zip(&mut best)
+        {
+            *best = fastest(&mut group, BenchmarkId::new(name, tile.name()), || {
+                gemm_packed_with(
+                    tile,
+                    a.as_slice(),
+                    m,
+                    k,
+                    n,
+                    packed.as_slice(),
+                    out,
+                    Epilogue::NONE,
+                )
+                .unwrap()
+            });
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&outs[0]) == bits(&outs[1]),
+            "gemm_tiles/{name}: zmm output differs from ymm"
+        );
+        if best.iter().all(|&t| t < Duration::MAX) {
+            let ratio = best[0].as_secs_f64() / best[1].as_secs_f64();
+            let gflops = 2.0 * (m * k * n) as f64 / best[1].as_nanos() as f64;
+            println!("gemm_tiles/{name}: zmm {gflops:.1} GFLOP/s, zmm/ymm {ratio:.2}x");
+            ratios.push((ratio, name));
+        }
+    }
+    group.finish();
+    ratios.sort_by(|x, y| x.0.total_cmp(&y.0));
+    if let (Some(lo), Some(hi)) = (ratios.first(), ratios.last()) {
+        println!(
+            "gemm_tiles: zmm/ymm min {:.2}x ({}) max {:.2}x ({}) over {} shapes",
+            lo.0,
+            lo.1,
+            hi.0,
+            hi.1,
+            ratios.len()
+        );
+    }
+}
+
+/// The batch-1 conv multiplies of Caffenet and Googlenet (`m` filters ×
+/// `k` taps × `n` output pixels; grouped layers are one group's
+/// multiply), shared by `gemm_layer_shapes` and `gemm_tiles`.
+const LAYER_SHAPES: [(&str, usize, usize, usize); 11] = [
+    ("googlenet_conv1", 64, 147, 12544),
+    ("googlenet_conv2_3x3", 192, 576, 3136),
+    ("incep3a_3x3", 128, 864, 784),
+    ("incep3b_3x3", 192, 1152, 784),
+    ("incep3b_5x5", 96, 800, 784),
+    ("incep4e_3x3", 320, 1440, 196),
+    ("caffenet_conv1", 96, 363, 3025),
+    ("caffenet_conv2_group", 128, 1200, 729),
+    ("caffenet_conv3", 384, 2304, 169),
+    ("caffenet_conv4_group", 192, 1728, 169),
+    ("incep3a_1x1", 64, 192, 784),
+];
 
 /// Fastest call of `run` over the group's samples, as `id`.
 fn fastest(
@@ -371,6 +445,6 @@ fn bench_window(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_layer_shapes, bench_split, bench_window
+    targets = bench_gemm, bench_layer_shapes, bench_tiles, bench_split, bench_window
 }
 criterion_main!(benches);

@@ -54,8 +54,9 @@ pub mod trace_export;
 
 pub use hdr::{HdrHistogram, HdrSnapshot, QUANTILES};
 pub use metrics::{
-    int8_kernel_name, kernel_path_name, metrics, precision_path_name, timing_enabled, Counter,
-    Gauge, Instrument, Kind, MetricsRegistry, MetricsSnapshot, Scope, TimingGuard, INSTRUMENTS,
+    f32_tile_name, int8_kernel_name, kernel_path_name, metrics, precision_path_name,
+    timing_enabled, Counter, Gauge, Instrument, Kind, MetricsRegistry, MetricsSnapshot, Scope,
+    TimingGuard, INSTRUMENTS,
 };
 pub use prom::{
     append_registry, prometheus_text, spawn_exporter, validate as validate_prometheus, PromStats,

@@ -361,6 +361,15 @@ instruments! {
     int8_kernel: Gauge,
         Environment(int8_kernel_name: "unset", "scalar", "avx2", "vnni"),
         "Integer multiply kernel behind the int8 GEMM (code).";
+    /// Which register tile `cap-tensor` runs the f32 packed GEMM band
+    /// on, as a code decoded by [`f32_tile_name`] (0 until the kernel
+    /// path resolves): under `avx2`, the 512-bit `zmm` tile where the
+    /// CPU has AVX-512F, the 256-bit `ymm` one where it does not. Like
+    /// `int8_kernel` it follows from the CPU, not from a setting; an
+    /// environment descriptor that [`MetricsRegistry::reset`] keeps.
+    f32_tile: Gauge,
+        Environment(f32_tile_name: "unset", "scalar", "ymm", "zmm"),
+        "Register tile behind the f32 packed GEMM band (code).";
     /// Number of fused producer→ReLU steps in the network most recently
     /// executed by `Network::forward_into*` (0 when fusion is off or
     /// nothing matched). Overwritten by every traced forward pass and,
@@ -603,6 +612,7 @@ mod tests {
         reg.kernel_path.set(3);
         reg.precision_path.set(1);
         reg.int8_kernel.set(3);
+        reg.f32_tile.set(3);
         reg.fused_layers.set(7);
         reg.dag_parallel_passes.add(2);
         reg.intra_op_splits.add(5);
@@ -701,6 +711,15 @@ mod tests {
         assert_eq!(int8_kernel_name(2), "avx2");
         assert_eq!(int8_kernel_name(3), "vnni");
         assert_eq!(int8_kernel_name(99), "unknown");
+    }
+
+    #[test]
+    fn f32_tile_names_decode() {
+        assert_eq!(f32_tile_name(0), "unset");
+        assert_eq!(f32_tile_name(1), "scalar");
+        assert_eq!(f32_tile_name(2), "ymm");
+        assert_eq!(f32_tile_name(3), "zmm");
+        assert_eq!(f32_tile_name(99), "unknown");
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub struct ProfileReport {
     label: String,
     layers: Vec<LayerRow>,
     /// Microkernel backend name captured from the `kernel_path` metrics
-    /// gauge at build time — which SIMD path produced these numbers.
+    /// gauge at build time — which SIMD path produced these numbers —
+    /// with the f32 GEMM tile from the `f32_tile` gauge for `avx2`:
+    /// `avx2 (zmm)` or `avx2 (ymm)`, since the tile sets the conv rate.
     kernel: &'static str,
     /// Numeric precision name captured from the `precision_path`
     /// metrics gauge at build time (`"unset"` when no weighted layer
@@ -75,13 +77,25 @@ pub struct ProfileReport {
     precision: String,
 }
 
+/// The `kernel_path` gauge's name, followed for `avx2` by the f32 tile
+/// the `f32_tile` gauge names (`avx2 (zmm)`).
+fn kernel_label(path: u64, tile: u64) -> &'static str {
+    use crate::metrics::{f32_tile_name, kernel_path_name};
+    match (kernel_path_name(path), f32_tile_name(tile)) {
+        ("avx2", "zmm") => "avx2 (zmm)",
+        ("avx2", "ymm") => "avx2 (ymm)",
+        (name, _) => name,
+    }
+}
+
 impl ProfileReport {
     /// Aggregate [`SpanScope::Layer`] spans by layer name, preserving
     /// first-seen (execution) order. Non-layer spans are ignored.
     ///
     /// The report also captures the current `kernel_path` gauge, so the
     /// rendered table and JSON record which microkernel backend
-    /// (`scalar` / `avx2` / …) the profiled run dispatched to.
+    /// (`scalar` / `avx2 (zmm)` / `avx2 (ymm)`) the profiled run
+    /// dispatched to.
     pub fn from_spans(label: impl Into<String>, spans: &[SpanRecord]) -> Self {
         let metrics = crate::metrics();
         let precision = crate::metrics::precision_path_name(metrics.precision_path.get());
@@ -117,7 +131,7 @@ impl ProfileReport {
         Self {
             label: label.into(),
             layers,
-            kernel: crate::metrics::kernel_path_name(metrics.kernel_path.get()),
+            kernel: kernel_label(metrics.kernel_path.get(), metrics.f32_tile.get()),
             precision,
         }
     }
@@ -128,7 +142,8 @@ impl ProfileReport {
     }
 
     /// Microkernel backend the profiled process dispatched to
-    /// (`"unset"` if no kernel had run when the report was built).
+    /// (`"unset"` if no kernel had run when the report was built), with
+    /// the f32 GEMM tile for `avx2`: `avx2 (zmm)`.
     pub fn kernel(&self) -> &'static str {
         self.kernel
     }
@@ -369,6 +384,15 @@ mod tests {
         assert_eq!(r.kernel(), "scalar");
         assert!(r.to_text_table().contains("(kernel: scalar,"));
         assert!(r.to_json().contains("\"kernel\":\"scalar\""));
+        // `avx2` names the f32 tile it multiplies on.
+        crate::metrics().kernel_path.set(2);
+        for (tile, label) in [(3, "avx2 (zmm)"), (2, "avx2 (ymm)"), (0, "avx2")] {
+            crate::metrics().f32_tile.set(tile);
+            let r = ProfileReport::from_spans("k", &[span("conv1", "conv", 10)]);
+            assert_eq!(r.kernel(), label);
+            assert!(r.to_text_table().contains(&format!("(kernel: {label},")));
+            assert!(r.to_json().contains(&format!("\"kernel\":\"{label}\"")));
+        }
         crate::metrics().kernel_path.set(0);
     }
 

@@ -362,6 +362,12 @@ impl Router {
                 )));
             }
         }
+        if let Some(t) = self.tenants.iter().find(|t| t.config.max_batch == 0) {
+            return Err(ShapeError::new(format!(
+                "serve_trace: tenant {:?} has max_batch 0; a batch holds at least one image",
+                t.config.name
+            )));
+        }
         if let Some(bad) = events.iter().find(|e| e.tenant >= self.tenants.len()) {
             return Err(ShapeError::new(format!(
                 "serve_trace: event targets tenant {} of {}",
@@ -781,6 +787,16 @@ mod tests {
         assert!(r
             .serve_trace(&[], &[pool(2), Tensor4::zeros(0, 2, 8, 8)])
             .is_err());
+        // A hard cap of 0 (a deserialized config can carry one) is
+        // refused by name, not served as one-image batches.
+        let mut capped = tenant("capped");
+        capped.max_batch = 0;
+        let tenants = vec![(tenant("t0"), small_net(1)), (capped, small_net(2))];
+        let mut r = Router::new(RouterConfig::default(), tenants);
+        let events = generate_trace(3, &[ArrivalPattern::Poisson { rate_per_s: 800.0 }], 0.1);
+        let err = r.serve_trace(&events, &[pool(2), pool(2)]).unwrap_err();
+        assert!(err.to_string().contains("\"capped\""), "{err}");
+        assert!(err.to_string().contains("max_batch 0"), "{err}");
     }
 
     #[test]

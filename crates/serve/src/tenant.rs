@@ -65,7 +65,8 @@ pub struct TenantConfig {
     /// batcher sizes batches so a full batch dispatched at the deadline
     /// still meets this.
     pub slo_us: u64,
-    /// Hard cap on formed batch size.
+    /// Hard cap on formed batch size; at least 1 (`Router::serve_trace`
+    /// refuses a tenant whose cap is 0).
     pub max_batch: usize,
     /// Bounded queue capacity; an arrival beyond it is shed (counted,
     /// never silently dropped).
@@ -93,7 +94,9 @@ impl TenantConfig {
 
     /// The model-driven batch-size target: the largest batch whose
     /// service time still fits inside the SLO after a worst-case
-    /// batching delay, clamped to `[1, max_batch]`.
+    /// batching delay, clamped to `[1, max_batch]` (for a valid
+    /// `max_batch ≥ 1`; a cap of 0 has no valid target and is refused
+    /// by `Router::serve_trace`).
     ///
     /// This is the static half of adaptive batch sizing (the dynamic
     /// half is the router's AIMD feedback on observed latencies): a

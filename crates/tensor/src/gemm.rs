@@ -17,7 +17,7 @@
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels;
-use crate::kernels::{Epilogue, PANEL};
+use crate::kernels::{Epilogue, F32Tile, PANEL};
 
 /// Row-band size: the rows of `C` the packed driver finishes against one
 /// column strip before moving down (cache blocking).
@@ -34,8 +34,10 @@ const ROW_BAND: usize = 32;
 const STRIP_BYTES: usize = 512 * 1024;
 
 /// Panels per column strip for a depth-`k` multiply: as many whole
-/// panel *pairs* (the AVX2 microkernel's tile width) as fit
-/// [`STRIP_BYTES`], and never fewer than one pair.
+/// panel *pairs* as fit [`STRIP_BYTES`], and never fewer than one pair
+/// — both SIMD tiles consume panels in pairs (the ymm tile two
+/// registers wide, the zmm tile one register per pair, its four-row
+/// groups three pairs).
 fn strip_panels(k: usize) -> usize {
     let panel_bytes = (k * PANEL * std::mem::size_of::<f32>()).max(1);
     (STRIP_BYTES / panel_bytes / 2 * 2).max(2)
@@ -260,9 +262,9 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
 /// plain multiply.
 ///
 /// The microkernel lives in [`crate::kernels`]: register-blocked
-/// `ROW_BLOCK × PANEL` accumulation in ascending-`kk` order on every
-/// dispatch path, so results are bit-identical to [`gemm_prealloc`]
-/// and across scalar and SIMD backends.
+/// accumulation in ascending-`kk` order on every dispatch path and
+/// register tile ([`F32Tile`]), so results are bit-identical to
+/// [`gemm_prealloc`] and across scalar and SIMD backends.
 ///
 /// Loop nest (`m ≥ 2`): **for each column strip of `B`, every row
 /// band**. A strip is `strip_panels(k)` panels — whole panel pairs
@@ -282,7 +284,31 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
 /// unchanged (each element's sum only ever walks its own panel in
 /// ascending `kk`), so the routing is bitwise invisible next to the
 /// band path.
+///
+/// The bands run on [`F32Tile::for_path`] of the process's kernel
+/// path; [`gemm_packed_with`] names the tile instead.
 pub fn gemm_packed(
+    a_data: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    packed_b: &[f32],
+    c_data: &mut [f32],
+    epi: Epilogue<'_>,
+) -> TensorResult<()> {
+    let tile = F32Tile::for_path(kernels::selected());
+    gemm_packed_with(tile, a_data, m, k, n, packed_b, c_data, epi)
+}
+
+/// [`gemm_packed`] with its bands on a named [`F32Tile`] (the batch-1
+/// GEMV on that tile's [`F32Tile::path`]): the same loop nest and the
+/// same bits, so tests and benches can run each tile through it.
+///
+/// # Panics
+/// If the host cannot run `tile`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_with(
+    tile: F32Tile,
     a_data: &[f32],
     m: usize,
     k: usize,
@@ -320,9 +346,11 @@ pub fn gemm_packed(
     // store, so a short bias panics with `c_data` untouched — not after
     // earlier bands or strips were already written.
     epi.check(m, n);
-    let path = kernels::selected();
+    // A tile the host can run implies its path can run: the GEMV
+    // dispatch below trusts the path it is handed.
+    tile.assert_available();
     if m == 1 && n > 0 {
-        kernels::gemv_packed_with(path, a_data, n, packed_b, c_data, epi);
+        kernels::gemv_packed_with(tile.path(), a_data, n, packed_b, c_data, epi);
         return Ok(());
     }
     let panels = n.div_ceil(PANEL);
@@ -330,8 +358,8 @@ pub fn gemm_packed(
     for p0 in (0..panels).step_by(strip) {
         let strip_range = p0..(p0 + strip).min(panels);
         for (band, c_band) in c_data.chunks_mut((ROW_BAND * n).max(1)).enumerate() {
-            kernels::gemm_packed_band_with(
-                path,
+            kernels::gemm_packed_band_tile_with(
+                tile,
                 a_data,
                 k,
                 n,

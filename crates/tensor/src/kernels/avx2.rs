@@ -1,9 +1,11 @@
-//! AVX2 + FMA microkernels (`x86_64` only).
+//! AVX2 + FMA microkernels (`x86_64` only), and the AVX-512F register
+//! tile of the f32 GEMM band ([`gemm_packed_band_zmm`]).
 //!
 //! Every function here is `unsafe` with the same contract: **the caller
-//! must have verified that the CPU supports AVX2 and FMA** via
-//! `is_x86_feature_detected!` — the dispatch layer in [`super`] is the
-//! only caller and does exactly that. Slice-length invariants are
+//! must have verified that the CPU supports AVX2 and FMA** (and
+//! AVX-512F for the zmm band) via `is_x86_feature_detected!` — the
+//! dispatch layer in [`super`] is the only caller and does exactly
+//! that. Slice-length invariants are
 //! `assert!`ed at entry, so every raw load/store below is in bounds by
 //! construction.
 //!
@@ -287,6 +289,321 @@ unsafe fn gemm_band_body<E: EpiApply>(
             panels.clone(),
             epi,
         );
+    }
+}
+
+/// Rows of the 512-bit main tile: twelve accumulators, one panel pair
+/// each.
+const ZMM_ROWS: usize = 12;
+
+/// Panels of the 512-bit four-row tile: three pairs, twelve
+/// accumulators.
+const ZMM_PANELS: usize = 6;
+
+/// One row band of the packed-panel GEMM on 512-bit registers — the
+/// `zmm` tile of [`super::F32Tile`], bit-identical to
+/// [`gemm_packed_band`] and to [`super::scalar::gemm_packed_band`].
+///
+/// A zmm holds one panel *pair*: its low half is row `kk` of panel
+/// `p`, its high half row `kk` of panel `p + 1`, joined by one
+/// `vinsertf64x4` (an AVX-512F instruction; the `f32x8` insert and
+/// extract are AVX-512DQ and compile to out-of-line calls under this
+/// feature set). Twelve rows run against each pair with `A` taken
+/// through a broadcast FMA, and against an odd last panel in twelve
+/// ymm accumulators; rows left over in groups of four run against
+/// three pairs at a time; the [`gemm_packed_band`] body takes what a
+/// four-row group leaves of the strip and the last one to three rows.
+/// Each half of a finished zmm goes through
+/// the ymm epilogue and store, so every output element is still one
+/// ascending-`kk` FMA chain from `+0.0`, rounded per step exactly as
+/// the scalar `mul_add`.
+///
+/// # Safety
+/// CPU must support AVX-512F, AVX2 and FMA (verified by the dispatch
+/// layer).
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn gemm_packed_band_zmm(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    panels: Range<usize>,
+    epi: Epilogue<'_>,
+) {
+    if epi.is_noop() {
+        return zmm_band_body::<NoEpi>(a_data, k, n, b_data, c_band, row0, panels, NoEpi);
+    }
+    let rows_here = c_band.len() / n.max(1);
+    let fe = FusedEpi::from_epilogue(epi, row0 + rows_here, n);
+    zmm_band_body::<FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
+}
+
+/// The zmm band walk: which rows and panels each tile covers.
+///
+/// # Safety
+/// Expanded inside `#[target_feature(enable = "avx512f,avx2,fma")]`
+/// callers only.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn zmm_band_body<E: EpiApply>(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    panels: Range<usize>,
+    epi: E,
+) {
+    let rows_here = c_band.len() / n.max(1);
+    // Entry invariants: every raw pointer in the tiles stays inside
+    // these asserted slice bounds (the ymm calls assert their own).
+    assert!(panels.end <= n.div_ceil(PANEL));
+    assert!(a_data.len() >= (row0 + rows_here) * k);
+    assert!(b_data.len() >= panels.end * k * PANEL);
+    assert!(c_band.len() >= rows_here * n);
+
+    let pairs_end = panels.start + panels.len() / 2 * 2;
+    let mut r = 0;
+    while r + ZMM_ROWS <= rows_here {
+        for p in (panels.start..pairs_end).step_by(2) {
+            tile_12x2(a_data, k, n, b_data, c_band, row0, r, p, epi);
+        }
+        r += ZMM_ROWS;
+    }
+    if pairs_end < panels.end {
+        for r in (0..r).step_by(ZMM_ROWS) {
+            tile_12x1(a_data, k, n, b_data, c_band, row0, r, pairs_end, epi);
+        }
+    }
+    let sixes_end = panels.start + panels.len() / ZMM_PANELS * ZMM_PANELS;
+    let quads = r;
+    while r + ROW_BLOCK <= rows_here {
+        for p in (panels.start..sixes_end).step_by(ZMM_PANELS) {
+            tile_4x6(a_data, k, n, b_data, c_band, row0, r, p, epi);
+        }
+        r += ROW_BLOCK;
+    }
+    if sixes_end < panels.end && r > quads {
+        let rest = sixes_end..panels.end;
+        let c_quads = &mut c_band[quads * n..r * n];
+        gemm_band_body(a_data, k, n, b_data, c_quads, row0 + quads, rest, epi);
+    }
+    if r < rows_here {
+        gemm_band_body(
+            a_data,
+            k,
+            n,
+            b_data,
+            &mut c_band[r * n..],
+            row0 + r,
+            panels,
+            epi,
+        );
+    }
+}
+
+/// Row `kk` of panels `p` and `p + 1` as one zmm (low half panel `p`),
+/// given `pn` = panel `p`'s start and `plen` = one panel's length.
+///
+/// # Safety
+/// AVX-512F enabled in the caller; `pn .. pn + plen + (kk + 1) * PANEL`
+/// readable (both panels of the pair cover depth `kk`).
+#[inline(always)]
+unsafe fn pair_row(pn: *const f32, plen: usize, kk: usize) -> __m512 {
+    let lo = _mm512_castps256_ps512(_mm256_loadu_ps(pn.add(kk * PANEL)));
+    let hi = _mm256_castps_pd(_mm256_loadu_ps(pn.add(plen + kk * PANEL)));
+    _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castps_pd(lo), hi))
+}
+
+/// Store a finished panel-pair accumulator into columns `c0 ..` of
+/// output row `row` (absolute index `r_abs`): each half through the
+/// ymm epilogue and [`store_panel`], the high half `width1` wide.
+///
+/// # Safety
+/// AVX-512F enabled in the caller; `c0 + PANEL + width1 <= row.len()`,
+/// `width1 <= PANEL`, and the epilogue's bias bounds checked by
+/// `FusedEpi::from_epilogue`.
+#[inline(always)]
+unsafe fn store_pair<E: EpiApply>(
+    acc: __m512,
+    epi: E,
+    row: &mut [f32],
+    r_abs: usize,
+    c0: usize,
+    width1: usize,
+) {
+    let lo = _mm512_castps512_ps256(acc);
+    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(acc)));
+    store_panel(epi.apply(lo, r_abs, c0, PANEL), row, c0, PANEL);
+    let c1 = c0 + PANEL;
+    store_panel(epi.apply(hi, r_abs, c1, width1), row, c1, width1);
+}
+
+/// Band rows `r .. r + 12` against panels `p`, `p + 1`: twelve named
+/// accumulators (an indexed array of them spills on every `kk`), one
+/// joined `B` row and twelve broadcast FMAs per `kk`.
+///
+/// # Safety
+/// Expanded inside `zmm_band_body` only, whose entry asserts bound
+/// every load; caller guarantees `r + 12` rows and `p + 2` panels.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_12x2<E: EpiApply>(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    r: usize,
+    p: usize,
+    epi: E,
+) {
+    let plen = k * PANEL;
+    let pn = b_data.as_ptr().add(p * plen);
+    let a = a_data.as_ptr().add((row0 + r) * k);
+    let [mut c0, mut c1, mut c2, mut c3] = [_mm512_setzero_ps(); 4];
+    let [mut c4, mut c5, mut c6, mut c7] = [_mm512_setzero_ps(); 4];
+    let [mut c8, mut c9, mut c10, mut c11] = [_mm512_setzero_ps(); 4];
+    for kk in 0..k {
+        let bv = pair_row(pn, plen, kk);
+        c0 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(kk)), bv, c0);
+        c1 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(k + kk)), bv, c1);
+        c2 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(2 * k + kk)), bv, c2);
+        c3 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(3 * k + kk)), bv, c3);
+        c4 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(4 * k + kk)), bv, c4);
+        c5 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(5 * k + kk)), bv, c5);
+        c6 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(6 * k + kk)), bv, c6);
+        c7 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(7 * k + kk)), bv, c7);
+        c8 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(8 * k + kk)), bv, c8);
+        c9 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(9 * k + kk)), bv, c9);
+        c10 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(10 * k + kk)), bv, c10);
+        c11 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(11 * k + kk)), bv, c11);
+    }
+    let col = p * PANEL;
+    let width1 = PANEL.min(n - col - PANEL);
+    let accs = [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11];
+    for (i, acc) in accs.into_iter().enumerate() {
+        let row = &mut c_band[(r + i) * n..(r + i + 1) * n];
+        store_pair(acc, epi, row, row0 + r + i, col, width1);
+    }
+}
+
+/// Band rows `r .. r + 12` against the odd last panel `p`, on ymm:
+/// twelve named accumulators, one `B` row and twelve broadcasts per
+/// `kk` — three times the chains of the four-row ymm body, whose
+/// single-panel pass waits on FMA latency.
+///
+/// # Safety
+/// As [`tile_12x2`], for `r + 12` rows and panel `p`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_12x1<E: EpiApply>(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    r: usize,
+    p: usize,
+    epi: E,
+) {
+    let pn = b_data.as_ptr().add(p * k * PANEL);
+    let a = a_data.as_ptr().add((row0 + r) * k);
+    let [mut c0, mut c1, mut c2, mut c3] = [_mm256_setzero_ps(); 4];
+    let [mut c4, mut c5, mut c6, mut c7] = [_mm256_setzero_ps(); 4];
+    let [mut c8, mut c9, mut c10, mut c11] = [_mm256_setzero_ps(); 4];
+    for kk in 0..k {
+        let bv = _mm256_loadu_ps(pn.add(kk * PANEL));
+        c0 = madd(_mm256_set1_ps(*a.add(kk)), bv, c0);
+        c1 = madd(_mm256_set1_ps(*a.add(k + kk)), bv, c1);
+        c2 = madd(_mm256_set1_ps(*a.add(2 * k + kk)), bv, c2);
+        c3 = madd(_mm256_set1_ps(*a.add(3 * k + kk)), bv, c3);
+        c4 = madd(_mm256_set1_ps(*a.add(4 * k + kk)), bv, c4);
+        c5 = madd(_mm256_set1_ps(*a.add(5 * k + kk)), bv, c5);
+        c6 = madd(_mm256_set1_ps(*a.add(6 * k + kk)), bv, c6);
+        c7 = madd(_mm256_set1_ps(*a.add(7 * k + kk)), bv, c7);
+        c8 = madd(_mm256_set1_ps(*a.add(8 * k + kk)), bv, c8);
+        c9 = madd(_mm256_set1_ps(*a.add(9 * k + kk)), bv, c9);
+        c10 = madd(_mm256_set1_ps(*a.add(10 * k + kk)), bv, c10);
+        c11 = madd(_mm256_set1_ps(*a.add(11 * k + kk)), bv, c11);
+    }
+    let col = p * PANEL;
+    let width = PANEL.min(n - col);
+    let accs = [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11];
+    for (i, acc) in accs.into_iter().enumerate() {
+        let row = &mut c_band[(r + i) * n..(r + i + 1) * n];
+        store_panel(epi.apply(acc, row0 + r + i, col, width), row, col, width);
+    }
+}
+
+/// Band rows `r .. r + 4` against panels `p .. p + 6`: twelve named
+/// accumulators, three joined `B` rows and four broadcasts per `kk`.
+///
+/// # Safety
+/// As [`tile_12x2`], for `r + 4` rows and `p + 6` panels.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_4x6<E: EpiApply>(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    r: usize,
+    p: usize,
+    epi: E,
+) {
+    let plen = k * PANEL;
+    let (pn0, pn1, pn2) = {
+        let pn = b_data.as_ptr().add(p * plen);
+        (pn, pn.add(2 * plen), pn.add(4 * plen))
+    };
+    let a = a_data.as_ptr().add((row0 + r) * k);
+    let [mut c00, mut c01, mut c02, mut c10] = [_mm512_setzero_ps(); 4];
+    let [mut c11, mut c12, mut c20, mut c21] = [_mm512_setzero_ps(); 4];
+    let [mut c22, mut c30, mut c31, mut c32] = [_mm512_setzero_ps(); 4];
+    for kk in 0..k {
+        let b0 = pair_row(pn0, plen, kk);
+        let b1 = pair_row(pn1, plen, kk);
+        let b2 = pair_row(pn2, plen, kk);
+        let a0 = _mm512_set1_ps(*a.add(kk));
+        c00 = _mm512_fmadd_ps(a0, b0, c00);
+        c01 = _mm512_fmadd_ps(a0, b1, c01);
+        c02 = _mm512_fmadd_ps(a0, b2, c02);
+        let a1 = _mm512_set1_ps(*a.add(k + kk));
+        c10 = _mm512_fmadd_ps(a1, b0, c10);
+        c11 = _mm512_fmadd_ps(a1, b1, c11);
+        c12 = _mm512_fmadd_ps(a1, b2, c12);
+        let a2 = _mm512_set1_ps(*a.add(2 * k + kk));
+        c20 = _mm512_fmadd_ps(a2, b0, c20);
+        c21 = _mm512_fmadd_ps(a2, b1, c21);
+        c22 = _mm512_fmadd_ps(a2, b2, c22);
+        let a3 = _mm512_set1_ps(*a.add(3 * k + kk));
+        c30 = _mm512_fmadd_ps(a3, b0, c30);
+        c31 = _mm512_fmadd_ps(a3, b1, c31);
+        c32 = _mm512_fmadd_ps(a3, b2, c32);
+    }
+    let col = p * PANEL;
+    let width5 = PANEL.min(n - col - 5 * PANEL);
+    let rows = [
+        [c00, c01, c02],
+        [c10, c11, c12],
+        [c20, c21, c22],
+        [c30, c31, c32],
+    ];
+    for (i, accs) in rows.into_iter().enumerate() {
+        let row = &mut c_band[(r + i) * n..(r + i + 1) * n];
+        let r_abs = row0 + r + i;
+        store_pair(accs[0], epi, row, r_abs, col, PANEL);
+        store_pair(accs[1], epi, row, r_abs, col + 2 * PANEL, PANEL);
+        store_pair(accs[2], epi, row, r_abs, col + 4 * PANEL, width5);
     }
 }
 

@@ -10,7 +10,9 @@
 //!   correctness oracle ([`scalar`]). Runs everywhere.
 //! * [`KernelPath::Avx2`] — explicit AVX2 + FMA intrinsics
 //!   ([`avx2`], `x86_64` only), eight `f32` lanes across the GEMM
-//!   `PANEL` dimension, in the **same per-element, ascending-`kk`
+//!   `PANEL` dimension — sixteen in the f32 GEMM band where the CPU
+//!   also reports AVX-512F, one 512-bit register per panel pair (the
+//!   zmm [`F32Tile`]) — in the **same per-element, ascending-`kk`
 //!   order** as the scalar code, so results are **bit-identical** to
 //!   [`KernelPath::Scalar`].
 //!
@@ -41,9 +43,10 @@
 //! first use (see [`crate::knob`]).
 //!
 //! The resolved path is published to the observability layer as the
-//! `kernel_path` gauge (see `cap_obs::kernel_path_name`), so metric
-//! snapshots and `ProfileReport`s record which backend produced their
-//! numbers.
+//! `kernel_path` gauge (see `cap_obs::kernel_path_name`), and the f32
+//! GEMM tile it runs on as the `f32_tile` gauge
+//! (`cap_obs::f32_tile_name`), so metric snapshots and
+//! `ProfileReport`s record which backend produced their numbers.
 //!
 //! All `unsafe` in `cap-tensor` lives in this directory and in
 //! [`crate::team`]: here the [`avx2`] submodule (intrinsics) and the
@@ -203,6 +206,100 @@ impl KernelPath {
     }
 }
 
+/// Which register tile runs the f32 packed GEMM band. All three are
+/// bitwise equal (every output element is one ascending-`kk` FMA chain
+/// from `+0.0` on each); the variants exist so tests and benches can
+/// name each one, not so anything can choose — the process's
+/// [`KernelPath`] and the CPU decide ([`F32Tile::for_path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum F32Tile {
+    /// The scalar oracle ([`scalar::gemm_packed_band`]).
+    Scalar,
+    /// 4 rows × one panel pair in eight ymm accumulators
+    /// ([`avx2::gemm_packed_band`]).
+    Ymm,
+    /// 12 rows × one panel pair in twelve zmm accumulators, then 4 rows
+    /// × three pairs, with the ymm tile on what is left
+    /// ([`avx2::gemm_packed_band_zmm`]). Needs the CPU's `avx512f` on
+    /// top of what [`F32Tile::Ymm`] needs.
+    Zmm,
+}
+
+impl F32Tile {
+    /// Every tile, scalar first.
+    pub const ALL: [F32Tile; 3] = [F32Tile::Scalar, F32Tile::Ymm, F32Tile::Zmm];
+
+    /// Stable lower-case name (`scalar` / `ymm` / `zmm`) shown in
+    /// reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            F32Tile::Scalar => "scalar",
+            F32Tile::Ymm => "ymm",
+            F32Tile::Zmm => "zmm",
+        }
+    }
+
+    /// Numeric code published to the `f32_tile` metrics gauge.
+    /// Matches [`cap_obs::f32_tile_name`]; `0` is reserved for "unset".
+    pub fn code(self) -> u64 {
+        match self {
+            F32Tile::Scalar => 1,
+            F32Tile::Ymm => 2,
+            F32Tile::Zmm => 3,
+        }
+    }
+
+    /// Whether the current host can execute this tile (the CPU
+    /// features are detected once per process and cached by `std`).
+    pub fn is_available(self) -> bool {
+        match self {
+            F32Tile::Scalar => true,
+            F32Tile::Ymm => KernelPath::Avx2.is_available(),
+            #[cfg(target_arch = "x86_64")]
+            F32Tile::Zmm => KernelPath::Avx2.is_available() && is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            F32Tile::Zmm => false,
+        }
+    }
+
+    /// [`F32Tile::is_available`] for a dispatcher about to enter the
+    /// tile.
+    ///
+    /// # Panics
+    /// If the host cannot run this tile.
+    pub(crate) fn assert_available(self) {
+        assert!(
+            self.is_available(),
+            "f32 tile {} is not available on this host",
+            self.name()
+        );
+    }
+
+    /// Every tile the current host can execute, scalar first.
+    pub fn available() -> Vec<F32Tile> {
+        Self::ALL.into_iter().filter(|t| t.is_available()).collect()
+    }
+
+    /// The tile that multiplies under `path`: scalar stays scalar, and
+    /// the SIMD path takes the widest tile the CPU has.
+    pub fn for_path(path: KernelPath) -> F32Tile {
+        match path {
+            KernelPath::Scalar => F32Tile::Scalar,
+            KernelPath::Avx2 if F32Tile::Zmm.is_available() => F32Tile::Zmm,
+            KernelPath::Avx2 => F32Tile::Ymm,
+        }
+    }
+
+    /// The kernel path this tile belongs to: what the rest of a
+    /// multiply — the batch-1 GEMV — runs on.
+    pub fn path(self) -> KernelPath {
+        match self {
+            F32Tile::Scalar => KernelPath::Scalar,
+            F32Tile::Ymm | F32Tile::Zmm => KernelPath::Avx2,
+        }
+    }
+}
+
 /// Every [`KernelPath`] the current host can execute, scalar first.
 /// Parity tests iterate this list, so on a non-AVX2 host they compare
 /// scalar against scalar and still pass — zero skipped tests.
@@ -225,7 +322,9 @@ static KNOB: Knob<KernelPath> = Knob::new("CAP_TENSOR_KERNEL", |requested| {
         None if KernelPath::Avx2.is_available() => KernelPath::Avx2,
         None => KernelPath::Scalar,
     };
-    cap_obs::metrics().kernel_path.set(path.code());
+    let metrics = cap_obs::metrics();
+    metrics.kernel_path.set(path.code());
+    metrics.f32_tile.set(F32Tile::for_path(path).code());
     path
 });
 
@@ -309,7 +408,9 @@ macro_rules! scalar_mac {
 ///
 /// Accumulation is ascending-`kk` per output element on every path —
 /// the range only selects *which* elements a call computes — see
-/// [`KernelPath`] and [`Epilogue`] for the parity contract.
+/// [`KernelPath`] and [`Epilogue`] for the parity contract. The band
+/// runs on [`F32Tile::for_path`]`(path)`: the zmm tile under
+/// [`KernelPath::Avx2`] where the CPU has `avx512f`.
 ///
 /// # Panics
 /// If `panels.end > n.div_ceil(PANEL)`, or a slice is too short for
@@ -327,20 +428,47 @@ pub fn gemm_packed_band_with(
     panels: Range<usize>,
     epi: Epilogue<'_>,
 ) {
-    match path {
-        KernelPath::Scalar => {
+    let tile = F32Tile::for_path(path);
+    gemm_packed_band_tile_with(tile, a_data, k, n, b_data, c_band, row0, panels, epi);
+}
+
+/// [`gemm_packed_band_with`] on a named [`F32Tile`]; outputs are
+/// bitwise equal on every tile.
+///
+/// # Panics
+/// As [`gemm_packed_band_with`], and if the host cannot run `tile`.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_band_tile_with(
+    tile: F32Tile,
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    panels: Range<usize>,
+    epi: Epilogue<'_>,
+) {
+    tile.assert_available();
+    match tile {
+        F32Tile::Scalar => {
             scalar_mac!(gemm_packed_band(
                 a_data, k, n, b_data, c_band, row0, panels, epi
             ))
         }
+        // SAFETY (both): `assert_available` just saw the CPU report every
+        // feature the arm's `#[target_feature]` function enables
+        // (avx2 and fma; avx512f too for zmm). Slice, panel-range and
+        // bias-length bounds are asserted inside the kernels before any
+        // raw load.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only ever produced by `selected()` /
-        // `force()`, both of which verify via `is_available()` that the
-        // CPU reports the avx2 and fma features the target_feature
-        // functions require. Slice, panel-range and bias-length bounds
-        // are asserted inside the kernels before any raw load.
-        KernelPath::Avx2 => unsafe {
+        F32Tile::Ymm => unsafe {
             avx2::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi)
+        },
+        #[cfg(target_arch = "x86_64")]
+        F32Tile::Zmm => unsafe {
+            avx2::gemm_packed_band_zmm(a_data, k, n, b_data, c_band, row0, panels, epi)
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::gemm_packed_band(a_data, k, n, b_data, c_band, row0, panels, epi),

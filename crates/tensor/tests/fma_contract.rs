@@ -12,24 +12,28 @@
 //! `[1, 3, u, 3]`, so each output element's chain is: load the
 //! accumulator exactly, add an exact zero, take the deciding step, add
 //! an exact zero. Each entry is driven through its public caller on
-//! every available path, and once through the plain (non-FMA-compiled)
-//! scalar build, at widths that reach both the SIMD body and its
-//! scalar tail.
+//! every available path, the packed GEMM once more on every f32 tile
+//! the host has, and once through the plain (non-FMA-compiled) scalar
+//! build, at widths that reach both the SIMD body and its scalar tail.
 
 use cap_tensor::kernels::{self, scalar, Epilogue, PANEL};
-use cap_tensor::{gemm_packed, gemm_prealloc, CsrMatrix, Matrix, PackedB};
+use cap_tensor::{
+    gemm_packed, gemm_packed_with, gemm_prealloc, CsrMatrix, F32Tile, Matrix, PackedB,
+};
 
 const K: usize = 4;
 
 /// Output widths: under one panel (all tail), two panels plus a
 /// partial third (the AVX2 panel pair and odd panel, the 8-lane `axpy`
 /// body and its tail), and 13 panels plus 3 lanes (GEMV 4-panel groups
-/// and their remainder; the CSR row's 64-, 32- and 8-column blocks and
-/// its tail).
+/// and their remainder; the zmm tile's six-panel groups and the pair
+/// and odd panel they leave; the CSR row's 64-, 32- and 8-column
+/// blocks and its tail).
 const WIDTHS: [usize; 3] = [3, 19, 107];
 
-/// Rows: 1 is the GEMV route, 5 one 4-row block plus a trailing row.
-const ROWS: [usize; 2] = [1, 5];
+/// Rows: 1 is the GEMV route, 5 one 4-row block plus a trailing row,
+/// 17 one zmm 12-row block, one 4-row group and a trailing row.
+const ROWS: [usize; 3] = [1, 5, 17];
 
 fn u() -> f32 {
     1.0 + 2f32.powi(-12)
@@ -91,6 +95,14 @@ fn every_multiply_accumulate_entry_fuses_on_every_path() {
                 )
                 .unwrap();
                 assert_fused(&c, &what("gemm_packed"));
+
+                for tile in F32Tile::available() {
+                    let mut c = vec![f32::NAN; m * n];
+                    let b = packed.as_slice();
+                    gemm_packed_with(tile, a.as_slice(), m, K, n, b, &mut c, Epilogue::NONE)
+                        .unwrap();
+                    assert_fused(&c, &what(&format!("gemm_packed_with tile {}", tile.name())));
+                }
 
                 let mut c = Matrix::zeros(m, n);
                 gemm_prealloc(&a, &b, &mut c).unwrap();

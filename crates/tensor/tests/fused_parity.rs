@@ -14,7 +14,7 @@
 //! fused-vs-manual comparison still runs in full.
 
 use cap_tensor::kernels::{self, KernelPath};
-use cap_tensor::{CsrMatrix, EpiBias, Epilogue, Matrix, PackedB};
+use cap_tensor::{gemm_packed_with, CsrMatrix, EpiBias, Epilogue, F32Tile, Matrix, PackedB};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -128,6 +128,16 @@ fn fused_gemm_on(path: KernelPath, a: &Matrix, b: &Matrix, epi: Epilogue<'_>) ->
     })
 }
 
+/// The fused driver with its bands on a named f32 tile, into a
+/// NaN-filled output.
+fn fused_gemm_on_tile(tile: F32Tile, a: &Matrix, b: &Matrix, epi: Epilogue<'_>) -> Vec<f32> {
+    let packed = PackedB::pack(b);
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut c = vec![f32::NAN; m * n];
+    gemm_packed_with(tile, a.as_slice(), m, k, n, packed.as_slice(), &mut c, epi).unwrap();
+    c
+}
+
 #[test]
 fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
     let _g = force_lock();
@@ -142,6 +152,13 @@ fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
         (4, 9, 8),
         (5, 16, 31),
         (33, 12, 17),
+        // The f32 tiles' boundaries: zmm 12-row blocks, 4-row groups
+        // against six-panel groups, the odd panel, leftover rows.
+        (13, 5, 9),
+        (16, 0, 49),
+        (17, 37, 53),
+        (24, 1, 41),
+        (30, 37, 56),
     ] {
         let a = mat(m, k, 3);
         let b = mat(k, n, 4);
@@ -177,6 +194,22 @@ fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
                         row_bias.is_some(),
                         col_bias.is_some(),
                         path.name()
+                    ),
+                );
+            }
+            for tile in F32Tile::available() {
+                let epi = Epilogue {
+                    bias: epi_bias,
+                    relu,
+                };
+                assert_bits_eq(
+                    want.as_slice(),
+                    &fused_gemm_on_tile(tile, &a, &b, epi),
+                    &format!(
+                        "fused gemm {m}x{k}x{n} row_bias={} col_bias={} relu={relu} on tile {}",
+                        row_bias.is_some(),
+                        col_bias.is_some(),
+                        tile.name()
                     ),
                 );
             }
@@ -344,7 +377,7 @@ proptest! {
     /// epilogue, bit for bit, on arbitrary ragged shapes.
     #[test]
     fn prop_fused_gemm_bit_identical(
-        m in 1usize..12,
+        m in 1usize..32,
         k in 0usize..20,
         n in 1usize..40,
         flavor in 0usize..5,
@@ -363,6 +396,12 @@ proptest! {
         for path in kernels::available_paths() {
             let got = fused_gemm_on(path, &a, &b, Epilogue { bias: epi_bias, relu });
             for (x, y) in want.as_slice().iter().zip(got.as_slice().iter()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        for tile in F32Tile::available() {
+            let got = fused_gemm_on_tile(tile, &a, &b, Epilogue { bias: epi_bias, relu });
+            for (x, y) in want.as_slice().iter().zip(&got) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }

@@ -10,11 +10,20 @@
 //! serializes on one mutex; on hosts without AVX2, `available_paths()`
 //! is just `[Scalar]` and each comparison degenerates to scalar vs
 //! scalar — still a pass, never a skip.
+//!
+//! The f32 GEMM band has one more axis than the path: the register
+//! tile ([`F32Tile`]) — under `avx2` the zmm tile where the CPU has
+//! AVX-512F, the ymm tile where it does not. Tiles are named directly
+//! (`gemm_packed_with`, `gemm_packed_band_tile_with`), so both SIMD
+//! tiles are checked on a host that would only ever run one; a tile
+//! the host lacks is skipped with a printed note.
 
-use cap_tensor::kernels::{self, KernelPath};
-use cap_tensor::{CsrMatrix, Matrix, PackedB, Pool2dParams, Tensor4};
+use cap_tensor::kernels::{self, gemm_packed_band_tile_with, KernelPath, PANEL};
+use cap_tensor::{
+    gemm_packed_with, CsrMatrix, EpiBias, Epilogue, F32Tile, Matrix, PackedB, Pool2dParams, Tensor4,
+};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 
 /// Global serialization for tests that call `kernels::force`.
 fn force_lock() -> MutexGuard<'static, ()> {
@@ -70,6 +79,43 @@ fn gemm_prepacked_on(path: KernelPath, a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
+/// Every f32 tile this host can run, scalar first; the others are
+/// named once on stderr so a green run says what it did not cover.
+fn tiles_under_test() -> Vec<F32Tile> {
+    static NOTE: Once = Once::new();
+    NOTE.call_once(|| {
+        for tile in F32Tile::ALL {
+            if !tile.is_available() {
+                eprintln!(
+                    "note: f32 tile `{}` is not available on this host; its arms are skipped",
+                    tile.name()
+                );
+            }
+        }
+    });
+    F32Tile::available()
+}
+
+/// `a · b` through the packed driver with its bands on `tile`, into a
+/// NaN-filled output (so an element no tile writes cannot pass).
+fn gemm_packed_on_tile(tile: F32Tile, a: &Matrix, b: &Matrix) -> Vec<f32> {
+    let packed = PackedB::pack(b);
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut c = vec![f32::NAN; m * n];
+    gemm_packed_with(
+        tile,
+        a.as_slice(),
+        m,
+        k,
+        n,
+        packed.as_slice(),
+        &mut c,
+        Epilogue::NONE,
+    )
+    .unwrap();
+    c
+}
+
 fn gemm_prealloc_on(path: KernelPath, a: &Matrix, b: &Matrix) -> Matrix {
     on_path(path, || {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -112,6 +158,100 @@ fn gemm_packed_bit_identical_ragged_shapes() {
                 &format!("gemm_prepacked {m}x{k}x{n} on {}", path.name()),
             );
         }
+        for tile in tiles_under_test() {
+            assert_bits_eq(
+                reference.as_slice(),
+                &gemm_packed_on_tile(tile, &a, &b),
+                &format!("gemm_packed_with {m}x{k}x{n} on tile {}", tile.name()),
+            );
+        }
+    }
+}
+
+/// Every tile against the scalar band at every tile boundary: rows
+/// 1–30 (the zmm tile's 12-row blocks, its 4-row groups and the 1–3
+/// rows left to the ymm body; 16 and 24 cross both), panel counts 1–7
+/// with every partial last-panel width (pairs, the odd panel, the zmm
+/// six-panel groups and what they leave), `k` = 0, 1 and 37, into a
+/// NaN-filled band, under all three epilogue forms — each output
+/// element once with a full panel range and, past one panel, once with
+/// a range that starts at panel 1 (a column strip), whose first panel
+/// must stay NaN.
+#[test]
+fn every_tile_matches_scalar_at_every_tile_boundary() {
+    let tiles = tiles_under_test();
+    for k in [0, 1, 37] {
+        for rows in 1..=30 {
+            // Two rows above the band: `row0` indexes `A` and a per-row bias.
+            let row0 = 2;
+            let a = mat(row0 + rows, k, 7);
+            let row_bias: Vec<f32> = (0..row0 + rows).map(|r| r as f32 / 3.0 - 4.0).collect();
+            for n in 1..=7 * PANEL {
+                let b = PackedB::pack(&mat(k, n, 8));
+                let col_bias: Vec<f32> = (0..n).map(|j| 1.5 - j as f32 / 5.0).collect();
+                let epi = match (rows + n) % 3 {
+                    0 => Epilogue::NONE,
+                    1 => Epilogue {
+                        bias: Some(EpiBias::PerRow(&row_bias)),
+                        relu: true,
+                    },
+                    _ => Epilogue {
+                        bias: Some(EpiBias::PerCol(&col_bias)),
+                        relu: false,
+                    },
+                };
+                let panels = n.div_ceil(PANEL);
+                let starts: &[usize] = if panels > 1 { &[0, 1] } else { &[0] };
+                for &start in starts {
+                    let band = |tile| {
+                        let mut c = vec![f32::NAN; rows * n];
+                        gemm_packed_band_tile_with(
+                            tile,
+                            a.as_slice(),
+                            k,
+                            n,
+                            b.as_slice(),
+                            &mut c,
+                            row0,
+                            start..panels,
+                            epi,
+                        );
+                        c
+                    };
+                    let reference = band(F32Tile::Scalar);
+                    let written = |i: usize| i % n >= start * PANEL;
+                    for (i, v) in reference.iter().enumerate() {
+                        assert_eq!(v.is_nan(), !written(i), "scalar {rows}x{k}x{n} element {i}");
+                    }
+                    for &tile in &tiles {
+                        assert_bits_eq(
+                            &reference,
+                            &band(tile),
+                            &format!(
+                                "band {rows}x{k}x{n} panels {start}..{panels} epi {} on tile {}",
+                                (rows + n) % 3,
+                                tile.name()
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tiles_resolve_from_the_path_and_the_cpu() {
+    assert_eq!(F32Tile::available()[0], F32Tile::Scalar);
+    assert_eq!(F32Tile::for_path(KernelPath::Scalar), F32Tile::Scalar);
+    for tile in F32Tile::ALL {
+        assert_eq!(cap_obs::f32_tile_name(tile.code()), tile.name());
+        assert_eq!(F32Tile::for_path(tile.path()).path(), tile.path());
+    }
+    if KernelPath::Avx2.is_available() {
+        // The widest tile the host has.
+        let widest = *F32Tile::available().last().unwrap();
+        assert_eq!(F32Tile::for_path(KernelPath::Avx2), widest);
     }
 }
 
@@ -405,9 +545,9 @@ proptest! {
     /// arbitrary ragged shapes, k = 0 included.
     #[test]
     fn prop_gemm_packed_bit_identical(
-        m in 1usize..20,
+        m in 1usize..40,
         k in 0usize..24,
-        n in 1usize..40,
+        n in 1usize..60,
         seed in 0u64..500,
     ) {
         let _g = force_lock();
@@ -417,6 +557,12 @@ proptest! {
         for path in kernels::available_paths() {
             let got = gemm_prepacked_on(path, &a, &b);
             for (x, y) in reference.as_slice().iter().zip(got.as_slice().iter()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        for tile in tiles_under_test() {
+            let got = gemm_packed_on_tile(tile, &a, &b);
+            for (x, y) in reference.as_slice().iter().zip(&got) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
