@@ -5,9 +5,7 @@
 //! kernels against each other on Caffenet's shapes
 //! (`gemm_i8_kernels`).
 
-use cap_tensor::kernels::int8::{
-    gemm_i8_packed_band_with, gemv_i8_packed_with, Int8Kernel, ROW_BAND,
-};
+use cap_tensor::kernels::int8::{gemm_i8_packed_band_with, gemv_i8_packed_with, Int8Kernel};
 use cap_tensor::kernels::{self, Epilogue, KernelPath};
 use cap_tensor::{
     gemm_i8, gemm_prepacked, quantize_rows_into, symmetric_scale, Matrix, PackedB, PackedBI8,
@@ -87,9 +85,9 @@ fn bench_quantize_paths(c: &mut Criterion) {
 /// integer kernel this host can run, over the multiplies of a Caffenet
 /// batch-8 pass: the five conv shapes (one group, one image) and the
 /// three fc layers. A kernel the host lacks is named and skipped. Ends
-/// with one `gemm_i8_kernels:` line — the vnni/avx2 speed ratio, min
-/// and max over the shapes, each side from its fastest call — for the
-/// CI job summary.
+/// with one `gemm_i8_kernels:` line — the vnni/avx2 and amx/vnni speed
+/// ratios, min and max over the shapes, each side from its fastest
+/// call — for the CI job summary.
 fn bench_i8_kernels(c: &mut Criterion) {
     const SHAPES: [(&str, usize, usize, usize); 8] = [
         ("conv1", 96, 363, 3025),
@@ -109,8 +107,12 @@ fn bench_i8_kernels(c: &mut Criterion) {
         );
     }
     let mut group = c.benchmark_group("gemm_i8_kernels");
-    // (vnni/avx2 ratio, shape) where both ran.
-    let mut ratios: Vec<(f64, &str)> = Vec::new();
+    // (speed ratio, shape) per pair of kernels, where both ran.
+    let pairs = [
+        (Int8Kernel::Vnni, Int8Kernel::Avx2),
+        (Int8Kernel::Amx, Int8Kernel::Vnni),
+    ];
+    let mut ratios: [Vec<(f64, &str)>; 2] = Default::default();
     for (name, m, k, n) in SHAPES {
         let a = mat(m, k, 1);
         let b = mat(k, n, 2);
@@ -125,12 +127,9 @@ fn bench_i8_kernels(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(name, kernel.name()), |bch| {
                 bch.iter(|| {
                     let t0 = Instant::now();
-                    // `gemm_i8`'s own walk, with the kernel named.
-                    for (bi, band) in out.chunks_mut(ROW_BAND * n).enumerate() {
-                        let row0 = bi * ROW_BAND;
-                        let (pbd, epi) = (pb.data(), Epilogue::NONE);
-                        gemm_i8_packed_band_with(kernel, &qa, kp, n, pbd, band, row0, 1.0, epi);
-                    }
+                    // `gemm_i8`'s own call, with the kernel named.
+                    let (pbd, epi) = (pb.data(), Epilogue::NONE);
+                    gemm_i8_packed_band_with(kernel, &qa, kp, n, pbd, &mut out, 0, 1.0, epi);
                     best = best.min(t0.elapsed());
                 })
             });
@@ -142,8 +141,10 @@ fn bench_i8_kernels(c: &mut Criterion) {
                 .find(|(k, t)| *k == kernel && *t < Duration::MAX);
             ran.map(|(_, t)| t.as_secs_f64())
         };
-        if let (Some(avx2), Some(vnni)) = (secs(Int8Kernel::Avx2), secs(Int8Kernel::Vnni)) {
-            ratios.push((avx2 / vnni, name));
+        for ((fast, slow), ratios) in pairs.iter().zip(&mut ratios) {
+            if let (Some(fast), Some(slow)) = (secs(*fast), secs(*slow)) {
+                ratios.push((slow / fast, name));
+            }
         }
     }
     // The batch-1 route of the same kernels: fc7 as a matvec.
@@ -160,18 +161,26 @@ fn bench_i8_kernels(c: &mut Criterion) {
         });
     }
     group.finish();
-    ratios.sort_by(|x, y| x.0.total_cmp(&y.0));
-    match (ratios.first(), ratios.last()) {
-        (Some(lo), Some(hi)) => println!(
-            "gemm_i8_kernels: vnni/avx2 min {:.2}x ({}) max {:.2}x ({}) over {} shapes",
-            lo.0,
-            lo.1,
-            hi.0,
-            hi.1,
-            ratios.len()
-        ),
-        _ => println!("gemm_i8_kernels: vnni/avx2 not measured on this host"),
-    }
+    let summary: Vec<String> = pairs
+        .iter()
+        .zip(&mut ratios)
+        .map(|((fast, slow), ratios)| {
+            let pair = format!("{}/{}", fast.name(), slow.name());
+            ratios.sort_by(|x, y| x.0.total_cmp(&y.0));
+            match (ratios.first(), ratios.last()) {
+                (Some(lo), Some(hi)) => format!(
+                    "{pair} min {:.2}x ({}) max {:.2}x ({}) over {} shapes",
+                    lo.0,
+                    lo.1,
+                    hi.0,
+                    hi.1,
+                    ratios.len()
+                ),
+                _ => format!("{pair} not measured on this host"),
+            }
+        })
+        .collect();
+    println!("gemm_i8_kernels: {}", summary.join("; "));
 }
 
 criterion_group! {

@@ -359,7 +359,7 @@ instruments! {
     /// above can differ severalfold here. An environment descriptor
     /// that [`MetricsRegistry::reset`] keeps.
     int8_kernel: Gauge,
-        Environment(int8_kernel_name: "unset", "scalar", "avx2", "vnni"),
+        Environment(int8_kernel_name: "unset", "scalar", "avx2", "vnni", "amx"),
         "Integer multiply kernel behind the int8 GEMM (code).";
     /// Which register tile `cap-tensor` runs the f32 packed GEMM band
     /// on, as a code decoded by [`f32_tile_name`] (0 until the kernel
@@ -710,6 +710,7 @@ mod tests {
         assert_eq!(int8_kernel_name(1), "scalar");
         assert_eq!(int8_kernel_name(2), "avx2");
         assert_eq!(int8_kernel_name(3), "vnni");
+        assert_eq!(int8_kernel_name(4), "amx");
         assert_eq!(int8_kernel_name(99), "unknown");
     }
 

@@ -72,8 +72,9 @@ pub struct ProfileReport {
     /// Numeric precision name captured from the `precision_path`
     /// metrics gauge at build time (`"unset"` when no weighted layer
     /// has resolved the precision knob yet); for int8, followed by the
-    /// integer kernel from the `int8_kernel` gauge — `int8 (vnni)` —
-    /// since that, not the precision, sets the speed of an int8 row.
+    /// integer kernel from the `int8_kernel` gauge — `int8 (amx)`,
+    /// `int8 (vnni)` — since that, not the precision, sets the speed of
+    /// an int8 row.
     precision: String,
 }
 
@@ -417,6 +418,12 @@ mod tests {
         assert!(!r.layers()[1].quantized);
         assert!(json.contains("\"quantized\":true"), "{json}");
         assert!(json.contains("\"quantized\":false"), "{json}");
+
+        // The tile kernel reads by its own name.
+        crate::metrics().int8_kernel.set(4);
+        let r = ProfileReport::from_spans("a", &[span("conv1", "conv", 10)]);
+        assert_eq!(r.precision(), "int8 (amx)");
+        assert!(r.to_json().contains("\"precision\":\"int8 (amx)\""));
 
         // Back to f32: nothing is flagged, and the integer kernel —
         // still resolved — is not part of the label.

@@ -24,9 +24,9 @@
 //!   quad from four row-major rows; it is the only writer's primitive,
 //!   so every packer in [`crate::quant`] and [`mod@crate::im2col`] agrees.
 //!
-//! # Three multiply kernels, one result
+//! # Four multiply kernels, one result
 //!
-//! Which integer kernel multiplies is a property of the CPU
+//! Which integer kernel multiplies is a property of the CPU and the OS
 //! ([`Int8Kernel`], resolved by [`selected`] from the process's
 //! [`KernelPath`] and feature detection — there is no knob for it):
 //!
@@ -45,6 +45,28 @@
 //!   `vpxor 0x80` (`b + 128` as u8, shared by every row of the tile)
 //!   and the surplus `128 · Σₖ a[r][k]` is subtracted per row before
 //!   the store.
+//! * **amx** — `tdpbssd` on the AMX tile unit: signed × signed bytes,
+//!   sixteen rows × eight columns of i32 sums per `C` tile, 64 depth
+//!   bytes per instruction. A block of up to 32 rows × two panels holds
+//!   four `C` tiles, two `A` tiles of 16 rows × 64 depth bytes and two
+//!   `B` tiles — each sixteen depth quads of one panel, 512 contiguous
+//!   bytes of the layout above (`colsb` 32, row stride 32): all eight
+//!   tiles. `A` is copied into tile order per 64 rows (aligned, zero
+//!   past the rows and the depth), so row tails — the fc layers' eight
+//!   rows, a team's row parts — compute on zero rows that are never
+//!   stored, and a depth that is not a multiple of 64 (conv1's 364,
+//!   conv2's 1200) ends in one more step on zero-padded copies of the
+//!   panels' tails. The stored tiles go through the same dequantize
+//!   store as the other kernels. Picked where the CPU reports AMX-TILE
+//!   and AMX-INT8 (CPUID leaf 7 EDX bits 24–25), XCR0 enables tile
+//!   state (bits 17–18), a VNNI encoding exists, and Linux grants the
+//!   process tile data — `arch_prctl(ARCH_REQ_XCOMP_PERM,
+//!   XFEATURE_XTILEDATA)`, asked once per process; the grant covers
+//!   this process only. Anywhere else the pick falls back to `vnni`
+//!   without running a tile instruction. Each band call configures the
+//!   tiles on entry and releases them on exit, so no thread holds tile
+//!   state between calls. The GEMV (`m = 1`) runs the `vnni` body: one
+//!   row fills a sixteenth of a tile.
 //!
 //! Int8×int8→i32 accumulation is **exact**: every product is at most
 //! `2¹⁴` in magnitude and at most [`MAX_K_I8`] of them are summed, so
@@ -53,13 +75,15 @@
 //! saturates only on two `-32768` inputs, unreachable from i8). The
 //! biased `vpdpbusd` sums can exceed i32, but the instruction wraps,
 //! the subtraction wraps, and arithmetic mod 2³² lands on the true sum
-//! because that sum fits. Exact integer addition is associative, so
-//! all three kernels produce the *same* i32 totals regardless of
-//! blocking. The dequantize store then performs an identical float
-//! sequence everywhere — `i32 as f32` (one round-to-nearest-even,
-//! exactly what `_mm256_cvtepi32_ps` performs), one `* scale`, one
-//! `+ bias`, compare-and-mask ReLU, never an FMA — so the int8 kernels
-//! are **bitwise identical**, under every [`KernelPath`]. The f32 FMA
+//! because that sum fits. Every partial sum of the tile walk adds at
+//! most [`MAX_K_I8`] of the same products (the zero pads add zero), so
+//! it fits as well. Exact integer addition is associative, so all four
+//! kernels produce the *same* i32 totals regardless of blocking. The
+//! dequantize store then performs an identical float sequence
+//! everywhere — `i32 as f32` (one round-to-nearest-even, exactly what
+//! `_mm256_cvtepi32_ps` performs), one `* scale`, one `+ bias`,
+//! compare-and-mask ReLU, never an FMA — so the int8 kernels are
+//! **bitwise identical**, under every [`KernelPath`]. The f32 FMA
 //! contract of [`super`] covers multiply-accumulate chains; this store
 //! is not one (one product, one bias add), so it keeps both roundings.
 //!
@@ -88,9 +112,10 @@ pub fn padded_depth(k: usize) -> usize {
 /// (Caffenet fc6 has `k = 9216`).
 pub const MAX_K_I8: usize = (1 << 17) - QUAD;
 
-/// Rows of `A` the SIMD band kernels hold against one group of `B`
-/// panels — eight six-row register tiles — and the band height
-/// [`crate::gemm_i8`] cuts its output into.
+/// Rows of `A` the `vpmaddwd` and `vpdpbusd` band kernels hold against
+/// one group of `B` panels — eight six-row register tiles. A band call
+/// of any height runs as sub-bands of this many rows (the tile kernel
+/// takes 64 at a time).
 pub const ROW_BAND: usize = 48;
 
 /// Quantize one value: `clamp(round(v * inv_scale), -127, 127)`.
@@ -103,7 +128,7 @@ pub fn quantize_i8(v: f32, inv_scale: f32) -> i8 {
 }
 
 /// Which integer multiply kernel runs the int8 GEMM band and GEMV.
-/// All three are bitwise equal (module docs); the variants exist so
+/// All four are bitwise equal (module docs); the variants exist so
 /// tests and benches can name each one, not so anything can choose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Int8Kernel {
@@ -113,11 +138,16 @@ pub enum Int8Kernel {
     Avx2,
     /// `vpdpbusd` (`avxvnni`, or `avx512vnni` + `avx512vl`).
     Vnni,
+    /// `tdpbssd` on the AMX tile unit, where the CPU reports AMX-TILE
+    /// and AMX-INT8, the OS enables tile state in XCR0 and grants this
+    /// process the tile data; needs [`Int8Kernel::Vnni`] too, whose
+    /// body runs its GEMV.
+    Amx,
 }
 
 /// An [`Int8Kernel`] the host was seen to support, down to the
 /// instruction encoding — what the dispatchers match on.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
     Scalar,
     #[cfg(target_arch = "x86_64")]
@@ -126,19 +156,62 @@ enum Isa {
     VnniVex,
     #[cfg(target_arch = "x86_64")]
     VnniEvex,
+    #[cfg(target_arch = "x86_64")]
+    Amx,
+}
+
+/// The resolution table of the tile kernel: [`Isa::Amx`] when the CPU
+/// reports AMX-TILE and AMX-INT8 (`cpu_reports_amx`), XCR0 enables the
+/// tile configuration and tile data state (`xcr0_enables_tiles`), the
+/// host has a VNNI encoding (`vnni`, which the tile kernel's GEMV runs
+/// on) and the OS grants the tile data (`os_grants`, asked only when
+/// everything else holds); otherwise `vnni` — the kernel a SIMD path
+/// ran before the tile unit existed. Pure but for `os_grants`, so every
+/// row is testable on any host.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code, unused_variables))]
+fn resolve_amx(
+    cpu_reports_amx: bool,
+    xcr0_enables_tiles: bool,
+    os_grants: impl FnOnce() -> bool,
+    vnni: Option<Isa>,
+) -> Option<Isa> {
+    #[cfg(target_arch = "x86_64")]
+    if cpu_reports_amx && xcr0_enables_tiles && vnni.is_some() && os_grants() {
+        return Some(Isa::Amx);
+    }
+    vnni
+}
+
+/// Whether this process may run the tile kernel: [`resolve_amx`] on
+/// what the CPU and the OS report, asking the OS at most once per
+/// process (the grant is process-wide and cannot be taken back).
+#[cfg(target_arch = "x86_64")]
+fn amx_granted() -> bool {
+    static PICK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *PICK.get_or_init(|| {
+        let vnni = Int8Kernel::Vnni.isa();
+        let (cpu, xcr0) = (x86::amx::cpu_reports_amx(), x86::amx::xcr0_enables_tiles());
+        resolve_amx(cpu, xcr0, x86::amx::request_tile_data, vnni) == Some(Isa::Amx)
+    })
 }
 
 impl Int8Kernel {
     /// Every kernel, scalar first.
-    pub const ALL: [Int8Kernel; 3] = [Int8Kernel::Scalar, Int8Kernel::Avx2, Int8Kernel::Vnni];
+    pub const ALL: [Int8Kernel; 4] = [
+        Int8Kernel::Scalar,
+        Int8Kernel::Avx2,
+        Int8Kernel::Vnni,
+        Int8Kernel::Amx,
+    ];
 
-    /// Stable lower-case name (`scalar` / `avx2` / `vnni`) shown in
-    /// reports.
+    /// Stable lower-case name (`scalar` / `avx2` / `vnni` / `amx`)
+    /// shown in reports.
     pub fn name(self) -> &'static str {
         match self {
             Int8Kernel::Scalar => "scalar",
             Int8Kernel::Avx2 => "avx2",
             Int8Kernel::Vnni => "vnni",
+            Int8Kernel::Amx => "amx",
         }
     }
 
@@ -150,13 +223,19 @@ impl Int8Kernel {
             Int8Kernel::Scalar => 1,
             Int8Kernel::Avx2 => 2,
             Int8Kernel::Vnni => 3,
+            Int8Kernel::Amx => 4,
         }
     }
 
     /// Detect the CPU features this kernel's `#[target_feature]`
     /// functions are compiled with (cached by `std`; a relaxed load
-    /// per feature).
+    /// per feature) — for the tile kernel, the cached
+    /// [`resolve_amx`] pick.
     fn isa(self) -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if self == Int8Kernel::Amx {
+            return amx_granted().then_some(Isa::Amx);
+        }
         #[cfg(target_arch = "x86_64")]
         if self != Int8Kernel::Scalar && is_x86_feature_detected!("avx2") {
             if self == Int8Kernel::Avx2 {
@@ -192,11 +271,12 @@ impl Int8Kernel {
     }
 
     /// The kernel that multiplies under `path`: scalar stays scalar,
-    /// and either SIMD path takes the fastest integer kernel the CPU
-    /// has.
+    /// and the SIMD path takes the fastest integer kernel the host has
+    /// — the tile unit, else `vpdpbusd`, else `vpmaddwd`.
     pub fn for_path(path: KernelPath) -> Int8Kernel {
         match path {
             KernelPath::Scalar => Int8Kernel::Scalar,
+            KernelPath::Avx2 if Int8Kernel::Amx.is_available() => Int8Kernel::Amx,
             KernelPath::Avx2 if Int8Kernel::Vnni.is_available() => Int8Kernel::Vnni,
             KernelPath::Avx2 => Int8Kernel::Avx2,
         }
@@ -301,10 +381,14 @@ pub fn gemm_i8_packed_band_with(
 ) {
     match kernel.checked_isa() {
         Isa::Scalar => scalar::gemm_i8_packed_band(a_data, kp, n, b_data, c_band, row0, scale, epi),
-        // SAFETY (all three): `checked_isa` just saw the CPU report
-        // every feature the arm's `#[target_feature]` function enables;
+        // SAFETY (all four): `checked_isa` just saw the CPU report
+        // every feature the arm's `#[target_feature]` function enables
+        // — for the tile kernel, AMX-TILE and AMX-INT8 with tile state
+        // enabled in XCR0 and granted to this process, and avx2 —;
         // slice, depth and bias bounds are asserted inside the kernel
         // before any raw load.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Amx => unsafe { x86::amx::band(a_data, kp, n, b_data, c_band, row0, scale, epi) },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { x86::band_madd(a_data, kp, n, b_data, c_band, row0, scale, epi) },
         #[cfg(target_arch = "x86_64")]
@@ -325,6 +409,8 @@ pub fn gemm_i8_packed_band_with(
 /// standalone matvec). The batch-1 shape of
 /// [`gemm_i8_packed_band_with`] — the same tile at one row × four
 /// panels — bit-identical to a 1-row band on every kernel; same panics.
+/// [`Int8Kernel::Amx`] runs the VNNI body here: one row would fill one
+/// sixteenth of a tile.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn gemv_i8_packed_with(
@@ -337,7 +423,12 @@ pub fn gemv_i8_packed_with(
     scale: f32,
     epi: Epilogue<'_>,
 ) {
-    match kernel.checked_isa() {
+    let isa = match kernel.checked_isa() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Amx => Int8Kernel::Vnni.checked_isa(),
+        isa => isa,
+    };
+    match isa {
         Isa::Scalar => scalar::gemv_i8_packed(a_row, n, b_data, c_row, row_abs, scale, epi),
         // SAFETY (all three): as in `gemm_i8_packed_band_with`.
         #[cfg(target_arch = "x86_64")]
@@ -348,6 +439,8 @@ pub fn gemv_i8_packed_with(
         Isa::VnniEvex => unsafe {
             x86::gemv_vnni_evex(a_row, n, b_data, c_row, row_abs, scale, epi)
         },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Amx => unreachable!("the tile kernel's GEMV resolved to VNNI above"),
     }
 }
 
@@ -1077,6 +1170,388 @@ mod x86 {
             rows_by_panels::<K, P>(a.add(r * out.kp), r, sub, b_data, out);
         }
     }
+
+    /// The AMX tile kernel: `tdpbssd`, sixteen rows × eight columns of
+    /// exact i32 sums per tile, each over 64 depth bytes per
+    /// instruction. Tile `tmm(2i + j)` holds the sums of row half `i`
+    /// and panel `j` of a block of at most 32 rows × two panels — four
+    /// `C` tiles, two `A` tiles (`tmm4`/`tmm5`) and two `B` tiles
+    /// (`tmm6`/`tmm7`): all eight. One `B` tile is sixteen depth quads
+    /// of one panel, 512 contiguous bytes of the quad layout, loaded
+    /// with a row stride of 32 straight from the caller's slice. `A` is
+    /// first copied, 64 rows at a time, into a per-thread scratch in
+    /// tile order (16 rows × 64 depth bytes per 1 KiB, aligned), zero
+    /// past the last row and the depth: row tails then compute on zero
+    /// rows that are never stored, and the depth past the last whole 64
+    /// bytes runs as one more step whose `B` tiles are zero-padded
+    /// copies of the panels' tails (zero products add nothing). Stored
+    /// `C` tiles go through the shared dequantize store. The code is
+    /// `asm!`: the tile instructions have no stable intrinsics.
+    pub mod amx {
+        use super::{Epilogue, Out, PANEL, QUAD};
+        use std::arch::asm;
+        use std::arch::x86_64::*;
+        use std::cell::RefCell;
+
+        /// Depth bytes of one `A` tile row: the depth one `tdpbssd`
+        /// covers.
+        const DEPTH: usize = 64;
+        /// Rows of a full tile (`A` and `C`), and depth quads of a `B`
+        /// tile.
+        const TILE_ROWS: usize = 16;
+        /// Bytes of one `B` (and `C`) tile row: one quad row of a panel,
+        /// eight columns × four depth bytes (eight i32 sums in `C`).
+        const B_ROW: usize = QUAD * PANEL;
+        /// Bytes of one `B` tile: `DEPTH` depth bytes of one panel.
+        const B_TILE: usize = DEPTH * PANEL;
+        /// Rows of `A` copied to tile order at a time: two blocks of two
+        /// row halves, so every panel pair is read once per 64 rows.
+        const SUB_BAND: usize = 4 * TILE_ROWS;
+        /// Bytes of one `A` tile.
+        const A_TILE: usize = TILE_ROWS * DEPTH;
+
+        /// CPUID leaf 7 reports AMX-TILE (EDX bit 24) and AMX-INT8
+        /// (EDX bit 25).
+        pub fn cpu_reports_amx() -> bool {
+            // Leaf 7 is read only where leaf 0 says it exists.
+            __cpuid(0).eax >= 7 && (__cpuid_count(7, 0).edx >> 24) & 0b11 == 0b11
+        }
+
+        /// XCR0 enables the tile configuration (bit 17) and tile data
+        /// (bit 18) state: the OS saves and restores the tiles.
+        pub fn xcr0_enables_tiles() -> bool {
+            if (__cpuid(1).ecx >> 27) & 1 == 0 {
+                return false;
+            }
+            let xcr0: u32;
+            // SAFETY: XGETBV faults only where CPUID leaf 1 does not
+            // report OSXSAVE (ECX bit 27), checked above; it reads XCR0
+            // into edx:eax and touches nothing else.
+            unsafe {
+                asm!(
+                    "xgetbv",
+                    in("ecx") 0u32,
+                    out("eax") xcr0,
+                    out("edx") _,
+                    options(nomem, nostack, preserves_flags)
+                );
+            }
+            (xcr0 >> 17) & 0b11 == 0b11
+        }
+
+        /// Ask Linux for this process's permission to use tile data:
+        /// `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`, true
+        /// when it returns 0. Until it is granted, the first tile
+        /// instruction faults. The permission covers this process only
+        /// and changes nothing outside it.
+        #[cfg(target_os = "linux")]
+        pub fn request_tile_data() -> bool {
+            const SYS_ARCH_PRCTL: usize = 158;
+            const ARCH_REQ_XCOMP_PERM: usize = 0x1023;
+            const XFEATURE_XTILEDATA: usize = 18;
+            let ret: isize;
+            // SAFETY: a raw Linux x86_64 system call with the kernel's
+            // ABI: number in rax, arguments in rdi/rsi, result in rax,
+            // rcx and r11 clobbered. `arch_prctl` with these arguments
+            // reads and writes no user memory.
+            unsafe {
+                asm!(
+                    "syscall",
+                    inlateout("rax") SYS_ARCH_PRCTL => ret,
+                    in("rdi") ARCH_REQ_XCOMP_PERM,
+                    in("rsi") XFEATURE_XTILEDATA,
+                    lateout("rcx") _,
+                    lateout("r11") _,
+                    options(nostack, preserves_flags)
+                );
+            }
+            ret == 0
+        }
+
+        /// Other systems have their own way to grant tile data; until
+        /// this crate asks them, the tile kernel stays off there.
+        #[cfg(not(target_os = "linux"))]
+        pub fn request_tile_data() -> bool {
+            false
+        }
+
+        /// The palette-1 tile configuration: sixteen rows in every
+        /// tile; `C` tiles `tmm0–3` and `B` tiles `tmm6–7` [`B_ROW`]
+        /// bytes wide, `A` tiles `tmm4–5` [`DEPTH`].
+        #[repr(C, align(64))]
+        struct Config([u8; 64]);
+
+        impl Config {
+            fn new() -> Config {
+                let mut bytes = [0u8; 64];
+                bytes[0] = 1;
+                for tile in 0..8 {
+                    let colsb = if tile == 4 || tile == 5 { DEPTH } else { B_ROW } as u16;
+                    bytes[16 + 2 * tile..18 + 2 * tile].copy_from_slice(&colsb.to_le_bytes());
+                    bytes[48 + tile] = TILE_ROWS as u8;
+                }
+                Config(bytes)
+            }
+        }
+
+        /// The tile unit, configured: `ldtilecfg` on creation,
+        /// `tilerelease` on drop, so no thread keeps tile state past
+        /// the band call that loaded it — not even one that panics.
+        struct Tiles;
+
+        impl Tiles {
+            /// # Safety
+            /// The host must run AMX-TILE with tile data granted.
+            #[inline(always)]
+            unsafe fn configure() -> Tiles {
+                let config = Config::new();
+                asm!(
+                    "ldtilecfg [{}]",
+                    in(reg) config.0.as_ptr(),
+                    options(nostack, readonly, preserves_flags)
+                );
+                Tiles
+            }
+        }
+
+        impl Drop for Tiles {
+            #[inline(always)]
+            fn drop(&mut self) {
+                // SAFETY: a `Tiles` exists only after `configure`
+                // ran, so the host has AMX-TILE.
+                unsafe { asm!("tilerelease", options(nomem, nostack, preserves_flags)) }
+            }
+        }
+
+        /// One cache line: the unit the `A` copy is laid out and
+        /// aligned in.
+        #[derive(Clone, Copy)]
+        #[repr(C, align(64))]
+        struct Line([i8; DEPTH]);
+
+        thread_local! {
+            /// Per-thread copy of the current sub-band of `A` in tile
+            /// order: tile (`half`, `s`) — rows `16·half ..` and depth
+            /// bytes `64·s ..` — is the 1 KiB at line `(half · steps +
+            /// s) · 16`, zero past the last row and the depth. A tile
+            /// load from it reads sixteen whole, aligned lines; one
+            /// straight from the caller's rows would split a line per
+            /// row wherever the slice is not 64-byte aligned, which
+            /// costs the tile unit about five times the load time.
+            static A_TILES: RefCell<Vec<Line>> = const { RefCell::new(Vec::new()) };
+        }
+
+        /// Zero-padded copies of one panel pair's depth past the last
+        /// whole [`DEPTH`]: the `B` tiles of a sub-band's last step.
+        #[repr(C, align(64))]
+        struct Tails([[i8; B_TILE]; 2]);
+
+        /// The stored `C` tiles of one block: tile `2i + j`, row, column.
+        #[repr(C, align(64))]
+        struct Sums([[[i32; PANEL]; TILE_ROWS]; 4]);
+
+        /// Copy rows `0 .. rows` of the row-major `a` (row stride `kp`)
+        /// into `tiles` in tile order over `steps` depth steps.
+        fn copy_a(a: &[i8], rows: usize, kp: usize, steps: usize, tiles: &mut Vec<Line>) {
+            let halves = rows.div_ceil(TILE_ROWS);
+            tiles.clear();
+            tiles.resize(halves * steps * TILE_ROWS, Line([0; DEPTH]));
+            if kp == 0 {
+                // No depth, no tiles: every sum stays zero.
+                return;
+            }
+            for (i, row) in a.chunks_exact(kp).take(rows).enumerate() {
+                let (half, at) = (i / TILE_ROWS, i % TILE_ROWS);
+                let lines = tiles[half * steps * TILE_ROWS + at..].iter_mut();
+                for (chunk, line) in row.chunks(DEPTH).zip(lines.step_by(TILE_ROWS)) {
+                    line.0[..chunk.len()].copy_from_slice(chunk);
+                }
+            }
+        }
+
+        /// One depth step of an `R × P` block (`R` row halves, `P`
+        /// panels): `A` tiles at `a` and `a + half` (sixteen lines
+        /// each), `B` tiles at `b`. Each `A` and `B` tile is loaded
+        /// just before its first product.
+        ///
+        /// # Safety
+        /// Tiles configured; the 1 KiB at `a` (and `a + half` when
+        /// `R == 2`) and the 512 bytes at each used `b[j]` readable.
+        #[inline(always)]
+        unsafe fn step<const R: usize, const P: usize>(
+            a: *const i8,
+            half: usize,
+            b: [*const i8; 2],
+        ) {
+            asm!(
+                "tileloadd tmm4, [{a} + {sa}*1]",
+                "tileloadd tmm6, [{b} + {sb}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                a = in(reg) a,
+                sa = in(reg) DEPTH,
+                b = in(reg) b[0],
+                sb = in(reg) B_ROW,
+                options(nostack, readonly, preserves_flags)
+            );
+            if P == 2 {
+                asm!(
+                    "tileloadd tmm7, [{b} + {sb}*1]",
+                    "tdpbssd tmm1, tmm4, tmm7",
+                    b = in(reg) b[1],
+                    sb = in(reg) B_ROW,
+                    options(nostack, readonly, preserves_flags)
+                );
+            }
+            if R == 2 {
+                asm!(
+                    "tileloadd tmm5, [{a} + {sa}*1]",
+                    "tdpbssd tmm2, tmm5, tmm6",
+                    a = in(reg) a.add(half),
+                    sa = in(reg) DEPTH,
+                    options(nostack, readonly, preserves_flags)
+                );
+                if P == 2 {
+                    asm!(
+                        "tdpbssd tmm3, tmm5, tmm7",
+                        options(nomem, nostack, preserves_flags)
+                    );
+                }
+            }
+        }
+
+        /// The `R × P` block of sums over the whole depth, stored into
+        /// `sums` (all four `C` tiles; those past the block stay zero):
+        /// `A` tiles from `a` on (tile order, the second half `half`
+        /// bytes on), the panels' whole steps from `b`, and the last
+        /// step's `B` tiles from `tails` when the depth has a tail.
+        ///
+        /// # Safety
+        /// Tiles configured; `a` holds `R` halves of `kp.div_ceil(64)`
+        /// tiles, each `b[j]` a panel of depth `kp`.
+        #[inline(always)]
+        unsafe fn block<const R: usize, const P: usize>(
+            a: *const i8,
+            half: usize,
+            kp: usize,
+            b: [*const i8; 2],
+            tails: Option<&Tails>,
+            sums: &mut Sums,
+        ) {
+            asm!(
+                "tilezero tmm0",
+                "tilezero tmm1",
+                "tilezero tmm2",
+                "tilezero tmm3",
+                options(nomem, nostack, preserves_flags)
+            );
+            let whole = kp / DEPTH;
+            for s in 0..whole {
+                let bs = [b[0].add(s * B_TILE), b[1].add(s * B_TILE)];
+                step::<R, P>(a.add(s * A_TILE), half, bs);
+            }
+            if let Some(tails) = tails {
+                let bs = [tails.0[0].as_ptr(), tails.0[1].as_ptr()];
+                step::<R, P>(a.add(whole * A_TILE), half, bs);
+            }
+            let c = sums.0.as_mut_ptr();
+            asm!(
+                "tilestored [{c0} + {sc}*1], tmm0",
+                "tilestored [{c1} + {sc}*1], tmm1",
+                "tilestored [{c2} + {sc}*1], tmm2",
+                "tilestored [{c3} + {sc}*1], tmm3",
+                c0 = in(reg) c,
+                c1 = in(reg) c.add(1),
+                c2 = in(reg) c.add(2),
+                c3 = in(reg) c.add(3),
+                sc = in(reg) B_ROW,
+                options(nostack, preserves_flags)
+            );
+        }
+
+        /// Rows `r .. r + rows` of the call (at most [`SUB_BAND`],
+        /// copied to `a` in tile order) against every panel: each
+        /// panel pair — its depth tails copied once — against blocks
+        /// of two row halves, then one.
+        ///
+        /// # Safety
+        /// Tiles configured; `out` checked for the call; `a` as
+        /// [`copy_a`] left it for these rows.
+        #[inline(always)]
+        unsafe fn sweep(a: &[Line], r: usize, rows: usize, b_data: &[i8], out: &mut Out<'_, '_>) {
+            let kp = out.kp;
+            let tail = kp % DEPTH;
+            // Bytes from one row half's tiles to the next's.
+            let half = kp.div_ceil(DEPTH) * A_TILE;
+            let (a, plen) = (a.as_ptr() as *const i8, kp * PANEL);
+            let panels = out.n.div_ceil(PANEL);
+            let mut tails = Tails([[0; B_TILE]; 2]);
+            let mut sums = Sums([[[0; PANEL]; TILE_ROWS]; 4]);
+            let mut p = 0;
+            while p < panels {
+                let pair = (panels - p).min(2);
+                let b_at = |j: usize| b_data.as_ptr().add((p + j.min(pair - 1)) * plen);
+                let b = [b_at(0), b_at(1)];
+                for (j, copy) in tails.0.iter_mut().enumerate().take(pair) {
+                    let src = &b_data[(p + j + 1) * plen - tail * PANEL..(p + j + 1) * plen];
+                    copy[..tail * PANEL].copy_from_slice(src);
+                }
+                let tails = (tail > 0).then_some(&tails);
+                let mut i = 0;
+                while i < rows {
+                    let h = (rows - i).min(2 * TILE_ROWS);
+                    let a = a.add(i / TILE_ROWS * half);
+                    match (h > TILE_ROWS, pair == 2) {
+                        (true, true) => block::<2, 2>(a, half, kp, b, tails, &mut sums),
+                        (true, false) => block::<2, 1>(a, half, kp, b, tails, &mut sums),
+                        (false, true) => block::<1, 2>(a, half, kp, b, tails, &mut sums),
+                        (false, false) => block::<1, 1>(a, half, kp, b, tails, &mut sums),
+                    }
+                    for row in 0..h {
+                        let (i_half, at) = (row / TILE_ROWS, row % TILE_ROWS);
+                        for j in 0..pair {
+                            let v = sums.0[2 * i_half + j][at].as_ptr() as *const __m256i;
+                            out.store(_mm256_load_si256(v), r + i + row, p + j);
+                        }
+                    }
+                    i += h;
+                }
+                p += pair;
+            }
+        }
+
+        /// Int8 GEMM band on the tile unit; see the scalar oracle.
+        ///
+        /// # Safety
+        /// The CPU must run AMX-TILE and AMX-INT8 with tile state
+        /// enabled and tile data granted to this process, and AVX2
+        /// (verified by the dispatch layer).
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        pub unsafe fn band(
+            a_data: &[i8],
+            kp: usize,
+            n: usize,
+            b_data: &[i8],
+            c_band: &mut [f32],
+            row0: usize,
+            scale: f32,
+            epi: Epilogue<'_>,
+        ) {
+            let rows = c_band.len() / n.max(1);
+            let a = &a_data[row0 * kp..];
+            let mut out = Out::checked(kp, a, rows, n, b_data, c_band, row0, scale, epi);
+            let steps = kp.div_ceil(DEPTH);
+            A_TILES.with(|cell| {
+                let tiles = &mut *cell.borrow_mut();
+                let _unit = Tiles::configure();
+                for r in (0..rows).step_by(SUB_BAND) {
+                    let sub = SUB_BAND.min(rows - r);
+                    copy_a(&a[r * kp..], sub, kp, steps, tiles);
+                    sweep(tiles, r, sub, b_data, &mut out);
+                }
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1137,6 +1612,55 @@ mod tests {
         let kernel = selected();
         assert!(kernel.is_available());
         assert_eq!(cap_obs::metrics().int8_kernel.get(), kernel.code());
+    }
+
+    /// All eight rows of the tile kernel's resolution table: the tile
+    /// unit only when the CPU reports it, XCR0 enables it and the OS
+    /// grants it — otherwise the VNNI kernel, with no tile instruction
+    /// ever dispatched — and the OS asked only when the other two hold.
+    #[test]
+    fn amx_resolution_table() {
+        #[cfg(target_arch = "x86_64")]
+        let (vnni, amx) = (Some(Isa::VnniEvex), Some(Isa::Amx));
+        #[cfg(not(target_arch = "x86_64"))]
+        let (vnni, amx) = (None, None);
+        // The pick, and whether it asked the OS.
+        let resolve = |cpu, xcr0, grants, vnni| {
+            let asked = std::cell::Cell::new(false);
+            let grant = || {
+                asked.set(true);
+                grants
+            };
+            (resolve_amx(cpu, xcr0, grant, vnni), asked.get())
+        };
+        for row in 0..8 {
+            let (cpu, xcr0, grants) = (row & 4 != 0, row & 2 != 0, row & 1 != 0);
+            let want = if cpu && xcr0 && grants { amx } else { vnni };
+            let what = format!("cpu {cpu} xcr0 {xcr0} grants {grants}");
+            assert_eq!(
+                resolve(cpu, xcr0, grants, vnni),
+                (want, cpu && xcr0),
+                "{what}"
+            );
+            // Without a VNNI kernel for its GEMV, the tile kernel is
+            // never picked and the OS never asked.
+            assert_eq!(resolve(cpu, xcr0, grants, None), (None, false), "{what}");
+        }
+    }
+
+    /// The SIMD path takes the tile kernel exactly where the host runs
+    /// it, and the tile kernel is never available without VNNI.
+    #[test]
+    fn the_simd_path_prefers_amx_exactly_when_available() {
+        let amx = Int8Kernel::Amx.is_available();
+        assert_eq!(
+            Int8Kernel::for_path(KernelPath::Avx2) == Int8Kernel::Amx,
+            amx
+        );
+        assert!(!amx || Int8Kernel::Vnni.is_available());
+        if !amx && Int8Kernel::Vnni.is_available() {
+            assert_eq!(Int8Kernel::for_path(KernelPath::Avx2), Int8Kernel::Vnni);
+        }
     }
 
     #[test]

@@ -316,10 +316,10 @@ impl PackedBI8 {
 /// Int8 GEMM driver: `m × kp` row-major i8 `a_data` times the
 /// quad-interleaved panel-packed `b_data` (`n` columns), dequantized by
 /// `scale` with `epi` fused into the store, written to the row-major
-/// f32 `out`. The walk mirrors the f32 packed GEMM: `m == 1` is one
-/// call of the GEMV kernel, otherwise one [`ki8::ROW_BAND`]-row band
-/// after another — neither affects results (exact i32 accumulation,
-/// then an element-wise float epilogue) — and neither does the integer
+/// f32 `out`. `m == 1` is one call of the GEMV kernel, otherwise one
+/// band call over all `m` rows, which each kernel walks in its own
+/// sub-bands — neither affects results (exact i32 accumulation, then
+/// an element-wise float epilogue) — and neither does the integer
 /// kernel, [`ki8::selected`]. Operand lengths, the
 /// depth (`kp` a multiple of four, at most [`ki8::MAX_K_I8`]) and the
 /// epilogue's bias are validated once, before the first store.
@@ -380,19 +380,8 @@ pub fn gemm_i8(
             epi,
         );
     } else {
-        for (bi, band) in out[..m * n].chunks_mut(ki8::ROW_BAND * n).enumerate() {
-            ki8::gemm_i8_packed_band_with(
-                kernel,
-                a_data,
-                kp,
-                n,
-                b_data,
-                band,
-                bi * ki8::ROW_BAND,
-                scale,
-                epi,
-            );
-        }
+        let out = &mut out[..m * n];
+        ki8::gemm_i8_packed_band_with(kernel, a_data, kp, n, b_data, out, 0, scale, epi);
     }
     Ok(())
 }

@@ -1,13 +1,15 @@
 //! Int8 kernel parity suite.
 //!
 //! The int8 contract is *stronger* than the f32 one: every integer
-//! multiply kernel — scalar, `avx2` (`vpmaddwd`) and `vnni`
-//! (`vpdpbusd`) — and therefore every dispatch path produces
-//! bit-identical outputs, because the hot loop accumulates exactly in
-//! i32 and the dequantize epilogue performs the same mul / add / ReLU
-//! sequence element-wise everywhere. These tests pin that across ragged
-//! shapes (`n` off the 8-wide panel, every `k % 4`, `k = 0`, every row
-//! count the six-row register tile splits differently) and the
+//! multiply kernel — scalar, `avx2` (`vpmaddwd`), `vnni` (`vpdpbusd`)
+//! and `amx` (`tdpbssd` tiles) — and therefore every dispatch path
+//! produces bit-identical outputs, because the hot loop accumulates
+//! exactly in i32 and the dequantize epilogue performs the same mul /
+//! add / ReLU sequence element-wise everywhere. These tests pin that
+//! across ragged shapes (`n` off the 8-wide panel and the two-panel
+//! tile block, every `k % 4`, `k = 0`, depths on and off the tile's 64
+//! bytes, every row count the six-row register tile and the 16-row
+//! tile split differently, bands starting past row 0) and the
 //! saturation edges (±127 everywhere, and the raw `-128` bytes the
 //! quantizer never emits but the public entry points accept — the
 //! inputs on which the VNNI kernel's `+128` bias would go wrong first).
@@ -131,8 +133,25 @@ fn band_on(
     scale: f32,
     epi: Epilogue<'_>,
 ) -> Vec<f32> {
-    let mut c = vec![f32::NAN; m * n];
-    gemm_i8_packed_band_with(kernel, a, kp, n, packed, &mut c, 0, scale, epi);
+    band_from(kernel, a, 0, m, kp, n, packed, scale, epi)
+}
+
+/// [`band_on`] over rows `row0 .. m` only: the output holds those
+/// rows, and a per-row bias is read at their absolute index.
+#[allow(clippy::too_many_arguments)]
+fn band_from(
+    kernel: Int8Kernel,
+    a: &[i8],
+    row0: usize,
+    m: usize,
+    kp: usize,
+    n: usize,
+    packed: &[i8],
+    scale: f32,
+    epi: Epilogue<'_>,
+) -> Vec<f32> {
+    let mut c = vec![f32::NAN; (m - row0) * n];
+    gemm_i8_packed_band_with(kernel, a, kp, n, packed, &mut c, row0, scale, epi);
     c
 }
 
@@ -140,16 +159,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// GEMM band kernel: every kernel bit-equals the exact i64
-    /// reference, for arbitrary i8 operands over ragged shapes.
+    /// reference, for arbitrary i8 operands over ragged shapes — up to
+    /// four row halves of the 16-row tile, three 64-byte tile depths
+    /// and five panels — over the rows from `row0` on.
     #[test]
     fn prop_band_all_kernels_bitwise_equal(
-        m in 1usize..15,
-        k in 0usize..33,
-        n in 1usize..28,
+        m in 1usize..60,
+        k in 0usize..200,
+        n in 1usize..40,
+        row0 in 0usize..20,
         seed in 0u64..1000,
         relu in proptest::bool::ANY,
         with_bias in proptest::bool::ANY,
     ) {
+        let row0 = row0.min(m - 1);
         let kp = k.next_multiple_of(4);
         let gen = |i: usize| -> i8 {
             let h = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seed);
@@ -171,9 +194,11 @@ proptest! {
             relu,
         };
         let want = reference(&a, m, kp, k, &b, n, scale, with_bias.then_some(&bias), true, relu);
+        let want = &want[row0 * n..];
         for kernel in kernels_under_test() {
-            let got = band_on(kernel, &a, m, kp, n, &packed, scale, epi());
-            assert_bits_eq(&got, &want, &format!("band {kernel:?} m={m} k={k} n={n}"));
+            let got = band_from(kernel, &a, row0, m, kp, n, &packed, scale, epi());
+            let what = format!("band {kernel:?} m={m} k={k} n={n} row0={row0}");
+            assert_bits_eq(&got, want, &what);
         }
     }
 
@@ -343,17 +368,22 @@ fn det_bytes(len: usize, salt: usize) -> Vec<i8> {
 }
 
 /// The band, the GEMV and the `gemm_i8` driver on every kernel against
-/// the i64 reference over the grid the register tiling can get wrong:
-/// every `k % 4` and `k = 0`, `n` on and off the panel and the
-/// four-panel GEMV group, row counts that leave every remainder of the
-/// six-row tile and cross the 48-row sub-band, and each epilogue —
-/// into NaN-filled outputs.
+/// the i64 reference over the grid the register and tile blockings can
+/// get wrong: every `k % 4` and `k = 0`, depths just under, on and over
+/// one and two 64-byte tile steps, `n` on and off the panel, the
+/// two-panel tile block and the four-panel GEMV group, row counts that
+/// leave every remainder of the six-row tile, sit on and around each
+/// multiple of the 16-row tile and cross the 48- and 64-row sub-bands,
+/// and each epilogue — into NaN-filled outputs, over all rows and over
+/// the rows from 1 on.
 #[test]
 fn every_kernel_matches_the_reference_over_the_shape_grid() {
     let _guard = force_lock();
     let scale = 0.0173f32;
-    for m in [1usize, 2, 5, 6, 7, 13, 33, 55] {
-        for k in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 37] {
+    for m in [
+        1usize, 2, 5, 6, 7, 13, 16, 17, 31, 32, 33, 47, 48, 49, 55, 65,
+    ] {
+        for k in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 37, 60, 64, 68, 128, 132] {
             for n in [1usize, 7, 8, 9, 21, 32, 37] {
                 let kp = k.next_multiple_of(4);
                 let mut a = vec![0i8; m * kp];
@@ -382,6 +412,10 @@ fn every_kernel_matches_the_reference_over_the_shape_grid() {
                     for kernel in kernels_under_test() {
                         let got = band_on(kernel, &a, m, kp, n, &packed, scale, epi);
                         assert_bits_eq(&got, &want, &format!("band {kernel:?} {what}"));
+                        let from = 1.min(m - 1);
+                        let got = band_from(kernel, &a, from, m, kp, n, &packed, scale, epi);
+                        let what = format!("band {kernel:?} row0={from} {what}");
+                        assert_bits_eq(&got, &want[from * n..], &what);
                         // Each row again as a matvec at its absolute row.
                         for r in 0..m {
                             let mut row = vec![f32::NAN; n];
