@@ -69,7 +69,7 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
     }
     let csr = ConvWeights::csr_bands(&half_rows, &params).unwrap();
     run(BenchmarkId::new("csr_rows", 50), ConvWeights::Csr(&csr));
-    let kept = ConvWeights::kept_row_bands(&half_rows, &params).unwrap();
+    let kept = ConvWeights::kept_row_bands(&half_rows, &params, &[]).unwrap();
     run(
         BenchmarkId::new("dense_rows", 50),
         ConvWeights::DenseRows(&kept),
@@ -107,7 +107,7 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
     let (mut q_padded, mut lines, mut q_packed) = (Vec::new(), Vec::new(), Vec::new());
     group.bench_function("lower_i8", |b| {
         b.iter(|| {
-            let q_padded = lo.padded(q_group, &mut q_padded).unwrap();
+            let q_padded = lo.padded(q_group, None, &mut q_padded).unwrap();
             lo.quads_into(q_padded, &mut lines, &mut q_packed).unwrap()
         })
     });
@@ -123,7 +123,7 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
     run(BenchmarkId::new("dense_f32", 0), ConvWeights::Dense(&dense));
     for zero_pct in [0.0, 60.0, 70.0, 80.0, 85.0, 90.0, 92.5, 95.0, 97.5] {
         let w = scattered(rows, cols, zero_pct);
-        let bands = ConvWeights::i8_bands(&w, &params).unwrap();
+        let bands = ConvWeights::i8_bands(&w, &params, &[]).unwrap();
         run(
             BenchmarkId::new("dense_i8", zero_pct),
             ConvWeights::DenseI8 {
@@ -269,7 +269,7 @@ fn bench_lowering(c: &mut Criterion) {
         let mut packed = [Matrix::zeros(0, 0), Matrix::zeros(0, 0)];
         let mut f32_arm = |i: usize, team: Option<&mut Team>| {
             let parts = if team.is_some() { 2 } else { 1 };
-            let padded = lo.padded(&image, &mut padded[i]).unwrap();
+            let padded = lo.padded(&image, None, &mut padded[i]).unwrap();
             lo.panels_into(team, parts, padded, &mut packed[i]).unwrap()
         };
         let one = fastest(&mut group, BenchmarkId::new(name, "f32_1w"), || {
@@ -294,7 +294,7 @@ fn bench_lowering(c: &mut Criterion) {
         let inv_scale = 127.0;
         let (mut q_padded, mut lines, mut q_packed) = (Vec::new(), Vec::new(), Vec::new());
         let one = fastest(&mut group, BenchmarkId::new(name, "i8_1w"), || {
-            lo.quantize_padded(&image, inv_scale, &mut q_padded)
+            lo.quantize_padded(&image, None, inv_scale, &mut q_padded)
                 .unwrap();
             lo.quads_into(&q_padded, &mut lines, &mut q_packed).unwrap();
         });

@@ -280,17 +280,25 @@ fn bench_split(c: &mut Criterion) {
         }));
         let (x, b) = (x.as_slice(), w_t.as_slice());
         measure(name, n, &|ws, out| {
-            team::split_columns(ws.team.as_mut(), k, out.as_mut_slice(), &|cols, part| {
-                gemm_packed(
-                    x,
-                    1,
-                    k,
-                    cols.len(),
-                    &b[cols.start * k..],
-                    part,
-                    Epilogue::NONE,
-                )
-            })
+            let stage = &mut Vec::new();
+            team::split_columns(
+                ws.team.as_mut(),
+                k,
+                1,
+                out.as_mut_slice(),
+                stage,
+                &|cols, part| {
+                    gemm_packed(
+                        x,
+                        1,
+                        k,
+                        cols.len(),
+                        &b[cols.start * k..],
+                        part,
+                        Epilogue::NONE,
+                    )
+                },
+            )
             .unwrap()
         });
     }

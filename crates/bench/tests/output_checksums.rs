@@ -20,26 +20,31 @@
 //! qualify on the Winograd F(2×2, 3×3) form (Caffenet conv3–conv5,
 //! Googlenet's 3×3s on maps of 14 and more; the int8 rows' activation
 //! scales are calibrated by an f32 pass, so they run through it too);
-//! it moves only when some output bit is meant to. The last row runs
+//! it moves only when some output bit is meant to. The tenth row runs
 //! int8 convs at 97.5 % zeros, past where an int8 CSR walk would beat
 //! the dense int8 GEMM: dense and CSR sum the same exact integer
-//! products, so the row holds whichever form runs.
+//! products, so the row holds whichever form runs. The last two —
+//! Googlenet with every conv filter-pruned at 50 %, and knee-pruned
+//! Caffenet under int8 — were recorded while every layer still
+//! multiplied its input's dead channels (the maps of pruned filters):
+//! skipping them drops only `w·(+0)` terms, so the rows hold either way.
 //!
 //! `#[ignore]`d because the full-size nets take seconds in release and
 //! minutes in debug. Every CI test leg runs it as its own step; by hand,
 //! `cargo test --release -p cap-bench --test output_checksums -- --ignored`.
 
 use cap_cnn::dag::{self, DagMode};
+use cap_cnn::layer::LayerKind;
 use cap_cnn::models::{caffenet, googlenet, WeightInit, CAFFENET_CONV_LAYERS};
 use cap_cnn::network::{ForwardArena, Network};
-use cap_pruning::{apply_to_network, caffenet_profile, PruneAlgorithm};
+use cap_pruning::{apply_to_network, caffenet_profile, PruneAlgorithm, PruneSpec};
 use cap_tensor::{precision, CalibrationMethod, Matrix, Precision, Team, Tensor4};
 
 const INIT: WeightInit = WeightInit::Xavier { seed: 7 };
 
 /// `(row, checksum)`, in the order [`output_checksums_are_pinned`]
 /// computes them.
-const TABLE: [(&str, u64); 10] = [
+const TABLE: [(&str, u64); 12] = [
     ("caffenet f32 b1", 0x9df2_c673_1530_ed70),
     ("caffenet f32 b8", 0xcc35_e0b2_f313_f2ad),
     ("caffenet filter-l1 knees b1", 0x5545_2bd0_610a_0770),
@@ -50,6 +55,11 @@ const TABLE: [(&str, u64); 10] = [
     ("caffenet int8 b1", 0xfee8_bed4_d42a_5269),
     ("googlenet f32 b1", 0xb3f0_683a_6911_f2cd),
     ("caffenet int8 97.5% zeros b8", 0x962a_9877_5408_fdcb),
+    (
+        "googlenet filter-l1 50% every conv b1",
+        0xf7f0_efe4_52a1_0777,
+    ),
+    ("caffenet filter-l1 knees int8 b8", 0x26ed_7139_7d4c_7a5f),
 ];
 
 /// FNV-1a over the little-endian bytes of every value's bits.
@@ -141,10 +151,23 @@ fn output_checksums_are_pinned() {
     sparse_i8.calibrate(&b8, CalibrationMethod::MaxAbs).unwrap();
     precision::force(Some(Precision::Int8));
     got.push(checksum(&sparse_i8, &b8));
+
+    precision::force(Some(Precision::F32));
+    let mut pruned_googlenet = googlenet(INIT).unwrap();
+    let every_conv = PruneSpec::uniform(
+        &pruned_googlenet.layers_of_kind(LayerKind::Convolution),
+        0.5,
+    );
+    apply_to_network(&mut pruned_googlenet, &every_conv, PruneAlgorithm::FilterL1).unwrap();
+    got.push(checksum(&pruned_googlenet, &b1));
+
+    pruned.calibrate(&b8, CalibrationMethod::MaxAbs).unwrap();
+    precision::force(Some(Precision::Int8));
+    got.push(checksum(&pruned, &b8));
     precision::force(None);
 
     for ((row, _), got) in TABLE.iter().zip(&got) {
-        println!("{row:<28} {got:016x}");
+        println!("{row:<37} {got:016x}");
     }
     let want: Vec<u64> = TABLE.iter().map(|&(_, c)| c).collect();
     assert_eq!(got, want, "output checksums moved (rows as printed above)");

@@ -5,7 +5,7 @@
 //! threads inside that pass are the arena's persistent worker team: the
 //! executor walks the plan's steps in order on the calling thread, and
 //! each step's large kernels split across the team (a conv by bands,
-//! rows of `A` or panels of `B`, a batch-1 fc by columns, a pool or LRN
+//! rows of `A` or panels of `B`, an fc by columns, a pool or LRN
 //! by planes; DESIGN.md §10). On Googlenet this is at least as fast as
 //! running an inception module's branches side by side: a module's
 //! largest branch carries 60–79 % of its multiply-accumulates, which

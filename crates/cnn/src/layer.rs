@@ -159,6 +159,26 @@ pub trait Layer: Send + Sync {
         self.weights().map_or(0.0, |w| w.sparsity(0.0))
     }
 
+    /// The channels of this layer's output that are exactly `+0`
+    /// whatever the network's input (finite activations assumed), given
+    /// those of each input: `dead[i]` lists input `i`'s, ascending, and
+    /// `in_shapes[i]` is its shape. A conv or fc filter that is all
+    /// zero with a zero bias is one; ReLU, pooling, LRN and dropout
+    /// pass their input's through; a concat gathers its inputs'. The
+    /// default, none, is always safe. [`crate::Network`] works these
+    /// out for every node when a layer is added or its weights change.
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
+        Vec::new()
+    }
+
+    /// Tell a layer which channels of its inputs are dead (see
+    /// [`Layer::dead_outputs`]; same arguments), so a conv or fc layer
+    /// multiplies only the live ones — exactly: every term it leaves out
+    /// is a finite weight times `+0`. [`crate::Network`] calls it for
+    /// every node whenever the dead channels may have changed; the
+    /// default ignores it.
+    fn set_dead_inputs(&mut self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) {}
+
     /// Activation-range calibration hook: observe the tensors this
     /// layer is about to consume and record whatever state the int8
     /// path needs (conv/fc store a per-layer activation scale derived
@@ -166,6 +186,12 @@ pub trait Layer: Send + Sync {
     /// node of a calibration forward pass; the default is a no-op —
     /// layers without quantizable inputs ignore it.
     fn observe_input(&self, _inputs: &[&Tensor4], _method: CalibrationMethod) {}
+}
+
+/// [`Layer::dead_outputs`] of a layer that maps `+0` to `+0` channel
+/// by channel: its one input's dead channels.
+fn passed_through(dead: &[&[usize]]) -> Vec<usize> {
+    dead.first().map_or_else(Vec::new, |d| d.to_vec())
 }
 
 /// FLOPs per image = 2 × MACs (one multiply + one add), the convention

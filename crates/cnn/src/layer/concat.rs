@@ -76,6 +76,18 @@ impl Layer for ConcatLayer {
     fn macs_per_image(&self, _in_shapes: &[ChwShape]) -> TensorResult<u64> {
         Ok(0)
     }
+
+    /// Each input's dead channels, at that input's channel offset.
+    fn dead_outputs(&self, in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
+        let offsets = in_shapes.iter().scan(0, |at, &(c, _, _)| {
+            *at += c;
+            Some(*at - c)
+        });
+        offsets
+            .zip(dead)
+            .flat_map(|(offset, dead)| dead.iter().map(move |&c| offset + c))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -41,9 +41,10 @@ pub const WINOGRAD_MIN_MAP: usize = 8;
 const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
 
 /// What decides the stored form an f32 [`ConvLayer`] multiplies with —
-/// properties of the weights alone, found in one scan. Int8 has one
-/// form, dense.
-#[derive(Debug, Clone, Copy)]
+/// properties of the weights alone, found in one scan — and which of
+/// its output channels can be nothing but zero. Int8 has one form,
+/// dense over the kept rows and live channels.
+#[derive(Debug, Clone)]
 struct WeightForm {
     /// Some filters (rows) are all zero and the rest are dense (zero
     /// fraction at most [`SPARSE_THRESHOLD`]): multiply the kept rows
@@ -51,6 +52,10 @@ struct WeightForm {
     filter_pruned: bool,
     /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: run CSR.
     sparse: bool,
+    /// The all-zero filters, ascending.
+    zero_rows: Vec<usize>,
+    /// Every weight is finite, so the int8 scale is too.
+    finite: bool,
 }
 
 /// Whether a dense f32 conv of geometry `params` on an `h×w` input map
@@ -69,22 +74,39 @@ impl WeightForm {
     fn of(weights: &Matrix) -> Self {
         let (rows, cols) = weights.shape();
         // All-zero rows, and the zeros among the other (kept) rows.
-        let (mut zero_rows, mut kept_zeros) = (0, 0);
+        let (mut zero_rows, mut kept_zeros, mut finite) = (Vec::new(), 0, true);
         for r in 0..rows {
-            let zeros = weights.row(r).iter().filter(|&&v| v == 0.0).count();
+            let row = weights.row(r);
+            let zeros = row.iter().filter(|&&v| v == 0.0).count();
             if zeros == cols {
-                zero_rows += 1;
+                zero_rows.push(r);
             } else {
                 kept_zeros += zeros;
+                finite &= row.iter().all(|v| v.is_finite());
             }
         }
         let fraction = |zeros: usize, of: usize| zeros as f64 / of.max(1) as f64;
-        let kept = fraction(kept_zeros, (rows - zero_rows) * cols);
-        let overall = fraction(zero_rows * cols + kept_zeros, rows * cols);
+        let kept = fraction(kept_zeros, (rows - zero_rows.len()) * cols);
+        let overall = fraction(zero_rows.len() * cols + kept_zeros, rows * cols);
         WeightForm {
-            filter_pruned: zero_rows > 0 && kept <= SPARSE_THRESHOLD,
+            filter_pruned: !zero_rows.is_empty() && kept <= SPARSE_THRESHOLD,
             sparse: overall > SPARSE_THRESHOLD,
+            zero_rows,
+            finite,
         }
+    }
+
+    /// The filters whose output channel is `+0` on every finite input:
+    /// all zero, with a zero bias. Every form writes such a channel as
+    /// `epi(0.0 + 0.0)` — the kept-rows forms by construction, CSR from
+    /// an empty row, int8 from a zero integer sum (which takes a finite
+    /// weight scale: every weight finite).
+    fn dead_rows(&self, bias: &[f32]) -> Vec<usize> {
+        if !self.finite {
+            return Vec::new();
+        }
+        let zero_bias = |r: &&usize| bias[**r] == 0.0;
+        self.zero_rows.iter().filter(zero_bias).copied().collect()
     }
 }
 
@@ -102,11 +124,23 @@ impl WeightForm {
 /// the Winograd F(2×2, 3×3) form, 2.25× fewer multiplies; the rest run
 /// im2col + GEMM. Under int8 every sparsity runs the dense int8 GEMM:
 /// its integer dot product beats an int8 CSR walk below ~97 % zeros.
+///
+/// A pruned filter is gone downstream too. The [`crate::Network`] hands
+/// each conv the *dead* channels of its input — channels the layer
+/// before emits as exactly `+0` (a pruned filter with a zero bias,
+/// passed on through ReLU, pooling or LRN) — when weights are set, and
+/// the kept-rows form (f32, filter-pruned or plain dense im2col) and
+/// the int8 form then lower only the live channels and multiply only
+/// their weight columns: a consumer of a pruned layer multiplies only
+/// what its producer can emit as non-zero, under both precisions, with
+/// the same output bits ([`cap_tensor::conv2d`] says why). The CSR and
+/// Winograd forms keep every channel.
+///
 /// The derived forms (per-group kept-row, CSR or Winograd bands, the
 /// int8 quantization) are built on the first forward that needs them
-/// and dropped by `set_weights`; im2col scratch is the caller's [`Workspace`], so
-/// steady-state forwards allocate nothing, take no lock and touch no
-/// reference count.
+/// and dropped by `set_weights` and by a change of dead inputs; im2col
+/// scratch is the caller's [`Workspace`], so steady-state forwards
+/// allocate nothing, take no lock and touch no reference count.
 pub struct ConvLayer {
     name: String,
     params: Conv2dParams,
@@ -114,16 +148,20 @@ pub struct ConvLayer {
     bias: Vec<f32>,
     /// `WeightForm::of(&weights)`, as of the last `new`/`set_weights`.
     form: WeightForm,
-    /// Per-group kept rows of `weights` (filter-pruned f32 path).
+    /// Input channels that are `+0` on every input, as the network last
+    /// set them ([`Layer::set_dead_inputs`]).
+    dead_inputs: Vec<usize>,
+    /// Per-group kept rows and live channels of `weights` (the
+    /// filter-pruned, or dense with dead inputs, f32 path).
     kept_rows: OnceLock<Vec<KeptRows>>,
     /// Per-group CSR split of `weights` (sparse f32 path).
     csr: OnceLock<Vec<CsrMatrix>>,
     /// Per-group Winograd transform of `weights` (dense f32 3×3 path).
     winograd: OnceLock<Vec<WinogradBand>>,
-    /// Int8 quantization of `weights` (the int8 path). Lazy rather
-    /// than decided with `form`: `precision::force` can flip the
-    /// precision at run time.
-    dense_i8: OnceLock<Vec<QuantizedA>>,
+    /// Int8 quantization of `weights`' kept rows and live channels
+    /// (the int8 path). Lazy rather than decided with `form`:
+    /// `precision::force` can flip the precision at run time.
+    dense_i8: OnceLock<Vec<KeptRows<QuantizedA>>>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated, in which case the int8 path falls back to a
     /// per-call max-abs estimate over the whole input tensor.
@@ -161,6 +199,7 @@ impl ConvLayer {
             form: WeightForm::of(&weights),
             weights,
             bias,
+            dead_inputs: Vec::new(),
             kept_rows: OnceLock::new(),
             csr: OnceLock::new(),
             winograd: OnceLock::new(),
@@ -225,18 +264,21 @@ impl ConvLayer {
         let [input] = inputs else {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
-        let (w, p) = (&self.weights, &self.params);
+        let (w, p, dead) = (&self.weights, &self.params, &self.dead_inputs);
+        let kept_rows =
+            || {
+                ConvWeights::DenseRows(self.kept_rows.get_or_init(|| {
+                    ConvWeights::kept_row_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)
+                }))
+            };
         let weights = match precision::selected() {
             Precision::Int8 => ConvWeights::DenseI8 {
                 bands: self
                     .dense_i8
-                    .get_or_init(|| ConvWeights::i8_bands(w, p).expect(FORM_SHAPE_CHECKED)),
+                    .get_or_init(|| ConvWeights::i8_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)),
                 act_scale: self.act_scale_for(input),
             },
-            Precision::F32 if self.form.filter_pruned => ConvWeights::DenseRows(
-                self.kept_rows
-                    .get_or_init(|| ConvWeights::kept_row_bands(w, p).expect(FORM_SHAPE_CHECKED)),
-            ),
+            Precision::F32 if self.form.filter_pruned => kept_rows(),
             Precision::F32 if self.form.sparse => ConvWeights::Csr(
                 self.csr
                     .get_or_init(|| ConvWeights::csr_bands(w, p).expect(FORM_SHAPE_CHECKED)),
@@ -245,6 +287,7 @@ impl ConvLayer {
                 self.winograd
                     .get_or_init(|| ConvWeights::winograd_bands(w, p).expect(FORM_SHAPE_CHECKED)),
             ),
+            Precision::F32 if !dead.is_empty() => kept_rows(),
             Precision::F32 => ConvWeights::Dense(w),
         };
         conv2d(input, weights, Some(&self.bias), relu, p, ws, out)
@@ -327,6 +370,20 @@ impl Layer for ConvLayer {
         self.winograd = OnceLock::new();
         self.dense_i8 = OnceLock::new();
         Ok(())
+    }
+
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
+        self.form.dead_rows(&self.bias)
+    }
+
+    fn set_dead_inputs(&mut self, _in_shapes: &[ChwShape], dead: &[&[usize]]) {
+        let dead = dead.first().copied().unwrap_or_default();
+        if dead != self.dead_inputs.as_slice() {
+            self.dead_inputs = dead.to_vec();
+            // The forms that narrow by input channel.
+            self.kept_rows = OnceLock::new();
+            self.dense_i8 = OnceLock::new();
+        }
     }
 
     fn observe_input(&self, inputs: &[&Tensor4], method: CalibrationMethod) {

@@ -60,6 +60,11 @@ impl Layer for DropoutLayer {
     fn macs_per_image(&self, _in_shapes: &[ChwShape]) -> TensorResult<u64> {
         Ok(0)
     }
+
+    /// Dropout is the identity at inference.
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
+        super::passed_through(dead)
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use cap_tensor::{
     CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision, ShapeError, Tensor4,
     TensorResult, Workspace,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -18,6 +19,38 @@ use std::sync::OnceLock;
 /// EXPERIMENTS.md "PR 14").
 pub const FC_SPARSE_THRESHOLD: f64 = 0.8;
 
+/// What one scan of an fc layer's weights decides, when they are set.
+#[derive(Debug, Clone)]
+struct WeightScan {
+    /// `weights.sparsity(0.0) > FC_SPARSE_THRESHOLD`: run CSR.
+    sparse: bool,
+    /// The all-zero rows (output features), ascending.
+    zero_rows: Vec<usize>,
+    /// Every weight is finite.
+    finite: bool,
+}
+
+impl WeightScan {
+    fn of(weights: &Matrix) -> Self {
+        let (mut zeros, mut zero_rows, mut finite) = (0, Vec::new(), true);
+        for r in 0..weights.rows() {
+            let row = weights.row(r);
+            let row_zeros = row.iter().filter(|&&v| v == 0.0).count();
+            if row_zeros == row.len() {
+                zero_rows.push(r);
+            }
+            zeros += row_zeros;
+            finite &= row.iter().all(|v| v.is_finite());
+        }
+        let sparse = zeros as f64 / weights.len().max(1) as f64 > FC_SPARSE_THRESHOLD;
+        Self {
+            sparse,
+            zero_rows,
+            finite,
+        }
+    }
+}
+
 /// Fully-connected layer: flattens each image to a vector and applies
 /// `y = W x + b` with `W: out × in`.
 ///
@@ -25,27 +58,46 @@ pub const FC_SPARSE_THRESHOLD: f64 = 0.8;
 /// ([`FC_SPARSE_THRESHOLD`]) switch execution to the CSR kernel, and
 /// that choice is made once, when the weights are set — never per
 /// forward.
+///
+/// A pruned filter of the layer before is skipped here too, under both
+/// precisions. The [`crate::Network`] hands the layer the *dead*
+/// channels of its input — `+0` whatever the input, such as a pruned
+/// conv filter's map after ReLU and pooling — and the dense forms
+/// multiply only the live input features: `Wᵀ` is packed (f32 and
+/// int8) from the live columns only, on the first forward that needs
+/// it, and each forward gathers the live activations before the GEMV or
+/// GEMM. Every term left out is a finite weight times `+0`, so the
+/// output bits are those of the full multiply; a dead channel with a
+/// non-finite weight in its columns is kept. On Caffenet pruned at its
+/// all-conv knees, fc6's packed `Wᵀ` is 75 MB instead of 151. The CSR
+/// form keeps every column.
 pub struct InnerProductLayer {
     name: String,
     in_features: usize,
     out_features: usize,
     weights: Matrix,
-    /// Panel-packed transpose of `weights` (`in × out`): the dense
-    /// forward computes `Y = X · Wᵀ`, whose GEMM inner loop runs along
-    /// the `out` dimension and vectorizes even at batch 1 (computing
-    /// `W · Xᵀ` instead degenerates to single-column GEMM). Packing
-    /// happens once here, not per forward call.
-    packed_t: PackedB,
     bias: Vec<f32>,
-    /// `weights.sparsity(0.0) > FC_SPARSE_THRESHOLD`, as of the last
-    /// `new`/`set_weights`.
-    sparse: bool,
-    /// CSR view of `weights`, built on the first sparse forward;
-    /// dropped by `set_weights`.
+    /// `WeightScan::of(&weights)`, as of the last `new`/`set_weights`.
+    scan: WeightScan,
+    /// The input's dead channels and the features per channel, as the
+    /// network last set them ([`Layer::set_dead_inputs`]).
+    dead_inputs: Vec<usize>,
+    features_per_channel: usize,
+    /// The live input features as ranges of `weights`' columns (`None`:
+    /// all of them), from `dead_inputs`; built on the first dense
+    /// forward.
+    live: OnceLock<Option<Vec<Range<usize>>>>,
+    /// Panel-packed transpose of `weights`' live columns (`live × out`):
+    /// the dense forward computes `Y = X · Wᵀ`, whose GEMM inner loop
+    /// runs along the `out` dimension and vectorizes even at batch 1
+    /// (computing `W · Xᵀ` instead degenerates to single-column GEMM).
+    /// Packed on the first dense f32 forward, not per call.
+    packed_t: OnceLock<PackedB>,
+    /// CSR view of `weights`, built on the first sparse forward.
     csr: OnceLock<CsrMatrix>,
     /// Int8 quantization of the packed transpose, built on the first
     /// dense int8 forward (lazy: `precision::force` can flip the
-    /// precision at run time); dropped by `set_weights`.
+    /// precision at run time).
     packed_t_i8: OnceLock<PackedBI8>,
     /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
     /// uncalibrated (per-call max-abs fallback).
@@ -63,15 +115,17 @@ impl InnerProductLayer {
                 out_features
             )));
         }
-        let packed_t = PackedB::pack_transposed(&weights);
         Ok(Self {
             name: name.into(),
             in_features,
             out_features,
-            sparse: weights.sparsity(0.0) > FC_SPARSE_THRESHOLD,
+            scan: WeightScan::of(&weights),
             weights,
-            packed_t,
             bias,
+            dead_inputs: Vec::new(),
+            features_per_channel: 1,
+            live: OnceLock::new(),
+            packed_t: OnceLock::new(),
             csr: OnceLock::new(),
             packed_t_i8: OnceLock::new(),
             act_scale: AtomicU32::new(0),
@@ -93,16 +147,70 @@ impl InnerProductLayer {
         &self.bias
     }
 
+    /// Drop every form derived from the weights or the dead inputs.
+    fn drop_forms(&mut self) {
+        self.live = OnceLock::new();
+        self.packed_t = OnceLock::new();
+        self.csr = OnceLock::new();
+        self.packed_t_i8 = OnceLock::new();
+    }
+
     fn csr(&self) -> &CsrMatrix {
         self.csr
             .get_or_init(|| CsrMatrix::from_dense(&self.weights, 0.0))
     }
 
+    /// The live input features, merged into ranges; `None` when every
+    /// feature is live. A dead channel's features stay live when a
+    /// weight on them is not finite (`inf·0` is NaN).
+    fn live(&self) -> Option<&[Range<usize>]> {
+        let live = self.live.get_or_init(|| {
+            if self.dead_inputs.is_empty() {
+                return None;
+            }
+            let plane = self.features_per_channel;
+            let non_finite = |c: usize| {
+                !self.scan.finite
+                    && (0..self.out_features).any(|r| {
+                        let block = &self.weights.row(r)[c * plane..(c + 1) * plane];
+                        block.iter().any(|v| !v.is_finite())
+                    })
+            };
+            let mut dead = self.dead_inputs.iter().peekable();
+            let mut runs: Vec<Range<usize>> = Vec::new();
+            for c in 0..self.in_features / plane {
+                let is_dead = dead.next_if_eq(&&c).is_some();
+                if is_dead && !non_finite(c) {
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some(run) if run.end == c * plane => run.end += plane,
+                    _ => runs.push(c * plane..(c + 1) * plane),
+                }
+            }
+            let every = runs.len() == 1 && runs[0] == (0..self.in_features);
+            (!every).then_some(runs)
+        });
+        live.as_deref()
+    }
+
+    fn packed_t(&self) -> &PackedB {
+        self.packed_t.get_or_init(|| match self.live() {
+            Some(cols) => PackedB::pack_transposed_columns(&self.weights, cols),
+            None => PackedB::pack_transposed(&self.weights),
+        })
+    }
+
     fn packed_t_i8(&self) -> &PackedBI8 {
         // Packed from W's rows directly: an f32 transpose of fc6 would
-        // be 151 MB built only to be quantized and dropped.
+        // be 151 MB built only to be quantized and dropped. The scale is
+        // the whole matrix's, so a weight quantizes alike whichever
+        // columns are live.
         self.packed_t_i8.get_or_init(|| {
-            PackedBI8::pack_transposed(&self.weights, symmetric_scale(self.weights.as_slice()))
+            let scale = symmetric_scale(self.weights.as_slice());
+            let all = 0..self.in_features;
+            let cols = self.live().unwrap_or(std::slice::from_ref(&all));
+            PackedBI8::pack_transposed_columns(&self.weights, cols, scale)
         })
     }
 
@@ -154,111 +262,118 @@ impl InnerProductLayer {
         }
         let batch = input.n();
         out.resize(batch, self.out_features, 1, 1);
-        if self.sparse {
-            if batch == 1 {
-                // Batch-1 sparse path: the product is a matvec, so run
-                // the CSR spmv kernel straight from the input slice into
-                // the output slice — no Xᵀ/Y staging matrices, no
-                // transposes, no allocation.
-                return self.csr().matvec_into(
-                    input.as_slice(),
-                    out.as_mut_slice(),
-                    Some(&self.bias),
-                    relu,
-                );
-            }
-            // Sparse path: CSR row-skipping needs W's rows, so compute
-            // W (out×in, sparse) × Xᵀ (in×batch) and transpose back,
-            // both staged in the workspace's f32 slots. Bias/ReLU ride
-            // the SpMM row store (CSR rows are out features, so the
-            // bias is per-row there).
-            let (x_t, y) = (&mut ws.cols, &mut ws.packed);
-            x_t.resize(self.in_features, batch);
-            // `sparse` implies non-empty weights, so `in_features >= 1`.
-            for (b, row) in input.as_slice().chunks_exact(self.in_features).enumerate() {
-                for (f, &v) in row.iter().enumerate() {
-                    x_t.set(f, b, v);
+        if self.scan.sparse {
+            return self.run_csr(input, ws, out, relu);
+        }
+        // Dense: Y = X · Wᵀ over the live features, vectorizable at any
+        // batch size. A `(n, c, 1, 1)` tensor's flat data IS the `n × c`
+        // row-major matrix, so with every feature live the input goes
+        // straight through; otherwise its live features are gathered
+        // into the workspace first. The GEMM writes into `out`'s reused
+        // buffer (the dedicated GEMV kernel at batch 1), cut by column
+        // ranges across the workspace's team where that pays, and
+        // bias/ReLU ride its store as a per-column epilogue (out
+        // features are GEMM columns here).
+        let Workspace {
+            cols: gathered,
+            padded: stage,
+            qbuf,
+            team,
+            ..
+        } = ws;
+        let x = match self.live() {
+            None => input.as_slice(),
+            Some(runs) => {
+                let depth = runs.iter().map(Range::len).sum();
+                gathered.resize(batch, depth);
+                let rows = gathered.as_mut_slice().chunks_exact_mut(depth.max(1));
+                for (dst, src) in rows.zip(input.as_slice().chunks_exact(self.in_features)) {
+                    let mut at = 0;
+                    for run in runs {
+                        dst[at..at + run.len()].copy_from_slice(&src[run.clone()]);
+                        at += run.len();
+                    }
                 }
+                gathered.as_slice()
             }
-            y.resize(self.out_features, batch);
-            self.csr().spmm_into(
-                x_t.as_slice(),
-                batch,
-                y.as_mut_slice(),
-                Some(&self.bias),
-                relu,
-            )?;
-            let o = out.as_mut_slice();
-            for b in 0..batch {
-                for of in 0..self.out_features {
-                    o[b * self.out_features + of] = y.get(of, b);
-                }
-            }
-        } else if precision::selected() == Precision::Int8 {
-            // Int8 dense path: quantize the flattened activations into
-            // the workspace with the calibrated (or fallback) scale,
-            // then run the integer GEMM against the pre-quantized Wᵀ,
-            // dequantizing by the combined scale in the store epilogue.
-            // The sparse branches above deliberately stay f32: CSR
-            // row-skipping is bandwidth-bound, so int8 buys little
-            // there, and SpMV keeps its scalar-by-contract guarantee.
+        };
+        let k = x.len() / batch.max(1);
+        let epi = Epilogue {
+            bias: Some(EpiBias::PerCol(&self.bias)),
+            relu,
+        };
+        let out = out.as_mut_slice();
+        if precision::selected() == Precision::Int8 {
+            // Int8: quantize the activations with the calibrated (or
+            // fallback) scale, then the integer GEMM against the
+            // pre-quantized Wᵀ, dequantizing by the combined scale in
+            // the store epilogue. The CSR path stays f32: row-skipping
+            // is bandwidth-bound, so int8 buys little there, and SpMV
+            // keeps its scalar-by-contract guarantee.
             let qw = self.packed_t_i8();
             let act_scale = self.act_scale_for(input);
-            let kp = quantize_rows_into(
-                input.as_slice(),
-                batch,
-                self.in_features,
-                1.0 / act_scale,
-                &mut ws.qbuf,
-            );
+            let kp = quantize_rows_into(x, batch, k, 1.0 / act_scale, qbuf);
             self.check_depth(kp, qw.kp())?;
-            let (a, scale) = (ws.qbuf.as_slice(), qw.scale() * act_scale);
-            let epi = Epilogue {
-                bias: Some(EpiBias::PerCol(&self.bias)),
-                relu,
-            };
-            if batch == 1 {
-                // A GEMV: cut by panel-aligned column ranges across the
-                // workspace's team, when it has one and the layer is
-                // big enough.
-                team::split_columns(ws.team.as_mut(), kp, out.as_mut_slice(), &|cols, part| {
-                    let b = &qw.data()[cols.start * kp..];
-                    gemm_i8(
-                        a,
-                        1,
-                        kp,
-                        cols.len(),
-                        b,
-                        part,
-                        scale,
-                        epi.offset(0, cols.start),
-                    )
-                })?;
-            } else {
-                let (n, b) = (self.out_features, qw.data());
-                gemm_i8(a, batch, kp, n, b, out.as_mut_slice(), scale, epi)?;
-            }
+            let (a, scale) = (qbuf.as_slice(), qw.scale() * act_scale);
+            team::split_columns(team.as_mut(), kp, batch, out, stage, &|cols, part| {
+                let b = &qw.data()[cols.start * kp..];
+                let epi = epi.offset(0, cols.start);
+                gemm_i8(a, batch, kp, cols.len(), b, part, scale, epi)
+            })
         } else {
-            // Dense path: Y = X · Wᵀ, vectorizable at any batch size. A
-            // `(n, c, 1, 1)` tensor's flat data IS the `n × c` row-major
-            // matrix, so both input and output go straight through with
-            // no copies: the GEMM writes into `out`'s reused buffer
-            // (routing through the dedicated gemv kernel when batch is
-            // 1), and bias/ReLU ride its store as a per-column epilogue
-            // (out features are GEMM columns here). At batch 1 the
-            // GEMV is cut by column ranges, as in the int8 branch.
-            let (x, k, b) = (input.as_slice(), self.in_features, self.packed_t.as_slice());
-            let epi = Epilogue {
-                bias: Some(EpiBias::PerCol(&self.bias)),
+            let b = self.packed_t().as_slice();
+            team::split_columns(team.as_mut(), k, batch, out, stage, &|cols, part| {
+                let b = &b[cols.start * k..];
+                gemm_packed(x, batch, k, cols.len(), b, part, epi.offset(0, cols.start))
+            })
+        }
+    }
+
+    /// The CSR forward, over every input feature.
+    fn run_csr(
+        &self,
+        input: &Tensor4,
+        ws: &mut Workspace,
+        out: &mut Tensor4,
+        relu: bool,
+    ) -> TensorResult<()> {
+        let batch = input.n();
+        if batch == 1 {
+            // Batch-1 sparse path: the product is a matvec, so run the
+            // CSR spmv kernel straight from the input slice into the
+            // output slice — no Xᵀ/Y staging matrices, no transposes,
+            // no allocation.
+            return self.csr().matvec_into(
+                input.as_slice(),
+                out.as_mut_slice(),
+                Some(&self.bias),
                 relu,
-            };
-            if batch == 1 {
-                team::split_columns(ws.team.as_mut(), k, out.as_mut_slice(), &|cols, part| {
-                    let b = &b[cols.start * k..];
-                    gemm_packed(x, 1, k, cols.len(), b, part, epi.offset(0, cols.start))
-                })?;
-            } else {
-                gemm_packed(x, batch, k, self.out_features, b, out.as_mut_slice(), epi)?;
+            );
+        }
+        // CSR row-skipping needs W's rows, so compute W (out×in,
+        // sparse) × Xᵀ (in×batch) and transpose back, both staged in the
+        // workspace's f32 slots. Bias/ReLU ride the SpMM row store (CSR
+        // rows are out features, so the bias is per-row there).
+        let (x_t, y) = (&mut ws.cols, &mut ws.packed);
+        x_t.resize(self.in_features, batch);
+        // `sparse` implies non-empty weights, so `in_features >= 1`.
+        for (b, row) in input.as_slice().chunks_exact(self.in_features).enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                x_t.set(f, b, v);
+            }
+        }
+        y.resize(self.out_features, batch);
+        self.csr().spmm_into(
+            x_t.as_slice(),
+            batch,
+            y.as_mut_slice(),
+            Some(&self.bias),
+            relu,
+        )?;
+        let o = out.as_mut_slice();
+        for b in 0..batch {
+            for of in 0..self.out_features {
+                o[b * self.out_features + of] = y.get(of, b);
             }
         }
         Ok(())
@@ -332,12 +447,38 @@ impl Layer for InnerProductLayer {
                 self.weights.shape()
             )));
         }
-        self.packed_t = PackedB::pack_transposed(&weights);
-        self.sparse = weights.sparsity(0.0) > FC_SPARSE_THRESHOLD;
+        self.scan = WeightScan::of(&weights);
         self.weights = weights;
-        self.csr = OnceLock::new();
-        self.packed_t_i8 = OnceLock::new();
+        self.drop_forms();
         Ok(())
+    }
+
+    /// All-zero rows with a zero bias: `+0` on every finite input under
+    /// every form (a dense sum of `w·x` with `w = 0` starts and stays at
+    /// `+0`; CSR skips the row; int8 sums zero integers, at a finite
+    /// scale when every weight is finite).
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
+        if !self.scan.finite {
+            return Vec::new();
+        }
+        let zero_bias = |r: &&usize| self.bias[**r] == 0.0;
+        self.scan
+            .zero_rows
+            .iter()
+            .filter(zero_bias)
+            .copied()
+            .collect()
+    }
+
+    fn set_dead_inputs(&mut self, in_shapes: &[ChwShape], dead: &[&[usize]]) {
+        let (Some(&(_, h, w)), Some(dead)) = (in_shapes.first(), dead.first()) else {
+            return;
+        };
+        if (*dead, h * w) != (self.dead_inputs.as_slice(), self.features_per_channel) {
+            self.dead_inputs = dead.to_vec();
+            self.features_per_channel = h * w;
+            self.drop_forms();
+        }
     }
 
     fn observe_input(&self, inputs: &[&Tensor4], method: CalibrationMethod) {
@@ -401,6 +542,32 @@ mod tests {
             for o in 0..6 {
                 assert!((y.get(b, o, 0, 0) - dense_result.get(o, b)).abs() < 1e-4);
             }
+        }
+    }
+
+    #[test]
+    fn dead_inputs_are_skipped_bit_for_bit_down_to_none_live() {
+        // 2 channels of 2×2: channel 1 dead, then both (a depth-0
+        // multiply: the output is the bias). Under the selected
+        // precision, bitwise the full-width layer on the same input.
+        let w = Matrix::from_fn(5, 8, |r, c| ((r * 3 + c) % 7) as f32 / 4.0 - 0.75);
+        let bias = vec![0.5, -0.5, 0.25, 0.0, 1.0];
+        let full = InnerProductLayer::new("full", w.clone(), bias.clone()).unwrap();
+        for dead in [&[1][..], &[0, 1]] {
+            let mut fc = InnerProductLayer::new("fc_t", w.clone(), bias.clone()).unwrap();
+            fc.set_dead_inputs(&[(2, 2, 2)], &[dead]);
+            let x = Tensor4::from_fn(3, 2, 2, 2, |n, c, h, ww| {
+                if dead.contains(&c) {
+                    0.0
+                } else {
+                    (n + h * 2 + ww) as f32 / 3.0 - 0.5
+                }
+            });
+            let bits = |t: Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(fc.forward(&[&x]).unwrap()),
+                bits(full.forward(&[&x]).unwrap())
+            );
         }
     }
 

@@ -76,6 +76,15 @@ impl Layer for LrnLayer {
         };
         Ok((*c * *h * *w * self.params.local_size) as u64)
     }
+
+    /// `+0` divided by a positive denominator (`k > 0`) is `+0`.
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
+        if self.params.k > 0.0 {
+            super::passed_through(dead)
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -79,6 +79,12 @@ impl Layer for PoolLayer {
     fn macs_per_image(&self, _in_shapes: &[ChwShape]) -> TensorResult<u64> {
         Ok(0)
     }
+
+    /// A window of `+0`s is `+0` in either mode: padding never wins a
+    /// max, and adds zeros to a mean.
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
+        super::passed_through(dead)
+    }
 }
 
 #[cfg(test)]

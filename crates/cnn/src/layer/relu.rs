@@ -49,6 +49,11 @@ impl Layer for ReluLayer {
     fn macs_per_image(&self, _in_shapes: &[ChwShape]) -> TensorResult<u64> {
         Ok(0)
     }
+
+    /// `max(+0, 0)` is `+0`.
+    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
+        super::passed_through(dead)
+    }
 }
 
 #[cfg(test)]

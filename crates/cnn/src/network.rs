@@ -16,7 +16,7 @@
 //! A pass walks the plan's steps in order on the calling thread. With
 //! more than one thread, the arena's worker team sits in the calling
 //! thread's workspace, so every step's large kernels split across it
-//! (a conv by bands, rows or panels, a batch-1 fc by columns, a pool
+//! (a conv by bands, rows or panels, an fc by columns, a pool
 //! or LRN by planes); each step still runs once, in the same order, so
 //! the thread count never changes output bits.
 
@@ -47,6 +47,9 @@ struct Node {
     /// and `set_weights` rejects a weight matrix of a different shape.
     out_shape: ChwShape,
     macs: u64,
+    /// Output channels that are `+0` on every input
+    /// ([`Layer::dead_outputs`]), as of the last weight change.
+    dead: Vec<usize>,
 }
 
 /// One unit of work in a fusion [`Plan`]: run node `node`, optionally
@@ -314,7 +317,9 @@ impl Network {
             inputs: inputs.to_vec(),
             out_shape,
             macs,
+            dead: Vec::new(),
         });
+        self.find_dead_channels(id.0);
         // The plans are a function of the node list; rebuild lazily.
         self.plans = Default::default();
         Ok(id)
@@ -365,10 +370,36 @@ impl Network {
         self.node_id(name).map(|id| self.nodes[id.0].layer.as_ref())
     }
 
-    /// Mutable access to a layer by name (used by pruning to swap weights).
-    pub fn layer_mut(&mut self, name: &str) -> Option<&mut (dyn Layer + 'static)> {
-        let id = self.node_id(name)?;
-        Some(self.nodes[id.0].layer.as_mut())
+    /// Output channels of node `id` that are `+0` on every (finite)
+    /// input ([`Layer::dead_outputs`]): what a pruned filter leaves,
+    /// passed on through ReLU, pooling, LRN and concat. [`INPUT`] has
+    /// none.
+    pub fn dead_channels(&self, id: NodeId) -> &[usize] {
+        self.nodes.get(id.0).map_or(&[], |n| n.dead.as_slice())
+    }
+
+    /// Work out the dead channels of nodes `from..` in order, each from
+    /// its inputs' and its own weights, handing every layer its inputs'
+    /// ([`Layer::set_dead_inputs`]) on the way — so a conv or fc layer
+    /// multiplies only the channels its producers can emit as
+    /// non-zero. A property of the weights, fixed when they are set;
+    /// no forward pass scans for it.
+    fn find_dead_channels(&mut self, from: usize) {
+        for i in from..self.nodes.len() {
+            let (done, rest) = self.nodes.split_at_mut(i);
+            let node = &mut rest[0];
+            let dead_of = |id: &NodeId| -> &[usize] {
+                done.get(id.0).map_or(&[], |n: &Node| n.dead.as_slice())
+            };
+            let in_shapes: Vec<ChwShape> = node
+                .inputs
+                .iter()
+                .map(|id| done.get(id.0).map_or(self.input_shape, |n| n.out_shape))
+                .collect();
+            let dead: Vec<&[usize]> = node.inputs.iter().map(dead_of).collect();
+            node.layer.set_dead_inputs(&in_shapes, &dead);
+            node.dead = node.layer.dead_outputs(&in_shapes, &dead);
+        }
     }
 
     /// Iterate layer names in execution order.
@@ -897,15 +928,21 @@ impl Network {
         Ok(())
     }
 
-    /// Replace the weights of layer `name` (pruning entry point).
+    /// Replace the weights of layer `name` (pruning entry point) — the
+    /// one way to change a network's weights. The dead channels of that
+    /// node and of every node after it are worked out again, so a
+    /// consumer of a layer whose filters were pruned (or restored)
+    /// multiplies only what that layer can now emit as non-zero.
     pub fn set_layer_weights(&mut self, name: &str, weights: Matrix) -> TensorResult<()> {
-        match self.layer_mut(name) {
-            Some(l) => l.set_weights(weights),
-            None => Err(ShapeError::new(format!(
+        let Some(id) = self.node_id(name) else {
+            return Err(ShapeError::new(format!(
                 "network {}: no layer named {}",
                 self.name, name
-            ))),
-        }
+            )));
+        };
+        self.nodes[id.0].layer.set_weights(weights)?;
+        self.find_dead_channels(id.0);
+        Ok(())
     }
 }
 

@@ -1,9 +1,12 @@
 //! Split parity: a forward pass whose kernels are cut across a worker
 //! team — a convolution by output bands (groups, images) or by rows of
-//! `A`, a batch-1 fc GEMV by column ranges, a pool or LRN by images or
+//! `A`, an fc multiply by column ranges, a pool or LRN by images or
 //! planes — is **bitwise identical** to the same pass on one thread,
 //! for every conv weight form, batch size and team size, on every
-//! kernel path, branchy nets included.
+//! kernel path, branchy nets included. A pruned net's consumers, which
+//! multiply only their producers' live channels, are also held to the
+//! same layers run one by one outside a network, where every channel
+//! is multiplied.
 //!
 //! Team size is chosen explicitly (`ForwardArena::with_team`). The
 //! parity teams split from the first unit of work (the test seam
@@ -14,7 +17,7 @@
 //! counter is shared, so the tests serialize on one mutex.
 
 use cap_cnn::layer::{
-    ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
+    ConvLayer, DropoutLayer, InnerProductLayer, Layer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
     SoftmaxLayer,
 };
 use cap_cnn::network::{ForwardArena, Network};
@@ -236,7 +239,7 @@ fn inception_net(form: Form) -> Network {
 ///   two splits an f32 image, one an int8 one;
 /// * the LRN and the four max pools (stem, cut and one per module)
 ///   once each, by images or planes;
-/// * the batch-1 fc GEMV once, by columns.
+/// * the fc once, by columns, at every batch.
 fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> u64 {
     let conv = |name: &String| -> u64 {
         if batch >= threads {
@@ -263,7 +266,7 @@ fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> 
         .sum();
     let windows =
         net.layers_of_kind(LayerKind::Pooling).len() + net.layers_of_kind(LayerKind::Lrn).len();
-    convs + windows as u64 + u64::from(batch == 1)
+    convs + windows as u64 + 1
 }
 
 /// The inception-shaped net on teams of one to three threads: its
@@ -405,4 +408,66 @@ fn batch1_caffenet_shaped_pass_splits_each_kernel_once_per_band() {
         }
     }
     precision::force(None);
+}
+
+/// conv1 3→14 (3×3) → ReLU → grouped conv2 14→22 (two groups of 7
+/// inputs, stride 2) → ReLU → fc 660→37, on an 11×9 input, with every
+/// third filter of both convs pruned and zero conv biases: conv1's
+/// dead channels 1, 4 | 7, 10, 13 leave conv2's groups 5 and 4 live
+/// inputs, and conv2's leave the fc 15 of 22 maps.
+fn narrowed_layers() -> Vec<Box<dyn Layer>> {
+    let c1 = Conv2dParams::new(3, 14, 3, 1, 1);
+    let c2 = Conv2dParams::grouped(14, 22, 3, 1, 2, 2);
+    let conv = |name: &str, p: Conv2dParams, seed| -> Box<dyn Layer> {
+        let w = common::filter_pruned_weights(xavier_uniform(p.out_channels, p.col_rows(), seed));
+        Box::new(ConvLayer::new(name, p, w, vec![0.0; p.out_channels]).unwrap())
+    };
+    let fc = InnerProductLayer::new("fc1", xavier_uniform(37, 22 * 6 * 5, 3), vec![0.01; 37]);
+    vec![
+        conv("conv1", c1, 1),
+        Box::new(ReluLayer::new("conv1-relu")),
+        conv("conv2", c2, 2),
+        Box::new(ReluLayer::new("conv2-relu")),
+        Box::new(fc.unwrap()),
+    ]
+}
+
+/// The narrowed consumers (conv2 over its live planes, the fc over its
+/// live features) against the same layers run one at a time outside a
+/// network — where each multiplies every channel, the dead ones being
+/// zero planes — bitwise, under f32 and int8, on every kernel path, at
+/// batch 1 and 8, on teams of one to three threads.
+#[test]
+fn narrowed_consumers_match_full_width_layers_on_zero_planes() {
+    let _g = force_lock();
+    let mut net = Network::new("narrowed", (3, 11, 9));
+    for layer in narrowed_layers() {
+        net.add_sequential(layer).unwrap();
+    }
+    let dead = |name: &str| net.dead_channels(net.node_id(name).unwrap()).to_vec();
+    assert_eq!(dead("conv1-relu"), [1, 4, 7, 10, 13]);
+    assert_eq!(dead("conv2-relu").len(), 7);
+    let standalone = narrowed_layers();
+    for path in kernels::available_paths() {
+        kernels::force(Some(path));
+        for precision in [Precision::F32, Precision::Int8] {
+            precision::force(Some(precision));
+            for batch in [1, 8] {
+                let x = images(batch, 3);
+                let mut want = x.clone();
+                for layer in &standalone {
+                    want = layer.forward(&[&want]).unwrap();
+                }
+                for threads in [1, 2, 3] {
+                    let mut arena = eager_arena(threads);
+                    let got = net.forward_into(&x, &mut arena).unwrap();
+                    let what =
+                        format!("{} {precision:?} batch {batch} team {threads}", path.name());
+                    assert!(bits(got.as_slice()) == bits(want.as_slice()), "{what}");
+                }
+            }
+        }
+    }
+    precision::force(None);
+    kernels::force(None);
 }

@@ -12,12 +12,29 @@
 //! CSR; a NaN weight reads NaN in its output channel on CSR as it does
 //! on dense; and under int8 a conv runs dense at every sparsity.
 //!
+//! In a network the forms also depend on the layer before: a conv or
+//! fc layer multiplies only the input channels its producer can emit as
+//! non-zero, as the network works out whenever weights are set. Pruning
+//! a conv must narrow its consumer, and restoring the conv's dense
+//! weights must widen it again: after each swap the output is bitwise
+//! a freshly built network's, under both precisions.
+//!
 //! `precision::force` is process-global; this file is its own test
-//! binary with a single test, so nothing races it.
+//! binary, and its tests serialize on one mutex, so nothing races it.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, FC_SPARSE_THRESHOLD, SPARSE_THRESHOLD};
+use cap_cnn::layer::{
+    ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer, FC_SPARSE_THRESHOLD,
+    SPARSE_THRESHOLD,
+};
+use cap_cnn::network::{ForwardArena, Network};
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Tensor4, Workspace};
+use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Team, Tensor4, Workspace};
+use std::sync::{Mutex, MutexGuard};
+
+fn force_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 mod common;
 
@@ -162,6 +179,7 @@ fn check<L: Layer>(
 
 #[test]
 fn set_weights_drops_every_cached_form() {
+    let _g = force_lock();
     // 10 × 36 conv weights and 5 × 288 fc weights: both thresholds are
     // a whole number of zeros.
     let params = Conv2dParams::grouped(8, 10, 3, 1, 1, 2);
@@ -202,4 +220,90 @@ fn set_weights_drops_every_cached_form() {
         fc_runs_csr,
         &x,
     );
+}
+
+/// conv4 (8→12, 3×3) → ReLU → conv5 (12→16, two groups) → ReLU → 2×2
+/// max pool → fc6 (16·3·3 → 20) → ReLU → fc7 (20 → 6), on a 8×6×6
+/// input; zero conv biases, as Caffenet's convs have, so a pruned
+/// conv4 filter is a dead input channel of conv5 and a pruned conv5
+/// filter one of fc6. `conv4_w` and `conv5_w` are those convs' weights.
+fn pruned_pair_net(conv4_w: &Matrix, conv5_w: &Matrix) -> Network {
+    let mut net = Network::new("pair", (8, 6, 6));
+    let conv4 = Conv2dParams::new(8, 12, 3, 1, 1);
+    let conv5 = Conv2dParams::grouped(12, 16, 3, 1, 1, 2);
+    let fc = |name, rows, cols, seed, bias| {
+        InnerProductLayer::new(name, xavier_uniform(rows, cols, seed), vec![bias; rows]).unwrap()
+    };
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(ConvLayer::new("conv4", conv4, conv4_w.clone(), vec![0.0; 12]).unwrap()),
+        Box::new(ReluLayer::new("relu4")),
+        Box::new(ConvLayer::new("conv5", conv5, conv5_w.clone(), vec![0.0; 16]).unwrap()),
+        Box::new(ReluLayer::new("relu5")),
+        Box::new(PoolLayer::new("pool5", PoolMode::Max, 2, 0, 2)),
+        Box::new(fc("fc6", 20, 144, 41, 0.0)),
+        Box::new(ReluLayer::new("relu6")),
+        Box::new(fc("fc7", 6, 20, 42, 0.01)),
+    ];
+    for layer in layers {
+        net.add_sequential(layer).unwrap();
+    }
+    net
+}
+
+/// Prune conv5 (fc6 narrows to the live maps), then set conv5's dense
+/// weights back (fc6 returns to full depth); the same with conv4 and
+/// its consumer conv5: after each swap, and after passes that built
+/// every lazy form of the swap before, the network's output is bitwise
+/// that of a network built fresh with the same weights — under f32 and
+/// int8, on one thread and a team of two.
+#[test]
+fn pruning_a_producer_narrows_its_consumer_and_restoring_widens_it() {
+    let _g = force_lock();
+    let (dense4, dense5) = (xavier_uniform(12, 72, 40), xavier_uniform(16, 54, 43));
+    let (pruned4, pruned5) = (filter_pruned(dense4.clone()), filter_pruned(dense5.clone()));
+    let x = Tensor4::from_fn(3, 8, 6, 6, |n, c, h, w| {
+        ((n * 7 + c * 3 + h * 5 + w) % 11) as f32 / 5.0 - 1.0
+    });
+    // Built pruned, so the consumers' first forms are the narrowed ones.
+    let mut net = pruned_pair_net(&pruned4, &pruned5);
+    let run = |net: &Network, threads: usize| {
+        let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
+        bits(net.forward_into(&x, &mut arena).unwrap())
+    };
+    // (round, conv4, conv5, dead channels of relu4 and of pool5). Only
+    // the layer that changes is set, so a consumer's forms built in the
+    // round before are stale unless the new dead channels drop them: a
+    // stale narrowed form drops channels that are live again.
+    let mut set = (&pruned4, &pruned5);
+    for (round, w4, w5, dead) in [
+        ("both pruned", &pruned4, &pruned5, (6, 8)),
+        ("conv5 restored", &pruned4, &dense5, (6, 0)),
+        ("conv4 restored", &dense4, &dense5, (0, 0)),
+        ("conv5 pruned", &dense4, &pruned5, (0, 8)),
+        ("conv4 pruned", &pruned4, &pruned5, (6, 8)),
+        ("conv4 restored again", &dense4, &pruned5, (0, 8)),
+        ("conv5 restored again", &dense4, &dense5, (0, 0)),
+    ] {
+        if !std::ptr::eq(set.0, w4) {
+            net.set_layer_weights("conv4", w4.clone()).unwrap();
+        }
+        if !std::ptr::eq(set.1, w5) {
+            net.set_layer_weights("conv5", w5.clone()).unwrap();
+        }
+        set = (w4, w5);
+        let fresh = pruned_pair_net(w4, w5);
+        for (layer, want) in [("relu4", dead.0), ("pool5", dead.1)] {
+            let id = net.node_id(layer).unwrap();
+            assert_eq!(net.dead_channels(id).len(), want, "{round}: {layer}");
+            assert_eq!(fresh.dead_channels(id), net.dead_channels(id));
+        }
+        for precision in [Precision::F32, Precision::Int8] {
+            precision::force(Some(precision));
+            for threads in [1, 2] {
+                let what = format!("{round} {precision:?} team {threads}");
+                assert!(run(&net, threads) == run(&fresh, threads), "{what}");
+            }
+        }
+        precision::force(None);
+    }
 }

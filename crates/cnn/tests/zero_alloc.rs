@@ -485,7 +485,7 @@ fn steady_state_inference_allocates_nothing() {
         // image.
         let p = INT8_CONV2;
         let w2 = xavier_uniform(32, p.col_rows(), 32);
-        let bands = ConvWeights::i8_bands(&w2, &p).unwrap();
+        let bands = ConvWeights::i8_bands(&w2, &p, &[]).unwrap();
         let x = Tensor4::from_fn(1, 128, 5, 5, |_, c, h, w| {
             ((c + h * 3 + w) % 9) as f32 / 9.0
         });

@@ -387,7 +387,7 @@ instruments! {
     /// (`cap_tensor::team`): a convolution's multiply cut by rows of
     /// `A` or its bands by groups or images, an f32 convolution's
     /// lowering cut by panel ranges (its own split, ahead of the row
-    /// split of the multiply it feeds), a batch-1 GEMV cut by column
+    /// split of the multiply it feeds), an fc multiply cut by column
     /// ranges, a pool
     /// or LRN cut by images or channel planes. Zero over a run means
     /// every kernel ran on one thread. Always on.

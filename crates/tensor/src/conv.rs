@@ -1,6 +1,7 @@
 //! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
-//! ([`ConvWeights`]: f32 dense, dense over the kept filters only, CSR,
-//! or Winograd-transformed; or int8 dense) and the one driver ([`conv2d`])
+//! ([`ConvWeights`]: f32 dense, dense over the kept filters and live
+//! input channels only, CSR, or Winograd-transformed; or int8 dense
+//! over the kept filters and live channels) and the one driver ([`conv2d`])
 //! every form runs through — im2col + GEMM, or for the Winograd form
 //! F(2×2, 3×3) tiles + 16 GEMMs ([`mod@crate::winograd`]). The direct
 //! sliding-window oracles live in [`crate::reference`].
@@ -17,6 +18,7 @@ use crate::tensor4::Tensor4;
 use crate::winograd::{self, Tiles, WinogradBand, POSITIONS};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Start a clock for the GEMM/im2col time split, only when timed
@@ -192,46 +194,111 @@ impl Conv2dParams {
     }
 }
 
-/// One channel group's filters with the all-zero rows — the filters
-/// that filter pruning removed — left out: the ascending in-group
-/// indices of the rows that hold a non-zero weight, and a row-major
-/// copy of just those rows. Built by [`ConvWeights::kept_row_bands`].
+/// One channel group of a narrowed weight form: the filters it keeps
+/// and the input channels it reads. `rows` are the ascending in-group
+/// indices of the filters that hold a non-zero weight — filter pruning
+/// zeroes the others, which are left out. `live` are the ascending
+/// in-group input channels the multiply reads: every channel but the
+/// *dead* ones, which the layer before emits as exactly `+0`
+/// whatever the input (a filter it pruned, passed on through ReLU,
+/// pooling or LRN), and whose column blocks here are all finite.
+/// `weights` are those rows restricted to those channels' `kh × kw`
+/// column blocks: a row-major f32 copy (`rows × live·kh·kw`) for
+/// [`ConvWeights::DenseRows`], a [`QuantizedA`] of it for
+/// [`ConvWeights::DenseI8`]. Built by [`ConvWeights::kept_row_bands`]
+/// and [`ConvWeights::i8_bands`].
 #[derive(Debug, Clone)]
-pub struct KeptRows {
+pub struct KeptRows<W = Vec<f32>> {
     rows: Vec<usize>,
-    /// `rows.len() × col_rows`.
-    weights: Vec<f32>,
+    live: Vec<usize>,
+    weights: W,
 }
 
-impl KeptRows {
-    /// Finish a group's output band whose head holds the plain product
-    /// of the kept rows: back to front, move product row `i` to output
-    /// row `rows[i]` with the bias and ReLU applied on the way, and
-    /// fill every pruned row with the constant its all-zero filter
-    /// yields. Back to front because `rows[i] >= i`: a row's
-    /// destination never holds a product row that has yet to move.
-    fn spread(&self, dst: &mut [f32], n_out: usize, bias: Option<&[f32]>, relu: bool) {
-        let finish = |v: f32, b: Option<f32>| kernels::scalar::epilogue_one(v, b, relu);
-        let mut kept = self.rows.len();
-        for r in (0..dst.len() / n_out.max(1)).rev() {
-            let b = bias.map(|b| b[r]);
-            let (head, tail) = dst.split_at_mut(r * n_out);
-            let row = &mut tail[..n_out];
-            if kept > 0 && self.rows[kept - 1] == r {
-                kept -= 1;
-                if kept == r {
-                    row.iter_mut().for_each(|v| *v = finish(*v, b));
-                } else {
-                    let product = &head[kept * n_out..(kept + 1) * n_out];
-                    for (d, &s) in row.iter_mut().zip(product) {
-                        *d = finish(s, b);
-                    }
-                }
+impl<W> KeptRows<W> {
+    /// Live input channels, ascending in-group indices.
+    pub fn live(&self) -> &[usize] {
+        &self.live
+    }
+}
+
+/// Finish a group's output band whose head holds the plain product of
+/// the kept `rows`: back to front, move product row `i` to output row
+/// `rows[i]` with the bias and ReLU applied on the way, and fill every
+/// other row with the constant its all-zero filter yields. Back to
+/// front because `rows[i] >= i`: a row's destination never holds a
+/// product row that has yet to move.
+fn spread(rows: &[usize], dst: &mut [f32], n_out: usize, bias: Option<&[f32]>, relu: bool) {
+    let finish = |v: f32, b: Option<f32>| kernels::scalar::epilogue_one(v, b, relu);
+    let mut kept = rows.len();
+    for r in (0..dst.len() / n_out.max(1)).rev() {
+        let b = bias.map(|b| b[r]);
+        let (head, tail) = dst.split_at_mut(r * n_out);
+        let row = &mut tail[..n_out];
+        if kept > 0 && rows[kept - 1] == r {
+            kept -= 1;
+            if kept == r {
+                row.iter_mut().for_each(|v| *v = finish(*v, b));
             } else {
-                row.fill(finish(0.0, b));
+                let product = &head[kept * n_out..(kept + 1) * n_out];
+                for (d, &s) in row.iter_mut().zip(product) {
+                    *d = finish(s, b);
+                }
             }
+        } else {
+            row.fill(finish(0.0, b));
         }
     }
+}
+
+/// Group `g`'s kept filters and live input channels (see [`KeptRows`])
+/// and their weights gathered row-major, from dense `weights` and the
+/// layer's `dead` input channels (`dead[c]`: channel `c` is `+0`).
+fn kept_band(weights: &Matrix, params: &Conv2dParams, dead: &[bool], g: usize) -> KeptRows {
+    let (cpg, opg, taps) = (
+        params.in_per_group(),
+        params.out_per_group(),
+        params.kh * params.kw,
+    );
+    let rows: Vec<usize> = (0..opg)
+        .filter(|&r| weights.row(g * opg + r).iter().any(|&v| v != 0.0))
+        .collect();
+    // A dead channel stays when a weight on it is not finite: `inf·0`
+    // is NaN, which leaving the product out would hide.
+    let live: Vec<usize> = (0..cpg)
+        .filter(|&c| {
+            !dead[g * cpg + c]
+                || rows.iter().any(|&r| {
+                    let block = &weights.row(g * opg + r)[c * taps..(c + 1) * taps];
+                    block.iter().any(|v| !v.is_finite())
+                })
+        })
+        .collect();
+    let mut band = Vec::with_capacity(rows.len() * live.len() * taps);
+    for &r in &rows {
+        let row = weights.row(g * opg + r);
+        for &c in &live {
+            band.extend_from_slice(&row[c * taps..(c + 1) * taps]);
+        }
+    }
+    KeptRows {
+        rows,
+        live,
+        weights: band,
+    }
+}
+
+/// `dead` input channels as a mask over the layer's input channels.
+fn dead_mask(params: &Conv2dParams, dead: &[usize]) -> TensorResult<Vec<bool>> {
+    let mut mask = vec![false; params.in_channels];
+    for &c in dead {
+        *mask.get_mut(c).ok_or_else(|| {
+            ShapeError::new(format!(
+                "conv: dead input channel {c} of {}",
+                params.in_channels
+            ))
+        })? = true;
+    }
+    Ok(mask)
 }
 
 /// The weight operand of [`conv2d`]: which stored form of the
@@ -249,13 +316,16 @@ pub enum ConvWeights<'a> {
     /// `g*out_per_group..`, so no per-group copy exists. Lowering is
     /// the fused im2col-and-pack; the multiply is [`gemm_packed`].
     Dense(&'a Matrix),
-    /// Dense f32 over the kept filters only, for filter-pruned weights
-    /// (whole rows zero): the same lowering and [`gemm_packed`] as
-    /// [`ConvWeights::Dense`] on a matrix with the zero rows removed,
-    /// so cost scales with the filters that remain — this is how
-    /// filter pruning turns into wall-clock savings. Kept channels are
-    /// bitwise equal to `Dense` on the same weights (same ascending-`kk`
-    /// sums) on every kernel path; pruned channels hold
+    /// Dense f32 over the kept filters and the live input channels
+    /// only ([`KeptRows`]), for filter-pruned weights (whole rows zero)
+    /// or an input with dead channels: the same lowering and
+    /// [`gemm_packed`] as [`ConvWeights::Dense`] on a matrix with the
+    /// zero rows and the dead channels' columns removed, lowering only
+    /// the live planes, so cost scales with the filters that remain and
+    /// the channels that can be non-zero — this is how filter pruning
+    /// turns into wall-clock savings, in the pruned layer and in the
+    /// one after it. Kept channels are bitwise equal to `Dense` on the
+    /// same weights (see [`conv2d`] for when); pruned channels hold
     /// `epi(0.0 + bias)`.
     DenseRows(&'a [KeptRows]),
     /// f32 CSR, for weights with unstructured sparsity: cost scales
@@ -275,13 +345,17 @@ pub enum ConvWeights<'a> {
     Winograd(&'a [WinogradBand]),
     /// Int8 dense: pre-quantized weight bands against activations
     /// quantized with `act_scale` (calibrated, or the caller's max-abs
-    /// estimate) — each input image once, before lowering; the
-    /// lowering moves i8 straight into the quad-interleaved panel
-    /// layout; the multiply is [`gemm_i8`], dequantizing by
-    /// `weight scale · act_scale` in its store.
+    /// estimate) — each input image once, before lowering, its live
+    /// planes only; the lowering moves i8 straight into the
+    /// quad-interleaved panel layout; the multiply is [`gemm_i8`] over
+    /// the kept rows and live channels, dequantizing by `weight scale ·
+    /// act_scale` in its store. A band keeping every row and channel
+    /// is the plain dense int8 multiply; the others drop exactly the
+    /// zero terms of its exact integer sums, so every form of the same
+    /// weights gives the same bits.
     DenseI8 {
         /// Quantized weight bands.
-        bands: &'a [QuantizedA],
+        bands: &'a [KeptRows<QuantizedA>],
         /// Activation quantization scale for this call.
         act_scale: f32,
     },
@@ -289,25 +363,18 @@ pub enum ConvWeights<'a> {
 
 impl ConvWeights<'_> {
     /// Per-group split of dense `weights` into the rows that hold a
-    /// non-zero weight (a NaN counts as one).
-    pub fn kept_row_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<KeptRows>> {
+    /// non-zero weight (a NaN counts as one), restricted to the input
+    /// channels that are live given the layer's `dead` input channels
+    /// (any order; see [`KeptRows`]).
+    pub fn kept_row_bands(
+        weights: &Matrix,
+        params: &Conv2dParams,
+        dead: &[usize],
+    ) -> TensorResult<Vec<KeptRows>> {
         params.check_weights(weights.shape())?;
-        let opg = params.out_per_group();
+        let dead = dead_mask(params, dead)?;
         Ok((0..params.groups)
-            .map(|g| {
-                let mut band = KeptRows {
-                    rows: Vec::new(),
-                    weights: Vec::new(),
-                };
-                for r in 0..opg {
-                    let row = weights.row(g * opg + r);
-                    if row.iter().any(|&v| v != 0.0) {
-                        band.rows.push(r);
-                        band.weights.extend_from_slice(row);
-                    }
-                }
-                band
-            })
+            .map(|g| kept_band(weights, params, &dead, g))
             .collect())
     }
 
@@ -340,20 +407,27 @@ impl ConvWeights<'_> {
             .collect())
     }
 
-    /// Per-group int8 quantization of dense `weights`, one max-abs
-    /// scale over the whole layer (per-layer symmetric quantization).
-    pub fn i8_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<QuantizedA>> {
-        params.check_weights(weights.shape())?;
+    /// Per-group int8 quantization of dense `weights` over the kept
+    /// rows and live channels ([`ConvWeights::kept_row_bands`]), one
+    /// max-abs scale over the whole layer (per-layer symmetric
+    /// quantization), so a weight quantizes alike whichever rows and
+    /// channels are left out.
+    pub fn i8_bands(
+        weights: &Matrix,
+        params: &Conv2dParams,
+        dead: &[usize],
+    ) -> TensorResult<Vec<KeptRows<QuantizedA>>> {
         let scale = symmetric_scale(weights.as_slice());
-        let (opg, col_rows) = (params.out_per_group(), params.col_rows());
-        Ok((0..params.groups)
-            .map(|g| {
-                QuantizedA::quantize(
-                    &weights.as_slice()[g * opg * col_rows..],
-                    opg,
-                    col_rows,
-                    scale,
-                )
+        let taps = params.kh * params.kw;
+        Ok(Self::kept_row_bands(weights, params, dead)?
+            .into_iter()
+            .map(|band| {
+                let (rows, depth) = (band.rows.len(), band.live.len() * taps);
+                KeptRows {
+                    weights: QuantizedA::quantize(&band.weights, rows, depth, scale),
+                    rows: band.rows,
+                    live: band.live,
+                }
             })
             .collect())
     }
@@ -374,22 +448,31 @@ impl ConvWeights<'_> {
             }
             Ok(())
         }
+        // Narrowed bands: indices within the group, and weights that
+        // `holds(weights, rows, depth)` says are `rows × live·kh·kw`.
+        fn kept<W>(
+            b: &[KeptRows<W>],
+            holds: impl Fn(&W, usize, usize) -> bool,
+            params: &Conv2dParams,
+        ) -> TensorResult<()> {
+            let fits = |band: &KeptRows<W>| {
+                let depth = band.live.len() * params.kh * params.kw;
+                holds(&band.weights, band.rows.len(), depth)
+                    && band.rows.last().is_none_or(|&r| r < params.out_per_group())
+                    && band.live.last().is_none_or(|&c| c < params.in_per_group())
+            };
+            if b.len() != params.groups || !b.iter().all(fits) {
+                return Err(ShapeError::new(format!(
+                    "conv: expected {} kept-row bands within {:?}",
+                    params.groups,
+                    (params.out_per_group(), params.col_rows())
+                )));
+            }
+            Ok(())
+        }
         match self {
             ConvWeights::Dense(w) => params.check_weights(w.shape()),
-            ConvWeights::DenseRows(b) => {
-                let fits = |band: &KeptRows| {
-                    band.weights.len() == band.rows.len() * params.col_rows()
-                        && band.rows.last().is_none_or(|&r| r < params.out_per_group())
-                };
-                if b.len() != params.groups || !b.iter().all(fits) {
-                    return Err(ShapeError::new(format!(
-                        "conv: expected {} kept-row bands within {:?}",
-                        params.groups,
-                        (params.out_per_group(), params.col_rows())
-                    )));
-                }
-                Ok(())
-            }
+            ConvWeights::DenseRows(b) => kept(b, |w, rows, depth| w.len() == rows * depth, params),
             ConvWeights::Csr(b) => bands(b.iter().map(|m| m.shape()), params),
             ConvWeights::Winograd(b) => {
                 let expected = (params.out_per_group(), params.in_per_group());
@@ -405,9 +488,11 @@ impl ConvWeights<'_> {
                 }
                 Ok(())
             }
-            ConvWeights::DenseI8 { bands: b, .. } => {
-                bands(b.iter().map(|q| (q.rows(), q.k())), params)
-            }
+            ConvWeights::DenseI8 { bands: b, .. } => kept(
+                b,
+                |q, rows, depth| (q.rows(), q.k()) == (rows, depth),
+                params,
+            ),
         }
     }
 }
@@ -446,12 +531,28 @@ impl ConvWeights<'_> {
 /// [`mod@crate::winograd`]), but its bits do not depend on the kernel
 /// path, the team or the batch either.
 ///
-/// [`ConvWeights::DenseRows`] treats a pruned filter as absent rather
-/// than as zeros. A group whose filters are all pruned is neither
-/// lowered nor multiplied, and a layer with every filter pruned is its
-/// bias broadcast. With non-finite activations a pruned channel
-/// still reads `epi(0.0 + bias)`, where [`ConvWeights::Dense`] on the
-/// same weights reads NaN (`0·inf`).
+/// The narrowed forms ([`ConvWeights::DenseRows`], and
+/// [`ConvWeights::DenseI8`] over its [`KeptRows`]) treat a pruned
+/// filter as absent rather than as zeros. A group whose filters are all
+/// pruned, or whose input channels are all dead, is neither lowered nor
+/// multiplied, and a layer with every filter pruned is its bias
+/// broadcast. With non-finite activations a pruned channel still reads
+/// `epi(0.0 + bias)`, where [`ConvWeights::Dense`] on the same weights
+/// reads NaN (`0·inf`).
+///
+/// They also skip the input channels a [`KeptRows`] leaves out: only
+/// the live planes are padded and lowered (or quantized), and the
+/// multiply's depth is `live × kh × kw`. A channel is left out only
+/// when the caller says it is dead — exactly `+0` in every image — and
+/// every weight on it is finite, so each dropped term is `w·(+0)`, a
+/// signed zero. The f32 sums start at `+0` and add one fused
+/// multiply-add per term in ascending order, so they never hold `-0`,
+/// and adding a zero to a sum that is not `-0` leaves it as it was;
+/// the int8 sums are exact integers. The bias is added after the sum
+/// in both. So dropping the dead channels changes no output bit,
+/// against [`ConvWeights::Dense`] (or the full int8 bands) on the same
+/// input. A dead channel with a non-finite weight on it (`inf·0` is
+/// NaN) is kept.
 ///
 /// When `ws` carries a [`Team`](team::Team), the call spreads across it
 /// ([`mod@team`]). The output is `n × groups` bands, one per image
@@ -512,6 +613,16 @@ pub fn conv2d(
     call.bands(input.as_slice(), 0, out.as_mut_slice(), ws)
 }
 
+/// Weights a narrowed form multiplies per output pixel: kept rows ×
+/// live channels × taps, over the groups.
+fn narrowed_taps<W>(bands: &[KeptRows<W>], params: &Conv2dParams) -> usize {
+    let taps = params.kh * params.kw;
+    bands
+        .iter()
+        .map(|b| b.rows.len() * b.live.len() * taps)
+        .sum()
+}
+
 /// One validated [`conv2d`] call: everything but the images.
 #[derive(Clone, Copy)]
 struct ConvCall<'a> {
@@ -528,12 +639,9 @@ impl ConvCall<'_> {
     /// Multiply-accumulates of one image under this weight form.
     fn macs_per_image(&self) -> u64 {
         let taps = match self.weights {
-            ConvWeights::Dense(_) | ConvWeights::DenseI8 { .. } => {
-                self.params.out_channels * self.params.col_rows()
-            }
-            ConvWeights::DenseRows(b) => {
-                b.iter().map(|band| band.rows.len()).sum::<usize>() * self.params.col_rows()
-            }
+            ConvWeights::Dense(_) => self.params.out_channels * self.params.col_rows(),
+            ConvWeights::DenseRows(b) => narrowed_taps(b, self.params),
+            ConvWeights::DenseI8 { bands, .. } => narrowed_taps(bands, self.params),
             ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum(),
             ConvWeights::Winograd(_) => {
                 let tiles = Tiles::new(1, self.h, self.w).count();
@@ -675,37 +783,57 @@ impl ConvCall<'_> {
                 bias: row_bias.map(EpiBias::PerRow),
                 relu,
             };
-            if let ConvWeights::DenseRows(bands) = weights {
-                if bands[g].rows.is_empty() {
-                    // No filter kept: nothing to lower or multiply.
-                    bands[g].spread(dst, n_out, row_bias, relu);
+            // A narrowed form's kept rows and live planes for this group.
+            let kept = match weights {
+                ConvWeights::DenseRows(bands) => Some((&bands[g].rows[..], &bands[g].live[..])),
+                ConvWeights::DenseI8 { bands, .. } => {
+                    Some((&bands[g].rows[..], &bands[g].live[..]))
+                }
+                _ => None,
+            };
+            let lo = match kept {
+                Some((rows, live)) if rows.is_empty() || live.is_empty() => {
+                    // No filter kept, or no channel that can be
+                    // non-zero: every row is its zero product's constant.
+                    spread(&[], dst, n_out, row_bias, relu);
                     continue;
                 }
-            }
+                Some((_, live)) => Lowering::new(
+                    live.len(),
+                    h,
+                    w,
+                    params.kh,
+                    params.kw,
+                    params.pad,
+                    params.stride,
+                )?,
+                None => lo,
+            };
+            let live = kept.map(|(_, live)| live);
+            let depth = lo.rows();
             let t_col = split_clock(timing);
-            // Each form pads the group's channels once (the int8 form
-            // quantizes straight into the padded layout: quantization
-            // commutes with lowering, which only copies values and pads
-            // with zero, so the image is quantized once instead of once
-            // per patch element) and lowers straight into the layout its
-            // multiply reads — one write pass, no repack.
+            // Each form pads the group's (live) channels once (the int8
+            // form quantizes straight into the padded layout:
+            // quantization commutes with lowering, which only copies
+            // values and pads with zero, so the image is quantized once
+            // instead of once per patch element) and lowers straight
+            // into the layout its multiply reads — one write pass, no
+            // repack.
             match weights {
                 ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
                     // The f32 multiply about to run splits its output
                     // rows into as many parts as its lowering's panels.
-                    let product_len = match weights {
-                        ConvWeights::DenseRows(bands) => bands[g].rows.len() * n_out,
-                        _ => dst.len(),
-                    };
-                    let parts = team::row_parts(team.as_ref(), col_rows, n_out, product_len);
-                    lo.panels_into(team.as_mut(), parts, lo.padded(image, padded)?, packed)?
+                    let product_len = kept.map_or(dst.len(), |(rows, _)| rows.len() * n_out);
+                    let parts = team::row_parts(team.as_ref(), depth, n_out, product_len);
+                    let image = lo.padded(image, live, padded)?;
+                    lo.panels_into(team.as_mut(), parts, image, packed)?
                 }
                 ConvWeights::Csr(_) => {
                     cols.resize_for_overwrite(col_rows, n_out);
-                    lo.rows_into(lo.padded(image, padded)?, cols.as_mut_slice())?
+                    lo.rows_into(lo.padded(image, None, padded)?, cols.as_mut_slice())?
                 }
                 ConvWeights::DenseI8 { act_scale, .. } => {
-                    lo.quantize_padded(image, 1.0 / act_scale, qimage)?;
+                    lo.quantize_padded(image, live, 1.0 / act_scale, qimage)?;
                     lo.quads_into(qimage, qlines, qbuf)?;
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
@@ -732,37 +860,43 @@ impl ConvCall<'_> {
                     })?
                 }
                 ConvWeights::DenseRows(bands) => {
-                    // The plain product of the kept rows goes to the
-                    // head of the band; `spread` then moves each row
-                    // to its channel (no side buffer), applying the
-                    // epilogue there.
-                    let band = &bands[g];
-                    let kept = band.rows.len();
-                    let b = packed.as_slice();
-                    team::split_rows(
+                    let (a, b) = (&bands[g].weights, packed.as_slice());
+                    let rows = &bands[g].rows;
+                    multiply_kept(
                         team,
-                        col_rows,
+                        rows,
+                        depth,
                         n_out,
-                        &mut dst[..kept * n_out],
-                        &|rows, part| {
-                            let a = &band.weights[rows.start * col_rows..rows.end * col_rows];
-                            gemm_packed(a, rows.len(), col_rows, n_out, b, part, Epilogue::NONE)
+                        dst,
+                        row_bias,
+                        relu,
+                        &|rows, part, epi| {
+                            let a = &a[rows.start * depth..rows.end * depth];
+                            gemm_packed(a, rows.len(), depth, n_out, b, part, epi)
                         },
-                    )?;
-                    band.spread(dst, n_out, row_bias, relu);
+                    )?
                 }
                 ConvWeights::Csr(bands) => {
                     bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
                 }
                 ConvWeights::DenseI8 { bands, act_scale } => {
-                    let band = &bands[g];
+                    let band = &bands[g].weights;
                     let (kp, scale) = (band.kp(), band.scale() * act_scale);
                     let b = qbuf.as_slice();
-                    team::split_rows(team, kp, n_out, dst, &|rows, part| {
-                        let a = &band.data()[rows.start * kp..];
-                        let epi = epi.offset(rows.start, 0);
-                        gemm_i8(a, rows.len(), kp, n_out, b, part, scale, epi)
-                    })?
+                    let rows = &bands[g].rows;
+                    multiply_kept(
+                        team,
+                        rows,
+                        kp,
+                        n_out,
+                        dst,
+                        row_bias,
+                        relu,
+                        &|rows, part, epi| {
+                            let a = &band.data()[rows.start * kp..];
+                            gemm_i8(a, rows.len(), kp, n_out, b, part, scale, epi)
+                        },
+                    )?
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }
@@ -770,6 +904,45 @@ impl ConvCall<'_> {
         }
         Ok(())
     }
+}
+
+/// [`multiply_kept`]'s multiply of product rows into a piece.
+type KeptMultiply<'a> =
+    dyn Fn(Range<usize>, &mut [f32], Epilogue<'_>) -> TensorResult<()> + Sync + 'a;
+
+/// A narrowed band's multiply, its output rows cut across `team`:
+/// `multiply(rows, part, epi)` writes product rows `rows` of the kept
+/// filters into `part`. With every filter kept that is the band itself,
+/// the epilogue fused into the store; otherwise the plain products go
+/// to the head of `dst` and [`spread`] moves each to its channel (no
+/// side buffer), applying the epilogue there — the same
+/// `(v + bias)`-then-ReLU either way.
+#[allow(clippy::too_many_arguments)]
+fn multiply_kept(
+    team: Option<&mut team::Team>,
+    rows: &[usize],
+    depth: usize,
+    n_out: usize,
+    dst: &mut [f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+    multiply: &KeptMultiply<'_>,
+) -> TensorResult<()> {
+    if rows.len() * n_out == dst.len() {
+        let epi = Epilogue {
+            bias: bias.map(EpiBias::PerRow),
+            relu,
+        };
+        return team::split_rows(team, depth, n_out, dst, &|r, part| {
+            multiply(r.clone(), part, epi.offset(r.start, 0))
+        });
+    }
+    let head = &mut dst[..rows.len() * n_out];
+    team::split_rows(team, depth, n_out, head, &|r, part| {
+        multiply(r, part, Epilogue::NONE)
+    })?;
+    spread(rows, dst, n_out, bias, relu);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! after another. A caller with a worker [`crate::Team`] cuts one
 //! multiply across threads *around* this function, not inside it: rows of
 //! `A` ([`crate::team::split_rows`], a conv's filters) or panel-aligned
-//! column ranges of a batch-1 GEMV ([`crate::team::split_columns`]),
+//! column ranges of an fc multiply ([`crate::team::split_columns`]),
 //! each piece one `gemm_packed` call on a sub-range — so every output
 //! element keeps its single ascending-`kk` chain and the bits do not
 //! depend on the team.
@@ -18,6 +18,7 @@ use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels;
 use crate::kernels::{Epilogue, F32Tile, PANEL};
+use std::ops::Range;
 
 /// Row-band size: the rows of `C` the packed driver finishes against one
 /// column strip before moving down (cache blocking).
@@ -158,11 +159,25 @@ impl PackedB {
     /// `p*PANEL..` of `w`: lane `j` of depth `kk` is element `kk` of
     /// row `p*PANEL + j`; the last panel's lanes past `n` stay zero.
     pub fn pack_transposed(w: &Matrix) -> Self {
-        let (n, k) = w.shape();
+        Self::pack_transposed_columns(w, std::slice::from_ref(&(0..w.cols())))
+    }
+
+    /// [`PackedB::pack_transposed`] of the matrix made of `w`'s column
+    /// ranges `cols` side by side — depth `k` their total length —
+    /// without materialising it. A narrowed fc layer packs its live
+    /// input features this way.
+    ///
+    /// # Panics
+    /// If a range reaches past `w`'s columns.
+    pub fn pack_transposed_columns(w: &Matrix, cols: &[Range<usize>]) -> Self {
+        let n = w.rows();
+        let k: usize = cols.iter().map(Range::len).sum();
         let mut data = vec![0.0f32; n.div_ceil(PANEL) * k * PANEL];
         for (p, panel) in data.chunks_exact_mut((k * PANEL).max(1)).enumerate() {
             for j in 0..PANEL.min(n - p * PANEL) {
-                for (lanes, &v) in panel.chunks_exact_mut(PANEL).zip(w.row(p * PANEL + j)) {
+                let row = w.row(p * PANEL + j);
+                let live = cols.iter().flat_map(|range| &row[range.clone()]);
+                for (lanes, &v) in panel.chunks_exact_mut(PANEL).zip(live) {
                     lanes[j] = v;
                 }
             }

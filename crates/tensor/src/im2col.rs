@@ -30,6 +30,7 @@ use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels::int8::{padded_depth, quantize_slice_with, store_row_quad_with, QUAD};
 use crate::kernels::{self, PANEL};
+use crate::quant::I8Storage;
 use crate::team::{self, Team};
 use std::ops::Range;
 
@@ -202,38 +203,90 @@ impl Lowering {
         self.c * self.hp * self.wp
     }
 
-    /// The `c×h×w` `image` with its zero border in place: `image`
+    /// The `c×h×w` image this lowering reads, with its zero border in
+    /// place. With `live` `None`, `image` is those `c` planes: `image`
     /// itself when `pad` is 0, else its planes padded into `scratch`
-    /// (resized; every element written). Errors if `image` is not
-    /// `c×h×w` long.
+    /// (resized; every element written). With `live` `Some`, `image`
+    /// holds any number of `h×w` planes and the lowering reads the `c`
+    /// ascending planes `live` lists — copied into `scratch`, padded,
+    /// unless they are all of them and `pad` is 0. Errors if `image` is
+    /// not `c×h×w` long, or not whole planes that `live` indexes.
     pub fn padded<'a, T: Copy + Default>(
         &self,
         image: &'a [T],
+        live: Option<&[usize]>,
         scratch: &'a mut Vec<T>,
     ) -> TensorResult<&'a [T]> {
-        self.check_image("padded", image.len())?;
-        if self.pad == 0 {
+        let every = self.check_planes("padded", image.len(), live)?;
+        if self.pad == 0 && every {
             return Ok(image);
         }
-        self.pad_with(scratch, |dst| dst.copy_from_slice(image));
+        let plane = self.h * self.w;
+        self.pad_with(scratch, |dst| {
+            for_live_runs(live, image.len() / plane.max(1), |src, at, count| {
+                dst[at * plane..(at + count) * plane]
+                    .copy_from_slice(&image[src * plane..(src + count) * plane]);
+            })
+        });
         Ok(scratch)
     }
 
-    /// Quantize the `c×h×w` `image` by `inv_scale` straight into its
-    /// padded layout in `dst` (resized; every byte written): one
-    /// quantize of the whole image, then each row moved to its place.
-    /// The border is `0`, what a padding `0.0` quantizes to. Errors if
-    /// `image` is not `c×h×w` long.
+    /// Quantize the `c×h×w` image this lowering reads (`image` and
+    /// `live` as in [`Lowering::padded`]) by `inv_scale` straight into
+    /// its padded layout in `dst` (resized; every byte written): one
+    /// quantize per run of consecutive planes, then each row moved to
+    /// its place. The border is `0`, what a padding `0.0` quantizes to.
+    /// Errors as [`Lowering::padded`] does.
     pub fn quantize_padded(
         &self,
         image: &[f32],
+        live: Option<&[usize]>,
         inv_scale: f32,
         dst: &mut Vec<i8>,
     ) -> TensorResult<()> {
-        self.check_image("quantize_padded", image.len())?;
+        self.check_planes("quantize_padded", image.len(), live)?;
         let path = kernels::selected();
-        self.pad_with(dst, |dst| quantize_slice_with(path, image, inv_scale, dst));
+        let plane = self.h * self.w;
+        self.pad_with(dst, |dst| {
+            for_live_runs(live, image.len() / plane.max(1), |src, at, count| {
+                quantize_slice_with(
+                    path,
+                    &image[src * plane..(src + count) * plane],
+                    inv_scale,
+                    &mut dst[at * plane..(at + count) * plane],
+                );
+            })
+        });
         Ok(())
+    }
+
+    /// Check `image_len` against the planes the lowering reads (see
+    /// [`Lowering::padded`]); whether they are every plane of `image`.
+    fn check_planes(
+        &self,
+        what: &str,
+        image_len: usize,
+        live: Option<&[usize]>,
+    ) -> TensorResult<bool> {
+        let Some(live) = live else {
+            self.check_image(what, image_len)?;
+            return Ok(true);
+        };
+        let plane = self.h * self.w;
+        let planes = image_len / plane.max(1);
+        if live.len() != self.c
+            || planes * plane != image_len
+            || live.last().is_some_and(|&p| p >= planes)
+        {
+            return Err(ShapeError::new(format!(
+                "{what}: {} live planes of an image of length {image_len} for {}x{}x{}",
+                live.len(),
+                self.c,
+                self.h,
+                self.w
+            )));
+        }
+        Ok(live.len() == planes)
     }
 
     /// Resize `dst` to the padded layout, let `fill` write the `c×h×w`
@@ -425,12 +478,12 @@ impl Lowering {
         &self,
         padded: &[i8],
         lines: &mut Vec<i8>,
-        packed: &mut Vec<i8>,
+        packed: &mut impl I8Storage,
     ) -> TensorResult<usize> {
         self.check_padded(padded.len())?;
         let (kp, n_out) = (padded_depth(self.rows), self.n_out);
         let lanes = n_out.next_multiple_of(PANEL);
-        packed.resize(lanes * kp, 0);
+        let packed = packed.resize_for_overwrite(lanes * kp);
         lines.resize(QUAD * lanes, 0);
         let path = kernels::selected();
         let mut taps = self.taps();
@@ -448,6 +501,27 @@ impl Lowering {
             store_row_quad_with(path, rows, q, kp, packed);
         }
         Ok(kp)
+    }
+}
+
+/// Call `copy(src, at, count)` for each run of consecutive planes the
+/// lowering reads, in order: `count` planes from plane `src` of the
+/// image go to plane `at` of the unpadded head. `live` `None` is every
+/// one of the image's `planes`, one run.
+fn for_live_runs(live: Option<&[usize]>, planes: usize, mut copy: impl FnMut(usize, usize, usize)) {
+    let Some(live) = live else {
+        copy(0, 0, planes);
+        return;
+    };
+    let mut at = 0;
+    while at < live.len() {
+        let count = live[at..]
+            .iter()
+            .enumerate()
+            .take_while(|&(i, &p)| p == live[at] + i)
+            .count();
+        copy(live[at], at, count);
+        at += count;
     }
 }
 
@@ -537,7 +611,7 @@ pub fn im2col_prealloc(
             (lo.rows, lo.n_out)
         )));
     }
-    lo.rows_into(lo.padded(image, padded)?, cols.as_mut_slice())
+    lo.rows_into(lo.padded(image, None, padded)?, cols.as_mut_slice())
 }
 
 /// `im2col` straight into the GEMM's panel-packed `B` layout, fusing the
@@ -569,7 +643,7 @@ pub fn im2col_packed_prealloc(
     packed: &mut Matrix,
 ) -> TensorResult<()> {
     let lo = Lowering::for_image("im2col_packed", image.len(), c, h, w, kh, kw, pad, stride)?;
-    lo.panels_into(None, 1, lo.padded(image, &mut Vec::new())?, packed)
+    lo.panels_into(None, 1, lo.padded(image, None, &mut Vec::new())?, packed)
 }
 
 /// Fold a column matrix back into an image, **accumulating** overlapping
@@ -770,7 +844,7 @@ mod tests {
             let mut team = Team::new(threads).with_min_part_macs(0);
             let mut scratch = vec![f32::NAN; lo.padded_len() + 7];
             let mut packed = Matrix::from_fn(3, 7, |_, _| f32::NAN);
-            let padded = lo.padded(&image, &mut scratch).unwrap();
+            let padded = lo.padded(&image, None, &mut scratch).unwrap();
             lo.panels_into(Some(&mut team), threads, padded, &mut packed)
                 .unwrap();
             prop_assert_eq!(
@@ -782,7 +856,7 @@ mod tests {
         }
 
         let mut q_padded = vec![77i8; lo.padded_len() + 7];
-        lo.quantize_padded(&image, inv_scale, &mut q_padded)
+        lo.quantize_padded(&image, None, inv_scale, &mut q_padded)
             .unwrap();
         let (mut lines, mut q_packed) = (vec![77i8; 64], vec![77i8; 2 * want_i8.len() + 5]);
         let got_kp = lo.quads_into(&q_padded, &mut lines, &mut q_packed).unwrap();
@@ -792,18 +866,62 @@ mod tests {
     }
 
     #[test]
+    fn live_planes_lower_like_the_image_of_just_those_planes() {
+        let (c, h, w) = (6, 5, 7);
+        let plane = h * w;
+        let image = det_image(c * plane, 3);
+        // Runs of one, two and one plane; every plane; none.
+        for live in [vec![0, 2, 3, 5], (0..c).collect(), vec![]] {
+            let gathered: Vec<f32> = live
+                .iter()
+                .flat_map(|&p| image[p * plane..(p + 1) * plane].to_vec())
+                .collect();
+            for pad in [0, 1, 2] {
+                let lo = Lowering::new(live.len(), h, w, 3, 3, pad, 1).unwrap();
+                let (mut want, mut got) = (Vec::new(), vec![f32::NAN; 3]);
+                let want = lo.padded(&gathered, None, &mut want).unwrap();
+                let got = lo.padded(&image, Some(&live), &mut got).unwrap();
+                assert_eq!(got, want, "live {live:?} pad {pad}");
+                let (mut want, mut got) = (Vec::new(), vec![9i8; 1000]);
+                lo.quantize_padded(&gathered, None, 30.0, &mut want)
+                    .unwrap();
+                lo.quantize_padded(&image, Some(&live), 30.0, &mut got)
+                    .unwrap();
+                assert_eq!(got, want, "int8 live {live:?} pad {pad}");
+            }
+        }
+        // A live list that is not `c` planes of the image is an error.
+        let lo = Lowering::new(2, h, w, 3, 3, 1, 1).unwrap();
+        for (live, len) in [
+            (&[0, 1, 2][..], c * plane),
+            (&[1, 6][..], c * plane),
+            (&[0, 1][..], c * plane - 1),
+        ] {
+            assert!(lo
+                .padded(&image[..len], Some(live), &mut Vec::new())
+                .is_err());
+            let mut q = Vec::new();
+            assert!(lo
+                .quantize_padded(&image[..len], Some(live), 1.0, &mut q)
+                .is_err());
+        }
+    }
+
+    #[test]
     fn lowering_entry_points_reject_a_short_image() {
         let lo = Lowering::new(2, 5, 5, 3, 3, 1, 1).unwrap();
         let short = vec![0.5f32; 2 * 5 * 5 - 1];
         for pad in [1, 0] {
             let lo = Lowering::new(2, 5, 5, 3, 3, pad, 1).unwrap();
-            let err = lo.padded(&short, &mut Vec::new()).unwrap_err();
+            let err = lo.padded(&short, None, &mut Vec::new()).unwrap_err();
             assert!(
                 err.to_string().contains("image length 49 != 2x5x5"),
                 "{err}"
             );
         }
-        assert!(lo.quantize_padded(&short, 1.0, &mut Vec::new()).is_err());
+        assert!(lo
+            .quantize_padded(&short, None, 1.0, &mut Vec::new())
+            .is_err());
         let (padded, wrong) = (
             vec![0.0f32; lo.padded_len()],
             vec![0.0f32; lo.padded_len() - 1],
@@ -945,9 +1063,9 @@ mod tests {
             // straight into its padded layout (`conv2d`'s way), agree.
             let lo = Lowering::new(c, h, w, kh, kw, pad, stride).unwrap();
             let mut scratch = vec![77i8; 3];
-            let q_padded = lo.padded(&q_image, &mut scratch).unwrap();
+            let q_padded = lo.padded(&q_image, None, &mut scratch).unwrap();
             let mut fused = vec![77i8; lo.padded_len() + 11];
-            lo.quantize_padded(&image, inv_scale, &mut fused).unwrap();
+            lo.quantize_padded(&image, None, inv_scale, &mut fused).unwrap();
             prop_assert_eq!(&fused[..], q_padded);
             let (mut lines, mut packed) = (vec![77i8; 64], vec![77i8; 4 * want.len() + 5]);
             prop_assert_eq!(lo.quads_into(q_padded, &mut lines, &mut packed).unwrap(), kp);

@@ -34,7 +34,7 @@
 //!
 //! All kernels are deterministic given deterministic inputs: every
 //! output element is accumulated by one thread in one fixed order. A
-//! convolution, batch-1 GEMV, pooling or LRN call whose workspace
+//! convolution, fc multiply, pooling or LRN call whose workspace
 //! carries a [`Team`] cuts its output into contiguous pieces across the
 //! team's threads
 //! ([`mod@team`]); a piece is the same kernel on a sub-range, so the
@@ -81,7 +81,7 @@ pub use pool::{
 pub use precision::Precision;
 pub use quant::{
     gemm_i8, pack_b_i8_into, percentile_scale, quantize_i8, quantize_rows_into, symmetric_scale,
-    CalibrationMethod, PackedBI8, QuantizedA,
+    AlignedI8, CalibrationMethod, I8Storage, PackedBI8, QuantizedA,
 };
 pub use sparse::CsrMatrix;
 pub use team::Team;

@@ -9,7 +9,7 @@
 //! pieces of [`run_pieces`]). In a pass it runs the parts of one
 //! kernel: an output slice cut into contiguous pieces of whole units,
 //! one closure call per piece, piece 0 on the caller. [`split_rows`]
-//! cuts a multiply by rows of `A`, [`split_columns`] a batch-1 GEMV by
+//! cuts a multiply by rows of `A`, [`split_columns`] an fc multiply by
 //! panel-aligned column ranges, [`crate::Lowering`] the f32 packed `B`
 //! it writes by panel ranges (as many parts as the multiply it feeds),
 //! [`crate::conv2d`] cuts its output bands (groups, images) and the
@@ -411,10 +411,8 @@ impl<'a, T> Pieces<'a, T> {
     }
 
     /// Element range of piece `part`.
-    fn range(&self, part: usize) -> std::ops::Range<usize> {
-        let units = self.len.div_ceil(self.unit);
-        let at = |p: usize| (p * units / self.parts * self.unit).min(self.len);
-        at(part)..at(part + 1)
+    fn range(&self, part: usize) -> Range<usize> {
+        piece_range(self.len, self.unit, self.parts, part)
     }
 
     /// Piece `part` and its offset in `out`.
@@ -432,6 +430,14 @@ impl<'a, T> Pieces<'a, T> {
             unsafe { std::slice::from_raw_parts_mut(self.base.add(range.start), range.len()) };
         (range.start, piece)
     }
+}
+
+/// Element range of piece `part` of `len` elements cut into `parts`
+/// pieces of whole `unit`s ([`Pieces`]).
+fn piece_range(len: usize, unit: usize, parts: usize, part: usize) -> Range<usize> {
+    let units = len.div_ceil(unit);
+    let at = |p: usize| (p * units / parts * unit).min(len);
+    at(part)..at(part + 1)
 }
 
 /// The first error by part number — what running the parts in order
@@ -615,26 +621,59 @@ pub(crate) fn row_parts(team: Option<&Team>, depth: usize, n: usize, len: usize)
     })
 }
 
-/// Run `gemv(cols, piece)` over the one output row `out` of a batch-1
-/// multiply of depth `depth`, cut by panel-aligned column ranges across
-/// `team` where that pays. `piece` is `out[cols]`; `cols.start` is a
-/// whole number of panels, so the caller's `B` for it is the packed
-/// `B` from panel `cols.start / PANEL` on — `&b[cols.start * depth..]`
-/// for f32 panels, `&b[cols.start * kp..]` for int8 ones — with its
-/// epilogue [offset](crate::Epilogue::offset) by `cols.start` columns.
+/// Run `multiply(cols, piece)` over the row-major `rows × n` output
+/// `out` of a multiply of depth `depth` (a batch-`rows` fc), cut by
+/// panel-aligned column ranges across `team` where that pays. `piece`
+/// is the row-major `rows × cols.len()` block of columns `cols`: for
+/// one row, `out[cols]` itself; for more, a block of `stage` (resized;
+/// the blocks of the parts one after the other), copied into `out`'s
+/// columns once every part is done. `cols.start` is a whole number of
+/// panels, so the caller's `B` for it is the packed `B` from panel
+/// `cols.start / PANEL` on — `&b[cols.start * depth..]` for f32 panels,
+/// `&b[cols.start * kp..]` for int8 ones — with its epilogue
+/// [offset](crate::Epilogue::offset) by `cols.start` columns. Columns
+/// are independent sums, so the cut changes no bit.
 pub fn split_columns(
     team: Option<&mut Team>,
     depth: usize,
+    rows: usize,
     out: &mut [f32],
-    gemv: &PieceFn<'_>,
+    stage: &mut Vec<f32>,
+    multiply: &PieceFn<'_>,
 ) -> TensorResult<()> {
+    let rows = rows.max(1);
+    let n = out.len() / rows;
     let macs = (out.len() * depth) as u64;
     let parts = team
         .as_deref()
-        .map_or(1, |t| t.parts_for(macs, out.len().div_ceil(GEMV_STEP)));
-    split(team, parts, out, GEMV_STEP, &|offset, piece| {
-        gemv(offset..offset + piece.len(), piece)
-    })
+        .map_or(1, |t| t.parts_for(macs, n.div_ceil(GEMV_STEP)));
+    if rows == 1 {
+        return split(team, parts, out, GEMV_STEP, &|offset, piece| {
+            multiply(offset..offset + piece.len(), piece)
+        });
+    }
+    if parts == 1 {
+        return multiply(0..n, out);
+    }
+    // A part's block is `rows × width`, starting at `rows * cols.start`.
+    let unit = rows * GEMV_STEP;
+    stage.resize(out.len(), 0.0);
+    split(team, parts, stage, unit, &|offset, block| {
+        let start = offset / rows;
+        multiply(start..start + block.len() / rows, block)
+    })?;
+    for part in 0..parts {
+        let range = piece_range(stage.len(), unit, parts, part);
+        let (start, width) = (range.start / rows, range.len() / rows);
+        let block = &stage[range];
+        for (row, src) in out
+            .chunks_exact_mut(n)
+            .zip(block.chunks_exact(width.max(1)))
+        {
+            row[start..start + width].copy_from_slice(src);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! own panels of the caller's patch matrix.
 
 use crate::dense::Matrix;
+use crate::quant::AlignedI8;
 use crate::team::Team;
 
 /// Scratch buffers for one kernel call at a time. The slots are
@@ -35,7 +36,7 @@ pub struct Workspace {
     /// (`in_per_group*kh*kw × oh*ow`), the Winograd convolution's `M`
     /// chunk (16 products of a few rows × tiles, [`mod@crate::winograd`]),
     /// [`crate::lrn_into`]'s square-sum plane, the batched sparse fc's
-    /// `Xᵀ`.
+    /// `Xᵀ`, a narrowed fc's live input features.
     pub cols: Matrix,
     /// The dense convolution's panel-packed patch matrix, shaped by
     /// [`crate::Lowering::panels_into`], or the Winograd form's 16
@@ -45,15 +46,19 @@ pub struct Workspace {
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
     /// ([`crate::quantize_rows_into`]), or the int8 convolution's patch
-    /// matrix (quad-packed by [`crate::Lowering::quads_into`]).
-    pub qbuf: Vec<i8>,
+    /// matrix (quad-packed by [`crate::Lowering::quads_into`]), which
+    /// the tile kernel loads fastest from a cache-line boundary, where
+    /// [`AlignedI8`] starts it.
+    pub qbuf: AlignedI8,
     /// The f32 convolution's input channels of one group, padded once
     /// ([`crate::Lowering::padded`]: `in_per_group ×
     /// (h+2·pad) × (w+2·pad)`) for the lowering to read; untouched when
     /// `pad` is 0, where the input is read in place. The Winograd form
     /// pads into it too, to whole 4×4 tile windows. Also the AVX2 max
     /// pool's one `-inf`-padded input plane
-    /// ([`crate::kernels::max_pool_planes_with`]).
+    /// ([`crate::kernels::max_pool_planes_with`]), and a batched dense
+    /// fc's column blocks when it splits by columns
+    /// ([`crate::team::split_columns`]).
     pub padded: Vec<f32>,
     /// The int8 convolution's input channels of one group, quantized
     /// once, straight into their padded layout
@@ -106,5 +111,28 @@ mod tests {
         assert_eq!(ws.cols.shape(), (100, 100));
         assert!(ws.cols.as_slice().iter().all(|&v| v == 0.0));
         assert_eq!(ws.reserved_bytes(), 100 * 100 * 4);
+    }
+
+    #[test]
+    fn int8_operands_start_on_a_cache_line() {
+        use crate::quant::{I8Storage, PackedBI8, I8_ALIGN};
+        let mut ws = Workspace::new();
+        // Growing (a new allocation each time) and shrinking alike.
+        for len in [1, 100, 4096, 70_000, 3, 1 << 20, 17] {
+            let bytes = ws.qbuf.resize_for_overwrite(len);
+            assert_eq!(bytes.len(), len);
+            assert_eq!(bytes.as_ptr() as usize % I8_ALIGN, 0, "qbuf of {len}");
+            assert_eq!(ws.qbuf.as_slice().as_ptr() as usize % I8_ALIGN, 0);
+        }
+        for (k, n) in [(3, 5), (1200, 129), (4608, 64)] {
+            let b = Matrix::from_fn(k, n, |r, c| (r * 7 + c) as f32 % 5.0 - 2.0);
+            for packed in [
+                PackedBI8::pack(&b, 0.05),
+                PackedBI8::pack_transposed(&b, 0.05),
+            ] {
+                let at = packed.data().as_ptr() as usize;
+                assert_eq!(at % I8_ALIGN, 0, "PackedBI8 of {k}x{n}");
+            }
+        }
     }
 }

@@ -19,6 +19,13 @@
 //!   pattern that changes its control flow, within 1e-4 of the oracle,
 //!   and no more scratch than `Dense`.
 //!
+//! * narrowed bands (kept rows plus live input channels, uneven live
+//!   counts per group, a whole group dead): **bitwise** `Dense` (f32)
+//!   or the full dense-i8 bands on the same zero-row weights with the
+//!   dead input planes zeroed, on every kernel path, at batch 1 and 8,
+//!   on teams of one to three threads; a non-finite weight on a dead
+//!   channel keeps its column.
+//!
 //! * dense and kept-rows f32 on one geometry whose patch matrix spans
 //!   three column strips of the packed GEMM: **bitwise** the seed
 //!   composition (the strip walk only reorders tiles).
@@ -33,10 +40,11 @@
 //! every case after the first starts from scratch dirtied by earlier,
 //! differently-shaped work — results must not depend on it.
 
+use cap_tensor::kernels;
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
     conv2d, gemm, gemm_i8, im2col, pack_b_i8_into, symmetric_scale, Conv2dParams, ConvWeights,
-    CsrMatrix, EpiBias, Epilogue, Matrix, QuantizedA, Tensor4, Workspace,
+    CsrMatrix, EpiBias, Epilogue, I8Storage, Matrix, QuantizedA, Team, Tensor4, Workspace,
 };
 
 fn input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -138,8 +146,8 @@ fn every_weight_form_matches_the_direct_oracle() {
         let dense_w = weights(&params, false);
         let pruned_w = weights(&params, true);
         let csr = ConvWeights::csr_bands(&pruned_w, &params).unwrap();
-        let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
-        let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
+        let dense_q = ConvWeights::i8_bands(&dense_w, &params, &[]).unwrap();
+        let pruned_q = ConvWeights::i8_bands(&pruned_w, &params, &[]).unwrap();
 
         for batch in [1usize, 3] {
             let x = input(batch, 4, 7, 7);
@@ -184,10 +192,11 @@ fn every_weight_form_matches_the_direct_oracle() {
 
 /// The int8 convolution as it ran before the image was quantized ahead
 /// of the lowering: per image and group, the f32 patch matrix, then
-/// quantize-and-pack every element of it, then the integer GEMM.
+/// quantize-and-pack every element of it, then the integer GEMM of the
+/// group's whole band of `w`, quantized at the layer's max-abs scale.
 fn lower_then_quantize(
     x: &Tensor4,
-    bands: &[QuantizedA],
+    w: &Matrix,
     act_scale: f32,
     bias: Option<&[f32]>,
     relu: bool,
@@ -198,6 +207,13 @@ fn lower_then_quantize(
     let (cpg, opg, n_out) = (params.in_per_group(), params.out_per_group(), oh * ow);
     let mut out = Tensor4::zeros(n, params.out_channels, oh, ow);
     let mut qb = Vec::new();
+    let col_rows = params.col_rows();
+    let bands: Vec<QuantizedA> = (0..params.groups)
+        .map(|g| {
+            let band = &w.as_slice()[g * opg * col_rows..];
+            QuantizedA::quantize(band, opg, col_rows, symmetric_scale(w.as_slice()))
+        })
+        .collect();
     for ni in 0..n {
         for (g, band) in bands.iter().enumerate() {
             let cols = im2col(
@@ -256,8 +272,8 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                 assert_eq!(params.col_rows() % 2, 1);
                 let dense_w = weights(&params, false);
                 let pruned_w = weights(&params, true);
-                let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
-                let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
+                let dense_q = ConvWeights::i8_bands(&dense_w, &params, &[]).unwrap();
+                let pruned_q = ConvWeights::i8_bands(&pruned_w, &params, &[]).unwrap();
                 for batch in [1usize, 3] {
                     let x = input(batch, 3 * groups, 11, 9);
                     let act_scale = 0.75 * symmetric_scale(x.as_slice());
@@ -270,11 +286,13 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                             "groups={groups} stride={stride} pad={pad} batch={batch} relu={relu} bias={}",
                             bias.is_some()
                         );
-                        for (name, bands) in
-                            [("dense-i8", &dense_q), ("pruned dense-i8", &pruned_q)]
-                        {
+                        for (name, bands, w) in [
+                            ("dense-i8", &dense_q, &dense_w),
+                            ("pruned dense-i8", &pruned_q, &pruned_w),
+                        ] {
                             let form = ConvWeights::DenseI8 { bands, act_scale };
-                            for slot in [&mut ws.qbuf, &mut ws.qimage, &mut ws.qlines] {
+                            ws.qbuf.resize_for_overwrite(8192).fill(77);
+                            for slot in [&mut ws.qimage, &mut ws.qlines] {
                                 slot.clear();
                                 slot.resize(8192, 77);
                             }
@@ -282,8 +300,7 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                             conv2d(&x, form, bias, relu, &params, &mut ws, &mut out).unwrap();
                             let (_, _, oh, ow) = out.shape();
                             assert_ne!(oh * ow % 8, 0, "{case}");
-                            let want =
-                                lower_then_quantize(&x, bands, act_scale, bias, relu, &params);
+                            let want = lower_then_quantize(&x, w, act_scale, bias, relu, &params);
                             assert!(bits(&out) == bits(&want), "{name} {case}");
                         }
                     }
@@ -323,7 +340,7 @@ fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
         let params = Conv2dParams::grouped(4, 12, 3, 1, 1, groups);
         for (pattern, pruned_rows) in patterns {
             let w = filter_pruned(&params, pruned_rows);
-            let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
+            let kept = ConvWeights::kept_row_bands(&w, &params, &[]).unwrap();
             for (batch, relu, bias) in [
                 (1usize, false, Some(&bias[..])),
                 (1, true, Some(&bias[..])),
@@ -375,10 +392,11 @@ fn pruned_filters_are_absent_not_zero() {
 
     // Group 1 entirely pruned: its channels hold the bias constant.
     let w = filter_pruned(&params, &[3, 4, 5]);
-    let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
+    let kept = ConvWeights::kept_row_bands(&w, &params, &[]).unwrap();
     // Every filter pruned: the layer is its bias broadcast.
     let none =
-        ConvWeights::kept_row_bands(&filter_pruned(&params, &[0, 1, 2, 3, 4, 5]), &params).unwrap();
+        ConvWeights::kept_row_bands(&filter_pruned(&params, &[0, 1, 2, 3, 4, 5]), &params, &[])
+            .unwrap();
     for relu in [false, true] {
         let rows = ConvWeights::DenseRows(&kept);
         conv2d(&x, rows, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
@@ -419,7 +437,7 @@ fn pruned_filters_are_absent_not_zero() {
 fn kept_rows_form_needs_no_more_scratch_than_dense() {
     let params = Conv2dParams::grouped(4, 12, 3, 1, 1, 2);
     let w = filter_pruned(&params, &[1, 4, 5, 8, 10, 11]);
-    let kept = ConvWeights::kept_row_bands(&w, &params).unwrap();
+    let kept = ConvWeights::kept_row_bands(&w, &params, &[]).unwrap();
     let x = input(3, 4, 7, 7);
     let scratch = |form: ConvWeights<'_>| {
         let mut ws = Workspace::new();
@@ -447,7 +465,7 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let dense_w = weights(&params, false);
     let rows_w = filter_pruned(&params, &[1, 4]);
-    let kept = ConvWeights::kept_row_bands(&rows_w, &params).unwrap();
+    let kept = ConvWeights::kept_row_bands(&rows_w, &params, &[]).unwrap();
     for relu in [false, true] {
         for (name, form, w) in [
             ("dense", ConvWeights::Dense(&dense_w), &dense_w),
@@ -467,5 +485,105 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
             let diff = out.max_abs_diff(&oracle).unwrap();
             assert!(diff < 1e-3, "{name} relu={relu}: {diff} from the oracle");
         }
+    }
+}
+
+/// The narrowed bands drop exactly the products of a weight and a `+0`
+/// input: with the dead input planes zeroed, they are bitwise the
+/// forms that multiply every channel — `Dense` in f32, the full
+/// dense-i8 bands in int8 — on the same zero-row weights.
+#[test]
+fn narrowed_bands_are_bitwise_dense_on_zeroed_input_planes() {
+    // Two groups of 5 input channels and 6 filters; filters 1, 4, 5
+    // and 8 pruned leave 3 and 5 kept rows.
+    let params = Conv2dParams::grouped(10, 12, 3, 1, 1, 2);
+    let w = filter_pruned(&params, &[1, 4, 5, 8]);
+    let bias: Vec<f32> = (0..12).map(|i| i as f32 * 0.05 - 0.3).collect();
+    let full_q = ConvWeights::i8_bands(&w, &params, &[]).unwrap();
+    // Uneven live counts (2 and 4), then a whole group dead.
+    for (dead, live) in [
+        (&[0, 2, 3, 6][..], [&[1, 4][..], &[0, 2, 3, 4][..]]),
+        (&[0, 1, 2, 3, 4, 9][..], [&[][..], &[0, 1, 2, 3][..]]),
+    ] {
+        let kept = ConvWeights::kept_row_bands(&w, &params, dead).unwrap();
+        let kept_q = ConvWeights::i8_bands(&w, &params, dead).unwrap();
+        for (g, live) in live.iter().enumerate() {
+            assert_eq!(kept[g].live(), *live, "dead {dead:?} group {g}");
+            assert_eq!(kept_q[g].live(), *live, "dead {dead:?} group {g}");
+        }
+        for path in kernels::available_paths() {
+            kernels::force(Some(path));
+            for batch in [1, 8] {
+                let mut x = input(batch, 10, 9, 7);
+                let plane = 9 * 7;
+                for n in 0..batch {
+                    for &c in dead {
+                        x.image_mut(n)[c * plane..(c + 1) * plane].fill(0.0);
+                    }
+                }
+                let act_scale = symmetric_scale(x.as_slice());
+                for threads in [1, 2, 3] {
+                    let mut ws = Workspace::new();
+                    ws.team = (threads > 1).then(|| Team::new(threads).with_min_part_macs(0));
+                    for relu in [false, true] {
+                        let mut run = |form: ConvWeights<'_>| {
+                            let mut out = Tensor4::zeros(batch, 12, 9, 7);
+                            out.as_mut_slice().fill(f32::NAN);
+                            conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out)
+                                .unwrap();
+                            bits(&out)
+                        };
+                        let case = format!(
+                            "dead {dead:?} {} batch {batch} team {threads} relu {relu}",
+                            path.name()
+                        );
+                        let dense = run(ConvWeights::Dense(&w));
+                        assert!(run(ConvWeights::DenseRows(&kept)) == dense, "f32 {case}");
+                        let full = run(ConvWeights::DenseI8 {
+                            bands: &full_q,
+                            act_scale,
+                        });
+                        let narrowed = run(ConvWeights::DenseI8 {
+                            bands: &kept_q,
+                            act_scale,
+                        });
+                        assert!(narrowed == full, "int8 {case}");
+                    }
+                }
+            }
+        }
+        kernels::force(None);
+    }
+
+    // A non-finite weight on a dead channel keeps that channel's column
+    // (`inf·0` is NaN, which dropping the product would hide), in both
+    // forms; f32 then reads the NaN the dense form reads.
+    let mut hot = w.clone();
+    hot.set(0, 2 * 9 + 4, f32::INFINITY);
+    let dead = [0, 2, 3, 6];
+    let kept = ConvWeights::kept_row_bands(&hot, &params, &dead).unwrap();
+    let kept_q = ConvWeights::i8_bands(&hot, &params, &dead).unwrap();
+    for g in 0..2 {
+        let want: &[usize] = if g == 0 { &[1, 2, 4] } else { &[0, 2, 3, 4] };
+        assert_eq!(kept[g].live(), want);
+        assert_eq!(kept_q[g].live(), want);
+    }
+    let mut x = input(1, 10, 9, 7);
+    for &c in &dead {
+        x.image_mut(0)[c * 63..(c + 1) * 63].fill(0.0);
+    }
+    let mut ws = Workspace::new();
+    let mut run = |form: ConvWeights<'_>| {
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        conv2d(&x, form, Some(&bias), false, &params, &mut ws, &mut out).unwrap();
+        out
+    };
+    let (dense, narrowed) = (
+        run(ConvWeights::Dense(&hot)),
+        run(ConvWeights::DenseRows(&kept)),
+    );
+    assert!(dense.image(0)[..63].iter().all(|v| v.is_nan()));
+    for (d, n) in dense.as_slice().iter().zip(narrowed.as_slice()) {
+        assert!(d.to_bits() == n.to_bits() || d.is_nan() && n.is_nan());
     }
 }
