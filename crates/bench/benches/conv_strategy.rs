@@ -15,6 +15,7 @@
 //! `WINOGRAD_MIN_CHANNELS` / `WINOGRAD_MIN_MAP` are set from (table in
 //! EXPERIMENTS.md "PR 36").
 
+use cap_cnn::layer::FC_SPARSE_THRESHOLD;
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
@@ -144,25 +145,50 @@ fn bench_weight_forms(c: &mut Criterion) {
     bench_conv_forms_i8(c, "conv_form_i8_conv3", conv3, 13);
 
     // Batch-1 fc (Caffenet fc7, 4096x4096): the dense side is the
-    // packed GEMV streaming all of Wᵀ once, the sparse side the CSR
-    // matvec streaming values + column indices — bandwidth against
-    // bandwidth, so the crossover is not the conv one.
+    // packed GEMV streaming all of Wᵀ once, the sparse side the `n = 1`
+    // CSR SpMM the layer runs per image, streaming values + column
+    // indices — bandwidth against bandwidth, so the crossover is not
+    // the conv one. Ends with one `fc_form:` line — the dense ÷ CSR
+    // time ratio at each sparsity (above 1: CSR is faster) and the
+    // lowest sparsity from which CSR stays faster — for the CI job
+    // summary, next to `FC_SPARSE_THRESHOLD`.
     let (outf, inf) = (4096usize, 4096usize);
     let x: Vec<f32> = (0..inf).map(|i| (i % 13) as f32 / 13.0 - 0.5).collect();
     let bias = vec![0.1_f32; outf];
     let mut y = vec![0.0_f32; outf];
     let mut group = c.benchmark_group("fc_form_b1");
     let packed = PackedB::pack(&scattered(outf, inf, 0.0).transpose());
-    group.bench_function(BenchmarkId::new("dense", 0), |b| {
-        b.iter(|| gemm_packed(&x, 1, inf, outf, packed.as_slice(), &mut y, Epilogue::NONE).unwrap())
+    let dense = fastest(&mut group, BenchmarkId::new("dense", 0), || {
+        gemm_packed(&x, 1, inf, outf, packed.as_slice(), &mut y, Epilogue::NONE).unwrap()
     });
-    for zero_pct in [30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0] {
+    let mut ratios = Vec::new();
+    for zero_pct in [30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 85.0, 90.0] {
         let csr = CsrMatrix::from_dense(&scattered(outf, inf, zero_pct), 0.0);
-        group.bench_with_input(BenchmarkId::new("csr", zero_pct), &csr, |b, csr| {
-            b.iter(|| csr.matvec_into(&x, &mut y, Some(&bias), true).unwrap())
+        let sparse = fastest(&mut group, BenchmarkId::new("csr", zero_pct), || {
+            csr.spmm_into(&x, 1, &mut y, Some(&bias), true).unwrap()
         });
+        if sparse != Duration::MAX {
+            ratios.push((zero_pct, dense.as_secs_f64() / sparse.as_secs_f64()));
+        }
     }
     group.finish();
+    if dense != Duration::MAX && !ratios.is_empty() {
+        let cells: Vec<String> = ratios
+            .iter()
+            .map(|(pct, r)| format!("{pct:.0}% {r:.2}x"))
+            .collect();
+        let from = ratios
+            .iter()
+            .rposition(|&(_, r)| r < 1.0)
+            .map_or(Some(0), |i| (i + 1 < ratios.len()).then_some(i + 1));
+        let crossover = from.map_or("none measured".into(), |i| format!("{:.0}%", ratios[i].0));
+        println!(
+            "fc_form: dense/csr on fc7 b1, {}; csr faster from {crossover} (FC_SPARSE_THRESHOLD {:.0}%) on {}",
+            cells.join(", "),
+            FC_SPARSE_THRESHOLD * 100.0,
+            cap_tensor::kernels::selected().name()
+        );
+    }
 }
 
 fn bench_conv(c: &mut Criterion) {

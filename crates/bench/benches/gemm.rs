@@ -275,9 +275,8 @@ fn bench_split(c: &mut Criterion) {
     }
     for (name, k, n) in FC {
         let x = Matrix::from_fn(1, k, |_, q| (q % 19) as f32 / 19.0 - 0.5);
-        let w_t = PackedB::pack_transposed(&Matrix::from_fn(n, k, |r, q| {
-            ((r * 3 + q * 11) % 23) as f32 / 23.0 - 0.5
-        }));
+        let w = Matrix::from_fn(n, k, |r, q| ((r * 3 + q * 11) % 23) as f32 / 23.0 - 0.5);
+        let w_t = PackedB::pack_transposed(&w, std::slice::from_ref(&(0..k)));
         let (x, b) = (x.as_slice(), w_t.as_slice());
         measure(name, n, &|ws, out| {
             let stage = &mut Vec::new();

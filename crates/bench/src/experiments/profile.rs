@@ -16,30 +16,57 @@ use std::fmt::Write;
 /// arena and weight pages are faulted in before any span is recorded.
 const PASSES: usize = 3;
 
-/// Run `PASSES` traced forward passes into the shared `tracer`, drain
-/// its spans, and aggregate them into a [`ProfileReport`] (per-layer
-/// `calls` = `PASSES`, so `mean()` is the mean over warm passes).
+/// One side of a profiled comparison: a net, the precision it runs
+/// under (`None`: the process's own) and its report's label.
+struct Arm<'a> {
+    net: &'a Network,
+    precision: Option<Precision>,
+    label: &'a str,
+}
+
+/// Profile two arms pass by pass: after one untraced warm-up pass of
+/// each, `PASSES` rounds each run one traced pass of both — which goes
+/// first alternates — every arm on its own arena and into its own
+/// [`CollectingTracer`], so a slow phase of the host lands on both arms
+/// alike instead of on whichever ran during it (as `fig8m` times its
+/// configs). Each arm's spans are aggregated into its [`ProfileReport`]
+/// (per-layer `calls` = `PASSES`, so `mean()` is the mean over warm
+/// passes) under its own precision, and returned with it.
 ///
-/// The tracer is shared across calls so every span's start offset is
-/// measured from one common epoch — that keeps the dense and pruned
-/// sections of the `--trace-out` timeline on a single consistent time
-/// axis instead of two overlapping ones.
-fn profile(
-    net: &Network,
+/// The two tracers are made together, so their epochs — the zero of
+/// every span's start offset — agree to well under a microsecond and
+/// both arms' spans sit on one time axis in the `--trace-out` timeline.
+fn profile_interleaved(
+    arms: [Arm<'_>; 2],
     input: &Tensor4,
-    label: &str,
-    tracer: &CollectingTracer,
-) -> (ProfileReport, Vec<SpanRecord>) {
-    let mut arena = ForwardArena::new();
-    // Warm-up: untraced, absorbs arena growth and first-touch faults.
-    net.forward_into(input, &mut arena)
-        .expect("warm-up forward");
-    for _ in 0..PASSES {
-        net.forward_into_traced(input, &mut arena, tracer)
-            .expect("traced forward");
+) -> [(ProfileReport, Vec<SpanRecord>); 2] {
+    let tracers = [CollectingTracer::new(), CollectingTracer::new()];
+    let mut arenas = [ForwardArena::new(), ForwardArena::new()];
+    let mut pass = |i: usize, traced: bool| {
+        let (arm, arena) = (&arms[i], &mut arenas[i]);
+        precision::force(arm.precision);
+        if traced {
+            arm.net
+                .forward_into_traced(input, arena, &tracers[i])
+                .expect("traced forward");
+        } else {
+            // Warm-up: absorbs arena growth and first-touch faults.
+            arm.net.forward_into(input, arena).expect("warm-up forward");
+        }
+    };
+    pass(0, false);
+    pass(1, false);
+    for round in 0..PASSES {
+        pass(round % 2, true);
+        pass((round + 1) % 2, true);
     }
-    let spans = tracer.take_spans();
-    (ProfileReport::from_spans(label, &spans), spans)
+    let reports = [0, 1].map(|i| {
+        precision::force(arms[i].precision);
+        let spans = tracers[i].take_spans();
+        (ProfileReport::from_spans(arms[i].label, &spans), spans)
+    });
+    precision::force(None);
+    reports
 }
 
 /// The `profile` experiment: per-layer time tables for Caffenet at 0%
@@ -77,25 +104,28 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
     let spec = PruneSpec::uniform(&convs, 0.6);
     apply_to_network(&mut pruned, &spec, PruneAlgorithm::FilterL1).expect("pruning applies");
 
-    let tracer = CollectingTracer::new();
-    let (report0, mut spans) = profile(&dense, &input, "caffenet @ 0%", &tracer);
-    let (report60, spans60) = profile(&pruned, &input, "caffenet @ 60% conv pruning", &tracer);
+    let arm = |net, precision, label| Arm {
+        net,
+        precision,
+        label,
+    };
+    let [(report0, mut spans), (report60, spans60)] = profile_interleaved(
+        [
+            arm(&dense, None, "caffenet @ 0%"),
+            arm(&pruned, None, "caffenet @ 60% conv pruning"),
+        ],
+        &input,
+    );
     spans.extend(spans60);
+    spans.sort_by_key(|s| s.start);
     let snap = cap_obs::metrics().snapshot();
-    // The dense net once more under each precision, back to back, for
+    // The dense net once more under each precision, pass by pass, for
     // the second summary line (uncalibrated int8: the per-call range
     // scan is part of what the knob costs). Not in the tables, the
     // JSON, the snapshot or the timeline: those stay the pruning story.
-    let profile_under = |p: Precision| {
-        precision::force(Some(p));
-        let (report, _) = profile(&dense, &input, p.name(), &tracer);
-        precision::force(None);
-        report
-    };
-    let (report_f32, report_i8) = (
-        profile_under(Precision::F32),
-        profile_under(Precision::Int8),
-    );
+    let under = |p: Precision| arm(&dense, Some(p), p.name());
+    let [(report_f32, _), (report_i8, _)] =
+        profile_interleaved([under(Precision::F32), under(Precision::Int8)], &input);
 
     let mut out = String::new();
     writeln!(out, "# Per-layer profile via the tracer (cap-obs)").unwrap();
@@ -155,8 +185,14 @@ mod tests {
         let input = Tensor4::from_fn(1, 3, 224, 224, |_, c, h, w| {
             ((c + h + w) % 11) as f32 / 11.0 - 0.5
         });
-        let tracer = CollectingTracer::new();
-        let (report, spans) = profile(&net, &input, "caffenet", &tracer);
+        let arm = |label| Arm {
+            net: &net,
+            precision: None,
+            label,
+        };
+        let [(report, spans), (twin, _)] =
+            profile_interleaved([arm("caffenet"), arm("twin")], &input);
+        assert_eq!(twin.layers().len(), report.layers().len());
         // Every executed step shows up exactly once, with
         // calls == PASSES. Under the default fusion mode each fused
         // producer→ReLU pair is one step, so the absorbed ReLU nodes

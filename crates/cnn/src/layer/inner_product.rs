@@ -10,13 +10,14 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-/// Weight sparsity above which the CSR matvec beats the packed dense
-/// GEMV at batch 1. Both sides are bandwidth-bound (the dense one
-/// streams every weight once, the sparse one each stored value plus a
-/// column index, through a scalar kernel), so this is not the conv
-/// crossover: measured at 0.8 on the Caffenet fc7 shape by `cargo bench
-/// -p cap-bench --bench conv_strategy -- fc_form` (table in
-/// EXPERIMENTS.md "PR 14").
+/// Weight sparsity above which the per-image CSR SpMM (`n = 1`) beats
+/// the packed dense GEMV at batch 1. Both sides are bandwidth-bound (the
+/// dense one streams every weight once, the sparse one each stored
+/// value plus a column index, one scalar chain per row), so this is not
+/// the conv crossover: measured at 0.8 on the Caffenet fc7 shape by
+/// `cargo bench -p cap-bench --bench conv_strategy -- fc_form`, which
+/// ends with one `fc_form:` line (tables in EXPERIMENTS.md, "Dense vs
+/// CSR crossover, measured" and "One multiply per operand layout").
 pub const FC_SPARSE_THRESHOLD: f64 = 0.8;
 
 /// What one scan of an fc layer's weights decides, when they are set.
@@ -195,9 +196,10 @@ impl InnerProductLayer {
     }
 
     fn packed_t(&self) -> &PackedB {
-        self.packed_t.get_or_init(|| match self.live() {
-            Some(cols) => PackedB::pack_transposed_columns(&self.weights, cols),
-            None => PackedB::pack_transposed(&self.weights),
+        self.packed_t.get_or_init(|| {
+            let all = 0..self.in_features;
+            let cols = self.live().unwrap_or(std::slice::from_ref(&all));
+            PackedB::pack_transposed(&self.weights, cols)
         })
     }
 
@@ -210,7 +212,7 @@ impl InnerProductLayer {
             let scale = symmetric_scale(self.weights.as_slice());
             let all = 0..self.in_features;
             let cols = self.live().unwrap_or(std::slice::from_ref(&all));
-            PackedBI8::pack_transposed_columns(&self.weights, cols, scale)
+            PackedBI8::pack_transposed(&self.weights, cols, scale)
         })
     }
 
@@ -263,7 +265,7 @@ impl InnerProductLayer {
         let batch = input.n();
         out.resize(batch, self.out_features, 1, 1);
         if self.scan.sparse {
-            return self.run_csr(input, ws, out, relu);
+            return self.run_csr(input, out, relu);
         }
         // Dense: Y = X · Wᵀ over the live features, vectorizable at any
         // batch size. A `(n, c, 1, 1)` tensor's flat data IS the `n × c`
@@ -308,8 +310,7 @@ impl InnerProductLayer {
             // fallback) scale, then the integer GEMM against the
             // pre-quantized Wᵀ, dequantizing by the combined scale in
             // the store epilogue. The CSR path stays f32: row-skipping
-            // is bandwidth-bound, so int8 buys little there, and SpMV
-            // keeps its scalar-by-contract guarantee.
+            // is bandwidth-bound, so int8 buys little there.
             let qw = self.packed_t_i8();
             let act_scale = self.act_scale_for(input);
             let kp = quantize_rows_into(x, batch, k, 1.0 / act_scale, qbuf);
@@ -329,52 +330,19 @@ impl InnerProductLayer {
         }
     }
 
-    /// The CSR forward, over every input feature.
-    fn run_csr(
-        &self,
-        input: &Tensor4,
-        ws: &mut Workspace,
-        out: &mut Tensor4,
-        relu: bool,
-    ) -> TensorResult<()> {
-        let batch = input.n();
-        if batch == 1 {
-            // Batch-1 sparse path: the product is a matvec, so run the
-            // CSR spmv kernel straight from the input slice into the
-            // output slice — no Xᵀ/Y staging matrices, no transposes,
-            // no allocation.
-            return self.csr().matvec_into(
-                input.as_slice(),
-                out.as_mut_slice(),
-                Some(&self.bias),
-                relu,
-            );
-        }
-        // CSR row-skipping needs W's rows, so compute W (out×in,
-        // sparse) × Xᵀ (in×batch) and transpose back, both staged in the
-        // workspace's f32 slots. Bias/ReLU ride the SpMM row store (CSR
-        // rows are out features, so the bias is per-row there).
-        let (x_t, y) = (&mut ws.cols, &mut ws.packed);
-        x_t.resize(self.in_features, batch);
-        // `sparse` implies non-empty weights, so `in_features >= 1`.
-        for (b, row) in input.as_slice().chunks_exact(self.in_features).enumerate() {
-            for (f, &v) in row.iter().enumerate() {
-                x_t.set(f, b, v);
-            }
-        }
-        y.resize(self.out_features, batch);
-        self.csr().spmm_into(
-            x_t.as_slice(),
-            batch,
-            y.as_mut_slice(),
-            Some(&self.bias),
-            relu,
-        )?;
-        let o = out.as_mut_slice();
-        for b in 0..batch {
-            for of in 0..self.out_features {
-                o[b * self.out_features + of] = y.get(of, b);
-            }
+    /// The CSR forward, over every input feature: one `n = 1` SpMM per
+    /// image, `y_i = W · x_i`, straight from the input image into the
+    /// output image — an image is `in × 1` and its output `out × 1`
+    /// row-major, so nothing is staged or transposed. Bias/ReLU ride
+    /// the row store (CSR rows are out features, so the bias is
+    /// per-row there).
+    fn run_csr(&self, input: &Tensor4, out: &mut Tensor4, relu: bool) -> TensorResult<()> {
+        let csr = self.csr();
+        // `sparse` implies non-empty weights, so both widths are >= 1.
+        let images = input.as_slice().chunks_exact(self.in_features);
+        let outputs = out.as_mut_slice().chunks_exact_mut(self.out_features);
+        for (x, y) in images.zip(outputs) {
+            csr.spmm_into(x, 1, y, Some(&self.bias), relu)?;
         }
         Ok(())
     }
@@ -492,7 +460,6 @@ impl Layer for InnerProductLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cap_tensor::gemm;
 
     #[test]
     fn computes_wx_plus_b() {
@@ -521,26 +488,47 @@ mod tests {
     }
 
     #[test]
-    fn sparse_path_matches_dense() {
-        let mut w = Matrix::from_fn(6, 10, |r, c| ((r + c) % 3) as f32 - 1.0);
+    fn sparse_path_is_bitwise_the_dense_form() {
+        // 6/7 of the weights zero: the CSR form. Against the dense
+        // form's arithmetic on the same weights — the packed GEMM of
+        // `X · Wᵀ` over every input feature, bias and ReLU in its store
+        // — bit for bit: each term CSR drops is `0·x` with `x` finite.
+        let (out_f, in_f) = (6, 10);
+        let mut w = Matrix::from_fn(out_f, in_f, |r, c| ((r + c) % 3) as f32 - 1.0 + 0.25);
         for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
             if i % 7 != 0 {
                 *v = 0.0;
             }
         }
-        let dense_result = {
-            // Compute with dense gemm manually.
-            let x = Matrix::from_fn(10, 3, |r, c| (r as f32 - c as f32) / 4.0);
-            gemm(&w, &x).unwrap()
-        };
-        let fc = InnerProductLayer::new("fc_t", w, vec![0.0; 6]).unwrap();
+        let bias: Vec<f32> = (0..out_f).map(|o| o as f32 * 0.375 - 1.0).collect();
+        let fc = InnerProductLayer::new("fc_t", w.clone(), bias.clone()).unwrap();
         assert!(fc.weight_sparsity() > FC_SPARSE_THRESHOLD);
-        let x_t = Matrix::from_fn(10, 3, |r, c| (r as f32 - c as f32) / 4.0).transpose();
-        let x = Tensor4::from_matrix(&x_t, 10, 1, 1).unwrap();
-        let y = fc.forward(&[&x]).unwrap();
-        for b in 0..3 {
-            for o in 0..6 {
-                assert!((y.get(b, o, 0, 0) - dense_result.get(o, b)).abs() < 1e-4);
+        let w_t = PackedB::pack_transposed(&w, std::slice::from_ref(&(0..in_f)));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for batch in [1, 3] {
+            let x = Tensor4::from_fn(batch, in_f, 1, 1, |n, c, _, _| {
+                (c as f32 - n as f32 * 2.0) / 4.0 - 0.5
+            });
+            for relu in [false, true] {
+                let mut got = Tensor4::zeros(0, 0, 0, 0);
+                let ws = &mut Workspace::new();
+                if relu {
+                    fc.forward_into_fused(&[&x], ws, &mut got).unwrap();
+                } else {
+                    fc.forward_into(&[&x], ws, &mut got).unwrap();
+                }
+                let mut want = vec![f32::NAN; batch * out_f];
+                let epi = Epilogue {
+                    bias: Some(EpiBias::PerCol(&bias)),
+                    relu,
+                };
+                let b = w_t.as_slice();
+                gemm_packed(x.as_slice(), batch, in_f, out_f, b, &mut want, epi).unwrap();
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(&want),
+                    "batch {batch}, relu {relu}"
+                );
             }
         }
     }

@@ -164,8 +164,8 @@ fn dense_network_fused_bitwise_identical_to_unfused() {
 #[test]
 fn pruned_network_fused_bitwise_identical_to_unfused() {
     let _g = force_lock();
-    // Pruned conv2 runs fused CSR SpMM; pruned fc1 at batch 1 takes the
-    // fused spmv matvec route, at batch > 1 the SpMM + transpose route.
+    // Pruned conv2 runs fused CSR SpMM; pruned fc1 one fused `n = 1`
+    // SpMM per image, at batch 1 and batch 2 alike.
     let net = build_net(11, true);
     for (n, batch) in [(1, 1), (6, 2)] {
         let imgs = images(n, 9);

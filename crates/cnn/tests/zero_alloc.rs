@@ -506,11 +506,12 @@ fn steady_state_inference_allocates_nothing() {
         assert!(ws.reserved_bytes() <= via_f32_patch_matrix / 3);
     }
 
-    // The pruned-FC route. At batch 1 the fused CSR matvec
-    // (`matvec_into`) runs straight from the input slice into the
-    // arena slot; at batch 8 the SpMM's Xᵀ and Y staging matrices are
-    // the arena workspace's f32 slots. Warm-up absorbs the lazy CSR
-    // build and the fusion plan; steady state must stay silent.
+    // The pruned-FC route: at every batch one fused `n = 1` CSR SpMM
+    // per image, straight from the input image into its output image
+    // in the arena slot — nothing staged in the workspace, so its
+    // scratch does not grow at batch 8 either. Warm-up absorbs the
+    // lazy CSR build and the fusion plan; steady state must stay
+    // silent.
     {
         let dense = xavier_uniform(10, 48, 21);
         let (rows, cols) = dense.shape();
@@ -539,6 +540,7 @@ fn steady_state_inference_allocates_nothing() {
             let x = Tensor4::from_fn(batch, 48, 1, 1, |n, c, _, _| {
                 ((n * 5 + c) as f32 - 24.0) / 25.0
             });
+            let scratch = sparse_arena.scratch_bytes();
             for _ in 0..3 {
                 sparse_net.forward_into(&x, &mut sparse_arena).unwrap();
             }
@@ -548,6 +550,11 @@ fn steady_state_inference_allocates_nothing() {
             assert_eq!(
                 allocs, 0,
                 "sparse FC at batch {batch} must not allocate (got {allocs})",
+            );
+            assert_eq!(
+                sparse_arena.scratch_bytes(),
+                scratch,
+                "sparse FC at batch {batch} staged in the workspace",
             );
         }
     }

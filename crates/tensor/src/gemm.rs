@@ -1,14 +1,15 @@
-//! Dense GEMM: the unpacked reference multiply and the packed driver
-//! every conv and fully-connected layer runs on.
+//! Dense GEMM: the packed driver every conv, fully-connected layer and
+//! training pass runs on.
 //!
-//! `C = A * B` with `A: m×k`, `B: k×n`, `C: m×n`. [`gemm_prealloc`] is
-//! the plain row-major multiply (a k-blocked axpy walk over `B` rows)
-//! the packed path is pinned against; [`gemm_packed`] walks a
-//! panel-packed `B` in L2-sized column strips with a register-blocked
-//! microkernel. Both run on the calling thread, one row band of `C`
-//! after another. A caller with a worker [`crate::Team`] cuts one
-//! multiply across threads *around* this function, not inside it: rows of
-//! `A` ([`crate::team::split_rows`], a conv's filters) or panel-aligned
+//! `C = A * B` with `A: m×k`, `B: k×n`, `C: m×n`. [`gemm_packed`] walks
+//! a panel-packed `B` ([`PackedB`]) in L2-sized column strips with a
+//! register-blocked microkernel; [`gemm()`] packs a plain `B` and calls
+//! it, and [`crate::reference::gemm_naive`] is the triple loop all of
+//! them are pinned against bit for bit. The driver runs on the calling
+//! thread, one row band of `C` after another. A caller with a worker
+//! [`crate::Team`] cuts one multiply across threads *around* this
+//! function, not inside it: rows of `A` ([`crate::team::split_rows`],
+//! a conv's filters) or panel-aligned
 //! column ranges of an fc multiply ([`crate::team::split_columns`]),
 //! each piece one `gemm_packed` call on a sub-range — so every output
 //! element keeps its single ascending-`kk` chain and the bits do not
@@ -44,94 +45,23 @@ fn strip_panels(k: usize) -> usize {
     (STRIP_BYTES / panel_bytes / 2 * 2).max(2)
 }
 
-/// Block size along the shared `k` dimension (cache blocking).
-const K_BLOCK: usize = 256;
-
-/// Minimum zero fraction in an `A` row block before the zero-skip branch
-/// pays for itself (1/8 = 12.5%; below that the branch just stalls the
-/// pipeline on dense data).
-const SKIP_NUMER: usize = 1;
-const SKIP_DENOM: usize = 8;
-
-/// Multiply two dense matrices, returning a freshly allocated result.
+/// Multiply two dense matrices, returning a freshly allocated result:
+/// `B` packed once ([`PackedB::pack`]) and multiplied by
+/// [`gemm_packed`], so each output element is one ascending-`kk` FMA
+/// chain, bitwise [`crate::reference::gemm_naive`]. A zero in `A`
+/// multiplies its `B` row like any other value: an inf or NaN there
+/// reaches the output as IEEE arithmetic has it (`0 · inf` is NaN).
 pub fn gemm(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_prealloc(a, b, &mut c)?;
+    gemm_prepacked(a, &PackedB::pack(b), &mut c)?;
     Ok(c)
-}
-
-/// Multiply two dense matrices into a preallocated output.
-///
-/// `c` must already have shape `(a.rows, b.cols)`; its prior contents are
-/// overwritten. Reusing `c` across calls avoids allocator traffic in hot
-/// inference loops.
-pub fn gemm_prealloc(a: &Matrix, b: &Matrix, c: &mut Matrix) -> TensorResult<()> {
-    let (m, ka) = a.shape();
-    let (kb, n) = b.shape();
-    if ka != kb {
-        return Err(ShapeError::new(format!(
-            "gemm: inner dims {}x{} * {}x{}",
-            m, ka, kb, n
-        )));
-    }
-    if c.shape() != (m, n) {
-        return Err(ShapeError::new(format!(
-            "gemm: output {:?}, expected {:?}",
-            c.shape(),
-            (m, n)
-        )));
-    }
-    let k = ka;
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let c_data = c.as_mut_slice();
-    let path = kernels::selected();
-
-    for (band, c_band) in c_data.chunks_mut((ROW_BAND * n).max(1)).enumerate() {
-        let row0 = band * ROW_BAND;
-        let rows_here = c_band.len() / n.max(1);
-        c_band.fill(0.0);
-        let mut k0 = 0;
-        while k0 < k {
-            let k1 = (k0 + K_BLOCK).min(k);
-            for local_r in 0..rows_here {
-                let r = row0 + local_r;
-                let a_row = &a_data[r * k..(r + 1) * k];
-                let c_row = &mut c_band[local_r * n..(local_r + 1) * n];
-                let a_blk = &a_row[k0..k1];
-                // Cheap density probe: O(k_block) against an inner loop
-                // of O(k_block * n). Only pay the per-element zero-skip
-                // branch when this row block actually carries zeros
-                // (pruned weights); dense rows take the branch-free
-                // loop, which the compiler vectorizes cleanly.
-                let zeros = a_blk.iter().filter(|&&v| v == 0.0).count();
-                if zeros * SKIP_DENOM >= a_blk.len() * SKIP_NUMER {
-                    for (kk, &aik) in a_blk.iter().enumerate() {
-                        if aik == 0.0 {
-                            continue; // skip zero weights: sparsity win
-                        }
-                        let b_row = &b_data[(k0 + kk) * n..(k0 + kk + 1) * n];
-                        kernels::axpy_with(path, c_row, aik, b_row);
-                    }
-                } else {
-                    for (kk, &aik) in a_blk.iter().enumerate() {
-                        let b_row = &b_data[(k0 + kk) * n..(k0 + kk + 1) * n];
-                        kernels::axpy_with(path, c_row, aik, b_row);
-                    }
-                }
-            }
-            k0 = k1;
-        }
-    }
-    Ok(())
 }
 
 /// `B` pre-packed into column panels for repeated multiplication.
 ///
 /// When one weight matrix multiplies many activation panels (every
-/// steady-state inference loop), the row-major walk over `B` in
-/// [`gemm_prealloc`] touches `n`-strided cache lines per `k` step. Packing
-/// `B` once into `PANEL`-column blocks — each stored `k × PANEL`
+/// steady-state inference loop), a row-major walk over `B` touches
+/// `n`-strided cache lines per `k` step. Packing `B` once into `PANEL`-column blocks — each stored `k × PANEL`
 /// contiguous, tail zero-padded — turns the inner loop into a fixed-width
 /// register-blocked accumulation over a linear stream.
 #[derive(Debug, Clone)]
@@ -153,23 +83,19 @@ impl PackedB {
         Self { k, n, data }
     }
 
-    /// Pack `wᵀ` reading `w` (`n × k`) in place: byte for byte
-    /// `pack(&w.transpose())` without materialising the transpose (for
-    /// Caffenet fc6 that temporary is 151 MB). Panel `p` is rows
-    /// `p*PANEL..` of `w`: lane `j` of depth `kk` is element `kk` of
-    /// row `p*PANEL + j`; the last panel's lanes past `n` stay zero.
-    pub fn pack_transposed(w: &Matrix) -> Self {
-        Self::pack_transposed_columns(w, std::slice::from_ref(&(0..w.cols())))
-    }
-
-    /// [`PackedB::pack_transposed`] of the matrix made of `w`'s column
-    /// ranges `cols` side by side — depth `k` their total length —
-    /// without materialising it. A narrowed fc layer packs its live
-    /// input features this way.
+    /// Pack `wᵀ` restricted to `w`'s column ranges `cols`, reading `w`
+    /// (`n × _`) in place: byte for byte `pack` of the transpose of the
+    /// matrix made of those columns side by side — depth `k` their
+    /// total length — without materialising it (for Caffenet fc6 the
+    /// full transpose is 151 MB). The one range `0..w.cols()` packs all
+    /// of `wᵀ`; a narrowed fc layer passes its live input features.
+    /// Panel `p` is rows `p*PANEL..` of `w`: lane `j` of depth `kk` is
+    /// live element `kk` of row `p*PANEL + j`; the last panel's lanes
+    /// past `n` stay zero.
     ///
     /// # Panics
     /// If a range reaches past `w`'s columns.
-    pub fn pack_transposed_columns(w: &Matrix, cols: &[Range<usize>]) -> Self {
+    pub fn pack_transposed(w: &Matrix, cols: &[Range<usize>]) -> Self {
         let n = w.rows();
         let k: usize = cols.iter().map(Range::len).sum();
         let mut data = vec![0.0f32; n.div_ceil(PANEL) * k * PANEL];
@@ -214,9 +140,8 @@ fn pack_panels(b_data: &[f32], k: usize, n: usize, dst: &mut [f32]) {
 
 /// Multiply `A` by a pre-packed `B` into a preallocated output.
 ///
-/// Semantically identical to [`gemm_prealloc`] (same `kk`-ascending
-/// accumulation order per output element), but reads `B` as contiguous
-/// panels. Use when the same `B` is multiplied many times — the packing
+/// Bitwise [`gemm()`] (same `kk`-ascending accumulation order per
+/// output element), with the packing done by the caller. Use when the same `B` is multiplied many times — the packing
 /// cost is amortized across calls. This is [`gemm_packed`] over
 /// `Matrix` operands with the identity epilogue.
 ///
@@ -230,7 +155,7 @@ fn pack_panels(b_data: &[f32], k: usize, n: usize, dst: &mut [f32]) {
 /// let mut c = Matrix::zeros(3, 5);
 /// gemm_prepacked(&a, &packed, &mut c).unwrap(); // many times
 ///
-/// // Bit-exact against the unpacked kernel, not merely close:
+/// // Bit-exact against packing on every call, not merely close:
 /// assert_eq!(c.as_slice(), gemm(&a, &b).unwrap().as_slice());
 /// ```
 pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<()> {
@@ -279,7 +204,7 @@ pub fn gemm_prepacked(a: &Matrix, b: &PackedB, c: &mut Matrix) -> TensorResult<(
 /// The microkernel lives in [`crate::kernels`]: register-blocked
 /// accumulation in ascending-`kk` order on every dispatch path and
 /// register tile ([`F32Tile`]), so results are bit-identical to
-/// [`gemm_prealloc`] and across scalar and SIMD backends.
+/// [`crate::reference::gemm_naive`] and across scalar and SIMD backends.
 ///
 /// Loop nest (`m ≥ 2`): **for each column strip of `B`, every row
 /// band**. A strip is `strip_panels(k)` panels — whole panel pairs
@@ -449,27 +374,27 @@ mod tests {
     }
 
     #[test]
-    fn prealloc_shape_mismatch_errors() {
+    fn prepacked_shape_mismatch_errors() {
         let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(3, 2);
+        let b = PackedB::pack(&Matrix::zeros(3, 2));
         let mut c = Matrix::zeros(2, 3);
-        assert!(gemm_prealloc(&a, &b, &mut c).is_err());
+        assert!(gemm_prepacked(&a, &b, &mut c).is_err());
     }
 
     #[test]
-    fn prealloc_overwrites_stale_contents() {
+    fn prepacked_overwrites_stale_contents() {
         let a = Matrix::identity(3);
         let b = mat(3, 3, 7);
         let mut c = Matrix::full(3, 3, 99.0);
-        gemm_prealloc(&a, &b, &mut c).unwrap();
+        gemm_prepacked(&a, &PackedB::pack(&b), &mut c).unwrap();
         assert!(c.max_abs_diff(&b).unwrap() < 1e-6);
     }
 
     #[test]
     fn batch1_gemv_route_is_bitwise_equal_to_band_path() {
         // m == 1 routes through the GEMV kernel; outputs must be
-        // bit-equal to the generic row-band path (and hence to gemm())
-        // on every kernel path.
+        // bit-equal to the naive ascending-kk chain the row-band path
+        // also computes.
         let k = 40;
         for n in [1usize, 7, 8, 63, 64, 257, 32 * PANEL + 5] {
             let a = mat(1, k, 11);
@@ -477,7 +402,7 @@ mod tests {
             let packed = PackedB::pack(&b);
             let mut c = Matrix::zeros(1, n);
             gemm_prepacked(&a, &packed, &mut c).unwrap();
-            let oracle = gemm(&a, &b).unwrap();
+            let oracle = gemm_naive(&a, &b).unwrap();
             for j in 0..n {
                 let (got, want) = (c.get(0, j), oracle.get(0, j));
                 assert_eq!(got.to_bits(), want.to_bits(), "n = {n}, column {j}");

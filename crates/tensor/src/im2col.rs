@@ -76,19 +76,11 @@ pub fn im2col(
     pad: usize,
     stride: usize,
 ) -> TensorResult<Matrix> {
-    let (out_h, out_w) = out_spatial(h, w, kh, kw, pad, stride)?;
-    let mut cols = Matrix::zeros(c * kh * kw, out_h * out_w);
-    im2col_prealloc(
-        image,
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        pad,
-        stride,
-        &mut Vec::new(),
-        &mut cols,
+    let lo = Lowering::for_image("im2col", image.len(), c, h, w, kh, kw, pad, stride)?;
+    let mut cols = Matrix::zeros(lo.rows, lo.n_out);
+    lo.rows_into(
+        lo.padded(image, None, &mut Vec::new())?,
+        cols.as_mut_slice(),
     )?;
     Ok(cols)
 }
@@ -585,33 +577,6 @@ impl Iterator for Taps {
         }
         Some(at)
     }
-}
-
-/// `im2col` into a preallocated output matrix (shape-checked), the
-/// image padded into `padded` (resized) when `pad > 0`, so a caller
-/// that keeps both buffers allocates nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_prealloc(
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    pad: usize,
-    stride: usize,
-    padded: &mut Vec<f32>,
-    cols: &mut Matrix,
-) -> TensorResult<()> {
-    let lo = Lowering::for_image("im2col", image.len(), c, h, w, kh, kw, pad, stride)?;
-    if cols.shape() != (lo.rows, lo.n_out) {
-        return Err(ShapeError::new(format!(
-            "im2col: cols shape {:?} != {:?}",
-            cols.shape(),
-            (lo.rows, lo.n_out)
-        )));
-    }
-    lo.rows_into(lo.padded(image, None, padded)?, cols.as_mut_slice())
 }
 
 /// `im2col` straight into the GEMM's panel-packed `B` layout, fusing the

@@ -754,12 +754,18 @@ unsafe fn spmm_row_body(
     relu: bool,
 ) {
     let nnz = values.len().min(col_idx.len());
-    // Entry invariants for the raw loads below: every stored column
-    // index addresses a full row of B, and the output row is n wide.
+    // Entry invariants for the raw loads of the column blocks: the
+    // output row is n wide and, when a block runs (n >= PANEL), every
+    // stored column index addresses a full row of B. The scalar tail
+    // indexes B with bounds checks instead: they overlap its FMA chain,
+    // where a pass over the indices ahead of it does not — at n = 1, a
+    // pruned fc layer's per-image shape, that pass cost ~1.6x.
     assert!(c_row.len() >= n);
-    assert!(col_idx[..nnz]
-        .iter()
-        .all(|&c| (c as usize + 1) * n <= b_data.len()));
+    if n >= PANEL {
+        assert!(col_idx[..nnz]
+            .iter()
+            .all(|&c| (c as usize + 1) * n <= b_data.len()));
+    }
 
     let (values, col_idx) = (&values[..nnz], &col_idx[..nnz]);
     let mut j = 0;
@@ -781,9 +787,8 @@ unsafe fn spmm_row_body(
     // Scalar tail: same ascending-`i` per-element fused accumulation.
     for jj in j..n {
         let mut acc = 0.0f32;
-        for i in 0..nnz {
-            let b = *b_data.get_unchecked(*col_idx.get_unchecked(i) as usize * n + jj);
-            acc = values.get_unchecked(i).mul_add(b, acc);
+        for (&v, &c) in values.iter().zip(col_idx) {
+            acc = v.mul_add(b_data[c as usize * n + jj], acc);
         }
         if let Some(b) = bias {
             acc += b;
@@ -826,29 +831,6 @@ unsafe fn spmm_block<const R: usize>(
     let cp = c_row.as_mut_ptr().add(j);
     for (t, a) in acc.into_iter().enumerate() {
         _mm256_storeu_ps(cp.add(t * PANEL), spmm_epi(a, bias, relu));
-    }
-}
-
-/// `c_row[j] = a * b_row[j] + c_row[j]`, AVX2 FMA.
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (verified by the dispatch layer).
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
-    let len = c_row.len().min(b_row.len());
-    let av = _mm256_set1_ps(a);
-    let cp = c_row.as_mut_ptr();
-    let bp = b_row.as_ptr();
-    let mut j = 0;
-    // In bounds: j + PANEL <= len <= both slice lengths.
-    while j + PANEL <= len {
-        let c = _mm256_loadu_ps(cp.add(j));
-        let b = _mm256_loadu_ps(bp.add(j));
-        _mm256_storeu_ps(cp.add(j), madd(av, b, c));
-        j += PANEL;
-    }
-    for j in j..len {
-        *cp.add(j) = a.mul_add(*bp.add(j), *cp.add(j));
     }
 }
 

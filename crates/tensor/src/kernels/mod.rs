@@ -18,11 +18,10 @@
 //!
 //! **The f32 multiply-accumulate contract is FMA.** Each step of every
 //! multiply-accumulate chain — the packed GEMM band and GEMV, the CSR
-//! row and dot, `axpy` — is one fused multiply-add, rounded once: the
-//! scalar oracle writes `f32::mul_add`, the AVX2 kernels
-//! `_mm256_fmadd_ps`. On `x86_64` the scalar chains run an
-//! FMA-compiled build of the same source whenever the CPU has FMA
-//! (`scalar_mac!` below), and a plain build whose `mul_add` is libm's
+//! row — is one fused multiply-add, rounded once: the scalar oracle
+//! writes `f32::mul_add`, the AVX2 kernels `_mm256_fmadd_ps`. On
+//! `x86_64` the scalar chains run an FMA-compiled build of the same
+//! source whenever the CPU has FMA (`scalar_mac!` below), and a plain build whose `mul_add` is libm's
 //! correctly rounded `fmaf` only where it does not — same bits, much
 //! slower. What is not a chain keeps its separate roundings: the
 //! epilogue's bias add and ReLU, int8 dequantization (an `i32` sum
@@ -540,37 +539,6 @@ pub fn spmm_row_with(
         },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::spmm_row(values, col_idx, b_data, n, c_row, bias, relu),
-    }
-}
-
-/// Sparse matvec dot — one CSR row against a dense vector:
-/// `Σ_i values[i] * x[col_idx[i]]`, ascending `i`, then the same
-/// bias/ReLU epilogue as [`spmm_row_with`] (`None` skips the bias add
-/// entirely).
-///
-/// Every kernel path shares the scalar body (its FMA build where the
-/// CPU has FMA): a single ascending-order dot product cannot be
-/// lane-split without reordering the summation, which would break the
-/// bit-identity contract — and batch-1 sparse FC is bandwidth-bound,
-/// so the matvec win comes from eliminating the transpose/allocation
-/// round-trips, not from SIMD lanes.
-#[inline]
-pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
-    scalar_mac!(spmv(values, col_idx, x, bias, relu))
-}
-
-/// `c_row[j] = a * b_row[j] + c_row[j]`, fused, over
-/// `min(c_row.len(), b_row.len())` elements — the inner loop of the
-/// unpacked GEMM.
-#[inline]
-pub fn axpy_with(path: KernelPath, c_row: &mut [f32], a: f32, b_row: &[f32]) {
-    match path {
-        KernelPath::Scalar => scalar_mac!(axpy(c_row, a, b_row)),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 and fma verified available by `selected()`/`force()`.
-        KernelPath::Avx2 => unsafe { avx2::axpy(c_row, a, b_row) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::axpy(c_row, a, b_row),
     }
 }
 

@@ -1,21 +1,21 @@
 //! Portable safe-Rust microkernels — the fallback path and the
 //! correctness oracle every SIMD path is tested against.
 //!
-//! These are the original inner loops of `gemm.rs` / `sparse.rs` /
-//! `ops.rs` / `pool.rs`, moved here so both dispatch targets live side
-//! by side. The compiler autovectorizes the fixed-width `PANEL`
-//! accumulator loops reasonably well; the explicit AVX2 path exists to
-//! stop leaving the rest of the lanes on the table.
+//! These are the inner loops of `gemm.rs` / `sparse.rs` / `ops.rs` /
+//! `pool.rs`, kept here so both dispatch targets live side by side.
+//! The compiler autovectorizes the fixed-width `PANEL` accumulator
+//! loops reasonably well; the explicit AVX2 path exists to stop
+//! leaving the rest of the lanes on the table.
 //!
 //! Every step of a multiply-accumulate chain (the GEMM band, the GEMV,
-//! the CSR row and dot, `axpy`) is one `f32::mul_add`: a fused
-//! multiply-add, rounded once. That is the contract of every
-//! [`super::KernelPath`]. The functions holding those chains are
-//! `#[inline(always)]`, so this one source compiles twice: called
-//! directly it is the plain build, where `mul_add` is a libm `fmaf`
-//! call (correctly rounded, so the same bits, but ~30× slower); the
-//! private `fma` module inlines it into `#[target_feature(enable =
-//! "fma")]` functions, where it is one `vfmadd` per step. The dispatch
+//! the CSR row) is one `f32::mul_add`: a fused multiply-add, rounded
+//! once. That is the contract of every [`super::KernelPath`]. The
+//! functions holding those chains are `#[inline(always)]`, so this
+//! one source compiles twice: called directly it is the plain build,
+//! where `mul_add` is a libm `fmaf` call (correctly rounded, so the
+//! same bits, but ~30× slower); the private `fma` module inlines it
+//! into `#[target_feature(enable = "fma")]` functions, where it is one
+//! `vfmadd` per step. The dispatch
 //! layer takes the `fma` build whenever the CPU has FMA. The epilogue
 //! below is not a chain and keeps its separately rounded bias add.
 
@@ -275,32 +275,6 @@ pub fn spmm_row(
     }
 }
 
-/// Sparse dot product — one CSR row against a dense vector:
-/// `Σ_i values[i] * x[col_idx[i]]`, one fused multiply-add per nonzero
-/// in ascending-`i` order, then the same bias/ReLU epilogue as [`spmm_row`] (`None` skips the
-/// bias add entirely — a literal `+0.0` is not bitwise neutral).
-///
-/// This is the matvec (`n = 1`) special case of [`spmm_row`] without
-/// the output-slice plumbing; the summation order is identical, so the
-/// result is bit-equal to routing through the SpMM kernel.
-#[inline(always)]
-pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
-    let mut y = 0.0f32;
-    for (&v, &c) in values.iter().zip(col_idx.iter()) {
-        y = v.mul_add(x[c as usize], y);
-    }
-    epilogue_one(y, bias, relu)
-}
-
-/// `c_row[j] = a * b_row[j] + c_row[j]`, fused. See
-/// [`super::axpy_with`].
-#[inline(always)]
-pub fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
-    for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-        *cv = a.mul_add(*bv, *cv);
-    }
-}
-
 /// The multiply-accumulate kernels above, compiled with the `fma`
 /// target feature: each is the same source inlined, so the same bits
 /// as the plain build, with every `mul_add` one instruction instead of
@@ -347,16 +321,6 @@ pub(super) mod fma {
         relu: bool,
     ) {
         super::spmm_row(values, col_idx, b_data, n, c_row, bias, relu);
-    }
-
-    #[target_feature(enable = "fma")]
-    pub fn spmv(values: &[f32], col_idx: &[u32], x: &[f32], bias: Option<f32>, relu: bool) -> f32 {
-        super::spmv(values, col_idx, x, bias, relu)
-    }
-
-    #[target_feature(enable = "fma")]
-    pub fn axpy(c_row: &mut [f32], a: f32, b_row: &[f32]) {
-        super::axpy(c_row, a, b_row);
     }
 }
 

@@ -7,9 +7,9 @@
 //! matrix kernels so that pruned (sparsified) CNN layers actually run
 //! faster. This crate is that substrate, built from scratch:
 //!
-//! * [`Matrix`] — row-major dense `f32` matrix with a blocked GEMM
-//!   ([`gemm()`]) and the panel-packed, L2-strip-blocked driver the
-//!   layers run on ([`gemm_packed`]).
+//! * [`Matrix`] — row-major dense `f32` matrix, multiplied by the
+//!   panel-packed, L2-strip-blocked driver the layers run on
+//!   ([`gemm_packed`]; [`gemm()`] packs a plain `B` for it).
 //! * [`Tensor4`] — NCHW activation tensor used by the CNN layers.
 //! * [`CsrMatrix`] — compressed sparse row matrix with sparse×dense
 //!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel for
@@ -71,8 +71,8 @@ pub mod workspace;
 pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
-pub use gemm::{gemm, gemm_packed, gemm_packed_with, gemm_prealloc, gemm_prepacked, PackedB};
-pub use im2col::{col2im, im2col, im2col_packed_prealloc, im2col_prealloc, Lowering};
+pub use gemm::{gemm, gemm_packed, gemm_packed_with, gemm_prepacked, PackedB};
+pub use im2col::{col2im, im2col, im2col_packed_prealloc, Lowering};
 pub use kernels::{EpiBias, Epilogue, F32Tile, KernelPath};
 pub use pool::{
     avg_pool2d, avg_pool2d_into, lrn_into, max_pool2d, max_pool2d_indices, max_pool2d_into,

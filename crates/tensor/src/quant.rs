@@ -323,25 +323,19 @@ impl PackedBI8 {
         }
     }
 
-    /// Quantize and pack `wᵀ` reading `w` (`n × k`) in place: byte for
-    /// byte `pack(&w.transpose(), scale)` without materialising the
-    /// transpose. Panel `p` is rows `p*PANEL..` of `w`: each goes
-    /// through the slice quantizer whole (a row of `w` is contiguous),
-    /// then depth quad `q` of column `j` is the four adjacent bytes
-    /// `4q .. 4q + 4` of quantized row `j`.
-    pub fn pack_transposed(w: &Matrix, scale: f32) -> Self {
-        Self::pack_transposed_columns(w, std::slice::from_ref(&(0..w.cols())), scale)
-    }
-
-    /// [`PackedBI8::pack_transposed`] of the matrix made of `w`'s
-    /// column ranges `cols` side by side — depth `k` their total
-    /// length — without materialising it: each range of a row goes
-    /// through the slice quantizer in turn. A narrowed fc layer packs
-    /// its live input features this way.
+    /// Quantize and pack `wᵀ` restricted to `w`'s column ranges `cols`,
+    /// reading `w` (`n × _`) in place: byte for byte `pack` of the
+    /// transpose of the matrix made of those columns side by side —
+    /// depth `k` their total length — with `scale`, without
+    /// materialising it. The one range `0..w.cols()` packs all of
+    /// `wᵀ`; a narrowed fc layer passes its live input features. Panel
+    /// `p` is rows `p*PANEL..` of `w`: each range of a row goes through
+    /// the slice quantizer in turn, then depth quad `q` of column `j` is
+    /// the four adjacent bytes `4q .. 4q + 4` of quantized row `j`.
     ///
     /// # Panics
     /// If a range reaches past `w`'s columns.
-    pub fn pack_transposed_columns(w: &Matrix, cols: &[Range<usize>], scale: f32) -> Self {
+    pub fn pack_transposed(w: &Matrix, cols: &[Range<usize>], scale: f32) -> Self {
         const QUAD: usize = ki8::QUAD;
         let n = w.rows();
         let k: usize = cols.iter().map(Range::len).sum();
@@ -603,7 +597,7 @@ mod tests {
         for &(n, k) in &[(13usize, 7usize), (8, 6), (1, 1), (17, 64), (24, 9)] {
             let w = det_matrix(n, k, 5);
             let scale = symmetric_scale(w.as_slice());
-            let direct = PackedBI8::pack_transposed(&w, scale);
+            let direct = PackedBI8::pack_transposed(&w, std::slice::from_ref(&(0..k)), scale);
             let via_transpose = PackedBI8::pack(&w.transpose(), scale);
             assert_eq!(direct.data(), via_transpose.data(), "W {n}x{k}");
             assert_eq!(

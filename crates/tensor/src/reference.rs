@@ -4,9 +4,12 @@
 //! Nothing on a production path calls into this module; tests and
 //! benches import it explicitly (`cap_tensor::reference::…`). The loops
 //! are written for obviousness, not speed, and share no code with the
-//! kernels they check. They also keep a separate multiply and add where
-//! the kernels fuse them (the FMA contract of [`crate::kernels`]): they
-//! bound the kernels' error within a tolerance, never bit for bit.
+//! kernels they check. All but one keep a separate multiply and add
+//! where the kernels fuse them (the FMA contract of
+//! [`crate::kernels`]): they bound the kernels' error within a
+//! tolerance, never bit for bit. The exception is [`gemm_naive`], which
+//! fuses each step as the contract does, so the packed GEMM is pinned
+//! to it bit for bit.
 
 use crate::conv::Conv2dParams;
 use crate::dense::Matrix;
@@ -116,7 +119,11 @@ pub fn conv2d_f64(
     Ok(out)
 }
 
-/// Naive triple-loop GEMM — the oracle for [`crate::gemm()`].
+/// Naive triple-loop GEMM — the oracle for [`crate::gemm()`] and every
+/// packed GEMM path: each output element is one chain of
+/// `f32::mul_add` steps in ascending `kk` from `+0.0`, every term taken
+/// (zeros of `A` included), which is the FMA contract's arithmetic, so
+/// the kernels match it bit for bit.
 pub fn gemm_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     let (m, ka) = a.shape();
     let (kb, n) = b.shape();
@@ -131,7 +138,7 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
         for kk in 0..ka {
             let aik = a.get(r, kk);
             for cc in 0..n {
-                let v = c.get(r, cc) + aik * b.get(kk, cc);
+                let v = aik.mul_add(b.get(kk, cc), c.get(r, cc));
                 c.set(r, cc, v);
             }
         }

@@ -193,6 +193,8 @@ impl CsrMatrix {
     /// The SpMM driver: `C = epi(self · B)` over raw row-major slices,
     /// `b_data` being `self.cols × n` and `c_data` `self.rows × n`
     /// (overwritten). Zero-allocation, for steady-state inference loops.
+    /// At `n = 1` it is the sparse matrix–vector product `y = self · x`
+    /// (a pruned fc layer's forward, one image at a time).
     ///
     /// `row_bias`, when present, adds `row_bias[r]` to every element of
     /// output row `r` (CSR rows are conv output channels / FC output
@@ -275,63 +277,6 @@ impl CsrMatrix {
         }
         Ok(out)
     }
-
-    /// Sparse matrix–vector product.
-    pub fn matvec(&self, x: &[f32]) -> TensorResult<Vec<f32>> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y, None, false)?;
-        Ok(y)
-    }
-
-    /// Sparse matrix–vector product into a caller-provided slice, with
-    /// a bias/ReLU epilogue: `y[r] = relu(Σ row_r · x + bias[r])`, each
-    /// part optional and skipped (not zero-filled) when absent. `y`
-    /// must have exactly `rows` entries and is overwritten.
-    /// Zero-allocation: the batch-1 path of a pruned fully-connected
-    /// layer.
-    pub fn matvec_into(
-        &self,
-        x: &[f32],
-        y: &mut [f32],
-        bias: Option<&[f32]>,
-        relu: bool,
-    ) -> TensorResult<()> {
-        if x.len() != self.cols {
-            return Err(ShapeError::new(format!(
-                "csr matvec: {}x{} * len {}",
-                self.rows,
-                self.cols,
-                x.len()
-            )));
-        }
-        if y.len() != self.rows {
-            return Err(ShapeError::new(format!(
-                "csr matvec: output len {}, expected {}",
-                y.len(),
-                self.rows
-            )));
-        }
-        if let Some(b) = bias {
-            if b.len() < self.rows {
-                return Err(ShapeError::new(format!(
-                    "csr matvec: bias has {} entries, need {}",
-                    b.len(),
-                    self.rows
-                )));
-            }
-        }
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            *yr = kernels::spmv(
-                &self.values[lo..hi],
-                &self.col_idx[lo..hi],
-                x,
-                bias.map(|b| b[r]),
-                relu,
-            );
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -374,21 +319,15 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_dense() {
-        let (dense, csr) = sparse_dense_pair(6, 8, 3);
-        let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.5 - 2.0).collect();
-        let ys = csr.matvec(&x).unwrap();
-        let yd = dense.matvec(&x).unwrap();
-        for (a, b) in ys.iter().zip(yd.iter()) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn shape_mismatch_errors() {
         let (_, csr) = sparse_dense_pair(3, 4, 2);
         assert!(csr.matmul_dense(&Matrix::zeros(5, 2)).is_err());
-        assert!(csr.matvec(&[0.0; 3]).is_err());
+        assert!(csr
+            .spmm_into(&[0.0; 3], 1, &mut [0.0; 3], None, false)
+            .is_err());
+        assert!(csr
+            .spmm_into(&[0.0; 4], 1, &mut [0.0; 2], None, false)
+            .is_err());
     }
 
     #[test]
@@ -454,35 +393,6 @@ mod tests {
             .unwrap();
         for (e, f) in expect.as_slice().iter().zip(fused.as_slice()) {
             assert_eq!(e.to_bits(), f.to_bits());
-        }
-    }
-
-    #[test]
-    fn matvec_into_matches_matvec_bitwise() {
-        let (_, csr) = sparse_dense_pair(6, 8, 3);
-        let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.5 - 2.0).collect();
-        let alloc = csr.matvec(&x).unwrap();
-        let mut into = vec![f32::NAN; 6];
-        csr.matvec_into(&x, &mut into, None, false).unwrap();
-        for (a, b) in alloc.iter().zip(&into) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Shape errors on the output side too.
-        assert!(csr.matvec_into(&x, &mut [0.0; 5], None, false).is_err());
-    }
-
-    #[test]
-    fn matvec_fused_matches_manual_epilogue_bitwise() {
-        let (_, csr) = sparse_dense_pair(6, 8, 2);
-        let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.25 - 1.0).collect();
-        let bias: Vec<f32> = (0..6).map(|r| 1.5 - r as f32).collect();
-        let plain = csr.matvec(&x).unwrap();
-        let mut fused = vec![0.0; 6];
-        csr.matvec_into(&x, &mut fused, Some(&bias), true).unwrap();
-        for r in 0..6 {
-            let y = plain[r] + bias[r];
-            let y = if y > 0.0 { y } else { 0.0 };
-            assert_eq!(y.to_bits(), fused[r].to_bits());
         }
     }
 

@@ -7,7 +7,7 @@
 //!
 //! * f32 forms: within 1e-4 of the oracle, and **bitwise** equal to the
 //!   allocating seed composition the driver replaced — per image and
-//!   group, `im2col` → unpacked `gemm` / CSR `matmul_dense` → a separate
+//!   group, `im2col` → `gemm_naive` / CSR `matmul_dense` → a separate
 //!   bias pass → a separate ReLU pass.
 //!   That is the fusion contract (fused == unfused + passes) and the
 //!   packed-vs-unpacked contract in one assertion.
@@ -41,10 +41,10 @@
 //! differently-shaped work — results must not depend on it.
 
 use cap_tensor::kernels;
-use cap_tensor::reference::conv2d_direct;
+use cap_tensor::reference::{conv2d_direct, gemm_naive};
 use cap_tensor::{
-    conv2d, gemm, gemm_i8, im2col, pack_b_i8_into, symmetric_scale, Conv2dParams, ConvWeights,
-    CsrMatrix, EpiBias, Epilogue, I8Storage, Matrix, QuantizedA, Team, Tensor4, Workspace,
+    conv2d, gemm_i8, im2col, pack_b_i8_into, symmetric_scale, Conv2dParams, ConvWeights, CsrMatrix,
+    EpiBias, Epilogue, I8Storage, Matrix, QuantizedA, Team, Tensor4, Workspace,
 };
 
 fn input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -114,7 +114,7 @@ fn seed_composition(
                     .matmul_dense(&cols)
                     .unwrap()
             } else {
-                gemm(&band, &cols).unwrap()
+                gemm_naive(&band, &cols).unwrap()
             };
             out.image_mut(ni)[g * opg * n_out..(g + 1) * opg * n_out]
                 .copy_from_slice(prod.as_slice());
@@ -455,7 +455,7 @@ fn kept_rows_form_needs_no_more_scratch_than_dense() {
 /// output pixels are 61 panels — strips of 28, 28 and 5 with a ragged
 /// last panel), six filters so a 4-row block and two trailing rows
 /// cross every strip: both dense forms stay bitwise the unpacked seed
-/// composition, epilogue included.
+/// composition (`gemm_naive`), epilogue included.
 #[test]
 fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     let params = Conv2dParams::grouped(64, 6, 3, 1, 1, 1);

@@ -17,18 +17,15 @@
 //! build, at widths that reach both the SIMD body and its scalar tail.
 
 use cap_tensor::kernels::{self, scalar, Epilogue, PANEL};
-use cap_tensor::{
-    gemm_packed, gemm_packed_with, gemm_prealloc, CsrMatrix, F32Tile, Matrix, PackedB,
-};
+use cap_tensor::{gemm_packed, gemm_packed_with, CsrMatrix, F32Tile, Matrix, PackedB};
 
 const K: usize = 4;
 
 /// Output widths: under one panel (all tail), two panels plus a
-/// partial third (the AVX2 panel pair and odd panel, the 8-lane `axpy`
-/// body and its tail), and 13 panels plus 3 lanes (GEMV 4-panel groups
-/// and their remainder; the zmm tile's six-panel groups and the pair
-/// and odd panel they leave; the CSR row's 64-, 32- and 8-column
-/// blocks and its tail).
+/// partial third (the AVX2 panel pair and odd panel), and 13 panels
+/// plus 3 lanes (GEMV 4-panel groups and their remainder; the zmm
+/// tile's six-panel groups and the pair and odd panel they leave; the
+/// CSR row's 64-, 32- and 8-column blocks and its tail).
 const WIDTHS: [usize; 3] = [3, 19, 107];
 
 /// Rows: 1 is the GEMV route, 5 one 4-row block plus a trailing row,
@@ -104,17 +101,10 @@ fn every_multiply_accumulate_entry_fuses_on_every_path() {
                     assert_fused(&c, &what(&format!("gemm_packed_with tile {}", tile.name())));
                 }
 
-                let mut c = Matrix::zeros(m, n);
-                gemm_prealloc(&a, &b, &mut c).unwrap();
-                assert_fused(c.as_slice(), &what("gemm_prealloc (axpy)"));
-
                 let csr = CsrMatrix::from_dense(&a, 0.0);
                 let mut c = vec![0.0; m * n];
                 csr.spmm_into(csr_b, n, &mut c, None, false).unwrap();
                 assert_fused(&c, &what("CsrMatrix::spmm_into"));
-
-                let x: Vec<f32> = (0..K).map(|r| b.get(r, 0)).collect();
-                assert_fused(&csr.matvec(&x).unwrap(), &what("CsrMatrix::matvec (spmv)"));
             }
         }
     }
@@ -157,13 +147,5 @@ fn the_plain_scalar_build_fuses_too() {
         let mut c = vec![0.0; n];
         scalar::spmm_row(&[v, u], &[0, 2], b.as_slice(), n, &mut c, None, false);
         assert_fused(&c, &format!("scalar::spmm_row at n = {n}"));
-
-        let mut c = vec![0.0; n];
-        for (kk, &aik) in [v, 0.0, u, 0.0].iter().enumerate() {
-            scalar::axpy(&mut c, aik, b.row(kk));
-        }
-        assert_fused(&c, &format!("scalar::axpy at n = {n}"));
     }
-    let y = scalar::spmv(&[v, u], &[0, 2], &[1.0, 3.0, u, 3.0], None, false);
-    assert_fused(&[y], "scalar::spmv");
 }

@@ -1,9 +1,9 @@
-//! Fused-epilogue and matvec kernel parity suite (PR 6 companion to
+//! Fused-epilogue and GEMV kernel parity suite (companion to
 //! `kernel_parity.rs`).
 //!
 //! Contract under test: every epilogue-taking driver — `gemm_packed`
 //! with an [`Epilogue`], its dedicated `m == 1` gemv route, and the CSR
-//! spmm/spmv rows with a scalar bias/ReLU tail — produces output
+//! SpMM rows (`n = 1` included) with a scalar bias/ReLU tail — produces output
 //! **bit-identical** to the scalar kernel with no epilogue followed by a manual
 //! bias-add and `forward_into`-flavor ReLU (negatives, `-0.0` and NaN
 //! all flush to `+0.0`), on every dispatch path, across
@@ -322,53 +322,6 @@ fn fused_spmm_row_matches_scalar_unfused_plus_manual_epilogue() {
     }
 }
 
-#[test]
-fn spmv_matches_spmm_row_at_n_equals_1_bitwise() {
-    // The batch-1 sparse FC route: spmv over a CSR row must reproduce
-    // the n = 1 SpMM row exactly (same ascending stored-value order),
-    // fused tail included. Scalar-only by contract, no force needed.
-    let k = 23;
-    let x: Vec<f32> = (0..k).map(|i| ((i * 7) % 11) as f32 / 4.0 - 1.0).collect();
-    let dense = Matrix::from_fn(6, k, |r, c| {
-        if (r * k + c) % 3 == 0 {
-            (r as f32 - c as f32) / 3.0 + 0.25
-        } else {
-            0.0
-        }
-    });
-    for (bias, relu) in [(None, false), (Some(0.4f32), true), (Some(-2.0f32), true)] {
-        for r in 0..dense.rows() {
-            // Rebuild the CSR row directly: nonzeros in ascending
-            // column order, exactly as `CsrMatrix::from_dense` stores.
-            let mut values = Vec::new();
-            let mut col_idx = Vec::new();
-            for c in 0..k {
-                if dense.get(r, c) != 0.0 {
-                    values.push(dense.get(r, c));
-                    col_idx.push(c as u32);
-                }
-            }
-            let mut via_spmm = [0.0f32];
-            kernels::spmm_row_with(
-                KernelPath::Scalar,
-                &values,
-                &col_idx,
-                &x,
-                1,
-                &mut via_spmm,
-                bias,
-                relu,
-            );
-            let via_spmv = kernels::spmv(&values, &col_idx, &x, bias, relu);
-            assert_eq!(
-                via_spmm[0].to_bits(),
-                via_spmv.to_bits(),
-                "row {r} bias={bias:?} relu={relu}"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -441,41 +394,6 @@ proptest! {
             for (x, y) in want.as_slice().iter().zip(got.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
-        }
-    }
-
-    /// The batch-1 sparse matvec (fused or not) equals the scalar
-    /// matvec + manual epilogue on arbitrary sparsity patterns.
-    #[test]
-    fn prop_fused_spmv_bit_identical(
-        rows in 1usize..12,
-        k in 1usize..20,
-        keep in 1usize..4,
-        relu in proptest::bool::ANY,
-        seed in 0u64..500,
-    ) {
-        let dense = Matrix::from_fn(rows, k, |r, c| {
-            if (r + c + seed as usize).is_multiple_of(keep) {
-                ((r * 13 + c * 7) % 9) as f32 / 4.0 - 1.0
-            } else {
-                0.0
-            }
-        });
-        let w = CsrMatrix::from_dense(&dense, 0.0);
-        let x: Vec<f32> = (0..k).map(|i| ((i * 5 + seed as usize) % 7) as f32 / 3.0 - 1.0).collect();
-        let bias = bias_vec(rows, seed);
-        let mut want = w.matvec(&x).unwrap();
-        for (r, v) in want.iter_mut().enumerate() {
-            let mut y = *v + bias[r];
-            if relu {
-                y = if y > 0.0 { y } else { 0.0 };
-            }
-            *v = y;
-        }
-        let mut got = vec![0.0f32; rows];
-        w.matvec_into(&x, &mut got, Some(&bias), relu).unwrap();
-        for (x, y) in want.iter().zip(got.iter()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 }

@@ -116,14 +116,6 @@ fn gemm_packed_on_tile(tile: F32Tile, a: &Matrix, b: &Matrix) -> Vec<f32> {
     c
 }
 
-fn gemm_prealloc_on(path: KernelPath, a: &Matrix, b: &Matrix) -> Matrix {
-    on_path(path, || {
-        let mut c = Matrix::zeros(a.rows(), b.cols());
-        cap_tensor::gemm_prealloc(a, b, &mut c).unwrap();
-        c
-    })
-}
-
 fn spmm_on(path: KernelPath, w: &CsrMatrix, b: &Matrix) -> Matrix {
     on_path(path, || w.matmul_dense(b).unwrap())
 }
@@ -252,26 +244,6 @@ fn tiles_resolve_from_the_path_and_the_cpu() {
         // The widest tile the host has.
         let widest = *F32Tile::available().last().unwrap();
         assert_eq!(F32Tile::for_path(KernelPath::Avx2), widest);
-    }
-}
-
-#[test]
-fn gemm_prealloc_axpy_bit_identical() {
-    let _g = force_lock();
-    // Exercises the unpacked GEMM whose inner loop is the axpy kernel,
-    // including the zero-skip branch (mat() emits exact zeros).
-    for (m, k, n) in [(1, 5, 9), (7, 13, 21), (40, 17, 33)] {
-        let a = mat(m, k, 11);
-        let b = mat(k, n, 12);
-        let reference = gemm_prealloc_on(KernelPath::Scalar, &a, &b);
-        for path in kernels::available_paths() {
-            let got = gemm_prealloc_on(path, &a, &b);
-            assert_bits_eq(
-                reference.as_slice(),
-                got.as_slice(),
-                &format!("gemm_prealloc {m}x{k}x{n} on {}", path.name()),
-            );
-        }
     }
 }
 

@@ -1,13 +1,16 @@
-//! Parity suites for the packed GEMM: it must agree with the unpacked
-//! GEMM it replaces, across randomized shapes and contents and across
-//! the column-strip boundaries of its loop nest. (The convolution
-//! driver built on it is pinned by `conv_parity.rs`.)
+//! Parity suites for the packed GEMM: it must agree bit for bit with
+//! the naive triple loop `reference::gemm_naive` (one ascending-`kk`
+//! FMA chain per element), on every kernel path and f32 tile, across
+//! randomized shapes and contents and across the column-strip
+//! boundaries of its loop nest. (The convolution driver built on it is
+//! pinned by `conv_parity.rs`.)
 //!
 //! `kernels::force` is process-global, so every test here serializes
 //! on one mutex.
 
-use cap_tensor::kernels::{self, EpiBias, Epilogue, KernelPath};
-use cap_tensor::{gemm, gemm_packed, gemm_prealloc, gemm_prepacked, Matrix, PackedB};
+use cap_tensor::kernels::{self, EpiBias, Epilogue};
+use cap_tensor::reference::gemm_naive;
+use cap_tensor::{gemm, gemm_packed, gemm_packed_with, gemm_prepacked, F32Tile, Matrix, PackedB};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -20,7 +23,8 @@ fn force_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Deterministic pseudo-random fill that exercises positives, negatives
-/// and exact zeros (zeros matter: they trigger the GEMM skip branch).
+/// and exact zeros (zeros matter: every `0·b` term is taken, and must
+/// leave the sum's bits alone).
 fn fill(seed: usize, zero_every: usize) -> impl Fn(usize) -> f32 {
     move |i: usize| {
         if zero_every > 0 && (i + seed).is_multiple_of(zero_every) {
@@ -43,11 +47,11 @@ fn matrix(rows: usize, cols: usize, seed: usize, zero_every: usize) -> Matrix {
 /// lone ragged panel in the third strip), 40 (odd panel count in the
 /// last strip). `m` covers a tail-only band (2), a row block plus a
 /// tail row (5), a second band of one tail row (33) and two full bands
-/// (64). Every cell is, bitwise on every path, the scalar unpacked
+/// (64). Every cell is, bitwise on every path and every tile, the naive
 /// multiply followed by separate bias and ReLU passes, written through
 /// a NaN-filled `c`.
 #[test]
-fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
+fn strip_boundaries_match_the_naive_gemm_on_every_path() {
     let _g = force_lock();
     let k = 4100;
     for n in [13usize, 16, 24, 37, 40] {
@@ -57,13 +61,7 @@ fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
             let a = matrix(m, k, m + 3, 5);
             let row_bias: Vec<f32> = (0..m).map(|r| r as f32 * 0.25 - 3.0).collect();
             let col_bias: Vec<f32> = (0..n).map(|j| 2.0 - j as f32 * 0.125).collect();
-            // The oracle runs on the scalar path whatever the
-            // environment selected.
-            let mut plain = Matrix::zeros(m, n);
-            kernels::force(Some(KernelPath::Scalar));
-            let oracle = gemm_prealloc(&a, &b, &mut plain);
-            kernels::force(None);
-            oracle.unwrap();
+            let plain = gemm_naive(&a, &b).unwrap();
             for (what, epi) in [
                 ("no epilogue", Epilogue::NONE),
                 (
@@ -86,29 +84,29 @@ fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
                     Some(EpiBias::PerCol(cb)) => Some(cb[j]),
                     None => None,
                 };
-                for path in kernels::available_paths() {
-                    let mut c = Matrix::full(m, n, f32::NAN);
+                let (a, b) = (a.as_slice(), packed.as_slice());
+                let paths = kernels::available_paths().into_iter().map(|path| {
+                    let mut c = vec![f32::NAN; m * n];
                     kernels::force(Some(path));
-                    let run = gemm_packed(
-                        a.as_slice(),
-                        m,
-                        k,
-                        n,
-                        packed.as_slice(),
-                        c.as_mut_slice(),
-                        epi,
-                    );
+                    let run = gemm_packed(a, m, k, n, b, &mut c, epi);
                     kernels::force(None);
                     run.unwrap();
+                    (format!("path {}", path.name()), c)
+                });
+                let tiles = F32Tile::available().into_iter().map(|tile| {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_packed_with(tile, a, m, k, n, b, &mut c, epi).unwrap();
+                    (format!("tile {}", tile.name()), c)
+                });
+                for (on, c) in paths.chain(tiles) {
                     for r in 0..m {
                         for j in 0..n {
-                            let case =
-                                format!("{what} {m}x{k}x{n} on {} at ({r},{j})", path.name());
+                            let case = format!("{what} {m}x{k}x{n} on {on} at ({r},{j})");
                             let bias = bias_at(r, j);
                             // An absent bias is skipped: `+ 0.0` is not bitwise neutral.
                             let sum = bias.map_or(plain.get(r, j), |bv| plain.get(r, j) + bv);
                             let want = if !epi.relu || sum > 0.0 { sum } else { 0.0 };
-                            assert_eq!(c.get(r, j).to_bits(), want.to_bits(), "{case}");
+                            assert_eq!(c[r * n + j].to_bits(), want.to_bits(), "{case}");
                         }
                     }
                 }
@@ -117,9 +115,10 @@ fn strip_boundaries_match_the_unpacked_gemm_on_every_path() {
     }
 }
 
-/// `PackedB::pack_transposed(w)` is `PackedB::pack(&w.transpose())`
-/// bit for bit — shape, panels and zeroed tail lanes — on ragged and
-/// degenerate shapes (`w` is `n × k`; a panel is 8 columns of `wᵀ`).
+/// `PackedB::pack_transposed` over the one range `0..k` is
+/// `PackedB::pack(&w.transpose())` bit for bit — shape, panels and
+/// zeroed tail lanes — on ragged and degenerate shapes (`w` is `n × k`;
+/// a panel is 8 columns of `wᵀ`).
 #[test]
 fn pack_transposed_is_pack_of_the_transpose() {
     for (n, k) in [
@@ -133,7 +132,8 @@ fn pack_transposed_is_pack_of_the_transpose() {
         (0, 0),
     ] {
         let w = matrix(n, k, n + 2 * k, 3);
-        let (got, want) = (PackedB::pack_transposed(&w), PackedB::pack(&w.transpose()));
+        let got = PackedB::pack_transposed(&w, std::slice::from_ref(&(0..k)));
+        let want = PackedB::pack(&w.transpose());
         assert_eq!(got.shape(), want.shape(), "{n}x{k}");
         let bits = |p: &PackedB| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want), "{n}x{k}");
@@ -141,11 +141,12 @@ fn pack_transposed_is_pack_of_the_transpose() {
 }
 
 proptest! {
-    /// Panel-packed GEMM ≡ plain GEMM, bitwise: accumulation order is
-    /// identical (kk-ascending per output element), and the zero terms
-    /// the unpacked walk skips are neutral on a `+0.0`-seeded sum.
+    /// `gemm()` and the prepacked GEMM ≡ the naive triple loop, bitwise,
+    /// on every kernel path and f32 tile: the accumulation order is
+    /// identical (kk-ascending FMA chain per output element), and the
+    /// `0·b` terms of `A`'s zeros are taken by both.
     #[test]
-    fn packed_gemm_matches_gemm(
+    fn packed_gemm_matches_the_naive_gemm(
         m in 1usize..24,
         k in 1usize..48,
         n in 1usize..40,
@@ -155,37 +156,24 @@ proptest! {
         let _g = force_lock();
         let a = matrix(m, k, seed, zero_every);
         let b = matrix(k, n, seed + 1, 0);
-        let expect = gemm(&a, &b).unwrap();
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let expect = bits(gemm_naive(&a, &b).unwrap().as_slice());
         let packed = PackedB::pack(&b);
-        let mut got = Matrix::zeros(m, n);
-        gemm_prepacked(&a, &packed, &mut got).unwrap();
-        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&expect), bits(&got));
-    }
-
-    /// The dense-zero skip probe must not change results relative to a
-    /// fully dense multiply of the same values.
-    #[test]
-    fn sparse_rows_do_not_change_gemm(
-        m in 1usize..16,
-        k in 1usize..32,
-        n in 1usize..24,
-        seed in 0usize..1000,
-    ) {
-        // Half the rows of A fully zeroed: mixes skip-branch rows and
-        // dense-branch rows in one multiply.
-        let _g = force_lock();
-        let mut a = matrix(m, k, seed, 0);
-        for r in (0..m).step_by(2) {
-            a.row_mut(r).fill(0.0);
+        for path in kernels::available_paths() {
+            kernels::force(Some(path));
+            let via_gemm = gemm(&a, &b);
+            let mut got = Matrix::zeros(m, n);
+            let run = gemm_prepacked(&a, &packed, &mut got);
+            kernels::force(None);
+            prop_assert_eq!(&expect, &bits(via_gemm.unwrap().as_slice()));
+            run.unwrap();
+            prop_assert_eq!(&expect, &bits(got.as_slice()));
         }
-        let b = matrix(k, n, seed + 2, 0);
-        let expect = gemm(&a, &b).unwrap();
-        let mut got = Matrix::zeros(m, n);
-        gemm_prealloc(&a, &b, &mut got).unwrap();
-        prop_assert!(expect.max_abs_diff(&got).unwrap() == 0.0);
-        for r in (0..m).step_by(2) {
-            prop_assert!(got.row(r).iter().all(|&v| v == 0.0));
+        for tile in F32Tile::available() {
+            let mut got = vec![f32::NAN; m * n];
+            let (a, b) = (a.as_slice(), packed.as_slice());
+            gemm_packed_with(tile, a, m, k, n, b, &mut got, Epilogue::NONE).unwrap();
+            prop_assert_eq!(&expect, &bits(&got));
         }
     }
 }
