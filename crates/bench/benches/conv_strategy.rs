@@ -1,8 +1,8 @@
 //! im2col+GEMM vs direct sliding-window convolution — the Caffe-lowering
 //! ablation (DESIGN.md §9) — over the driver's weight forms, and the
-//! dense-vs-CSR crossover the layers' sparse thresholds are set from
-//! (`conv_form_*` for `SPARSE_THRESHOLD`, `fc_form_b1` for
-//! `FC_SPARSE_THRESHOLD`; table in EXPERIMENTS.md "PR 14").
+//! dense-vs-CSR crossover `ConvLayer`'s `SPARSE_THRESHOLD` is set from
+//! (`conv_form_*`; tables in EXPERIMENTS.md, "Dense vs CSR crossover,
+//! measured" and "One fc form per precision").
 //! `conv_form_i8_*` is the int8 side: the lowering stages on their own
 //! and the dense int8 conv against f32, the one int8 conv form at every
 //! sparsity.
@@ -15,13 +15,12 @@
 //! `WINOGRAD_MIN_CHANNELS` / `WINOGRAD_MIN_MAP` are set from (table in
 //! EXPERIMENTS.md "PR 36").
 
-use cap_cnn::layer::FC_SPARSE_THRESHOLD;
+use cap_cnn::layer::{ConvLayer, SPARSE_THRESHOLD};
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
-    conv2d, gemm_packed, im2col, im2col_packed_prealloc, pack_b_i8_into, symmetric_scale,
-    Conv2dParams, ConvWeights, CsrMatrix, Epilogue, Lowering, Matrix, PackedB, Team, Tensor4,
-    Workspace,
+    conv2d, im2col, im2col_packed_prealloc, pack_b_i8_into, symmetric_scale, Conv2dParams,
+    ConvWeights, Lowering, Matrix, Team, Tensor4, Workspace,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
@@ -41,9 +40,14 @@ fn scattered(rows: usize, cols: usize, zero_pct: f64) -> Matrix {
     })
 }
 
-/// One Caffenet conv layer at batch 1 through `conv2d`: dense, CSR at
-/// rising unstructured sparsity, and both forms filter pruning can run
-/// on (every second filter zeroed).
+/// One Caffenet conv layer at batch 1 through `conv2d`: dense, the
+/// Winograd form where `ConvLayer` runs it, CSR at rising unstructured
+/// sparsity, and both forms filter pruning can run on (every second
+/// filter zeroed). Ends with one `conv_form:` line — the time of the
+/// form `ConvLayer` runs below `SPARSE_THRESHOLD` (`dense` im2col or
+/// `winograd`) over the CSR time at each sparsity (above 1: CSR is
+/// faster), and the lowest sparsity from which CSR stays faster — for
+/// the CI job summary, next to the threshold.
 fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
     let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
         ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
@@ -54,15 +58,25 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let mut group = c.benchmark_group(name);
     let mut run = |id: BenchmarkId, form: ConvWeights<'_>| {
-        group.bench_with_input(id, &form, |b, &form| {
-            b.iter(|| conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap())
-        });
+        fastest(&mut group, id, || {
+            conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap()
+        })
     };
     let dense = scattered(rows, cols, 0.0);
-    run(BenchmarkId::new("dense", 0), ConvWeights::Dense(&dense));
-    for zero_pct in [40.0, 50.0, 60.0, 65.0, 70.0, 75.0, 80.0, 90.0] {
+    let mut below = "dense";
+    let mut below_time = run(BenchmarkId::new(below, 0), ConvWeights::Dense(&dense));
+    if ConvLayer::weight_form_name(&dense, &params, (hw, hw)) == "winograd" {
+        below = "winograd";
+        let bands = ConvWeights::winograd_bands(&dense, &params).unwrap();
+        below_time = run(BenchmarkId::new(below, 0), ConvWeights::Winograd(&bands));
+    }
+    let mut ratios = Vec::new();
+    for zero_pct in [40.0, 50.0, 60.0, 65.0, 70.0, 75.0, 80.0, 85.0, 90.0] {
         let csr = ConvWeights::csr_bands(&scattered(rows, cols, zero_pct), &params).unwrap();
-        run(BenchmarkId::new("csr", zero_pct), ConvWeights::Csr(&csr));
+        let sparse = run(BenchmarkId::new("csr", zero_pct), ConvWeights::Csr(&csr));
+        if sparse != Duration::MAX {
+            ratios.push((zero_pct, below_time.as_secs_f64() / sparse.as_secs_f64()));
+        }
     }
     let mut half_rows = dense.clone();
     for r in (1..rows).step_by(2) {
@@ -76,6 +90,23 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
         ConvWeights::DenseRows(&kept),
     );
     group.finish();
+    if below_time != Duration::MAX && !ratios.is_empty() {
+        let cells: Vec<String> = ratios
+            .iter()
+            .map(|(pct, r)| format!("{pct:.0}% {r:.2}x"))
+            .collect();
+        let from = ratios
+            .iter()
+            .rposition(|&(_, r)| r < 1.0)
+            .map_or(Some(0), |i| (i + 1 < ratios.len()).then_some(i + 1));
+        let crossover = from.map_or("none measured".into(), |i| format!("{:.0}%", ratios[i].0));
+        println!(
+            "conv_form: {below}/csr on {name} b1, {}; csr faster from {crossover} (SPARSE_THRESHOLD {:.0}%) on {}",
+            cells.join(", "),
+            SPARSE_THRESHOLD * 100.0,
+            kernels::selected().name()
+        );
+    }
 }
 
 /// The int8 side of one Caffenet conv layer at batch 1: the stages of
@@ -143,52 +174,6 @@ fn bench_weight_forms(c: &mut Criterion) {
     bench_conv_forms(c, "conv_form_conv3", conv3, 13);
     bench_conv_forms_i8(c, "conv_form_i8_conv2", conv2, 27);
     bench_conv_forms_i8(c, "conv_form_i8_conv3", conv3, 13);
-
-    // Batch-1 fc (Caffenet fc7, 4096x4096): the dense side is the
-    // packed GEMV streaming all of Wᵀ once, the sparse side the `n = 1`
-    // CSR SpMM the layer runs per image, streaming values + column
-    // indices — bandwidth against bandwidth, so the crossover is not
-    // the conv one. Ends with one `fc_form:` line — the dense ÷ CSR
-    // time ratio at each sparsity (above 1: CSR is faster) and the
-    // lowest sparsity from which CSR stays faster — for the CI job
-    // summary, next to `FC_SPARSE_THRESHOLD`.
-    let (outf, inf) = (4096usize, 4096usize);
-    let x: Vec<f32> = (0..inf).map(|i| (i % 13) as f32 / 13.0 - 0.5).collect();
-    let bias = vec![0.1_f32; outf];
-    let mut y = vec![0.0_f32; outf];
-    let mut group = c.benchmark_group("fc_form_b1");
-    let packed = PackedB::pack(&scattered(outf, inf, 0.0).transpose());
-    let dense = fastest(&mut group, BenchmarkId::new("dense", 0), || {
-        gemm_packed(&x, 1, inf, outf, packed.as_slice(), &mut y, Epilogue::NONE).unwrap()
-    });
-    let mut ratios = Vec::new();
-    for zero_pct in [30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 85.0, 90.0] {
-        let csr = CsrMatrix::from_dense(&scattered(outf, inf, zero_pct), 0.0);
-        let sparse = fastest(&mut group, BenchmarkId::new("csr", zero_pct), || {
-            csr.spmm_into(&x, 1, &mut y, Some(&bias), true).unwrap()
-        });
-        if sparse != Duration::MAX {
-            ratios.push((zero_pct, dense.as_secs_f64() / sparse.as_secs_f64()));
-        }
-    }
-    group.finish();
-    if dense != Duration::MAX && !ratios.is_empty() {
-        let cells: Vec<String> = ratios
-            .iter()
-            .map(|(pct, r)| format!("{pct:.0}% {r:.2}x"))
-            .collect();
-        let from = ratios
-            .iter()
-            .rposition(|&(_, r)| r < 1.0)
-            .map_or(Some(0), |i| (i + 1 < ratios.len()).then_some(i + 1));
-        let crossover = from.map_or("none measured".into(), |i| format!("{:.0}%", ratios[i].0));
-        println!(
-            "fc_form: dense/csr on fc7 b1, {}; csr faster from {crossover} (FC_SPARSE_THRESHOLD {:.0}%) on {}",
-            cells.join(", "),
-            FC_SPARSE_THRESHOLD * 100.0,
-            cap_tensor::kernels::selected().name()
-        );
-    }
 }
 
 fn bench_conv(c: &mut Criterion) {

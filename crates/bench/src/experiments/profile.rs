@@ -7,7 +7,7 @@
 
 use cap_cnn::models::{caffenet, WeightInit};
 use cap_cnn::{CollectingTracer, ForwardArena, LayerKind, Network, ProfileReport};
-use cap_obs::{SpanRecord, TimingGuard};
+use cap_obs::{SpanRecord, SpanScope, TimingGuard};
 use cap_pruning::{apply_to_network, PruneAlgorithm, PruneSpec};
 use cap_tensor::{precision, Precision, Tensor4};
 use std::fmt::Write;
@@ -69,6 +69,26 @@ fn profile_interleaved(
     reports
 }
 
+/// Milliseconds of the fastest traced pass in `spans` (one tracer's, in
+/// any order) spent in the layers named `layers`: each layer span is
+/// summed into the pass whose `Forward` span ends first at or after it
+/// ends, then the minimum over passes — so one slow pass on a shared
+/// host does not move it, as `fig8m` keeps each config's fastest round.
+fn best_pass_ms(spans: &[SpanRecord], layers: &[String]) -> f64 {
+    let end = |s: &SpanRecord| s.start + s.elapsed;
+    let forwards = spans.iter().filter(|s| s.scope == SpanScope::Forward);
+    let mut passes: Vec<_> = forwards.map(|f| (end(f), 0.0)).collect();
+    passes.sort_by_key(|p| p.0);
+    let timed = |s: &&SpanRecord| s.scope == SpanScope::Layer && layers.contains(&s.name);
+    for s in spans.iter().filter(timed) {
+        let pass = passes.partition_point(|p| p.0 < end(s));
+        if let Some(p) = passes.get_mut(pass) {
+            p.1 += s.elapsed.as_secs_f64() * 1e3;
+        }
+    }
+    passes.iter().map(|p| p.1).fold(f64::INFINITY, f64::min)
+}
+
 /// The `profile` experiment: per-layer time tables for Caffenet at 0%
 /// and 60% pruning, produced by the tracer rather than any bespoke
 /// timer, plus the JSON exports and the metrics-registry snapshot.
@@ -116,6 +136,9 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
         ],
         &input,
     );
+    // One line for CI's job summary: did pruning pay, in total? Each
+    // arm's best pass; the tables keep the means.
+    let (dense_ms, pruned_ms) = (best_pass_ms(&spans, &convs), best_pass_ms(&spans60, &convs));
     spans.extend(spans60);
     spans.sort_by_key(|s| s.start);
     let snap = cap_obs::metrics().snapshot();
@@ -124,7 +147,7 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
     // scan is part of what the knob costs). Not in the tables, the
     // JSON, the snapshot or the timeline: those stay the pruning story.
     let under = |p: Precision| arm(&dense, Some(p), p.name());
-    let [(report_f32, _), (report_i8, _)] =
+    let [(_, spans_f32), (report_i8, spans_i8)] =
         profile_interleaved([under(Precision::F32), under(Precision::Int8)], &input);
 
     let mut out = String::new();
@@ -140,14 +163,6 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
     out.push_str(&report60.to_text_table());
     out.push('\n');
     out.push_str(&report0.compare_table(&report60));
-    // One line for CI's job summary: did pruning pay, in total?
-    let conv_ms = |report: &ProfileReport| -> f64 {
-        let rows = report.layers().iter();
-        rows.filter(|l| convs.contains(&l.name))
-            .map(|l| l.mean().as_secs_f64() * 1e3)
-            .sum()
-    };
-    let (dense_ms, pruned_ms) = (conv_ms(&report0), conv_ms(&report60));
     writeln!(
         out,
         "\nconv total: dense {dense_ms:.1} ms, pruned-60 {pruned_ms:.1} ms, ratio {:.2}",
@@ -156,7 +171,10 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
     .unwrap();
     // ... and one for the other knob: did int8 pay, on the same convs
     // — and on which integer kernel, since the ratio is that kernel's.
-    let (f32_ms, int8_ms) = (conv_ms(&report_f32), conv_ms(&report_i8));
+    let (f32_ms, int8_ms) = (
+        best_pass_ms(&spans_f32, &convs),
+        best_pass_ms(&spans_i8, &convs),
+    );
     writeln!(
         out,
         "conv total (int8): f32 {f32_ms:.1} ms, int8 {int8_ms:.1} ms, ratio {:.2}, precision {}",
@@ -213,11 +231,16 @@ mod tests {
             .count();
         assert_eq!(forwards, PASSES);
         assert!(spans.iter().all(|s| s.tid > 0));
-        let conv_share: f64 = net
-            .layers_of_kind(LayerKind::Convolution)
-            .iter()
-            .map(|name| report.share(name).unwrap())
-            .sum();
+        let convs = net.layers_of_kind(LayerKind::Convolution);
+        let conv_share: f64 = convs.iter().map(|name| report.share(name).unwrap()).sum();
         assert!(conv_share > 0.2, "conv share {conv_share}");
+        // The best pass's conv time is one pass's, so at most the sum of
+        // the conv means (each over the same passes).
+        let mean_ms: f64 = (report.layers().iter())
+            .filter(|l| convs.contains(&l.name))
+            .map(|l| l.mean().as_secs_f64() * 1e3)
+            .sum();
+        let best = best_pass_ms(&spans, &convs);
+        assert!(best > 0.0 && best <= mean_ms + 1e-3, "{best} vs {mean_ms}");
     }
 }

@@ -3,9 +3,9 @@
 //! Layers are forward-only (inference is what the paper measures); the
 //! trainable path lives in [`crate::train`]. A layer consumes one or more
 //! NCHW tensors and produces one. Convolution and inner-product layers
-//! carry weights and support pruning: zeroed weights are detected and,
-//! above a sparsity threshold, execution switches to CSR sparse kernels —
-//! mirroring the sparse-Caffe fork the paper uses.
+//! carry weights and support pruning: zeroed weights are detected when
+//! they are set, and a conv layer above a sparsity threshold switches to
+//! CSR sparse kernels — mirroring the sparse-Caffe fork the paper uses.
 
 mod concat;
 mod conv;
@@ -19,14 +19,17 @@ mod softmax;
 pub use concat::ConcatLayer;
 pub use conv::{ConvLayer, SPARSE_THRESHOLD, WINOGRAD_MIN_CHANNELS, WINOGRAD_MIN_MAP};
 pub use dropout::DropoutLayer;
-pub use inner_product::{InnerProductLayer, FC_SPARSE_THRESHOLD};
+pub use inner_product::InnerProductLayer;
 pub use lrn::LrnLayer;
 pub use pool::{PoolLayer, PoolMode};
 pub use relu::ReluLayer;
 pub use softmax::SoftmaxLayer;
 
-use cap_tensor::{CalibrationMethod, Matrix, Tensor4, TensorResult, Workspace};
+use cap_tensor::{
+    symmetric_scale, CalibrationMethod, Matrix, ShapeError, Tensor4, TensorResult, Workspace,
+};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Per-image shape `(channels, height, width)` flowing between layers.
 pub type ChwShape = (usize, usize, usize);
@@ -135,9 +138,10 @@ pub trait Layer: Send + Sync {
     /// Multiply–accumulate operations per image (0 for shape-only layers).
     fn macs_per_image(&self, in_shapes: &[ChwShape]) -> TensorResult<u64>;
 
-    /// Number of learnable parameters (weights + biases).
+    /// Number of learnable parameters: the weights plus one bias per
+    /// weight row (a conv or fc output channel); 0 without weights.
     fn param_count(&self) -> usize {
-        0
+        self.weights().map_or(0, |w| w.len() + w.rows())
     }
 
     /// Weight matrix, if this layer has one.
@@ -192,6 +196,94 @@ pub trait Layer: Send + Sync {
 /// by channel: its one input's dead channels.
 fn passed_through(dead: &[&[usize]]) -> Vec<usize> {
     dead.first().map_or_else(Vec::new, |d| d.to_vec())
+}
+
+/// One scan of a conv or fc weight matrix (a row per output channel),
+/// made when the weights are set.
+#[derive(Debug, Clone)]
+struct WeightScan {
+    /// The all-zero rows, ascending.
+    zero_rows: Vec<usize>,
+    /// The zeros among the other rows.
+    kept_zeros: usize,
+    /// Every weight is finite.
+    finite: bool,
+}
+
+impl WeightScan {
+    /// The scan of `new`, the weights that replace `layer`'s `old` ones
+    /// ([`Layer::set_weights`]); an error naming the layer unless the
+    /// two have one shape.
+    fn replacing(layer: &dyn Layer, old: &Matrix, new: &Matrix) -> TensorResult<Self> {
+        if new.shape() != old.shape() {
+            return Err(ShapeError::new(format!(
+                "{} {}: set_weights {:?}, expected {:?}",
+                layer.kind().tag(),
+                layer.name(),
+                new.shape(),
+                old.shape()
+            )));
+        }
+        Ok(Self::of(new))
+    }
+
+    fn of(weights: &Matrix) -> Self {
+        let (mut zero_rows, mut kept_zeros, mut finite) = (Vec::new(), 0, true);
+        for r in 0..weights.rows() {
+            let row = weights.row(r);
+            let zeros = row.iter().filter(|&&v| v == 0.0).count();
+            if zeros == row.len() {
+                zero_rows.push(r);
+            } else {
+                kept_zeros += zeros;
+                finite &= row.iter().all(|v| v.is_finite());
+            }
+        }
+        Self {
+            zero_rows,
+            kept_zeros,
+            finite,
+        }
+    }
+
+    /// The rows whose output channel is `+0` on every finite input
+    /// ([`Layer::dead_outputs`]): all zero, with a zero bias, and every
+    /// weight of the layer finite. Every form writes such a channel as
+    /// `epi(0.0 + 0.0)` — a dense sum of `0·x` starts and stays at `+0`,
+    /// the kept-rows forms drop the row, conv CSR stores an empty one,
+    /// and int8 sums zero integers at a finite weight scale.
+    fn dead_rows(&self, bias: &[f32]) -> Vec<usize> {
+        if !self.finite {
+            return Vec::new();
+        }
+        let zero_bias = |r: &&usize| bias[**r] == 0.0;
+        self.zero_rows.iter().filter(zero_bias).copied().collect()
+    }
+}
+
+/// A conv or fc layer's int8 input-activation scale: the calibrated one
+/// ([`Layer::observe_input`] stores it), or else a deterministic per-call
+/// max-abs estimate over the whole input, so every image of a batch
+/// shares one scale. f32 bits; 0 (= 0.0) is uncalibrated.
+#[derive(Debug, Default)]
+struct ActScale(AtomicU32);
+
+impl ActScale {
+    fn observe(&self, inputs: &[&Tensor4], method: CalibrationMethod) {
+        if let [input] = inputs {
+            let s = method.scale_for(input.as_slice());
+            self.0.store(s.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    fn for_input(&self, input: &Tensor4) -> f32 {
+        let s = f32::from_bits(self.0.load(Ordering::Relaxed));
+        if s > 0.0 {
+            s
+        } else {
+            symmetric_scale(input.as_slice())
+        }
+    }
 }
 
 /// FLOPs per image = 2 × MACs (one multiply + one add), the convention

@@ -1,12 +1,10 @@
 //! Convolution layer with fast paths for pruned weights.
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{ActScale, ChwShape, Layer, LayerKind, WeightScan};
 use cap_tensor::{
-    conv2d, precision, symmetric_scale, winograd, CalibrationMethod, Conv2dParams, ConvWeights,
-    CsrMatrix, KeptRows, Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult,
-    WinogradBand, Workspace,
+    conv2d, precision, winograd, CalibrationMethod, Conv2dParams, ConvWeights, CsrMatrix, KeptRows,
+    Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult, WinogradBand, Workspace,
 };
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 /// Unstructured weight sparsity above which the CSR conv kernel beats
@@ -40,81 +38,58 @@ pub const WINOGRAD_MIN_MAP: usize = 8;
 /// Why building a derived weight form cannot fail after construction.
 const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
 
-/// What decides the stored form an f32 [`ConvLayer`] multiplies with —
-/// properties of the weights alone, found in one scan — and which of
-/// its output channels can be nothing but zero. Int8 has one form,
-/// dense over the kept rows and live channels.
-#[derive(Debug, Clone)]
-struct WeightForm {
-    /// Some filters (rows) are all zero and the rest are dense (zero
-    /// fraction at most [`SPARSE_THRESHOLD`]): multiply the kept rows
-    /// only.
-    filter_pruned: bool,
-    /// The overall zero fraction is above [`SPARSE_THRESHOLD`]: run CSR.
-    sparse: bool,
-    /// The all-zero filters, ascending.
-    zero_rows: Vec<usize>,
-    /// Every weight is finite, so the int8 scale is too.
-    finite: bool,
+/// The stored forms a [`ConvLayer`] multiplies with.
+#[derive(Clone, Copy)]
+enum Form {
+    Dense,
+    Winograd,
+    DenseRows,
+    Csr,
+    DenseI8,
 }
 
-/// Whether a dense f32 conv of geometry `params` on an `h×w` input map
-/// runs the Winograd form: a 3×3 stride-1 pad-1 kernel with at least
-/// [`WINOGRAD_MIN_CHANNELS`] input and output channels per group, on a
-/// map at least [`WINOGRAD_MIN_MAP`] on a side. Geometry only — never
-/// the batch or the thread count — so an image's output bits do not
-/// depend on either.
-fn runs_winograd(params: &Conv2dParams, (h, w): (usize, usize)) -> bool {
-    winograd::fits(params)
-        && params.in_per_group().min(params.out_per_group()) >= WINOGRAD_MIN_CHANNELS
-        && h.min(w) >= WINOGRAD_MIN_MAP
-}
-
-impl WeightForm {
-    fn of(weights: &Matrix) -> Self {
-        let (rows, cols) = weights.shape();
-        // All-zero rows, and the zeros among the other (kept) rows.
-        let (mut zero_rows, mut kept_zeros, mut finite) = (Vec::new(), 0, true);
-        for r in 0..rows {
-            let row = weights.row(r);
-            let zeros = row.iter().filter(|&&v| v == 0.0).count();
-            if zeros == cols {
-                zero_rows.push(r);
-            } else {
-                kept_zeros += zeros;
-                finite &= row.iter().all(|v| v.is_finite());
-            }
-        }
+impl Form {
+    /// The form a layer of geometry `params` whose weights scanned as
+    /// `scan` runs in on an `h×w` input map under the selected
+    /// precision; `dead`: the input has dead channels, on which a
+    /// dense im2col layer runs its kept rows (`DenseRows`, narrowed).
+    /// Winograd keys on geometry only, never the batch or the thread
+    /// count, so an image's output bits depend on neither.
+    fn of(scan: &WeightScan, params: &Conv2dParams, (h, w): (usize, usize), dead: bool) -> Self {
+        let (rows, cols) = (params.out_channels, params.col_rows());
+        let zero_rows = scan.zero_rows.len();
         let fraction = |zeros: usize, of: usize| zeros as f64 / of.max(1) as f64;
-        let kept = fraction(kept_zeros, (rows - zero_rows.len()) * cols);
-        let overall = fraction(zero_rows.len() * cols + kept_zeros, rows * cols);
-        WeightForm {
-            filter_pruned: !zero_rows.is_empty() && kept <= SPARSE_THRESHOLD,
-            sparse: overall > SPARSE_THRESHOLD,
-            zero_rows,
-            finite,
+        let kept = fraction(scan.kept_zeros, rows.saturating_sub(zero_rows) * cols);
+        let overall = fraction(zero_rows * cols + scan.kept_zeros, rows * cols);
+        let winograd = winograd::fits(params)
+            && params.in_per_group().min(params.out_per_group()) >= WINOGRAD_MIN_CHANNELS
+            && h.min(w) >= WINOGRAD_MIN_MAP;
+        match precision::selected() {
+            Precision::Int8 => Form::DenseI8,
+            Precision::F32 if zero_rows > 0 && kept <= SPARSE_THRESHOLD => Form::DenseRows,
+            Precision::F32 if overall > SPARSE_THRESHOLD => Form::Csr,
+            Precision::F32 if winograd => Form::Winograd,
+            Precision::F32 if dead => Form::DenseRows,
+            Precision::F32 => Form::Dense,
         }
     }
 
-    /// The filters whose output channel is `+0` on every finite input:
-    /// all zero, with a zero bias. Every form writes such a channel as
-    /// `epi(0.0 + 0.0)` — the kept-rows forms by construction, CSR from
-    /// an empty row, int8 from a zero integer sum (which takes a finite
-    /// weight scale: every weight finite).
-    fn dead_rows(&self, bias: &[f32]) -> Vec<usize> {
-        if !self.finite {
-            return Vec::new();
+    fn name(self) -> &'static str {
+        match self {
+            Form::Dense => "dense",
+            Form::Winograd => "winograd",
+            Form::DenseRows => "dense-rows",
+            Form::Csr => "csr",
+            Form::DenseI8 => "dense-i8",
         }
-        let zero_bias = |r: &&usize| bias[**r] == 0.0;
-        self.zero_rows.iter().filter(zero_bias).copied().collect()
     }
 }
 
 /// 2-D convolution layer (optionally grouped, AlexNet-style).
 ///
-/// Weights are stored dense. The form they run in is decided **once**,
-/// when they are set (`new` / `set_weights`), so a forward pass never
-/// rescans them to find out: all-zero filters — what L1 filter pruning
+/// Weights are stored dense and scanned **once**, when they are set
+/// (`new` / `set_weights`), so a forward pass never rescans them to
+/// find the form they run in: all-zero filters — what L1 filter pruning
 /// leaves — are dropped and the kept rows run through the dense GEMM,
 /// so the time of a filter-pruned layer falls with the filters that
 /// remain (`repro --exp profile`); otherwise a zero fraction above
@@ -146,8 +121,8 @@ pub struct ConvLayer {
     params: Conv2dParams,
     weights: Matrix,
     bias: Vec<f32>,
-    /// `WeightForm::of(&weights)`, as of the last `new`/`set_weights`.
-    form: WeightForm,
+    /// `WeightScan::of(&weights)`, as of the last `new`/`set_weights`.
+    scan: WeightScan,
     /// Input channels that are `+0` on every input, as the network last
     /// set them ([`Layer::set_dead_inputs`]).
     dead_inputs: Vec<usize>,
@@ -159,13 +134,11 @@ pub struct ConvLayer {
     /// Per-group Winograd transform of `weights` (dense f32 3×3 path).
     winograd: OnceLock<Vec<WinogradBand>>,
     /// Int8 quantization of `weights`' kept rows and live channels
-    /// (the int8 path). Lazy rather than decided with `form`:
+    /// (the int8 path). Lazy rather than built with `scan`:
     /// `precision::force` can flip the precision at run time.
     dense_i8: OnceLock<Vec<KeptRows<QuantizedA>>>,
-    /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
-    /// uncalibrated, in which case the int8 path falls back to a
-    /// per-call max-abs estimate over the whole input tensor.
-    act_scale: AtomicU32,
+    /// The int8 path's input-activation scale.
+    act_scale: ActScale,
 }
 
 impl ConvLayer {
@@ -196,7 +169,7 @@ impl ConvLayer {
         Ok(Self {
             name: name.into(),
             params,
-            form: WeightForm::of(&weights),
+            scan: WeightScan::of(&weights),
             weights,
             bias,
             dead_inputs: Vec::new(),
@@ -204,7 +177,7 @@ impl ConvLayer {
             csr: OnceLock::new(),
             winograd: OnceLock::new(),
             dense_i8: OnceLock::new(),
-            act_scale: AtomicU32::new(0),
+            act_scale: ActScale::default(),
         })
     }
 
@@ -220,36 +193,18 @@ impl ConvLayer {
 
     /// Name of the stored form a layer of geometry `params` holding
     /// `weights` multiplies with on an input map of `map` (height,
-    /// width), under the selected precision (the arms of the forward's
-    /// own choice): `dense`, `winograd` (dense 3×3 in F(2×2, 3×3)
-    /// form), `dense-rows` (all-zero filters dropped), `csr` or
-    /// `dense-i8` — for reports that say which form a timed row ran.
+    /// width), under the selected precision, for an input without dead
+    /// channels (the forward's own choice): `dense`, `winograd` (dense
+    /// 3×3 in F(2×2, 3×3) form), `dense-rows` (all-zero filters
+    /// dropped), `csr` or `dense-i8` — for reports that say which form a
+    /// timed row ran. A consumer of a pruned layer, whose input has dead
+    /// channels, runs `dense-rows` where this says `dense`.
     pub fn weight_form_name(
         weights: &Matrix,
         params: &Conv2dParams,
         map: (usize, usize),
     ) -> &'static str {
-        let form = WeightForm::of(weights);
-        match precision::selected() {
-            Precision::Int8 => "dense-i8",
-            Precision::F32 if form.filter_pruned => "dense-rows",
-            Precision::F32 if form.sparse => "csr",
-            Precision::F32 if runs_winograd(params, map) => "winograd",
-            Precision::F32 => "dense",
-        }
-    }
-
-    /// Calibrated activation scale, or a deterministic per-call max-abs
-    /// estimate when no calibration pass has run. The fallback scans
-    /// the whole input tensor once, so every image of the batch shares
-    /// one scale.
-    fn act_scale_for(&self, input: &Tensor4) -> f32 {
-        let s = f32::from_bits(self.act_scale.load(Ordering::Relaxed));
-        if s > 0.0 {
-            s
-        } else {
-            symmetric_scale(input.as_slice())
-        }
+        Form::of(&WeightScan::of(weights), params, map, false).name()
     }
 
     /// Shared body of [`Layer::forward_into`] / [`Layer::forward_into_fused`]:
@@ -265,30 +220,25 @@ impl ConvLayer {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
         let (w, p, dead) = (&self.weights, &self.params, &self.dead_inputs);
-        let kept_rows =
-            || {
-                ConvWeights::DenseRows(self.kept_rows.get_or_init(|| {
-                    ConvWeights::kept_row_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)
-                }))
-            };
-        let weights = match precision::selected() {
-            Precision::Int8 => ConvWeights::DenseI8 {
+        let weights = match Form::of(&self.scan, p, (input.h(), input.w()), !dead.is_empty()) {
+            Form::DenseI8 => ConvWeights::DenseI8 {
                 bands: self
                     .dense_i8
                     .get_or_init(|| ConvWeights::i8_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)),
-                act_scale: self.act_scale_for(input),
+                act_scale: self.act_scale.for_input(input),
             },
-            Precision::F32 if self.form.filter_pruned => kept_rows(),
-            Precision::F32 if self.form.sparse => ConvWeights::Csr(
+            Form::DenseRows => ConvWeights::DenseRows(self.kept_rows.get_or_init(|| {
+                ConvWeights::kept_row_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)
+            })),
+            Form::Csr => ConvWeights::Csr(
                 self.csr
                     .get_or_init(|| ConvWeights::csr_bands(w, p).expect(FORM_SHAPE_CHECKED)),
             ),
-            Precision::F32 if runs_winograd(p, (input.h(), input.w())) => ConvWeights::Winograd(
+            Form::Winograd => ConvWeights::Winograd(
                 self.winograd
                     .get_or_init(|| ConvWeights::winograd_bands(w, p).expect(FORM_SHAPE_CHECKED)),
             ),
-            Precision::F32 if !dead.is_empty() => kept_rows(),
-            Precision::F32 => ConvWeights::Dense(w),
+            Form::Dense => ConvWeights::Dense(w),
         };
         conv2d(input, weights, Some(&self.bias), relu, p, ws, out)
     }
@@ -346,24 +296,12 @@ impl Layer for ConvLayer {
         self.params.macs(*h, *w)
     }
 
-    fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.len()
-    }
-
     fn weights(&self) -> Option<&Matrix> {
         Some(&self.weights)
     }
 
     fn set_weights(&mut self, weights: Matrix) -> TensorResult<()> {
-        if weights.shape() != self.weights.shape() {
-            return Err(ShapeError::new(format!(
-                "conv {}: set_weights {:?}, expected {:?}",
-                self.name,
-                weights.shape(),
-                self.weights.shape()
-            )));
-        }
-        self.form = WeightForm::of(&weights);
+        self.scan = WeightScan::replacing(self, &self.weights, &weights)?;
         self.weights = weights;
         self.kept_rows = OnceLock::new();
         self.csr = OnceLock::new();
@@ -373,7 +311,7 @@ impl Layer for ConvLayer {
     }
 
     fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
-        self.form.dead_rows(&self.bias)
+        self.scan.dead_rows(&self.bias)
     }
 
     fn set_dead_inputs(&mut self, _in_shapes: &[ChwShape], dead: &[&[usize]]) {
@@ -387,10 +325,7 @@ impl Layer for ConvLayer {
     }
 
     fn observe_input(&self, inputs: &[&Tensor4], method: CalibrationMethod) {
-        if let [input] = inputs {
-            let s = method.scale_for(input.as_slice());
-            self.act_scale.store(s.to_bits(), Ordering::Relaxed);
-        }
+        self.act_scale.observe(inputs, method);
     }
 }
 

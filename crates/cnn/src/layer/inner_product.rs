@@ -1,77 +1,35 @@
 //! Fully-connected (Caffe "InnerProduct") layer.
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{ActScale, ChwShape, Layer, LayerKind, WeightScan};
 use cap_tensor::{
     gemm_i8, gemm_packed, precision, quantize_rows_into, symmetric_scale, team, CalibrationMethod,
-    CsrMatrix, EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision, ShapeError, Tensor4,
-    TensorResult, Workspace,
+    EpiBias, Epilogue, Matrix, PackedB, PackedBI8, Precision, ShapeError, Tensor4, TensorResult,
+    Workspace,
 };
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
-
-/// Weight sparsity above which the per-image CSR SpMM (`n = 1`) beats
-/// the packed dense GEMV at batch 1. Both sides are bandwidth-bound (the
-/// dense one streams every weight once, the sparse one each stored
-/// value plus a column index, one scalar chain per row), so this is not
-/// the conv crossover: measured at 0.8 on the Caffenet fc7 shape by
-/// `cargo bench -p cap-bench --bench conv_strategy -- fc_form`, which
-/// ends with one `fc_form:` line (tables in EXPERIMENTS.md, "Dense vs
-/// CSR crossover, measured" and "One multiply per operand layout").
-pub const FC_SPARSE_THRESHOLD: f64 = 0.8;
-
-/// What one scan of an fc layer's weights decides, when they are set.
-#[derive(Debug, Clone)]
-struct WeightScan {
-    /// `weights.sparsity(0.0) > FC_SPARSE_THRESHOLD`: run CSR.
-    sparse: bool,
-    /// The all-zero rows (output features), ascending.
-    zero_rows: Vec<usize>,
-    /// Every weight is finite.
-    finite: bool,
-}
-
-impl WeightScan {
-    fn of(weights: &Matrix) -> Self {
-        let (mut zeros, mut zero_rows, mut finite) = (0, Vec::new(), true);
-        for r in 0..weights.rows() {
-            let row = weights.row(r);
-            let row_zeros = row.iter().filter(|&&v| v == 0.0).count();
-            if row_zeros == row.len() {
-                zero_rows.push(r);
-            }
-            zeros += row_zeros;
-            finite &= row.iter().all(|v| v.is_finite());
-        }
-        let sparse = zeros as f64 / weights.len().max(1) as f64 > FC_SPARSE_THRESHOLD;
-        Self {
-            sparse,
-            zero_rows,
-            finite,
-        }
-    }
-}
 
 /// Fully-connected layer: flattens each image to a vector and applies
 /// `y = W x + b` with `W: out × in`.
 ///
-/// Like [`super::ConvLayer`], weights pruned past a measured sparsity
-/// ([`FC_SPARSE_THRESHOLD`]) switch execution to the CSR kernel, and
-/// that choice is made once, when the weights are set — never per
-/// forward.
+/// One form per precision at every sparsity and batch: the packed GEMM
+/// of `Y = X · Wᵀ` in f32, the integer GEMM over the quantized `Wᵀ` in
+/// int8. Zero weights are multiplied like any other, so a fc with more
+/// than 80 % zeros (once run by a CSR form) reads NaN where a zero
+/// weight meets a non-finite input (`0·inf`), as [`cap_tensor::gemm()`]
+/// does, and under int8 quantizes like every other fc.
 ///
-/// A pruned filter of the layer before is skipped here too, under both
+/// A pruned filter of the layer before is skipped, under both
 /// precisions. The [`crate::Network`] hands the layer the *dead*
 /// channels of its input — `+0` whatever the input, such as a pruned
-/// conv filter's map after ReLU and pooling — and the dense forms
-/// multiply only the live input features: `Wᵀ` is packed (f32 and
-/// int8) from the live columns only, on the first forward that needs
-/// it, and each forward gathers the live activations before the GEMV or
-/// GEMM. Every term left out is a finite weight times `+0`, so the
-/// output bits are those of the full multiply; a dead channel with a
-/// non-finite weight in its columns is kept. On Caffenet pruned at its
-/// all-conv knees, fc6's packed `Wᵀ` is 75 MB instead of 151. The CSR
-/// form keeps every column.
+/// conv filter's map after ReLU and pooling — and the layer multiplies
+/// only the live input features: `Wᵀ` is packed (f32 and int8) from the
+/// live columns only, on the first forward that needs it, and each
+/// forward gathers the live activations before the GEMV or GEMM. Every
+/// term left out is a finite weight times `+0`, so the output bits are
+/// those of the full multiply; a dead channel with a non-finite weight
+/// in its columns is kept. On Caffenet pruned at its all-conv knees,
+/// fc6's packed `Wᵀ` is 75 MB instead of 151.
 pub struct InnerProductLayer {
     name: String,
     in_features: usize,
@@ -85,24 +43,20 @@ pub struct InnerProductLayer {
     dead_inputs: Vec<usize>,
     features_per_channel: usize,
     /// The live input features as ranges of `weights`' columns (`None`:
-    /// all of them), from `dead_inputs`; built on the first dense
-    /// forward.
+    /// all of them), from `dead_inputs`; built on the first forward.
     live: OnceLock<Option<Vec<Range<usize>>>>,
     /// Panel-packed transpose of `weights`' live columns (`live × out`):
     /// the dense forward computes `Y = X · Wᵀ`, whose GEMM inner loop
     /// runs along the `out` dimension and vectorizes even at batch 1
     /// (computing `W · Xᵀ` instead degenerates to single-column GEMM).
-    /// Packed on the first dense f32 forward, not per call.
+    /// Packed on the first f32 forward, not per call.
     packed_t: OnceLock<PackedB>,
-    /// CSR view of `weights`, built on the first sparse forward.
-    csr: OnceLock<CsrMatrix>,
     /// Int8 quantization of the packed transpose, built on the first
-    /// dense int8 forward (lazy: `precision::force` can flip the
-    /// precision at run time).
+    /// int8 forward (lazy: `precision::force` can flip the precision at
+    /// run time).
     packed_t_i8: OnceLock<PackedBI8>,
-    /// Calibrated input-activation scale as f32 bits; 0 (= 0.0) means
-    /// uncalibrated (per-call max-abs fallback).
-    act_scale: AtomicU32,
+    /// The int8 path's input-activation scale.
+    act_scale: ActScale,
 }
 
 impl InnerProductLayer {
@@ -127,9 +81,8 @@ impl InnerProductLayer {
             features_per_channel: 1,
             live: OnceLock::new(),
             packed_t: OnceLock::new(),
-            csr: OnceLock::new(),
             packed_t_i8: OnceLock::new(),
-            act_scale: AtomicU32::new(0),
+            act_scale: ActScale::default(),
         })
     }
 
@@ -152,13 +105,7 @@ impl InnerProductLayer {
     fn drop_forms(&mut self) {
         self.live = OnceLock::new();
         self.packed_t = OnceLock::new();
-        self.csr = OnceLock::new();
         self.packed_t_i8 = OnceLock::new();
-    }
-
-    fn csr(&self) -> &CsrMatrix {
-        self.csr
-            .get_or_init(|| CsrMatrix::from_dense(&self.weights, 0.0))
     }
 
     /// The live input features, merged into ranges; `None` when every
@@ -216,17 +163,6 @@ impl InnerProductLayer {
         })
     }
 
-    /// Calibrated activation scale, or a deterministic per-call max-abs
-    /// estimate over the whole input when no calibration pass has run.
-    fn act_scale_for(&self, input: &Tensor4) -> f32 {
-        let s = f32::from_bits(self.act_scale.load(Ordering::Relaxed));
-        if s > 0.0 {
-            s
-        } else {
-            symmetric_scale(input.as_slice())
-        }
-    }
-
     /// The quantized activations' row stride must be the depth `Wᵀ` was
     /// packed for: `gemm_i8` checks each operand against the depth it is
     /// *given*, so a mismatch would read a `B` packed for another depth
@@ -264,10 +200,7 @@ impl InnerProductLayer {
         }
         let batch = input.n();
         out.resize(batch, self.out_features, 1, 1);
-        if self.scan.sparse {
-            return self.run_csr(input, out, relu);
-        }
-        // Dense: Y = X · Wᵀ over the live features, vectorizable at any
+        // Y = X · Wᵀ over the live features, vectorizable at any
         // batch size. A `(n, c, 1, 1)` tensor's flat data IS the `n × c`
         // row-major matrix, so with every feature live the input goes
         // straight through; otherwise its live features are gathered
@@ -309,10 +242,9 @@ impl InnerProductLayer {
             // Int8: quantize the activations with the calibrated (or
             // fallback) scale, then the integer GEMM against the
             // pre-quantized Wᵀ, dequantizing by the combined scale in
-            // the store epilogue. The CSR path stays f32: row-skipping
-            // is bandwidth-bound, so int8 buys little there.
+            // the store epilogue.
             let qw = self.packed_t_i8();
-            let act_scale = self.act_scale_for(input);
+            let act_scale = self.act_scale.for_input(input);
             let kp = quantize_rows_into(x, batch, k, 1.0 / act_scale, qbuf);
             self.check_depth(kp, qw.kp())?;
             let (a, scale) = (qbuf.as_slice(), qw.scale() * act_scale);
@@ -328,23 +260,6 @@ impl InnerProductLayer {
                 gemm_packed(x, batch, k, cols.len(), b, part, epi.offset(0, cols.start))
             })
         }
-    }
-
-    /// The CSR forward, over every input feature: one `n = 1` SpMM per
-    /// image, `y_i = W · x_i`, straight from the input image into the
-    /// output image — an image is `in × 1` and its output `out × 1`
-    /// row-major, so nothing is staged or transposed. Bias/ReLU ride
-    /// the row store (CSR rows are out features, so the bias is
-    /// per-row there).
-    fn run_csr(&self, input: &Tensor4, out: &mut Tensor4, relu: bool) -> TensorResult<()> {
-        let csr = self.csr();
-        // `sparse` implies non-empty weights, so both widths are >= 1.
-        let images = input.as_slice().chunks_exact(self.in_features);
-        let outputs = out.as_mut_slice().chunks_exact_mut(self.out_features);
-        for (x, y) in images.zip(outputs) {
-            csr.spmm_into(x, 1, y, Some(&self.bias), relu)?;
-        }
-        Ok(())
     }
 }
 
@@ -398,44 +313,19 @@ impl Layer for InnerProductLayer {
         Ok(self.in_features as u64 * self.out_features as u64)
     }
 
-    fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.len()
-    }
-
     fn weights(&self) -> Option<&Matrix> {
         Some(&self.weights)
     }
 
     fn set_weights(&mut self, weights: Matrix) -> TensorResult<()> {
-        if weights.shape() != self.weights.shape() {
-            return Err(ShapeError::new(format!(
-                "fc {}: set_weights {:?}, expected {:?}",
-                self.name,
-                weights.shape(),
-                self.weights.shape()
-            )));
-        }
-        self.scan = WeightScan::of(&weights);
+        self.scan = WeightScan::replacing(self, &self.weights, &weights)?;
         self.weights = weights;
         self.drop_forms();
         Ok(())
     }
 
-    /// All-zero rows with a zero bias: `+0` on every finite input under
-    /// every form (a dense sum of `w·x` with `w = 0` starts and stays at
-    /// `+0`; CSR skips the row; int8 sums zero integers, at a finite
-    /// scale when every weight is finite).
     fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
-        if !self.scan.finite {
-            return Vec::new();
-        }
-        let zero_bias = |r: &&usize| self.bias[**r] == 0.0;
-        self.scan
-            .zero_rows
-            .iter()
-            .filter(zero_bias)
-            .copied()
-            .collect()
+        self.scan.dead_rows(&self.bias)
     }
 
     fn set_dead_inputs(&mut self, in_shapes: &[ChwShape], dead: &[&[usize]]) {
@@ -450,10 +340,7 @@ impl Layer for InnerProductLayer {
     }
 
     fn observe_input(&self, inputs: &[&Tensor4], method: CalibrationMethod) {
-        if let [input] = inputs {
-            let s = method.scale_for(input.as_slice());
-            self.act_scale.store(s.to_bits(), Ordering::Relaxed);
-        }
+        self.act_scale.observe(inputs, method);
     }
 }
 
@@ -485,52 +372,6 @@ mod tests {
         let y = fc.forward(&[&x]).unwrap();
         assert_eq!(y.shape(), (1, 8, 1, 1));
         assert_eq!(y.as_slice(), x.as_slice());
-    }
-
-    #[test]
-    fn sparse_path_is_bitwise_the_dense_form() {
-        // 6/7 of the weights zero: the CSR form. Against the dense
-        // form's arithmetic on the same weights — the packed GEMM of
-        // `X · Wᵀ` over every input feature, bias and ReLU in its store
-        // — bit for bit: each term CSR drops is `0·x` with `x` finite.
-        let (out_f, in_f) = (6, 10);
-        let mut w = Matrix::from_fn(out_f, in_f, |r, c| ((r + c) % 3) as f32 - 1.0 + 0.25);
-        for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-            if i % 7 != 0 {
-                *v = 0.0;
-            }
-        }
-        let bias: Vec<f32> = (0..out_f).map(|o| o as f32 * 0.375 - 1.0).collect();
-        let fc = InnerProductLayer::new("fc_t", w.clone(), bias.clone()).unwrap();
-        assert!(fc.weight_sparsity() > FC_SPARSE_THRESHOLD);
-        let w_t = PackedB::pack_transposed(&w, std::slice::from_ref(&(0..in_f)));
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for batch in [1, 3] {
-            let x = Tensor4::from_fn(batch, in_f, 1, 1, |n, c, _, _| {
-                (c as f32 - n as f32 * 2.0) / 4.0 - 0.5
-            });
-            for relu in [false, true] {
-                let mut got = Tensor4::zeros(0, 0, 0, 0);
-                let ws = &mut Workspace::new();
-                if relu {
-                    fc.forward_into_fused(&[&x], ws, &mut got).unwrap();
-                } else {
-                    fc.forward_into(&[&x], ws, &mut got).unwrap();
-                }
-                let mut want = vec![f32::NAN; batch * out_f];
-                let epi = Epilogue {
-                    bias: Some(EpiBias::PerCol(&bias)),
-                    relu,
-                };
-                let b = w_t.as_slice();
-                gemm_packed(x.as_slice(), batch, in_f, out_f, b, &mut want, epi).unwrap();
-                assert_eq!(
-                    bits(got.as_slice()),
-                    bits(&want),
-                    "batch {batch}, relu {relu}"
-                );
-            }
-        }
     }
 
     #[test]

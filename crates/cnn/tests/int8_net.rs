@@ -8,14 +8,18 @@
 //! here is numeric, not bitwise.
 //!
 //! Also covered: `Network::calibrate` (max-abs and percentile
-//! activation ranges) keeps the int8 pass inside the same bound, and
-//! a 97 %-pruned conv (CSR in f32, dense int8 under int8) tracks f32.
+//! activation ranges) keeps the int8 pass inside the same bound, a
+//! 97 %-pruned conv (CSR in f32, dense int8 under int8) tracks f32, and
+//! a 90 %-zero fc runs the int8 GEMM under int8, bit for bit.
 
-use cap_cnn::layer::{ConvLayer, InnerProductLayer, PoolLayer, PoolMode, ReluLayer};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer};
 use cap_cnn::network::{Network, INPUT};
 use cap_cnn::run_batched;
 use cap_tensor::init::xavier_uniform;
-use cap_tensor::{precision, CalibrationMethod, Conv2dParams, Precision, Tensor4};
+use cap_tensor::{
+    gemm_i8, precision, quantize_rows_into, symmetric_scale, CalibrationMethod, Conv2dParams,
+    EpiBias, Epilogue, Matrix, PackedBI8, Precision, Tensor4, Workspace,
+};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
@@ -225,4 +229,67 @@ fn int8_batch_splits_agree_with_full_batch() {
         );
         assert!(agreement >= 0.85, "batch {batch}: agreement {agreement}");
     }
+}
+
+#[test]
+fn sparse_fc_runs_int8_under_int8() {
+    // 90 % of the weights zero, a calibrated activation scale: under
+    // int8 the fc quantizes like any other — bitwise the integer GEMM
+    // over the quantized input and the whole matrix's quantized `Wᵀ`,
+    // dequantized by the two scales with bias and ReLU in the store.
+    let _guard = force_lock();
+    let (out_f, in_f) = (24, 70);
+    let dense = xavier_uniform(out_f, in_f, 61);
+    let w = Matrix::from_fn(out_f, in_f, |r, c| {
+        if (r * in_f + c) % 10 == 0 {
+            dense.get(r, c)
+        } else {
+            0.0
+        }
+    });
+    let bias: Vec<f32> = (0..out_f).map(|o| o as f32 / 16.0 - 0.7).collect();
+    let fc = InnerProductLayer::new("fc_sparse", w.clone(), bias.clone()).unwrap();
+    assert!(fc.weight_sparsity() > 0.8);
+    // Calibrated on a wider range than any forward input below, so the
+    // stored scale, not the per-call max-abs, is the one that matches.
+    let calibration = Tensor4::from_fn(4, in_f, 1, 1, |n, c, _, _| (n * in_f + c) as f32 / 50.0);
+    fc.observe_input(&[&calibration], CalibrationMethod::MaxAbs);
+    let act_scale = symmetric_scale(calibration.as_slice());
+    let all = 0..in_f;
+    let qw = PackedBI8::pack_transposed(
+        &w,
+        std::slice::from_ref(&all),
+        symmetric_scale(w.as_slice()),
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    precision::force(Some(Precision::Int8));
+    for batch in [1, 8] {
+        let x = Tensor4::from_fn(batch, in_f, 1, 1, |n, c, _, _| {
+            ((n * 7 + c * 3) % 17) as f32 / 8.0 - 1.0
+        });
+        let mut qx: Vec<i8> = Vec::new();
+        let kp = quantize_rows_into(x.as_slice(), batch, in_f, 1.0 / act_scale, &mut qx);
+        assert_eq!(kp, qw.kp());
+        for relu in [false, true] {
+            let mut want = vec![f32::NAN; batch * out_f];
+            let epi = Epilogue {
+                bias: Some(EpiBias::PerCol(&bias)),
+                relu,
+            };
+            let scale = qw.scale() * act_scale;
+            gemm_i8(&qx, batch, kp, out_f, qw.data(), &mut want, scale, epi).unwrap();
+            let (mut got, ws) = (Tensor4::zeros(0, 0, 0, 0), &mut Workspace::new());
+            if relu {
+                fc.forward_into_fused(&[&x], ws, &mut got).unwrap();
+            } else {
+                fc.forward_into(&[&x], ws, &mut got).unwrap();
+            }
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(&want),
+                "batch {batch}, relu {relu}"
+            );
+        }
+    }
+    precision::force(None);
 }

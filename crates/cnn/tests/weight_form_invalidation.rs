@@ -7,10 +7,11 @@
 //! output must be bitwise equal to a freshly constructed layer holding
 //! the same weights. A stale form surviving `set_weights` fails this.
 //!
-//! The same rounds pin where the forms change: a zero fraction of
-//! exactly the layer's threshold stays dense and one more zero runs
-//! CSR; a NaN weight reads NaN in its output channel on CSR as it does
-//! on dense; and under int8 a conv runs dense at every sparsity.
+//! The same rounds pin where the forms change: a conv's zero fraction
+//! of exactly its threshold stays dense and one more zero runs CSR; a
+//! NaN weight reads NaN in its output channel on CSR as it does on
+//! dense; under int8 a conv runs dense at every sparsity; and an fc runs
+//! its one dense form at every sparsity, multiplying its zero weights.
 //!
 //! In a network the forms also depend on the layer before: a conv or
 //! fc layer multiplies only the input channels its producer can emit as
@@ -23,8 +24,7 @@
 //! binary, and its tests serialize on one mutex, so nothing races it.
 
 use cap_cnn::layer::{
-    ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer, FC_SPARSE_THRESHOLD,
-    SPARSE_THRESHOLD,
+    ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer, SPARSE_THRESHOLD,
 };
 use cap_cnn::network::{ForwardArena, Network};
 use cap_tensor::init::xavier_uniform;
@@ -38,9 +38,9 @@ fn force_lock() -> MutexGuard<'static, ()> {
 
 mod common;
 
-/// Unstructured zeros that put either layer kind on its CSR form
-/// (`runs_csr` in `check` asserts it), with no row emptied: one weight
-/// kept per row, at a column that moves with the row.
+/// Unstructured zeros that put a conv on its CSR form (`runs_csr` in
+/// `check` asserts it), with no row emptied: one weight kept per row,
+/// at a column that moves with the row.
 fn magnitude_pruned(w: Matrix) -> Matrix {
     let (rows, cols) = w.shape();
     Matrix::from_fn(rows, cols, |r, c| {
@@ -89,11 +89,11 @@ fn with_nan(mut w: Matrix) -> Matrix {
     w
 }
 
-/// Whether an fc layer holding `w` multiplies through CSR in f32, from
+/// Whether an fc layer holding `w` skips its zero weights in f32, from
 /// how it treats an infinite input: the dense GEMV multiplies every
-/// weight, so a zero weight of row 0 against it reads NaN (`0·∞`);
-/// CSR never visits the zero and reads the bias.
-fn fc_runs_csr(w: &Matrix) -> bool {
+/// weight, so a zero weight of row 0 against it reads NaN (`0·∞`); a
+/// form that skipped the zero would read the bias. No fc form does.
+fn fc_skips_zeros(w: &Matrix) -> bool {
     let Some(j) = (0..w.cols()).find(|&j| w.get(0, j) == 0.0) else {
         return false;
     };
@@ -114,11 +114,12 @@ fn bits(t: &Tensor4) -> Vec<u32> {
 /// running both precisions and both fusion flavors after every swap,
 /// against `fresh(weights)`, a newly constructed layer with the same
 /// weights. `runs_csr` is the layer kind's own answer to "do these
-/// weights multiply through CSR" in f32.
+/// weights multiply through CSR" in f32; `has_csr` says whether the
+/// kind has that form at all (a conv does, an fc does not).
 fn check<L: Layer>(
     layer: &mut L,
     shape: (usize, usize),
-    threshold: f64,
+    (threshold, has_csr): (f64, bool),
     fresh: impl Fn(Matrix) -> L,
     runs_csr: impl Fn(&Matrix) -> bool,
     x: &Tensor4,
@@ -142,7 +143,7 @@ fn check<L: Layer>(
         layer.set_weights(weights.clone()).unwrap();
         // CSR is an f32 form: int8 runs every sparsity dense.
         precision::force(Some(Precision::F32));
-        assert_eq!(runs_csr(&weights), csr, "{round}: wrong form");
+        assert_eq!(runs_csr(&weights), csr && has_csr, "{round}: wrong form");
         assert_eq!(
             zero_rows > 0,
             round == "filter-pruned",
@@ -180,8 +181,8 @@ fn check<L: Layer>(
 #[test]
 fn set_weights_drops_every_cached_form() {
     let _g = force_lock();
-    // 10 × 36 conv weights and 5 × 288 fc weights: both thresholds are
-    // a whole number of zeros.
+    // 10 × 36 conv weights and 5 × 288 fc weights: the threshold is a
+    // whole number of zeros of either.
     let params = Conv2dParams::grouped(8, 10, 3, 1, 1, 2);
     let conv_w = xavier_uniform(10, 36, 11);
     let bias = vec![0.05f32; 10];
@@ -195,7 +196,7 @@ fn set_weights_drops_every_cached_form() {
     check(
         &mut conv,
         conv_w.shape(),
-        SPARSE_THRESHOLD,
+        (SPARSE_THRESHOLD, true),
         |w| ConvLayer::new("fresh", params, w, bias.clone()).unwrap(),
         common::conv_runs_csr,
         &x,
@@ -215,9 +216,9 @@ fn set_weights_drops_every_cached_form() {
     check(
         &mut fc,
         fc_w.shape(),
-        FC_SPARSE_THRESHOLD,
+        (SPARSE_THRESHOLD, false),
         |w| InnerProductLayer::new("fresh", w, fc_bias.clone()).unwrap(),
-        fc_runs_csr,
+        fc_skips_zeros,
         &x,
     );
 }
@@ -305,5 +306,58 @@ fn pruning_a_producer_narrows_its_consumer_and_restoring_widens_it() {
             }
         }
         precision::force(None);
+    }
+}
+
+/// One dead-row rule for both weighted layer kinds, read through
+/// `Network::dead_channels`: an all-zero row with a zero bias is dead;
+/// a non-zero bias keeps it live; a NaN or infinite weight anywhere in
+/// the layer leaves nothing dead (int8 would quantize at a non-finite
+/// scale, and `0·inf` reads NaN on the dense forms).
+#[test]
+fn one_dead_row_rule_for_conv_and_fc_producers() {
+    // (case, bias of the all-zero row 2, a non-finite weight at (row,
+    // column), the dead channels)
+    type Case = (
+        &'static str,
+        f32,
+        Option<(usize, usize, f32)>,
+        &'static [usize],
+    );
+    let cases: [Case; 5] = [
+        ("zero row, zero bias", 0.0, None, &[2]),
+        ("zero row, non-zero bias", 0.5, None, &[]),
+        (
+            "NaN weight in another row",
+            0.0,
+            Some((0, 1, f32::NAN)),
+            &[],
+        ),
+        (
+            "inf weight in another row",
+            0.0,
+            Some((4, 3, f32::INFINITY)),
+            &[],
+        ),
+        ("-inf weight", 0.0, Some((1, 0, f32::NEG_INFINITY)), &[]),
+    ];
+    let conv = Conv2dParams::new(4, 5, 1, 0, 1);
+    for (case, bias2, non_finite, dead) in cases {
+        for (kind, cols) in [("conv", 4), ("fc", 36)] {
+            let mut w = xavier_uniform(5, cols, 71);
+            w.row_mut(2).fill(0.0);
+            if let Some((r, c, v)) = non_finite {
+                w.set(r, c, v);
+            }
+            let mut bias = vec![0.25f32; 5];
+            bias[2] = bias2;
+            let layer: Box<dyn Layer> = match kind {
+                "conv" => Box::new(ConvLayer::new("producer", conv, w, bias).unwrap()),
+                _ => Box::new(InnerProductLayer::new("producer", w, bias).unwrap()),
+            };
+            let mut net = Network::new("dead-rows", (4, 3, 3));
+            let id = net.add_sequential(layer).unwrap();
+            assert_eq!(net.dead_channels(id), dead, "{kind}: {case}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 use cap_cnn::dag::{self, DagMode};
 use cap_cnn::layer::{
     ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode,
-    ReluLayer, SoftmaxLayer, FC_SPARSE_THRESHOLD,
+    ReluLayer, SoftmaxLayer,
 };
 use cap_cnn::network::{ForwardArena, Network, NodeId, INPUT};
 use cap_cnn::{NoopTracer, Tracer};
@@ -506,11 +506,11 @@ fn steady_state_inference_allocates_nothing() {
         assert!(ws.reserved_bytes() <= via_f32_patch_matrix / 3);
     }
 
-    // The pruned-FC route: at every batch one fused `n = 1` CSR SpMM
-    // per image, straight from the input image into its output image
-    // in the arena slot — nothing staged in the workspace, so its
+    // A pruned FC (5/6 zeros) runs the dense form like any other: the
+    // fused GEMV at batch 1 and GEMM at batch 8, straight from the input
+    // into the arena slot — nothing staged in the workspace, so its
     // scratch does not grow at batch 8 either. Warm-up absorbs the
-    // lazy CSR build and the fusion plan; steady state must stay
+    // lazy `Wᵀ` pack and the fusion plan; steady state must stay
     // silent.
     {
         let dense = xavier_uniform(10, 48, 21);
@@ -522,7 +522,7 @@ fn steady_state_inference_allocates_nothing() {
                 0.0
             }
         });
-        assert!(pruned.sparsity(0.0) > FC_SPARSE_THRESHOLD);
+        assert!(pruned.sparsity(0.0) > 0.8);
         let mut sparse_net = Network::new("sparse-fc", (48, 1, 1));
         sparse_net
             .add_sequential(Box::new(
@@ -549,12 +549,12 @@ fn steady_state_inference_allocates_nothing() {
             });
             assert_eq!(
                 allocs, 0,
-                "sparse FC at batch {batch} must not allocate (got {allocs})",
+                "pruned FC at batch {batch} must not allocate (got {allocs})",
             );
             assert_eq!(
                 sparse_arena.scratch_bytes(),
                 scratch,
-                "sparse FC at batch {batch} staged in the workspace",
+                "pruned FC at batch {batch} staged in the workspace",
             );
         }
     }

@@ -758,8 +758,8 @@ unsafe fn spmm_row_body(
     // output row is n wide and, when a block runs (n >= PANEL), every
     // stored column index addresses a full row of B. The scalar tail
     // indexes B with bounds checks instead: they overlap its FMA chain,
-    // where a pass over the indices ahead of it does not — at n = 1, a
-    // pruned fc layer's per-image shape, that pass cost ~1.6x.
+    // where a pass over the indices ahead of it does not — at n = 1
+    // that pass cost ~1.6x.
     assert!(c_row.len() >= n);
     if n >= PANEL {
         assert!(col_idx[..nnz]

@@ -193,14 +193,13 @@ impl CsrMatrix {
     /// The SpMM driver: `C = epi(self · B)` over raw row-major slices,
     /// `b_data` being `self.cols × n` and `c_data` `self.rows × n`
     /// (overwritten). Zero-allocation, for steady-state inference loops.
-    /// At `n = 1` it is the sparse matrix–vector product `y = self · x`
-    /// (a pruned fc layer's forward, one image at a time).
+    /// At `n = 1` it is the sparse matrix–vector product `y = self · x`.
     ///
     /// `row_bias`, when present, adds `row_bias[r]` to every element of
-    /// output row `r` (CSR rows are conv output channels / FC output
-    /// features), then `relu` applies the `forward_into`-flavor ReLU —
-    /// both in the same pass that stores the row, saving two full
-    /// round-trips of the output through memory. Bitwise identical to
+    /// output row `r` (CSR rows are conv output channels), then `relu`
+    /// applies the `forward_into`-flavor ReLU — both in the same pass
+    /// that stores the row, saving two full round-trips of the output
+    /// through memory. Bitwise identical to
     /// the plain multiply + bias pass + ReLU pass on every kernel path.
     pub fn spmm_into(
         &self,

@@ -35,13 +35,12 @@ pub struct Workspace {
     /// Row-major f32 scratch: the CSR convolution's im2col patch matrix
     /// (`in_per_group*kh*kw × oh*ow`), the Winograd convolution's `M`
     /// chunk (16 products of a few rows × tiles, [`mod@crate::winograd`]),
-    /// [`crate::lrn_into`]'s square-sum plane, the batched sparse fc's
-    /// `Xᵀ`, a narrowed fc's live input features.
+    /// [`crate::lrn_into`]'s square-sum plane, a narrowed fc's live input
+    /// features.
     pub cols: Matrix,
     /// The dense convolution's panel-packed patch matrix, shaped by
     /// [`crate::Lowering::panels_into`], or the Winograd form's 16
-    /// panel-packed transformed input tiles `V`; the batched sparse
-    /// fc's `W·Xᵀ` before it is transposed into the output.
+    /// panel-packed transformed input tiles `V`.
     pub packed: Matrix,
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
