@@ -7,8 +7,8 @@
 //! and the dense int8 conv against f32, the one int8 conv form at every
 //! sparsity.
 //! `lowering` is the two packed lowerings alone on the real batch-1
-//! shapes, the f32 one on one and two threads, the int8 one on one
-//! (tables in EXPERIMENTS.md, "The lowering alone" and after it).
+//! shapes, each on one and two threads (tables in EXPERIMENTS.md, "The
+//! lowering alone" and after it).
 //! `winograd` is the dense f32 3×3 on both of its algorithms, im2col
 //! and Winograd F(2×2, 3×3), on every Googlenet / Caffenet 3×3 shape and
 //! the serving demo's, at one and two workers — the crossover
@@ -136,11 +136,11 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
     });
     let lo = Lowering::new(cpg, hw, hw, k, k, pad, stride).unwrap();
     let q_group = &q_image[..image.len()];
-    let (mut q_padded, mut lines, mut q_packed) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut q_padded, mut q_packed) = (Vec::new(), Vec::new());
     group.bench_function("lower_i8", |b| {
         b.iter(|| {
             let q_padded = lo.padded(q_group, None, &mut q_padded).unwrap();
-            lo.quads_into(q_padded, &mut lines, &mut q_packed).unwrap()
+            lo.quads_into(None, 1, q_padded, &mut q_packed).unwrap()
         })
     });
 
@@ -168,10 +168,12 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
 }
 
 fn bench_weight_forms(c: &mut Criterion) {
+    let conv1 = Conv2dParams::new(3, 96, 11, 2, 4);
     let conv2 = Conv2dParams::grouped(96, 256, 5, 2, 1, 2);
     let conv3 = Conv2dParams::new(256, 384, 3, 1, 1);
     bench_conv_forms(c, "conv_form_conv2", conv2, 27);
     bench_conv_forms(c, "conv_form_conv3", conv3, 13);
+    bench_conv_forms_i8(c, "conv_form_i8_conv1", conv1, 224);
     bench_conv_forms_i8(c, "conv_form_i8_conv2", conv2, 27);
     bench_conv_forms_i8(c, "conv_form_i8_conv3", conv3, 13);
 }
@@ -237,11 +239,13 @@ fn fastest(
 /// ([`Lowering::panels_into`]) on one thread and split by panel ranges
 /// across a two-thread [`Team`], the two outputs compared bit for bit;
 /// the int8 arm quantizes into the padded layout and writes the quad
-/// panels ([`Lowering::quads_into`]) on one thread, compared with the
-/// f32 patch matrix packed by [`pack_b_i8_into`]. Ends with one
+/// panels ([`Lowering::quads_into`]) the same two ways, compared with
+/// the f32 patch matrix packed by [`pack_b_i8_into`] and with each
+/// other, and times the quantize alone beside it. Ends with one
 /// `lowering:` line — min / max GB/s of the one-thread arms (the f32
 /// image read plus the packed `B` written, from the fastest call) and
-/// min / max of the f32 2-worker speed-up — for the CI job summary.
+/// min / max of the f32 and of the int8 2-worker speed-up — for the CI
+/// job summary.
 fn bench_lowering(c: &mut Criterion) {
     // (name, input channels of one group, input side, kernel, pad, stride)
     const SHAPES: [(&str, usize, usize, usize, usize, usize); 17] = [
@@ -267,6 +271,7 @@ fn bench_lowering(c: &mut Criterion) {
     let mut team = Team::new(2);
     let mut rates: Vec<(f64, String)> = Vec::new();
     let mut speedups: Vec<(f64, String)> = Vec::new();
+    let mut i8_speedups: Vec<(f64, String)> = Vec::new();
     for (name, ch, hw, k, pad, stride) in SHAPES {
         let image: Vec<f32> = (0..ch * hw * hw)
             .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
@@ -303,13 +308,27 @@ fn bench_lowering(c: &mut Criterion) {
         }
 
         let inv_scale = 127.0;
-        let (mut q_padded, mut lines, mut q_packed) = (Vec::new(), Vec::new(), Vec::new());
-        let one = fastest(&mut group, BenchmarkId::new(name, "i8_1w"), || {
-            lo.quantize_padded(&image, None, inv_scale, &mut q_padded)
+        let mut q_padded = [Vec::new(), Vec::new()];
+        let mut q_packed = [Vec::new(), Vec::new()];
+        let mut i8_arm = |i: usize, team: Option<&mut Team>| {
+            let parts = if team.is_some() { 2 } else { 1 };
+            lo.quantize_padded(&image, None, inv_scale, &mut q_padded[i])
                 .unwrap();
-            lo.quads_into(&q_padded, &mut lines, &mut q_packed).unwrap();
+            lo.quads_into(team, parts, &q_padded[i], &mut q_packed[i])
+                .unwrap();
+        };
+        let one = fastest(&mut group, BenchmarkId::new(name, "i8_1w"), || {
+            i8_arm(0, None)
         });
-        if one < Duration::MAX {
+        let two = fastest(&mut group, BenchmarkId::new(name, "i8_2w"), || {
+            i8_arm(1, Some(&mut team))
+        });
+        let mut q_image = Vec::new();
+        let quantize = fastest(&mut group, BenchmarkId::new(name, "i8_quantize"), || {
+            lo.quantize_padded(&image, None, inv_scale, &mut q_image)
+                .unwrap()
+        });
+        if one < Duration::MAX && two < Duration::MAX {
             let cols = im2col(&image, ch, hw, hw, k, k, pad, stride).unwrap();
             let mut want = Vec::new();
             pack_b_i8_into(
@@ -319,23 +338,36 @@ fn bench_lowering(c: &mut Criterion) {
                 inv_scale,
                 &mut want,
             );
-            assert!(q_packed == want, "lowering/{name}: i8 quads differ");
-            let gbs = rate(one, q_packed.len());
-            println!("lowering/{name}/i8: {gbs:.1} GB/s");
+            assert!(q_packed[0] == want, "lowering/{name}: i8 quads differ");
+            assert!(
+                q_packed[1] == q_packed[0],
+                "lowering/{name}: split i8 quads differ"
+            );
+            let gbs = rate(one, q_packed[0].len());
+            let speedup = one.as_secs_f64() / two.as_secs_f64();
+            println!(
+                "lowering/{name}/i8: {gbs:.1} GB/s, 2w/1w {speedup:.2}x, {:.4} ms of {:.4} quantizing",
+                quantize.as_secs_f64() * 1e3,
+                one.as_secs_f64() * 1e3
+            );
             rates.push((gbs, format!("{name}/i8")));
+            i8_speedups.push((speedup, format!("{name}/i8")));
         }
     }
     group.finish();
-    rates.sort_by(|x, y| x.0.total_cmp(&y.0));
-    speedups.sort_by(|x, y| x.0.total_cmp(&y.0));
-    if let (Some(slow), Some(fast), Some(least), Some(most)) = (
+    for v in [&mut rates, &mut speedups, &mut i8_speedups] {
+        v.sort_by(|x, y| x.0.total_cmp(&y.0));
+    }
+    if let (Some(slow), Some(fast), Some(least), Some(most), Some(i8_least), Some(i8_most)) = (
         rates.first(),
         rates.last(),
         speedups.first(),
         speedups.last(),
+        i8_speedups.first(),
+        i8_speedups.last(),
     ) {
         println!(
-            "lowering: min {:.1} GB/s ({}) max {:.1} GB/s ({}), 2w/1w min {:.2}x ({}) max {:.2}x ({}) over {} lowerings on {}",
+            "lowering: min {:.1} GB/s ({}) max {:.1} GB/s ({}), f32 2w/1w min {:.2}x ({}) max {:.2}x ({}), int8 2w/1w min {:.2}x ({}) max {:.2}x ({}) over {} lowerings on {}",
             slow.0,
             slow.1,
             fast.0,
@@ -344,6 +376,10 @@ fn bench_lowering(c: &mut Criterion) {
             least.1,
             most.0,
             most.1,
+            i8_least.0,
+            i8_least.1,
+            i8_most.0,
+            i8_most.1,
             rates.len(),
             cap_tensor::kernels::selected().name()
         );

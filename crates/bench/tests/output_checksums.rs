@@ -23,11 +23,16 @@
 //! it moves only when some output bit is meant to. The tenth row runs
 //! int8 convs at 97.5 % zeros, past where an int8 CSR walk would beat
 //! the dense int8 GEMM: dense and CSR sum the same exact integer
-//! products, so the row holds whichever form runs. The last two —
+//! products, so the row holds whichever form runs. The two after it —
 //! Googlenet with every conv filter-pruned at 50 %, and knee-pruned
 //! Caffenet under int8 — were recorded while every layer still
 //! multiplied its input's dead channels (the maps of pruned filters):
 //! skipping them drops only `w·(+0)` terms, so the rows hold either way.
+//! The last, Googlenet under int8, was recorded while the int8 lowering
+//! still gathered whole patch rows before interleaving them into quads;
+//! it runs the int8 quad lowering on a stride-2 stem, 1×1 convs whose
+//! runs span the whole map, 5×5s, and 7×7 maps whose panels cross three
+//! output rows.
 //!
 //! `#[ignore]`d because the full-size nets take seconds in release and
 //! minutes in debug. Every CI test leg runs it as its own step; by hand,
@@ -44,7 +49,7 @@ const INIT: WeightInit = WeightInit::Xavier { seed: 7 };
 
 /// `(row, checksum)`, in the order [`output_checksums_are_pinned`]
 /// computes them.
-const TABLE: [(&str, u64); 12] = [
+const TABLE: [(&str, u64); 13] = [
     ("caffenet f32 b1", 0x9df2_c673_1530_ed70),
     ("caffenet f32 b8", 0xcc35_e0b2_f313_f2ad),
     ("caffenet filter-l1 knees b1", 0x5545_2bd0_610a_0770),
@@ -60,6 +65,7 @@ const TABLE: [(&str, u64); 12] = [
         0xf7f0_efe4_52a1_0777,
     ),
     ("caffenet filter-l1 knees int8 b8", 0x26ed_7139_7d4c_7a5f),
+    ("googlenet int8 b1", 0xf250_a7ee_b896_59af),
 ];
 
 /// FNV-1a over the little-endian bytes of every value's bits.
@@ -164,6 +170,14 @@ fn output_checksums_are_pinned() {
     pruned.calibrate(&b8, CalibrationMethod::MaxAbs).unwrap();
     precision::force(Some(Precision::Int8));
     got.push(checksum(&pruned, &b8));
+
+    precision::force(Some(Precision::F32));
+    let googlenet_i8 = googlenet(INIT).unwrap();
+    googlenet_i8
+        .calibrate(&b1, CalibrationMethod::MaxAbs)
+        .unwrap();
+    precision::force(Some(Precision::Int8));
+    got.push(checksum(&googlenet_i8, &b1));
     precision::force(None);
 
     for ((row, _), got) in TABLE.iter().zip(&got) {

@@ -235,8 +235,8 @@ fn inception_net(form: Form) -> Network {
 ///   fewer images than threads, each image's multiply by rows where it
 ///   has more than one [`ROW_BLOCK`] of rows to multiply (a
 ///   filter-pruned layer multiplies only its kept rows; the CSR form
-///   never splits by rows), after — in f32 — its lowering by panels:
-///   two splits an f32 image, one an int8 one;
+///   never splits by rows), after its lowering by panels: two splits
+///   an image;
 /// * the LRN and the four max pools (stem, cut and one per module)
 ///   once each, by images or planes;
 /// * the fc once, by columns, at every batch.
@@ -246,15 +246,14 @@ fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> 
             return 1;
         }
         let filters = net.shape_of(net.node_id(name).unwrap()).unwrap().0;
-        let (rows, per_image) = match form {
+        let rows = match form {
             Form::Csr => return 0,
             // `common::filter_pruned_weights` zeroes every row r ≡ 1 (mod 3).
-            Form::DenseRows => (filters - (filters + 1) / 3, 2),
-            Form::Dense => (filters, 2),
-            Form::DenseI8 => (filters, 1),
+            Form::DenseRows => filters - (filters + 1) / 3,
+            Form::Dense | Form::DenseI8 => filters,
         };
         if rows > ROW_BLOCK {
-            per_image * batch as u64
+            2 * batch as u64
         } else {
             0
         }
@@ -379,6 +378,31 @@ fn caffenet_shaped() -> Network {
     net
 }
 
+/// The input of a batch-1 [`caffenet_shaped`] pass.
+fn caffenet_shaped_image() -> Tensor4 {
+    Tensor4::from_fn(1, 8, 48, 48, |_, c, h, w| {
+        (((c * 11 + h * 5 + w) % 19) as f32 - 9.0) / 9.0
+    })
+}
+
+/// `net`'s pass over `x` on teams of each `(threads, per_pass)`: two
+/// passes through one arena each add `per_pass` to `intra_op_splits`
+/// and match the one-thread pass bit for bit.
+fn assert_splits_per_pass(net: &Network, x: &Tensor4, teams: [(usize, u64); 2]) {
+    let mut one = ForwardArena::with_team(Team::new(1));
+    let want = bits(net.forward_into(x, &mut one).unwrap().as_slice());
+    for (threads, per_pass) in teams {
+        let mut arena = ForwardArena::with_team(Team::new(threads));
+        for pass in 0..2 {
+            let before = splits();
+            let got = bits(net.forward_into(x, &mut arena).unwrap().as_slice());
+            let what = format!("team {threads} pass {pass}");
+            assert_eq!(splits() - before, per_pass, "splits per pass: {what}");
+            assert!(got == want, "split output differs: {what}");
+        }
+    }
+}
+
 /// What one batch-1 Caffenet pass adds to `intra_op_splits`. On two
 /// threads, 10: conv1 and conv3 twice each — conv1's lowering by panels
 /// then its multiply by rows, conv3's Winograd input transform by tile
@@ -391,22 +415,29 @@ fn caffenet_shaped() -> Network {
 fn batch1_caffenet_shaped_pass_splits_each_kernel_once_per_band() {
     let _g = force_lock();
     precision::force(Some(Precision::F32));
-    let net = caffenet_shaped();
-    let x = Tensor4::from_fn(1, 8, 48, 48, |_, c, h, w| {
-        (((c * 11 + h * 5 + w) % 19) as f32 - 9.0) / 9.0
-    });
-    let mut one = ForwardArena::with_team(Team::new(1));
-    let want = bits(net.forward_into(&x, &mut one).unwrap().as_slice());
-    for (threads, per_pass) in [(2, 10), (3, 19)] {
-        let mut arena = ForwardArena::with_team(Team::new(threads));
-        for pass in 0..2 {
-            let before = splits();
-            let got = bits(net.forward_into(&x, &mut arena).unwrap().as_slice());
-            let what = format!("team {threads} pass {pass}");
-            assert_eq!(splits() - before, per_pass, "splits per pass: {what}");
-            assert!(got == want, "split output differs: {what}");
-        }
-    }
+    assert_splits_per_pass(
+        &caffenet_shaped(),
+        &caffenet_shaped_image(),
+        [(2, 10), (3, 19)],
+    );
+    precision::force(None);
+}
+
+/// The int8 twin: the same net, its activation scales calibrated in
+/// f32, every conv on the dense int8 form. Its quad lowerings split by
+/// panel ranges wherever the multiply they feed splits by rows, so the
+/// pass splits as the f32 one does — 10 on two threads (conv1 and
+/// conv3 each by quad panels, then by rows), 19 on three (every group
+/// of conv2/4/5 so too) — where an int8 lowering on the caller left 8
+/// and 11. The output stays the one-thread pass's bits.
+#[test]
+fn batch1_caffenet_shaped_int8_pass_splits_each_kernel_once_per_band() {
+    let _g = force_lock();
+    precision::force(Some(Precision::F32));
+    let (net, x) = (caffenet_shaped(), caffenet_shaped_image());
+    net.calibrate(&x, CalibrationMethod::MaxAbs).unwrap();
+    precision::force(Some(Precision::Int8));
+    assert_splits_per_pass(&net, &x, [(2, 10), (3, 19)]);
     precision::force(None);
 }
 

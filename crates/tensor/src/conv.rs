@@ -10,6 +10,7 @@ use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::gemm::gemm_packed;
 use crate::im2col::{out_spatial, Lowering};
+use crate::kernels::int8::padded_depth;
 use crate::kernels::{self, EpiBias, Epilogue, ROW_BLOCK};
 use crate::quant::{gemm_i8, symmetric_scale, QuantizedA};
 use crate::sparse::CsrMatrix;
@@ -561,12 +562,12 @@ impl ConvWeights<'_> {
 /// thread lowering into its own workspace (a batch-1 grouped layer
 /// splits by groups, a batch by images). With fewer, each band's dense
 /// multiply (f32 or int8, all filters or the kept ones) is cut by rows
-/// of `A`; in f32, first its lowering by panel ranges into as many
-/// parts, the pieces reading the caller's padded image and writing
-/// their own panels of the caller's packed `B` (the int8 lowering runs
-/// on the caller). Either way a piece is the same kernel on a
-/// sub-range, so the output is bitwise the one-thread call's. The CSR
-/// form splits only by bands.
+/// of `A`, and first its lowering by panel ranges into as many parts
+/// (f32 panels or int8 quad panels), the pieces reading the caller's
+/// padded image and writing their own panels of the caller's packed
+/// `B`. Either way a piece is the same kernel on a sub-range, so the
+/// output is bitwise the one-thread call's. The CSR form splits only
+/// by bands.
 ///
 /// Lowering scratch is the caller's `ws` and `out` is reshaped in
 /// place, so steady-state calls allocate nothing. When
@@ -769,7 +770,6 @@ impl ConvCall<'_> {
             qbuf,
             padded,
             qimage,
-            qlines,
             team,
         } = ws;
 
@@ -811,6 +811,7 @@ impl ConvCall<'_> {
             };
             let live = kept.map(|(_, live)| live);
             let depth = lo.rows();
+            let product_len = kept.map_or(dst.len(), |(rows, _)| rows.len() * n_out);
             let t_col = split_clock(timing);
             // Each form pads the group's (live) channels once (the int8
             // form quantizes straight into the padded layout:
@@ -821,9 +822,8 @@ impl ConvCall<'_> {
             // repack.
             match weights {
                 ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
-                    // The f32 multiply about to run splits its output
-                    // rows into as many parts as its lowering's panels.
-                    let product_len = kept.map_or(dst.len(), |(rows, _)| rows.len() * n_out);
+                    // The multiply about to run splits its output rows
+                    // into as many parts as its lowering's panels.
                     let parts = team::row_parts(team.as_ref(), depth, n_out, product_len);
                     let image = lo.padded(image, live, padded)?;
                     lo.panels_into(team.as_mut(), parts, image, packed)?
@@ -833,8 +833,10 @@ impl ConvCall<'_> {
                     lo.rows_into(lo.padded(image, None, padded)?, cols.as_mut_slice())?
                 }
                 ConvWeights::DenseI8 { act_scale, .. } => {
+                    let kp = padded_depth(depth);
+                    let parts = team::row_parts(team.as_ref(), kp, n_out, product_len);
                     lo.quantize_padded(image, live, 1.0 / act_scale, qimage)?;
-                    lo.quads_into(qimage, qlines, qbuf)?;
+                    lo.quads_into(team.as_mut(), parts, qimage, qbuf)?;
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }

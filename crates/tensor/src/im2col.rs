@@ -15,23 +15,27 @@
 //! reads padded plane `ci` from offset `ky*wp + kx`, the taps in one
 //! flat loop, and the output columns cut into *runs* — stretches inside
 //! one output row, whose sources sit `stride` apart. A row-major
-//! lowering ([`Lowering::rows_into`]) copies a patch row run by run; so
-//! does the int8 quad lowering ([`Lowering::quads_into`]), four rows
-//! into line buffers, then interleaved into their quad. The f32 panel
-//! lowering ([`Lowering::panels_into`]) writes `B` one panel at a time,
-//! contiguously: it resolves the runs of a panel's `PANEL` columns
-//! once, then gathers each patch row's `PANEL` lanes into an array and
-//! stores it — one 8-float copy when the panel lies inside one output
-//! row at stride 1. Because its panels are contiguous, it splits across
-//! a [`Team`] by panel ranges; lowering only moves values and writes
-//! zeros, so the split is bitwise invisible.
+//! lowering ([`Lowering::rows_into`]) copies a patch row run by run.
+//! The two panel lowerings write `B` one panel at a time, contiguously,
+//! each panel's sources resolved once for all its patch rows. The f32
+//! one ([`Lowering::panels_into`]) gathers each patch row's `PANEL`
+//! lanes into an array and stores it — one 8-float copy when the panel
+//! lies inside one output row at stride 1. The int8 one
+//! ([`Lowering::quads_into`]) reads each depth quad's four patch rows
+//! straight from the quantized padded image and stores the quad's
+//! thirty-two interleaved bytes (the walk in
+//! [`crate::kernels::int8::lower_quad_panels_with`]), the panels inside
+//! one run together. Because their panels are contiguous, both split
+//! across a [`Team`] by panel ranges; lowering only moves values and
+//! writes zeros, so the split is bitwise invisible.
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::kernels::int8::{padded_depth, quantize_slice_with, store_row_quad_with, QUAD};
-use crate::kernels::{self, PANEL};
+use crate::kernels::int8::{lower_quad_panels_with, padded_depth, quantize_slice_with, QuadTaps};
+use crate::kernels::{self, KernelPath, PANEL};
 use crate::quant::I8Storage;
 use crate::team::{self, Team};
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// Output spatial size of a convolution/pooling window sweep.
@@ -327,6 +331,17 @@ impl Lowering {
         }
     }
 
+    /// Columns of one run ([`Lowering::runs`]): an output row, or the
+    /// whole map when output rows follow one another in the padded plane.
+    #[inline(always)]
+    fn run_len(&self) -> usize {
+        if self.out_w == self.wp {
+            self.n_out
+        } else {
+            self.out_w
+        }
+    }
+
     /// Cut the output columns `cols` into runs and call
     /// `f(col, len, src)` for each: column `col + i` of every patch row
     /// reads `src + i*stride` past the row's `at`. A run is a stretch of
@@ -335,11 +350,7 @@ impl Lowering {
     /// follow one another in it.
     #[inline(always)]
     fn runs(&self, cols: Range<usize>, mut f: impl FnMut(usize, usize, usize)) {
-        let row = if self.out_w == self.wp {
-            self.n_out
-        } else {
-            self.out_w
-        };
+        let row = self.run_len();
         let mut col = cols.start;
         while col < cols.end {
             let (oy, ox) = (col / row, col % row);
@@ -459,41 +470,97 @@ impl Lowering {
     /// [`crate::gemm_i8`] multiplies (layout in
     /// [`crate::kernels::int8`]) — byte for byte what
     /// [`crate::pack_b_i8_into`] makes of the f32 patch matrix of the
-    /// unquantized image — into `packed` (resized). Four patch rows at a
-    /// time are lowered into `lines` (resized: four rows of whole
-    /// panels, tail lanes zero) and stored as one depth quad
-    /// ([`store_row_quad_with`]), so every byte of `packed` — pad rows
-    /// past the depth and panel tail lanes included — is written and
-    /// neither buffer needs clearing. Returns the padded depth `kp`.
+    /// unquantized image — into `packed` (resized; every byte written,
+    /// pad rows past the depth and panel tail lanes included), cut by
+    /// panel ranges across `team` as [`Lowering::panels_into`] is.
+    /// Panel by panel, its sources resolved once, each depth quad's
+    /// four patch rows are read straight from the padded image and
+    /// stored as the quad's thirty-two contiguous bytes
+    /// ([`lower_quad_panels_with`]). Returns the padded depth `kp`.
     /// Errors if `padded` is not [`Lowering::padded_len`] long.
     pub fn quads_into(
         &self,
+        team: Option<&mut Team>,
+        parts: usize,
         padded: &[i8],
-        lines: &mut Vec<i8>,
+        packed: &mut impl I8Storage,
+    ) -> TensorResult<usize> {
+        self.quads_with(kernels::selected(), team, parts, padded, packed)
+    }
+
+    /// [`Lowering::quads_into`] on the kernel path `path`.
+    fn quads_with(
+        &self,
+        path: KernelPath,
+        team: Option<&mut Team>,
+        parts: usize,
+        padded: &[i8],
         packed: &mut impl I8Storage,
     ) -> TensorResult<usize> {
         self.check_padded(padded.len())?;
-        let (kp, n_out) = (padded_depth(self.rows), self.n_out);
-        let lanes = n_out.next_multiple_of(PANEL);
-        let packed = packed.resize_for_overwrite(lanes * kp);
-        lines.resize(QUAD * lanes, 0);
-        let path = kernels::selected();
-        let mut taps = self.taps();
-        for q in 0..kp / QUAD {
-            for line in lines.chunks_exact_mut(lanes) {
-                if let Some(at) = taps.next() {
-                    self.row_into(padded, at, &mut line[..n_out]);
-                    line[n_out..].fill(0);
-                } else {
-                    // A pad row past the depth.
-                    line.fill(0);
-                }
-            }
-            let rows = std::array::from_fn(|i| &lines[i * lanes..(i + 1) * lanes]);
-            store_row_quad_with(path, rows, q, kp, packed);
+        if u32::try_from(padded.len()).is_err() {
+            return Err(ShapeError::new(format!(
+                "lowering: padded image of {} bytes past the 32-bit tap range",
+                padded.len()
+            )));
         }
+        let kp = padded_depth(self.rows);
+        let block = kp * PANEL;
+        let packed = packed.resize_for_overwrite(self.panels() * block);
+        if kp == 0 {
+            return Ok(0);
+        }
+        TAP_TABLE.with_borrow_mut(|table| {
+            table.clear();
+            table.extend(self.taps().map(|at| at as u32));
+            let taps = QuadTaps::new(table);
+            team::split(team, parts, packed, block, &|offset, piece| {
+                self.lower_quads(path, padded, taps, offset / block, piece);
+                Ok(())
+            })
+        })?;
         Ok(kp)
     }
+
+    /// Write panels `first..` into `out`, whole `kp × PANEL` blocks
+    /// ([`lower_quad_panels_with`]): the panels lying inside one run in
+    /// one call, each other panel (the runs of several output rows, or
+    /// a tail past `n_out`) on its own, its sources resolved once.
+    fn lower_quads(
+        &self,
+        path: KernelPath,
+        padded: &[i8],
+        taps: QuadTaps<'_>,
+        first: usize,
+        out: &mut [i8],
+    ) {
+        let block = padded_depth(self.rows) * PANEL;
+        let (row, stride) = (self.run_len(), self.stride);
+        let (mut p, mut out) = (first, out);
+        while !out.is_empty() {
+            let (oy, ox) = (p * PANEL / row, p * PANEL % row);
+            let inside = ((row - ox) / PANEL).min(out.len() / block);
+            let (blocks, rest) = std::mem::take(&mut out).split_at_mut(inside.max(1) * block);
+            if inside > 0 {
+                let src = (oy * self.wp + ox) * stride;
+                let lanes: [usize; PANEL] = std::array::from_fn(|j| src + stride * j);
+                lower_quad_panels_with(path, padded, taps, &lanes, PANEL * stride, blocks);
+            } else {
+                let cols = p * PANEL..((p + 1) * PANEL).min(self.n_out);
+                let from = Sources::of(self, cols);
+                lower_quad_panels_with(path, padded, taps, &from.lane[..from.live], 0, blocks);
+            }
+            (p, out) = (p + inside.max(1), rest);
+        }
+    }
+}
+
+thread_local! {
+    /// The patch rows' offsets of the int8 quad lowering running on
+    /// this thread ([`Lowering::quads_with`]), read by every panel and
+    /// every piece of its split: grown to the deepest lowering the
+    /// thread has run, then reused.
+    static TAP_TABLE: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Call `copy(src, at, count)` for each run of consecutive planes the
@@ -769,15 +836,16 @@ mod tests {
 
     /// The f32 panel lowering cut across a team of 2 and of 3 (one part
     /// per thread, or per panel when there are fewer), and the int8 quad
-    /// lowering (one thread) of the image quantized into its padded
-    /// layout, byte for byte against their layouts' definitions over
-    /// [`im2col_reference`]: f32 panel `p`, row `r`, lane `j` at
-    /// `p*k*PANEL + r*PANEL + j`; the int8 one at
-    /// `p*kp*PANEL + (r/4)*4*PANEL + 4*j + r%4` of the quantized
-    /// reference; every other element zero. Every buffer — padded images
-    /// and line buffers included — starts oversized and poisoned, so an
-    /// element no piece wrote, or a piece lowering another's panels,
-    /// shows.
+    /// lowering of the image quantized into its padded layout on every
+    /// kernel path and a team of 1, 2 and 3, byte for byte against
+    /// their layouts' definitions over [`im2col_reference`]: f32 panel
+    /// `p`, row `r`, lane `j` at `p*k*PANEL + r*PANEL + j`; the int8 one
+    /// at `p*kp*PANEL + (r/4)*4*PANEL + 4*j + r%4` of the quantized
+    /// reference; every other element zero. The image holds `seed % 3`
+    /// planes besides the `c` live ones the lowerings read (a live-plane
+    /// subset, as a pruned producer leaves it). Every buffer — padded
+    /// images included — starts oversized and poisoned, so an element
+    /// no piece wrote, or a piece lowering another's panels, shows.
     #[allow(clippy::too_many_arguments)]
     fn split_lowerings_match(
         c: usize,
@@ -789,17 +857,29 @@ mod tests {
         stride: usize,
         seed: u64,
     ) -> Result<(), TestCaseError> {
-        let image = det_image(c * h * w, seed);
+        let plane = h * w;
+        let extra = (seed % 3) as usize;
+        let planes = c + extra;
+        let all = det_image(planes * plane, seed);
+        // Skip planes `planes - 1`, `planes - 3`, … : `extra` of them.
+        let live: Vec<usize> = (0..planes)
+            .filter(|&p| !(0..extra).any(|i| p + 1 + 2 * i == planes))
+            .collect();
+        let image: Vec<f32> = live
+            .iter()
+            .flat_map(|&p| all[p * plane..(p + 1) * plane].to_vec())
+            .collect();
+        let live = (extra > 0).then_some(&live[..]);
         let cols = im2col_reference(&image, c, h, w, kh, kw, pad, stride);
         let (k, n) = cols.shape();
-        let (panels, kp, inv_scale) = (n.div_ceil(PANEL), k.next_multiple_of(QUAD), 127.0 / 4.0);
+        let (panels, kp, inv_scale) = (n.div_ceil(PANEL), k.next_multiple_of(4), 127.0 / 4.0);
         let mut want_f32 = vec![0.0f32; panels * k * PANEL];
         let mut want_i8 = vec![0i8; panels * kp * PANEL];
         for r in 0..k {
             for col in 0..n {
                 let (p, j) = (col / PANEL, col % PANEL);
                 want_f32[p * k * PANEL + r * PANEL + j] = cols.get(r, col);
-                want_i8[p * kp * PANEL + (r / QUAD) * QUAD * PANEL + QUAD * j + r % QUAD] =
+                want_i8[p * kp * PANEL + (r / 4) * 4 * PANEL + 4 * j + r % 4] =
                     crate::quantize_i8(cols.get(r, col), inv_scale);
             }
         }
@@ -809,7 +889,7 @@ mod tests {
             let mut team = Team::new(threads).with_min_part_macs(0);
             let mut scratch = vec![f32::NAN; lo.padded_len() + 7];
             let mut packed = Matrix::from_fn(3, 7, |_, _| f32::NAN);
-            let padded = lo.padded(&image, None, &mut scratch).unwrap();
+            let padded = lo.padded(&all, live, &mut scratch).unwrap();
             lo.panels_into(Some(&mut team), threads, padded, &mut packed)
                 .unwrap();
             prop_assert_eq!(
@@ -821,12 +901,25 @@ mod tests {
         }
 
         let mut q_padded = vec![77i8; lo.padded_len() + 7];
-        lo.quantize_padded(&image, None, inv_scale, &mut q_padded)
+        lo.quantize_padded(&all, live, inv_scale, &mut q_padded)
             .unwrap();
-        let (mut lines, mut q_packed) = (vec![77i8; 64], vec![77i8; 2 * want_i8.len() + 5]);
-        let got_kp = lo.quads_into(&q_padded, &mut lines, &mut q_packed).unwrap();
-        prop_assert_eq!(got_kp, kp);
-        prop_assert_eq!(&q_packed, &want_i8, "int8");
+        for path in kernels::available_paths() {
+            for threads in [1, 2, 3] {
+                let mut team = Team::new(threads).with_min_part_macs(0);
+                let mut q_packed = vec![77i8; 2 * want_i8.len() + 5];
+                let got_kp = lo
+                    .quads_with(path, Some(&mut team), threads, &q_padded, &mut q_packed)
+                    .unwrap();
+                prop_assert_eq!(got_kp, kp);
+                prop_assert_eq!(
+                    &q_packed,
+                    &want_i8,
+                    "int8 {}, team of {}",
+                    path.name(),
+                    threads
+                );
+            }
+        }
         Ok(())
     }
 
@@ -898,14 +991,12 @@ mod tests {
             .panels_into(None, 1, &wrong, &mut Matrix::zeros(0, 0))
             .is_err());
         let q_wrong = vec![0i8; lo.padded_len() + 1];
-        assert!(lo
-            .quads_into(&q_wrong, &mut Vec::new(), &mut Vec::new())
-            .is_err());
+        assert!(lo.quads_into(None, 1, &q_wrong, &mut Vec::new()).is_err());
     }
 
     #[test]
     fn split_lowerings_match_on_stem_shapes() {
-        for (what, c, hw, k, pad, stride) in [
+        for (seed, (what, c, hw, k, pad, stride)) in [
             // 12×12 output: panels straddle output rows; depth 147.
             ("googlenet conv1, 7x7 s2 p3", 3, 23, 7, 3, 2),
             // 6×6 output, a 4-lane tail panel; depth 363.
@@ -916,9 +1007,25 @@ mod tests {
             ("1x1 p3", 2, 5, 1, 3, 1),
             // A 1×1 pack: one run over the whole map.
             ("1x1 pack", 6, 9, 1, 0, 1),
-        ] {
-            split_lowerings_match(c, hw, hw, k, k, pad, stride, 7)
+            // Incep5a's 7×7 maps: panels of three output rows.
+            ("7x7 map, 5x5 p2", 3, 7, 5, 2, 1),
+            // The last tap's last lane is the image's last byte: a
+            // one-lane last panel (49 columns), then two runs of four
+            // lanes at stride 4 (16 columns).
+            ("last byte, 3x3 p0", 3, 9, 3, 0, 1),
+            ("last byte, 3x3 s4 p0", 2, 15, 3, 0, 4),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            split_lowerings_match(c, hw, hw, k, k, pad, stride, seed as u64)
                 .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        }
+        // Output rows two lanes wide at stride 4 (four runs a panel, as
+        // many windows), and one lane wide (eight: the byte gather).
+        for (h, w, seed) in [(19, 7, 1), (40, 3, 2)] {
+            split_lowerings_match(2, h, w, 3, 3, 0, 4, seed)
+                .unwrap_or_else(|e| panic!("{h}x{w} s4: {e:?}"));
         }
     }
 
@@ -1032,16 +1139,17 @@ mod tests {
             let mut fused = vec![77i8; lo.padded_len() + 11];
             lo.quantize_padded(&image, None, inv_scale, &mut fused).unwrap();
             prop_assert_eq!(&fused[..], q_padded);
-            let (mut lines, mut packed) = (vec![77i8; 64], vec![77i8; 4 * want.len() + 5]);
-            prop_assert_eq!(lo.quads_into(q_padded, &mut lines, &mut packed).unwrap(), kp);
+            let mut packed = vec![77i8; 4 * want.len() + 5];
+            prop_assert_eq!(lo.quads_into(None, 1, q_padded, &mut packed).unwrap(), kp);
             prop_assert_eq!(&packed, &want);
         }
 
         /// The f32 panel lowering split by panel ranges across a team of
-        /// 2 and of 3, and the int8 quad lowering, are byte for byte
-        /// their layouts' definitions ([`split_lowerings_match`]), on
-        /// ragged kernels, strides up to 4, pads past the kernel offset,
-        /// maps narrower than a panel and depths of every residue mod 4.
+        /// 2 and of 3, and the int8 quad lowering on every path and a
+        /// team of 1 to 3, are byte for byte their layouts' definitions
+        /// ([`split_lowerings_match`]), on ragged kernels, strides up to
+        /// 4, pads past the kernel offset, maps narrower than a panel,
+        /// depths of every residue mod 4 and live-plane subsets.
         #[test]
         fn prop_split_lowerings_match_reference(
             c in 1usize..5, h in 1usize..12, w in 1usize..12,

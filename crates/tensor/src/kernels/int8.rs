@@ -20,9 +20,14 @@
 //!   `j` of a panel sits at `(r/4)*4*PANEL + 4*j + (r%4)`. One 32-byte
 //!   load is therefore eight columns × four depths, each 32-bit lane
 //!   one column: the operand shape of `vpdpbusd`, and — sign-extended
-//!   half by half — of `vpmaddwd`. [`store_row_quad_with`] writes one
-//!   quad from four row-major rows; it is the only writer's primitive,
-//!   so every packer in [`crate::quant`] and [`mod@crate::im2col`] agrees.
+//!   half by half — of `vpmaddwd`. Two writers fill it, both
+//!   interleaving four patch rows' bytes into a quad with the same
+//!   `punpcklbw` + `punpck{l,h}wd`: [`store_row_quad_with`] from four
+//!   row-major rows (the packers in [`crate::quant`]), and
+//!   [`lower_quad_panels_with`] panel by panel
+//!   straight from a padded image (the int8 convolution's lowering,
+//!   [`mod@crate::im2col`]). Each is tested against the layout's
+//!   definition.
 //!
 //! # Four multiply kernels, one result
 //!
@@ -352,6 +357,222 @@ pub fn store_row_quad_with(
     }
 }
 
+/// Bytes one load of the quad lowering's window walk reads: a lane
+/// table (`pshufb`) picks a panel's lanes out of them.
+const WINDOW: usize = 16;
+
+/// Windows a panel's lanes may need before its walk falls back to the
+/// byte gather: enough for every panel of a stride-4 lowering whose
+/// output rows are at least two lanes wide.
+const MAX_WINDOWS: usize = 4;
+
+/// How [`lower_quad_panels_with`] reads one panel's lanes, resolved once
+/// for all its patch rows. Built only by [`PanelWalk::of`], whose
+/// asserts bound every load the SIMD walks make.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum PanelWalk {
+    /// Eight lanes of consecutive bytes from `src` past each tap: one
+    /// 8-byte load per patch row.
+    Run(usize),
+    /// The lanes of window `w` lie in the 16 bytes from `base[w]` past
+    /// each tap; `table[w]` holds each such lane's byte in the window,
+    /// every other lane `-128` (a `pshufb` zero). One load and one
+    /// shuffle per window and patch row, OR'd.
+    Windows {
+        count: usize,
+        base: [usize; MAX_WINDOWS],
+        table: [[i8; WINDOW]; MAX_WINDOWS],
+    },
+    /// Byte by byte: the scalar oracle.
+    Gather,
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl PanelWalk {
+    /// The walk of a panel whose lane `j` reads `lanes[j]` past each
+    /// tap, none past `last`, from a padded image of `len` bytes.
+    /// A window whose 16 bytes would pass the image's end at the last
+    /// tap starts early enough to end on its last byte; where the image
+    /// is shorter than that, or the lanes need more than
+    /// [`MAX_WINDOWS`] windows or do not ascend, the panel gathers.
+    ///
+    /// # Panics
+    /// If a lane's byte lies past the image at the last tap, or a load
+    /// of the walk would (the second is this function's own bound).
+    fn of(lanes: &[usize], last: usize, len: usize) -> PanelWalk {
+        let Some(&top) = lanes.iter().max() else {
+            return PanelWalk::Gather;
+        };
+        assert!(
+            last + top < len,
+            "quad lowering: a lane reads past the image"
+        );
+        if lanes.len() == PANEL && lanes.iter().enumerate().all(|(j, &s)| s == lanes[0] + j) {
+            return PanelWalk::Run(lanes[0]);
+        }
+        let mut count = 0;
+        let mut base = [0; MAX_WINDOWS];
+        let mut table = [[i8::MIN; WINDOW]; MAX_WINDOWS];
+        for (j, &s) in lanes.iter().enumerate() {
+            if count == 0 || s >= base[count - 1] + WINDOW {
+                if count == MAX_WINDOWS {
+                    return PanelWalk::Gather;
+                }
+                base[count] = s;
+                count += 1;
+            } else if s < base[count - 1] {
+                return PanelWalk::Gather;
+            }
+            table[count - 1][j] = (s - base[count - 1]) as i8;
+        }
+        // Every lane of window `w` reads below `len - last`, so moving
+        // the window back to end there keeps each inside it.
+        let Some(end) = len.checked_sub(last + WINDOW) else {
+            return PanelWalk::Gather;
+        };
+        for (b, t) in base.iter_mut().zip(&mut table).take(count) {
+            if *b > end {
+                let back = (*b - end) as i8;
+                for lane in t.iter_mut().filter(|l| **l >= 0) {
+                    *lane += back;
+                }
+                *b = end;
+            }
+            assert!(
+                last + *b + WINDOW <= len,
+                "quad lowering: a window passes the image"
+            );
+        }
+        PanelWalk::Windows { count, base, table }
+    }
+
+    /// How far past a tap the walk's loads end (0 for the gather).
+    fn reach(&self) -> usize {
+        match self {
+            PanelWalk::Run(src) => src + PANEL,
+            PanelWalk::Windows { count, base, .. } => {
+                base[..*count].iter().max().map_or(0, |b| b + WINDOW)
+            }
+            PanelWalk::Gather => 0,
+        }
+    }
+}
+
+/// The patch rows of an int8 quad lowering: each row's offset into the
+/// padded image, in depth order, and the largest of them — found once
+/// per lowering, then shared by every panel (and every piece of a
+/// split) that [`lower_quad_panels_with`] writes. The walks bound their
+/// loads at that largest tap.
+#[derive(Debug, Clone, Copy)]
+pub struct QuadTaps<'a> {
+    at: &'a [u32],
+    last: usize,
+}
+
+impl<'a> QuadTaps<'a> {
+    /// The rows whose offsets `at` lists (none: a zero-depth lowering).
+    pub fn new(at: &'a [u32]) -> Self {
+        let last = at.iter().max().map_or(0, |&a| a as usize);
+        QuadTaps { at, last }
+    }
+
+    /// Patch rows: the depth before padding to whole quads.
+    pub fn rows(&self) -> usize {
+        self.at.len()
+    }
+}
+
+/// Panels of the int8 quad lowering ([`crate::Lowering::quads_into`]):
+/// `blocks` holds consecutive `kp × PANEL` blocks of a packed `B` (layout
+/// above); in block `i`, row `r`, lane `j` is `padded[at_r + lanes[j] +
+/// step * i]` — `at_r` the offset of patch row `r` in `taps` — and every
+/// other byte (lanes past `lanes`, pad rows past the depth) zero; every
+/// byte of `blocks` written. One panel is one block at any `step`; the
+/// panels inside one run of the lowering are one call, `step` being
+/// `PANEL * stride`. Read straight from the padded image, quad by quad:
+/// the AVX2 walk loads each patch row's eight lanes into a register —
+/// one 8-byte load where they are consecutive, else one 16-byte load per
+/// window and a lane-table shuffle — and interleaves four rows into the
+/// quad's thirty-two bytes as [`store_row_quad_with`] does. The first
+/// block's walk (`PanelWalk`, resolved once) serves every block whose
+/// loads, moved `step` bytes a block, stay inside `padded`; each block
+/// past those (the image's last, at the last taps) resolves its own.
+/// Bitwise the scalar oracle on every [`KernelPath`].
+///
+/// # Panics
+/// If `lanes` holds more than `PANEL` sources, `blocks` is not whole
+/// `padded_depth(taps.rows()) × PANEL` blocks (at least one), or a
+/// lane's byte lies past `padded` at the last tap.
+pub fn lower_quad_panels_with(
+    path: KernelPath,
+    padded: &[i8],
+    taps: QuadTaps<'_>,
+    lanes: &[usize],
+    step: usize,
+    blocks: &mut [i8],
+) {
+    let block = padded_depth(taps.rows()) * PANEL;
+    assert!(
+        lanes.len() <= PANEL,
+        "quad lowering: more lanes than a panel"
+    );
+    assert!(
+        block > 0 && !blocks.is_empty() && blocks.len().is_multiple_of(block),
+        "quad lowering: whole blocks"
+    );
+    let walk = match path {
+        KernelPath::Scalar => PanelWalk::Gather,
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx2 => PanelWalk::of(lanes, taps.last, padded.len()),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => PanelWalk::Gather,
+    };
+    // Block `i`'s lanes, and its loads, lie `step * i` past the first
+    // block's, whose loads end inside the image at the last tap
+    // (`PanelWalk::of`).
+    let shifted = |i: usize| -> [usize; PANEL] {
+        std::array::from_fn(|j| lanes.get(j).map_or(0, |s| s + step * i))
+    };
+    let panels = blocks.len() / block;
+    let moved = match walk {
+        PanelWalk::Gather => panels,
+        _ => (padded.len() - taps.last - walk.reach())
+            .checked_div(step)
+            .map_or(panels, |fit| (fit + 1).min(panels)),
+    };
+    assert!(
+        matches!(walk, PanelWalk::Gather)
+            || taps.last + walk.reach() + step * (moved - 1) <= padded.len(),
+        "quad lowering: a moved walk passes the image"
+    );
+    let (together, alone) = blocks.split_at_mut(moved * block);
+    match walk {
+        PanelWalk::Gather => {
+            for (i, block) in together.chunks_exact_mut(block).enumerate() {
+                scalar::lower_quad_panel(padded, taps.at, &shifted(i)[..lanes.len()], block);
+            }
+        }
+        // SAFETY (both): avx2 verified available by `selected()`/`force()`
+        // (see `quantize_slice_with`); every load of block `i < moved`
+        // ends at most `taps.last + reach + step * i` bytes into
+        // `padded`, at every tap — inside it, by the assert above —; and
+        // `together` was cut into whole blocks of the `kp / 4` quads the
+        // walk stores.
+        #[cfg(target_arch = "x86_64")]
+        PanelWalk::Run(src) => unsafe { x86::quad_panel_run(padded, taps.at, src, step, together) },
+        #[cfg(target_arch = "x86_64")]
+        PanelWalk::Windows { count, base, table } => unsafe {
+            x86::quad_panel_windows(padded, taps.at, count, &base, &table, step, together)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("SIMD walks exist on x86_64 only"),
+    }
+    for (i, block) in (moved..).zip(alone.chunks_exact_mut(block)) {
+        lower_quad_panels_with(path, padded, taps, &shifted(i)[..lanes.len()], 0, block);
+    }
+}
+
 /// One row band of the quad-interleaved int8 GEMM with a fused
 /// dequantize + bias/ReLU store: rows `row0 .. row0 + c_band.len()/n`
 /// of the row-major i8 `a_data` (row stride `kp`, a multiple of
@@ -483,6 +704,21 @@ mod scalar {
         }
     }
 
+    pub fn lower_quad_panel(padded: &[i8], taps: &[u32], lanes: &[usize], block: &mut [i8]) {
+        for (q, quad) in block.chunks_exact_mut(QUAD * PANEL).enumerate() {
+            let ats: [Option<usize>; QUAD] =
+                std::array::from_fn(|i| taps.get(QUAD * q + i).map(|&at| at as usize));
+            for (j, column) in quad.chunks_exact_mut(QUAD).enumerate() {
+                for (d, at) in column.iter_mut().zip(ats) {
+                    *d = match (at, lanes.get(j)) {
+                        (Some(at), Some(&s)) => padded[at + s],
+                        _ => 0,
+                    };
+                }
+            }
+        }
+    }
+
     /// Dequantize-and-store one (possibly partial-width) panel slot.
     fn store_dequant(
         acc: &[i32; PANEL],
@@ -580,7 +816,9 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_op_in_unsafe_fn)]
 mod x86 {
-    use super::{EpiBias, Epilogue, MAX_K_I8, PANEL, QUAD, ROW_BAND};
+    use super::{
+        padded_depth, EpiBias, Epilogue, MAX_K_I8, MAX_WINDOWS, PANEL, QUAD, ROW_BAND, WINDOW,
+    };
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -677,6 +915,168 @@ mod x86 {
             let quad = dst.add(p * kp * PANEL) as *mut __m128i;
             _mm_storeu_si128(quad, _mm_unpacklo_epi16(r01, r23));
             _mm_storeu_si128(quad.add(1), _mm_unpackhi_epi16(r01, r23));
+        }
+    }
+
+    /// Four patch rows' eight lanes (the low eight bytes of each
+    /// register) interleaved into one depth quad of a panel, stored at
+    /// `dst`: the `punpcklbw` / `punpck{l,h}wd` of [`store_row_quad`].
+    ///
+    /// # Safety
+    /// `dst` is valid for 32 bytes of writes.
+    #[inline(always)]
+    unsafe fn store_quad(rows: [__m128i; QUAD], dst: *mut i8) {
+        let r01 = _mm_unpacklo_epi8(rows[0], rows[1]);
+        let r23 = _mm_unpacklo_epi8(rows[2], rows[3]);
+        _mm_storeu_si128(dst as *mut __m128i, _mm_unpacklo_epi16(r01, r23));
+        _mm_storeu_si128(dst.add(16) as *mut __m128i, _mm_unpackhi_epi16(r01, r23));
+    }
+
+    /// How one patch row's lanes reach a register, for [`walk_quads`].
+    trait Lanes {
+        /// The eight lanes of the patch row at tap `at` in the low
+        /// eight bytes.
+        ///
+        /// # Safety
+        /// `at` is at most the largest tap the walk was built for.
+        unsafe fn load(&self, at: u32) -> __m128i;
+    }
+
+    /// [`PanelWalk::Run`](super::PanelWalk::Run): eight consecutive
+    /// bytes from `src` past the tap.
+    struct Run(*const i8);
+
+    impl Lanes for Run {
+        #[inline(always)]
+        unsafe fn load(&self, at: u32) -> __m128i {
+            _mm_loadl_epi64(self.0.add(at as usize) as *const __m128i)
+        }
+    }
+
+    /// [`PanelWalk::Windows`](super::PanelWalk::Windows) with `W`
+    /// windows: each window's sixteen bytes shuffled by its lane table,
+    /// OR'd.
+    struct Windows<const W: usize> {
+        from: [*const i8; W],
+        table: [__m128i; W],
+    }
+
+    impl<const W: usize> Lanes for Windows<W> {
+        #[inline(always)]
+        unsafe fn load(&self, at: u32) -> __m128i {
+            let mut v = _mm_setzero_si128();
+            for (from, table) in self.from.iter().zip(&self.table) {
+                let bytes = _mm_loadu_si128(from.add(at as usize) as *const __m128i);
+                v = _mm_or_si128(v, _mm_shuffle_epi8(bytes, *table));
+            }
+            v
+        }
+    }
+
+    /// The quads of one panel's block, four patch rows of `taps` at a
+    /// time, the pad rows past them zero.
+    ///
+    /// # Safety
+    /// `lanes` reads inside the image at every tap of `taps`;
+    /// `block.len() >= padded_depth(taps.len()) * PANEL`.
+    #[inline(always)]
+    unsafe fn walk_quads(lanes: impl Lanes, taps: &[u32], block: &mut [i8]) {
+        let dst = block.as_mut_ptr();
+        let (quads, tail) = taps.as_chunks::<QUAD>();
+        for (q, &[a0, a1, a2, a3]) in quads.iter().enumerate() {
+            // Written out, not `map`ped: a closure would not inline here.
+            let quad = [
+                lanes.load(a0),
+                lanes.load(a1),
+                lanes.load(a2),
+                lanes.load(a3),
+            ];
+            store_quad(quad, dst.add(q * QUAD * PANEL));
+        }
+        if !tail.is_empty() {
+            let mut quad = [_mm_setzero_si128(); QUAD];
+            for (r, &at) in quad.iter_mut().zip(tail) {
+                *r = lanes.load(at);
+            }
+            store_quad(quad, dst.add(quads.len() * QUAD * PANEL));
+        }
+    }
+
+    /// The quad walk of whole panels of one run, each `step` bytes past
+    /// the one before; see [`super::lower_quad_panels_with`].
+    ///
+    /// # Safety
+    /// CPU must support AVX2; `at + src + step * i + PANEL <=
+    /// padded.len()` for every tap `at` and block `i` of `blocks`, which
+    /// holds whole `padded_depth(taps.len()) * PANEL` blocks (all
+    /// verified by the dispatch layer).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quad_panel_run(
+        padded: &[i8],
+        taps: &[u32],
+        src: usize,
+        step: usize,
+        blocks: &mut [i8],
+    ) {
+        let block = padded_depth(taps.len()) * PANEL;
+        for (i, b) in blocks.chunks_exact_mut(block).enumerate() {
+            walk_quads(Run(padded.as_ptr().add(src + step * i)), taps, b);
+        }
+    }
+
+    /// The quad walk of whole panels read through `count` windows, each
+    /// panel's `step` bytes past the one before; see
+    /// [`super::lower_quad_panels_with`].
+    ///
+    /// # Safety
+    /// CPU must support AVX2; `1 <= count <= MAX_WINDOWS`, `at +
+    /// base[w] + step * i + WINDOW <= padded.len()` for every tap `at`,
+    /// window `w` and block `i` of `blocks`, which holds whole
+    /// `padded_depth(taps.len()) * PANEL` blocks; every table byte below
+    /// 16 or negative (all verified by the dispatch layer).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quad_panel_windows(
+        padded: &[i8],
+        taps: &[u32],
+        count: usize,
+        base: &[usize; MAX_WINDOWS],
+        table: &[[i8; WINDOW]; MAX_WINDOWS],
+        step: usize,
+        blocks: &mut [i8],
+    ) {
+        match count {
+            1 => windows::<1>(padded, taps, base, table, step, blocks),
+            2 => windows::<2>(padded, taps, base, table, step, blocks),
+            3 => windows::<3>(padded, taps, base, table, step, blocks),
+            4 => windows::<4>(padded, taps, base, table, step, blocks),
+            _ => unreachable!("a panel reads through 1 to {MAX_WINDOWS} windows"),
+        }
+    }
+
+    /// [`quad_panel_windows`] with `W` windows.
+    ///
+    /// # Safety
+    /// As [`quad_panel_windows`], `count` being `W`.
+    #[inline(always)]
+    unsafe fn windows<const W: usize>(
+        padded: &[i8],
+        taps: &[u32],
+        base: &[usize; MAX_WINDOWS],
+        table: &[[i8; WINDOW]; MAX_WINDOWS],
+        step: usize,
+        blocks: &mut [i8],
+    ) {
+        let mut luts = [_mm_setzero_si128(); W];
+        for (lut, bytes) in luts.iter_mut().zip(table) {
+            *lut = _mm_loadu_si128(bytes.as_ptr() as *const __m128i);
+        }
+        let block = padded_depth(taps.len()) * PANEL;
+        for (i, b) in blocks.chunks_exact_mut(block).enumerate() {
+            let mut from = [padded.as_ptr(); W];
+            for (from, &base) in from.iter_mut().zip(base) {
+                *from = padded.as_ptr().add(base + step * i);
+            }
+            walk_quads(Windows { from, table: luts }, taps, b);
         }
     }
 
@@ -1721,6 +2121,107 @@ mod tests {
                 for j in 0..n {
                     let want = (plain[r * n + j] + row_bias[r]).max(0.0);
                     assert_eq!(got[r * n + j], want, "kernel {}", kernel.name());
+                }
+            }
+        }
+    }
+
+    /// The quad panel walk against its definition on every path, with
+    /// lanes that take each walk — one run, one to four windows (a
+    /// panel tail, two runs at stride 1, stride 2 and 4, four runs), a
+    /// window moved back to end on the image's last byte, and the byte
+    /// gather (lanes needing five windows, lanes out of order, an image
+    /// shorter than a window) — over seven patch rows (a pad row in the
+    /// second quad), into a poisoned block.
+    #[test]
+    fn quad_panel_walks_match_the_definition_on_all_paths() {
+        let image: Vec<i8> = (0..200).map(|i| det_i8(i, 251) | 1).collect();
+        let taps: [u32; 7] = [0, 1, 2, 9, 10, 11, 40];
+        let last = 40;
+        let stride = |from: usize, by: usize| (0..PANEL).map(|j| from + by * j).collect();
+        let cases: [(&[i8], Vec<usize>, &str); 13] = [
+            (&image, stride(100, 1), "run"),
+            (
+                &image,
+                vec![100, 101, 102, 110, 111, 112, 113, 114],
+                "1 window",
+            ),
+            (&image, vec![100, 101, 102], "1 window"),
+            (&image, stride(100, 2), "1 window"),
+            (&image, stride(100, 4), "2 windows"),
+            (&image, vec![0, 1, 30, 31, 60, 61, 90, 91], "4 windows"),
+            // The last tap's last lane on the image's last byte (159 + 40).
+            (&image, stride(152, 1), "run"),
+            (&image, vec![159], "1 window"),
+            (&image, stride(131, 4), "2 windows"),
+            (&image, stride(0, 20), "gather"),
+            (&image, vec![5, 3], "gather"),
+            // Windows moved back to the image's first byte.
+            (&image[..56], vec![14, 15], "1 window"),
+            (&image[..56], vec![3, 10, 15], "1 window"),
+        ];
+        for (padded, lanes, walk) in &cases {
+            let got = match PanelWalk::of(lanes, last, padded.len()) {
+                PanelWalk::Run(_) => "run".to_string(),
+                PanelWalk::Windows { count: 1, .. } => "1 window".to_string(),
+                PanelWalk::Windows { count, .. } => format!("{count} windows"),
+                PanelWalk::Gather => "gather".to_string(),
+            };
+            assert_eq!(&got, walk, "lanes {lanes:?}");
+            for path in available_paths() {
+                let mut block = vec![77i8; 8 * PANEL];
+                lower_quad_panels_with(path, padded, QuadTaps::new(&taps), lanes, 0, &mut block);
+                for (at, &got) in block.iter().enumerate() {
+                    let (r, j) = (
+                        at / (QUAD * PANEL) * QUAD + at % QUAD,
+                        at % (QUAD * PANEL) / QUAD,
+                    );
+                    let want = match (taps.get(r), lanes.get(j)) {
+                        (Some(&t), Some(&s)) => padded[t as usize + s],
+                        _ => 0,
+                    };
+                    assert_eq!(got, want, "{} {lanes:?} byte {at}", path.name());
+                }
+            }
+        }
+        // An image too short for one window past the last tap gathers.
+        assert!(matches!(PanelWalk::of(&[5], 40, 50), PanelWalk::Gather));
+    }
+
+    /// Whole panels of one run at strides 1 to 5, against each panel's
+    /// definition on every path: runs that end well inside the image,
+    /// and runs whose last panels end on its last byte at the last tap
+    /// (walked one by one past the first panel's moved loads).
+    #[test]
+    fn quad_run_matches_the_definition_on_all_paths() {
+        let image: Vec<i8> = (0..400).map(|i| det_i8(i, 253) | 1).collect();
+        let taps: [u32; 6] = [0, 1, 2, 30, 31, 32];
+        let (last, kp) = (32, 8);
+        for stride in 1..=5 {
+            for panels in 1..=4 {
+                let span = stride * (PANEL * panels - 1) + 1;
+                for src in [0, 17, image.len() - last - span] {
+                    for path in available_paths() {
+                        let mut blocks = vec![77i8; panels * kp * PANEL];
+                        let taps = QuadTaps::new(&taps);
+                        let lanes: Vec<usize> = (0..PANEL).map(|j| src + stride * j).collect();
+                        let step = PANEL * stride;
+                        lower_quad_panels_with(path, &image, taps, &lanes, step, &mut blocks);
+                        for (at, &got) in blocks.iter().enumerate() {
+                            let (p, rest) = (at / (kp * PANEL), at % (kp * PANEL));
+                            let (r, j) = (
+                                rest / (QUAD * PANEL) * QUAD + rest % QUAD,
+                                rest % (QUAD * PANEL) / QUAD,
+                            );
+                            let want = taps
+                                .at
+                                .get(r)
+                                .map_or(0, |&t| image[t as usize + src + stride * (PANEL * p + j)]);
+                            let what =
+                                format!("{} stride {stride} src {src} byte {at}", path.name());
+                            assert_eq!(got, want, "{what}");
+                        }
+                    }
                 }
             }
         }

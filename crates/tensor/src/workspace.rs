@@ -17,9 +17,10 @@
 //! any shape, so scratch grows with the largest layer, not the layer
 //! count. The same workspace carries the [`Team`] that thread may split
 //! a kernel across; each helper of the team keeps a workspace of its
-//! own. An f32 lowering split across the team uses none of the
-//! helpers': its pieces read the caller's padded image and write their
-//! own panels of the caller's patch matrix.
+//! own. A lowering split across the team (f32 panels or int8 quad
+//! panels) uses none of the helpers': its pieces read the caller's
+//! padded image and write their own panels of the caller's patch
+//! matrix.
 
 use crate::dense::Matrix;
 use crate::quant::AlignedI8;
@@ -65,9 +66,6 @@ pub struct Workspace {
     /// bytes of the padded f32 planes, where the f32 `cols` detour it
     /// replaced held `kh*kw` times more.
     pub qimage: Vec<i8>,
-    /// The four patch rows [`crate::Lowering::quads_into`] has in
-    /// flight (`4 × oh*ow` rounded up to whole panels).
-    pub qlines: Vec<i8>,
     /// The helpers a kernel called with this workspace may split its
     /// work across ([`crate::team`]); `None` runs every kernel
     /// inline on the calling thread. A helper's own workspace never has
@@ -90,7 +88,6 @@ impl Workspace {
             * std::mem::size_of::<f32>()
             + self.qbuf.capacity()
             + self.qimage.capacity()
-            + self.qlines.capacity()
             + self.team.as_ref().map_or(0, Team::scratch_bytes)
     }
 }

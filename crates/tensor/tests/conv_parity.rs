@@ -292,10 +292,8 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                         ] {
                             let form = ConvWeights::DenseI8 { bands, act_scale };
                             ws.qbuf.resize_for_overwrite(8192).fill(77);
-                            for slot in [&mut ws.qimage, &mut ws.qlines] {
-                                slot.clear();
-                                slot.resize(8192, 77);
-                            }
+                            ws.qimage.clear();
+                            ws.qimage.resize(8192, 77);
                             out.as_mut_slice().fill(f32::NAN);
                             conv2d(&x, form, bias, relu, &params, &mut ws, &mut out).unwrap();
                             let (_, _, oh, ow) = out.shape();
