@@ -19,7 +19,7 @@ use cap_cnn::layer::{ConvLayer, SPARSE_THRESHOLD};
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
-    conv2d, im2col, im2col_packed_prealloc, pack_b_i8_into, symmetric_scale, Conv2dParams,
+    conv2d, im2col, im2col_packed_prealloc, pack_b_i8_into, symmetric_scale, team, Conv2dParams,
     ConvWeights, Lowering, Matrix, Team, Tensor4, Workspace,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -231,6 +231,36 @@ fn fastest(
     best
 }
 
+/// The CPU the calling thread last ran on: field 39 of
+/// `/proc/thread-self/stat` (counted past the parenthesised name, which
+/// may hold spaces).
+fn this_cpu() -> Option<usize> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    let fields = &stat[stat.rfind(')')? + 1..];
+    fields.split_whitespace().nth(36)?.parse().ok()
+}
+
+/// Where `team`'s helper runs against its caller: one two-piece job
+/// whose pieces record their CPUs. A helper on the caller's CPU turns
+/// every split into a time-slice handoff, which is what a 2-worker arm
+/// no faster than its 1-worker one usually means.
+fn helper_placement(team: &mut Team) -> String {
+    let mut cpus = [None; 2];
+    let probe = team::run_pieces(team, 2, &mut cpus, 1, &|_, piece| {
+        piece[0] = this_cpu();
+        Ok(())
+    });
+    match (probe, cpus) {
+        (Ok(()), [Some(caller), Some(helper)]) if caller == helper => {
+            format!("helper on the caller's CPU ({caller})")
+        }
+        (Ok(()), [Some(caller), Some(helper)]) => {
+            format!("helper on CPU {helper}, caller on {caller}")
+        }
+        _ => "helper placement unknown".to_string(),
+    }
+}
+
 /// The lowering stage of every batch-1 conv shape of Caffenet (conv1–5,
 /// one group each) and of Googlenet's stem (conv1, conv2-reduce,
 /// conv2-3x3) and inception 3a / 4a / 5a (the 1×1 pack, the 3×3 and
@@ -241,7 +271,8 @@ fn fastest(
 /// the int8 arm quantizes into the padded layout and writes the quad
 /// panels ([`Lowering::quads_into`]) the same two ways, compared with
 /// the f32 patch matrix packed by [`pack_b_i8_into`] and with each
-/// other, and times the quantize alone beside it. Ends with one
+/// other, and times the quantize alone beside it. Each f32 line says
+/// whether the team's helper ran on its caller's CPU. Ends with one
 /// `lowering:` line — min / max GB/s of the one-thread arms (the f32
 /// image read plus the packed `B` written, from the fastest call) and
 /// min / max of the f32 and of the int8 2-worker speed-up — for the CI
@@ -302,7 +333,10 @@ fn bench_lowering(c: &mut Criterion) {
             );
             let gbs = rate(one, 4 * packed[0].len());
             let speedup = one.as_secs_f64() / two.as_secs_f64();
-            println!("lowering/{name}/f32: {gbs:.1} GB/s, 2w/1w {speedup:.2}x");
+            println!(
+                "lowering/{name}/f32: {gbs:.1} GB/s, 2w/1w {speedup:.2}x, {}",
+                helper_placement(&mut team)
+            );
             rates.push((gbs, format!("{name}/f32")));
             speedups.push((speedup, format!("{name}/f32")));
         }

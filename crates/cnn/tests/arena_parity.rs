@@ -169,8 +169,9 @@ fn empty_network_copies_input() {
 
 #[test]
 fn set_weights_keeps_matrix_weights_in_sync() {
-    // InnerProduct packs its transpose; `weights()` must still expose the
-    // raw matrix given to `set_weights`.
+    // InnerProduct derives forms from its weights (a narrowed copy, an
+    // int8 pack); `weights()` must still expose the raw matrix given to
+    // `set_weights`.
     let mut fc = InnerProductLayer::new(
         "fc",
         Matrix::from_fn(3, 4, |r, c| (r + c) as f32),

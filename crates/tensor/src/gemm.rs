@@ -1,5 +1,5 @@
-//! Dense GEMM: the packed driver every conv, fully-connected layer and
-//! training pass runs on.
+//! Dense GEMM: the packed driver every conv, batched fully-connected
+//! layer and training pass runs on.
 //!
 //! `C = A * B` with `A: m×k`, `B: k×n`, `C: m×n`. [`gemm_packed`] walks
 //! a panel-packed `B` ([`PackedB`]) in L2-sized column strips with a
@@ -9,11 +9,17 @@
 //! thread, one row band of `C` after another. A caller with a worker
 //! [`crate::Team`] cuts one multiply across threads *around* this
 //! function, not inside it: rows of `A` ([`crate::team::split_rows`],
-//! a conv's filters) or panel-aligned
+//! a conv's filters, a batched fc's rows of `W`) or panel-aligned
 //! column ranges of an fc multiply ([`crate::team::split_columns`]),
 //! each piece one `gemm_packed` call on a sub-range — so every output
 //! element keeps its single ascending-`kk` chain and the bits do not
 //! depend on the team.
+//!
+//! A fully-connected layer keeps no packed copy of its weights: at
+//! batch 1 it multiplies its row-major `W` in place with the row GEMV
+//! ([`crate::kernels::gemv_rows_with`]), and at larger batches it runs
+//! [`gemm_packed`] with `A = W` and `B = Xᵀ`, the small input packed
+//! into the workspace by [`pack_transposed_into`].
 
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
@@ -83,34 +89,6 @@ impl PackedB {
         Self { k, n, data }
     }
 
-    /// Pack `wᵀ` restricted to `w`'s column ranges `cols`, reading `w`
-    /// (`n × _`) in place: byte for byte `pack` of the transpose of the
-    /// matrix made of those columns side by side — depth `k` their
-    /// total length — without materialising it (for Caffenet fc6 the
-    /// full transpose is 151 MB). The one range `0..w.cols()` packs all
-    /// of `wᵀ`; a narrowed fc layer passes its live input features.
-    /// Panel `p` is rows `p*PANEL..` of `w`: lane `j` of depth `kk` is
-    /// live element `kk` of row `p*PANEL + j`; the last panel's lanes
-    /// past `n` stay zero.
-    ///
-    /// # Panics
-    /// If a range reaches past `w`'s columns.
-    pub fn pack_transposed(w: &Matrix, cols: &[Range<usize>]) -> Self {
-        let n = w.rows();
-        let k: usize = cols.iter().map(Range::len).sum();
-        let mut data = vec![0.0f32; n.div_ceil(PANEL) * k * PANEL];
-        for (p, panel) in data.chunks_exact_mut((k * PANEL).max(1)).enumerate() {
-            for j in 0..PANEL.min(n - p * PANEL) {
-                let row = w.row(p * PANEL + j);
-                let live = cols.iter().flat_map(|range| &row[range.clone()]);
-                for (lanes, &v) in panel.chunks_exact_mut(PANEL).zip(live) {
-                    lanes[j] = v;
-                }
-            }
-        }
-        Self { k, n, data }
-    }
-
     /// Logical `(k, n)` shape of the packed matrix.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
@@ -121,6 +99,44 @@ impl PackedB {
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+}
+
+/// Pack the transpose of the row-major `x` (rows `stride` long),
+/// restricted to the column ranges `cols`, into `dst` as
+/// [`gemm_packed`]'s `B`: depth `k` the ranges' total length, one
+/// column per row of `x` — byte for byte [`PackedB::pack`] of the
+/// transpose of the matrix made of those columns side by side, without
+/// materialising it. Panel `p` is rows `p*PANEL..` of `x`: lane `j` of
+/// depth `kk` is live element `kk` of row `p*PANEL + j`; the last
+/// panel's lanes past the rows stay zero. A batched fully-connected
+/// layer packs its input `Xᵀ` this way (the one range `0..stride`, or
+/// its live input features) to multiply its row-major `W` in place.
+///
+/// # Panics
+/// If `x` is not whole rows of `stride`, or a range reaches past them.
+pub fn pack_transposed_into(x: &[f32], stride: usize, cols: &[Range<usize>], dst: &mut Matrix) {
+    let rows = x.len().checked_div(stride).unwrap_or(0);
+    assert_eq!(
+        rows * stride,
+        x.len(),
+        "pack_transposed_into: not whole rows"
+    );
+    let k: usize = cols.iter().map(Range::len).sum();
+    let panels = rows.div_ceil(PANEL);
+    dst.resize(panels, k * PANEL);
+    for (p, panel) in dst
+        .as_mut_slice()
+        .chunks_exact_mut((k * PANEL).max(1))
+        .enumerate()
+    {
+        for j in 0..PANEL.min(rows - p * PANEL) {
+            let row = &x[(p * PANEL + j) * stride..(p * PANEL + j + 1) * stride];
+            let live = cols.iter().flat_map(|range| &row[range.clone()]);
+            for (lanes, &v) in panel.chunks_exact_mut(PANEL).zip(live) {
+                lanes[j] = v;
+            }
+        }
     }
 }
 
@@ -488,6 +504,36 @@ mod tests {
             "c was written before the check"
         );
         std::panic::resume_unwind(outcome.expect_err("a short bias must panic"));
+    }
+
+    #[test]
+    fn pack_transposed_into_is_pack_of_the_transpose() {
+        // Ragged and degenerate shapes, every column and a subset
+        // (columns 1..3 and 5..k of each row).
+        for (rows, k) in [(1, 1), (8, 5), (13, 7), (16, 1), (37, 29), (5, 0), (0, 5)] {
+            let x = mat(rows, k, (rows + 2 * k) as u64);
+            let mut dst = Matrix::full(3, 3, f32::NAN);
+            let every = 0..k;
+            let some = [1.min(k)..3.min(k), 5.min(k)..k];
+            for cols in [std::slice::from_ref(&every), &some[..]] {
+                pack_transposed_into(x.as_slice(), k.max(1), cols, &mut dst);
+                let narrowed = Matrix::from_fn(rows, cols.iter().map(Range::len).sum(), |r, c| {
+                    let row = x.row(r);
+                    *cols
+                        .iter()
+                        .flat_map(|range| &row[range.clone()])
+                        .nth(c)
+                        .unwrap()
+                });
+                let want = PackedB::pack(&narrowed.transpose());
+                let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(dst.as_slice()),
+                    bits(want.as_slice()),
+                    "{rows}x{k} {cols:?}"
+                );
+            }
+        }
     }
 
     #[test]

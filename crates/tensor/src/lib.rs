@@ -71,7 +71,9 @@ pub mod workspace;
 pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
-pub use gemm::{gemm, gemm_packed, gemm_packed_with, gemm_prepacked, PackedB};
+pub use gemm::{
+    gemm, gemm_packed, gemm_packed_with, gemm_prepacked, pack_transposed_into, PackedB,
+};
 pub use im2col::{col2im, im2col, im2col_packed_prealloc, Lowering};
 pub use kernels::{EpiBias, Epilogue, F32Tile, KernelPath};
 pub use pool::{

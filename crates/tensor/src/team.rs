@@ -9,8 +9,10 @@
 //! pieces of [`run_pieces`]). In a pass it runs the parts of one
 //! kernel: an output slice cut into contiguous pieces of whole units,
 //! one closure call per piece, piece 0 on the caller. [`split_rows`]
-//! cuts a multiply by rows of `A`, [`split_columns`] an fc multiply by
-//! panel-aligned column ranges, [`crate::Lowering`] the f32 packed `B`
+//! cuts a multiply by rows of `A` (a conv's filters, a batched f32 fc's
+//! rows of `W`), [`split_columns`] an fc multiply by panel-aligned
+//! column ranges (the int8 fc's, and the batch-1 f32 fc's rows of
+//! `W`), [`crate::Lowering`] the f32 packed `B`
 //! it writes by panel ranges (as many parts as the multiply it feeds),
 //! [`crate::conv2d`] cuts its output bands (groups, images) and the
 //! pools and [`crate::lrn_into`] their output planes (images,
@@ -583,9 +585,9 @@ pub fn worth_a_team(threads: usize, macs: u64) -> bool {
     part_count(threads, macs, usize::MAX, MIN_PART_MACS) > 1
 }
 
-/// Columns of one batch-1 GEMV step: the f32 and int8 GEMV kernels
-/// walk four panels at a time, so a column piece made of whole steps
-/// keeps every piece on the kernels' four-panel body.
+/// Columns of one batch-1 GEMV step: the int8 GEMV walks four panels
+/// at a time and the f32 row GEMV blocks of 16 rows, so a column piece
+/// made of whole steps keeps every piece on the kernels' main bodies.
 const GEMV_STEP: usize = 4 * PANEL;
 
 /// A multiply over a range of output rows (or columns) into the
@@ -628,11 +630,11 @@ pub(crate) fn row_parts(team: Option<&Team>, depth: usize, n: usize, len: usize)
 /// one row, `out[cols]` itself; for more, a block of `stage` (resized;
 /// the blocks of the parts one after the other), copied into `out`'s
 /// columns once every part is done. `cols.start` is a whole number of
-/// panels, so the caller's `B` for it is the packed `B` from panel
-/// `cols.start / PANEL` on — `&b[cols.start * depth..]` for f32 panels,
-/// `&b[cols.start * kp..]` for int8 ones — with its epilogue
-/// [offset](crate::Epilogue::offset) by `cols.start` columns. Columns
-/// are independent sums, so the cut changes no bit.
+/// panels, so the caller's packed `B` for it starts at panel
+/// `cols.start / PANEL` — `&b[cols.start * kp..]` for an int8 fc's
+/// `Wᵀ` — with its epilogue [offset](crate::Epilogue::offset) by
+/// `cols.start` columns; a batch-1 f32 fc's columns are rows `cols` of
+/// its `W`. Columns are independent sums, so the cut changes no bit.
 pub fn split_columns(
     team: Option<&mut Team>,
     depth: usize,

@@ -40,8 +40,9 @@ pub struct Workspace {
     /// features.
     pub cols: Matrix,
     /// The dense convolution's panel-packed patch matrix, shaped by
-    /// [`crate::Lowering::panels_into`], or the Winograd form's 16
-    /// panel-packed transformed input tiles `V`.
+    /// [`crate::Lowering::panels_into`], the Winograd form's 16
+    /// panel-packed transformed input tiles `V`, or a batched f32 fc's
+    /// packed input `Xᵀ` ([`crate::pack_transposed_into`]).
     pub packed: Matrix,
     /// Quantized-operand bytes, resized and fully rewritten by whoever
     /// fills it: the fc layers' activation rows
@@ -56,9 +57,10 @@ pub struct Workspace {
     /// `pad` is 0, where the input is read in place. The Winograd form
     /// pads into it too, to whole 4×4 tile windows. Also the AVX2 max
     /// pool's one `-inf`-padded input plane
-    /// ([`crate::kernels::max_pool_planes_with`]), and a batched dense
-    /// fc's column blocks when it splits by columns
-    /// ([`crate::team::split_columns`]).
+    /// ([`crate::kernels::max_pool_planes_with`]), a batched int8 fc's
+    /// column blocks when it splits by columns
+    /// ([`crate::team::split_columns`]), and a batched f32 fc's
+    /// `out × batch` result before it is transposed into the output.
     pub padded: Vec<f32>,
     /// The int8 convolution's input channels of one group, quantized
     /// once, straight into their padded layout

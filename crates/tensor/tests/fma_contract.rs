@@ -14,7 +14,9 @@
 //! an exact zero. Each entry is driven through its public caller on
 //! every available path, the packed GEMM once more on every f32 tile
 //! the host has, and once through the plain (non-FMA-compiled) scalar
-//! build, at widths that reach both the SIMD body and its scalar tail.
+//! build, at widths that reach both the SIMD body and its scalar tail;
+//! the row GEMV, which reads `A`'s rows as `W`, on every tile and in
+//! the plain scalar build.
 
 use cap_tensor::kernels::{self, scalar, Epilogue, PANEL};
 use cap_tensor::{gemm_packed, gemm_packed_with, CsrMatrix, F32Tile, Matrix, PackedB};
@@ -109,6 +111,32 @@ fn every_multiply_accumulate_entry_fuses_on_every_path() {
         }
     }
     kernels::force(None);
+}
+
+/// The row GEMV multiplies `W` (rows of `a`) by `x` (a column of `b`)
+/// in place: the same chain per output, at depth 4 (a partial step
+/// only) and 20 (one 16-deep step holding the deciding FMA, then a
+/// partial one: the tail is exact zeros of `W` against 3s), on row
+/// counts that reach the 8- and 16-row blocks and their tails.
+#[test]
+fn the_row_gemv_fuses_on_every_tile() {
+    for depth in [K, K + 16] {
+        let x: Vec<f32> = (0..depth)
+            .map(|kk| if kk < K { b(1).get(kk, 0) } else { 3.0 })
+            .collect();
+        for m in [1, 5, 17, 33] {
+            let w = Matrix::from_fn(m, depth, |r, c| if c < K { a(m).get(r, c) } else { 0.0 });
+            for tile in F32Tile::available() {
+                let mut y = vec![f32::NAN; m];
+                kernels::gemv_rows_with(tile, w.as_slice(), &x, &mut y, Epilogue::NONE);
+                let what = format!("gemv_rows_with tile {} at {m}x{depth}", tile.name());
+                assert_fused(&y, &what);
+            }
+            let mut y = vec![f32::NAN; m];
+            scalar::gemv_rows(w.as_slice(), &x, &mut y, Epilogue::NONE);
+            assert_fused(&y, &format!("scalar::gemv_rows at {m}x{depth}"));
+        }
+    }
 }
 
 #[test]

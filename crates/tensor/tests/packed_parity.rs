@@ -2,8 +2,10 @@
 //! the naive triple loop `reference::gemm_naive` (one ascending-`kk`
 //! FMA chain per element), on every kernel path and f32 tile, across
 //! randomized shapes and contents and across the column-strip
-//! boundaries of its loop nest. (The convolution driver built on it is
-//! pinned by `conv_parity.rs`.)
+//! boundaries of its loop nest; and so must the row GEMV
+//! `kernels::gemv_rows_with`, which multiplies a row-major `W` in place.
+//! (The convolution driver built on the packed GEMM is pinned by
+//! `conv_parity.rs`.)
 //!
 //! `kernels::force` is process-global, so every test here serializes
 //! on one mutex.
@@ -115,31 +117,6 @@ fn strip_boundaries_match_the_naive_gemm_on_every_path() {
     }
 }
 
-/// `PackedB::pack_transposed` over the one range `0..k` is
-/// `PackedB::pack(&w.transpose())` bit for bit — shape, panels and
-/// zeroed tail lanes — on ragged and degenerate shapes (`w` is `n × k`;
-/// a panel is 8 columns of `wᵀ`).
-#[test]
-fn pack_transposed_is_pack_of_the_transpose() {
-    for (n, k) in [
-        (1, 1),
-        (8, 5),
-        (13, 7),
-        (16, 1),
-        (37, 29),
-        (5, 0),
-        (0, 5),
-        (0, 0),
-    ] {
-        let w = matrix(n, k, n + 2 * k, 3);
-        let got = PackedB::pack_transposed(&w, std::slice::from_ref(&(0..k)));
-        let want = PackedB::pack(&w.transpose());
-        assert_eq!(got.shape(), want.shape(), "{n}x{k}");
-        let bits = |p: &PackedB| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want), "{n}x{k}");
-    }
-}
-
 proptest! {
     /// `gemm()` and the prepacked GEMM ≡ the naive triple loop, bitwise,
     /// on every kernel path and f32 tile: the accumulation order is
@@ -174,6 +151,51 @@ proptest! {
             let (a, b) = (a.as_slice(), packed.as_slice());
             gemm_packed_with(tile, a, m, k, n, b, &mut got, Epilogue::NONE).unwrap();
             prop_assert_eq!(&expect, &bits(&got));
+        }
+    }
+
+    /// The row GEMV `y = epi(W · x)`, `W` read in place, ≡ the naive
+    /// `x · Wᵀ` followed by separate bias and ReLU passes and ≡ its
+    /// scalar oracle, bitwise on every f32 tile: row counts on and off
+    /// the 8- and 16-row blocks, depths on and off the 8- and 16-deep
+    /// steps (0 included: the output is the epilogue of `+0.0`), every
+    /// epilogue, written through a NaN-filled `y`.
+    #[test]
+    fn row_gemv_matches_the_naive_gemm_and_its_oracle(
+        m in 1usize..70,
+        k in 0usize..80,
+        seed in 0usize..1000,
+        zero_every in 0usize..4,
+        epi_kind in 0usize..4,
+    ) {
+        let w = matrix(m, k, seed, zero_every);
+        let x = matrix(1, k, seed + 5, 0);
+        let bias: Vec<f32> = (0..m).map(|r| r as f32 * 0.375 - 4.0).collect();
+        let epi = match epi_kind {
+            0 => Epilogue::NONE,
+            1 => Epilogue { bias: Some(EpiBias::PerRow(&bias)), relu: false },
+            2 => Epilogue { bias: Some(EpiBias::PerRow(&bias)), relu: true },
+            _ => Epilogue { bias: None, relu: true },
+        };
+        let plain = gemm_naive(&x, &w.transpose()).unwrap();
+        let want: Vec<u32> = (0..m)
+            .map(|r| {
+                let (mut v, bias) = (plain.get(0, r), epi.bias.map(|_| bias[r]));
+                if let Some(b) = bias {
+                    v += b;
+                }
+                if !epi.relu || v > 0.0 { v } else { 0.0 }
+            })
+            .map(f32::to_bits)
+            .collect();
+        let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut oracle = vec![f32::NAN; m];
+        kernels::scalar::gemv_rows(w.as_slice(), x.as_slice(), &mut oracle, epi);
+        prop_assert_eq!(&want, &bits(&oracle));
+        for tile in F32Tile::available() {
+            let mut y = vec![f32::NAN; m];
+            kernels::gemv_rows_with(tile, w.as_slice(), x.as_slice(), &mut y, epi);
+            prop_assert_eq!(&want, &bits(&y), "tile {}", tile.name());
         }
     }
 }
