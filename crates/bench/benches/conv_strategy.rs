@@ -15,7 +15,7 @@
 //! `WINOGRAD_MIN_CHANNELS` / `WINOGRAD_MIN_MAP` are set from (table in
 //! EXPERIMENTS.md "PR 36").
 
-use cap_cnn::layer::{ConvLayer, SPARSE_THRESHOLD};
+use cap_cnn::layer::{ConvLayer, Layer, SPARSE_THRESHOLD};
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
@@ -42,12 +42,15 @@ fn scattered(rows: usize, cols: usize, zero_pct: f64) -> Matrix {
 
 /// One Caffenet conv layer at batch 1 through `conv2d`: dense, the
 /// Winograd form where `ConvLayer` runs it, CSR at rising unstructured
-/// sparsity, and both forms filter pruning can run on (every second
-/// filter zeroed). Ends with one `conv_form:` line — the time of the
-/// form `ConvLayer` runs below `SPARSE_THRESHOLD` (`dense` im2col or
-/// `winograd`) over the CSR time at each sparsity (above 1: CSR is
-/// faster), and the lowest sparsity from which CSR stays faster — for
-/// the CI job summary, next to the threshold.
+/// sparsity, and filter pruning (every second filter zeroed) as CSR and
+/// as two `ConvLayer`s — the un-narrowed one, which multiplies its zero
+/// filters in whichever form it picks, and the narrowed one, the same
+/// layer with those filters removed (`Network::narrow`). Ends with one
+/// `conv_form:` line — the time of the form `ConvLayer` runs below
+/// `SPARSE_THRESHOLD` (`dense` im2col or `winograd`) over the CSR time
+/// at each sparsity (above 1: CSR is faster), the lowest sparsity from
+/// which CSR stays faster — for the CI job summary, next to the
+/// threshold — and the un-narrowed layer's time over the narrowed one's.
 fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
     let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
         ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
@@ -84,11 +87,33 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
     }
     let csr = ConvWeights::csr_bands(&half_rows, &params).unwrap();
     run(BenchmarkId::new("csr_rows", 50), ConvWeights::Csr(&csr));
-    let kept = ConvWeights::kept_row_bands(&half_rows, &params, &[]).unwrap();
-    run(
-        BenchmarkId::new("dense_rows", 50),
-        ConvWeights::DenseRows(&kept),
-    );
+    let mut narrowed = half_rows.clone();
+    narrowed.retain(|r| r % 2 == 0, |_| true);
+    let narrowed_params = Conv2dParams {
+        out_channels: narrowed.rows(),
+        ..params
+    };
+    let half_bias: Vec<f32> = bias.iter().step_by(2).copied().collect();
+    let layers = [
+        (
+            "unnarrowed",
+            ConvLayer::new("un", params, half_rows, bias.clone()),
+        ),
+        (
+            "narrowed",
+            ConvLayer::new("n", narrowed_params, narrowed, half_bias),
+        ),
+    ];
+    let mut layer_times = Vec::new();
+    for (id, layer) in layers {
+        let layer = layer.unwrap();
+        let id = format!("layer_{id}_{}", layer.form_name((hw, hw)));
+        layer_times.push(fastest(&mut group, BenchmarkId::new(id, 50), || {
+            layer
+                .forward_into_fused(&[&input], &mut ws, &mut out)
+                .unwrap()
+        }));
+    }
     group.finish();
     if below_time != Duration::MAX && !ratios.is_empty() {
         let cells: Vec<String> = ratios
@@ -100,8 +125,9 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
             .rposition(|&(_, r)| r < 1.0)
             .map_or(Some(0), |i| (i + 1 < ratios.len()).then_some(i + 1));
         let crossover = from.map_or("none measured".into(), |i| format!("{:.0}%", ratios[i].0));
+        let narrowing = layer_times[0].as_secs_f64() / layer_times[1].as_secs_f64();
         println!(
-            "conv_form: {below}/csr on {name} b1, {}; csr faster from {crossover} (SPARSE_THRESHOLD {:.0}%) on {}",
+            "conv_form: {below}/csr on {name} b1, {}; csr faster from {crossover} (SPARSE_THRESHOLD {:.0}%); un-narrowed/narrowed at 50% filters {narrowing:.2}x on {}",
             cells.join(", "),
             SPARSE_THRESHOLD * 100.0,
             kernels::selected().name()
@@ -139,7 +165,7 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
     let (mut q_padded, mut q_packed) = (Vec::new(), Vec::new());
     group.bench_function("lower_i8", |b| {
         b.iter(|| {
-            let q_padded = lo.padded(q_group, None, &mut q_padded).unwrap();
+            let q_padded = lo.padded(q_group, &mut q_padded).unwrap();
             lo.quads_into(None, 1, q_padded, &mut q_packed).unwrap()
         })
     });
@@ -155,7 +181,7 @@ fn bench_conv_forms_i8(c: &mut Criterion, name: &str, params: Conv2dParams, hw: 
     run(BenchmarkId::new("dense_f32", 0), ConvWeights::Dense(&dense));
     for zero_pct in [0.0, 60.0, 70.0, 80.0, 85.0, 90.0, 92.5, 95.0, 97.5] {
         let w = scattered(rows, cols, zero_pct);
-        let bands = ConvWeights::i8_bands(&w, &params, &[]).unwrap();
+        let bands = ConvWeights::i8_bands(&w, &params).unwrap();
         run(
             BenchmarkId::new("dense_i8", zero_pct),
             ConvWeights::DenseI8 {
@@ -316,7 +342,7 @@ fn bench_lowering(c: &mut Criterion) {
         let mut packed = [Matrix::zeros(0, 0), Matrix::zeros(0, 0)];
         let mut f32_arm = |i: usize, team: Option<&mut Team>| {
             let parts = if team.is_some() { 2 } else { 1 };
-            let padded = lo.padded(&image, None, &mut padded[i]).unwrap();
+            let padded = lo.padded(&image, &mut padded[i]).unwrap();
             lo.panels_into(team, parts, padded, &mut packed[i]).unwrap()
         };
         let one = fastest(&mut group, BenchmarkId::new(name, "f32_1w"), || {
@@ -346,7 +372,7 @@ fn bench_lowering(c: &mut Criterion) {
         let mut q_packed = [Vec::new(), Vec::new()];
         let mut i8_arm = |i: usize, team: Option<&mut Team>| {
             let parts = if team.is_some() { 2 } else { 1 };
-            lo.quantize_padded(&image, None, inv_scale, &mut q_padded[i])
+            lo.quantize_padded(&image, inv_scale, &mut q_padded[i])
                 .unwrap();
             lo.quads_into(team, parts, &q_padded[i], &mut q_packed[i])
                 .unwrap();
@@ -359,8 +385,7 @@ fn bench_lowering(c: &mut Criterion) {
         });
         let mut q_image = Vec::new();
         let quantize = fastest(&mut group, BenchmarkId::new(name, "i8_quantize"), || {
-            lo.quantize_padded(&image, None, inv_scale, &mut q_image)
-                .unwrap()
+            lo.quantize_padded(&image, inv_scale, &mut q_image).unwrap()
         });
         if one < Duration::MAX && two < Duration::MAX {
             let cols = im2col(&image, ch, hw, hw, k, k, pad, stride).unwrap();

@@ -158,6 +158,19 @@ pub fn profile_caffenet_with_trace() -> (String, Vec<SpanRecord>) {
         PASSES
     )
     .unwrap();
+    // What each version is once pruning has narrowed it: parameters
+    // held and multiply-accumulates per image.
+    for (label, net) in [("dense", &dense), ("pruned-60 (narrowed)", &pruned)] {
+        let macs = net.macs_per_image().expect("shapes were checked at build");
+        writeln!(
+            out,
+            "version {label}: {:.2} M parameters, {:.1} M MACs per image",
+            net.param_count() as f64 / 1e6,
+            macs as f64 / 1e6
+        )
+        .unwrap();
+    }
+    out.push('\n');
     out.push_str(&report0.to_text_table());
     out.push('\n');
     out.push_str(&report60.to_text_table());

@@ -142,7 +142,7 @@ pub fn quantize_ablation() -> String {
         ((c * 13 + h * 7 + w * 3) % 41) as f32 / 20.5 - 1.0
     });
     let weights = deterministic_matrix(256, params.col_rows(), 3);
-    let bands = ConvWeights::i8_bands(&weights, &params, &[]).expect("conv2 weight shape");
+    let bands = ConvWeights::i8_bands(&weights, &params).expect("conv2 weight shape");
     let int8_form = ConvWeights::DenseI8 {
         bands: &bands,
         act_scale: symmetric_scale(input.as_slice()),

@@ -23,11 +23,17 @@
 //! it moves only when some output bit is meant to. The tenth row runs
 //! int8 convs at 97.5 % zeros, past where an int8 CSR walk would beat
 //! the dense int8 GEMM: dense and CSR sum the same exact integer
-//! products, so the row holds whichever form runs. The two after it —
-//! Googlenet with every conv filter-pruned at 50 %, and knee-pruned
-//! Caffenet under int8 — were recorded while every layer still
-//! multiplied its input's dead channels (the maps of pruned filters):
-//! skipping them drops only `w·(+0)` terms, so the rows hold either way.
+//! products, so the row holds whichever form runs. The filter-pruned
+//! rows (Caffenet at its knees, Googlenet with every conv at 50 %, and
+//! knee-pruned Caffenet under int8) run narrowed networks
+//! (`Network::narrow`, which `apply_to_network` runs after L1 filter
+//! pruning): narrowing drops only `w·(+0)` terms, so it moves no bit
+//! (`crates/cnn/tests/narrowing.rs` holds each against the full-width
+//! net). They were recorded once the pruned 3×3s ran Winograd like the
+//! dense ones — before, a filter-pruned conv ran im2col over its kept
+//! rows; with every 3×3 on im2col they read the rows recorded before
+//! narrowing, the int8 one included (its activation scales come from an
+//! f32 calibration pass through those convs).
 //! The last, Googlenet under int8, was recorded while the int8 lowering
 //! still gathered whole patch rows before interleaving them into quads;
 //! it runs the int8 quad lowering on a stride-2 stem, 1×1 convs whose
@@ -52,8 +58,8 @@ const INIT: WeightInit = WeightInit::Xavier { seed: 7 };
 const TABLE: [(&str, u64); 13] = [
     ("caffenet f32 b1", 0x9df2_c673_1530_ed70),
     ("caffenet f32 b8", 0xcc35_e0b2_f313_f2ad),
-    ("caffenet filter-l1 knees b1", 0x5545_2bd0_610a_0770),
-    ("caffenet filter-l1 knees b8", 0xc563_bdfe_04e4_9d5e),
+    ("caffenet filter-l1 knees b1", 0xe350_f8f1_533f_6014),
+    ("caffenet filter-l1 knees b8", 0x736f_786f_5ee9_1af1),
     ("caffenet csr b1", 0x4801_39f4_f2bc_6ca2),
     ("caffenet csr b8", 0x09ca_2d9b_4c23_2425),
     ("caffenet int8 b8", 0xff2b_d266_138e_069f),
@@ -62,9 +68,9 @@ const TABLE: [(&str, u64); 13] = [
     ("caffenet int8 97.5% zeros b8", 0x962a_9877_5408_fdcb),
     (
         "googlenet filter-l1 50% every conv b1",
-        0xf7f0_efe4_52a1_0777,
+        0xe804_f742_0945_734f,
     ),
-    ("caffenet filter-l1 knees int8 b8", 0x26ed_7139_7d4c_7a5f),
+    ("caffenet filter-l1 knees int8 b8", 0x668c_a2ca_7b98_82ce),
     ("googlenet int8 b1", 0xf250_a7ee_b896_59af),
 ];
 

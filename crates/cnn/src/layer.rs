@@ -4,8 +4,10 @@
 //! trainable path lives in [`crate::train`]. A layer consumes one or more
 //! NCHW tensors and produces one. Convolution and inner-product layers
 //! carry weights and support pruning: zeroed weights are detected when
-//! they are set, and a conv layer above a sparsity threshold switches to
-//! CSR sparse kernels — mirroring the sparse-Caffe fork the paper uses.
+//! they are set, a conv layer above a sparsity threshold switches to
+//! CSR sparse kernels — mirroring the sparse-Caffe fork the paper uses —
+//! and a filter-pruned version is narrowed ([`crate::Network::narrow`]):
+//! each layer gives up the channels pruning left at `+0`.
 
 mod concat;
 mod conv;
@@ -144,7 +146,9 @@ pub trait Layer: Send + Sync {
         self.weights().map_or(0, |w| w.len() + w.rows())
     }
 
-    /// Weight matrix, if this layer has one.
+    /// Weight matrix, if this layer keeps its weights as one (a
+    /// narrowed grouped conv whose groups have uneven widths keeps one
+    /// band per group, and has none).
     fn weights(&self) -> Option<&Matrix> {
         None
     }
@@ -163,25 +167,41 @@ pub trait Layer: Send + Sync {
         self.weights().map_or(0.0, |w| w.sparsity(0.0))
     }
 
-    /// The channels of this layer's output that are exactly `+0`
-    /// whatever the network's input (finite activations assumed), given
-    /// those of each input: `dead[i]` lists input `i`'s, ascending, and
-    /// `in_shapes[i]` is its shape. A conv or fc filter that is all
-    /// zero with a zero bias is one; ReLU, pooling, LRN and dropout
-    /// pass their input's through; a concat gathers its inputs'. The
-    /// default, none, is always safe. [`crate::Network`] works these
-    /// out for every node when a layer is added or its weights change.
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
+    /// The output channels this layer's own weights hold at exactly
+    /// `+0` whatever the network's input (finite activations assumed),
+    /// ascending: a conv or fc filter that is all zero with a zero bias,
+    /// every weight of the layer finite. The default, none, is always
+    /// safe. Channels a layer passes on from its inputs are
+    /// [`Layer::channel_use`]'s business.
+    fn dead_outputs(&self) -> Vec<usize> {
         Vec::new()
     }
 
-    /// Tell a layer which channels of its inputs are dead (see
-    /// [`Layer::dead_outputs`]; same arguments), so a conv or fc layer
-    /// multiplies only the live ones — exactly: every term it leaves out
-    /// is a finite weight times `+0`. [`crate::Network`] calls it for
-    /// every node whenever the dead channels may have changed; the
-    /// default ignores it.
-    fn set_dead_inputs(&mut self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) {}
+    /// What this layer does with channel `channel` of its input `input`
+    /// (`in_shapes` its inputs' shapes), which [`crate::Network::narrow`]
+    /// asks of every dead channel: whether the layer can do without it.
+    /// The default keeps every channel.
+    fn channel_use(&self, _input: usize, _channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        ChannelUse::Keep
+    }
+
+    /// Stop reading and producing channels, for a narrowed network
+    /// ([`crate::Network::narrow`]): `gone_in[i]` lists input `i`'s
+    /// channels that are gone (ascending), `in_shapes` the inputs'
+    /// shapes before they went, and `gone_out` this layer's own dead
+    /// outputs ([`Layer::dead_outputs`]) to drop. The network calls it
+    /// only with input channels the layer said it can do without
+    /// ([`Layer::channel_use`]); a layer that passes channels on drops
+    /// them with its input and gets no `gone_out`. The default has
+    /// nothing to drop.
+    fn narrow(
+        &mut self,
+        _in_shapes: &[ChwShape],
+        _gone_in: &[&[usize]],
+        _gone_out: &[usize],
+    ) -> TensorResult<()> {
+        Ok(())
+    }
 
     /// Activation-range calibration hook: observe the tensors this
     /// layer is about to consume and record whatever state the int8
@@ -192,10 +212,21 @@ pub trait Layer: Send + Sync {
     fn observe_input(&self, _inputs: &[&Tensor4], _method: CalibrationMethod) {}
 }
 
-/// [`Layer::dead_outputs`] of a layer that maps `+0` to `+0` channel
-/// by channel: its one input's dead channels.
-fn passed_through(dead: &[&[usize]]) -> Vec<usize> {
-    dead.first().map_or_else(Vec::new, |d| d.to_vec())
+/// What a layer does with one channel of an input ([`Layer::channel_use`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChannelUse {
+    /// The layer needs the channel as it is (a softmax reads every one).
+    Keep,
+    /// The layer multiplies the channel by weights that are all finite,
+    /// so where it is `+0` every term it adds is a signed zero: the
+    /// layer can drop the channel and its weights (a conv's `kh·kw`
+    /// columns of it, an fc's `h·w`).
+    Drop,
+    /// The layer maps `+0` to `+0` and passes the channel on as this
+    /// output channel: ReLU, pooling, dropout, LRN with `k > 0` (in
+    /// place), a concat (at its input's offset). It drops the channel
+    /// when everything downstream can.
+    PassedTo(usize),
 }
 
 /// One scan of a conv or fc weight matrix (a row per output channel),
@@ -204,8 +235,8 @@ fn passed_through(dead: &[&[usize]]) -> Vec<usize> {
 struct WeightScan {
     /// The all-zero rows, ascending.
     zero_rows: Vec<usize>,
-    /// The zeros among the other rows.
-    kept_zeros: usize,
+    /// The zero weights, all-zero rows included.
+    zeros: usize,
     /// Every weight is finite.
     finite: bool,
 }
@@ -228,20 +259,25 @@ impl WeightScan {
     }
 
     fn of(weights: &Matrix) -> Self {
-        let (mut zero_rows, mut kept_zeros, mut finite) = (Vec::new(), 0, true);
-        for r in 0..weights.rows() {
-            let row = weights.row(r);
-            let zeros = row.iter().filter(|&&v| v == 0.0).count();
-            if zeros == row.len() {
+        Self::of_rows((0..weights.rows()).map(|r| weights.row(r)))
+    }
+
+    /// The scan of a weight matrix given row by row (a conv's groups'
+    /// bands one after the other).
+    fn of_rows<'a>(rows: impl Iterator<Item = &'a [f32]>) -> Self {
+        let (mut zero_rows, mut zeros, mut finite) = (Vec::new(), 0, true);
+        for (r, row) in rows.enumerate() {
+            let row_zeros = row.iter().filter(|&&v| v == 0.0).count();
+            zeros += row_zeros;
+            if row_zeros == row.len() {
                 zero_rows.push(r);
             } else {
-                kept_zeros += zeros;
                 finite &= row.iter().all(|v| v.is_finite());
             }
         }
         Self {
             zero_rows,
-            kept_zeros,
+            zeros,
             finite,
         }
     }
@@ -250,14 +286,28 @@ impl WeightScan {
     /// ([`Layer::dead_outputs`]): all zero, with a zero bias, and every
     /// weight of the layer finite. Every form writes such a channel as
     /// `epi(0.0 + 0.0)` — a dense sum of `0·x` starts and stays at `+0`,
-    /// the kept-rows forms drop the row, conv CSR stores an empty one,
-    /// and int8 sums zero integers at a finite weight scale.
+    /// conv CSR stores an empty row, and int8 sums zero integers at a
+    /// finite weight scale.
     fn dead_rows(&self, bias: &[f32]) -> Vec<usize> {
         if !self.finite {
             return Vec::new();
         }
         let zero_bias = |r: &&usize| bias[**r] == 0.0;
         self.zero_rows.iter().filter(zero_bias).copied().collect()
+    }
+}
+
+/// Fraction of zero weights of a layer that holds `nnz` non-zeros among
+/// `len` weights and gave up `pruned` zero weights when it was narrowed
+/// ([`Layer::narrow`]: whole filters that pruning had zeroed, at the
+/// layer's current depth): the sparsity pruning left it with, whether
+/// or not its zero filters are still stored.
+fn sparsity_counting_pruned(nnz: usize, len: usize, pruned: usize) -> f64 {
+    let total = len + pruned;
+    if total == 0 {
+        0.0
+    } else {
+        1.0 - nnz as f64 / total as f64
     }
 }
 

@@ -1,6 +1,6 @@
 //! Channel-dimension concatenation (inception module output).
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{ChannelUse, ChwShape, Layer, LayerKind};
 use cap_tensor::{ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Concatenate any number of same-spatial-shape tensors along channels —
@@ -78,15 +78,9 @@ impl Layer for ConcatLayer {
     }
 
     /// Each input's dead channels, at that input's channel offset.
-    fn dead_outputs(&self, in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
-        let offsets = in_shapes.iter().scan(0, |at, &(c, _, _)| {
-            *at += c;
-            Some(*at - c)
-        });
-        offsets
-            .zip(dead)
-            .flat_map(|(offset, dead)| dead.iter().map(move |&c| offset + c))
-            .collect()
+    fn channel_use(&self, input: usize, channel: usize, in_shapes: &[ChwShape]) -> ChannelUse {
+        let offset: usize = in_shapes[..input].iter().map(|&(c, _, _)| c).sum();
+        ChannelUse::PassedTo(offset + channel)
     }
 }
 

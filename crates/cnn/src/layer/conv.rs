@@ -1,9 +1,12 @@
 //! Convolution layer with fast paths for pruned weights.
 
-use super::{ActScale, ChwShape, Layer, LayerKind, WeightScan};
+use super::{
+    sparsity_counting_pruned, ActScale, ChannelUse, ChwShape, Layer, LayerKind, WeightScan,
+};
 use cap_tensor::{
-    conv2d, precision, winograd, CalibrationMethod, Conv2dParams, ConvWeights, CsrMatrix, KeptRows,
-    Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult, WinogradBand, Workspace,
+    conv2d, precision, symmetric_scale, winograd, CalibrationMethod, Conv2dParams, ConvWeights,
+    CsrMatrix, Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult, WinogradBand,
+    Workspace,
 };
 use std::sync::OnceLock;
 
@@ -36,40 +39,39 @@ pub const WINOGRAD_MIN_CHANNELS: usize = 64;
 pub const WINOGRAD_MIN_MAP: usize = 8;
 
 /// Why building a derived weight form cannot fail after construction.
-const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights";
+const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights/narrow";
 
 /// The stored forms a [`ConvLayer`] multiplies with.
 #[derive(Clone, Copy)]
 enum Form {
     Dense,
     Winograd,
-    DenseRows,
     Csr,
     DenseI8,
 }
 
 impl Form {
-    /// The form a layer of geometry `params` whose weights scanned as
-    /// `scan` runs in on an `h×w` input map under the selected
-    /// precision; `dead`: the input has dead channels, on which a
-    /// dense im2col layer runs its kept rows (`DenseRows`, narrowed).
-    /// Winograd keys on geometry only, never the batch or the thread
-    /// count, so an image's output bits depend on neither.
-    fn of(scan: &WeightScan, params: &Conv2dParams, (h, w): (usize, usize), dead: bool) -> Self {
-        let (rows, cols) = (params.out_channels, params.col_rows());
-        let zero_rows = scan.zero_rows.len();
-        let fraction = |zeros: usize, of: usize| zeros as f64 / of.max(1) as f64;
-        let kept = fraction(scan.kept_zeros, rows.saturating_sub(zero_rows) * cols);
-        let overall = fraction(zero_rows * cols + scan.kept_zeros, rows * cols);
+    /// The form a layer of geometry `params` whose `len` weights scanned
+    /// as `scan`, built with groups `width` channels wide (the fewer of
+    /// input and output), runs in on an `h×w` input map under the
+    /// selected precision. Winograd keys on geometry only, never the
+    /// batch or the thread count, so an image's output bits depend on
+    /// neither.
+    fn of(
+        scan: &WeightScan,
+        len: usize,
+        params: &Conv2dParams,
+        width: usize,
+        (h, w): (usize, usize),
+    ) -> Self {
+        let sparse = scan.zeros as f64 / len.max(1) as f64 > SPARSE_THRESHOLD;
         let winograd = winograd::fits(params)
-            && params.in_per_group().min(params.out_per_group()) >= WINOGRAD_MIN_CHANNELS
+            && width >= WINOGRAD_MIN_CHANNELS
             && h.min(w) >= WINOGRAD_MIN_MAP;
         match precision::selected() {
             Precision::Int8 => Form::DenseI8,
-            Precision::F32 if zero_rows > 0 && kept <= SPARSE_THRESHOLD => Form::DenseRows,
-            Precision::F32 if overall > SPARSE_THRESHOLD => Form::Csr,
+            Precision::F32 if sparse => Form::Csr,
             Precision::F32 if winograd => Form::Winograd,
-            Precision::F32 if dead => Form::DenseRows,
             Precision::F32 => Form::Dense,
         }
     }
@@ -78,21 +80,61 @@ impl Form {
         match self {
             Form::Dense => "dense",
             Form::Winograd => "winograd",
-            Form::DenseRows => "dense-rows",
             Form::Csr => "csr",
             Form::DenseI8 => "dense-i8",
         }
     }
 }
 
+/// A conv's f32 filters, its one stored copy of them.
+#[derive(Debug, Clone)]
+enum Filters {
+    /// Every group `out_per_group × col_rows` of the geometry: one
+    /// matrix, group `g`'s filters the row band `g*out_per_group..`.
+    Even(Matrix),
+    /// One `filters × input channels·kh·kw` matrix per group, the groups
+    /// of uneven widths: a narrowed grouped conv whose groups lost
+    /// different numbers of filters or input channels.
+    Uneven(Vec<Matrix>),
+}
+
+impl Filters {
+    /// Group `g`'s filters, row-major, with their count and depth.
+    fn band(&self, params: &Conv2dParams, g: usize) -> (&[f32], usize, usize) {
+        match self {
+            Filters::Even(w) => {
+                let (rows, depth) = (params.out_per_group(), params.col_rows());
+                (
+                    &w.as_slice()[g * rows * depth..(g + 1) * rows * depth],
+                    rows,
+                    depth,
+                )
+            }
+            Filters::Uneven(bands) => (bands[g].as_slice(), bands[g].rows(), bands[g].cols()),
+        }
+    }
+
+    /// Every group's band, in order.
+    fn bands<'a>(
+        &'a self,
+        params: &'a Conv2dParams,
+    ) -> impl Iterator<Item = (&'a [f32], usize, usize)> + 'a {
+        (0..params.groups).map(move |g| self.band(params, g))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Filters::Even(w) => w.len(),
+            Filters::Uneven(bands) => bands.iter().map(Matrix::len).sum(),
+        }
+    }
+}
+
 /// 2-D convolution layer (optionally grouped, AlexNet-style).
 ///
-/// Weights are stored dense and scanned **once**, when they are set
-/// (`new` / `set_weights`), so a forward pass never rescans them to
-/// find the form they run in: all-zero filters — what L1 filter pruning
-/// leaves — are dropped and the kept rows run through the dense GEMM,
-/// so the time of a filter-pruned layer falls with the filters that
-/// remain (`repro --exp profile`); otherwise a zero fraction above
+/// Weights are stored dense, one copy, and scanned **once**, when they
+/// are set (`new` / `set_weights`) or narrowed, so a forward pass never
+/// rescans them to find the form they run in: a zero fraction above
 /// [`SPARSE_THRESHOLD`] selects the CSR form, which pays only at high
 /// unstructured sparsity. Dense f32 weights of a 3×3 stride-1 pad-1
 /// conv wide enough and on a map large enough (`WINOGRAD_MIN_*`) run
@@ -100,43 +142,57 @@ impl Form {
 /// im2col + GEMM. Under int8 every sparsity runs the dense int8 GEMM:
 /// its integer dot product beats an int8 CSR walk below ~97 % zeros.
 ///
-/// A pruned filter is gone downstream too. The [`crate::Network`] hands
-/// each conv the *dead* channels of its input — channels the layer
-/// before emits as exactly `+0` (a pruned filter with a zero bias,
-/// passed on through ReLU, pooling or LRN) — when weights are set, and
-/// the kept-rows form (f32, filter-pruned or plain dense im2col) and
-/// the int8 form then lower only the live channels and multiply only
-/// their weight columns: a consumer of a pruned layer multiplies only
-/// what its producer can emit as non-zero, under both precisions, with
-/// the same output bits ([`cap_tensor::conv2d`] says why). The CSR and
-/// Winograd forms keep every channel.
+/// Filter pruning pays by **narrowing** ([`crate::Network::narrow`],
+/// which `cap_pruning::apply_to_network` runs after L1 filter
+/// pruning): a pruned filter whose output is `+0` on every input is
+/// removed with its bias, and its channel with it from every consumer
+/// — a conv drops that input channel's `kh·kw` columns of each filter.
+/// The narrowed layer is a smaller dense conv, in the form it ran before
+/// (Caffenet's conv3–5 on Winograd), and its time falls with the
+/// filters and channels that remain (`repro --exp profile`). A grouped conv keeps each group's own
+/// widths, as filter pruning leaves them uneven across groups; it then
+/// stores one band per group and [`Layer::weights`] is `None`. Until it
+/// is narrowed, a zero filter is multiplied like any other row.
 ///
-/// The derived forms (per-group kept-row, CSR or Winograd bands, the
-/// int8 quantization) are built on the first forward that needs them
-/// and dropped by `set_weights` and by a change of dead inputs; im2col
-/// scratch is the caller's [`Workspace`], so steady-state forwards
-/// allocate nothing, take no lock and touch no reference count.
+/// Narrowing changes no layer's algorithm: the Winograd test reads the
+/// group widths the layer was built with (a 3×3 that qualified keeps
+/// Winograd however few channels pruning leaves it, one that did not
+/// stays on im2col), CSR and dense sum the same terms in the same
+/// order, and the int8 form quantizes the weights at the max-abs scale
+/// they had when they were last set. So a narrowed network computes the
+/// values of the full-width one, under f32 and int8 alike.
+///
+/// The derived forms (per-group CSR or Winograd bands, the int8
+/// quantization) are built on the first forward that needs them and
+/// dropped by `set_weights` and by narrowing; im2col scratch is the
+/// caller's [`Workspace`], so steady-state forwards allocate nothing,
+/// take no lock and touch no reference count.
 pub struct ConvLayer {
     name: String,
     params: Conv2dParams,
-    weights: Matrix,
+    filters: Filters,
     bias: Vec<f32>,
-    /// `WeightScan::of(&weights)`, as of the last `new`/`set_weights`.
+    /// `WeightScan` of `filters`, as of the last `new`/`set_weights`/narrow.
     scan: WeightScan,
-    /// Input channels that are `+0` on every input, as the network last
-    /// set them ([`Layer::set_dead_inputs`]).
-    dead_inputs: Vec<usize>,
-    /// Per-group kept rows and live channels of `weights` (the
-    /// filter-pruned, or dense with dead inputs, f32 path).
-    kept_rows: OnceLock<Vec<KeptRows>>,
-    /// Per-group CSR split of `weights` (sparse f32 path).
+    /// The fewer of the input and output channels per group the layer
+    /// was built with, what the Winograd test reads.
+    built_width: usize,
+    /// The max-abs int8 scale of the weights as last set, worked out on
+    /// first use (an int8 forward, or narrowing, which drops columns
+    /// that may hold the largest weight and must not move a quantized
+    /// one).
+    weight_scale: OnceLock<f32>,
+    /// Filters of each group removed by narrowing, for the sparsity
+    /// pruning gave the layer.
+    pruned: Vec<usize>,
+    /// Per-group CSR split of the filters (sparse f32 path).
     csr: OnceLock<Vec<CsrMatrix>>,
-    /// Per-group Winograd transform of `weights` (dense f32 3×3 path).
+    /// Per-group Winograd transform of the filters (dense f32 3×3 path).
     winograd: OnceLock<Vec<WinogradBand>>,
-    /// Int8 quantization of `weights`' kept rows and live channels
-    /// (the int8 path). Lazy rather than built with `scan`:
-    /// `precision::force` can flip the precision at run time.
-    dense_i8: OnceLock<Vec<KeptRows<QuantizedA>>>,
+    /// Int8 quantization of the filters (the int8 path). Lazy rather
+    /// than built with `scan`: `precision::force` can flip the
+    /// precision at run time.
+    dense_i8: OnceLock<Vec<QuantizedA>>,
     /// The int8 path's input-activation scale.
     act_scale: ActScale,
 }
@@ -166,14 +222,16 @@ impl ConvLayer {
                 params.out_channels
             )));
         }
+        let scan = WeightScan::of(&weights);
         Ok(Self {
             name: name.into(),
             params,
-            scan: WeightScan::of(&weights),
-            weights,
+            weight_scale: OnceLock::new(),
+            scan,
+            built_width: params.in_per_group().min(params.out_per_group()),
+            filters: Filters::Even(weights),
             bias,
-            dead_inputs: Vec::new(),
-            kept_rows: OnceLock::new(),
+            pruned: vec![0; params.groups],
             csr: OnceLock::new(),
             winograd: OnceLock::new(),
             dense_i8: OnceLock::new(),
@@ -181,7 +239,9 @@ impl ConvLayer {
         })
     }
 
-    /// Geometry of this convolution.
+    /// Geometry of this convolution. Once the layer is narrowed its
+    /// channel counts are the narrowed totals, which need not divide
+    /// into its groups evenly.
     pub fn params(&self) -> &Conv2dParams {
         &self.params
     }
@@ -191,20 +251,57 @@ impl ConvLayer {
         &self.bias
     }
 
+    /// Input channels and filters of each group, in order.
+    fn group_widths(&self) -> Vec<(usize, usize)> {
+        let taps = self.params.kh * self.params.kw;
+        self.filters
+            .bands(&self.params)
+            .map(|(_, rows, depth)| (depth / taps.max(1), rows))
+            .collect()
+    }
+
     /// Name of the stored form a layer of geometry `params` holding
     /// `weights` multiplies with on an input map of `map` (height,
-    /// width), under the selected precision, for an input without dead
-    /// channels (the forward's own choice): `dense`, `winograd` (dense
-    /// 3×3 in F(2×2, 3×3) form), `dense-rows` (all-zero filters
-    /// dropped), `csr` or `dense-i8` — for reports that say which form a
-    /// timed row ran. A consumer of a pruned layer, whose input has dead
-    /// channels, runs `dense-rows` where this says `dense`.
+    /// width), under the selected precision: `dense`, `winograd` (dense
+    /// 3×3 in F(2×2, 3×3) form), `csr` or `dense-i8` — for reports that
+    /// say which form a timed row ran.
     pub fn weight_form_name(
         weights: &Matrix,
         params: &Conv2dParams,
         map: (usize, usize),
     ) -> &'static str {
-        Form::of(&WeightScan::of(weights), params, map, false).name()
+        let width = params.in_per_group().min(params.out_per_group());
+        Form::of(&WeightScan::of(weights), weights.len(), params, width, map).name()
+    }
+
+    /// The form this layer runs in on an input map of `map`, by name
+    /// (see [`ConvLayer::weight_form_name`]).
+    pub fn form_name(&self, map: (usize, usize)) -> &'static str {
+        self.form(map).name()
+    }
+
+    fn form(&self, map: (usize, usize)) -> Form {
+        let len = self.filters.len();
+        Form::of(&self.scan, len, &self.params, self.built_width, map)
+    }
+
+    /// The int8 scale of the weights as last set ([`symmetric_scale`]).
+    fn weight_scale(&self) -> f32 {
+        *self.weight_scale.get_or_init(|| match &self.filters {
+            Filters::Even(w) => symmetric_scale(w.as_slice()),
+            // Narrowing sets the scale before it splits the bands.
+            Filters::Uneven(bands) => {
+                let all: Vec<f32> = bands.iter().flat_map(|b| b.as_slice()).copied().collect();
+                symmetric_scale(&all)
+            }
+        })
+    }
+
+    /// Drop every form derived from the filters.
+    fn drop_forms(&mut self) {
+        self.csr = OnceLock::new();
+        self.winograd = OnceLock::new();
+        self.dense_i8 = OnceLock::new();
     }
 
     /// Shared body of [`Layer::forward_into`] / [`Layer::forward_into_fused`]:
@@ -219,26 +316,36 @@ impl ConvLayer {
         let [input] = inputs else {
             return Err(ShapeError::new("conv: expected exactly one input"));
         };
-        let (w, p, dead) = (&self.weights, &self.params, &self.dead_inputs);
-        let weights = match Form::of(&self.scan, p, (input.h(), input.w()), !dead.is_empty()) {
+        let p = &self.params;
+        let bands = || self.filters.bands(p);
+        let weights = match self.form((input.h(), input.w())) {
             Form::DenseI8 => ConvWeights::DenseI8 {
-                bands: self
-                    .dense_i8
-                    .get_or_init(|| ConvWeights::i8_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)),
+                bands: self.dense_i8.get_or_init(|| {
+                    bands()
+                        .map(|(band, rows, depth)| {
+                            QuantizedA::quantize(band, rows, depth, self.weight_scale())
+                        })
+                        .collect()
+                }),
                 act_scale: self.act_scale.for_input(input),
             },
-            Form::DenseRows => ConvWeights::DenseRows(self.kept_rows.get_or_init(|| {
-                ConvWeights::kept_row_bands(w, p, dead).expect(FORM_SHAPE_CHECKED)
+            Form::Csr => ConvWeights::Csr(self.csr.get_or_init(|| {
+                bands()
+                    .map(|(band, rows, depth)| {
+                        let band = Matrix::from_vec(rows, depth, band.to_vec());
+                        CsrMatrix::from_dense(&band.expect(FORM_SHAPE_CHECKED), 0.0)
+                    })
+                    .collect()
             })),
-            Form::Csr => ConvWeights::Csr(
-                self.csr
-                    .get_or_init(|| ConvWeights::csr_bands(w, p).expect(FORM_SHAPE_CHECKED)),
-            ),
-            Form::Winograd => ConvWeights::Winograd(
-                self.winograd
-                    .get_or_init(|| ConvWeights::winograd_bands(w, p).expect(FORM_SHAPE_CHECKED)),
-            ),
-            Form::Dense => ConvWeights::Dense(w),
+            Form::Winograd => ConvWeights::Winograd(self.winograd.get_or_init(|| {
+                bands()
+                    .map(|(band, rows, depth)| WinogradBand::transform(band, rows, depth / 9))
+                    .collect()
+            })),
+            Form::Dense => match &self.filters {
+                Filters::Even(w) => ConvWeights::Dense(w),
+                Filters::Uneven(bands) => ConvWeights::Bands(bands),
+            },
         };
         conv2d(input, weights, Some(&self.bias), relu, p, ws, out)
     }
@@ -293,35 +400,129 @@ impl Layer for ConvLayer {
         let [(_, h, w)] = in_shapes else {
             return Err(ShapeError::new("conv: expected exactly one input shape"));
         };
-        self.params.macs(*h, *w)
+        let (oh, ow) = self.params.out_shape(*h, *w)?;
+        Ok((self.filters.len() * oh * ow) as u64)
+    }
+
+    fn param_count(&self) -> usize {
+        self.filters.len() + self.bias.len()
     }
 
     fn weights(&self) -> Option<&Matrix> {
-        Some(&self.weights)
+        match &self.filters {
+            Filters::Even(w) => Some(w),
+            Filters::Uneven(_) => None,
+        }
     }
 
     fn set_weights(&mut self, weights: Matrix) -> TensorResult<()> {
-        self.scan = WeightScan::replacing(self, &self.weights, &weights)?;
-        self.weights = weights;
-        self.kept_rows = OnceLock::new();
-        self.csr = OnceLock::new();
-        self.winograd = OnceLock::new();
-        self.dense_i8 = OnceLock::new();
+        let Filters::Even(old) = &self.filters else {
+            return Err(ShapeError::new(format!(
+                "conv {}: narrowed into groups of uneven widths {:?}; set its weights \
+                 before narrowing",
+                self.name,
+                self.group_widths()
+            )));
+        };
+        self.scan = WeightScan::replacing(self, old, &weights)?;
+        self.weight_scale = OnceLock::new();
+        self.filters = Filters::Even(weights);
+        self.drop_forms();
         Ok(())
     }
 
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
+    fn weight_sparsity(&self) -> f64 {
+        let nnz = |band: &[f32]| band.iter().filter(|&&v| v != 0.0).count();
+        let (mut kept, mut pruned) = (0, 0);
+        for ((band, _, depth), gone) in self.filters.bands(&self.params).zip(&self.pruned) {
+            kept += nnz(band);
+            pruned += gone * depth;
+        }
+        sparsity_counting_pruned(kept, self.filters.len(), pruned)
+    }
+
+    fn dead_outputs(&self) -> Vec<usize> {
         self.scan.dead_rows(&self.bias)
     }
 
-    fn set_dead_inputs(&mut self, _in_shapes: &[ChwShape], dead: &[&[usize]]) {
-        let dead = dead.first().copied().unwrap_or_default();
-        if dead != self.dead_inputs.as_slice() {
-            self.dead_inputs = dead.to_vec();
-            // The forms that narrow by input channel.
-            self.kept_rows = OnceLock::new();
-            self.dense_i8 = OnceLock::new();
+    fn channel_use(&self, _input: usize, _channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        if self.scan.finite {
+            ChannelUse::Drop
+        } else {
+            ChannelUse::Keep
         }
+    }
+
+    fn narrow(
+        &mut self,
+        _in_shapes: &[ChwShape],
+        gone_in: &[&[usize]],
+        gone_out: &[usize],
+    ) -> TensorResult<()> {
+        let gone_in = gone_in.first().copied().unwrap_or_default();
+        if gone_in.is_empty() && gone_out.is_empty() {
+            return Ok(());
+        }
+        self.weight_scale();
+        let p = self.params;
+        let taps = (p.kh * p.kw).max(1);
+        let keep_row = |r: usize| gone_out.binary_search(&r).is_err();
+        let keep_in = |c: usize| gone_in.binary_search(&c).is_err();
+        match (&mut self.filters, p.groups) {
+            (Filters::Even(w), 1) => {
+                // One band: compacted where it lies, no copy made.
+                let rows = w.rows();
+                w.retain(keep_row, |c| keep_in(c / taps));
+                self.pruned[0] += rows - w.rows();
+                self.params.in_channels = w.cols() / taps;
+                self.params.out_channels = w.rows();
+            }
+            (filters, _) => {
+                // Each group's kept filters and input channels, copied
+                // once into a band of exactly their size.
+                let (mut cin_at, mut row_at) = (0, 0);
+                let mut bands = Vec::with_capacity(p.groups);
+                for g in 0..p.groups {
+                    let (band, rows, depth) = filters.band(&p, g);
+                    let cin = depth / taps;
+                    let kept: Vec<usize> = (0..cin).filter(|&c| keep_in(cin_at + c)).collect();
+                    let kept_rows: Vec<usize> =
+                        (0..rows).filter(|&r| keep_row(row_at + r)).collect();
+                    let mut data = Vec::with_capacity(kept_rows.len() * kept.len() * taps);
+                    for &r in &kept_rows {
+                        let row = &band[r * depth..(r + 1) * depth];
+                        for &c in &kept {
+                            data.extend_from_slice(&row[c * taps..(c + 1) * taps]);
+                        }
+                    }
+                    self.pruned[g] += rows - kept_rows.len();
+                    (cin_at, row_at) = (cin_at + cin, row_at + rows);
+                    bands.push(Matrix::from_vec(kept_rows.len(), kept.len() * taps, data)?);
+                }
+                self.params.in_channels = bands.iter().map(|b| b.cols() / taps).sum();
+                self.params.out_channels = bands.iter().map(Matrix::rows).sum();
+                *filters = if bands.windows(2).all(|b| b[0].shape() == b[1].shape()) {
+                    let (rows, cols) = (self.params.out_channels, bands[0].cols());
+                    let data = bands.into_iter().flat_map(Matrix::into_vec).collect();
+                    Filters::Even(Matrix::from_vec(rows, cols, data)?)
+                } else {
+                    Filters::Uneven(bands)
+                };
+            }
+        }
+        let mut row = 0;
+        self.bias.retain(|_| {
+            row += 1;
+            keep_row(row - 1)
+        });
+        let p = self.params;
+        self.scan = WeightScan::of_rows(
+            self.filters
+                .bands(&p)
+                .flat_map(|(band, _, depth)| band.chunks_exact(depth.max(1))),
+        );
+        self.drop_forms();
+        Ok(())
     }
 
     fn observe_input(&self, inputs: &[&Tensor4], method: CalibrationMethod) {

@@ -1,6 +1,6 @@
 //! Dropout layer — identity at inference time (Caffe semantics).
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{ChannelUse, ChwShape, Layer, LayerKind};
 use cap_tensor::{ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Inference-mode dropout: a pass-through. Present so Caffenet's layer
@@ -62,8 +62,8 @@ impl Layer for DropoutLayer {
     }
 
     /// Dropout is the identity at inference.
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
-        super::passed_through(dead)
+    fn channel_use(&self, _input: usize, channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        ChannelUse::PassedTo(channel)
     }
 }
 

@@ -1,12 +1,13 @@
 //! Fully-connected (Caffe "InnerProduct") layer.
 
-use super::{ActScale, ChwShape, Layer, LayerKind, WeightScan};
+use super::{
+    sparsity_counting_pruned, ActScale, ChannelUse, ChwShape, Layer, LayerKind, WeightScan,
+};
 use cap_tensor::{
     gemm_i8, gemm_packed, kernels, pack_transposed_into, precision, quantize_rows_into,
     symmetric_scale, team, CalibrationMethod, EpiBias, Epilogue, F32Tile, Matrix, PackedBI8,
     Precision, ShapeError, Tensor4, TensorResult, Workspace,
 };
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Fully-connected layer: flattens each image to a vector and applies
@@ -27,41 +28,34 @@ use std::sync::OnceLock;
 /// [`cap_tensor::gemm()`] does, and under int8 quantizes like every
 /// other fc.
 ///
-/// A pruned filter of the layer before is skipped, under both
-/// precisions. The [`crate::Network`] hands the layer the *dead*
-/// channels of its input — `+0` whatever the input, such as a pruned
-/// conv filter's map after ReLU and pooling — and the layer multiplies
-/// only the live input features: in f32 a narrowed row-major copy of
-/// `W`'s live columns, in int8 a `Wᵀ` packed from the live columns only,
-/// each built on the first forward that needs it; each forward gathers
-/// (or packs) the live activations before the GEMV or GEMM. Every term
-/// left out is a finite weight times `+0`, so the output bits are those
-/// of the full multiply; a dead channel with a non-finite weight in its
-/// columns is kept. On Caffenet pruned at its all-conv knees, fc6's
-/// narrowed copy is 75 MB beside the 151 MB `W`.
+/// A pruned filter of the layer before is gone from a narrowed network
+/// ([`crate::Network::narrow`]): the layer drops the `h·w` columns of
+/// each input channel that pruning left at `+0` — 36 per pool5 channel
+/// for Caffenet's fc6 — compacting each row's kept columns leftward in
+/// its one `W` and releasing the rest ([`Matrix::retain`]), so it never
+/// holds a second copy. Every term it drops was a finite weight times
+/// `+0`, which moves no sum that starts at `+0`, and the int8 form keeps
+/// the weight scale `W` had before, so the output bits are those of the
+/// full-width layer on the same input. A narrowed filter-pruned fc
+/// drops its own zero rows the same way.
 pub struct InnerProductLayer {
     name: String,
     in_features: usize,
     out_features: usize,
     weights: Matrix,
     bias: Vec<f32>,
-    /// `WeightScan::of(&weights)`, as of the last `new`/`set_weights`.
+    /// `WeightScan::of(&weights)`, as of the last `new`/`set_weights`/narrow.
     scan: WeightScan,
-    /// The input's dead channels and the features per channel, as the
-    /// network last set them ([`Layer::set_dead_inputs`]).
-    dead_inputs: Vec<usize>,
-    features_per_channel: usize,
-    /// The live input features as ranges of `weights`' columns (`None`:
-    /// all of them), from `dead_inputs`; built on the first forward.
-    live: OnceLock<Option<Vec<Range<usize>>>>,
-    /// `weights`' live columns side by side (`out × live`), what an f32
-    /// forward multiplies when some inputs are dead; built on the first
-    /// f32 forward that needs it. With every input live the f32 forward
-    /// reads `weights` itself.
-    live_weights: OnceLock<Matrix>,
-    /// `Wᵀ` over the live columns, quantized and panel-packed straight
-    /// from `weights`' rows, built on the first int8 forward (lazy:
-    /// `precision::force` can flip the precision at run time).
+    /// The max-abs int8 scale of the weights as last set, worked out on
+    /// first use and kept when narrowing drops columns (see
+    /// [`ConvLayer`](super::ConvLayer)).
+    weight_scale: OnceLock<f32>,
+    /// Rows removed by narrowing, for the sparsity pruning gave the
+    /// layer.
+    pruned_rows: usize,
+    /// `Wᵀ` quantized and panel-packed straight from `weights`' rows,
+    /// built on the first int8 forward (lazy: `precision::force` can
+    /// flip the precision at run time).
     packed_t_i8: OnceLock<PackedBI8>,
     /// The int8 path's input-activation scale.
     act_scale: ActScale,
@@ -78,17 +72,16 @@ impl InnerProductLayer {
                 out_features
             )));
         }
+        let scan = WeightScan::of(&weights);
         Ok(Self {
             name: name.into(),
             in_features,
             out_features,
-            scan: WeightScan::of(&weights),
+            weight_scale: OnceLock::new(),
+            scan,
             weights,
             bias,
-            dead_inputs: Vec::new(),
-            features_per_channel: 1,
-            live: OnceLock::new(),
-            live_weights: OnceLock::new(),
+            pruned_rows: 0,
             packed_t_i8: OnceLock::new(),
             act_scale: ActScale::default(),
         })
@@ -109,77 +102,18 @@ impl InnerProductLayer {
         &self.bias
     }
 
-    /// Drop every form derived from the weights or the dead inputs.
-    fn drop_forms(&mut self) {
-        self.live = OnceLock::new();
-        self.live_weights = OnceLock::new();
-        self.packed_t_i8 = OnceLock::new();
-    }
-
-    /// The live input features, merged into ranges; `None` when every
-    /// feature is live. A dead channel's features stay live when a
-    /// weight on them is not finite (`inf·0` is NaN).
-    fn live(&self) -> Option<&[Range<usize>]> {
-        let live = self.live.get_or_init(|| {
-            if self.dead_inputs.is_empty() {
-                return None;
-            }
-            let plane = self.features_per_channel;
-            let non_finite = |c: usize| {
-                !self.scan.finite
-                    && (0..self.out_features).any(|r| {
-                        let block = &self.weights.row(r)[c * plane..(c + 1) * plane];
-                        block.iter().any(|v| !v.is_finite())
-                    })
-            };
-            let mut dead = self.dead_inputs.iter().peekable();
-            let mut runs: Vec<Range<usize>> = Vec::new();
-            for c in 0..self.in_features / plane {
-                let is_dead = dead.next_if_eq(&&c).is_some();
-                if is_dead && !non_finite(c) {
-                    continue;
-                }
-                match runs.last_mut() {
-                    Some(run) if run.end == c * plane => run.end += plane,
-                    _ => runs.push(c * plane..(c + 1) * plane),
-                }
-            }
-            let every = runs.len() == 1 && runs[0] == (0..self.in_features);
-            (!every).then_some(runs)
-        });
-        live.as_deref()
-    }
-
-    /// The f32 `W` and its depth: `weights`, or its live columns.
-    fn f32_weights(&self) -> (&[f32], usize) {
-        let Some(runs) = self.live() else {
-            return (self.weights.as_slice(), self.in_features);
-        };
-        let narrowed = self.live_weights.get_or_init(|| {
-            let depth = runs.iter().map(Range::len).sum();
-            let mut data = Vec::with_capacity(self.out_features * depth);
-            for r in 0..self.out_features {
-                let row = self.weights.row(r);
-                for run in runs {
-                    data.extend_from_slice(&row[run.clone()]);
-                }
-            }
-            Matrix::from_vec(self.out_features, depth, data).expect("out × live")
-        });
-        (narrowed.as_slice(), narrowed.cols())
+    /// The int8 scale of the weights as last set ([`symmetric_scale`]).
+    fn weight_scale(&self) -> f32 {
+        *self
+            .weight_scale
+            .get_or_init(|| symmetric_scale(self.weights.as_slice()))
     }
 
     fn packed_t_i8(&self) -> &PackedBI8 {
         // Packed from W's rows directly: an f32 transpose of fc6 would
-        // be 151 MB built only to be quantized and dropped. The scale is
-        // the whole matrix's, so a weight quantizes alike whichever
-        // columns are live.
-        self.packed_t_i8.get_or_init(|| {
-            let scale = symmetric_scale(self.weights.as_slice());
-            let all = 0..self.in_features;
-            let cols = self.live().unwrap_or(std::slice::from_ref(&all));
-            PackedBI8::pack_transposed(&self.weights, cols, scale)
-        })
+        // be 151 MB built only to be quantized and dropped.
+        self.packed_t_i8
+            .get_or_init(|| PackedBI8::pack_transposed(&self.weights, self.weight_scale()))
     }
 
     /// The quantized activations' row stride must be the depth `Wᵀ` was
@@ -223,7 +157,6 @@ impl InnerProductLayer {
             return Ok(());
         }
         let Workspace {
-            cols: gathered,
             packed,
             padded: stage,
             qbuf,
@@ -231,14 +164,14 @@ impl InnerProductLayer {
             ..
         } = ws;
         let out = out.as_mut_slice();
+        // A `(n, c, h, w)` tensor's flat data IS the `n × c·h·w` matrix.
+        let (x, k) = (input.as_slice(), self.in_features);
         if precision::selected() == Precision::Int8 {
-            // Int8: quantize the live activations with the calibrated
-            // (or fallback) scale, then the integer GEMM of `Y = X · Wᵀ`
+            // Int8: quantize the activations with the calibrated (or
+            // fallback) scale, then the integer GEMM of `Y = X · Wᵀ`
             // against the pre-quantized `Wᵀ`, dequantizing by the
             // combined scale in the store epilogue (out features are
             // its columns), cut by column ranges across the team.
-            let x = self.live_inputs(input, gathered);
-            let k = x.len() / batch;
             let epi = Epilogue {
                 bias: Some(EpiBias::PerCol(&self.bias)),
                 relu,
@@ -256,7 +189,7 @@ impl InnerProductLayer {
         }
         // F32: `Yᵀ = W · Xᵀ` on `W` in place, out features the rows of
         // `W`, so bias/ReLU ride the store as a per-row epilogue.
-        let (w, k) = self.f32_weights();
+        let w = self.weights.as_slice();
         let epi = Epilogue {
             bias: Some(EpiBias::PerRow(&self.bias)),
             relu,
@@ -265,19 +198,16 @@ impl InnerProductLayer {
         if batch == 1 {
             // The row GEMV straight into `out`, cut by rows of `W`
             // across the team where that pays.
-            let x = self.live_inputs(input, gathered);
             return team::split_columns(team.as_mut(), k, 1, out, stage, &|rows, part| {
                 let w = &w[rows.start * k..rows.end * k];
                 kernels::gemv_rows_with(tile, w, x, part, epi.offset(rows.start, 0));
                 Ok(())
             });
         }
-        // The packed GEMM with `A = W` and `B = Xᵀ`, packed from the live
-        // features straight out of the input, into the `out × batch`
-        // stage cut by rows of `W`; then transposed into `Y`.
-        let all = 0..self.in_features;
-        let cols = self.live().unwrap_or(std::slice::from_ref(&all));
-        pack_transposed_into(input.as_slice(), self.in_features, cols, packed);
+        // The packed GEMM with `A = W` and `B = Xᵀ`, packed straight out
+        // of the input, into the `out × batch` stage cut by rows of `W`;
+        // then transposed into `Y`.
+        pack_transposed_into(x, k, packed);
         let b = packed.as_slice();
         stage.resize(out.len(), 0.0);
         team::split_rows(team.as_mut(), k, batch, stage, &|rows, part| {
@@ -290,27 +220,6 @@ impl InnerProductLayer {
             }
         }
         Ok(())
-    }
-
-    /// The input's live features as a row-major `n × live` matrix: the
-    /// input's own data when every feature is live (a `(n, c, 1, 1)`
-    /// tensor's flat data IS the `n × c` matrix), else gathered into
-    /// `gathered`.
-    fn live_inputs<'a>(&self, input: &'a Tensor4, gathered: &'a mut Matrix) -> &'a [f32] {
-        let Some(runs) = self.live() else {
-            return input.as_slice();
-        };
-        let depth = runs.iter().map(Range::len).sum();
-        gathered.resize(input.n(), depth);
-        let rows = gathered.as_mut_slice().chunks_exact_mut(depth.max(1));
-        for (dst, src) in rows.zip(input.as_slice().chunks_exact(self.in_features)) {
-            let mut at = 0;
-            for run in runs {
-                dst[at..at + run.len()].copy_from_slice(&src[run.clone()]);
-                at += run.len();
-            }
-        }
-        gathered.as_slice()
     }
 }
 
@@ -370,24 +279,56 @@ impl Layer for InnerProductLayer {
 
     fn set_weights(&mut self, weights: Matrix) -> TensorResult<()> {
         self.scan = WeightScan::replacing(self, &self.weights, &weights)?;
+        self.weight_scale = OnceLock::new();
         self.weights = weights;
-        self.drop_forms();
+        self.packed_t_i8 = OnceLock::new();
         Ok(())
     }
 
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], _dead: &[&[usize]]) -> Vec<usize> {
+    fn weight_sparsity(&self) -> f64 {
+        let pruned = self.pruned_rows * self.in_features;
+        sparsity_counting_pruned(self.weights.nnz(0.0), self.weights.len(), pruned)
+    }
+
+    fn dead_outputs(&self) -> Vec<usize> {
         self.scan.dead_rows(&self.bias)
     }
 
-    fn set_dead_inputs(&mut self, in_shapes: &[ChwShape], dead: &[&[usize]]) {
-        let (Some(&(_, h, w)), Some(dead)) = (in_shapes.first(), dead.first()) else {
-            return;
-        };
-        if (*dead, h * w) != (self.dead_inputs.as_slice(), self.features_per_channel) {
-            self.dead_inputs = dead.to_vec();
-            self.features_per_channel = h * w;
-            self.drop_forms();
+    fn channel_use(&self, _input: usize, _channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        if self.scan.finite {
+            ChannelUse::Drop
+        } else {
+            ChannelUse::Keep
         }
+    }
+
+    fn narrow(
+        &mut self,
+        in_shapes: &[ChwShape],
+        gone_in: &[&[usize]],
+        gone_out: &[usize],
+    ) -> TensorResult<()> {
+        let gone_in = gone_in.first().copied().unwrap_or_default();
+        if gone_in.is_empty() && gone_out.is_empty() {
+            return Ok(());
+        }
+        self.weight_scale();
+        let plane = in_shapes.first().map_or(1, |&(_, h, w)| (h * w).max(1));
+        let rows = self.out_features;
+        self.weights.retain(
+            |r| gone_out.binary_search(&r).is_err(),
+            |c| gone_in.binary_search(&(c / plane)).is_err(),
+        );
+        let mut row = 0;
+        self.bias.retain(|_| {
+            row += 1;
+            gone_out.binary_search(&(row - 1)).is_err()
+        });
+        (self.out_features, self.in_features) = self.weights.shape();
+        self.pruned_rows += rows - self.out_features;
+        self.scan = WeightScan::of(&self.weights);
+        self.packed_t_i8 = OnceLock::new();
+        Ok(())
     }
 
     fn observe_input(&self, inputs: &[&Tensor4], method: CalibrationMethod) {
@@ -429,28 +370,41 @@ mod tests {
     }
 
     #[test]
-    fn dead_inputs_are_skipped_bit_for_bit_down_to_none_live() {
-        // 2 channels of 2×2: channel 1 dead, then both (a depth-0
-        // multiply: the output is the bias). Under the selected
-        // precision, bitwise the full-width layer on the same input.
+    fn narrowed_layer_is_the_full_one_bit_for_bit_down_to_no_input() {
+        // 2 channels of 2×2, zero where they go: channel 1 narrowed
+        // away, then both (a depth-0 multiply: the output is the bias),
+        // then rows 1 and 3 as well. Under the selected precision,
+        // bitwise the full-width layer's kept outputs on the same input;
+        // `W` holds no storage past its narrowed size.
         let w = Matrix::from_fn(5, 8, |r, c| ((r * 3 + c) % 7) as f32 / 4.0 - 0.75);
         let bias = vec![0.5, -0.5, 0.25, 0.0, 1.0];
         let full = InnerProductLayer::new("full", w.clone(), bias.clone()).unwrap();
-        for dead in [&[1][..], &[0, 1]] {
+        for (gone, rows) in [(&[1][..], &[][..]), (&[0, 1], &[]), (&[1], &[1, 3])] {
             let mut fc = InnerProductLayer::new("fc_t", w.clone(), bias.clone()).unwrap();
-            fc.set_dead_inputs(&[(2, 2, 2)], &[dead]);
+            fc.narrow(&[(2, 2, 2)], &[gone], rows).unwrap();
+            assert_eq!(fc.weights.capacity(), fc.weights.len(), "storage released");
+            assert_eq!(fc.in_features(), 4 * (2 - gone.len()));
             let x = Tensor4::from_fn(3, 2, 2, 2, |n, c, h, ww| {
-                if dead.contains(&c) {
+                if gone.contains(&c) {
                     0.0
                 } else {
                     (n + h * 2 + ww) as f32 / 3.0 - 0.5
                 }
             });
-            let bits = |t: Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(fc.forward(&[&x]).unwrap()),
-                bits(full.forward(&[&x]).unwrap())
-            );
+            let kept: Vec<usize> = (0..2).filter(|c| !gone.contains(c)).collect();
+            let narrowed =
+                Tensor4::from_fn(3, kept.len(), 2, 2, |n, c, h, ww| x.get(n, kept[c], h, ww));
+            let want = full.forward(&[&x]).unwrap();
+            let got = fc.forward(&[&narrowed]).unwrap();
+            let outputs: Vec<usize> = (0..5).filter(|r| !rows.contains(r)).collect();
+            for n in 0..3 {
+                let want: Vec<u32> = outputs
+                    .iter()
+                    .map(|&r| want.image(n)[r].to_bits())
+                    .collect();
+                let got: Vec<u32> = got.image(n).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "gone {gone:?} rows {rows:?}");
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Local response normalization (across channels), as used by
 //! AlexNet/Caffenet and Googlenet.
 
-use super::{ChwShape, Layer, LayerKind};
-use cap_tensor::{lrn_into, LrnParams, ShapeError, Tensor4, TensorResult, Workspace};
+use super::{ChannelUse, ChwShape, Layer, LayerKind};
+use cap_tensor::{lrn_at_into, lrn_into, LrnParams, ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Across-channel local response normalization:
 /// `y = x / (k + alpha/n * sum_{neighbourhood} x^2)^beta`.
@@ -15,9 +15,18 @@ use cap_tensor::{lrn_into, LrnParams, ShapeError, Tensor4, TensorResult, Workspa
 /// one is kept as given and rejected as a [`ShapeError`] by
 /// [`Layer::out_shape`] (so by `Network::add_layer`) and by the
 /// kernel, as Caffe rejects it.
+///
+/// In a narrowed network ([`crate::Network::narrow`]) the layer keeps
+/// the window positions its channels had before the pruned ones went,
+/// and slides over those positions ([`cap_tensor::lrn_at_into`]): a
+/// removed channel held `+0`, whose square enters and leaves the sums
+/// as `+0`, so every kept channel normalises to the same bits.
 pub struct LrnLayer {
     name: String,
     params: LrnParams,
+    /// Window position of each input channel once some channels around
+    /// it were narrowed away; `None`: channel `i` at position `i`.
+    positions: Option<Vec<usize>>,
 }
 
 impl LrnLayer {
@@ -31,6 +40,7 @@ impl LrnLayer {
                 beta,
                 k,
             },
+            positions: None,
         }
     }
 
@@ -58,7 +68,10 @@ impl Layer for LrnLayer {
         let [input] = inputs else {
             return Err(ShapeError::new("lrn: expected exactly one input"));
         };
-        lrn_into(input, &self.params, ws, out)
+        match &self.positions {
+            None => lrn_into(input, &self.params, ws, out),
+            Some(at) => lrn_at_into(input, &self.params, at, ws, out),
+        }
     }
 
     fn out_shape(&self, in_shapes: &[ChwShape]) -> TensorResult<ChwShape> {
@@ -78,12 +91,34 @@ impl Layer for LrnLayer {
     }
 
     /// `+0` divided by a positive denominator (`k > 0`) is `+0`.
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
+    fn channel_use(&self, _input: usize, channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        // A `+0` channel normalises to `+0 / k^β`, `+0` only for `k > 0`.
         if self.params.k > 0.0 {
-            super::passed_through(dead)
+            ChannelUse::PassedTo(channel)
         } else {
-            Vec::new()
+            ChannelUse::Keep
         }
+    }
+
+    fn narrow(
+        &mut self,
+        in_shapes: &[ChwShape],
+        gone_in: &[&[usize]],
+        _gone_out: &[usize],
+    ) -> TensorResult<()> {
+        let gone = gone_in.first().copied().unwrap_or_default();
+        if gone.is_empty() {
+            return Ok(());
+        }
+        let channels = in_shapes.first().map_or(0, |&(c, _, _)| c);
+        let positions = self
+            .positions
+            .take()
+            .unwrap_or_else(|| (0..channels).collect());
+        let kept = positions.iter().enumerate();
+        let kept = kept.filter(|(i, _)| gone.binary_search(i).is_err());
+        self.positions = Some(kept.map(|(_, &p)| p).collect());
+        Ok(())
     }
 }
 

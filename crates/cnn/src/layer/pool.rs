@@ -1,6 +1,6 @@
 //! Pooling layer (max or average).
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{ChannelUse, ChwShape, Layer, LayerKind};
 use cap_tensor::{
     avg_pool2d_into, max_pool2d_into, Pool2dParams, ShapeError, Tensor4, TensorResult, Workspace,
 };
@@ -82,8 +82,8 @@ impl Layer for PoolLayer {
 
     /// A window of `+0`s is `+0` in either mode: padding never wins a
     /// max, and adds zeros to a mean.
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
-        super::passed_through(dead)
+    fn channel_use(&self, _input: usize, channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        ChannelUse::PassedTo(channel)
     }
 }
 

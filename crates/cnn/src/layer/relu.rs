@@ -1,6 +1,6 @@
 //! ReLU activation layer.
 
-use super::{ChwShape, Layer, LayerKind};
+use super::{ChannelUse, ChwShape, Layer, LayerKind};
 use cap_tensor::{ops::relu_into, ShapeError, Tensor4, TensorResult, Workspace};
 
 /// Rectified linear unit: `y = max(0, x)`, elementwise.
@@ -51,8 +51,8 @@ impl Layer for ReluLayer {
     }
 
     /// `max(+0, 0)` is `+0`.
-    fn dead_outputs(&self, _in_shapes: &[ChwShape], dead: &[&[usize]]) -> Vec<usize> {
-        super::passed_through(dead)
+    fn channel_use(&self, _input: usize, channel: usize, _in_shapes: &[ChwShape]) -> ChannelUse {
+        ChannelUse::PassedTo(channel)
     }
 }
 

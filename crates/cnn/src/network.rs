@@ -22,7 +22,7 @@
 
 use crate::dag::{self, DagMode};
 use crate::fusion;
-use crate::layer::{ChwShape, Layer, LayerKind};
+use crate::layer::{ChannelUse, ChwShape, Layer, LayerKind};
 use cap_obs::{NoopTracer, SpanInfo, SpanScope, Tracer};
 use cap_tensor::{
     team, CalibrationMethod, Matrix, ShapeError, Team, Tensor4, TensorResult, Workspace,
@@ -42,14 +42,12 @@ pub const INPUT: NodeId = NodeId(usize::MAX);
 struct Node {
     layer: Box<dyn Layer>,
     inputs: Vec<NodeId>,
-    /// Per-image output shape and MACs, fixed when the node is added:
-    /// both depend only on the layer's parameters and its input shapes,
-    /// and `set_weights` rejects a weight matrix of a different shape.
+    /// Per-image output shape and MACs, fixed when the node is added
+    /// and worked out again when the network is narrowed: both depend
+    /// only on the layer's parameters and its input shapes, and
+    /// `set_weights` rejects a weight matrix of a different shape.
     out_shape: ChwShape,
     macs: u64,
-    /// Output channels that are `+0` on every input
-    /// ([`Layer::dead_outputs`]), as of the last weight change.
-    dead: Vec<usize>,
 }
 
 /// One unit of work in a fusion [`Plan`]: run node `node`, optionally
@@ -317,9 +315,7 @@ impl Network {
             inputs: inputs.to_vec(),
             out_shape,
             macs,
-            dead: Vec::new(),
         });
-        self.find_dead_channels(id.0);
         // The plans are a function of the node list; rebuild lazily.
         self.plans = Default::default();
         Ok(id)
@@ -370,36 +366,114 @@ impl Network {
         self.node_id(name).map(|id| self.nodes[id.0].layer.as_ref())
     }
 
-    /// Output channels of node `id` that are `+0` on every (finite)
-    /// input ([`Layer::dead_outputs`]): what a pruned filter leaves,
-    /// passed on through ReLU, pooling, LRN and concat. [`INPUT`] has
-    /// none.
-    pub fn dead_channels(&self, id: NodeId) -> &[usize] {
-        self.nodes.get(id.0).map_or(&[], |n| n.dead.as_slice())
-    }
-
-    /// Work out the dead channels of nodes `from..` in order, each from
-    /// its inputs' and its own weights, handing every layer its inputs'
-    /// ([`Layer::set_dead_inputs`]) on the way — so a conv or fc layer
-    /// multiplies only the channels its producers can emit as
-    /// non-zero. A property of the weights, fixed when they are set;
-    /// no forward pass scans for it.
-    fn find_dead_channels(&mut self, from: usize) {
-        for i in from..self.nodes.len() {
-            let (done, rest) = self.nodes.split_at_mut(i);
-            let node = &mut rest[0];
-            let dead_of = |id: &NodeId| -> &[usize] {
-                done.get(id.0).map_or(&[], |n: &Node| n.dead.as_slice())
-            };
-            let in_shapes: Vec<ChwShape> = node
+    /// Narrow a pruned version: remove every channel that is exactly
+    /// `+0` on every finite input wherever each of its consumers can do
+    /// without it, so the network is the smaller one pruning describes
+    /// — Li et al.'s filter pruning removes a pruned filter's feature
+    /// map and the next layer's kernels for it. Returns the number of
+    /// channels removed, over all nodes' outputs.
+    ///
+    /// A channel is `+0` when a layer's own weights hold it there
+    /// ([`Layer::dead_outputs`]: a zero filter with a zero bias) or when
+    /// it is such a channel passed on by ReLU, pooling, dropout, LRN
+    /// with `k > 0` or a concat ([`ChannelUse::PassedTo`]). It goes when
+    /// every consumer of it either multiplies it by finite weights it
+    /// can drop (a conv's `kh·kw` columns, an fc's `h·w`;
+    /// [`ChannelUse::Drop`]) or passes it on to consumers that all can;
+    /// a softmax, the network's output and anything else keep it. A
+    /// producer keeps at least one channel. Each layer then drops its
+    /// share ([`Layer::narrow`]), every node's shape and MACs are worked
+    /// out again, and the plans are rebuilt on the next pass.
+    ///
+    /// Each removed term of a sum was a finite weight times `+0`, which
+    /// leaves a sum that starts at `+0` as it was, so on finite inputs
+    /// the narrowed network computes the same values as before (the
+    /// forms its new widths pick may round differently: a narrowed 3×3
+    /// wide enough runs Winograd). With an `inf` or NaN input the dead
+    /// channel was `0·inf = NaN` in its consumer's sums; once it is
+    /// removed, it no longer turns `inf` into NaN downstream.
+    pub fn narrow(&mut self) -> TensorResult<usize> {
+        let n = self.nodes.len();
+        let in_shapes = |net: &Self, i: usize| net.resolve_shapes(&net.nodes[i].inputs);
+        let channels = |net: &Self, id: NodeId| net.shape_of(id).map(|(c, _, _)| c);
+        // Where each node's channel goes in each consumer.
+        let mut uses: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for (c, node) in self.nodes.iter().enumerate() {
+            for (input, id) in node.inputs.iter().enumerate() {
+                if *id != INPUT {
+                    uses[id.0].push((c, input));
+                }
+            }
+        }
+        // Backward: which of each node's channels everything downstream
+        // can do without.
+        let mut droppable: Vec<Vec<bool>> = vec![Vec::new(); n];
+        for x in (0..n).rev() {
+            let mut drop = vec![!uses[x].is_empty(); channels(self, NodeId(x))?];
+            for &(c, input) in &uses[x] {
+                let shapes = in_shapes(self, c)?;
+                for (ch, ok) in drop.iter_mut().enumerate().filter(|(_, ok)| **ok) {
+                    *ok = match self.nodes[c].layer.channel_use(input, ch, &shapes) {
+                        ChannelUse::Drop => true,
+                        ChannelUse::PassedTo(o) => droppable[c].get(o).copied().unwrap_or(false),
+                        ChannelUse::Keep => false,
+                    };
+                }
+            }
+            droppable[x] = drop;
+        }
+        // Forward: the channels that go — a layer's own dead ones where
+        // droppable, and whatever its inputs lose, passed on.
+        let mut gone: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut removed = 0;
+        for x in 0..n {
+            let shapes = in_shapes(self, x)?;
+            let node = &self.nodes[x];
+            let own: Vec<usize> = node.layer.dead_outputs();
+            let mut own: Vec<usize> = own.into_iter().filter(|&o| droppable[x][o]).collect();
+            if own.len() == node.out_shape.0 {
+                own.pop();
+            }
+            let mut out = own.clone();
+            for (input, id) in node.inputs.iter().enumerate() {
+                if *id == INPUT {
+                    continue;
+                }
+                for &ch in &gone[id.0] {
+                    if let ChannelUse::PassedTo(o) = node.layer.channel_use(input, ch, &shapes) {
+                        out.push(o);
+                    }
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+            let gone_in: Vec<&[usize]> = node
                 .inputs
                 .iter()
-                .map(|id| done.get(id.0).map_or(self.input_shape, |n| n.out_shape))
+                .map(|id| {
+                    if *id == INPUT {
+                        &[][..]
+                    } else {
+                        gone[id.0].as_slice()
+                    }
+                })
                 .collect();
-            let dead: Vec<&[usize]> = node.inputs.iter().map(dead_of).collect();
-            node.layer.set_dead_inputs(&in_shapes, &dead);
-            node.dead = node.layer.dead_outputs(&in_shapes, &dead);
+            if !own.is_empty() || gone_in.iter().any(|g| !g.is_empty()) {
+                self.nodes[x].layer.narrow(&shapes, &gone_in, &own)?;
+            }
+            removed += out.len();
+            gone[x] = out;
         }
+        if removed > 0 {
+            for x in 0..n {
+                let shapes = in_shapes(self, x)?;
+                let node = &mut self.nodes[x];
+                node.out_shape = node.layer.out_shape(&shapes)?;
+                node.macs = node.layer.macs_per_image(&shapes)?;
+            }
+            self.plans = Default::default();
+        }
+        Ok(removed)
     }
 
     /// Iterate layer names in execution order.
@@ -929,10 +1003,9 @@ impl Network {
     }
 
     /// Replace the weights of layer `name` (pruning entry point) — the
-    /// one way to change a network's weights. The dead channels of that
-    /// node and of every node after it are worked out again, so a
-    /// consumer of a layer whose filters were pruned (or restored)
-    /// multiplies only what that layer can now emit as non-zero.
+    /// one way to change a network's weights. The new matrix must have
+    /// the old one's shape; [`Network::narrow`] is what removes the
+    /// channels pruning zeroed.
     pub fn set_layer_weights(&mut self, name: &str, weights: Matrix) -> TensorResult<()> {
         let Some(id) = self.node_id(name) else {
             return Err(ShapeError::new(format!(
@@ -940,9 +1013,7 @@ impl Network {
                 self.name, name
             )));
         };
-        self.nodes[id.0].layer.set_weights(weights)?;
-        self.find_dead_channels(id.0);
-        Ok(())
+        self.nodes[id.0].layer.set_weights(weights)
     }
 }
 

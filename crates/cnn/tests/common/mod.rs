@@ -13,8 +13,8 @@ use std::collections::HashSet;
 
 /// [`ConvLayer::weight_form_name`] of `w` held by a 1×1 conv on a 1×1
 /// map — a geometry that never runs the Winograd form, so the name
-/// follows the weights alone: `dense`, `dense-rows` or `csr` (or
-/// `dense-i8` under int8), whatever geometry the suite's layer has.
+/// follows the weights alone: `dense` or `csr` (or `dense-i8` under
+/// int8), whatever geometry the suite's layer has.
 pub fn form_name(w: &Matrix) -> &'static str {
     let one_by_one = Conv2dParams::new(w.cols(), w.rows(), 1, 0, 1);
     ConvLayer::weight_form_name(w, &one_by_one, (1, 1))
@@ -43,22 +43,37 @@ pub fn csr_weights(mut w: Matrix) -> Matrix {
 }
 
 /// `w` with every third filter (row) zeroed — what L1 filter pruning
-/// leaves, which puts an f32 conv layer on its kept-rows form
-/// (asserted).
+/// leaves, which a conv layer multiplies densely until the network is
+/// narrowed (asserted).
 pub fn filter_pruned_weights(mut w: Matrix) -> Matrix {
     for r in (0..w.rows()).filter(|r| r % 3 == 1) {
         w.row_mut(r).fill(0.0);
     }
     let form = form_name(&w);
     assert!(
-        matches!(form, "dense-rows" | "dense-i8"),
+        matches!(form, "dense" | "dense-i8"),
         "filter-pruned weights run {form}"
     );
     w
 }
 
+/// A conv bias for `w`: `0` on each all-zero filter, so pruned filters
+/// are `+0` after ReLU and a narrowed network drops them
+/// ([`Network::narrow`]), else `step · r + at` for filter `r`.
+pub fn bias_for(w: &Matrix, step: f32, at: f32) -> Vec<f32> {
+    (0..w.rows())
+        .map(|r| {
+            if w.row(r).iter().all(|&v| v == 0.0) {
+                0.0
+            } else {
+                step * r as f32 + at
+            }
+        })
+        .collect()
+}
+
 /// An inception-shaped net on a 3×16×16 input, every conv's weights
-/// `conv_weights(filters, taps, seed)`: a stem (conv 3→24, 3×3 → ReLU
+/// `conv_weights(filters, taps, seed)` and its biases [`bias_for`] them: a stem (conv 3→24, 3×3 → ReLU
 /// → LRN → 3×3/2 max pool), two four-branch modules (1×1; 1×1 → 3×3;
 /// 1×1 → 5×5; 3×3 max pool → 1×1 projection — every conv followed by a
 /// ReLU — joined by a four-input concat) with a 3×3/2 max pool between
@@ -69,9 +84,7 @@ pub fn inception_shaped(mut conv_weights: impl FnMut(usize, usize, u64) -> Matri
     let mut conv = |net: &mut Network, name: String, from: NodeId, p: Conv2dParams| {
         seed += 1;
         let w = conv_weights(p.out_channels, p.col_rows(), seed);
-        let bias = (0..p.out_channels)
-            .map(|i| 0.01 * i as f32 - 0.05)
-            .collect();
+        let bias = bias_for(&w, 0.01, -0.05);
         let c = net
             .add_layer(
                 Box::new(ConvLayer::new(name.clone(), p, w, bias).unwrap()),

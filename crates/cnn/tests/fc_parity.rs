@@ -2,8 +2,9 @@
 //! row GEMV at batch 1, the packed GEMM of `W · Xᵀ` at larger batches —
 //! and every output must still be bitwise `gemm(X, Wᵀ)` followed by the
 //! bias and ReLU passes: on every kernel path, at batch 1, 2 and 8,
-//! with and without dead inputs, with and without the fused ReLU, on
-//! one thread and on a two-thread team that splits every multiply.
+//! narrowed or not (input channels at `+0` removed, with their
+//! columns), with and without the fused ReLU, on one thread and on a
+//! two-thread team that splits every multiply.
 //!
 //! The one test in this binary: it forces the process-wide precision
 //! and kernel path for its whole length.
@@ -24,7 +25,7 @@ fn f32_batches_are_bitwise_gemm_of_x_and_w_transposed() {
         kernels::force(Some(path));
         for dead in [&[][..], &[1], &[0, 3]] {
             let mut fc = InnerProductLayer::new("fc_t", w.clone(), bias.clone()).unwrap();
-            fc.set_dead_inputs(&[(4, 3, 3)], &[dead]);
+            fc.narrow(&[(4, 3, 3)], &[dead], &[]).unwrap();
             for batch in [1, 2, 8] {
                 let x = Tensor4::from_fn(batch, 4, 3, 3, |n, c, h, ww| {
                     if dead.contains(&c) {
@@ -34,6 +35,10 @@ fn f32_batches_are_bitwise_gemm_of_x_and_w_transposed() {
                     }
                 });
                 let xm = Matrix::from_vec(batch, 36, x.as_slice().to_vec()).unwrap();
+                let live: Vec<usize> = (0..4).filter(|c| !dead.contains(c)).collect();
+                let narrowed = Tensor4::from_fn(batch, live.len(), 3, 3, |n, c, h, ww| {
+                    x.get(n, live[c], h, ww)
+                });
                 let plain = gemm(&xm, &wt).unwrap();
                 for relu in [false, true] {
                     let want: Vec<f32> = (0..batch * 37)
@@ -52,12 +57,13 @@ fn f32_batches_are_bitwise_gemm_of_x_and_w_transposed() {
                         ws.team = team;
                         let mut y = Tensor4::zeros(0, 0, 0, 0);
                         if relu {
-                            fc.forward_into_fused(&[&x], &mut ws, &mut y).unwrap();
+                            fc.forward_into_fused(&[&narrowed], &mut ws, &mut y)
+                                .unwrap();
                         } else {
-                            fc.forward_into(&[&x], &mut ws, &mut y).unwrap();
+                            fc.forward_into(&[&narrowed], &mut ws, &mut y).unwrap();
                         }
                         let case = format!(
-                            "{} dead {dead:?} batch {batch} relu {relu} on {threads} threads",
+                            "{} narrowed {dead:?} batch {batch} relu {relu} on {threads} threads",
                             path.name()
                         );
                         assert_eq!(bits(y.as_slice()), bits(&want), "{case}");

@@ -255,12 +255,7 @@ fn sparse_fc_runs_int8_under_int8() {
     let calibration = Tensor4::from_fn(4, in_f, 1, 1, |n, c, _, _| (n * in_f + c) as f32 / 50.0);
     fc.observe_input(&[&calibration], CalibrationMethod::MaxAbs);
     let act_scale = symmetric_scale(calibration.as_slice());
-    let all = 0..in_f;
-    let qw = PackedBI8::pack_transposed(
-        &w,
-        std::slice::from_ref(&all),
-        symmetric_scale(w.as_slice()),
-    );
+    let qw = PackedBI8::pack_transposed(&w, symmetric_scale(w.as_slice()));
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     precision::force(Some(Precision::Int8));
     for batch in [1, 8] {

@@ -3,10 +3,10 @@
 //! `A`, an fc multiply by column ranges, a pool or LRN by images or
 //! planes — is **bitwise identical** to the same pass on one thread,
 //! for every conv weight form, batch size and team size, on every
-//! kernel path, branchy nets included. A pruned net's consumers, which
-//! multiply only their producers' live channels, are also held to the
-//! same layers run one by one outside a network, where every channel
-//! is multiplied.
+//! kernel path, branchy nets included — narrowed nets too, whose
+//! grouped convs have groups of uneven widths. A narrowed net is also
+//! held to the same layers before narrowing, run one by one outside a
+//! network, where every channel is multiplied.
 //!
 //! Team size is chosen explicitly (`ForwardArena::with_team`). The
 //! parity teams split from the first unit of work (the test seam
@@ -36,23 +36,23 @@ fn force_lock() -> MutexGuard<'static, ()> {
 }
 
 /// The im2col stored forms a conv layer can multiply with (the
-/// Winograd one has its own suite).
-#[derive(Debug, Clone, Copy)]
+/// Winograd one has its own suite), and a narrowed net: filter-pruned,
+/// then [`Network::narrow`]ed, its convs dense at their new widths.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Form {
     Dense,
-    DenseRows,
+    Narrowed,
     Csr,
     DenseI8,
 }
 
 impl Form {
-    const ALL: [Form; 4] = [Form::Dense, Form::DenseRows, Form::Csr, Form::DenseI8];
+    const ALL: [Form; 4] = [Form::Dense, Form::Narrowed, Form::Csr, Form::DenseI8];
 
     /// `ConvLayer::weight_form_name` of a layer in this form.
     fn name(self) -> &'static str {
         match self {
-            Form::Dense => "dense",
-            Form::DenseRows => "dense-rows",
+            Form::Dense | Form::Narrowed => "dense",
             Form::Csr => "csr",
             Form::DenseI8 => "dense-i8",
         }
@@ -60,7 +60,7 @@ impl Form {
 
     fn precision(self) -> Precision {
         match self {
-            Form::Dense | Form::DenseRows | Form::Csr => Precision::F32,
+            Form::Dense | Form::Narrowed | Form::Csr => Precision::F32,
             Form::DenseI8 => Precision::Int8,
         }
     }
@@ -70,7 +70,7 @@ impl Form {
         let w = xavier_uniform(rows, cols, seed);
         match self {
             Form::Dense | Form::DenseI8 => w,
-            Form::DenseRows => common::filter_pruned_weights(w),
+            Form::Narrowed => common::filter_pruned_weights(w),
             Form::Csr => common::csr_weights(w),
         }
     }
@@ -81,7 +81,9 @@ impl Form {
 /// 11×9 input. Filter counts of 14 and 11 per group are multiples of
 /// neither 4, 6 nor a row band; 99 and 30 output pixels are not whole
 /// panels; 37 and 70 fc columns are not whole 4-panel GEMV steps. Both
-/// convs are in `form` (asserted); the fc layers are dense.
+/// convs are in `form` (asserted); the fc layers are dense. Narrowed,
+/// conv1 keeps 9 filters and conv2 groups of 5 and 4 inputs into 7 and
+/// 8 filters.
 fn awkward_net(form: Form) -> Network {
     let mut net = Network::new("awkward", (3, 11, 9));
     let c1 = Conv2dParams::new(3, 14, 3, 1, 1);
@@ -93,7 +95,7 @@ fn awkward_net(form: Form) -> Network {
             form.name(),
             "{name}"
         );
-        let bias = (0..p.out_channels).map(|i| 0.02 * i as f32 - 0.1).collect();
+        let bias = common::bias_for(&w, 0.02, -0.1);
         net.add_sequential(Box::new(ConvLayer::new(name, p, w, bias).unwrap()))
             .unwrap();
         net.add_sequential(Box::new(ReluLayer::new(format!("{name}-relu"))))
@@ -107,6 +109,11 @@ fn awkward_net(form: Form) -> Network {
     net.add_sequential(Box::new(fc2.unwrap())).unwrap();
     net.add_sequential(Box::new(SoftmaxLayer::new("prob")))
         .unwrap();
+    if form == Form::Narrowed {
+        assert_eq!(net.narrow().unwrap(), 2 * (5 + 7));
+        let conv2 = net.layer("conv2").unwrap();
+        assert!(conv2.weights().is_none(), "conv2's groups are uneven");
+    }
     net
 }
 
@@ -219,11 +226,15 @@ fn inception_images(n: usize, salt: usize) -> Tensor4 {
 
 /// The inception-shaped net with every conv in `form` (asserted).
 fn inception_net(form: Form) -> Network {
-    common::inception_shaped(|filters, taps, seed| {
+    let mut net = common::inception_shaped(|filters, taps, seed| {
         let w = form.weights(filters, taps, seed);
         assert_eq!(common::form_name(&w), form.name());
         w
-    })
+    });
+    if form == Form::Narrowed {
+        assert!(net.narrow().unwrap() > 0);
+    }
+    net
 }
 
 /// What one pass of the inception-shaped `net` in `form` adds to
@@ -233,10 +244,9 @@ fn inception_net(form: Form) -> Network {
 ///
 /// * each conv once by images when the batch fills the team; with
 ///   fewer images than threads, each image's multiply by rows where it
-///   has more than one [`ROW_BLOCK`] of rows to multiply (a
-///   filter-pruned layer multiplies only its kept rows; the CSR form
-///   never splits by rows), after its lowering by panels: two splits
-///   an image;
+///   has more than one [`ROW_BLOCK`] of rows to multiply (a narrowed
+///   layer has only its kept rows; the CSR form never splits by rows),
+///   after its lowering by panels: two splits an image;
 /// * the LRN and the four max pools (stem, cut and one per module)
 ///   once each, by images or planes;
 /// * the fc once, by columns, at every batch.
@@ -246,13 +256,10 @@ fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> 
             return 1;
         }
         let filters = net.shape_of(net.node_id(name).unwrap()).unwrap().0;
-        let rows = match form {
-            Form::Csr => return 0,
-            // `common::filter_pruned_weights` zeroes every row r ≡ 1 (mod 3).
-            Form::DenseRows => filters - (filters + 1) / 3,
-            Form::Dense | Form::DenseI8 => filters,
-        };
-        if rows > ROW_BLOCK {
+        if form == Form::Csr {
+            return 0;
+        }
+        if filters > ROW_BLOCK {
             2 * batch as u64
         } else {
             0
@@ -443,10 +450,10 @@ fn batch1_caffenet_shaped_int8_pass_splits_each_kernel_once_per_band() {
 
 /// conv1 3→14 (3×3) → ReLU → grouped conv2 14→22 (two groups of 7
 /// inputs, stride 2) → ReLU → fc 660→37, on an 11×9 input, with every
-/// third filter of both convs pruned and zero conv biases: conv1's
-/// dead channels 1, 4 | 7, 10, 13 leave conv2's groups 5 and 4 live
+/// third filter of both convs pruned and zero conv biases: narrowed,
+/// conv1's dead channels 1, 4 | 7, 10, 13 leave conv2's groups 5 and 4
 /// inputs, and conv2's leave the fc 15 of 22 maps.
-fn narrowed_layers() -> Vec<Box<dyn Layer>> {
+fn pruned_layers() -> Vec<Box<dyn Layer>> {
     let c1 = Conv2dParams::new(3, 14, 3, 1, 1);
     let c2 = Conv2dParams::grouped(14, 22, 3, 1, 2, 2);
     let conv = |name: &str, p: Conv2dParams, seed| -> Box<dyn Layer> {
@@ -463,22 +470,23 @@ fn narrowed_layers() -> Vec<Box<dyn Layer>> {
     ]
 }
 
-/// The narrowed consumers (conv2 over its live planes, the fc over its
-/// live features) against the same layers run one at a time outside a
-/// network — where each multiplies every channel, the dead ones being
-/// zero planes — bitwise, under f32 and int8, on every kernel path, at
-/// batch 1 and 8, on teams of one to three threads.
+/// The narrowed net (conv2 over its groups' kept inputs, the fc over
+/// its kept features) against the same layers before narrowing, run
+/// one at a time outside a network — where each multiplies every
+/// channel, the pruned ones being zero planes — bitwise, under f32 and
+/// int8, on every kernel path, at batch 1 and 8, on teams of one to
+/// three threads.
 #[test]
-fn narrowed_consumers_match_full_width_layers_on_zero_planes() {
+fn narrowed_net_matches_full_width_layers_on_zero_planes() {
     let _g = force_lock();
     let mut net = Network::new("narrowed", (3, 11, 9));
-    for layer in narrowed_layers() {
+    for layer in pruned_layers() {
         net.add_sequential(layer).unwrap();
     }
-    let dead = |name: &str| net.dead_channels(net.node_id(name).unwrap()).to_vec();
-    assert_eq!(dead("conv1-relu"), [1, 4, 7, 10, 13]);
-    assert_eq!(dead("conv2-relu").len(), 7);
-    let standalone = narrowed_layers();
+    assert_eq!(net.narrow().unwrap(), 2 * (5 + 7));
+    let channels = |name: &str| net.shape_of(net.node_id(name).unwrap()).unwrap().0;
+    assert_eq!((channels("conv1-relu"), channels("conv2-relu")), (9, 15));
+    let standalone = pruned_layers();
     for path in kernels::available_paths() {
         kernels::force(Some(path));
         for precision in [Precision::F32, Precision::Int8] {

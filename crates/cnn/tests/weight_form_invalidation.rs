@@ -1,6 +1,6 @@
-//! A layer decides its weight form (dense, kept rows or CSR) when its
-//! weights are set and builds the derived forms (kept-row and CSR
-//! bands, int8 quantizations) lazily. `set_weights` must drop every one
+//! A layer decides its weight form (dense or CSR) when its weights are
+//! set and builds the derived forms (CSR bands, int8 quantizations)
+//! lazily. `set_weights` must drop every one
 //! of them: after dense → filter-pruned → magnitude-pruned → boundary →
 //! NaN-holding → dense swaps, with the precision override toggled
 //! between passes so each lazy form gets built and then orphaned, every
@@ -13,12 +13,12 @@
 //! dense; under int8 a conv runs dense at every sparsity; and an fc runs
 //! its one dense form at every sparsity, multiplying its zero weights.
 //!
-//! In a network the forms also depend on the layer before: a conv or
-//! fc layer multiplies only the input channels its producer can emit as
-//! non-zero, as the network works out whenever weights are set. Pruning
-//! a conv must narrow its consumer, and restoring the conv's dense
-//! weights must widen it again: after each swap the output is bitwise
-//! a freshly built network's, under both precisions.
+//! Narrowing a network replaces a layer's weights too: the pruned
+//! filters of a producer go, with its consumers' columns for them, and
+//! every form is rebuilt. A narrowed network's output is bitwise the
+//! full-width one's on the same weights, under both precisions, and
+//! the channels it removes are exactly the dead ones: an all-zero
+//! filter with a zero bias, in a layer whose weights are all finite.
 //!
 //! `precision::force` is process-global; this file is its own test
 //! binary, and its tests serialize on one mutex, so nothing races it.
@@ -53,8 +53,8 @@ fn magnitude_pruned(w: Matrix) -> Matrix {
 }
 
 /// Every second row zeroed, the rest left dense, as filter pruning
-/// leaves them: short of the CSR thresholds, so a conv layer runs its
-/// kept rows.
+/// leaves them: short of the CSR threshold, so a conv layer multiplies
+/// them densely until the network is narrowed.
 fn filter_pruned(mut w: Matrix) -> Matrix {
     for r in (0..w.rows()).step_by(2) {
         w.row_mut(r).fill(0.0);
@@ -225,9 +225,9 @@ fn set_weights_drops_every_cached_form() {
 
 /// conv4 (8→12, 3×3) → ReLU → conv5 (12→16, two groups) → ReLU → 2×2
 /// max pool → fc6 (16·3·3 → 20) → ReLU → fc7 (20 → 6), on a 8×6×6
-/// input; zero conv biases, as Caffenet's convs have, so a pruned
-/// conv4 filter is a dead input channel of conv5 and a pruned conv5
-/// filter one of fc6. `conv4_w` and `conv5_w` are those convs' weights.
+/// input; zero conv biases, as Caffenet's convs have, so narrowing
+/// removes a pruned conv4 filter with conv5's input channel for it and
+/// a pruned conv5 filter with fc6's columns for it. `conv4_w` and `conv5_w` are those convs' weights.
 fn pruned_pair_net(conv4_w: &Matrix, conv5_w: &Matrix) -> Network {
     let mut net = Network::new("pair", (8, 6, 6));
     let conv4 = Conv2dParams::new(8, 12, 3, 1, 1);
@@ -251,58 +251,42 @@ fn pruned_pair_net(conv4_w: &Matrix, conv5_w: &Matrix) -> Network {
     net
 }
 
-/// Prune conv5 (fc6 narrows to the live maps), then set conv5's dense
-/// weights back (fc6 returns to full depth); the same with conv4 and
-/// its consumer conv5: after each swap, and after passes that built
-/// every lazy form of the swap before, the network's output is bitwise
-/// that of a network built fresh with the same weights — under f32 and
+/// Every combination of conv4 and conv5 dense or filter-pruned,
+/// narrowed: relu4 keeps 12 − 6 channels when conv4 is pruned and pool5
+/// 16 − 8 when conv5 is (conv5's two groups unevenly), and the output is
+/// bitwise the full-width network's on the same weights — under f32 and
 /// int8, on one thread and a team of two.
 #[test]
-fn pruning_a_producer_narrows_its_consumer_and_restoring_widens_it() {
+fn a_narrowed_pair_matches_the_full_width_one() {
     let _g = force_lock();
     let (dense4, dense5) = (xavier_uniform(12, 72, 40), xavier_uniform(16, 54, 43));
     let (pruned4, pruned5) = (filter_pruned(dense4.clone()), filter_pruned(dense5.clone()));
     let x = Tensor4::from_fn(3, 8, 6, 6, |n, c, h, w| {
         ((n * 7 + c * 3 + h * 5 + w) % 11) as f32 / 5.0 - 1.0
     });
-    // Built pruned, so the consumers' first forms are the narrowed ones.
-    let mut net = pruned_pair_net(&pruned4, &pruned5);
     let run = |net: &Network, threads: usize| {
         let mut arena = ForwardArena::with_team(Team::new(threads).with_min_part_macs(0));
         bits(net.forward_into(&x, &mut arena).unwrap())
     };
-    // (round, conv4, conv5, dead channels of relu4 and of pool5). Only
-    // the layer that changes is set, so a consumer's forms built in the
-    // round before are stale unless the new dead channels drop them: a
-    // stale narrowed form drops channels that are live again.
-    let mut set = (&pruned4, &pruned5);
-    for (round, w4, w5, dead) in [
+    // (round, conv4, conv5, channels removed from relu4 and from pool5)
+    for (round, w4, w5, gone) in [
         ("both pruned", &pruned4, &pruned5, (6, 8)),
-        ("conv5 restored", &pruned4, &dense5, (6, 0)),
-        ("conv4 restored", &dense4, &dense5, (0, 0)),
+        ("conv4 pruned", &pruned4, &dense5, (6, 0)),
         ("conv5 pruned", &dense4, &pruned5, (0, 8)),
-        ("conv4 pruned", &pruned4, &pruned5, (6, 8)),
-        ("conv4 restored again", &dense4, &pruned5, (0, 8)),
-        ("conv5 restored again", &dense4, &dense5, (0, 0)),
+        ("dense", &dense4, &dense5, (0, 0)),
     ] {
-        if !std::ptr::eq(set.0, w4) {
-            net.set_layer_weights("conv4", w4.clone()).unwrap();
-        }
-        if !std::ptr::eq(set.1, w5) {
-            net.set_layer_weights("conv5", w5.clone()).unwrap();
-        }
-        set = (w4, w5);
-        let fresh = pruned_pair_net(w4, w5);
-        for (layer, want) in [("relu4", dead.0), ("pool5", dead.1)] {
+        let full = pruned_pair_net(w4, w5);
+        let mut net = pruned_pair_net(w4, w5);
+        assert_eq!(net.narrow().unwrap(), 2 * gone.0 + 3 * gone.1, "{round}");
+        for (layer, gone, of) in [("relu4", gone.0, 12), ("pool5", gone.1, 16)] {
             let id = net.node_id(layer).unwrap();
-            assert_eq!(net.dead_channels(id).len(), want, "{round}: {layer}");
-            assert_eq!(fresh.dead_channels(id), net.dead_channels(id));
+            assert_eq!(net.shape_of(id).unwrap().0, of - gone, "{round}: {layer}");
         }
         for precision in [Precision::F32, Precision::Int8] {
             precision::force(Some(precision));
             for threads in [1, 2] {
                 let what = format!("{round} {precision:?} team {threads}");
-                assert!(run(&net, threads) == run(&fresh, threads), "{what}");
+                assert!(run(&net, threads) == run(&full, threads), "{what}");
             }
         }
         precision::force(None);
@@ -310,40 +294,45 @@ fn pruning_a_producer_narrows_its_consumer_and_restoring_widens_it() {
 }
 
 /// One dead-row rule for both weighted layer kinds, read through
-/// `Network::dead_channels`: an all-zero row with a zero bias is dead;
-/// a non-zero bias keeps it live; a NaN or infinite weight anywhere in
-/// the layer leaves nothing dead (int8 would quantize at a non-finite
-/// scale, and `0·inf` reads NaN on the dense forms).
+/// [`Network::narrow`] with a ReLU and an fc after the layer: an
+/// all-zero row with a zero bias goes; a non-zero bias keeps it; a NaN
+/// or infinite weight anywhere in the layer keeps every row (int8 would
+/// quantize at a non-finite scale, and `0·inf` reads NaN on the dense
+/// forms), and so does one in the fc's columns.
 #[test]
 fn one_dead_row_rule_for_conv_and_fc_producers() {
     // (case, bias of the all-zero row 2, a non-finite weight at (row,
-    // column), the dead channels)
-    type Case = (
-        &'static str,
-        f32,
-        Option<(usize, usize, f32)>,
-        &'static [usize],
-    );
-    let cases: [Case; 5] = [
-        ("zero row, zero bias", 0.0, None, &[2]),
-        ("zero row, non-zero bias", 0.5, None, &[]),
+    // column), a non-finite fc weight, the channels removed)
+    type Case = (&'static str, f32, Option<(usize, usize, f32)>, bool, usize);
+    let cases: [Case; 6] = [
+        ("zero row, zero bias", 0.0, None, false, 1),
+        ("zero row, non-zero bias", 0.5, None, false, 0),
         (
             "NaN weight in another row",
             0.0,
             Some((0, 1, f32::NAN)),
-            &[],
+            false,
+            0,
         ),
         (
             "inf weight in another row",
             0.0,
             Some((4, 3, f32::INFINITY)),
-            &[],
+            false,
+            0,
         ),
-        ("-inf weight", 0.0, Some((1, 0, f32::NEG_INFINITY)), &[]),
+        (
+            "-inf weight",
+            0.0,
+            Some((1, 0, f32::NEG_INFINITY)),
+            false,
+            0,
+        ),
+        ("inf weight in the consumer", 0.0, None, true, 0),
     ];
     let conv = Conv2dParams::new(4, 5, 1, 0, 1);
-    for (case, bias2, non_finite, dead) in cases {
-        for (kind, cols) in [("conv", 4), ("fc", 36)] {
+    for (case, bias2, non_finite, hot_consumer, gone) in cases {
+        for (kind, cols, plane) in [("conv", 4, 9), ("fc", 36, 1)] {
             let mut w = xavier_uniform(5, cols, 71);
             w.row_mut(2).fill(0.0);
             if let Some((r, c, v)) = non_finite {
@@ -355,9 +344,18 @@ fn one_dead_row_rule_for_conv_and_fc_producers() {
                 "conv" => Box::new(ConvLayer::new("producer", conv, w, bias).unwrap()),
                 _ => Box::new(InnerProductLayer::new("producer", w, bias).unwrap()),
             };
+            let mut consumer = xavier_uniform(3, 5 * plane, 72);
+            if hot_consumer {
+                consumer.set(1, 2 * plane, f32::INFINITY);
+            }
             let mut net = Network::new("dead-rows", (4, 3, 3));
             let id = net.add_sequential(layer).unwrap();
-            assert_eq!(net.dead_channels(id), dead, "{kind}: {case}");
+            net.add_sequential(Box::new(ReluLayer::new("relu")))
+                .unwrap();
+            let fc = InnerProductLayer::new("consumer", consumer, vec![0.0; 3]);
+            net.add_sequential(Box::new(fc.unwrap())).unwrap();
+            assert_eq!(net.narrow().unwrap(), 2 * gone, "{kind}: {case}");
+            assert_eq!(net.shape_of(id).unwrap().0, 5 - gone, "{kind}: {case}");
         }
     }
 }

@@ -413,12 +413,13 @@ fn steady_state_inference_allocates_nothing() {
     });
     assert_eq!(allocs, 0, "shrunken batch must reuse grown buffers");
 
-    // The filter-pruned conv route: whole filters zeroed, as L1 filter
-    // pruning leaves them, so both convs multiply their kept rows only
-    // and move them into place inside the output band. Warm-up absorbs
-    // the lazy kept-row copy; steady state must stay silent, and the
-    // arena — activations and kernel scratch — must be no larger than
-    // the dense net's.
+    // The narrowed route: whole filters zeroed, as L1 filter pruning
+    // leaves them, then the net narrowed — conv1's five pruned filters
+    // (zero bias) gone, the LRN sliding over its kept channels' window
+    // positions, conv2's groups left 1 and 2 input channels (its own
+    // zero filters, with a bias of 0.1, stay). Warm-up absorbs the lazy
+    // forms; steady state must stay silent, and the arena — activations
+    // and kernel scratch — must be no larger than the dense net's.
     {
         let mut pruned_net = caffenet_shaped();
         for name in ["conv1", "conv2"] {
@@ -428,6 +429,8 @@ fn steady_state_inference_allocates_nothing() {
             }
             pruned_net.set_layer_weights(name, w).unwrap();
         }
+        assert_eq!(pruned_net.narrow().unwrap(), 4 * 5);
+        assert!(pruned_net.layer("conv2").unwrap().weights().is_none());
         let mut pruned_arena = ForwardArena::new();
         for _ in 0..3 {
             pruned_net.forward_into(&images, &mut pruned_arena).unwrap();
@@ -435,10 +438,7 @@ fn steady_state_inference_allocates_nothing() {
         let allocs = min_allocs_over(5, 10, || {
             pruned_net.forward_into(&images, &mut pruned_arena).unwrap();
         });
-        assert_eq!(
-            allocs, 0,
-            "filter-pruned conv (kept rows) must not allocate (got {allocs})",
-        );
+        assert_eq!(allocs, 0, "a narrowed net must not allocate (got {allocs})",);
         net.forward_into(&images, &mut arena).unwrap();
         assert!(pruned_arena.reserved_bytes() <= arena.reserved_bytes());
         assert!(pruned_arena.scratch_bytes() > 0);
@@ -486,7 +486,7 @@ fn steady_state_inference_allocates_nothing() {
         // image.
         let p = INT8_CONV2;
         let w2 = xavier_uniform(32, p.col_rows(), 32);
-        let bands = ConvWeights::i8_bands(&w2, &p, &[]).unwrap();
+        let bands = ConvWeights::i8_bands(&w2, &p).unwrap();
         let x = Tensor4::from_fn(1, 128, 5, 5, |_, c, h, w| {
             ((c + h * 3 + w) % 9) as f32 / 9.0
         });

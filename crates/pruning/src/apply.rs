@@ -21,8 +21,14 @@ pub enum PruneAlgorithm {
 
 /// Prune the named layers of `net` in place according to `spec`.
 ///
-/// Returns the achieved weight sparsity per layer, in spec order.
-/// Errors if a spec'd layer does not exist or carries no weights.
+/// Returns the achieved weight sparsity per layer, in spec order, as
+/// pruning left each layer's weights. Under [`PruneAlgorithm::FilterL1`]
+/// the pruned version is then narrowed ([`Network::narrow`]): every
+/// pruned filter whose output is `+0` on every input is removed, with
+/// its channel in each consumer, as Li et al. remove a pruned filter's
+/// feature map and the next layer's kernels for it. The network is then
+/// smaller and faster to run, and computes the same values. Errors if
+/// a spec'd layer does not exist or carries no weights.
 pub fn apply_to_network(
     net: &mut Network,
     spec: &PruneSpec,
@@ -51,6 +57,9 @@ pub fn apply_to_network(
         let sparsity = weights.sparsity(0.0);
         net.set_layer_weights(layer_name, weights)?;
         achieved.push((layer_name.to_string(), sparsity));
+    }
+    if algorithm == PruneAlgorithm::FilterL1 {
+        net.narrow()?;
     }
     Ok(achieved)
 }
@@ -89,14 +98,35 @@ mod tests {
 
     #[test]
     fn filter_pruning_zeroes_whole_rows() {
+        // conv2 is the network's output, whose channels stay: its
+        // pruned filters remain as zero rows.
         let mut n = net();
-        let spec = PruneSpec::single("conv1", 0.5);
+        let spec = PruneSpec::single("conv2", 0.5);
         apply_to_network(&mut n, &spec, PruneAlgorithm::FilterL1).unwrap();
-        let w = n.layer("conv1").unwrap().weights().unwrap().clone();
+        let w = n.layer("conv2").unwrap().weights().unwrap().clone();
         let zero_rows = (0..w.rows())
             .filter(|&r| w.row(r).iter().all(|&v| v == 0.0))
             .count();
         assert_eq!(zero_rows, 4);
+    }
+
+    #[test]
+    fn filter_pruning_narrows_the_network() {
+        // conv1's four pruned filters (zero bias, ReLU) are gone, with
+        // conv2's columns for them; the sparsity pruning gave conv1 is
+        // still what it reports.
+        let mut n = net();
+        let spec = PruneSpec::single("conv1", 0.5);
+        let achieved = apply_to_network(&mut n, &spec, PruneAlgorithm::FilterL1).unwrap();
+        assert_eq!(achieved, vec![("conv1".to_string(), 0.5)]);
+        let conv1 = n.layer("conv1").unwrap();
+        assert_eq!(conv1.weights().unwrap().shape(), (4, 27));
+        assert_eq!(conv1.weight_sparsity(), 0.5);
+        assert_eq!(
+            n.layer("conv2").unwrap().weights().unwrap().shape(),
+            (8, 36)
+        );
+        assert_eq!(n.shape_of(n.node_id("relu1").unwrap()).unwrap(), (4, 8, 8));
     }
 
     #[test]

@@ -70,23 +70,24 @@ pub fn demo_network(seed: u64) -> Network {
 /// (L1 filter pruning on both conv layers, the paper's algorithm), with
 /// a service model derived from the network's MAC count.
 ///
-/// Filter pruning zeroes weights but keeps dense shapes, so the MAC
-/// count is unchanged; the *time* benefit of sparsity is modeled by
-/// scaling the dense service time with `1 − 0.7·ratio` (sparse
-/// execution recovers ~70 % of the pruned fraction — a calibration
-/// assumption, stated here so the experiment can be read honestly).
+/// The service model is the dense network's MAC count, taken before
+/// pruning narrows the network; the *time* benefit of pruning is
+/// modeled by scaling the dense service time with `1 − 0.7·ratio`
+/// (pruned execution recovers ~70 % of the pruned fraction — a
+/// calibration assumption, stated here so the experiment can be read
+/// honestly). Charging the narrowed MACs too would count pruning twice.
 /// A pruned tenant therefore serves faster and batches larger under
 /// the same SLO, which is exactly the cost-accuracy trade the paper
 /// prices.
 pub fn pruned_tenant(name: &str, seed: u64, prune_ratio: f64) -> (TenantConfig, Network) {
     let mut net = demo_network(seed);
+    let time_factor = 1.0 - 0.7 * prune_ratio.clamp(0.0, 1.0);
+    let service = ServiceModel::from_network(&net, DEMO_MACS_PER_US, time_factor);
     if prune_ratio > 0.0 {
         let spec = PruneSpec::uniform(&["conv1", "conv2"], prune_ratio);
         apply_to_network(&mut net, &spec, PruneAlgorithm::FilterL1)
             .expect("demo network has the layers the spec names");
     }
-    let time_factor = 1.0 - 0.7 * prune_ratio.clamp(0.0, 1.0);
-    let service = ServiceModel::from_network(&net, DEMO_MACS_PER_US, time_factor);
     (TenantConfig::new(name, service), net)
 }
 

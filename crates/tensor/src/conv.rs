@@ -1,7 +1,6 @@
 //! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
-//! ([`ConvWeights`]: f32 dense, dense over the kept filters and live
-//! input channels only, CSR, or Winograd-transformed; or int8 dense
-//! over the kept filters and live channels) and the one driver ([`conv2d`])
+//! ([`ConvWeights`]: f32 dense, as one matrix or one band per group,
+//! CSR, or Winograd-transformed; or int8 dense) and the one driver ([`conv2d`])
 //! every form runs through — im2col + GEMM, or for the Winograd form
 //! F(2×2, 3×3) tiles + 16 GEMMs ([`mod@crate::winograd`]). The direct
 //! sliding-window oracles live in [`crate::reference`].
@@ -19,7 +18,6 @@ use crate::tensor4::Tensor4;
 use crate::winograd::{self, Tiles, WinogradBand, POSITIONS};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Start a clock for the GEMM/im2col time split, only when timed
@@ -195,140 +193,33 @@ impl Conv2dParams {
     }
 }
 
-/// One channel group of a narrowed weight form: the filters it keeps
-/// and the input channels it reads. `rows` are the ascending in-group
-/// indices of the filters that hold a non-zero weight — filter pruning
-/// zeroes the others, which are left out. `live` are the ascending
-/// in-group input channels the multiply reads: every channel but the
-/// *dead* ones, which the layer before emits as exactly `+0`
-/// whatever the input (a filter it pruned, passed on through ReLU,
-/// pooling or LRN), and whose column blocks here are all finite.
-/// `weights` are those rows restricted to those channels' `kh × kw`
-/// column blocks: a row-major f32 copy (`rows × live·kh·kw`) for
-/// [`ConvWeights::DenseRows`], a [`QuantizedA`] of it for
-/// [`ConvWeights::DenseI8`]. Built by [`ConvWeights::kept_row_bands`]
-/// and [`ConvWeights::i8_bands`].
-#[derive(Debug, Clone)]
-pub struct KeptRows<W = Vec<f32>> {
-    rows: Vec<usize>,
-    live: Vec<usize>,
-    weights: W,
-}
-
-impl<W> KeptRows<W> {
-    /// Live input channels, ascending in-group indices.
-    pub fn live(&self) -> &[usize] {
-        &self.live
-    }
-}
-
-/// Finish a group's output band whose head holds the plain product of
-/// the kept `rows`: back to front, move product row `i` to output row
-/// `rows[i]` with the bias and ReLU applied on the way, and fill every
-/// other row with the constant its all-zero filter yields. Back to
-/// front because `rows[i] >= i`: a row's destination never holds a
-/// product row that has yet to move.
-fn spread(rows: &[usize], dst: &mut [f32], n_out: usize, bias: Option<&[f32]>, relu: bool) {
-    let finish = |v: f32, b: Option<f32>| kernels::scalar::epilogue_one(v, b, relu);
-    let mut kept = rows.len();
-    for r in (0..dst.len() / n_out.max(1)).rev() {
-        let b = bias.map(|b| b[r]);
-        let (head, tail) = dst.split_at_mut(r * n_out);
-        let row = &mut tail[..n_out];
-        if kept > 0 && rows[kept - 1] == r {
-            kept -= 1;
-            if kept == r {
-                row.iter_mut().for_each(|v| *v = finish(*v, b));
-            } else {
-                let product = &head[kept * n_out..(kept + 1) * n_out];
-                for (d, &s) in row.iter_mut().zip(product) {
-                    *d = finish(s, b);
-                }
-            }
-        } else {
-            row.fill(finish(0.0, b));
-        }
-    }
-}
-
-/// Group `g`'s kept filters and live input channels (see [`KeptRows`])
-/// and their weights gathered row-major, from dense `weights` and the
-/// layer's `dead` input channels (`dead[c]`: channel `c` is `+0`).
-fn kept_band(weights: &Matrix, params: &Conv2dParams, dead: &[bool], g: usize) -> KeptRows {
-    let (cpg, opg, taps) = (
-        params.in_per_group(),
-        params.out_per_group(),
-        params.kh * params.kw,
-    );
-    let rows: Vec<usize> = (0..opg)
-        .filter(|&r| weights.row(g * opg + r).iter().any(|&v| v != 0.0))
-        .collect();
-    // A dead channel stays when a weight on it is not finite: `inf·0`
-    // is NaN, which leaving the product out would hide.
-    let live: Vec<usize> = (0..cpg)
-        .filter(|&c| {
-            !dead[g * cpg + c]
-                || rows.iter().any(|&r| {
-                    let block = &weights.row(g * opg + r)[c * taps..(c + 1) * taps];
-                    block.iter().any(|v| !v.is_finite())
-                })
-        })
-        .collect();
-    let mut band = Vec::with_capacity(rows.len() * live.len() * taps);
-    for &r in &rows {
-        let row = weights.row(g * opg + r);
-        for &c in &live {
-            band.extend_from_slice(&row[c * taps..(c + 1) * taps]);
-        }
-    }
-    KeptRows {
-        rows,
-        live,
-        weights: band,
-    }
-}
-
-/// `dead` input channels as a mask over the layer's input channels.
-fn dead_mask(params: &Conv2dParams, dead: &[usize]) -> TensorResult<Vec<bool>> {
-    let mut mask = vec![false; params.in_channels];
-    for &c in dead {
-        *mask.get_mut(c).ok_or_else(|| {
-            ShapeError::new(format!(
-                "conv: dead input channel {c} of {}",
-                params.in_channels
-            ))
-        })? = true;
-    }
-    Ok(mask)
-}
-
-/// The weight operand of [`conv2d`]: which stored form of the
-/// `out_channels × in_per_group*kh*kw` filter matrix the multiply runs
-/// on. A borrowed, `Copy` view — the owner (a layer, a test) keeps
-/// whichever forms it needs and hands one over per call.
+/// The weight operand of [`conv2d`]: which stored form of the filters
+/// the multiply runs on. A borrowed, `Copy` view — the owner (a layer,
+/// a test) keeps whichever forms it needs and hands one over per call.
 ///
-/// Every banded form holds one entry per channel group, each standing
-/// for `out_per_group` rows; [`ConvWeights::kept_row_bands`],
+/// Every banded form holds one entry per channel group, and each band
+/// carries its group's own widths: its filter count (output channels)
+/// and the input channels it reads (its depth over `kh × kw`). The
+/// widths of the groups sum to the geometry's `out_channels` and
+/// `in_channels`, and may differ from group to group: a narrowed
+/// grouped conv (`cap_cnn::Network::narrow`) keeps whichever filters
+/// and input channels of each group survived pruning. Only
+/// [`ConvWeights::Dense`] needs groups of one width.
 /// [`ConvWeights::csr_bands`], [`ConvWeights::winograd_bands`] and
-/// [`ConvWeights::i8_bands`] build them from the dense matrix.
+/// [`ConvWeights::i8_bands`] build the bands from a dense matrix of
+/// even groups; [`WinogradBand::transform`], [`CsrMatrix::from_dense`]
+/// and [`QuantizedA::quantize`] build one band from one group's filters.
 #[derive(Debug, Clone, Copy)]
 pub enum ConvWeights<'a> {
-    /// Dense f32. Group `g`'s filters are the contiguous row band
-    /// `g*out_per_group..`, so no per-group copy exists. Lowering is
-    /// the fused im2col-and-pack; the multiply is [`gemm_packed`].
+    /// Dense f32, every group `out_per_group × col_rows`: group `g`'s
+    /// filters are the contiguous row band `g*out_per_group..`, so no
+    /// per-group copy exists. Lowering is the fused im2col-and-pack;
+    /// the multiply is [`gemm_packed`].
     Dense(&'a Matrix),
-    /// Dense f32 over the kept filters and the live input channels
-    /// only ([`KeptRows`]), for filter-pruned weights (whole rows zero)
-    /// or an input with dead channels: the same lowering and
-    /// [`gemm_packed`] as [`ConvWeights::Dense`] on a matrix with the
-    /// zero rows and the dead channels' columns removed, lowering only
-    /// the live planes, so cost scales with the filters that remain and
-    /// the channels that can be non-zero — this is how filter pruning
-    /// turns into wall-clock savings, in the pruned layer and in the
-    /// one after it. Kept channels are bitwise equal to `Dense` on the
-    /// same weights (see [`conv2d`] for when); pruned channels hold
-    /// `epi(0.0 + bias)`.
-    DenseRows(&'a [KeptRows]),
+    /// Dense f32 as one row-major `out_g × in_g·kh·kw` matrix per group:
+    /// [`ConvWeights::Dense`] for groups of uneven widths, with the same
+    /// lowering and multiply, so the same bits per output.
+    Bands(&'a [Matrix]),
     /// f32 CSR, for weights with unstructured sparsity: cost scales
     /// with stored values, at a per-value price several times the
     /// dense kernel's, so it pays only at high sparsity. Lowering is
@@ -336,7 +227,7 @@ pub enum ConvWeights<'a> {
     Csr(&'a [CsrMatrix]),
     /// Dense f32 in Winograd F(2×2, 3×3) form, for 3×3 stride-1 pad-1
     /// convolutions only ([`winograd::fits`]): per group the 16
-    /// `out_per_group × in_per_group` matrices `U = G g Gᵀ`. Lowering
+    /// `out_g × in_g` matrices `U = G g Gᵀ`. Lowering
     /// is the input transform `Bᵀ d B` of every 2×2-output tile, packed
     /// as 16 panel matrices; the multiply is 16 [`gemm_packed`]s and
     /// the output transform `Aᵀ M A`, with the bias and ReLU, stored in
@@ -346,39 +237,19 @@ pub enum ConvWeights<'a> {
     Winograd(&'a [WinogradBand]),
     /// Int8 dense: pre-quantized weight bands against activations
     /// quantized with `act_scale` (calibrated, or the caller's max-abs
-    /// estimate) — each input image once, before lowering, its live
-    /// planes only; the lowering moves i8 straight into the
-    /// quad-interleaved panel layout; the multiply is [`gemm_i8`] over
-    /// the kept rows and live channels, dequantizing by `weight scale ·
-    /// act_scale` in its store. A band keeping every row and channel
-    /// is the plain dense int8 multiply; the others drop exactly the
-    /// zero terms of its exact integer sums, so every form of the same
-    /// weights gives the same bits.
+    /// estimate) — each input image once, before lowering; the lowering
+    /// moves i8 straight into the quad-interleaved panel layout; the
+    /// multiply is [`gemm_i8`], dequantizing by `weight scale ·
+    /// act_scale` in its store.
     DenseI8 {
-        /// Quantized weight bands.
-        bands: &'a [KeptRows<QuantizedA>],
+        /// Quantized weight bands, `out_g × in_g·kh·kw` each.
+        bands: &'a [QuantizedA],
         /// Activation quantization scale for this call.
         act_scale: f32,
     },
 }
 
 impl ConvWeights<'_> {
-    /// Per-group split of dense `weights` into the rows that hold a
-    /// non-zero weight (a NaN counts as one), restricted to the input
-    /// channels that are live given the layer's `dead` input channels
-    /// (any order; see [`KeptRows`]).
-    pub fn kept_row_bands(
-        weights: &Matrix,
-        params: &Conv2dParams,
-        dead: &[usize],
-    ) -> TensorResult<Vec<KeptRows>> {
-        params.check_weights(weights.shape())?;
-        let dead = dead_mask(params, dead)?;
-        Ok((0..params.groups)
-            .map(|g| kept_band(weights, params, &dead, g))
-            .collect())
-    }
-
     /// Per-group CSR split of dense `weights` (zeros dropped; index
     /// arithmetic only, no densify round-trip).
     pub fn csr_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<CsrMatrix>> {
@@ -394,12 +265,7 @@ impl ConvWeights<'_> {
         params: &Conv2dParams,
     ) -> TensorResult<Vec<WinogradBand>> {
         params.check_weights(weights.shape())?;
-        if !winograd::fits(params) {
-            return Err(ShapeError::new(format!(
-                "conv: Winograd needs a 3x3 stride-1 pad-1 kernel, got {}x{} stride {} pad {}",
-                params.kh, params.kw, params.stride, params.pad
-            )));
-        }
+        winograd::check_fits(params)?;
         let (opg, col_rows) = (params.out_per_group(), params.col_rows());
         Ok(weights
             .as_slice()
@@ -408,93 +274,79 @@ impl ConvWeights<'_> {
             .collect())
     }
 
-    /// Per-group int8 quantization of dense `weights` over the kept
-    /// rows and live channels ([`ConvWeights::kept_row_bands`]), one
-    /// max-abs scale over the whole layer (per-layer symmetric
-    /// quantization), so a weight quantizes alike whichever rows and
-    /// channels are left out.
-    pub fn i8_bands(
-        weights: &Matrix,
-        params: &Conv2dParams,
-        dead: &[usize],
-    ) -> TensorResult<Vec<KeptRows<QuantizedA>>> {
+    /// Per-group int8 quantization of dense `weights`, one max-abs scale
+    /// over the whole layer (per-layer symmetric quantization).
+    pub fn i8_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<QuantizedA>> {
+        params.check_weights(weights.shape())?;
         let scale = symmetric_scale(weights.as_slice());
-        let taps = params.kh * params.kw;
-        Ok(Self::kept_row_bands(weights, params, dead)?
-            .into_iter()
-            .map(|band| {
-                let (rows, depth) = (band.rows.len(), band.live.len() * taps);
-                KeptRows {
-                    weights: QuantizedA::quantize(&band.weights, rows, depth, scale),
-                    rows: band.rows,
-                    live: band.live,
-                }
-            })
+        let (opg, col_rows) = (params.out_per_group(), params.col_rows());
+        Ok(weights
+            .as_slice()
+            .chunks_exact((opg * col_rows).max(1))
+            .map(|band| QuantizedA::quantize(band, opg, col_rows, scale))
             .collect())
     }
 
-    /// Check this form against the geometry: the dense matrix's shape,
-    /// or one `out_per_group × col_rows` band per group.
-    fn check(&self, params: &Conv2dParams) -> TensorResult<()> {
-        fn bands(
-            mut shapes: impl ExactSizeIterator<Item = (usize, usize)>,
-            params: &Conv2dParams,
-        ) -> TensorResult<()> {
-            let expected = (params.out_per_group(), params.col_rows());
-            if shapes.len() != params.groups || shapes.any(|shape| shape != expected) {
-                return Err(ShapeError::new(format!(
-                    "conv: expected {} weight bands of {expected:?}",
-                    params.groups
-                )));
-            }
-            Ok(())
-        }
-        // Narrowed bands: indices within the group, and weights that
-        // `holds(weights, rows, depth)` says are `rows × live·kh·kw`.
-        fn kept<W>(
-            b: &[KeptRows<W>],
-            holds: impl Fn(&W, usize, usize) -> bool,
-            params: &Conv2dParams,
-        ) -> TensorResult<()> {
-            let fits = |band: &KeptRows<W>| {
-                let depth = band.live.len() * params.kh * params.kw;
-                holds(&band.weights, band.rows.len(), depth)
-                    && band.rows.last().is_none_or(|&r| r < params.out_per_group())
-                    && band.live.last().is_none_or(|&c| c < params.in_per_group())
-            };
-            if b.len() != params.groups || !b.iter().all(fits) {
-                return Err(ShapeError::new(format!(
-                    "conv: expected {} kept-row bands within {:?}",
-                    params.groups,
-                    (params.out_per_group(), params.col_rows())
-                )));
-            }
-            Ok(())
-        }
-        match self {
-            ConvWeights::Dense(w) => params.check_weights(w.shape()),
-            ConvWeights::DenseRows(b) => kept(b, |w, rows, depth| w.len() == rows * depth, params),
-            ConvWeights::Csr(b) => bands(b.iter().map(|m| m.shape()), params),
+    /// Group `g`'s `(input channels, filters, depth)`: the depth is what
+    /// its band holds per filter, `input channels × kh × kw` in a valid
+    /// form (a Winograd band's per-tap depth is its input channels).
+    fn band_shape(&self, params: &Conv2dParams, g: usize) -> (usize, usize, usize) {
+        let taps = params.kh * params.kw;
+        let (rows, depth) = match self {
+            ConvWeights::Dense(_) => (params.out_per_group(), params.col_rows()),
+            ConvWeights::Bands(b) => b[g].shape(),
+            ConvWeights::Csr(b) => b[g].shape(),
             ConvWeights::Winograd(b) => {
-                let expected = (params.out_per_group(), params.in_per_group());
-                if !winograd::fits(params)
-                    || b.len() != params.groups
-                    || b.iter().any(|band| band.shape() != expected)
-                {
-                    return Err(ShapeError::new(format!(
-                        "conv: expected {} Winograd bands of {expected:?} for a 3x3 \
-                         stride-1 pad-1 kernel",
-                        params.groups
-                    )));
-                }
-                Ok(())
+                let (rows, cin) = b[g].shape();
+                return (cin, rows, cin * taps);
             }
-            ConvWeights::DenseI8 { bands: b, .. } => kept(
-                b,
-                |q, rows, depth| (q.rows(), q.k()) == (rows, depth),
-                params,
-            ),
+            ConvWeights::DenseI8 { bands, .. } => (bands[g].rows(), bands[g].k()),
+        };
+        (depth / taps.max(1), rows, depth)
+    }
+
+    /// Check this form against the geometry: the dense matrix's shape,
+    /// or one band per group whose widths sum to the geometry's
+    /// channels, each `filters × input channels·kh·kw`.
+    fn check(&self, params: &Conv2dParams) -> TensorResult<()> {
+        let bands = match self {
+            ConvWeights::Dense(w) => {
+                params.validate()?;
+                return params.check_weights(w.shape());
+            }
+            ConvWeights::Bands(b) => b.len(),
+            ConvWeights::Csr(b) => b.len(),
+            ConvWeights::Winograd(b) => b.len(),
+            ConvWeights::DenseI8 { bands, .. } => bands.len(),
+        };
+        if params.groups == 0 || bands != params.groups {
+            return Err(ShapeError::new(format!(
+                "conv: {bands} weight bands for {} groups",
+                params.groups
+            )));
         }
+        if let ConvWeights::Winograd(_) = self {
+            winograd::check_fits(params)?;
+        }
+        let (mut cin, mut rows) = (0, 0);
+        for g in 0..bands {
+            let (c, r, depth) = self.band_shape(params, g);
+            if depth != c * params.kh * params.kw {
+                return Err(ShapeError::new(format!(
+                    "conv: weight band {g} is {depth} deep, not a whole number of {}x{} kernels",
+                    params.kh, params.kw
+                )));
+            }
+            (cin, rows) = (cin + c, rows + r);
+        }
+        if (cin, rows) != (params.in_channels, params.out_channels) {
+            return Err(ShapeError::new(format!(
+                "conv: weight bands read {cin} input channels into {rows} filters, \
+                 expected {} into {}",
+                params.in_channels, params.out_channels
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -508,10 +360,17 @@ impl ConvWeights<'_> {
 /// form multiplies against, **multiply** with the bias (per output channel)
 /// and an optional ReLU folded into the store ([`Epilogue`]), writing
 /// straight into the group's band of the output image — an
-/// `out_per_group × oh*ow` row-major matrix in place, so nothing is
+/// `out_g × oh*ow` row-major matrix in place, so nothing is
 /// copied afterwards. `relu` appends the `forward_into`-flavor ReLU;
 /// the result is bitwise identical to the unfused convolution followed
 /// by a standalone ReLU layer, on every kernel path.
+///
+/// Each group reads its own input channels and writes its own filters'
+/// output channels, in group order, at the widths its band carries (see
+/// [`ConvWeights`]): groups of uneven widths are how a filter-pruned
+/// grouped conv runs once it is narrowed. A group with no input channel
+/// is its bias broadcast through the epilogue; one with no filter
+/// writes nothing.
 ///
 /// The int8 form **quantizes** each input image once, straight into its
 /// padded layout, and lower in int8: lowering only copies values and
@@ -532,28 +391,10 @@ impl ConvWeights<'_> {
 /// [`mod@crate::winograd`]), but its bits do not depend on the kernel
 /// path, the team or the batch either.
 ///
-/// The narrowed forms ([`ConvWeights::DenseRows`], and
-/// [`ConvWeights::DenseI8`] over its [`KeptRows`]) treat a pruned
-/// filter as absent rather than as zeros. A group whose filters are all
-/// pruned, or whose input channels are all dead, is neither lowered nor
-/// multiplied, and a layer with every filter pruned is its bias
-/// broadcast. With non-finite activations a pruned channel still reads
-/// `epi(0.0 + bias)`, where [`ConvWeights::Dense`] on the same weights
-/// reads NaN (`0·inf`).
-///
-/// They also skip the input channels a [`KeptRows`] leaves out: only
-/// the live planes are padded and lowered (or quantized), and the
-/// multiply's depth is `live × kh × kw`. A channel is left out only
-/// when the caller says it is dead — exactly `+0` in every image — and
-/// every weight on it is finite, so each dropped term is `w·(+0)`, a
-/// signed zero. The f32 sums start at `+0` and add one fused
-/// multiply-add per term in ascending order, so they never hold `-0`,
-/// and adding a zero to a sum that is not `-0` leaves it as it was;
-/// the int8 sums are exact integers. The bias is added after the sum
-/// in both. So dropping the dead channels changes no output bit,
-/// against [`ConvWeights::Dense`] (or the full int8 bands) on the same
-/// input. A dead channel with a non-finite weight on it (`inf·0` is
-/// NaN) is kept.
+/// The dense forms multiply zero weights like any other (CSR stores
+/// none), so with non-finite activations a zero filter reads NaN
+/// (`0·inf`) on them, where a narrowed conv without it has no channel
+/// at all.
 ///
 /// When `ws` carries a [`Team`](team::Team), the call spreads across it
 /// ([`mod@team`]). The output is `n × groups` bands, one per image
@@ -561,7 +402,7 @@ impl ConvWeights<'_> {
 /// as many bands as threads the bands are cut across the team, each
 /// thread lowering into its own workspace (a batch-1 grouped layer
 /// splits by groups, a batch by images). With fewer, each band's dense
-/// multiply (f32 or int8, all filters or the kept ones) is cut by rows
+/// multiply (f32 or int8) is cut by rows
 /// of `A`, and first its lowering by panel ranges into as many parts
 /// (f32 panels or int8 quad panels), the pieces reading the caller's
 /// padded image and writing their own panels of the caller's packed
@@ -587,9 +428,8 @@ pub fn conv2d(
     ws: &mut Workspace,
     out: &mut Tensor4,
 ) -> TensorResult<()> {
-    params.validate()?;
-    params.check_io(input, bias)?;
     weights.check(params)?;
+    params.check_io(input, bias)?;
     let (n, _c, h, w) = input.shape();
     let (oh, ow) = params.out_shape(h, w)?;
     out.resize(n, params.out_channels, oh, ow);
@@ -604,24 +444,15 @@ pub fn conv2d(
     };
     let bands = n * params.groups;
     if ws.team.as_ref().is_some_and(|t| bands >= t.threads()) {
-        let band_len = (params.out_per_group() * call.n_out).max(1);
         let macs = call.macs_per_image() * n as u64;
+        let start = |b: usize| call.band(b).out_at;
         let by_bands = |offset: usize, out: &mut [f32], ws: &mut Workspace| {
-            call.bands(input.as_slice(), offset / band_len, out, ws)
+            let first = (0..bands).find(|&b| start(b) == offset).unwrap_or(bands);
+            call.bands(input.as_slice(), first, out, ws)
         };
-        return team::split_scratch(ws, macs, out.as_mut_slice(), band_len, &by_bands);
+        return team::split_scratch_at(ws, macs, out.as_mut_slice(), bands, &start, &by_bands);
     }
     call.bands(input.as_slice(), 0, out.as_mut_slice(), ws)
-}
-
-/// Weights a narrowed form multiplies per output pixel: kept rows ×
-/// live channels × taps, over the groups.
-fn narrowed_taps<W>(bands: &[KeptRows<W>], params: &Conv2dParams) -> usize {
-    let taps = params.kh * params.kw;
-    bands
-        .iter()
-        .map(|b| b.rows.len() * b.live.len() * taps)
-        .sum()
 }
 
 /// One validated [`conv2d`] call: everything but the images.
@@ -636,21 +467,61 @@ struct ConvCall<'a> {
     n_out: usize,
 }
 
+/// Where band `b` (group `g` of image `i`) of a [`conv2d`] call reads
+/// and writes.
+struct Band {
+    g: usize,
+    /// Input channels and filters of the group.
+    cin: usize,
+    rows: usize,
+    /// The group's first filter (its first bias).
+    row_at: usize,
+    /// The band's first input element in the batch, and its first
+    /// output element.
+    in_at: usize,
+    out_at: usize,
+}
+
 impl ConvCall<'_> {
+    /// Band `b` of the batch; band `n·groups` starts at the end of the
+    /// output.
+    fn band(&self, b: usize) -> Band {
+        let p = self.params;
+        let (i, g) = (b / p.groups, b % p.groups);
+        let (mut cin_at, mut row_at) = (0, 0);
+        for before in 0..g {
+            let (cin, rows, _) = self.weights.band_shape(p, before);
+            (cin_at, row_at) = (cin_at + cin, row_at + rows);
+        }
+        let (cin, rows, _) = self.weights.band_shape(p, g);
+        Band {
+            g,
+            cin,
+            rows,
+            row_at,
+            in_at: (i * p.in_channels + cin_at) * self.h * self.w,
+            out_at: (i * p.out_channels + row_at) * self.n_out,
+        }
+    }
+
     /// Multiply-accumulates of one image under this weight form.
     fn macs_per_image(&self) -> u64 {
-        let taps = match self.weights {
-            ConvWeights::Dense(_) => self.params.out_channels * self.params.col_rows(),
-            ConvWeights::DenseRows(b) => narrowed_taps(b, self.params),
-            ConvWeights::DenseI8 { bands, .. } => narrowed_taps(bands, self.params),
-            ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum(),
-            ConvWeights::Winograd(_) => {
+        let p = self.params;
+        let macs: usize = match self.weights {
+            ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum::<usize>() * self.n_out,
+            ConvWeights::Winograd(b) => {
                 let tiles = Tiles::new(1, self.h, self.w).count();
-                let per_tile = POSITIONS * self.params.in_per_group() * self.params.out_channels;
-                return (per_tile * tiles) as u64;
+                let taps: usize = b.iter().map(|band| band.shape().0 * band.shape().1).sum();
+                POSITIONS * taps * tiles
             }
+            _ => (0..p.groups)
+                .map(|g| {
+                    let (_, rows, depth) = self.weights.band_shape(p, g);
+                    rows * depth * self.n_out
+                })
+                .sum(),
         };
-        (taps * self.n_out) as u64
+        macs as u64
     }
 
     /// [`ConvCall::bands`] for the Winograd form: per band, the input
@@ -669,28 +540,44 @@ impl ConvCall<'_> {
         let Self {
             bias,
             relu,
-            params,
             h,
             w,
             n_out,
             ..
         } = *self;
-        let (cpg, opg) = (params.in_per_group(), params.out_per_group());
-        let tiles = Tiles::new(cpg, h, w);
         let timing = cap_obs::timing_enabled();
         let metrics = cap_obs::metrics();
-        let macs = (POSITIONS * cpg * opg * tiles.count()) as u64;
-        for (b, dst) in (first..).zip(out.chunks_mut((opg * n_out).max(1))) {
-            let (i, g) = (b / params.groups, b % params.groups);
-            let image = &input[(i * params.groups + g) * cpg * h * w..][..cpg * h * w];
-            let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
+        let (mut b, mut rest) = (first, out);
+        while !rest.is_empty() {
+            let Band {
+                g,
+                cin,
+                rows,
+                row_at,
+                in_at,
+                ..
+            } = self.band(b);
+            b += 1;
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(rows * n_out);
+            rest = tail;
+            let row_bias = bias.map(|b| &b[row_at..row_at + rows]);
+            if rows == 0 {
+                continue;
+            }
+            if cin == 0 {
+                constant_rows(dst, n_out, row_bias, relu);
+                continue;
+            }
+            let tiles = Tiles::new(cin, h, w);
+            let macs = (POSITIONS * cin * rows * tiles.count()) as u64;
+            let image = &input[in_at..][..cin * h * w];
             // The input transform splits its tile panels into as many
             // parts as the products will split their rows.
             let parts = team::row_parts(
                 ws.team.as_ref(),
-                POSITIONS * cpg,
+                POSITIONS * cin,
                 tiles.count(),
-                opg * tiles.count(),
+                rows * tiles.count(),
             );
             let t_col = split_clock(timing);
             winograd::transform_image(
@@ -732,7 +619,7 @@ impl ConvCall<'_> {
 
     /// Convolve the output bands `first..` that `out` holds — band `b`
     /// is group `b % groups` of image `b / groups` of the batch
-    /// `input`, an `out_per_group × oh*ow` matrix — scratch and team
+    /// `input`, an `out_g × oh*ow` matrix — scratch and team
     /// from `ws`.
     fn bands(
         &self,
@@ -753,12 +640,6 @@ impl ConvCall<'_> {
             w,
             n_out,
         } = *self;
-        let cpg = params.in_per_group();
-        let opg = params.out_per_group();
-        let col_rows = params.col_rows();
-        // One group's lowering: its input channels, padded once, into
-        // its patch matrix.
-        let lo = Lowering::new(cpg, h, w, params.kh, params.kw, params.pad, params.stride)?;
 
         // One relaxed load outside the band loop decides whether the
         // GEMM/im2col split is measured for this call.
@@ -773,47 +654,40 @@ impl ConvCall<'_> {
             team,
         } = ws;
 
-        for (b, dst) in (first..).zip(out.chunks_mut((opg * n_out).max(1))) {
-            let (i, g) = (b / params.groups, b % params.groups);
-            let image = &input[(i * params.groups + g) * cpg * h * w..][..cpg * h * w];
-            // `bias[g*opg + r]` is the bias of GEMM row `r`, so the
+        let (mut b, mut rest) = (first, out);
+        while !rest.is_empty() {
+            let Band {
+                g,
+                cin,
+                rows,
+                row_at,
+                in_at,
+                ..
+            } = self.band(b);
+            b += 1;
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(rows * n_out);
+            rest = tail;
+            // `bias[row_at + r]` is the bias of GEMM row `r`, so the
             // group's bias slice is a per-row epilogue.
-            let row_bias = bias.map(|b| &b[g * opg..(g + 1) * opg]);
+            let row_bias = bias.map(|b| &b[row_at..row_at + rows]);
+            if rows == 0 {
+                continue;
+            }
+            if cin == 0 {
+                constant_rows(dst, n_out, row_bias, relu);
+                continue;
+            }
             let epi = Epilogue {
                 bias: row_bias.map(EpiBias::PerRow),
                 relu,
             };
-            // A narrowed form's kept rows and live planes for this group.
-            let kept = match weights {
-                ConvWeights::DenseRows(bands) => Some((&bands[g].rows[..], &bands[g].live[..])),
-                ConvWeights::DenseI8 { bands, .. } => {
-                    Some((&bands[g].rows[..], &bands[g].live[..]))
-                }
-                _ => None,
-            };
-            let lo = match kept {
-                Some((rows, live)) if rows.is_empty() || live.is_empty() => {
-                    // No filter kept, or no channel that can be
-                    // non-zero: every row is its zero product's constant.
-                    spread(&[], dst, n_out, row_bias, relu);
-                    continue;
-                }
-                Some((_, live)) => Lowering::new(
-                    live.len(),
-                    h,
-                    w,
-                    params.kh,
-                    params.kw,
-                    params.pad,
-                    params.stride,
-                )?,
-                None => lo,
-            };
-            let live = kept.map(|(_, live)| live);
+            let image = &input[in_at..][..cin * h * w];
+            // The group's lowering: its input channels, padded once, into
+            // its patch matrix.
+            let lo = Lowering::new(cin, h, w, params.kh, params.kw, params.pad, params.stride)?;
             let depth = lo.rows();
-            let product_len = kept.map_or(dst.len(), |(rows, _)| rows.len() * n_out);
             let t_col = split_clock(timing);
-            // Each form pads the group's (live) channels once (the int8
+            // Each form pads the group's channels once (the int8
             // form quantizes straight into the padded layout:
             // quantization commutes with lowering, which only copies
             // values and pads with zero, so the image is quantized once
@@ -821,21 +695,21 @@ impl ConvCall<'_> {
             // into the layout its multiply reads — one write pass, no
             // repack.
             match weights {
-                ConvWeights::Dense(_) | ConvWeights::DenseRows(_) => {
+                ConvWeights::Dense(_) | ConvWeights::Bands(_) => {
                     // The multiply about to run splits its output rows
                     // into as many parts as its lowering's panels.
-                    let parts = team::row_parts(team.as_ref(), depth, n_out, product_len);
-                    let image = lo.padded(image, live, padded)?;
+                    let parts = team::row_parts(team.as_ref(), depth, n_out, dst.len());
+                    let image = lo.padded(image, padded)?;
                     lo.panels_into(team.as_mut(), parts, image, packed)?
                 }
                 ConvWeights::Csr(_) => {
-                    cols.resize_for_overwrite(col_rows, n_out);
-                    lo.rows_into(lo.padded(image, None, padded)?, cols.as_mut_slice())?
+                    cols.resize_for_overwrite(depth, n_out);
+                    lo.rows_into(lo.padded(image, padded)?, cols.as_mut_slice())?
                 }
                 ConvWeights::DenseI8 { act_scale, .. } => {
                     let kp = padded_depth(depth);
-                    let parts = team::row_parts(team.as_ref(), kp, n_out, product_len);
-                    lo.quantize_padded(image, live, 1.0 / act_scale, qimage)?;
+                    let parts = team::row_parts(team.as_ref(), kp, n_out, dst.len());
+                    lo.quantize_padded(image, 1.0 / act_scale, qimage)?;
                     lo.quads_into(team.as_mut(), parts, qimage, qbuf)?;
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
@@ -844,61 +718,32 @@ impl ConvCall<'_> {
 
             let t_gemm = split_clock(timing);
             let team = team.as_mut();
+            let b = packed.as_slice();
+            let multiply_f32 = |a: &[f32], team, dst: &mut [f32]| {
+                team::split_rows(team, depth, n_out, dst, &|rows, part| {
+                    let a = &a[rows.start * depth..rows.end * depth];
+                    let epi = epi.offset(rows.start, 0);
+                    gemm_packed(a, rows.len(), depth, n_out, b, part, epi)
+                })
+            };
             match weights {
                 ConvWeights::Dense(wm) => {
-                    let a = &wm.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows];
-                    let b = packed.as_slice();
-                    team::split_rows(team, col_rows, n_out, dst, &|rows, part| {
-                        let a = &a[rows.start * col_rows..rows.end * col_rows];
-                        gemm_packed(
-                            a,
-                            rows.len(),
-                            col_rows,
-                            n_out,
-                            b,
-                            part,
-                            epi.offset(rows.start, 0),
-                        )
-                    })?
+                    let a = &wm.as_slice()[g * rows * depth..(g + 1) * rows * depth];
+                    multiply_f32(a, team, dst)?
                 }
-                ConvWeights::DenseRows(bands) => {
-                    let (a, b) = (&bands[g].weights, packed.as_slice());
-                    let rows = &bands[g].rows;
-                    multiply_kept(
-                        team,
-                        rows,
-                        depth,
-                        n_out,
-                        dst,
-                        row_bias,
-                        relu,
-                        &|rows, part, epi| {
-                            let a = &a[rows.start * depth..rows.end * depth];
-                            gemm_packed(a, rows.len(), depth, n_out, b, part, epi)
-                        },
-                    )?
-                }
+                ConvWeights::Bands(bands) => multiply_f32(bands[g].as_slice(), team, dst)?,
                 ConvWeights::Csr(bands) => {
                     bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
                 }
                 ConvWeights::DenseI8 { bands, act_scale } => {
-                    let band = &bands[g].weights;
+                    let band = &bands[g];
                     let (kp, scale) = (band.kp(), band.scale() * act_scale);
                     let b = qbuf.as_slice();
-                    let rows = &bands[g].rows;
-                    multiply_kept(
-                        team,
-                        rows,
-                        kp,
-                        n_out,
-                        dst,
-                        row_bias,
-                        relu,
-                        &|rows, part, epi| {
-                            let a = &band.data()[rows.start * kp..];
-                            gemm_i8(a, rows.len(), kp, n_out, b, part, scale, epi)
-                        },
-                    )?
+                    team::split_rows(team, kp, n_out, dst, &|rows, part| {
+                        let a = &band.data()[rows.start * kp..];
+                        let epi = epi.offset(rows.start, 0);
+                        gemm_i8(a, rows.len(), kp, n_out, b, part, scale, epi)
+                    })?
                 }
                 ConvWeights::Winograd(_) => unreachable!("handled by winograd_bands"),
             }
@@ -908,43 +753,12 @@ impl ConvCall<'_> {
     }
 }
 
-/// [`multiply_kept`]'s multiply of product rows into a piece.
-type KeptMultiply<'a> =
-    dyn Fn(Range<usize>, &mut [f32], Epilogue<'_>) -> TensorResult<()> + Sync + 'a;
-
-/// A narrowed band's multiply, its output rows cut across `team`:
-/// `multiply(rows, part, epi)` writes product rows `rows` of the kept
-/// filters into `part`. With every filter kept that is the band itself,
-/// the epilogue fused into the store; otherwise the plain products go
-/// to the head of `dst` and [`spread`] moves each to its channel (no
-/// side buffer), applying the epilogue there — the same
-/// `(v + bias)`-then-ReLU either way.
-#[allow(clippy::too_many_arguments)]
-fn multiply_kept(
-    team: Option<&mut team::Team>,
-    rows: &[usize],
-    depth: usize,
-    n_out: usize,
-    dst: &mut [f32],
-    bias: Option<&[f32]>,
-    relu: bool,
-    multiply: &KeptMultiply<'_>,
-) -> TensorResult<()> {
-    if rows.len() * n_out == dst.len() {
-        let epi = Epilogue {
-            bias: bias.map(EpiBias::PerRow),
-            relu,
-        };
-        return team::split_rows(team, depth, n_out, dst, &|r, part| {
-            multiply(r.clone(), part, epi.offset(r.start, 0))
-        });
+/// Fill a band of `n_out`-long rows with the constant a group without
+/// input channels yields: each row's `epi(0.0 + bias)`.
+fn constant_rows(dst: &mut [f32], n_out: usize, bias: Option<&[f32]>, relu: bool) {
+    for (r, row) in dst.chunks_mut(n_out.max(1)).enumerate() {
+        row.fill(kernels::scalar::epilogue_one(0.0, bias.map(|b| b[r]), relu));
     }
-    let head = &mut dst[..rows.len() * n_out];
-    team::split_rows(team, depth, n_out, head, &|r, part| {
-        multiply(r, part, Epilogue::NONE)
-    })?;
-    spread(rows, dst, n_out, bias, relu);
-    Ok(())
 }
 
 #[cfg(test)]

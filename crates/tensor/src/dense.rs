@@ -186,6 +186,39 @@ impl Matrix {
         out
     }
 
+    /// Keep the rows `keep_row` accepts and, of each, the columns
+    /// `keep_col` accepts, in order, compacted leftward in place — no
+    /// second matrix is built — then release the storage past the
+    /// narrowed size (`shrink_to_fit`; for a large buffer the allocator
+    /// can shrink it where it lies). This is how a narrowed layer drops
+    /// its pruned filters and the columns of its inputs' pruned
+    /// channels while holding one copy of its weights.
+    pub fn retain(&mut self, keep_row: impl Fn(usize) -> bool, keep_col: impl Fn(usize) -> bool) {
+        // Runs of kept columns, each moved with one `copy_within`.
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        for c in (0..self.cols).filter(|&c| keep_col(c)) {
+            match runs.last_mut() {
+                Some(run) if run.end == c => run.end += 1,
+                _ => runs.push(c..c + 1),
+            }
+        }
+        let (mut at, mut rows) = (0, 0);
+        for r in (0..self.rows).filter(|&r| keep_row(r)) {
+            // `at` never passes the element it copies from: it counts
+            // only kept elements before it.
+            for run in &runs {
+                let from = r * self.cols + run.start;
+                self.data.copy_within(from..from + run.len(), at);
+                at += run.len();
+            }
+            rows += 1;
+        }
+        self.cols = runs.iter().map(|run| run.len()).sum();
+        self.rows = rows;
+        self.data.truncate(at);
+        self.data.shrink_to_fit();
+    }
+
     /// Count of elements whose magnitude is not `<= eps`: those above
     /// it, and NaNs (a NaN weight is not a pruned one).
     pub fn nnz(&self, eps: f32) -> usize {
@@ -299,6 +332,24 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retain_keeps_the_chosen_rows_and_columns_in_place() {
+        let full = Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f32);
+        let rows = |r: usize| r != 1 && r != 4;
+        let cols = |c: usize| ![0, 3, 4].contains(&c);
+        let mut m = full.clone();
+        m.retain(rows, cols);
+        let want = Matrix::from_fn(3, 4, |r, c| full.get([0, 2, 3][r], [1, 2, 5, 6][c]));
+        assert_eq!(m, want);
+        assert_eq!(m.capacity(), 12);
+        // Everything, then nothing.
+        let mut same = full.clone();
+        same.retain(|_| true, |_| true);
+        assert_eq!(same, full);
+        m.retain(|_| false, |_| true);
+        assert_eq!((m.shape(), m.len()), ((0, 4), 0));
+    }
 
     #[test]
     fn zeros_shape_and_content() {

@@ -82,10 +82,7 @@ pub fn im2col(
 ) -> TensorResult<Matrix> {
     let lo = Lowering::for_image("im2col", image.len(), c, h, w, kh, kw, pad, stride)?;
     let mut cols = Matrix::zeros(lo.rows, lo.n_out);
-    lo.rows_into(
-        lo.padded(image, None, &mut Vec::new())?,
-        cols.as_mut_slice(),
-    )?;
+    lo.rows_into(lo.padded(image, &mut Vec::new())?, cols.as_mut_slice())?;
     Ok(cols)
 }
 
@@ -200,115 +197,62 @@ impl Lowering {
     }
 
     /// The `c×h×w` image this lowering reads, with its zero border in
-    /// place. With `live` `None`, `image` is those `c` planes: `image`
-    /// itself when `pad` is 0, else its planes padded into `scratch`
-    /// (resized; every element written). With `live` `Some`, `image`
-    /// holds any number of `h×w` planes and the lowering reads the `c`
-    /// ascending planes `live` lists — copied into `scratch`, padded,
-    /// unless they are all of them and `pad` is 0. Errors if `image` is
-    /// not `c×h×w` long, or not whole planes that `live` indexes.
+    /// place: `image` itself when `pad` is 0, else its planes padded
+    /// into `scratch` (resized; every element written). Errors if
+    /// `image` is not `c×h×w` long.
     pub fn padded<'a, T: Copy + Default>(
         &self,
         image: &'a [T],
-        live: Option<&[usize]>,
         scratch: &'a mut Vec<T>,
     ) -> TensorResult<&'a [T]> {
-        let every = self.check_planes("padded", image.len(), live)?;
-        if self.pad == 0 && every {
+        self.check_image("padded", image.len())?;
+        if self.pad == 0 {
             return Ok(image);
         }
         let Self {
             h, w, pad, hp, wp, ..
         } = *self;
-        let plane = h * w;
         scratch.resize(self.padded_len(), T::default());
-        if plane == 0 {
+        if h * w == 0 {
             scratch.fill(T::default());
             return Ok(scratch);
         }
-        for_live_runs(live, image.len() / plane, |src, at, count| {
-            let image = &image[src * plane..(src + count) * plane];
-            if pad == 0 {
-                scratch[at * plane..(at + count) * plane].copy_from_slice(image);
-                return;
+        // Each row straight to its padded place, the zeros before it
+        // (its left pad, the right pad of the row above, the top pad
+        // rows) one run.
+        for (image, place) in image
+            .chunks_exact(h * w)
+            .zip(scratch.chunks_exact_mut(hp * wp))
+        {
+            let mut end = 0;
+            for (y, row) in image.chunks_exact(w).enumerate() {
+                let to = (y + pad) * wp + pad;
+                place[end..to].fill(T::default());
+                place[to..to + w].copy_from_slice(row);
+                end = to + w;
             }
-            // Each row straight to its padded place, the zeros before it
-            // (its left pad, the right pad of the row above, the top pad
-            // rows) one run.
-            let places = &mut scratch[at * hp * wp..(at + count) * hp * wp];
-            for (image, place) in image
-                .chunks_exact(plane)
-                .zip(places.chunks_exact_mut(hp * wp))
-            {
-                let mut end = 0;
-                for (y, row) in image.chunks_exact(w).enumerate() {
-                    let to = (y + pad) * wp + pad;
-                    place[end..to].fill(T::default());
-                    place[to..to + w].copy_from_slice(row);
-                    end = to + w;
-                }
-                place[end..].fill(T::default());
-            }
-        });
+            place[end..].fill(T::default());
+        }
         Ok(scratch)
     }
 
-    /// Quantize the `c×h×w` image this lowering reads (`image` and
-    /// `live` as in [`Lowering::padded`]) by `inv_scale` straight into
-    /// its padded layout in `dst` (resized; every byte written): one
-    /// quantize per run of consecutive planes, then each row moved to
-    /// its place. The border is `0`, what a padding `0.0` quantizes to.
-    /// Errors as [`Lowering::padded`] does.
+    /// Quantize the `c×h×w` image this lowering reads by `inv_scale`
+    /// straight into its padded layout in `dst` (resized; every byte
+    /// written): one quantize of the whole image, then each row moved
+    /// to its place. The border is `0`, what a padding `0.0` quantizes
+    /// to. Errors as [`Lowering::padded`] does.
     pub fn quantize_padded(
         &self,
         image: &[f32],
-        live: Option<&[usize]>,
         inv_scale: f32,
         dst: &mut Vec<i8>,
     ) -> TensorResult<()> {
-        self.check_planes("quantize_padded", image.len(), live)?;
+        self.check_image("quantize_padded", image.len())?;
         let path = kernels::selected();
-        let plane = self.h * self.w;
         self.pad_with(dst, |dst| {
-            for_live_runs(live, image.len() / plane.max(1), |src, at, count| {
-                quantize_slice_with(
-                    path,
-                    &image[src * plane..(src + count) * plane],
-                    inv_scale,
-                    &mut dst[at * plane..(at + count) * plane],
-                );
-            })
+            quantize_slice_with(path, image, inv_scale, &mut dst[..image.len()])
         });
         Ok(())
-    }
-
-    /// Check `image_len` against the planes the lowering reads (see
-    /// [`Lowering::padded`]); whether they are every plane of `image`.
-    fn check_planes(
-        &self,
-        what: &str,
-        image_len: usize,
-        live: Option<&[usize]>,
-    ) -> TensorResult<bool> {
-        let Some(live) = live else {
-            self.check_image(what, image_len)?;
-            return Ok(true);
-        };
-        let plane = self.h * self.w;
-        let planes = image_len / plane.max(1);
-        if live.len() != self.c
-            || planes * plane != image_len
-            || live.last().is_some_and(|&p| p >= planes)
-        {
-            return Err(ShapeError::new(format!(
-                "{what}: {} live planes of an image of length {image_len} for {}x{}x{}",
-                live.len(),
-                self.c,
-                self.h,
-                self.w
-            )));
-        }
-        Ok(live.len() == planes)
     }
 
     /// Resize `dst` to the padded layout, let `fill` write the `c×h×w`
@@ -589,27 +533,6 @@ thread_local! {
     static TAP_TABLE: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Call `copy(src, at, count)` for each run of consecutive planes the
-/// lowering reads, in order: `count` planes from plane `src` of the
-/// image go to plane `at` of the unpadded head. `live` `None` is every
-/// one of the image's `planes`, one run.
-fn for_live_runs(live: Option<&[usize]>, planes: usize, mut copy: impl FnMut(usize, usize, usize)) {
-    let Some(live) = live else {
-        copy(0, 0, planes);
-        return;
-    };
-    let mut at = 0;
-    while at < live.len() {
-        let count = live[at..]
-            .iter()
-            .enumerate()
-            .take_while(|&(i, &p)| p == live[at] + i)
-            .count();
-        copy(live[at], at, count);
-        at += count;
-    }
-}
-
 /// Where one panel's lanes come from, relative to a patch row's `at`,
 /// resolved once for all its patch rows: each live lane's source (lanes
 /// past `live` are a tail past `n_out`, zero), and the whole panel's
@@ -701,7 +624,7 @@ pub fn im2col_packed_prealloc(
     packed: &mut Matrix,
 ) -> TensorResult<()> {
     let lo = Lowering::for_image("im2col_packed", image.len(), c, h, w, kh, kw, pad, stride)?;
-    lo.panels_into(None, 1, lo.padded(image, None, &mut Vec::new())?, packed)
+    lo.panels_into(None, 1, lo.padded(image, &mut Vec::new())?, packed)
 }
 
 /// Fold a column matrix back into an image, **accumulating** overlapping
@@ -867,9 +790,7 @@ mod tests {
     /// their layouts' definitions over [`im2col_reference`]: f32 panel
     /// `p`, row `r`, lane `j` at `p*k*PANEL + r*PANEL + j`; the int8 one
     /// at `p*kp*PANEL + (r/4)*4*PANEL + 4*j + r%4` of the quantized
-    /// reference; every other element zero. The image holds `seed % 3`
-    /// planes besides the `c` live ones the lowerings read (a live-plane
-    /// subset, as a pruned producer leaves it). Every buffer — padded
+    /// reference; every other element zero. Every buffer — padded
     /// images included — starts oversized and poisoned, so an element
     /// no piece wrote, or a piece lowering another's panels, shows.
     #[allow(clippy::too_many_arguments)]
@@ -883,19 +804,7 @@ mod tests {
         stride: usize,
         seed: u64,
     ) -> Result<(), TestCaseError> {
-        let plane = h * w;
-        let extra = (seed % 3) as usize;
-        let planes = c + extra;
-        let all = det_image(planes * plane, seed);
-        // Skip planes `planes - 1`, `planes - 3`, … : `extra` of them.
-        let live: Vec<usize> = (0..planes)
-            .filter(|&p| !(0..extra).any(|i| p + 1 + 2 * i == planes))
-            .collect();
-        let image: Vec<f32> = live
-            .iter()
-            .flat_map(|&p| all[p * plane..(p + 1) * plane].to_vec())
-            .collect();
-        let live = (extra > 0).then_some(&live[..]);
+        let image = det_image(c * h * w, seed);
         let cols = im2col_reference(&image, c, h, w, kh, kw, pad, stride);
         let (k, n) = cols.shape();
         let (panels, kp, inv_scale) = (n.div_ceil(PANEL), k.next_multiple_of(4), 127.0 / 4.0);
@@ -915,7 +824,7 @@ mod tests {
             let mut team = Team::new(threads).with_min_part_macs(0);
             let mut scratch = vec![f32::NAN; lo.padded_len() + 7];
             let mut packed = Matrix::from_fn(3, 7, |_, _| f32::NAN);
-            let padded = lo.padded(&all, live, &mut scratch).unwrap();
+            let padded = lo.padded(&image, &mut scratch).unwrap();
             lo.panels_into(Some(&mut team), threads, padded, &mut packed)
                 .unwrap();
             prop_assert_eq!(
@@ -927,7 +836,7 @@ mod tests {
         }
 
         let mut q_padded = vec![77i8; lo.padded_len() + 7];
-        lo.quantize_padded(&all, live, inv_scale, &mut q_padded)
+        lo.quantize_padded(&image, inv_scale, &mut q_padded)
             .unwrap();
         for path in kernels::available_paths() {
             for threads in [1, 2, 3] {
@@ -950,62 +859,18 @@ mod tests {
     }
 
     #[test]
-    fn live_planes_lower_like_the_image_of_just_those_planes() {
-        let (c, h, w) = (6, 5, 7);
-        let plane = h * w;
-        let image = det_image(c * plane, 3);
-        // Runs of one, two and one plane; every plane; none.
-        for live in [vec![0, 2, 3, 5], (0..c).collect(), vec![]] {
-            let gathered: Vec<f32> = live
-                .iter()
-                .flat_map(|&p| image[p * plane..(p + 1) * plane].to_vec())
-                .collect();
-            for pad in [0, 1, 2] {
-                let lo = Lowering::new(live.len(), h, w, 3, 3, pad, 1).unwrap();
-                let (mut want, mut got) = (Vec::new(), vec![f32::NAN; 3]);
-                let want = lo.padded(&gathered, None, &mut want).unwrap();
-                let got = lo.padded(&image, Some(&live), &mut got).unwrap();
-                assert_eq!(got, want, "live {live:?} pad {pad}");
-                let (mut want, mut got) = (Vec::new(), vec![9i8; 1000]);
-                lo.quantize_padded(&gathered, None, 30.0, &mut want)
-                    .unwrap();
-                lo.quantize_padded(&image, Some(&live), 30.0, &mut got)
-                    .unwrap();
-                assert_eq!(got, want, "int8 live {live:?} pad {pad}");
-            }
-        }
-        // A live list that is not `c` planes of the image is an error.
-        let lo = Lowering::new(2, h, w, 3, 3, 1, 1).unwrap();
-        for (live, len) in [
-            (&[0, 1, 2][..], c * plane),
-            (&[1, 6][..], c * plane),
-            (&[0, 1][..], c * plane - 1),
-        ] {
-            assert!(lo
-                .padded(&image[..len], Some(live), &mut Vec::new())
-                .is_err());
-            let mut q = Vec::new();
-            assert!(lo
-                .quantize_padded(&image[..len], Some(live), 1.0, &mut q)
-                .is_err());
-        }
-    }
-
-    #[test]
     fn lowering_entry_points_reject_a_short_image() {
         let lo = Lowering::new(2, 5, 5, 3, 3, 1, 1).unwrap();
         let short = vec![0.5f32; 2 * 5 * 5 - 1];
         for pad in [1, 0] {
             let lo = Lowering::new(2, 5, 5, 3, 3, pad, 1).unwrap();
-            let err = lo.padded(&short, None, &mut Vec::new()).unwrap_err();
+            let err = lo.padded(&short, &mut Vec::new()).unwrap_err();
             assert!(
                 err.to_string().contains("image length 49 != 2x5x5"),
                 "{err}"
             );
         }
-        assert!(lo
-            .quantize_padded(&short, None, 1.0, &mut Vec::new())
-            .is_err());
+        assert!(lo.quantize_padded(&short, 1.0, &mut Vec::new()).is_err());
         let (padded, wrong) = (
             vec![0.0f32; lo.padded_len()],
             vec![0.0f32; lo.padded_len() - 1],
@@ -1161,9 +1026,9 @@ mod tests {
             // straight into its padded layout (`conv2d`'s way), agree.
             let lo = Lowering::new(c, h, w, kh, kw, pad, stride).unwrap();
             let mut scratch = vec![77i8; 3];
-            let q_padded = lo.padded(&q_image, None, &mut scratch).unwrap();
+            let q_padded = lo.padded(&q_image, &mut scratch).unwrap();
             let mut fused = vec![77i8; lo.padded_len() + 11];
-            lo.quantize_padded(&image, None, inv_scale, &mut fused).unwrap();
+            lo.quantize_padded(&image, inv_scale, &mut fused).unwrap();
             prop_assert_eq!(&fused[..], q_padded);
             let mut packed = vec![77i8; 4 * want.len() + 5];
             prop_assert_eq!(lo.quads_into(None, 1, q_padded, &mut packed).unwrap(), kp);
@@ -1175,7 +1040,7 @@ mod tests {
         /// team of 1 to 3, are byte for byte their layouts' definitions
         /// ([`split_lowerings_match`]), on ragged kernels, strides up to
         /// 4, pads past the kernel offset, maps narrower than a panel,
-        /// depths of every residue mod 4 and live-plane subsets.
+        /// and depths of every residue mod 4.
         #[test]
         fn prop_split_lowerings_match_reference(
             c in 1usize..5, h in 1usize..12, w in 1usize..12,

@@ -68,7 +68,7 @@ pub mod tensor4;
 pub mod winograd;
 pub mod workspace;
 
-pub use conv::{conv2d, Conv2dParams, ConvWeights, KeptRows};
+pub use conv::{conv2d, Conv2dParams, ConvWeights};
 pub use dense::Matrix;
 pub use error::{ShapeError, TensorResult};
 pub use gemm::{
@@ -77,8 +77,8 @@ pub use gemm::{
 pub use im2col::{col2im, im2col, im2col_packed_prealloc, Lowering};
 pub use kernels::{EpiBias, Epilogue, F32Tile, KernelPath};
 pub use pool::{
-    avg_pool2d, avg_pool2d_into, lrn_into, max_pool2d, max_pool2d_indices, max_pool2d_into,
-    LrnParams, Pool2dParams,
+    avg_pool2d, avg_pool2d_into, lrn_at_into, lrn_into, max_pool2d, max_pool2d_indices,
+    max_pool2d_into, LrnParams, Pool2dParams,
 };
 pub use precision::Precision;
 pub use quant::{

@@ -324,6 +324,46 @@ pub fn lrn_into(
     ws: &mut Workspace,
     out: &mut Tensor4,
 ) -> TensorResult<()> {
+    lrn_run(input, params, &|i| i, ws, out)
+}
+
+/// [`lrn_into`] over channels that sit at `positions` of the window's
+/// channel axis: input channel `i` is channel `positions[i]` of a wider
+/// map whose other channels are absent (strictly ascending; a
+/// [`ShapeError`] otherwise, or unless it has one entry per input
+/// channel). The window of channel `i` sums the squares of the present
+/// channels within `local_size / 2` positions of `positions[i]`, and
+/// `local_size` still divides `alpha`. This is the LRN of a narrowed
+/// network, whose pruned channels are gone: where an absent channel
+/// holds `+0` in the wider map, its square enters and leaves the sums
+/// as `+0`, which changes no sum, so every present channel's output is
+/// bitwise the wider map's.
+pub fn lrn_at_into(
+    input: &Tensor4,
+    params: &LrnParams,
+    positions: &[usize],
+    ws: &mut Workspace,
+    out: &mut Tensor4,
+) -> TensorResult<()> {
+    if positions.len() != input.c() || positions.windows(2).any(|p| p[0] >= p[1]) {
+        return Err(ShapeError::new(format!(
+            "lrn: {} channel positions for {} channels, or not ascending",
+            positions.len(),
+            input.c()
+        )));
+    }
+    lrn_run(input, params, &|i| positions[i], ws, out)
+}
+
+/// The body of [`lrn_into`] and [`lrn_at_into`]: input channel `i` at
+/// window position `at(i)`.
+fn lrn_run(
+    input: &Tensor4,
+    params: &LrnParams,
+    at: &(dyn Fn(usize) -> usize + Sync),
+    ws: &mut Workspace,
+    out: &mut Tensor4,
+) -> TensorResult<()> {
     params.validate()?;
     let (n, c, h, w) = input.shape();
     out.resize(n, c, h, w);
@@ -350,7 +390,8 @@ pub fn lrn_into(
                 let c1 = c.min(c0 + rest.len() / hw);
                 let (head, tail) = std::mem::take(&mut rest).split_at_mut((c1 - c0) * hw);
                 let img = &data[image * c * hw..(image + 1) * c * hw];
-                lrn_channels(path, img, c, hw, params, c0..c1, head, sums);
+                let channels = Channels { img, c, hw, at };
+                lrn_channels(path, &channels, params, c0..c1, head, sums);
                 (plane, rest) = (plane + c1 - c0, tail);
             }
             Ok(())
@@ -358,39 +399,69 @@ pub fn lrn_into(
     )
 }
 
-/// Channels `range` of one `c`-channel image `img` into `out`, the
-/// window's square sums sliding in `sums` from channel 0 (see
-/// [`lrn_into`]).
-#[allow(clippy::too_many_arguments)]
-fn lrn_channels(
-    path: KernelPath,
-    img: &[f32],
+/// One image's `c` channel planes of `hw` elements, channel `i` at
+/// window position `at(i)` (ascending).
+struct Channels<'a> {
+    img: &'a [f32],
     c: usize,
     hw: usize,
+    at: &'a (dyn Fn(usize) -> usize + Sync),
+}
+
+impl Channels<'_> {
+    fn plane(&self, i: usize) -> &[f32] {
+        &self.img[i * self.hw..(i + 1) * self.hw]
+    }
+
+    /// Channel `*next` when it sits at window position `p` (then
+    /// counted off), else `None`.
+    fn take_at(&self, next: &mut usize, p: usize) -> Option<&[f32]> {
+        let here = *next < self.c && (self.at)(*next) == p;
+        here.then(|| {
+            *next += 1;
+            self.plane(*next - 1)
+        })
+    }
+}
+
+/// Channels `range` of one image into `out`, the window's square sums
+/// sliding in `sums` over the window positions from 0 (see
+/// [`lrn_into`]); a position no channel sits at adds and removes
+/// nothing.
+fn lrn_channels(
+    path: KernelPath,
+    ch: &Channels<'_>,
     params: &LrnParams,
     range: Range<usize>,
     out: &mut [f32],
     sums: &mut [f32],
 ) {
+    let Some(last) = range.end.checked_sub(1) else {
+        return;
+    };
     let half = params.local_size / 2;
     let scale = params.alpha / params.local_size as f32;
     let pow075 = params.beta == 0.75;
-    let plane = |ci: usize| &img[ci * hw..(ci + 1) * hw];
     let step = |out, enter, leave, sums: &mut [f32]| {
         kernels::lrn_step_with(path, params.k, scale, out, enter, leave, sums)
     };
-    // Seed the window with channels [0, half].
+    // Seed the window of position 0 with the channels at [0, half].
     sums.fill(0.0);
-    for cj in 0..=half.min(c - 1) {
-        step(None, Some(plane(cj)), None, sums);
+    let (mut entered, mut left, mut next) = (0, 0, 0);
+    while entered < ch.c && (ch.at)(entered) <= half {
+        step(None, Some(ch.plane(entered)), None, sums);
+        entered += 1;
     }
-    let mut outs = out.chunks_exact_mut(hw);
-    for ci in 0..range.end {
-        let mut out = (ci >= range.start).then(|| {
-            let out = outs
-                .next()
-                .expect("`out` holds one plane per channel of `range`");
-            (plane(ci), out)
+    let mut outs = out.chunks_exact_mut(ch.hw);
+    let end = (ch.at)(last);
+    for p in 0..=end {
+        let mut out = ch.take_at(&mut next, p).and_then(|x| {
+            (next > range.start).then(|| {
+                let out = outs
+                    .next()
+                    .expect("`out` holds one plane per channel of `range`");
+                (x, out)
+            })
         });
         if !pow075 {
             if let Some((x, out)) = out.take() {
@@ -399,12 +470,18 @@ fn lrn_channels(
                 }
             }
         }
-        // Then slide the window, unless this was the last channel:
-        // channel ci+half+1 enters, ci-half leaves.
-        let more = ci + 1 < range.end;
-        let enter = (more && ci + half + 1 < c).then(|| plane(ci + half + 1));
-        let leave = (more && ci >= half).then(|| plane(ci - half));
-        step(out, enter, leave, sums);
+        // Then slide the window, unless this was the last position:
+        // position p+half+1 enters, p-half leaves.
+        let more = p < end;
+        let enter = more
+            .then(|| ch.take_at(&mut entered, p + half + 1))
+            .flatten();
+        let leave = (more && p >= half)
+            .then(|| ch.take_at(&mut left, p - half))
+            .flatten();
+        if out.is_some() || enter.is_some() || leave.is_some() {
+            step(out, enter, leave, sums);
+        }
     }
 }
 
@@ -486,6 +563,70 @@ mod tests {
             };
             let err = lrn_into(&x, &params, &mut Workspace::new(), &mut out).unwrap_err();
             assert!(err.to_string().contains("must be odd"), "{err}");
+        }
+    }
+
+    #[test]
+    fn lrn_at_positions_is_the_wider_map_with_zero_planes_bitwise() {
+        // Nine channels, four of them absent (zero in the wider map):
+        // runs of one and two, the first and the last among them; on
+        // every kernel path, β = 0.75 and a `powf` β, one to three
+        // threads, the pieces replaying the slide.
+        let (c, h, w) = (9, 3, 5);
+        let present = [1, 2, 4, 5, 7];
+        let wide = Tensor4::from_fn(2, c, h, w, |n, ch, y, x| {
+            if present.contains(&ch) {
+                ((n * 7 + ch * 5 + y * 3 + x) % 11) as f32 / 3.0 - 1.5
+            } else {
+                0.0
+            }
+        });
+        let narrow = Tensor4::from_fn(2, present.len(), h, w, |n, i, y, x| {
+            wide.get(n, present[i], y, x)
+        });
+        for path in kernels::available_paths() {
+            kernels::force(Some(path));
+            for beta in [0.75, 0.6] {
+                let params = LrnParams {
+                    local_size: 5,
+                    alpha: 0.3,
+                    beta,
+                    k: 2.0,
+                };
+                let mut want = Tensor4::default();
+                lrn_into(&wide, &params, &mut Workspace::new(), &mut want).unwrap();
+                for threads in [1, 2, 3] {
+                    let mut ws = Workspace::new();
+                    ws.team = Some(Team::new(threads).with_min_part_macs(0));
+                    let mut got = Tensor4::default();
+                    lrn_at_into(&narrow, &params, &present, &mut ws, &mut got).unwrap();
+                    for (i, &ch) in present.iter().enumerate() {
+                        for n in 0..2 {
+                            let (g, wnt) = (got.image(n), want.image(n));
+                            let bits =
+                                |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&g[i * h * w..(i + 1) * h * w]),
+                                bits(&wnt[ch * h * w..(ch + 1) * h * w]),
+                                "{} beta {beta} threads {threads} channel {ch}",
+                                path.name()
+                            );
+                        }
+                    }
+                }
+            }
+            kernels::force(None);
+        }
+        let params = LrnParams {
+            local_size: 3,
+            alpha: 1.0,
+            beta: 0.75,
+            k: 1.0,
+        };
+        let mut out = Tensor4::default();
+        for bad in [&[0, 1, 2, 3][..], &[2, 1, 3, 4, 5], &[0, 0, 1, 2, 3]] {
+            let err = lrn_at_into(&narrow, &params, bad, &mut Workspace::new(), &mut out);
+            assert!(err.is_err(), "{bad:?}");
         }
     }
 

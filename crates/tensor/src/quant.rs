@@ -34,7 +34,6 @@
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
 use crate::kernels::{self, int8 as ki8, Epilogue, PANEL};
-use std::ops::Range;
 
 /// Max-abs symmetric scale: `max|x| / 127`, or `1.0` for an all-zero
 /// (or empty) slice so downstream divisions stay finite. NaN entries
@@ -323,22 +322,14 @@ impl PackedBI8 {
         }
     }
 
-    /// Quantize and pack `wᵀ` restricted to `w`'s column ranges `cols`,
-    /// reading `w` (`n × _`) in place: byte for byte `pack` of the
-    /// transpose of the matrix made of those columns side by side —
-    /// depth `k` their total length — with `scale`, without
-    /// materialising it. The one range `0..w.cols()` packs all of
-    /// `wᵀ`; a narrowed fc layer passes its live input features. Panel
-    /// `p` is rows `p*PANEL..` of `w`: each range of a row goes through
-    /// the slice quantizer in turn, then depth quad `q` of column `j` is
-    /// the four adjacent bytes `4q .. 4q + 4` of quantized row `j`.
-    ///
-    /// # Panics
-    /// If a range reaches past `w`'s columns.
-    pub fn pack_transposed(w: &Matrix, cols: &[Range<usize>], scale: f32) -> Self {
+    /// Quantize and pack `wᵀ`, reading `w` (`n × k`) in place: byte for
+    /// byte `pack` of the transpose with `scale`, without materialising
+    /// it. Panel `p` is rows `p*PANEL..` of `w`: each row goes through
+    /// the slice quantizer, then depth quad `q` of column `j` is the
+    /// four adjacent bytes `4q .. 4q + 4` of quantized row `j`.
+    pub fn pack_transposed(w: &Matrix, scale: f32) -> Self {
         const QUAD: usize = ki8::QUAD;
-        let n = w.rows();
-        let k: usize = cols.iter().map(Range::len).sum();
+        let (n, k) = w.shape();
         let kp = ki8::padded_depth(k);
         let path = kernels::selected();
         // Zeroed once: the pad bytes of each row and, in the last
@@ -351,12 +342,7 @@ impl PackedBI8 {
             let width = PANEL.min(n - p * PANEL);
             for (j, q) in rows.chunks_exact_mut(kp.max(1)).take(width).enumerate() {
                 let row = w.row(p * PANEL + j);
-                let mut at = 0;
-                for range in cols {
-                    let dst = &mut q[at..at + range.len()];
-                    ki8::quantize_slice_with(path, &row[range.clone()], 1.0 / scale, dst);
-                    at += range.len();
-                }
+                ki8::quantize_slice_with(path, row, 1.0 / scale, &mut q[..k]);
             }
             for (q, quad) in panel.chunks_exact_mut(QUAD * PANEL).enumerate() {
                 for j in 0..width {
@@ -597,7 +583,7 @@ mod tests {
         for &(n, k) in &[(13usize, 7usize), (8, 6), (1, 1), (17, 64), (24, 9)] {
             let w = det_matrix(n, k, 5);
             let scale = symmetric_scale(w.as_slice());
-            let direct = PackedBI8::pack_transposed(&w, std::slice::from_ref(&(0..k)), scale);
+            let direct = PackedBI8::pack_transposed(&w, scale);
             let via_transpose = PackedBI8::pack(&w.transpose(), scale);
             assert_eq!(direct.data(), via_transpose.data(), "W {n}x{k}");
             assert_eq!(

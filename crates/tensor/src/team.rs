@@ -383,14 +383,17 @@ impl Drop for Team {
     }
 }
 
-/// `out` cut into `parts` contiguous pieces of whole `unit`s (the last
-/// may be short), balanced by unit count: piece `i` covers units
-/// `i*units/parts .. (i+1)*units/parts`.
-struct Pieces<'a, T> {
+/// `out` cut into `parts` contiguous pieces at unit boundaries: `units`
+/// units, unit `u` starting at element `start(u)` (monotone, `start(0)
+/// = 0`, `start(units) = out.len()`), balanced by unit count: piece `i`
+/// covers units `i*units/parts .. (i+1)*units/parts`. Whole `unit`s of
+/// equal length ([`piece_range`]) are the common case; a conv with
+/// groups of uneven widths cuts at its bands.
+struct Pieces<'a, 'f, T> {
     base: *mut T,
-    len: usize,
-    unit: usize,
+    units: usize,
     parts: usize,
+    start: &'f (dyn Fn(usize) -> usize + Sync),
     _borrow: PhantomData<&'a mut [T]>,
 }
 
@@ -399,22 +402,29 @@ struct Pieces<'a, T> {
 // pieces (see `Pieces::take`), so it is `Sync` exactly when
 // `&mut [T]` is `Send`. `tests::pieces_partition_the_output` fails if
 // the pieces overlap or miss an element.
-unsafe impl<T: Send> Sync for Pieces<'_, T> {}
+unsafe impl<T: Send> Sync for Pieces<'_, '_, T> {}
 
-impl<'a, T> Pieces<'a, T> {
-    fn new(out: &'a mut [T], unit: usize, parts: usize) -> Self {
+impl<'a, 'f, T> Pieces<'a, 'f, T> {
+    fn new(
+        out: &'a mut [T],
+        units: usize,
+        parts: usize,
+        start: &'f (dyn Fn(usize) -> usize + Sync),
+    ) -> Self {
+        assert_eq!(start(units), out.len(), "the last unit ends the output");
         Self {
             base: out.as_mut_ptr(),
-            len: out.len(),
-            unit,
+            units,
             parts,
+            start,
             _borrow: PhantomData,
         }
     }
 
     /// Element range of piece `part`.
     fn range(&self, part: usize) -> Range<usize> {
-        piece_range(self.len, self.unit, self.parts, part)
+        let at = |p: usize| (self.start)(p * self.units / self.parts);
+        at(part)..at(part + 1)
     }
 
     /// Piece `part` and its offset in `out`.
@@ -423,11 +433,12 @@ impl<'a, T> Pieces<'a, T> {
     /// Each `part < parts` is taken at most once while `self` lives.
     unsafe fn take(&self, part: usize) -> (usize, &'a mut [T]) {
         let range = self.range(part);
-        // SAFETY: `range` lies inside `out` and the ranges of distinct
-        // parts are disjoint (`at` is monotone), so with each part taken
-        // once no two live `&mut` overlap — the borrow of `out` is
-        // split, not duplicated. `tests::pieces_partition_the_output`
-        // fails if a range overlaps its neighbour or leaves a gap.
+        // SAFETY: `range` lies inside `out` (`start` is monotone and ends
+        // at its length) and the ranges of distinct parts are disjoint,
+        // so with each part taken once no two live `&mut` overlap — the
+        // borrow of `out` is split, not duplicated.
+        // `tests::pieces_partition_the_output` fails if a range overlaps
+        // its neighbour or leaves a gap.
         let piece =
             unsafe { std::slice::from_raw_parts_mut(self.base.add(range.start), range.len()) };
         (range.start, piece)
@@ -435,7 +446,7 @@ impl<'a, T> Pieces<'a, T> {
 }
 
 /// Element range of piece `part` of `len` elements cut into `parts`
-/// pieces of whole `unit`s ([`Pieces`]).
+/// pieces of whole `unit`s ([`Pieces`]; the last may be short).
 fn piece_range(len: usize, unit: usize, parts: usize, part: usize) -> Range<usize> {
     let units = len.div_ceil(unit);
     let at = |p: usize| (p * units / parts * unit).min(len);
@@ -516,7 +527,9 @@ pub fn run_pieces<T: Send>(
     unit: usize,
     f: &(dyn Fn(usize, &mut [T]) -> TensorResult<()> + Sync),
 ) -> TensorResult<()> {
-    let pieces = Pieces::new(out, unit.max(1), parts);
+    let (len, unit) = (out.len(), unit.max(1));
+    let start = |u: usize| (u * unit).min(len);
+    let pieces = Pieces::new(out, len.div_ceil(unit), parts, &start);
     let first = FirstError::default();
     let run = |part: usize| {
         // SAFETY: `run_parts` calls this once per part number.
@@ -530,8 +543,8 @@ pub fn run_pieces<T: Send>(
 /// [`split`] where every piece also needs kernel scratch: the team is
 /// `ws`'s own, piece 0 runs on the caller with `ws` (its team lent out,
 /// so nothing inside splits again) and piece `t` on helper `t` with
-/// that helper's workspace. This is how [`crate::conv2d`] cuts its
-/// output bands and the pools and LRN their planes.
+/// that helper's workspace. This is how the pools and LRN cut their
+/// planes.
 pub(crate) fn split_scratch<T: Send>(
     ws: &mut Workspace,
     macs: u64,
@@ -539,11 +552,30 @@ pub(crate) fn split_scratch<T: Send>(
     unit: usize,
     f: &ScratchSplitFn<'_, T>,
 ) -> TensorResult<()> {
-    let unit = unit.max(1);
-    let parts = ws
-        .team
-        .as_ref()
-        .map_or(1, |t| t.parts_for(macs, out.len().div_ceil(unit)));
+    let (len, unit) = (out.len(), unit.max(1));
+    split_scratch_at(
+        ws,
+        macs,
+        out,
+        len.div_ceil(unit),
+        &|u| (u * unit).min(len),
+        f,
+    )
+}
+
+/// [`split_scratch`] over `units` units of uneven length, unit `u`
+/// starting at element `start(u)` (see [`Pieces`]): how
+/// [`crate::conv2d`] cuts its output bands, one per image and group,
+/// whatever each group's width.
+pub(crate) fn split_scratch_at<T: Send>(
+    ws: &mut Workspace,
+    macs: u64,
+    out: &mut [T],
+    units: usize,
+    start: &(dyn Fn(usize) -> usize + Sync),
+    f: &ScratchSplitFn<'_, T>,
+) -> TensorResult<()> {
+    let parts = ws.team.as_ref().map_or(1, |t| t.parts_for(macs, units));
     let mut team = match ws.team.take() {
         Some(team) if parts > 1 => team,
         team => {
@@ -552,7 +584,7 @@ pub(crate) fn split_scratch<T: Send>(
         }
     };
     cap_obs::metrics().intra_op_splits.inc();
-    let pieces = Pieces::new(out, unit, parts);
+    let pieces = Pieces::new(out, units, parts, start);
     let first = FirstError::default();
     let run = |part: usize, ws: &mut Workspace| {
         // SAFETY: `run_parts` calls this once per part number.
@@ -718,6 +750,28 @@ mod tests {
             split(Some(&mut team), usize::MAX, &mut out, unit, &f).unwrap();
             let want: Vec<u32> = (1..=len as u32).collect();
             assert_eq!(out, want, "len {len} unit {unit} parts {parts}");
+        }
+    }
+
+    #[test]
+    fn uneven_units_cut_at_their_starts() {
+        // Units of 3, 5, 0, 4 and 1 elements (a conv's bands at uneven
+        // group widths), cut across two and three threads.
+        let starts = [0, 3, 8, 8, 12, 13];
+        for threads in [2, 3] {
+            let mut out = vec![0u32; 13];
+            let mut ws = Workspace::new();
+            ws.team = Some(Team::new(threads).with_min_part_macs(0));
+            let f = |offset: usize, piece: &mut [u32], _: &mut Workspace| {
+                assert!(starts.contains(&offset), "offset {offset}");
+                assert!(starts.contains(&(offset + piece.len())));
+                for (i, v) in piece.iter_mut().enumerate() {
+                    *v += (offset + i) as u32 + 1;
+                }
+                Ok(())
+            };
+            split_scratch_at(&mut ws, u64::MAX, &mut out, 5, &|u| starts[u], &f).unwrap();
+            assert_eq!(out, (1..=13).collect::<Vec<u32>>(), "{threads} threads");
         }
     }
 

@@ -55,9 +55,21 @@ pub fn fits(params: &Conv2dParams) -> bool {
     params.kh == 3 && params.kw == 3 && params.stride == 1 && params.pad == 1
 }
 
+/// [`fits`] as a shape check, naming the geometry it got.
+pub(crate) fn check_fits(params: &Conv2dParams) -> TensorResult<()> {
+    if fits(params) {
+        return Ok(());
+    }
+    Err(ShapeError::new(format!(
+        "conv: Winograd needs a 3x3 stride-1 pad-1 kernel, got {}x{} stride {} pad {}",
+        params.kh, params.kw, params.stride, params.pad
+    )))
+}
+
 /// One channel group's transformed filters: the 16 `out_per_group ×
 /// in_per_group` matrices `U_e`, one after the other, row-major. Built
-/// by [`crate::ConvWeights::winograd_bands`].
+/// by [`WinogradBand::transform`], per group of a dense matrix by
+/// [`crate::ConvWeights::winograd_bands`].
 #[derive(Debug, Clone)]
 pub struct WinogradBand {
     out_per_group: usize,
@@ -67,11 +79,13 @@ pub struct WinogradBand {
 
 impl WinogradBand {
     /// `G g Gᵀ` of every filter of one group: `filters` holds the
-    /// group's `out_per_group` rows of `in_per_group × 3 × 3` taps.
+    /// group's `out_per_group` rows of `in_per_group × 3 × 3` taps
+    /// (panics unless it holds exactly that many).
     /// Computed in f64 and rounded once, so each `U` element is the
     /// correctly rounded transform of the f32 weights.
-    pub(crate) fn transform(filters: &[f32], out_per_group: usize, in_per_group: usize) -> Self {
+    pub fn transform(filters: &[f32], out_per_group: usize, in_per_group: usize) -> Self {
         let per = out_per_group * in_per_group;
+        assert_eq!(filters.len(), per * 9, "out × in × 3 × 3 filter taps");
         let mut u = vec![0.0; POSITIONS * per];
         // G·x for one 3-vector: [x0, (x0+x1+x2)/2, (x0−x1+x2)/2, x2].
         let g = |x: [f64; 3]| {
@@ -82,7 +96,7 @@ impl WinogradBand {
                 x[2],
             ]
         };
-        for (o, row) in filters.chunks_exact(in_per_group * 9).enumerate() {
+        for (o, row) in filters.chunks_exact((in_per_group * 9).max(1)).enumerate() {
             for (c, taps) in row.chunks_exact(9).enumerate() {
                 let tap = |y: usize, x: usize| f64::from(taps[y * 3 + x]);
                 // Columns first (G g), then rows ((G g) Gᵀ).
@@ -104,7 +118,7 @@ impl WinogradBand {
     }
 
     /// `(out_per_group, in_per_group)`.
-    pub(crate) fn shape(&self) -> (usize, usize) {
+    pub fn shape(&self) -> (usize, usize) {
         (self.out_per_group, self.in_per_group)
     }
 

@@ -126,7 +126,7 @@ mod tests {
             let b = Matrix::from_fn(k, n, |r, c| (r * 7 + c) as f32 % 5.0 - 2.0);
             for packed in [
                 PackedBI8::pack(&b, 0.05),
-                PackedBI8::pack_transposed(&b, std::slice::from_ref(&(0..n)), 0.05),
+                PackedBI8::pack_transposed(&b, 0.05),
             ] {
                 let at = packed.data().as_ptr() as usize;
                 assert_eq!(at % I8_ALIGN, 0, "PackedBI8 of {k}x{n}");

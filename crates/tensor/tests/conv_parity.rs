@@ -14,21 +14,17 @@
 //! * dense-i8, on dense and on half-zero weights: within the int8
 //!   bound (0.2 absolute on unit-scale data) of the oracle.
 //!
-//! * kept-rows f32 (`DenseRows`, filter-pruned weights): **bitwise**
-//!   equal to `Dense` on the same zero-row weights over every row
-//!   pattern that changes its control flow, within 1e-4 of the oracle,
-//!   and no more scratch than `Dense`.
+//! * bands of uneven widths (a narrowed grouped conv: kept filters and
+//!   kept input channels per group, a group with no input channel
+//!   left): f32 bands and CSR **bitwise** `Dense`, and dense-i8 bitwise
+//!   the full dense-i8 bands, on the full zero-row weights with the
+//!   removed input planes zeroed, on every kernel path, at batch 1 and
+//!   8, on teams of one to three threads; bands whose widths do not add
+//!   up to the geometry are a shape error.
 //!
-//! * narrowed bands (kept rows plus live input channels, uneven live
-//!   counts per group, a whole group dead): **bitwise** `Dense` (f32)
-//!   or the full dense-i8 bands on the same zero-row weights with the
-//!   dead input planes zeroed, on every kernel path, at batch 1 and 8,
-//!   on teams of one to three threads; a non-finite weight on a dead
-//!   channel keeps its column.
-//!
-//! * dense and kept-rows f32 on one geometry whose patch matrix spans
-//!   three column strips of the packed GEMM: **bitwise** the seed
-//!   composition (the strip walk only reorders tiles).
+//! * dense f32, as one matrix and as bands, on one geometry whose patch
+//!   matrix spans three column strips of the packed GEMM: **bitwise**
+//!   the seed composition (the strip walk only reorders tiles).
 //!
 //! * dense-i8 over a geometry table (stride × pad × groups, odd
 //!   patch depth, output pixels off the panel width): **bitwise** the
@@ -146,8 +142,8 @@ fn every_weight_form_matches_the_direct_oracle() {
         let dense_w = weights(&params, false);
         let pruned_w = weights(&params, true);
         let csr = ConvWeights::csr_bands(&pruned_w, &params).unwrap();
-        let dense_q = ConvWeights::i8_bands(&dense_w, &params, &[]).unwrap();
-        let pruned_q = ConvWeights::i8_bands(&pruned_w, &params, &[]).unwrap();
+        let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
+        let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
 
         for batch in [1usize, 3] {
             let x = input(batch, 4, 7, 7);
@@ -272,8 +268,8 @@ fn int8_forms_are_bitwise_the_lower_then_quantize_composition() {
                 assert_eq!(params.col_rows() % 2, 1);
                 let dense_w = weights(&params, false);
                 let pruned_w = weights(&params, true);
-                let dense_q = ConvWeights::i8_bands(&dense_w, &params, &[]).unwrap();
-                let pruned_q = ConvWeights::i8_bands(&pruned_w, &params, &[]).unwrap();
+                let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
+                let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
                 for batch in [1usize, 3] {
                     let x = input(batch, 3 * groups, 11, 9);
                     let act_scale = 0.75 * symmetric_scale(x.as_slice());
@@ -317,143 +313,13 @@ fn filter_pruned(params: &Conv2dParams, pruned_rows: &[usize]) -> Matrix {
     w
 }
 
-#[test]
-fn kept_rows_form_is_bitwise_dense_on_the_same_weights() {
-    let mut ws = Workspace::new();
-    let mut out = Tensor4::zeros(0, 0, 0, 0);
-    let all: Vec<usize> = (0..12).collect();
-    // 12 filters: one group of 12 or two of 6.
-    let patterns: [(&str, &[usize]); 7] = [
-        ("none pruned", &[]),
-        ("all pruned", &all),
-        ("first group pruned", &all[..6]),
-        ("kept count off the row block", &[1, 4, 5, 8, 10, 11]),
-        ("first and last rows pruned", &[0, 5, 6, 11]),
-        ("one kept row per group", &[0, 1, 2, 4, 5, 6, 7, 9, 10, 11]),
-        ("one kept row", &all[1..]),
-    ];
-    let bias: Vec<f32> = (0..12).map(|i| i as f32 * 0.05 - 0.3).collect();
-
-    for groups in [1usize, 2] {
-        let params = Conv2dParams::grouped(4, 12, 3, 1, 1, groups);
-        for (pattern, pruned_rows) in patterns {
-            let w = filter_pruned(&params, pruned_rows);
-            let kept = ConvWeights::kept_row_bands(&w, &params, &[]).unwrap();
-            for (batch, relu, bias) in [
-                (1usize, false, Some(&bias[..])),
-                (1, true, Some(&bias[..])),
-                (3, false, Some(&bias[..])),
-                (3, true, Some(&bias[..])),
-                (3, false, None),
-            ] {
-                let case = format!(
-                    "{pattern}: groups={groups} batch={batch} relu={relu} bias={}",
-                    bias.is_some()
-                );
-                let x = input(batch, 4, 7, 7);
-                let dense_form = ConvWeights::Dense(&w);
-                conv2d(&x, dense_form, bias, relu, &params, &mut ws, &mut out).unwrap();
-                let dense = out.clone();
-                // Every element must be written, not inherited.
-                out.as_mut_slice().fill(f32::NAN);
-                let kept_form = ConvWeights::DenseRows(&kept);
-                conv2d(&x, kept_form, bias, relu, &params, &mut ws, &mut out).unwrap();
-                assert!(bits(&out) == bits(&dense), "{case}: vs dense");
-                let mut oracle = conv2d_direct(&x, &w, bias, &params).unwrap();
-                if relu {
-                    relu_pass(&mut oracle);
-                }
-                let diff = out.max_abs_diff(&oracle).unwrap();
-                assert!(diff < 1e-4, "{case}: {diff} from the oracle");
-            }
-        }
-    }
-}
-
-/// The edge cases of treating a pruned filter as absent.
-#[test]
-fn pruned_filters_are_absent_not_zero() {
-    let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
-    let bias = [0.5f32, -0.5, 0.25, -0.0, 1.0, -2.0];
-    let epi = |b: f32, relu: bool| {
-        let v = 0.0 + b;
-        if !relu || v > 0.0 {
-            v
-        } else {
-            0.0
-        }
-    };
-    let n_out = 7 * 7;
-    let mut ws = Workspace::new();
-    let mut out = Tensor4::zeros(0, 0, 0, 0);
-    let x = input(2, 4, 7, 7);
-
-    // Group 1 entirely pruned: its channels hold the bias constant.
-    let w = filter_pruned(&params, &[3, 4, 5]);
-    let kept = ConvWeights::kept_row_bands(&w, &params, &[]).unwrap();
-    // Every filter pruned: the layer is its bias broadcast.
-    let none =
-        ConvWeights::kept_row_bands(&filter_pruned(&params, &[0, 1, 2, 3, 4, 5]), &params, &[])
-            .unwrap();
-    for relu in [false, true] {
-        let rows = ConvWeights::DenseRows(&kept);
-        conv2d(&x, rows, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
-        for n in 0..2 {
-            for (oc, &b) in bias.iter().enumerate().skip(3) {
-                let want = epi(b, relu).to_bits();
-                let got = &out.image(n)[oc * n_out..(oc + 1) * n_out];
-                assert!(got.iter().all(|v| v.to_bits() == want), "channel {oc}");
-            }
-        }
-        let rows = ConvWeights::DenseRows(&none);
-        conv2d(&x, rows, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
-        for (i, v) in out.as_slice().iter().enumerate() {
-            let oc = i / n_out % 6;
-            assert_eq!(v.to_bits(), epi(bias[oc], relu).to_bits(), "element {i}");
-        }
-    }
-
-    // Non-finite activations: the dense form multiplies the zero
-    // filter through (0·inf = NaN), the kept-rows form does not.
-    let mut hot = x.clone();
-    hot.as_mut_slice().fill(f32::INFINITY);
-    let dense = ConvWeights::Dense(&w);
-    conv2d(&hot, dense, Some(&bias), false, &params, &mut ws, &mut out).unwrap();
-    assert!(out.image(0)[3 * n_out..].iter().all(|v| v.is_nan()));
-    let rows = ConvWeights::DenseRows(&kept);
-    conv2d(&hot, rows, Some(&bias), false, &params, &mut ws, &mut out).unwrap();
-    for (oc, &b) in bias.iter().enumerate().skip(3) {
-        let got = &out.image(0)[oc * n_out..(oc + 1) * n_out];
-        assert!(got.iter().all(|&v| v == b), "channel {oc}");
-    }
-}
-
-/// The kept-rows form works in the output band itself: its workspace
-/// high-water is the dense form's (the packed patch matrix), with no
-/// `kept × n_out` side buffer.
-#[test]
-fn kept_rows_form_needs_no_more_scratch_than_dense() {
-    let params = Conv2dParams::grouped(4, 12, 3, 1, 1, 2);
-    let w = filter_pruned(&params, &[1, 4, 5, 8, 10, 11]);
-    let kept = ConvWeights::kept_row_bands(&w, &params, &[]).unwrap();
-    let x = input(3, 4, 7, 7);
-    let scratch = |form: ConvWeights<'_>| {
-        let mut ws = Workspace::new();
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        conv2d(&x, form, None, true, &params, &mut ws, &mut out).unwrap();
-        ws.reserved_bytes()
-    };
-    let dense = scratch(ConvWeights::Dense(&w));
-    assert!(dense > 0);
-    assert_eq!(scratch(ConvWeights::DenseRows(&kept)), dense);
-}
-
 /// A patch matrix wider than two column strips of the packed GEMM
 /// (`k` = 64·3·3 = 576 taps puts 28 panels in a 512 KiB strip; 22×22
 /// output pixels are 61 panels — strips of 28, 28 and 5 with a ragged
 /// last panel), six filters so a 4-row block and two trailing rows
-/// cross every strip: both dense forms stay bitwise the unpacked seed
-/// composition (`gemm_naive`), epilogue included.
+/// cross every strip: the dense form, as one matrix and as a band,
+/// stays bitwise the unpacked seed composition (`gemm_naive`),
+/// epilogue included.
 #[test]
 fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     let params = Conv2dParams::grouped(64, 6, 3, 1, 1, 1);
@@ -463,11 +329,11 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let dense_w = weights(&params, false);
     let rows_w = filter_pruned(&params, &[1, 4]);
-    let kept = ConvWeights::kept_row_bands(&rows_w, &params, &[]).unwrap();
+    let band = [rows_w.clone()];
     for relu in [false, true] {
         for (name, form, w) in [
             ("dense", ConvWeights::Dense(&dense_w), &dense_w),
-            ("kept-rows", ConvWeights::DenseRows(&kept), &rows_w),
+            ("band", ConvWeights::Bands(&band), &rows_w),
         ] {
             out.as_mut_slice().fill(f32::NAN);
             conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
@@ -486,66 +352,112 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
     }
 }
 
-/// The narrowed bands drop exactly the products of a weight and a `+0`
-/// input: with the dead input planes zeroed, they are bitwise the
-/// forms that multiply every channel — `Dense` in f32, the full
-/// dense-i8 bands in int8 — on the same zero-row weights.
+/// Bands of uneven widths — a narrowed grouped conv, each group with
+/// its own kept filters and kept input channels — drop exactly the
+/// products of a weight and a `+0` input: on the narrowed input they
+/// are bitwise the full forms on the full zero-row weights with the
+/// removed input planes zeroed, at the kept output channels — f32
+/// bands and CSR against `Dense`, int8 bands (quantized at the full
+/// weights' scale) against the full dense-i8 bands. A group left no
+/// input channel is its bias through the epilogue.
 #[test]
-fn narrowed_bands_are_bitwise_dense_on_zeroed_input_planes() {
+fn uneven_bands_are_bitwise_the_full_forms_on_zeroed_planes() {
     // Two groups of 5 input channels and 6 filters; filters 1, 4, 5
     // and 8 pruned leave 3 and 5 kept rows.
     let params = Conv2dParams::grouped(10, 12, 3, 1, 1, 2);
-    let w = filter_pruned(&params, &[1, 4, 5, 8]);
+    let pruned_rows = [1, 4, 5, 8];
+    let w = filter_pruned(&params, &pruned_rows);
     let bias: Vec<f32> = (0..12).map(|i| i as f32 * 0.05 - 0.3).collect();
-    let full_q = ConvWeights::i8_bands(&w, &params, &[]).unwrap();
-    // Uneven live counts (2 and 4), then a whole group dead.
-    for (dead, live) in [
-        (&[0, 2, 3, 6][..], [&[1, 4][..], &[0, 2, 3, 4][..]]),
-        (&[0, 1, 2, 3, 4, 9][..], [&[][..], &[0, 1, 2, 3][..]]),
-    ] {
-        let kept = ConvWeights::kept_row_bands(&w, &params, dead).unwrap();
-        let kept_q = ConvWeights::i8_bands(&w, &params, dead).unwrap();
-        for (g, live) in live.iter().enumerate() {
-            assert_eq!(kept[g].live(), *live, "dead {dead:?} group {g}");
-            assert_eq!(kept_q[g].live(), *live, "dead {dead:?} group {g}");
-        }
+    let full_q = ConvWeights::i8_bands(&w, &params).unwrap();
+    let scale = symmetric_scale(w.as_slice());
+    let kept_rows: Vec<usize> = (0..12).filter(|r| !pruned_rows.contains(r)).collect();
+    let kept_bias: Vec<f32> = kept_rows.iter().map(|&r| bias[r]).collect();
+    // Uneven kept inputs (2 and 4), then none in group 0.
+    for gone in [&[0, 2, 3, 6][..], &[0, 1, 2, 3, 4, 9]] {
+        let kept_in: Vec<usize> = (0..10).filter(|c| !gone.contains(c)).collect();
+        let bands: Vec<Matrix> = (0..2)
+            .map(|g| {
+                let mut band = Matrix::from_fn(6, 45, |r, c| w.get(g * 6 + r, c));
+                band.retain(
+                    |r| !pruned_rows.contains(&(g * 6 + r)),
+                    |c| !gone.contains(&(g * 5 + c / 9)),
+                );
+                band
+            })
+            .collect();
+        let narrowed = Conv2dParams {
+            in_channels: kept_in.len(),
+            out_channels: kept_rows.len(),
+            ..params
+        };
+        let csr: Vec<CsrMatrix> = bands
+            .iter()
+            .map(|b| CsrMatrix::from_dense(b, 0.0))
+            .collect();
+        let q: Vec<QuantizedA> = bands
+            .iter()
+            .map(|b| QuantizedA::quantize(b.as_slice(), b.rows(), b.cols(), scale))
+            .collect();
         for path in kernels::available_paths() {
             kernels::force(Some(path));
             for batch in [1, 8] {
-                let mut x = input(batch, 10, 9, 7);
-                let plane = 9 * 7;
-                for n in 0..batch {
-                    for &c in dead {
-                        x.image_mut(n)[c * plane..(c + 1) * plane].fill(0.0);
+                let full_x = Tensor4::from_fn(batch, 10, 9, 7, |n, c, h, wd| {
+                    if gone.contains(&c) {
+                        0.0
+                    } else {
+                        input(batch, 10, 9, 7).get(n, c, h, wd)
                     }
-                }
+                });
+                let x = Tensor4::from_fn(batch, kept_in.len(), 9, 7, |n, c, h, wd| {
+                    full_x.get(n, kept_in[c], h, wd)
+                });
                 let act_scale = symmetric_scale(x.as_slice());
                 for threads in [1, 2, 3] {
                     let mut ws = Workspace::new();
                     ws.team = (threads > 1).then(|| Team::new(threads).with_min_part_macs(0));
                     for relu in [false, true] {
-                        let mut run = |form: ConvWeights<'_>| {
-                            let mut out = Tensor4::zeros(batch, 12, 9, 7);
-                            out.as_mut_slice().fill(f32::NAN);
-                            conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out)
-                                .unwrap();
-                            bits(&out)
-                        };
                         let case = format!(
-                            "dead {dead:?} {} batch {batch} team {threads} relu {relu}",
+                            "gone {gone:?} {} batch {batch} team {threads} relu {relu}",
                             path.name()
                         );
-                        let dense = run(ConvWeights::Dense(&w));
-                        assert!(run(ConvWeights::DenseRows(&kept)) == dense, "f32 {case}");
-                        let full = run(ConvWeights::DenseI8 {
+                        let mut full = |form: ConvWeights<'_>| {
+                            let mut out = Tensor4::zeros(0, 0, 0, 0);
+                            conv2d(&full_x, form, Some(&bias), relu, &params, &mut ws, &mut out)
+                                .unwrap();
+                            // The kept channels of every image.
+                            let plane = 9 * 7;
+                            (0..batch)
+                                .flat_map(|n| {
+                                    let img = out.image(n).to_vec();
+                                    kept_rows
+                                        .iter()
+                                        .flat_map(move |&r| {
+                                            img[r * plane..(r + 1) * plane].to_vec()
+                                        })
+                                        .collect::<Vec<_>>()
+                                })
+                                .map(f32::to_bits)
+                                .collect::<Vec<_>>()
+                        };
+                        let dense = full(ConvWeights::Dense(&w));
+                        let full_i8 = full(ConvWeights::DenseI8 {
                             bands: &full_q,
                             act_scale,
                         });
-                        let narrowed = run(ConvWeights::DenseI8 {
-                            bands: &kept_q,
+                        let mut run = |form: ConvWeights<'_>| {
+                            let mut out = Tensor4::zeros(batch, 8, 9, 7);
+                            out.as_mut_slice().fill(f32::NAN);
+                            let b = Some(&kept_bias[..]);
+                            conv2d(&x, form, b, relu, &narrowed, &mut ws, &mut out).unwrap();
+                            bits(&out)
+                        };
+                        assert!(run(ConvWeights::Bands(&bands)) == dense, "f32 {case}");
+                        assert!(run(ConvWeights::Csr(&csr)) == dense, "csr {case}");
+                        let int8 = run(ConvWeights::DenseI8 {
+                            bands: &q,
                             act_scale,
                         });
-                        assert!(narrowed == full, "int8 {case}");
+                        assert!(int8 == full_i8, "int8 {case}");
                     }
                 }
             }
@@ -553,35 +465,31 @@ fn narrowed_bands_are_bitwise_dense_on_zeroed_input_planes() {
         kernels::force(None);
     }
 
-    // A non-finite weight on a dead channel keeps that channel's column
-    // (`inf·0` is NaN, which dropping the product would hide), in both
-    // forms; f32 then reads the NaN the dense form reads.
-    let mut hot = w.clone();
-    hot.set(0, 2 * 9 + 4, f32::INFINITY);
-    let dead = [0, 2, 3, 6];
-    let kept = ConvWeights::kept_row_bands(&hot, &params, &dead).unwrap();
-    let kept_q = ConvWeights::i8_bands(&hot, &params, &dead).unwrap();
-    for g in 0..2 {
-        let want: &[usize] = if g == 0 { &[1, 2, 4] } else { &[0, 2, 3, 4] };
-        assert_eq!(kept[g].live(), want);
-        assert_eq!(kept_q[g].live(), want);
-    }
-    let mut x = input(1, 10, 9, 7);
-    for &c in &dead {
-        x.image_mut(0)[c * 63..(c + 1) * 63].fill(0.0);
-    }
-    let mut ws = Workspace::new();
-    let mut run = |form: ConvWeights<'_>| {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        conv2d(&x, form, Some(&bias), false, &params, &mut ws, &mut out).unwrap();
-        out
-    };
-    let (dense, narrowed) = (
-        run(ConvWeights::Dense(&hot)),
-        run(ConvWeights::DenseRows(&kept)),
-    );
-    assert!(dense.image(0)[..63].iter().all(|v| v.is_nan()));
-    for (d, n) in dense.as_slice().iter().zip(narrowed.as_slice()) {
-        assert!(d.to_bits() == n.to_bits() || d.is_nan() && n.is_nan());
+    // Widths that do not add up to the geometry, or a band that is not
+    // whole kernels deep, are refused.
+    let band = |rows, cols| Matrix::zeros(rows, cols);
+    let x = input(1, 10, 9, 7);
+    let mut out = Tensor4::zeros(0, 0, 0, 0);
+    for bands in [
+        vec![band(6, 45), band(5, 45)],
+        vec![band(6, 45), band(6, 36)],
+        vec![band(6, 45), band(6, 44)],
+        vec![band(12, 90)],
+    ] {
+        let form = ConvWeights::Bands(&bands);
+        let err = conv2d(
+            &x,
+            form,
+            None,
+            false,
+            &params,
+            &mut Workspace::new(),
+            &mut out,
+        );
+        assert!(
+            err.is_err(),
+            "{:?}",
+            bands.iter().map(Matrix::shape).collect::<Vec<_>>()
+        );
     }
 }
