@@ -1,8 +1,9 @@
 //! im2col+GEMM vs direct sliding-window convolution — the Caffe-lowering
-//! ablation (DESIGN.md §9) — over the driver's weight forms, and the
-//! dense-vs-CSR crossover `ConvLayer`'s `SPARSE_THRESHOLD` is set from
-//! (`conv_form_*`; tables in EXPERIMENTS.md, "Dense vs CSR crossover,
-//! measured" and "One fc form per precision").
+//! ablation (DESIGN.md §9) — and what narrowing a filter-pruned conv
+//! saves (`conv_form_conv*`: the un-narrowed layer against the narrowed
+//! one; the dense-vs-CSR crossover this bench measured until the CSR
+//! conv form was deleted is in EXPERIMENTS.md, "Dense vs CSR
+//! crossover, measured", and "The CSR conv form's last record").
 //! `conv_form_i8_*` is the int8 side: the lowering stages on their own
 //! and the dense int8 conv against f32, the one int8 conv form at every
 //! sparsity.
@@ -15,7 +16,7 @@
 //! `WINOGRAD_MIN_CHANNELS` / `WINOGRAD_MIN_MAP` are set from (table in
 //! EXPERIMENTS.md "PR 36").
 
-use cap_cnn::layer::{ConvLayer, Layer, SPARSE_THRESHOLD};
+use cap_cnn::layer::{ConvLayer, Layer};
 use cap_tensor::kernels::{self, int8::quantize_slice_with};
 use cap_tensor::reference::conv2d_direct;
 use cap_tensor::{
@@ -40,17 +41,13 @@ fn scattered(rows: usize, cols: usize, zero_pct: f64) -> Matrix {
     })
 }
 
-/// One Caffenet conv layer at batch 1 through `conv2d`: dense, the
-/// Winograd form where `ConvLayer` runs it, CSR at rising unstructured
-/// sparsity, and filter pruning (every second filter zeroed) as CSR and
-/// as two `ConvLayer`s — the un-narrowed one, which multiplies its zero
-/// filters in whichever form it picks, and the narrowed one, the same
-/// layer with those filters removed (`Network::narrow`). Ends with one
-/// `conv_form:` line — the time of the form `ConvLayer` runs below
-/// `SPARSE_THRESHOLD` (`dense` im2col or `winograd`) over the CSR time
-/// at each sparsity (above 1: CSR is faster), the lowest sparsity from
-/// which CSR stays faster — for the CI job summary, next to the
-/// threshold — and the un-narrowed layer's time over the narrowed one's.
+/// One Caffenet conv layer at batch 1 with every second filter zeroed,
+/// as filter pruning leaves it, run as two `ConvLayer`s: the
+/// un-narrowed one, which multiplies its zero filters in the form its
+/// geometry picks (`dense` im2col or `winograd`), and the narrowed one,
+/// the same layer with those filters removed (`Network::narrow`). Ends
+/// with one `conv_form:` line, for the CI job summary: the un-narrowed
+/// layer's time over the narrowed one's.
 fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usize) {
     let input = Tensor4::from_fn(1, params.in_channels, hw, hw, |_, ci, h, w| {
         ((ci + h * 2 + w) % 11) as f32 / 11.0 - 0.5
@@ -60,33 +57,10 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
     let mut ws = Workspace::new();
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     let mut group = c.benchmark_group(name);
-    let mut run = |id: BenchmarkId, form: ConvWeights<'_>| {
-        fastest(&mut group, id, || {
-            conv2d(&input, form, Some(&bias), true, &params, &mut ws, &mut out).unwrap()
-        })
-    };
-    let dense = scattered(rows, cols, 0.0);
-    let mut below = "dense";
-    let mut below_time = run(BenchmarkId::new(below, 0), ConvWeights::Dense(&dense));
-    if ConvLayer::weight_form_name(&dense, &params, (hw, hw)) == "winograd" {
-        below = "winograd";
-        let bands = ConvWeights::winograd_bands(&dense, &params).unwrap();
-        below_time = run(BenchmarkId::new(below, 0), ConvWeights::Winograd(&bands));
-    }
-    let mut ratios = Vec::new();
-    for zero_pct in [40.0, 50.0, 60.0, 65.0, 70.0, 75.0, 80.0, 85.0, 90.0] {
-        let csr = ConvWeights::csr_bands(&scattered(rows, cols, zero_pct), &params).unwrap();
-        let sparse = run(BenchmarkId::new("csr", zero_pct), ConvWeights::Csr(&csr));
-        if sparse != Duration::MAX {
-            ratios.push((zero_pct, below_time.as_secs_f64() / sparse.as_secs_f64()));
-        }
-    }
-    let mut half_rows = dense.clone();
+    let mut half_rows = scattered(rows, cols, 0.0);
     for r in (1..rows).step_by(2) {
         half_rows.row_mut(r).fill(0.0);
     }
-    let csr = ConvWeights::csr_bands(&half_rows, &params).unwrap();
-    run(BenchmarkId::new("csr_rows", 50), ConvWeights::Csr(&csr));
     let mut narrowed = half_rows.clone();
     narrowed.retain(|r| r % 2 == 0, |_| true);
     let narrowed_params = Conv2dParams {
@@ -115,21 +89,10 @@ fn bench_conv_forms(c: &mut Criterion, name: &str, params: Conv2dParams, hw: usi
         }));
     }
     group.finish();
-    if below_time != Duration::MAX && !ratios.is_empty() {
-        let cells: Vec<String> = ratios
-            .iter()
-            .map(|(pct, r)| format!("{pct:.0}% {r:.2}x"))
-            .collect();
-        let from = ratios
-            .iter()
-            .rposition(|&(_, r)| r < 1.0)
-            .map_or(Some(0), |i| (i + 1 < ratios.len()).then_some(i + 1));
-        let crossover = from.map_or("none measured".into(), |i| format!("{:.0}%", ratios[i].0));
+    if !layer_times.contains(&Duration::MAX) {
         let narrowing = layer_times[0].as_secs_f64() / layer_times[1].as_secs_f64();
         println!(
-            "conv_form: {below}/csr on {name} b1, {}; csr faster from {crossover} (SPARSE_THRESHOLD {:.0}%); un-narrowed/narrowed at 50% filters {narrowing:.2}x on {}",
-            cells.join(", "),
-            SPARSE_THRESHOLD * 100.0,
+            "conv_form: {name} b1, un-narrowed/narrowed at 50% filters {narrowing:.2}x on {}",
             kernels::selected().name()
         );
     }
@@ -212,14 +175,6 @@ fn bench_conv(c: &mut Criterion) {
     });
     let weights = Matrix::from_fn(96, 64 * 9, |r, cc| ((r * 7 + cc) % 9) as f32 / 9.0 - 0.4);
     let bias = vec![0.1_f32; 96];
-    // Sparse at 70 % pruning.
-    let mut sparse_w = weights.clone();
-    for (i, v) in sparse_w.as_mut_slice().iter_mut().enumerate() {
-        if i % 10 < 7 {
-            *v = 0.0;
-        }
-    }
-    let csr = ConvWeights::csr_bands(&sparse_w, &params).unwrap();
 
     // Steady state, as a layer runs it: im2col scratch drawn from a
     // workspace, output tensor reused across calls.
@@ -229,14 +184,10 @@ fn bench_conv(c: &mut Criterion) {
     group.bench_function("direct", |b| {
         b.iter(|| conv2d_direct(&input, &weights, Some(&bias), &params).unwrap())
     });
-    for (name, form) in [
-        ("im2col_gemm", ConvWeights::Dense(&weights)),
-        ("sparse_csr_70pct", ConvWeights::Csr(&csr)),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| conv2d(&input, form, Some(&bias), false, &params, &mut ws, &mut out).unwrap())
-        });
-    }
+    let form = ConvWeights::Dense(&weights);
+    group.bench_function("im2col_gemm", |b| {
+        b.iter(|| conv2d(&input, form, Some(&bias), false, &params, &mut ws, &mut out).unwrap())
+    });
     group.finish();
 }
 

@@ -1,6 +1,6 @@
-//! Dense vs CSR-sparse GEMM across sparsity levels — locates the
-//! break-even point that justifies the sparse-Caffe substrate
-//! (DESIGN.md §9 ablation) — the packed GEMM on the real conv layer
+//! Dense vs CSR-sparse GEMM across sparsity levels — the break-even
+//! point of the sparse-Caffe substrate (DESIGN.md §9 ablation), which
+//! no layer runs — the packed GEMM on the real conv layer
 //! shapes, the record behind `gemm.rs`'s `STRIP_BYTES`, and the
 //! batch-1 Caffenet multiplies and Googlenet stem pools and LRNs split
 //! across a two-thread worker team (and the fc row GEMV against the

@@ -7,24 +7,15 @@ use cap_cnn::network::ForwardArena;
 use cap_cnn::run_batched;
 use cap_cnn::train::SequentialNet;
 use cap_data::SyntheticImageNet;
-use cap_pruning::prune_magnitude;
 use cap_tensor::Tensor4;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_tinynet(c: &mut Criterion) {
     let data = SyntheticImageNet::tiny(5);
-    let mut tiny = SequentialNet::tinynet(data.image_shape, 8, 12, data.classes, 3).unwrap();
+    let tiny = SequentialNet::tinynet(data.image_shape, 8, 12, data.classes, 3).unwrap();
     let (x, _) = data.batch(0, 64);
     let net = tiny.to_network().unwrap();
     c.bench_function("tinynet_batch64_dense", |b| {
-        b.iter(|| run_batched(&net, &x, 64).unwrap())
-    });
-    // Past `SPARSE_THRESHOLD`, so both conv layers run their CSR form.
-    for conv in [0, 3] {
-        prune_magnitude(tiny.layer_mut(conv).unwrap().weights_mut().unwrap(), 0.9).unwrap();
-    }
-    let net = tiny.to_network().unwrap();
-    c.bench_function("tinynet_batch64_pruned90", |b| {
         b.iter(|| run_batched(&net, &x, 64).unwrap())
     });
 }

@@ -2,12 +2,10 @@
 //! really-trained CNN, really pruned, really executed. Accuracy comes
 //! from the training forward ([`SequentialNet::evaluate`]); every
 //! millisecond comes from the production executor, `run_batched` over
-//! [`SequentialNet::to_network`], so the weight form that runs is the
-//! one `ConvLayer` selects.
+//! [`SequentialNet::to_network`]. A magnitude-pruned conv runs dense
+//! there, so its zeros cost what its weights did.
 
-use cap_cnn::layer::ConvLayer;
-use cap_cnn::network::{NodeId, INPUT};
-use cap_cnn::train::{SequentialBuilder, SequentialNet, Sgd, TrainLayer};
+use cap_cnn::train::{SequentialBuilder, SequentialNet, Sgd};
 use cap_cnn::{run_batched, ForwardArena, Network};
 use cap_data::SyntheticImageNet;
 use cap_pruning::magnitude::sparsity_mask;
@@ -99,31 +97,6 @@ fn interleaved_best_ms(nets: &[&Network], images: &Tensor4, batch: usize) -> Vec
     best
 }
 
-/// The stored form each conv layer of `net` multiplies with in
-/// `network`, the executor's copy of it ([`ConvLayer::weight_form_name`]
-/// on the layer's geometry and input map): one name when all layers
-/// agree, else one per layer.
-fn conv_forms(net: &SequentialNet, network: &Network) -> String {
-    let mut forms: Vec<&str> = net
-        .layers()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, layer)| match layer {
-            TrainLayer::Conv { params, w, .. } => {
-                // `to_network` adds one node per layer, in order.
-                let from = i.checked_sub(1).map_or(INPUT, NodeId);
-                let (_, h, w_in) = network.shape_of(from).expect("node of the network");
-                Some(ConvLayer::weight_form_name(w, params, (h, w_in)))
-            }
-            _ => None,
-        })
-        .collect();
-    if forms.windows(2).all(|w| w[0] == w[1]) {
-        forms.truncate(1);
-    }
-    forms.join("/")
-}
-
 /// Figure 6, measured: prune a really-trained TinyNet's convolution
 /// layers across the standard ratio grid (with brief masked fine-tuning,
 /// as the paper's pruning tool chain does) and record measured accuracy
@@ -151,11 +124,11 @@ pub fn fig6m() -> String {
     .unwrap();
     writeln!(
         out,
-        "\n{:>6} {:>10} {:>8} {:>8} {:>9} {:>12}",
-        "ratio", "sparsity", "top1", "top5", "ms", "conv form"
+        "\n{:>6} {:>10} {:>8} {:>8} {:>9}",
+        "ratio", "sparsity", "top1", "top5", "ms"
     )
     .unwrap();
-    // (ratio, top-1, ms, form) per row, for the trailer.
+    // (ratio, top-1, ms) per row, for the trailer.
     let mut rows = Vec::new();
     for i in 0..=9u32 {
         let ratio = i as f64 / 10.0;
@@ -178,19 +151,17 @@ pub fn fig6m() -> String {
         let report = pruned.evaluate(&test_x, &test_labels).unwrap();
         let network = pruned.to_network().expect("trained net as Network");
         let ms = best_wall_s(&network, &test_x, TIMED_BATCH) * 1000.0;
-        let form = conv_forms(&pruned, &network);
         writeln!(
             out,
-            "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2} {:>12}",
+            "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2}",
             ratio * 100.0,
             pruned.conv_sparsity() * 100.0,
             report.top1 * 100.0,
             report.top5 * 100.0,
             ms,
-            form
         )
         .unwrap();
-        rows.push((ratio, report.top1, ms, form));
+        rows.push((ratio, report.top1, ms));
     }
     let plateau = rows
         .iter()
@@ -198,13 +169,9 @@ pub fn fig6m() -> String {
         .last()
         .map_or(0.0, |r| r.0);
     let (first, last) = (&rows[0], &rows[rows.len() - 1]);
-    let csr_from = rows.iter().find(|r| r.3 == "csr").map_or_else(
-        || "no row runs all-csr".to_string(),
-        |r| format!("all conv layers run csr from {:.0}%", r.0 * 100.0),
-    );
     writeln!(
         out,
-        "\nfig6m: top-1 within 1 pp of baseline through {:.0}% pruning, {:.1}% at {:.0}%; {:.2} ms unpruned -> {:.2} ms at {:.0}% ({:.2}x); {csr_from}",
+        "\nfig6m: top-1 within 1 pp of baseline through {:.0}% pruning, {:.1}% at {:.0}%; {:.2} ms unpruned -> {:.2} ms at {:.0}% ({:.2}x)",
         plateau * 100.0,
         last.1 * 100.0,
         last.0 * 100.0,
@@ -296,8 +263,8 @@ pub fn fig8m() -> String {
     .unwrap();
     writeln!(
         out,
-        "{:<14} {:>8} {:>8} {:>11} {:>16}",
-        "config", "top1", "top5", "latency ms", "conv form"
+        "{:<14} {:>8} {:>8} {:>11}",
+        "config", "top1", "top5", "latency ms"
     )
     .unwrap();
     let mut configs = Vec::new();
@@ -308,22 +275,20 @@ pub fn fig8m() -> String {
         }
         let report = pruned.evaluate(&test_x, &test_labels).expect("eval");
         let network = pruned.to_network().expect("trained net as Network");
-        let form = conv_forms(&pruned, &network);
-        configs.push((name, report, network, form));
+        configs.push((name, report, network));
     }
     let networks: Vec<&Network> = configs.iter().map(|c| &c.2).collect();
     let ms = interleaved_best_ms(&networks, &test_x, TIMED_BATCH);
     // (top-1, ms) per row, for the trailer.
     let mut rows = Vec::new();
-    for ((name, report, _, form), ms) in configs.iter().zip(ms) {
+    for ((name, report, _), ms) in configs.iter().zip(ms) {
         writeln!(
             out,
-            "{:<14} {:>7.1}% {:>7.1}% {:>11.2} {:>16}",
+            "{:<14} {:>7.1}% {:>7.1}% {:>11.2}",
             name,
             report.top1 * 100.0,
             report.top5 * 100.0,
             ms,
-            form
         )
         .unwrap();
         rows.push((report.top1, ms));

@@ -19,7 +19,7 @@
 //! thread: each step runs exactly once, in the same order, and a split
 //! hands every output element to one thread that computes it in the
 //! same order as the unsplit kernel. The contract is proptested across
-//! kernel × fusion arms (including pruned/CSR layers) on random branchy
+//! kernel × fusion arms (including pruned layers) on random branchy
 //! nets in `crates/cnn/tests/dag_parity.rs`.
 //!
 //! # Selection

@@ -2,7 +2,7 @@
 //!
 //! The [`crate::Network`] executor can rewrite `conv → relu` and
 //! `fc → relu` chains into single fused steps whose bias add and ReLU
-//! ride the GEMM/SpMM store ([`cap_tensor::Epilogue`]), saving two full
+//! ride the GEMM store ([`cap_tensor::Epilogue`]), saving two full
 //! round-trips of each activation through memory. The rewrite is a pure
 //! scheduling change: fused kernels are **bitwise identical** to the
 //! unfused layer pair on every kernel path, so fusion can be toggled

@@ -3,11 +3,12 @@
 //! Layers are forward-only (inference is what the paper measures); the
 //! trainable path lives in [`crate::train`]. A layer consumes one or more
 //! NCHW tensors and produces one. Convolution and inner-product layers
-//! carry weights and support pruning: zeroed weights are detected when
-//! they are set, a conv layer above a sparsity threshold switches to
-//! CSR sparse kernels — mirroring the sparse-Caffe fork the paper uses —
-//! and a filter-pruned version is narrowed ([`crate::Network::narrow`]):
-//! each layer gives up the channels pruning left at `+0`.
+//! carry weights and support pruning: zeroed filters are detected when
+//! the weights are set, and a filter-pruned version is narrowed
+//! ([`crate::Network::narrow`]): each layer gives up the channels
+//! pruning left at `+0`. Where the paper's sparse-Caffe fork skips zero
+//! weights, a layer here multiplies them like any other: filter pruning
+//! saves time by narrowing, unstructured zeros save none.
 
 mod concat;
 mod conv;
@@ -19,7 +20,7 @@ mod relu;
 mod softmax;
 
 pub use concat::ConcatLayer;
-pub use conv::{ConvLayer, SPARSE_THRESHOLD, WINOGRAD_MIN_CHANNELS, WINOGRAD_MIN_MAP};
+pub use conv::{ConvLayer, WINOGRAD_MIN_CHANNELS, WINOGRAD_MIN_MAP};
 pub use dropout::DropoutLayer;
 pub use inner_product::InnerProductLayer;
 pub use lrn::LrnLayer;
@@ -235,8 +236,6 @@ pub enum ChannelUse {
 struct WeightScan {
     /// The all-zero rows, ascending.
     zero_rows: Vec<usize>,
-    /// The zero weights, all-zero rows included.
-    zeros: usize,
     /// Every weight is finite.
     finite: bool,
 }
@@ -265,29 +264,22 @@ impl WeightScan {
     /// The scan of a weight matrix given row by row (a conv's groups'
     /// bands one after the other).
     fn of_rows<'a>(rows: impl Iterator<Item = &'a [f32]>) -> Self {
-        let (mut zero_rows, mut zeros, mut finite) = (Vec::new(), 0, true);
+        let (mut zero_rows, mut finite) = (Vec::new(), true);
         for (r, row) in rows.enumerate() {
-            let row_zeros = row.iter().filter(|&&v| v == 0.0).count();
-            zeros += row_zeros;
-            if row_zeros == row.len() {
+            if row.iter().all(|&v| v == 0.0) {
                 zero_rows.push(r);
             } else {
                 finite &= row.iter().all(|v| v.is_finite());
             }
         }
-        Self {
-            zero_rows,
-            zeros,
-            finite,
-        }
+        Self { zero_rows, finite }
     }
 
     /// The rows whose output channel is `+0` on every finite input
     /// ([`Layer::dead_outputs`]): all zero, with a zero bias, and every
     /// weight of the layer finite. Every form writes such a channel as
     /// `epi(0.0 + 0.0)` — a dense sum of `0·x` starts and stays at `+0`,
-    /// conv CSR stores an empty row, and int8 sums zero integers at a
-    /// finite weight scale.
+    /// and int8 sums zero integers at a finite weight scale.
     fn dead_rows(&self, bias: &[f32]) -> Vec<usize> {
         if !self.finite {
             return Vec::new();

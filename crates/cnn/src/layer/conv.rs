@@ -1,22 +1,14 @@
-//! Convolution layer with fast paths for pruned weights.
+//! Convolution layer: one dense form per precision, Winograd for the
+//! 3×3s that gain from it.
 
 use super::{
     sparsity_counting_pruned, ActScale, ChannelUse, ChwShape, Layer, LayerKind, WeightScan,
 };
 use cap_tensor::{
     conv2d, precision, symmetric_scale, winograd, CalibrationMethod, Conv2dParams, ConvWeights,
-    CsrMatrix, Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult, WinogradBand,
-    Workspace,
+    Matrix, Precision, QuantizedA, ShapeError, Tensor4, TensorResult, WinogradBand, Workspace,
 };
 use std::sync::OnceLock;
-
-/// Unstructured weight sparsity above which the CSR conv kernel beats
-/// the dense GEMM: the measured crossover at batch 1 on the Caffenet
-/// conv2 shape (0.80) — conv3 crosses between 0.70 and 0.75 — from
-/// `cargo bench -p cap-bench --bench conv_strategy -- conv_form`
-/// (table in EXPERIMENTS.md "PR 16"; it was 0.75 until the packed GEMM
-/// walked `B` in L2-sized strips and the dense side got faster).
-pub const SPARSE_THRESHOLD: f64 = 0.8;
 
 /// Fewest input and output channels per group at which a dense f32
 /// 3×3 stride-1 pad-1 conv runs the Winograd form: from `cargo bench
@@ -38,39 +30,26 @@ pub const WINOGRAD_MIN_CHANNELS: usize = 64;
 /// below 8 stay on im2col.
 pub const WINOGRAD_MIN_MAP: usize = 8;
 
-/// Why building a derived weight form cannot fail after construction.
-const FORM_SHAPE_CHECKED: &str = "weight shape was validated by new/set_weights/narrow";
-
 /// The stored forms a [`ConvLayer`] multiplies with.
 #[derive(Clone, Copy)]
 enum Form {
     Dense,
     Winograd,
-    Csr,
     DenseI8,
 }
 
 impl Form {
-    /// The form a layer of geometry `params` whose `len` weights scanned
-    /// as `scan`, built with groups `width` channels wide (the fewer of
-    /// input and output), runs in on an `h×w` input map under the
-    /// selected precision. Winograd keys on geometry only, never the
-    /// batch or the thread count, so an image's output bits depend on
-    /// neither.
-    fn of(
-        scan: &WeightScan,
-        len: usize,
-        params: &Conv2dParams,
-        width: usize,
-        (h, w): (usize, usize),
-    ) -> Self {
-        let sparse = scan.zeros as f64 / len.max(1) as f64 > SPARSE_THRESHOLD;
+    /// The form a layer of geometry `params`, built with groups `width`
+    /// channels wide (the fewer of input and output), runs in on an
+    /// `h×w` input map under the selected precision. It keys on
+    /// geometry only, never the weights' values, the batch or the
+    /// thread count, so an image's output bits depend on none of them.
+    fn of(params: &Conv2dParams, width: usize, (h, w): (usize, usize)) -> Self {
         let winograd = winograd::fits(params)
             && width >= WINOGRAD_MIN_CHANNELS
             && h.min(w) >= WINOGRAD_MIN_MAP;
         match precision::selected() {
             Precision::Int8 => Form::DenseI8,
-            Precision::F32 if sparse => Form::Csr,
             Precision::F32 if winograd => Form::Winograd,
             Precision::F32 => Form::Dense,
         }
@@ -80,7 +59,6 @@ impl Form {
         match self {
             Form::Dense => "dense",
             Form::Winograd => "winograd",
-            Form::Csr => "csr",
             Form::DenseI8 => "dense-i8",
         }
     }
@@ -132,15 +110,17 @@ impl Filters {
 
 /// 2-D convolution layer (optionally grouped, AlexNet-style).
 ///
-/// Weights are stored dense, one copy, and scanned **once**, when they
-/// are set (`new` / `set_weights`) or narrowed, so a forward pass never
-/// rescans them to find the form they run in: a zero fraction above
-/// [`SPARSE_THRESHOLD`] selects the CSR form, which pays only at high
-/// unstructured sparsity. Dense f32 weights of a 3×3 stride-1 pad-1
-/// conv wide enough and on a map large enough (`WINOGRAD_MIN_*`) run
-/// the Winograd F(2×2, 3×3) form, 2.25× fewer multiplies; the rest run
-/// im2col + GEMM. Under int8 every sparsity runs the dense int8 GEMM:
-/// its integer dot product beats an int8 CSR walk below ~97 % zeros.
+/// Weights are stored dense, one copy. The form they run in follows
+/// from the geometry and the precision alone: f32 weights of a 3×3
+/// stride-1 pad-1 conv wide enough and on a map large enough
+/// (`WINOGRAD_MIN_*`) run the Winograd F(2×2, 3×3) form, 2.25× fewer
+/// multiplies; the rest run im2col + GEMM; under int8 every conv runs
+/// the dense int8 GEMM. Zero weights choose no form: a magnitude-pruned
+/// conv is multiplied at its dense cost whatever its sparsity (a CSR
+/// multiply pays only past ~80 % zeros, at a crossover that moves
+/// between identical runs: EXPERIMENTS.md "Dense vs CSR crossover,
+/// measured"). The weights are scanned once, when they are set (`new` /
+/// `set_weights`) or narrowed, for the filters narrowing may remove.
 ///
 /// Filter pruning pays by **narrowing** ([`crate::Network::narrow`],
 /// which `cap_pruning::apply_to_network` runs after L1 filter
@@ -157,12 +137,13 @@ impl Filters {
 /// Narrowing changes no layer's algorithm: the Winograd test reads the
 /// group widths the layer was built with (a 3×3 that qualified keeps
 /// Winograd however few channels pruning leaves it, one that did not
-/// stays on im2col), CSR and dense sum the same terms in the same
-/// order, and the int8 form quantizes the weights at the max-abs scale
-/// they had when they were last set. So a narrowed network computes the
-/// values of the full-width one, under f32 and int8 alike.
+/// stays on im2col), dropping a `+0` filter or channel removes only
+/// terms that add a signed zero, and the int8 form quantizes the
+/// weights at the max-abs scale they had when they were last set. So a
+/// narrowed network computes the values of the full-width one, under
+/// f32 and int8 alike.
 ///
-/// The derived forms (per-group CSR or Winograd bands, the int8
+/// The derived forms (per-group Winograd bands, the int8
 /// quantization) are built on the first forward that needs them and
 /// dropped by `set_weights` and by narrowing; im2col scratch is the
 /// caller's [`Workspace`], so steady-state forwards allocate nothing,
@@ -185,8 +166,6 @@ pub struct ConvLayer {
     /// Filters of each group removed by narrowing, for the sparsity
     /// pruning gave the layer.
     pruned: Vec<usize>,
-    /// Per-group CSR split of the filters (sparse f32 path).
-    csr: OnceLock<Vec<CsrMatrix>>,
     /// Per-group Winograd transform of the filters (dense f32 3×3 path).
     winograd: OnceLock<Vec<WinogradBand>>,
     /// Int8 quantization of the filters (the int8 path). Lazy rather
@@ -232,7 +211,6 @@ impl ConvLayer {
             filters: Filters::Even(weights),
             bias,
             pruned: vec![0; params.groups],
-            csr: OnceLock::new(),
             winograd: OnceLock::new(),
             dense_i8: OnceLock::new(),
             act_scale: ActScale::default(),
@@ -260,18 +238,13 @@ impl ConvLayer {
             .collect()
     }
 
-    /// Name of the stored form a layer of geometry `params` holding
-    /// `weights` multiplies with on an input map of `map` (height,
-    /// width), under the selected precision: `dense`, `winograd` (dense
-    /// 3×3 in F(2×2, 3×3) form), `csr` or `dense-i8` — for reports that
-    /// say which form a timed row ran.
-    pub fn weight_form_name(
-        weights: &Matrix,
-        params: &Conv2dParams,
-        map: (usize, usize),
-    ) -> &'static str {
+    /// Name of the stored form a layer of geometry `params` multiplies
+    /// with on an input map of `map` (height, width), under the selected
+    /// precision: `dense`, `winograd` (dense 3×3 in F(2×2, 3×3) form) or
+    /// `dense-i8` — for reports that say which form a timed row ran.
+    pub fn weight_form_name(params: &Conv2dParams, map: (usize, usize)) -> &'static str {
         let width = params.in_per_group().min(params.out_per_group());
-        Form::of(&WeightScan::of(weights), weights.len(), params, width, map).name()
+        Form::of(params, width, map).name()
     }
 
     /// The form this layer runs in on an input map of `map`, by name
@@ -281,8 +254,7 @@ impl ConvLayer {
     }
 
     fn form(&self, map: (usize, usize)) -> Form {
-        let len = self.filters.len();
-        Form::of(&self.scan, len, &self.params, self.built_width, map)
+        Form::of(&self.params, self.built_width, map)
     }
 
     /// The int8 scale of the weights as last set ([`symmetric_scale`]).
@@ -299,7 +271,6 @@ impl ConvLayer {
 
     /// Drop every form derived from the filters.
     fn drop_forms(&mut self) {
-        self.csr = OnceLock::new();
         self.winograd = OnceLock::new();
         self.dense_i8 = OnceLock::new();
     }
@@ -329,14 +300,6 @@ impl ConvLayer {
                 }),
                 act_scale: self.act_scale.for_input(input),
             },
-            Form::Csr => ConvWeights::Csr(self.csr.get_or_init(|| {
-                bands()
-                    .map(|(band, rows, depth)| {
-                        let band = Matrix::from_vec(rows, depth, band.to_vec());
-                        CsrMatrix::from_dense(&band.expect(FORM_SHAPE_CHECKED), 0.0)
-                    })
-                    .collect()
-            })),
             Form::Winograd => ConvWeights::Winograd(self.winograd.get_or_init(|| {
                 bands()
                     .map(|(band, rows, depth)| WinogradBand::transform(band, rows, depth / 9))
@@ -550,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_paths_agree() {
+    fn zeroed_weights_run_dense_and_match_the_oracle() {
         let dense = layer(false);
         let mut sparse_weights = dense.weights().unwrap().clone();
         for (i, v) in sparse_weights.as_mut_slice().iter_mut().enumerate() {
@@ -560,15 +523,14 @@ mod tests {
         }
         let mut zeroed_dense = layer(false);
         zeroed_dense.set_weights(sparse_weights).unwrap();
-        assert!(zeroed_dense.weight_sparsity() > SPARSE_THRESHOLD);
 
         let input = Tensor4::from_fn(2, 3, 5, 5, |n, c, h, w| ((n + c + h + w) % 5) as f32 - 2.0);
-        // Sparse via the layer (its sparsity > threshold) against the
-        // direct oracle on the same weights. The layer route is pinned
-        // to f32 — the oracle is exact f32, so an int8 precision leg
-        // would route `forward` through the quantized path and break
-        // the tight tolerance.
+        // Five zeros in six against the direct oracle on the same
+        // weights. The layer route is pinned to f32 — the oracle is
+        // exact f32, so an int8 precision leg would route `forward`
+        // through the quantized path and break the tight tolerance.
         cap_tensor::precision::force(Some(cap_tensor::Precision::F32));
+        assert_eq!(zeroed_dense.form_name((5, 5)), "dense");
         let via_layer = zeroed_dense.forward(&[&input]).unwrap();
         cap_tensor::precision::force(None);
         let via_dense = conv2d_direct(

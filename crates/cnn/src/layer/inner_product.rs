@@ -23,8 +23,8 @@ use std::sync::OnceLock;
 /// chain `Y = X · Wᵀ` computes, so the bits are [`cap_tensor::gemm()`]'s
 /// of `X` and `Wᵀ`. In int8 it is the integer GEMM over the quantized
 /// `Wᵀ`, packed from `W`'s rows. Zero weights are multiplied like any
-/// other, so a fc with more than 80 % zeros (once run by a CSR form)
-/// reads NaN where a zero weight meets a non-finite input (`0·inf`), as
+/// other, so a fc with more than 80 % zeros reads NaN where a zero
+/// weight meets a non-finite input (`0·inf`), as
 /// [`cap_tensor::gemm()`] does, and under int8 quantizes like every
 /// other fc.
 ///

@@ -1002,6 +1002,29 @@ impl Network {
         Ok(())
     }
 
+    /// The weight matrix of layer `name` (what pruning reads): an error
+    /// naming the layer when it has none — a weightless layer, or a
+    /// grouped conv [`Network::narrow`] left with groups of uneven
+    /// widths, which holds one band per group ([`Layer::weights`]) and
+    /// is pruned through the full-width network it came from.
+    pub fn layer_weights(&self, name: &str) -> TensorResult<&Matrix> {
+        let Some(layer) = self.layer(name) else {
+            return Err(ShapeError::new(format!(
+                "network {}: no layer named {name}",
+                self.name
+            )));
+        };
+        layer.weights().ok_or_else(|| {
+            ShapeError::new(match layer.kind() {
+                LayerKind::Convolution => format!(
+                    "conv {name} was narrowed into groups of uneven widths and holds no \
+                     one weight matrix to prune; prune the full-width network instead"
+                ),
+                _ => format!("layer {name} has no weights"),
+            })
+        })
+    }
+
     /// Replace the weights of layer `name` (pruning entry point) — the
     /// one way to change a network's weights. The new matrix must have
     /// the old one's shape; [`Network::narrow`] is what removes the

@@ -656,7 +656,6 @@ mod tests {
 
     #[test]
     fn to_network_matches_training_forward_in_every_weight_form() {
-        use crate::layer::SPARSE_THRESHOLD;
         use crate::run_batched;
         use cap_tensor::{precision, CalibrationMethod, Precision};
 
@@ -665,16 +664,16 @@ mod tests {
                 .filter(|&r| w.row(r).iter().all(|&v| v == 0.0))
                 .count()
         }
-        // (form, how to prune into it, the property `ConvLayer` picks
-        // that form by — so the case really lands where it says).
+        // (weights, how to prune into them, the property that says the
+        // case really lands where it says).
         type Case = (&'static str, fn(&mut Matrix), fn(&Matrix) -> bool);
         let forms: [Case; 3] = [
             ("dense", |_| {}, |w| w.sparsity(0.0) == 0.0),
             // Magnitude pruning row by row, so no filter empties out.
             (
-                "csr",
+                "unstructured zeros",
                 |w| (0..w.rows()).for_each(|r| prune_slice(w.row_mut(r), 0.85)),
-                |w| w.sparsity(0.0) > SPARSE_THRESHOLD && zero_rows(w) == 0,
+                |w| w.sparsity(0.0) > 0.8 && zero_rows(w) == 0,
             ),
             (
                 "dense rows",

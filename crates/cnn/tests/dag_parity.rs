@@ -2,7 +2,7 @@
 //! one thread — every step in order on the caller, its kernels split
 //! across the arena's team — must be **bitwise identical** to the
 //! one-thread pass, on every kernel path, with fusion on or off, dense
-//! or pruned/CSR — the whole-net closure of the
+//! or pruned — the whole-net closure of the
 //! splitting-cannot-change-bits argument in `cap_cnn::dag`, proptested
 //! over randomly generated branchy DAGs. Thread counts are pinned with
 //! `ForwardArena::with_team`; `CAP_CNN_DAG` picks between one thread
@@ -77,7 +77,7 @@ fn build_random_net(seed: u64, branches: usize, depth: usize, sparse: bool) -> N
                     let p = Conv2dParams::new(4, 4, 3, 1, 1);
                     let mut w = xavier_uniform(4, 36, seed + (b * 10 + d) as u64 + 1);
                     if sparse {
-                        w = common::csr_weights(w);
+                        w = common::unstructured_zeros(w);
                     }
                     let c = net
                         .add_layer(
@@ -265,7 +265,7 @@ fn dag_parallel_is_deterministic_across_runs() {
 
 /// One arena, two networks, three batch sizes, alternating: a chain
 /// and a four-branch pruned net (different slot counts, different
-/// activation shapes, CSR and dense convs and a batched pruned fc all
+/// activation shapes, pruned and dense convs and a batched pruned fc all
 /// drawing on the same workspaces) take turns on a single
 /// `ForwardArena` with a four-thread team that splits every kernel it
 /// can, in both nets. Every pass must equal the sequential pass of that net

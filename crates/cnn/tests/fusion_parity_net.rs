@@ -69,7 +69,7 @@ fn build_net(seed: u64, sparse: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if sparse {
-        w2 = common::csr_weights(w2);
+        w2 = common::unstructured_zeros(w2);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net
@@ -160,8 +160,8 @@ fn dense_network_fused_bitwise_identical_to_unfused() {
 #[test]
 fn pruned_network_fused_bitwise_identical_to_unfused() {
     let _g = force_lock();
-    // Pruned conv2 runs fused CSR SpMM; pruned fc1 the fused dense
-    // GEMV at batch 1 and GEMM at batch 2, like any fc.
+    // Pruned conv2 runs the fused dense GEMM, multiplying its zeros;
+    // pruned fc1 the fused dense GEMV at batch 1 and GEMM at batch 2.
     let net = build_net(11, true);
     for (n, batch) in [(1, 1), (6, 2)] {
         let imgs = images(n, 9);

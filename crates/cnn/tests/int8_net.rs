@@ -9,7 +9,7 @@
 //!
 //! Also covered: `Network::calibrate` (max-abs and percentile
 //! activation ranges) keeps the int8 pass inside the same bound, a
-//! 97 %-pruned conv (CSR in f32, dense int8 under int8) tracks f32, and
+//! 97 %-pruned conv tracks f32, and
 //! a 90 %-zero fc runs the int8 GEMM under int8, bit for bit.
 
 use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer};
@@ -32,7 +32,7 @@ fn force_lock() -> MutexGuard<'static, ()> {
     lock.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// conv → relu → pool → conv (optionally pruned onto the f32 CSR path) →
+/// conv → relu → pool → conv (optionally 97 % magnitude-pruned) →
 /// relu → fc: every layer family the int8 path quantizes, ending on
 /// raw logits so the comparison is not flattened by softmax.
 fn build_net(seed: u64, prune: bool) -> Network {
@@ -55,7 +55,7 @@ fn build_net(seed: u64, prune: bool) -> Network {
         .unwrap();
     let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
     if prune {
-        w2 = common::csr_weights(w2);
+        w2 = common::unstructured_zeros(w2);
     }
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net
@@ -150,8 +150,8 @@ fn int8_logits_track_f32_within_bound() {
 
 #[test]
 fn pruned_int8_tracks_f32() {
-    // 97% pruned conv2 runs CSR in f32 and the dense int8 GEMM under
-    // int8, like every other layer of the pass.
+    // 97% pruned conv2 runs the dense f32 GEMM in f32 and the dense
+    // int8 GEMM under int8, like every other layer of the pass.
     let _guard = force_lock();
     let net = build_net(11, true);
     let imgs = images(10, 9);

@@ -1,6 +1,6 @@
 //! Network-level kernel parity: a full forward pass — conv (packed
-//! GEMM), ReLU, LRN, max-pool, fully-connected (GEMM + bias), softmax,
-//! plus the sparse CSR path through a pruned conv — must be **bitwise
+//! GEMM), ReLU, LRN, max-pool, fully-connected (GEMM + bias), softmax
+//! — must be **bitwise
 //! identical** whichever microkernel path (`cap_tensor::kernels`) the
 //! dispatcher runs on. This is the
 //! end-to-end closure of the per-kernel guarantees in
@@ -18,11 +18,9 @@ use cap_tensor::init::xavier_uniform;
 use cap_tensor::kernels::{self, KernelPath};
 use cap_tensor::{Conv2dParams, Tensor4};
 
-mod common;
-
-/// conv → relu → pool → conv(pruned/sparse) → relu → fc → softmax:
-/// every kernel family the dispatch layer serves, in one pass.
-fn build_net(seed: u64, prune: bool) -> Network {
+/// conv → relu → pool → conv → relu → fc → softmax: every kernel
+/// family the dispatch layer serves, in one pass.
+fn build_net(seed: u64) -> Network {
     let mut net = Network::new("kernel-parity", (3, 13, 13));
     let p1 = Conv2dParams::new(3, 8, 3, 1, 1);
     let c1 = net
@@ -40,11 +38,7 @@ fn build_net(seed: u64, prune: bool) -> Network {
             &[r1],
         )
         .unwrap();
-    // Second conv, optionally pruned hard enough to take the CSR path.
-    let mut w2 = xavier_uniform(6, 8 * 9, seed + 1);
-    if prune {
-        w2 = common::csr_weights(w2);
-    }
+    let w2 = xavier_uniform(6, 8 * 9, seed + 1);
     let p2 = Conv2dParams::new(8, 6, 3, 1, 1);
     let c2 = net
         .add_layer(
@@ -98,7 +92,7 @@ fn assert_outputs_bitwise_equal(a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
 
 #[test]
 fn dense_network_forward_bitwise_identical_across_paths() {
-    let net = build_net(7, false);
+    let net = build_net(7);
     for (n, batch) in [(1, 1), (5, 2), (8, 8)] {
         let imgs = images(n, 3);
         let reference = forward_on(KernelPath::Scalar, &net, &imgs, batch);
@@ -114,24 +108,11 @@ fn dense_network_forward_bitwise_identical_across_paths() {
 }
 
 #[test]
-fn pruned_network_forward_bitwise_identical_across_paths() {
-    // 97% pruned conv2: c2 runs the CSR SpMM kernel, the rest the dense
-    // packed-GEMM kernels — both families under one forward pass.
-    let net = build_net(11, true);
-    let imgs = images(6, 9);
-    let reference = forward_on(KernelPath::Scalar, &net, &imgs, 2);
-    for path in kernels::available_paths() {
-        let got = forward_on(path, &net, &imgs, 2);
-        assert_outputs_bitwise_equal(&reference, &got, &format!("pruned net on {}", path.name()));
-    }
-}
-
-#[test]
 fn repeated_forwards_stable_after_path_switching() {
     // Switching the forced path back and forth must not leave stale
     // state behind (packed weights, arenas): scalar → simd → scalar
     // reproduces the first scalar run bit-for-bit.
-    let net = build_net(13, false);
+    let net = build_net(13);
     let imgs = images(4, 1);
     let first = forward_on(KernelPath::Scalar, &net, &imgs, 2);
     for path in kernels::available_paths() {

@@ -8,7 +8,9 @@
 //!   Googlenet with every conv pruned at 50 %: under f32, outputs equal
 //!   as values (a difference only in the sign of a zero is allowed) on
 //!   one thread and on teams of two and three threads; under calibrated
-//!   int8, bitwise.
+//!   int8, bitwise. Re-pruning the narrowed Caffenet: its uneven
+//!   grouped conv2 has no one weight matrix and the error says so; its
+//!   one-group conv3 prunes and narrows again.
 //! * A small net drawn at random: uneven pruning across the groups of a
 //!   grouped conv, an LRN whose neighbours were pruned, a pruned concat
 //!   branch, an fc after a pool, a zero filter with a non-zero bias
@@ -40,7 +42,7 @@ fn force_lock() -> MutexGuard<'static, ()> {
 /// with the smallest L1 norm (ties by index) zeroed — what
 /// `cap_pruning::prune_filters_l1` does.
 fn prune_l1(net: &mut Network, name: &str, ratio: f64) {
-    let mut w = net.layer(name).unwrap().weights().unwrap().clone();
+    let mut w = net.layer_weights(name).unwrap().clone();
     let k = (w.rows() as f64 * ratio).round() as usize;
     let norm = |r: usize| w.row(r).iter().map(|v| v.abs()).sum::<f32>();
     let mut rows: Vec<usize> = (0..w.rows()).collect();
@@ -155,9 +157,8 @@ fn caffenet_at_the_knees_narrowed_is_the_zeroed_net() {
         ("conv5", Conv2dParams::grouped(384, 256, 3, 1, 1, 2)),
     ];
     for (name, p) in convs {
-        let w = full.layer(name).unwrap().weights().unwrap();
         assert_eq!(
-            ConvLayer::weight_form_name(w, &p, (13, 13)),
+            ConvLayer::weight_form_name(&p, (13, 13)),
             "winograd",
             "{name}"
         );
@@ -173,6 +174,18 @@ fn caffenet_at_the_knees_narrowed_is_the_zeroed_net() {
     }
     check_against_full(&full, &narrowed, &images(1), &[1, 2, 3]);
     check_against_full(&full, &narrowed, &images(2), &[1, 2]);
+
+    // Re-pruning the narrowed version: conv2's groups kept uneven
+    // widths, so pruning must start from the full-width network; conv3
+    // is one group and prunes and narrows again.
+    let err = narrowed.layer_weights("conv2").unwrap_err().to_string();
+    for says in ["conv2", "uneven widths", "prune the full-width network"] {
+        assert!(err.contains(says), "{err}");
+    }
+    prune_l1(&mut narrowed, "conv3", 0.5);
+    assert!(narrowed.narrow().unwrap() > 0);
+    let conv3 = narrowed.node_id("conv3").unwrap();
+    assert_eq!(narrowed.shape_of(conv3).unwrap().0, 96);
 }
 
 /// Googlenet with every conv pruned at 50 %: the inception modules'

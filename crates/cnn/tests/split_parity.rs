@@ -42,25 +42,23 @@ fn force_lock() -> MutexGuard<'static, ()> {
 enum Form {
     Dense,
     Narrowed,
-    Csr,
     DenseI8,
 }
 
 impl Form {
-    const ALL: [Form; 4] = [Form::Dense, Form::Narrowed, Form::Csr, Form::DenseI8];
+    const ALL: [Form; 3] = [Form::Dense, Form::Narrowed, Form::DenseI8];
 
     /// `ConvLayer::weight_form_name` of a layer in this form.
     fn name(self) -> &'static str {
         match self {
             Form::Dense | Form::Narrowed => "dense",
-            Form::Csr => "csr",
             Form::DenseI8 => "dense-i8",
         }
     }
 
     fn precision(self) -> Precision {
         match self {
-            Form::Dense | Form::Narrowed | Form::Csr => Precision::F32,
+            Form::Dense | Form::Narrowed => Precision::F32,
             Form::DenseI8 => Precision::Int8,
         }
     }
@@ -71,7 +69,6 @@ impl Form {
         match self {
             Form::Dense | Form::DenseI8 => w,
             Form::Narrowed => common::filter_pruned_weights(w),
-            Form::Csr => common::csr_weights(w),
         }
     }
 }
@@ -91,7 +88,7 @@ fn awkward_net(form: Form) -> Network {
     for (name, p, seed) in [("conv1", c1, 1), ("conv2", c2, 2)] {
         let w = form.weights(p.out_channels, p.col_rows(), seed);
         assert_eq!(
-            ConvLayer::weight_form_name(&w, &p, (11, 9)),
+            ConvLayer::weight_form_name(&p, (11, 9)),
             form.name(),
             "{name}"
         );
@@ -224,20 +221,16 @@ fn inception_images(n: usize, salt: usize) -> Tensor4 {
     })
 }
 
-/// The inception-shaped net with every conv in `form` (asserted).
+/// The inception-shaped net with every conv in `form`.
 fn inception_net(form: Form) -> Network {
-    let mut net = common::inception_shaped(|filters, taps, seed| {
-        let w = form.weights(filters, taps, seed);
-        assert_eq!(common::form_name(&w), form.name());
-        w
-    });
+    let mut net = common::inception_shaped(|filters, taps, seed| form.weights(filters, taps, seed));
     if form == Form::Narrowed {
         assert!(net.narrow().unwrap() > 0);
     }
     net
 }
 
-/// What one pass of the inception-shaped `net` in `form` adds to
+/// What one pass of the inception-shaped `net` adds to
 /// `intra_op_splits` on a team of `threads` ≥ 2 splitting from the
 /// first unit, at `batch`. Every step runs in order on the caller, so
 /// the modules' steps split like the stem's:
@@ -245,20 +238,17 @@ fn inception_net(form: Form) -> Network {
 /// * each conv once by images when the batch fills the team; with
 ///   fewer images than threads, each image's multiply by rows where it
 ///   has more than one [`ROW_BLOCK`] of rows to multiply (a narrowed
-///   layer has only its kept rows; the CSR form never splits by rows),
+///   layer has only its kept rows),
 ///   after its lowering by panels: two splits an image;
 /// * the LRN and the four max pools (stem, cut and one per module)
 ///   once each, by images or planes;
 /// * the fc once, by columns, at every batch.
-fn inception_splits(net: &Network, form: Form, batch: usize, threads: usize) -> u64 {
+fn inception_splits(net: &Network, batch: usize, threads: usize) -> u64 {
     let conv = |name: &String| -> u64 {
         if batch >= threads {
             return 1;
         }
         let filters = net.shape_of(net.node_id(name).unwrap()).unwrap().0;
-        if form == Form::Csr {
-            return 0;
-        }
         if filters > ROW_BLOCK {
             2 * batch as u64
         } else {
@@ -296,7 +286,7 @@ fn inception_pass_on_a_team_matches_one_thread_bitwise() {
                 for threads in [1, 2, 3] {
                     let per_pass = match threads {
                         1 => 0,
-                        _ => inception_splits(&net, form, batch, threads),
+                        _ => inception_splits(&net, batch, threads),
                     };
                     let mut arena = eager_arena(threads);
                     for pass in 0..2 {
@@ -344,7 +334,7 @@ fn caffenet_shaped() -> Network {
     for (seed, (name, p)) in convs.into_iter().enumerate() {
         let w = xavier_uniform(p.out_channels, p.col_rows(), seed as u64 + 1);
         let winograd = name == "conv3";
-        let form = ConvLayer::weight_form_name(&w, &p, (map, map));
+        let form = ConvLayer::weight_form_name(&p, (map, map));
         assert_eq!(form == "winograd", winograd, "{name} runs {form}");
         let conv = ConvLayer::new(name, p, w, vec![0.01; p.out_channels]).unwrap();
         net.add_sequential(Box::new(conv)).unwrap();

@@ -1,17 +1,16 @@
-//! A layer decides its weight form (dense or CSR) when its weights are
-//! set and builds the derived forms (CSR bands, int8 quantizations)
-//! lazily. `set_weights` must drop every one
-//! of them: after dense → filter-pruned → magnitude-pruned → boundary →
-//! NaN-holding → dense swaps, with the precision override toggled
-//! between passes so each lazy form gets built and then orphaned, every
-//! output must be bitwise equal to a freshly constructed layer holding
-//! the same weights. A stale form surviving `set_weights` fails this.
+//! A layer builds its derived weight forms (int8 quantizations, a
+//! conv's Winograd bands) lazily, and `set_weights` must drop every one
+//! of them: after dense → filter-pruned → magnitude-pruned → 97.2 %
+//! zeros → NaN-holding → dense swaps, with the precision override
+//! toggled between passes so each lazy form gets built and then
+//! orphaned, every output must be bitwise equal to a freshly
+//! constructed layer holding the same weights. A stale form surviving
+//! `set_weights` fails this.
 //!
-//! The same rounds pin where the forms change: a conv's zero fraction
-//! of exactly its threshold stays dense and one more zero runs CSR; a
-//! NaN weight reads NaN in its output channel on CSR as it does on
-//! dense; under int8 a conv runs dense at every sparsity; and an fc runs
-//! its one dense form at every sparsity, multiplying its zero weights.
+//! The same rounds pin that zero weights choose no form: a conv and an
+//! fc run their one dense form at every sparsity, multiplying their
+//! zero weights, a NaN weight reads NaN in its output channel, and under
+//! int8 a conv runs dense at every sparsity.
 //!
 //! Narrowing a network replaces a layer's weights too: the pruned
 //! filters of a producer go, with its consumers' columns for them, and
@@ -23,9 +22,7 @@
 //! `precision::force` is process-global; this file is its own test
 //! binary, and its tests serialize on one mutex, so nothing races it.
 
-use cap_cnn::layer::{
-    ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer, SPARSE_THRESHOLD,
-};
+use cap_cnn::layer::{ConvLayer, InnerProductLayer, Layer, PoolLayer, PoolMode, ReluLayer};
 use cap_cnn::network::{ForwardArena, Network};
 use cap_tensor::init::xavier_uniform;
 use cap_tensor::{precision, Conv2dParams, Matrix, Precision, Team, Tensor4, Workspace};
@@ -36,11 +33,9 @@ fn force_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-mod common;
-
-/// Unstructured zeros that put a conv on its CSR form (`runs_csr` in
-/// `check` asserts it), with no row emptied: one weight kept per row,
-/// at a column that moves with the row.
+/// Unstructured zeros, as magnitude pruning leaves them, with no row
+/// emptied: one weight kept per row, at a column that moves with the
+/// row.
 fn magnitude_pruned(w: Matrix) -> Matrix {
     let (rows, cols) = w.shape();
     Matrix::from_fn(rows, cols, |r, c| {
@@ -53,8 +48,8 @@ fn magnitude_pruned(w: Matrix) -> Matrix {
 }
 
 /// Every second row zeroed, the rest left dense, as filter pruning
-/// leaves them: short of the CSR threshold, so a conv layer multiplies
-/// them densely until the network is narrowed.
+/// leaves them: a conv layer multiplies them densely until the network
+/// is narrowed.
 fn filter_pruned(mut w: Matrix) -> Matrix {
     for r in (0..w.rows()).step_by(2) {
         w.row_mut(r).fill(0.0);
@@ -63,14 +58,13 @@ fn filter_pruned(mut w: Matrix) -> Matrix {
 }
 
 /// `w` with exactly `fraction` of its elements zeroed (asserted exact
-/// in f64), plus `extra` more; the kept ones evenly spaced, so no row
-/// empties.
-fn zeroed_to(w: Matrix, fraction: f64, extra: usize) -> Matrix {
+/// in f64); the kept ones evenly spaced, so no row empties.
+fn zeroed_to(w: Matrix, fraction: f64) -> Matrix {
     let (rows, cols) = w.shape();
     let len = rows * cols;
     let zeros = (fraction * len as f64).round() as usize;
     assert_eq!(zeros as f64 / len as f64, fraction, "{len} elements");
-    let keep = len - zeros - extra;
+    let keep = len - zeros;
     Matrix::from_fn(rows, cols, |r, c| {
         let i = r * cols + c;
         if i * keep / len != (i + 1) * keep / len {
@@ -109,41 +103,37 @@ fn bits(t: &Tensor4) -> Vec<u32> {
 
 /// Drive `layer` through a different matrix every round (so a form
 /// left over from any earlier round is wrong): dense, filter-pruned,
-/// magnitude-pruned, exactly `threshold` zeros and one zero more, a
-/// NaN weight among CSR weights and among dense ones, dense again —
-/// running both precisions and both fusion flavors after every swap,
-/// against `fresh(weights)`, a newly constructed layer with the same
-/// weights. `runs_csr` is the layer kind's own answer to "do these
-/// weights multiply through CSR" in f32; `has_csr` says whether the
-/// kind has that form at all (a conv does, an fc does not).
+/// magnitude-pruned, 97.2 % zeros, a NaN weight among zeros and among
+/// dense weights, dense again — running both precisions and both
+/// fusion flavors after every swap, against `fresh(weights)`, a newly
+/// constructed layer with the same weights. `runs_dense` is the layer
+/// kind's own answer to "does the layer holding these weights multiply
+/// every one of them" in f32.
 fn check<L: Layer>(
     layer: &mut L,
     shape: (usize, usize),
-    (threshold, has_csr): (f64, bool),
     fresh: impl Fn(Matrix) -> L,
-    runs_csr: impl Fn(&Matrix) -> bool,
+    runs_dense: impl Fn(&L, &Matrix) -> bool,
     x: &Tensor4,
 ) {
     let w = |seed: u64| xavier_uniform(shape.0, shape.1, seed);
     let rounds = [
-        ("dense", w(20), false),
-        ("filter-pruned", filter_pruned(w(21)), false),
-        ("magnitude-pruned", magnitude_pruned(w(22)), true),
-        ("at the threshold", zeroed_to(w(23), threshold, 0), false),
-        ("one zero past it", zeroed_to(w(24), threshold, 1), true),
-        ("csr with a NaN", with_nan(magnitude_pruned(w(25))), true),
-        ("dense with a NaN", with_nan(w(26)), false),
-        ("dense again", w(27), false),
+        ("dense", w(20)),
+        ("filter-pruned", filter_pruned(w(21))),
+        ("magnitude-pruned", magnitude_pruned(w(22))),
+        ("35 zeros in 36", zeroed_to(w(23), 35.0 / 36.0)),
+        ("zeros with a NaN", with_nan(magnitude_pruned(w(25)))),
+        ("dense with a NaN", with_nan(w(26))),
+        ("dense again", w(27)),
     ];
-    for (round, weights, csr) in rounds {
+    for (round, weights) in rounds {
         let zero_rows = (0..shape.0)
             .filter(|&r| weights.row(r).iter().all(|&v| v == 0.0))
             .count();
         let nan = weights.as_slice().iter().any(|v| v.is_nan());
         layer.set_weights(weights.clone()).unwrap();
-        // CSR is an f32 form: int8 runs every sparsity dense.
         precision::force(Some(Precision::F32));
-        assert_eq!(runs_csr(&weights), csr && has_csr, "{round}: wrong form");
+        assert!(runs_dense(layer, &weights), "{round}: wrong form");
         assert_eq!(
             zero_rows > 0,
             round == "filter-pruned",
@@ -181,8 +171,8 @@ fn check<L: Layer>(
 #[test]
 fn set_weights_drops_every_cached_form() {
     let _g = force_lock();
-    // 10 × 36 conv weights and 5 × 288 fc weights: the threshold is a
-    // whole number of zeros of either.
+    // 10 × 36 conv weights and 5 × 288 fc weights: 35 in 36 is a whole
+    // number of zeros of either, and leaves every row a weight.
     let params = Conv2dParams::grouped(8, 10, 3, 1, 1, 2);
     let conv_w = xavier_uniform(10, 36, 11);
     let bias = vec![0.05f32; 10];
@@ -196,17 +186,16 @@ fn set_weights_drops_every_cached_form() {
     check(
         &mut conv,
         conv_w.shape(),
-        (SPARSE_THRESHOLD, true),
         |w| ConvLayer::new("fresh", params, w, bias.clone()).unwrap(),
-        common::conv_runs_csr,
+        |conv, _| conv.form_name((6, 6)) == "dense",
         &x,
     );
     // Under int8 a conv has one form, whatever its zeros.
     precision::force(Some(Precision::Int8));
     for fraction in [0.8, 0.95, 0.975] {
-        let w = zeroed_to(xavier_uniform(10, 36, 30), fraction, 0);
-        let form = ConvLayer::weight_form_name(&w, &params, (6, 6));
-        assert_eq!(form, "dense-i8", "{fraction} zeros");
+        conv.set_weights(zeroed_to(xavier_uniform(10, 36, 30), fraction))
+            .unwrap();
+        assert_eq!(conv.form_name((6, 6)), "dense-i8", "{fraction} zeros");
     }
     precision::force(None);
 
@@ -216,9 +205,8 @@ fn set_weights_drops_every_cached_form() {
     check(
         &mut fc,
         fc_w.shape(),
-        (SPARSE_THRESHOLD, false),
         |w| InnerProductLayer::new("fresh", w, fc_bias.clone()).unwrap(),
-        fc_skips_zeros,
+        |_, w| !fc_skips_zeros(w),
         &x,
     );
 }

@@ -229,7 +229,7 @@ fn caffenet_winograd() -> Network {
     ];
     for (seed, (name, p, map)) in convs.into_iter().enumerate() {
         let w = xavier_uniform(p.out_channels, p.col_rows(), 70 + seed as u64);
-        let form = ConvLayer::weight_form_name(&w, &p, (map, map));
+        let form = ConvLayer::weight_form_name(&p, (map, map));
         assert_eq!(form == "winograd", name != "conv1", "{name} runs {form}");
         let conv = ConvLayer::new(name, p, w, vec![0.02; p.out_channels]).unwrap();
         net.add_sequential(Box::new(conv)).unwrap();
@@ -260,7 +260,7 @@ fn inception_winograd() -> Network {
     let mut conv = |net: &mut Network, name: String, from: NodeId, p: Conv2dParams| {
         seed += 1;
         let w = xavier_uniform(p.out_channels, p.col_rows(), seed);
-        let form = ConvLayer::weight_form_name(&w, &p, (8, 8));
+        let form = ConvLayer::weight_form_name(&p, (8, 8));
         assert_eq!(
             form == "winograd",
             name.ends_with("-3x3"),

@@ -5,7 +5,7 @@ use crate::magnitude::prune_magnitude;
 use crate::spec::PruneSpec;
 use crate::structured::prune_structured;
 use cap_cnn::Network;
-use cap_tensor::{ShapeError, TensorResult};
+use cap_tensor::TensorResult;
 use serde::{Deserialize, Serialize};
 
 /// Which pruning algorithm to run on each layer's weights.
@@ -28,7 +28,9 @@ pub enum PruneAlgorithm {
 /// its channel in each consumer, as Li et al. remove a pruned filter's
 /// feature map and the next layer's kernels for it. The network is then
 /// smaller and faster to run, and computes the same values. Errors if
-/// a spec'd layer does not exist or carries no weights.
+/// a spec'd layer does not exist or carries no weights, or is a grouped
+/// conv an earlier narrowing left with groups of uneven widths
+/// ([`Network::layer_weights`]): prune the full-width network instead.
 pub fn apply_to_network(
     net: &mut Network,
     spec: &PruneSpec,
@@ -36,13 +38,7 @@ pub fn apply_to_network(
 ) -> TensorResult<Vec<(String, f64)>> {
     let mut achieved = Vec::with_capacity(spec.pruned_layer_count());
     for (layer_name, ratio) in spec.iter() {
-        let layer = net
-            .layer(layer_name)
-            .ok_or_else(|| ShapeError::new(format!("apply: no layer named {layer_name}")))?;
-        let mut weights = layer
-            .weights()
-            .ok_or_else(|| ShapeError::new(format!("apply: layer {layer_name} has no weights")))?
-            .clone();
+        let mut weights = net.layer_weights(layer_name)?.clone();
         match algorithm {
             PruneAlgorithm::Magnitude => {
                 prune_magnitude(&mut weights, ratio)?;
@@ -156,6 +152,29 @@ mod tests {
             PruneAlgorithm::Magnitude
         )
         .is_err());
+    }
+
+    #[test]
+    fn re_pruning_a_conv_narrowed_into_uneven_groups_says_why() {
+        // conv1's filters 0-2 are dead, all in the first of conv2's two
+        // input groups: narrowing leaves conv2's groups 1 and 4 wide.
+        let mut n = Network::new("t", (3, 8, 8));
+        let mut w1 = xavier_uniform(8, 27, 5);
+        (0..3).for_each(|r| w1.row_mut(r).fill(0.0));
+        let p1 = Conv2dParams::new(3, 8, 3, 1, 1);
+        let conv1 = ConvLayer::new("conv1", p1, w1, vec![0.0; 8]).unwrap();
+        n.add_sequential(Box::new(conv1)).unwrap();
+        n.add_sequential(Box::new(ReluLayer::new("relu1"))).unwrap();
+        let p2 = Conv2dParams::grouped(8, 4, 3, 1, 1, 2);
+        let conv2 = ConvLayer::new("conv2", p2, xavier_uniform(4, 36, 6), vec![0.0; 4]);
+        n.add_sequential(Box::new(conv2.unwrap())).unwrap();
+        assert!(n.narrow().unwrap() > 0);
+        let spec = PruneSpec::single("conv2", 0.5);
+        let err = apply_to_network(&mut n, &spec, PruneAlgorithm::FilterL1).unwrap_err();
+        let err = err.to_string();
+        for says in ["conv2", "uneven widths", "prune the full-width network"] {
+            assert!(err.contains(says), "{err}");
+        }
     }
 
     #[test]

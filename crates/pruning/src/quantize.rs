@@ -9,7 +9,7 @@
 //! at any width from 1 to 32 bits, while execution stays on the f32
 //! kernels. The *executed* 8-bit member of the family lives in
 //! `cap_tensor::quant`: symmetric int8 weights and activations run on
-//! integer GEMM/SpMM kernels, selected by `CAP_TENSOR_PRECISION=int8`
+//! integer GEMM kernels, selected by `CAP_TENSOR_PRECISION=int8`
 //! (see `cap_tensor::precision`). Use this module to sweep bit widths
 //! analytically; use the real path to measure what int8 actually costs
 //! and saves.

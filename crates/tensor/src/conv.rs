@@ -1,6 +1,6 @@
 //! 2-D convolution: geometry ([`Conv2dParams`]), the weight operand
 //! ([`ConvWeights`]: f32 dense, as one matrix or one band per group,
-//! CSR, or Winograd-transformed; or int8 dense) and the one driver ([`conv2d`])
+//! or Winograd-transformed; or int8 dense) and the one driver ([`conv2d`])
 //! every form runs through — im2col + GEMM, or for the Winograd form
 //! F(2×2, 3×3) tiles + 16 GEMMs ([`mod@crate::winograd`]). The direct
 //! sliding-window oracles live in [`crate::reference`].
@@ -12,7 +12,6 @@ use crate::im2col::{out_spatial, Lowering};
 use crate::kernels::int8::padded_depth;
 use crate::kernels::{self, EpiBias, Epilogue, ROW_BLOCK};
 use crate::quant::{gemm_i8, symmetric_scale, QuantizedA};
-use crate::sparse::CsrMatrix;
 use crate::team;
 use crate::tensor4::Tensor4;
 use crate::winograd::{self, Tiles, WinogradBand, POSITIONS};
@@ -205,10 +204,15 @@ impl Conv2dParams {
 /// grouped conv (`cap_cnn::Network::narrow`) keeps whichever filters
 /// and input channels of each group survived pruning. Only
 /// [`ConvWeights::Dense`] needs groups of one width.
-/// [`ConvWeights::csr_bands`], [`ConvWeights::winograd_bands`] and
-/// [`ConvWeights::i8_bands`] build the bands from a dense matrix of
-/// even groups; [`WinogradBand::transform`], [`CsrMatrix::from_dense`]
-/// and [`QuantizedA::quantize`] build one band from one group's filters.
+/// [`ConvWeights::winograd_bands`] and [`ConvWeights::i8_bands`] build
+/// the bands from a dense matrix of even groups;
+/// [`WinogradBand::transform`] and [`QuantizedA::quantize`] build one
+/// band from one group's filters.
+///
+/// Zero weights choose no form: every form multiplies them like any
+/// other value, so a magnitude-pruned conv runs at its dense cost
+/// whatever its sparsity. Filter pruning removes work by narrowing the
+/// network instead.
 #[derive(Debug, Clone, Copy)]
 pub enum ConvWeights<'a> {
     /// Dense f32, every group `out_per_group × col_rows`: group `g`'s
@@ -220,11 +224,6 @@ pub enum ConvWeights<'a> {
     /// [`ConvWeights::Dense`] for groups of uneven widths, with the same
     /// lowering and multiply, so the same bits per output.
     Bands(&'a [Matrix]),
-    /// f32 CSR, for weights with unstructured sparsity: cost scales
-    /// with stored values, at a per-value price several times the
-    /// dense kernel's, so it pays only at high sparsity. Lowering is
-    /// the row-major im2col; the multiply is [`CsrMatrix::spmm_into`].
-    Csr(&'a [CsrMatrix]),
     /// Dense f32 in Winograd F(2×2, 3×3) form, for 3×3 stride-1 pad-1
     /// convolutions only ([`winograd::fits`]): per group the 16
     /// `out_g × in_g` matrices `U = G g Gᵀ`. Lowering
@@ -250,13 +249,6 @@ pub enum ConvWeights<'a> {
 }
 
 impl ConvWeights<'_> {
-    /// Per-group CSR split of dense `weights` (zeros dropped; index
-    /// arithmetic only, no densify round-trip).
-    pub fn csr_bands(weights: &Matrix, params: &Conv2dParams) -> TensorResult<Vec<CsrMatrix>> {
-        params.check_weights(weights.shape())?;
-        CsrMatrix::from_dense(weights, 0.0).split_rows(params.out_per_group())
-    }
-
     /// Per-group Winograd transform of dense `weights`: the 16 matrices
     /// `U = G g Gᵀ` of each group. Errors unless the geometry is one
     /// the form computes ([`winograd::fits`]: 3×3, stride 1, pad 1).
@@ -295,7 +287,6 @@ impl ConvWeights<'_> {
         let (rows, depth) = match self {
             ConvWeights::Dense(_) => (params.out_per_group(), params.col_rows()),
             ConvWeights::Bands(b) => b[g].shape(),
-            ConvWeights::Csr(b) => b[g].shape(),
             ConvWeights::Winograd(b) => {
                 let (rows, cin) = b[g].shape();
                 return (cin, rows, cin * taps);
@@ -315,7 +306,6 @@ impl ConvWeights<'_> {
                 return params.check_weights(w.shape());
             }
             ConvWeights::Bands(b) => b.len(),
-            ConvWeights::Csr(b) => b.len(),
             ConvWeights::Winograd(b) => b.len(),
             ConvWeights::DenseI8 { bands, .. } => bands.len(),
         };
@@ -391,10 +381,9 @@ impl ConvWeights<'_> {
 /// [`mod@crate::winograd`]), but its bits do not depend on the kernel
 /// path, the team or the batch either.
 ///
-/// The dense forms multiply zero weights like any other (CSR stores
-/// none), so with non-finite activations a zero filter reads NaN
-/// (`0·inf`) on them, where a narrowed conv without it has no channel
-/// at all.
+/// Every form multiplies zero weights like any other, so with
+/// non-finite activations a zero filter reads NaN (`0·inf`), where a
+/// narrowed conv without it has no channel at all.
 ///
 /// When `ws` carries a [`Team`](team::Team), the call spreads across it
 /// ([`mod@team`]). The output is `n × groups` bands, one per image
@@ -407,8 +396,7 @@ impl ConvWeights<'_> {
 /// (f32 panels or int8 quad panels), the pieces reading the caller's
 /// padded image and writing their own panels of the caller's packed
 /// `B`. Either way a piece is the same kernel on a sub-range, so the
-/// output is bitwise the one-thread call's. The CSR form splits only
-/// by bands.
+/// output is bitwise the one-thread call's.
 ///
 /// Lowering scratch is the caller's `ws` and `out` is reshaped in
 /// place, so steady-state calls allocate nothing. When
@@ -508,7 +496,6 @@ impl ConvCall<'_> {
     fn macs_per_image(&self) -> u64 {
         let p = self.params;
         let macs: usize = match self.weights {
-            ConvWeights::Csr(b) => b.iter().map(CsrMatrix::nnz).sum::<usize>() * self.n_out,
             ConvWeights::Winograd(b) => {
                 let tiles = Tiles::new(1, self.h, self.w).count();
                 let taps: usize = b.iter().map(|band| band.shape().0 * band.shape().1).sum();
@@ -646,12 +633,12 @@ impl ConvCall<'_> {
         let timing = cap_obs::timing_enabled();
         let metrics = cap_obs::metrics();
         let Workspace {
-            cols,
             packed,
             qbuf,
             padded,
             qimage,
             team,
+            ..
         } = ws;
 
         let (mut b, mut rest) = (first, out);
@@ -702,10 +689,6 @@ impl ConvCall<'_> {
                     let image = lo.padded(image, padded)?;
                     lo.panels_into(team.as_mut(), parts, image, packed)?
                 }
-                ConvWeights::Csr(_) => {
-                    cols.resize_for_overwrite(depth, n_out);
-                    lo.rows_into(lo.padded(image, padded)?, cols.as_mut_slice())?
-                }
                 ConvWeights::DenseI8 { act_scale, .. } => {
                     let kp = padded_depth(depth);
                     let parts = team::row_parts(team.as_ref(), kp, n_out, dst.len());
@@ -732,9 +715,6 @@ impl ConvCall<'_> {
                     multiply_f32(a, team, dst)?
                 }
                 ConvWeights::Bands(bands) => multiply_f32(bands[g].as_slice(), team, dst)?,
-                ConvWeights::Csr(bands) => {
-                    bands[g].spmm_into(cols.as_slice(), n_out, dst, row_bias, relu)?
-                }
                 ConvWeights::DenseI8 { bands, act_scale } => {
                     let band = &bands[g];
                     let (kp, scale) = (band.kp(), band.scale() * act_scale);
@@ -820,24 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_matches_dense() {
-        let params = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
-        let input = det_input(3, 4, 6, 6);
-        let mut weights = det_weights(&params, 3);
-        // Zero out ~half the weights to make it genuinely sparse.
-        for (i, v) in weights.as_mut_slice().iter_mut().enumerate() {
-            if i % 2 == 0 {
-                *v = 0.0;
-            }
-        }
-        let csr = ConvWeights::csr_bands(&weights, &params).unwrap();
-        let bias = vec![0.5; 6];
-        let dense_out = run(&input, ConvWeights::Dense(&weights), Some(&bias), &params).unwrap();
-        let sparse_out = run(&input, ConvWeights::Csr(&csr), Some(&bias), &params).unwrap();
-        assert!(dense_out.max_abs_diff(&sparse_out).unwrap() < 1e-4);
-    }
-
-    #[test]
     fn identity_1x1_conv() {
         // 1x1 conv with identity weight matrix passes channels through.
         let params = Conv2dParams::new(3, 3, 1, 0, 1);
@@ -878,11 +840,17 @@ mod tests {
 
         // Banded forms: band count and band shape are both checked.
         let grouped = Conv2dParams::grouped(4, 6, 3, 1, 1, 2);
-        let bands = ConvWeights::csr_bands(&det_weights(&grouped, 0), &grouped).unwrap();
+        let w = det_weights(&grouped, 0);
+        let bands: Vec<Matrix> = w
+            .as_slice()
+            .chunks_exact(3 * grouped.col_rows())
+            .map(|band| Matrix::from_vec(3, grouped.col_rows(), band.to_vec()).unwrap())
+            .collect();
         let input = det_input(1, 4, 6, 6);
-        assert!(run(&input, ConvWeights::Csr(&bands[..1]), None, &grouped).is_err());
+        assert!(run(&input, ConvWeights::Bands(&bands), None, &grouped).is_ok());
+        assert!(run(&input, ConvWeights::Bands(&bands[..1]), None, &grouped).is_err());
         let ungrouped = Conv2dParams::new(4, 6, 3, 1, 1);
-        assert!(run(&input, ConvWeights::Csr(&bands[..1]), None, &ungrouped).is_err());
+        assert!(run(&input, ConvWeights::Bands(&bands[..1]), None, &ungrouped).is_err());
     }
 
     #[test]

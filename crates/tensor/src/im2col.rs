@@ -347,7 +347,7 @@ impl Lowering {
         });
     }
 
-    /// The row-major lowering of the padded image (the f32 CSR form's):
+    /// The row-major lowering of the padded image ([`crate::im2col()`]'s):
     /// patch row `r` is `cols[r*n_out..]`, every element written.
     /// Errors if `padded` is not [`Lowering::padded_len`] long or `cols`
     /// not `rows * n_out`.

@@ -1060,11 +1060,10 @@ pub unsafe fn gemv_rows_zmm(w: &[f32], x: &[f32], y: &mut [f32], epi: Epilogue<'
 }
 
 /// One CSR row of sparse×dense, AVX2 FMA (bit-identical to
-/// [`super::scalar::spmm_row`]), with a scalar-bias/ReLU epilogue
-/// applied in-register before each store (one CSR output row carries a
-/// single bias value; `None` performs no bias add at all — adding a
-/// literal `0.0` would not be bitwise neutral). The identity epilogue
-/// takes its own copy of the body with the literals constant-folded.
+/// [`super::scalar::spmm_row`]): column-blocked (64 → 32 → 8 → scalar
+/// tail) so the output stays in registers across the whole nonzero
+/// walk. Per output element the nonzeros still accumulate in
+/// ascending-`i` order.
 ///
 /// # Safety
 /// CPU must support AVX2 and FMA (verified by the dispatch layer).
@@ -1075,42 +1074,6 @@ pub unsafe fn spmm_row(
     b_data: &[f32],
     n: usize,
     c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
-) {
-    if bias.is_none() && !relu {
-        return spmm_row_body(values, col_idx, b_data, n, c_row, None, false);
-    }
-    spmm_row_body(values, col_idx, b_data, n, c_row, bias, relu)
-}
-
-/// Fold a fused scalar-bias/ReLU epilogue into one SpMM output
-/// register. `(None, false)` performs no FP operations at all (the
-/// unfused kernels pass those literals, which constant-fold away).
-#[inline(always)]
-unsafe fn spmm_epi(mut acc: __m256, bias: Option<f32>, relu: bool) -> __m256 {
-    if let Some(b) = bias {
-        acc = _mm256_add_ps(acc, _mm256_set1_ps(b));
-    }
-    if relu {
-        let pos = _mm256_cmp_ps(acc, _mm256_setzero_ps(), _CMP_GT_OQ);
-        acc = _mm256_and_ps(acc, pos);
-    }
-    acc
-}
-
-/// Shared SpMM row body: column-blocked (64 → 32 → 8 → scalar tail) so
-/// the output stays in registers across the whole nonzero walk. Per
-/// output element the nonzeros still accumulate in ascending-`i` order.
-#[inline(always)]
-unsafe fn spmm_row_body(
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
 ) {
     let nnz = values.len().min(col_idx.len());
     // Entry invariants for the raw loads of the column blocks: the
@@ -1132,15 +1095,15 @@ unsafe fn spmm_row_body(
     // latency (four chains ran ~10 % under the unfused kernel at 90 %
     // sparsity); then at most one 32-column block.
     while j + 8 * PANEL <= n {
-        spmm_block::<8>(values, col_idx, b_data, n, c_row, j, bias, relu);
+        spmm_block::<8>(values, col_idx, b_data, n, c_row, j);
         j += 8 * PANEL;
     }
     if j + 4 * PANEL <= n {
-        spmm_block::<4>(values, col_idx, b_data, n, c_row, j, bias, relu);
+        spmm_block::<4>(values, col_idx, b_data, n, c_row, j);
         j += 4 * PANEL;
     }
     while j + PANEL <= n {
-        spmm_block::<1>(values, col_idx, b_data, n, c_row, j, bias, relu);
+        spmm_block::<1>(values, col_idx, b_data, n, c_row, j);
         j += PANEL;
     }
     // Scalar tail: same ascending-`i` per-element fused accumulation.
@@ -1149,18 +1112,12 @@ unsafe fn spmm_row_body(
         for (&v, &c) in values.iter().zip(col_idx) {
             acc = v.mul_add(b_data[c as usize * n + jj], acc);
         }
-        if let Some(b) = bias {
-            acc += b;
-        }
-        if relu {
-            acc = if acc > 0.0 { acc } else { 0.0 };
-        }
         *c_row.get_unchecked_mut(jj) = acc;
     }
 }
 
 /// Columns `j .. j + R * PANEL` of one CSR row: `R` registers live
-/// across the whole nonzero walk, epilogue applied before the store.
+/// across the whole nonzero walk.
 ///
 /// # Safety
 /// Expanded inside `#[target_feature(enable = "avx2,fma")]` callers
@@ -1168,7 +1125,6 @@ unsafe fn spmm_row_body(
 /// `values.len() == col_idx.len()` and that every column index
 /// addresses a full `n`-wide row of `b_data`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn spmm_block<const R: usize>(
     values: &[f32],
     col_idx: &[u32],
@@ -1176,8 +1132,6 @@ unsafe fn spmm_block<const R: usize>(
     n: usize,
     c_row: &mut [f32],
     j: usize,
-    bias: Option<f32>,
-    relu: bool,
 ) {
     let mut acc = [_mm256_setzero_ps(); R];
     for (&v, &c) in values.iter().zip(col_idx) {
@@ -1189,7 +1143,7 @@ unsafe fn spmm_block<const R: usize>(
     }
     let cp = c_row.as_mut_ptr().add(j);
     for (t, a) in acc.into_iter().enumerate() {
-        _mm256_storeu_ps(cp.add(t * PANEL), spmm_epi(a, bias, relu));
+        _mm256_storeu_ps(cp.add(t * PANEL), a);
     }
 }
 

@@ -552,17 +552,10 @@ pub fn gemv_rows_with(tile: F32Tile, w: &[f32], x: &[f32], y: &mut [f32], epi: E
 }
 
 /// One CSR row of sparse×dense: `c_row = Σ_i values[i] * B[col_idx[i], :]`
-/// over the `k×n` row-major `b_data`, then a scalar-bias/ReLU epilogue.
-/// `c_row` is overwritten (not accumulated into). Ascending-`i`
-/// accumulation per output element on every path.
-///
-/// One CSR output row has a single bias value (its output channel /
-/// feature), so the epilogue here is `(Option<f32>, bool)` rather than
-/// an [`Epilogue`]; `(None, false)` runs the plain kernel. Bias adds
-/// first, then the `forward_into`-flavor ReLU; bitwise identical to
-/// the plain kernel + bias pass + ReLU pass.
+/// over the `k×n` row-major `b_data`. `c_row` is overwritten (not
+/// accumulated into). Ascending-`i` accumulation per output element on
+/// every path.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub fn spmm_row_with(
     path: KernelPath,
     values: &[f32],
@@ -570,21 +563,15 @@ pub fn spmm_row_with(
     b_data: &[f32],
     n: usize,
     c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
 ) {
     match path {
-        KernelPath::Scalar => {
-            scalar_mac!(spmm_row(values, col_idx, b_data, n, c_row, bias, relu))
-        }
+        KernelPath::Scalar => scalar_mac!(spmm_row(values, col_idx, b_data, n, c_row)),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: avx2 and fma verified available by `selected()`/`force()`;
         // bounds asserted in the kernel.
-        KernelPath::Avx2 => unsafe {
-            avx2::spmm_row(values, col_idx, b_data, n, c_row, bias, relu)
-        },
+        KernelPath::Avx2 => unsafe { avx2::spmm_row(values, col_idx, b_data, n, c_row) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::spmm_row(values, col_idx, b_data, n, c_row, bias, relu),
+        _ => scalar::spmm_row(values, col_idx, b_data, n, c_row),
     }
 }
 

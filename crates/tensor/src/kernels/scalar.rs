@@ -284,32 +284,15 @@ pub fn gemv_rows(w: &[f32], x: &[f32], y: &mut [f32], epi: Epilogue<'_>) {
     apply_epilogue(y, 1, 0, 0..1, epi);
 }
 
-/// One CSR row of sparse×dense with a scalar-bias/ReLU epilogue (the
-/// bias of one CSR output row is a single value — conv output channel
-/// or FC output feature; `None` skips the add). Bias adds first, then
-/// the `forward_into` ReLU. See [`super::spmm_row_with`].
+/// One CSR row of sparse×dense. See [`super::spmm_row_with`].
 #[inline(always)]
-pub fn spmm_row(
-    values: &[f32],
-    col_idx: &[u32],
-    b_data: &[f32],
-    n: usize,
-    c_row: &mut [f32],
-    bias: Option<f32>,
-    relu: bool,
-) {
+pub fn spmm_row(values: &[f32], col_idx: &[u32], b_data: &[f32], n: usize, c_row: &mut [f32]) {
     c_row.fill(0.0);
     for (&v, &c) in values.iter().zip(col_idx.iter()) {
         let b_row = &b_data[c as usize * n..(c as usize + 1) * n];
         for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
             *cv = v.mul_add(*bv, *cv);
         }
-    }
-    if bias.is_none() && !relu {
-        return;
-    }
-    for v in c_row.iter_mut().take(n) {
-        *v = epilogue_one(*v, bias, relu);
     }
 }
 
@@ -354,16 +337,8 @@ pub(super) mod fma {
     }
 
     #[target_feature(enable = "fma")]
-    pub fn spmm_row(
-        values: &[f32],
-        col_idx: &[u32],
-        b_data: &[f32],
-        n: usize,
-        c_row: &mut [f32],
-        bias: Option<f32>,
-        relu: bool,
-    ) {
-        super::spmm_row(values, col_idx, b_data, n, c_row, bias, relu);
+    pub fn spmm_row(values: &[f32], col_idx: &[u32], b_data: &[f32], n: usize, c_row: &mut [f32]) {
+        super::spmm_row(values, col_idx, b_data, n, c_row);
     }
 }
 

@@ -5,22 +5,25 @@
 //!
 //! The paper's measurement substrate is a Caffe fork extended with sparse
 //! matrix kernels so that pruned (sparsified) CNN layers actually run
-//! faster. This crate is that substrate, built from scratch:
+//! faster. This crate is that substrate, built from scratch; a pruned
+//! layer runs faster here by being narrower (filter pruning removes
+//! filters and channels, `cap_cnn::Network::narrow`), never by skipping
+//! zero weights, which every conv form multiplies like any other:
 //!
 //! * [`Matrix`] — row-major dense `f32` matrix, multiplied by the
 //!   panel-packed, L2-strip-blocked driver the layers run on
 //!   ([`gemm_packed`]; [`gemm()`] packs a plain `B` for it).
 //! * [`Tensor4`] — NCHW activation tensor used by the CNN layers.
 //! * [`CsrMatrix`] — compressed sparse row matrix with sparse×dense
-//!   multiplication ([`CsrMatrix::matmul_dense`]), the kernel for
-//!   weights with high unstructured sparsity.
+//!   multiplication ([`CsrMatrix::matmul_dense`]): a kernel that is
+//!   measured against the dense multiply, and that no layer runs.
 //! * [`im2col()`] / [`col2im`] — the lowering that expresses convolution as
 //!   GEMM, exactly as Caffe does; [`Lowering`] writes the layouts the
 //!   multiplies read from an image padded once, the f32 panels split
 //!   by panel ranges across a [`Team`].
 //! * [`conv`] and [`pool`] — the one convolution driver ([`conv2d`]:
 //!   im2col + GEMM over a [`ConvWeights`] form — dense, dense over the
-//!   filters pruning kept, or CSR; f32 or int8 — or Winograd
+//!   filters pruning kept; f32 or int8 — or Winograd
 //!   F(2×2, 3×3) over 16 GEMMs for dense 3×3s ([`mod@winograd`]), with
 //!   bias/ReLU as a fused [`Epilogue`]), and the max/average pooling
 //!   and local response normalization kernels ([`lrn_into`]).

@@ -1,7 +1,7 @@
 //! Numeric-precision selection for the weighted-layer inference path.
 //!
 //! PR 10 adds a real int8 execution path (symmetric per-tensor weight
-//! quantization, calibrated activation scales, integer GEMM/GEMV/SpMM
+//! quantization, calibrated activation scales, integer GEMM/GEMV
 //! microkernels in [`crate::kernels::int8`]) alongside the default f32
 //! path. This module is the knob that picks between them, mirroring the
 //! kernel-path machinery in [`crate::kernels`]: the `CAP_TENSOR_PRECISION`

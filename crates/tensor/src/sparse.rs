@@ -2,9 +2,12 @@
 //!
 //! Pruning in the paper turns CNN weight matrices sparse; the extended
 //! Caffe framework the authors use [Wen et al., ICCV'17] exploits that
-//! sparsity with dedicated kernels. `CsrMatrix` is that substrate: a
+//! sparsity with dedicated kernels. `CsrMatrix` is that kernel: a
 //! pruned weight matrix converted once to CSR then multiplied against
-//! dense activation panels, skipping zero weights entirely.
+//! dense activation panels, skipping zero weights entirely. No layer
+//! runs it — at a per-value price several times the dense multiply's
+//! it paid only past ~80 % unstructured zeros — so it stays as the
+//! measured alternative the dense forms are held against.
 
 use crate::dense::{counts_as_nonzero, Matrix};
 use crate::error::{ShapeError, TensorResult};
@@ -175,8 +178,8 @@ impl CsrMatrix {
     /// Sparse × dense multiplication into a preallocated output.
     ///
     /// `c` must already have shape `(self.rows, b.cols)`; prior contents
-    /// are overwritten. [`CsrMatrix::spmm_into`] over `Matrix` operands
-    /// with no epilogue.
+    /// are overwritten. Zero-allocation, for steady-state loops. At
+    /// `b.cols() == 1` it is the sparse matrix–vector product.
     pub fn matmul_dense_into(&self, b: &Matrix, c: &mut Matrix) -> TensorResult<()> {
         if self.cols != b.rows() || c.shape() != (self.rows, b.cols()) {
             return Err(ShapeError::new(format!(
@@ -187,94 +190,19 @@ impl CsrMatrix {
                 c.shape()
             )));
         }
-        self.spmm_into(b.as_slice(), b.cols(), c.as_mut_slice(), None, false)
-    }
-
-    /// The SpMM driver: `C = epi(self · B)` over raw row-major slices,
-    /// `b_data` being `self.cols × n` and `c_data` `self.rows × n`
-    /// (overwritten). Zero-allocation, for steady-state inference loops.
-    /// At `n = 1` it is the sparse matrix–vector product `y = self · x`.
-    ///
-    /// `row_bias`, when present, adds `row_bias[r]` to every element of
-    /// output row `r` (CSR rows are conv output channels), then `relu`
-    /// applies the `forward_into`-flavor ReLU — both in the same pass
-    /// that stores the row, saving two full round-trips of the output
-    /// through memory. Bitwise identical to
-    /// the plain multiply + bias pass + ReLU pass on every kernel path.
-    pub fn spmm_into(
-        &self,
-        b_data: &[f32],
-        n: usize,
-        c_data: &mut [f32],
-        row_bias: Option<&[f32]>,
-        relu: bool,
-    ) -> TensorResult<()> {
-        if b_data.len() != self.cols * n || c_data.len() != self.rows * n {
-            return Err(ShapeError::new(format!(
-                "csr spmm: {}x{} * len {} -> len {} at n = {n}",
-                self.rows,
-                self.cols,
-                b_data.len(),
-                c_data.len()
-            )));
-        }
-        if let Some(bias) = row_bias {
-            if bias.len() < self.rows {
-                return Err(ShapeError::new(format!(
-                    "csr spmm: row bias has {} entries, need {}",
-                    bias.len(),
-                    self.rows
-                )));
-            }
-        }
-        let path = kernels::selected();
-        for (r, c_row) in c_data.chunks_mut(n.max(1)).enumerate() {
+        let (path, n) = (kernels::selected(), b.cols());
+        for (r, c_row) in c.as_mut_slice().chunks_mut(n.max(1)).enumerate() {
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
             kernels::spmm_row_with(
                 path,
                 &self.values[lo..hi],
                 &self.col_idx[lo..hi],
-                b_data,
+                b.as_slice(),
                 n,
                 c_row,
-                row_bias.map(|bias| bias[r]),
-                relu,
             );
         }
         Ok(())
-    }
-
-    /// Split into consecutive row bands of `band_rows` each, without
-    /// densifying. Used to pre-split grouped-convolution weights once at
-    /// layer construction instead of rebuilding per call.
-    ///
-    /// `self.rows` must be a multiple of `band_rows`.
-    pub fn split_rows(&self, band_rows: usize) -> TensorResult<Vec<CsrMatrix>> {
-        if band_rows == 0 || !self.rows.is_multiple_of(band_rows) {
-            return Err(ShapeError::new(format!(
-                "csr split: {} rows not divisible into bands of {}",
-                self.rows, band_rows
-            )));
-        }
-        let bands = self.rows / band_rows;
-        let mut out = Vec::with_capacity(bands);
-        for band in 0..bands {
-            let r0 = band * band_rows;
-            let lo = self.row_ptr[r0];
-            let hi = self.row_ptr[r0 + band_rows];
-            let row_ptr = self.row_ptr[r0..=r0 + band_rows]
-                .iter()
-                .map(|p| p - lo)
-                .collect();
-            out.push(CsrMatrix {
-                rows: band_rows,
-                cols: self.cols,
-                row_ptr,
-                col_idx: self.col_idx[lo..hi].to_vec(),
-                values: self.values[lo..hi].to_vec(),
-            });
-        }
-        Ok(out)
     }
 }
 
@@ -321,12 +249,10 @@ mod tests {
     fn shape_mismatch_errors() {
         let (_, csr) = sparse_dense_pair(3, 4, 2);
         assert!(csr.matmul_dense(&Matrix::zeros(5, 2)).is_err());
-        assert!(csr
-            .spmm_into(&[0.0; 3], 1, &mut [0.0; 3], None, false)
-            .is_err());
-        assert!(csr
-            .spmm_into(&[0.0; 4], 1, &mut [0.0; 2], None, false)
-            .is_err());
+        let b = Matrix::zeros(4, 1);
+        assert!(csr.matmul_dense_into(&b, &mut Matrix::zeros(2, 1)).is_err());
+        assert!(csr.matmul_dense_into(&b, &mut Matrix::zeros(3, 2)).is_err());
+        assert!(csr.matmul_dense_into(&b, &mut Matrix::zeros(3, 1)).is_ok());
     }
 
     #[test]
@@ -370,28 +296,6 @@ mod tests {
             let s = csr.matmul_dense(&b).unwrap();
             let d = gemm(&dense, &b).unwrap();
             assert!(s.max_abs_diff(&d).unwrap() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn matmul_fused_matches_unfused_plus_epilogue_bitwise() {
-        let (_, csr) = sparse_dense_pair(8, 12, 2);
-        let b = Matrix::from_fn(12, 7, |r, c| ((r + 3 * c) % 5) as f32 - 2.0);
-        let bias: Vec<f32> = (0..8).map(|r| r as f32 * 0.75 - 3.0).collect();
-
-        let mut expect = csr.matmul_dense(&b).unwrap();
-        for (r, &bv) in bias.iter().enumerate() {
-            for v in expect.row_mut(r) {
-                let y = *v + bv;
-                *v = if y > 0.0 { y } else { 0.0 };
-            }
-        }
-
-        let mut fused = Matrix::zeros(8, 7);
-        csr.spmm_into(b.as_slice(), 7, fused.as_mut_slice(), Some(&bias), true)
-            .unwrap();
-        for (e, f) in expect.as_slice().iter().zip(fused.as_slice()) {
-            assert_eq!(e.to_bits(), f.to_bits());
         }
     }
 

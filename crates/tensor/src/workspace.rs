@@ -33,8 +33,7 @@ use crate::team::Team;
 /// differently-shaped work never leak into results.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Row-major f32 scratch: the CSR convolution's im2col patch matrix
-    /// (`in_per_group*kh*kw × oh*ow`), the Winograd convolution's `M`
+    /// Row-major f32 scratch: the Winograd convolution's `M`
     /// chunk (16 products of a few rows × tiles, [`mod@crate::winograd`]),
     /// [`crate::lrn_into`]'s square-sum plane, a narrowed fc's live input
     /// features.

@@ -1,14 +1,15 @@
 //! Table-driven parity for the one convolution driver.
 //!
-//! Every im2col [`ConvWeights`] form {dense-f32, csr-f32, dense-i8} ×
+//! Every im2col [`ConvWeights`] form {dense-f32, dense-i8} on dense and
+//! on half-zero weights ×
 //! {no ReLU, fused ReLU} × groups {1, 2} × batch {1, 3} runs through
 //! [`conv2d`] and is held against the direct sliding-window oracle
 //! ([`conv2d_direct`]), which shares no code with it:
 //!
 //! * f32 forms: within 1e-4 of the oracle, and **bitwise** equal to the
 //!   allocating seed composition the driver replaced — per image and
-//!   group, `im2col` → `gemm_naive` / CSR `matmul_dense` → a separate
-//!   bias pass → a separate ReLU pass.
+//!   group, `im2col` → `gemm_naive` → a separate bias pass → a separate
+//!   ReLU pass.
 //!   That is the fusion contract (fused == unfused + passes) and the
 //!   packed-vs-unpacked contract in one assertion.
 //! * dense-i8, on dense and on half-zero weights: within the int8
@@ -16,7 +17,7 @@
 //!
 //! * bands of uneven widths (a narrowed grouped conv: kept filters and
 //!   kept input channels per group, a group with no input channel
-//!   left): f32 bands and CSR **bitwise** `Dense`, and dense-i8 bitwise
+//!   left): f32 bands **bitwise** `Dense`, and dense-i8 bitwise
 //!   the full dense-i8 bands, on the full zero-row weights with the
 //!   removed input planes zeroed, on every kernel path, at batch 1 and
 //!   8, on teams of one to three threads; bands whose widths do not add
@@ -39,8 +40,8 @@
 use cap_tensor::kernels;
 use cap_tensor::reference::{conv2d_direct, gemm_naive};
 use cap_tensor::{
-    conv2d, gemm_i8, im2col, pack_b_i8_into, symmetric_scale, Conv2dParams, ConvWeights, CsrMatrix,
-    EpiBias, Epilogue, I8Storage, Matrix, QuantizedA, Team, Tensor4, Workspace,
+    conv2d, gemm_i8, im2col, pack_b_i8_into, symmetric_scale, Conv2dParams, ConvWeights, EpiBias,
+    Epilogue, I8Storage, Matrix, QuantizedA, Team, Tensor4, Workspace,
 };
 
 fn input(n: usize, c: usize, h: usize, w: usize) -> Tensor4 {
@@ -75,7 +76,6 @@ fn seed_composition(
     bias: &[f32],
     relu: bool,
     params: &Conv2dParams,
-    sparse: bool,
 ) -> Tensor4 {
     let (n, _c, h, wd) = x.shape();
     let (oh, ow) = params.out_shape(h, wd).unwrap();
@@ -105,13 +105,7 @@ fn seed_composition(
                 w.as_slice()[g * opg * col_rows..(g + 1) * opg * col_rows].to_vec(),
             )
             .unwrap();
-            let prod = if sparse {
-                CsrMatrix::from_dense(&band, 0.0)
-                    .matmul_dense(&cols)
-                    .unwrap()
-            } else {
-                gemm_naive(&band, &cols).unwrap()
-            };
+            let prod = gemm_naive(&band, &cols).unwrap();
             out.image_mut(ni)[g * opg * n_out..(g + 1) * opg * n_out]
                 .copy_from_slice(prod.as_slice());
         }
@@ -141,7 +135,6 @@ fn every_weight_form_matches_the_direct_oracle() {
         let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.05 - 0.1).collect();
         let dense_w = weights(&params, false);
         let pruned_w = weights(&params, true);
-        let csr = ConvWeights::csr_bands(&pruned_w, &params).unwrap();
         let dense_q = ConvWeights::i8_bands(&dense_w, &params).unwrap();
         let pruned_q = ConvWeights::i8_bands(&pruned_w, &params).unwrap();
 
@@ -162,14 +155,11 @@ fn every_weight_form_matches_the_direct_oracle() {
                     out.clone()
                 };
 
-                for (name, form, w, sparse) in [
-                    ("dense-f32", ConvWeights::Dense(&dense_w), &dense_w, false),
-                    ("csr-f32", ConvWeights::Csr(&csr), &pruned_w, true),
-                ] {
-                    let got = run(form);
+                for (name, w) in [("dense-f32", &dense_w), ("pruned dense-f32", &pruned_w)] {
+                    let got = run(ConvWeights::Dense(w));
                     let diff = got.max_abs_diff(&oracle(w)).unwrap();
                     assert!(diff < 1e-4, "{name} {case}: {diff} from the oracle");
-                    let seed = seed_composition(&x, w, &bias, relu, &params, sparse);
+                    let seed = seed_composition(&x, w, &bias, relu, &params);
                     assert!(bits(&got) == bits(&seed), "{name} {case}: vs seed path");
                 }
 
@@ -337,7 +327,7 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
         ] {
             out.as_mut_slice().fill(f32::NAN);
             conv2d(&x, form, Some(&bias), relu, &params, &mut ws, &mut out).unwrap();
-            let seed = seed_composition(&x, w, &bias, relu, &params, false);
+            let seed = seed_composition(&x, w, &bias, relu, &params);
             assert!(
                 bits(&out) == bits(&seed),
                 "{name} relu={relu}: vs seed path"
@@ -357,7 +347,7 @@ fn dense_forms_are_bitwise_the_seed_path_across_column_strips() {
 /// products of a weight and a `+0` input: on the narrowed input they
 /// are bitwise the full forms on the full zero-row weights with the
 /// removed input planes zeroed, at the kept output channels — f32
-/// bands and CSR against `Dense`, int8 bands (quantized at the full
+/// bands against `Dense`, int8 bands (quantized at the full
 /// weights' scale) against the full dense-i8 bands. A group left no
 /// input channel is its bias through the epilogue.
 #[test]
@@ -390,10 +380,6 @@ fn uneven_bands_are_bitwise_the_full_forms_on_zeroed_planes() {
             out_channels: kept_rows.len(),
             ..params
         };
-        let csr: Vec<CsrMatrix> = bands
-            .iter()
-            .map(|b| CsrMatrix::from_dense(b, 0.0))
-            .collect();
         let q: Vec<QuantizedA> = bands
             .iter()
             .map(|b| QuantizedA::quantize(b.as_slice(), b.rows(), b.cols(), scale))
@@ -452,7 +438,6 @@ fn uneven_bands_are_bitwise_the_full_forms_on_zeroed_planes() {
                             bits(&out)
                         };
                         assert!(run(ConvWeights::Bands(&bands)) == dense, "f32 {case}");
-                        assert!(run(ConvWeights::Csr(&csr)) == dense, "csr {case}");
                         let int8 = run(ConvWeights::DenseI8 {
                             bands: &q,
                             act_scale,

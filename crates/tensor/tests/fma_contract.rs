@@ -77,7 +77,6 @@ fn every_multiply_accumulate_entry_fuses_on_every_path() {
         kernels::force(Some(path));
         for n in WIDTHS {
             let (b, packed) = (b(n), PackedB::pack(&b(n)));
-            let csr_b = b.as_slice();
             for m in ROWS {
                 let a = a(m);
                 let what = |entry: &str| format!("{entry} on {} at {m}x{K}x{n}", path.name());
@@ -104,9 +103,9 @@ fn every_multiply_accumulate_entry_fuses_on_every_path() {
                 }
 
                 let csr = CsrMatrix::from_dense(&a, 0.0);
-                let mut c = vec![0.0; m * n];
-                csr.spmm_into(csr_b, n, &mut c, None, false).unwrap();
-                assert_fused(&c, &what("CsrMatrix::spmm_into"));
+                let mut c = Matrix::zeros(m, n);
+                csr.matmul_dense_into(&b, &mut c).unwrap();
+                assert_fused(c.as_slice(), &what("CsrMatrix::matmul_dense_into"));
             }
         }
     }
@@ -173,7 +172,7 @@ fn the_plain_scalar_build_fuses_too() {
         assert_fused(&c, &format!("scalar::gemv_packed at n = {n}"));
 
         let mut c = vec![0.0; n];
-        scalar::spmm_row(&[v, u], &[0, 2], b.as_slice(), n, &mut c, None, false);
+        scalar::spmm_row(&[v, u], &[0, 2], b.as_slice(), n, &mut c);
         assert_fused(&c, &format!("scalar::spmm_row at n = {n}"));
     }
 }

@@ -2,9 +2,8 @@
 //! `kernel_parity.rs`).
 //!
 //! Contract under test: every epilogue-taking driver — `gemm_packed`
-//! with an [`Epilogue`], its dedicated `m == 1` gemv route, and the CSR
-//! SpMM rows (`n = 1` included) with a scalar bias/ReLU tail — produces output
-//! **bit-identical** to the scalar kernel with no epilogue followed by a manual
+//! with an [`Epilogue`] and its dedicated `m == 1` gemv route — produces
+//! output **bit-identical** to the scalar kernel with no epilogue followed by a manual
 //! bias-add and `forward_into`-flavor ReLU (negatives, `-0.0` and NaN
 //! all flush to `+0.0`), on every dispatch path, across
 //! ragged shapes, `k = 0`, and NaN/signed-zero operands.
@@ -14,7 +13,7 @@
 //! fused-vs-manual comparison still runs in full.
 
 use cap_tensor::kernels::{self, KernelPath};
-use cap_tensor::{gemm_packed_with, CsrMatrix, EpiBias, Epilogue, F32Tile, Matrix, PackedB};
+use cap_tensor::{gemm_packed_with, EpiBias, Epilogue, F32Tile, Matrix, PackedB};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -266,62 +265,6 @@ fn gemv_kernel_bit_identical_and_fused_relu_flushes_nan_and_signed_zero() {
     }
 }
 
-#[test]
-fn fused_spmm_row_matches_scalar_unfused_plus_manual_epilogue() {
-    let _g = force_lock();
-    let (k, n) = (17, 29);
-    let b = mat(k, n, 9);
-    // Rows of varying density, including an empty row (bias/ReLU must
-    // still apply to the implicit zero dot products).
-    let rows: Vec<(Vec<f32>, Vec<u32>)> = vec![
-        (vec![], vec![]),
-        (vec![-1.5], vec![4]),
-        (
-            (0..k).map(|i| (i as f32 - 8.0) / 5.0).collect(),
-            (0..k as u32).collect(),
-        ),
-        (vec![0.75, -0.0, 2.0], vec![1, 8, 16]),
-    ];
-    for (values, col_idx) in &rows {
-        for (bias, relu) in [
-            (None, false),
-            (None, true),
-            (Some(0.6f32), false),
-            (Some(-0.6f32), true),
-            (Some(-0.0f32), true),
-        ] {
-            let spmm_row_on = |path: KernelPath, bias: Option<f32>, relu: bool| {
-                let mut c = vec![0.0f32; n];
-                kernels::spmm_row_with(path, values, col_idx, b.as_slice(), n, &mut c, bias, relu);
-                c
-            };
-            let mut want = spmm_row_on(KernelPath::Scalar, None, false);
-            for v in want.iter_mut() {
-                let mut y = *v;
-                if let Some(bv) = bias {
-                    y += bv;
-                }
-                if relu {
-                    y = if y > 0.0 { y } else { 0.0 };
-                }
-                *v = y;
-            }
-            for path in kernels::available_paths() {
-                let got = spmm_row_on(path, bias, relu);
-                assert_bits_eq(
-                    &want,
-                    &got,
-                    &format!(
-                        "fused spmm row nnz={} bias={bias:?} relu={relu} on {}",
-                        values.len(),
-                        path.name()
-                    ),
-                );
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -355,43 +298,6 @@ proptest! {
         for tile in F32Tile::available() {
             let got = fused_gemm_on_tile(tile, &a, &b, Epilogue { bias: epi_bias, relu });
             for (x, y) in want.as_slice().iter().zip(&got) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    /// Fused CSR SpMM (whole matrix, heuristic dispatch included)
-    /// equals scalar unfused + manual per-row epilogue on arbitrary
-    /// shapes and sparsity.
-    #[test]
-    fn prop_fused_spmm_bit_identical(
-        m in 1usize..10,
-        k in 1usize..16,
-        n in 1usize..24,
-        keep in 1usize..5,
-        relu in proptest::bool::ANY,
-        seed in 0u64..500,
-    ) {
-        let _g = force_lock();
-        let dense = Matrix::from_fn(m, k, |r, c| {
-            if (r * k + c).is_multiple_of(keep) {
-                ((r * 31 + c * 17 + seed as usize) % 13) as f32 / 6.0 - 1.0
-            } else {
-                0.0
-            }
-        });
-        let w = CsrMatrix::from_dense(&dense, 0.0);
-        let b = mat(k, n, seed.wrapping_add(2));
-        let bias = bias_vec(m, seed.wrapping_add(3));
-        let mut want = on_path(KernelPath::Scalar, || w.matmul_dense(&b).unwrap());
-        manual_epilogue(want.as_mut_slice(), n, Some(&bias), None, relu);
-        for path in kernels::available_paths() {
-            let got = on_path(path, || {
-                let mut c = Matrix::zeros(m, n);
-                w.spmm_into(b.as_slice(), n, c.as_mut_slice(), Some(&bias), relu).unwrap();
-                c
-            });
-            for (x, y) in want.as_slice().iter().zip(got.as_slice().iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }

@@ -10,9 +10,6 @@
 //! cargo run --release --example train_prune_measure
 //! ```
 
-use cap_cnn::layer::{ConvLayer, SPARSE_THRESHOLD};
-use cap_cnn::network::{NodeId, INPUT};
-use cap_cnn::train::TrainLayer;
 use cap_pruning::magnitude::sparsity_mask;
 use cloud_cost_accuracy::prelude::*;
 use std::collections::HashMap;
@@ -49,8 +46,8 @@ fn main() {
     );
 
     println!(
-        "\n{:>6} {:>10} {:>8} {:>8} {:>9} {:>12}",
-        "ratio", "sparsity", "top1", "top5", "ms", "conv form"
+        "\n{:>6} {:>10} {:>8} {:>8} {:>9}",
+        "ratio", "sparsity", "top1", "top5", "ms"
     );
     for ratio in [0.0, 0.3, 0.5, 0.7, 0.9] {
         // Fresh copy of the trained weights each round; prune both conv
@@ -78,26 +75,17 @@ fn main() {
         let wall_ms = || run_batched(&network, &test_x, 16).unwrap().1.wall_s * 1000.0;
         wall_ms();
         let ms = (0..3).map(|_| wall_ms()).fold(f64::INFINITY, f64::min);
-        let forms = [0, 3].map(|conv| {
-            let TrainLayer::Conv { params, w, .. } = &pruned.layers()[conv] else {
-                unreachable!("layers 0 and 3 of TinyNet are its convs")
-            };
-            // `to_network` adds one node per layer, in order.
-            let from = conv.checked_sub(1).map_or(INPUT, NodeId);
-            let (_, h, w_in) = network.shape_of(from).unwrap();
-            ConvLayer::weight_form_name(w, params, (h, w_in))
-        });
         println!(
-            "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2} {:>12}",
+            "{:>5.0}% {:>9.1}% {:>7.1}% {:>7.1}% {:>9.2}",
             ratio * 100.0,
             pruned.conv_sparsity() * 100.0,
             report.top1 * 100.0,
             report.top5 * 100.0,
             ms,
-            forms.join("/")
         );
     }
     println!("\nsweet-spot shape: accuracy holds at moderate ratios, falls at 90%;");
-    println!("time falls once `ConvLayer` switches to its CSR form (sparsity above");
-    println!("{SPARSE_THRESHOLD}, the measured crossover: bench conv_strategy).");
+    println!("time stays flat: a magnitude-pruned conv multiplies its zeros like any");
+    println!("other weight. Filter pruning saves time by narrowing the network");
+    println!("(`repro --exp profile`).");
 }

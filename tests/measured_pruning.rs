@@ -108,7 +108,7 @@ fn sparse_execution_path_is_numerically_faithful() {
     let data = SyntheticImageNet::tiny(53);
     let net = trained_tinynet(&data);
     let (x, _) = data.batch(8_000, 32);
-    // 70 % stays dense, 90 % is past `SPARSE_THRESHOLD` (CSR).
+    // Magnitude-pruned convs run dense, multiplying their zeros.
     for ratio in [0.7, 0.9] {
         let pruned = pruned_copy(&net, ratio);
         let logits = pruned.logits(&x).unwrap();
