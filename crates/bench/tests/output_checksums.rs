@@ -46,6 +46,13 @@
 //! runs span the whole map, 5×5s, and 7×7 maps whose panels cross three
 //! output rows.
 //!
+//! The table pins the weight stream too: every row builds its network
+//! from `WeightInit::Xavier`, so a fill that moved any weight bit — a
+//! lane build, a piece boundary, the team that splits a model's large
+//! fills — moves every row. The weights are bitwise the one
+//! `gen_range` loop per matrix the table was recorded with on every
+//! kernel path and thread count (`crates/tensor/tests/fill_parity.rs`).
+//!
 //! `#[ignore]`d because the full-size nets take seconds in release and
 //! minutes in debug. Every CI test leg runs it as its own step; by hand,
 //! `cargo test --release -p cap-bench --test output_checksums -- --ignored`.

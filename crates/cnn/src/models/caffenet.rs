@@ -4,7 +4,7 @@
 //! 96/384-channel inputs) and three fully-connected layers, with ReLU,
 //! LRN and overlapping max-pooling between them.
 
-use super::WeightInit;
+use super::{WeightFill, WeightInit};
 use crate::layer::{
     ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode, ReluLayer,
     SoftmaxLayer,
@@ -31,10 +31,11 @@ pub const CAFFENET_CONV_LAYERS: [&str; 5] = ["conv1", "conv2", "conv3", "conv4",
 /// | fc3   | 1000      |     |          |
 pub fn caffenet(init: WeightInit) -> TensorResult<Network> {
     let mut net = Network::new("caffenet", (3, 224, 224));
+    let mut weights = WeightFill::new(init);
     let mut salt = 0u64;
     let mut conv = |net: &mut Network, name: &str, p: Conv2dParams| -> TensorResult<()> {
         salt += 1;
-        let w = init.build(p.out_channels, p.in_per_group() * p.kh * p.kw, salt);
+        let w = weights.build(p.out_channels, p.in_per_group() * p.kh * p.kw, salt);
         net.add_sequential(Box::new(ConvLayer::new(
             name,
             p,
@@ -82,7 +83,7 @@ pub fn caffenet(init: WeightInit) -> TensorResult<Network> {
     net.add_sequential(Box::new(PoolLayer::new("pool5", PoolMode::Max, 3, 0, 2)))?;
 
     // fc6/fc7/fc8 — Table 1's fc1/fc2/fc3 (Caffe prototxt numbering).
-    let fc = |rows: usize, cols: usize, salt: u64| init.build(rows, cols, 1000 + salt);
+    let mut fc = |rows: usize, cols: usize, salt: u64| weights.build(rows, cols, 1000 + salt);
     net.add_sequential(Box::new(InnerProductLayer::new(
         "fc6",
         fc(4096, 256 * 6 * 6, 1),

@@ -2,7 +2,7 @@
 //! convolution stages and nine inception modules, each containing six
 //! convolutions, for 56+ convolution layers with only ~7 M parameters.
 
-use super::WeightInit;
+use super::{WeightFill, WeightInit};
 use crate::layer::{
     ConcatLayer, ConvLayer, DropoutLayer, InnerProductLayer, LrnLayer, PoolLayer, PoolMode,
     ReluLayer, SoftmaxLayer,
@@ -27,7 +27,7 @@ type InceptionPlan = (usize, usize, usize, usize, usize, usize);
 
 struct Builder {
     net: Network,
-    init: WeightInit,
+    weights: WeightFill,
     salt: u64,
 }
 
@@ -35,7 +35,7 @@ impl Builder {
     fn conv(&mut self, name: &str, p: Conv2dParams, inputs: &[NodeId]) -> TensorResult<NodeId> {
         self.salt += 1;
         let w = self
-            .init
+            .weights
             .build(p.out_channels, p.in_per_group() * p.kh * p.kw, self.salt);
         let conv_id = self.net.add_layer(
             Box::new(ConvLayer::new(name, p, w, vec![0.0; p.out_channels])?),
@@ -114,7 +114,7 @@ impl Builder {
 pub fn googlenet(init: WeightInit) -> TensorResult<Network> {
     let mut b = Builder {
         net: Network::new("googlenet", (3, 224, 224)),
-        init,
+        weights: WeightFill::new(init),
         salt: 50_000,
     };
     const INPUT: NodeId = crate::network::INPUT;
@@ -174,7 +174,7 @@ pub fn googlenet(init: WeightInit) -> TensorResult<Network> {
     let fc = b.net.add_layer(
         Box::new(InnerProductLayer::new(
             "loss3-classifier",
-            init.build(1000, 1024, 99_999),
+            b.weights.build(1000, 1024, 99_999),
             vec![0.0; 1000],
         )?),
         &[drop],

@@ -1,34 +1,72 @@
 //! Deterministic weight initializers.
+//!
+//! **The stream contract.** Each initializer is a pure function of its
+//! seed, element by element: element `i` of the row-major data of
+//! [`xavier_uniform`]`(rows, cols, seed)` is the `i`-th
+//! `gen_range(-b..=b)` of a `ChaCha8Rng` seeded with `seed` — the two
+//! words `2i`, `2i + 1` of its keystream, so word `2(i % 8)` onward of
+//! block `i / 8` — and element `i` of [`gaussian`] is one Box–Muller
+//! draw from words `4i .. 4i + 4`. The `*_fill` functions compute any
+//! range of elements on their own ([`xavier_fill`] in steps of eight
+//! blocks, [`crate::kernels::uniform_fill_with`]), so a fill cut into
+//! pieces across threads, or run on any kernel path, gives the same
+//! bits as the one loop over all of it: the weights of a seeded model
+//! do not depend on the host, the path or the thread count.
 
 use crate::dense::Matrix;
+use crate::kernels;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Xavier/Glorot-uniform initialization for a `rows × cols` weight matrix,
-/// seeded for reproducibility. `fan_in`/`fan_out` default to cols/rows.
+/// seeded for reproducibility: uniform in `±`[`xavier_bound`]`(rows, cols)`.
 pub fn xavier_uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    xavier_fill(rows, cols, seed, 0, m.as_mut_slice());
+    m
+}
+
+/// The bound of [`xavier_uniform`]: `√(6 / (fan_in + fan_out))`, with
+/// `fan_in`/`fan_out` the `cols`/`rows` of the weight matrix.
+pub fn xavier_bound(rows: usize, cols: usize) -> f32 {
+    (6.0 / (rows + cols) as f64).sqrt() as f32
+}
+
+/// Elements `start .. start + out.len()` of the row-major data of
+/// [`xavier_uniform`]`(rows, cols, seed)`, into `out`, on the selected
+/// kernel path. See the [module docs](self) for the stream.
+pub fn xavier_fill(rows: usize, cols: usize, seed: u64, start: usize, out: &mut [f32]) {
+    let bound = xavier_bound(rows, cols);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let bound = (6.0 / (rows + cols) as f64).sqrt() as f32;
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-bound..=bound))
-        .collect();
-    Matrix::from_vec(rows, cols, data).expect("length matches by construction")
+    if start > 0 {
+        rng.set_word_pos(2 * start as u128);
+    }
+    kernels::uniform_fill_with(kernels::selected(), &mut rng, -bound, bound, out);
 }
 
 /// Gaussian initialization with the given standard deviation (Caffe's
 /// default conv initializer), seeded for reproducibility.
 pub fn gaussian(rows: usize, cols: usize, std: f32, seed: u64) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    gaussian_fill(std, seed, 0, m.as_mut_slice());
+    m
+}
+
+/// Elements `start .. start + out.len()` of the data of
+/// [`gaussian`]`(_, _, std, seed)`, into `out`: each one Box–Muller draw
+/// from four words of the stream, the first at word `4 · start`.
+pub fn gaussian_fill(std: f32, seed: u64, start: usize, out: &mut [f32]) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let data = (0..rows * cols)
-        .map(|_| {
-            // Box–Muller transform.
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos() * std
-        })
-        .collect();
-    Matrix::from_vec(rows, cols, data).expect("length matches by construction")
+    if start > 0 {
+        rng.set_word_pos(4 * start as u128);
+    }
+    for v in out {
+        // Box–Muller transform.
+        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+        let u2: f32 = rng.gen_range(0.0..1.0);
+        *v = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos() * std;
+    }
 }
 
 #[cfg(test)]
@@ -63,5 +101,16 @@ mod tests {
             .sum::<f32>()
             / m.len() as f32;
         assert!((var.sqrt() - 0.01).abs() < 2e-3, "std {}", var.sqrt());
+    }
+
+    #[test]
+    fn gaussian_pieces_are_the_whole() {
+        let whole = gaussian(7, 13, 0.5, 21);
+        let mut pieces = vec![0.0f32; whole.len()];
+        for piece in [0..5, 5..6, 6..40, 40..91] {
+            gaussian_fill(0.5, 21, piece.start, &mut pieces[piece]);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pieces), bits(whole.as_slice()));
     }
 }

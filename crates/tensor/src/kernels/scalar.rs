@@ -21,6 +21,8 @@
 
 use super::{EpiBias, Epilogue, PANEL, ROW_BLOCK};
 use crate::pool::Pool2dParams;
+use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
 /// The fused epilogue on one element: the bias add (skipped, not
@@ -339,6 +341,15 @@ pub(super) mod fma {
     #[target_feature(enable = "fma")]
     pub fn spmm_row(values: &[f32], col_idx: &[u32], b_data: &[f32], n: usize, c_row: &mut [f32]) {
         super::spmm_row(values, col_idx, b_data, n, c_row);
+    }
+}
+
+/// The uniform weight fill, one `gen_range(lo..=hi)` per element from
+/// `rng`'s position on — the oracle of the lane body. See
+/// [`super::uniform_fill_with`].
+pub fn uniform_fill(rng: &mut ChaCha8Rng, lo: f32, hi: f32, out: &mut [f32]) {
+    for v in out {
+        *v = rng.gen_range(lo..=hi);
     }
 }
 
