@@ -102,10 +102,13 @@ fn bench_layer_shapes(c: &mut Criterion) {
 /// [`LAYER_SHAPES`] and one Winograd position product (inception 3a's
 /// 3×3: 128 filters × 96 channels × 196 tiles, whose `n` leaves an odd
 /// last panel). The two outputs of every shape are compared bit for
-/// bit. Ends with one `gemm_tiles:` line — the zmm/ymm speed ratio, min
-/// and max over the shapes, each arm from its fastest call — or, on a
-/// host without AVX-512F (or AVX2), a note that it has nothing to
-/// compare, for the CI job summary.
+/// bit, and each arm's rate is printed as a share of its tile's roof:
+/// the one-thread ymm and zmm FMA peaks measured here first
+/// ([`fma_roofs`]), printed as one `gemm_tiles: roof` line. Ends with
+/// one `gemm_tiles:` line — the zmm/ymm speed ratio, min and max over
+/// the shapes, each arm from its fastest call — or, on a host without
+/// AVX-512F (or AVX2), a note that it has nothing to compare, for the
+/// CI job summary.
 fn bench_tiles(c: &mut Criterion) {
     if !(F32Tile::Ymm.is_available() && F32Tile::Zmm.is_available()) {
         println!(
@@ -113,6 +116,11 @@ fn bench_tiles(c: &mut Criterion) {
         );
         return;
     }
+    let roofs = fma_roofs();
+    println!(
+        "gemm_tiles: roof ymm {:.1} GFLOP/s, zmm {:.1} GFLOP/s (one thread, register-only FMA chains, best of {ROOF_TRIALS})",
+        roofs[0], roofs[1]
+    );
     let wino = ("incep3a_3x3_wino_position", 128, 96, 196);
     let mut group = c.benchmark_group("gemm_tiles");
     let mut ratios: Vec<(f64, &str)> = Vec::new();
@@ -149,8 +157,12 @@ fn bench_tiles(c: &mut Criterion) {
         );
         if best.iter().all(|&t| t < Duration::MAX) {
             let ratio = best[0].as_secs_f64() / best[1].as_secs_f64();
-            let gflops = 2.0 * (m * k * n) as f64 / best[1].as_nanos() as f64;
-            println!("gemm_tiles/{name}: zmm {gflops:.1} GFLOP/s, zmm/ymm {ratio:.2}x");
+            let gflops = best.map(|t| 2.0 * (m * k * n) as f64 / t.as_nanos() as f64);
+            let pct = [0, 1].map(|i| 100.0 * gflops[i] / roofs[i]);
+            println!(
+                "gemm_tiles/{name}: ymm {:.1} GFLOP/s ({:.0}% of roof), zmm {:.1} GFLOP/s ({:.0}% of roof), zmm/ymm {ratio:.2}x",
+                gflops[0], pct[0], gflops[1], pct[1]
+            );
             ratios.push((ratio, name));
         }
     }
@@ -166,6 +178,93 @@ fn bench_tiles(c: &mut Criterion) {
             ratios.len()
         );
     }
+}
+
+/// Trials of each FMA roof; the best counts.
+const ROOF_TRIALS: usize = 7;
+
+/// One-thread FMA peaks, `[ymm, zmm]` in GFLOP/s: twelve independent
+/// register-only FMA chains (three times the chains two FMA ports of
+/// four-cycle latency need), the best of [`ROOF_TRIALS`] ~10 ms runs.
+/// What each tile's rate is a share of: capbench's
+/// `host.fma_peak_gflops_1t` probes 256-bit registers only.
+#[cfg(target_arch = "x86_64")]
+fn fma_roofs() -> [f64; 2] {
+    const STEPS: u64 = 200_000;
+    let mut best = [0.0f64; 2];
+    for _ in 0..ROOF_TRIALS {
+        for (lanes, best) in [8u64, 16].into_iter().zip(&mut best) {
+            let t0 = Instant::now();
+            // SAFETY: `bench_tiles` runs this only after
+            // `F32Tile::Zmm.is_available()` saw AVX2, FMA and AVX-512F.
+            let sink = unsafe {
+                if lanes == 8 {
+                    roof::ymm_chains(STEPS)
+                } else {
+                    roof::zmm_chains(STEPS)
+                }
+            };
+            let secs = t0.elapsed().as_secs_f64();
+            std::hint::black_box(sink);
+            let flops = 2.0 * (roof::CHAINS as u64 * lanes * STEPS) as f64;
+            *best = best.max(flops / secs / 1e9);
+        }
+    }
+    best
+}
+
+/// The register-only FMA loops behind [`fma_roofs`].
+#[cfg(target_arch = "x86_64")]
+mod roof {
+    use std::arch::x86_64::*;
+
+    /// Independent accumulator chains per loop step.
+    pub const CHAINS: usize = 12;
+
+    /// `steps` rounds of [`CHAINS`] ymm FMAs, each chain `acc·a + b`.
+    ///
+    /// # Safety
+    /// CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn ymm_chains(steps: u64) -> f32 {
+        let (a, b) = (_mm256_set1_ps(0.999_9), _mm256_set1_ps(1e-4));
+        let mut acc = [_mm256_setzero_ps(); CHAINS];
+        for _ in 0..steps {
+            for acc in &mut acc {
+                *acc = _mm256_fmadd_ps(*acc, a, b);
+            }
+        }
+        let sum = acc
+            .iter()
+            .fold(_mm256_setzero_ps(), |s, &v| _mm256_add_ps(s, v));
+        _mm256_cvtss_f32(sum)
+    }
+
+    /// `steps` rounds of [`CHAINS`] zmm FMAs, each chain `acc·a + b`.
+    ///
+    /// # Safety
+    /// CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn zmm_chains(steps: u64) -> f32 {
+        let (a, b) = (_mm512_set1_ps(0.999_9), _mm512_set1_ps(1e-4));
+        let mut acc = [_mm512_setzero_ps(); CHAINS];
+        for _ in 0..steps {
+            for acc in &mut acc {
+                *acc = _mm512_fmadd_ps(*acc, a, b);
+            }
+        }
+        _mm512_reduce_add_ps(
+            acc.iter()
+                .fold(_mm512_setzero_ps(), |s, &v| _mm512_add_ps(s, v)),
+        )
+    }
+}
+
+/// Stands in on hosts without x86 SIMD, where `bench_tiles` returns
+/// before it asks for a roof.
+#[cfg(not(target_arch = "x86_64"))]
+fn fma_roofs() -> [f64; 2] {
+    unreachable!("no ymm or zmm registers on this target")
 }
 
 /// The batch-1 conv multiplies of Caffenet and Googlenet (`m` filters ×

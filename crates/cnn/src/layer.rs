@@ -263,14 +263,24 @@ impl WeightScan {
 
     /// The scan of a weight matrix given row by row (a conv's groups'
     /// bands one after the other).
+    ///
+    /// Each row is two integer folds over the bits, with no early exit,
+    /// so they vectorise: the OR of the magnitudes is zero only for a
+    /// row of `±0.0`, and the largest exponent field is all ones only
+    /// if the row holds an inf or a NaN.
     fn of_rows<'a>(rows: impl Iterator<Item = &'a [f32]>) -> Self {
+        const MAGNITUDE: u32 = 0x7fff_ffff;
+        const EXPONENT: u32 = 0x7f80_0000;
         let (mut zero_rows, mut finite) = (Vec::new(), true);
         for (r, row) in rows.enumerate() {
-            if row.iter().all(|&v| v == 0.0) {
+            let (magnitude, exponent) = row.iter().fold((0, 0), |(m, e), v| {
+                let bits = v.to_bits();
+                (m | bits & MAGNITUDE, e.max(bits & EXPONENT))
+            });
+            if magnitude == 0 {
                 zero_rows.push(r);
-            } else {
-                finite &= row.iter().all(|v| v.is_finite());
             }
+            finite &= exponent != EXPONENT;
         }
         Self { zero_rows, finite }
     }
@@ -343,5 +353,30 @@ mod tests {
         assert_eq!(LayerKind::Convolution.tag(), "conv");
         assert_eq!(LayerKind::InnerProduct.tag(), "fc");
         assert_eq!(LayerKind::Softmax.tag(), "softmax");
+    }
+
+    #[test]
+    fn weight_scan_folds_zero_rows_and_finiteness() {
+        let zeros = [0.0f32; 5];
+        let signed_zeros = [-0.0f32, 0.0, -0.0];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // A non-finite weight after non-zero values: not a zero
+            // row, and no row of the layer is dead.
+            let tail = [1.0f32, -2.0, 0.5, bad];
+            let scan = WeightScan::of_rows([&zeros[..], &tail].into_iter());
+            assert_eq!(scan.zero_rows, [0], "{bad}");
+            assert!(!scan.finite, "{bad}");
+            assert!(scan.dead_rows(&[0.0, 0.0]).is_empty(), "{bad}");
+        }
+        // A row of `-0.0` (and `+0.0`) counts as zero.
+        let scan = WeightScan::of_rows([&signed_zeros[..], &[3.0, 0.0, 0.0]].into_iter());
+        assert_eq!(scan.zero_rows, [0]);
+        assert!(scan.finite);
+        assert_eq!(scan.dead_rows(&[0.0, 0.0]), [0]);
+        assert!(scan.dead_rows(&[1.0, 0.0]).is_empty());
+        // No rows: nothing zero, nothing non-finite.
+        let scan = WeightScan::of(&Matrix::zeros(0, 7));
+        assert!(scan.zero_rows.is_empty());
+        assert!(scan.finite);
     }
 }

@@ -27,8 +27,32 @@ use crate::kernels;
 use crate::kernels::{Epilogue, F32Tile, PANEL};
 
 /// Row-band size: the rows of `C` the packed driver finishes against one
-/// column strip before moving down (cache blocking).
-const ROW_BAND: usize = 32;
+/// column strip before moving down (cache blocking). Two of the zmm
+/// tile's 14-row blocks and seven of the ymm tile's 4-row ones: a band
+/// of 32 left four rows of every band to the zmm tile's slower 4-row
+/// groups (96 × 576 × 3136, the Googlenet conv2 3×3 a two-thread team
+/// runs per part: 1.30× the parent at 28 against 1.26× at 32, and
+/// 1.23–1.25× against 1.17× on three more 96- to 192-row shapes;
+/// EXPERIMENTS.md "PR 49").
+const ROW_BAND: usize = 28;
+
+/// The other band height [`row_band`] may pick: two of the zmm tile's
+/// 12-row blocks.
+const ROW_BAND_SHORT: usize = 24;
+
+/// Rows per band of an `m`-row multiply on `tile`: [`ROW_BAND`], or
+/// [`ROW_BAND_SHORT`] where that leaves fewer rows outside the tile's
+/// main blocks. Only the last band can fall short, so only its height
+/// decides. On the zmm tile `m` = 48 runs as 24 + 24 (12 + 12 twice)
+/// rather than 28 + 20 (20 is 12 + 4 + 4), and 64 as 24 + 24 + 16;
+/// 32 stays 28 + 4 and 96 is 28s and 12. The Winograd products chunk
+/// their rows in whole bands of it.
+pub(crate) fn row_band(tile: F32Tile, m: usize) -> usize {
+    [ROW_BAND, ROW_BAND_SHORT]
+        .into_iter()
+        .min_by_key(|&band| tile.rows_outside_blocks(m % band))
+        .unwrap_or(ROW_BAND)
+}
 
 /// Budget for one column strip of packed `B` in [`gemm_packed`]: the
 /// strip (`k × strip_cols × 4 B`) is what every row band re-reads, so
@@ -43,8 +67,8 @@ const STRIP_BYTES: usize = 512 * 1024;
 /// Panels per column strip for a depth-`k` multiply: as many whole
 /// panel *pairs* as fit [`STRIP_BYTES`], and never fewer than one pair
 /// — both SIMD tiles consume panels in pairs (the ymm tile two
-/// registers wide, the zmm tile one register per pair, its four-row
-/// groups three pairs).
+/// registers wide, the zmm tile one register per pair, two pairs at a
+/// time in its 14- and 12-row blocks and three in its four-row groups).
 fn strip_panels(k: usize) -> usize {
     let panel_bytes = (k * PANEL * std::mem::size_of::<f32>()).max(1);
     (STRIP_BYTES / panel_bytes / 2 * 2).max(2)
@@ -301,9 +325,10 @@ pub fn gemm_packed_with(
     }
     let panels = n.div_ceil(PANEL);
     let strip = strip_panels(k);
+    let band_rows = row_band(tile, m);
     for p0 in (0..panels).step_by(strip) {
         let strip_range = p0..(p0 + strip).min(panels);
-        for (band, c_band) in c_data.chunks_mut((ROW_BAND * n).max(1)).enumerate() {
+        for (band, c_band) in c_data.chunks_mut((band_rows * n).max(1)).enumerate() {
             kernels::gemm_packed_band_tile_with(
                 tile,
                 a_data,
@@ -311,7 +336,7 @@ pub fn gemm_packed_with(
                 n,
                 packed_b,
                 c_band,
-                band * ROW_BAND,
+                band * band_rows,
                 strip_range.clone(),
                 epi,
             );
@@ -336,6 +361,28 @@ mod tests {
                 .wrapping_add(seed as usize);
             ((h % 13) as f32 - 6.0) / 6.0
         })
+    }
+
+    #[test]
+    fn row_bands_leave_the_fewest_rows_outside_the_tiles_blocks() {
+        for m in [1, 4, 16, 32, 48, 64, 96] {
+            assert_eq!(row_band(F32Tile::Scalar, m), ROW_BAND);
+            assert_eq!(row_band(F32Tile::Ymm, m), ROW_BAND);
+        }
+        #[cfg(target_arch = "x86_64")]
+        for (m, band) in [
+            (16, 28),
+            (28, 28),
+            (32, 28),
+            (48, 24),
+            (64, 24),
+            (96, 28),
+            (104, 28),
+            (144, 24),
+            (160, 24),
+        ] {
+            assert_eq!(row_band(F32Tile::Zmm, m), band, "m = {m}");
+        }
     }
 
     #[test]

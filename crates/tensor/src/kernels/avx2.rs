@@ -293,13 +293,22 @@ unsafe fn gemm_band_body<E: EpiApply>(
     }
 }
 
-/// Rows of the 512-bit main tile: twelve accumulators, one panel pair
-/// each.
-const ZMM_ROWS: usize = 12;
+/// Rows of the zmm tile's tall block: fourteen rows against two panel
+/// pairs hold 28 accumulators, which with the two joined `B` rows and
+/// the broadcast fill the 32 zmm registers.
+const ZMM_ROWS: usize = 14;
+
+/// Rows of the zmm tile's short block, for the band heights fourteen
+/// does not cover without leaving two rows ([`zmm_cover`]).
+const ZMM_ROWS_SHORT: usize = 12;
+
+/// Panels one tall or short block multiplies per pass: two pairs, two
+/// joined `B` rows per `kk`.
+const ZMM_PANELS: usize = 4;
 
 /// Panels of the 512-bit four-row tile: three pairs, twelve
 /// accumulators.
-const ZMM_PANELS: usize = 6;
+const QUAD_PANELS: usize = 6;
 
 /// One row band of the packed-panel GEMM on 512-bit registers — the
 /// `zmm` tile of [`super::F32Tile`], bit-identical to
@@ -309,9 +318,11 @@ const ZMM_PANELS: usize = 6;
 /// `p`, its high half row `kk` of panel `p + 1`, joined by one
 /// `vinsertf64x4` (an AVX-512F instruction; the `f32x8` insert and
 /// extract are AVX-512DQ and compile to out-of-line calls under this
-/// feature set). Twelve rows run against each pair with `A` taken
-/// through a broadcast FMA, and against an odd last panel in twelve
-/// ymm accumulators; rows left over in groups of four run against
+/// feature set). [`zmm_cover`] cuts the band's rows into 14- and
+/// 12-row blocks, four-row groups and at most three rows left over.
+/// A 14- or 12-row block runs against two pairs at a time with `A`
+/// taken through a broadcast FMA, then against a last lone pair and an
+/// odd last panel (in ymm accumulators); four-row groups run against
 /// three pairs at a time; the [`gemm_packed_band`] body takes what a
 /// four-row group leaves of the strip and the last one to three rows.
 /// Each half of a finished zmm goes through
@@ -342,6 +353,36 @@ pub unsafe fn gemm_packed_band_zmm(
     zmm_band_body::<FusedEpi>(a_data, k, n, b_data, c_band, row0, panels, fe)
 }
 
+/// How the zmm tile covers a band of `rows` rows: `(tall, short,
+/// quads)` blocks of [`ZMM_ROWS`], [`ZMM_ROWS_SHORT`] and
+/// [`ROW_BLOCK`] rows, leaving fewer than four. Fourteen is two more
+/// than a multiple of four, so the number of tall blocks sets how many
+/// rows the four-row steps leave: the cover takes the most tall blocks
+/// that leave the fewest rows, then as many short blocks as fit. A
+/// band of 16 is 12 + 4 and one of 24 is 12 + 12, not 14 and two
+/// leftover rows on the slow single-row body.
+fn zmm_cover(rows: usize) -> (usize, usize, usize) {
+    let left = |tall: usize| (rows - tall * ZMM_ROWS) % ROW_BLOCK;
+    let tall = (0..=rows / ZMM_ROWS)
+        .rev()
+        .min_by_key(|&tall| left(tall))
+        .unwrap_or(0);
+    let rest = rows - tall * ZMM_ROWS;
+    (
+        tall,
+        rest / ZMM_ROWS_SHORT,
+        rest % ZMM_ROWS_SHORT / ROW_BLOCK,
+    )
+}
+
+/// Rows of a band of `rows` that [`zmm_cover`] leaves outside its 14-
+/// and 12-row blocks: the four-row groups and the last one to three
+/// rows, which run at about the ymm tile's rate.
+pub(crate) fn zmm_rows_outside_blocks(rows: usize) -> usize {
+    let (tall, short, _) = zmm_cover(rows);
+    rows - tall * ZMM_ROWS - short * ZMM_ROWS_SHORT
+}
+
 /// The zmm band walk: which rows and panels each tile covers.
 ///
 /// # Safety
@@ -367,31 +408,28 @@ unsafe fn zmm_band_body<E: EpiApply>(
     assert!(b_data.len() >= panels.end * k * PANEL);
     assert!(c_band.len() >= rows_here * n);
 
-    let pairs_end = panels.start + panels.len() / 2 * 2;
+    let (tall, short, quads) = zmm_cover(rows_here);
     let mut r = 0;
-    while r + ZMM_ROWS <= rows_here {
-        for p in (panels.start..pairs_end).step_by(2) {
-            tile_12x2(a_data, k, n, b_data, c_band, row0, r, p, epi);
-        }
+    for _ in 0..tall {
+        zmm_block::<E, ZMM_ROWS>(a_data, k, n, b_data, c_band, row0, r, &panels, epi);
         r += ZMM_ROWS;
     }
-    if pairs_end < panels.end {
-        for r in (0..r).step_by(ZMM_ROWS) {
-            tile_12x1(a_data, k, n, b_data, c_band, row0, r, pairs_end, epi);
-        }
+    for _ in 0..short {
+        zmm_block::<E, ZMM_ROWS_SHORT>(a_data, k, n, b_data, c_band, row0, r, &panels, epi);
+        r += ZMM_ROWS_SHORT;
     }
-    let sixes_end = panels.start + panels.len() / ZMM_PANELS * ZMM_PANELS;
-    let quads = r;
-    while r + ROW_BLOCK <= rows_here {
-        for p in (panels.start..sixes_end).step_by(ZMM_PANELS) {
+    let sixes_end = panels.start + panels.len() / QUAD_PANELS * QUAD_PANELS;
+    let quads_start = r;
+    for _ in 0..quads {
+        for p in (panels.start..sixes_end).step_by(QUAD_PANELS) {
             tile_4x6(a_data, k, n, b_data, c_band, row0, r, p, epi);
         }
         r += ROW_BLOCK;
     }
-    if sixes_end < panels.end && r > quads {
+    if sixes_end < panels.end && r > quads_start {
         let rest = sixes_end..panels.end;
-        let c_quads = &mut c_band[quads * n..r * n];
-        gemm_band_body(a_data, k, n, b_data, c_quads, row0 + quads, rest, epi);
+        let c_quads = &mut c_band[quads_start * n..r * n];
+        gemm_band_body(a_data, k, n, b_data, c_quads, row0 + quads_start, rest, epi);
     }
     if r < rows_here {
         gemm_band_body(
@@ -404,6 +442,39 @@ unsafe fn zmm_band_body<E: EpiApply>(
             panels,
             epi,
         );
+    }
+}
+
+/// Band rows `r .. r + R` against every panel of `panels`: two pairs
+/// at a time, then a last lone pair and an odd last panel.
+///
+/// # Safety
+/// Expanded inside `zmm_band_body` only, whose entry asserts bound
+/// every load; caller guarantees `r + R` rows.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn zmm_block<E: EpiApply, const R: usize>(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    r: usize,
+    panels: &Range<usize>,
+    epi: E,
+) {
+    let mut p = panels.start;
+    while p + ZMM_PANELS <= panels.end {
+        tile_pairs::<E, R, 2>(a_data, k, n, b_data, c_band, row0, r, p, epi);
+        p += ZMM_PANELS;
+    }
+    if p + 2 <= panels.end {
+        tile_pairs::<E, R, 1>(a_data, k, n, b_data, c_band, row0, r, p, epi);
+        p += 2;
+    }
+    if p < panels.end {
+        tile_odd::<E, R>(a_data, k, n, b_data, c_band, row0, r, p, epi);
     }
 }
 
@@ -444,16 +515,21 @@ unsafe fn store_pair<E: EpiApply>(
     store_panel(epi.apply(hi, r_abs, c1, width1), row, c1, width1);
 }
 
-/// Band rows `r .. r + 12` against panels `p`, `p + 1`: twelve named
-/// accumulators (an indexed array of them spills on every `kk`), one
-/// joined `B` row and twelve broadcast FMAs per `kk`.
+/// Band rows `r .. r + R` against the `2 * PAIRS` panels from `p`:
+/// `R × PAIRS` zmm accumulators, `PAIRS` joined `B` rows and `R`
+/// broadcasts per `kk`. The main tile is 14 × 2 (28 accumulators); the
+/// loops over the const bounds unroll, so the accumulators live in
+/// registers — all but one of the 14 × 2 tile's, which round-trips
+/// through the stack once per `kk` (a 13-row build ran no faster per
+/// row: 115–120 GFLOP/s against 118–120).
 ///
 /// # Safety
 /// Expanded inside `zmm_band_body` only, whose entry asserts bound
-/// every load; caller guarantees `r + 12` rows and `p + 2` panels.
+/// every load; caller guarantees `r + R` rows and `p + 2 * PAIRS`
+/// panels.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile_12x2<E: EpiApply>(
+unsafe fn tile_pairs<E: EpiApply, const R: usize, const PAIRS: usize>(
     a_data: &[f32],
     k: usize,
     n: usize,
@@ -467,87 +543,37 @@ unsafe fn tile_12x2<E: EpiApply>(
     let plen = k * PANEL;
     let pn = b_data.as_ptr().add(p * plen);
     let a = a_data.as_ptr().add((row0 + r) * k);
-    let [mut c0, mut c1, mut c2, mut c3] = [_mm512_setzero_ps(); 4];
-    let [mut c4, mut c5, mut c6, mut c7] = [_mm512_setzero_ps(); 4];
-    let [mut c8, mut c9, mut c10, mut c11] = [_mm512_setzero_ps(); 4];
+    let mut acc = [[_mm512_setzero_ps(); PAIRS]; R];
     for kk in 0..k {
-        let bv = pair_row(pn, plen, kk);
-        c0 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(kk)), bv, c0);
-        c1 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(k + kk)), bv, c1);
-        c2 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(2 * k + kk)), bv, c2);
-        c3 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(3 * k + kk)), bv, c3);
-        c4 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(4 * k + kk)), bv, c4);
-        c5 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(5 * k + kk)), bv, c5);
-        c6 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(6 * k + kk)), bv, c6);
-        c7 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(7 * k + kk)), bv, c7);
-        c8 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(8 * k + kk)), bv, c8);
-        c9 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(9 * k + kk)), bv, c9);
-        c10 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(10 * k + kk)), bv, c10);
-        c11 = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(11 * k + kk)), bv, c11);
+        let mut bv = [_mm512_setzero_ps(); PAIRS];
+        for (j, bv) in bv.iter_mut().enumerate() {
+            *bv = pair_row(pn.add(2 * j * plen), plen, kk);
+        }
+        for (i, accs) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*a.add(i * k + kk));
+            for (acc, &bv) in accs.iter_mut().zip(&bv) {
+                *acc = _mm512_fmadd_ps(av, bv, *acc);
+            }
+        }
     }
     let col = p * PANEL;
-    let width1 = PANEL.min(n - col - PANEL);
-    let accs = [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11];
-    for (i, acc) in accs.into_iter().enumerate() {
+    for (i, accs) in acc.into_iter().enumerate() {
         let row = &mut c_band[(r + i) * n..(r + i + 1) * n];
-        store_pair(acc, epi, row, row0 + r + i, col, width1);
-    }
-}
-
-/// Band rows `r .. r + 12` against the odd last panel `p`, on ymm:
-/// twelve named accumulators, one `B` row and twelve broadcasts per
-/// `kk` — three times the chains of the four-row ymm body, whose
-/// single-panel pass waits on FMA latency.
-///
-/// # Safety
-/// As [`tile_12x2`], for `r + 12` rows and panel `p`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_12x1<E: EpiApply>(
-    a_data: &[f32],
-    k: usize,
-    n: usize,
-    b_data: &[f32],
-    c_band: &mut [f32],
-    row0: usize,
-    r: usize,
-    p: usize,
-    epi: E,
-) {
-    let pn = b_data.as_ptr().add(p * k * PANEL);
-    let a = a_data.as_ptr().add((row0 + r) * k);
-    let [mut c0, mut c1, mut c2, mut c3] = [_mm256_setzero_ps(); 4];
-    let [mut c4, mut c5, mut c6, mut c7] = [_mm256_setzero_ps(); 4];
-    let [mut c8, mut c9, mut c10, mut c11] = [_mm256_setzero_ps(); 4];
-    for kk in 0..k {
-        let bv = _mm256_loadu_ps(pn.add(kk * PANEL));
-        c0 = madd(_mm256_set1_ps(*a.add(kk)), bv, c0);
-        c1 = madd(_mm256_set1_ps(*a.add(k + kk)), bv, c1);
-        c2 = madd(_mm256_set1_ps(*a.add(2 * k + kk)), bv, c2);
-        c3 = madd(_mm256_set1_ps(*a.add(3 * k + kk)), bv, c3);
-        c4 = madd(_mm256_set1_ps(*a.add(4 * k + kk)), bv, c4);
-        c5 = madd(_mm256_set1_ps(*a.add(5 * k + kk)), bv, c5);
-        c6 = madd(_mm256_set1_ps(*a.add(6 * k + kk)), bv, c6);
-        c7 = madd(_mm256_set1_ps(*a.add(7 * k + kk)), bv, c7);
-        c8 = madd(_mm256_set1_ps(*a.add(8 * k + kk)), bv, c8);
-        c9 = madd(_mm256_set1_ps(*a.add(9 * k + kk)), bv, c9);
-        c10 = madd(_mm256_set1_ps(*a.add(10 * k + kk)), bv, c10);
-        c11 = madd(_mm256_set1_ps(*a.add(11 * k + kk)), bv, c11);
-    }
-    let col = p * PANEL;
-    let width = PANEL.min(n - col);
-    let accs = [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11];
-    for (i, acc) in accs.into_iter().enumerate() {
-        let row = &mut c_band[(r + i) * n..(r + i + 1) * n];
-        store_panel(epi.apply(acc, row0 + r + i, col, width), row, col, width);
+        for (j, acc) in accs.into_iter().enumerate() {
+            let c0 = col + 2 * j * PANEL;
+            store_pair(acc, epi, row, row0 + r + i, c0, PANEL.min(n - c0 - PANEL));
+        }
     }
 }
 
 /// Band rows `r .. r + 4` against panels `p .. p + 6`: twelve named
 /// accumulators, three joined `B` rows and four broadcasts per `kk`.
 ///
+/// Named accumulators: as `tile_pairs::<E, 4, 3>` the tile spilled one
+/// on every `kk` and ran eight-row bands at 0.73–0.87× this one.
+///
 /// # Safety
-/// As [`tile_12x2`], for `r + 4` rows and `p + 6` panels.
+/// As [`tile_pairs`], for `r + 4` rows and `p + 6` panels.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_4x6<E: EpiApply>(
@@ -605,6 +631,45 @@ unsafe fn tile_4x6<E: EpiApply>(
         store_pair(accs[0], epi, row, r_abs, col, PANEL);
         store_pair(accs[1], epi, row, r_abs, col + 2 * PANEL, PANEL);
         store_pair(accs[2], epi, row, r_abs, col + 4 * PANEL, width5);
+    }
+}
+
+/// Band rows `r .. r + R` against the odd last panel `p`, on ymm: `R`
+/// accumulators, one `B` row and `R` broadcasts per `kk` — three times
+/// and more the chains of the four-row ymm body, whose single-panel
+/// pass waits on FMA latency.
+///
+/// # Safety
+/// As [`tile_pairs`], for `r + R` rows and panel `p`; `R` ≤ 14, so the
+/// accumulators, the `B` row and the broadcast fit the 16 ymm
+/// registers (the upper 16 need AVX-512VL).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_odd<E: EpiApply, const R: usize>(
+    a_data: &[f32],
+    k: usize,
+    n: usize,
+    b_data: &[f32],
+    c_band: &mut [f32],
+    row0: usize,
+    r: usize,
+    p: usize,
+    epi: E,
+) {
+    let pn = b_data.as_ptr().add(p * k * PANEL);
+    let a = a_data.as_ptr().add((row0 + r) * k);
+    let mut acc = [_mm256_setzero_ps(); R];
+    for kk in 0..k {
+        let bv = _mm256_loadu_ps(pn.add(kk * PANEL));
+        for (i, acc) in acc.iter_mut().enumerate() {
+            *acc = madd(_mm256_set1_ps(*a.add(i * k + kk)), bv, *acc);
+        }
+    }
+    let col = p * PANEL;
+    let width = PANEL.min(n - col);
+    for (i, acc) in acc.into_iter().enumerate() {
+        let row = &mut c_band[(r + i) * n..(r + i + 1) * n];
+        store_panel(epi.apply(acc, row0 + r + i, col, width), row, col, width);
     }
 }
 

@@ -233,8 +233,8 @@ pub enum F32Tile {
     /// 4 rows × one panel pair in eight ymm accumulators
     /// ([`avx2::gemm_packed_band`]).
     Ymm,
-    /// 12 rows × one panel pair in twelve zmm accumulators, then 4 rows
-    /// × three pairs, with the ymm tile on what is left
+    /// 14 (or 12) rows × two panel pairs in 28 (24) zmm accumulators,
+    /// then 4 rows × three pairs, with the ymm tile on what is left
     /// ([`avx2::gemm_packed_band_zmm`]). Needs the CPU's `avx512f` on
     /// top of what [`F32Tile::Ymm`] needs.
     Zmm,
@@ -302,6 +302,18 @@ impl F32Tile {
             KernelPath::Scalar => F32Tile::Scalar,
             KernelPath::Avx2 if F32Tile::Zmm.is_available() => F32Tile::Zmm,
             KernelPath::Avx2 => F32Tile::Ymm,
+        }
+    }
+
+    /// Rows of a band of `rows` this tile runs outside its main register
+    /// blocks, on slower paths: for the zmm tile those outside its 14-
+    /// and 12-row blocks, for the others those outside whole
+    /// [`ROW_BLOCK`]s.
+    pub(crate) fn rows_outside_blocks(self, rows: usize) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            F32Tile::Zmm => avx2::zmm_rows_outside_blocks(rows),
+            _ => rows % ROW_BLOCK,
         }
     }
 

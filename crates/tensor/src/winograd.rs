@@ -26,8 +26,8 @@
 use crate::conv::Conv2dParams;
 use crate::dense::Matrix;
 use crate::error::{ShapeError, TensorResult};
-use crate::gemm::gemm_packed;
-use crate::kernels::{scalar::epilogue_one, Epilogue, PANEL, ROW_BLOCK};
+use crate::gemm::{gemm_packed, row_band};
+use crate::kernels::{self, scalar::epilogue_one, Epilogue, F32Tile, PANEL};
 use crate::team::{self, Team};
 use std::ops::Range;
 
@@ -298,10 +298,14 @@ fn rows(a: &[Lanes; 4], b: &[Lanes; 4], op: fn(Lanes, Lanes) -> Lanes) -> [Lanes
 
 /// The `M` chunk a part of `rows` output rows over `tiles` tiles works
 /// in: up to [`CHUNK_TILES`] tiles (whole panels), and as many whole
-/// [`ROW_BLOCK`]s of rows as keep all 16 positions within [`M_CHUNK`].
+/// row bands of the packed GEMM ([`row_band`], 28 or 24 rows) as keep
+/// all 16 positions within [`M_CHUNK`] — one band at 64 tiles. A
+/// product of 32 rows left four to the zmm tile's slower four-row
+/// groups (A/B in EXPERIMENTS.md "PR 49").
 fn chunk(rows: usize, tiles: usize) -> (usize, usize) {
     let tn = tiles.next_multiple_of(PANEL).clamp(PANEL, CHUNK_TILES);
-    let rn = (M_CHUNK / (POSITIONS * tn) / ROW_BLOCK).max(1) * ROW_BLOCK;
+    let band = row_band(F32Tile::for_path(kernels::selected()), rows);
+    let rn = (M_CHUNK / (POSITIONS * tn) / band).max(1) * band;
     (rn.min(rows.max(1)), tn)
 }
 

@@ -26,13 +26,16 @@ const K: usize = 4;
 /// Output widths: under one panel (all tail), two panels plus a
 /// partial third (the AVX2 panel pair and odd panel), and 13 panels
 /// plus 3 lanes (GEMV 4-panel groups and their remainder; the zmm
-/// tile's six-panel groups and the pair and odd panel they leave; the
+/// tile's four-panel steps and the pair and odd panel they leave, and
+/// its four-row groups' six-panel steps and what they leave; the
 /// CSR row's 64-, 32- and 8-column blocks and its tail).
 const WIDTHS: [usize; 3] = [3, 19, 107];
 
 /// Rows: 1 is the GEMV route, 5 one 4-row block plus a trailing row,
-/// 17 one zmm 12-row block, one 4-row group and a trailing row.
-const ROWS: [usize; 3] = [1, 5, 17];
+/// 14 one zmm 14-row block, 17 one zmm 12-row block, one 4-row group
+/// and a trailing row, 28 two 14-row blocks (one row band) and 30 one
+/// 14-row block, one 12-row block and one 4-row group.
+const ROWS: [usize; 6] = [1, 5, 14, 17, 28, 30];
 
 fn u() -> f32 {
     1.0 + 2f32.powi(-12)

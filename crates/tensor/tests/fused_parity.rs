@@ -151,13 +151,14 @@ fn fused_gemm_matches_scalar_unfused_plus_manual_epilogue() {
         (4, 9, 8),
         (5, 16, 31),
         (33, 12, 17),
-        // The f32 tiles' boundaries: zmm 12-row blocks, 4-row groups
-        // against six-panel groups, the odd panel, leftover rows.
+        // The f32 tiles' boundaries: zmm 12- and 14-row blocks, 4-row
+        // groups against six-panel groups, the odd panel, leftover rows.
         (13, 5, 9),
         (16, 0, 49),
         (17, 37, 53),
         (24, 1, 41),
         (30, 37, 56),
+        (28, 9, 70),
     ] {
         let a = mat(m, k, 3);
         let b = mat(k, n, 4);

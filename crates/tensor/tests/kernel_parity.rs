@@ -132,7 +132,8 @@ fn gemm_packed_bit_identical_ragged_shapes() {
         (3, 0, 5),   // k = 0: output must be all zeros on every path
         (4, 9, 8),
         (5, 16, 31),
-        (33, 12, 17), // crosses the 32-row band boundary
+        (33, 12, 17), // crosses the 28-row band boundary
+        (48, 11, 29), // two 24-row bands on the zmm tile
         (37, 19, 53),
         (37, 4100, 53), // 128 KiB panels: four column strips, ragged last
     ] {
@@ -161,10 +162,13 @@ fn gemm_packed_bit_identical_ragged_shapes() {
 }
 
 /// Every tile against the scalar band at every tile boundary: rows
-/// 1–30 (the zmm tile's 12-row blocks, its 4-row groups and the 1–3
-/// rows left to the ymm body; 16 and 24 cross both), panel counts 1–7
-/// with every partial last-panel width (pairs, the odd panel, the zmm
-/// six-panel groups and what they leave), `k` = 0, 1 and 37, into a
+/// 1–44 (every cover of the zmm tile's 14- and 12-row blocks, its
+/// 4-row groups and the 1–3 rows left to the ymm body: 16 and 24 are
+/// 12-row covers, 28 and 42 14-row ones, 30 and 44 mix both), panel
+/// counts 1–9 with every partial last-panel width (the ymm pairs and
+/// odd panel; the zmm blocks' four-panel steps and the pair and odd
+/// panel they leave; its 4-row groups' six-panel steps and what they
+/// leave), `k` = 0, 1 and 37, into a
 /// NaN-filled band, under all three epilogue forms — each output
 /// element once with a full panel range and, past one panel, once with
 /// a range that starts at panel 1 (a column strip), whose first panel
@@ -173,12 +177,12 @@ fn gemm_packed_bit_identical_ragged_shapes() {
 fn every_tile_matches_scalar_at_every_tile_boundary() {
     let tiles = tiles_under_test();
     for k in [0, 1, 37] {
-        for rows in 1..=30 {
+        for rows in 1..=44 {
             // Two rows above the band: `row0` indexes `A` and a per-row bias.
             let row0 = 2;
             let a = mat(row0 + rows, k, 7);
             let row_bias: Vec<f32> = (0..row0 + rows).map(|r| r as f32 / 3.0 - 4.0).collect();
-            for n in 1..=7 * PANEL {
+            for n in 1..=9 * PANEL {
                 let b = PackedB::pack(&mat(k, n, 8));
                 let col_bias: Vec<f32> = (0..n).map(|j| 1.5 - j as f32 / 5.0).collect();
                 let epi = match (rows + n) % 3 {
